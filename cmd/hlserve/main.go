@@ -17,7 +17,6 @@
 //	hlserve load  -graph g.hwg -n 100000         # in-process load test: qps + p50/p90/p99
 //	hlserve load  -graph g.hwg -proto binary -batch 64   # ... through the wire protocol
 //	hlserve load  -graph g.hwg -parallel 1,2,4,8 -json BENCH_SERVE.json  # qps-vs-parallelism sweep
-//	hlserve load  -graph g.hwg -writeratio 0.01  # ... mixing writes into the reads
 //	hlserve load  -graph g.hwg -deleteratio 0.1  # trace-style churn: edge inserts + deletes mixed into the measured load, any -proto
 //	hlserve serve -graph g.hwg -read-budget 64   # bounded in-flight admission (shed with 429/Overloaded)
 //	hlserve load  -graph g.hwg -proto http -read-budget 2 -batch 1024 -parallel 8  # overload drill: shed accounting in the report
@@ -290,26 +289,12 @@ func runServe(args []string, _ io.Reader, stdout, _ io.Writer) error {
 		fmt.Fprintf(stdout, "hlserve: live updates enabled, %s\n", mode)
 	}
 	fmt.Fprintf(stdout, "hlserve: listening on %s (GET /distance?s=&t=, POST /distance/batch, POST /edges, GET /stats, GET /healthz)\n", *addr)
-	if *binAddr == "" {
-		return srv.ListenAndServe(ctx, *addr)
+	if *binAddr != "" {
+		// Dual-listener mode: HTTP and the binary protocol serve the same
+		// snapshots, searcher pools and metrics.
+		fmt.Fprintf(stdout, "hlserve: binary protocol listening on %s (PROTOCOL.md; native client: highway.Dial)\n", *binAddr)
 	}
-
-	// Dual-listener mode: HTTP and the binary protocol serve the same
-	// snapshots, searcher pools and metrics. Either listener failing
-	// takes the whole process down (a half-up server is worse than a
-	// down one); a signal shuts both down gracefully.
-	fmt.Fprintf(stdout, "hlserve: binary protocol listening on %s (PROTOCOL.md; native client: highway.Dial)\n", *binAddr)
-	lctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errc := make(chan error, 2)
-	go func() { errc <- srv.ListenAndServeBinary(lctx, *binAddr) }()
-	go func() { errc <- srv.ListenAndServe(lctx, *addr) }()
-	err = <-errc
-	cancel()
-	if e2 := <-errc; err == nil {
-		err = e2
-	}
-	return err
+	return srv.ListenAndServeBoth(ctx, *addr, *binAddr)
 }
 
 // runFollower serves the replication-follower role: an initially-empty
@@ -329,17 +314,7 @@ func runFollower(addr, binAddr string, cfg serve.Config, stdout io.Writer) error
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	fmt.Fprintf(stdout, "hlserve: follower awaiting snapshot bootstrap; HTTP on %s, binary (replication + reads) on %s\n", addr, binAddr)
-	lctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errc := make(chan error, 2)
-	go func() { errc <- srv.ListenAndServeBinary(lctx, binAddr) }()
-	go func() { errc <- srv.ListenAndServe(lctx, addr) }()
-	err = <-errc
-	cancel()
-	if e2 := <-errc; err == nil {
-		err = e2
-	}
-	return err
+	return srv.ListenAndServeBoth(ctx, addr, binAddr)
 }
 
 // runRoute serves the router role: no local state, reads fanned across
@@ -383,21 +358,10 @@ func runRoute(args []string, _ io.Reader, stdout, _ io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	fmt.Fprintf(stdout, "hlserve: routing %d shard(s), primary %q; HTTP on %s\n", len(shards), *primary, *addr)
-	if *binAddr == "" {
-		return rt.ListenAndServe(ctx, *addr)
+	if *binAddr != "" {
+		fmt.Fprintf(stdout, "hlserve: binary protocol listening on %s\n", *binAddr)
 	}
-	fmt.Fprintf(stdout, "hlserve: binary protocol listening on %s\n", *binAddr)
-	lctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errc := make(chan error, 2)
-	go func() { errc <- rt.ListenAndServeBinary(lctx, *binAddr) }()
-	go func() { errc <- rt.ListenAndServe(lctx, *addr) }()
-	err = <-errc
-	cancel()
-	if e2 := <-errc; err == nil {
-		err = e2
-	}
-	return err
+	return rt.ListenAndServeBoth(ctx, *addr, *binAddr)
 }
 
 func runBatch(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
@@ -425,7 +389,6 @@ func runLoad(args []string, _ io.Reader, stdout, _ io.Writer) error {
 	n := fs.Int("n", 100_000, "total measured pairs per run (the paper samples 100,000)")
 	seed := fs.Int64("seed", 42, "workload seed")
 	workers := fs.Int("workers", 0, "concurrent load workers, each with its own connection and request queue (0 = all cores)")
-	writeRatio := fs.Float64("writeratio", 0, "fraction of reads paired with a random edge insertion (0 = read-only load; in-process only, needs an hl index)")
 	churn := fs.Float64("churn", 0, "fraction of requests preceded by one edge mutation through the target protocol (0 = read-only unless -deleteratio is set, which defaults this to 0.1; needs an hl index)")
 	deleteRatio := fs.Float64("deleteratio", 0, "fraction of churn mutations that delete a live edge instead of inserting (implies -churn 0.1 when churn is unset)")
 	skew := fs.Float64("skew", 0, "Zipf skew for churn insertion endpoints, >1 to enable (low vertex ids = hubs); uniform otherwise")
@@ -443,9 +406,6 @@ func runLoad(args []string, _ io.Reader, stdout, _ io.Writer) error {
 	// Everything that can be rejected before touching the index is
 	// rejected here: a bad flag combination must cost an error message,
 	// not an index load (on billion-edge graphs, minutes).
-	if *writeRatio < 0 || *writeRatio > 1 {
-		return fmt.Errorf("-writeratio must be in [0,1], got %g", *writeRatio)
-	}
 	if *churn < 0 || *churn > 1 {
 		return fmt.Errorf("-churn must be in [0,1], got %g", *churn)
 	}
@@ -454,9 +414,6 @@ func runLoad(args []string, _ io.Reader, stdout, _ io.Writer) error {
 	}
 	if *deleteRatio > 0 && *churn == 0 {
 		*churn = 0.1 // -deleteratio alone means "churn, a tenth of the requests"
-	}
-	if *churn > 0 && *writeRatio > 0 {
-		return fmt.Errorf("-churn/-deleteratio and -writeratio are mutually exclusive (churn supersedes the in-process write mix)")
 	}
 	if *proto != "inproc" && *proto != "http" && *proto != "binary" {
 		return fmt.Errorf("unknown -proto %q (want inproc, http or binary)", *proto)
@@ -471,21 +428,6 @@ func runLoad(args []string, _ io.Reader, stdout, _ io.Writer) error {
 	_, ip, err := paths()
 	if err != nil {
 		return err
-	}
-	if *writeRatio > 0 {
-		if *proto != "inproc" {
-			return fmt.Errorf("-writeratio is an in-process measurement (got -proto %s)", *proto)
-		}
-		// Writes need the dynamic highway pipeline: sniffing the index
-		// file's method tag costs a header read, so the mismatch
-		// surfaces now rather than after loading the labelling.
-		tag, err := highway.SniffIndexMethod(ip)
-		if err != nil {
-			return err
-		}
-		if tag != "hl" {
-			return fmt.Errorf("-writeratio needs an hl index (method %q serves read-only)", tag)
-		}
 	}
 	if *churn > 0 {
 		// Churn mutates through the target protocol, so the self-hosted
@@ -510,24 +452,7 @@ func runLoad(args []string, _ io.Reader, stdout, _ io.Writer) error {
 		levels = []int{*workers}
 	}
 
-	if *writeRatio > 0 {
-		// Mixed read/write mode: a live in-memory server absorbing
-		// random insertions while the read pipeline hammers it, the
-		// serving-side equivalent of the FD comparison.
-		srv, err := serve.NewLive(ix.(*highway.Index), serve.LiveConfig{})
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		stats, err := srv.RunLoadMixed(io.Discard, *n, *seed, *workers, *writeRatio)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, "hlserve:", stats)
-		return nil
-	}
-
-	// Everything else goes through the percentile harness. The target is
+	// Every run goes through the percentile harness. The target is
 	// the in-process server, or a wire protocol — self-hosted on a
 	// loopback listener unless -target points at a running server, so a
 	// protocol-overhead comparison needs nothing but this one command.

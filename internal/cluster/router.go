@@ -2,12 +2,8 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
-	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,11 +44,6 @@ type RouterConfig struct {
 // RouterConfig.HealthInterval is zero.
 const DefaultHealthInterval = 500 * time.Millisecond
 
-// ErrUnavailable is returned by router reads when some shard has no
-// healthy member, and by forwarded writes when the primary is down or
-// unconfigured. Maps to wire.CodeUnavailable and HTTP 503.
-var ErrUnavailable = errors.New("cluster: no healthy member")
-
 // member is one routed endpoint: a lazily-dialed pooled client plus
 // the health bit and in-flight gauge the read balancer keys on.
 type member struct {
@@ -71,11 +62,18 @@ func (m *member) client() *hlclient.Client {
 	return m.cl.Load()
 }
 
-// Router is the cluster's coordinator: a read/write front door that
-// speaks both serving protocols, health-checks members, balances
-// reads (least-inflight per shard, exact min-merge across shards) and
-// forwards writes to the primary. It holds no graph state of its own.
+// Router is the cluster's coordinator: it health-checks members,
+// balances reads (least-inflight per shard, exact min-merge across
+// shards) and forwards writes to the primary. It holds no graph state
+// of its own, and no protocol code either: it is a serve.Backend, and
+// the embedded serve.Frontend — the same one a Server listens with —
+// gives it Handler, Serve, ServeBinary and the ListenAndServe family.
+// A member's failure relays through serve.ErrorTable by its wire code,
+// so a client sees the same status and code with or without the router
+// in the path.
 type Router struct {
+	*serve.Frontend
+
 	cfg     RouterConfig
 	shards  [][]*member
 	primary *member // nil when unconfigured
@@ -113,6 +111,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		cfg.ShutdownGrace = serve.DefaultShutdownGrace
 	}
 	rt := &Router{cfg: cfg, started: time.Now()}
+	rt.Frontend = serve.NewFrontend(rt, cfg.MaxBatch, cfg.ShutdownGrace)
 	rt.ctx, rt.cancel = context.WithCancel(context.Background())
 	for _, addrs := range cfg.Shards {
 		shard := make([]*member, len(addrs))
@@ -133,22 +132,15 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 func (rt *Router) Close() {
 	rt.cancel()
 	rt.wg.Wait()
-	for _, shard := range rt.shards {
-		for _, m := range shard {
-			if cl := m.cl.Load(); cl != nil {
-				cl.Close()
-			}
-		}
-	}
-	if rt.primary != nil {
-		if cl := rt.primary.cl.Load(); cl != nil {
+	for _, m := range rt.members() {
+		if cl := m.cl.Load(); cl != nil {
 			cl.Close()
 		}
 	}
 }
 
 // members returns every member including the primary (for the health
-// loop and stats).
+// loop and Close).
 func (rt *Router) members() []*member {
 	var all []*member
 	for _, shard := range rt.shards {
@@ -203,12 +195,12 @@ func (rt *Router) healthLoop() {
 }
 
 // pick selects the healthy member with the fewest in-flight requests
-// in one shard, or nil when the whole shard is down.
-func pick(shard []*member) *member {
+// in one shard, passing over those in skip, or nil when none is left.
+func pick(shard []*member, skip map[*member]bool) *member {
 	var best *member
 	var bestLoad int64
 	for _, m := range shard {
-		if m.client() == nil {
+		if skip[m] || m.client() == nil {
 			continue
 		}
 		if load := m.inflight.Load(); best == nil || load < bestLoad {
@@ -237,20 +229,10 @@ func mergeDist(a, b int32) int32 {
 func (rt *Router) onShard(shard []*member, fn func(cl *hlclient.Client) error) error {
 	tried := make(map[*member]bool, len(shard))
 	for {
-		m := pick(shard)
-		for attempts := 0; m != nil && tried[m] && attempts < len(shard); attempts++ {
-			// pick is load-based and may repeat a failed member; scan on.
-			m = nil
-			for _, cand := range shard {
-				if !tried[cand] && cand.client() != nil {
-					m = cand
-					break
-				}
-			}
-		}
-		if m == nil || tried[m] {
+		m := pick(shard, tried)
+		if m == nil {
 			rt.errors.Add(1)
-			return ErrUnavailable
+			return serve.ErrUnavailable
 		}
 		tried[m] = true
 		cl := m.client()
@@ -272,106 +254,106 @@ func (rt *Router) onShard(shard []*member, fn func(cl *hlclient.Client) error) e
 	}
 }
 
-// Distance answers one exact query by fanning out to one member per
-// shard and min-merging.
-func (rt *Router) Distance(ctx context.Context, s, t int32) (int32, error) {
+// fanOut runs fn against one member of every shard concurrently (fn
+// gets the shard's index to file its answer under) and returns the
+// first shard's error: exactness needs every shard's answer.
+func (rt *Router) fanOut(fn func(i int, cl *hlclient.Client) error) error {
 	rt.reads.Add(1)
-	results := make([]int32, len(rt.shards))
 	errs := make([]error, len(rt.shards))
 	var wg sync.WaitGroup
 	for i, shard := range rt.shards {
 		wg.Add(1)
 		go func(i int, shard []*member) {
 			defer wg.Done()
-			errs[i] = rt.onShard(shard, func(cl *hlclient.Client) error {
-				d, err := cl.Distance(ctx, s, t)
-				results[i] = d
-				return err
-			})
+			errs[i] = rt.onShard(shard, func(cl *hlclient.Client) error { return fn(i, cl) })
 		}(i, shard)
 	}
 	wg.Wait()
-	d := int32(-1)
-	for i := range results {
-		if errs[i] != nil {
-			return -1, errs[i] // exactness needs every shard's answer
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
-		d = mergeDist(d, results[i])
+	}
+	return nil
+}
+
+// Distance answers one exact query by fanning out to one member per
+// shard and min-merging.
+func (rt *Router) Distance(ctx context.Context, s, t int32) (int32, error) {
+	results := make([]int32, len(rt.shards))
+	err := rt.fanOut(func(i int, cl *hlclient.Client) (err error) {
+		results[i], err = cl.Distance(ctx, s, t)
+		return err
+	})
+	if err != nil {
+		return -1, err
+	}
+	d := int32(-1)
+	for _, r := range results {
+		d = mergeDist(d, r)
 	}
 	return d, nil
 }
 
 // DistanceBatch answers a batch by fanning the whole batch to one
-// member per shard and min-merging elementwise.
-func (rt *Router) DistanceBatch(ctx context.Context, pairs [][2]int32) ([]int32, error) {
-	rt.reads.Add(1)
-	if len(pairs) > rt.cfg.MaxBatch {
-		return nil, fmt.Errorf("cluster: batch of %d pairs exceeds limit %d", len(pairs), rt.cfg.MaxBatch)
-	}
+// member per shard and min-merging elementwise into dst (reused when it
+// has the capacity). The batch limit is the front-end's to enforce.
+func (rt *Router) DistanceBatch(ctx context.Context, pairs [][2]int32, dst []int32) ([]int32, error) {
 	results := make([][]int32, len(rt.shards))
-	errs := make([]error, len(rt.shards))
-	var wg sync.WaitGroup
-	for i, shard := range rt.shards {
-		wg.Add(1)
-		go func(i int, shard []*member) {
-			defer wg.Done()
-			errs[i] = rt.onShard(shard, func(cl *hlclient.Client) error {
-				d, err := cl.DistanceBatch(ctx, pairs, nil)
-				results[i] = d
-				return err
-			})
-		}(i, shard)
+	err := rt.fanOut(func(i int, cl *hlclient.Client) (err error) {
+		results[i], err = cl.DistanceBatch(ctx, pairs, nil)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	out := make([]int32, len(pairs))
-	for i := range out {
-		out[i] = -1
+	if cap(dst) < len(pairs) {
+		dst = make([]int32, len(pairs))
 	}
-	for i := range results {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		for j, d := range results[i] {
-			out[j] = mergeDist(out[j], d)
+	dst = dst[:len(pairs)]
+	for i := range dst {
+		dst[i] = -1
+	}
+	for _, res := range results {
+		for j, d := range res {
+			dst[j] = mergeDist(dst[j], d)
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
-// InsertEdges forwards a write batch to the primary.
-func (rt *Router) InsertEdges(ctx context.Context, edges [][2]int32) (serve.InsertResult, error) {
+// onPrimary runs one forwarded write against the primary.
+func (rt *Router) onPrimary(fn func(cl *hlclient.Client) error) error {
 	rt.writes.Add(1)
-	cl, err := rt.primaryClient()
-	if err != nil {
-		return serve.InsertResult{}, err
-	}
-	rt.primary.inflight.Add(1)
-	defer rt.primary.inflight.Add(-1)
-	return cl.InsertEdges(ctx, edges)
-}
-
-// DeleteEdges forwards a deletion batch to the primary.
-func (rt *Router) DeleteEdges(ctx context.Context, edges [][2]int32) (serve.DeleteResult, error) {
-	rt.writes.Add(1)
-	cl, err := rt.primaryClient()
-	if err != nil {
-		return serve.DeleteResult{}, err
-	}
-	rt.primary.inflight.Add(1)
-	defer rt.primary.inflight.Add(-1)
-	return cl.DeleteEdges(ctx, edges)
-}
-
-func (rt *Router) primaryClient() (*hlclient.Client, error) {
 	if rt.primary == nil {
-		return nil, fmt.Errorf("%w: router has no primary configured", ErrUnavailable)
+		return fmt.Errorf("%w: router has no primary configured", serve.ErrUnavailable)
 	}
 	cl := rt.primary.client()
 	if cl == nil {
 		rt.errors.Add(1)
-		return nil, fmt.Errorf("%w: primary %s is down", ErrUnavailable, rt.primary.addr)
+		return fmt.Errorf("%w: primary %s is down", serve.ErrUnavailable, rt.primary.addr)
 	}
-	return cl, nil
+	rt.primary.inflight.Add(1)
+	defer rt.primary.inflight.Add(-1)
+	return fn(cl)
+}
+
+// InsertEdges forwards a write batch to the primary.
+func (rt *Router) InsertEdges(ctx context.Context, edges [][2]int32) (res serve.InsertResult, err error) {
+	err = rt.onPrimary(func(cl *hlclient.Client) error {
+		res, err = cl.InsertEdges(ctx, edges)
+		return err
+	})
+	return res, err
+}
+
+// DeleteEdges forwards a deletion batch to the primary.
+func (rt *Router) DeleteEdges(ctx context.Context, edges [][2]int32) (res serve.DeleteResult, err error) {
+	err = rt.onPrimary(func(cl *hlclient.Client) error {
+		res, err = cl.DeleteEdges(ctx, edges)
+		return err
+	})
+	return res, err
 }
 
 // RouterStats is the "router" section of the router's /stats document.
@@ -424,394 +406,39 @@ func (rt *Router) Stats() RouterStats {
 // the condition under which reads are exact and available.
 func (rt *Router) Ready() bool {
 	for _, shard := range rt.shards {
-		if pick(shard) == nil {
+		if pick(shard, nil) == nil {
 			return false
 		}
 	}
 	return true
 }
 
-// routerStatsDoc is the router's /stats shape: role marker, the router
-// section, and uptime — deliberately a subset of the serving stats
-// document so generic scrapers can read both.
-type routerStatsDoc struct {
-	Role          string      `json:"role"`
-	Router        RouterStats `json:"router"`
-	UptimeSeconds float64     `json:"uptime_seconds"`
+// Readiness implements serve.Backend: /readyz is Ready.
+func (rt *Router) Readiness() (any, bool) {
+	if !rt.Ready() {
+		return map[string]string{"status": "unready", "detail": "a shard has no healthy member"}, false
+	}
+	return map[string]string{"status": "ready"}, true
 }
 
-func (rt *Router) statsDoc() routerStatsDoc {
+// routerStatsDoc is the router's /stats shape: role marker, the router
+// section, uptime and the front-end's per-endpoint counters — the last
+// two named as in the serving stats document so generic scrapers can
+// read both.
+type routerStatsDoc struct {
+	Role          string                         `json:"role"`
+	Router        RouterStats                    `json:"router"`
+	UptimeSeconds float64                        `json:"uptime_seconds"`
+	Endpoints     map[string]serve.EndpointStats `json:"endpoints"`
+}
+
+// StatsDoc implements serve.Backend.
+func (rt *Router) StatsDoc() any {
+	uptime := time.Since(rt.started)
 	return routerStatsDoc{
 		Role:          "router",
 		Router:        rt.Stats(),
-		UptimeSeconds: time.Since(rt.started).Seconds(),
+		UptimeSeconds: uptime.Seconds(),
+		Endpoints:     rt.EndpointStats(uptime),
 	}
-}
-
-// ---- HTTP front end ----
-
-// Handler returns the router's HTTP API: the serving tier's read and
-// write endpoints (same request/response JSON), plus stats and health.
-func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /distance", rt.handleDistance)
-	mux.HandleFunc("POST /distance/batch", rt.handleBatch)
-	mux.HandleFunc("POST /edges", rt.handleEdges(false))
-	mux.HandleFunc("DELETE /edges", rt.handleEdges(true))
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, rt.statsDoc())
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if !rt.Ready() {
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-				"status": "unready", "detail": "a shard has no healthy member",
-			})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-	})
-	return mux
-}
-
-// ListenAndServe serves the HTTP front end until ctx is cancelled.
-func (rt *Router) ListenAndServe(ctx context.Context, addr string) error {
-	srv := &http.Server{Addr: addr, Handler: rt.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	sctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ShutdownGrace)
-	defer cancel()
-	return srv.Shutdown(sctx)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	// Shed and narrowed-service answers are retryable; say so the same
-	// way the serving tier does.
-	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, code, map[string]string{"error": msg})
-}
-
-// routedStatus maps a routing error to an HTTP status. A member's
-// Overloaded answer relays as 429 — the same status the serving tier's
-// own admission gate uses, so clients (and the load harness) see one
-// shed protocol whether or not a router is in the path.
-func routedStatus(err error) int {
-	var re *wire.RemoteError
-	switch {
-	case errors.Is(err, ErrUnavailable):
-		return http.StatusServiceUnavailable
-	case errors.As(err, &re):
-		switch re.Code {
-		case wire.CodeRange, wire.CodeMalformed:
-			return http.StatusBadRequest
-		case wire.CodeTooLarge:
-			return http.StatusRequestEntityTooLarge
-		case wire.CodeOverloaded:
-			return http.StatusTooManyRequests
-		case wire.CodeDegraded, wire.CodeUnavailable:
-			return http.StatusServiceUnavailable
-		}
-	}
-	return http.StatusBadGateway
-}
-
-func (rt *Router) handleDistance(w http.ResponseWriter, r *http.Request) {
-	s, errS := strconv.ParseInt(r.URL.Query().Get("s"), 10, 32)
-	t, errT := strconv.ParseInt(r.URL.Query().Get("t"), 10, 32)
-	if errS != nil || errT != nil {
-		httpError(w, http.StatusBadRequest, "s and t must be integer vertex ids")
-		return
-	}
-	d, err := rt.Distance(r.Context(), int32(s), int32(t))
-	if err != nil {
-		httpError(w, routedStatus(err), err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"s": s, "t": t, "distance": d})
-}
-
-func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Pairs [][]int32 `json:"pairs"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
-		return
-	}
-	pairs := make([][2]int32, len(req.Pairs))
-	for i, p := range req.Pairs {
-		if len(p) != 2 {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("pair %d: want [s,t]", i))
-			return
-		}
-		pairs[i] = [2]int32{p[0], p[1]}
-	}
-	dists, err := rt.DistanceBatch(r.Context(), pairs)
-	if err != nil {
-		httpError(w, routedStatus(err), err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"count": len(dists), "distances": dists})
-}
-
-// handleEdges forwards write batches, accepting the serving tier's
-// request shapes ({"edge":[a,b]} or {"edges":[[a,b],...]}).
-func (rt *Router) handleEdges(del bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Edge  []int32   `json:"edge"`
-			Edges [][]int32 `json:"edges"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
-			return
-		}
-		raw := req.Edges
-		if len(req.Edge) == 2 {
-			raw = append(raw, req.Edge)
-		}
-		edges := make([][2]int32, len(raw))
-		for i, e := range raw {
-			if len(e) != 2 {
-				httpError(w, http.StatusBadRequest, fmt.Sprintf("edge %d: want [a,b]", i))
-				return
-			}
-			edges[i] = [2]int32{e[0], e[1]}
-		}
-		if del {
-			res, err := rt.DeleteEdges(r.Context(), edges)
-			if err != nil {
-				httpError(w, routedStatus(err), err.Error())
-				return
-			}
-			writeJSON(w, http.StatusOK, res)
-			return
-		}
-		res, err := rt.InsertEdges(r.Context(), edges)
-		if err != nil {
-			httpError(w, routedStatus(err), err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, res)
-	}
-}
-
-// ---- binary front end ----
-
-// ServeBinary accepts binary-protocol connections on ln and serves
-// the read/write/stats/ping subset, routed. Replication frames are
-// answered with Malformed (a router is not a follower); unknown types
-// likewise, mirroring the serving tier.
-func (rt *Router) ServeBinary(ctx context.Context, ln net.Listener) error {
-	var (
-		mu    sync.Mutex
-		conns = make(map[net.Conn]struct{})
-		wg    sync.WaitGroup
-	)
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-stop:
-		}
-		ln.Close()
-		mu.Lock()
-		for c := range conns {
-			c.SetReadDeadline(time.Now())
-		}
-		mu.Unlock()
-	}()
-	var acceptErr error
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			if ctx.Err() == nil && !errors.Is(err, net.ErrClosed) {
-				acceptErr = err
-			}
-			break
-		}
-		mu.Lock()
-		conns[c] = struct{}{}
-		mu.Unlock()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rt.serveBinaryConn(ctx, c)
-			mu.Lock()
-			delete(conns, c)
-			mu.Unlock()
-		}()
-	}
-	close(stop)
-	drained := make(chan struct{})
-	go func() { wg.Wait(); close(drained) }()
-	select {
-	case <-drained:
-	case <-time.After(rt.cfg.ShutdownGrace):
-		mu.Lock()
-		for c := range conns {
-			c.Close()
-		}
-		mu.Unlock()
-		<-drained
-	}
-	return acceptErr
-}
-
-// ListenAndServeBinary serves the binary front end on addr.
-func (rt *Router) ListenAndServeBinary(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return rt.ServeBinary(ctx, ln)
-}
-
-const (
-	binHandshakeTimeout = 5 * time.Second
-	binIdleTimeout      = 5 * time.Minute
-	binWriteTimeout     = 30 * time.Second
-)
-
-// serveBinaryConn mirrors the serving tier's request loop — handshake,
-// frame, dispatch, pipelined flush — with routed execution.
-func (rt *Router) serveBinaryConn(ctx context.Context, c net.Conn) {
-	defer c.Close()
-	c.SetDeadline(time.Now().Add(binHandshakeTimeout))
-	if err := wire.ReadMagic(c); err != nil {
-		return
-	}
-	if err := wire.WriteMagic(c); err != nil {
-		return
-	}
-	c.SetDeadline(time.Time{})
-
-	r := wire.NewReader(c, wire.MaxFrame)
-	w := wire.NewWriter(c)
-	var (
-		pairs   [][2]int32
-		scratch []byte
-	)
-	for {
-		c.SetReadDeadline(time.Now().Add(binIdleTimeout))
-		typ, payload, err := r.ReadFrame()
-		if err != nil {
-			return
-		}
-		c.SetWriteDeadline(time.Now().Add(binWriteTimeout))
-
-		var respType wire.Type
-		scratch = scratch[:0]
-		switch typ {
-		case wire.TDistance:
-			sv, tv, derr := wire.DecodePair(payload)
-			if derr != nil {
-				respType, scratch = wire.TError, wire.AppendError(scratch, wire.CodeMalformed, derr.Error())
-				break
-			}
-			d, qerr := rt.Distance(ctx, sv, tv)
-			if qerr != nil {
-				respType, scratch = wire.TError, appendRoutedError(scratch, qerr)
-				break
-			}
-			respType, scratch = wire.TDistanceResp, wire.AppendDistance(scratch, d)
-
-		case wire.TBatch:
-			var derr error
-			pairs, derr = wire.DecodePairs(payload, pairs)
-			if derr != nil {
-				respType, scratch = wire.TError, wire.AppendError(scratch, wire.CodeMalformed, derr.Error())
-				break
-			}
-			dists, qerr := rt.DistanceBatch(ctx, pairs)
-			if qerr != nil {
-				respType, scratch = wire.TError, appendRoutedError(scratch, qerr)
-				break
-			}
-			respType, scratch = wire.TBatchResp, wire.AppendDistances(scratch, dists)
-
-		case wire.TInsert:
-			var derr error
-			pairs, derr = wire.DecodePairs(payload, pairs)
-			if derr != nil {
-				respType, scratch = wire.TError, wire.AppendError(scratch, wire.CodeMalformed, derr.Error())
-				break
-			}
-			res, ierr := rt.InsertEdges(ctx, pairs)
-			if ierr != nil {
-				respType, scratch = wire.TError, appendRoutedError(scratch, ierr)
-				break
-			}
-			respType, scratch = wire.TInsertResp, wire.AppendInsertResult(scratch, res.Accepted, res.Inserted, res.Epoch)
-
-		case wire.TDelete:
-			var derr error
-			pairs, derr = wire.DecodePairs(payload, pairs)
-			if derr != nil {
-				respType, scratch = wire.TError, wire.AppendError(scratch, wire.CodeMalformed, derr.Error())
-				break
-			}
-			res, derr2 := rt.DeleteEdges(ctx, pairs)
-			if derr2 != nil {
-				respType, scratch = wire.TError, appendRoutedError(scratch, derr2)
-				break
-			}
-			respType, scratch = wire.TDeleteResp, wire.AppendDeleteResult(scratch, res.Accepted, res.Deleted, res.Epoch)
-
-		case wire.TStats:
-			doc, merr := json.Marshal(rt.statsDoc())
-			if merr != nil {
-				respType, scratch = wire.TError, wire.AppendError(scratch, wire.CodeInternal, merr.Error())
-				break
-			}
-			respType, scratch = wire.TStatsResp, append(scratch, doc...)
-
-		case wire.TPing:
-			respType = wire.TPingResp
-
-		default:
-			respType, scratch = wire.TError, wire.AppendError(scratch, wire.CodeMalformed,
-				fmt.Sprintf("unknown record type 0x%02x", byte(typ)))
-		}
-
-		if err := w.WriteFrame(respType, scratch); err != nil {
-			return
-		}
-		if r.Buffered() == 0 {
-			if err := w.Flush(); err != nil {
-				return
-			}
-		}
-	}
-}
-
-// appendRoutedError encodes a routed failure as a wire error frame,
-// re-relaying remote error codes verbatim so a client behind the
-// router sees the member's own taxonomy (Range stays Range, Degraded
-// stays Degraded), and mapping routing failures to Unavailable.
-func appendRoutedError(scratch []byte, err error) []byte {
-	var re *wire.RemoteError
-	if errors.As(err, &re) {
-		return wire.AppendError(scratch, re.Code, re.Message)
-	}
-	if errors.Is(err, ErrUnavailable) {
-		return wire.AppendError(scratch, wire.CodeUnavailable, err.Error())
-	}
-	return wire.AppendError(scratch, wire.CodeInternal, err.Error())
 }

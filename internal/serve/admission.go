@@ -112,7 +112,7 @@ const shedDrainLimit = 1 << 20
 
 // gated wraps a handler with admission control against g: shed requests
 // are answered 429 + Retry-After without invoking h.
-func (s *Server) gated(g *gate, h handlerFunc) handlerFunc {
+func gated(g *gate, h handlerFunc) handlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) (int64, bool) {
 		cost := httpCost(r)
 		if !g.tryAcquire(cost) {
@@ -125,10 +125,7 @@ func (s *Server) gated(g *gate, h handlerFunc) handlerFunc {
 			if r.ContentLength >= 0 && r.ContentLength <= shedDrainLimit {
 				io.Copy(io.Discard, r.Body)
 			}
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests,
-				"server overloaded: in-flight budget exhausted, retry with backoff")
-			return 0, true
+			return fail(w, ErrOverloaded)
 		}
 		defer g.release(cost)
 		return h(w, r)

@@ -168,48 +168,6 @@ func TestBatchHandlerClientDisconnect(t *testing.T) {
 	}
 }
 
-// TestBatchEndpointTrailingOverCap pins the error taxonomy fix: a body
-// whose valid JSON object is followed by bytes past the MaxBytesReader
-// cap must surface as 413 naming the byte cap — previously the
-// trailing-data check masked it as a generic 400.
-func TestBatchEndpointTrailingOverCap(t *testing.T) {
-	s := New(disconnectedIndex(t), Config{MaxBatch: 4}) // cap = 4*64+1024 bytes
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	body := `{"pairs":[[0,1]]}` + strings.Repeat(" ", 2048)
-	var e errorBody
-	code := postJSON(t, ts.URL+"/distance/batch", body, &e)
-	if code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d (%q), want 413", code, e.Error)
-	}
-	if !strings.Contains(e.Error, "1280 bytes") {
-		t.Fatalf("error %q does not name the byte cap", e.Error)
-	}
-}
-
-// TestInsertEndpointTrailingOverCap is the same taxonomy pin for the
-// update endpoint.
-func TestInsertEndpointTrailingOverCap(t *testing.T) {
-	_, _, ix := liveBase(t, 60, 4)
-	s, err := NewLive(ix, LiveConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.cfg.MaxBatch = 4 // cap = 1280 bytes
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	body := `{"edge":[0,1]}` + strings.Repeat(" ", 2048)
-	var e errorBody
-	code := postJSON(t, ts.URL+"/edges", body, &e)
-	if code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d (%q), want 413", code, e.Error)
-	}
-	if !strings.Contains(e.Error, "1280 bytes") {
-		t.Fatalf("error %q does not name the byte cap", e.Error)
-	}
-}
-
 // TestBatchRaceWithInserts drives concurrent batch reads against edge
 // inserts on a live server — under -race this pins that the vectorized
 // batch path only ever touches immutable snapshot state while writers

@@ -4,24 +4,21 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"time"
 
 	"highway/internal/failpoint"
-	"highway/internal/method"
 	"highway/internal/wire"
 )
 
-// Binary protocol listener: the same Server, snapshots and searcher
-// pools as the HTTP API, behind the length-prefixed framed protocol of
-// internal/wire (specified in PROTOCOL.md). One goroutine per
-// connection decodes request frames and answers them strictly in
-// order, so clients may pipeline thousands of requests per round trip;
-// responses are buffered and flushed only when no further request is
-// already readable, which is what collapses a pipelined burst into a
-// handful of syscalls.
+// Binary protocol listener: the same Backend as the HTTP API, behind
+// the length-prefixed framed protocol of internal/wire (specified in
+// PROTOCOL.md). One goroutine per connection decodes request frames and
+// answers them strictly in order, so clients may pipeline thousands of
+// requests per round trip; responses are buffered and flushed only when
+// no further request is already readable, which is what collapses a
+// pipelined burst into a handful of syscalls.
 
 // Connection timeouts, mirroring the HTTP listener's bounds: a slow or
 // dead peer must not pin a goroutine forever.
@@ -35,20 +32,17 @@ const (
 // ctx is cancelled, then shuts down gracefully (in-flight requests
 // finish; idle connections are released immediately). It returns nil on
 // clean shutdown.
-func (s *Server) ListenAndServeBinary(ctx context.Context, addr string) error {
+func (fe *Frontend) ListenAndServeBinary(ctx context.Context, addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	return s.ServeBinary(ctx, ln)
+	return fe.ServeBinary(ctx, ln)
 }
 
-// ServeBinary is ListenAndServeBinary over an existing listener (tests
-// use 127.0.0.1:0 to avoid port races). It may run concurrently with
-// Serve on another listener: the two protocols share every snapshot,
-// searcher pool and metric, so a JSON write is visible to a binary read
-// and vice versa.
-func (s *Server) ServeBinary(ctx context.Context, ln net.Listener) error {
+// ServeBinary is ListenAndServeBinary over an existing listener. It may
+// run concurrently with Serve on another listener.
+func (fe *Frontend) ServeBinary(ctx context.Context, ln net.Listener) error {
 	var (
 		mu    sync.Mutex
 		conns = make(map[net.Conn]struct{})
@@ -86,7 +80,7 @@ func (s *Server) ServeBinary(ctx context.Context, ln net.Listener) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.serveBinaryConn(ctx, c)
+			fe.serveConn(ctx, c)
 			mu.Lock()
 			delete(conns, c)
 			mu.Unlock()
@@ -98,7 +92,7 @@ func (s *Server) ServeBinary(ctx context.Context, ln net.Listener) error {
 	go func() { wg.Wait(); close(drained) }()
 	select {
 	case <-drained:
-	case <-time.After(s.cfg.ShutdownGrace):
+	case <-time.After(fe.grace):
 		mu.Lock()
 		for c := range conns {
 			c.Close()
@@ -109,19 +103,28 @@ func (s *Server) ServeBinary(ctx context.Context, ln net.Listener) error {
 	return acceptErr
 }
 
-// serveBinaryConn runs one connection's request loop: handshake, then
+// connScratch is one connection's buffers, reused across requests so
+// the steady state allocates nothing: decoded pairs, computed
+// distances, and the response payload under construction.
+type connScratch struct {
+	pairs [][2]int32
+	dists []int32
+	out   []byte
+}
+
+// serveConn runs one connection's request loop: handshake, then
 // frame → dispatch → response until the peer closes, a frame is
 // corrupt, or the idle deadline passes. Framing errors drop the
 // connection (once the stream position is untrusted nothing on it can
 // be answered); application errors are answered in-band with a TError
 // frame and the connection keeps going.
 //
-// ctx is the listener context: its cancellation (server shutdown)
-// aborts an in-flight batch within ~method.CancelCheckEvery pairs and
-// drops the connection. A peer that merely disconnects mid-batch is
-// only observed at response-write time — the pipelined reader gives the
-// server no per-request signal before that (see PROTOCOL.md).
-func (s *Server) serveBinaryConn(ctx context.Context, c net.Conn) {
+// ctx is the listener context: its cancellation (shutdown) aborts an
+// in-flight batch within ~method.CancelCheckEvery pairs and drops the
+// connection. A peer that merely disconnects mid-batch is only observed
+// at response-write time — the pipelined reader gives the server no
+// per-request signal before that (see PROTOCOL.md).
+func (fe *Frontend) serveConn(ctx context.Context, c net.Conn) {
 	defer c.Close()
 	c.SetDeadline(time.Now().Add(binHandshakeTimeout))
 	if err := wire.ReadMagic(c); err != nil {
@@ -134,16 +137,18 @@ func (s *Server) serveBinaryConn(ctx context.Context, c net.Conn) {
 
 	r := wire.NewReader(c, wire.MaxFrame)
 	w := wire.NewWriter(c)
-	// Per-connection scratch, reused across requests so the steady
-	// state allocates nothing: decoded pairs, computed distances, and
-	// the response payload under construction.
-	var (
-		pairs   [][2]int32
-		dists   []int32
-		scratch []byte
-	)
+	// A pipelined burst is flushed only once drained, so any exit below
+	// can leave answers in w: every executed request gets its response.
+	defer w.Flush()
+	var st connScratch
 	for {
 		c.SetReadDeadline(time.Now().Add(binIdleTimeout))
+		if ctx.Err() != nil {
+			// The line above may have just overwritten the shutdown
+			// poison; without this check the connection would idle until
+			// the grace period force-closes it.
+			return
+		}
 		typ, payload, err := r.ReadFrame()
 		if err != nil {
 			return
@@ -154,184 +159,40 @@ func (s *Server) serveBinaryConn(ctx context.Context, c net.Conn) {
 		// Admission before decode: the cost estimate needs only the
 		// payload length, so an over-budget frame is shed for the price
 		// of having read it (frames must be consumed in order — the
-		// stream cannot be skipped past an unread request).
-		var g *gate
-		switch typ {
-		case wire.TDistance, wire.TBatch:
-			g = &s.readGate
-		case wire.TInsert, wire.TDelete:
-			g = &s.writeGate
-		}
-		var cost int64
-		if g != nil {
-			cost = frameCost(len(payload))
-			if !g.tryAcquire(cost) {
-				scratch = wire.AppendError(scratch[:0], wire.CodeOverloaded,
-					"server overloaded: in-flight budget exhausted, retry with backoff")
-				s.metrics.observe(binEndpoint(typ), 0, time.Since(start), true)
-				if err := s.writeBinaryFrame(w, wire.TError, scratch); err != nil {
-					return
-				}
-				if r.Buffered() == 0 {
-					if err := w.Flush(); err != nil {
-						return
-					}
-				}
-				continue
-			}
-		}
-
-		var respType wire.Type
-		var answered int64
-		scratch = scratch[:0]
-		switch typ {
-		case wire.TDistance:
-			sv, tv, derr := wire.DecodePair(payload)
-			if derr != nil {
-				respType, scratch = wire.TError, wire.AppendError(scratch, wire.CodeMalformed, derr.Error())
-				break
-			}
-			d, qerr := s.Distance(sv, tv)
-			if qerr != nil {
-				respType, scratch = wire.TError, wire.AppendError(scratch, wire.CodeRange, qerr.Error())
-				break
-			}
-			respType, scratch, answered = wire.TDistanceResp, wire.AppendDistance(scratch, d), 1
-
-		case wire.TBatch:
-			var derr error
-			pairs, derr = wire.DecodePairs(payload, pairs)
-			if derr != nil {
-				respType, scratch = wire.TError, wire.AppendError(scratch, wire.CodeMalformed, derr.Error())
-				break
-			}
-			if len(pairs) > s.cfg.MaxBatch {
-				respType, scratch = wire.TError, wire.AppendError(scratch, wire.CodeTooLarge,
-					fmt.Sprintf("batch of %d pairs exceeds limit %d", len(pairs), s.cfg.MaxBatch))
-				break
-			}
-			if bad, verr := s.checkPairs(pairs); verr != nil {
-				respType, scratch = wire.TError, wire.AppendError(scratch, wire.CodeRange,
-					fmt.Sprintf("pair %d: %v", bad, verr))
-				break
-			}
-			// One searcher for the whole batch, exactly like the HTTP
-			// batch endpoint: one consistent snapshot, amortized
-			// checkout, vectorized execution when the method provides
-			// it. Shutdown cancels the remaining pairs via ctx.
-			var qerr error
-			dists, qerr = s.distanceBatchConn(ctx, pairs, dists)
-			if qerr != nil {
-				// Only ctx cancellation reaches here (size and range
-				// were validated above): the server is shutting down and
-				// the answers are incomplete, so drop the connection.
+		// stream cannot be skipped past an unread request). Replication
+		// frames are never gated: shedding the primary's shipping stream
+		// would turn overload into replica lag, the opposite of what the
+		// gate protects.
+		ep, g := fe.classOf(typ)
+		var (
+			respType wire.Type
+			answered int64
+		)
+		st.out = st.out[:0]
+		if cost := frameCost(len(payload)); g == nil || g.tryAcquire(cost) {
+			respType, answered, err = fe.dispatch(ctx, typ, payload, &st)
+			if g != nil {
 				g.release(cost)
+			}
+			if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
+				// Shutdown cut the request short: drop the connection.
+				// Any other failure is still answered with its TError.
 				return
 			}
-			respType, scratch, answered = wire.TBatchResp, wire.AppendDistances(scratch, dists), int64(len(dists))
-
-		case wire.TInsert:
-			var derr error
-			pairs, derr = wire.DecodePairs(payload, pairs)
-			if derr != nil {
-				respType, scratch = wire.TError, wire.AppendError(scratch, wire.CodeMalformed, derr.Error())
-				break
-			}
-			if len(pairs) > s.cfg.MaxBatch {
-				respType, scratch = wire.TError, wire.AppendError(scratch, wire.CodeTooLarge,
-					fmt.Sprintf("batch of %d edges exceeds limit %d", len(pairs), s.cfg.MaxBatch))
-				break
-			}
-			res, ierr := s.InsertEdges(pairs)
-			if ierr != nil {
-				respType, scratch = wire.TError, appendMutationError(scratch, ierr)
-				break
-			}
-			respType, scratch = wire.TInsertResp, wire.AppendInsertResult(scratch, res.Accepted, res.Inserted, res.Epoch)
-			answered = int64(res.Accepted)
-
-		case wire.TDelete:
-			var derr error
-			pairs, derr = wire.DecodePairs(payload, pairs)
-			if derr != nil {
-				respType, scratch = wire.TError, wire.AppendError(scratch, wire.CodeMalformed, derr.Error())
-				break
-			}
-			if len(pairs) > s.cfg.MaxBatch {
-				respType, scratch = wire.TError, wire.AppendError(scratch, wire.CodeTooLarge,
-					fmt.Sprintf("batch of %d edges exceeds limit %d", len(pairs), s.cfg.MaxBatch))
-				break
-			}
-			res, derr2 := s.DeleteEdges(pairs)
-			if derr2 != nil {
-				respType, scratch = wire.TError, appendMutationError(scratch, derr2)
-				break
-			}
-			respType, scratch = wire.TDeleteResp, wire.AppendDeleteResult(scratch, res.Accepted, res.Deleted, res.Epoch)
-			answered = int64(res.Accepted)
-
-		case wire.TStats:
-			doc, merr := json.Marshal(s.statsDoc())
-			if merr != nil {
-				respType, scratch = wire.TError, wire.AppendError(scratch, wire.CodeInternal, merr.Error())
-				break
-			}
-			respType, scratch = wire.TStatsResp, append(scratch, doc...)
-
-		case wire.TPing:
-			respType = wire.TPingResp
-
-		case wire.TReplAppend:
-			// Replication frames are never admission-gated: shedding the
-			// primary's shipping stream would turn overload into
-			// replica lag, the opposite of what the gate protects.
-			if s.repl == nil {
-				respType, scratch = wire.TError, wire.AppendError(scratch, wire.CodeMalformed,
-					"server is not a replication follower")
-				break
-			}
-			epoch, ops, derr := wire.DecodeReplAppend(payload, pairs)
-			if derr != nil {
-				respType, scratch = wire.TError, wire.AppendError(scratch, wire.CodeMalformed, derr.Error())
-				break
-			}
-			pairs = ops
-			cur, aerr := s.repl.ReplAppend(epoch, ops)
-			if aerr != nil {
-				respType, scratch = wire.TError, appendReplError(scratch, aerr)
-				break
-			}
-			respType, scratch = wire.TReplAck, wire.AppendReplAck(scratch, cur)
-			answered = int64(len(ops))
-
-		case wire.TReplSnapshot:
-			if s.repl == nil {
-				respType, scratch = wire.TError, wire.AppendError(scratch, wire.CodeMalformed,
-					"server is not a replication follower")
-				break
-			}
-			epoch, done, chunk, derr := wire.DecodeReplSnapshot(payload)
-			if derr != nil {
-				respType, scratch = wire.TError, wire.AppendError(scratch, wire.CodeMalformed, derr.Error())
-				break
-			}
-			cur, aerr := s.repl.ReplSnapshot(epoch, done, chunk)
-			if aerr != nil {
-				respType, scratch = wire.TError, appendReplError(scratch, aerr)
-				break
-			}
-			respType, scratch = wire.TReplSnapshotResp, wire.AppendReplAck(scratch, cur)
-
-		default:
-			respType, scratch = wire.TError, wire.AppendError(scratch, wire.CodeMalformed,
-				fmt.Sprintf("unknown record type 0x%02x", byte(typ)))
+		} else {
+			err = ErrOverloaded
 		}
-
-		if g != nil {
-			g.release(cost)
+		if err != nil {
+			row, msg := classify(err)
+			respType, st.out = wire.TError, wire.AppendError(st.out[:0], row.Code, msg)
 		}
-		s.metrics.observe(binEndpoint(typ), answered, time.Since(start), respType == wire.TError)
-		if err := s.writeBinaryFrame(w, respType, scratch); err != nil {
+		fe.metrics.observe(ep, answered, time.Since(start), err != nil)
+		// The serve.bin.write failpoint stands in for a client connection
+		// dying mid-response.
+		if err := failpoint.Eval(FPBinWrite); err != nil {
+			return
+		}
+		if err := w.WriteFrame(respType, st.out); err != nil {
 			return
 		}
 		// Pipelining flush heuristic: only flush when no further
@@ -345,87 +206,123 @@ func (s *Server) serveBinaryConn(ctx context.Context, c net.Conn) {
 	}
 }
 
-// writeBinaryFrame is WriteFrame behind the serve.bin.write failpoint:
-// the chaos harness breaks response writes here to simulate a client
-// connection dying mid-response.
-func (s *Server) writeBinaryFrame(w *wire.Writer, t wire.Type, payload []byte) error {
-	if err := failpoint.Eval(FPBinWrite); err != nil {
-		return err
-	}
-	return w.WriteFrame(t, payload)
-}
-
-// distanceBatchConn answers an already-validated batch against the
-// current snapshot under the connection's context: the binary frame
-// handler has checked size and vertex ranges, so the only error is
-// cancellation.
-func (s *Server) distanceBatchConn(ctx context.Context, pairs [][2]int32, dst []int32) ([]int32, error) {
-	sn, sr := s.acquire()
-	dst, err := method.DistanceBatchContext(ctx, sr, pairs, dst)
-	s.release(sn, sr)
-	return dst, err
-}
-
-// checkPairs validates every endpoint of a pair batch, returning the
-// index of the first bad pair.
-func (s *Server) checkPairs(pairs [][2]int32) (int, error) {
-	for i, p := range pairs {
-		if err := s.checkVertex(p[0]); err != nil {
-			return i, err
+// dispatch decodes and answers one request frame, leaving the response
+// payload in st.out. A returned error becomes a TError frame through
+// ErrorTable.
+func (fe *Frontend) dispatch(ctx context.Context, typ wire.Type, payload []byte, st *connScratch) (wire.Type, int64, error) {
+	switch typ {
+	case wire.TDistance:
+		sv, tv, err := wire.DecodePair(payload)
+		if err != nil {
+			return 0, 0, errorf(ErrMalformed, "%v", err)
 		}
-		if err := s.checkVertex(p[1]); err != nil {
-			return i, err
+		d, err := fe.backend.Distance(ctx, sv, tv)
+		if err != nil {
+			return 0, 0, err
 		}
-	}
-	return -1, nil
-}
+		st.out = wire.AppendDistance(st.out, d)
+		return wire.TDistanceResp, 1, nil
 
-// appendMutationError maps the mutation error taxonomy (shared by
-// TInsert and TDelete) onto a TError payload.
-func appendMutationError(scratch []byte, err error) []byte {
-	switch {
-	case errors.Is(err, ErrReadOnly):
-		return wire.AppendError(scratch, wire.CodeReadOnly, err.Error())
-	case errors.Is(err, ErrClosed):
-		return wire.AppendError(scratch, wire.CodeClosed, err.Error())
-	case errors.Is(err, ErrDegraded):
-		return wire.AppendError(scratch, wire.CodeDegraded, err.Error())
-	case errors.Is(err, ErrEdgeRange):
-		return wire.AppendError(scratch, wire.CodeRange, err.Error())
+	case wire.TBatch, wire.TInsert, wire.TDelete:
+		var err error
+		st.pairs, err = wire.DecodePairs(payload, st.pairs)
+		if err != nil {
+			return 0, 0, errorf(ErrMalformed, "%v", err)
+		}
+		if len(st.pairs) > fe.maxBatch {
+			noun := "edges"
+			if typ == wire.TBatch {
+				noun = "pairs"
+			}
+			return 0, 0, errorf(ErrTooLarge, "batch of %d %s exceeds limit %d", len(st.pairs), noun, fe.maxBatch)
+		}
+		switch typ {
+		case wire.TBatch:
+			dists, err := fe.backend.DistanceBatch(ctx, st.pairs, st.dists)
+			if err != nil {
+				return 0, 0, err
+			}
+			st.dists = dists
+			st.out = wire.AppendDistances(st.out, dists)
+			return wire.TBatchResp, int64(len(dists)), nil
+		case wire.TInsert:
+			res, err := fe.backend.InsertEdges(ctx, st.pairs)
+			if err != nil {
+				return 0, 0, err
+			}
+			st.out = wire.AppendInsertResult(st.out, res.Accepted, res.Inserted, res.Epoch)
+			return wire.TInsertResp, int64(res.Accepted), nil
+		default:
+			res, err := fe.backend.DeleteEdges(ctx, st.pairs)
+			if err != nil {
+				return 0, 0, err
+			}
+			st.out = wire.AppendDeleteResult(st.out, res.Accepted, res.Deleted, res.Epoch)
+			return wire.TDeleteResp, int64(res.Accepted), nil
+		}
+
+	case wire.TStats:
+		doc, err := json.Marshal(fe.backend.StatsDoc())
+		if err != nil {
+			return 0, 0, err
+		}
+		st.out = append(st.out, doc...)
+		return wire.TStatsResp, 0, nil
+
+	case wire.TPing:
+		return wire.TPingResp, 0, nil
+
+	case wire.TReplAppend, wire.TReplSnapshot:
+		if fe.repl == nil {
+			return 0, 0, errorf(ErrMalformed, "server is not a replication follower")
+		}
+		if typ == wire.TReplSnapshot {
+			epoch, done, chunk, err := wire.DecodeReplSnapshot(payload)
+			if err != nil {
+				return 0, 0, errorf(ErrMalformed, "%v", err)
+			}
+			cur, err := fe.repl.ReplSnapshot(epoch, done, chunk)
+			if err != nil {
+				return 0, 0, err
+			}
+			st.out = wire.AppendReplAck(st.out, cur)
+			return wire.TReplSnapshotResp, 0, nil
+		}
+		epoch, ops, err := wire.DecodeReplAppend(payload, st.pairs)
+		if err != nil {
+			return 0, 0, errorf(ErrMalformed, "%v", err)
+		}
+		st.pairs = ops
+		cur, err := fe.repl.ReplAppend(epoch, ops)
+		if err != nil {
+			return 0, 0, err
+		}
+		st.out = wire.AppendReplAck(st.out, cur)
+		return wire.TReplAck, int64(len(ops)), nil
+
 	default:
-		// Freeze or apply failure: the batch was NOT applied.
-		return wire.AppendError(scratch, wire.CodeInternal, err.Error())
+		return 0, 0, errorf(ErrMalformed, "unknown record type 0x%02x", byte(typ))
 	}
 }
 
-// appendReplError maps a ReplicationHandler failure onto a TError
-// payload: fencing gets its own code so shippers can tell "stale
-// duplicate / deposed" from a genuine apply failure.
-func appendReplError(scratch []byte, err error) []byte {
-	if errors.Is(err, ErrFenced) {
-		return wire.AppendError(scratch, wire.CodeFenced, err.Error())
-	}
-	return wire.AppendError(scratch, wire.CodeInternal, err.Error())
-}
-
-// binEndpoint maps a request type to its metric slot, so binary
-// traffic shows up in /stats (and TStatsResp) beside the HTTP
-// endpoints.
-func binEndpoint(t wire.Type) int {
+// classOf maps a request type to its metric slot, so binary traffic
+// shows up in /stats (and TStatsResp) beside the HTTP endpoints, and to
+// the admission gate it must pass (nil: never gated).
+func (fe *Frontend) classOf(t wire.Type) (ep int, g *gate) {
 	switch t {
 	case wire.TDistance:
-		return epBinDistance
+		return epBinDistance, &fe.readGate
 	case wire.TBatch:
-		return epBinBatch
+		return epBinBatch, &fe.readGate
 	case wire.TInsert:
-		return epBinEdges
+		return epBinEdges, &fe.writeGate
 	case wire.TDelete:
-		return epBinDelete
+		return epBinDelete, &fe.writeGate
 	case wire.TStats:
-		return epBinStats
+		return epBinStats, nil
 	case wire.TReplAppend, wire.TReplSnapshot:
-		return epBinRepl
+		return epBinRepl, nil
 	default:
-		return epBinPing
+		return epBinPing, nil
 	}
 }

@@ -166,66 +166,6 @@ func TestBinaryPipelining(t *testing.T) {
 	}
 }
 
-func TestBinaryErrorTaxonomy(t *testing.T) {
-	addr, srv, _, shutdown := binTestServer(t, false)
-	defer shutdown()
-	c, r, w := binConn(t, addr)
-	defer c.Close()
-
-	expectError := func(code wire.ErrorCode) {
-		t.Helper()
-		typ, p, err := r.ReadFrame()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if typ != wire.TError {
-			t.Fatalf("type = %v, want Error", typ)
-		}
-		got, _, err := wire.DecodeError(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != code {
-			t.Fatalf("code = %v, want %v", got, code)
-		}
-	}
-
-	// Out-of-range vertex.
-	w.WriteFrame(wire.TDistance, wire.AppendPair(nil, 0, 9999))
-	w.Flush()
-	expectError(wire.CodeRange)
-
-	// Malformed payload (7 bytes where 8 are needed).
-	w.WriteFrame(wire.TDistance, make([]byte, 7))
-	w.Flush()
-	expectError(wire.CodeMalformed)
-
-	// Unknown record type.
-	w.WriteFrame(wire.Type(0x42), nil)
-	w.Flush()
-	expectError(wire.CodeMalformed)
-
-	// Oversized batch.
-	big := make([][2]int32, srv.cfg.MaxBatch+1)
-	w.WriteFrame(wire.TBatch, wire.AppendPairs(nil, big))
-	w.Flush()
-	expectError(wire.CodeTooLarge)
-
-	// Insert on a read-only server.
-	w.WriteFrame(wire.TInsert, wire.AppendPairs(nil, [][2]int32{{0, 1}}))
-	w.Flush()
-	expectError(wire.CodeReadOnly)
-
-	// The connection survived all five errors: a normal request still
-	// works.
-	w.WriteFrame(wire.TPing, nil)
-	w.Flush()
-	typ, _, err := r.ReadFrame()
-	if err != nil || typ != wire.TPingResp {
-		t.Fatalf("ping after errors: (%v, %v)", typ, err)
-	}
-}
-
 func TestBinaryInsertAndStats(t *testing.T) {
 	addr, srv, _, shutdown := binTestServer(t, true)
 	defer shutdown()
@@ -457,5 +397,45 @@ func TestBinaryGracefulShutdown(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("ServeBinary did not return after cancel")
+	}
+}
+
+// TestBinaryShutdownRightAfterResponse: a connection that has just been
+// answered is between requests, not idle yet — shutdown must release it
+// as promptly as an idle one instead of waiting out the grace period.
+func TestBinaryShutdownRightAfterResponse(t *testing.T) {
+	g, err := graph.FromEdges(4, [][2]int32{{0, 1}, {1, 2}, {2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := core.BuildParallel(g, []int32{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(ix, Config{ShutdownGrace: 10 * time.Second})
+	for i := 0; i < 40; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() { done <- srv.ServeBinary(ctx, ln) }()
+		c, r, w := binConn(t, ln.Addr().String())
+		w.WriteFrame(wire.TPing, nil)
+		w.Flush()
+		if typ, _, err := r.ReadFrame(); err != nil || typ != wire.TPingResp {
+			t.Fatalf("ping: (%v, %v)", typ, err)
+		}
+		cancel()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("ServeBinary returned %v on graceful shutdown", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: ServeBinary waited for the grace period with no request in flight", i)
+		}
+		c.Close()
 	}
 }

@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"time"
+
+	"highway/internal/wire"
 )
 
 // Handler returns the HTTP API as an http.Handler. Routes:
@@ -15,30 +18,92 @@ import (
 //	GET    /                 self-documenting endpoint listing
 //	GET    /distance?s=&t=   one exact distance
 //	POST   /distance/batch   {"pairs":[[s,t],...]} -> {"distances":[...]}
-//	GET    /stats            index + live-serving stats, per-endpoint counters
+//	GET    /stats            the backend's stats document
 //	GET    /healthz          liveness probe (process up)
-//	GET    /readyz           readiness probe (503 while degraded)
+//	GET    /readyz           readiness probe (503 + Retry-After while not ready)
 //
-// Live servers (NewLive/LoadLive) additionally expose the mutation API:
+// and, on a writable front-end, the mutation API:
 //
 //	POST   /edges            {"edge":[a,b]} or {"edges":[[a,b],...]}
 //	DELETE /edges            same body; decremental repair of the labelling
-func (s *Server) Handler() http.Handler {
+func (fe *Frontend) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /{$}", s.handleHelp)
+	mux.HandleFunc("GET /{$}", fe.handleHelp)
 	// Query and mutation endpoints sit behind the admission gates;
 	// monitoring endpoints (/stats, /healthz, /readyz, /) never do — an
 	// overloaded server must still be observable and drainable.
-	mux.HandleFunc("GET /distance", s.timed(epDistance, s.gated(&s.readGate, s.handleDistance)))
-	mux.HandleFunc("POST /distance/batch", s.timed(epBatch, s.gated(&s.readGate, s.handleBatch)))
-	mux.HandleFunc("GET /stats", s.timed(epStats, s.handleStats))
-	mux.HandleFunc("GET /healthz", s.timed(epHealth, s.handleHealth))
-	mux.HandleFunc("GET /readyz", s.timed(epReady, s.handleReady))
-	if s.up != nil {
-		mux.HandleFunc("POST /edges", s.timed(epEdges, s.gated(&s.writeGate, s.handleInsertEdges)))
-		mux.HandleFunc("DELETE /edges", s.timed(epDelete, s.gated(&s.writeGate, s.handleDeleteEdges)))
+	mux.HandleFunc("GET /distance", fe.timed(epDistance, gated(&fe.readGate, fe.handleDistance)))
+	mux.HandleFunc("POST /distance/batch", fe.timed(epBatch, gated(&fe.readGate, fe.handleBatch)))
+	mux.HandleFunc("GET /stats", fe.timed(epStats, fe.handleStats))
+	mux.HandleFunc("GET /healthz", fe.timed(epHealth, fe.handleHealth))
+	mux.HandleFunc("GET /readyz", fe.timed(epReady, fe.handleReady))
+	if fe.writable {
+		mux.HandleFunc("POST /edges", fe.timed(epEdges, gated(&fe.writeGate, fe.handleEdges(false))))
+		mux.HandleFunc("DELETE /edges", fe.timed(epDelete, gated(&fe.writeGate, fe.handleEdges(true))))
 	}
 	return mux
+}
+
+// ListenAndServe serves the HTTP API on addr until ctx is cancelled,
+// then shuts down gracefully, waiting up to the shutdown grace for
+// in-flight requests. It returns nil on clean shutdown.
+func (fe *Frontend) ListenAndServe(ctx context.Context, addr string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	return fe.Serve(ctx, ln)
+}
+
+// ListenAndServeBoth is ListenAndServe on addr plus, unless binAddr is
+// empty, ListenAndServeBinary on binAddr. Either listener failing takes
+// the other down (a half-up server is worse than a down one); ctx shuts
+// both down gracefully.
+func (fe *Frontend) ListenAndServeBoth(ctx context.Context, addr, binAddr string) error {
+	if binAddr == "" {
+		return fe.ListenAndServe(ctx, addr)
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	errc := make(chan error, 2)
+	go func() { errc <- fe.ListenAndServeBinary(ctx, binAddr) }()
+	go func() { errc <- fe.ListenAndServe(ctx, addr) }()
+	err := <-errc
+	cancel()
+	if e2 := <-errc; err == nil {
+		err = e2
+	}
+	return err
+}
+
+// Serve is ListenAndServe over an existing listener.
+func (fe *Frontend) Serve(ctx context.Context, ln net.Listener) error {
+	hs := &http.Server{
+		Handler: fe.Handler(),
+		// Bound slow clients: without these a connection trickling
+		// header bytes pins a goroutine forever and stalls Shutdown for
+		// the whole grace period.
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       time.Minute,
+		WriteTimeout:      2 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- hs.Serve(ln) }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+		sctx, cancel := context.WithTimeout(context.Background(), fe.grace)
+		defer cancel()
+		if err := hs.Shutdown(sctx); err != nil {
+			return err
+		}
+		if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
+			return err
+		}
+		return nil
+	}
 }
 
 // handlerFunc is an http.HandlerFunc that also reports how many pairs it
@@ -46,11 +111,11 @@ func (s *Server) Handler() http.Handler {
 type handlerFunc func(w http.ResponseWriter, r *http.Request) (pairs int64, failed bool)
 
 // timed wraps a handler with latency/QPS accounting for one endpoint.
-func (s *Server) timed(ep int, h handlerFunc) http.HandlerFunc {
+func (fe *Frontend) timed(ep int, h handlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		pairs, failed := h(w, r)
-		s.metrics.observe(ep, pairs, time.Since(start), failed)
+		fe.metrics.observe(ep, pairs, time.Since(start), failed)
 	}
 }
 
@@ -66,19 +131,35 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
+// reply answers a request with v, which counts as answered pairs in
+// the metrics, or fails it with err when there is one.
+func reply(w http.ResponseWriter, v any, answered int, err error) (int64, bool) {
+	if err != nil {
+		return fail(w, err)
+	}
+	writeJSON(w, http.StatusOK, v)
+	return int64(answered), false
 }
 
-func (s *Server) handleHelp(w http.ResponseWriter, r *http.Request) {
+// fail answers a failed request through ErrorTable.
+func fail(w http.ResponseWriter, err error) (int64, bool) {
+	row, msg := classify(err)
+	if row.Retryable {
+		w.Header().Set("Retry-After", "1")
+	}
+	writeJSON(w, row.Status, errorBody{Error: msg})
+	return 0, true
+}
+
+func (fe *Frontend) handleHelp(w http.ResponseWriter, r *http.Request) {
 	endpoints := map[string]string{
 		"GET /distance?s=&t=":  "one exact distance; -1 = disconnected",
-		"POST /distance/batch": `{"pairs":[[s,t],...]} -> {"distances":[...]}; max ` + strconv.Itoa(s.cfg.MaxBatch) + " pairs",
+		"POST /distance/batch": `{"pairs":[[s,t],...]} -> {"distances":[...]}; max ` + strconv.Itoa(fe.maxBatch) + " pairs",
 		"GET /stats":           "index + live-serving stats, per-endpoint latency/QPS counters",
 		"GET /healthz":         "liveness probe (process up)",
 		"GET /readyz":          "readiness probe: 503 while the server is degraded (load balancers drain on this, not /healthz)",
 	}
-	if s.up != nil {
+	if fe.writable {
 		endpoints["POST /edges"] = `{"edge":[a,b]} or {"edges":[[a,b],...]} -> {"accepted":n,"inserted":m,"epoch":e}`
 		endpoints["DELETE /edges"] = `same body as POST -> {"accepted":n,"deleted":m,"epoch":e}; absent edges are acked no-ops`
 	}
@@ -95,20 +176,63 @@ type distanceResponse struct {
 	Distance int32 `json:"distance"`
 }
 
-func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) (int64, bool) {
+func (fe *Frontend) handleDistance(w http.ResponseWriter, r *http.Request) (int64, bool) {
 	sv, err1 := strconv.ParseInt(r.URL.Query().Get("s"), 10, 32)
 	tv, err2 := strconv.ParseInt(r.URL.Query().Get("t"), 10, 32)
 	if err1 != nil || err2 != nil {
-		writeError(w, http.StatusBadRequest, `need integer query params "s" and "t"`)
-		return 0, true
+		return fail(w, errorf(ErrMalformed, `need integer query params "s" and "t"`))
 	}
-	d, err := s.Distance(int32(sv), int32(tv))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return 0, true
+	d, err := fe.backend.Distance(r.Context(), int32(sv), int32(tv))
+	return reply(w, distanceResponse{S: int32(sv), T: int32(tv), Distance: d}, 1, err)
+}
+
+// decodeBody strictly decodes a JSON request body into dst: capped in
+// size, no unknown fields, exactly one object. what names the request
+// in the error text.
+func (fe *Frontend) decodeBody(w http.ResponseWriter, r *http.Request, what string, dst any) error {
+	// 64 bytes/pair comfortably covers pretty-printed JSON for maxBatch
+	// pairs; the element-count check in toPairs is the real limit.
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, int64(fe.maxBatch)*64+1024))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(dst)
+	trailing := false
+	if err == nil {
+		// Reject trailing garbage after the object — a concatenated second
+		// request must fail loudly, not be half-answered. The byte cap can
+		// also trip here (a valid object followed by bytes past the limit),
+		// and must still surface as 413, not a generic 400.
+		if err = dec.Decode(&struct{}{}); err == io.EOF {
+			return nil
+		}
+		trailing = true
 	}
-	writeJSON(w, http.StatusOK, distanceResponse{S: int32(sv), T: int32(tv), Distance: d})
-	return 1, false
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return errorf(ErrTooLarge, "%s request body exceeds %d bytes", what, tooLarge.Limit)
+	case trailing:
+		return errorf(ErrMalformed, "malformed %s request: trailing data after JSON object", what)
+	default:
+		return errorf(ErrMalformed, "malformed %s request: %v", what, err)
+	}
+}
+
+// toPairs checks a decoded list against the batch limit and the
+// two-element shape. noun ("pair", "edge") and shape ("[s,t]", "[a,b]")
+// name an element in the error text. On a mis-shaped element it also
+// returns the well-formed elements before it.
+func (fe *Frontend) toPairs(raw [][]int32, noun, shape string) ([][2]int32, error) {
+	if len(raw) > fe.maxBatch {
+		return nil, errorf(ErrTooLarge, "batch of %d %ss exceeds limit %d", len(raw), noun, fe.maxBatch)
+	}
+	pairs := make([][2]int32, len(raw))
+	for i, p := range raw {
+		if len(p) != 2 {
+			return pairs[:i], errorf(ErrMalformed, "%s %d: want %s, got %d elements", noun, i, shape, len(p))
+		}
+		pairs[i] = [2]int32{p[0], p[1]}
+	}
+	return pairs, nil
 }
 
 // batchRequest is the JSON shape of POST /distance/batch. Pairs are
@@ -126,284 +250,86 @@ type batchResponse struct {
 	Distances []int32 `json:"distances"`
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) (int64, bool) {
+func (fe *Frontend) handleBatch(w http.ResponseWriter, r *http.Request) (int64, bool) {
 	var req batchRequest
-	// 64 bytes/pair comfortably covers pretty-printed JSON for MaxBatch
-	// pairs; the hard pair-count check below is the real limit.
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, int64(s.cfg.MaxBatch)*64+1024))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"batch request body exceeds %d bytes", tooLarge.Limit)
-			return 0, true
-		}
-		writeError(w, http.StatusBadRequest, "malformed batch request: %v", err)
-		return 0, true
+	if err := fe.decodeBody(w, r, "batch", &req); err != nil {
+		return fail(w, err)
 	}
-	// Reject trailing garbage after the object — a concatenated second
-	// request must fail loudly, not be half-answered. The byte cap can
-	// also trip here (a valid object followed by bytes past the limit),
-	// and must still surface as 413, not a generic 400.
-	if err := dec.Decode(&struct{}{}); err != io.EOF {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"batch request body exceeds %d bytes", tooLarge.Limit)
-			return 0, true
-		}
-		writeError(w, http.StatusBadRequest, "malformed batch request: trailing data after JSON object")
-		return 0, true
-	}
-	if len(req.Pairs) > s.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			"batch of %d pairs exceeds limit %d", len(req.Pairs), s.cfg.MaxBatch)
-		return 0, true
-	}
-	pairs := make([][2]int32, len(req.Pairs))
-	for i, p := range req.Pairs {
-		if len(p) != 2 {
-			writeError(w, http.StatusBadRequest, "pair %d: want [s,t], got %d elements", i, len(p))
-			return 0, true
-		}
-		if err := s.checkVertex(p[0]); err != nil {
-			writeError(w, http.StatusBadRequest, "pair %d: %v", i, err)
-			return 0, true
-		}
-		if err := s.checkVertex(p[1]); err != nil {
-			writeError(w, http.StatusBadRequest, "pair %d: %v", i, err)
-			return 0, true
-		}
-		pairs[i] = [2]int32{p[0], p[1]}
-	}
-	// One searcher answers the whole batch through the snapshot's best
-	// execution path (vectorized when the method provides one): the
-	// dispatch cost is amortized over len(Pairs) queries, and all answers
-	// come from one consistent snapshot even if writers publish
-	// mid-request. The request context cancels an abandoned batch — a
-	// disconnected client stops burning CPU within ~1k pairs.
-	distances, err := s.DistanceBatchContext(r.Context(), pairs, nil)
+	pairs, err := fe.toPairs(req.Pairs, "pair", "[s,t]")
 	if err != nil {
-		// Cancellation: the client is gone (or the server is shutting
-		// down), so there is nobody to answer. Validation already passed,
-		// so no other error is possible here.
-		return 0, true
+		// A batch reports its first bad pair, and only the backend knows
+		// the range: ask it about the pairs ahead of the mis-shaped one.
+		if len(pairs) > 0 {
+			if _, berr := fe.backend.DistanceBatch(r.Context(), pairs, nil); berr != nil {
+				if row, _ := classify(berr); row.Code == wire.CodeRange {
+					err = berr
+				}
+			}
+		}
+		return fail(w, err)
 	}
-	writeJSON(w, http.StatusOK, batchResponse{Count: len(distances), Distances: distances})
-	return int64(len(distances)), false
+	// The request context cancels an abandoned batch — a disconnected
+	// client stops burning CPU within ~1k pairs.
+	distances, err := fe.backend.DistanceBatch(r.Context(), pairs, nil)
+	if err != nil {
+		if r.Context().Err() != nil {
+			// The client is gone (or the server is shutting down), so
+			// there is nobody to answer.
+			return 0, true
+		}
+		return fail(w, err)
+	}
+	return reply(w, batchResponse{Count: len(distances), Distances: distances}, len(distances), nil)
 }
 
 // edgesRequest is the JSON shape of POST and DELETE /edges: either one
-// edge or a batch, not both. Edges decode as slices (not [2]int32) for
-// the same reason as batchRequest: a [a,b,junk] triple must be a 400,
-// not a guess.
+// edge or a batch, not both. Edges decode as slices for the same reason
+// as batchRequest.
 type edgesRequest struct {
 	Edge  []int32   `json:"edge"`
 	Edges [][]int32 `json:"edges"`
 }
 
-// decodeEdgesRequest parses and validates an /edges body (both
-// methods). On failure it has already written the error response and
-// returns ok=false.
-func (s *Server) decodeEdgesRequest(w http.ResponseWriter, r *http.Request) ([][2]int32, bool) {
-	var req edgesRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, int64(s.cfg.MaxBatch)*64+1024))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"update request body exceeds %d bytes", tooLarge.Limit)
-			return nil, false
+// handleEdges serves POST /edges (del=false) and DELETE /edges.
+func (fe *Frontend) handleEdges(del bool) handlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) (int64, bool) {
+		var req edgesRequest
+		if err := fe.decodeBody(w, r, "update", &req); err != nil {
+			return fail(w, err)
 		}
-		writeError(w, http.StatusBadRequest, "malformed update request: %v", err)
-		return nil, false
-	}
-	if err := dec.Decode(&struct{}{}); err != io.EOF {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"update request body exceeds %d bytes", tooLarge.Limit)
-			return nil, false
+		if (req.Edge == nil) == (req.Edges == nil) {
+			return fail(w, errorf(ErrMalformed, `want exactly one of "edge" or "edges"`))
 		}
-		writeError(w, http.StatusBadRequest, "malformed update request: trailing data after JSON object")
-		return nil, false
-	}
-	if (req.Edge == nil) == (req.Edges == nil) {
-		writeError(w, http.StatusBadRequest, `want exactly one of "edge" or "edges"`)
-		return nil, false
-	}
-	pairs := req.Edges
-	if req.Edge != nil {
-		pairs = [][]int32{req.Edge}
-	}
-	if len(pairs) > s.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			"batch of %d edges exceeds limit %d", len(pairs), s.cfg.MaxBatch)
-		return nil, false
-	}
-	edges := make([][2]int32, len(pairs))
-	for i, e := range pairs {
-		if len(e) != 2 {
-			writeError(w, http.StatusBadRequest, "edge %d: want [a,b], got %d elements", i, len(e))
-			return nil, false
+		if req.Edge != nil {
+			req.Edges = [][]int32{req.Edge}
 		}
-		edges[i] = [2]int32{e[0], e[1]}
+		edges, err := fe.toPairs(req.Edges, "edge", "[a,b]")
+		if err != nil {
+			return fail(w, err)
+		}
+		if del {
+			res, err := fe.backend.DeleteEdges(r.Context(), edges)
+			return reply(w, res, res.Accepted, err)
+		}
+		res, err := fe.backend.InsertEdges(r.Context(), edges)
+		return reply(w, res, res.Accepted, err)
 	}
-	return edges, true
 }
 
-// writeMutationError maps the mutation error taxonomy (shared by
-// inserts and deletes) onto HTTP statuses.
-func writeMutationError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-	case errors.Is(err, ErrDegraded):
-		// Durability is gone, not the server: reads still work, the
-		// recovery probe may re-arm writes, so tell the client when to
-		// come back rather than just failing.
+func (fe *Frontend) handleStats(w http.ResponseWriter, r *http.Request) (int64, bool) {
+	return reply(w, fe.backend.StatsDoc(), 0, nil)
+}
+
+func (fe *Frontend) handleHealth(w http.ResponseWriter, r *http.Request) (int64, bool) {
+	return reply(w, map[string]string{"status": "ok"}, 0, nil)
+}
+
+func (fe *Frontend) handleReady(w http.ResponseWriter, r *http.Request) (int64, bool) {
+	doc, ready := fe.backend.Readiness()
+	if !ready {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-	case errors.Is(err, ErrEdgeRange):
-		writeError(w, http.StatusBadRequest, "%v", err)
-	default:
-		// Freeze or apply failure: the batch was NOT applied.
-		writeError(w, http.StatusInternalServerError, "%v", err)
-	}
-}
-
-func (s *Server) handleInsertEdges(w http.ResponseWriter, r *http.Request) (int64, bool) {
-	edges, ok := s.decodeEdgesRequest(w, r)
-	if !ok {
+		writeJSON(w, http.StatusServiceUnavailable, doc)
 		return 0, true
 	}
-	res, err := s.InsertEdges(edges)
-	if err != nil {
-		writeMutationError(w, err)
-		return 0, true
-	}
-	writeJSON(w, http.StatusOK, res)
-	return int64(res.Accepted), false
-}
-
-func (s *Server) handleDeleteEdges(w http.ResponseWriter, r *http.Request) (int64, bool) {
-	edges, ok := s.decodeEdgesRequest(w, r)
-	if !ok {
-		return 0, true
-	}
-	res, err := s.DeleteEdges(edges)
-	if err != nil {
-		writeMutationError(w, err)
-		return 0, true
-	}
-	writeJSON(w, http.StatusOK, res)
-	return int64(res.Accepted), false
-}
-
-// statsResponse is the JSON shape of GET /stats.
-type statsResponse struct {
-	// Epoch is the served snapshot epoch at top level — one place for
-	// routers, fencing tests and dashboards to read it, on every role
-	// (read-only servers report 0; the live section repeats it for
-	// live servers).
-	Epoch         uint64                   `json:"epoch"`
-	Index         indexStats               `json:"index"`
-	Live          *LiveStats               `json:"live,omitempty"`
-	Replication   *ReplicationStats        `json:"replication,omitempty"`
-	Admission     AdmissionStats           `json:"admission"`
-	UptimeSeconds float64                  `json:"uptime_seconds"`
-	Endpoints     map[string]EndpointStats `json:"endpoints"`
-}
-
-type indexStats struct {
-	Method       string  `json:"method,omitempty"`
-	NumVertices  int     `json:"n"`
-	NumEdges     int64   `json:"m"`
-	NumLandmarks int     `json:"landmarks"`
-	NumEntries   int64   `json:"entries"`
-	AvgLabelSize float64 `json:"avg_label_size"`
-	MaxLabelSize int     `json:"max_label_size"`
-	SizeBytes    int64   `json:"size_bytes,omitempty"`
-	Bytes8       int64   `json:"bytes_compressed"`
-}
-
-// statsDoc builds the stats document served by GET /stats and, via the
-// binary listener, by Stats request frames — one shape, two protocols.
-func (s *Server) statsDoc() statsResponse {
-	st := s.snap.Load().ix.Stats()
-	return statsResponse{
-		Epoch:       s.Epoch(),
-		Live:        s.LiveStats(),
-		Replication: s.replicationStats(),
-		Admission:   s.AdmissionStats(),
-		Index: indexStats{
-			Method:       st.Method,
-			NumVertices:  st.NumVertices,
-			NumEdges:     st.NumEdges,
-			NumLandmarks: st.NumLandmarks,
-			NumEntries:   st.NumEntries,
-			AvgLabelSize: st.AvgLabelSize,
-			MaxLabelSize: st.MaxLabelSize,
-			SizeBytes:    st.SizeBytes,
-			Bytes8:       st.Bytes8,
-		},
-		UptimeSeconds: time.Since(s.started).Seconds(),
-		Endpoints:     s.metrics.snapshot(time.Since(s.started)),
-	}
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) (int64, bool) {
-	writeJSON(w, http.StatusOK, s.statsDoc())
-	return 0, false
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) (int64, bool) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	return 0, false
-}
-
-// handleReady is the readiness (as opposed to liveness) probe: a load
-// balancer should stop routing *writes* here while the server is
-// degraded, without the process being restarted — /healthz stays 200,
-// /readyz flips to 503. It also guards the window before the first
-// snapshot is published, for symmetry with servers that may one day
-// load asynchronously.
-func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) (int64, bool) {
-	if s.snap.Load() == nil {
-		writeError(w, http.StatusServiceUnavailable, "loading initial snapshot")
-		return 0, true
-	}
-	if s.Degraded() {
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-			"status": "degraded",
-			"detail": "WAL unwritable: writes rejected, reads served from the last snapshot",
-		})
-		return 0, true
-	}
-	if rs := s.replicationStats(); rs != nil {
-		if !rs.Bootstrapped {
-			// A follower that has not installed any state yet answers
-			// queries over an empty vertex range; routers must not send
-			// reads here until the first snapshot lands.
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-				"status":            "bootstrapping",
-				"detail":            "awaiting replication snapshot",
-				"replication_epoch": rs.Epoch,
-			})
-			return 0, true
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"status":                  "ready",
-			"replication_epoch":       rs.Epoch,
-			"replication_lag_batches": rs.LagBatches,
-			"replication_lag_ms":      rs.LagMs,
-		})
-		return 0, false
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-	return 0, false
+	return reply(w, doc, 0, nil)
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -90,24 +89,6 @@ const (
 	DefaultRebuildRetryBase = time.Second
 	DefaultRebuildRetryMax  = time.Minute
 )
-
-// ErrReadOnly is returned by InsertEdges on a server built with New.
-var ErrReadOnly = errors.New("serve: read-only server (built without NewLive)")
-
-// ErrClosed is returned by InsertEdges after Close.
-var ErrClosed = errors.New("serve: server is closed")
-
-// ErrEdgeRange is wrapped by InsertEdges when a batch names a vertex
-// outside the graph: a client fault (HTTP 400), distinguishable with
-// errors.Is from server-side failures (HTTP 500).
-var ErrEdgeRange = errors.New("serve: edge endpoint out of range")
-
-// ErrDegraded is wrapped by InsertEdges while the server is in degraded
-// read-only mode: a WAL append or fsync failed, so writes cannot be made
-// durable and are rejected until the recovery probe finds the log
-// writable again. Reads are unaffected. Maps to HTTP 503 + Retry-After
-// and wire.CodeDegraded.
-var ErrDegraded = errors.New("serve: degraded read-only mode (WAL unwritable)")
 
 // InsertResult reports one accepted update batch.
 type InsertResult struct {
@@ -220,7 +201,7 @@ func NewLive(ix *core.Index, cfg LiveConfig) (*Server, error) {
 	s := newServer(ix, ix.Graph().NumVertices(), cfg.Config)
 	up := &updater{cfg: cfg, dyn: dyn, wal: cfg.WAL, lastGraph: ix.Graph(),
 		baseEntries: ix.NumEntries(), closeCh: make(chan struct{})}
-	s.up = up
+	s.up, s.writable = up, true
 	up.epoch.Store(cfg.EpochBase)
 	if cfg.EpochBase != 0 {
 		s.snap.Store(newSnapshot(ix, cfg.EpochBase))

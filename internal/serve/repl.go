@@ -23,12 +23,6 @@ import (
 // ships to whom (that is internal/cluster's job, see DESIGN.md
 // "Replication & routing").
 
-// ErrFenced is wrapped by a ReplicationHandler when a replication frame
-// carries an epoch at or below the follower's durable epoch: the sender
-// is deposed or replaying already-applied history. Maps to
-// wire.CodeFenced on the binary listener.
-var ErrFenced = errors.New("serve: replication epoch fenced")
-
 // ReplicationHandler is the follower side of WAL shipping, dispatched
 // from the binary listener. Both methods return the follower's durable
 // epoch after the frame was handled; implementations must be safe for

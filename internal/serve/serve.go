@@ -10,22 +10,34 @@
 // core.Index plus its own pool of per-goroutine Searchers, published
 // behind an atomic pointer. Readers load the current snapshot, check a
 // Searcher out of that snapshot's pool, answer allocation-free, and
-// return it — no locks, no contention with writers, ever. It exposes
+// return it — no locks, no contention with writers, ever. It also offers
+// a high-throughput stdin/stdout batch mode (RunBatch) that streams
+// "s t" lines through a bounded worker pipeline in input order.
 //
-//   - an HTTP/JSON API (Handler): GET /distance for single pairs,
-//     POST /distance/batch to amortize dispatch over many pairs per
-//     request, GET /stats for index, snapshot and per-endpoint
-//     latency/QPS counters, GET /healthz for liveness, and GET / for
-//     self-documenting help;
+// # One front-end, two backends
+//
+// The protocol code is written once, as Frontend, against the small
+// Backend interface (Distance, DistanceBatch, InsertEdges, DeleteEdges,
+// StatsDoc, Readiness). A Server embeds a Frontend whose backend is the
+// server itself; internal/cluster's Router embeds another whose backend
+// places each request on a replica-set member. Either way the listener
+// is the same code:
+//
+//   - an HTTP/JSON API (Handler lists the routes; Serve) with strict
+//     body decoding, a body cap and server timeouts;
 //   - a binary wire protocol listener (ServeBinary, specified in
 //     PROTOCOL.md): length-prefixed checksummed frames carrying the
-//     same single/batch/insert/stats requests with pipelining, for
-//     native clients (internal/hlclient) that cannot afford the
-//     HTTP/1 + JSON protocol tax — both listeners may run at once over
-//     the same snapshots, pools and metrics;
-//   - a high-throughput stdin/stdout batch mode (RunBatch) that streams
-//     "s t" lines through a bounded worker pipeline in input order; and
-//   - graceful shutdown via context (ListenAndServe).
+//     same requests with pipelining, for native clients
+//     (internal/hlclient) that cannot afford the HTTP/1 + JSON protocol
+//     tax — both listeners may run at once (ListenAndServeBoth) over
+//     the same backend; and
+//   - graceful shutdown via context on both.
+//
+// Every failure on either protocol is classified by ErrorTable
+// (errors.go): one row per wire error code, giving its sentinel error,
+// HTTP status and whether it carries Retry-After. A router's relayed
+// *wire.RemoteError enters the table by its code, so clients see one
+// request contract whichever process answers.
 //
 // # Writing (live servers)
 //
@@ -58,10 +70,7 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -125,6 +134,10 @@ func newSnapshot(ix method.DistanceIndex, epoch uint64) *snapshot {
 // index snapshot. Create one with New (read-only) or NewLive/LoadLive
 // (updatable); the zero value is not usable.
 type Server struct {
+	// Frontend is the protocol front-end the server listens with; its
+	// backend is this server.
+	Frontend
+
 	cfg Config
 	// n is the served vertex count. Inserts add edges, not vertices, so
 	// it is constant on live servers — but a replication follower
@@ -141,18 +154,10 @@ type Server struct {
 	// servers (New).
 	up *updater
 
-	// Admission gates: bounded in-flight budgets per request class,
-	// shared by both listeners (HTTP and binary traffic drain one pool
-	// of capacity, because they drain one pool of CPU).
-	readGate  gate
-	writeGate gate
-
-	// Replication hooks (see repl.go): both are wired before the
-	// listeners start and read-only afterwards.
-	repl      ReplicationHandler
+	// replStats is wired before the listeners start and read-only
+	// afterwards (see repl.go).
 	replStats func() *ReplicationStats
 
-	metrics metricSet
 	started time.Time
 }
 
@@ -177,6 +182,7 @@ func newServer(ix method.DistanceIndex, n int, cfg Config) *Server {
 		cfg.ShutdownGrace = DefaultShutdownGrace
 	}
 	s := &Server{cfg: cfg, started: time.Now()}
+	s.Frontend = Frontend{backend: serverBackend{s}, maxBatch: cfg.MaxBatch, grace: cfg.ShutdownGrace}
 	s.n.Store(int64(n))
 	s.readGate.budget = resolveBudget(cfg.ReadBudget, DefaultReadBudget)
 	s.writeGate.budget = resolveBudget(cfg.WriteBudget, DefaultWriteBudget)
@@ -243,10 +249,16 @@ func (s *Server) DistanceBatch(pairs [][2]int32, dst []int32) ([]int32, error) {
 // already computed (dst truncated; answers are valid for their pairs).
 func (s *Server) DistanceBatchContext(ctx context.Context, pairs [][2]int32, dst []int32) ([]int32, error) {
 	if len(pairs) > s.cfg.MaxBatch {
-		return nil, fmt.Errorf("batch of %d pairs exceeds limit %d", len(pairs), s.cfg.MaxBatch)
+		return nil, errorf(ErrTooLarge, "batch of %d pairs exceeds limit %d", len(pairs), s.cfg.MaxBatch)
 	}
-	if i, err := s.checkPairs(pairs); err != nil {
-		return nil, fmt.Errorf("pair %d: %w", i, err)
+	for i, p := range pairs {
+		err := s.checkVertex(p[0])
+		if err == nil {
+			err = s.checkVertex(p[1])
+		}
+		if err != nil {
+			return nil, fmt.Errorf("pair %d: %w", i, err)
+		}
 	}
 	sn, sr := s.acquire()
 	dst, err := method.DistanceBatchContext(ctx, sr, pairs, dst)
@@ -256,52 +268,10 @@ func (s *Server) DistanceBatchContext(ctx context.Context, pairs [][2]int32, dst
 
 // checkVertex validates a vertex id against the served vertex set
 // (inserts add edges, never vertices; only a follower's Publish can
-// change n).
+// change n). Its error is an ErrRange.
 func (s *Server) checkVertex(v int32) error {
 	if n := s.n.Load(); v < 0 || int64(v) >= n {
-		return fmt.Errorf("vertex %d out of range [0,%d)", v, n)
+		return errorf(ErrRange, "vertex %d out of range [0,%d)", v, n)
 	}
 	return nil
-}
-
-// ListenAndServe serves the HTTP API on addr until ctx is cancelled,
-// then shuts down gracefully, waiting up to Config.ShutdownGrace for
-// in-flight requests. It returns nil on clean shutdown.
-func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ctx, ln)
-}
-
-// Serve is ListenAndServe over an existing listener (tests use
-// 127.0.0.1:0 to avoid port races).
-func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	hs := &http.Server{
-		Handler: s.Handler(),
-		// Bound slow clients: without these a connection trickling
-		// header bytes pins a goroutine forever and stalls Shutdown for
-		// the whole grace period.
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       time.Minute,
-		WriteTimeout:      2 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		sctx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownGrace)
-		defer cancel()
-		if err := hs.Shutdown(sctx); err != nil {
-			return err
-		}
-		if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
-		return nil
-	}
 }
