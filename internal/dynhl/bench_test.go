@@ -151,3 +151,23 @@ func BenchmarkChurnBatch(b *testing.B) {
 	st := dyn.Maint()
 	b.ReportMetric(float64(st.LandmarksRebuilt)/float64(b.N), "rebuiltLM/op")
 }
+
+// BenchmarkFreeze times what every acknowledged write batch pays to
+// publish: the mutable rows to a CSR graph (graph.FromAdjacency) and the
+// labels to a core.Index, on BA-20k after a churn stream has left rows out
+// of order.
+func BenchmarkFreeze(b *testing.B) {
+	const n, k = 20000, 16
+	g := gen.BarabasiAlbert(n, 5, 42)
+	dyn, err := Build(g, g.DegreeOrder()[:k])
+	if err != nil {
+		b.Fatal(err)
+	}
+	churn(b, dyn, 1000, 7)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, err := dyn.Freeze(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,11 +1,14 @@
 package dynhl
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"highway/internal/gen"
 	"highway/internal/graph"
 	"highway/internal/oracle"
+	"highway/internal/workload"
 )
 
 // toOps converts the oracle harness's neutral op type to this
@@ -94,5 +97,67 @@ func TestChurnRepairOnlyDifferential(t *testing.T) {
 	}, apply, o)
 	if m := dyn.Maint(); m.FullRebuilds != 0 {
 		t.Fatalf("disabled fallback still rebuilt: %+v", m)
+	}
+}
+
+// churn applies ops steps of the product's own seeded op stream (30 %
+// deletions) to dyn in batches of 8 and returns the edge set it leaves.
+func churn(t testing.TB, dyn *Index, ops int, seed int64) [][2]int32 {
+	t.Helper()
+	st := workload.NewOpStream(dyn.n, 0.3, 0, seed)
+	for done := 0; done < ops; done += 8 {
+		batch := make([]Op, 8)
+		for i := range batch {
+			op := st.Next()
+			batch[i] = Op{A: op.A, B: op.B, Del: op.Del}
+		}
+		if _, err := dyn.ApplyOps(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var edges [][2]int32
+	for u := int32(0); int(u) < dyn.n; u++ {
+		for _, v := range dyn.Neighbors(u) {
+			if u < v {
+				edges = append(edges, [2]int32{u, v})
+			}
+		}
+	}
+	return edges
+}
+
+// TestFreezeGraphMatchesFromEdges: after 1,000 churn ops the frozen graph
+// is byte for byte the graph a Builder makes from the surviving edge set —
+// Freeze's row-copying construction and the edge-list one agree on rows
+// that insertions and deletions have left in arrival order.
+func TestFreezeGraphMatchesFromEdges(t *testing.T) {
+	g := gen.BarabasiAlbert(2000, 3, 11)
+	dyn, err := Build(g, g.DegreeOrder()[:8])
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := churn(t, dyn, 1000, 11)
+	frozen, _, err := dyn.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	if err := frozen.WriteBinary(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.MustFromEdges(dyn.n, edges).WriteBinary(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("frozen %v differs from the edge-list build of its own %d edges", frozen, len(edges))
+	}
+	unsorted := 0
+	for v := int32(0); int(v) < dyn.n; v++ {
+		if !slices.IsSorted(dyn.Neighbors(v)) {
+			unsorted++
+		}
+	}
+	if unsorted == 0 {
+		t.Fatal("the churn stream left every mutable row sorted: the row-local sort never ran")
 	}
 }

@@ -221,17 +221,9 @@ func FromCore(src *core.Index) (*Index, error) {
 // affect the snapshot, so a server can keep answering from the frozen
 // index while this one continues absorbing updates.
 func (ix *Index) Freeze() (*graph.Graph, *core.Index, error) {
-	b := graph.NewBuilder(ix.n)
-	for u, nbs := range ix.adj {
-		for _, v := range nbs {
-			if int32(u) < v {
-				b.AddEdge(int32(u), v)
-			}
-		}
-	}
-	g, err := b.Build()
+	g, err := ix.frozenGraph()
 	if err != nil {
-		return nil, nil, fmt.Errorf("dynhl: freeze adjacency: %w", err)
+		return nil, nil, err
 	}
 	ranks := make([][]int32, ix.n)
 	dists := make([][]int32, ix.n)
@@ -251,6 +243,16 @@ func (ix *Index) Freeze() (*graph.Graph, *core.Index, error) {
 		return nil, nil, fmt.Errorf("dynhl: freeze labels: %w", err)
 	}
 	return g, frozen, nil
+}
+
+// frozenGraph copies the mutable adjacency rows into an immutable CSR
+// graph: the one place this package builds one, for Freeze and rebuildAll.
+func (ix *Index) frozenGraph() (*graph.Graph, error) {
+	g, err := graph.FromAdjacency(ix.adj)
+	if err != nil {
+		return nil, fmt.Errorf("dynhl: freeze adjacency: %w", err)
+	}
+	return g, nil
 }
 
 // Searcher carries per-goroutine bidirectional-search scratch for
@@ -512,17 +514,9 @@ func cutNeighbor(nb []int32, v int32) []int32 {
 // RepairFraction threshold this amortizes strictly better than running
 // the per-landmark pruned BFS k times on slice-of-slice adjacency.
 func (ix *Index) rebuildAll() error {
-	b := graph.NewBuilder(ix.n)
-	for u, nbs := range ix.adj {
-		for _, v := range nbs {
-			if int32(u) < v {
-				b.AddEdge(int32(u), v)
-			}
-		}
-	}
-	g, err := b.Build()
+	g, err := ix.frozenGraph()
 	if err != nil {
-		return fmt.Errorf("dynhl: rebuild adjacency: %w", err)
+		return err
 	}
 	src, err := core.BuildParallel(g, ix.landmarks)
 	if err != nil {

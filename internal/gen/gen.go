@@ -41,6 +41,7 @@ func ErdosRenyi(n int, m int64, seed int64) *graph.Graph {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	b := graph.NewBuilder(n)
+	b.Reserve(int(m))
 	seen := make(map[uint64]struct{}, m)
 	for int64(len(seen)) < m {
 		u := int32(rng.Intn(n))
@@ -75,6 +76,7 @@ func BarabasiAlbert(n, k int, seed int64) *graph.Graph {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	b := graph.NewBuilder(n)
+	b.Reserve(n * k) // (k+1)k/2 clique edges + (n-k-1)k attachments <= nk
 	// repeated stores every edge endpoint twice; uniform sampling from it
 	// realizes degree-proportional selection.
 	repeated := make([]int32, 0, 2*int64(n)*int64(k))
@@ -127,6 +129,7 @@ func RMAT(scale uint, edgeFactor int, a, b, c float64, seed int64) *graph.Graph 
 	target := int64(edgeFactor) * int64(n)
 	rng := rand.New(rand.NewSource(seed))
 	bld := graph.NewBuilder(n)
+	bld.Reserve(int(target))
 	for i := int64(0); i < target; i++ {
 		u, v := 0, 0
 		for bit := 0; bit < int(scale); bit++ {
@@ -157,6 +160,7 @@ func WattsStrogatz(n, k int, beta float64, seed int64) *graph.Graph {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	b := graph.NewBuilder(n)
+	b.Reserve(n * k)
 	for u := 0; u < n; u++ {
 		for j := 1; j <= k; j++ {
 			v := (u + j) % n

@@ -1,0 +1,87 @@
+package graph_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"highway/internal/gen"
+	"highway/internal/graph"
+)
+
+// rawEdges returns g's edges the way a loader meets them: in a seeded
+// random order, every eighth one a second time with its endpoints
+// swapped.
+func rawEdges(g *graph.Graph) [][2]int32 {
+	var edges [][2]int32
+	for u := int32(0); int(u) < g.NumVertices(); u++ {
+		for _, v := range g.Neighbors(u) {
+			if u < v {
+				edges = append(edges, [2]int32{u, v})
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	for i, m := 0, len(edges); i < m; i += 8 {
+		edges = append(edges, [2]int32{edges[i][1], edges[i][0]})
+	}
+	return edges
+}
+
+var benchFixtures = []struct {
+	name string
+	make func() *graph.Graph
+}{
+	{"rmat16", func() *graph.Graph { return gen.RMAT(16, 8, 0.57, 0.19, 0.19, 42) }},
+	{"ba20k", func() *graph.Graph { return gen.BarabasiAlbert(20_000, 5, 42) }},
+}
+
+var sink *graph.Graph
+
+// BenchmarkBuilderBuild times edge list to CSR: AddEdge for every raw
+// edge, then Build.
+func BenchmarkBuilderBuild(b *testing.B) {
+	for _, fx := range benchFixtures {
+		g := fx.make()
+		edges := rawEdges(g)
+		b.Run(fx.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				sink = graph.MustFromEdges(g.NumVertices(), edges)
+			}
+			if sink.NumEdges() != g.NumEdges() {
+				b.Fatalf("rebuilt %d edges, want %d", sink.NumEdges(), g.NumEdges())
+			}
+		})
+	}
+}
+
+// BenchmarkLargestComponent times component labelling plus the induced
+// subgraph, on the raw R-MAT graph (whose isolated vertices make the
+// extraction real) and on BA with a fifth of its vertices cut off.
+func BenchmarkLargestComponent(b *testing.B) {
+	for _, fx := range benchFixtures {
+		g := fx.make()
+		if graph.IsConnected(g) {
+			keep := make([]int32, 0, g.NumVertices())
+			for v := int32(0); int(v) < g.NumVertices(); v++ {
+				if v%5 != 0 {
+					keep = append(keep, v)
+				}
+			}
+			var err error
+			if g, _, err = g.InducedSubgraph(keep); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(fx.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				sink, _ = graph.LargestComponent(g)
+			}
+			if sink == g {
+				b.Fatal("fixture is connected: nothing was extracted")
+			}
+		})
+	}
+}

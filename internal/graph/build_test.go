@@ -1,0 +1,320 @@
+package graph
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// referenceBuild is the construction Builder.Build used before the
+// linear-time kernel, kept as the oracle the kernel is compared against:
+// pack every edge as min<<32|max, sort the whole list, skip repeats while
+// counting degrees and scattering, then sort each row.
+func referenceBuild(n int, edges [][2]int32) (*Graph, error) {
+	var packed []uint64
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		if u == v {
+			continue
+		}
+		if u > v {
+			u, v = v, u
+		}
+		if u < 0 || int(v) >= n {
+			return nil, fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, n)
+		}
+		packed = append(packed, uint64(uint32(u))<<32|uint64(uint32(v)))
+	}
+	sort.Slice(packed, func(i, j int) bool { return packed[i] < packed[j] })
+	unique := packed[:0]
+	for i, e := range packed {
+		if i == 0 || e != packed[i-1] {
+			unique = append(unique, e)
+		}
+	}
+	offsets := make([]int64, n+1)
+	for _, e := range unique {
+		offsets[int32(e>>32)+1]++
+		offsets[int32(uint32(e))+1]++
+	}
+	for v := 0; v < n; v++ {
+		offsets[v+1] += offsets[v]
+	}
+	targets := make([]int32, 2*len(unique))
+	cursor := append([]int64(nil), offsets[:n]...)
+	for _, e := range unique {
+		u, v := int32(e>>32), int32(uint32(e))
+		targets[cursor[u]] = v
+		cursor[u]++
+		targets[cursor[v]] = u
+		cursor[v]++
+	}
+	g := &Graph{offsets: offsets, targets: targets}
+	for v := int32(0); int(v) < n; v++ {
+		nb := g.Neighbors(v)
+		sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
+	}
+	return g, nil
+}
+
+// adjacencyOf is the edge list as the rows a caller of FromAdjacency
+// holds: both directions of every edge in arrival order, repeats and
+// self-loops included. An endpoint outside [0,n) has no row of its own and
+// appears only in its partner's.
+func adjacencyOf(n int, edges [][2]int32) [][]int32 {
+	rows := make([][]int32, n)
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		if u >= 0 && int(u) < n {
+			rows[u] = append(rows[u], v)
+		}
+		if v >= 0 && int(v) < n && u != v {
+			rows[v] = append(rows[v], u)
+		}
+	}
+	return rows
+}
+
+func graphBytes(t testing.TB, g *Graph) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := g.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// randomMultigraph draws an edge list that holds everything the builders
+// must absorb: self-loops, repeated and reversed edges, vertices no edge
+// touches, and one hub adjacent to at least half the vertices.
+func randomMultigraph(rng *rand.Rand, n int) [][2]int32 {
+	if n == 0 {
+		return nil
+	}
+	var edges [][2]int32
+	v := func() int32 { return int32(rng.Intn((n + 1) / 2)) } // the upper half stays isolated but for the hub
+	for i, m := 0, rng.Intn(4*n+1); i < m; i++ {
+		e := [2]int32{v(), v()}
+		edges = append(edges, e)
+		switch rng.Intn(4) {
+		case 0:
+			edges = append(edges, e)
+		case 1:
+			edges = append(edges, [2]int32{e[1], e[0]})
+		}
+	}
+	hub := v()
+	for _, w := range rng.Perm(n)[:(n+1)/2] {
+		edges = append(edges, [2]int32{hub, int32(w)})
+	}
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	return edges
+}
+
+// TestBuildMatchesReference is the differential gate on the construction
+// kernel: over seeded random multigraphs, Builder.Build and FromAdjacency
+// must serialize to exactly the reference's bytes. Sizes straddle
+// parallelRowSlots, so the serial and the split row pass both run.
+func TestBuildMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	sizes := []int{0, 1, 2, 3, 17, 200, 1500, 9000}
+	for round := 0; round < 40; round++ {
+		n := sizes[round%len(sizes)]
+		edges := randomMultigraph(rng, n)
+		want, err := referenceBuild(n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, err := FromEdges(n, edges)
+		if err != nil {
+			t.Fatalf("n=%d: Build: %v", n, err)
+		}
+		if !bytes.Equal(graphBytes(t, built), graphBytes(t, want)) {
+			t.Fatalf("n=%d, %d raw edges: Build gives %v, reference %v, bytes differ", n, len(edges), built, want)
+		}
+		fromRows, err := FromAdjacency(adjacencyOf(n, edges))
+		if err != nil {
+			t.Fatalf("n=%d: FromAdjacency: %v", n, err)
+		}
+		if !bytes.Equal(graphBytes(t, fromRows), graphBytes(t, want)) {
+			t.Fatalf("n=%d, %d raw edges: FromAdjacency gives %v, reference %v, bytes differ", n, len(edges), fromRows, want)
+		}
+		if err := checkRows(built); err != nil {
+			t.Fatalf("n=%d: built graph is not canonical: %v", n, err)
+		}
+	}
+}
+
+// TestBuildOutOfRangeMatchesReference: an endpoint outside [0,n) is the
+// same error from all three constructions.
+func TestBuildOutOfRangeMatchesReference(t *testing.T) {
+	for _, bad := range [][2]int32{{2, 9}, {9, 2}, {-1, 3}, {3, -4}} {
+		edges := [][2]int32{{0, 1}, {1, 2}, bad, {3, 4}}
+		_, want := referenceBuild(5, edges)
+		if want == nil {
+			t.Fatalf("reference accepted %v", bad)
+		}
+		if _, err := FromEdges(5, edges); err == nil || err.Error() != want.Error() {
+			t.Errorf("Build with %v: error %v, want %v", bad, err, want)
+		}
+		if _, err := FromAdjacency(adjacencyOf(5, edges)); err == nil || err.Error() != want.Error() {
+			t.Errorf("FromAdjacency with %v: error %v, want %v", bad, err, want)
+		}
+	}
+}
+
+// TestInducedSubgraphAnyOrder: keep in ascending, descending and shuffled
+// order gives the graph a Builder makes from the renumbered edges.
+func TestInducedSubgraphAnyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := MustFromEdges(400, randomMultigraph(rng, 400))
+	keep := make([]int32, 0, 250)
+	for _, v := range rng.Perm(400)[:250] {
+		keep = append(keep, int32(v))
+	}
+	orders := map[string]func(){
+		"ascending":  func() { slices.Sort(keep) },
+		"descending": func() { slices.Sort(keep); slices.Reverse(keep) },
+		"shuffled":   func() { rng.Shuffle(len(keep), func(i, j int) { keep[i], keep[j] = keep[j], keep[i] }) },
+	}
+	for name, order := range orders {
+		order()
+		sub, orig, err := g.InducedSubgraph(keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var edges [][2]int32
+		for i, u := range keep {
+			for j, v := range keep {
+				if i < j && g.HasEdge(u, v) {
+					edges = append(edges, [2]int32{int32(i), int32(j)})
+				}
+			}
+		}
+		want, _ := referenceBuild(len(keep), edges)
+		if !bytes.Equal(graphBytes(t, sub), graphBytes(t, want)) {
+			t.Errorf("%s keep: induced subgraph %v differs from the reference %v", name, sub, want)
+		}
+		if !slices.Equal(orig, keep) {
+			t.Errorf("%s keep: orig is not keep", name)
+		}
+	}
+}
+
+// rawGraphBytes serializes arrays that need not form a canonical graph.
+func rawGraphBytes(t testing.TB, offsets []int64, targets []int32) []byte {
+	return graphBytes(t, &Graph{offsets: offsets, targets: targets})
+}
+
+// TestReadBinaryRejectsNonCanonical: every way a stream can hold
+// well-formed arrays that are not a canonical graph is refused, naming the
+// vertex.
+func TestReadBinaryRejectsNonCanonical(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		offsets []int64
+		targets []int32
+		want    string
+	}{
+		{"unsorted row", []int64{0, 2, 3, 4}, []int32{2, 1, 0, 0}, "vertex 0: neighbours not strictly ascending"},
+		{"duplicate neighbour", []int64{0, 2, 4}, []int32{1, 1, 0, 0}, "vertex 0: neighbours not strictly ascending"},
+		{"self-loop", []int64{0, 1, 2}, []int32{1, 1}, "vertex 1 lists itself"},
+		{"one-way edge", []int64{0, 1, 1, 2}, []int32{1, 0}, "vertex 0 lists 1, but 1 does not list 0"},
+		{"one-way edge, earlier row", []int64{0, 1, 3, 4}, []int32{1, 0, 2, 0}, "vertex 2 lists 0, but 0 does not list 2"},
+		{"target out of range", []int64{0, 1, 2}, []int32{1, 7}, "vertex 1: neighbour 7 out of range"},
+		{"offsets step back", []int64{0, 2, 1, 2}, []int32{1, 0}, "offsets not monotone at vertex 1"},
+		{"offsets end early", []int64{0, 1, 1}, []int32{1, 0}, "offsets[n]=1"},
+	} {
+		_, err := ReadBinary(bytes.NewReader(rawGraphBytes(t, tc.offsets, tc.targets)))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// lyingHeader is a stream whose header claims the largest graph the format
+// allows and whose body is a few bytes.
+func lyingHeader() []byte {
+	data := append([]byte(nil), binaryMagic[:]...)
+	data = binary.LittleEndian.AppendUint64(data, maxVertices)
+	data = binary.LittleEndian.AppendUint64(data, 1<<33)
+	return append(data, make([]byte, 64)...)
+}
+
+// allocatedBy returns the bytes fn allocates, as the runtime counts them.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// readBinaryBudget is what ReadBinary may allocate on a stream of size
+// bytes: its 1 MiB read buffer and first chunks, then no more than a few
+// times what the stream delivered (the arrays, one doubling behind them,
+// the symmetry cursor).
+func readBinaryBudget(size int) uint64 { return 4<<20 + 8*uint64(size) }
+
+func TestReadBinaryAllocationTracksInput(t *testing.T) {
+	data := lyingHeader()
+	var err error
+	got := allocatedBy(func() { _, err = ReadBinary(bytes.NewReader(data)) })
+	if err == nil {
+		t.Fatal("truncated stream accepted")
+	}
+	if got > readBinaryBudget(len(data)) {
+		t.Fatalf("ReadBinary allocated %d bytes on a %d-byte stream", got, len(data))
+	}
+}
+
+func TestReadEdgeListRejectsHugeVertexID(t *testing.T) {
+	_, err := ReadEdgeList(strings.NewReader("0 1\n1 2147483647\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("vertex id 2^31-1: error %v, want a line-2 error", err)
+	}
+}
+
+// FuzzReadBinary holds the graph loader total on arbitrary bytes — the
+// bytes a follower bootstraps from arrive over the network: it never
+// panics, allocates in proportion to the bytes it was given whatever the
+// header claims, and whatever it accepts serializes back to exactly the
+// bytes it was read from and answers HasEdge the same from both ends. CI runs this target in the
+// fuzz job.
+func FuzzReadBinary(f *testing.F) {
+	f.Add(graphBytes(f, pathGraph(5)))
+	f.Add(graphBytes(f, MustFromEdges(6, [][2]int32{{0, 1}, {1, 2}, {2, 0}, {3, 4}})))
+	f.Add(graphBytes(f, NewBuilder(0).MustBuild()))
+	f.Add(rawGraphBytes(f, []int64{0, 2, 3, 4}, []int32{2, 1, 0, 0}))
+	f.Add(rawGraphBytes(f, []int64{0, 1, 1, 2}, []int32{1, 0}))
+	f.Add(lyingHeader())
+	f.Add([]byte("HWGRAPH1"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var g *Graph
+		var err error
+		if got := allocatedBy(func() { g, err = ReadBinary(bytes.NewReader(data)) }); got > readBinaryBudget(len(data)) {
+			t.Fatalf("ReadBinary allocated %d bytes on a %d-byte stream", got, len(data))
+		}
+		if err != nil {
+			return
+		}
+		out := graphBytes(t, g)
+		if !bytes.Equal(out, data[:len(out)]) {
+			t.Fatalf("accepted stream re-encodes differently: %x vs %x", out, data[:len(out)])
+		}
+		for v := int32(0); int(v) < g.NumVertices(); v++ {
+			for _, w := range g.Neighbors(v) {
+				if w == v || !g.HasEdge(w, v) {
+					t.Fatalf("accepted graph: %d lists %d but HasEdge(%d,%d) is %v", v, w, w, v, g.HasEdge(w, v))
+				}
+			}
+		}
+	})
+}

@@ -2,13 +2,15 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates undirected edges and produces a deduplicated CSR
-// Graph. It is the single entry point for constructing graphs: generators,
-// file loaders and tests all go through it, so self-loop and multi-edge
-// handling is uniform everywhere.
+// Graph. It is the entry point for constructing graphs from edges:
+// generators, file loaders and tests all go through it, so self-loop and
+// multi-edge handling is uniform everywhere. Callers that already hold
+// adjacency rows use FromAdjacency; both finish in the same row kernel
+// (canonicalize).
 //
 // Builder is not safe for concurrent use.
 type Builder struct {
@@ -28,6 +30,12 @@ func (b *Builder) Grow(n int) {
 	if n > b.n {
 		b.n = n
 	}
+}
+
+// Reserve makes room for m more AddEdge calls, so a caller that knows its
+// edge count fills the buffer without regrowing it.
+func (b *Builder) Reserve(m int) {
+	b.edges = slices.Grow(b.edges, max(m, 0))
 }
 
 // NumVertices returns the current vertex count.
@@ -60,61 +68,36 @@ func (b *Builder) AddEdgeGrow(u, v int32) {
 	b.AddEdge(u, v)
 }
 
-// Build produces the deduplicated CSR graph. The Builder can be reused
-// afterwards (its edge buffer is retained).
+// Build produces the deduplicated CSR graph in time linear in the edges
+// added, plus a sort local to each adjacency row: count degrees, prefix-sum
+// them into row starts, scatter both directions of every edge into its
+// rows, then canonicalize the rows. The Builder can be reused afterwards
+// (its edge buffer is retained).
 func (b *Builder) Build() (*Graph, error) {
+	// start[v+1] is where row v begins; the scatter below advances it to
+	// where row v ends, which is where row v+1 begins, so start[:n+1] ends
+	// up as the CSR offsets without a second cursor array.
+	start := make([]int64, b.n+2)
 	for _, e := range b.edges {
 		u, v := int32(e>>32), int32(uint32(e))
 		if u < 0 || v < 0 || int(v) >= b.n {
 			return nil, fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, b.n)
 		}
+		start[u+2]++
+		start[v+2]++
 	}
-	sort.Slice(b.edges, func(i, j int) bool { return b.edges[i] < b.edges[j] })
-
-	// Deduplicate and count degrees.
-	deg := make([]int64, b.n+1)
-	unique := int64(0)
-	var prev uint64
-	for i, e := range b.edges {
-		if i > 0 && e == prev {
-			continue
-		}
-		prev = e
-		unique++
-		deg[int32(e>>32)+1]++
-		deg[int32(uint32(e))+1]++
+	for v := 2; v < len(start); v++ {
+		start[v] += start[v-1]
 	}
-	offsets := make([]int64, b.n+1)
-	for v := 1; v <= b.n; v++ {
-		offsets[v] = offsets[v-1] + deg[v]
-	}
-	targets := make([]int32, 2*unique)
-	cursor := make([]int64, b.n)
-	copy(cursor, offsets[:b.n])
-	prev = 0
-	for i, e := range b.edges {
-		if i > 0 && e == prev {
-			continue
-		}
-		prev = e
+	targets := make([]int32, 2*len(b.edges))
+	for _, e := range b.edges {
 		u, v := int32(e>>32), int32(uint32(e))
-		targets[cursor[u]] = v
-		cursor[u]++
-		targets[cursor[v]] = u
-		cursor[v]++
+		targets[start[u+1]] = v
+		start[u+1]++
+		targets[start[v+1]] = u
+		start[v+1]++
 	}
-	g := &Graph{offsets: offsets, targets: targets}
-	// Edges were added in sorted (u,v) order per source vertex u, but the
-	// reverse direction (v's list) is also filled in ascending u order
-	// because the packed edges sort primarily by min endpoint... which does
-	// not guarantee v's list is sorted. Sort each adjacency list.
-	for v := 0; v < b.n; v++ {
-		nb := targets[offsets[v]:offsets[v+1]]
-		if !int32sSorted(nb) {
-			sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
-		}
-	}
-	return g, nil
+	return canonicalize(start[:b.n+1], targets), nil
 }
 
 // MustBuild is Build that panics on error; for tests and generators whose
@@ -127,19 +110,35 @@ func (b *Builder) MustBuild() *Graph {
 	return g
 }
 
-func int32sSorted(s []int32) bool {
-	for i := 1; i < len(s); i++ {
-		if s[i-1] > s[i] {
-			return false
-		}
+// FromAdjacency builds the graph whose vertex v has the neighbours rows[v],
+// for callers that already hold adjacency rows: rows are copied straight
+// into the CSR arrays and no edge list is formed. Rows may be in any order
+// and may repeat a neighbour or name their own vertex; both are dropped, as
+// Builder drops them. The rows must be symmetric (w in rows[v] iff v in
+// rows[w]); that is the caller's invariant and is not checked here.
+func FromAdjacency(rows [][]int32) (*Graph, error) {
+	n := len(rows)
+	offsets := make([]int64, n+1)
+	for v, row := range rows {
+		offsets[v+1] = offsets[v] + int64(len(row))
 	}
-	return true
+	targets := make([]int32, offsets[n])
+	for v, row := range rows {
+		for _, w := range row {
+			if w < 0 || int(w) >= n {
+				return nil, fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", min(int32(v), w), max(int32(v), w), n)
+			}
+		}
+		copy(targets[offsets[v]:], row)
+	}
+	return canonicalize(offsets, targets), nil
 }
 
 // FromEdges is a convenience constructor used heavily in tests: it builds a
 // graph with n vertices from an explicit edge list.
 func FromEdges(n int, edges [][2]int32) (*Graph, error) {
 	b := NewBuilder(n)
+	b.Reserve(len(edges))
 	for _, e := range edges {
 		b.AddEdge(e[0], e[1])
 	}

@@ -19,10 +19,8 @@ func ConnectedComponents(g *Graph) (labels []int32, count int) {
 		count++
 		labels[v] = id
 		queue = append(queue[:0], v)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, w := range g.Neighbors(u) {
+		for head := 0; head < len(queue); head++ {
+			for _, w := range g.Neighbors(queue[head]) {
 				if labels[w] < 0 {
 					labels[w] = id
 					queue = append(queue, w)

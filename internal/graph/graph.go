@@ -8,7 +8,10 @@
 // parallel edges are dropped.
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Graph is an immutable undirected graph in CSR form.
 //
@@ -161,29 +164,39 @@ func (g *Graph) DegreeOrder() []int32 {
 // renumbered densely in the order given. Duplicate entries in keep are
 // rejected.
 func (g *Graph) InducedSubgraph(keep []int32) (*Graph, []int32, error) {
-	newID := make(map[int32]int32, len(keep))
+	// newID[v] is v's new id plus one, so the zero value means "dropped".
+	newID := make([]int32, g.NumVertices())
 	for i, v := range keep {
 		if v < 0 || int(v) >= g.NumVertices() {
 			return nil, nil, fmt.Errorf("graph: induced subgraph vertex %d out of range [0,%d)", v, g.NumVertices())
 		}
-		if _, dup := newID[v]; dup {
+		if newID[v] != 0 {
 			return nil, nil, fmt.Errorf("graph: duplicate vertex %d in induced subgraph", v)
 		}
-		newID[v] = int32(i)
+		newID[v] = int32(i) + 1
 	}
-	b := NewBuilder(len(keep))
+	offsets := make([]int64, len(keep)+1)
 	for i, v := range keep {
+		kept := int64(0)
 		for _, w := range g.Neighbors(v) {
-			if j, ok := newID[w]; ok && j > int32(i) {
-				b.AddEdge(int32(i), j)
+			if newID[w] != 0 {
+				kept++
+			}
+		}
+		offsets[i+1] = offsets[i] + kept
+	}
+	targets := make([]int32, offsets[len(keep)])
+	p := 0
+	for _, v := range keep {
+		for _, w := range g.Neighbors(v) {
+			if j := newID[w]; j != 0 {
+				targets[p] = j - 1
+				p++
 			}
 		}
 	}
-	sub, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	orig := make([]int32, len(keep))
-	copy(orig, keep)
-	return sub, orig, nil
+	// An ascending keep renumbers monotonically, so the rows arrive sorted
+	// and canonicalize only reads them; any other order gets its rows
+	// sorted there.
+	return canonicalize(offsets, targets), slices.Clone(keep), nil
 }

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -42,6 +44,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		}
 		if u < 0 || v < 0 {
 			return nil, fmt.Errorf("graph: line %d: negative vertex id", lineNo)
+		}
+		if max(u, v) >= maxVertices {
+			return nil, fmt.Errorf("graph: line %d: vertex id %d too large (a graph holds at most %d vertices)", lineNo, max(u, v), maxVertices)
 		}
 		b.AddEdgeGrow(int32(u), int32(v))
 	}
@@ -116,7 +121,15 @@ func (g *Graph) WriteBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadBinary deserializes a graph written by WriteBinary.
+// maxVertices is the largest vertex count a Graph holds: ids are int32 and
+// loops compare them against int32(n).
+const maxVertices = math.MaxInt32
+
+// ReadBinary deserializes a graph written by WriteBinary. The bytes may
+// come from the network (a follower's snapshot bootstrap), so memory is
+// allocated as the arrays arrive, not from the header's counts, and rows
+// that are not canonical — where HasEdge's binary search would answer
+// wrong — are rejected with the vertex at fault.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var magic [8]byte
@@ -132,31 +145,50 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	}
 	n := binary.LittleEndian.Uint64(hdr[0:])
 	len2m := binary.LittleEndian.Uint64(hdr[8:])
-	const maxVerts = 1 << 31
-	if n > maxVerts || len2m > 1<<33 {
+	if n > maxVertices || len2m > 1<<33 {
 		return nil, fmt.Errorf("graph: header claims n=%d, 2m=%d: too large", n, len2m)
 	}
-	g := &Graph{
-		offsets: make([]int64, n+1),
-		targets: make([]int32, len2m),
+	offsets, err := readArray[int64](br, n+1)
+	if err != nil {
+		return nil, fmt.Errorf("graph: reading offsets: %w", err)
 	}
-	var buf [8]byte
-	for i := range g.offsets {
-		if _, err := io.ReadFull(br, buf[:8]); err != nil {
-			return nil, fmt.Errorf("graph: reading offsets: %w", err)
-		}
-		g.offsets[i] = int64(binary.LittleEndian.Uint64(buf[:8]))
+	if err := checkOffsets(offsets, int64(len2m)); err != nil {
+		return nil, err
 	}
-	for i := range g.targets {
-		if _, err := io.ReadFull(br, buf[:4]); err != nil {
-			return nil, fmt.Errorf("graph: reading targets: %w", err)
-		}
-		g.targets[i] = int32(binary.LittleEndian.Uint32(buf[:4]))
+	targets, err := readArray[int32](br, len2m)
+	if err != nil {
+		return nil, fmt.Errorf("graph: reading targets: %w", err)
 	}
-	if err := validate(g); err != nil {
+	g := &Graph{offsets: offsets, targets: targets}
+	if err := checkRows(g); err != nil {
 		return nil, err
 	}
 	return g, nil
+}
+
+// readArray reads count little-endian values. The result grows by doubling
+// as chunks arrive and ends at exactly count, so a header that lies about
+// its counts costs at most twice the bytes the stream really delivers, plus
+// one chunk.
+func readArray[T int32 | int64](r io.Reader, count uint64) ([]T, error) {
+	const chunk = 1 << 16 // values per read
+	size := binary.Size(T(0))
+	out := make([]T, 0, min(count, chunk))
+	buf := make([]byte, cap(out)*size)
+	for uint64(len(out)) < count {
+		if len(out) == cap(out) {
+			out = append(make([]T, 0, min(count, 2*uint64(cap(out)))), out...)
+		}
+		k := min(cap(out)-len(out), chunk)
+		if _, err := io.ReadFull(r, buf[:k*size]); err != nil {
+			return nil, err
+		}
+		out = out[:len(out)+k]
+		if _, err := binary.Decode(buf[:k*size], binary.LittleEndian, out[len(out)-k:]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // SaveBinary writes the graph to a file in binary format.
@@ -182,22 +214,57 @@ func LoadBinary(path string) (*Graph, error) {
 	return ReadBinary(f)
 }
 
-func validate(g *Graph) error {
-	n := int64(g.NumVertices())
-	if g.offsets[0] != 0 {
-		return fmt.Errorf("graph: offsets[0] = %d, want 0", g.offsets[0])
+// checkOffsets verifies the row starts alone, before a byte of the rows is
+// read: they begin at 0, never step back and end at the target count.
+func checkOffsets(offsets []int64, len2m int64) error {
+	n := len(offsets) - 1
+	if offsets[0] != 0 {
+		return fmt.Errorf("graph: offsets[0] = %d, want 0", offsets[0])
 	}
-	for v := int64(0); v < n; v++ {
-		if g.offsets[v] > g.offsets[v+1] {
+	for v := 0; v < n; v++ {
+		if offsets[v] > offsets[v+1] {
 			return fmt.Errorf("graph: offsets not monotone at vertex %d", v)
 		}
 	}
-	if g.offsets[n] != int64(len(g.targets)) {
-		return fmt.Errorf("graph: offsets[n]=%d != len(targets)=%d", g.offsets[n], len(g.targets))
+	if offsets[n] != len2m {
+		return fmt.Errorf("graph: offsets[n]=%d != len(targets)=%d", offsets[n], len2m)
 	}
-	for _, t := range g.targets {
-		if t < 0 || int64(t) >= n {
-			return fmt.Errorf("graph: target %d out of range [0,%d)", t, n)
+	return nil
+}
+
+// checkRows verifies that g's rows are what canonicalize produces: every
+// neighbour in range, each row strictly ascending (sorted, no duplicate),
+// no vertex its own neighbour, and w in v's row exactly when v is in w's.
+func checkRows(g *Graph) error {
+	n := g.NumVertices()
+	for v := int32(0); int(v) < n; v++ {
+		prev := int32(-1)
+		for _, w := range g.Neighbors(v) {
+			switch {
+			case w < 0 || int(w) >= n:
+				return fmt.Errorf("graph: vertex %d: neighbour %d out of range [0,%d)", v, w, n)
+			case w == v:
+				return fmt.Errorf("graph: vertex %d lists itself as a neighbour", v)
+			case w <= prev:
+				return fmt.Errorf("graph: vertex %d: neighbours not strictly ascending (%d after %d)", v, w, prev)
+			}
+			prev = w
+		}
+	}
+	// Symmetry in one pass: visiting v in ascending order, the next
+	// unmatched entry of each sorted row w must be v itself.
+	next := slices.Clone(g.offsets[:n])
+	for v := int32(0); int(v) < n; v++ {
+		for _, w := range g.Neighbors(v) {
+			i := next[w]
+			switch {
+			case i < g.offsets[w+1] && g.targets[i] < v:
+				x := g.targets[i]
+				return fmt.Errorf("graph: vertex %d lists %d, but %d does not list %d", w, x, x, w)
+			case i == g.offsets[w+1] || g.targets[i] != v:
+				return fmt.Errorf("graph: vertex %d lists %d, but %d does not list %d", v, w, w, v)
+			}
+			next[w]++
 		}
 	}
 	return nil
