@@ -106,11 +106,12 @@ func TestMethodBatchDifferential(t *testing.T) {
 }
 
 // TestIndexCapabilities pins which methods opt into vectorized batch
-// execution: the highway cover labelling and PLL do, the rest fall back
-// to the pair loop (still correct, just unamortized).
+// execution: the highway cover labelling, its dynamic form (whose
+// searchers are the static index's) and PLL do, the rest fall back to
+// the pair loop (still correct, just unamortized).
 func TestIndexCapabilities(t *testing.T) {
 	g := testGraphSmall(t)
-	want := map[string]bool{"hl": true, "pll": true}
+	want := map[string]bool{"hl": true, "dynhl": true, "pll": true}
 	for _, m := range highway.Methods() {
 		ix, err := highway.Build(context.Background(), g, m.Name, buildOptionsFor(m.Name)...)
 		if err != nil {

@@ -68,7 +68,7 @@ func BenchmarkTable2BuildHLP(b *testing.B) {
 	g, lm, _ := fixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := highway.BuildIndex(g, lm); err != nil {
+		if _, err := buildHL(g, lm); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -78,7 +78,7 @@ func BenchmarkTable2BuildHL(b *testing.B) {
 	g, lm, _ := fixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := highway.BuildIndexSequential(g, lm); err != nil {
+		if _, err := buildHL(g, lm, highway.WithWorkers(1)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -88,7 +88,7 @@ func BenchmarkTable2BuildFD(b *testing.B) {
 	g, lm, _ := fixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := highway.BuildFD(context.Background(), g, lm); err != nil {
+		if _, err := highway.Build(context.Background(), g, "fd", highway.WithLandmarks(lm)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -98,7 +98,7 @@ func BenchmarkTable2BuildPLL(b *testing.B) {
 	g, _, _ := fixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := highway.BuildPLL(context.Background(), g); err != nil {
+		if _, err := highway.Build(context.Background(), g, "pll"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -108,7 +108,7 @@ func BenchmarkTable2BuildISL(b *testing.B) {
 	g, _, _ := fixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := highway.BuildISL(context.Background(), g, highway.ISLOptions{}); err != nil {
+		if _, err := highway.Build(context.Background(), g, "isl"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -123,22 +123,24 @@ func BenchmarkTable2BuildISL(b *testing.B) {
 func BenchmarkBuildDirection(b *testing.B) {
 	g, lm, _ := fixtures(b)
 	for _, c := range []struct {
-		name string
-		opt  highway.BuildOptions
+		name    string
+		workers int
+		dir     highway.BuildDirection
 	}{
-		{"HL/topdown", highway.BuildOptions{Workers: 1, Direction: highway.DirectionTopDown}},
-		{"HL/dopt", highway.BuildOptions{Workers: 1, Direction: highway.DirectionAuto}},
-		{"HLP/topdown", highway.BuildOptions{Workers: 0, Direction: highway.DirectionTopDown}},
-		{"HLP/dopt", highway.BuildOptions{Workers: 0, Direction: highway.DirectionAuto}},
+		{"HL/topdown", 1, highway.DirectionTopDown},
+		{"HL/dopt", 1, highway.DirectionAuto},
+		{"HLP/topdown", 0, highway.DirectionTopDown},
+		{"HLP/dopt", 0, highway.DirectionAuto},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			var tr highway.TraversalStats
 			for i := 0; i < b.N; i++ {
-				ix, err := highway.BuildIndexOpts(context.Background(), g, lm, c.opt)
+				ix, err := highway.Build(context.Background(), g, "hl", highway.WithLandmarks(lm),
+					highway.WithWorkers(c.workers), highway.WithDirection(c.dir))
 				if err != nil {
 					b.Fatal(err)
 				}
-				tr = ix.BuildStats().Traversal
+				tr = ix.(*highway.Index).BuildStats().Traversal
 			}
 			b.ReportMetric(float64(tr.EdgesScanned()), "edges-scanned")
 			b.ReportMetric(float64(tr.BottomUpLevels), "bu-levels")
@@ -161,7 +163,7 @@ func BenchmarkBuildOracleBFS(b *testing.B) {
 
 func BenchmarkTable2QueryHL(b *testing.B) {
 	g, lm, pairs := fixtures(b)
-	ix, err := highway.BuildIndex(g, lm)
+	ix, err := buildHL(g, lm)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -175,7 +177,7 @@ func BenchmarkTable2QueryHL(b *testing.B) {
 
 func BenchmarkTable2QueryFD(b *testing.B) {
 	g, lm, pairs := fixtures(b)
-	ix, err := highway.BuildFD(context.Background(), g, lm)
+	ix, err := highway.Build(context.Background(), g, "fd", highway.WithLandmarks(lm))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -189,7 +191,7 @@ func BenchmarkTable2QueryFD(b *testing.B) {
 
 func BenchmarkTable2QueryPLL(b *testing.B) {
 	g, _, pairs := fixtures(b)
-	ix, err := highway.BuildPLL(context.Background(), g)
+	ix, err := highway.Build(context.Background(), g, "pll")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -202,7 +204,7 @@ func BenchmarkTable2QueryPLL(b *testing.B) {
 
 func BenchmarkTable2QueryISL(b *testing.B) {
 	g, _, pairs := fixtures(b)
-	ix, err := highway.BuildISL(context.Background(), g, highway.ISLOptions{})
+	ix, err := highway.Build(context.Background(), g, "isl")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -229,7 +231,7 @@ func BenchmarkTable2QueryBiBFS(b *testing.B) {
 // BenchmarkIndexWrite measures serialization throughput per format.
 func BenchmarkIndexWrite(b *testing.B) {
 	g, lm, _ := fixtures(b)
-	ix, err := highway.BuildIndex(g, lm)
+	ix, err := buildHL(g, lm)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -248,7 +250,7 @@ func BenchmarkIndexWrite(b *testing.B) {
 // section reads vs v1's element-at-a-time stream.
 func BenchmarkIndexLoad(b *testing.B) {
 	g, lm, _ := fixtures(b)
-	ix, err := highway.BuildIndex(g, lm)
+	ix, err := buildHL(g, lm)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -275,33 +277,33 @@ func BenchmarkIndexLoad(b *testing.B) {
 // size columns as metrics (bytes).
 func BenchmarkTable3Sizes(b *testing.B) {
 	g, lm, _ := fixtures(b)
-	hl, err := highway.BuildIndex(g, lm)
+	hl, err := buildHL(g, lm)
 	if err != nil {
 		b.Fatal(err)
 	}
-	fdIx, err := highway.BuildFD(context.Background(), g, lm)
+	fdIx, err := highway.Build(context.Background(), g, "fd", highway.WithLandmarks(lm))
 	if err != nil {
 		b.Fatal(err)
 	}
-	pllIx, err := highway.BuildPLL(context.Background(), g)
+	pllIx, err := highway.Build(context.Background(), g, "pll")
 	if err != nil {
 		b.Fatal(err)
 	}
-	islIx, err := highway.BuildISL(context.Background(), g, highway.ISLOptions{})
+	islIx, err := highway.Build(context.Background(), g, "isl")
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var sink int64
 	for i := 0; i < b.N; i++ {
-		sink = hl.SizeBytes8() + hl.SizeBytes32() + fdIx.SizeBytes() + pllIx.SizeBytes() + islIx.SizeBytes()
+		sink = hl.SizeBytes8() + hl.SizeBytes32() + fdIx.Stats().SizeBytes + pllIx.Stats().SizeBytes + islIx.Stats().SizeBytes
 	}
 	_ = sink
 	b.ReportMetric(float64(hl.SizeBytes8()), "HL8-bytes")
 	b.ReportMetric(float64(hl.SizeBytes32()), "HL-bytes")
-	b.ReportMetric(float64(fdIx.SizeBytes()), "FD-bytes")
-	b.ReportMetric(float64(pllIx.SizeBytes()), "PLL-bytes")
-	b.ReportMetric(float64(islIx.SizeBytes()), "ISL-bytes")
+	b.ReportMetric(float64(fdIx.Stats().SizeBytes), "FD-bytes")
+	b.ReportMetric(float64(pllIx.Stats().SizeBytes), "PLL-bytes")
+	b.ReportMetric(float64(islIx.Stats().SizeBytes), "ISL-bytes")
 }
 
 // --- Figure 1(a): query time vs index size (per-method query benches above
@@ -318,7 +320,7 @@ func BenchmarkFig1a(b *testing.B) {
 	}
 	methods := []method{
 		{"HL", func() (workload.Oracle, int64) {
-			ix, err := highway.BuildIndex(g, lm)
+			ix, err := buildHL(g, lm)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -326,27 +328,27 @@ func BenchmarkFig1a(b *testing.B) {
 			return workload.OracleFunc(sr.Distance), ix.SizeBytes32()
 		}},
 		{"FD", func() (workload.Oracle, int64) {
-			ix, err := highway.BuildFD(context.Background(), g, lm)
+			ix, err := highway.Build(context.Background(), g, "fd", highway.WithLandmarks(lm))
 			if err != nil {
 				b.Fatal(err)
 			}
 			sr := ix.NewSearcher()
-			return workload.OracleFunc(sr.Distance), ix.SizeBytes()
+			return workload.OracleFunc(sr.Distance), ix.Stats().SizeBytes
 		}},
 		{"PLL", func() (workload.Oracle, int64) {
-			ix, err := highway.BuildPLL(context.Background(), g)
+			ix, err := highway.Build(context.Background(), g, "pll")
 			if err != nil {
 				b.Fatal(err)
 			}
-			return workload.OracleFunc(ix.Distance), ix.SizeBytes()
+			return workload.OracleFunc(ix.Distance), ix.Stats().SizeBytes
 		}},
 		{"ISL", func() (workload.Oracle, int64) {
-			ix, err := highway.BuildISL(context.Background(), g, highway.ISLOptions{})
+			ix, err := highway.Build(context.Background(), g, "isl")
 			if err != nil {
 				b.Fatal(err)
 			}
 			sr := ix.NewSearcher()
-			return workload.OracleFunc(sr.Distance), ix.SizeBytes()
+			return workload.OracleFunc(sr.Distance), ix.Stats().SizeBytes
 		}},
 	}
 	for _, m := range methods {
@@ -373,21 +375,21 @@ func BenchmarkFig1b(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("HLP/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := highway.BuildIndex(g, lm); err != nil {
+				if _, err := buildHL(g, lm); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("HL/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := highway.BuildIndexSequential(g, lm); err != nil {
+				if _, err := buildHL(g, lm, highway.WithWorkers(1)); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("FD/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := highway.BuildFD(context.Background(), g, lm); err != nil {
+				if _, err := highway.Build(context.Background(), g, "fd", highway.WithLandmarks(lm)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -399,7 +401,7 @@ func BenchmarkFig1b(b *testing.B) {
 
 func BenchmarkFig6Distribution(b *testing.B) {
 	g, lm, pairs := fixtures(b)
-	ix, err := highway.BuildIndex(g, lm)
+	ix, err := buildHL(g, lm)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -425,7 +427,7 @@ func BenchmarkFig7BuildHL(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := highway.BuildIndexSequential(g, lm); err != nil {
+				if _, err := buildHL(g, lm, highway.WithWorkers(1)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -440,7 +442,7 @@ func BenchmarkFig7QueryHL(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ix, err := highway.BuildIndex(g, lm)
+		ix, err := buildHL(g, lm)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -466,7 +468,7 @@ func BenchmarkFig8Sizes(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			var ix *highway.Index
 			for i := 0; i < b.N; i++ {
-				ix, err = highway.BuildIndex(g, lm)
+				ix, err = buildHL(g, lm)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -486,7 +488,7 @@ func BenchmarkFig9Coverage(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ix, err := highway.BuildIndex(g, lm)
+		ix, err := buildHL(g, lm)
 		if err != nil {
 			b.Fatal(err)
 		}

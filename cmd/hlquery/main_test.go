@@ -21,7 +21,7 @@ func fixture(t *testing.T) (string, string, *highway.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := highway.BuildIndex(g, lm)
+	ix, err := highway.Build(context.Background(), g, "hl", highway.WithLandmarks(lm))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func writeIndexedGraph(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := highway.BuildIndex(g, lms)
+	ix, err := highway.Build(context.Background(), g, "hl", highway.WithLandmarks(lms))
 	if err != nil {
 		t.Fatal(err)
 	}

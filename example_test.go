@@ -13,9 +13,9 @@ import (
 	"highway"
 )
 
-// ExampleBuildIndex builds an index over a small explicit graph and
-// answers a query. The graph is a 6-cycle with one chord.
-func ExampleBuildIndex() {
+// ExampleBuild_hl builds the paper's index over a small explicit graph
+// and answers a query. The graph is a 6-cycle with one chord.
+func ExampleBuild_hl() {
 	g, err := highway.FromEdges(6, [][2]int32{
 		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {1, 4},
 	})
@@ -23,7 +23,7 @@ func ExampleBuildIndex() {
 		panic(err)
 	}
 	landmarks, _ := highway.SelectLandmarks(g, 2, highway.ByDegree, 0)
-	ix, _ := highway.BuildIndex(g, landmarks)
+	ix, _ := highway.Build(context.Background(), g, "hl", highway.WithLandmarks(landmarks))
 	fmt.Println(ix.Distance(0, 3))
 	fmt.Println(ix.Distance(2, 5))
 	// Output:
@@ -39,9 +39,9 @@ func ExampleNewServer() {
 		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {1, 4},
 	})
 	landmarks, _ := highway.SelectLandmarks(g, 2, highway.ByDegree, 0)
-	ix, _ := highway.BuildIndex(g, landmarks)
+	ix, _ := highway.Build(context.Background(), g, "hl", highway.WithLandmarks(landmarks))
 
-	srv := highway.NewServer(ix, highway.ServeConfig{})
+	srv := highway.NewServer(ix.(*highway.Index), highway.ServeConfig{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -65,9 +65,9 @@ func ExampleServer_InsertEdges() {
 		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {1, 4},
 	})
 	landmarks, _ := highway.SelectLandmarks(g, 2, highway.ByDegree, 0)
-	ix, _ := highway.BuildIndex(g, landmarks)
+	ix, _ := highway.Build(context.Background(), g, "hl", highway.WithLandmarks(landmarks))
 
-	srv, _ := highway.NewLiveServer(ix, highway.LiveConfig{})
+	srv, _ := highway.NewLiveServer(ix.(*highway.Index), highway.LiveConfig{})
 	defer srv.Close()
 
 	before, _ := srv.Distance(0, 3)
@@ -89,8 +89,8 @@ func ExampleClient() {
 		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {1, 4},
 	})
 	landmarks, _ := highway.SelectLandmarks(g, 2, highway.ByDegree, 0)
-	ix, _ := highway.BuildIndex(g, landmarks)
-	srv := highway.NewServer(ix, highway.ServeConfig{})
+	ix, _ := highway.Build(context.Background(), g, "hl", highway.WithLandmarks(landmarks))
+	srv := highway.NewServer(ix.(*highway.Index), highway.ServeConfig{})
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -157,7 +157,7 @@ func ExampleBuild() {
 // distance on a path where the landmark sits at one end.
 func ExampleIndex_UpperBound() {
 	g, _ := highway.FromEdges(5, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
-	ix, _ := highway.BuildIndex(g, []int32{0}) // landmark at the left end
+	ix, _ := highway.Build(context.Background(), g, "hl", highway.WithLandmarks([]int32{0})) // landmark at the left end
 	// The only landmark detour between 1 and 4 goes 1→0→...→4.
 	fmt.Println(ix.UpperBound(1, 4))
 	fmt.Println(ix.Distance(1, 4))
@@ -167,13 +167,13 @@ func ExampleIndex_UpperBound() {
 }
 
 // ExampleSearcher_Path reconstructs one shortest path. Path lives on
-// the concrete highway cover Searcher (Index.Searcher); the
-// method-agnostic NewSearcher interface covers Distance and UpperBound
-// only.
+// the concrete highway cover Searcher (Index.Searcher, on the *Index
+// that Build returns for "hl"); the method-agnostic NewSearcher interface
+// covers Distance and UpperBound only.
 func ExampleSearcher_Path() {
 	g, _ := highway.FromEdges(5, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
-	ix, _ := highway.BuildIndex(g, []int32{2})
-	sr := ix.Searcher()
+	ix, _ := highway.Build(context.Background(), g, "hl", highway.WithLandmarks([]int32{2}))
+	sr := ix.(*highway.Index).Searcher()
 	fmt.Println(sr.Path(0, 4))
 	// Output:
 	// [0 1 2 3 4]

@@ -44,10 +44,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ix, err := highway.BuildIndex(g, landmarks)
+	built, err := highway.Build(context.Background(), g, "hl", highway.WithLandmarks(landmarks))
 	if err != nil {
 		log.Fatal(err)
 	}
+	ix := built.(*highway.Index) // the live server wants the highway labelling itself
 
 	dir, err := os.MkdirTemp("", "dynamicgraph")
 	if err != nil {

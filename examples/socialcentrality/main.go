@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -29,7 +30,7 @@ func main() {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	ix, err := highway.BuildIndex(g, landmarks)
+	ix, err := highway.Build(context.Background(), g, "hl", highway.WithLandmarks(landmarks))
 	if err != nil {
 		log.Fatal(err)
 	}

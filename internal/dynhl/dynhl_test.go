@@ -93,23 +93,7 @@ func TestInsertMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dyn.NumEntries() != ref.NumEntries() {
-			t.Fatalf("round %d: entries dyn=%d ref=%d", round, dyn.NumEntries(), ref.NumEntries())
-		}
-		// Labels must match exactly per vertex.
-		for v := int32(0); v < 150; v++ {
-			ranks, dists := ref.Label(v)
-			dl := dyn.labels[v]
-			if len(dl) != len(ranks) {
-				t.Fatalf("round %d vertex %d: |L| dyn=%d ref=%d", round, v, len(dl), len(ranks))
-			}
-			for i := range dl {
-				if dl[i].rank != ranks[i] || dl[i].dist != dists[i] {
-					t.Fatalf("round %d vertex %d entry %d: dyn=(%d,%d) ref=(%d,%d)",
-						round, v, i, dl[i].rank, dl[i].dist, ranks[i], dists[i])
-				}
-			}
-		}
+		requireSameLabelling(t, "round", dyn.cur, ref)
 	}
 }
 
@@ -171,22 +155,9 @@ func TestFromCoreMatchesBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if conv.NumEntries() != direct.NumEntries() {
-		t.Fatalf("entries: converted %d vs direct %d", conv.NumEntries(), direct.NumEntries())
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		a, b := conv.labels[v], direct.labels[v]
-		if len(a) != len(b) {
-			t.Fatalf("vertex %d: |L| converted=%d direct=%d", v, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("vertex %d entry %d: converted=%+v direct=%+v", v, i, a[i], b[i])
-			}
-		}
-	}
-	// The conversion must be a real copy: inserting through the dynamic
-	// index must not disturb the source, and must match a rebuild.
+	requireSameLabelling(t, "converted vs direct", conv.cur, direct.cur)
+	// The conversion shares the source: inserting through the dynamic
+	// index must not disturb it, and must match a rebuild.
 	m := newMirror(g)
 	rng := rand.New(rand.NewSource(2))
 	for round := 0; round < 6; round++ {
@@ -257,7 +228,7 @@ func TestInsertConnectsComponents(t *testing.T) {
 	if d := dyn.Distance(0, 6); d != Infinity {
 		t.Fatalf("pre-insert d(0,6) = %d", d)
 	}
-	if h := dyn.highway[1]; h != Infinity {
+	if h := dyn.cur.Highway(1, 4); h != Infinity {
 		t.Fatalf("cross-component highway = %d", h)
 	}
 	if err := dyn.InsertEdge(2, 3); err != nil {
@@ -266,7 +237,7 @@ func TestInsertConnectsComponents(t *testing.T) {
 	if d := dyn.Distance(0, 6); d != 6 {
 		t.Fatalf("post-insert d(0,6) = %d, want 6", d)
 	}
-	if h := dyn.highway[1]; h != 3 {
+	if h := dyn.cur.Highway(1, 4); h != 3 {
 		t.Fatalf("post-insert δH = %d, want 3 (1-2-3-4)", h)
 	}
 }
@@ -318,13 +289,14 @@ func TestDirtyDetectionSkipsCleanLandmarks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowLen := len(dyn.rows[0])
+	before := dyn.Maint()
 	// Leaf-leaf edge: both endpoints at distance 1 → landmark clean.
-	if err := dyn.InsertEdge(3, 7); err != nil {
+	res, err := dyn.ApplyOps([]Op{{A: 3, B: 7}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dyn.rows[0]) != rowLen {
-		t.Fatal("clean landmark was rebuilt (row changed)")
+	if res.Inserted != 1 || res.Dirty != 0 || dyn.Maint() != before {
+		t.Fatalf("clean landmark was rebuilt: %+v, %+v", res, dyn.Maint())
 	}
 	// Distances still exact.
 	if d := dyn.Distance(3, 7); d != 1 {

@@ -48,8 +48,8 @@ func (ix *Index) Write(w io.Writer) error {
 	}
 	h := method.Header{
 		Method: tag,
-		N:      uint64(ix.n),
-		K:      uint32(len(ix.landmarks)),
+		N:      uint64(len(ix.adj)),
+		K:      uint32(frozen.NumLandmarks()),
 		Aux1:   uint64(gbuf.Len()),
 		Aux2:   uint64(ibuf.Len()),
 	}

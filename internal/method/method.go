@@ -41,9 +41,12 @@ type Searcher interface {
 
 // DistanceIndex is the one interface every labelling method exposes:
 // an exact distance oracle over a fixed vertex set that can summarize
-// and persist itself. Implementations are safe for concurrent readers
-// unless their package documents otherwise (internal/dynhl is mutable;
-// serialize queries with updates).
+// and persist itself. Implementations are safe for concurrent readers.
+// The two that also accept edge updates (internal/dynhl, internal/fd)
+// do not synchronize them: a caller serializes an update with every
+// other call on the index. internal/dynhl's searchers and frozen
+// snapshots are bound to the immutable state they were taken from and
+// stay usable across updates.
 type DistanceIndex interface {
 	// Distance returns the exact hop distance between s and t, or
 	// Infinity if disconnected. This is the pooled/allocating

@@ -172,20 +172,19 @@ type updater struct {
 	writesRejected atomic.Int64
 	recoveries     atomic.Int64
 
-	// Deletion and labelling-maintenance counters. The maintenance pair
+	// Deletion and labelling-maintenance counters. selRepairs
 	// accumulates across background rebuilds (which replace up.dyn and
 	// reset its own Maint counters), so /stats never goes backwards.
-	acceptedDeletes   atomic.Int64
-	deletedTotal      atomic.Int64
-	selRepairs        atomic.Int64
-	maintFullRebuilds atomic.Int64
+	acceptedDeletes atomic.Int64
+	deletedTotal    atomic.Int64
+	selRepairs      atomic.Int64
 }
 
 // NewLive returns an updatable Server seeded from ix. If cfg.WAL is set,
 // any ops (insertions and deletions) recovered from the log are replayed
-// first (through the copy-on-write dynhl.FromCore conversion), so the
-// served snapshot reflects every write acknowledged before a crash. The
-// server takes ownership of the WAL.
+// first (onto dynhl.FromCore(ix), which shares ix and leaves it intact),
+// so the served snapshot reflects every write acknowledged before a
+// crash. The server takes ownership of the WAL.
 func NewLive(ix *core.Index, cfg LiveConfig) (*Server, error) {
 	// The server owns cfg.WAL from here on, including on error paths.
 	fail := func(err error) (*Server, error) {
@@ -412,9 +411,7 @@ func (s *Server) mutate(ops []dynhl.Op) (dynhl.OpResult, uint64, error) {
 	up.acceptedTotal.Add(int64(len(ops)) - dels)
 	up.acceptedDeletes.Add(dels)
 	up.deletedTotal.Add(int64(res.Deleted))
-	if res.Rebuilt {
-		up.maintFullRebuilds.Add(1)
-	} else if res.Dirty > 0 {
+	if res.Dirty > 0 {
 		up.selRepairs.Add(1)
 	}
 	if up.rebuilding {
@@ -743,12 +740,10 @@ type LiveStats struct {
 	// no-ops) and edges actually removed.
 	AcceptedDeletes int64 `json:"accepted_deletes"`
 	EdgesDeleted    int64 `json:"edges_deleted"`
-	// Labelling-maintenance counters for the decremental path: write
-	// batches repaired per-landmark vs. batches that tripped the dirty
-	// fraction and rebuilt every landmark inline (distinct from the
-	// background Rebuilds above).
-	SelectiveRepairs  int64 `json:"selective_repairs"`
-	MaintFullRebuilds int64 `json:"maint_full_rebuilds"`
+	// SelectiveRepairs counts the write batches that re-ran at least one
+	// landmark's pruned BFS inline (distinct from the background Rebuilds
+	// above).
+	SelectiveRepairs int64 `json:"selective_repairs"`
 
 	// Degraded read-only mode: true while the WAL is unwritable. Writes
 	// are rejected (counted in WritesRejected) and Recoveries counts
@@ -787,7 +782,6 @@ func (s *Server) LiveStats() *LiveStats {
 		AcceptedDeletes:   up.acceptedDeletes.Load(),
 		EdgesDeleted:      up.deletedTotal.Load(),
 		SelectiveRepairs:  up.selRepairs.Load(),
-		MaintFullRebuilds: up.maintFullRebuilds.Load(),
 		Degraded:          up.degraded,
 		DegradedReason:    up.degradedReason,
 		WritesRejected:    up.writesRejected.Load(),

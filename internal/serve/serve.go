@@ -47,10 +47,9 @@
 // mutex and never block readers: each accepted batch is (1) appended to
 // the write-ahead edge log if one is configured (deletions as
 // one's-complement records in the same log), (2) applied to a mutable
-// dynhl.Index by selective landmark repair — falling back to an inline
-// full rebuild when a deletion batch dirties too many landmarks — and
-// (3) frozen into a fresh immutable snapshot that is atomically swapped
-// in, so the next read observes it.
+// dynhl.Index, which re-runs the pruned BFS of the landmarks the batch
+// dirtied and assembles the next immutable index, and (3) that index is
+// atomically swapped in as the snapshot, so the next read observes it.
 //
 // The WAL makes acknowledged writes durable: appends are batched into
 // one fsync per accepted request, and LoadLive replays the log through

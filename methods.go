@@ -32,10 +32,6 @@ import (
 //	d := ix.Distance(12, 34)
 //	err = ix.Save("g.pll.idx")
 //	ix2, err := highway.LoadIndexAny("g.pll.idx", g)
-//
-// The per-method constructors (BuildIndex, BuildPLL, BuildFD, BuildISL,
-// BuildDynamic, ...) remain as deprecated shims over the same
-// implementations; new code should go through Build and the registry.
 
 // DistanceIndex is the method-agnostic exact distance oracle every
 // labelling implements: queries, label upper bounds, per-goroutine
@@ -50,8 +46,8 @@ type DistanceSearcher = method.Searcher
 
 // BatchSearcher is the optional vectorized-execution capability: a
 // searcher that answers many pairs in one call, amortizing per-source
-// label work. The highway cover labelling and PLL opt in; discover a
-// method's capabilities with IndexCapabilities.
+// label work. The highway cover labelling (static and dynamic) and PLL
+// opt in; discover a method's capabilities with IndexCapabilities.
 type BatchSearcher = method.BatchSearcher
 
 // SourceSearcher is the one-source-to-many-targets form of the batch
