@@ -114,12 +114,12 @@ func BenchmarkTable2BuildISL(b *testing.B) {
 	}
 }
 
-// --- Construction: direction-optimizing engine (BENCH_BUILD.json) ------------
+// --- Construction: push-only against push/pull ------------------------------
 
 // BenchmarkBuildDirection measures construction per traversal direction
-// on the Skitter stand-in (k=20): topdown is the pre-engine reference,
-// dopt the direction-optimizing default. BENCH_BUILD.json records the
-// medians.
+// on the Skitter stand-in (k=20): topdown pushes every level, dopt is the
+// push/pull default. The kernel's own micro-benchmark, on larger fixtures,
+// is internal/core's BenchmarkBuild.
 func BenchmarkBuildDirection(b *testing.B) {
 	g, lm, _ := fixtures(b)
 	for _, c := range []struct {

@@ -50,7 +50,7 @@ func run(args []string) error {
 		k          = fs.Int("k", 20, "number of landmarks")
 		strategy   = fs.String("strategy", "degree", "landmark strategy: degree | random | closeness | degree-spread")
 		seed       = fs.Int64("seed", 42, "seed for randomized strategies")
-		workers    = fs.Int("workers", 0, "parallel pruned BFSs (0 = all cores, 1 = sequential HL)")
+		workers    = fs.Int("workers", 0, "goroutines sharing each level of the build traversal (0 = all cores, 1 = one); the index is the same for every value")
 		bp         = fs.Int("bitparallel", 0, "bit-parallel trees (pll: tree count, fd: >0 enables one per landmark)")
 		out        = fs.String("out", "", "index output path (default: graph path + .idx)")
 		verify     = fs.Int("verify", 0, "cross-check this many random pairs against BFS after building")

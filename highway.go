@@ -124,11 +124,11 @@ type BuildOptions = core.Options
 type BuildDirection = core.Direction
 
 const (
-	// DirectionAuto switches top-down/bottom-up per level (the default).
+	// DirectionAuto pushes sparse levels and pulls dense ones (the default).
 	DirectionAuto = core.DirectionAuto
-	// DirectionTopDown forces the classic top-down expansion.
+	// DirectionTopDown pushes every level (top-down expansion).
 	DirectionTopDown = core.DirectionTopDown
-	// DirectionBottomUp forces bottom-up expansion (diagnostic).
+	// DirectionBottomUp pulls every level (bottom-up; diagnostic).
 	DirectionBottomUp = core.DirectionBottomUp
 )
 

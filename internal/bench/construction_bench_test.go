@@ -13,8 +13,8 @@ import (
 )
 
 // The construction benchmarks run on the same fixture as the top-level
-// bench_test.go and BENCH_BUILD.json: the Skitter stand-in at shrink 4
-// with k=20 degree landmarks.
+// bench_test.go: the Skitter stand-in at shrink 4 with k=20 degree
+// landmarks.
 var (
 	buildFixOnce sync.Once
 	buildFixG    *graph.Graph
@@ -38,8 +38,8 @@ func buildFixture(b *testing.B) (*graph.Graph, []int32) {
 }
 
 // BenchmarkBuild measures index construction per traversal direction and
-// worker count. The topdown variants are the pre-engine reference; the
-// dopt/topdown ratio is what BENCH_BUILD.json records.
+// worker count: the topdown variants push every level, dopt is the
+// push/pull default.
 func BenchmarkBuild(b *testing.B) {
 	g, lm := buildFixture(b)
 	cases := []struct {

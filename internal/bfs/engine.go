@@ -49,21 +49,19 @@ const (
 	DirectionBottomUp
 )
 
-// AlphaDOpt and BetaDOpt are the direction-switch coefficients: go
+// alphaDOpt and betaDOpt are the direction-switch coefficients: go
 // bottom-up when frontier edges exceed remaining-unvisited edges / α,
 // return top-down when the frontier drops below n/β. The heuristic shape
 // is Beamer's; the coefficients are re-tuned for this implementation,
 // where a bottom-up probe costs about the same as a top-down edge walk
 // (both are one array load plus one bit test), so switching pays off
-// later than in Beamer's α=14 setting. Tuned on the Skitter stand-in
-// construction benchmark (see BENCH_BUILD.json); deliberately not
-// configurable — the engine must stay deterministic and the optimum is
-// flat around these values. Exported (read-only) so the pruned BFS in
-// internal/core, which carries its own level loop, switches on the same
-// coefficients.
+// later than in Beamer's α=14 setting. Deliberately not configurable — the
+// engine must stay deterministic and the optimum is flat around these
+// values. The construction traversal in internal/core has its own level
+// loop and its own measured pair.
 const (
-	AlphaDOpt = 4
-	BetaDOpt  = 24
+	alphaDOpt = 4
+	betaDOpt  = 24
 )
 
 // TraversalStats counts the per-direction work of one or more
@@ -170,9 +168,9 @@ func distancesCSR(off []int64, tgt []int32, src int32, dist []int32, a *arena, d
 			bottomUp = true
 		default:
 			if !bottomUp {
-				bottomUp = frontEdges > remEdges/AlphaDOpt
+				bottomUp = frontEdges > remEdges/alphaDOpt
 			} else {
-				bottomUp = len(frontier) > n/BetaDOpt
+				bottomUp = len(frontier) > n/betaDOpt
 			}
 		}
 		next = next[:0]

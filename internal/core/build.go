@@ -13,66 +13,68 @@ import (
 	"highway/internal/graph"
 )
 
-// Direction selects the traversal strategy of the pruned BFSs; see
-// bfs.Direction. The labelling is identical for every direction
-// (Lemma 3.11 makes the output depend only on the graph and landmark
-// set), so this is purely a performance/testing knob.
+// Direction selects how the levels of the construction traversal are
+// expanded; see bfs.Direction. The labelling is identical for every
+// direction (Lemma 3.11 makes the output depend only on the graph and
+// landmark set), so this is purely a performance/testing knob.
 type Direction = bfs.Direction
 
 const (
-	// DirectionAuto is the direction-optimizing default.
+	// DirectionAuto pushes sparse levels and pulls dense ones (the default).
 	DirectionAuto = bfs.DirectionAuto
-	// DirectionTopDown forces the classic top-down expansion.
+	// DirectionTopDown pushes every level from the frontier list.
 	DirectionTopDown = bfs.DirectionTopDown
-	// DirectionBottomUp forces bottom-up expansion (testing only).
+	// DirectionBottomUp pulls every level (testing only).
 	DirectionBottomUp = bfs.DirectionBottomUp
 )
 
 // Options configures index construction.
 type Options struct {
-	// Workers is the number of concurrent pruned BFSs (the paper's HL-P,
-	// Section 5.1). 0 selects runtime.GOMAXPROCS(0); 1 is the sequential
-	// HL of Algorithm 1. Because the labelling is deterministic
-	// (Lemma 3.11), every worker count produces an identical index.
+	// Workers is the number of goroutines that share each pulled level of
+	// the construction traversal: a worker takes blocks of vertices, not a
+	// landmark's BFS (all landmarks advance together, see sweep). 0 selects
+	// runtime.GOMAXPROCS(0); 1 is the calling goroutine alone. A vertex's
+	// outcome at a level depends only on the level before it (and the
+	// labelling only on graph and landmarks, Lemma 3.11), so every worker
+	// count produces an identical index and identical traversal counters.
 	Workers int
 
-	// Direction selects how pruned-BFS levels are expanded: the
-	// direction-optimizing hybrid (default), forced top-down (the
-	// pre-engine reference, kept for benchmarking the switch), or forced
-	// bottom-up (testing). Every direction produces an identical index.
+	// Direction selects how levels are expanded: pushed or pulled by
+	// measured frontier size (default), always pushed, or always pulled
+	// (testing). Every direction produces an identical index.
 	Direction Direction
 
-	// Progress, when non-nil, is called after each landmark's pruned BFS
-	// completes, with the number of completed BFSs and the landmark
-	// count. Calls are serialized (one at a time) but may come from
-	// different worker goroutines.
+	// Progress, when non-nil, is called once per landmark, when its pruned
+	// BFS has finished, with the number finished so far (1…total in order)
+	// and the landmark count, on the goroutine that called BuildOpts or Run.
 	Progress func(done, total int)
 }
 
-// BuildStats describes how an index was constructed: worker count and
-// the traversal engine's per-direction work counters, summed over all
-// pruned BFSs. Available via Index.BuildStats on built (not loaded)
-// indexes.
+// BuildStats describes how an index was constructed: worker count and the
+// traversal's work counters — pushed levels and the arcs they walked as
+// top-down, pulled levels and the arcs they examined as bottom-up — summed
+// over all groups of landmarks and independent of the worker count.
+// Available via Index.BuildStats on built (not loaded) indexes.
 type BuildStats struct {
 	Workers   int
 	Traversal bfs.TraversalStats
 }
 
 // Build constructs the highway cover distance labelling for the given
-// landmark set sequentially (the paper's HL).
+// landmark set on the calling goroutine alone (the paper's HL).
 func Build(g *graph.Graph, landmarks []int32) (*Index, error) {
 	return BuildOpts(context.Background(), g, landmarks, Options{Workers: 1})
 }
 
-// BuildParallel constructs the labelling with one pruned BFS per landmark
-// running concurrently (the paper's HL-P).
+// BuildParallel constructs the labelling with GOMAXPROCS workers sharing
+// each pulled level's vertices (the paper's HL-P, Section 5.1).
 func BuildParallel(g *graph.Graph, landmarks []int32) (*Index, error) {
 	return BuildOpts(context.Background(), g, landmarks, Options{})
 }
 
 // BuildOpts constructs the labelling with full control. The context is
-// checked between pruned BFSs; cancellation returns ctx.Err() (used by the
-// bench harness to reproduce the paper's DNF budgets).
+// checked between levels and between groups of landmarks; cancellation
+// returns ctx.Err() (how the bench harness reproduces the paper's DNFs).
 func BuildOpts(ctx context.Context, g *graph.Graph, landmarks []int32, opt Options) (*Index, error) {
 	k := len(landmarks)
 	if k == 0 {
@@ -82,13 +84,7 @@ func BuildOpts(ctx context.Context, g *graph.Graph, landmarks []int32, opt Optio
 		return nil, fmt.Errorf("core: %d landmarks exceeds MaxLandmarks=%d", k, MaxLandmarks)
 	}
 	n := g.NumVertices()
-	rw := &Rows{
-		landmarks:  landmarks,
-		rankOf:     make([]int32, n),
-		isLandmark: make([]bool, n),
-		highway:    make([]int32, k*k),
-		rows:       make([][]labelPair, k),
-	}
+	rw := &Rows{landmarks: landmarks, rankOf: make([]int32, n), isLandmark: make([]bool, n), highway: make([]int32, k*k)}
 	for i := range rw.rankOf {
 		rw.rankOf[i] = -1
 	}
@@ -113,13 +109,14 @@ func BuildOpts(ctx context.Context, g *graph.Graph, landmarks []int32, opt Optio
 	return ix, nil
 }
 
-// Rows is a labelling in the form BuildOpts holds between its pruned BFSs
-// and the flat index: the highway matrix and, per landmark rank, the label
-// entries that landmark's BFS produced. Algorithm 1 is independent per
-// landmark (Lemma 3.11), so after the graph changes, re-running any set of
-// ranks that contains every rank whose BFS outcome changed and assembling
-// gives exactly the index a from-scratch build on the new graph gives.
-// internal/dynhl keeps that condition; BuildOpts is the case "every rank".
+// Rows is the build state of a labelling: the highway matrix, the last
+// index assembled (or read by RowsOf), which IS the label state, and the
+// outcome of a Run that has not been assembled yet. Algorithm 1 is
+// independent per landmark (Lemma 3.11), so after the graph changes,
+// re-running any set of ranks that contains every rank whose BFS outcome
+// changed and assembling gives exactly the index a from-scratch build on
+// the new graph gives. internal/dynhl keeps that condition; BuildOpts is
+// the case "every rank".
 //
 // A Rows is not safe for concurrent use. The indexes it assembles are
 // immutable and share no array the Rows later writes.
@@ -127,435 +124,469 @@ type Rows struct {
 	landmarks  []int32
 	rankOf     []int32
 	isLandmark []bool
-	highway    []int32       // k*k, row r written by rank r's BFS alone
-	rows       [][]labelPair // rows[r]: the entries rank r's BFS produced
-	scratch    []*buildScratch
+	highway    []int32 // k*k; row r is written by the sweep that runs rank r
 
-	// ix is the index whose label arrays equal rows and whose highway IS
-	// highway (shared): the one RowsOf read or Assemble last returned. Run
-	// clears it, after giving the Rows its own highway copy.
-	ix *Index
+	// ix holds the label entries of every rank not in runs; nil until
+	// BuildOpts assembles. While ixHighway is set its highway is the array
+	// above, and Run copies before it writes.
+	ix        *Index
+	ixHighway bool
+	runs      []*groupRun // what Run produced since ix, ranks ascending
+	workers   int         // of that Run; Assemble packs and merges with as many
+	sw        sweep
 }
 
-// RowsOf derives the build state of an index without running a BFS. The
-// index is shared, not copied: it stays valid and unchanged whatever the
-// Rows does next.
+// RowsOf wraps an index as build state. Nothing is copied or derived: the
+// index stays valid and unchanged whatever the Rows does next.
 func RowsOf(ix *Index) *Rows {
-	rw := &Rows{
-		landmarks:  ix.landmarks,
-		rankOf:     ix.rankOf,
-		isLandmark: ix.isLandmark,
-		highway:    ix.highway,
-		rows:       make([][]labelPair, len(ix.landmarks)),
-		ix:         ix,
-	}
-	sizes := make([]int, len(rw.rows))
-	for _, r := range ix.labelRank {
-		sizes[r]++
-	}
-	for r, size := range sizes {
-		rw.rows[r] = make([]labelPair, 0, size)
-	}
-	for v := range ix.rankOf {
-		for p := ix.labelOff[v]; p < ix.labelOff[v+1]; p++ {
-			r := ix.labelRank[p]
-			rw.rows[r] = append(rw.rows[r], labelPair{v: int32(v), d: ix.labelDist[p]})
-		}
-	}
-	return rw
+	return &Rows{landmarks: ix.landmarks, rankOf: ix.rankOf, isLandmark: ix.isLandmark,
+		highway: ix.highway, ix: ix, ixHighway: true}
 }
 
-// Run replaces the rows and highway rows of the given ranks with the
-// outcome of their pruned BFSs on g, which must have the vertex count the
-// Rows was made for. opt.Workers BFSs run at a time (0 selects
-// GOMAXPROCS; never more than len(ranks)), each on scratch the Rows keeps
-// between calls. The context is checked between BFSs; after an error the
-// Rows holds a mix of old and new rows and must be dropped.
+// Run replaces the label entries and highway rows of the given ranks with
+// the outcome of their pruned BFSs on g, which must have the vertex count
+// the Rows was made for. The ranks run in ascending groups of at most 32,
+// each group as one sweep: whatever the number of ranks in a group, the
+// graph is traversed once. The result is pending until Assemble, which must
+// come before the next Run. The context is checked between levels and
+// between groups; after an error the Rows must be dropped.
 func (rw *Rows) Run(ctx context.Context, g *graph.Graph, ranks []int, opt Options) (BuildStats, error) {
-	k := len(rw.landmarks)
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	rw.workers = opt.Workers
+	if rw.workers <= 0 {
+		rw.workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, len(ranks))
-	stats := BuildStats{Workers: workers}
-	if workers == 0 {
+	if g.NumVertices() < parallelVertices {
+		rw.workers = 1
+	}
+	stats := BuildStats{Workers: rw.workers}
+	if len(ranks) == 0 {
 		return stats, nil
 	}
-	if rw.ix != nil {
-		rw.highway, rw.ix = slices.Clone(rw.highway), nil
+	if len(rw.runs) > 0 {
+		panic("core: Rows.Run called again before Assemble")
 	}
-	for len(rw.scratch) < workers {
-		rw.scratch = append(rw.scratch, newBuildScratch(len(rw.rankOf)))
+	if rw.ixHighway {
+		rw.highway, rw.ixHighway = slices.Clone(rw.highway), false
 	}
-	progress := newProgressFunc(opt.Progress, len(ranks))
-	perWorker := make([]bfs.TraversalStats, workers)
-	var next atomic.Int64 // index into ranks of the next BFS to start
-	work := func(slot int) {
-		for ctx.Err() == nil {
-			i := int(next.Add(1)) - 1
-			if i >= len(ranks) {
-				return
-			}
-			r := ranks[i]
-			hwRow := rw.highway[r*k : (r+1)*k]
-			for j := range hwRow {
-				hwRow[j] = Infinity
-			}
-			rw.rows[r] = prunedBFS(g, rw.landmarks[r], rw.rankOf, k, rw.scratch[slot], hwRow, opt.Direction, &perWorker[slot])
-			progress()
+	ranks = slices.Compact(slices.Sorted(slices.Values(ranks)))
+	done, total := 0, len(ranks)
+	finished := func(mask uint32) {
+		for ; mask != 0 && opt.Progress != nil; mask &= mask - 1 {
+			done++
+			opt.Progress(done, total)
 		}
 	}
+	for len(ranks) > 0 {
+		group := ranks[:min(groupBits, len(ranks))]
+		ranks = ranks[len(group):]
+		run, err := rw.sw.run(ctx, rw, g, group, opt.Direction, &stats.Traversal, finished)
+		if err != nil {
+			return stats, err
+		}
+		rw.runs = append(rw.runs, run)
+	}
+	return stats, nil
+}
+
+// groupRun is what one sweep produced: which of its ranks labelled each
+// vertex, and at which depth, as one event per (vertex, level).
+type groupRun struct {
+	ranks    []int     // ascending; bit b of every mask is rank ranks[b]
+	labelled []uint32  // per vertex: the ranks that labelled it
+	events   [][]event // chunks, in no order that matters
+}
+
+// event says the ranks in mask labelled vertex v at distance d.
+type event struct {
+	v, d int32
+	mask uint32
+}
+
+// sweep runs Algorithm 1 for up to groupBits landmarks at once, level by
+// level (DESIGN.md, "How the labelling is built"). A landmark's BFS state
+// at a vertex is two bits, so per vertex seen holds the ranks whose BFS
+// has reached it, and its frontier word, for the level just claimed, those
+// ranks in the low half and in the high half the ones for which it sits in
+// Qprune rather than Qlabel. To claim level d+1 a vertex v ORs the frontier
+// words of its neighbours (pull), or every frontier vertex ORs its word
+// into its neighbours' next word (push); either way, with reach and prune
+// the two halves of the result restricted to active &^ seen[v]:
+//
+//	new   = reach                    // v is at distance d+1 from these ranks
+//	prune = prune, or new if v is a landmark (which also sets δH)
+//	label = new &^ prune             // L(v) gains (rank, d+1)
+//
+// "a pruned parent wins" (Lemma 3.7) for every rank at once.
+type sweep struct {
+	// Kept between runs, 20 bytes a vertex; front and next are all zero
+	// between runs.
+	seen        []uint32
+	front, next []uint64
+	frontier    [][]int32 // per worker: the vertices with a non-zero front word
+
+	sweepRun // zero between runs, so that no graph or labelling is held
+}
+
+// sweepRun is what a sweep knows only while it runs.
+type sweepRun struct {
+	off      []int64
+	tgt      []int32
+	rankOf   []int32
+	highway  []int32
+	k        int
+	ranks    []int
+	labelled []uint32
+	active   uint32 // ranks still running
+	pruning  uint32 // ranks with a non-empty Qprune at the frontier
+	depth    int32  // of the level being claimed
+}
+
+// levelOut is what one worker produced at one level, padded so that
+// neighbours in a slice do not share a cache line.
+type levelOut struct {
+	events             [][]event // chunks of eventChunk; grown by a chunk, never copied
+	list               []int32   // vertices claimed at this level
+	labelAny, pruneAny uint32    // OR of the label and prune masks claimed
+	arcs               int64     // adjacency entries examined
+	frontEdges         int64     // Σ degree over list
+	_                  [56]byte
+}
+
+// groupBits landmarks fit a sweep: one bit each in both halves of a uint64.
+// The push/pull switch has Beamer's shape: pull once the frontier's arcs
+// exceed 1/pullAlpha of the graph's, push again once the frontier is under
+// 1/pushBeta of the vertices. A pulled level and a merge draw pullBlock
+// vertices at a time; events come in chunks of eventChunk; on graphs under
+// parallelVertices everything stays on the calling goroutine, where starting
+// workers costs more than they save. Measured constants (DESIGN.md), not
+// options.
+const (
+	groupBits        = 32
+	pullAlpha        = 8
+	pushBeta         = 24
+	pullBlock        = 512
+	eventChunk       = 4096
+	parallelVertices = 1 << 13
+)
+
+// both spreads a rank mask over the two halves of a frontier word.
+func both(mask uint32) uint64 { return uint64(mask) * (1<<32 + 1) }
+
+// run sweeps g for the given ranks of rw. A rank stays active while its
+// Qlabel is non-empty, or its Qprune is and some landmark is still unfound
+// — Algorithm 1's loop condition; finished reports the ranks that leave.
+func (s *sweep) run(ctx context.Context, rw *Rows, g *graph.Graph, ranks []int, dir Direction, stats *bfs.TraversalStats, finished func(uint32)) (*groupRun, error) {
+	n, k, workers := g.NumVertices(), len(rw.landmarks), rw.workers
+	if s.seen == nil {
+		s.seen, s.front, s.next = make([]uint32, n), make([]uint64, n), make([]uint64, n)
+	}
+	clear(s.seen)
+	for len(s.frontier) < workers {
+		s.frontier = append(s.frontier, nil)
+	}
+	s.sweepRun = sweepRun{rankOf: rw.rankOf, highway: rw.highway, k: k, ranks: ranks,
+		labelled: make([]uint32, n), active: ^uint32(0) >> (groupBits - len(ranks))}
+	defer func() { s.sweepRun = sweepRun{} }()
+	s.off, s.tgt = g.CSR()
+	outs := make([]levelOut, workers)
+
+	frontEdges, frontCount := int64(0), len(ranks)
+	for b, r := range ranks {
+		root := rw.landmarks[r]
+		row := s.highway[r*k : (r+1)*k]
+		for i := range row {
+			row[i] = Infinity
+		}
+		row[r] = 0
+		s.seen[root], s.front[root] = 1<<b, 1<<b // the root starts in Qlabel
+		outs[0].list = append(outs[0].list, root)
+		frontEdges += s.off[root+1] - s.off[root]
+	}
+
+	pull := false
+	for s.depth = 1; s.active != 0; s.depth++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		for w := range outs {
+			s.frontier[w], outs[w].list = outs[w].list, s.frontier[w][:0]
+		}
+		switch {
+		case dir == DirectionTopDown:
+			pull = false
+		case dir == DirectionBottomUp:
+			pull = true
+		case pull:
+			pull = frontCount > n/pushBeta
+		default:
+			pull = frontEdges > int64(len(s.tgt))/pullAlpha
+		}
+		if pull {
+			// A vertex is read and written only by the goroutine that holds
+			// its block; front is read-only until the level ends.
+			share(workers, (n+pullBlock-1)/pullBlock, func(w, i int) {
+				s.pullBlock(i*pullBlock, min((i+1)*pullBlock, n), &outs[w])
+			})
+		} else {
+			s.push(&outs[0])
+		}
+		var labelAny, pruneAny uint32
+		var arcs int64
+		frontEdges, frontCount = 0, 0
+		for w := range outs {
+			o := &outs[w]
+			labelAny |= o.labelAny
+			pruneAny |= o.pruneAny
+			arcs += o.arcs
+			frontEdges += o.frontEdges
+			frontCount += len(o.list)
+			o.labelAny, o.pruneAny, o.arcs, o.frontEdges = 0, 0, 0, 0
+			for _, u := range s.frontier[w] {
+				s.front[u] = 0
+			}
+		}
+		s.front, s.next = s.next, s.front
+		if pull {
+			stats.BottomUpLevels++
+			stats.EdgesBottomUp += arcs
+		} else {
+			stats.TopDownLevels++
+			stats.EdgesTopDown += arcs
+		}
+		still := labelAny
+		for m := pruneAny &^ labelAny; m != 0; m &= m - 1 {
+			r := ranks[bits.TrailingZeros32(m)]
+			if slices.Contains(s.highway[r*k:(r+1)*k], Infinity) {
+				still |= m & -m
+			}
+		}
+		finished(s.active &^ still)
+		s.active, s.pruning = still, pruneAny
+	}
+	run := &groupRun{ranks: ranks, labelled: s.labelled}
+	for w := range outs {
+		for _, u := range outs[w].list {
+			s.front[u] = 0
+		}
+		run.events = append(run.events, outs[w].events...)
+	}
+	return run, nil
+}
+
+// push expands a sparse level: every frontier vertex ORs its word into the
+// next word of each neighbour, minus what the neighbour has already seen;
+// the vertices touched are then claimed. seen does not change until every
+// parent has contributed, so a pruned parent met second still wins.
+func (s *sweep) push(o *levelOut) {
+	active := both(s.active)
+	for _, list := range s.frontier {
+		for _, u := range list {
+			f := s.front[u] & active
+			if f == 0 {
+				continue
+			}
+			nb := s.tgt[s.off[u]:s.off[u+1]]
+			o.arcs += int64(len(nb))
+			for _, v := range nb {
+				w := f &^ both(s.seen[v])
+				if w == 0 {
+					continue
+				}
+				if s.next[v] == 0 {
+					o.list = append(o.list, v)
+				}
+				s.next[v] |= w
+			}
+		}
+	}
+	for _, v := range o.list {
+		s.claim(v, s.next[v], o)
+	}
+}
+
+// pullBlock claims vertices lo..hi: each one some active rank has not
+// reached ORs its neighbours' frontier words, and stops looking once every
+// rank it wants has reached it through a pruned parent, or through any
+// parent when that rank's Qprune is empty — nothing a later neighbour holds
+// can change its outcome.
+func (s *sweep) pullBlock(lo, hi int, o *levelOut) {
+	var arcs int64
+	labelOnly := uint64(^s.pruning)
+	for v := lo; v < hi; v++ {
+		wanted := s.active &^ s.seen[v]
+		if wanted == 0 {
+			continue
+		}
+		var acc uint64
+		nb := s.tgt[s.off[v]:s.off[v+1]]
+		scanned := len(nb)
+		for i, u := range nb {
+			acc |= s.front[u]
+			if uint32(acc>>32|acc&labelOnly)&wanted == wanted {
+				scanned = i + 1
+				break
+			}
+		}
+		arcs += int64(scanned)
+		if acc &= both(wanted); acc != 0 {
+			o.list = append(o.list, int32(v))
+			s.claim(int32(v), acc, o)
+		}
+	}
+	o.arcs += arcs
+}
+
+// claim settles v at the current depth for the ranks in acc's low half,
+// pruned for those in its high half (a subset).
+func (s *sweep) claim(v int32, acc uint64, o *levelOut) {
+	reach, prune := uint32(acc), uint32(acc>>32)
+	if col := s.rankOf[v]; col >= 0 {
+		prune = reach
+		for m := reach; m != 0; m &= m - 1 {
+			s.highway[s.ranks[bits.TrailingZeros32(m)]*s.k+int(col)] = s.depth
+		}
+	}
+	s.seen[v] |= reach
+	s.next[v] = uint64(reach) | uint64(prune)<<32
+	if label := reach &^ prune; label != 0 {
+		s.labelled[v] |= label
+		last := len(o.events) - 1
+		if last < 0 || len(o.events[last]) == eventChunk {
+			o.events = append(o.events, make([]event, 0, eventChunk))
+			last++
+		}
+		o.events[last] = append(o.events[last], event{v: v, d: s.depth, mask: label})
+		o.labelAny |= label
+	}
+	o.pruneAny |= prune
+	o.frontEdges += s.off[v+1] - s.off[v]
+}
+
+// share runs fn(w, i) for every i in [0, n) on the given number of
+// goroutines, which draw items from an atomic counter; w numbers the
+// goroutine. With one worker it runs on the calling goroutine.
+func share(workers, n int, fn func(w, i int)) {
+	if workers == 1 {
+		for i := 0; i < n; i++ {
+			fn(0, i)
+		}
+		return
+	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work(w)
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(w, i)
+			}
 		}()
 	}
 	wg.Wait()
-	// A worker that saw the cancellation left without drawing, so the
-	// counter stops short exactly when some rank never ran.
-	if int(next.Load()) < len(ranks) {
-		return stats, ctx.Err()
-	}
-	for _, s := range perWorker {
-		stats.Traversal.Add(s)
-	}
-	return stats, nil
 }
 
-// newProgressFunc wraps an Options.Progress callback into a serialized
-// completion notifier (no-op when cb is nil). The count increments under
-// the same lock that serializes the callback, so callers always observe
-// done = 1, 2, ..., total in order.
-func newProgressFunc(cb func(done, total int), total int) func() {
-	if cb == nil {
-		return func() {}
-	}
-	var mu sync.Mutex
-	done := 0
-	return func() {
-		mu.Lock()
-		done++
-		cb(done, total)
-		mu.Unlock()
-	}
-}
-
-// labelPair is one label entry produced by a pruned BFS: vertex v receives
-// the root landmark at distance d.
-type labelPair struct {
-	v int32
-	d int32
-}
-
-// buildScratch holds reusable pruned-BFS state.
-type buildScratch struct {
-	labelF []int32 // label frontier (Qlabel at the current depth)
-	pruneF []int32 // prune frontier (Qprune at the current depth)
-	nextL  []int32
-	nextP  []int32
-
-	// unvis is the unvisited set, doubling as the visited marker of
-	// top-down levels and the word-skipping scan set of bottom-up ones.
-	unvis bfs.Bitset
-	// Side-membership bitmaps: which side (label or prune) every visited
-	// vertex joined. Bottom-up levels probe these instead of per-level
-	// frontier bitmaps — any visited neighbor of a still-unvisited vertex
-	// is necessarily on the current frontier, because both queues expand
-	// every level. Claims made during a bottom-up sweep go to the *Next
-	// bitmaps and are absorbed after the sweep, so the sweep never sees
-	// its own claims as parents.
-	labelSeen, labelNext bfs.Bitset
-	pruneSeen, pruneNext bfs.Bitset
-}
-
-func newBuildScratch(n int) *buildScratch {
-	return &buildScratch{
-		labelF:    make([]int32, 0, 1024),
-		pruneF:    make([]int32, 0, 1024),
-		nextL:     make([]int32, 0, 1024),
-		nextP:     make([]int32, 0, 1024),
-		unvis:     bfs.NewBitset(n),
-		labelSeen: bfs.NewBitset(n),
-		labelNext: bfs.NewBitset(n),
-		pruneSeen: bfs.NewBitset(n),
-		pruneNext: bfs.NewBitset(n),
-	}
-}
-
-// prunedBFS is Algorithm 1's pruned BFS from one landmark root. It returns
-// the label entries (v, d) it generates and fills hwRow with the distances
-// from root to every landmark rank (Infinity where unreachable).
-//
-// The two frontiers follow the paper exactly, with the crucial ordering
-// that at each depth the *prune* frontier claims vertices before the label
-// frontier expands. A vertex v at depth d+1 is therefore labelled iff
-// *no* shortest path from the root to v passes through another landmark
-// (Lemma 3.7): if any parent of v on a shortest path is pruned (or is a
-// landmark), the prune frontier reaches v first and v stays unlabelled.
-//
-// Labelling stops when the label frontier dies out, but the prune-side
-// expansion keeps running until every landmark has been seen so the
-// highway row is computed in the same pass ("we can indeed compute the
-// distances δH ... along with Algorithm 1", Section 3.2).
-//
-// Levels run top-down or bottom-up per the direction-optimizing
-// heuristics (see internal/bfs). A bottom-up level scans every unvisited
-// vertex's neighbor range against the two frontier bitmaps; "prune
-// neighbor wins over label neighbor" replaces the prune-first queue
-// ordering, claiming exactly the same vertex set. Entries within a level
-// are then emitted in vertex order rather than discovery order, which is
-// invisible in the assembled index: each vertex carries at most one entry
-// per landmark, and assemble orders entries by (vertex, rank) alone. The
-// index bytes are therefore identical for every direction — pinned by
-// TestBuildDirectionsByteIdentical and the golden tiny.hl2 fixture.
-func prunedBFS(g *graph.Graph, root int32, rankOf []int32, k int, sc *buildScratch, hwRow []int32, dir Direction, stats *bfs.TraversalStats) []labelPair {
-	off, tgt := g.CSR()
-	n := g.NumVertices()
-	unvis := sc.unvis
-	unvis.FillOnes(n)
-	lSeen, lNext := sc.labelSeen, sc.labelNext
-	pSeen, pNext := sc.pruneSeen, sc.pruneNext
-	lSeen.ClearAll()
-	pSeen.ClearAll()
-
-	var out []labelPair
-	labelF := append(sc.labelF[:0], root)
-	pruneF := sc.pruneF[:0]
-	unvis.Unset(root)
-	lSeen.Set(root)
-	hwRow[rankOf[root]] = 0
-	foundLm := 1
-
-	frontEdges := off[root+1] - off[root]    // Σ deg over both frontiers
-	remEdges := int64(len(tgt)) - frontEdges // Σ deg over unvisited vertices
-	bottomUp := false
-
-	for d := int32(0); len(labelF) > 0 || (foundLm < k && len(pruneF) > 0); d++ {
-		switch dir {
-		case DirectionTopDown:
-			bottomUp = false
-		case DirectionBottomUp:
-			bottomUp = true
-		default:
-			if !bottomUp {
-				bottomUp = frontEdges > remEdges/bfs.AlphaDOpt
-			} else {
-				bottomUp = len(labelF)+len(pruneF) > n/bfs.BetaDOpt
-			}
-		}
-		nextL := sc.nextL[:0]
-		nextP := sc.nextP[:0]
-		var scanned, nextEdges int64
-		if bottomUp {
-			switch {
-			case len(labelF) == 0:
-				// Prune-only phase (labels died out, still completing the
-				// highway row): one probe, first hit claims the vertex.
-				// These are exactly the heavy saturated levels, so this
-				// single-probe loop is the construction hot spot.
-				for wi, w := range unvis {
-					for w != 0 {
-						v := int32(wi<<6 | bits.TrailingZeros64(w))
-						w &= w - 1
-						lo, hi := off[v], off[v+1]
-						for _, u := range tgt[lo:hi] {
-							scanned++
-							if pSeen.Get(u) {
-								unvis.Unset(v)
-								pNext.Set(v)
-								nextEdges += hi - lo
-								if r := rankOf[v]; r >= 0 {
-									hwRow[r] = d + 1
-									foundLm++
-								}
-								nextP = append(nextP, v)
-								break
-							}
-						}
-					}
-				}
-			case len(pruneF) == 0:
-				// Label-only level (no pruned vertex yet): one probe;
-				// hits are labelled unless they are landmarks.
-				for wi, w := range unvis {
-					for w != 0 {
-						v := int32(wi<<6 | bits.TrailingZeros64(w))
-						w &= w - 1
-						lo, hi := off[v], off[v+1]
-						for _, u := range tgt[lo:hi] {
-							scanned++
-							if lSeen.Get(u) {
-								unvis.Unset(v)
-								nextEdges += hi - lo
-								if r := rankOf[v]; r >= 0 {
-									hwRow[r] = d + 1
-									foundLm++
-									pNext.Set(v)
-									nextP = append(nextP, v)
-								} else {
-									lNext.Set(v)
-									nextL = append(nextL, v)
-									out = append(out, labelPair{v: v, d: d + 1})
-								}
-								break
-							}
-						}
-					}
-				}
-			default:
-				for wi, w := range unvis {
-					for w != 0 {
-						v := int32(wi<<6 | bits.TrailingZeros64(w))
-						w &= w - 1
-						// hasP dominates: any pruned (or landmark) parent
-						// on a shortest path claims v for the prune side,
-						// mirroring the prune-first ordering of the
-						// top-down level.
-						hasP, hasL := false, false
-						lo, hi := off[v], off[v+1]
-						for _, u := range tgt[lo:hi] {
-							scanned++
-							if pSeen.Get(u) {
-								hasP = true
-								break
-							}
-							if !hasL && lSeen.Get(u) {
-								hasL = true
-							}
-						}
-						if !hasP && !hasL {
-							continue
-						}
-						unvis.Unset(v)
-						nextEdges += hi - lo
-						if r := rankOf[v]; r >= 0 {
-							hwRow[r] = d + 1
-							foundLm++
-							pNext.Set(v)
-							nextP = append(nextP, v)
-						} else if hasP {
-							pNext.Set(v)
-							nextP = append(nextP, v)
-						} else {
-							lNext.Set(v)
-							nextL = append(nextL, v)
-							out = append(out, labelPair{v: v, d: d + 1})
-						}
-					}
-				}
-			}
-			// Commit the sweep's claims into the side-membership bitmaps.
-			pSeen.Absorb(pNext)
-			lSeen.Absorb(lNext)
-			if stats != nil {
-				stats.BottomUpLevels++
-				stats.EdgesBottomUp += scanned
-			}
-		} else {
-			// Prune frontier first: pruned parents capture their children
-			// before the label frontier can label them.
-			for _, u := range pruneF {
-				lo, hi := off[u], off[u+1]
-				scanned += hi - lo
-				for _, v := range tgt[lo:hi] {
-					if !unvis.Get(v) {
-						continue
-					}
-					unvis.Unset(v)
-					pSeen.Set(v)
-					nextEdges += off[v+1] - off[v]
-					if r := rankOf[v]; r >= 0 {
-						hwRow[r] = d + 1
-						foundLm++
-					}
-					nextP = append(nextP, v)
-				}
-			}
-			for _, u := range labelF {
-				lo, hi := off[u], off[u+1]
-				scanned += hi - lo
-				for _, v := range tgt[lo:hi] {
-					if !unvis.Get(v) {
-						continue
-					}
-					unvis.Unset(v)
-					nextEdges += off[v+1] - off[v]
-					if r := rankOf[v]; r >= 0 {
-						hwRow[r] = d + 1
-						foundLm++
-						pSeen.Set(v)
-						nextP = append(nextP, v)
-					} else {
-						lSeen.Set(v)
-						nextL = append(nextL, v)
-						out = append(out, labelPair{v: v, d: d + 1})
-					}
-				}
-			}
-			if stats != nil {
-				stats.TopDownLevels++
-				stats.EdgesTopDown += scanned
-			}
-		}
-		remEdges -= nextEdges
-		frontEdges = nextEdges
-		// Rotate: the filled next buffers become the frontiers, and the
-		// old frontier buffers are handed back to the scratch as spares,
-		// keeping all four buffers distinct across iterations and calls.
-		labelF, sc.nextL = nextL, labelF[:0]
-		pruneF, sc.nextP = nextP, pruneF[:0]
-	}
-	// Leave scratch fields pointing at the most recently used buffers.
-	sc.labelF, sc.pruneF = labelF, pruneF
-	return out
-}
-
-// Assemble packs the rows into the flat CSR index over g, the graph the
-// rows were last run on. Iterating ranks in ascending order makes every
-// vertex's label sorted by rank, so sequential and parallel builds produce
-// identical indexes. When no rank ran since the last index — a batch that
-// changed edges but no landmark's BFS — that index's label arrays are
-// attached to g as they are.
+// Assemble packs the label state into the flat CSR index over g, the graph
+// the last Run was on. A vertex's entries are placed by rank whatever order
+// the events come in, so every worker count and direction gives the same
+// arrays. When nothing ran since the last index — a batch that changed
+// edges but no landmark's BFS — that index's label arrays are attached to
+// g as they are; when only some ranks ran, its entries of the other ranks
+// are merged with the new ones. No index handed out earlier is written.
 func (rw *Rows) Assemble(g *graph.Graph) *Index {
-	ix := &Index{
-		g:          g,
-		landmarks:  rw.landmarks,
-		rankOf:     rw.rankOf,
-		isLandmark: rw.isLandmark,
-		highway:    rw.highway,
-	}
-	if last := rw.ix; last != nil {
-		ix.labelOff, ix.labelRank, ix.labelDist = last.labelOff, last.labelRank, last.labelDist
-		rw.ix = ix
-		return ix
-	}
-	n := g.NumVertices()
-	off := make([]int64, n+1)
-	for _, row := range rw.rows {
-		for _, p := range row {
-			off[p.v+1]++
+	ix := &Index{g: g, landmarks: rw.landmarks, rankOf: rw.rankOf, isLandmark: rw.isLandmark, highway: rw.highway}
+	if prev := rw.ix; len(rw.runs) == 0 {
+		ix.labelOff, ix.labelRank, ix.labelDist = prev.labelOff, prev.labelRank, prev.labelDist
+	} else {
+		ix.labelOff, ix.labelRank, ix.labelDist = packEvents(g.NumVertices(), rw.runs, rw.workers)
+		var keep [MaxLandmarks + 1]int64 // 1 for a rank that did not run
+		kept := len(rw.landmarks)
+		for r := 0; r < kept; r++ {
+			keep[r] = 1
+		}
+		for _, run := range rw.runs {
+			for _, r := range run.ranks {
+				keep[r] = 0
+				kept--
+			}
+		}
+		if prev != nil && kept > 0 {
+			ix.mergeKept(prev, &keep, rw.workers)
 		}
 	}
-	for v := 1; v <= n; v++ {
-		off[v] += off[v-1]
-	}
-	ix.labelOff = off
-	ix.labelRank = make([]int32, off[n])
-	ix.labelDist = make([]int32, off[n])
-	cursor := make([]int64, n)
-	copy(cursor, off[:n])
-	for r, row := range rw.rows {
-		for _, p := range row {
-			pos := cursor[p.v]
-			cursor[p.v]++
-			ix.labelRank[pos] = int32(r)
-			ix.labelDist[pos] = p.d
-		}
-	}
-	rw.ix = ix
+	rw.ix, rw.ixHighway, rw.runs = ix, true, nil
 	return ix
+}
+
+// packEvents lays the events of the runs out as label arrays: vertex v has
+// popcount(labelled[v]) entries per run, runs in order, and within a run
+// the entry of bit b sits behind those of the lower bits set. Every event
+// bit owns its position, so the workers share the chunks without sharing a
+// write.
+func packEvents(n int, runs []*groupRun, workers int) (off []int64, rank, dist []int32) {
+	off = make([]int64, n+1)
+	for v := 0; v < n; v++ {
+		size := 0
+		for _, run := range runs {
+			size += bits.OnesCount32(run.labelled[v])
+		}
+		off[v+1] = off[v] + int64(size)
+	}
+	rank, dist = make([]int32, off[n]), make([]int32, off[n])
+	base := off // per vertex, where the current run's entries start
+	for i, run := range runs {
+		share(workers, len(run.events), func(_, c int) {
+			for _, e := range run.events[c] {
+				all := run.labelled[e.v]
+				for m := e.mask; m != 0; m &= m - 1 {
+					b := bits.TrailingZeros32(m)
+					p := base[e.v] + int64(bits.OnesCount32(all&(1<<b-1)))
+					rank[p], dist[p] = int32(run.ranks[b]), e.d
+				}
+			}
+		})
+		if i+1 < len(runs) {
+			if i == 0 {
+				base = slices.Clone(off[:n])
+			}
+			for v, m := range run.labelled {
+				base[v] += int64(bits.OnesCount32(m))
+			}
+		}
+	}
+	return off, rank, dist
+}
+
+// mergeKept replaces ix's label arrays, which hold the ranks that ran, with
+// their per-vertex merge with prev's entries of the ranks keep marks.
+func (ix *Index) mergeKept(prev *Index, keep *[MaxLandmarks + 1]int64, workers int) {
+	n := len(ix.labelOff) - 1
+	off := make([]int64, n+1)
+	for v := 0; v < n; v++ {
+		size := ix.labelOff[v+1] - ix.labelOff[v]
+		for _, r := range prev.labelRank[prev.labelOff[v]:prev.labelOff[v+1]] {
+			size += keep[r]
+		}
+		off[v+1] = off[v] + size
+	}
+	rank, dist := make([]int32, off[n]), make([]int32, off[n])
+	share(workers, (n+pullBlock-1)/pullBlock, func(_, i int) {
+		for v := i * pullBlock; v < min((i+1)*pullBlock, n); v++ {
+			p, a, aEnd := off[v], ix.labelOff[v], ix.labelOff[v+1]
+			for q := prev.labelOff[v]; q < prev.labelOff[v+1]; q++ {
+				r := prev.labelRank[q]
+				if keep[r] == 0 {
+					continue
+				}
+				for ; a < aEnd && ix.labelRank[a] < r; a, p = a+1, p+1 {
+					rank[p], dist[p] = ix.labelRank[a], ix.labelDist[a]
+				}
+				rank[p], dist[p] = r, prev.labelDist[q]
+				p++
+			}
+			copy(rank[p:], ix.labelRank[a:aEnd])
+			copy(dist[p:], ix.labelDist[a:aEnd])
+		}
+	})
+	ix.labelOff, ix.labelRank, ix.labelDist = off, rank, dist
 }

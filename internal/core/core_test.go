@@ -241,62 +241,89 @@ func TestBuildDirectionsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestBuildStats verifies the traversal counters: a forced-top-down
-// build reports no bottom-up work, a forced-bottom-up build no top-down
-// work, and both report the same level totals.
+// TestBuildStats pins what BuildStats.Traversal counts: pushed levels and
+// the arcs they walked are the top-down counters, pulled levels and the
+// arcs they examined the bottom-up ones; a level is counted once per group
+// of landmarks whichever way it ran; and no counter depends on the worker
+// count (the graph is past parallelVertices, so the workers really share
+// the pulled levels).
 func TestBuildStats(t *testing.T) {
-	g := gen.BarabasiAlbert(500, 4, 3)
-	lm := g.DegreeOrder()[:10]
-	td, err := BuildOpts(context.Background(), g, lm, Options{Workers: 1, Direction: DirectionTopDown})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bu, err := BuildOpts(context.Background(), g, lm, Options{Workers: 1, Direction: DirectionBottomUp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, bs := td.BuildStats().Traversal, bu.BuildStats().Traversal
-	if ts.BottomUpLevels != 0 || ts.EdgesBottomUp != 0 || ts.TopDownLevels == 0 {
-		t.Fatalf("top-down build stats: %+v", ts)
-	}
-	if bs.TopDownLevels != 0 || bs.EdgesTopDown != 0 || bs.BottomUpLevels == 0 {
-		t.Fatalf("bottom-up build stats: %+v", bs)
-	}
-	if ts.Levels() != bs.Levels() {
-		t.Fatalf("level totals differ: top-down %d vs bottom-up %d", ts.Levels(), bs.Levels())
-	}
-	if td.BuildStats().Workers != 1 {
-		t.Fatalf("workers = %d, want 1", td.BuildStats().Workers)
-	}
-}
-
-// TestBuildProgress verifies the Progress callback fires once per
-// landmark with a monotonically complete count, sequentially and in
-// parallel.
-func TestBuildProgress(t *testing.T) {
-	g := gen.BarabasiAlbert(300, 3, 9)
-	lm := g.DegreeOrder()[:12]
-	for _, workers := range []int{1, 4} {
-		var calls int
-		last := 0
-		_, err := BuildOpts(context.Background(), g, lm, Options{
-			Workers: workers,
-			Progress: func(done, total int) {
-				calls++
-				if total != len(lm) {
-					t.Fatalf("total = %d, want %d", total, len(lm))
-				}
-				if done != last+1 {
-					t.Fatalf("done = %d after %d", done, last)
-				}
-				last = done
-			},
-		})
+	g := gen.BarabasiAlbert(3*parallelVertices/2, 4, 3)
+	lm := g.DegreeOrder()[:40] // two groups
+	stats := func(opt Options) BuildStats {
+		ix, err := BuildOpts(context.Background(), g, lm, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if calls != len(lm) {
-			t.Fatalf("workers=%d: %d progress calls, want %d", workers, calls, len(lm))
+		return ix.BuildStats()
+	}
+	td := stats(Options{Workers: 1, Direction: DirectionTopDown}).Traversal
+	bu := stats(Options{Workers: 1, Direction: DirectionBottomUp}).Traversal
+	auto := stats(Options{Workers: 1})
+	if td.BottomUpLevels != 0 || td.EdgesBottomUp != 0 || td.TopDownLevels == 0 {
+		t.Fatalf("all-push build stats: %+v", td)
+	}
+	if bu.TopDownLevels != 0 || bu.EdgesTopDown != 0 || bu.BottomUpLevels == 0 {
+		t.Fatalf("all-pull build stats: %+v", bu)
+	}
+	if td.Levels() != bu.Levels() || td.Levels() != auto.Traversal.Levels() {
+		t.Fatalf("level totals differ: push %d, pull %d, auto %d", td.Levels(), bu.Levels(), auto.Traversal.Levels())
+	}
+	if auto.Traversal.TopDownLevels == 0 || auto.Traversal.BottomUpLevels == 0 {
+		t.Fatalf("auto build did not both push and pull: %+v", auto.Traversal)
+	}
+	if auto.Workers != 1 {
+		t.Fatalf("workers = %d, want 1", auto.Workers)
+	}
+	for _, workers := range []int{2, 5} {
+		for _, dir := range []Direction{DirectionAuto, DirectionBottomUp} {
+			got := stats(Options{Workers: workers, Direction: dir})
+			want := auto.Traversal
+			if dir == DirectionBottomUp {
+				want = bu
+			}
+			if got.Traversal != want || got.Workers != workers {
+				t.Fatalf("workers=%d direction=%d: stats %+v, want traversal %+v", workers, dir, got, want)
+			}
+		}
+	}
+}
+
+// TestBuildProgress verifies the Progress callback fires once per landmark,
+// as its BFS finishes, with done = 1…total in order, for landmark sets of
+// one group and of several, and for a re-run of a subset of the ranks.
+func TestBuildProgress(t *testing.T) {
+	g := gen.BarabasiAlbert(300, 3, 9)
+	for _, k := range []int{12, 70} {
+		lm := g.DegreeOrder()[:k]
+		for _, workers := range []int{1, 4} {
+			calls := 0
+			ix, err := BuildOpts(context.Background(), g, lm, Options{
+				Workers: workers,
+				Progress: func(done, total int) {
+					calls++
+					if total != k || done != calls {
+						t.Fatalf("call %d: done = %d, total = %d, want total %d", calls, done, total, k)
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if calls != k {
+				t.Fatalf("k=%d workers=%d: %d progress calls", k, workers, calls)
+			}
+			calls = 0
+			subset := []int{k - 1, 0, 5}
+			_, err = RowsOf(ix).Run(context.Background(), g, subset, Options{Workers: workers, Progress: func(done, total int) {
+				calls++
+				if total != len(subset) || done != calls {
+					t.Fatalf("re-run call %d: done = %d, total = %d", calls, done, total)
+				}
+			}})
+			if err != nil || calls != len(subset) {
+				t.Fatalf("re-run of %v: %d progress calls, err %v", subset, calls, err)
+			}
 		}
 	}
 }
@@ -544,15 +571,33 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
+// TestBuildCancellation: the context is checked before every level and
+// every group of landmarks, so a build stops whether it was cancelled
+// before it started, while the first group was running, or between groups.
 func TestBuildCancellation(t *testing.T) {
 	g := gen.BarabasiAlbert(2000, 3, 1)
+	lm := g.DegreeOrder()[:40]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BuildOpts(ctx, g, g.DegreeOrder()[:20], Options{Workers: 1}); err == nil {
-		t.Error("sequential build ignored cancelled context")
+	for _, workers := range []int{1, 4} {
+		if _, err := BuildOpts(ctx, g, lm, Options{Workers: workers}); err != context.Canceled {
+			t.Errorf("workers=%d: build under a cancelled context returned %v", workers, err)
+		}
 	}
-	if _, err := BuildOpts(ctx, g, g.DegreeOrder()[:20], Options{Workers: 4}); err == nil {
-		t.Error("parallel build ignored cancelled context")
+	// Progress runs between levels: cancelling from its n-th call stops the
+	// build at the next level, and the ranks still running never report.
+	for _, after := range []int{1, 32} { // inside the first group; as it ends
+		ctx, cancel := context.WithCancel(context.Background())
+		calls := 0
+		_, err := BuildOpts(ctx, g, lm, Options{Progress: func(done, total int) {
+			if calls++; done == after {
+				cancel()
+			}
+		}})
+		if err != context.Canceled || calls >= len(lm) {
+			t.Errorf("cancelled after %d landmarks: err %v, %d of %d reported", after, err, calls, len(lm))
+		}
+		cancel()
 	}
 }
 

@@ -6,14 +6,22 @@
 //
 // # Overview
 //
-// Given a set R of landmarks, Build runs one pruned BFS per landmark
-// (Algorithm 1). The pruned BFS from landmark r adds the entry
+// Given a set R of landmarks, Build runs the pruned BFS of Algorithm 1
+// from every landmark. The pruned BFS from landmark r adds the entry
 // (r, d(r,v)) to L(v) if and only if no other landmark appears on any
 // shortest path between r and v (Lemma 3.7). The landmark-to-landmark
 // distances form the highway δH. The resulting labelling is minimal
 // (Theorem 3.12) and independent of the order in which landmarks are
-// processed (Lemma 3.11), which is why BuildParallel can process
-// landmarks concurrently and still produce a byte-identical index.
+// processed (Lemma 3.11).
+//
+// Construction (build.go) is built on that independence: the BFSs of up
+// to 32 landmarks advance together, level by level, as one traversal of
+// the graph in which a vertex's state for all of them is one machine word,
+// and a "worker" is a goroutine that takes a share of a level's vertices,
+// not a landmark's BFS. A vertex's outcome at a level depends only on the
+// level before, so any worker count and direction produce a byte-identical
+// index; re-running some landmarks after the graph changed (Rows, used by
+// internal/dynhl) is the same traversal with fewer bits set.
 //
 // A query (s,t) computes the upper bound d⊤ = min over label entries of
 // δL(ri,s) + δH(ri,rj) + δL(rj,t) (Equation 4; pairs sharing a landmark
@@ -70,10 +78,11 @@ const MaxLandmarks = 255
 //
 // An Index is immutable once Build/BuildParallel/Read/Rows.Assemble
 // returns: label arrays, the highway matrix and the landmark arrays are
-// written only during single-threaded assembly and never after (the
-// parallel build workers fill disjoint per-landmark rows, then one
-// goroutine assembles; a Rows copies the highway before it writes again). Every method is therefore safe for unlimited concurrent
-// readers. The one mutable field, the internal searcher pool, is a
+// written only until then and never after (build workers write disjoint
+// positions and are joined before the index is returned; a Rows copies
+// the highway before it writes again, and merges a previous index's
+// entries into new arrays). Every method is therefore safe for unlimited
+// concurrent readers. The one mutable field, the internal searcher pool, is a
 // sync.Pool touched only by the pooled conveniences Distance, UpperBound
 // and Path. Searchers own mutable scratch state: share the Index, never a
 // Searcher.

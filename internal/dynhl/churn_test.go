@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"highway/internal/bfs"
+	"highway/internal/core"
 	"highway/internal/gen"
 	"highway/internal/graph"
 	"highway/internal/oracle"
@@ -151,10 +152,24 @@ func TestFreezeGraphMatchesFromEdges(t *testing.T) {
 	}
 }
 
+// indexBytes is the v2 serialization of a snapshot.
+func indexBytes(t testing.TB, ix *core.Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ix.WriteFormat(&buf, core.FormatV2); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestConcurrentReadersBetweenBatches: queries run on the immutable
 // current index, so between two batches any number of goroutines may
 // query the dynamic index at once — through the pooled Index.Distance, a
-// searcher of their own, or a snapshot taken earlier. Run under -race.
+// searcher of their own, or a snapshot taken earlier — and a snapshot taken
+// earlier may be queried while the next batch is applied: core merges its
+// entries of the clean ranks into the next index and writes none of its
+// arrays. Odd rounds apply a single op, which dirties a strict subset of
+// the landmarks. Run under -race.
 func TestConcurrentReadersBetweenBatches(t *testing.T) {
 	g := gen.BarabasiAlbert(400, 3, 5)
 	dyn, err := Build(g, g.DegreeOrder()[:8])
@@ -165,8 +180,31 @@ func TestConcurrentReadersBetweenBatches(t *testing.T) {
 	st := workload.NewOpStream(n, 0.3, 0, 5)
 	for round := 0; round < 20; round++ {
 		_, old, _ := dyn.Freeze()
-		oldGraph := old.Graph()
-		applyNext(t, dyn, st)
+		oldGraph, oldBytes := old.Graph(), indexBytes(t, old)
+		var during sync.WaitGroup
+		during.Add(1)
+		go func() {
+			defer during.Done()
+			rng := rand.New(rand.NewSource(int64(round)))
+			for i := 0; i < 50; i++ {
+				s, u := int32(rng.Intn(n)), int32(rng.Intn(n))
+				if got, want := old.Distance(s, u), bfs.Dist(oldGraph, s, u); got != want {
+					t.Errorf("round %d, during the batch: snapshot d(%d,%d) = %d, BFS on its graph says %d", round, s, u, got, want)
+				}
+			}
+		}()
+		if round%2 == 1 {
+			op := st.Next()
+			if _, err := dyn.ApplyOps([]Op{{A: op.A, B: op.B, Del: op.Del}}); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			applyNext(t, dyn, st)
+		}
+		during.Wait()
+		if !bytes.Equal(indexBytes(t, old), oldBytes) {
+			t.Fatalf("round %d: the batch wrote into a snapshot handed out before it", round)
+		}
 		truth, _, _ := dyn.Freeze()
 		var wg sync.WaitGroup
 		for w := 0; w < 4; w++ {
@@ -191,5 +229,8 @@ func TestConcurrentReadersBetweenBatches(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+	}
+	if dyn.Maint().SelectiveRepairs == 0 {
+		t.Fatal("no batch dirtied a strict subset of the landmarks: the merge with the previous index never ran")
 	}
 }

@@ -23,21 +23,23 @@
 //     endpoint changing reachability — as dirty, sharing one dirty set
 //     across the whole batch;
 //  3. copies the adjacency into a CSR graph once and has internal/core
-//     re-run Algorithm 1's pruned BFS for the dirty landmarks and assemble
-//     the next immutable core.Index.
+//     re-run Algorithm 1's pruned BFS for the dirty landmarks — all of them
+//     in one traversal of the graph — and assemble the next immutable
+//     core.Index.
 //
 // # State
 //
 // The package holds no labelling of its own. An Index is the mutable
 // adjacency, the current core.Index — which answers the dirtiness test and
-// every query, and is the snapshot Freeze hands out — and the core.Rows
-// that index was assembled from. The pruned BFS, the label merge and the
-// bounded search exist once, in internal/core.
+// every query, and is the snapshot Freeze hands out — and a core.Rows around
+// that index, which re-runs ranks on it. The pruned BFS, the label merge and
+// the bounded search exist once, in internal/core.
 //
-// Repairing the d dirty landmarks runs d of the k BFSs a from-scratch
-// build runs, through the same engine with the same workers, and then the
-// same assemble: it cannot cost more than rebuilding, so there is no
-// repair-or-rebuild choice to make and no threshold to tune.
+// Repairing the d dirty landmarks is the traversal a from-scratch build
+// makes with d of its k bits set, through the same kernel with the same
+// workers, and then an assemble that copies the clean landmarks' entries
+// from the current index: it cannot cost more than rebuilding, so there is
+// no repair-or-rebuild choice to make and no threshold to tune.
 //
 // Because Algorithm 1 is independent per landmark (Lemma 3.11), rebuilding
 // a subset of landmarks yields exactly the index a full rebuild would
@@ -80,7 +82,7 @@ const Infinity int32 = -1
 // Index is a mutable highway cover labelling over an evolving graph.
 type Index struct {
 	adj   [][]int32   // mutable adjacency, rows in arrival order
-	rows  *core.Rows  // what cur was assembled from; core re-runs dirty ranks on it
+	rows  *core.Rows  // build state around cur; core re-runs dirty ranks on it
 	cur   *core.Index // exact labelling of adj over its own CSR copy of adj
 	maint MaintStats
 }
@@ -106,11 +108,12 @@ func Build(g *graph.Graph, landmarks []int32) (*Index, error) {
 	return FromCore(src)
 }
 
-// FromCore makes a static core.Index mutable without running a BFS. The
-// source index is shared, not copied — it is the dynamic index's current
-// labelling until the first batch that changes an edge — and stays valid
-// and unchanged; only its graph's adjacency is copied. The error is
-// always nil: a core.Index has at least one landmark.
+// FromCore makes a static core.Index mutable without running a BFS, at the
+// cost of one copy of the adjacency (O(n + m)) and nothing that grows with
+// the labelling. The source index is shared, not copied — it is the dynamic
+// index's label state until the first batch that dirties a landmark — and
+// stays valid and unchanged. The error is always nil: a core.Index has at
+// least one landmark.
 func FromCore(src *core.Index) (*Index, error) {
 	g := src.Graph()
 	off, tgt := g.CSR()

@@ -2,6 +2,7 @@ package dynhl
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -170,6 +171,42 @@ func TestFromCoreMatchesBuild(t *testing.T) {
 	oracle.CheckSampled(t, m.graph(), conv, 80, 3)
 	if err := static.Verify(100, 4); err != nil {
 		t.Fatalf("source index corrupted by dynamic insertions: %v", err)
+	}
+}
+
+// TestFromCoreSharesLabels: FromCore copies the adjacency and nothing else.
+// The label state is the source index itself, so it and a batch that
+// changes an edge but no landmark's BFS — an edge between two leaves of a
+// star centred on the landmark — leave the dynamic index on the source's
+// own label arrays, and allocate far less than one copy of them.
+func TestFromCoreSharesLabels(t *testing.T) {
+	const n = 20_000
+	src, err := core.Build(gen.Star(n), []int32{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	dyn, _ := FromCore(src)
+	res, err := dyn.ApplyOps([]Op{{A: 3, B: 7}})
+	runtime.ReadMemStats(&after)
+	if err != nil || res.Inserted != 1 || res.Dirty != 0 {
+		t.Fatalf("leaf-to-leaf insert: %+v, %v", res, err)
+	}
+	_, cur, _ := dyn.Freeze()
+	wantRanks, wantDists := src.LabelView(n - 1)
+	gotRanks, gotDists := cur.LabelView(n - 1)
+	if &gotRanks[0] != &wantRanks[0] || &gotDists[0] != &wantDists[0] {
+		t.Fatal("the label arrays were copied though no landmark was dirty")
+	}
+	// The adjacency copy, its slice headers and the batch's CSR are 49 B a
+	// vertex here; the offsets, ranks and distances of the labelling would
+	// be 16 B more, which the bound leaves no room for.
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(n*56); got > limit {
+		t.Fatalf("FromCore and a no-dirty batch allocated %d bytes, more than the adjacency's %d", got, limit)
+	}
+	if d := dyn.Distance(3, 7); d != 1 {
+		t.Fatalf("d(3,7) = %d after the insert, want 1", d)
 	}
 }
 

@@ -80,9 +80,9 @@ func (s *Server) runPipeline(w io.Writer, workers int, source func(emit func(wor
 				for i, p := range job.pairs {
 					pbuf[i] = [2]int32{p.S, p.T}
 				}
-				sn, sr := s.acquire()
-				out := method.DistanceBatch(sr, pbuf, make([]int32, len(job.pairs)))
-				s.release(sn, sr)
+				l := s.acquire()
+				out := method.DistanceBatch(l.sr, pbuf, make([]int32, len(job.pairs)))
+				s.release(l)
 				job.done <- out
 			}
 		}()

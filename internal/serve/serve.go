@@ -6,11 +6,11 @@
 //
 // # Reading
 //
-// A Server answers exact distance queries from an immutable snapshot: a
-// core.Index plus its own pool of per-goroutine Searchers, published
-// behind an atomic pointer. Readers load the current snapshot, check a
-// Searcher out of that snapshot's pool, answer allocation-free, and
-// return it — no locks, no contention with writers, ever. It also offers
+// A Server answers exact distance queries from an immutable snapshot, a
+// core.Index published behind an atomic pointer, with Searchers drawn
+// from the server's pool. Readers load the current snapshot, check out a
+// Searcher bound to it, answer allocation-free, and return it — no
+// locks, no contention with writers, ever. It also offers
 // a high-throughput stdin/stdout batch mode (RunBatch) that streams
 // "s t" lines through a bounded worker pipeline in input order.
 //
@@ -110,23 +110,25 @@ const DefaultMaxBatch = 100_000
 // Config.ShutdownGrace is zero.
 const DefaultShutdownGrace = 5 * time.Second
 
-// snapshot is one immutable published state of the server: an index and
-// the searcher pool bound to it. The index is any method's DistanceIndex
-// — the server never looks past the interface on the read path, which is
-// what lets hlserve -method serve every labelling through one machinery.
-// Searchers hold scratch state sized and aimed at one specific index, so
-// every snapshot owns its own pool and a checked-out Searcher is always
-// returned to the snapshot it came from.
+// snapshot is one immutable published state of the server. The index is
+// any method's DistanceIndex — the server never looks past the interface on
+// the read path, which is what lets hlserve -method serve every labelling
+// through one machinery.
 type snapshot struct {
-	ix        method.DistanceIndex
-	epoch     uint64
-	searchers sync.Pool
+	ix    method.DistanceIndex
+	epoch uint64
 }
 
 func newSnapshot(ix method.DistanceIndex, epoch uint64) *snapshot {
-	sn := &snapshot{ix: ix, epoch: epoch}
-	sn.searchers.New = func() any { return ix.NewSearcher() }
-	return sn
+	return &snapshot{ix: ix, epoch: epoch}
+}
+
+// lease is a Searcher checked out for one request, with the snapshot it
+// answers for: Searchers hold scratch state sized and aimed at one
+// specific index.
+type lease struct {
+	sn *snapshot
+	sr method.Searcher
 }
 
 // Server serves exact distance queries from an atomically swappable
@@ -148,6 +150,15 @@ type Server struct {
 	// and work against that immutable snapshot; writers publish a new
 	// snapshot with Store. Never mutated in place.
 	snap atomic.Pointer[snapshot]
+
+	// searchers holds idle leases. It is one pool for the server's life,
+	// not one per snapshot: the runtime keeps every sync.Pool that was
+	// ever used, and whatever its idle items reference, reachable for two
+	// more collections, so a pool per snapshot kept each replaced index
+	// and graph alive that long — memory in proportion to the write rate.
+	// Here a replaced snapshot is held by the few idle leases bound to it,
+	// and only until acquire meets and drops them.
+	searchers sync.Pool
 
 	// up holds the writer state of a live server; nil for read-only
 	// servers (New).
@@ -198,19 +209,23 @@ func (s *Server) Index() method.DistanceIndex { return s.snap.Load().ix }
 // every time a write or a background rebuild publishes a new snapshot.
 func (s *Server) Epoch() uint64 { return s.snap.Load().epoch }
 
-// acquire loads the current snapshot and checks a Searcher out of its
-// pool; release returns the Searcher to the snapshot it came from.
-// The serve.query failpoint fires here — once per request, on every
-// query path of every protocol — so tests can dilate query time
-// without touching the index (only delay actions make sense at this
-// site; an error action's error is discarded).
-func (s *Server) acquire() (*snapshot, method.Searcher) {
+// acquire loads the current snapshot and checks out a Searcher bound to
+// it: an idle one when the pool's next lease is for this snapshot, a new
+// one otherwise (a lease for a replaced snapshot is dropped). release
+// makes the lease idle again. The serve.query failpoint fires here — once
+// per request, on every query path of every protocol — so tests can
+// dilate query time without touching the index (only delay actions make
+// sense at this site; an error action's error is discarded).
+func (s *Server) acquire() *lease {
 	_ = failpoint.Eval(FPQuery)
 	sn := s.snap.Load()
-	return sn, sn.searchers.Get().(method.Searcher)
+	if l, _ := s.searchers.Get().(*lease); l != nil && l.sn == sn {
+		return l
+	}
+	return &lease{sn: sn, sr: sn.ix.NewSearcher()}
 }
 
-func (s *Server) release(sn *snapshot, sr method.Searcher) { sn.searchers.Put(sr) }
+func (s *Server) release(l *lease) { s.searchers.Put(l) }
 
 // Distance answers one exact distance query against the current
 // snapshot. It is the programmatic equivalent of GET /distance and safe
@@ -222,9 +237,9 @@ func (s *Server) Distance(sv, tv int32) (int32, error) {
 	if err := s.checkVertex(tv); err != nil {
 		return core.Infinity, err
 	}
-	sn, sr := s.acquire()
-	d := sr.Distance(sv, tv)
-	s.release(sn, sr)
+	l := s.acquire()
+	d := l.sr.Distance(sv, tv)
+	s.release(l)
 	return d, nil
 }
 
@@ -259,9 +274,9 @@ func (s *Server) DistanceBatchContext(ctx context.Context, pairs [][2]int32, dst
 			return nil, fmt.Errorf("pair %d: %w", i, err)
 		}
 	}
-	sn, sr := s.acquire()
-	dst, err := method.DistanceBatchContext(ctx, sr, pairs, dst)
-	s.release(sn, sr)
+	l := s.acquire()
+	dst, err := method.DistanceBatchContext(ctx, l.sr, pairs, dst)
+	s.release(l)
 	return dst, err
 }
 

@@ -146,8 +146,10 @@ func WithSeed(seed int64) BuildOption {
 	return func(c *BuildConfig) { c.Seed = seed }
 }
 
-// WithWorkers sets the parallel build width (0 = all cores, 1 =
-// sequential).
+// WithWorkers sets the parallel build width (0 = all cores, 1 = the
+// calling goroutine alone). For hl and dynhl a worker is a share of each
+// level's vertices in the one traversal that labels every landmark, not a
+// landmark's BFS; the index is the same for every width (Lemma 3.11).
 func WithWorkers(workers int) BuildOption {
 	return func(c *BuildConfig) { c.Workers = workers }
 }
