@@ -9,12 +9,14 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
 	"sync"
 	"testing"
 
 	"highway"
 	"highway/internal/bfs"
 	"highway/internal/datasets"
+	"highway/internal/gen"
 	"highway/internal/workload"
 )
 
@@ -226,44 +228,50 @@ func BenchmarkTable2QueryBiBFS(b *testing.B) {
 	}
 }
 
-// --- Index serialization: format v2 vs legacy v1 -----------------------------
+// --- Index serialization ------------------------------------------------------
 
-// BenchmarkIndexWrite measures serialization throughput per format.
+// BenchmarkIndexWrite measures serialization throughput (format v2, the
+// only one written).
 func BenchmarkIndexWrite(b *testing.B) {
 	g, lm, _ := fixtures(b)
 	ix, err := buildHL(g, lm)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, f := range []highway.IndexFormat{highway.IndexFormatV1, highway.IndexFormatV2} {
-		b.Run(f.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := highway.WriteIndex(ix, io.Discard, f); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		if err := highway.WriteIndex(ix, io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkIndexLoad measures deserialization per format: v2's bulk
-// section reads vs v1's element-at-a-time stream.
+// section reads on the benchmark graph, and v1's element-at-a-time stream
+// on the committed 300-vertex fixture (there is no v1 writer to make a
+// larger file; compare the legs by MB/s, not ns/op).
 func BenchmarkIndexLoad(b *testing.B) {
 	g, lm, _ := fixtures(b)
 	ix, err := buildHL(g, lm)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, f := range []highway.IndexFormat{highway.IndexFormatV1, highway.IndexFormatV2} {
-		var buf bytes.Buffer
-		if err := highway.WriteIndex(ix, &buf, f); err != nil {
-			b.Fatal(err)
-		}
-		raw := buf.Bytes()
-		b.Run(f.String(), func(b *testing.B) {
-			b.SetBytes(int64(len(raw)))
+	var buf bytes.Buffer
+	if err := highway.WriteIndex(ix, &buf); err != nil {
+		b.Fatal(err)
+	}
+	v1, err := os.ReadFile("internal/core/testdata/path300.hl1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, leg := range []struct {
+		name string
+		raw  []byte
+		g    *highway.Graph
+	}{{"v1", v1, gen.Path(300)}, {"v2", buf.Bytes(), g}} {
+		b.Run(leg.name, func(b *testing.B) {
+			b.SetBytes(int64(len(leg.raw)))
 			for i := 0; i < b.N; i++ {
-				if _, err := highway.ReadIndex(bytes.NewReader(raw), g); err != nil {
+				if _, err := highway.ReadIndex(bytes.NewReader(leg.raw), leg.g); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -9,16 +9,15 @@
 //	hlbuild -graph web.hwg -method isl -out web.isl.idx
 //	hlbuild -graph web.hwg -k 20 -progress           (log per-landmark BFS completion)
 //	hlbuild -graph web.hwg -k 20 -direction topdown  (disable direction optimization)
-//	hlbuild -graph web.hwg -k 20 -format v1          (old on-disk format, hl only)
-//	hlbuild migrate -graph web.hwg -in web.idx -out web.idx.v2
+//	hlbuild migrate -graph web.hwg -in old.idx -out web.idx   (v1 file → v2)
 //
 // After a build, hlbuild reports wall time, worker count and the
 // traversal-direction statistics of the direction-optimizing engine
 // (top-down vs bottom-up levels, edges scanned per direction).
 //
-// The migrate subcommand rewrites an existing index file (either format)
-// into the target format — by default the current one (v2, checksummed
-// sections) — verifying it against its graph on the way.
+// Index files are written in format v2 (checksummed sections). The
+// migrate subcommand rewrites a legacy v1 file, which stays readable but
+// is no longer written, as v2, verifying it against its graph on the way.
 package main
 
 import (
@@ -55,7 +54,6 @@ func run(args []string) error {
 		out        = fs.String("out", "", "index output path (default: graph path + .idx)")
 		verify     = fs.Int("verify", 0, "cross-check this many random pairs against BFS after building")
 		timeout    = fs.Duration("timeout", 0, "abort construction after this duration (0 = none)")
-		format     = fs.String("format", "v2", "index file format for -method hl: v2 (checksummed sections) | v1 (legacy)")
 		direction  = fs.String("direction", "auto", "pruned-BFS traversal: auto (direction-optimizing) | topdown | bottomup")
 		progress   = fs.Bool("progress", false, "log one line per completed landmark BFS to stderr")
 	)
@@ -65,13 +63,6 @@ func run(args []string) error {
 	m, err := highway.MethodByName(*methodName)
 	if err != nil {
 		return err
-	}
-	f, err := highway.ParseIndexFormat(*format)
-	if err != nil {
-		return err
-	}
-	if m.Name != "hl" && f != highway.IndexFormatV2 {
-		return fmt.Errorf("-format %s is an hl knob; method %q always writes the tagged v2 container", f, m.Name)
 	}
 	dir, err := parseDirection(*direction)
 	if err != nil {
@@ -133,28 +124,20 @@ func run(args []string) error {
 	if dest == "" {
 		dest = *graphPath + ".idx"
 	}
-	if hl, ok := ix.(*highway.Index); ok {
-		if err := highway.SaveIndexAs(hl, dest, f); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (format %s)\n", dest, f)
-		return nil
-	}
 	if err := ix.Save(dest); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (method %s, tagged v2 container)\n", dest, m.Name)
+	fmt.Printf("wrote %s (method %s, format v2)\n", dest, m.Name)
 	return nil
 }
 
-// runMigrate rewrites an index file into the target format.
+// runMigrate rewrites an index file (v1, or v2 again) as format v2.
 func runMigrate(args []string) error {
 	fs := flag.NewFlagSet("hlbuild migrate", flag.ContinueOnError)
 	var (
 		graphPath = fs.String("graph", "", "graph the index was built on (required)")
-		in        = fs.String("in", "", "index file to migrate (required)")
-		out       = fs.String("out", "", "output path (default: input path + .v2 / .v1)")
-		format    = fs.String("format", "v2", "target format: v2 | v1")
+		in        = fs.String("in", "", "index file to migrate: a legacy v1 file, or v2 to rewrite it (required)")
+		out       = fs.String("out", "", "output path of the v2 file (default: input path + .v2)")
 		verify    = fs.Int("verify", 100, "cross-check this many random pairs against BFS before writing (0 = skip)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -162,10 +145,6 @@ func runMigrate(args []string) error {
 	}
 	if *graphPath == "" || *in == "" {
 		return fmt.Errorf("migrate: -graph and -in are required")
-	}
-	target, err := highway.ParseIndexFormat(*format)
-	if err != nil {
-		return err
 	}
 	g, err := loadGraph(*graphPath)
 	if err != nil {
@@ -183,12 +162,12 @@ func runMigrate(args []string) error {
 	}
 	dest := *out
 	if dest == "" {
-		dest = fmt.Sprintf("%s.%s", *in, target)
+		dest = *in + ".v2"
 	}
-	if err := highway.SaveIndexAs(ix, dest, target); err != nil {
+	if err := ix.Save(dest); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (format %s)\n", dest, target)
+	fmt.Printf("wrote %s (format v2)\n", dest)
 	return nil
 }
 

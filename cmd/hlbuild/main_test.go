@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"highway"
+	"highway/internal/gen"
 )
 
 func writeGraph(t *testing.T) string {
@@ -69,68 +70,57 @@ func TestRunBuildStrategy(t *testing.T) {
 	}
 }
 
-func TestRunBuildFormats(t *testing.T) {
-	gp := writeGraph(t)
-	g, err := highway.LoadGraph(gp)
-	if err != nil {
+// v1Fixture is the committed HWLIDX01 file (nothing writes v1 any more)
+// and the graph it was built on, saved where the CLI can load it.
+func v1Fixture(t *testing.T) (graphPath, indexPath string, g *highway.Graph) {
+	t.Helper()
+	g = gen.Path(300)
+	graphPath = filepath.Join(t.TempDir(), "path300.hwg")
+	if err := highway.SaveGraph(g, graphPath); err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	v1 := filepath.Join(dir, "g.v1.idx")
-	v2 := filepath.Join(dir, "g.v2.idx")
-	if err := run([]string{"-graph", gp, "-k", "6", "-out", v1, "-format", "v1"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-graph", gp, "-k", "6", "-out", v2}); err != nil {
-		t.Fatal(err)
-	}
-	for path, want := range map[string]highway.IndexFormat{v1: highway.IndexFormatV1, v2: highway.IndexFormatV2} {
-		_, f, err := highway.LoadIndexFormat(path, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f != want {
-			t.Fatalf("%s: format %v, want %v", path, f, want)
-		}
-	}
+	return graphPath, filepath.Join("..", "..", "internal", "core", "testdata", "path300.hl1"), g
 }
 
 func TestRunMigrate(t *testing.T) {
-	gp := writeGraph(t)
-	g, err := highway.LoadGraph(gp)
+	gp, v1, g := v1Fixture(t)
+	// With no -out the output path is the input's plus ".v2"; copy the
+	// fixture so that lands in the temp dir.
+	raw, err := os.ReadFile(v1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	v1 := filepath.Join(dir, "old.idx")
-	if err := run([]string{"-graph", gp, "-k", "7", "-out", v1, "-format", "v1"}); err != nil {
+	old := filepath.Join(t.TempDir(), "old.idx")
+	if err := os.WriteFile(old, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Default migrate target is v2, default output path appends ".v2".
-	if err := run([]string{"migrate", "-graph", gp, "-in", v1}); err != nil {
+	if err := run([]string{"migrate", "-graph", gp, "-in", old}); err != nil {
 		t.Fatal(err)
 	}
-	ix2, f, err := highway.LoadIndexFormat(v1+".v2", g)
+	ix2, f, err := highway.LoadIndexFormat(old+".v2", g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f != highway.IndexFormatV2 {
 		t.Fatalf("migrated file is %v, want v2", f)
 	}
-	ix1, _, err := highway.LoadIndexFormat(v1, g)
-	if err != nil {
-		t.Fatal(err)
+	ix1, f, err := highway.LoadIndexFormat(old, g)
+	if err != nil || f != highway.IndexFormatV1 {
+		t.Fatalf("input: format %v err %v, want an intact v1 file", f, err)
 	}
-	if ix1.NumEntries() != ix2.NumEntries() || ix1.NumLandmarks() != ix2.NumLandmarks() {
+	if ix1.NumEntries() != ix2.NumEntries() || ix1.NumLandmarks() != ix2.NumLandmarks() || ix2.Distance(5, 295) != 290 {
 		t.Fatal("migration changed the index")
 	}
-	// And back down to v1 with an explicit output.
-	down := filepath.Join(dir, "down.idx")
-	if err := run([]string{"migrate", "-graph", gp, "-in", v1 + ".v2", "-out", down, "-format", "v1"}); err != nil {
+	// A fresh build of the same landmark writes the same bytes: the
+	// migrated file is a first-class v2 file.
+	fresh := filepath.Join(t.TempDir(), "fresh.idx")
+	if err := run([]string{"-graph", gp, "-k", "1", "-out", fresh}); err != nil {
 		t.Fatal(err)
 	}
-	if _, f, err = highway.LoadIndexFormat(down, g); err != nil || f != highway.IndexFormatV1 {
-		t.Fatalf("downgrade: format %v err %v", f, err)
+	a, _ := os.ReadFile(old + ".v2")
+	b, _ := os.ReadFile(fresh)
+	if len(a) == 0 || !bytes.Equal(a, b) {
+		t.Fatal("migrated v1 file differs from a fresh v2 build")
 	}
 }
 
@@ -142,8 +132,12 @@ func TestRunMigrateErrors(t *testing.T) {
 	if err := run([]string{"migrate", "-graph", gp, "-in", "/does/not/exist.idx"}); err == nil {
 		t.Error("missing input index accepted")
 	}
-	if err := run([]string{"migrate", "-graph", gp, "-in", gp, "-format", "v3"}); err == nil {
-		t.Error("unknown target format accepted")
+	if err := run([]string{"migrate", "-graph", gp, "-in", gp}); err == nil {
+		t.Error("a graph file accepted as an index")
+	}
+	_, v1, _ := v1Fixture(t)
+	if err := run([]string{"migrate", "-graph", gp, "-in", v1}); err == nil {
+		t.Error("index migrated against the wrong graph")
 	}
 }
 
@@ -161,11 +155,15 @@ func TestRunBuildErrors(t *testing.T) {
 	if err := run([]string{"-graph", gp, "-strategy", "bogus"}); err == nil {
 		t.Error("bogus strategy accepted")
 	}
-	if err := run([]string{"-graph", gp, "-format", "v9"}); err == nil {
-		t.Error("unknown format accepted")
-	}
 	if err := run([]string{"-graph", gp, "-direction", "sideways"}); err == nil {
 		t.Error("unknown direction accepted")
+	}
+	// One format is written: the flag that chose it is gone.
+	if err := run([]string{"-graph", gp, "-format", "v1"}); err == nil {
+		t.Error("-format accepted")
+	}
+	if err := run([]string{"migrate", "-graph", gp, "-in", gp + ".idx", "-format", "v1"}); err == nil {
+		t.Error("migrate -format accepted")
 	}
 }
 
@@ -220,10 +218,6 @@ func TestRunBuildMethods(t *testing.T) {
 		if d := ix.Distance(0, 1); d < 0 {
 			t.Fatalf("%s: d(0,1) = %d on a connected BA graph", m.Name, d)
 		}
-	}
-	// -format is an hl-only knob.
-	if err := run([]string{"-graph", gp, "-method", "pll", "-format", "v1"}); err == nil {
-		t.Error("-method pll -format v1 accepted")
 	}
 	if err := run([]string{"-graph", gp, "-method", "bogus"}); err == nil {
 		t.Error("unknown -method accepted")

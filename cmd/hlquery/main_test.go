@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"highway"
+	"highway/internal/gen"
 )
 
 func fixture(t *testing.T) (string, string, *highway.Graph) {
@@ -43,25 +44,29 @@ func TestOneShot(t *testing.T) {
 	}
 }
 
-// TestStatsAndV1Index: -stats works, and a legacy v1 index file is served
-// transparently by the same command.
+// TestStatsAndV1Index: -stats works, and a legacy v1 index file (the
+// committed fixture: nothing writes v1 any more) is served transparently
+// by the same command.
 func TestStatsAndV1Index(t *testing.T) {
-	gp, ip, g := fixture(t)
+	gp, ip, _ := fixture(t)
 	if err := run([]string{"-graph", gp, "-index", ip, "-stats"}); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := highway.LoadIndex(ip, g)
-	if err != nil {
+	pathGraph := filepath.Join(t.TempDir(), "path300.hwg")
+	if err := highway.SaveGraph(gen.Path(300), pathGraph); err != nil {
 		t.Fatal(err)
 	}
-	v1 := filepath.Join(t.TempDir(), "old.idx")
-	if err := highway.SaveIndexAs(ix, v1, highway.IndexFormatV1); err != nil {
-		t.Fatal(err)
+	v1 := filepath.Join("..", "..", "internal", "core", "testdata", "path300.hl1")
+	if f, err := indexFileFormat(v1); err != nil || f != highway.IndexFormatV1 {
+		t.Fatalf("indexFileFormat(v1 fixture) = %v, %v", f, err)
 	}
-	if err := run([]string{"-graph", gp, "-index", v1, "-s", "1", "-t", "250"}); err != nil {
+	if f, err := indexFileFormat(ip); err != nil || f != highway.IndexFormatV2 {
+		t.Fatalf("indexFileFormat(saved index) = %v, %v", f, err)
+	}
+	if err := run([]string{"-graph", pathGraph, "-index", v1, "-s", "1", "-t", "250"}); err != nil {
 		t.Fatalf("v1 index rejected: %v", err)
 	}
-	if err := run([]string{"-graph", gp, "-index", v1, "-stats"}); err != nil {
+	if err := run([]string{"-graph", pathGraph, "-index", v1, "-stats"}); err != nil {
 		t.Fatal(err)
 	}
 }

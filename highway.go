@@ -219,8 +219,8 @@ func SelectLandmarks(g *Graph, k int, strategy LandmarkStrategy, seed int64) ([]
 
 // IndexFormat identifies an on-disk index layout; see the "Index format"
 // section of the README. v2 (checksummed sections, bulk-loadable label
-// arrays) is the default; v1 is the legacy streaming layout, still fully
-// readable and writable.
+// arrays) is the one format written; v1 is the legacy streaming layout,
+// read-only (`hlbuild migrate` rewrites a v1 file as v2).
 type IndexFormat = core.Format
 
 const (
@@ -229,9 +229,6 @@ const (
 	// IndexFormatV2 is the section-based, checksummed "HWLIDX02" layout.
 	IndexFormatV2 = core.FormatV2
 )
-
-// ParseIndexFormat parses a format name ("v1", "v2").
-func ParseIndexFormat(s string) (IndexFormat, error) { return core.ParseFormat(s) }
 
 // LoadIndex reads an index file written by Index.Save in either format
 // and attaches it to the graph it was built on.
@@ -242,13 +239,10 @@ func LoadIndexFormat(path string, g *Graph) (*Index, IndexFormat, error) {
 	return core.LoadFormat(path, g)
 }
 
-// SaveIndexAs writes an index file in an explicit format (Index.Save
-// writes the default, v2).
-func SaveIndexAs(ix *Index, path string, f IndexFormat) error { return ix.SaveAs(path, f) }
-
-// WriteIndex serializes an index to a stream in an explicit format;
-// ReadIndex deserializes either format, detecting it from the magic.
-func WriteIndex(ix *Index, w io.Writer, f IndexFormat) error { return ix.WriteFormat(w, f) }
+// WriteIndex serializes an index to a stream (format v2, as Index.Save
+// writes to a file); ReadIndex deserializes either format, detecting it
+// from the magic.
+func WriteIndex(ix *Index, w io.Writer) error { return ix.Write(w) }
 
 // ReadIndex reads a serialized index from a stream and attaches it to g.
 func ReadIndex(r io.Reader, g *Graph) (*Index, error) { return core.Read(r, g) }

@@ -1,6 +1,7 @@
 package highway_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"highway"
+	"highway/internal/gen"
 )
 
 // buildHL builds the paper's labelling through the registry and returns
@@ -220,8 +222,8 @@ func TestDynamicIndexViaFacade(t *testing.T) {
 }
 
 // TestIndexFormatsViaFacade exercises the format surface end to end:
-// explicit v1/v2 saves, format detection, stream round trips, and the
-// static→dynamic→frozen conversion cycle.
+// a v2 save and a committed v1 file, format detection, a stream round
+// trip, and the static→dynamic→frozen conversion cycle.
 func TestIndexFormatsViaFacade(t *testing.T) {
 	g := highway.BarabasiAlbert(300, 3, 21)
 	lm, _ := highway.SelectLandmarks(g, 8, highway.ByDegree, 0)
@@ -229,25 +231,38 @@ func TestIndexFormatsViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	for _, f := range []highway.IndexFormat{highway.IndexFormatV1, highway.IndexFormatV2} {
-		path := dir + "/idx." + f.String()
-		if err := highway.SaveIndexAs(ix, path, f); err != nil {
-			t.Fatal(err)
-		}
-		got, detected, err := highway.LoadIndexFormat(path, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if detected != f {
-			t.Fatalf("saved %v, detected %v", f, detected)
-		}
-		if got.NumEntries() != ix.NumEntries() {
-			t.Fatalf("%v round trip changed the index", f)
-		}
+	path := t.TempDir() + "/idx.v2"
+	if err := ix.Save(path); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := highway.ParseIndexFormat("v7"); err == nil {
-		t.Fatal("bogus format name accepted")
+	got, detected, err := highway.LoadIndexFormat(path, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if detected != highway.IndexFormatV2 {
+		t.Fatalf("Save wrote %v, want v2", detected)
+	}
+	if got.NumEntries() != ix.NumEntries() {
+		t.Fatal("v2 round trip changed the index")
+	}
+	var buf bytes.Buffer
+	if err := highway.WriteIndex(ix, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = highway.ReadIndex(&buf, g); err != nil || got.NumEntries() != ix.NumEntries() {
+		t.Fatalf("stream round trip: %v", err)
+	}
+	// v1 is read-only: the file written by `hlbuild -format v1` before
+	// that flag went still loads and says what it is.
+	old, detected, err := highway.LoadIndexFormat("internal/core/testdata/path300.hl1", gen.Path(300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if detected != highway.IndexFormatV1 {
+		t.Fatalf("v1 file detected as %v", detected)
+	}
+	if d := old.Distance(5, 295); d != 290 {
+		t.Fatalf("v1 index: d(5,295) = %d, want 290", d)
 	}
 
 	// Static → dynamic without a rebuild, mutate, freeze back.

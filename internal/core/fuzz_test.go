@@ -8,28 +8,20 @@ import (
 	"highway/internal/graph"
 )
 
-// fuzzSeedIndex builds a small deterministic index whose serialized bytes
-// seed the corpus in both formats.
-func fuzzSeedIndex(tb testing.TB) *Index {
-	tb.Helper()
-	ix, err := Build(gen.PaperFigure2(), gen.PaperLandmarks())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return ix
-}
-
 // FuzzLoadIndex: arbitrary bytes must never panic or OOM the loader, for
 // either format magic. Successful loads must yield an index whose basic
 // operations are safe to call.
 func FuzzLoadIndex(f *testing.F) {
-	ix := fuzzSeedIndex(f)
-	for _, format := range []Format{FormatV1, FormatV2} {
-		var buf bytes.Buffer
-		if err := ix.WriteFormat(&buf, format); err != nil {
-			f.Fatal(err)
-		}
-		good := buf.Bytes()
+	// Seeds: the golden index as v2, and both committed v1 files.
+	var buf bytes.Buffer
+	if err := goldenIndex(f).Write(&buf); err != nil {
+		f.Fatal(err)
+	}
+	seeds := [][]byte{buf.Bytes()}
+	for _, fx := range v1Fixtures(f) {
+		seeds = append(seeds, fx.raw)
+	}
+	for _, good := range seeds {
 		f.Add(good)
 		f.Add(good[:len(good)/2])
 		// Seed header-mangled variants so the fuzzer starts near the
@@ -45,7 +37,7 @@ func FuzzLoadIndex(f *testing.F) {
 	f.Add([]byte("garbage"))
 
 	g := gen.PaperFigure2()
-	overflowG := gen.Path(600)
+	overflowG := gen.Path(300) // the graph of the path300.hl1 seed
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Loading must be total: either an error or a usable index.
 		ix, err := Read(bytes.NewReader(data), g)
@@ -77,13 +69,13 @@ func exerciseIndex(ix *Index) {
 	_ = ix.UpperBound(n-1, 0)
 }
 
-// FuzzIndexRoundTrip: for generated indexes across graph families, sizes
-// and both formats, Save→Load must reproduce a deep-equal index.
+// FuzzIndexRoundTrip: for generated indexes across graph families and
+// sizes, Save→Load must reproduce a deep-equal index.
 func FuzzIndexRoundTrip(f *testing.F) {
-	f.Add(int64(1), uint8(30), uint8(3), false)
-	f.Add(int64(2), uint8(80), uint8(7), true)
-	f.Add(int64(3), uint8(5), uint8(1), false)
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, kRaw uint8, useV1 bool) {
+	f.Add(int64(1), uint8(30), uint8(3))
+	f.Add(int64(2), uint8(80), uint8(7))
+	f.Add(int64(3), uint8(5), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, kRaw uint8) {
 		n := 4 + int(nRaw)%90
 		var g *graph.Graph
 		switch seed % 3 {
@@ -104,20 +96,16 @@ func FuzzIndexRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		format := FormatV2
-		if useV1 {
-			format = FormatV1
-		}
 		var buf bytes.Buffer
-		if err := ix.WriteFormat(&buf, format); err != nil {
+		if err := ix.Write(&buf); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 		ix2, got, err := ReadFormat(bytes.NewReader(buf.Bytes()), g)
 		if err != nil {
 			t.Fatalf("read back: %v", err)
 		}
-		if got != format {
-			t.Fatalf("format %v decoded as %v", format, got)
+		if got != FormatV2 {
+			t.Fatalf("v2 decoded as %v", got)
 		}
 		if !indexesIdentical(ix, ix2) {
 			t.Fatal("round trip not deep-equal")

@@ -88,15 +88,4 @@ func TestGoldenV1Compat(t *testing.T) {
 		t.Fatalf("entries = %d, want 13 (Figure 3)", ix.NumEntries())
 	}
 	checkAllPairs(t, g, ix)
-
-	// The current v1 writer must reproduce the old writer's bytes exactly,
-	// so indexes we write as v1 are readable by old binaries too.
-	cur := goldenIndex(t)
-	var buf bytes.Buffer
-	if err := cur.WriteFormat(&buf, FormatV1); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), raw) {
-		t.Fatal("v1 writer no longer byte-identical to the original writer")
-	}
 }

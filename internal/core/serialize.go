@@ -2,9 +2,9 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
@@ -20,15 +20,12 @@ type Format int
 const (
 	// FormatV1 is the original streaming layout ("HWLIDX01"): header,
 	// landmarks, highway, offsets, 8-bit labels, overflow records, all
-	// concatenated with no checksums. Kept for backward compatibility;
-	// readable and writable forever, no longer the default.
+	// concatenated with no checksums. Read-only: every v1 file keeps
+	// loading, none is written (`hlbuild migrate` rewrites one as v2).
 	FormatV1 Format = 1
-	// FormatV2 is the section-based layout ("HWLIDX02"): a fixed
-	// checksummed header, a section table (id, CRC-32C, length per
-	// section), then one contiguous payload per section so every label
-	// array loads with a single io.ReadFull. Unknown section ids are
-	// skipped on read, giving the format room to grow without breaking
-	// old readers' files. This is the default write format.
+	// FormatV2 is the "HWLIDX02" section container of internal/method
+	// (checksummed header and sections, unknown section ids skipped on
+	// read) carrying the six sections below. The only format written.
 	FormatV2 Format = 2
 )
 
@@ -40,18 +37,6 @@ func (f Format) String() string {
 		return "v2"
 	default:
 		return fmt.Sprintf("Format(%d)", int(f))
-	}
-}
-
-// ParseFormat parses a CLI format name ("v1", "v2", "1", "2").
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "v1", "1":
-		return FormatV1, nil
-	case "v2", "2":
-		return FormatV2, nil
-	default:
-		return 0, fmt.Errorf("core: unknown index format %q (want v1 or v2)", s)
 	}
 }
 
@@ -68,16 +53,9 @@ func ParseFormat(s string) (Format, error) {
 //	nOverflow uint32
 //	overflow  nOverflow × (vertex uint32, rank uint8, dist uint32), CSR order
 //
-// Index binary format v2 (little-endian, "HWLIDX02"):
-//
-//	magic     [8]byte "HWLIDX02"
-//	header    [40]byte: version u32, flags u32, n u64, k u32,
-//	          sections u32, entries u64, nOverflow u64
-//	headerCRC uint32           (CRC-32C of the 40 header bytes)
-//	table     sections × {id u32, crc u32, length u64}
-//	payloads  one per table row, in table order, `length` bytes each
-//
-// v2 section ids and payloads (same element encodings as v1):
+// Format v2 is an untagged method container (layout: see
+// internal/method/container.go) whose header carries n, k, Aux1 = entries
+// and Aux2 = nOverflow, with these sections (same element encodings as v1):
 //
 //	1 landmarks  [k]uint32
 //	2 highway    [k*k]int32
@@ -86,20 +64,14 @@ func ParseFormat(s string) (Format, error) {
 //	5 labelDist  [entries]uint8
 //	6 overflow   nOverflow × (vertex uint32, rank uint8, dist uint32)
 //
-// Every payload is checksummed with CRC-32C and its length is known from
-// the header before any allocation, so a reader can size buffers exactly,
-// load each label array with one io.ReadFull, and reject corruption.
-// Readers skip table rows with unknown ids, so future sections can be
-// added without revving the magic.
+// Every section's exact length follows from the header, so the reader
+// bounds each allocation before making it.
 //
 // The graph itself is not embedded: an index is only meaningful together
 // with the graph it was built on, and callers load/store the graph
 // separately (cmd/hlbuild writes both files side by side). Read verifies
 // the vertex count matches.
-var (
-	indexMagicV1 = [8]byte{'H', 'W', 'L', 'I', 'D', 'X', '0', '1'}
-	indexMagicV2 = [8]byte{'H', 'W', 'L', 'I', 'D', 'X', '0', '2'}
-)
+var indexMagicV1 = [8]byte{'H', 'W', 'L', 'I', 'D', 'X', '0', '1'}
 
 const (
 	sectLandmarks uint32 = 1
@@ -108,13 +80,7 @@ const (
 	sectLabelRank uint32 = 4
 	sectLabelDist uint32 = 5
 	sectOverflow  uint32 = 6
-
-	v2HeaderLen  = 40
-	v2TableRow   = 16
-	v2MaxSection = 64 // fuzz/OOM guard: no sane file needs more
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // overflowRec is one 8-bit-escape record: label entry (rank) of vertex v
 // whose true distance d does not fit a byte.
@@ -126,8 +92,9 @@ type overflowRec struct {
 
 // encode8 produces the paper's 8-bit compressed label encoding from the
 // flat int32 arrays: one byte per rank, one byte per distance with the
-// distOverflow escape, plus the escaped records in CSR order.
-func (ix *Index) encode8() (rank8, dist8 []uint8, over []overflowRec) {
+// distOverflow escape, plus the escaped entries' 9-byte records in CSR
+// order.
+func (ix *Index) encode8() (rank8, dist8, over []byte) {
 	total := ix.NumEntries()
 	rank8 = make([]uint8, total)
 	dist8 = make([]uint8, total)
@@ -139,173 +106,42 @@ func (ix *Index) encode8() (rank8, dist8 []uint8, over []overflowRec) {
 				dist8[p] = uint8(d)
 			} else {
 				dist8[p] = distOverflow
-				over = append(over, overflowRec{v: v, rank: uint8(ix.labelRank[p]), d: d})
+				over = binary.LittleEndian.AppendUint32(over, uint32(v))
+				over = append(over, rank8[p])
+				over = binary.LittleEndian.AppendUint32(over, uint32(d))
 			}
 		}
 	}
 	return rank8, dist8, over
 }
 
-// Write serializes the index (without the graph) in the default format
-// (v2).
+// Write serializes the index (without the graph) in format v2.
 func (ix *Index) Write(w io.Writer) error { return ix.WriteFormat(w, FormatV2) }
 
-// WriteFormat serializes the index in an explicit format. Output is
-// deterministic: the same index always produces identical bytes, which
-// the golden-file test pins down for v2.
+// WriteFormat serializes the index; FormatV2 is the only format written
+// (v1 is read-only). Output is deterministic: the same index always
+// produces identical bytes, which the golden-file test pins down.
 func (ix *Index) WriteFormat(w io.Writer, f Format) error {
-	switch f {
-	case FormatV1:
-		return ix.writeV1(w)
-	case FormatV2:
-		return ix.writeV2(w)
-	default:
-		return fmt.Errorf("core: cannot write unknown format %v", f)
-	}
-}
-
-func (ix *Index) writeV1(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(indexMagicV1[:]); err != nil {
-		return err
+	if f != FormatV2 {
+		return fmt.Errorf("core: cannot write format %v: only v2 is written", f)
 	}
 	rank8, dist8, over := ix.encode8()
-	n := ix.g.NumVertices()
-	k := len(ix.landmarks)
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], uint64(n))
-	bw.Write(b8[:])
-	binary.LittleEndian.PutUint32(b8[:4], uint32(k))
-	bw.Write(b8[:4])
-	for _, l := range ix.landmarks {
-		binary.LittleEndian.PutUint32(b8[:4], uint32(l))
-		bw.Write(b8[:4])
+	h := method.Header{
+		Method: method.TagHL,
+		N:      uint64(ix.g.NumVertices()),
+		K:      uint32(len(ix.landmarks)),
+		Aux1:   uint64(len(rank8)),
+		Aux2:   uint64(len(over) / 9),
 	}
-	for _, h := range ix.highway {
-		binary.LittleEndian.PutUint32(b8[:4], uint32(h))
-		bw.Write(b8[:4])
-	}
-	for _, o := range ix.labelOff {
-		binary.LittleEndian.PutUint64(b8[:], uint64(o))
-		bw.Write(b8[:8])
-	}
-	if _, err := bw.Write(rank8); err != nil {
-		return err
-	}
-	if _, err := bw.Write(dist8); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(b8[:4], uint32(len(over)))
-	bw.Write(b8[:4])
-	for _, o := range over {
-		binary.LittleEndian.PutUint32(b8[:4], uint32(o.v))
-		bw.Write(b8[:4])
-		bw.WriteByte(o.rank)
-		binary.LittleEndian.PutUint32(b8[:4], uint32(o.d))
-		bw.Write(b8[:4])
-	}
-	return bw.Flush()
-}
-
-// v2section couples a section id with an emitter that streams its payload.
-// The emitter runs twice per save: once into the CRC, once into the file,
-// so no section needs to be materialized beyond what encode8 builds.
-type v2section struct {
-	id     uint32
-	length uint64
-	emit   func(w io.Writer) error
-}
-
-func (ix *Index) writeV2(w io.Writer) error {
-	rank8, dist8, over := ix.encode8()
-	n := uint64(ix.g.NumVertices())
-	k := len(ix.landmarks)
-	entries := uint64(ix.NumEntries())
-
-	emitU32s := func(vals []int32) func(io.Writer) error {
-		return func(w io.Writer) error {
-			var b [4]byte
-			for _, v := range vals {
-				binary.LittleEndian.PutUint32(b[:], uint32(v))
-				if _, err := w.Write(b[:]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	sections := []v2section{
-		{sectLandmarks, uint64(k) * 4, emitU32s(ix.landmarks)},
-		{sectHighway, uint64(len(ix.highway)) * 4, emitU32s(ix.highway)},
-		{sectLabelOff, (n + 1) * 8, func(w io.Writer) error {
-			var b [8]byte
-			for _, o := range ix.labelOff {
-				binary.LittleEndian.PutUint64(b[:], uint64(o))
-				if _, err := w.Write(b[:]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
-		{sectLabelRank, entries, func(w io.Writer) error {
-			_, err := w.Write(rank8)
-			return err
-		}},
-		{sectLabelDist, entries, func(w io.Writer) error {
-			_, err := w.Write(dist8)
-			return err
-		}},
-		{sectOverflow, uint64(len(over)) * 9, func(w io.Writer) error {
-			var b [9]byte
-			for _, o := range over {
-				binary.LittleEndian.PutUint32(b[0:4], uint32(o.v))
-				b[4] = o.rank
-				binary.LittleEndian.PutUint32(b[5:9], uint32(o.d))
-				if _, err := w.Write(b[:]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
-	}
-
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(indexMagicV2[:]); err != nil {
-		return err
-	}
-	var hdr [v2HeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], 2)  // version
-	binary.LittleEndian.PutUint32(hdr[4:8], 0)  // flags
-	binary.LittleEndian.PutUint64(hdr[8:16], n) // n
-	binary.LittleEndian.PutUint32(hdr[16:20], uint32(k))
-	binary.LittleEndian.PutUint32(hdr[20:24], uint32(len(sections)))
-	binary.LittleEndian.PutUint64(hdr[24:32], entries)
-	binary.LittleEndian.PutUint64(hdr[32:40], uint64(len(over)))
-	bw.Write(hdr[:])
-	var b4 [4]byte
-	binary.LittleEndian.PutUint32(b4[:], crc32.Checksum(hdr[:], castagnoli))
-	bw.Write(b4[:])
-
-	// Section table: CRC each payload by streaming it through the hash.
-	var row [v2TableRow]byte
-	for _, s := range sections {
-		h := crc32.New(castagnoli)
-		if err := s.emit(h); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint32(row[0:4], s.id)
-		binary.LittleEndian.PutUint32(row[4:8], h.Sum32())
-		binary.LittleEndian.PutUint64(row[8:16], s.length)
-		if _, err := bw.Write(row[:]); err != nil {
-			return err
-		}
-	}
-	for _, s := range sections {
-		if err := s.emit(bw); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	// The offsets are the one large section built here, so sized up front.
+	return method.WriteContainer(w, h, []method.Section{
+		{ID: sectLandmarks, Payload: method.AppendI32s(nil, ix.landmarks)},
+		{ID: sectHighway, Payload: method.AppendI32s(nil, ix.highway)},
+		{ID: sectLabelOff, Payload: method.AppendI64s(make([]byte, 0, 8*len(ix.labelOff)), ix.labelOff)},
+		{ID: sectLabelRank, Payload: rank8},
+		{ID: sectLabelDist, Payload: dist8},
+		{ID: sectOverflow, Payload: over},
+	})
 }
 
 // Read deserializes an index written in either format (the magic selects
@@ -319,21 +155,16 @@ func Read(r io.Reader, g *graph.Graph) (*Index, error) {
 
 // ReadFormat is Read, also reporting which format the stream was in.
 func ReadFormat(r io.Reader, g *graph.Graph) (*Index, Format, error) {
+	// Same size as method.ReadContainer's reader, which therefore reuses
+	// this one and the peeked magic is not lost.
 	br := bufio.NewReaderSize(r, 1<<20)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, 0, fmt.Errorf("core: reading magic: %w", err)
-	}
-	switch magic {
-	case indexMagicV1:
+	if magic, _ := br.Peek(len(indexMagicV1)); bytes.Equal(magic, indexMagicV1[:]) {
+		br.Discard(len(indexMagicV1)) // cannot fail: those bytes were just peeked
 		ix, err := readV1(br, g)
 		return ix, FormatV1, err
-	case indexMagicV2:
-		ix, err := readV2(br, g)
-		return ix, FormatV2, err
-	default:
-		return nil, 0, fmt.Errorf("core: bad magic %q (not a HWLIDX01/02 file)", magic[:])
 	}
+	ix, err := readV2(br, g)
+	return ix, FormatV2, err
 }
 
 // newIndexShell allocates an index with validated landmark bookkeeping;
@@ -534,173 +365,76 @@ func readV1(br *bufio.Reader, g *graph.Graph) (*Index, error) {
 	return ix, nil
 }
 
+// readV2 decodes an untagged method container: the container layer checks
+// framing, checksums and the per-section allocation bounds; what is left
+// are the checks that need to know what the sections mean.
 func readV2(br *bufio.Reader, g *graph.Graph) (*Index, error) {
-	var hdr [v2HeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("core: reading v2 header: %w", err)
-	}
-	var b4 [4]byte
-	if _, err := io.ReadFull(br, b4[:]); err != nil {
-		return nil, err
-	}
-	if got, want := crc32.Checksum(hdr[:], castagnoli), binary.LittleEndian.Uint32(b4[:]); got != want {
-		return nil, fmt.Errorf("core: v2 header checksum mismatch (got %08x, want %08x)", got, want)
-	}
-	version := binary.LittleEndian.Uint32(hdr[0:4])
-	flags := binary.LittleEndian.Uint32(hdr[4:8])
-	n := binary.LittleEndian.Uint64(hdr[8:16])
-	k := binary.LittleEndian.Uint32(hdr[16:20])
-	nsect := binary.LittleEndian.Uint32(hdr[20:24])
-	entries := binary.LittleEndian.Uint64(hdr[24:32])
-	nOver := binary.LittleEndian.Uint64(hdr[32:40])
-	if version != 2 {
-		return nil, fmt.Errorf("core: v2 container with unsupported version %d", version)
-	}
-	if flags != 0 {
-		return nil, fmt.Errorf("core: unsupported v2 flags %#x", flags)
-	}
-	if nsect == 0 || nsect > v2MaxSection {
-		return nil, fmt.Errorf("core: implausible section count %d", nsect)
-	}
-	ix, err := newIndexShell(g, n, k)
+	var ix *Index
+	var want map[uint32]uint64 // exact byte length of every section
+	h, sec, err := method.ReadContainer(br, method.TagHL, func(h method.Header) (map[uint32]uint64, error) {
+		n, k, entries, nOver := h.N, h.K, h.Aux1, h.Aux2
+		var err error
+		if ix, err = newIndexShell(g, n, k); err != nil {
+			return nil, err
+		}
+		if entries > n*uint64(k) {
+			return nil, fmt.Errorf("core: implausible entry count %d", entries)
+		}
+		if nOver > entries {
+			return nil, fmt.Errorf("core: %d overflow records for %d entries", nOver, entries)
+		}
+		want = map[uint32]uint64{
+			sectLandmarks: uint64(k) * 4,
+			sectHighway:   uint64(k) * uint64(k) * 4,
+			sectLabelOff:  (n + 1) * 8,
+			sectLabelRank: entries,
+			sectLabelDist: entries,
+			sectOverflow:  nOver * 9,
+		}
+		return want, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if entries > n*uint64(k) {
-		return nil, fmt.Errorf("core: implausible entry count %d", entries)
-	}
-	if nOver > entries {
-		return nil, fmt.Errorf("core: %d overflow records for %d entries", nOver, entries)
-	}
-
-	// Expected byte length per known section; unknown ids are skipped.
-	expectLen := map[uint32]uint64{
-		sectLandmarks: uint64(k) * 4,
-		sectHighway:   uint64(k) * uint64(k) * 4,
-		sectLabelOff:  (n + 1) * 8,
-		sectLabelRank: entries,
-		sectLabelDist: entries,
-		sectOverflow:  nOver * 9,
-	}
-	type tableRow struct {
-		id     uint32
-		crc    uint32
-		length uint64
-	}
-	rows := make([]tableRow, nsect)
-	seen := make(map[uint32]bool, nsect)
-	var rowBuf [v2TableRow]byte
-	for i := range rows {
-		if _, err := io.ReadFull(br, rowBuf[:]); err != nil {
-			return nil, fmt.Errorf("core: reading section table: %w", err)
-		}
-		r := tableRow{
-			id:     binary.LittleEndian.Uint32(rowBuf[0:4]),
-			crc:    binary.LittleEndian.Uint32(rowBuf[4:8]),
-			length: binary.LittleEndian.Uint64(rowBuf[8:16]),
-		}
-		if want, known := expectLen[r.id]; known {
-			if seen[r.id] {
-				return nil, fmt.Errorf("core: duplicate section %d", r.id)
-			}
-			seen[r.id] = true
-			if r.length != want {
-				return nil, fmt.Errorf("core: section %d has length %d, want %d", r.id, r.length, want)
-			}
-		}
-		rows[i] = r
-	}
-	// A method-tag section (always the first row and payload when
-	// present; see internal/method) marks a container written by one of
-	// the other labelling methods. Surface which one instead of failing
-	// on missing core sections.
-	if rows[0].id == method.SectTag {
-		if rows[0].length > 64 {
-			return nil, fmt.Errorf("core: implausible method tag length %d", rows[0].length)
-		}
-		tag := make([]byte, rows[0].length)
-		if _, err := io.ReadFull(br, tag); err != nil {
-			return nil, fmt.Errorf("core: reading method tag: %w", err)
-		}
-		return nil, fmt.Errorf("core: index file is method %q, not %q: load it through the method registry (highway.LoadIndexAny)", tag, method.TagHL)
-	}
-	for id := range expectLen {
-		if !seen[id] {
+	for id := sectLandmarks; id <= sectOverflow; id++ {
+		if buf, ok := sec[id]; !ok {
 			return nil, fmt.Errorf("core: required section %d missing", id)
+		} else if uint64(len(buf)) != want[id] {
+			return nil, fmt.Errorf("core: section %d has length %d, want %d", id, len(buf), want[id])
 		}
 	}
-
-	var rank8, dist8 []uint8
-	var over []overflowRec
-	for _, r := range rows {
-		if _, known := expectLen[r.id]; !known {
-			// Forward compatibility: an unknown section written by a newer
-			// producer is skipped without buffering it.
-			if _, err := io.CopyN(io.Discard, br, int64(r.length)); err != nil {
-				return nil, fmt.Errorf("core: skipping section %d: %w", r.id, err)
-			}
-			continue
-		}
-		buf := make([]byte, r.length)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("core: reading section %d: %w", r.id, err)
-		}
-		if got := crc32.Checksum(buf, castagnoli); got != r.crc {
-			return nil, fmt.Errorf("core: section %d checksum mismatch (got %08x, want %08x)", r.id, got, r.crc)
-		}
-		switch r.id {
-		case sectLandmarks:
-			for i := range ix.landmarks {
-				if err := ix.setLandmark(i, int32(binary.LittleEndian.Uint32(buf[i*4:]))); err != nil {
-					return nil, err
-				}
-			}
-		case sectHighway:
-			for i := range ix.highway {
-				ix.highway[i] = int32(binary.LittleEndian.Uint32(buf[i*4:]))
-			}
-		case sectLabelOff:
-			for i := range ix.labelOff {
-				ix.labelOff[i] = int64(binary.LittleEndian.Uint64(buf[i*8:]))
-			}
-			got, err := ix.validateOffsets(k)
-			if err != nil {
-				return nil, err
-			}
-			if uint64(got) != entries {
-				return nil, fmt.Errorf("core: offsets claim %d entries, header says %d", got, entries)
-			}
-		case sectLabelRank:
-			rank8 = buf
-		case sectLabelDist:
-			dist8 = buf
-		case sectOverflow:
-			over, err = parseOverflowRecs(buf, n, k)
-			if err != nil {
-				return nil, err
-			}
+	for i := range ix.landmarks {
+		if err := ix.setLandmark(i, int32(binary.LittleEndian.Uint32(sec[sectLandmarks][i*4:]))); err != nil {
+			return nil, err
 		}
 	}
-	if err := ix.decodeLabels(rank8, dist8, k, over); err != nil {
+	if err := method.DecodeI32s(sec[sectHighway], ix.highway); err != nil {
+		return nil, err
+	}
+	if err := method.DecodeI64s(sec[sectLabelOff], ix.labelOff); err != nil {
+		return nil, err
+	}
+	if got, err := ix.validateOffsets(h.K); err != nil {
+		return nil, err
+	} else if uint64(got) != h.Aux1 {
+		return nil, fmt.Errorf("core: offsets claim %d entries, header says %d", got, h.Aux1)
+	}
+	over, err := parseOverflowRecs(sec[sectOverflow], h.N, h.K)
+	if err != nil {
+		return nil, err
+	}
+	if err := ix.decodeLabels(sec[sectLabelRank], sec[sectLabelDist], h.K, over); err != nil {
 		return nil, err
 	}
 	return ix, nil
 }
 
-// Save writes the index to a file in the default format (v2).
+// Save writes the index to a file in format v2.
 func (ix *Index) Save(path string) error { return ix.SaveAs(path, FormatV2) }
 
-// SaveAs writes the index to a file in an explicit format.
+// SaveAs is Save with the format spelled out; see WriteFormat.
 func (ix *Index) SaveAs(path string, f Format) error {
-	file, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := ix.WriteFormat(file, f); err != nil {
-		file.Close()
-		return err
-	}
-	return file.Close()
+	return method.SaveFile(path, func(w io.Writer) error { return ix.WriteFormat(w, f) })
 }
 
 // Load reads an index file in either format and attaches it to g.

@@ -2,42 +2,73 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"highway/internal/gen"
+	"highway/internal/graph"
+	"highway/internal/method"
 )
 
-// injectUnknownSection rewrites a v2 file to carry one extra section with
-// an id the current reader does not know, appended last in both the table
-// and the payload area, with the header patched and re-checksummed.
-func injectUnknownSection(file []byte, id uint32, payload []byte) ([]byte, error) {
-	const tableStart = 8 + v2HeaderLen + 4
-	if len(file) < tableStart {
-		return nil, fmt.Errorf("file too short (%d bytes)", len(file))
-	}
-	hdr := append([]byte{}, file[8:8+v2HeaderLen]...)
-	nsect := binary.LittleEndian.Uint32(hdr[20:24])
-	binary.LittleEndian.PutUint32(hdr[20:24], nsect+1)
-	tableEnd := tableStart + int(nsect)*v2TableRow
+// v1Fixture is a committed HWLIDX01 file with the graph it was built on
+// and the index it must decode to. No v1 writer exists any more, so these
+// files are where every test of the v1 reader gets its bytes.
+type v1Fixture struct {
+	name string
+	raw  []byte
+	g    *graph.Graph
+	want *Index
+}
 
+// v1Fixtures loads testdata/tiny.hl1 (the paper's Figure 2 example,
+// written by the original pre-v2 writer; no overflow records) and
+// testdata/path300.hl1 (the 300-vertex path with landmark 1, written by
+// the last `hlbuild -format v1`; the far end is 298 hops from the
+// landmark, so it carries 44 overflow records).
+func v1Fixtures(tb testing.TB) []v1Fixture {
+	tb.Helper()
+	path := gen.Path(300)
+	fixtures := []v1Fixture{
+		{name: "tiny.hl1", g: gen.PaperFigure2(), want: goldenIndex(tb)},
+		{name: "path300.hl1", g: path},
+	}
+	var err error
+	if fixtures[1].want, err = Build(path, []int32{1}); err != nil {
+		tb.Fatal(err)
+	}
+	for i := range fixtures {
+		if fixtures[i].raw, err = os.ReadFile(filepath.Join("testdata", fixtures[i].name)); err != nil {
+			tb.Fatalf("v1 fixture missing: %v", err)
+		}
+	}
+	return fixtures
+}
+
+// appendUnknownSection re-frames a v2 file with one extra section, of an
+// id the reader does not know, appended last.
+func appendUnknownSection(tb testing.TB, file []byte, id uint32, payload []byte) []byte {
+	tb.Helper()
+	ids := []uint32{sectLandmarks, sectHighway, sectLabelOff, sectLabelRank, sectLabelDist, sectOverflow}
+	h, sec, err := method.ReadContainer(bytes.NewReader(file), method.TagHL, func(method.Header) (map[uint32]uint64, error) {
+		bounds := make(map[uint32]uint64)
+		for _, id := range ids {
+			bounds[id] = uint64(len(file))
+		}
+		return bounds, nil
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var sections []method.Section
+	for _, id := range ids {
+		sections = append(sections, method.Section{ID: id, Payload: sec[id]})
+	}
 	var out bytes.Buffer
-	out.Write(file[:8])
-	out.Write(hdr)
-	var b4 [4]byte
-	binary.LittleEndian.PutUint32(b4[:], crc32.Checksum(hdr, castagnoli))
-	out.Write(b4[:])
-	out.Write(file[tableStart:tableEnd])
-	var row [v2TableRow]byte
-	binary.LittleEndian.PutUint32(row[0:4], id)
-	binary.LittleEndian.PutUint32(row[4:8], crc32.Checksum(payload, castagnoli))
-	binary.LittleEndian.PutUint64(row[8:16], uint64(len(payload)))
-	out.Write(row[:])
-	out.Write(file[tableEnd:])
-	out.Write(payload)
-	return out.Bytes(), nil
+	if err := method.WriteContainer(&out, h, append(sections, method.Section{ID: id, Payload: payload})); err != nil {
+		tb.Fatal(err)
+	}
+	return out.Bytes()
 }
 
 func TestIndexRoundTrip(t *testing.T) {
@@ -46,24 +77,34 @@ func TestIndexRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []Format{FormatV1, FormatV2} {
-		t.Run(f.String(), func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := ix.WriteFormat(&buf, f); err != nil {
-				t.Fatal(err)
-			}
-			ix2, got, err := ReadFormat(&buf, g)
+	var buf bytes.Buffer
+	if err := ix.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	type leg struct {
+		name   string
+		raw    []byte
+		format Format
+		want   *Index
+	}
+	legs := []leg{{"v2", buf.Bytes(), FormatV2, ix}}
+	for _, fx := range v1Fixtures(t) {
+		legs = append(legs, leg{fx.name, fx.raw, FormatV1, fx.want})
+	}
+	for _, l := range legs {
+		t.Run(l.name, func(t *testing.T) {
+			ix2, got, err := ReadFormat(bytes.NewReader(l.raw), l.want.g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != f {
-				t.Fatalf("ReadFormat reported %v, wrote %v", got, f)
+			if got != l.format {
+				t.Fatalf("ReadFormat reported %v, want %v", got, l.format)
 			}
-			if !indexesIdentical(ix, ix2) {
-				t.Fatal("round trip produced a different index")
+			if !indexesIdentical(l.want, ix2) {
+				t.Fatal("decoded a different index")
 			}
-			for i := range ix.landmarks {
-				if ix.landmarks[i] != ix2.landmarks[i] {
+			for i := range l.want.landmarks {
+				if l.want.landmarks[i] != ix2.landmarks[i] {
 					t.Fatal("landmarks differ")
 				}
 			}
@@ -74,31 +115,35 @@ func TestIndexRoundTrip(t *testing.T) {
 	}
 }
 
-// TestV1V2SameIndex: both formats must decode to the identical in-memory
-// index, so a v1→v2 migration is lossless by construction.
+// TestV1V2SameIndex: the two golden files of the same index decode to the
+// identical in-memory index, so a v1→v2 migration is lossless.
 func TestV1V2SameIndex(t *testing.T) {
-	g := gen.BarabasiAlbert(200, 3, 7)
-	ix, err := Build(g, g.DegreeOrder()[:9])
-	if err != nil {
-		t.Fatal(err)
+	g := gen.PaperFigure2()
+	var decoded [2]*Index
+	for i, name := range []string{"tiny.hl1", "tiny.hl2"} {
+		var err error
+		if decoded[i], err = Load(filepath.Join("testdata", name), g); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var b1, b2 bytes.Buffer
-	if err := ix.WriteFormat(&b1, FormatV1); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.WriteFormat(&b2, FormatV2); err != nil {
-		t.Fatal(err)
-	}
-	r1, err := Read(&b1, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Read(&b2, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !indexesIdentical(r1, r2) {
+	if !indexesIdentical(decoded[0], decoded[1]) {
 		t.Fatal("v1 and v2 decode to different indexes")
+	}
+}
+
+// TestWriteV1Refused: v1 is read-only. Asking for it is an error, and
+// SaveAs leaves nothing at the destination.
+func TestWriteV1Refused(t *testing.T) {
+	ix := goldenIndex(t)
+	if err := ix.WriteFormat(new(bytes.Buffer), FormatV1); err == nil {
+		t.Fatal("WriteFormat(v1) succeeded")
+	}
+	path := filepath.Join(t.TempDir(), "idx.v1")
+	if err := ix.SaveAs(path, FormatV1); err == nil {
+		t.Fatal("SaveAs(v1) succeeded")
+	}
+	if left, _ := filepath.Glob(path + "*"); len(left) != 0 {
+		t.Fatalf("refused save left %v behind", left)
 	}
 }
 
@@ -111,24 +156,32 @@ func TestIndexRoundTripWithOverflow(t *testing.T) {
 	if ix.numOverflow() == 0 {
 		t.Fatal("test premise broken: no overflow entries")
 	}
-	for _, f := range []Format{FormatV1, FormatV2} {
-		t.Run(f.String(), func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := ix.WriteFormat(&buf, f); err != nil {
-				t.Fatal(err)
-			}
-			ix2, err := Read(&buf, g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ix2.numOverflow() != ix.numOverflow() {
-				t.Fatalf("overflow entries: %d, want %d", ix2.numOverflow(), ix.numOverflow())
-			}
-			sr := ix2.NewSearcher()
-			if d := sr.Distance(5, 595); d != 590 {
-				t.Fatalf("d(5,595) = %d, want 590", d)
-			}
-		})
+	var buf bytes.Buffer
+	if err := ix.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	ix2, err := Read(&buf, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix2.numOverflow() != ix.numOverflow() {
+		t.Fatalf("overflow entries: %d, want %d", ix2.numOverflow(), ix.numOverflow())
+	}
+	if d := ix2.NewSearcher().Distance(5, 595); d != 590 {
+		t.Fatalf("d(5,595) = %d, want 590", d)
+	}
+
+	// The v1 reader's overflow records, from the fixture that has them.
+	fx := v1Fixtures(t)[1]
+	ix1, err := Read(bytes.NewReader(fx.raw), fx.g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ix1.numOverflow(); got != 44 || got != fx.want.numOverflow() {
+		t.Fatalf("%s: %d overflow entries, want 44", fx.name, got)
+	}
+	if d := ix1.NewSearcher().Distance(5, 295); d != 290 {
+		t.Fatalf("%s: d(5,295) = %d, want 290", fx.name, d)
 	}
 }
 
@@ -147,18 +200,14 @@ func TestIndexFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if f != FormatV2 {
-		t.Fatalf("Save default wrote %v, want v2", f)
+		t.Fatalf("Save wrote %v, want v2", f)
 	}
 	if ix2.NumEntries() != 13 {
 		t.Fatalf("entries = %d, want 13", ix2.NumEntries())
 	}
 
-	// Explicit v1 save stays loadable (the compatibility path).
-	v1path := t.TempDir() + "/idx.v1"
-	if err := ix.SaveAs(v1path, FormatV1); err != nil {
-		t.Fatal(err)
-	}
-	ix1, f, err := LoadFormat(v1path, g)
+	// A v1 file stays loadable (the compatibility path).
+	ix1, f, err := LoadFormat(filepath.Join("testdata", "tiny.hl1"), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,18 +221,15 @@ func TestIndexFileRoundTrip(t *testing.T) {
 
 func TestReadRejectsCorruptIndex(t *testing.T) {
 	g := gen.PaperFigure2()
-	ix, err := Build(g, gen.PaperLandmarks())
-	if err != nil {
+	var buf bytes.Buffer
+	if err := goldenIndex(t).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []Format{FormatV1, FormatV2} {
-		t.Run(f.String(), func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := ix.WriteFormat(&buf, f); err != nil {
-				t.Fatal(err)
+	for name, good := range map[string][]byte{"v1": v1Fixtures(t)[0].raw, "v2": buf.Bytes()} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := Read(bytes.NewReader(good), g); err != nil {
+				t.Fatalf("test premise broken: %v", err)
 			}
-			good := buf.Bytes()
-
 			// Wrong magic.
 			bad := append([]byte{}, good...)
 			bad[0] = 'X'
@@ -203,6 +249,34 @@ func TestReadRejectsCorruptIndex(t *testing.T) {
 				t.Error("garbage accepted")
 			}
 		})
+	}
+}
+
+// TestV1RejectsDamage: v1 has no checksums, so what protects its reader
+// is validation. Every truncation of either fixture is rejected; a byte
+// flip is either rejected or yields an index that is safe to query.
+func TestV1RejectsDamage(t *testing.T) {
+	for _, fx := range v1Fixtures(t) {
+		for cut := 0; cut < len(fx.raw); cut++ {
+			if _, err := Read(bytes.NewReader(fx.raw[:cut]), fx.g); err == nil {
+				t.Fatalf("%s truncated to %d bytes accepted", fx.name, cut)
+			}
+		}
+		rejected := 0
+		for pos := range fx.raw {
+			bad := append([]byte{}, fx.raw...)
+			bad[pos] ^= 0x10
+			ix, err := Read(bytes.NewReader(bad), fx.g)
+			if err != nil {
+				rejected++
+				continue
+			}
+			exerciseIndex(ix)
+		}
+		// The 28 bytes of magic, n, k and the landmark cannot survive one.
+		if rejected < 28 {
+			t.Fatalf("%s: only %d byte flips rejected", fx.name, rejected)
+		}
 	}
 }
 
@@ -249,10 +323,7 @@ func TestV2SkipsUnknownSections(t *testing.T) {
 	if err := ix.WriteFormat(&buf, FormatV2); err != nil {
 		t.Fatal(err)
 	}
-	withExtra, err := injectUnknownSection(buf.Bytes(), 99, []byte("future payload"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	withExtra := appendUnknownSection(t, buf.Bytes(), 99, []byte("future payload"))
 	ix2, err := Read(bytes.NewReader(withExtra), g)
 	if err != nil {
 		t.Fatalf("file with unknown section rejected: %v", err)

@@ -9,25 +9,30 @@ import (
 	"os"
 )
 
-// Tagged v2 index container.
+// The "HWLIDX02" index container: the one on-disk framing of every
+// method's index file, the paper labelling's (internal/core) included.
+// Little-endian:
 //
-// Every method's index file shares the "HWLIDX02" container layout
-// introduced by the core labelling's format v2 (see
-// internal/core/serialize.go for the layout comment): an 8-byte magic,
-// a checksummed 40-byte header, a section table (id, CRC-32C, length
-// per section), then one contiguous payload per section in table
-// order.
+//	magic     [8]byte "HWLIDX02"
+//	header    [40]byte: version u32 (2), flags u32 (0), n u64, k u32,
+//	          sections u32, aux1 u64, aux2 u64
+//	headerCRC uint32           (CRC-32C of the 40 header bytes)
+//	table     sections × {id u32, crc u32, length u64}
+//	payloads  one per table row, in table order, `length` bytes each
+//
+// Every payload is checksummed with CRC-32C and its length is known and
+// bounded before any allocation, so a reader loads each section with one
+// io.ReadFull and rejects corruption. Readers skip table rows with
+// unknown ids, so sections can be added without revving the magic.
 //
 // Files written by the highway cover labelling itself carry no method
-// tag — absence means "hl", which is what keeps the core writer
-// byte-identical to its pinned golden file and every pre-registry file
-// readable. Every other method writes a method-tag section (SectTag,
-// id 32) as the FIRST table row and first payload, so a reader can
-// learn which decoder a file needs from one bounded read; the core
-// reader recognizes the tag and reports a descriptive error instead of
-// misparsing. Per-method payload sections use ids ≥ 33, disjoint from
-// the core section ids 1..6, so no decoder can mistake another
-// method's payload for its own.
+// tag — absence means "hl", which keeps core's files byte-identical to
+// its pinned golden file and every pre-registry file readable. Every
+// other method writes a method-tag section (SectTag, id 32) as the FIRST
+// table row and first payload, so a reader learns which decoder a file
+// needs from one bounded read. Per-method payload sections use ids ≥ 33,
+// disjoint from the core section ids 1..6, so no decoder can mistake
+// another method's payload for its own.
 //
 // The two writer-specific u64 header slots (entries and overflow count
 // in a core file) are surfaced as Aux1/Aux2: each method documents its
@@ -48,7 +53,7 @@ const maxTagLen = 64
 const (
 	headerLen  = 40
 	tableRow   = 16
-	maxSection = 64 // fuzz/OOM guard, matching the core reader
+	maxSection = 64 // fuzz/OOM guard: no sane file needs more
 )
 
 var (
@@ -58,9 +63,9 @@ var (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Header is the checksummed fixed header of a tagged container file.
+// Header is the checksummed fixed header of a container file.
 type Header struct {
-	Method string // the tag; never empty on files written by WriteContainer
+	Method string // the tag; TagHL on (and for writing) untagged files
 	N      uint64 // vertex count of the graph the index was built on
 	K      uint32 // method-specific cardinality (landmarks, roots, levels)
 	Aux1   uint64 // method-specific (documented per serializer)
@@ -73,15 +78,17 @@ type Section struct {
 	Payload []byte
 }
 
-// WriteContainer writes a tagged container: header, method-tag section,
-// then the given sections in order. Output is deterministic.
+// WriteContainer writes a container: header, the method-tag section
+// unless the method is TagHL, then the given sections in order. Output
+// is deterministic.
 func WriteContainer(w io.Writer, h Header, sections []Section) error {
 	if h.Method == "" || len(h.Method) > maxTagLen {
 		return fmt.Errorf("method: bad tag %q", h.Method)
 	}
-	all := make([]Section, 0, len(sections)+1)
-	all = append(all, Section{ID: SectTag, Payload: []byte(h.Method)})
-	all = append(all, sections...)
+	all := sections
+	if h.Method != TagHL {
+		all = append([]Section{{ID: SectTag, Payload: []byte(h.Method)}}, sections...)
+	}
 	if len(all) > maxSection {
 		return fmt.Errorf("method: %d sections exceeds limit %d", len(all), maxSection)
 	}
@@ -193,19 +200,24 @@ func readHeader(br *bufio.Reader) (Header, []rawRow, error) {
 			return h, nil, fmt.Errorf("method: tag checksum mismatch")
 		}
 		h.Method = string(tag)
-		if h.Method == "" {
-			return h, nil, fmt.Errorf("method: empty method tag")
+		if h.Method == "" || h.Method == TagHL { // "hl" is spelled by having no tag
+			return h, nil, fmt.Errorf("method: bad method tag %q", tag)
 		}
 		rows = rows[1:]
 	} else {
 		h.Method = TagHL
 	}
+	for _, row := range rows {
+		if row.id == SectTag {
+			return h, nil, fmt.Errorf("method: tag section %d is not the first section", SectTag)
+		}
+	}
 	return h, rows, nil
 }
 
-// ReadContainer reads a tagged container written by WriteContainer.
-// want is the tag the caller's decoder handles; a file tagged
-// differently is rejected with an error naming both. expect maps the
+// ReadContainer reads a container written by WriteContainer. want is the
+// tag the caller's decoder handles; a file tagged differently is
+// rejected with an error naming both. expect maps the
 // header to the maximum acceptable payload length per known section id
 // — the anti-OOM guard every allocation is bounded by; fixed-size
 // sections should pass their exact length and additionally verify it
@@ -219,7 +231,7 @@ func ReadContainer(r io.Reader, want string, expect func(Header) (map[uint32]uin
 		return h, nil, err
 	}
 	if h.Method != want {
-		return h, nil, fmt.Errorf("method: index file is method %q, not %q (load it through the registry)", h.Method, want)
+		return h, nil, fmt.Errorf("method: index file is method %q, not %q: load it through the method registry (highway.LoadIndexAny)", h.Method, want)
 	}
 	if want == TagHL && rows == nil {
 		return h, nil, fmt.Errorf("method: v1 files are decoded by internal/core, not ReadContainer")
@@ -277,19 +289,28 @@ func SniffFileTag(path string) (string, error) {
 	return SniffTag(f)
 }
 
-// SaveFile writes a serialized index to path via write, creating or
-// truncating the file: the shared implementation behind every method's
-// Save.
+// SaveFile writes a serialized index to path via write: the shared
+// implementation behind every method's Save. The bytes go to path+".tmp"
+// and are renamed over path only once complete, so a failed or
+// interrupted save leaves a previous file at path intact. It does not
+// fsync: a saved index is rebuildable, not a durability boundary.
 func SaveFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // Encoding helpers shared by the per-method serializers. All integers

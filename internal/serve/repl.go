@@ -146,11 +146,11 @@ func EncodeSnapshot(w io.Writer, g *graph.Graph, ix *core.Index) error {
 // DecodeSnapshot reads a snapshot produced by EncodeSnapshot (or
 // persisted by a rebuild).
 func DecodeSnapshot(r io.Reader) (*graph.Graph, *core.Index, error) {
-	// One shared buffered reader for all three sections: the graph and
-	// index decoders each call bufio.NewReaderSize, which reuses this
-	// reader (same or larger buffer) instead of wrapping it — wrapping
-	// would read ahead and strand the next section's bytes in a private
-	// buffer.
+	// One shared buffered reader for all three sections: the graph
+	// decoder and the index decoder (core.Read, and method.ReadContainer
+	// under it) each call bufio.NewReaderSize with this size, which
+	// returns this reader instead of wrapping it — wrapping would read
+	// ahead and strand the next section's bytes in a private buffer.
 	br := bufio.NewReaderSize(r, 1<<20)
 	var magic [len(snapMagic)]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != snapMagic {

@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"bufio"
+	"bytes"
+	"io"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
@@ -51,5 +54,32 @@ func TestReplacedSnapshotsAreCollectable(t *testing.T) {
 	kept := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	if limit := writes * ix.ActualBytes() / 4; kept > limit {
 		t.Fatalf("%d bytes survive a collection after %d writes: more than %d, a quarter of the labellings replaced", kept, writes, limit)
+	}
+}
+
+// TestDecodeSnapshotLeavesTrailingBytes: the snapshot decoders (graph,
+// then core.Read and the method container under it) must all read through
+// the one buffered reader DecodeSnapshot is handed, none through a
+// read-ahead buffer of its own, or whatever follows a snapshot in a stream
+// is lost.
+func TestDecodeSnapshotLeavesTrailingBytes(t *testing.T) {
+	g := gen.BarabasiAlbert(200, 3, 5)
+	ix, err := core.Build(g, g.DegreeOrder()[:6])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := EncodeSnapshot(&buf, g, ix); err != nil {
+		t.Fatal(err)
+	}
+	const trailer = "what follows the snapshot"
+	buf.WriteString(trailer)
+	br := bufio.NewReaderSize(&buf, 1<<20)
+	if _, _, err := DecodeSnapshot(br); err != nil {
+		t.Fatal(err)
+	}
+	rest, err := io.ReadAll(br)
+	if err != nil || string(rest) != trailer {
+		t.Fatalf("after the snapshot: %q, %v; want %q", rest, err, trailer)
 	}
 }

@@ -220,8 +220,9 @@ func TestLoadIndexCrossMethod(t *testing.T) {
 	if err := pllIx.Save(pllPath); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := highway.LoadIndex(pllPath, g); err == nil || !strings.Contains(err.Error(), `"pll"`) {
-		t.Fatalf("LoadIndex on a pll file: err = %v, want it to name the method", err)
+	const want = `index file is method "pll", not "hl": load it through the method registry (highway.LoadIndexAny)`
+	if _, err := highway.LoadIndex(pllPath, g); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("LoadIndex on a pll file: err = %v, want %q", err, want)
 	}
 
 	hlIx, err := highway.Build(ctx, g, "hl", highway.WithLandmarkCount(8))
