@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"highway"
@@ -66,15 +67,30 @@ func run(args []string) error {
 		}
 		g = d.Generate(*shrink)
 	case *family != "":
+		// What the generators would refuse with a panic is refused here,
+		// in the flags' own words.
+		k := *deg / 2
+		switch {
+		case *n < 0 || *deg < 0:
+			return fmt.Errorf("-n and -deg must not be negative (got %d, %d)", *n, *deg)
+		case *family == "rmat" && *scale > 30:
+			return fmt.Errorf("-scale %d is too large (at most 30)", *scale)
+		case *family == "ba" && 2*int64(*n)*int64(k) > math.MaxInt32:
+			return fmt.Errorf("-family ba with -n %d -deg %d is too large (at most 2^30 edges)", *n, *deg)
+		case *family == "ws" && (*n < 3 || k < 1 || 2*k >= *n):
+			return fmt.Errorf("-family ws needs -n of at least 3 and 2 <= -deg < -n (got %d, %d)", *n, *deg)
+		case *family == "ws" && !(*beta >= 0 && *beta <= 1):
+			return fmt.Errorf("-beta %v is not a probability", *beta)
+		}
 		switch *family {
 		case "ba":
-			g = highway.BarabasiAlbert(*n, *deg/2, *seed)
+			g = highway.BarabasiAlbert(*n, k, *seed)
 		case "rmat":
 			g = highway.RMAT(*scale, *deg, *seed)
 		case "er":
 			g = highway.ErdosRenyi(*n, int64(*n)*int64(*deg)/2, *seed)
 		case "ws":
-			g = gen.WattsStrogatz(*n, *deg/2, *beta, *seed)
+			g = gen.WattsStrogatz(*n, k, *beta, *seed)
 		default:
 			return fmt.Errorf("unknown family %q (want ba, rmat, er or ws)", *family)
 		}

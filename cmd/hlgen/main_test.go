@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"highway"
@@ -78,5 +79,35 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-dataset", "bogus", "-out", filepath.Join(t.TempDir(), "x")}); err == nil {
 		t.Error("bogus dataset accepted")
+	}
+}
+
+// TestRunRejectsBadSizes: sizes a generator would panic on come back as an
+// error that names the flag, and nothing is written.
+func TestRunRejectsBadSizes(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-family", "rmat", "-scale", "31"}, "-scale"},
+		{[]string{"-family", "ws", "-n", "2"}, "-family ws"},
+		{[]string{"-family", "ws", "-n", "100", "-deg", "1"}, "-family ws"},
+		{[]string{"-family", "ws", "-n", "10", "-deg", "10"}, "-family ws"},
+		{[]string{"-family", "ws", "-n", "100", "-deg", "4", "-beta", "1.5"}, "-beta"},
+		{[]string{"-family", "ws", "-n", "100", "-deg", "4", "-beta", "-0.1"}, "-beta"},
+		{[]string{"-family", "ws", "-n", "100", "-deg", "4", "-beta", "NaN"}, "-beta"},
+		{[]string{"-family", "ba", "-n", "100", "-deg", "-6"}, "-deg"},
+		{[]string{"-family", "rmat", "-scale", "8", "-deg", "-1"}, "-deg"},
+		{[]string{"-family", "er", "-n", "-5"}, "-n"},
+		{[]string{"-family", "ba", "-n", "2000000000", "-deg", "4"}, "-family ba"},
+	} {
+		out := filepath.Join(t.TempDir(), "g.hwg")
+		err := run(append(tc.args, "-out", out))
+		if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%v: error %v, want one line naming %s", tc.args, err, tc.want)
+		}
+		if _, statErr := os.Stat(out); statErr == nil {
+			t.Errorf("%v: wrote %s all the same", tc.args, out)
+		}
 	}
 }

@@ -14,16 +14,26 @@
 //   - Deterministic shapes (path, cycle, star, grid, complete) for tests.
 //
 // All generators are deterministic given a seed, which is what makes
-// the stand-in registry (internal/datasets) and every generator-backed
-// test reproducible byte for byte. The mapping from each of the paper's
-// Table 1 networks to a generator family, size and seed — and the
-// rationale for trusting stand-ins at 1:100 scale — is documented in
-// DESIGN.md's "Substitutions" section.
+// the stand-in registry (internal/datasets), the benchmark's fixtures and
+// every generator-backed test reproducible byte for byte. Hence the rule
+// for working on this package: a generator change may not move a stream.
+// For the same arguments a generator draws the same values from the same
+// math/rand source in the same order and hands the Builder the same edges,
+// whatever is done to make the drawing cheaper; TestFixtureBytesGolden and
+// the reference loops in reference_test.go hold it to that. A generator
+// with a different stream is a new generator, and changing which one the
+// benchmark uses re-baselines the benchmark.
+//
+// The mapping from each of the paper's Table 1 networks to a generator
+// family, size and seed — and the rationale for trusting stand-ins at
+// 1:100 scale — is documented in DESIGN.md's "Substitutions" section.
 package gen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
 	"highway/internal/graph"
 )
@@ -66,7 +76,8 @@ func ErdosRenyi(n int, m int64, seed int64) *graph.Graph {
 // from a k-clique seed, then each new vertex attaches to k distinct
 // existing vertices chosen proportionally to degree. The result is
 // connected with roughly n*k edges and a power-law degree tail — the shape
-// of the paper's social networks.
+// of the paper's social networks. It panics if n*k exceeds 2^30, the most
+// endpoints a 31-bit draw can choose among.
 func BarabasiAlbert(n, k int, seed int64) *graph.Graph {
 	if k < 1 {
 		k = 1
@@ -74,7 +85,10 @@ func BarabasiAlbert(n, k int, seed int64) *graph.Graph {
 	if n < k+1 {
 		n = k + 1
 	}
-	rng := rand.New(rand.NewSource(seed))
+	if 2*int64(n)*int64(k) > math.MaxInt32 {
+		panic(fmt.Sprintf("gen: BarabasiAlbert n=%d k=%d: more than 2^30 edges", n, k))
+	}
+	src := rand.NewSource(seed).(rand.Source64)
 	b := graph.NewBuilder(n)
 	b.Reserve(n * k) // (k+1)k/2 clique edges + (n-k-1)k attachments <= nk
 	// repeated stores every edge endpoint twice; uniform sampling from it
@@ -88,17 +102,20 @@ func BarabasiAlbert(n, k int, seed int64) *graph.Graph {
 	}
 	chosen := make([]int32, 0, k)
 	for v := k + 1; v < n; v++ {
+		// A draw is rand.Rand.Intn(len(repeated)): the high 31 bits of
+		// Int63, redrawn while above the last multiple of the length, then
+		// reduced. (math/rand masks instead when the length is a power of
+		// two; then nothing is redrawn and the remainder is that mask.)
+		// repeated grows only between vertices, so the bound is per vertex.
+		m := uint32(len(repeated))
+		last := uint32(1<<31 - 1 - (1<<31)%m)
 		chosen = chosen[:0]
 		for len(chosen) < k {
-			t := repeated[rng.Intn(len(repeated))]
-			dup := false
-			for _, c := range chosen {
-				if c == t {
-					dup = true
-					break
-				}
+			x := uint32(src.Int63() >> 32)
+			for x > last {
+				x = uint32(src.Int63() >> 32)
 			}
-			if !dup {
+			if t := repeated[x%m]; !slices.Contains(chosen, t) {
 				chosen = append(chosen, t)
 			}
 		}
@@ -127,28 +144,42 @@ func RMAT(scale uint, edgeFactor int, a, b, c float64, seed int64) *graph.Graph 
 	}
 	n := 1 << scale
 	target := int64(edgeFactor) * int64(n)
-	rng := rand.New(rand.NewSource(seed))
+	src := rand.NewSource(seed).(rand.Source64)
 	bld := graph.NewBuilder(n)
 	bld.Reserve(int(target))
+	// A draw is rand.Rand.Float64's float64(Int63())/2^63, redrawn when it
+	// rounds to 1. Dividing by a power of two is exact, so comparing the
+	// numerator against thresholds scaled by 2^63 decides exactly as
+	// comparing the quotient against a, a+b and a+b+c did.
+	const one = 1 << 63
+	ta, tab, tabc := a*one, (a+b)*one, (a+b+c)*one
 	for i := int64(0); i < target; i++ {
 		u, v := 0, 0
 		for bit := 0; bit < int(scale); bit++ {
-			r := rng.Float64()
-			switch {
-			case r < a:
-				// top-left: no bits set
-			case r < a+b:
-				v |= 1 << bit
-			case r < a+b+c:
-				u |= 1 << bit
-			default:
-				u |= 1 << bit
-				v |= 1 << bit
+			r := float64(src.Int63())
+			for r == one {
+				r = float64(src.Int63())
 			}
+			// Quadrants in threshold order: neither bit, v, u, both. The
+			// thresholds ascend, so u is set from a+b on and v between a
+			// and a+b and again from a+b+c on.
+			lt1, lt2, lt3 := b2i(r < ta), b2i(r < tab), b2i(r < tabc)
+			u |= (1 - lt2) << bit
+			v |= (lt2 - lt1 + 1 - lt3) << bit
 		}
 		bld.AddEdge(int32(u), int32(v)) // self-loops dropped by builder
 	}
 	return bld.MustBuild()
+}
+
+// b2i is 1 for true and 0 for false; the compiler makes it one flag-to-
+// register instruction, which is what keeps RMAT's inner loop free of
+// branches that depend on a random draw.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // WattsStrogatz returns a small-world graph: a ring of n vertices each

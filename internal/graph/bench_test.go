@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -81,6 +82,31 @@ func BenchmarkLargestComponent(b *testing.B) {
 			}
 			if sink == g {
 				b.Fatal("fixture is connected: nothing was extracted")
+			}
+		})
+	}
+}
+
+// BenchmarkReadEdgeList times text to CSR: the fixture written by
+// WriteEdgeList, parsed and built.
+func BenchmarkReadEdgeList(b *testing.B) {
+	for _, fx := range benchFixtures {
+		g := fx.make()
+		var text bytes.Buffer
+		if err := g.WriteEdgeList(&text); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fx.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(text.Len()))
+			for b.Loop() {
+				var err error
+				if sink, err = graph.ReadEdgeList(bytes.NewReader(text.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if sink.NumEdges() != g.NumEdges() {
+				b.Fatalf("read %d edges, want %d", sink.NumEdges(), g.NumEdges())
 			}
 		})
 	}

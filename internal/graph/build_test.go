@@ -1,13 +1,17 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
+	"regexp"
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -118,15 +122,22 @@ func randomMultigraph(rng *rand.Rand, n int) [][2]int32 {
 }
 
 // TestBuildMatchesReference is the differential gate on the construction
-// kernel: over seeded random multigraphs, Builder.Build and FromAdjacency
-// must serialize to exactly the reference's bytes. Sizes straddle
-// parallelRowSlots, so the serial and the split row pass both run.
+// kernels: over seeded random multigraphs, Builder.Build and FromAdjacency
+// must serialize to exactly the reference's bytes, and so must the
+// subgraph InducedSubgraph cuts out of them. Sizes lie on both sides of
+// parallelSlots and GOMAXPROCS is 1, 2 and 4, so every row pass runs
+// serial and split.
 func TestBuildMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	sizes := []int{0, 1, 2, 3, 17, 200, 1500, 9000}
-	for round := 0; round < 40; round++ {
+	sizes := []int{0, 1, 2, 3, 17, 200, 1500, 9000, 60000}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for round := 0; round < 27; round++ {
 		n := sizes[round%len(sizes)]
+		runtime.GOMAXPROCS(1 << (round / len(sizes))) // 1, 2, 4
 		edges := randomMultigraph(rng, n)
+		for n == 60000 && 2*len(edges) < 2*parallelSlots { // large enough to split
+			edges = randomMultigraph(rng, n)
+		}
 		want, err := referenceBuild(n, edges)
 		if err != nil {
 			t.Fatal(err)
@@ -148,14 +159,40 @@ func TestBuildMatchesReference(t *testing.T) {
 		if err := checkRows(built); err != nil {
 			t.Fatalf("n=%d: built graph is not canonical: %v", n, err)
 		}
+		// Every third vertex dropped, the rest in order: the rows of the
+		// reference, renumbered, without the dropped neighbours.
+		var keep []int32
+		newID := make([]int32, n)
+		for v := range newID {
+			newID[v] = -1
+			if v%3 != 0 {
+				newID[v] = int32(len(keep))
+				keep = append(keep, int32(v))
+			}
+		}
+		var kept [][2]int32
+		for _, e := range edges {
+			if a, b := newID[e[0]], newID[e[1]]; a >= 0 && b >= 0 {
+				kept = append(kept, [2]int32{a, b})
+			}
+		}
+		wantSub, _ := referenceBuild(len(keep), kept)
+		sub, _, err := built.InducedSubgraph(keep)
+		if err != nil {
+			t.Fatalf("n=%d: InducedSubgraph: %v", n, err)
+		}
+		if !bytes.Equal(graphBytes(t, sub), graphBytes(t, wantSub)) {
+			t.Fatalf("n=%d: InducedSubgraph gives %v, reference %v, bytes differ", n, sub, wantSub)
+		}
 	}
 }
 
 // TestBuildOutOfRangeMatchesReference: an endpoint outside [0,n) is the
-// same error from all three constructions.
+// same error from all three constructions, and of several such edges the
+// one named is the first in the order they were added.
 func TestBuildOutOfRangeMatchesReference(t *testing.T) {
 	for _, bad := range [][2]int32{{2, 9}, {9, 2}, {-1, 3}, {3, -4}} {
-		edges := [][2]int32{{0, 1}, {1, 2}, bad, {3, 4}}
+		edges := [][2]int32{{0, 1}, {1, 2}, bad, {3, 4}, {7, 1}, {-2, -3}}
 		_, want := referenceBuild(5, edges)
 		if want == nil {
 			t.Fatalf("reference accepted %v", bad)
@@ -163,7 +200,7 @@ func TestBuildOutOfRangeMatchesReference(t *testing.T) {
 		if _, err := FromEdges(5, edges); err == nil || err.Error() != want.Error() {
 			t.Errorf("Build with %v: error %v, want %v", bad, err, want)
 		}
-		if _, err := FromAdjacency(adjacencyOf(5, edges)); err == nil || err.Error() != want.Error() {
+		if _, err := FromAdjacency(adjacencyOf(5, edges[:4])); err == nil || err.Error() != want.Error() {
 			t.Errorf("FromAdjacency with %v: error %v, want %v", bad, err, want)
 		}
 	}
@@ -278,6 +315,123 @@ func TestReadEdgeListRejectsHugeVertexID(t *testing.T) {
 	_, err := ReadEdgeList(strings.NewReader("0 1\n1 2147483647\n"))
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("vertex id 2^31-1: error %v, want a line-2 error", err)
+	}
+}
+
+// referenceReadEdgeList is ReadEdgeList as it was while it made a string
+// and a field slice of every line; the parser that works in the scanner's
+// buffer must accept and reject the same inputs with the same words.
+func referenceReadEdgeList(r io.Reader) (*Graph, error) {
+	b := NewBuilder(0)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || line[0] == '#' || line[0] == '%' {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) < 2 {
+			return nil, fmt.Errorf("graph: line %d: want at least 2 fields, got %q", lineNo, line)
+		}
+		u, err := strconv.ParseInt(fields[0], 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("graph: line %d: bad vertex %q: %v", lineNo, fields[0], err)
+		}
+		v, err := strconv.ParseInt(fields[1], 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("graph: line %d: bad vertex %q: %v", lineNo, fields[1], err)
+		}
+		if u < 0 || v < 0 {
+			return nil, fmt.Errorf("graph: line %d: negative vertex id", lineNo)
+		}
+		if max(u, v) >= maxVertices {
+			return nil, fmt.Errorf("graph: line %d: vertex id %d too large (a graph holds at most %d vertices)", lineNo, max(u, v), maxVertices)
+		}
+		b.AddEdgeGrow(int32(u), int32(v))
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("graph: reading edge list: %w", err)
+	}
+	return b.Build()
+}
+
+// sameEdgeListVerdict fails unless both readers return the same graph or
+// the same error for input.
+func sameEdgeListVerdict(t *testing.T, input string) {
+	t.Helper()
+	want, wantErr := referenceReadEdgeList(strings.NewReader(input))
+	got, err := ReadEdgeList(strings.NewReader(input))
+	switch {
+	case (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()):
+		t.Fatalf("input %q: error %v, reference %v", input, err, wantErr)
+	case err == nil && !bytes.Equal(graphBytes(t, got), graphBytes(t, want)):
+		t.Fatalf("input %q: read %v, reference %v, bytes differ", input, got, want)
+	}
+}
+
+var edgeListCorpus = []string{
+	"0 1\n1 2\n",
+	"# c\n% c\n\n0 1\n  # indented comment\n1 2\n",
+	"0\t1\r\n1 \t 2 \r\n",             // tabs, CRLF, trailing blanks
+	"0 1 0.5 1700000000\n2 1 x\n",     // weights and timestamps after the ids
+	"007 +8\n",                        // leading zeros, a plus sign
+	"3 3\n",                           // self-loop
+	"0\u00a01\n1\u20282\n",            // Unicode white space separates too
+	"123456789 x\n", "1234567890 x\n", // nine digits are parsed in place, ten are not
+	"0 1\n5\n",        // one field
+	"0 1\n \t \n7 \n", // blank line, then one field and a blank
+	"a b\n", "0 x\n", "0 1x\n", "0x10 1\n", "1_0 2\n", "1.0 2\n", "\x00 1\n", "1 \xff\n",
+	"-1 2\n", "2 -0\n", "-0 2\n",
+	"0 1\n1 2147483647\n",      // the largest int32 is not a vertex
+	"2147483648 1\n",           // out of int32
+	"1 99999999999999999999\n", // out of int64
+	"0 1",                      // no final newline
+	"",
+}
+
+func TestReadEdgeListMatchesReference(t *testing.T) {
+	for _, input := range edgeListCorpus {
+		sameEdgeListVerdict(t, input)
+	}
+}
+
+// FuzzReadEdgeList runs the same comparison on arbitrary bytes. Inputs
+// with seven digits in a row are left out: both readers would build a
+// graph with that many vertices.
+func FuzzReadEdgeList(f *testing.F) {
+	for _, input := range edgeListCorpus {
+		f.Add(input)
+	}
+	longID := regexp.MustCompile(`[0-9]{7}`)
+	f.Fuzz(func(t *testing.T, input string) {
+		if longID.MatchString(input) {
+			t.Skip()
+		}
+		sameEdgeListVerdict(t, input)
+	})
+}
+
+// TestReadEdgeListAllocations: what ReadEdgeList allocates is its buffers
+// and the graph, none of it per line.
+func TestReadEdgeListAllocations(t *testing.T) {
+	allocs := func(lines int) float64 {
+		var text strings.Builder
+		for i := 0; i < lines; i++ {
+			fmt.Fprintf(&text, "%d %d\n", i%1000, (i*7+1)%1000)
+		}
+		input := text.String()
+		return testing.AllocsPerRun(5, func() {
+			if _, err := ReadEdgeList(strings.NewReader(input)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// Sixteen times the lines regrow the edge buffer a few more times.
+	if few, many := allocs(5_000), allocs(80_000); many > 2*few {
+		t.Fatalf("%v allocations for 5000 lines, %v for 80000: allocation grows with the line count", few, many)
 	}
 }
 

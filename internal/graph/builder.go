@@ -60,44 +60,65 @@ func (b *Builder) AddEdge(u, v int32) {
 // AddEdgeGrow records {u,v} and grows the vertex count to cover both
 // endpoints. Useful when loading edge lists whose vertex count is unknown.
 func (b *Builder) AddEdgeGrow(u, v int32) {
-	max := u
-	if v > max {
-		max = v
-	}
-	b.Grow(int(max) + 1)
+	b.Grow(int(max(u, v)) + 1)
 	b.AddEdge(u, v)
 }
 
 // Build produces the deduplicated CSR graph in time linear in the edges
-// added, plus a sort local to each adjacency row: count degrees, prefix-sum
-// them into row starts, scatter both directions of every edge into its
-// rows, then canonicalize the rows. The Builder can be reused afterwards
+// added, without sorting anything. Row v is its lower part (neighbours
+// below v) followed by its upper part (neighbours above v). Build counts
+// degrees, prefix-sums them into row starts and scatters every edge's
+// smaller endpoint into the front of its larger endpoint's row, which
+// leaves the lower parts in arrival order and shows where each upper part
+// begins. Two transpositions then visit the rows in ascending order: v goes
+// to the upper part of every u in v's lower part, which writes the upper
+// parts ascending, and u goes back to the lower part of every v in u's
+// upper part, which rewrites the lower parts ascending. canonicalize has
+// only repeated edges left to drop. The Builder can be reused afterwards
 // (its edge buffer is retained).
 func (b *Builder) Build() (*Graph, error) {
-	// start[v+1] is where row v begins; the scatter below advances it to
-	// where row v ends, which is where row v+1 begins, so start[:n+1] ends
-	// up as the CSR offsets without a second cursor array.
-	start := make([]int64, b.n+2)
-	for _, e := range b.edges {
+	n, edges := b.n, b.edges
+	offsets := make([]int64, n+1)
+	for _, e := range edges {
 		u, v := int32(e>>32), int32(uint32(e))
-		if u < 0 || v < 0 || int(v) >= b.n {
-			return nil, fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, b.n)
+		if u < 0 || int(v) >= n {
+			return nil, fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, n)
 		}
-		start[u+2]++
-		start[v+2]++
+		offsets[u+1]++
+		offsets[v+1]++
 	}
-	for v := 2; v < len(start); v++ {
-		start[v] += start[v-1]
+	for v := 0; v < n; v++ {
+		offsets[v+1] += offsets[v]
 	}
-	targets := make([]int32, 2*len(b.edges))
-	for _, e := range b.edges {
-		u, v := int32(e>>32), int32(uint32(e))
-		targets[start[u+1]] = v
-		start[u+1]++
-		targets[start[v+1]] = u
-		start[v+1]++
+	targets := make([]int32, 2*len(edges))
+	// Lower parts in arrival order: cur[v] advances from where row v begins
+	// to where its upper part does.
+	cur := slices.Clone(offsets[:n])
+	for _, e := range edges {
+		v := uint32(e)
+		targets[cur[v]] = int32(e >> 32)
+		cur[v]++
 	}
-	return canonicalize(start[:b.n+1], targets), nil
+	// Upper parts. The upper part of row v is written only while rows above
+	// v are visited, so cur[v] still marks the end of v's lower part when
+	// v's turn comes.
+	for v := 0; v < n; v++ {
+		for _, u := range targets[offsets[v]:cur[v]] {
+			targets[cur[u]] = int32(v)
+			cur[u]++
+		}
+	}
+	// Lower parts again, ascending this time. The lower part of row u is
+	// written only while rows below it are visited, so when u's turn comes
+	// cur[u] has reached the beginning of u's upper part.
+	copy(cur, offsets)
+	for u := 0; u < n; u++ {
+		for _, v := range targets[cur[u]:offsets[u+1]] {
+			targets[cur[v]] = int32(u)
+			cur[v]++
+		}
+	}
+	return canonicalize(offsets, targets), nil
 }
 
 // MustBuild is Build that panics on error; for tests and generators whose

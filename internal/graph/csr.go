@@ -7,26 +7,30 @@ import (
 	"sync/atomic"
 )
 
-// parallelRowSlots is the number of adjacency slots below which
-// canonicalize stays on the calling goroutine. Measured on the 2-vCPU
-// reference host by building uniform random graphs of 2^11 to 2^20 slots
-// with the row pass forced serial and forced split (table in DESIGN.md,
-// "How a CSR is built"): the two stay within a tenth of each other up to
-// 2^14 slots and the split pass wins from 2^15 on.
-const parallelRowSlots = 1 << 15
+// parallelSlots is the number of adjacency slots below which the row passes
+// — canonicalize's check and pack, InducedSubgraph's count and fill — stay
+// on the calling goroutine. Measured on the 2-vCPU reference host, every
+// caller forced serial and forced split on graphs of 2^13 to 2^22 slots
+// (table in DESIGN.md, "How a CSR is built"): below 2^16 the split loses a
+// tenth to a third for all of them, from 2^17 on none loses and the ones
+// with work in them (unsorted rows, an induced subgraph) win a quarter to
+// a half.
+const parallelSlots = 1 << 17
 
-// canonicalize is the one construction kernel behind Builder.Build,
+// canonicalize is the one finishing kernel behind Builder.Build,
 // FromAdjacency and InducedSubgraph. It takes a raw CSR — row v occupies
 // targets[offsets[v]:offsets[v+1]], every entry in [0,n), in any order,
 // possibly naming v itself or a neighbour twice — and returns the
 // canonical graph: rows sorted ascending, self-loops and duplicates gone,
-// arrays exactly as long as what is left. Rows are independent, so the
-// sorting pass is split over GOMAXPROCS goroutines; the result does not
-// depend on how. It takes ownership of both slices.
+// arrays exactly as long as what is left. A row that arrives ascending
+// (all of Build's, all of an ascending keep's) is only checked and, where
+// it repeats a neighbour, closed up; any other row is sorted first. Rows
+// are independent, so the row pass is split over GOMAXPROCS goroutines;
+// the result does not depend on how. It takes ownership of both slices.
 func canonicalize(offsets []int64, targets []int32) *Graph {
 	n := len(offsets) - 1
 	var freed atomic.Int64
-	forRowRanges(offsets, func(lo, hi int) {
+	forRowRanges(n, offsets[n], func(lo, hi int) {
 		f := 0
 		for v := lo; v < hi; v++ {
 			f += canonRow(int32(v), targets[offsets[v]:offsets[v+1]])
@@ -56,23 +60,28 @@ func canonicalize(offsets []int64, targets []int32) *Graph {
 	return &Graph{offsets: offsets, targets: packed}
 }
 
-// canonRow sorts v's row unless it is already canonical, drops v itself and
-// repeated neighbours, fills the slots that frees at the end of the row
-// with -1 and returns how many there are.
+// canonRow makes v's row canonical — ascending, without v, without repeats
+// — sorting it only if it is not ascending already, fills the slots that
+// frees at the end of the row with -1 and returns how many there are.
 func canonRow(v int32, row []int32) int {
-	canonical := true
+	ascending, strict := true, true
 	prev := int32(-1)
 	for _, w := range row {
-		if w <= prev || w == v {
-			canonical = false
+		if w < prev {
+			ascending = false
 			break
+		}
+		if w == prev || w == v {
+			strict = false
 		}
 		prev = w
 	}
-	if canonical {
+	if ascending && strict {
 		return 0
 	}
-	slices.Sort(row)
+	if !ascending {
+		slices.Sort(row)
+	}
 	k := 0
 	for _, w := range row {
 		if w == v || (k > 0 && row[k-1] == w) {
@@ -87,15 +96,15 @@ func canonRow(v int32, row []int32) int {
 	return len(row) - k
 }
 
-// forRowRanges calls fn on vertex ranges [lo,hi) that together cover every
-// row exactly once. Above parallelRowSlots, GOMAXPROCS goroutines draw
-// blocks of rowBlock vertices from a shared counter — degrees are skewed,
-// so a block holding hub rows delays only the worker that drew it — and
-// forRowRanges returns when all are done.
-func forRowRanges(offsets []int64, fn func(lo, hi int)) {
-	n := len(offsets) - 1
+// forRowRanges calls fn on vertex ranges [lo,hi) that together cover
+// [0,n) exactly once, for passes whose work is in the rows they own. From
+// parallelSlots slots on, GOMAXPROCS goroutines draw blocks of rowBlock
+// vertices from a shared counter — degrees are skewed, so a block holding
+// hub rows delays only the worker that drew it — and forRowRanges returns
+// when all are done.
+func forRowRanges(n int, slots int64, fn func(lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
-	if workers == 1 || offsets[n] < parallelRowSlots {
+	if workers == 1 || slots < parallelSlots {
 		fn(0, n)
 		return
 	}

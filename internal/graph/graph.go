@@ -175,26 +175,35 @@ func (g *Graph) InducedSubgraph(keep []int32) (*Graph, []int32, error) {
 		}
 		newID[v] = int32(i) + 1
 	}
+	// Count, prefix-sum, fill: new row i is written by whoever draws i, so
+	// both passes split over the rows of keep.
 	offsets := make([]int64, len(keep)+1)
-	for i, v := range keep {
-		kept := int64(0)
-		for _, w := range g.Neighbors(v) {
-			if newID[w] != 0 {
-				kept++
+	forRowRanges(len(keep), int64(len(g.targets)), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			kept := int64(0)
+			for _, w := range g.Neighbors(keep[i]) {
+				if newID[w] != 0 {
+					kept++
+				}
 			}
+			offsets[i+1] = kept
 		}
-		offsets[i+1] = offsets[i] + kept
+	})
+	for i := range keep {
+		offsets[i+1] += offsets[i]
 	}
 	targets := make([]int32, offsets[len(keep)])
-	p := 0
-	for _, v := range keep {
-		for _, w := range g.Neighbors(v) {
-			if j := newID[w]; j != 0 {
-				targets[p] = j - 1
-				p++
+	forRowRanges(len(keep), int64(len(g.targets)), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			p := offsets[i]
+			for _, w := range g.Neighbors(keep[i]) {
+				if j := newID[w]; j != 0 {
+					targets[p] = j - 1
+					p++
+				}
 			}
 		}
-	}
+	})
 	// An ascending keep renumbers monotonically, so the rows arrive sorted
 	// and canonicalize only reads them; any other order gets its rows
 	// sorted there.

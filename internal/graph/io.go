@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -9,7 +10,8 @@ import (
 	"os"
 	"slices"
 	"strconv"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Text edge-list format: one edge per line, "u v" (whitespace separated),
@@ -26,21 +28,24 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == '#' || line[0] == '%' {
+		// The line is parsed where the scanner holds it: no string, no
+		// field slice, so nothing is allocated per line.
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' || line[0] == '%' {
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
+		first, rest := cutField(line)
+		second, _ := cutField(rest)
+		if len(second) == 0 {
 			return nil, fmt.Errorf("graph: line %d: want at least 2 fields, got %q", lineNo, line)
 		}
-		u, err := strconv.ParseInt(fields[0], 10, 32)
+		u, err := parseVertex(first)
 		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad vertex %q: %v", lineNo, fields[0], err)
+			return nil, fmt.Errorf("graph: line %d: bad vertex %q: %v", lineNo, first, err)
 		}
-		v, err := strconv.ParseInt(fields[1], 10, 32)
+		v, err := parseVertex(second)
 		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad vertex %q: %v", lineNo, fields[1], err)
+			return nil, fmt.Errorf("graph: line %d: bad vertex %q: %v", lineNo, second, err)
 		}
 		if u < 0 || v < 0 {
 			return nil, fmt.Errorf("graph: line %d: negative vertex id", lineNo)
@@ -56,6 +61,42 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	return b.Build()
 }
 
+// cutField returns the first white-space-separated field of line and what
+// follows it; line has no leading white space. White space is what
+// unicode.IsSpace says, asked only once a byte outside ASCII turns up.
+func cutField(line []byte) (field, rest []byte) {
+	end := len(line)
+	for i, c := range line {
+		if c == ' ' || c-'\t' < 5 { // blank, \t \n \v \f \r
+			end = i
+			break
+		}
+		if c >= utf8.RuneSelf {
+			if j := bytes.IndexFunc(line[i:], unicode.IsSpace); j >= 0 {
+				end = i + j
+			}
+			break
+		}
+	}
+	return line[:end], bytes.TrimLeftFunc(line[end:], unicode.IsSpace)
+}
+
+// parseVertex is strconv.ParseInt(string(field), 10, 32), which it calls
+// for the verdict on anything but a plain run of at most nine digits.
+func parseVertex(field []byte) (int64, error) {
+	if len(field) == 0 || len(field) > 9 {
+		return strconv.ParseInt(string(field), 10, 32)
+	}
+	id := int64(0)
+	for _, c := range field {
+		if c < '0' || c > '9' {
+			return strconv.ParseInt(string(field), 10, 32)
+		}
+		id = id*10 + int64(c-'0')
+	}
+	return id, nil
+}
+
 // LoadEdgeList reads a text edge list file.
 func LoadEdgeList(path string) (*Graph, error) {
 	f, err := os.Open(path)
@@ -69,16 +110,28 @@ func LoadEdgeList(path string) (*Graph, error) {
 // WriteEdgeList writes the graph as a text edge list (each undirected edge
 // once, with u < v).
 func (g *Graph) WriteEdgeList(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	fmt.Fprintf(bw, "# undirected graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
+	const flushAt = 1 << 20
+	buf := make([]byte, 0, flushAt+64) // room for the line that crosses flushAt
+	buf = fmt.Appendf(buf, "# undirected graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
 	for u := int32(0); u < int32(g.NumVertices()); u++ {
 		for _, v := range g.Neighbors(u) {
-			if u < v {
-				fmt.Fprintf(bw, "%d %d\n", u, v)
+			if u >= v {
+				continue
+			}
+			buf = strconv.AppendInt(buf, int64(u), 10)
+			buf = append(buf, ' ')
+			buf = strconv.AppendInt(buf, int64(v), 10)
+			buf = append(buf, '\n')
+			if len(buf) >= flushAt {
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
 			}
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
 // Binary format:
@@ -95,30 +148,35 @@ var binaryMagic = [8]byte{'H', 'W', 'G', 'R', 'A', 'P', 'H', '1'}
 
 // WriteBinary serializes the graph in the compact binary format.
 func (g *Graph) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
+	hdr := append(make([]byte, 0, 24), binaryMagic[:]...)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(g.NumVertices()))
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(g.targets)))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(g.NumVertices()))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(g.targets)))
-	if _, err := bw.Write(hdr[:]); err != nil {
+	if err := writeArray(w, g.offsets); err != nil {
 		return err
 	}
-	var buf [8]byte
-	for _, o := range g.offsets {
-		binary.LittleEndian.PutUint64(buf[:], uint64(o))
-		if _, err := bw.Write(buf[:8]); err != nil {
+	return writeArray(w, g.targets)
+}
+
+// writeArray writes vals as little-endian values, encoding and writing a
+// chunk at a time as readArray reads them.
+func writeArray[T int32 | int64](w io.Writer, vals []T) error {
+	const chunk = 1 << 16 // values per write
+	buf := make([]byte, 0, min(len(vals), chunk)*binary.Size(T(0)))
+	for len(vals) > 0 {
+		k := min(len(vals), chunk)
+		out, err := binary.Append(buf, binary.LittleEndian, vals[:k])
+		if err != nil {
 			return err
 		}
-	}
-	for _, t := range g.targets {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(t))
-		if _, err := bw.Write(buf[:4]); err != nil {
+		if _, err := w.Write(out); err != nil {
 			return err
 		}
+		vals = vals[k:]
 	}
-	return bw.Flush()
+	return nil
 }
 
 // maxVertices is the largest vertex count a Graph holds: ids are int32 and
