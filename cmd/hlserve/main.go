@@ -3,9 +3,9 @@
 // (PROTOCOL.md) for native clients, or a high-throughput stdin/stdout
 // batch pipeline. The server is live: it accepts edge insertions (POST
 // /edges, or Insert frames on the binary listener) while serving reads
-// lock-free, optionally journalling them to a write-ahead edge log and
-// compacting the log via background rebuilds (see the "Live updates"
-// section of the README and DESIGN.md).
+// lock-free, optionally journalling them to a write-ahead edge log that
+// background checkpoints keep short (see the "Live updates" section of
+// the README and DESIGN.md).
 //
 // Usage:
 //
@@ -29,9 +29,9 @@
 // method's index — the file's method tag selects the decoder, and
 // serve's -method flag cross-checks it. Only the highway labelling
 // serves live updates; every other method serves read-only. With -wal,
-// serve prefers the compacted snapshot a previous run's rebuild
-// persisted next to the log, then replays the log, so restarts lose
-// nothing that was acknowledged.
+// serve prefers the snapshot a previous run's checkpoint persisted next
+// to the log, then replays the log, so restarts lose nothing that was
+// acknowledged.
 package main
 
 import (
@@ -140,8 +140,7 @@ func runServe(args []string, _ io.Reader, stdout, _ io.Writer) error {
 	binAddr := fs.String("binaddr", "", "binary wire protocol listen address (see PROTOCOL.md; empty = HTTP only)")
 	maxBatch := fs.Int("maxbatch", 0, "max pairs/edges per batch request (0 = default)")
 	walPath := fs.String("wal", "", "write-ahead edge log for durable updates (replayed on startup; empty = in-memory updates only)")
-	rebuildTh := fs.Int("rebuild-threshold", 0, "accepted edges triggering a background rebuild (0 = default, <0 = never)")
-	rebuildGrowth := fs.Float64("rebuild-growth", 0, "label-entry growth factor triggering a rebuild (0 = default, <=1 = never)")
+	rebuildTh := fs.Int("rebuild-threshold", 0, "log records that trigger a checkpoint; 0 = default 8192, <0 = never; ignored without -wal")
 	readonly := fs.Bool("readonly", false, "serve the index frozen, without the update API")
 	readBudget := fs.Int("read-budget", 0, "admission budget for in-flight read work, in cost units of 1 + pairs/1024 (0 = default, <0 = unlimited); over-budget requests are shed with 429/Overloaded")
 	writeBudget := fs.Int("write-budget", 0, "admission budget for in-flight insert work, same units as -read-budget (0 = default, <0 = unlimited)")
@@ -169,7 +168,6 @@ func runServe(args []string, _ io.Reader, stdout, _ io.Writer) error {
 	cfg := serve.LiveConfig{
 		Config:           serve.Config{MaxBatch: *maxBatch, ReadBudget: *readBudget, WriteBudget: *writeBudget},
 		RebuildThreshold: *rebuildTh,
-		RebuildGrowth:    *rebuildGrowth,
 	}
 	var shipper *cluster.Shipper
 	if *replicate != "" {
@@ -189,7 +187,7 @@ func runServe(args []string, _ io.Reader, stdout, _ io.Writer) error {
 	// against -method when given (serving a file under the wrong decoder
 	// must fail loudly, not mis-answer). The -wal restart path may
 	// legitimately run without the index file — serve.LoadLive prefers
-	// the compacted snapshot a previous rebuild persisted — so there the
+	// the snapshot a previous checkpoint persisted — so there the
 	// tag defaults to hl and is only sniffed when the file is present.
 	gp, ip, err := paths()
 	if err != nil {
@@ -219,7 +217,7 @@ func runServe(args []string, _ io.Reader, stdout, _ io.Writer) error {
 	switch {
 	case m.Name != "hl":
 		// Generic path: any method serves through the shared machinery.
-		// The WAL/rebuild pipeline is bound to the highway labelling's
+		// The WAL/checkpoint pipeline is bound to the highway labelling's
 		// files; a dynamic-method index (dynhl) still serves live via its
 		// frozen snapshot, every non-dynamic method serves read-only.
 		if *walPath != "" {

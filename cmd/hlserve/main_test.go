@@ -223,6 +223,16 @@ func TestServeBadWALPath(t *testing.T) {
 	}
 }
 
+// TestServeRebuildGrowthFlagGone: a checkpoint recomputes nothing, so
+// there is no label growth to trigger on and the flag that set it is gone.
+func TestServeRebuildGrowthFlagGone(t *testing.T) {
+	gp := writeIndexedGraph(t)
+	err := run([]string{"serve", "-graph", gp, "-rebuild-growth", "1.5"}, nil, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-rebuild-growth: %v, want flag provided but not defined", err)
+	}
+}
+
 // writeMethodIndex builds a non-hl index next to the graph, for the
 // generic serving paths.
 func writeMethodIndex(t *testing.T, methodName string) (graphPath, indexPath string) {

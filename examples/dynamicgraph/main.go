@@ -11,11 +11,12 @@
 //     distances over GET /distance — reads stay lock-free against an
 //     atomically swapped snapshot;
 //
-//  3. force the staleness threshold, watch the background rebuild
-//     hot-swap a fresh index and compact the WAL (visible in /stats);
+//  3. cross the checkpoint threshold, watch the server persist the
+//     snapshot it already serves and compact the WAL (visible in
+//     /stats) — nothing is rebuilt, the labelling is already exact;
 //
-//  4. restart the server and show that WAL replay reconstructs every
-//     acknowledged edge.
+//  4. restart the server and show that the checkpoint plus WAL replay
+//     reconstruct every acknowledged edge.
 //
 // Run with:
 //
@@ -65,8 +66,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Start a live server: durable updates, rebuild after 600 accepted
-	// edges (deliberately low so the example reaches the rebuild).
+	// Start a live server: durable updates, checkpoint every 600 log
+	// records (deliberately low so the example reaches one).
 	startServer := func() (*highway.Server, string, context.CancelFunc) {
 		wal, err := highway.OpenWAL(walPath)
 		if err != nil {
@@ -139,18 +140,19 @@ func main() {
 		accepted, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("after updates:  d(%d,%d) = %d (exact on the evolved graph)\n", s, t, getDistance(s, t))
 
-	// 1,000 accepted edges crossed the 600-edge staleness threshold, so
-	// a background rebuild is (or was) in flight: wait for it and show
-	// the lifecycle counters from /stats.
+	// 1,000 accepted edges crossed the 600-record threshold, so a
+	// checkpoint is (or was) in flight: wait for it and show the
+	// lifecycle counters from /stats. (Rebuilding/Rebuilds are the
+	// counters' historical names; a checkpoint recomputes nothing.)
 	for srv.Rebuilding() {
 		time.Sleep(10 * time.Millisecond)
 	}
 	st := srv.LiveStats()
-	fmt.Printf("background rebuilds: %d (last took %.1fms); WAL compacted to %d records; snapshot epoch %d\n",
+	fmt.Printf("checkpoints: %d (last took %.1fms); WAL compacted to %d records; snapshot epoch %d\n",
 		st.Rebuilds, st.LastRebuildMs, st.WALLen, st.Epoch)
 
-	// Kill and restart: the compacted snapshot + WAL replay reconstruct
-	// every acknowledged edge.
+	// Kill and restart: the checkpoint + WAL replay reconstruct every
+	// acknowledged edge.
 	dBefore := getDistance(s, t)
 	stop()
 	srv2, err := highway.LoadLiveServer(graphPath, indexPath, walPath, highway.LiveConfig{})

@@ -51,9 +51,10 @@
 // dynamic labelling (the pruned BFS is re-run for the landmarks a batch
 // dirtied, and only those) and publish a fresh snapshot per batch. An optional write-ahead edge log
 // (OpenWAL) makes acknowledged writes crash-durable — deletions are
-// logged in the same file as one's-complement records — and a staleness
-// threshold triggers background full rebuilds that hot-swap in and
-// compact the log. See DESIGN.md for the architecture and lifecycle.
+// logged in the same file as one's-complement records — and once the
+// log reaches a threshold length a background checkpoint persists the
+// snapshot already being served and compacts the log; nothing is
+// rebuilt. See DESIGN.md for the architecture and lifecycle.
 //
 //	wal, _ := highway.OpenWAL("edges.wal")
 //	srv, _ := highway.NewLiveServer(ix.(*highway.Index), highway.LiveConfig{WAL: wal})
@@ -289,9 +290,9 @@ func Serve(ctx context.Context, ix *Index, addr string) error {
 }
 
 // LiveConfig tunes an updatable Server: the base ServeConfig plus the
-// write-ahead log and the staleness thresholds that trigger background
-// rebuilds. The zero value serves in-memory live updates with default
-// thresholds.
+// write-ahead log and the log length that triggers a checkpoint
+// (RebuildThreshold). The zero value serves in-memory live updates: no
+// log, so nothing to checkpoint.
 type LiveConfig = serve.LiveConfig
 
 // WAL is a write-ahead edge log: it makes acknowledged edge insertions
@@ -317,14 +318,15 @@ func OpenWAL(path string) (*WAL, error) { return serve.OpenWAL(path) }
 // NewLiveServer returns an updatable Server seeded from ix: reads are
 // answered lock-free from an immutable snapshot, InsertEdges and
 // DeleteEdges (POST and DELETE /edges) mutations publish fresh
-// snapshots, and accumulated drift triggers a background rebuild with
-// the direction-optimizing builder.
-// If cfg.WAL is set, previously logged edges are replayed before the
-// server starts answering. Call Server.Close on shutdown.
+// snapshots, each exactly the labelling a from-scratch build would
+// produce. If cfg.WAL is set, previously logged edges are replayed
+// before the server starts answering, and a background checkpoint
+// (snapshot next to the log, then log compaction) keeps the log under
+// cfg.RebuildThreshold records. Call Server.Close on shutdown.
 func NewLiveServer(ix *Index, cfg LiveConfig) (*Server, error) { return serve.NewLive(ix, cfg) }
 
 // LoadLiveServer assembles a live server from files: the newest
-// persisted state (a rebuild's compacted snapshot next to the WAL if
+// persisted state (a checkpoint's snapshot next to the WAL if
 // present, else the base graph+index files), with the WAL replayed on
 // top. This is the crash-recovery entry point behind "hlserve serve
 // -wal".

@@ -68,22 +68,32 @@ type primaryNode struct {
 	sh  *Shipper
 }
 
+// checkpointEvery is the primaries' checkpoint threshold: low enough
+// that the churn and the kill/restart schedule run with snapshot writes
+// and log compactions in flight.
+const checkpointEvery = 5
+
+// startPrimary starts (or restarts) the primary whose log is walPath the
+// way hlserve does, through serve.LoadLive: from the newest checkpoint
+// next to the log if there is one, else from ix written out as the base
+// files, then the log on top.
 func startPrimary(t *testing.T, ix *core.Index, walPath string, followers []string) *primaryNode {
 	t.Helper()
 	gen, err := NextGeneration(walPath + ".gen")
 	if err != nil {
 		t.Fatal(err)
 	}
-	wal, err := serve.OpenWAL(walPath)
-	if err != nil {
+	graphPath, indexPath := walPath+".base.hwg", walPath+".base.idx"
+	if err := ix.Graph().SaveBinary(graphPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Save(indexPath); err != nil {
 		t.Fatal(err)
 	}
 	sh := NewShipper(ShipperConfig{Followers: followers, RetryInterval: 20 * time.Millisecond})
-	srv, err := serve.NewLive(ix, serve.LiveConfig{
+	srv, err := serve.LoadLive(graphPath, indexPath, walPath, serve.LiveConfig{
 		Config:           serve.Config{ShutdownGrace: time.Second},
-		WAL:              wal,
-		RebuildThreshold: -1, // landmarks must stay fixed for the byte-identity check
-		RebuildGrowth:    1,
+		RebuildThreshold: checkpointEvery,
 		EpochBase:        EpochBase(gen),
 		OnCommit:         sh.OnCommit,
 	})
@@ -241,6 +251,53 @@ func TestClusterChaosChurn(t *testing.T) {
 	rs := p.sh.Stats()
 	if rs.Role != "primary" || rs.Followers != 2 || rs.Acked == 0 {
 		t.Fatalf("primary replication stats off: %+v", rs)
+	}
+	// All of the above held with compaction in flight: the restarted
+	// primary alone took several thresholds' worth of writes.
+	if st := p.srv.LiveStats(); st.Rebuilds == 0 || st.RebuildErrors != 0 {
+		t.Fatalf("the churn ran without a clean checkpoint: %+v", st)
+	}
+}
+
+// TestCheckpointKeepsEpoch: a checkpoint carries no write, so it must
+// not move the epoch — one epoch per acked batch, none per checkpoint —
+// or followers, which only ever see writes, could never catch up with
+// the primary again.
+func TestCheckpointKeepsEpoch(t *testing.T) {
+	g := gen.BarabasiAlbert(60, 2, 3)
+	lms, err := landmark.Select(g, landmark.Options{K: 4, Strategy: landmark.Degree})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix0, err := core.BuildParallel(g, lms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn := startFollower(t, "")
+	defer fn.stop()
+	p := startPrimary(t, ix0, filepath.Join(t.TempDir(), "edges.wal"), []string{fn.addr})
+	defer p.stop()
+
+	const batches = 2*checkpointEvery + 1
+	for i := int32(0); i < batches; i++ {
+		if _, err := p.srv.InsertEdges([][2]int32{{i, 59 - i}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for st := p.srv.LiveStats(); st.Rebuilds == 0 || st.Rebuilding; st = p.srv.LiveStats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("no checkpoint after %d writes at threshold %d: %+v", batches, checkpointEvery, st)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := p.srv.Epoch() - EpochBase(1); got != batches {
+		t.Fatalf("primary is %d epochs past its base after %d batches and %d checkpoints",
+			got, batches, p.srv.LiveStats().Rebuilds)
+	}
+	waitConverged(t, p, fn)
+	if fe, pe := fn.f.Epoch(), p.srv.Epoch(); fe != pe {
+		t.Fatalf("follower at epoch %d, primary at %d", fe, pe)
 	}
 }
 

@@ -2,10 +2,9 @@
 // tier: named points in production code where tests (or an operator
 // running a chaos drill) can inject failures — an error return, a
 // delay, a panic, or a bounded burst of errors — without touching the
-// code under test. The WAL, the snapshot writer, the background
-// rebuild and the binary listener all evaluate failpoints on their
-// failure-prone paths; see DESIGN.md "Failure modes & degraded
-// operation" for the site list.
+// code under test. The WAL, the snapshot writer and the binary listener
+// all evaluate failpoints on their failure-prone paths; see DESIGN.md
+// "Failure modes & degraded operation" for the site list.
 //
 // The design constraint is that a disarmed failpoint must cost almost
 // nothing: production binaries run with every failpoint disarmed, and
@@ -25,7 +24,7 @@
 // HIGHWAY_FAILPOINTS environment variable, a semicolon-separated list
 // of name=spec entries:
 //
-//	HIGHWAY_FAILPOINTS='wal.sync=3*error(injected);serve.rebuild=delay(50ms)'
+//	HIGHWAY_FAILPOINTS='wal.sync=3*error(injected);serve.snapshot.write=delay(50ms)'
 //
 // # Spec grammar
 //

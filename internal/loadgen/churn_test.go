@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -25,12 +26,16 @@ func liveTestServer(t *testing.T) (*serve.Server, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wal, err := serve.OpenWAL(filepath.Join(t.TempDir(), "edges.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv, err := serve.NewLive(ix, serve.LiveConfig{
 		Config: serve.Config{ShutdownGrace: time.Second},
-		// Low threshold: the churn should drive background rebuilds
-		// (snapshot swaps) under the measured load.
+		// A WAL and a low threshold: the churn should drive checkpoints
+		// (log compactions) under the measured load.
+		WAL:              wal,
 		RebuildThreshold: 20,
-		RebuildWorkers:   2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -32,8 +32,10 @@ import (
 //     ends up byte-for-byte equal to magic + one record per acked op in
 //     ack order — insertions as plain endpoints, deletions as
 //     one's-complement records (failed appends and crash garbage leave
-//     no trace) — and in every configuration a second restart leaves
-//     the log byte-identical (recovery is read-only on an intact log).
+//     no trace) — and a second restart leaves a log under the
+//     checkpoint threshold byte-identical (recovery is read-only on an
+//     intact log), a longer one checkpointed down to nothing with the
+//     answers unchanged.
 //
 // Every iteration is seeded, so a failure reproduces with -run
 // 'TestChaos.*/iter042'.
@@ -41,10 +43,10 @@ import (
 // chaosPoints is the failpoint schedule space: each iteration arms a
 // random subset with small fail-N-times error budgets (plus occasional
 // fsync delays), so faults are transient and the server must come back
-// through the degraded-mode probe / rebuild-retry machinery on its own.
+// through the degraded-mode probe / checkpoint-retry machinery on its own.
 var chaosPoints = []string{
 	FPWALSync, FPWALAppend, FPWALAppendShort,
-	FPRebuild, FPSnapshotWrite, FPWALCompact,
+	FPSnapshotWrite, FPWALCompact,
 }
 
 func armChaos(t *testing.T, rng *rand.Rand) {
@@ -228,22 +230,20 @@ func TestChaosCrashRestartDurability(t *testing.T) {
 			rng := rand.New(rand.NewSource(0x9E3779B9*int64(it) + 12345))
 			walPath := filepath.Join(dir, fmt.Sprintf("chaos-%03d.wal", it))
 
-			// A quarter of the iterations run with an aggressive rebuild
-			// threshold so compaction and snapshot persistence are in the
-			// blast radius too; the rest disable rebuilds entirely, which
-			// is what makes the byte-exact WAL prediction valid for them.
-			rebuildOn := rng.Intn(4) == 0
+			// A quarter of the iterations run with an aggressive
+			// checkpoint threshold so compaction and snapshot persistence
+			// are in the blast radius too; the rest never checkpoint,
+			// which is what makes the byte-exact WAL prediction valid for
+			// them (compaction does shorten the log).
+			checkpointOn := rng.Intn(4) == 0
 			cfg := LiveConfig{
 				DegradedProbeInterval: 2 * time.Millisecond,
 				RebuildRetryBase:      2 * time.Millisecond,
 				RebuildRetryMax:       8 * time.Millisecond,
-				RebuildWorkers:        1,
+				RebuildThreshold:      -1,
 			}
-			if rebuildOn {
+			if checkpointOn {
 				cfg.RebuildThreshold = 8 + rng.Intn(16)
-			} else {
-				cfg.RebuildThreshold = -1
-				cfg.RebuildGrowth = 1 // disabled
 			}
 
 			// acked accumulates every op batch the server acknowledged,
@@ -279,7 +279,7 @@ func TestChaosCrashRestartDurability(t *testing.T) {
 						}
 					}
 					if rng.Intn(3) == 0 {
-						// Let the recovery probe / rebuild retry fire.
+						// Let the recovery probe / checkpoint retry fire.
 						time.Sleep(time.Duration(1+rng.Intn(4)) * time.Millisecond)
 					}
 				}
@@ -304,33 +304,36 @@ func TestChaosCrashRestartDurability(t *testing.T) {
 			// vanished or a delete that was forgotten shows up right
 			// there) and on random pairs (catches smuggled un-acked
 			// writes anywhere in the graph).
-			ref, err := NewLive(ix, LiveConfig{RebuildThreshold: -1, RebuildGrowth: 1})
+			ref, err := NewLive(ix, LiveConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer ref.Close()
 			if err := replayOps(ref, acked); err != nil {
 				t.Fatal(err)
 			}
-			check := func(a, b int32) {
-				got, err := srv.Distance(a, b)
-				if err != nil {
-					t.Fatal(err)
+			checkAgainstRef := func(srv *Server) {
+				check := func(a, b int32) {
+					got, err := srv.Distance(a, b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := ref.Distance(a, b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Errorf("d(%d,%d) = %d after restart, reference says %d", a, b, got, want)
+					}
 				}
-				want, err := ref.Distance(a, b)
-				if err != nil {
-					t.Fatal(err)
+				for _, op := range acked {
+					check(op.A, op.B)
 				}
-				if got != want {
-					t.Errorf("d(%d,%d) = %d after restart, reference says %d", a, b, got, want)
+				for q := 0; q < 30; q++ {
+					check(rng.Int31n(n), rng.Int31n(n))
 				}
 			}
-			for _, op := range acked {
-				check(op.A, op.B)
-			}
-			for q := 0; q < 30; q++ {
-				check(rng.Int31n(n), rng.Int31n(n))
-			}
-			ref.Close()
+			checkAgainstRef(srv)
 			if err := srv.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -339,17 +342,24 @@ func TestChaosCrashRestartDurability(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !rebuildOn {
+			if !checkpointOn {
 				if want := expectedWALBytes(acked); !bytes.Equal(logBytes, want) {
 					t.Fatalf("WAL is not byte-identical to the acked history: %d bytes on disk, want %d (%d acked edges)",
 						len(logBytes), len(want), len(acked))
 				}
 			}
-			// Replay determinism in every configuration: restarting an
-			// intact log must not rewrite it.
+			// Replay determinism: restarting an intact log under the
+			// checkpoint threshold must not rewrite it; a longer one (the
+			// restart above was closed before its checkpoint compacted it)
+			// is checkpointed by the restart alone, answers unchanged.
 			srv2, err := LoadLive(graphPath, indexPath, walPath, cfg)
 			if err != nil {
 				t.Fatalf("second clean restart failed: %v", err)
+			}
+			long := checkpointOn && len(srv2.up.wal.Recovered()) >= cfg.RebuildThreshold
+			if long {
+				waitFor(t, 10*time.Second, "the restart's checkpoint", func() bool { return srv2.LiveStats().WALLen == 0 })
+				checkAgainstRef(srv2)
 			}
 			if err := srv2.Close(); err != nil {
 				t.Fatal(err)
@@ -358,7 +368,7 @@ func TestChaosCrashRestartDurability(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(logBytes, again) {
+			if !long && !bytes.Equal(logBytes, again) {
 				t.Fatalf("restart of an intact log changed it: %d bytes -> %d bytes", len(logBytes), len(again))
 			}
 		})

@@ -42,7 +42,7 @@ func TestDegradedReadOnlyUnderFsyncFailure(t *testing.T) {
 	}
 	s, err := NewLive(ix, LiveConfig{
 		WAL:                   wal,
-		RebuildThreshold:      -1, // isolate degradation from rebuilds
+		RebuildThreshold:      -1, // isolate degradation from checkpoints
 		DegradedProbeInterval: 10 * time.Millisecond,
 	})
 	if err != nil {
@@ -172,14 +172,21 @@ func TestDegradedReadOnlyUnderFsyncFailure(t *testing.T) {
 	}
 }
 
-// TestRebuildRetryBackoff pins the rebuild failure policy: a failing
-// background rebuild keeps the old snapshot serving, schedules retries
-// with backoff instead of refiring on every write, and eventually
-// succeeds once the fault clears — all visible in LiveStats.
+// TestRebuildRetryBackoff pins the checkpoint failure policy: while the
+// snapshot cannot be written the log stays uncompacted and the same
+// index keeps serving, retries come with backoff instead of refiring on
+// every write, and the checkpoint lands once the fault clears — all
+// visible in LiveStats.
 func TestRebuildRetryBackoff(t *testing.T) {
 	defer failpoint.Reset()
-	_, _, ix := liveBase(t, 300, 6)
+	g, _, ix := liveBase(t, 300, 6)
+	_, _, walPath := saveBase(t, g, ix)
+	wal, err := OpenWAL(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := NewLive(ix, LiveConfig{
+		WAL:              wal,
 		RebuildThreshold: 4,
 		RebuildRetryBase: 10 * time.Millisecond,
 		RebuildRetryMax:  40 * time.Millisecond,
@@ -189,9 +196,9 @@ func TestRebuildRetryBackoff(t *testing.T) {
 	}
 	defer s.Close()
 
-	// The first two rebuild attempts die at the failpoint, the third
-	// succeeds via the retry timer with no further writes arriving.
-	if err := failpoint.Set(FPRebuild, "2*error(build exploded)"); err != nil {
+	// The first two attempts die at the failpoint, the third succeeds
+	// via the retry timer with no further writes arriving.
+	if err := failpoint.Set(FPSnapshotWrite, "2*error(disk full)"); err != nil {
 		t.Fatal(err)
 	}
 	edges := make([][2]int32, 0, 4)
@@ -201,8 +208,15 @@ func TestRebuildRetryBackoff(t *testing.T) {
 	if _, err := s.InsertEdges(edges); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 10*time.Second, "rebuild to succeed after retries", func() bool {
-		st := s.LiveStats()
+	served := s.Index()
+	waitFor(t, 10*time.Second, "checkpoint to succeed after retries", func() bool {
+		st := s.LiveStats() // one consistent view: compaction and the counter move under one lock hold
+		if st.Rebuilds == 0 && st.WALLen != len(edges) {
+			t.Fatalf("log compacted to %d records before any checkpoint succeeded", st.WALLen)
+		}
+		if _, err := s.Distance(0, 150); err != nil {
+			t.Fatal(err)
+		}
 		return st.Rebuilds == 1 && !st.Rebuilding
 	})
 	st := s.LiveStats()
@@ -212,15 +226,18 @@ func TestRebuildRetryBackoff(t *testing.T) {
 	if st.RebuildFails != 0 {
 		t.Fatalf("RebuildFails = %d after success, want 0", st.RebuildFails)
 	}
+	if st.WALLen != 0 {
+		t.Fatalf("WALLen = %d after the checkpoint, want 0", st.WALLen)
+	}
 	// The failpoint fired exactly its budgeted 2 times (hits stop
 	// counting once a fail-N-times point exhausts), so the success came
 	// from the third attempt.
-	if failpoint.Hits(FPRebuild) != 2 {
-		t.Fatalf("injected failures = %d, want 2", failpoint.Hits(FPRebuild))
+	if failpoint.Hits(FPSnapshotWrite) != 2 {
+		t.Fatalf("injected failures = %d, want 2", failpoint.Hits(FPSnapshotWrite))
 	}
-	// Reads and writes kept working the whole time.
-	if _, err := s.Distance(0, 150); err != nil {
-		t.Fatal(err)
+	// The same index served the whole time, and writes still work.
+	if s.Index() != served {
+		t.Fatal("a checkpoint retry replaced the served index")
 	}
 	if _, err := s.InsertEdges([][2]int32{{9, 199}}); err != nil {
 		t.Fatal(err)

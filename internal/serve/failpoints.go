@@ -20,13 +20,10 @@ const (
 	// FPWALCompact fires at the start of CompactTo; the old log stays
 	// intact.
 	FPWALCompact = "wal.compact"
-	// FPSnapshotWrite fires at the start of writeSnapshot, failing the
-	// snapshot persistence step of a background rebuild.
+	// FPSnapshotWrite fires at the start of writeSnapshot, failing a
+	// checkpoint before anything reaches the disk: the log stays
+	// uncompacted and the retry/backoff machinery takes over.
 	FPSnapshotWrite = "serve.snapshot.write"
-	// FPRebuild fires at the start of a background rebuild, before any
-	// work: the rebuild fails, the old snapshot keeps serving, and the
-	// retry/backoff machinery takes over.
-	FPRebuild = "serve.rebuild"
 	// FPBinWrite fires before each binary-listener frame write,
 	// simulating a broken client connection mid-response.
 	FPBinWrite = "serve.bin.write"

@@ -223,9 +223,9 @@ func TestLiveRestartReplaysWAL(t *testing.T) {
 	g, lms, ix := liveBase(t, 500, 8)
 	graphPath, indexPath, walPath := saveBase(t, g, ix)
 
-	// Disable rebuilds: this test isolates the replay path (the stress
+	// No checkpoints: this test isolates the replay path (the stress
 	// test covers replay ⊕ compaction together).
-	cfg := LiveConfig{RebuildThreshold: -1, RebuildGrowth: 1}
+	cfg := LiveConfig{RebuildThreshold: -1}
 	srvA, err := LoadLive(graphPath, indexPath, walPath, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -299,15 +299,17 @@ func pairKey(s, t int32) int64 { return int64(s)<<32 | int64(uint32(t)) }
 
 // TestLiveStressRebuildAndRestart is the -race stress test of the
 // acceptance criteria: concurrent POST /edges and GET /distance traffic,
-// a kill + restart mid-stream, and threshold-triggered background
-// rebuilds. It verifies that
+// a kill + restart mid-stream, and threshold-triggered checkpoints. It
+// verifies that
 //
-//	(a) the replayed WAL yields distances identical to a from-scratch
-//	    dynamic build over the same edge sequence, and
-//	(b) rebuilds hot-swap without a reader ever observing an HTTP
-//	    error, a distance increase (edges are only added, so any
-//	    regression means a stale or torn snapshot), or — right after a
-//	    write is acknowledged — an answer older than that write.
+//	(a) the persisted snapshot ⊕ the replayed WAL yield distances
+//	    identical to a from-scratch dynamic build over the same edge
+//	    sequence, and
+//	(b) with checkpoints compacting the log underneath, no reader ever
+//	    observes an HTTP error, a distance increase (edges are only
+//	    added, so any regression means a stale or torn snapshot), or —
+//	    right after a write is acknowledged — an answer older than that
+//	    write.
 func TestLiveStressRebuildAndRestart(t *testing.T) {
 	const (
 		nVertices  = 600
@@ -320,8 +322,8 @@ func TestLiveStressRebuildAndRestart(t *testing.T) {
 	g, lms, ix := liveBase(t, nVertices, 10)
 	graphPath, indexPath, walPath := saveBase(t, g, ix)
 	// Threshold low enough that both the pre-kill and post-restart
-	// phases trigger background rebuilds under the stream.
-	cfg := LiveConfig{RebuildThreshold: 40, RebuildWorkers: 2}
+	// phases checkpoint under the stream.
+	cfg := LiveConfig{RebuildThreshold: 40}
 
 	srv, err := LoadLive(graphPath, indexPath, walPath, cfg)
 	if err != nil {
@@ -338,7 +340,7 @@ func TestLiveStressRebuildAndRestart(t *testing.T) {
 	// Readers hammer GET /distance and /stats. Every pair's distance
 	// must be non-increasing over time (-1 = unreachable = +inf): any
 	// increase means a reader saw a snapshot older than one it already
-	// observed, i.e. a broken swap.
+	// observed, i.e. a broken publication.
 	var (
 		readerWG   sync.WaitGroup
 		stopRead   chan struct{}
@@ -458,17 +460,19 @@ func TestLiveStressRebuildAndRestart(t *testing.T) {
 	stopReaders()
 
 	// Kill mid-stream. A real crash would also tear down the in-flight
-	// rebuild; Close waits for it instead — the WAL bytes on disk are
-	// the same either way, because every acknowledged append was already
-	// fsynced (torn-tail crashes are covered by the WAL unit tests).
-	rebuildsBeforeKill := srv.LiveStats().Rebuilds
+	// checkpoint; Close waits for it instead — the acknowledged ops on
+	// disk are the same either way, because every append was fsynced
+	// before its ack and the log is only compacted under a durable
+	// snapshot (torn-tail crashes are covered by the WAL unit tests, the
+	// window between the two by TestCheckpointCrashWindow).
+	checkpointsBeforeKill := srv.LiveStats().Rebuilds
 	ts.Close()
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Restart: load whatever is on disk (compacted snapshot + compacted
-	// WAL if a rebuild finished, base files + full WAL otherwise).
+	// Restart: load whatever is on disk (snapshot + compacted WAL if a
+	// checkpoint finished, base files + full WAL otherwise).
 	srv2, err := LoadLive(graphPath, indexPath, walPath, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -500,8 +504,8 @@ func TestLiveStressRebuildAndRestart(t *testing.T) {
 		t.Error(err)
 	}
 
-	// Wait out any in-flight rebuild, then check the lifecycle counters:
-	// the stream must have triggered at least one background rebuild
+	// Wait out any in-flight checkpoint, then check the lifecycle
+	// counters: the stream must have triggered at least one checkpoint
 	// somewhere, and none may have failed.
 	deadline := time.Now().Add(30 * time.Second)
 	for srv2.Rebuilding() && time.Now().Before(deadline) {
@@ -509,10 +513,10 @@ func TestLiveStressRebuildAndRestart(t *testing.T) {
 	}
 	st := srv2.LiveStats()
 	if st.RebuildErrors != 0 {
-		t.Fatalf("rebuild errors: %+v", st)
+		t.Fatalf("checkpoint errors: %+v", st)
 	}
-	if rebuildsBeforeKill+st.Rebuilds == 0 {
-		t.Fatalf("no background rebuild triggered (before kill: %d, after: %+v)", rebuildsBeforeKill, st)
+	if checkpointsBeforeKill+st.Rebuilds == 0 {
+		t.Fatalf("no checkpoint triggered (before kill: %d, after: %+v)", checkpointsBeforeKill, st)
 	}
 
 	// Final full equality sweep against the from-scratch reference.
@@ -563,35 +567,5 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if _, _, err := loadSnapshot(bad); err == nil {
 		t.Fatal("want error loading garbage snapshot")
-	}
-}
-
-// TestGrowthTriggeredRebuild drives the label-entry growth trigger:
-// with the count trigger disabled and a growth factor barely above 1,
-// densifying the graph must still kick off a background rebuild.
-func TestGrowthTriggeredRebuild(t *testing.T) {
-	_, _, ix := liveBase(t, 300, 6)
-	s, err := NewLive(ix, LiveConfig{RebuildThreshold: -1, RebuildGrowth: 1.02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	rng := rand.New(rand.NewSource(13))
-	deadline := time.Now().Add(30 * time.Second)
-	for s.LiveStats().Rebuilds == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("no growth-triggered rebuild after %d accepted edges; stats %+v",
-				s.LiveStats().AcceptedEdges, s.LiveStats())
-		}
-		edges := make([][2]int32, 20)
-		for i := range edges {
-			edges[i] = [2]int32{rng.Int31n(300), rng.Int31n(300)}
-		}
-		if _, err := s.InsertEdges(edges); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := s.LiveStats(); st.RebuildErrors != 0 {
-		t.Fatalf("rebuild errors: %+v", st)
 	}
 }

@@ -144,7 +144,7 @@ func EncodeSnapshot(w io.Writer, g *graph.Graph, ix *core.Index) error {
 }
 
 // DecodeSnapshot reads a snapshot produced by EncodeSnapshot (or
-// persisted by a rebuild).
+// persisted by a checkpoint).
 func DecodeSnapshot(r io.Reader) (*graph.Graph, *core.Index, error) {
 	// One shared buffered reader for all three sections: the graph
 	// decoder and the index decoder (core.Read, and method.ReadContainer

@@ -54,13 +54,13 @@
 // The WAL makes acknowledged writes durable: appends are batched into
 // one fsync per accepted request, and LoadLive replays the log through
 // dynhl.FromCore on startup, so a crash loses nothing that was
-// acknowledged. When accumulated drift passes a staleness threshold
-// (accepted-edge count or label-entry growth; see LiveConfig), the
-// server rebuilds the index from scratch in the background with the
-// direction-optimizing parallel builder, hot-swaps the fresh snapshot,
-// persists it next to the WAL and compacts the log — bounding both
-// memory fragmentation and restart replay time. See DESIGN.md for the
-// full lifecycle.
+// acknowledged. When the log reaches LiveConfig.RebuildThreshold
+// records, a background checkpoint persists the snapshot being served
+// next to the WAL and compacts the log to the ops accepted since —
+// bounding restart replay time. Nothing is recomputed or published: the
+// dynamic labelling is already the one a from-scratch build would
+// produce, so the epoch and the served index do not move. See DESIGN.md
+// for the full lifecycle.
 //
 // All cross-request state is either immutable (snapshots), atomic
 // (counters, the snapshot pointer) or mutex-held (the writer state), so
@@ -205,8 +205,9 @@ func newServer(ix method.DistanceIndex, n int, cfg Config) *Server {
 // immutable and stays valid.
 func (s *Server) Index() method.DistanceIndex { return s.snap.Load().ix }
 
-// Epoch returns the current snapshot epoch: 0 at startup, incremented
-// every time a write or a background rebuild publishes a new snapshot.
+// Epoch returns the current snapshot epoch: 0 at startup (EpochBase on
+// a replicating primary), incremented every time a write publishes a
+// new snapshot; a checkpoint does not move it.
 func (s *Server) Epoch() uint64 { return s.snap.Load().epoch }
 
 // acquire loads the current snapshot and checks out a Searcher bound to
