@@ -13,6 +13,7 @@
 //	hlserve serve -graph g.hwg -binaddr :8081    # ... plus the binary protocol
 //	hlserve serve -graph g.hwg -wal edges.wal    # ... with durable updates
 //	hlserve serve -graph g.hwg -method pll       # serve any labelling method (read-only)
+//	hlserve route -primary p:8081 -followers a:8081,b:8081  # cluster router: each read goes to one follower
 //	hlserve batch -graph g.hwg < pairs.txt       # one distance per line, input order
 //	hlserve load  -graph g.hwg -n 100000         # in-process load test: qps + p50/p90/p99
 //	hlserve load  -graph g.hwg -proto binary -batch 64   # ... through the wire protocol
@@ -61,7 +62,7 @@ var commands = []struct {
 	run           func(args []string, stdin io.Reader, stdout, stderr io.Writer) error
 }{
 	{"serve", "serve the live HTTP/JSON API (GET /distance, POST /distance/batch, POST /edges, /stats, /healthz) and, with -binaddr, the binary wire protocol; -replicate ships the WAL to followers, -follower receives it", runServe},
-	{"route", "run the cluster router: health-checked read fan-out across followers (or landmark shards, min-merged), writes forwarded to the primary, both protocols", runRoute},
+	{"route", "run the cluster router: each read goes to one health-checked follower (least in flight, failing over), writes are forwarded to the primary, both protocols", runRoute},
 	{"batch", `answer "s t" lines from stdin, one distance per line on stdout, in input order`, runBatch},
 	{"load", "load-test a target protocol (inproc | http | binary): p50/p90/p99 latency, warmup-excluded qps, optional -parallel sweep and -json report", runLoad},
 	{"genpairs", `emit "s t" query lines from the workload generator (feed for batch)`, runGenpairs},
@@ -315,37 +316,26 @@ func runFollower(addr, binAddr string, cfg serve.Config, stdout io.Writer) error
 	return srv.ListenAndServeBoth(ctx, addr, binAddr)
 }
 
-// runRoute serves the router role: no local state, reads fanned across
-// the member lists, writes forwarded to the primary.
+// runRoute serves the router role: no local state, reads balanced over
+// the followers, writes forwarded to the primary.
 func runRoute(args []string, _ io.Reader, stdout, _ io.Writer) error {
 	fs := flag.NewFlagSet("hlserve route", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "HTTP listen address")
 	binAddr := fs.String("binaddr", "", "binary wire protocol listen address (empty = HTTP only)")
 	primary := fs.String("primary", "", "primary's binary address for forwarded writes (empty = read-only cluster)")
-	followers := fs.String("followers", "", "comma-separated follower binary addresses for read fan-out (one replica set; use -shards for landmark partitions)")
-	shardsFlag := fs.String("shards", "", "semicolon-separated landmark shards, each a comma-separated member list, e.g. a:9001,b:9001;c:9001 — reads fan to every shard and min-merge (exact; each shard holds a disjoint landmark subset)")
+	followers := fs.String("followers", "", "comma-separated follower binary addresses; every one is a full replica and a read goes to exactly one of them")
 	maxBatch := fs.Int("maxbatch", 0, "max pairs per batch request (0 = default)")
 	healthMs := fs.Int("health-interval", 0, "member health-check interval in milliseconds (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *followers != "" && *shardsFlag != "" {
-		return fmt.Errorf("-followers and -shards are mutually exclusive (followers is shorthand for one shard)")
+	if *followers == "" {
+		return fmt.Errorf("route needs -followers")
 	}
-	var shards [][]string
-	switch {
-	case *followers != "":
-		shards = [][]string{strings.Split(*followers, ",")}
-	case *shardsFlag != "":
-		for _, s := range strings.Split(*shardsFlag, ";") {
-			shards = append(shards, strings.Split(s, ","))
-		}
-	default:
-		return fmt.Errorf("route needs -followers or -shards")
-	}
+	members := strings.Split(*followers, ",")
 	rt, err := cluster.NewRouter(cluster.RouterConfig{
 		Primary:        *primary,
-		Shards:         shards,
+		Shards:         [][]string{members},
 		MaxBatch:       *maxBatch,
 		HealthInterval: time.Duration(*healthMs) * time.Millisecond,
 	})
@@ -355,7 +345,7 @@ func runRoute(args []string, _ io.Reader, stdout, _ io.Writer) error {
 	defer rt.Close()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	fmt.Fprintf(stdout, "hlserve: routing %d shard(s), primary %q; HTTP on %s\n", len(shards), *primary, *addr)
+	fmt.Fprintf(stdout, "hlserve: routing %d follower(s), primary %q; HTTP on %s\n", len(members), *primary, *addr)
 	if *binAddr != "" {
 		fmt.Fprintf(stdout, "hlserve: binary protocol listening on %s\n", *binAddr)
 	}

@@ -233,6 +233,19 @@ func TestServeRebuildGrowthFlagGone(t *testing.T) {
 	}
 }
 
+// TestRouteShardsFlagGone: every member answers exactly on its own, so
+// there is nothing to partition and the flag that configured it is gone;
+// -followers is the one way to name the read members.
+func TestRouteShardsFlagGone(t *testing.T) {
+	err := run([]string{"route", "-shards", "a:9001;b:9001"}, nil, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-shards: %v, want flag provided but not defined", err)
+	}
+	if err := run([]string{"route"}, nil, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "-followers") {
+		t.Fatalf("route without members: %v, want an error naming -followers", err)
+	}
+}
+
 // writeMethodIndex builds a non-hl index next to the graph, for the
 // generic serving paths.
 func writeMethodIndex(t *testing.T, methodName string) (graphPath, indexPath string) {

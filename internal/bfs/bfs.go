@@ -111,18 +111,3 @@ func Dist[G Adjacency](g G, s, t int32) int32 {
 	}
 	return Unreachable
 }
-
-// Eccentricity returns the maximum finite distance from src.
-func Eccentricity[G Adjacency](g G, src int32) int32 {
-	a := getArena(g.NumVertices())
-	defer putArena(a)
-	dist := a.distBuf(g.NumVertices())
-	DistancesInto(g, src, dist)
-	ecc := int32(0)
-	for _, d := range dist {
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
-}

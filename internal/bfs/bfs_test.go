@@ -44,18 +44,6 @@ func TestDistAgainstDistances(t *testing.T) {
 	}
 }
 
-func TestEccentricity(t *testing.T) {
-	if ecc := Eccentricity(gen.Path(10), 0); ecc != 9 {
-		t.Fatalf("ecc = %d, want 9", ecc)
-	}
-	if ecc := Eccentricity(gen.Path(10), 5); ecc != 5 {
-		t.Fatalf("ecc = %d, want 5", ecc)
-	}
-	if ecc := Eccentricity(gen.Star(10), 0); ecc != 1 {
-		t.Fatalf("star ecc = %d, want 1", ecc)
-	}
-}
-
 func TestBiBFSMatchesBFSProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

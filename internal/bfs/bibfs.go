@@ -5,13 +5,11 @@ package bfs
 // most its capacity of vertices; it is not safe for concurrent use.
 //
 // Visited sides are tracked with epoch-stamped arrays so that resetting a
-// search costs O(1) instead of O(n); the frontier bitmap of bottom-up
-// levels is kept clean by unsetting exactly the frontier's bits.
+// search costs O(1) instead of O(n).
 type Scratch struct {
 	markS, markT []uint64 // epoch when vertex joined the s- or t-side
 	epoch        uint64
 	qs, qt, qn   []int32
-	fbits        Bitset // frontier bitmap for bottom-up levels
 }
 
 // NewScratch returns a Scratch for graphs with up to n vertices.
@@ -23,7 +21,6 @@ func NewScratch(n int) *Scratch {
 		qs:    make([]int32, 0, 1024),
 		qt:    make([]int32, 0, 1024),
 		qn:    make([]int32, 0, 1024),
-		fbits: NewBitset(n),
 	}
 }
 
@@ -34,7 +31,6 @@ func (s *Scratch) grow(n int) {
 		s.markT = make([]uint64, n)
 		s.epoch = 0
 	}
-	s.fbits = s.fbits.grown(n)
 }
 
 // NoBound disables the distance bound of BoundedBiBFS, turning it into the
@@ -63,16 +59,10 @@ func BiBFS[G Adjacency](g G, s, t int32, sc *Scratch) int32 {
 // is reached (only possible when bound is NoBound or the sparsified graph
 // is disconnected).
 //
-// On CSR graphs, levels whose frontier saturates the sparsified graph —
-// possible exactly when the bound is loose or absent — expand bottom-up.
+// Both sides expand top-down only: a search that alternates the smaller
+// side meets long before either frontier saturates the graph, so the
+// single-source engine's bottom-up direction has no level to win here.
 func BoundedBiBFS[G Adjacency](g G, s, t int32, bound int32, skip []bool, sc *Scratch) int32 {
-	return BoundedBiBFSDir(g, s, t, bound, skip, sc, DirectionAuto)
-}
-
-// BoundedBiBFSDir is BoundedBiBFS with an explicit traversal direction
-// (see Direction); the forced directions exist for differential testing.
-// Graphs without CSR access always expand top-down.
-func BoundedBiBFSDir[G Adjacency](g G, s, t int32, bound int32, skip []bool, sc *Scratch, dir Direction) int32 {
 	if s == t {
 		return 0
 	}
@@ -88,24 +78,14 @@ func BoundedBiBFSDir[G Adjacency](g G, s, t int32, bound int32, skip []bool, sc 
 		sc.epoch = 1
 	}
 	if off, tgt, ok := csrOf(g); ok {
-		return biBFSCSR(off, tgt, s, t, bound, skip, sc, dir)
+		return biBFSCSR(off, tgt, s, t, bound, skip, sc)
 	}
 	return biBFSGeneric(g, s, t, bound, skip, sc)
 }
 
-// biBFSCSR is the direction-optimizing bidirectional search over flat
-// CSR arrays. Unlike the single-source engine, the direction decision is
-// frontier-*size* based: top-down expansions here usually exit early at
-// the meet, so neither a pre-level degree-sum pass nor per-visit edge
-// accounting pays for itself. A side goes bottom-up only once its
-// frontier holds more than 1/biBFSFrac of all vertices — i.e. when it
-// saturates the (sparsified) graph, which is when no quick meet is
-// coming and scanning the unvisited remainder is cheaper than pushing
-// the frontier's edges.
-func biBFSCSR(off []int64, tgt []int32, s, t int32, bound int32, skip []bool, sc *Scratch, dir Direction) int32 {
-	const biBFSFrac = 4
+// biBFSCSR is the search over flat CSR arrays.
+func biBFSCSR(off []int64, tgt []int32, s, t int32, bound int32, skip []bool, sc *Scratch) int32 {
 	epoch := sc.epoch
-	n := len(off) - 1
 	qs := append(sc.qs[:0], s)
 	qt := append(sc.qt[:0], t)
 	spare := sc.qn[:0]
@@ -132,54 +112,22 @@ func biBFSCSR(off []int64, tgt []int32, s, t int32, bound int32, skip []bool, sc
 		} else {
 			frontier, mine, his = &qt, sc.markT, sc.markS
 		}
-		bottomUp := dir == DirectionBottomUp ||
-			(dir == DirectionAuto && len(*frontier) > n/biBFSFrac)
-
 		next := spare[:0]
-		if bottomUp {
-			fb := sc.fbits
-			fb.SetList(*frontier)
-			meet := int32(-1)
-		scan:
-			for v := 0; v < n; v++ {
-				vv := int32(v)
-				if mine[vv] == epoch || (skip != nil && skip[vv]) {
+		for _, u := range *frontier {
+			for _, v := range tgt[off[u]:off[u+1]] {
+				if skip != nil && skip[v] {
 					continue
 				}
-				for _, u := range tgt[off[v]:off[v+1]] {
-					if fb.Get(u) {
-						if his[vv] == epoch {
-							// Frontiers meet: ds + 1 + dt is the shortest
-							// sparsified path (Algorithm 2 line 10).
-							meet = ds + 1 + dt
-							break scan
-						}
-						mine[vv] = epoch
-						next = append(next, vv)
-						break
-					}
+				if mine[v] == epoch {
+					continue
 				}
-			}
-			fb.UnsetList(*frontier)
-			if meet >= 0 {
-				return meet
-			}
-		} else {
-			for _, u := range *frontier {
-				for _, v := range tgt[off[u]:off[u+1]] {
-					if skip != nil && skip[v] {
-						continue
-					}
-					if mine[v] == epoch {
-						continue
-					}
-					if his[v] == epoch {
-						// Frontiers meet (Algorithm 2 line 10).
-						return ds + 1 + dt
-					}
-					mine[v] = epoch
-					next = append(next, v)
+				if his[v] == epoch {
+					// Frontiers meet: ds + 1 + dt is the shortest
+					// sparsified path (Algorithm 2 line 10).
+					return ds + 1 + dt
 				}
+				mine[v] = epoch
+				next = append(next, v)
 			}
 		}
 		spare = *frontier // recycle the old frontier buffer
@@ -200,7 +148,7 @@ func biBFSCSR(off []int64, tgt []int32, s, t int32, bound int32, skip []bool, sc
 	return Unreachable
 }
 
-// biBFSGeneric is the top-down search over method-dispatch adjacency
+// biBFSGeneric is the same search over method-dispatch adjacency
 // (dynamic overlay graphs). The caller has already bumped the epoch and
 // handled the trivial cases.
 func biBFSGeneric[G Adjacency](g G, s, t int32, bound int32, skip []bool, sc *Scratch) int32 {

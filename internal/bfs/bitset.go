@@ -1,12 +1,8 @@
 package bfs
 
-import "math/bits"
-
-// Bitset is a fixed-capacity bitmap over vertex ids, the frontier
-// representation of the bottom-up traversal direction: membership tests
-// are one shift and one AND over a cache-resident word array, which is
-// what makes scanning the neighbor ranges of every unvisited vertex
-// against the frontier cheaper than pushing a huge frontier's edges.
+// Bitset is a fixed-capacity bitmap over vertex ids: the unvisited set
+// of the single-source engine, which a bottom-up level walks a word — 64
+// vertices — at a time.
 type Bitset []uint64
 
 // NewBitset returns a Bitset able to hold vertex ids in [0, n).
@@ -21,30 +17,8 @@ func (b Bitset) grown(n int) Bitset {
 	return NewBitset(n)
 }
 
-// Set marks vertex i.
-func (b Bitset) Set(i int32) { b[uint32(i)>>6] |= 1 << (uint32(i) & 63) }
-
 // Unset clears vertex i.
 func (b Bitset) Unset(i int32) { b[uint32(i)>>6] &^= 1 << (uint32(i) & 63) }
-
-// Get reports whether vertex i is marked.
-func (b Bitset) Get(i int32) bool { return b[uint32(i)>>6]&(1<<(uint32(i)&63)) != 0 }
-
-// SetList marks every vertex in list.
-func (b Bitset) SetList(list []int32) {
-	for _, v := range list {
-		b.Set(v)
-	}
-}
-
-// UnsetList clears every vertex in list. Clearing by list is O(|list|)
-// instead of O(n/64), which keeps per-level bitmap maintenance
-// proportional to the frontier rather than the graph.
-func (b Bitset) UnsetList(list []int32) {
-	for _, v := range list {
-		b.Unset(v)
-	}
-}
 
 // FillOnes marks every vertex in [0, n) and clears any slack bits at or
 // beyond n, so word-level iteration never yields a phantom vertex. It is
@@ -63,29 +37,3 @@ func (b Bitset) FillOnes(n int) {
 		b[full] = 1<<rem - 1
 	}
 }
-
-// Absorb ORs o into b and clears o, in one pass over the words. It is
-// the per-level commit of a bottom-up sweep: vertices claimed during the
-// sweep accumulate in a "next" bitmap (so the sweep never probes them as
-// parents) and are merged into the persistent membership bitmap only
-// once the level is complete. Both bitsets must have the same length.
-func (b Bitset) Absorb(o Bitset) {
-	for i, w := range o {
-		if w != 0 {
-			b[i] |= w
-			o[i] = 0
-		}
-	}
-}
-
-// Count returns the number of marked vertices.
-func (b Bitset) Count() int {
-	c := 0
-	for _, w := range b {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// ClearAll unmarks every vertex.
-func (b Bitset) ClearAll() { clear(b) }

@@ -7,7 +7,6 @@ package bfs_test
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"highway/internal/bfs"
@@ -92,47 +91,6 @@ func TestAutoTriggersBottomUp(t *testing.T) {
 	}
 }
 
-// TestBiBFSDirectionsAgree cross-checks BoundedBiBFSDir across
-// directions on random graphs, with and without skip masks and bounds.
-func TestBiBFSDirectionsAgree(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		c := oracle.RandomCase(seed)
-		g := c.Graph
-		n := g.NumVertices()
-		rng := rand.New(rand.NewSource(seed))
-		// Skip the top few degree vertices, like Algorithm 2 does.
-		skip := make([]bool, n)
-		for _, v := range g.DegreeOrder()[:min(3, n)] {
-			skip[v] = true
-		}
-		scTD := bfs.NewScratch(n)
-		scBU := bfs.NewScratch(n)
-		scAuto := bfs.NewScratch(n)
-		for trial := 0; trial < 200; trial++ {
-			s := int32(rng.Intn(n))
-			u := int32(rng.Intn(n))
-			if skip[s] || skip[u] {
-				continue
-			}
-			var mask []bool
-			if trial%2 == 0 {
-				mask = skip
-			}
-			bound := bfs.NoBound
-			if trial%3 == 0 {
-				bound = int32(rng.Intn(8))
-			}
-			want := bfs.BoundedBiBFSDir(g, s, u, bound, mask, scTD, bfs.DirectionTopDown)
-			if got := bfs.BoundedBiBFSDir(g, s, u, bound, mask, scBU, bfs.DirectionBottomUp); got != want {
-				t.Fatalf("%s: BiBFS(%d,%d,bound=%d) bottom-up = %d, top-down = %d", c.Name, s, u, bound, got, want)
-			}
-			if got := bfs.BoundedBiBFSDir(g, s, u, bound, mask, scAuto, bfs.DirectionAuto); got != want {
-				t.Fatalf("%s: BiBFS(%d,%d,bound=%d) auto = %d, top-down = %d", c.Name, s, u, bound, got, want)
-			}
-		}
-	}
-}
-
 // TestDistancesReuse verifies the no-prefill entry point grows and
 // reuses its buffer and matches Distances.
 func TestDistancesReuse(t *testing.T) {
@@ -191,8 +149,8 @@ func graphFromFuzzBytes(data []byte) *graph.Graph {
 }
 
 // FuzzDirectionOptimizedBFS asserts that every traversal direction
-// produces identical distance arrays, and identical BiBFS results, on
-// arbitrary fuzzer-built graphs.
+// produces identical distance arrays, and that BiBFS agrees with them,
+// on arbitrary fuzzer-built graphs.
 func FuzzDirectionOptimizedBFS(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 1, 2, 2, 3})
 	f.Add([]byte{63, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 1})
@@ -217,9 +175,15 @@ func FuzzDirectionOptimizedBFS(f *testing.F) {
 		want := make([]int32, n)
 		got := make([]int32, n)
 		srcs := []int32{0, int32(n / 2), int32(n - 1)}
+		sc := bfs.NewScratch(n)
 		for _, s := range srcs {
 			fill(want)
 			bfs.DistancesIntoDir(g, s, want, bfs.DirectionTopDown, nil)
+			for _, u := range srcs {
+				if got := bfs.BiBFS(g, s, u, sc); got != want[u] {
+					t.Fatalf("BiBFS(%d,%d) = %d, BFS says %d\ngraph: %v", s, u, got, want[u], fmt.Sprint(g))
+				}
+			}
 			for _, dir := range []bfs.Direction{bfs.DirectionAuto, bfs.DirectionBottomUp} {
 				fill(got)
 				bfs.DistancesIntoDir(g, s, got, dir, nil)
@@ -227,16 +191,6 @@ func FuzzDirectionOptimizedBFS(f *testing.F) {
 					if got[v] != want[v] {
 						t.Fatalf("dir %d src %d: dist[%d] = %d, want %d\ngraph: %v", dir, s, v, got[v], want[v], fmt.Sprint(g))
 					}
-				}
-			}
-		}
-		// BiBFS agreement on a few pairs.
-		scTD, scBU := bfs.NewScratch(n), bfs.NewScratch(n)
-		for _, s := range srcs {
-			for _, u := range srcs {
-				want := bfs.BoundedBiBFSDir(g, s, u, bfs.NoBound, nil, scTD, bfs.DirectionTopDown)
-				if got := bfs.BoundedBiBFSDir(g, s, u, bfs.NoBound, nil, scBU, bfs.DirectionBottomUp); got != want {
-					t.Fatalf("BiBFS(%d,%d) bottom-up = %d, top-down = %d", s, u, got, want)
 				}
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"testing"
@@ -21,13 +20,11 @@ import (
 )
 
 // followerNode is one live follower in a test cluster: the replication
-// handler, its binary listener, and the shutdown plumbing to kill and
-// resurrect it at the same address.
+// handler behind a binary listener that can be killed and resurrected
+// at the same address (memberNode, router_test.go).
 type followerNode struct {
-	addr   string
-	f      *Follower
-	cancel context.CancelFunc
-	done   chan struct{}
+	*memberNode
+	f *Follower
 }
 
 // startFollower boots a follower's binary listener; addr "" picks a
@@ -39,25 +36,11 @@ func startFollower(t *testing.T, addr string) *followerNode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatalf("follower listen %s: %v", addr, err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	node := &followerNode{addr: ln.Addr().String(), f: f, cancel: cancel, done: make(chan struct{})}
-	go func() {
-		defer close(node.done)
-		f.Server().ServeBinary(ctx, ln)
-	}()
-	return node
+	return &followerNode{memberNode: startMember(t, f.Server(), addr), f: f}
 }
 
 func (n *followerNode) stop() {
-	n.cancel()
-	<-n.done
+	n.kill()
 	n.f.Server().Close()
 }
 

@@ -3,9 +3,9 @@
 // every acked batch to followers over the binary protocol's
 // replication frames, followers that bootstrap from a streamed
 // snapshot and serve reads from their own lock-free snapshots, and a
-// router that health-checks members, fans reads across followers (and
-// across landmark-partitioned shards, merging min(d(s,r)+d(r,t))
-// elementwise) and forwards writes to the primary.
+// router that health-checks members, sends each read to one follower
+// (every member is a full replica and answers exactly on its own) and
+// forwards writes to the primary.
 //
 // Epoch fencing holds the roles together. Every published snapshot on
 // the primary carries an epoch (generation << 32) | counter, where the

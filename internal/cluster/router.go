@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,19 +19,14 @@ type RouterConfig struct {
 	// Primary is the binary address writes are forwarded to. Empty
 	// makes the router read-only (writes answer Unavailable/503).
 	Primary string
-	// Shards lists the read members, one inner slice per
-	// landmark-partitioned shard; replica-set mode is a single shard
-	// listing every follower. A read query fans out to one healthy
-	// member per shard and merges the per-shard distances elementwise
-	// with min (-1 = unreachable): each shard's labelling covers a
-	// disjoint landmark subset, so every shard answer is an upper bound
-	// witnessed by its own landmarks and the minimum over all shards is
-	// the exact distance.
+	// Shards lists the read replicas; inner slices are concatenated,
+	// every member is a full replica. (The name and shape are kept for
+	// callers that compile against them; a read goes to one member.)
 	Shards [][]string
 	// HealthInterval paces the member health loop
 	// (DefaultHealthInterval when 0).
 	HealthInterval time.Duration
-	// MaxBatch caps batch fan-outs, mirroring serve.Config.MaxBatch
+	// MaxBatch caps routed batches, mirroring serve.Config.MaxBatch
 	// (serve.DefaultMaxBatch when 0).
 	MaxBatch int
 	// ShutdownGrace bounds listener drain on shutdown
@@ -63,8 +59,8 @@ func (m *member) client() *hlclient.Client {
 }
 
 // Router is the cluster's coordinator: it health-checks members,
-// balances reads (least-inflight per shard, exact min-merge across
-// shards) and forwards writes to the primary. It holds no graph state
+// balances reads (one call to the least-inflight healthy replica) and
+// forwards writes to the primary. It holds no graph state
 // of its own, and no protocol code either: it is a serve.Backend, and
 // the embedded serve.Frontend — the same one a Server listens with —
 // gives it Handler, Serve, ServeBinary and the ListenAndServe family.
@@ -75,11 +71,12 @@ type Router struct {
 	*serve.Frontend
 
 	cfg     RouterConfig
-	shards  [][]*member
-	primary *member // nil when unconfigured
+	members []*member // the read replicas
+	primary *member   // nil when unconfigured
+	probed  []*member // members plus the primary: what the health loop dials and Close closes
 	started time.Time
 
-	fanout atomic.Int64 // member sub-requests issued for reads
+	fanout atomic.Int64 // member calls issued for reads: reads + failovers
 	reads  atomic.Int64
 	writes atomic.Int64
 	errors atomic.Int64
@@ -93,13 +90,9 @@ type Router struct {
 // dialed lazily by the loop, so the router may start before (or
 // survive) any of them.
 func NewRouter(cfg RouterConfig) (*Router, error) {
-	if len(cfg.Shards) == 0 {
-		return nil, errors.New("cluster: router needs at least one shard")
-	}
-	for i, s := range cfg.Shards {
-		if len(s) == 0 {
-			return nil, fmt.Errorf("cluster: shard %d has no members", i)
-		}
+	addrs := slices.Concat(cfg.Shards...)
+	if len(addrs) == 0 {
+		return nil, errors.New("cluster: router needs at least one read member")
 	}
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = DefaultHealthInterval
@@ -113,15 +106,13 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	rt := &Router{cfg: cfg, started: time.Now()}
 	rt.Frontend = serve.NewFrontend(rt, cfg.MaxBatch, cfg.ShutdownGrace)
 	rt.ctx, rt.cancel = context.WithCancel(context.Background())
-	for _, addrs := range cfg.Shards {
-		shard := make([]*member, len(addrs))
-		for i, a := range addrs {
-			shard[i] = &member{addr: a}
-		}
-		rt.shards = append(rt.shards, shard)
+	for _, a := range addrs {
+		rt.members = append(rt.members, &member{addr: a})
 	}
+	rt.probed = rt.members
 	if cfg.Primary != "" {
 		rt.primary = &member{addr: cfg.Primary}
+		rt.probed = append(slices.Clip(rt.members), rt.primary)
 	}
 	rt.wg.Add(1)
 	go rt.healthLoop()
@@ -132,56 +123,46 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 func (rt *Router) Close() {
 	rt.cancel()
 	rt.wg.Wait()
-	for _, m := range rt.members() {
+	for _, m := range rt.probed {
 		if cl := m.cl.Load(); cl != nil {
 			cl.Close()
 		}
 	}
 }
 
-// members returns every member including the primary (for the health
-// loop and Close).
-func (rt *Router) members() []*member {
-	var all []*member
-	for _, shard := range rt.shards {
-		all = append(all, shard...)
-	}
-	if rt.primary != nil {
-		all = append(all, rt.primary)
-	}
-	return all
-}
-
-// healthLoop probes every member each interval: undailed members get a
-// dial attempt, dialed ones a ping, and the up bit tracks the result.
-// One slow member must not stall the others, so probes fan out.
-func (rt *Router) healthLoop() {
-	defer rt.wg.Done()
-	probe := func() {
-		var wg sync.WaitGroup
-		for _, m := range rt.members() {
-			wg.Add(1)
-			go func(m *member) {
-				defer wg.Done()
-				ctx, cancel := context.WithTimeout(rt.ctx, rt.cfg.HealthInterval*4)
-				defer cancel()
-				cl := m.cl.Load()
-				if cl == nil {
-					fresh, err := hlclient.Dial(ctx, m.addr, rt.cfg.Client)
-					if err != nil {
-						m.up.Store(false)
-						return
-					}
-					m.cl.Store(fresh)
-					m.up.Store(true)
+// probe health-checks every member once: undialed members get a dial
+// attempt, dialed ones a ping, and the up bit tracks the result. One
+// slow member must not stall the others, so the checks run side by side.
+func (rt *Router) probe() {
+	var wg sync.WaitGroup
+	for _, m := range rt.probed {
+		wg.Add(1)
+		go func(m *member) {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(rt.ctx, rt.cfg.HealthInterval*4)
+			defer cancel()
+			cl := m.cl.Load()
+			if cl == nil {
+				fresh, err := hlclient.Dial(ctx, m.addr, rt.cfg.Client)
+				if err != nil {
+					m.up.Store(false)
 					return
 				}
-				m.up.Store(cl.Ping(ctx) == nil)
-			}(m)
-		}
-		wg.Wait()
+				m.cl.Store(fresh)
+				m.up.Store(true)
+				return
+			}
+			m.up.Store(cl.Ping(ctx) == nil)
+		}(m)
 	}
-	probe() // initial dial pass before the first tick
+	wg.Wait()
+}
+
+// healthLoop probes at start (the initial dial pass) and then every
+// HealthInterval until Close.
+func (rt *Router) healthLoop() {
+	defer rt.wg.Done()
+	rt.probe()
 	t := time.NewTicker(rt.cfg.HealthInterval)
 	defer t.Stop()
 	for {
@@ -189,55 +170,43 @@ func (rt *Router) healthLoop() {
 		case <-rt.ctx.Done():
 			return
 		case <-t.C:
-			probe()
+			rt.probe()
 		}
 	}
 }
 
 // pick selects the healthy member with the fewest in-flight requests
-// in one shard, passing over those in skip, or nil when none is left.
-func pick(shard []*member, skip map[*member]bool) *member {
-	var best *member
-	var bestLoad int64
-	for _, m := range shard {
-		if skip[m] || m.client() == nil {
-			continue
-		}
-		if load := m.inflight.Load(); best == nil || load < bestLoad {
-			best, bestLoad = m, load
-		}
-	}
-	return best
-}
-
-// mergeDist folds one shard's answer into the running exact distance:
-// -1 is Infinity, otherwise min.
-func mergeDist(a, b int32) int32 {
-	if a == -1 {
-		return b
-	}
-	if b == -1 || a <= b {
-		return a
-	}
-	return b
-}
-
-// onShard runs fn against the chosen member of one shard, failing over
-// once through the shard's remaining healthy members on transport-ish
-// errors (ErrCircuitOpen, connection failures). Remote errors are the
-// member's deterministic answer and surface as-is.
-func (rt *Router) onShard(shard []*member, fn func(cl *hlclient.Client) error) error {
-	tried := make(map[*member]bool, len(shard))
-	for {
-		m := pick(shard, tried)
-		if m == nil {
-			rt.errors.Add(1)
-			return serve.ErrUnavailable
-		}
-		tried[m] = true
+// and returns it with its client, or nil when no member is routable.
+func pick(members []*member) (*member, *hlclient.Client) {
+	var (
+		best     *member
+		bestCl   *hlclient.Client
+		bestLoad int64
+	)
+	for _, m := range members {
 		cl := m.client()
 		if cl == nil {
 			continue
+		}
+		if load := m.inflight.Load(); best == nil || load < bestLoad {
+			best, bestCl, bestLoad = m, cl, load
+		}
+	}
+	return best, bestCl
+}
+
+// read runs fn against the least-inflight healthy member on the
+// caller's goroutine. A transport-ish error (ErrCircuitOpen, connection
+// failures) ejects that member until the next health probe and fails
+// over to the next healthy one — at most one attempt per configured
+// member; a remote error is the member's deterministic answer and
+// surfaces as-is.
+func (rt *Router) read(fn func(cl *hlclient.Client) error) error {
+	rt.reads.Add(1)
+	for range rt.members {
+		m, cl := pick(rt.members)
+		if m == nil {
+			break
 		}
 		m.inflight.Add(1)
 		rt.fanout.Add(1)
@@ -248,78 +217,33 @@ func (rt *Router) onShard(shard []*member, fn func(cl *hlclient.Client) error) e
 		}
 		var re *wire.RemoteError
 		if errors.As(err, &re) {
-			return err // deterministic remote answer: not a routing failure
+			return err // not a routing failure
 		}
-		m.up.Store(false) // transport failure: eject until the next probe
+		m.up.Store(false)
 	}
+	rt.errors.Add(1)
+	return serve.ErrUnavailable
 }
 
-// fanOut runs fn against one member of every shard concurrently (fn
-// gets the shard's index to file its answer under) and returns the
-// first shard's error: exactness needs every shard's answer.
-func (rt *Router) fanOut(fn func(i int, cl *hlclient.Client) error) error {
-	rt.reads.Add(1)
-	errs := make([]error, len(rt.shards))
-	var wg sync.WaitGroup
-	for i, shard := range rt.shards {
-		wg.Add(1)
-		go func(i int, shard []*member) {
-			defer wg.Done()
-			errs[i] = rt.onShard(shard, func(cl *hlclient.Client) error { return fn(i, cl) })
-		}(i, shard)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Distance answers one exact query by fanning out to one member per
-// shard and min-merging.
-func (rt *Router) Distance(ctx context.Context, s, t int32) (int32, error) {
-	results := make([]int32, len(rt.shards))
-	err := rt.fanOut(func(i int, cl *hlclient.Client) (err error) {
-		results[i], err = cl.Distance(ctx, s, t)
+// Distance answers one exact query from one replica.
+func (rt *Router) Distance(ctx context.Context, s, t int32) (d int32, err error) {
+	d = -1 // what a failed read returns; the client does the same
+	err = rt.read(func(cl *hlclient.Client) error {
+		d, err = cl.Distance(ctx, s, t)
 		return err
 	})
-	if err != nil {
-		return -1, err
-	}
-	d := int32(-1)
-	for _, r := range results {
-		d = mergeDist(d, r)
-	}
-	return d, nil
+	return d, err
 }
 
-// DistanceBatch answers a batch by fanning the whole batch to one
-// member per shard and min-merging elementwise into dst (reused when it
-// has the capacity). The batch limit is the front-end's to enforce.
-func (rt *Router) DistanceBatch(ctx context.Context, pairs [][2]int32, dst []int32) ([]int32, error) {
-	results := make([][]int32, len(rt.shards))
-	err := rt.fanOut(func(i int, cl *hlclient.Client) (err error) {
-		results[i], err = cl.DistanceBatch(ctx, pairs, nil)
+// DistanceBatch answers a batch from one replica, which decodes into
+// dst (reused when it has the capacity). The batch limit is the
+// front-end's to enforce.
+func (rt *Router) DistanceBatch(ctx context.Context, pairs [][2]int32, dst []int32) (out []int32, err error) {
+	err = rt.read(func(cl *hlclient.Client) error {
+		out, err = cl.DistanceBatch(ctx, pairs, dst) // nil on error
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	if cap(dst) < len(pairs) {
-		dst = make([]int32, len(pairs))
-	}
-	dst = dst[:len(pairs)]
-	for i := range dst {
-		dst[i] = -1
-	}
-	for _, res := range results {
-		for j, d := range res {
-			dst[j] = mergeDist(dst[j], d)
-		}
-	}
-	return dst, nil
+	return out, err
 }
 
 // onPrimary runs one forwarded write against the primary.
@@ -358,9 +282,7 @@ func (rt *Router) DeleteEdges(ctx context.Context, edges [][2]int32) (res serve.
 
 // RouterStats is the "router" section of the router's /stats document.
 type RouterStats struct {
-	// Shards is the configured shard count (1 = plain replica set).
-	Shards int `json:"shards"`
-	// Members is the configured read-member count across shards.
+	// Members is the configured read-member count.
 	Members int `json:"members"`
 	// MemberUp is the number of read members currently passing health
 	// checks.
@@ -368,9 +290,8 @@ type RouterStats struct {
 	// PrimaryUp reports the write path's health (false when no primary
 	// is configured).
 	PrimaryUp bool `json:"primary_up"`
-	// Fanout counts member sub-requests issued for reads — with S
-	// shards it advances S per query, so fanout/reads exposes the
-	// amplification factor.
+	// Fanout counts member calls issued for reads: one per read plus
+	// one per failover.
 	Fanout int64 `json:"fanout"`
 	// Reads and Writes count routed client requests; Errors counts
 	// requests that failed for want of a healthy member.
@@ -382,18 +303,15 @@ type RouterStats struct {
 // Stats snapshots the router counters.
 func (rt *Router) Stats() RouterStats {
 	st := RouterStats{
-		Shards: len(rt.shards),
-		Fanout: rt.fanout.Load(),
-		Reads:  rt.reads.Load(),
-		Writes: rt.writes.Load(),
-		Errors: rt.errors.Load(),
+		Members: len(rt.members),
+		Fanout:  rt.fanout.Load(),
+		Reads:   rt.reads.Load(),
+		Writes:  rt.writes.Load(),
+		Errors:  rt.errors.Load(),
 	}
-	for _, shard := range rt.shards {
-		st.Members += len(shard)
-		for _, m := range shard {
-			if m.up.Load() {
-				st.MemberUp++
-			}
+	for _, m := range rt.members {
+		if m.up.Load() {
+			st.MemberUp++
 		}
 	}
 	if rt.primary != nil {
@@ -402,21 +320,17 @@ func (rt *Router) Stats() RouterStats {
 	return st
 }
 
-// Ready reports whether every shard has at least one healthy member —
-// the condition under which reads are exact and available.
+// Ready reports whether a read member is healthy — the condition under
+// which reads are available.
 func (rt *Router) Ready() bool {
-	for _, shard := range rt.shards {
-		if pick(shard, nil) == nil {
-			return false
-		}
-	}
-	return true
+	m, _ := pick(rt.members)
+	return m != nil
 }
 
 // Readiness implements serve.Backend: /readyz is Ready.
 func (rt *Router) Readiness() (any, bool) {
 	if !rt.Ready() {
-		return map[string]string{"status": "unready", "detail": "a shard has no healthy member"}, false
+		return map[string]string{"status": "unready", "detail": "no healthy read member"}, false
 	}
 	return map[string]string{"status": "ready"}, true
 }

@@ -358,13 +358,3 @@ func (sh *Shipper) Stats() *serve.ReplicationStats {
 	}
 	return rs
 }
-
-// FollowerEpochs reports each follower's durable epoch as of its last
-// ack, keyed by address — the cluster test's convergence probe.
-func (sh *Shipper) FollowerEpochs() map[string]uint64 {
-	out := make(map[string]uint64, len(sh.links))
-	for _, l := range sh.links {
-		out[l.addr] = l.epoch.Load()
-	}
-	return out
-}

@@ -41,9 +41,6 @@ func (b *Builder) Reserve(m int) {
 // NumVertices returns the current vertex count.
 func (b *Builder) NumVertices() int { return b.n }
 
-// NumAddedEdges returns the number of AddEdge calls so far (before dedup).
-func (b *Builder) NumAddedEdges() int { return len(b.edges) }
-
 // AddEdge records the undirected edge {u,v}. Self-loops are dropped
 // silently (the paper's graphs are simple). Ordering of endpoints does not
 // matter. Out-of-range endpoints are reported by Build.

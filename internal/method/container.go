@@ -356,25 +356,6 @@ func DecodeI64s(payload []byte, dst []int64) error {
 	return nil
 }
 
-// AppendU64s appends vals as 8-byte little-endian words.
-func AppendU64s(dst []byte, vals []uint64) []byte {
-	for _, v := range vals {
-		dst = binary.LittleEndian.AppendUint64(dst, v)
-	}
-	return dst
-}
-
-// DecodeU64s decodes a payload written by AppendU64s into dst.
-func DecodeU64s(payload []byte, dst []uint64) error {
-	if len(payload) != len(dst)*8 {
-		return fmt.Errorf("method: payload length %d, want %d", len(payload), len(dst)*8)
-	}
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint64(payload[i*8:])
-	}
-	return nil
-}
-
 // ValidateOffsets checks a CSR offset array: starts at 0, monotone,
 // total equal to want. Shared by the per-method label decoders.
 func ValidateOffsets(off []int64, want int64) error {

@@ -393,22 +393,18 @@ func TestSaveFile(t *testing.T) {
 func TestEncodingHelpers(t *testing.T) {
 	i32 := []int32{0, -1, 1 << 30, -1 << 31}
 	i64 := []int64{0, -1, 1 << 62}
-	u64 := []uint64{0, 1<<64 - 1, 42}
-	got32, got64, gotU := make([]int32, len(i32)), make([]int64, len(i64)), make([]uint64, len(u64))
+	got32, got64 := make([]int32, len(i32)), make([]int64, len(i64))
 	if err := DecodeI32s(AppendI32s(nil, i32), got32); err != nil || fmt.Sprint(got32) != fmt.Sprint(i32) {
 		t.Errorf("int32 round trip: %v, %v", got32, err)
 	}
 	if err := DecodeI64s(AppendI64s(nil, i64), got64); err != nil || fmt.Sprint(got64) != fmt.Sprint(i64) {
 		t.Errorf("int64 round trip: %v, %v", got64, err)
 	}
-	if err := DecodeU64s(AppendU64s(nil, u64), gotU); err != nil || fmt.Sprint(gotU) != fmt.Sprint(u64) {
-		t.Errorf("uint64 round trip: %v, %v", gotU, err)
-	}
 	if got := AppendI32s([]byte{7}, []int32{258}); !bytes.Equal(got, []byte{7, 2, 1, 0, 0}) {
 		t.Errorf("AppendI32s is not little-endian append: %v", got)
 	}
 	short := make([]byte, 7)
-	if DecodeI32s(short, got32) == nil || DecodeI64s(short, got64) == nil || DecodeU64s(short, gotU) == nil {
+	if DecodeI32s(short, got32) == nil || DecodeI64s(short, got64) == nil {
 		t.Error("payload of the wrong length decoded")
 	}
 

@@ -191,6 +191,49 @@ func TestCheckpointOnRestart(t *testing.T) {
 	}
 }
 
+// TestLoadLiveUnreadableSnapshot: once a checkpoint has compacted the
+// log, the snapshot is the only copy of the writes it covers. A restart
+// that cannot read it (here: the path is a symlink to itself, so opening
+// it fails with ELOOP) must fail, not fall back to the base files and
+// serve without acknowledged edges; only a snapshot that does not exist
+// selects the base.
+func TestLoadLiveUnreadableSnapshot(t *testing.T) {
+	g, _, ix := liveBase(t, 300, 6)
+	graphPath, indexPath, walPath := saveBase(t, g, ix)
+	cfg := LiveConfig{RebuildThreshold: 2}
+	srv, err := LoadLive(graphPath, indexPath, walPath, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := [2]int32{7, 290}
+	if g.HasEdge(e[0], e[1]) {
+		t.Fatalf("test edge %v is a base edge", e)
+	}
+	if _, err := srv.InsertEdges([][2]int32{e, {3, 250}, {4, 260}}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "the checkpoint", func() bool {
+		st := srv.LiveStats()
+		return st.Rebuilds == 1 && st.WALLen == 0
+	})
+	snapPath := srv.up.wal.SnapshotPath()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := os.Remove(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(snapPath, snapPath); err != nil {
+		t.Skipf("no symlinks here: %v", err)
+	}
+	if srv, err := LoadLive(graphPath, indexPath, walPath, cfg); err == nil {
+		d, _ := srv.Distance(e[0], e[1])
+		srv.Close()
+		t.Fatalf("LoadLive started from the base files over an unreadable snapshot; acked edge %v now at distance %d", e, d)
+	}
+}
+
 // TestCheckpointPublishesNothing: a checkpoint persists the snapshot the
 // server already serves, so the epoch and the served index are the same
 // before and after — followers and epoch-pinned readers never see it.

@@ -36,7 +36,7 @@ var (
 	// is deposed or replaying already-applied history.
 	ErrFenced = errors.New("serve: replication epoch fenced")
 	// ErrUnavailable is returned by a routing Backend with no healthy
-	// upstream for the request (a shard, or the primary, is down).
+	// upstream for the request (every read member, or the primary, is down).
 	ErrUnavailable = errors.New("serve: no healthy member")
 )
 

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -214,10 +216,11 @@ func LoadLive(graphPath, indexPath, walPath string, cfg LiveConfig) (*Server, er
 	if err != nil {
 		return nil, err
 	}
-	var ix *core.Index
-	if _, serr := os.Stat(wal.SnapshotPath()); serr == nil {
-		_, ix, err = loadSnapshot(wal.SnapshotPath())
-	} else {
+	// Only a checkpoint that does not exist selects the base files: the
+	// log was compacted against the snapshot, so starting from the base
+	// because the snapshot cannot be read would drop acknowledged writes.
+	_, ix, err := loadSnapshot(wal.SnapshotPath())
+	if errors.Is(err, fs.ErrNotExist) {
 		var g *graph.Graph
 		g, err = graph.LoadBinary(graphPath)
 		if err == nil {
