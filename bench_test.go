@@ -116,40 +116,6 @@ func BenchmarkTable2BuildISL(b *testing.B) {
 	}
 }
 
-// --- Construction: push-only against push/pull ------------------------------
-
-// BenchmarkBuildDirection measures construction per traversal direction
-// on the Skitter stand-in (k=20): topdown pushes every level, dopt is the
-// push/pull default. The kernel's own micro-benchmark, on larger fixtures,
-// is internal/core's BenchmarkBuild.
-func BenchmarkBuildDirection(b *testing.B) {
-	g, lm, _ := fixtures(b)
-	for _, c := range []struct {
-		name    string
-		workers int
-		dir     highway.BuildDirection
-	}{
-		{"HL/topdown", 1, highway.DirectionTopDown},
-		{"HL/dopt", 1, highway.DirectionAuto},
-		{"HLP/topdown", 0, highway.DirectionTopDown},
-		{"HLP/dopt", 0, highway.DirectionAuto},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			var tr highway.TraversalStats
-			for i := 0; i < b.N; i++ {
-				ix, err := highway.Build(context.Background(), g, "hl", highway.WithLandmarks(lm),
-					highway.WithWorkers(c.workers), highway.WithDirection(c.dir))
-				if err != nil {
-					b.Fatal(err)
-				}
-				tr = ix.(*highway.Index).BuildStats().Traversal
-			}
-			b.ReportMetric(float64(tr.EdgesScanned()), "edges-scanned")
-			b.ReportMetric(float64(tr.BottomUpLevels), "bu-levels")
-		})
-	}
-}
-
 // BenchmarkBuildOracleBFS measures the pooled ground-truth BFS the
 // oracle harness and landmark selection run many times per test.
 func BenchmarkBuildOracleBFS(b *testing.B) {

@@ -8,12 +8,11 @@
 //	hlbuild -graph web.hwg -method pll -bitparallel 50  (any registry method)
 //	hlbuild -graph web.hwg -method isl -out web.isl.idx
 //	hlbuild -graph web.hwg -k 20 -progress           (log per-landmark BFS completion)
-//	hlbuild -graph web.hwg -k 20 -direction topdown  (disable direction optimization)
 //	hlbuild migrate -graph web.hwg -in old.idx -out web.idx   (v1 file → v2)
 //
-// After a build, hlbuild reports wall time, worker count and the
-// traversal-direction statistics of the direction-optimizing engine
-// (top-down vs bottom-up levels, edges scanned per direction).
+// After a build, hlbuild reports wall time, worker count and how the
+// traversal expanded its levels (pushed top-down vs pulled bottom-up, and
+// the edges scanned each way); the build chooses per level by itself.
 //
 // Index files are written in format v2 (checksummed sections). The
 // migrate subcommand rewrites a legacy v1 file, which stays readable but
@@ -54,17 +53,12 @@ func run(args []string) error {
 		out        = fs.String("out", "", "index output path (default: graph path + .idx)")
 		verify     = fs.Int("verify", 0, "cross-check this many random pairs against BFS after building")
 		timeout    = fs.Duration("timeout", 0, "abort construction after this duration (0 = none)")
-		direction  = fs.String("direction", "auto", "pruned-BFS traversal: auto (direction-optimizing) | topdown | bottomup")
 		progress   = fs.Bool("progress", false, "log one line per completed landmark BFS to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	m, err := highway.MethodByName(*methodName)
-	if err != nil {
-		return err
-	}
-	dir, err := parseDirection(*direction)
 	if err != nil {
 		return err
 	}
@@ -91,7 +85,6 @@ func run(args []string) error {
 		highway.WithStrategy(highway.LandmarkStrategy(*strategy)),
 		highway.WithSeed(*seed),
 		highway.WithWorkers(*workers),
-		highway.WithDirection(dir),
 		highway.WithBitParallel(*bp),
 	}
 	if *progress {
@@ -169,19 +162,6 @@ func runMigrate(args []string) error {
 	}
 	fmt.Printf("wrote %s (format v2)\n", dest)
 	return nil
-}
-
-// parseDirection maps the -direction flag to a build direction.
-func parseDirection(s string) (highway.BuildDirection, error) {
-	switch s {
-	case "auto", "":
-		return highway.DirectionAuto, nil
-	case "topdown":
-		return highway.DirectionTopDown, nil
-	case "bottomup":
-		return highway.DirectionBottomUp, nil
-	}
-	return 0, fmt.Errorf("unknown -direction %q (want auto | topdown | bottomup)", s)
 }
 
 // loadGraph auto-detects the binary format by extension, falling back to

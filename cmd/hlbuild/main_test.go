@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"highway"
@@ -155,9 +156,6 @@ func TestRunBuildErrors(t *testing.T) {
 	if err := run([]string{"-graph", gp, "-strategy", "bogus"}); err == nil {
 		t.Error("bogus strategy accepted")
 	}
-	if err := run([]string{"-graph", gp, "-direction", "sideways"}); err == nil {
-		t.Error("unknown direction accepted")
-	}
 	// One format is written: the flag that chose it is gone.
 	if err := run([]string{"-graph", gp, "-format", "v1"}); err == nil {
 		t.Error("-format accepted")
@@ -167,15 +165,21 @@ func TestRunBuildErrors(t *testing.T) {
 	}
 }
 
-// TestRunBuildDirections builds the same graph with every -direction and
-// -progress enabled; the index files must be byte-identical.
-func TestRunBuildDirections(t *testing.T) {
+// TestRunDirectionFlagRemoved: the build pushes or pulls each level by the
+// measured frontier and no flag forces it, not even one that used to be
+// valid; -progress, which the old per-direction test also drove, changes
+// no byte of the index.
+func TestRunDirectionFlagRemoved(t *testing.T) {
 	gp := writeGraph(t)
+	err := run([]string{"-graph", gp, "-k", "8", "-direction", "topdown"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-direction topdown: %v, want \"flag provided but not defined\"", err)
+	}
 	var want []byte
-	for _, dir := range []string{"auto", "topdown", "bottomup"} {
-		out := filepath.Join(t.TempDir(), dir+".idx")
-		if err := run([]string{"-graph", gp, "-k", "8", "-direction", dir, "-progress", "-out", out}); err != nil {
-			t.Fatalf("direction %s: %v", dir, err)
+	for _, extra := range [][]string{nil, {"-progress"}} {
+		out := filepath.Join(t.TempDir(), "out.idx")
+		if err := run(append([]string{"-graph", gp, "-k", "8", "-out", out}, extra...)); err != nil {
+			t.Fatalf("%v: %v", extra, err)
 		}
 		raw, err := os.ReadFile(out)
 		if err != nil {
@@ -184,7 +188,7 @@ func TestRunBuildDirections(t *testing.T) {
 		if want == nil {
 			want = raw
 		} else if !bytes.Equal(want, raw) {
-			t.Fatalf("direction %s wrote different index bytes", dir)
+			t.Fatalf("%v wrote different index bytes", extra)
 		}
 	}
 }

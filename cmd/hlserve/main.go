@@ -17,7 +17,7 @@
 //	hlserve batch -graph g.hwg < pairs.txt       # one distance per line, input order
 //	hlserve load  -graph g.hwg -n 100000         # in-process load test: qps + p50/p90/p99
 //	hlserve load  -graph g.hwg -proto binary -batch 64   # ... through the wire protocol
-//	hlserve load  -graph g.hwg -parallel 1,2,4,8 -json BENCH_SERVE.json  # qps-vs-parallelism sweep
+//	hlserve load  -graph g.hwg -parallel 1,2,4,8 -json sweep.json  # qps-vs-parallelism sweep, as a JSON report
 //	hlserve load  -graph g.hwg -deleteratio 0.1  # trace-style churn: edge inserts + deletes mixed into the measured load, any -proto
 //	hlserve serve -graph g.hwg -read-budget 64   # bounded in-flight admission (shed with 429/Overloaded)
 //	hlserve load  -graph g.hwg -proto http -read-budget 2 -batch 1024 -parallel 8  # overload drill: shed accounting in the report
@@ -386,7 +386,7 @@ func runLoad(args []string, _ io.Reader, stdout, _ io.Writer) error {
 	warmup := fs.Int("warmup", 0, "per-worker warmup requests, issued before the clock starts and excluded from every reported figure (0 = a tenth of the per-worker requests, <0 = none)")
 	readBudget := fs.Int("read-budget", -1, "admission budget of the self-hosted server, in cost units of 1 + pairs/1024 (<0 = unlimited, the load-test default); shed requests are counted and timed separately")
 	parallel := fs.String("parallel", "", "comma-separated worker counts to sweep with a fixed total request budget, e.g. 1,2,4,8 (overrides -workers)")
-	jsonPath := fs.String("json", "", "write all runs as a JSON report to this file (the BENCH_SERVE.json schema; empty = stdout only)")
+	jsonPath := fs.String("json", "", "write all runs as a JSON report to this file (a loadgen.Report; empty = stdout only)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -103,8 +103,8 @@ func TestLoadProtocols(t *testing.T) {
 	}
 }
 
-// TestLoadSweepJSON pins the -parallel sweep and the BENCH_SERVE.json
-// report shape.
+// TestLoadSweepJSON pins the -parallel sweep and the shape of the -json
+// report.
 func TestLoadSweepJSON(t *testing.T) {
 	gp := writeIndexedGraph(t)
 	jp := filepath.Join(t.TempDir(), "bench.json")

@@ -76,7 +76,7 @@
 //	srv := highway.NewServerFor(back, highway.ServeConfig{})
 //
 // Build takes functional options (WithLandmarks, WithWorkers,
-// WithDirection, WithProgress, WithBitParallel, ...) and returns the
+// WithProgress, WithBitParallel, ...) and returns the
 // DistanceIndex interface; where a method's own surface is needed (Path,
 // Verify, ApplyOps, ...) assert the concrete type, e.g. ix.(*highway.Index).
 package highway
@@ -114,24 +114,9 @@ type Index = core.Index
 // create one per goroutine with Index.NewSearcher.
 type Searcher = core.Searcher
 
-// BuildOptions controls index construction (worker count, traversal
-// direction, progress reporting).
+// BuildOptions controls index construction (worker count, progress
+// reporting).
 type BuildOptions = core.Options
-
-// BuildDirection selects how pruned-BFS levels are expanded during
-// construction: the direction-optimizing hybrid (default), forced
-// top-down, or forced bottom-up. Every direction produces a
-// byte-identical index; this is a performance/diagnostic knob.
-type BuildDirection = core.Direction
-
-const (
-	// DirectionAuto pushes sparse levels and pulls dense ones (the default).
-	DirectionAuto = core.DirectionAuto
-	// DirectionTopDown pushes every level (top-down expansion).
-	DirectionTopDown = core.DirectionTopDown
-	// DirectionBottomUp pulls every level (bottom-up; diagnostic).
-	DirectionBottomUp = core.DirectionBottomUp
-)
 
 // BuildStats describes how an index was constructed: worker count and
 // per-direction traversal work. Available via Index.BuildStats.

@@ -12,10 +12,10 @@ import (
 	"highway/internal/landmark"
 )
 
-// The batch-executor benchmarks run on the BA-100k stand-in — the same
-// graph BENCH_SERVE.json serves (hlgen -family ba -n 100000 -deg 10
-// -seed 1) — with the paper's k=20 degree landmarks. BENCH_BATCH.json
-// records the medians.
+// The batch-executor benchmarks run on the BA-100k stand-in (hlgen
+// -family ba -n 100000 -deg 10 -seed 1) with the paper's k=20 degree
+// landmarks. The standing measurement of the same shapes is the
+// core.batch.*.ns_pair rungs of benchmark/README.md.
 var (
 	batchFixOnce sync.Once
 	batchFixG    *graph.Graph
@@ -66,8 +66,7 @@ func batchPairs(n, count, nsrc int, seed int64) [][2]int32 {
 // distinct sources (the source-grouped shape of single-source analytics
 // and coordinator fan-in), uniform means every pair has a fresh source
 // (the adversarial shape — grouping buys nothing, the executor must not
-// lose). One op answers the whole batch; ns/pair is the figure
-// BENCH_BATCH.json tracks.
+// lose). One op answers the whole batch; ns/pair is the figure to read.
 func BenchmarkBatchQuery(b *testing.B) {
 	ix := batchFixture(b)
 	n := batchFixG.NumVertices()

@@ -37,25 +37,18 @@ func buildFixture(b *testing.B) (*graph.Graph, []int32) {
 	return buildFixG, buildFixLM
 }
 
-// BenchmarkBuild measures index construction per traversal direction and
-// worker count: the topdown variants push every level, dopt is the
-// push/pull default.
+// BenchmarkBuild measures index construction on one goroutine (HL) and on
+// all cores (HLP).
 func BenchmarkBuild(b *testing.B) {
 	g, lm := buildFixture(b)
-	cases := []struct {
-		name string
-		opt  core.Options
-	}{
-		{"HL/topdown", core.Options{Workers: 1, Direction: core.DirectionTopDown}},
-		{"HL/dopt", core.Options{Workers: 1, Direction: core.DirectionAuto}},
-		{"HLP/topdown", core.Options{Workers: 0, Direction: core.DirectionTopDown}},
-		{"HLP/dopt", core.Options{Workers: 0, Direction: core.DirectionAuto}},
-	}
-	for _, c := range cases {
+	for _, c := range []struct {
+		name    string
+		workers int
+	}{{"HL", 1}, {"HLP", 0}} {
 		b.Run(c.name, func(b *testing.B) {
 			var edges int64
 			for i := 0; i < b.N; i++ {
-				ix, err := core.BuildOpts(context.Background(), g, lm, c.opt)
+				ix, err := core.BuildOpts(context.Background(), g, lm, core.Options{Workers: c.workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -67,25 +60,12 @@ func BenchmarkBuild(b *testing.B) {
 }
 
 // BenchmarkBuildBFS isolates the engine: one full single-source BFS from
-// the highest-degree vertex, per direction.
+// the highest-degree vertex.
 func BenchmarkBuildBFS(b *testing.B) {
 	g, _ := buildFixture(b)
 	_, hub := g.MaxDegree()
-	dist := make([]int32, g.NumVertices())
-	for _, c := range []struct {
-		name string
-		dir  bfs.Direction
-	}{
-		{"topdown", bfs.DirectionTopDown},
-		{"dopt", bfs.DirectionAuto},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for j := range dist {
-					dist[j] = bfs.Unreachable
-				}
-				bfs.DistancesIntoDir(g, hub, dist, c.dir, nil)
-			}
-		})
+	var dist []int32
+	for i := 0; i < b.N; i++ {
+		dist = bfs.DistancesReuse(g, hub, dist)
 	}
 }

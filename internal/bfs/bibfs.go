@@ -1,5 +1,7 @@
 package bfs
 
+import "highway/internal/graph"
+
 // Scratch holds the reusable per-search state of bidirectional searches.
 // One Scratch supports any number of sequential searches on graphs with at
 // most its capacity of vertices; it is not safe for concurrent use.
@@ -40,7 +42,7 @@ const NoBound int32 = 1<<31 - 1
 // BiBFS is the online bidirectional BFS baseline (Table 2's Bi-BFS,
 // Pohl 1971): it alternates expanding the smaller frontier from s and t
 // until the searches meet.
-func BiBFS[G Adjacency](g G, s, t int32, sc *Scratch) int32 {
+func BiBFS(g *graph.Graph, s, t int32, sc *Scratch) int32 {
 	return BoundedBiBFS(g, s, t, NoBound, nil, sc)
 }
 
@@ -62,7 +64,7 @@ func BiBFS[G Adjacency](g G, s, t int32, sc *Scratch) int32 {
 // Both sides expand top-down only: a search that alternates the smaller
 // side meets long before either frontier saturates the graph, so the
 // single-source engine's bottom-up direction has no level to win here.
-func BoundedBiBFS[G Adjacency](g G, s, t int32, bound int32, skip []bool, sc *Scratch) int32 {
+func BoundedBiBFS(g *graph.Graph, s, t int32, bound int32, skip []bool, sc *Scratch) int32 {
 	if s == t {
 		return 0
 	}
@@ -77,14 +79,7 @@ func BoundedBiBFS[G Adjacency](g G, s, t int32, bound int32, skip []bool, sc *Sc
 		clear(sc.markT)
 		sc.epoch = 1
 	}
-	if off, tgt, ok := csrOf(g); ok {
-		return biBFSCSR(off, tgt, s, t, bound, skip, sc)
-	}
-	return biBFSGeneric(g, s, t, bound, skip, sc)
-}
-
-// biBFSCSR is the search over flat CSR arrays.
-func biBFSCSR(off []int64, tgt []int32, s, t int32, bound int32, skip []bool, sc *Scratch) int32 {
+	off, tgt := g.CSR()
 	epoch := sc.epoch
 	qs := append(sc.qs[:0], s)
 	qt := append(sc.qt[:0], t)
@@ -143,67 +138,6 @@ func biBFSCSR(off []int64, tgt []int32, s, t int32, bound int32, skip []bool, sc
 	if bound != NoBound {
 		// Frontier exhausted below the bound: every s-t path in the
 		// sparsified graph is longer than bound, so the bound is the answer.
-		return bound
-	}
-	return Unreachable
-}
-
-// biBFSGeneric is the same search over method-dispatch adjacency
-// (dynamic overlay graphs). The caller has already bumped the epoch and
-// handled the trivial cases.
-func biBFSGeneric[G Adjacency](g G, s, t int32, bound int32, skip []bool, sc *Scratch) int32 {
-	epoch := sc.epoch
-	qs := append(sc.qs[:0], s)
-	qt := append(sc.qt[:0], t)
-	spare := sc.qn[:0]
-	defer func() { sc.qs, sc.qt, sc.qn = qs, qt, spare }()
-	sc.markS[s] = epoch
-	sc.markT[t] = epoch
-	ds, dt := int32(0), int32(0)
-	sizeS, sizeT := 1, 1
-
-	for len(qs) > 0 && len(qt) > 0 {
-		if ds+dt >= bound {
-			return bound
-		}
-		var (
-			frontier  *[]int32
-			mine, his []uint64
-		)
-		forward := sizeS <= sizeT
-		if forward {
-			frontier, mine, his = &qs, sc.markS, sc.markT
-		} else {
-			frontier, mine, his = &qt, sc.markT, sc.markS
-		}
-		next := spare[:0]
-		for _, u := range *frontier {
-			for _, v := range g.Neighbors(u) {
-				if skip != nil && skip[v] {
-					continue
-				}
-				if mine[v] == epoch {
-					continue
-				}
-				if his[v] == epoch {
-					// Frontiers meet (Algorithm 2 line 10).
-					return ds + 1 + dt
-				}
-				mine[v] = epoch
-				next = append(next, v)
-			}
-		}
-		spare = *frontier
-		*frontier = next
-		if forward {
-			ds++
-			sizeS += len(next)
-		} else {
-			dt++
-			sizeT += len(next)
-		}
-	}
-	if bound != NoBound {
 		return bound
 	}
 	return Unreachable

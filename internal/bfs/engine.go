@@ -3,6 +3,8 @@ package bfs
 import (
 	"math/bits"
 	"sync"
+
+	"highway/internal/graph"
 )
 
 // This file is the shared direction-optimizing traversal engine
@@ -21,32 +23,15 @@ import (
 // edges still incident to unvisited vertices, and return top-down once
 // the frontier shrinks below 1/β of the vertices.
 
-// CSRAccess is the fast-path contract of the engine: a graph that can
-// expose its raw CSR arrays lets the bottom-up inner loop run over flat
-// slices with zero method dispatch. *graph.Graph implements it; dynamic
-// overlay graphs (FD after inserts, dynhl) do not and fall back to the
-// generic top-down path.
-type CSRAccess interface {
-	// CSR returns the offsets (len n+1) and targets (len 2m) arrays of
-	// the adjacency structure. Callers must not modify them.
-	CSR() (offsets []int64, targets []int32)
-}
-
-// Direction selects the traversal strategy of the engine.
-type Direction uint8
+// direction forces every level of a search one way. Searches run dirAuto;
+// the forced values exist so the differential tests reach both arms on
+// graphs too small to switch.
+type direction uint8
 
 const (
-	// DirectionAuto switches between top-down and bottom-up per level
-	// using the α/β heuristics (the default).
-	DirectionAuto Direction = iota
-	// DirectionTopDown forces the classic top-down frontier walk on
-	// every level — the pre-engine reference behavior, kept as the
-	// differential-testing baseline and for benchmarking the switch.
-	DirectionTopDown
-	// DirectionBottomUp forces bottom-up expansion on every level.
-	// Always correct but usually slower; exists so tests can exercise
-	// the bottom-up code path on graphs too small to trigger it.
-	DirectionBottomUp
+	dirAuto     direction = iota // switch per level by the α/β heuristics
+	dirTopDown                   // the classic frontier walk, the tests' reference
+	dirBottomUp                  // always correct, usually slower
 )
 
 // alphaDOpt and betaDOpt are the direction-switch coefficients: go
@@ -88,17 +73,6 @@ func (s TraversalStats) Levels() int64 { return s.TopDownLevels + s.BottomUpLeve
 // EdgesScanned returns the total number of examined edges.
 func (s TraversalStats) EdgesScanned() int64 { return s.EdgesTopDown + s.EdgesBottomUp }
 
-// csrOf extracts the flat CSR arrays when the graph supports them. The
-// type assertion costs one dynamic dispatch per search, not per edge.
-func csrOf[G Adjacency](g G) (offsets []int64, targets []int32, ok bool) {
-	c, isCSR := any(g).(CSRAccess)
-	if !isCSR {
-		return nil, nil, false
-	}
-	offsets, targets = c.CSR()
-	return offsets, targets, len(offsets) > 0
-}
-
 // arena is the reusable per-worker scratch of single-source searches:
 // frontier buffers, the bottom-up frontier bitmap, and a distance buffer
 // for the search forms that do not return one. Arenas are pooled so
@@ -139,12 +113,16 @@ func (a *arena) distBuf(n int) []int32 {
 	return a.dist
 }
 
-// distancesCSR is the direction-optimizing single-source BFS over flat
-// CSR arrays. dist must be len(off)-1 long and pre-filled with
+// distancesCSR is the direction-optimizing single-source BFS over g's
+// flat CSR arrays. dist must be g.NumVertices() long and pre-filled with
 // Unreachable (it doubles as the visited set). It returns the number of
-// reached vertices; stats may be nil.
-func distancesCSR(off []int64, tgt []int32, src int32, dist []int32, a *arena, dir Direction, stats *TraversalStats) int {
+// reached vertices, src included. dir forces every level one way for the
+// differential tests; stats may be nil.
+func distancesCSR(g *graph.Graph, src int32, dist []int32, dir direction, stats *TraversalStats) int {
+	off, tgt := g.CSR()
 	n := len(off) - 1
+	a := getArena(n)
+	defer putArena(a)
 	dist[src] = 0
 	frontier := append(a.frontier[:0], src)
 	next := a.next[:0]
@@ -162,9 +140,9 @@ func distancesCSR(off []int64, tgt []int32, src int32, dist []int32, a *arena, d
 
 	for d := int32(1); len(frontier) > 0; d++ {
 		switch dir {
-		case DirectionTopDown:
+		case dirTopDown:
 			bottomUp = false
-		case DirectionBottomUp:
+		case dirBottomUp:
 			bottomUp = true
 		default:
 			if !bottomUp {
@@ -222,36 +200,6 @@ func distancesCSR(off []int64, tgt []int32, src int32, dist []int32, a *arena, d
 		}
 		remEdges -= nextEdges
 		frontEdges = nextEdges
-		frontier, next = next, frontier
-	}
-	a.frontier, a.next = frontier, next
-	return reached
-}
-
-// distancesGeneric is the top-down fallback for graphs without CSR
-// access (dynamic overlays). Frontier buffers come from the arena.
-func distancesGeneric[G Adjacency](g G, src int32, dist []int32, a *arena, stats *TraversalStats) int {
-	dist[src] = 0
-	frontier := append(a.frontier[:0], src)
-	next := a.next[:0]
-	reached := 1
-	for d := int32(1); len(frontier) > 0; d++ {
-		next = next[:0]
-		var scanned int64
-		for _, u := range frontier {
-			for _, v := range g.Neighbors(u) {
-				scanned++
-				if dist[v] == Unreachable {
-					dist[v] = d
-					next = append(next, v)
-					reached++
-				}
-			}
-		}
-		if stats != nil {
-			stats.TopDownLevels++
-			stats.EdgesTopDown += scanned
-		}
 		frontier, next = next, frontier
 	}
 	a.frontier, a.next = frontier, next

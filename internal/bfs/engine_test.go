@@ -72,22 +72,36 @@ func TestDirectionsAgreeRandom(t *testing.T) {
 	}
 }
 
-// TestAutoTriggersBottomUp pins that the α/β heuristics actually fire on
-// a skewed-degree graph: an auto BFS from a hub of a dense BA graph must
-// expand at least one level bottom-up, and still agree with top-down
-// (agreement is covered above; here we check the stats).
+// TestAutoTriggersBottomUp pins which way the α/β heuristics send the
+// levels of an ordinary (unforced) search, so both arms provably run
+// without any knob: a path is pushed until its last few levels, a star
+// from its centre is pulled from the start, and a skewed-degree graph from
+// its hub is pushed, pulled through the heavy middle and pushed again.
+// (Agreement with top-down is covered above; here we check the stats.)
 func TestAutoTriggersBottomUp(t *testing.T) {
-	g := gen.BarabasiAlbert(4000, 8, 77)
-	_, hub := g.MaxDegree()
-	var stats bfs.TraversalStats
-	dist := make([]int32, g.NumVertices())
-	fill(dist)
-	bfs.DistancesIntoDir(g, hub, dist, bfs.DirectionAuto, &stats)
-	if stats.BottomUpLevels == 0 {
-		t.Fatalf("auto BFS from hub %d never went bottom-up: %+v", hub, stats)
-	}
-	if stats.EdgesScanned() == 0 || stats.Levels() == 0 {
-		t.Fatalf("stats not collected: %+v", stats)
+	ba := gen.BarabasiAlbert(2000, 4, 1)
+	_, hub := ba.MaxDegree()
+	for _, c := range []struct {
+		name           string
+		g              *graph.Graph
+		src            int32
+		pushed, pulled int64
+	}{
+		{"path300", gen.Path(300), 0, 297, 3},
+		{"star200", gen.Star(200), 0, 0, 2},
+		{"ba2000", ba, hub, 3, 2},
+	} {
+		var stats bfs.TraversalStats
+		dist := make([]int32, c.g.NumVertices())
+		fill(dist)
+		bfs.DistancesIntoDir(c.g, c.src, dist, bfs.DirectionAuto, &stats)
+		if stats.TopDownLevels != c.pushed || stats.BottomUpLevels != c.pulled {
+			t.Errorf("%s: %d levels pushed and %d pulled, want %d and %d (%+v)", c.name,
+				stats.TopDownLevels, stats.BottomUpLevels, c.pushed, c.pulled, stats)
+		}
+		if stats.EdgesScanned() == 0 || stats.Levels() == 0 {
+			t.Errorf("%s: stats not collected: %+v", c.name, stats)
+		}
 	}
 }
 

@@ -13,21 +13,6 @@ import (
 	"highway/internal/graph"
 )
 
-// Direction selects how the levels of the construction traversal are
-// expanded; see bfs.Direction. The labelling is identical for every
-// direction (Lemma 3.11 makes the output depend only on the graph and
-// landmark set), so this is purely a performance/testing knob.
-type Direction = bfs.Direction
-
-const (
-	// DirectionAuto pushes sparse levels and pulls dense ones (the default).
-	DirectionAuto = bfs.DirectionAuto
-	// DirectionTopDown pushes every level from the frontier list.
-	DirectionTopDown = bfs.DirectionTopDown
-	// DirectionBottomUp pulls every level (testing only).
-	DirectionBottomUp = bfs.DirectionBottomUp
-)
-
 // Options configures index construction.
 type Options struct {
 	// Workers is the number of goroutines that share each pulled level of
@@ -39,16 +24,26 @@ type Options struct {
 	// count produces an identical index and identical traversal counters.
 	Workers int
 
-	// Direction selects how levels are expanded: pushed or pulled by
-	// measured frontier size (default), always pushed, or always pulled
-	// (testing). Every direction produces an identical index.
-	Direction Direction
-
 	// Progress, when non-nil, is called once per landmark, when its pruned
 	// BFS has finished, with the number finished so far (1…total in order)
 	// and the landmark count, on the goroutine that called BuildOpts or Run.
 	Progress func(done, total int)
+
+	// dir forces every level to be pushed or pulled. Only the in-package
+	// differential tests set it: the labelling depends on graph and
+	// landmarks alone (Lemma 3.11), so no caller has a use for it.
+	dir direction
 }
+
+// direction is how a sweep expands its levels: by the measured frontier,
+// or, in tests, one way throughout.
+type direction uint8
+
+const (
+	dirAuto direction = iota
+	dirPush
+	dirPull
+)
 
 // BuildStats describes how an index was constructed: worker count and the
 // traversal's work counters — pushed levels and the arcs they walked as
@@ -179,7 +174,7 @@ func (rw *Rows) Run(ctx context.Context, g *graph.Graph, ranks []int, opt Option
 	for len(ranks) > 0 {
 		group := ranks[:min(groupBits, len(ranks))]
 		ranks = ranks[len(group):]
-		run, err := rw.sw.run(ctx, rw, g, group, opt.Direction, &stats.Traversal, finished)
+		run, err := rw.sw.run(ctx, rw, g, group, opt.dir, &stats.Traversal, finished)
 		if err != nil {
 			return stats, err
 		}
@@ -275,7 +270,7 @@ func both(mask uint32) uint64 { return uint64(mask) * (1<<32 + 1) }
 // run sweeps g for the given ranks of rw. A rank stays active while its
 // Qlabel is non-empty, or its Qprune is and some landmark is still unfound
 // — Algorithm 1's loop condition; finished reports the ranks that leave.
-func (s *sweep) run(ctx context.Context, rw *Rows, g *graph.Graph, ranks []int, dir Direction, stats *bfs.TraversalStats, finished func(uint32)) (*groupRun, error) {
+func (s *sweep) run(ctx context.Context, rw *Rows, g *graph.Graph, ranks []int, dir direction, stats *bfs.TraversalStats, finished func(uint32)) (*groupRun, error) {
 	n, k, workers := g.NumVertices(), len(rw.landmarks), rw.workers
 	if s.seen == nil {
 		s.seen, s.front, s.next = make([]uint32, n), make([]uint64, n), make([]uint64, n)
@@ -312,9 +307,9 @@ func (s *sweep) run(ctx context.Context, rw *Rows, g *graph.Graph, ranks []int, 
 			s.frontier[w], outs[w].list = outs[w].list, s.frontier[w][:0]
 		}
 		switch {
-		case dir == DirectionTopDown:
+		case dir == dirPush:
 			pull = false
-		case dir == DirectionBottomUp:
+		case dir == dirPull:
 			pull = true
 		case pull:
 			pull = frontCount > n/pushBeta

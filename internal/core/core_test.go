@@ -197,8 +197,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 3, 8} {
-		for _, dir := range []Direction{DirectionAuto, DirectionTopDown, DirectionBottomUp} {
-			par, err := BuildOpts(context.Background(), g, lm, Options{Workers: workers, Direction: dir})
+		for _, dir := range []direction{dirAuto, dirPush, dirPull} {
+			par, err := BuildOpts(context.Background(), g, lm, Options{Workers: workers, dir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,19 +209,20 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBuildDirectionsByteIdentical pins the acceptance contract at the
-// serialization layer: sequential, parallel and every traversal
-// direction produce byte-identical v2 index files.
-func TestBuildDirectionsByteIdentical(t *testing.T) {
+// TestForcedPushPullByteIdentical pins the acceptance contract at the
+// serialization layer: sequential and parallel builds, with the levels
+// left to the measured frontier, all pushed or all pulled, produce
+// byte-identical v2 index files.
+func TestForcedPushPullByteIdentical(t *testing.T) {
 	g := gen.BarabasiAlbert(900, 5, 23)
 	lm := g.DegreeOrder()[:20]
 	var want []byte
 	for _, cfg := range []Options{
-		{Workers: 1, Direction: DirectionTopDown}, // pre-engine reference
-		{Workers: 1, Direction: DirectionAuto},
-		{Workers: 1, Direction: DirectionBottomUp},
-		{Workers: 4, Direction: DirectionAuto},
-		{Workers: 0, Direction: DirectionBottomUp},
+		{Workers: 1, dir: dirPush}, // pre-engine reference
+		{Workers: 1, dir: dirAuto},
+		{Workers: 1, dir: dirPull},
+		{Workers: 4, dir: dirAuto},
+		{Workers: 0, dir: dirPull},
 	} {
 		ix, err := BuildOpts(context.Background(), g, lm, cfg)
 		if err != nil {
@@ -236,7 +237,7 @@ func TestBuildDirectionsByteIdentical(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(want, buf.Bytes()) {
-			t.Fatalf("workers=%d direction=%d: v2 bytes differ from reference build", cfg.Workers, cfg.Direction)
+			t.Fatalf("workers=%d direction=%d: v2 bytes differ from reference build", cfg.Workers, cfg.dir)
 		}
 	}
 }
@@ -257,8 +258,8 @@ func TestBuildStats(t *testing.T) {
 		}
 		return ix.BuildStats()
 	}
-	td := stats(Options{Workers: 1, Direction: DirectionTopDown}).Traversal
-	bu := stats(Options{Workers: 1, Direction: DirectionBottomUp}).Traversal
+	td := stats(Options{Workers: 1, dir: dirPush}).Traversal
+	bu := stats(Options{Workers: 1, dir: dirPull}).Traversal
 	auto := stats(Options{Workers: 1})
 	if td.BottomUpLevels != 0 || td.EdgesBottomUp != 0 || td.TopDownLevels == 0 {
 		t.Fatalf("all-push build stats: %+v", td)
@@ -276,15 +277,43 @@ func TestBuildStats(t *testing.T) {
 		t.Fatalf("workers = %d, want 1", auto.Workers)
 	}
 	for _, workers := range []int{2, 5} {
-		for _, dir := range []Direction{DirectionAuto, DirectionBottomUp} {
-			got := stats(Options{Workers: workers, Direction: dir})
+		for _, dir := range []direction{dirAuto, dirPull} {
+			got := stats(Options{Workers: workers, dir: dir})
 			want := auto.Traversal
-			if dir == DirectionBottomUp {
+			if dir == dirPull {
 				want = bu
 			}
 			if got.Traversal != want || got.Workers != workers {
 				t.Fatalf("workers=%d direction=%d: stats %+v, want traversal %+v", workers, dir, got, want)
 			}
+		}
+	}
+}
+
+// TestBuildPushesAndPulls pins which way an ordinary build (no forced
+// direction) sends its levels, so both arms of the sweep provably run with
+// no knob to select them: a path never fills enough of the graph to be
+// pulled, a star is pulled from its first level, and a skewed-degree graph
+// is pushed once and pulled from there on.
+func TestBuildPushesAndPulls(t *testing.T) {
+	ba := gen.BarabasiAlbert(2000, 4, 1)
+	for _, c := range []struct {
+		name           string
+		g              *graph.Graph
+		landmarks      []int32
+		pushed, pulled int64
+	}{
+		{"path300", gen.Path(300), []int32{149, 150}, 150, 0},
+		{"star200", gen.Star(200), []int32{0}, 0, 2},
+		{"ba2000", ba, ba.DegreeOrder()[:8], 1, 3},
+	} {
+		ix, err := Build(c.g, c.landmarks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr := ix.BuildStats().Traversal; tr.TopDownLevels != c.pushed || tr.BottomUpLevels != c.pulled {
+			t.Errorf("%s: %d levels pushed and %d pulled, want %d and %d (%+v)", c.name,
+				tr.TopDownLevels, tr.BottomUpLevels, c.pushed, c.pulled, tr)
 		}
 	}
 }

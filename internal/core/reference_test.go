@@ -133,8 +133,8 @@ func TestKernelMatchesReference(t *testing.T) {
 			}
 			want := v2Bytes(t, referenceIndex(g, lm))
 			for _, workers := range []int{1, 2, 5} {
-				for _, dir := range []Direction{DirectionAuto, DirectionTopDown, DirectionBottomUp} {
-					ix, err := BuildOpts(context.Background(), g, lm, Options{Workers: workers, Direction: dir})
+				for _, dir := range []direction{dirAuto, dirPush, dirPull} {
+					ix, err := BuildOpts(context.Background(), g, lm, Options{Workers: workers, dir: dir})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -164,8 +164,8 @@ func FuzzPrunedBFSEquivalence(f *testing.F) {
 		g := graph.MustFromEdges(n, edges)
 		lm := spread(g, k, int64(len(raw)))
 		want := v2Bytes(t, referenceIndex(g, lm))
-		for _, dir := range []Direction{DirectionAuto, DirectionTopDown, DirectionBottomUp} {
-			ix, err := BuildOpts(context.Background(), g, lm, Options{Workers: 2, Direction: dir})
+		for _, dir := range []direction{dirAuto, dirPush, dirPull} {
+			ix, err := BuildOpts(context.Background(), g, lm, Options{Workers: 2, dir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -138,9 +138,9 @@ func TestRowsRerunMatchesBuild(t *testing.T) {
 		rng.Shuffle(len(ranks), func(i, j int) { ranks[i], ranks[j] = ranks[j], ranks[i] })
 
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-			for _, dir := range []Direction{DirectionAuto, DirectionTopDown, DirectionBottomUp} {
+			for _, dir := range []direction{dirAuto, dirPush, dirPull} {
 				rw := RowsOf(base)
-				if _, err := rw.Run(context.Background(), g2, ranks, Options{Workers: workers, Direction: dir}); err != nil {
+				if _, err := rw.Run(context.Background(), g2, ranks, Options{Workers: workers, dir: dir}); err != nil {
 					t.Fatal(err)
 				}
 				got := rw.Assemble(g2)
@@ -153,7 +153,7 @@ func TestRowsRerunMatchesBuild(t *testing.T) {
 				for r := range all {
 					all[r] = r
 				}
-				if _, err := rw.Run(context.Background(), g, all, Options{Workers: workers, Direction: dir}); err != nil {
+				if _, err := rw.Run(context.Background(), g, all, Options{Workers: workers, dir: dir}); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(v2Bytes(t, rw.Assemble(g)), baseBytes) {

@@ -13,7 +13,10 @@
 // implementation supports its incremental side (edge insertions) by
 // repairing each landmark's distance array with a pruned BFS from the
 // improved endpoint. Deletions are out of scope (they need per-tree parent
-// counts and are orthogonal to the paper's comparison).
+// counts and are orthogonal to the paper's comparison). Queries always
+// search a *graph.Graph: an insert refreezes the evolved adjacency with
+// graph.FromAdjacency, O(n+m) per edge, which no benchmark or bench test
+// measures (none inserts into fd).
 package fd
 
 import (
@@ -38,7 +41,7 @@ const Infinity int32 = -1
 
 // Index is an FD distance oracle.
 type Index struct {
-	g          *graph.Graph
+	g          *graph.Graph // the graph as it is now, inserted edges included
 	landmarks  []int32
 	rankOf     []int32
 	isLandmark []bool
@@ -50,18 +53,11 @@ type Index struct {
 	// become stale), falling back to the plain SPT bounds.
 	bp []*bptree.Tree
 
-	// dyn holds the mutable adjacency after the first InsertEdge;
+	// adj holds the rows InsertEdge appends to, in insertion order (the
+	// order the overlay section is written in); g is refrozen from it.
 	// nil while the index is purely static.
-	dyn *overlay
-}
-
-// overlay is the insert-only adjacency used after dynamic updates.
-type overlay struct {
 	adj [][]int32
 }
-
-func (o *overlay) NumVertices() int          { return len(o.adj) }
-func (o *overlay) Neighbors(v int32) []int32 { return o.adj[v] }
 
 // Build constructs the FD index: one full BFS per landmark.
 func Build(ctx context.Context, g *graph.Graph, landmarks []int32) (*Index, error) {
@@ -185,12 +181,7 @@ func (sr *Searcher) Distance(s, t int32) int32 {
 	if bound == Infinity {
 		bound = bfs.NoBound
 	}
-	var d int32
-	if ix.dyn != nil {
-		d = bfs.BoundedBiBFS(ix.dyn, s, t, bound, ix.isLandmark, sr.sc)
-	} else {
-		d = bfs.BoundedBiBFS(ix.g, s, t, bound, ix.isLandmark, sr.sc)
-	}
+	d := bfs.BoundedBiBFS(ix.g, s, t, bound, ix.isLandmark, sr.sc)
 	if d == bfs.Unreachable {
 		return ub // Infinity when ub is Infinity too
 	}
@@ -229,27 +220,27 @@ func (ix *Index) InsertEdge(u, v int32) error {
 	if u < 0 || v < 0 || int(u) >= n || int(v) >= n {
 		return fmt.Errorf("fd: edge {%d,%d} out of range [0,%d)", u, v, n)
 	}
-	if u == v {
+	if u == v || ix.g.HasEdge(u, v) {
 		return nil
 	}
 	ix.bp = nil // BP bounds are static; drop them on mutation
 	ix.materialize()
-	for _, w := range ix.dyn.adj[u] {
-		if w == v {
-			return nil // already present
-		}
+	ix.adj[u] = append(ix.adj[u], v)
+	ix.adj[v] = append(ix.adj[v], u)
+	g, err := graph.FromAdjacency(ix.adj)
+	if err != nil {
+		return err
 	}
-	ix.dyn.adj[u] = append(ix.dyn.adj[u], v)
-	ix.dyn.adj[v] = append(ix.dyn.adj[v], u)
+	ix.g = g
 	for _, row := range ix.dist {
 		ix.repairRow(row, u, v)
 	}
 	return nil
 }
 
-// materialize copies the base CSR adjacency into the mutable overlay.
+// materialize copies the CSR adjacency into the mutable rows.
 func (ix *Index) materialize() {
-	if ix.dyn != nil {
+	if ix.adj != nil {
 		return
 	}
 	n := ix.g.NumVertices()
@@ -258,7 +249,7 @@ func (ix *Index) materialize() {
 		nb := ix.g.Neighbors(int32(v))
 		adj[v] = append(make([]int32, 0, len(nb)+1), nb...)
 	}
-	ix.dyn = &overlay{adj: adj}
+	ix.adj = adj
 }
 
 // repairRow restores row = d(landmark, ·) after inserting {u,v}: if one
@@ -286,7 +277,7 @@ func (ix *Index) repairRow(row []int32, u, v int32) {
 		next = next[:0]
 		for _, x := range frontier {
 			dx := row[x]
-			for _, y := range ix.dyn.adj[x] {
+			for _, y := range ix.g.Neighbors(x) {
 				if row[y] < 0 || row[y] > dx+1 {
 					row[y] = dx + 1
 					next = append(next, y)

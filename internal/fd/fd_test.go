@@ -1,8 +1,10 @@
 package fd
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"highway/internal/bfs"
@@ -113,6 +115,36 @@ func TestInsertEdge(t *testing.T) {
 		}
 		oracle.CheckSampled(t, graph.MustFromEdges(n, edges), ix.NewSearcher(), 40, int64(round))
 	}
+
+	// Every pair on the refrozen graph, and again on the file's overlay
+	// section read back over the base graph.
+	final := graph.MustFromEdges(n, edges)
+	if err := oracle.Diff(final, ix.NewSearcher(), oracle.AllPairs(n)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "fd.idx")
+	if err := ix.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Load(path, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := oracle.Diff(final, back.NewSearcher(), oracle.AllPairs(n)); err != nil {
+		t.Fatalf("after Save and Load: %v", err)
+	}
+	if a, b := written(t, ix), written(t, back); !bytes.Equal(a, b) {
+		t.Fatalf("reloaded index writes %d bytes that differ from the %d saved", len(b), len(a))
+	}
+}
+
+func written(t *testing.T, ix *Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ix.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestInsertEdgeConnectsComponents covers the unreachable→reachable
@@ -161,8 +193,24 @@ func TestInsertEdgeNoOps(t *testing.T) {
 	if err := ix.InsertEdge(0, 3); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(ix.dyn.adj[0]); got != 3 {
+	if got := len(ix.adj[0]); got != 3 {
 		t.Fatalf("adj[0] has %d entries, want 3 (2 original + 1 new)", got)
+	}
+
+	// A no-op leaves a static index static: its bit-parallel trees stay
+	// and the file gains no overlay section.
+	bp, err := BuildBP(context.Background(), gen.Path(6), []int32{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := written(t, bp)
+	for _, e := range [][2]int32{{0, 1}, {1, 0}, {4, 4}} {
+		if err := bp.InsertEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bp.NumBPTrees() != 1 || !bytes.Equal(written(t, bp), before) {
+		t.Fatalf("no-op inserts left %d trees and %d bytes, want 1 and %d", bp.NumBPTrees(), len(written(t, bp)), len(before))
 	}
 }
 

@@ -52,9 +52,9 @@ func (ix *Index) Write(w io.Writer) error {
 		})
 	}
 	var overlayEdges uint64
-	if ix.dyn != nil {
+	if ix.adj != nil {
 		var payload []byte
-		for u, nbs := range ix.dyn.adj {
+		for u, nbs := range ix.adj {
 			for _, v := range nbs {
 				if int32(u) < v {
 					payload = method.AppendI32s(payload, []int32{int32(u), v})
@@ -162,8 +162,9 @@ func Read(r io.Reader, g *graph.Graph) (*Index, error) {
 	return ix, nil
 }
 
-// dynFromSection reconstructs the mutable overlay adjacency from the
-// overlay section (nil when the index was saved in its static state).
+// dynFromSection reconstructs the mutable adjacency from the overlay
+// section (nil when the index was saved in its static state) and freezes
+// it as the graph queries run on.
 func (ix *Index) dynFromSection(payload []byte, edges int) error {
 	if payload == nil {
 		if edges != 0 {
@@ -185,7 +186,11 @@ func (ix *Index) dynFromSection(payload []byte, edges int) error {
 		adj[u] = append(adj[u], v)
 		adj[v] = append(adj[v], u)
 	}
-	ix.dyn = &overlay{adj: adj}
+	g, err := graph.FromAdjacency(adj)
+	if err != nil {
+		return err
+	}
+	ix.adj, ix.g = adj, g
 	return nil
 }
 

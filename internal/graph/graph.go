@@ -91,8 +91,9 @@ func SearchInt32(a []int32, x int32) int {
 }
 
 // CSR exposes the raw adjacency arrays — offsets (len n+1) and targets
-// (len 2m) — implementing the traversal engine's bfs.CSRAccess fast
-// path. Callers must not modify the returned slices.
+// (len 2m) — that every search in internal/bfs and the construction
+// sweep in internal/core run over. Callers must not modify the returned
+// slices.
 func (g *Graph) CSR() (offsets []int64, targets []int32) {
 	return g.offsets, g.targets
 }

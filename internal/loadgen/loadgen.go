@@ -6,7 +6,7 @@
 // and a memory profile. With Options.Churn it interleaves trace-style
 // edge insertions and deletions (workload.OpStream) through the
 // target's Mutator capability, timing mutations separately from reads.
-// Results marshal to the BENCH_SERVE.json schema tabulated in
+// Results marshal to the `hlserve load -json` report tabulated in
 // EXPERIMENTS.md.
 //
 // The measurement discipline mirrors the paper's evaluation style:
@@ -149,7 +149,8 @@ type MemProfile struct {
 	RSSMB       float64 `json:"rss_mb"`
 }
 
-// Result is one measured load run: the unit of BENCH_SERVE.json.
+// Result is one measured load run: the unit of the `hlserve load -json`
+// report.
 type Result struct {
 	// Protocol labels the target ("inproc", "http", "binary").
 	Protocol string `json:"protocol"`
@@ -516,7 +517,7 @@ func readRSSMB() float64 {
 	return 0
 }
 
-// Report is the BENCH_SERVE.json document: the runs of one harness
+// Report is the `hlserve load -json` report: the runs of one harness
 // invocation plus enough context to reproduce them.
 type Report struct {
 	Command string   `json:"command,omitempty"`

@@ -106,9 +106,6 @@ type BuildConfig struct {
 	// Workers is the parallel build width where the method supports it
 	// (hl; 0 = all cores, 1 = the paper's sequential HL).
 	Workers int
-	// Direction is the hl traversal-direction knob (DirectionAuto
-	// default).
-	Direction BuildDirection
 	// Progress, when non-nil, receives (done, total) build progress
 	// where the method reports it (hl).
 	Progress func(done, total int)
@@ -152,11 +149,6 @@ func WithSeed(seed int64) BuildOption {
 // landmark's BFS; the index is the same for every width (Lemma 3.11).
 func WithWorkers(workers int) BuildOption {
 	return func(c *BuildConfig) { c.Workers = workers }
-}
-
-// WithDirection sets the traversal direction of the hl builder.
-func WithDirection(d BuildDirection) BuildOption {
-	return func(c *BuildConfig) { c.Direction = d }
 }
 
 // WithProgress installs a build progress callback.
@@ -207,11 +199,7 @@ var methodRegistry = []Method{
 			if err != nil {
 				return nil, err
 			}
-			return core.BuildOpts(ctx, g, lm, core.Options{
-				Workers:   cfg.Workers,
-				Direction: cfg.Direction,
-				Progress:  cfg.Progress,
-			})
+			return core.BuildOpts(ctx, g, lm, core.Options{Workers: cfg.Workers, Progress: cfg.Progress})
 		},
 		read: func(r io.Reader, g *Graph) (DistanceIndex, error) { return core.Read(r, g) },
 	},

@@ -261,7 +261,6 @@ func TestBuildOptions(t *testing.T) {
 	ix, err := highway.Build(ctx, g, "hl",
 		highway.WithLandmarks(lm),
 		highway.WithWorkers(1),
-		highway.WithDirection(highway.DirectionTopDown),
 		highway.WithProgress(func(done, total int) { calls++ }),
 	)
 	if err != nil {
