@@ -39,7 +39,8 @@ type Follower struct {
 
 	// In-flight snapshot transfer (guarded by mu): chunks accumulate
 	// until the done chunk installs them. A transfer at a newer epoch
-	// abandons a stale half-finished one.
+	// abandons a stale half-finished one. The buffer is a graph and an
+	// index long, so it is dropped, not Reset, whenever a transfer ends.
 	snapEpoch uint64
 	snapBuf   bytes.Buffer
 
@@ -123,14 +124,14 @@ func (f *Follower) ReplSnapshot(epoch uint64, done bool, chunk []byte) (uint64, 
 	if epoch != f.snapEpoch {
 		// A transfer at a new epoch supersedes whatever was in flight.
 		f.snapEpoch = epoch
-		f.snapBuf.Reset()
+		f.snapBuf = bytes.Buffer{}
 	}
 	f.snapBuf.Write(chunk)
 	if !done {
 		return cur, nil
 	}
 	_, ix, err := serve.DecodeSnapshot(bytes.NewReader(f.snapBuf.Bytes()))
-	f.snapBuf.Reset()
+	f.snapBuf = bytes.Buffer{}
 	f.snapEpoch = 0
 	if err != nil {
 		return cur, fmt.Errorf("cluster: snapshot install: %w", err)

@@ -1,0 +1,66 @@
+package cluster
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+	"time"
+
+	"highway/internal/core"
+	"highway/internal/gen"
+	"highway/internal/serve"
+)
+
+// TestFollowerReleasesSnapshotTransfer: a bootstrap transfer is a graph and
+// an index long, and the follower buffers all of it before it installs.
+// Once installed — and once a resync has installed over it — what the
+// follower keeps alive is the graph, the index and dynhl's mutable copy of
+// the adjacency, within a tenth; the transfer buffer is not among them.
+func TestFollowerReleasesSnapshotTransfer(t *testing.T) {
+	g := gen.BarabasiAlbert(20_000, 3, 7)
+	ix, err := core.Build(g, g.DegreeOrder()[:16])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := serve.EncodeSnapshot(&snap, g, ix); err != nil {
+		t.Fatal(err)
+	}
+	off, tgt := g.CSR()
+	graphBytes := int64(8*len(off) + 4*len(tgt))
+	adjacency := int64(4*len(tgt) + 24*g.NumVertices()) // dynhl.FromCore: the targets again, a slice header a vertex
+	want := graphBytes + ix.ActualBytes() + adjacency
+	if int64(snap.Len()) < want/4 {
+		t.Fatalf("test premise broken: a %d-byte transfer would hide in the slack of %d", snap.Len(), want)
+	}
+
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	f, err := NewFollower(serve.Config{ShutdownGrace: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Server().Close()
+	before := heap()
+	for epoch := uint64(1); epoch <= 2; epoch++ { // bootstrap, then a resync over it
+		const chunk = 64 << 10
+		for raw := snap.Bytes(); len(raw) > 0; raw = raw[min(chunk, len(raw)):] {
+			if _, err := f.ReplSnapshot(epoch, len(raw) <= chunk, raw[:min(chunk, len(raw))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := f.Epoch(); got != epoch {
+			t.Fatalf("epoch %d after installing the snapshot of epoch %d", got, epoch)
+		}
+		if held := heap() - before; held < want*9/10 || held > want*11/10 {
+			t.Fatalf("after install %d the follower holds %d bytes, want graph + index + adjacency = %d (the transfer was %d)",
+				epoch, held, want, snap.Len())
+		}
+	}
+	runtime.KeepAlive(f)
+}

@@ -291,10 +291,9 @@ func (sr *Searcher) sourceVia(source int32) []int32 {
 		return ix.highway[int(r)*k : int(r+1)*k]
 	}
 	via := sr.viaBuf(k)
-	rank, dist := ix.labelRank, ix.labelDist
 	for p := ix.labelOff[source]; p < ix.labelOff[source+1]; p++ {
-		ds := dist[p]
-		row := ix.highway[int(rank[p])*k : int(rank[p]+1)*k]
+		ds, r := ix.distAt(source, p), int(ix.labelRank[p])
+		row := ix.highway[r*k : (r+1)*k]
 		for j, h := range row {
 			if h < 0 {
 				continue
@@ -311,14 +310,13 @@ func (sr *Searcher) sourceVia(source int32) []int32 {
 // probe pass over t's flat label range against the source vector. It
 // returns exactly Searcher.UpperBound(source, t).
 func boundViaVec(ix *Index, via []int32, t int32) int32 {
-	rank, dist := ix.labelRank, ix.labelDist
 	best := Infinity
 	for p := ix.labelOff[t]; p < ix.labelOff[t+1]; p++ {
-		v := via[rank[p]]
+		v := via[ix.labelRank[p]]
 		if v < 0 {
 			continue
 		}
-		if d := v + dist[p]; best < 0 || d < best {
+		if d := v + ix.distAt(t, p); best < 0 || d < best {
 			best = d
 		}
 	}

@@ -491,9 +491,9 @@ func share(workers, n int, fn func(w, i int)) {
 func (rw *Rows) Assemble(g *graph.Graph) *Index {
 	ix := &Index{g: g, landmarks: rw.landmarks, rankOf: rw.rankOf, isLandmark: rw.isLandmark, highway: rw.highway}
 	if prev := rw.ix; len(rw.runs) == 0 {
-		ix.labelOff, ix.labelRank, ix.labelDist = prev.labelOff, prev.labelRank, prev.labelDist
+		ix.labelOff, ix.labelRank, ix.labelDist, ix.overflow = prev.labelOff, prev.labelRank, prev.labelDist, prev.overflow
 	} else {
-		ix.labelOff, ix.labelRank, ix.labelDist = packEvents(g.NumVertices(), rw.runs, rw.workers)
+		ix.packEvents(rw.runs, rw.workers)
 		var keep [MaxLandmarks + 1]int64 // 1 for a rank that did not run
 		kept := len(rw.landmarks)
 		for r := 0; r < kept; r++ {
@@ -508,18 +508,21 @@ func (rw *Rows) Assemble(g *graph.Graph) *Index {
 		if prev != nil && kept > 0 {
 			ix.mergeKept(prev, &keep, rw.workers)
 		}
+		slices.SortFunc(ix.overflow, cmpOverflow)
 	}
 	rw.ix, rw.ixHighway, rw.runs = ix, true, nil
 	return ix
 }
 
-// packEvents lays the events of the runs out as label arrays: vertex v has
-// popcount(labelled[v]) entries per run, runs in order, and within a run
+// packEvents lays the events of the runs out as ix's label arrays: vertex v
+// has popcount(labelled[v]) entries per run, runs in order, and within a run
 // the entry of bit b sits behind those of the lower bits set. Every event
 // bit owns its position, so the workers share the chunks without sharing a
-// write.
-func packEvents(n int, runs []*groupRun, workers int) (off []int64, rank, dist []int32) {
-	off = make([]int64, n+1)
+// write; an event too deep for a byte goes on its worker's own list of
+// overflow records, which leave here concatenated and unsorted.
+func (ix *Index) packEvents(runs []*groupRun, workers int) {
+	n := ix.g.NumVertices()
+	off := make([]int64, n+1)
 	for v := 0; v < n; v++ {
 		size := 0
 		for _, run := range runs {
@@ -527,16 +530,20 @@ func packEvents(n int, runs []*groupRun, workers int) (off []int64, rank, dist [
 		}
 		off[v+1] = off[v] + int64(size)
 	}
-	rank, dist = make([]int32, off[n]), make([]int32, off[n])
+	rank, dist := make([]uint8, off[n]), make([]uint8, off[n])
+	over := make([][]overflowRec, workers)
 	base := off // per vertex, where the current run's entries start
 	for i, run := range runs {
-		share(workers, len(run.events), func(_, c int) {
+		share(workers, len(run.events), func(w, c int) {
 			for _, e := range run.events[c] {
-				all := run.labelled[e.v]
+				all, d := run.labelled[e.v], uint8(min(e.d, int32(distOverflow)))
 				for m := e.mask; m != 0; m &= m - 1 {
 					b := bits.TrailingZeros32(m)
 					p := base[e.v] + int64(bits.OnesCount32(all&(1<<b-1)))
-					rank[p], dist[p] = int32(run.ranks[b]), e.d
+					rank[p], dist[p] = uint8(run.ranks[b]), d
+					if d == distOverflow {
+						over[w] = append(over[w], overflowRec{v: e.v, rank: rank[p], d: e.d})
+					}
 				}
 			}
 		})
@@ -549,11 +556,12 @@ func packEvents(n int, runs []*groupRun, workers int) (off []int64, rank, dist [
 			}
 		}
 	}
-	return off, rank, dist
+	ix.labelOff, ix.labelRank, ix.labelDist, ix.overflow = off, rank, dist, slices.Concat(over...)
 }
 
 // mergeKept replaces ix's label arrays, which hold the ranks that ran, with
-// their per-vertex merge with prev's entries of the ranks keep marks.
+// their per-vertex merge with prev's entries of the ranks keep marks, and
+// appends those ranks' overflow records to ix's.
 func (ix *Index) mergeKept(prev *Index, keep *[MaxLandmarks + 1]int64, workers int) {
 	n := len(ix.labelOff) - 1
 	off := make([]int64, n+1)
@@ -564,7 +572,7 @@ func (ix *Index) mergeKept(prev *Index, keep *[MaxLandmarks + 1]int64, workers i
 		}
 		off[v+1] = off[v] + size
 	}
-	rank, dist := make([]int32, off[n]), make([]int32, off[n])
+	rank, dist := make([]uint8, off[n]), make([]uint8, off[n])
 	share(workers, (n+pullBlock-1)/pullBlock, func(_, i int) {
 		for v := i * pullBlock; v < min((i+1)*pullBlock, n); v++ {
 			p, a, aEnd := off[v], ix.labelOff[v], ix.labelOff[v+1]
@@ -583,5 +591,10 @@ func (ix *Index) mergeKept(prev *Index, keep *[MaxLandmarks + 1]int64, workers i
 			copy(dist[p:], ix.labelDist[a:aEnd])
 		}
 	})
+	for _, o := range prev.overflow {
+		if keep[o.rank] != 0 {
+			ix.overflow = append(ix.overflow, o)
+		}
+	}
 	ix.labelOff, ix.labelRank, ix.labelDist = off, rank, dist
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"highway/internal/bfs"
@@ -371,12 +372,8 @@ func indexesIdentical(a, b *Index) bool {
 			return false
 		}
 	}
-	for i := range a.labelRank {
-		if a.labelRank[i] != b.labelRank[i] || a.labelDist[i] != b.labelDist[i] {
-			return false
-		}
-	}
-	return true
+	return bytes.Equal(a.labelRank, b.labelRank) && bytes.Equal(a.labelDist, b.labelDist) &&
+		slices.Equal(a.overflow, b.overflow)
 }
 
 // TestMinimality verifies Lemma 3.7 in both directions on random graphs:
@@ -554,7 +551,7 @@ func TestMultiLandmarkComponents(t *testing.T) {
 }
 
 // TestDistanceOverflow exercises distances beyond the 8-bit disk encoding
-// on a path of length 600: stored flat as int32, escaped on serialization.
+// on a path of length 600: escaped in the label arrays, exact in the table.
 func TestDistanceOverflow(t *testing.T) {
 	g := gen.Path(600)
 	ix, err := Build(g, []int32{0})

@@ -12,8 +12,9 @@ import (
 // either format magic. Successful loads must yield an index whose basic
 // operations are safe to call.
 func FuzzLoadIndex(f *testing.F) {
-	// Seeds: the golden index as v2, and both committed v1 files.
-	var buf bytes.Buffer
+	// Seeds: the golden index as v2, both committed v1 files, and the
+	// path-600 index, whose 688 overflow records are in v2's section 6.
+	var buf, overflowBuf bytes.Buffer
 	if err := goldenIndex(f).Write(&buf); err != nil {
 		f.Fatal(err)
 	}
@@ -21,6 +22,11 @@ func FuzzLoadIndex(f *testing.F) {
 	for _, fx := range v1Fixtures(f) {
 		seeds = append(seeds, fx.raw)
 	}
+	path600G, path600Ix := path600(f)
+	if err := path600Ix.Write(&overflowBuf); err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, overflowBuf.Bytes())
 	for _, good := range seeds {
 		f.Add(good)
 		f.Add(good[:len(good)/2])
@@ -37,18 +43,19 @@ func FuzzLoadIndex(f *testing.F) {
 	f.Add([]byte("garbage"))
 
 	g := gen.PaperFigure2()
-	overflowG := gen.Path(300) // the graph of the path300.hl1 seed
+	overflowG := gen.Path(300) // the graph of the path300.hl1 seed; path600G is the last seed's
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Loading must be total: either an error or a usable index.
 		ix, err := Read(bytes.NewReader(data), g)
 		if err == nil {
 			exerciseIndex(ix)
 		}
-		// A second graph size exercises the n-mismatch path and the
-		// overflow machinery bounds.
-		ix2, err := Read(bytes.NewReader(data), overflowG)
-		if err == nil {
-			exerciseIndex(ix2)
+		// More graph sizes exercise the n-mismatch path and the overflow
+		// machinery bounds.
+		for _, g := range []*graph.Graph{overflowG, path600G} {
+			if ix, err := Read(bytes.NewReader(data), g); err == nil {
+				exerciseIndex(ix)
+			}
 		}
 	})
 }
@@ -75,6 +82,7 @@ func FuzzIndexRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint8(30), uint8(3))
 	f.Add(int64(2), uint8(80), uint8(7))
 	f.Add(int64(3), uint8(5), uint8(1))
+	f.Add(int64(5), uint8(89), uint8(1)) // the longest path, two landmarks
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, kRaw uint8) {
 		n := 4 + int(nRaw)%90
 		var g *graph.Graph

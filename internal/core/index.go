@@ -31,7 +31,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"highway/internal/graph"
@@ -46,10 +48,10 @@ var _ method.DistanceIndex = (*Index)(nil)
 // Infinity is the distance reported between disconnected vertices.
 const Infinity int32 = -1
 
-// distOverflow marks an 8-bit stored distance (on disk) whose real value
-// lives in the overflow section. Complex networks have tiny diameters, so
-// in practice the section stays empty; it exists so that the 8-bit disk
-// encoding is still exact on adversarial inputs (long paths, grids).
+// distOverflow marks an 8-bit stored distance whose real value lives in
+// the overflow table. Complex networks have tiny diameters, so in practice
+// the table stays empty; it exists so that the 8-bit encoding is still
+// exact on adversarial inputs (long paths, grids).
 const distOverflow uint8 = 0xFF
 
 // MaxLandmarks bounds the landmark count so ranks fit the paper's 8-bit
@@ -64,12 +66,15 @@ const MaxLandmarks = 255
 // Labels live in a flat structure-of-arrays CSR layout: vertex v's label
 // occupies positions labelOff[v]..labelOff[v+1] of the two contiguous
 // parallel arrays labelRank and labelDist, sorted by landmark rank within
-// each vertex. There are no per-vertex slice headers to chase and no
-// per-entry decode branch: distances are stored fully decoded as int32,
-// so the query hot path is a branch-light merge over two array ranges.
-// The paper's 8-bit compressed representation (ranks and distances in one
-// byte each, with an escape table for distances ≥ 255) is an on-disk and
-// accounting concept only; see serialize.go and SizeBytes8.
+// each vertex. There are no per-vertex slice headers to chase. An entry is
+// the paper's HL(8) (Section 5.2, SizeBytes8): one byte of rank and one
+// byte of distance, which is also what sections 4 and 5 of the index file
+// hold — a save writes the two arrays as they are and a load keeps the two
+// section buffers (serialize.go). A distance ≥ 255 is stored as
+// distOverflow and its real value in overflow, sorted by (vertex, rank) and
+// found by binary search. Every reader goes through distAt, so the query
+// hot path is a merge over two byte ranges plus one compare per entry that
+// a complex network, whose diameter is a few dozen, never takes.
 //
 // The highway matrix stores exact landmark-to-landmark distances
 // row-major; Infinity where disconnected.
@@ -94,9 +99,10 @@ type Index struct {
 	highway    []int32 // k*k, row-major; Infinity = unreachable
 
 	// Flat CSR label storage (structure-of-arrays).
-	labelOff  []int64 // len n+1; prefix sums of label sizes
-	labelRank []int32 // len labelOff[n]; landmark ranks, sorted per vertex
-	labelDist []int32 // len labelOff[n]; decoded exact distances
+	labelOff  []int64       // len n+1; prefix sums of label sizes
+	labelRank []uint8       // len labelOff[n]; landmark ranks, sorted per vertex
+	labelDist []uint8       // len labelOff[n]; distOverflow: see overflow
+	overflow  []overflowRec // the escaped entries, sorted by cmpOverflow
 
 	// built records how BuildOpts constructed this index (zero value for
 	// loaded indexes and ones Rows.Assemble returned directly). Written
@@ -135,19 +141,50 @@ func (ix *Index) Highway(r1, r2 int32) int32 {
 	return ix.highway[int(i)*len(ix.landmarks)+int(j)]
 }
 
-// Label returns vertex v's label as freshly allocated parallel slices of
-// landmark ranks and distances. Prefer LabelView on hot paths.
-func (ix *Index) Label(v int32) (ranks []int32, dists []int32) {
-	r, d := ix.LabelView(v)
-	return append([]int32(nil), r...), append([]int32(nil), d...)
+// overflowRec is one escaped label entry: the entry (rank) of vertex v,
+// whose distance d does not fit a byte.
+type overflowRec struct {
+	v    int32
+	rank uint8
+	d    int32
 }
 
-// LabelView returns vertex v's label as zero-copy subslices of the flat
-// CSR arrays, sorted by rank. The slices alias the index: callers must
-// not modify them and must not retain them past the index's lifetime.
-func (ix *Index) LabelView(v int32) (ranks []int32, dists []int32) {
+// cmpOverflow orders overflow records as the label arrays order their
+// entries: by vertex, then rank.
+func cmpOverflow(a, b overflowRec) int {
+	if c := cmp.Compare(a.v, b.v); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.rank, b.rank)
+}
+
+// distAt returns the distance of vertex v's label entry at position p.
+func (ix *Index) distAt(v int32, p int64) int32 {
+	if d := ix.labelDist[p]; d != distOverflow {
+		return int32(d)
+	}
+	return ix.escaped(v, ix.labelRank[p])
+}
+
+// escaped returns the distance of an entry stored as distOverflow. Every
+// constructor of an Index guarantees the entry its record. Kept out of line
+// so that distAt, which almost never calls it, inlines into the merge loops.
+//
+//go:noinline
+func (ix *Index) escaped(v int32, rank uint8) int32 {
+	i, _ := slices.BinarySearchFunc(ix.overflow, overflowRec{v: v, rank: rank}, cmpOverflow)
+	return ix.overflow[i].d
+}
+
+// Label returns vertex v's label, sorted by rank, as freshly allocated
+// parallel slices of landmark ranks and decoded distances.
+func (ix *Index) Label(v int32) (ranks []int32, dists []int32) {
 	lo, hi := ix.labelOff[v], ix.labelOff[v+1]
-	return ix.labelRank[lo:hi], ix.labelDist[lo:hi]
+	ranks, dists = make([]int32, hi-lo), make([]int32, hi-lo)
+	for p := lo; p < hi; p++ {
+		ranks[p-lo], dists[p-lo] = int32(ix.labelRank[p]), ix.distAt(v, p)
+	}
+	return ranks, dists
 }
 
 // LabelSize returns |L(v)|, the number of entries in v's label.
@@ -162,17 +199,9 @@ func (ix *Index) NumEntries() int64 {
 	return ix.labelOff[len(ix.labelOff)-1]
 }
 
-// numOverflow counts entries whose distance does not fit the 8-bit disk
-// encoding (≥ distOverflow) and therefore needs an overflow record.
-func (ix *Index) numOverflow() int64 {
-	var n int64
-	for _, d := range ix.labelDist {
-		if d >= int32(distOverflow) {
-			n++
-		}
-	}
-	return n
-}
+// numOverflow counts entries whose distance does not fit a byte
+// (≥ distOverflow).
+func (ix *Index) numOverflow() int64 { return int64(len(ix.overflow)) }
 
 // AvgLabelSize returns the average number of entries per label (Table 2's
 // ALS column), over non-landmark vertices.
@@ -193,18 +222,20 @@ func (ix *Index) SizeBytes32() int64 {
 
 // SizeBytes8 reports the labelling size under the paper's compressed
 // accounting (Table 3's "HL(8)"): 8 bits per landmark id + 8 bits per
-// distance per entry, plus the highway matrix. This is also very nearly
-// the on-disk size of the label sections in both index formats.
+// distance per entry, plus the highway matrix. The label part is exactly
+// what the label arrays take, in memory and in both index formats.
 func (ix *Index) SizeBytes8() int64 {
 	return ix.NumEntries()*2 + int64(len(ix.highway))*4
 }
 
 // ActualBytes reports the real in-memory footprint of the index
-// structures (offsets, flat label arrays, highway, landmark arrays).
+// structures (offsets, flat label arrays, overflow table, highway,
+// landmark arrays).
 func (ix *Index) ActualBytes() int64 {
 	return int64(len(ix.labelOff))*8 +
-		int64(len(ix.labelRank))*4 +
-		int64(len(ix.labelDist))*4 +
+		int64(len(ix.labelRank)) +
+		int64(len(ix.labelDist)) +
+		int64(len(ix.overflow))*12 +
 		int64(len(ix.highway))*4 +
 		int64(len(ix.landmarks))*4 +
 		int64(len(ix.rankOf))*4 +

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"bytes"
+
 	"highway/internal/bfs"
-	"highway/internal/graph"
 	"highway/internal/method"
 )
 
@@ -102,9 +103,8 @@ func (sr *Searcher) Distance(s, t int32) int32 {
 }
 
 // UpperBound is the searcher-local version of Index.UpperBound. It runs
-// entirely on the flat CSR arrays: no label materialization, no per-entry
-// decode — a merge over two sorted rank ranges plus a cross-pair scan of
-// the highway rows.
+// entirely on the flat CSR arrays: no label materialization — a merge over
+// two sorted rank ranges plus a cross-pair scan of the highway rows.
 func (sr *Searcher) UpperBound(s, t int32) int32 {
 	ix := sr.ix
 	if s == t {
@@ -122,7 +122,7 @@ func (sr *Searcher) UpperBound(s, t int32) int32 {
 	if slo == shi || tlo == thi {
 		return Infinity
 	}
-	rank, dist := ix.labelRank, ix.labelDist
+	rank := ix.labelRank
 	best := Infinity
 	// Pass 1: common landmarks (Lemma 5.1): δL(r,s) + δL(r,t). Labels are
 	// sorted by rank, so a single merge finds them; the same merge fills
@@ -131,21 +131,19 @@ func (sr *Searcher) UpperBound(s, t int32) int32 {
 	// skip those pairs entirely.
 	mask := sr.maskBuf(k)
 	if ls, lt := shi-slo, thi-tlo; ls > 16*lt || lt > 16*ls {
-		// One label dwarfs the other: iterate the short side and probe
-		// the long side with the shared lower-bound helper
-		// (graph.SearchInt32, also behind Graph.HasEdge) instead of
-		// stepping the merge one rank at a time.
-		pLo, pHi, qLo, qHi := slo, shi, tlo, thi
+		// One label dwarfs the other: iterate the short side and look
+		// each of its ranks up in the long side, a range of at most 255
+		// bytes, instead of stepping the merge one rank at a time.
+		pv, pLo, pHi, qv, qLo, qHi := s, slo, shi, t, tlo, thi
 		if ls > lt {
-			pLo, pHi, qLo, qHi = tlo, thi, slo, shi
+			pv, pLo, pHi, qv, qLo, qHi = t, tlo, thi, s, slo, shi
 		}
 		long := rank[qLo:qHi]
 		for p := pLo; p < pHi; p++ {
 			rp := rank[p]
-			q := qLo + int64(graph.SearchInt32(long, rp))
-			if q < qHi && rank[q] == rp {
+			if q := bytes.IndexByte(long, rp); q >= 0 {
 				mask[rp] = true
-				if d := dist[p] + dist[q]; best < 0 || d < best {
+				if d := ix.distAt(pv, p) + ix.distAt(qv, qLo+int64(q)); best < 0 || d < best {
 					best = d
 				}
 			}
@@ -157,7 +155,7 @@ func (sr *Searcher) UpperBound(s, t int32) int32 {
 			switch {
 			case ri == rj:
 				mask[ri] = true
-				if d := dist[i] + dist[j]; best < 0 || d < best {
+				if d := ix.distAt(s, i) + ix.distAt(t, j); best < 0 || d < best {
 					best = d
 				}
 				i++
@@ -176,15 +174,15 @@ func (sr *Searcher) UpperBound(s, t int32) int32 {
 		if mask[ri] {
 			continue
 		}
-		ds := dist[i]
-		row := ix.highway[int(ri)*k : int(ri+1)*k]
+		ds := ix.distAt(s, i)
+		row := ix.highway[int(ri)*k : (int(ri)+1)*k]
 		for j := tlo; j < thi; j++ {
 			rj := rank[j]
 			if mask[rj] {
 				continue
 			}
 			if h := row[rj]; h >= 0 {
-				if d := ds + h + dist[j]; best < 0 || d < best {
+				if d := ds + h + ix.distAt(t, j); best < 0 || d < best {
 					best = d
 				}
 			}
@@ -206,14 +204,13 @@ func (ix *Index) LandmarkDistance(r, v int32) int32 {
 	if rv := ix.rankOf[v]; rv >= 0 {
 		return row[rv]
 	}
-	rank, dist := ix.labelRank, ix.labelDist
 	best := Infinity
 	for p := ix.labelOff[v]; p < ix.labelOff[v+1]; p++ {
-		h := row[rank[p]]
+		h := row[ix.labelRank[p]]
 		if h < 0 {
 			continue
 		}
-		if d := h + dist[p]; best < 0 || d < best {
+		if d := h + ix.distAt(v, p); best < 0 || d < best {
 			best = d
 		}
 	}

@@ -81,8 +81,11 @@ func referenceIndex(g *graph.Graph, landmarks []int32) *Index {
 	for v := 0; v < n; v++ {
 		for r := range labels {
 			if d := labels[r][v]; d >= 0 {
-				ix.labelRank = append(ix.labelRank, int32(r))
-				ix.labelDist = append(ix.labelDist, d)
+				ix.labelRank = append(ix.labelRank, uint8(r))
+				ix.labelDist = append(ix.labelDist, uint8(min(d, int32(distOverflow))))
+				if d >= int32(distOverflow) {
+					ix.overflow = append(ix.overflow, overflowRec{v: int32(v), rank: uint8(r), d: d})
+				}
 			}
 		}
 		ix.labelOff[v+1] = int64(len(ix.labelRank))

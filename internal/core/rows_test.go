@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -81,7 +82,7 @@ func rowOf(ix *Index, r int) []int32 {
 	row := make([]int32, len(ix.rankOf))
 	for v := range row {
 		row[v] = -1
-		ranks, dists := ix.LabelView(int32(v))
+		ranks, dists := ix.Label(int32(v))
 		if i, ok := slices.BinarySearch(ranks, int32(r)); ok {
 			row[v] = dists[i]
 		}
@@ -104,64 +105,93 @@ func TestRowsRerunMatchesBuild(t *testing.T) {
 		// first town's are ranks 0..39, so the re-run set straddles the
 		// boundary between the first two groups of 32.
 		g, lm := twoTowns(200, []int{10, 80}[seed%2], seed)
-		base, err := Build(g, lm)
-		if err != nil {
-			t.Fatal(err)
+		isLandmark := make([]bool, g.NumVertices())
+		for _, v := range lm {
+			isLandmark[v] = true
 		}
-		baseBytes := v2Bytes(t, base)
-		g2 := mutate(g, 200, base.isLandmark, rng)
-		ref, err := Build(g2, lm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := v2Bytes(t, ref)
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			checkRerun(t, g, mutate(g, 200, isLandmark, rng), lm, rng, false)
+		})
+	}
+	// Distances past the 8-bit escape: on the path 0-1-…-699 landmark 350
+	// hides everything beyond it from landmark 0, so a chord out there
+	// dirties rank 1 alone, and both ranks label vertices from 255 hops and
+	// more away. The re-run rank and the kept one both own overflow records.
+	path := gen.Path(700)
+	chord := graph.MustFromEdges(700, append(edgesOf(path), [2]int32{600, 699}))
+	t.Run("path700", func(t *testing.T) {
+		checkRerun(t, path, chord, []int32{0, 350}, rand.New(rand.NewSource(7)), true)
+	})
+}
 
-		k := len(lm)
-		var ranks []int
-		dirty := 0
-		for r := 0; r < k; r++ {
-			changed := !slices.Equal(rowOf(base, r), rowOf(ref, r)) ||
-				!slices.Equal(base.highway[r*k:(r+1)*k], ref.highway[r*k:(r+1)*k])
-			if changed {
-				dirty++
-			}
-			if changed || rng.Intn(3) == 0 {
-				ranks = append(ranks, r)
-			}
-		}
-		if dirty == 0 || dirty == k {
-			t.Fatalf("seed %d: %d of %d ranks dirty; the input does not test a proper subset", seed, dirty, k)
-		}
-		if k > groupBits && (slices.Min(ranks) >= groupBits || slices.Max(ranks) < groupBits) {
-			t.Fatalf("seed %d: re-run set %v stays inside one group", seed, ranks)
-		}
-		rng.Shuffle(len(ranks), func(i, j int) { ranks[i], ranks[j] = ranks[j], ranks[i] })
+// checkRerun is one input of TestRowsRerunMatchesBuild: g changed into g2.
+// With escapes, some clean and some dirty rank must own overflow records in
+// the labelling of g2.
+func checkRerun(t *testing.T, g, g2 *graph.Graph, lm []int32, rng *rand.Rand, escapes bool) {
+	t.Helper()
+	base, err := Build(g, lm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseBytes := v2Bytes(t, base)
+	ref, err := Build(g2, lm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := v2Bytes(t, ref)
 
-		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-			for _, dir := range []direction{dirAuto, dirPush, dirPull} {
-				rw := RowsOf(base)
-				if _, err := rw.Run(context.Background(), g2, ranks, Options{Workers: workers, dir: dir}); err != nil {
-					t.Fatal(err)
-				}
-				got := rw.Assemble(g2)
-				if !bytes.Equal(v2Bytes(t, got), want) {
-					t.Fatalf("seed %d workers=%d direction=%d: re-running %v (%d dirty) differs from a build on the changed graph",
-						seed, workers, dir, ranks, dirty)
-				}
-				// And back: the same Rows, every rank, on the first graph.
-				all := make([]int, k)
-				for r := range all {
-					all[r] = r
-				}
-				if _, err := rw.Run(context.Background(), g, all, Options{Workers: workers, dir: dir}); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(v2Bytes(t, rw.Assemble(g)), baseBytes) {
-					t.Fatalf("seed %d workers=%d direction=%d: running every rank differs from Build", seed, workers, dir)
-				}
-				if !bytes.Equal(v2Bytes(t, got), want) || !bytes.Equal(v2Bytes(t, base), baseBytes) {
-					t.Fatalf("seed %d: a later Run wrote into an index assembled or read earlier", seed)
-				}
+	k := len(lm)
+	var ranks []int
+	dirty := 0
+	var cleanEscaped, dirtyEscaped bool
+	for r := 0; r < k; r++ {
+		changed := !slices.Equal(rowOf(base, r), rowOf(ref, r)) ||
+			!slices.Equal(base.highway[r*k:(r+1)*k], ref.highway[r*k:(r+1)*k])
+		if changed {
+			dirty++
+		}
+		if slices.ContainsFunc(ref.overflow, func(o overflowRec) bool { return int(o.rank) == r }) {
+			cleanEscaped, dirtyEscaped = cleanEscaped || !changed, dirtyEscaped || changed
+		}
+		if changed || !escapes && rng.Intn(3) == 0 {
+			ranks = append(ranks, r)
+		}
+	}
+	if dirty == 0 || dirty == k {
+		t.Fatalf("%d of %d ranks dirty; the input does not test a proper subset", dirty, k)
+	}
+	if escapes && !(cleanEscaped && dirtyEscaped) {
+		t.Fatalf("overflow records among the clean ranks: %v, among the dirty: %v; want both", cleanEscaped, dirtyEscaped)
+	}
+	if k > groupBits && (slices.Min(ranks) >= groupBits || slices.Max(ranks) < groupBits) {
+		t.Fatalf("re-run set %v stays inside one group", ranks)
+	}
+	rng.Shuffle(len(ranks), func(i, j int) { ranks[i], ranks[j] = ranks[j], ranks[i] })
+
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		for _, dir := range []direction{dirAuto, dirPush, dirPull} {
+			rw := RowsOf(base)
+			if _, err := rw.Run(context.Background(), g2, ranks, Options{Workers: workers, dir: dir}); err != nil {
+				t.Fatal(err)
+			}
+			got := rw.Assemble(g2)
+			if !bytes.Equal(v2Bytes(t, got), want) {
+				t.Fatalf("workers=%d direction=%d: re-running %v (%d dirty) differs from a build on the changed graph",
+					workers, dir, ranks, dirty)
+			}
+			// And back: the same Rows, every rank, on the first graph.
+			all := make([]int, k)
+			for r := range all {
+				all[r] = r
+			}
+			if _, err := rw.Run(context.Background(), g, all, Options{Workers: workers, dir: dir}); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(v2Bytes(t, rw.Assemble(g)), baseBytes) {
+				t.Fatalf("workers=%d direction=%d: running every rank differs from Build", workers, dir)
+			}
+			if !bytes.Equal(v2Bytes(t, got), want) || !bytes.Equal(v2Bytes(t, base), baseBytes) {
+				t.Fatal("a later Run wrote into an index assembled or read earlier")
 			}
 		}
 	}

@@ -8,6 +8,8 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
+	"sort"
 
 	"highway/internal/bfs"
 	"highway/internal/graph"
@@ -67,6 +69,14 @@ func (f Format) String() string {
 // Every section's exact length follows from the header, so the reader
 // bounds each allocation before making it.
 //
+// Sections 4 and 5 (and their v1 counterparts) are Index.labelRank and
+// Index.labelDist: WriteFormat hands the two arrays to the container as
+// they are, and a reader, once adoptLabels has checked them, keeps the two
+// buffers it read them into. Only the small sections are translated: the
+// landmarks, highway and offsets between their integer types and
+// little-endian bytes, and the overflow table — empty on every complex
+// network — between its records and section 6's 9-byte rows.
+//
 // The graph itself is not embedded: an index is only meaningful together
 // with the graph it was built on, and callers load/store the graph
 // separately (cmd/hlbuild writes both files side by side). Read verifies
@@ -82,39 +92,6 @@ const (
 	sectOverflow  uint32 = 6
 )
 
-// overflowRec is one 8-bit-escape record: label entry (rank) of vertex v
-// whose true distance d does not fit a byte.
-type overflowRec struct {
-	v    int32
-	rank uint8
-	d    int32
-}
-
-// encode8 produces the paper's 8-bit compressed label encoding from the
-// flat int32 arrays: one byte per rank, one byte per distance with the
-// distOverflow escape, plus the escaped entries' 9-byte records in CSR
-// order.
-func (ix *Index) encode8() (rank8, dist8, over []byte) {
-	total := ix.NumEntries()
-	rank8 = make([]uint8, total)
-	dist8 = make([]uint8, total)
-	n := int32(ix.g.NumVertices())
-	for v := int32(0); v < n; v++ {
-		for p := ix.labelOff[v]; p < ix.labelOff[v+1]; p++ {
-			rank8[p] = uint8(ix.labelRank[p])
-			if d := ix.labelDist[p]; d < int32(distOverflow) {
-				dist8[p] = uint8(d)
-			} else {
-				dist8[p] = distOverflow
-				over = binary.LittleEndian.AppendUint32(over, uint32(v))
-				over = append(over, rank8[p])
-				over = binary.LittleEndian.AppendUint32(over, uint32(d))
-			}
-		}
-	}
-	return rank8, dist8, over
-}
-
 // Write serializes the index (without the graph) in format v2.
 func (ix *Index) Write(w io.Writer) error { return ix.WriteFormat(w, FormatV2) }
 
@@ -125,21 +102,26 @@ func (ix *Index) WriteFormat(w io.Writer, f Format) error {
 	if f != FormatV2 {
 		return fmt.Errorf("core: cannot write format %v: only v2 is written", f)
 	}
-	rank8, dist8, over := ix.encode8()
+	over := make([]byte, 0, 9*len(ix.overflow))
+	for _, o := range ix.overflow {
+		over = binary.LittleEndian.AppendUint32(over, uint32(o.v))
+		over = append(over, o.rank)
+		over = binary.LittleEndian.AppendUint32(over, uint32(o.d))
+	}
 	h := method.Header{
 		Method: method.TagHL,
 		N:      uint64(ix.g.NumVertices()),
 		K:      uint32(len(ix.landmarks)),
-		Aux1:   uint64(len(rank8)),
-		Aux2:   uint64(len(over) / 9),
+		Aux1:   uint64(len(ix.labelRank)),
+		Aux2:   uint64(len(ix.overflow)),
 	}
 	// The offsets are the one large section built here, so sized up front.
 	return method.WriteContainer(w, h, []method.Section{
 		{ID: sectLandmarks, Payload: method.AppendI32s(nil, ix.landmarks)},
 		{ID: sectHighway, Payload: method.AppendI32s(nil, ix.highway)},
 		{ID: sectLabelOff, Payload: method.AppendI64s(make([]byte, 0, 8*len(ix.labelOff)), ix.labelOff)},
-		{ID: sectLabelRank, Payload: rank8},
-		{ID: sectLabelDist, Payload: dist8},
+		{ID: sectLabelRank, Payload: ix.labelRank},
+		{ID: sectLabelDist, Payload: ix.labelDist},
 		{ID: sectOverflow, Payload: over},
 	})
 }
@@ -168,8 +150,8 @@ func ReadFormat(r io.Reader, g *graph.Graph) (*Index, Format, error) {
 }
 
 // newIndexShell allocates an index with validated landmark bookkeeping;
-// shared by both decoders. Label arrays are allocated by the caller once
-// the entry count is known and validated.
+// shared by both decoders. The label arrays are the buffers the caller
+// reads the label sections into (adoptLabels).
 func newIndexShell(g *graph.Graph, n uint64, k uint32) (*Index, error) {
 	if int(n) != g.NumVertices() {
 		return nil, fmt.Errorf("core: index built for n=%d, graph has n=%d", n, g.NumVertices())
@@ -224,60 +206,52 @@ func (ix *Index) validateOffsets(k uint32) (int64, error) {
 	return entries, nil
 }
 
-// decodeLabels widens the 8-bit encoding into the flat int32 arrays,
-// splicing overflow records back in. Our writers emit records in CSR
-// order, but any order is accepted (the original v1 reader was
-// order-agnostic, and "v1 stays readable" includes third-party writers);
-// a record for a non-escaped entry or an escaped entry without a record
-// is corruption and rejected.
-func (ix *Index) decodeLabels(rank8, dist8 []uint8, k uint32, over []overflowRec) error {
-	entries := int64(len(rank8))
-	ix.labelRank = make([]int32, entries)
-	ix.labelDist = make([]int32, entries)
-	for p, r := range rank8 {
+// adoptLabels makes the two label sections of a file, each already the
+// length the offsets ask for, and its overflow records the index's label
+// storage, after the checks that make them safe to query: every rank is
+// below k, and the escaped entries and the records pair up one to one. Our
+// writers emit records in CSR order, but any order is accepted (the original
+// v1 reader was order-agnostic, and "v1 stays readable" includes third-party
+// writers); a record for a non-escaped entry, an escaped entry without a
+// record and two records for one entry are corruption and rejected.
+func (ix *Index) adoptLabels(rank8, dist8 []uint8, k uint32, over []overflowRec) error {
+	for _, r := range rank8 {
 		if uint32(r) >= k {
 			return fmt.Errorf("core: label rank %d out of range [0,%d)", r, k)
 		}
-		ix.labelRank[p] = int32(r)
 	}
-	var escapes map[overflowKey]int32
-	if len(over) > 0 {
-		escapes = make(map[overflowKey]int32, len(over))
-		for _, o := range over {
-			key := overflowKey{o.v, o.rank}
-			if _, dup := escapes[key]; dup {
-				return fmt.Errorf("core: duplicate overflow record (v=%d rank=%d)", o.v, o.rank)
-			}
-			escapes[key] = o.d
+	slices.SortFunc(over, cmpOverflow)
+	for i := 1; i < len(over); i++ {
+		if cmpOverflow(over[i-1], over[i]) == 0 {
+			return fmt.Errorf("core: duplicate overflow record (v=%d rank=%d)", over[i].v, over[i].rank)
 		}
 	}
-	used := 0
-	n := int32(ix.g.NumVertices())
-	for v := int32(0); v < n; v++ {
-		for p := ix.labelOff[v]; p < ix.labelOff[v+1]; p++ {
-			d := dist8[p]
-			if d != distOverflow {
-				ix.labelDist[p] = int32(d)
-				continue
-			}
-			full, ok := escapes[overflowKey{v, uint8(ix.labelRank[p])}]
-			if !ok {
-				return fmt.Errorf("core: missing overflow record for vertex %d rank %d", v, ix.labelRank[p])
-			}
-			ix.labelDist[p] = full
-			used++
+	// The escaped entries, met in CSR order, must be exactly the records.
+	stray := func(o overflowRec) error {
+		return fmt.Errorf("core: overflow record (v=%d rank=%d) for an entry that is not escaped", o.v, o.rank)
+	}
+	used, n := 0, ix.g.NumVertices()
+	for p := 0; ; p++ {
+		i := bytes.IndexByte(dist8[p:], distOverflow)
+		if i < 0 {
+			break
 		}
+		p += i
+		v := sort.Search(n, func(v int) bool { return ix.labelOff[v+1] > int64(p) })
+		entry := overflowRec{v: int32(v), rank: rank8[p]}
+		switch {
+		case used == len(over) || cmpOverflow(over[used], entry) > 0:
+			return fmt.Errorf("core: missing overflow record for vertex %d rank %d", v, rank8[p])
+		case cmpOverflow(over[used], entry) < 0:
+			return stray(over[used])
+		}
+		used++
 	}
-	if used != len(over) {
-		return fmt.Errorf("core: overflow records do not match escaped entries (%d records, %d uses)", len(over), used)
+	if used < len(over) {
+		return stray(over[used])
 	}
+	ix.labelRank, ix.labelDist, ix.overflow = rank8, dist8, over
 	return nil
-}
-
-// overflowKey identifies one escaped label entry in the 8-bit encoding.
-type overflowKey struct {
-	v    int32
-	rank uint8
 }
 
 func parseOverflowRecs(buf []byte, n uint64, k uint32) ([]overflowRec, error) {
@@ -359,7 +333,7 @@ func readV1(br *bufio.Reader, g *graph.Graph) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := ix.decodeLabels(rank8, dist8, k, over); err != nil {
+	if err := ix.adoptLabels(rank8, dist8, k, over); err != nil {
 		return nil, err
 	}
 	return ix, nil
@@ -423,7 +397,7 @@ func readV2(br *bufio.Reader, g *graph.Graph) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := ix.decodeLabels(sec[sectLabelRank], sec[sectLabelDist], h.K, over); err != nil {
+	if err := ix.adoptLabels(sec[sectLabelRank], sec[sectLabelDist], h.K, over); err != nil {
 		return nil, err
 	}
 	return ix, nil

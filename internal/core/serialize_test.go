@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"highway/internal/gen"
@@ -45,9 +47,10 @@ func v1Fixtures(tb testing.TB) []v1Fixture {
 	return fixtures
 }
 
-// appendUnknownSection re-frames a v2 file with one extra section, of an
-// id the reader does not know, appended last.
-func appendUnknownSection(tb testing.TB, file []byte, id uint32, payload []byte) []byte {
+// reframe decodes a v2 file into its header and six sections, lets edit
+// change them, and frames the result again (checksums and all), followed by
+// any extra sections.
+func reframe(tb testing.TB, file []byte, edit func(h *method.Header, sec map[uint32][]byte), extra ...method.Section) []byte {
 	tb.Helper()
 	ids := []uint32{sectLandmarks, sectHighway, sectLabelOff, sectLabelRank, sectLabelDist, sectOverflow}
 	h, sec, err := method.ReadContainer(bytes.NewReader(file), method.TagHL, func(method.Header) (map[uint32]uint64, error) {
@@ -60,15 +63,112 @@ func appendUnknownSection(tb testing.TB, file []byte, id uint32, payload []byte)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	edit(&h, sec)
 	var sections []method.Section
 	for _, id := range ids {
 		sections = append(sections, method.Section{ID: id, Payload: sec[id]})
 	}
 	var out bytes.Buffer
-	if err := method.WriteContainer(&out, h, append(sections, method.Section{ID: id, Payload: payload})); err != nil {
+	if err := method.WriteContainer(&out, h, append(sections, extra...)); err != nil {
 		tb.Fatal(err)
 	}
 	return out.Bytes()
+}
+
+// appendUnknownSection re-frames a v2 file with one extra section, of an
+// id the reader does not know, appended last.
+func appendUnknownSection(tb testing.TB, file []byte, id uint32, payload []byte) []byte {
+	tb.Helper()
+	return reframe(tb, file, func(*method.Header, map[uint32][]byte) {}, method.Section{ID: id, Payload: payload})
+}
+
+// path600 is the index whose labels need the escape: both ends of a
+// 600-vertex path as landmarks, 688 entries 255 hops or more from theirs.
+func path600(tb testing.TB) (*graph.Graph, *Index) {
+	tb.Helper()
+	g := gen.Path(600)
+	ix, err := Build(g, []int32{0, 599})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g, ix
+}
+
+// reverseRecords reverses the order of a run of 9-byte overflow records.
+func reverseRecords(recs []byte) []byte {
+	var out []byte
+	for i := len(recs) - 9; i >= 0; i -= 9 {
+		out = append(out, recs[i:i+9]...)
+	}
+	return out
+}
+
+// TestReadChecksOverflowRecords: a reader keeps a file's label bytes, so
+// what it checks before it does is all that stands between a malformed
+// file and a query that finds no record for an escaped entry. Each shape is
+// rejected by name; records out of CSR order are not malformed.
+func TestReadChecksOverflowRecords(t *testing.T) {
+	g, ix := path600(t)
+	good := v2Bytes(t, ix)
+	record := func(v uint32, rank uint8, d uint32) []byte {
+		rec := binary.LittleEndian.AppendUint32(nil, v)
+		return binary.LittleEndian.AppendUint32(append(rec, rank), d)
+	}
+	for _, c := range []struct {
+		name, want string
+		edit       func(h *method.Header, sec map[uint32][]byte)
+	}{
+		{"escape without record", "missing overflow record", func(h *method.Header, sec map[uint32][]byte) {
+			sec[sectOverflow] = sec[sectOverflow][:len(sec[sectOverflow])-9]
+			h.Aux2--
+		}},
+		{"escape without record, mid-table", "missing overflow record", func(h *method.Header, sec map[uint32][]byte) {
+			sec[sectOverflow] = append(sec[sectOverflow][:90:90], sec[sectOverflow][99:]...)
+			h.Aux2--
+		}},
+		{"record without escape", "not escaped", func(h *method.Header, sec map[uint32][]byte) {
+			sec[sectOverflow] = append(sec[sectOverflow], record(1, 0, 300)...) // d(0,1) = 1
+			h.Aux2++
+		}},
+		{"duplicate record", "duplicate overflow record", func(h *method.Header, sec map[uint32][]byte) {
+			sec[sectOverflow] = append(sec[sectOverflow], sec[sectOverflow][:9]...)
+			h.Aux2++
+		}},
+		{"rank not below k", "out of range", func(h *method.Header, sec map[uint32][]byte) {
+			sec[sectLabelRank][17] = 2
+		}},
+		{"records in reverse order", "", func(h *method.Header, sec map[uint32][]byte) {
+			sec[sectOverflow] = reverseRecords(sec[sectOverflow])
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := Read(bytes.NewReader(reframe(t, good, c.edit)), g)
+			if c.want != "" {
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("Read: %v, want an error saying %q", err, c.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !indexesIdentical(ix, got) || !bytes.Equal(v2Bytes(t, got), good) {
+				t.Fatal("records out of CSR order decoded to a different index")
+			}
+		})
+	}
+
+	// v1 ends with its records, and third-party writers may emit them in any
+	// order: the fixture with its 44 reversed decodes as it does unchanged.
+	fx := v1Fixtures(t)[1]
+	tail := len(fx.raw) - 44*9
+	got, err := Read(bytes.NewReader(append(fx.raw[:tail:tail], reverseRecords(fx.raw[tail:])...)), fx.g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !indexesIdentical(fx.want, got) {
+		t.Fatal("v1 records out of CSR order decoded to a different index")
+	}
 }
 
 func TestIndexRoundTrip(t *testing.T) {
@@ -148,11 +248,7 @@ func TestWriteV1Refused(t *testing.T) {
 }
 
 func TestIndexRoundTripWithOverflow(t *testing.T) {
-	g := gen.Path(600)
-	ix, err := Build(g, []int32{0, 599})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, ix := path600(t)
 	if ix.numOverflow() == 0 {
 		t.Fatal("test premise broken: no overflow entries")
 	}

@@ -41,17 +41,24 @@ func churnHooks(dyn *Index) (func(ops []oracle.EdgeOp) error, func() oracle.Orac
 // ground truth after every batch. The first is 10,000 ops in 1,250 small
 // batches, most of which dirty a few landmarks and some all of them; the
 // second is fewer, larger, delete-heavier batches on a small-world graph.
+// The third is a ring so long that label distances pass 255, the escape of
+// the 8-bit label encoding, churned in batches of two ops so that it stays
+// in long arcs: at least half of its batches must leave escaped entries.
 func TestChurnOracleDifferential(t *testing.T) {
 	for _, in := range []struct {
 		name string
 		g    *graph.Graph
 		k    int
 		cfg  oracle.ChurnConfig
+		// escaped is how many batches must leave a label distance past 255.
+		escaped int
 	}{
 		{"ba300", gen.BarabasiAlbert(300, 2, 7), 12,
-			oracle.ChurnConfig{Batches: 1250, BatchSize: 8, DeleteRatio: 0.3, Trials: 24, Seed: 7}},
+			oracle.ChurnConfig{Batches: 1250, BatchSize: 8, DeleteRatio: 0.3, Trials: 24, Seed: 7}, 0},
 		{"ws120", gen.WattsStrogatz(120, 3, 0.2, 11), 8,
-			oracle.ChurnConfig{Batches: 80, BatchSize: 12, DeleteRatio: 0.4, Trials: 60, Seed: 11}},
+			oracle.ChurnConfig{Batches: 80, BatchSize: 12, DeleteRatio: 0.4, Trials: 60, Seed: 11}, 0},
+		{"ring3000", gen.Cycle(3000), 3,
+			oracle.ChurnConfig{Batches: 40, BatchSize: 2, DeleteRatio: 0.3, Trials: 40, Seed: 5}, 20},
 	} {
 		t.Run(in.name, func(t *testing.T) {
 			dyn, err := Build(in.g, in.g.DegreeOrder()[:in.k])
@@ -59,9 +66,30 @@ func TestChurnOracleDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			apply, o := churnHooks(dyn)
-			oracle.CheckChurn(t, in.g, in.cfg, apply, o)
+			escaped := 0
+			oracle.CheckChurn(t, in.g, in.cfg, func(ops []oracle.EdgeOp) error {
+				err := apply(ops)
+				if _, ix, _ := dyn.Freeze(); in.escaped > 0 && hasEscapedEntry(ix) {
+					escaped++
+				}
+				return err
+			}, o)
+			if escaped < in.escaped {
+				t.Fatalf("only %d of %d batches left a label distance past 255: the case does not test the escape", escaped, in.cfg.Batches)
+			}
 		})
 	}
+}
+
+// hasEscapedEntry reports whether some label entry of ix holds a distance
+// the 8-bit encoding escapes.
+func hasEscapedEntry(ix *core.Index) bool {
+	for v := int32(0); int(v) < ix.Graph().NumVertices(); v++ {
+		if _, dists := ix.Label(v); len(dists) > 0 && slices.Max(dists) >= 255 {
+			return true
+		}
+	}
+	return false
 }
 
 // TestChurnCornerCases churns every corner-case family. Degenerate

@@ -39,8 +39,8 @@ func requireSameLabelling(t *testing.T, tag string, got, ref *core.Index) {
 		}
 	}
 	for v := int32(0); int(v) < ref.Graph().NumVertices(); v++ {
-		ranks, dists := ref.LabelView(v)
-		gr, gd := got.LabelView(v)
+		ranks, dists := ref.Label(v)
+		gr, gd := got.Label(v)
 		if !slices.Equal(gr, ranks) || !slices.Equal(gd, dists) {
 			t.Fatalf("%s vertex %d: dyn=(%v,%v) ref=(%v,%v)", tag, v, gr, gd, ranks, dists)
 		}

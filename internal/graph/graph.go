@@ -73,10 +73,9 @@ func (g *Graph) HasEdge(u, v int32) bool {
 }
 
 // SearchInt32 returns the smallest index i with a[i] >= x (len(a) if no
-// such element), assuming a is sorted ascending. It is the shared
-// lower-bound helper behind HasEdge and the label lookups in
-// internal/core: a sort.Search specialization that the compiler can
-// inline because it takes no closure.
+// such element), assuming a is sorted ascending. It is the lower-bound
+// helper behind HasEdge: a sort.Search specialization that the compiler
+// can inline because it takes no closure.
 func SearchInt32(a []int32, x int32) int {
 	lo, hi := 0, len(a)
 	for lo < hi {
