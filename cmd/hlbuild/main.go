@@ -8,15 +8,17 @@
 //	hlbuild -graph web.hwg -method pll -bitparallel 50  (any registry method)
 //	hlbuild -graph web.hwg -method isl -out web.isl.idx
 //	hlbuild -graph web.hwg -k 20 -progress           (log per-landmark BFS completion)
-//	hlbuild migrate -graph web.hwg -in old.idx -out web.idx   (v1 file → v2)
+//	hlbuild migrate -graph web.hwg -in old.idx -out web.idx   (v1, or v2 with 64-bit offsets → v2)
 //
 // After a build, hlbuild reports wall time, worker count and how the
 // traversal expanded its levels (pushed top-down vs pulled bottom-up, and
 // the edges scanned each way); the build chooses per level by itself.
 //
 // Index files are written in format v2 (checksummed sections). The
-// migrate subcommand rewrites a legacy v1 file, which stays readable but
-// is no longer written, as v2, verifying it against its graph on the way.
+// migrate subcommand rewrites a legacy v1 file, or a v2 file from before
+// the label offsets shrank to sections 7 and 8 (`hlquery -stats` says
+// "64-bit offsets"), both of which stay readable but are no longer
+// written, as today's v2, verifying it against its graph on the way.
 package main
 
 import (
@@ -124,12 +126,12 @@ func run(args []string) error {
 	return nil
 }
 
-// runMigrate rewrites an index file (v1, or v2 again) as format v2.
+// runMigrate rewrites an index file (v1, or v2 of any age) as today's v2.
 func runMigrate(args []string) error {
 	fs := flag.NewFlagSet("hlbuild migrate", flag.ContinueOnError)
 	var (
 		graphPath = fs.String("graph", "", "graph the index was built on (required)")
-		in        = fs.String("in", "", "index file to migrate: a legacy v1 file, or v2 to rewrite it (required)")
+		in        = fs.String("in", "", "index file to migrate: a legacy v1 file, or v2 (one with 64-bit offsets is rewritten with 16-bit ones) (required)")
 		out       = fs.String("out", "", "output path of the v2 file (default: input path + .v2)")
 		verify    = fs.Int("verify", 100, "cross-check this many random pairs against BFS before writing (0 = skip)")
 	)

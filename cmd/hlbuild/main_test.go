@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"highway"
 	"highway/internal/gen"
+	"highway/internal/method"
 )
 
 func writeGraph(t *testing.T) string {
@@ -123,6 +125,81 @@ func TestRunMigrate(t *testing.T) {
 	if len(a) == 0 || !bytes.Equal(a, b) {
 		t.Fatal("migrated v1 file differs from a fresh v2 build")
 	}
+}
+
+// TestRunMigrateLegacyV2: a v2 file with its label offsets in section 3,
+// as every build before sections 7 and 8 wrote them, migrates to the bytes
+// of a fresh build. The committed fixture is such a build's own file; the
+// other is a fresh hlbuild's file framed the old way.
+func TestRunMigrateLegacyV2(t *testing.T) {
+	testdata := filepath.Join("..", "..", "internal", "core", "testdata")
+	dir := t.TempDir()
+	figGraph := filepath.Join(dir, "fig2.hwg")
+	if err := highway.SaveGraph(gen.PaperFigure2(), figGraph); err != nil {
+		t.Fatal(err)
+	}
+	gp := writeGraph(t)
+	fresh := filepath.Join(dir, "fresh.idx")
+	if err := run([]string{"-graph", gp, "-k", "8", "-out", fresh}); err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(dir, "old.idx")
+	if err := os.WriteFile(old, withSection3(t, fresh), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ graph, in, want string }{
+		{figGraph, filepath.Join(testdata, "tiny_off64.hl2"), filepath.Join(testdata, "tiny.hl2")},
+		{gp, old, fresh},
+	} {
+		out := filepath.Join(dir, "migrated.idx")
+		if err := run([]string{"migrate", "-graph", c.graph, "-in", c.in, "-out", out}); err != nil {
+			t.Fatal(err)
+		}
+		in, _ := os.ReadFile(c.in)
+		got, _ := os.ReadFile(out)
+		want, _ := os.ReadFile(c.want)
+		if len(got) == 0 || !bytes.Equal(got, want) {
+			t.Fatalf("%s migrated differs from %s", c.in, c.want)
+		}
+		if len(got) >= len(in) {
+			t.Fatalf("%s: %d bytes migrated to %d, want fewer", c.in, len(in), len(got))
+		}
+	}
+}
+
+// withSection3 reframes the hl index file at path as its writer's
+// predecessor did: the n+1 label offsets as uint64 in section 3, where
+// sections 7 (one base per 256 vertices) and 8 (uint16 past the base) are.
+func withSection3(t *testing.T, path string) []byte {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ids := []uint32{1, 2, 7, 8, 4, 5, 6}
+	h, sec, err := method.ReadContainer(f, method.TagHL, func(method.Header) (map[uint32]uint64, error) {
+		bounds := map[uint32]uint64{}
+		for _, id := range ids {
+			bounds[id] = 1 << 30
+		}
+		return bounds, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var off []byte
+	for v := 0; v*2 < len(sec[8]); v++ {
+		base := binary.LittleEndian.Uint64(sec[7][v/256*8:])
+		off = binary.LittleEndian.AppendUint64(off, base+uint64(binary.LittleEndian.Uint16(sec[8][v*2:])))
+	}
+	var out bytes.Buffer
+	err = method.WriteContainer(&out, h, []method.Section{{ID: 1, Payload: sec[1]}, {ID: 2, Payload: sec[2]}, {ID: 3, Payload: off},
+		{ID: 4, Payload: sec[4]}, {ID: 5, Payload: sec[5]}, {ID: 6, Payload: sec[6]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
 }
 
 func TestRunMigrateErrors(t *testing.T) {

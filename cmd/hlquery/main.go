@@ -14,6 +14,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"io"
@@ -75,9 +76,10 @@ func run(args []string) error {
 		// online insertion) — the same probe the serving layer uses.
 		fmt.Printf("capabilities: %s\n", highway.IndexCapabilities(ix))
 		if hl, ok := ix.(*highway.Index); ok {
-			// hl files exist in two formats; surface which one (hlbuild
-			// migrate rewrites between them) and the real footprint. The
-			// format IS the file magic — no need to re-decode the index.
+			// hl files exist in two formats, and v2 with the offsets at
+			// either of two widths; surface which (hlbuild migrate rewrites
+			// the older ones) and the real footprint. The magic and the
+			// section table say — no need to re-decode the index.
 			format, err := indexFileFormat(ip)
 			if err != nil {
 				return err
@@ -100,23 +102,33 @@ func run(args []string) error {
 	}
 }
 
-// indexFileFormat maps the index file's magic to its format name
-// without decoding the file a second time (LoadIndexAny already
-// validated it in full).
-func indexFileFormat(path string) (highway.IndexFormat, error) {
+// indexFileFormat names the index file's format from its magic and, for
+// v2, its section table (layout: internal/method/container.go), without
+// decoding the file a second time (LoadIndexAny already validated it in
+// full). Like method.SniffTag it reads a bounded prefix.
+func indexFileFormat(path string) (string, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, err
+		return "", err
 	}
 	defer f.Close()
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return 0, err
+	// Magic, the 40-byte header with the section count at byte 20, its CRC,
+	// then one 16-byte row per section (at most 64), the id first.
+	var head [8 + 40 + 4 + 64*16]byte
+	n, err := io.ReadFull(f, head[:])
+	if n >= 8 && string(head[:8]) == "HWLIDX01" {
+		return highway.IndexFormatV1.String(), nil
 	}
-	if string(magic[:]) == "HWLIDX01" {
-		return highway.IndexFormatV1, nil
+	if n < 8+40+4 {
+		return "", fmt.Errorf("%s: reading index header: %w", path, err)
 	}
-	return highway.IndexFormatV2, nil
+	rows := head[8+40+4 : n]
+	for i := 0; i < int(binary.LittleEndian.Uint32(head[8+20:])) && (i+1)*16 <= len(rows); i++ {
+		if binary.LittleEndian.Uint32(rows[i*16:]) == 3 { // labelOff [n+1]uint64, now sections 7 and 8
+			return "v2, 64-bit offsets: rewrite with `hlbuild migrate`", nil
+		}
+	}
+	return highway.IndexFormatV2.String(), nil
 }
 
 // checkVertex validates an int vertex id before it is narrowed to

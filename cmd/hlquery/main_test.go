@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/bits"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"highway"
@@ -57,11 +58,23 @@ func TestStatsAndV1Index(t *testing.T) {
 		t.Fatal(err)
 	}
 	v1 := filepath.Join("..", "..", "internal", "core", "testdata", "path300.hl1")
-	if f, err := indexFileFormat(v1); err != nil || f != highway.IndexFormatV1 {
+	if f, err := indexFileFormat(v1); err != nil || f != "v1" {
 		t.Fatalf("indexFileFormat(v1 fixture) = %v, %v", f, err)
 	}
-	if f, err := indexFileFormat(ip); err != nil || f != highway.IndexFormatV2 {
+	if f, err := indexFileFormat(ip); err != nil || f != "v2" {
 		t.Fatalf("indexFileFormat(saved index) = %v, %v", f, err)
+	}
+	// The v2 file of the last commit to write the offsets in section 3.
+	old := filepath.Join("..", "..", "internal", "core", "testdata", "tiny_off64.hl2")
+	if f, err := indexFileFormat(old); err != nil || !strings.Contains(f, "64-bit offsets") || !strings.Contains(f, "hlbuild migrate") {
+		t.Fatalf("indexFileFormat(section-3 fixture) = %v, %v", f, err)
+	}
+	figGraph := filepath.Join(t.TempDir(), "fig2.hwg")
+	if err := highway.SaveGraph(gen.PaperFigure2(), figGraph); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-graph", figGraph, "-index", old, "-stats"}); err != nil {
+		t.Fatal(err)
 	}
 	if err := run([]string{"-graph", pathGraph, "-index", v1, "-s", "1", "-t", "250"}); err != nil {
 		t.Fatalf("v1 index rejected: %v", err)

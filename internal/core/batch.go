@@ -32,7 +32,7 @@ var (
 //     For a landmark source, via *is* its highway row: zero setup.
 //  2. Targets are visited in sorted order (one shared permutation, no
 //     per-pair allocation), so label reads walk the flat label CSR
-//     (labelOff/labelRank/labelDist) sequentially, and duplicate
+//     (labelRel/labelRank/labelDist) sequentially, and duplicate
 //     targets are answered once and copied.
 //  3. The fallback searches reuse one bfs.Scratch (the searcher's), and
 //     a group with enough refinements to do replaces its per-pair
@@ -291,7 +291,7 @@ func (sr *Searcher) sourceVia(source int32) []int32 {
 		return ix.highway[int(r)*k : int(r+1)*k]
 	}
 	via := sr.viaBuf(k)
-	for p := ix.labelOff[source]; p < ix.labelOff[source+1]; p++ {
+	for p, hi := ix.span(source); p < hi; p++ {
 		ds, r := ix.distAt(source, p), int(ix.labelRank[p])
 		row := ix.highway[r*k : (r+1)*k]
 		for j, h := range row {
@@ -311,7 +311,7 @@ func (sr *Searcher) sourceVia(source int32) []int32 {
 // returns exactly Searcher.UpperBound(source, t).
 func boundViaVec(ix *Index, via []int32, t int32) int32 {
 	best := Infinity
-	for p := ix.labelOff[t]; p < ix.labelOff[t+1]; p++ {
+	for p, hi := ix.span(t); p < hi; p++ {
 		v := via[ix.labelRank[p]]
 		if v < 0 {
 			continue

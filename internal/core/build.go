@@ -494,7 +494,7 @@ func (rw *Rows) Assemble(g *graph.Graph) *Index {
 		ix.labelOff, ix.labelRank, ix.labelDist, ix.overflow = prev.labelOff, prev.labelRank, prev.labelDist, prev.overflow
 	} else {
 		ix.packEvents(rw.runs, rw.workers)
-		var keep [MaxLandmarks + 1]int64 // 1 for a rank that did not run
+		var keep [MaxLandmarks + 1]uint8 // 1 for a rank that did not run
 		kept := len(rw.landmarks)
 		for r := 0; r < kept; r++ {
 			keep[r] = 1
@@ -522,24 +522,27 @@ func (rw *Rows) Assemble(g *graph.Graph) *Index {
 // overflow records, which leave here concatenated and unsorted.
 func (ix *Index) packEvents(runs []*groupRun, workers int) {
 	n := ix.g.NumVertices()
-	off := make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		size := 0
-		for _, run := range runs {
-			size += bits.OnesCount32(run.labelled[v])
+	sizes := make([]uint8, n)
+	for _, run := range runs {
+		for v, m := range run.labelled {
+			sizes[v] += uint8(bits.OnesCount32(m))
 		}
-		off[v+1] = off[v] + int64(size)
 	}
-	rank, dist := make([]uint8, off[n]), make([]uint8, off[n])
+	off, entries := newOffsets(sizes)
+	rank, dist := make([]uint8, entries), make([]uint8, entries)
 	over := make([][]overflowRec, workers)
-	base := off // per vertex, where the current run's entries start
+	var before []uint8 // per vertex, its entries of the runs before the current one
 	for i, run := range runs {
 		share(workers, len(run.events), func(w, c int) {
 			for _, e := range run.events[c] {
 				all, d := run.labelled[e.v], uint8(min(e.d, int32(distOverflow)))
+				start := off.at(e.v)
+				if i > 0 {
+					start += int64(before[e.v])
+				}
 				for m := e.mask; m != 0; m &= m - 1 {
 					b := bits.TrailingZeros32(m)
-					p := base[e.v] + int64(bits.OnesCount32(all&(1<<b-1)))
+					p := start + int64(bits.OnesCount32(all&(1<<b-1)))
 					rank[p], dist[p] = uint8(run.ranks[b]), d
 					if d == distOverflow {
 						over[w] = append(over[w], overflowRec{v: e.v, rank: rank[p], d: e.d})
@@ -549,10 +552,10 @@ func (ix *Index) packEvents(runs []*groupRun, workers int) {
 		})
 		if i+1 < len(runs) {
 			if i == 0 {
-				base = slices.Clone(off[:n])
+				before = make([]uint8, n)
 			}
 			for v, m := range run.labelled {
-				base[v] += int64(bits.OnesCount32(m))
+				before[v] += uint8(bits.OnesCount32(m))
 			}
 		}
 	}
@@ -562,21 +565,29 @@ func (ix *Index) packEvents(runs []*groupRun, workers int) {
 // mergeKept replaces ix's label arrays, which hold the ranks that ran, with
 // their per-vertex merge with prev's entries of the ranks keep marks, and
 // appends those ranks' overflow records to ix's.
-func (ix *Index) mergeKept(prev *Index, keep *[MaxLandmarks + 1]int64, workers int) {
-	n := len(ix.labelOff) - 1
-	off := make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		size := ix.labelOff[v+1] - ix.labelOff[v]
-		for _, r := range prev.labelRank[prev.labelOff[v]:prev.labelOff[v+1]] {
-			size += keep[r]
-		}
-		off[v+1] = off[v] + size
-	}
-	rank, dist := make([]uint8, off[n]), make([]uint8, off[n])
+func (ix *Index) mergeKept(prev *Index, keep *[MaxLandmarks + 1]uint8, workers int) {
+	n := ix.g.NumVertices()
+	sizes := make([]uint8, n)
 	share(workers, (n+pullBlock-1)/pullBlock, func(_, i int) {
-		for v := i * pullBlock; v < min((i+1)*pullBlock, n); v++ {
-			p, a, aEnd := off[v], ix.labelOff[v], ix.labelOff[v+1]
-			for q := prev.labelOff[v]; q < prev.labelOff[v+1]; q++ {
+		v := int32(i * pullBlock)
+		a, q := ix.labelOff.at(v), prev.labelOff.at(v)
+		for ; v < int32(min((i+1)*pullBlock, n)); v++ {
+			aEnd, qEnd := ix.labelOff.at(v+1), prev.labelOff.at(v+1)
+			size := uint8(aEnd - a)
+			for _, r := range prev.labelRank[q:qEnd] {
+				size += keep[r]
+			}
+			sizes[v], a, q = size, aEnd, qEnd
+		}
+	})
+	off, entries := newOffsets(sizes)
+	rank, dist := make([]uint8, entries), make([]uint8, entries)
+	share(workers, (n+pullBlock-1)/pullBlock, func(_, i int) {
+		v := int32(i * pullBlock)
+		p, a, q := off.at(v), ix.labelOff.at(v), prev.labelOff.at(v)
+		for ; v < int32(min((i+1)*pullBlock, n)); v++ {
+			aEnd, qEnd := ix.labelOff.at(v+1), prev.labelOff.at(v+1)
+			for ; q < qEnd; q++ {
 				r := prev.labelRank[q]
 				if keep[r] == 0 {
 					continue
@@ -587,8 +598,9 @@ func (ix *Index) mergeKept(prev *Index, keep *[MaxLandmarks + 1]int64, workers i
 				rank[p], dist[p] = r, prev.labelDist[q]
 				p++
 			}
-			copy(rank[p:], ix.labelRank[a:aEnd])
-			copy(dist[p:], ix.labelDist[a:aEnd])
+			for ; a < aEnd; a, p = a+1, p+1 {
+				rank[p], dist[p] = ix.labelRank[a], ix.labelDist[a]
+			}
 		}
 	})
 	for _, o := range prev.overflow {

@@ -367,8 +367,8 @@ func indexesIdentical(a, b *Index) bool {
 			return false
 		}
 	}
-	for i := range a.labelOff {
-		if a.labelOff[i] != b.labelOff[i] {
+	for v := int32(0); v <= int32(a.g.NumVertices()); v++ {
+		if a.labelOff.at(v) != b.labelOff.at(v) {
 			return false
 		}
 	}

@@ -57,11 +57,11 @@ func TestActualBytesIsTheHeap(t *testing.T) {
 	runtime.KeepAlive(g)
 }
 
-// TestLoadAdoptsSections: a load allocates what it keeps. The label
-// sections are read into the buffers the index then serves from, so loading
-// allocates the file once, the decoded offsets and landmark arrays (under a
-// file's worth together) and the 1 MiB reader, and what the loaded index
-// writes is the file.
+// TestLoadAdoptsSections: a load allocates what it keeps. The offset and
+// label sections are read into the buffers the index then serves from, so
+// loading allocates the file once, rankOf and isLandmark (5 B a vertex, 6
+// with slack for the small sections' decoded copies) and the 64 KiB reader,
+// and what the loaded index writes is the file.
 func TestLoadAdoptsSections(t *testing.T) {
 	g, _, path, size := savedBA100k(t, t.TempDir())
 	var before, after runtime.MemStats
@@ -71,8 +71,8 @@ func TestLoadAdoptsSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, limit := int64(after.TotalAlloc-before.TotalAlloc), 2*size+1<<20; got > limit {
-		t.Fatalf("loading a %d-byte index allocated %d bytes, more than twice the file and the reader (%d)", size, got, limit)
+	if got, limit := int64(after.TotalAlloc-before.TotalAlloc), size+6*int64(g.NumVertices())+64<<10; got > limit {
+		t.Fatalf("loading a %d-byte index allocated %d bytes, more than the file, 6 B a vertex and the reader (%d)", size, got, limit)
 	}
 	file, err := os.ReadFile(path)
 	if err != nil {

@@ -13,20 +13,21 @@ import (
 // operations are safe to call.
 func FuzzLoadIndex(f *testing.F) {
 	// Seeds: the golden index as v2, both committed v1 files, and the
-	// path-600 index, whose 688 overflow records are in v2's section 6.
-	var buf, overflowBuf bytes.Buffer
-	if err := goldenIndex(f).Write(&buf); err != nil {
-		f.Fatal(err)
-	}
-	seeds := [][]byte{buf.Bytes()}
+	// path-600 index, whose 688 overflow records are in v2's section 6;
+	// then the last two with their offsets in section 3, and every
+	// malformed offsets section TestReadChecksOffsets names.
+	seeds := [][]byte{v2Bytes(f, goldenIndex(f))}
 	for _, fx := range v1Fixtures(f) {
 		seeds = append(seeds, fx.raw)
 	}
 	path600G, path600Ix := path600(f)
-	if err := path600Ix.Write(&overflowBuf); err != nil {
-		f.Fatal(err)
+	seeds = append(seeds, v2Bytes(f, path600Ix), legacyV2Fixture(f), legacyV2Bytes(f, path600Ix))
+	for _, c := range offsetCases() {
+		f.Add(reframe(f, seeds[3], c.edit))
 	}
-	seeds = append(seeds, overflowBuf.Bytes())
+	for _, c := range legacyOffsetCases() {
+		f.Add(reframe(f, seeds[5], c.edit))
+	}
 	for _, good := range seeds {
 		f.Add(good)
 		f.Add(good[:len(good)/2])
@@ -117,6 +118,10 @@ func FuzzIndexRoundTrip(f *testing.F) {
 		}
 		if !indexesIdentical(ix, ix2) {
 			t.Fatal("round trip not deep-equal")
+		}
+		// A file with its offsets in section 3 loads as the same index.
+		if old, err := Read(bytes.NewReader(legacyV2Bytes(t, ix)), g); err != nil || !indexesIdentical(ix, old) {
+			t.Fatalf("section-3 file: not deep-equal, or %v", err)
 		}
 		for i := range ix.landmarks {
 			if ix.landmarks[i] != ix2.landmarks[i] {

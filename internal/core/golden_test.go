@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"os"
 	"path/filepath"
@@ -66,6 +68,25 @@ func TestGoldenV2(t *testing.T) {
 		t.Fatal("golden file decodes to a different index")
 	}
 	checkAllPairs(t, g, ix2)
+}
+
+// TestLegacyFixturesUntouched: the three files no writer can produce any
+// more are what the v1 and section-3 readers are tested on, so nothing —
+// -update-golden least of all — may rewrite them.
+func TestLegacyFixturesUntouched(t *testing.T) {
+	for name, want := range map[string]string{
+		"tiny.hl1":       "ed1b0762e5429ff792f8a1e6b3ef660395eb4ca1e35d0ea2c4ea96dccb482100",
+		"path300.hl1":    "15b2542323ce20f716541b9f16ea4ba6d837e1bc0f67b3dadf6044c5ae67a088",
+		"tiny_off64.hl2": "7c6fc134483f31da4aa3be4608989f37f9f2b550a5d45388cb5dee9ac6375948",
+	} {
+		raw, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(raw); hex.EncodeToString(sum[:]) != want {
+			t.Errorf("testdata/%s has SHA-256 %x, want %s: restore it from git", name, sum, want)
+		}
+	}
 }
 
 // TestGoldenV1Compat: testdata/tiny.hl1 was written by the pre-v2 code

@@ -32,6 +32,7 @@ package core
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync"
@@ -64,17 +65,24 @@ const MaxLandmarks = 255
 // # Label storage
 //
 // Labels live in a flat structure-of-arrays CSR layout: vertex v's label
-// occupies positions labelOff[v]..labelOff[v+1] of the two contiguous
-// parallel arrays labelRank and labelDist, sorted by landmark rank within
-// each vertex. There are no per-vertex slice headers to chase. An entry is
-// the paper's HL(8) (Section 5.2, SizeBytes8): one byte of rank and one
-// byte of distance, which is also what sections 4 and 5 of the index file
-// hold — a save writes the two arrays as they are and a load keeps the two
-// section buffers (serialize.go). A distance ≥ 255 is stored as
-// distOverflow and its real value in overflow, sorted by (vertex, rank) and
-// found by binary search. Every reader goes through distAt, so the query
-// hot path is a merge over two byte ranges plus one compare per entry that
-// a complex network, whose diameter is a few dozen, never takes.
+// occupies positions span(v) of the two contiguous parallel arrays labelRank
+// and labelDist, sorted by landmark rank within each vertex. There are no
+// per-vertex slice headers to chase. An entry is the paper's HL(8)
+// (Section 5.2, SizeBytes8): one byte of rank and one byte of distance. A
+// distance ≥ 255 is stored as distOverflow and its real value in overflow,
+// sorted by (vertex, rank) and found by binary search. Every reader goes
+// through distAt, so the query hot path is a merge over two byte ranges
+// plus one compare per entry that a complex network, whose diameter is a
+// few dozen, never takes.
+//
+// The offsets take their width from the same limit as the ranks: a label
+// has at most MaxLandmarks entries, so prefix sums restarted every offBlock
+// vertices stay ≤ 255·255 < 2¹⁶. labelOff holds one uint64 per block, the
+// offset of its first vertex, and one uint16 per vertex, its offset past
+// that: at(v) = base[v>>8] + rel[v], 2.03 B a vertex with no cap on the
+// total. Both are little-endian bytes, because all four label arrays are
+// the index file's sections 7, 8, 4 and 5 themselves: a save writes them as
+// they are and a load keeps the buffers it read them into (serialize.go).
 //
 // The highway matrix stores exact landmark-to-landmark distances
 // row-major; Infinity where disconnected.
@@ -99,9 +107,9 @@ type Index struct {
 	highway    []int32 // k*k, row-major; Infinity = unreachable
 
 	// Flat CSR label storage (structure-of-arrays).
-	labelOff  []int64       // len n+1; prefix sums of label sizes
-	labelRank []uint8       // len labelOff[n]; landmark ranks, sorted per vertex
-	labelDist []uint8       // len labelOff[n]; distOverflow: see overflow
+	labelOff  offsets       // n+1 prefix sums of label sizes
+	labelRank []uint8       // len labelOff.at(n); landmark ranks, ascending per vertex
+	labelDist []uint8       // len labelOff.at(n); distOverflow: see overflow
 	overflow  []overflowRec // the escaped entries, sorted by cmpOverflow
 
 	// built records how BuildOpts constructed this index (zero value for
@@ -158,6 +166,44 @@ func cmpOverflow(a, b overflowRec) int {
 	return cmp.Compare(a.rank, b.rank)
 }
 
+// offsets is the prefix sums of the label sizes, n+1 of them, as the index
+// file's sections 7 and 8 hold them: base is one little-endian uint64 per
+// block of offBlock vertices, the offset of the block's first vertex, and
+// rel one uint16 per vertex, its offset past that.
+type offsets struct{ base, rel []byte }
+
+const offBlock = 256
+
+// at returns where vertex v's label starts in labelRank and labelDist;
+// at(n) is the number of entries.
+func (o offsets) at(v int32) int64 {
+	return int64(binary.LittleEndian.Uint64(o.base[uint(v)/offBlock*8:])) +
+		int64(binary.LittleEndian.Uint16(o.rel[uint(v)*2:]))
+}
+
+// newOffsets returns the offsets of labels of the given sizes, one per
+// vertex — a byte holds any, a label having at most MaxLandmarks entries —
+// and their sum.
+func newOffsets(sizes []uint8) (o offsets, entries int64) {
+	n := len(sizes)
+	o = offsets{base: make([]byte, (n+offBlock)/offBlock*8), rel: make([]byte, (n+1)*2)}
+	var base int64
+	for v := 0; ; v++ {
+		if v%offBlock == 0 {
+			base = entries
+			binary.LittleEndian.PutUint64(o.base[v/offBlock*8:], uint64(base))
+		}
+		binary.LittleEndian.PutUint16(o.rel[v*2:], uint16(entries-base))
+		if v == n {
+			return o, entries
+		}
+		entries += int64(sizes[v])
+	}
+}
+
+// span returns the positions lo..hi of vertex v's label.
+func (ix *Index) span(v int32) (lo, hi int64) { return ix.labelOff.at(v), ix.labelOff.at(v + 1) }
+
 // distAt returns the distance of vertex v's label entry at position p.
 func (ix *Index) distAt(v int32, p int64) int32 {
 	if d := ix.labelDist[p]; d != distOverflow {
@@ -179,7 +225,7 @@ func (ix *Index) escaped(v int32, rank uint8) int32 {
 // Label returns vertex v's label, sorted by rank, as freshly allocated
 // parallel slices of landmark ranks and decoded distances.
 func (ix *Index) Label(v int32) (ranks []int32, dists []int32) {
-	lo, hi := ix.labelOff[v], ix.labelOff[v+1]
+	lo, hi := ix.span(v)
 	ranks, dists = make([]int32, hi-lo), make([]int32, hi-lo)
 	for p := lo; p < hi; p++ {
 		ranks[p-lo], dists[p-lo] = int32(ix.labelRank[p]), ix.distAt(v, p)
@@ -190,13 +236,14 @@ func (ix *Index) Label(v int32) (ranks []int32, dists []int32) {
 // LabelSize returns |L(v)|, the number of entries in v's label.
 // Landmarks have empty labels (labels are defined on V\R).
 func (ix *Index) LabelSize(v int32) int {
-	return int(ix.labelOff[v+1] - ix.labelOff[v])
+	lo, hi := ix.span(v)
+	return int(hi - lo)
 }
 
 // NumEntries returns size(L) = Σ_v |L(v)|, the labelling size measure of
 // the paper (LS in Figure 3).
 func (ix *Index) NumEntries() int64 {
-	return ix.labelOff[len(ix.labelOff)-1]
+	return int64(len(ix.labelRank))
 }
 
 // numOverflow counts entries whose distance does not fit a byte
@@ -232,7 +279,8 @@ func (ix *Index) SizeBytes8() int64 {
 // structures (offsets, flat label arrays, overflow table, highway,
 // landmark arrays).
 func (ix *Index) ActualBytes() int64 {
-	return int64(len(ix.labelOff))*8 +
+	return int64(len(ix.labelOff.base)) +
+		int64(len(ix.labelOff.rel)) +
 		int64(len(ix.labelRank)) +
 		int64(len(ix.labelDist)) +
 		int64(len(ix.overflow))*12 +

@@ -117,8 +117,8 @@ func (sr *Searcher) UpperBound(s, t int32) int32 {
 	if rt := ix.rankOf[t]; rt >= 0 {
 		return ix.LandmarkDistance(rt, s)
 	}
-	slo, shi := ix.labelOff[s], ix.labelOff[s+1]
-	tlo, thi := ix.labelOff[t], ix.labelOff[t+1]
+	slo, shi := ix.span(s)
+	tlo, thi := ix.span(t)
 	if slo == shi || tlo == thi {
 		return Infinity
 	}
@@ -205,7 +205,7 @@ func (ix *Index) LandmarkDistance(r, v int32) int32 {
 		return row[rv]
 	}
 	best := Infinity
-	for p := ix.labelOff[v]; p < ix.labelOff[v+1]; p++ {
+	for p, hi := ix.span(v); p < hi; p++ {
 		h := row[ix.labelRank[p]]
 		if h < 0 {
 			continue

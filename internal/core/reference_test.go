@@ -65,7 +65,7 @@ func referencePrunedBFS(g *graph.Graph, root int32, rankOf []int32, k int) (labe
 // referenceIndex builds the index rank by rank from referencePrunedBFS.
 func referenceIndex(g *graph.Graph, landmarks []int32) *Index {
 	n, k := g.NumVertices(), len(landmarks)
-	ix := &Index{g: g, landmarks: landmarks, rankOf: make([]int32, n), isLandmark: make([]bool, n), labelOff: make([]int64, n+1)}
+	ix := &Index{g: g, landmarks: landmarks, rankOf: make([]int32, n), isLandmark: make([]bool, n)}
 	for v := range ix.rankOf {
 		ix.rankOf[v] = -1
 	}
@@ -78,7 +78,8 @@ func referenceIndex(g *graph.Graph, landmarks []int32) *Index {
 		labels[r], row = referencePrunedBFS(g, root, ix.rankOf, k)
 		ix.highway = append(ix.highway, row...)
 	}
-	for v := 0; v < n; v++ {
+	sizes := make([]uint8, n)
+	for v := range sizes {
 		for r := range labels {
 			if d := labels[r][v]; d >= 0 {
 				ix.labelRank = append(ix.labelRank, uint8(r))
@@ -86,10 +87,11 @@ func referenceIndex(g *graph.Graph, landmarks []int32) *Index {
 				if d >= int32(distOverflow) {
 					ix.overflow = append(ix.overflow, overflowRec{v: int32(v), rank: uint8(r), d: d})
 				}
+				sizes[v]++
 			}
 		}
-		ix.labelOff[v+1] = int64(len(ix.labelRank))
 	}
+	ix.labelOff, _ = newOffsets(sizes)
 	return ix
 }
 

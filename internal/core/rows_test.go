@@ -13,7 +13,7 @@ import (
 	"highway/internal/graph"
 )
 
-func v2Bytes(t *testing.T, ix *Index) []byte {
+func v2Bytes(t testing.TB, ix *Index) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := ix.WriteFormat(&buf, FormatV2); err != nil {
@@ -215,7 +215,7 @@ func TestRowsNothingDirty(t *testing.T) {
 	if got.Graph() != g2 || base.Graph() != g {
 		t.Fatal("Assemble did not attach the new graph, or moved the old index onto it")
 	}
-	if &got.labelDist[0] != &base.labelDist[0] || &got.labelOff[0] != &base.labelOff[0] || &got.highway[0] != &base.highway[0] {
+	if &got.labelDist[0] != &base.labelDist[0] || &got.labelOff.rel[0] != &base.labelOff.rel[0] || &got.highway[0] != &base.highway[0] {
 		t.Fatal("label arrays were copied though no rank ran")
 	}
 	ref, err := Build(g2, []int32{0})

@@ -27,7 +27,7 @@ const (
 	FormatV1 Format = 1
 	// FormatV2 is the "HWLIDX02" section container of internal/method
 	// (checksummed header and sections, unknown section ids skipped on
-	// read) carrying the six sections below. The only format written.
+	// read) carrying the seven sections below. The only format written.
 	FormatV2 Format = 2
 )
 
@@ -61,7 +61,8 @@ func (f Format) String() string {
 //
 //	1 landmarks  [k]uint32
 //	2 highway    [k*k]int32
-//	3 labelOff   [n+1]uint64
+//	7 labelBase  [⌈(n+1)/256⌉]uint64  labelOff of every 256th vertex
+//	8 labelRel   [n+1]uint16          labelOff[v] - labelBase[v/256]
 //	4 labelRank  [entries]uint8
 //	5 labelDist  [entries]uint8
 //	6 overflow   nOverflow × (vertex uint32, rank uint8, dist uint32)
@@ -69,13 +70,18 @@ func (f Format) String() string {
 // Every section's exact length follows from the header, so the reader
 // bounds each allocation before making it.
 //
-// Sections 4 and 5 (and their v1 counterparts) are Index.labelRank and
-// Index.labelDist: WriteFormat hands the two arrays to the container as
-// they are, and a reader, once adoptLabels has checked them, keeps the two
-// buffers it read them into. Only the small sections are translated: the
-// landmarks, highway and offsets between their integer types and
-// little-endian bytes, and the overflow table — empty on every complex
-// network — between its records and section 6's 9-byte rows.
+// Files written before sections 7 and 8 existed carry the offsets as v1
+// does, in section 3 (labelOff [n+1]uint64). Like v1 they are read, never
+// written: the reader converts either to base + rel once, and `hlbuild
+// migrate` rewrites the file.
+//
+// Sections 7, 8, 4 and 5 are Index.labelOff, labelRank and labelDist:
+// WriteFormat hands the four arrays to the container as they are, and a
+// reader, once adoptLabels has checked them, keeps the buffers it read them
+// into. Only the small sections are translated: the landmarks and highway
+// between their integer types and little-endian bytes, and the overflow
+// table — empty on every complex network — between its records and
+// section 6's 9-byte rows.
 //
 // The graph itself is not embedded: an index is only meaningful together
 // with the graph it was built on, and callers load/store the graph
@@ -86,10 +92,12 @@ var indexMagicV1 = [8]byte{'H', 'W', 'L', 'I', 'D', 'X', '0', '1'}
 const (
 	sectLandmarks uint32 = 1
 	sectHighway   uint32 = 2
-	sectLabelOff  uint32 = 3
+	sectLabelOff  uint32 = 3 // read-only, see above
 	sectLabelRank uint32 = 4
 	sectLabelDist uint32 = 5
 	sectOverflow  uint32 = 6
+	sectLabelBase uint32 = 7
+	sectLabelRel  uint32 = 8
 )
 
 // Write serializes the index (without the graph) in format v2.
@@ -115,11 +123,11 @@ func (ix *Index) WriteFormat(w io.Writer, f Format) error {
 		Aux1:   uint64(len(ix.labelRank)),
 		Aux2:   uint64(len(ix.overflow)),
 	}
-	// The offsets are the one large section built here, so sized up front.
 	return method.WriteContainer(w, h, []method.Section{
 		{ID: sectLandmarks, Payload: method.AppendI32s(nil, ix.landmarks)},
 		{ID: sectHighway, Payload: method.AppendI32s(nil, ix.highway)},
-		{ID: sectLabelOff, Payload: method.AppendI64s(make([]byte, 0, 8*len(ix.labelOff)), ix.labelOff)},
+		{ID: sectLabelBase, Payload: ix.labelOff.base},
+		{ID: sectLabelRel, Payload: ix.labelOff.rel},
 		{ID: sectLabelRank, Payload: ix.labelRank},
 		{ID: sectLabelDist, Payload: ix.labelDist},
 		{ID: sectOverflow, Payload: over},
@@ -139,7 +147,7 @@ func Read(r io.Reader, g *graph.Graph) (*Index, error) {
 func ReadFormat(r io.Reader, g *graph.Graph) (*Index, Format, error) {
 	// Same size as method.ReadContainer's reader, which therefore reuses
 	// this one and the peeked magic is not lost.
-	br := bufio.NewReaderSize(r, 1<<20)
+	br := bufio.NewReaderSize(r, 64<<10)
 	if magic, _ := br.Peek(len(indexMagicV1)); bytes.Equal(magic, indexMagicV1[:]) {
 		br.Discard(len(indexMagicV1)) // cannot fail: those bytes were just peeked
 		ix, err := readV1(br, g)
@@ -165,7 +173,6 @@ func newIndexShell(g *graph.Graph, n uint64, k uint32) (*Index, error) {
 		rankOf:     make([]int32, n),
 		isLandmark: make([]bool, n),
 		highway:    make([]int32, int(k)*int(k)),
-		labelOff:   make([]int64, n+1),
 	}
 	for i := range ix.rankOf {
 		ix.rankOf[i] = -1
@@ -186,39 +193,82 @@ func (ix *Index) setLandmark(rank int, v int32) error {
 	return nil
 }
 
-// validateOffsets checks monotonicity and the total entry bound, which
-// caps every later allocation (the anti-OOM guard the fuzz target leans
-// on).
-func (ix *Index) validateOffsets(k uint32) (int64, error) {
-	n := ix.g.NumVertices()
-	entries := ix.labelOff[n]
-	if ix.labelOff[0] != 0 {
+// legacyOffsets converts the n+1 uint64 offsets of a v1 file or of a v2
+// file's section 3 to ix.labelOff, rejecting a label of more than k entries
+// (a descending pair wraps to one), which is what bounds every allocation
+// sized by the total it returns.
+func (ix *Index) legacyOffsets(buf []byte, k uint32) (entries int64, err error) {
+	if binary.LittleEndian.Uint64(buf) != 0 {
 		return 0, fmt.Errorf("core: label offsets do not start at 0")
 	}
-	if entries < 0 || entries > int64(n)*int64(k) {
-		return 0, fmt.Errorf("core: implausible entry count %d", entries)
-	}
-	for v := 0; v < n; v++ {
-		if ix.labelOff[v] > ix.labelOff[v+1] {
-			return 0, fmt.Errorf("core: label offsets not monotone at %d", v)
+	sizes := make([]uint8, ix.g.NumVertices())
+	for v := range sizes {
+		size := binary.LittleEndian.Uint64(buf[v*8+8:]) - binary.LittleEndian.Uint64(buf[v*8:])
+		if size > uint64(k) {
+			return 0, fmt.Errorf("core: label offsets not monotone or label of %d entries at vertex %d, k=%d", size, v, k)
 		}
+		sizes[v] = uint8(size)
 	}
+	ix.labelOff, entries = newOffsets(sizes)
 	return entries, nil
 }
 
-// adoptLabels makes the two label sections of a file, each already the
-// length the offsets ask for, and its overflow records the index's label
-// storage, after the checks that make them safe to query: every rank is
-// below k, and the escaped entries and the records pair up one to one. Our
+// adoptLabels makes the offsets already in ix.labelOff, the two label
+// sections of a file and its overflow records the index's label storage,
+// after the checks that make them safe to query. The offsets start at 0,
+// never step back or by more than k, restart their uint16 at every block
+// and end at the length of the label sections; the ranks of every label
+// ascend strictly and stay below k, which the merge in UpperBound stands on;
+// and the escaped entries and the records pair up one to one. Our
 // writers emit records in CSR order, but any order is accepted (the original
 // v1 reader was order-agnostic, and "v1 stays readable" includes third-party
 // writers); a record for a non-escaped entry, an escaped entry without a
 // record and two records for one entry are corruption and rejected.
 func (ix *Index) adoptLabels(rank8, dist8 []uint8, k uint32, over []overflowRec) error {
-	for _, r := range rank8 {
-		if uint32(r) >= k {
-			return fmt.Errorf("core: label rank %d out of range [0,%d)", r, k)
+	// The offsets, block by block. Every label's ranks ascend when the only
+	// ranks at or below the one before them are first in their label: the
+	// walk counts the labels that start so, the pass after it every such
+	// rank, and the two must agree. (A loop over each label's ranks
+	// mispredicts its exit once a vertex, which doubled the time of a load.)
+	n, off := ix.g.NumVertices(), ix.labelOff
+	var base, lo int64 // of v's block; where label v-1 starts
+	var startsDown uint64
+	for v := 0; v <= n; v++ {
+		rel := int64(binary.LittleEndian.Uint16(off.rel[v*2:]))
+		if v%offBlock == 0 {
+			if base = int64(binary.LittleEndian.Uint64(off.base[v/offBlock*8:])); rel != 0 {
+				return fmt.Errorf("core: label offset of vertex %d does not restart its block", v)
+			}
 		}
+		hi := base + rel
+		if v == 0 && hi != 0 {
+			return fmt.Errorf("core: label offsets do not start at 0")
+		}
+		if hi < lo || hi-lo > int64(k) {
+			return fmt.Errorf("core: label offsets not monotone or label of %d entries at vertex %d, k=%d", hi-lo, v-1, k)
+		}
+		if hi > int64(len(rank8)) {
+			return fmt.Errorf("core: offsets pass the header's %d entries at vertex %d", len(rank8), v-1)
+		}
+		if lo < hi {
+			if uint32(rank8[hi-1]) >= k { // the label's highest, given that its ranks ascend
+				return fmt.Errorf("core: label rank %d out of range [0,%d)", rank8[hi-1], k)
+			}
+			if lo > 0 {
+				startsDown += stepsDown(rank8[lo-1], rank8[lo])
+			}
+		}
+		lo = hi
+	}
+	if lo != int64(len(rank8)) {
+		return fmt.Errorf("core: offsets claim %d entries, header says %d", lo, len(rank8))
+	}
+	var down uint64
+	for p := 1; p < len(rank8); p++ {
+		down += stepsDown(rank8[p-1], rank8[p])
+	}
+	if down != startsDown {
+		return fmt.Errorf("core: %d label ranks not ascending within their label", down-startsDown)
 	}
 	slices.SortFunc(over, cmpOverflow)
 	for i := 1; i < len(over); i++ {
@@ -230,14 +280,14 @@ func (ix *Index) adoptLabels(rank8, dist8 []uint8, k uint32, over []overflowRec)
 	stray := func(o overflowRec) error {
 		return fmt.Errorf("core: overflow record (v=%d rank=%d) for an entry that is not escaped", o.v, o.rank)
 	}
-	used, n := 0, ix.g.NumVertices()
+	used := 0
 	for p := 0; ; p++ {
 		i := bytes.IndexByte(dist8[p:], distOverflow)
 		if i < 0 {
 			break
 		}
 		p += i
-		v := sort.Search(n, func(v int) bool { return ix.labelOff[v+1] > int64(p) })
+		v := sort.Search(n, func(v int) bool { return ix.labelOff.at(int32(v+1)) > int64(p) })
 		entry := overflowRec{v: int32(v), rank: rank8[p]}
 		switch {
 		case used == len(over) || cmpOverflow(over[used], entry) > 0:
@@ -253,6 +303,9 @@ func (ix *Index) adoptLabels(rank8, dist8 []uint8, k uint32, over []overflowRec)
 	ix.labelRank, ix.labelDist, ix.overflow = rank8, dist8, over
 	return nil
 }
+
+// stepsDown is 1 if b ≤ a and 0 otherwise, without a branch to mispredict.
+func stepsDown(a, b uint8) uint64 { return uint64(int64(b)-int64(a)-1) >> 63 }
 
 func parseOverflowRecs(buf []byte, n uint64, k uint32) ([]overflowRec, error) {
 	if len(buf)%9 != 0 {
@@ -300,13 +353,11 @@ func readV1(br *bufio.Reader, g *graph.Graph) (*Index, error) {
 		}
 		ix.highway[i] = int32(binary.LittleEndian.Uint32(b8[:4]))
 	}
-	for i := range ix.labelOff {
-		if _, err := io.ReadFull(br, b8[:]); err != nil {
-			return nil, err
-		}
-		ix.labelOff[i] = int64(binary.LittleEndian.Uint64(b8[:]))
+	offBuf := make([]byte, (n+1)*8)
+	if _, err := io.ReadFull(br, offBuf); err != nil {
+		return nil, err
 	}
-	entries, err := ix.validateOffsets(k)
+	entries, err := ix.legacyOffsets(offBuf, k)
 	if err != nil {
 		return nil, err
 	}
@@ -364,13 +415,20 @@ func readV2(br *bufio.Reader, g *graph.Graph) (*Index, error) {
 			sectLabelRank: entries,
 			sectLabelDist: entries,
 			sectOverflow:  nOver * 9,
+			sectLabelBase: (n/offBlock + 1) * 8,
+			sectLabelRel:  (n + 1) * 2,
 		}
 		return want, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for id := sectLandmarks; id <= sectOverflow; id++ {
+	ids := []uint32{sectLandmarks, sectHighway, sectLabelBase, sectLabelRel, sectLabelRank, sectLabelDist, sectOverflow}
+	legacy, isLegacy := sec[sectLabelOff]
+	if isLegacy {
+		ids = []uint32{sectLandmarks, sectHighway, sectLabelOff, sectLabelRank, sectLabelDist, sectOverflow}
+	}
+	for _, id := range ids {
 		if buf, ok := sec[id]; !ok {
 			return nil, fmt.Errorf("core: required section %d missing", id)
 		} else if uint64(len(buf)) != want[id] {
@@ -385,13 +443,10 @@ func readV2(br *bufio.Reader, g *graph.Graph) (*Index, error) {
 	if err := method.DecodeI32s(sec[sectHighway], ix.highway); err != nil {
 		return nil, err
 	}
-	if err := method.DecodeI64s(sec[sectLabelOff], ix.labelOff); err != nil {
+	if !isLegacy {
+		ix.labelOff = offsets{base: sec[sectLabelBase], rel: sec[sectLabelRel]}
+	} else if _, err := ix.legacyOffsets(legacy, h.K); err != nil {
 		return nil, err
-	}
-	if got, err := ix.validateOffsets(h.K); err != nil {
-		return nil, err
-	} else if uint64(got) != h.Aux1 {
-		return nil, fmt.Errorf("core: offsets claim %d entries, header says %d", got, h.Aux1)
 	}
 	over, err := parseOverflowRecs(sec[sectOverflow], h.N, h.K)
 	if err != nil {

@@ -47,12 +47,12 @@ func v1Fixtures(tb testing.TB) []v1Fixture {
 	return fixtures
 }
 
-// reframe decodes a v2 file into its header and six sections, lets edit
-// change them, and frames the result again (checksums and all), followed by
-// any extra sections.
+// reframe decodes a v2 file into its header and sections, lets edit change
+// them, and frames those left again (checksums and all) in the order either
+// writer used, followed by any extra sections.
 func reframe(tb testing.TB, file []byte, edit func(h *method.Header, sec map[uint32][]byte), extra ...method.Section) []byte {
 	tb.Helper()
-	ids := []uint32{sectLandmarks, sectHighway, sectLabelOff, sectLabelRank, sectLabelDist, sectOverflow}
+	ids := []uint32{sectLandmarks, sectHighway, sectLabelOff, sectLabelBase, sectLabelRel, sectLabelRank, sectLabelDist, sectOverflow}
 	h, sec, err := method.ReadContainer(bytes.NewReader(file), method.TagHL, func(method.Header) (map[uint32]uint64, error) {
 		bounds := make(map[uint32]uint64)
 		for _, id := range ids {
@@ -66,7 +66,9 @@ func reframe(tb testing.TB, file []byte, edit func(h *method.Header, sec map[uin
 	edit(&h, sec)
 	var sections []method.Section
 	for _, id := range ids {
-		sections = append(sections, method.Section{ID: id, Payload: sec[id]})
+		if payload, ok := sec[id]; ok {
+			sections = append(sections, method.Section{ID: id, Payload: payload})
+		}
 	}
 	var out bytes.Buffer
 	if err := method.WriteContainer(&out, h, append(sections, extra...)); err != nil {
@@ -80,6 +82,32 @@ func reframe(tb testing.TB, file []byte, edit func(h *method.Header, sec map[uin
 func appendUnknownSection(tb testing.TB, file []byte, id uint32, payload []byte) []byte {
 	tb.Helper()
 	return reframe(tb, file, func(*method.Header, map[uint32][]byte) {}, method.Section{ID: id, Payload: payload})
+}
+
+// legacyV2Bytes is the file the last writer of section 3 wrote for ix: the
+// n+1 offsets as uint64 where sections 7 and 8 are now.
+func legacyV2Bytes(tb testing.TB, ix *Index) []byte {
+	tb.Helper()
+	return reframe(tb, v2Bytes(tb, ix), func(_ *method.Header, sec map[uint32][]byte) {
+		off := []byte{}
+		for v := 0; v <= ix.g.NumVertices(); v++ {
+			off = binary.LittleEndian.AppendUint64(off, uint64(ix.labelOff.at(int32(v))))
+		}
+		sec[sectLabelOff] = off
+		delete(sec, sectLabelBase)
+		delete(sec, sectLabelRel)
+	})
+}
+
+// legacyV2Fixture is testdata/tiny_off64.hl2: the golden index as the
+// commit before sections 7 and 8 wrote it (it was tiny.hl2 then).
+func legacyV2Fixture(tb testing.TB) []byte {
+	tb.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "tiny_off64.hl2"))
+	if err != nil {
+		tb.Fatalf("legacy v2 fixture missing: %v", err)
+	}
+	return raw
 }
 
 // path600 is the index whose labels need the escape: both ends of a
@@ -171,6 +199,125 @@ func TestReadChecksOverflowRecords(t *testing.T) {
 	}
 }
 
+// offsetCase is one malformed offsets section, or pair of them, with a valid
+// checksum: an edit of the path-600 file (k = 2, three blocks, two entries a
+// vertex but the landmarks 0 and 599) and what the reader says of it.
+type offsetCase struct {
+	name, want string
+	edit       func(h *method.Header, sec map[uint32][]byte)
+}
+
+func offsetCases() []offsetCase {
+	add16 := func(b []byte, v int, d int) {
+		binary.LittleEndian.PutUint16(b[v*2:], uint16(int(binary.LittleEndian.Uint16(b[v*2:]))+d))
+	}
+	add64 := func(b []byte, i int, d int) {
+		binary.LittleEndian.PutUint64(b[i*8:], uint64(int(binary.LittleEndian.Uint64(b[i*8:]))+d))
+	}
+	type sections = map[uint32][]byte
+	return []offsetCase{
+		{"base[0] not 0", "do not start at 0", func(_ *method.Header, sec sections) { add64(sec[sectLabelBase], 0, 1) }},
+		{"rel not 0 at a block start", "does not restart its block", func(_ *method.Header, sec sections) {
+			add64(sec[sectLabelBase], 1, -1) // every offset as it was
+			for v := 256; v < 512; v++ {
+				add16(sec[sectLabelRel], v, 1)
+			}
+		}},
+		{"rel steps back inside a block", "not monotone", func(_ *method.Header, sec sections) { add16(sec[sectLabelRel], 300, -3) }},
+		{"label longer than k", "label of 3 entries at vertex 4", func(_ *method.Header, sec sections) {
+			for v := 5; v < 256; v++ {
+				add16(sec[sectLabelRel], v, 1)
+			}
+		}},
+		{"label longer than k across a block boundary", "label of 5 entries at vertex 255", func(_ *method.Header, sec sections) {
+			add64(sec[sectLabelBase], 1, 3)
+		}},
+		{"label shorter than 0 across a block boundary", "not monotone", func(_ *method.Header, sec sections) {
+			add64(sec[sectLabelBase], 1, -3)
+		}},
+		{"base beyond int64", "not monotone", func(_ *method.Header, sec sections) {
+			binary.LittleEndian.PutUint64(sec[sectLabelBase][16:], 1<<63+1000)
+		}},
+		{"off(n) below the header's entries", "offsets claim 1195 entries, header says 1196", func(_ *method.Header, sec sections) {
+			add16(sec[sectLabelRel], 599, -1)
+			add16(sec[sectLabelRel], 600, -1)
+		}},
+		{"off(n) above the header's entries", "offsets pass the header's 1196 entries", func(_ *method.Header, sec sections) {
+			add16(sec[sectLabelRel], 600, 1)
+		}},
+		{"rel one vertex long", "section 8 has length", func(_ *method.Header, sec sections) {
+			sec[sectLabelRel] = append(sec[sectLabelRel], sec[sectLabelRel][1200:]...)
+		}},
+		{"base one block long", "section 7 has length", func(_ *method.Header, sec sections) {
+			sec[sectLabelBase] = append(sec[sectLabelBase], sec[sectLabelBase][16:]...)
+		}},
+		{"no rel", "required section 8 missing", func(_ *method.Header, sec sections) { delete(sec, sectLabelRel) }},
+		{"rank repeated in a label", "not ascending", func(_ *method.Header, sec sections) { sec[sectLabelRank][1] = 0 }},
+		{"ranks of a label descending", "not ascending", func(_ *method.Header, sec sections) {
+			sec[sectLabelRank][0], sec[sectLabelRank][1] = 1, 0
+		}},
+	}
+}
+
+// legacyOffsetCases are offsetCases for section 3, edits of the same file as
+// legacyV2Bytes frames it.
+func legacyOffsetCases() []offsetCase {
+	type sections = map[uint32][]byte
+	put := func(sec sections, v int, off uint64) { binary.LittleEndian.PutUint64(sec[sectLabelOff][v*8:], off) }
+	return []offsetCase{
+		{"section 3 not starting at 0", "do not start at 0", func(_ *method.Header, sec sections) { put(sec, 0, 1) }},
+		{"section 3 stepping back", "not monotone", func(_ *method.Header, sec sections) { put(sec, 300, 590) }},
+		{"section 3 with a label longer than k", "label of 3 entries at vertex 4", func(_ *method.Header, sec sections) { put(sec, 5, 9) }},
+		{"section 3 with one label of every entry", "not monotone or label of 1196 entries", func(_ *method.Header, sec sections) {
+			for v := 1; v < 600; v++ {
+				put(sec, v, 0)
+			}
+		}},
+		{"section 3 ending below the header's entries", "offsets claim 1195 entries", func(_ *method.Header, sec sections) {
+			put(sec, 599, 1195)
+			put(sec, 600, 1195)
+		}},
+		{"section 3 one vertex short", "section 3 has length", func(_ *method.Header, sec sections) {
+			sec[sectLabelOff] = sec[sectLabelOff][8:]
+		}},
+	}
+}
+
+// TestReadChecksOffsets: the offsets are bytes the index keeps and every
+// query indexes the labels by, so the reader holds them to what a writer
+// produces — and the ranks of each label to ascending, which bounds a label
+// at k entries and is what the merge in UpperBound assumes. Section 3, which
+// older files carry the offsets in, is held to the same.
+func TestReadChecksOffsets(t *testing.T) {
+	g, ix := path600(t)
+	for layout, cases := range map[string][]offsetCase{"sections 7 and 8": offsetCases(), "section 3": legacyOffsetCases()} {
+		good := v2Bytes(t, ix)
+		if layout == "section 3" {
+			good = legacyV2Bytes(t, ix)
+		}
+		got, err := Read(bytes.NewReader(good), g)
+		if err != nil || !indexesIdentical(ix, got) || !bytes.Equal(v2Bytes(t, got), v2Bytes(t, ix)) {
+			t.Fatalf("%s: the unedited file does not load as the index it was written from: %v", layout, err)
+		}
+		for _, c := range cases {
+			t.Run(c.name, func(t *testing.T) {
+				_, err := Read(bytes.NewReader(reframe(t, good, c.edit)), g)
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("Read: %v, want an error saying %q", err, c.want)
+				}
+			})
+		}
+	}
+}
+
+// TestLegacyV2Writer: legacyV2Bytes, which the section-3 tests and fuzz
+// seeds are framed by, writes what the last writer of section 3 wrote.
+func TestLegacyV2Writer(t *testing.T) {
+	if !bytes.Equal(legacyV2Bytes(t, goldenIndex(t)), legacyV2Fixture(t)) {
+		t.Fatal("legacyV2Bytes of the golden index differs from testdata/tiny_off64.hl2")
+	}
+}
+
 func TestIndexRoundTrip(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, 13)
 	ix, err := Build(g, g.DegreeOrder()[:12])
@@ -187,7 +334,10 @@ func TestIndexRoundTrip(t *testing.T) {
 		format Format
 		want   *Index
 	}
-	legs := []leg{{"v2", buf.Bytes(), FormatV2, ix}}
+	legs := []leg{
+		{"v2", buf.Bytes(), FormatV2, ix},
+		{"tiny_off64.hl2", legacyV2Fixture(t), FormatV2, goldenIndex(t)},
+	}
 	for _, fx := range v1Fixtures(t) {
 		legs = append(legs, leg{fx.name, fx.raw, FormatV1, fx.want})
 	}
@@ -202,6 +352,9 @@ func TestIndexRoundTrip(t *testing.T) {
 			}
 			if !indexesIdentical(l.want, ix2) {
 				t.Fatal("decoded a different index")
+			}
+			if !bytes.Equal(v2Bytes(t, ix2), v2Bytes(t, l.want)) {
+				t.Fatal("re-saved, it differs from a fresh build's file")
 			}
 			for i := range l.want.landmarks {
 				if l.want.landmarks[i] != ix2.landmarks[i] {

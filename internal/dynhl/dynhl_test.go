@@ -196,9 +196,9 @@ func TestFromCoreSharesLabels(t *testing.T) {
 	}
 	// The adjacency copy, its slice headers and the batch's CSR are 49 B a
 	// vertex here; the offsets, ranks and distances of the labelling would
-	// be 10 B more, which the bound leaves no room for. (That the arrays
+	// be 4 B more, which the bound leaves no room for. (That the arrays
 	// are the very same ones is core's TestRowsNothingDirty.)
-	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(n*56); got > limit {
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(n*52); got > limit {
 		t.Fatalf("FromCore and a no-dirty batch allocated %d bytes, more than the adjacency's %d", got, limit)
 	}
 	if d := dyn.Distance(3, 7); d != 1 {

@@ -31,7 +31,7 @@ import (
 // other method writes a method-tag section (SectTag, id 32) as the FIRST
 // table row and first payload, so a reader learns which decoder a file
 // needs from one bounded read. Per-method payload sections use ids ≥ 33,
-// disjoint from the core section ids 1..6, so no decoder can mistake
+// disjoint from the core section ids 1..8, so no decoder can mistake
 // another method's payload for its own.
 //
 // The two writer-specific u64 header slots (entries and overflow count
@@ -43,7 +43,7 @@ import (
 const TagHL = "hl"
 
 // SectTag is the section id of the method-name payload. Ids below it
-// (1..6) belong to the core labelling; per-method sections start at
+// (1..8) belong to the core labelling; per-method sections start at
 // SectTag + 1.
 const SectTag uint32 = 32
 
@@ -93,7 +93,7 @@ func WriteContainer(w io.Writer, h Header, sections []Section) error {
 		return fmt.Errorf("method: %d sections exceeds limit %d", len(all), maxSection)
 	}
 
-	bw := bufio.NewWriterSize(w, 1<<20)
+	bw := bufio.NewWriterSize(w, 64<<10)
 	if _, err := bw.Write(magicV2[:]); err != nil {
 		return err
 	}
@@ -225,7 +225,7 @@ func readHeader(br *bufio.Reader) (Header, []rawRow, error) {
 // compatibility), duplicate known ids rejected, and every payload is
 // CRC-checked.
 func ReadContainer(r io.Reader, want string, expect func(Header) (map[uint32]uint64, error)) (Header, map[uint32][]byte, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	br := bufio.NewReaderSize(r, 64<<10)
 	h, rows, err := readHeader(br)
 	if err != nil {
 		return h, nil, err
