@@ -165,7 +165,7 @@ func TestAPISurfaceHasRegistry(t *testing.T) {
 	got := renderAPISurface(t)
 	for _, needle := range []string{
 		"func Build(ctx context.Context, g *Graph, methodName string, opts ...BuildOption) (DistanceIndex, error)",
-		"func LoadIndexAny(path string, g *Graph) (DistanceIndex, error)",
+		"func MethodByName(name string) (Method, error)",
 		"func Methods() []Method",
 		"func WithLandmarks(landmarks []int32) BuildOption",
 		"DistanceIndex = method.DistanceIndex",

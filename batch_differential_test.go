@@ -121,8 +121,5 @@ func TestIndexCapabilities(t *testing.T) {
 		if caps.Batch != want[m.Name] || caps.Source != want[m.Name] {
 			t.Errorf("%s capabilities = %+v, want batch/source %v", m.Name, caps, want[m.Name])
 		}
-		if caps.Insert != m.Dynamic {
-			t.Errorf("%s capabilities.Insert = %v, Dynamic = %v", m.Name, caps.Insert, m.Dynamic)
-		}
 	}
 }

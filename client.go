@@ -37,20 +37,6 @@ func Dial(ctx context.Context, addr string, cfg ClientConfig) (*Client, error) {
 	return hlclient.Dial(ctx, addr, cfg)
 }
 
-// MultiClient is a Client spread across several endpoints of a replica
-// set: calls round-robin, each endpoint keeps its own connection pool
-// and circuit breaker, and a call that finds an endpoint's breaker open
-// fails over to the next instead of failing fast. Create one with
-// DialMulti.
-type MultiClient = hlclient.MultiClient
-
-// DialMulti connects to every address (entries may themselves be
-// comma-separated lists) with one Client per endpoint. All endpoints
-// must handshake successfully, or the whole dial fails.
-func DialMulti(ctx context.Context, addrs []string, cfg ClientConfig) (*MultiClient, error) {
-	return hlclient.DialMulti(ctx, addrs, cfg)
-}
-
 // RemoteError is a server-reported request failure (an in-band Error
 // frame): the request was rejected — out-of-range vertex, oversized
 // batch, read-only server — but the connection stays healthy and

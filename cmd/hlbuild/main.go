@@ -5,8 +5,6 @@
 //
 //	hlbuild -graph web.hwg -k 20 -out web.idx
 //	hlbuild -graph edges.txt -k 40 -strategy degree -workers 8 -verify 1000
-//	hlbuild -graph web.hwg -method pll -bitparallel 50  (any registry method)
-//	hlbuild -graph web.hwg -method isl -out web.isl.idx
 //	hlbuild -graph web.hwg -k 20 -progress           (log per-landmark BFS completion)
 //	hlbuild migrate -graph web.hwg -in old.idx -out web.idx   (v1, or v2 with 64-bit offsets → v2)
 //
@@ -45,23 +43,17 @@ func run(args []string) error {
 	}
 	fs := flag.NewFlagSet("hlbuild", flag.ContinueOnError)
 	var (
-		graphPath  = fs.String("graph", "", "graph file: binary (.hwg) or text edge list (required)")
-		methodName = fs.String("method", "hl", "labelling method: "+strings.Join(highway.MethodNames(), " | "))
-		k          = fs.Int("k", 20, "number of landmarks")
-		strategy   = fs.String("strategy", "degree", "landmark strategy: degree | random | closeness | degree-spread")
-		seed       = fs.Int64("seed", 42, "seed for randomized strategies")
-		workers    = fs.Int("workers", 0, "goroutines sharing each level of the build traversal (0 = all cores, 1 = one); the index is the same for every value")
-		bp         = fs.Int("bitparallel", 0, "bit-parallel trees (pll: tree count, fd: >0 enables one per landmark)")
-		out        = fs.String("out", "", "index output path (default: graph path + .idx)")
-		verify     = fs.Int("verify", 0, "cross-check this many random pairs against BFS after building")
-		timeout    = fs.Duration("timeout", 0, "abort construction after this duration (0 = none)")
-		progress   = fs.Bool("progress", false, "log one line per completed landmark BFS to stderr")
+		graphPath = fs.String("graph", "", "graph file: binary (.hwg) or text edge list (required)")
+		k         = fs.Int("k", 20, "number of landmarks")
+		strategy  = fs.String("strategy", "degree", "landmark strategy: degree | random | closeness | degree-spread")
+		seed      = fs.Int64("seed", 42, "seed for randomized strategies")
+		workers   = fs.Int("workers", 0, "goroutines sharing each level of the build traversal (0 = all cores, 1 = one); the index is the same for every value")
+		out       = fs.String("out", "", "index output path (default: graph path + .idx)")
+		verify    = fs.Int("verify", 0, "cross-check this many random pairs against BFS after building")
+		timeout   = fs.Duration("timeout", 0, "abort construction after this duration (0 = none)")
+		progress  = fs.Bool("progress", false, "log one line per completed landmark BFS to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	m, err := highway.MethodByName(*methodName)
-	if err != nil {
 		return err
 	}
 	if *graphPath == "" {
@@ -87,7 +79,6 @@ func run(args []string) error {
 		highway.WithStrategy(highway.LandmarkStrategy(*strategy)),
 		highway.WithSeed(*seed),
 		highway.WithWorkers(*workers),
-		highway.WithBitParallel(*bp),
 	}
 	if *progress {
 		opts = append(opts, highway.WithProgress(func(done, total int) {
@@ -95,18 +86,17 @@ func run(args []string) error {
 		}))
 	}
 	start := time.Now()
-	ix, err := highway.Build(ctx, g, m.Name, opts...)
+	built, err := highway.Build(ctx, g, "hl", opts...)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("built %s in %s: %s\n", m.Name, time.Since(start).Round(time.Millisecond), ix.Stats())
-	if hl, ok := ix.(*highway.Index); ok {
-		bs := hl.BuildStats()
-		tr := bs.Traversal
-		fmt.Printf("workers=%d levels=%d (top-down %d, bottom-up %d) edges scanned=%d (top-down %d, bottom-up %d)\n",
-			bs.Workers, tr.Levels(), tr.TopDownLevels, tr.BottomUpLevels,
-			tr.EdgesScanned(), tr.EdgesTopDown, tr.EdgesBottomUp)
-	}
+	ix := built.(*highway.Index)
+	fmt.Printf("built hl in %s: %s\n", time.Since(start).Round(time.Millisecond), ix.Stats())
+	bs := ix.BuildStats()
+	tr := bs.Traversal
+	fmt.Printf("workers=%d levels=%d (top-down %d, bottom-up %d) edges scanned=%d (top-down %d, bottom-up %d)\n",
+		bs.Workers, tr.Levels(), tr.TopDownLevels, tr.BottomUpLevels,
+		tr.EdgesScanned(), tr.EdgesTopDown, tr.EdgesBottomUp)
 
 	if *verify > 0 {
 		if err := highway.VerifyIndex(g, ix, *verify, *seed); err != nil {
@@ -122,7 +112,7 @@ func run(args []string) error {
 	if err := ix.Save(dest); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (method %s, format v2)\n", dest, m.Name)
+	fmt.Printf("wrote %s (format v2)\n", dest)
 	return nil
 }
 

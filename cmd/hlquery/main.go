@@ -60,9 +60,7 @@ func run(args []string) error {
 	if ip == "" {
 		ip = *graphPath + ".idx"
 	}
-	// Any registered method's index loads transparently: the file's
-	// method tag selects the decoder (hl for untagged/legacy files).
-	ix, err := highway.LoadIndexAny(ip, g)
+	ix, err := highway.LoadIndex(ip, g)
 	if err != nil {
 		return err
 	}
@@ -71,21 +69,19 @@ func run(args []string) error {
 	case *stats:
 		st := ix.Stats()
 		fmt.Printf("index: %s\nmethod: %s\nstats: %s\n", ip, st.Method, st)
-		// Capability discovery: which optional execution surfaces this
-		// method's searchers offer (vectorized batch, source-to-many,
-		// online insertion) — the same probe the serving layer uses.
+		// Capability discovery: which optional execution surfaces the
+		// searchers offer (vectorized batch, source-to-many) — the same
+		// probe the serving layer uses.
 		fmt.Printf("capabilities: %s\n", highway.IndexCapabilities(ix))
-		if hl, ok := ix.(*highway.Index); ok {
-			// hl files exist in two formats, and v2 with the offsets at
-			// either of two widths; surface which (hlbuild migrate rewrites
-			// the older ones) and the real footprint. The magic and the
-			// section table say — no need to re-decode the index.
-			format, err := indexFileFormat(ip)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("format: %s\nmemory: %d bytes\n", format, hl.ActualBytes())
+		// Index files exist in two formats, and v2 with the offsets at
+		// either of two widths; surface which (hlbuild migrate rewrites
+		// the older ones) and the real footprint. The magic and the
+		// section table say — no need to re-decode the index.
+		format, err := indexFileFormat(ip)
+		if err != nil {
+			return err
 		}
+		fmt.Printf("format: %s\nmemory: %d bytes\n", format, ix.ActualBytes())
 		return nil
 	case *s >= 0 && *t >= 0:
 		if err := checkVertex(g, *s); err != nil {
@@ -104,8 +100,8 @@ func run(args []string) error {
 
 // indexFileFormat names the index file's format from its magic and, for
 // v2, its section table (layout: internal/method/container.go), without
-// decoding the file a second time (LoadIndexAny already validated it in
-// full). Like method.SniffTag it reads a bounded prefix.
+// decoding the file a second time (LoadIndex already validated it in
+// full). It reads a bounded prefix.
 func indexFileFormat(path string) (string, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -140,14 +136,14 @@ func checkVertex(g *highway.Graph, v int) error {
 	return g.CheckVertex(int32(v))
 }
 
-func oneShot(ix highway.DistanceIndex, s, t int32) error {
+func oneShot(ix *highway.Index, s, t int32) error {
 	start := time.Now()
 	d := ix.Distance(s, t)
 	fmt.Printf("d(%d,%d) = %d  (%s)\n", s, t, d, time.Since(start))
 	return nil
 }
 
-func repl(ix highway.DistanceIndex, g *highway.Graph) error {
+func repl(ix *highway.Index, g *highway.Graph) error {
 	sr := ix.NewSearcher()
 	sc := bufio.NewScanner(os.Stdin)
 	fmt.Println("enter queries as: s t   (EOF to quit)")
@@ -175,11 +171,10 @@ func repl(ix highway.DistanceIndex, g *highway.Graph) error {
 }
 
 // serveHTTP delegates to the shared serving subsystem so hlquery -serve
-// and hlserve expose one API instead of two drifting ones. Any method's
-// index serves (read-only) through the same machinery.
-func serveHTTP(ix highway.DistanceIndex, addr string) error {
+// and hlserve expose one API instead of two drifting ones.
+func serveHTTP(ix *highway.Index, addr string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	fmt.Printf("serving on %s (GET /distance?s=&t=, POST /distance/batch, GET /stats, GET /healthz)\n", addr)
-	return highway.NewServerFor(ix, highway.ServeConfig{}).ListenAndServe(ctx, addr)
+	return highway.NewServer(ix, highway.ServeConfig{}).ListenAndServe(ctx, addr)
 }

@@ -1,14 +1,18 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"math/bits"
+	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"highway"
 	"highway/internal/gen"
+	"highway/internal/method"
 )
 
 func fixture(t *testing.T) (string, string, *highway.Graph) {
@@ -28,7 +32,7 @@ func fixture(t *testing.T) (string, string, *highway.Graph) {
 		t.Fatal(err)
 	}
 	ip := gp + ".idx"
-	if err := ix.Save(ip); err != nil {
+	if err := ix.(*highway.Index).Save(ip); err != nil {
 		t.Fatal(err)
 	}
 	return gp, ip, g
@@ -120,24 +124,27 @@ func TestCheckVertex(t *testing.T) {
 	}
 }
 
-// TestAnyMethodIndex: hlquery auto-detects the method tag, so one-shot
-// queries and -stats work on any registered method's index file.
+// TestAnyMethodIndex: hlquery loads the paper's labelling only. An index
+// file a baseline method wrote before those formats were retired fails
+// every mode with one line naming the method.
 func TestAnyMethodIndex(t *testing.T) {
 	gp, _, g := fixture(t)
 	for _, name := range []string{"pll", "isl", "fd", "dynhl"} {
-		ix, err := highway.Build(context.Background(), g, name, highway.WithLandmarkCount(6))
-		if err != nil {
+		var file bytes.Buffer
+		h := method.Header{N: uint64(g.NumVertices()), K: 6}
+		if err := method.WriteContainer(&file, h, []method.Section{{ID: method.SectTag, Payload: []byte(name)}}); err != nil {
 			t.Fatal(err)
 		}
 		ip := filepath.Join(t.TempDir(), name+".idx")
-		if err := ix.Save(ip); err != nil {
+		if err := os.WriteFile(ip, file.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := run([]string{"-graph", gp, "-index", ip, "-s", "1", "-t", "250"}); err != nil {
-			t.Fatalf("%s one-shot: %v", name, err)
-		}
-		if err := run([]string{"-graph", gp, "-index", ip, "-stats"}); err != nil {
-			t.Fatalf("%s -stats: %v", name, err)
+		for _, mode := range [][]string{{"-s", "1", "-t", "250"}, {"-stats"}} {
+			err := run(append([]string{"-graph", gp, "-index", ip}, mode...))
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(name)) ||
+				!strings.Contains(err.Error(), "no longer loadable") || strings.Contains(err.Error(), "\n") {
+				t.Fatalf("%s %v: err = %v, want one line naming %q as no longer loadable", name, mode, err, name)
+			}
 		}
 	}
 }

@@ -12,7 +12,6 @@
 //	hlserve serve -graph g.hwg -addr :8080       # live HTTP API until SIGINT
 //	hlserve serve -graph g.hwg -binaddr :8081    # ... plus the binary protocol
 //	hlserve serve -graph g.hwg -wal edges.wal    # ... with durable updates
-//	hlserve serve -graph g.hwg -method pll       # serve any labelling method (read-only)
 //	hlserve route -primary p:8081 -followers a:8081,b:8081  # cluster router: each read goes to one follower
 //	hlserve batch -graph g.hwg < pairs.txt       # one distance per line, input order
 //	hlserve load  -graph g.hwg -n 100000         # in-process load test: qps + p50/p90/p99
@@ -24,13 +23,10 @@
 //	hlserve genpairs -graph g.hwg -n 100000      # emit "s t" lines for batch mode
 //	hlserve help [command]
 //
-// Build the graph and index first with hlbuild (any -method). Every
-// command takes -graph (binary graph file); serve, batch and load also
-// take -index (default: graph path + .idx) and accept any registered
-// method's index — the file's method tag selects the decoder, and
-// serve's -method flag cross-checks it. Only the highway labelling
-// serves live updates; every other method serves read-only. With -wal,
-// serve prefers the snapshot a previous run's checkpoint persisted next
+// Build the graph and index first with hlbuild. Every command takes
+// -graph (binary graph file); serve, batch and load also take -index
+// (default: graph path + .idx), a highway cover index file of either
+// format. With -wal, serve prefers the snapshot a previous run's checkpoint persisted next
 // to the log, then replays the log, so restarts lose nothing that was
 // acknowledged.
 package main
@@ -104,10 +100,9 @@ func usage(w io.Writer) {
 }
 
 // indexFlags declares the flags every command shares and returns a
-// resolver for the graph/index paths plus a method-agnostic loader
-// (the file's method tag selects the decoder, so every subcommand
-// accepts any registered method's index).
-func indexFlags(fs *flag.FlagSet) (paths func() (graphPath, indexPath string, err error), load func() (highway.DistanceIndex, error)) {
+// resolver for the graph/index paths plus the loader of the index they
+// name.
+func indexFlags(fs *flag.FlagSet) (paths func() (graphPath, indexPath string, err error), load func() (*highway.Index, error)) {
 	graphPath := fs.String("graph", "", "binary graph file (required; build with hlbuild)")
 	indexPath := fs.String("index", "", "index file (default: graph path + .idx)")
 	paths = func() (string, string, error) {
@@ -120,7 +115,7 @@ func indexFlags(fs *flag.FlagSet) (paths func() (graphPath, indexPath string, er
 		}
 		return *graphPath, ip, nil
 	}
-	load = func() (highway.DistanceIndex, error) {
+	load = func() (*highway.Index, error) {
 		gp, ip, err := paths()
 		if err != nil {
 			return nil, err
@@ -129,7 +124,7 @@ func indexFlags(fs *flag.FlagSet) (paths func() (graphPath, indexPath string, er
 		if err != nil {
 			return nil, err
 		}
-		return highway.LoadIndexAny(ip, g)
+		return highway.LoadIndex(ip, g)
 	}
 	return paths, load
 }
@@ -145,7 +140,6 @@ func runServe(args []string, _ io.Reader, stdout, _ io.Writer) error {
 	readonly := fs.Bool("readonly", false, "serve the index frozen, without the update API")
 	readBudget := fs.Int("read-budget", 0, "admission budget for in-flight read work, in cost units of 1 + pairs/1024 (0 = default, <0 = unlimited); over-budget requests are shed with 429/Overloaded")
 	writeBudget := fs.Int("write-budget", 0, "admission budget for in-flight insert work, same units as -read-budget (0 = default, <0 = unlimited)")
-	methodName := fs.String("method", "", "index method to serve: "+strings.Join(highway.MethodNames(), " | ")+" (default: auto-detect from the index file; non-dynamic methods serve read-only)")
 	replicate := fs.String("replicate", "", "comma-separated follower binary addresses to ship the WAL to (primary role; requires -wal)")
 	follower := fs.Bool("follower", false, "run as a replication follower: bootstrap from the primary's snapshot stream, serve reads (no -graph needed; requires -binaddr for the replication frames)")
 	if err := fs.Parse(args); err != nil {
@@ -184,87 +178,23 @@ func runServe(args []string, _ io.Reader, stdout, _ io.Writer) error {
 		fmt.Fprintf(stdout, "hlserve: primary generation %d, replicating to %s\n", gen, *replicate)
 	}
 
-	// Resolve the method: sniff the index file's tag, cross-checked
-	// against -method when given (serving a file under the wrong decoder
-	// must fail loudly, not mis-answer). The -wal restart path may
-	// legitimately run without the index file — serve.LoadLive prefers
-	// the snapshot a previous checkpoint persisted — so there the
-	// tag defaults to hl and is only sniffed when the file is present.
-	gp, ip, err := paths()
-	if err != nil {
-		return err
-	}
-	tag := "hl"
-	if _, serr := os.Stat(ip); serr == nil || *walPath == "" {
-		if tag, err = highway.SniffIndexMethod(ip); err != nil {
-			return err
-		}
-	}
-	m, err := highway.MethodByName(tag)
-	if err != nil {
-		return err
-	}
-	if *methodName != "" {
-		want, err := highway.MethodByName(*methodName)
-		if err != nil {
-			return err
-		}
-		if want.Name != m.Name {
-			return fmt.Errorf("-method %s, but %s is a %q index", want.Name, ip, m.Name)
-		}
-	}
-
 	var srv *serve.Server
-	switch {
-	case m.Name != "hl":
-		// Generic path: any method serves through the shared machinery.
-		// The WAL/checkpoint pipeline is bound to the highway labelling's
-		// files; a dynamic-method index (dynhl) still serves live via its
-		// frozen snapshot, every non-dynamic method serves read-only.
-		if *walPath != "" {
-			return fmt.Errorf("-wal requires an hl index (got a %q index)", m.Name)
+	if *walPath != "" {
+		gp, ip, err := paths()
+		if err != nil {
+			return err
 		}
+		if srv, err = serve.LoadLive(gp, ip, *walPath, cfg); err != nil {
+			return err
+		}
+	} else {
 		ix, err := load()
 		if err != nil {
 			return err
 		}
-		dyn, isDynHL := ix.(*highway.DynamicIndex)
-		switch {
-		case *readonly || !isDynHL:
-			if !*readonly {
-				fmt.Fprintf(stdout, "hlserve: method %s serves read-only (POST /edges needs a dynamic highway index)\n", m.Name)
-			}
-			srv = serve.NewIndex(ix, cfg.Config)
-		default:
-			// dynhl: snapshot the evolved state and serve it live.
-			_, frozen, err := dyn.Freeze()
-			if err != nil {
-				return err
-			}
-			srv, err = serve.NewLive(frozen, cfg)
-			if err != nil {
-				return err
-			}
-		}
-	case *readonly:
-		ix, err := load()
-		if err != nil {
-			return err
-		}
-		srv = serve.NewIndex(ix, cfg.Config)
-	case *walPath != "":
-		srv, err = serve.LoadLive(gp, ip, *walPath, cfg)
-		if err != nil {
-			return err
-		}
-	default:
-		ix, err := load()
-		if err != nil {
-			return err
-		}
-		// The m.Name == "hl" guard above makes this assertion safe.
-		srv, err = serve.NewLive(ix.(*highway.Index), cfg)
-		if err != nil {
+		if *readonly {
+			srv = serve.New(ix, cfg.Config)
+		} else if srv, err = serve.NewLive(ix, cfg); err != nil {
 			return err
 		}
 	}
@@ -363,7 +293,7 @@ func runBatch(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	stats, err := serve.NewIndex(ix, serve.Config{}).RunBatch(stdin, stdout, *workers)
+	stats, err := serve.New(ix, serve.Config{}).RunBatch(stdin, stdout, *workers)
 	if err != nil {
 		return err
 	}
@@ -373,11 +303,11 @@ func runBatch(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 
 func runLoad(args []string, _ io.Reader, stdout, _ io.Writer) error {
 	fs := flag.NewFlagSet("hlserve load", flag.ContinueOnError)
-	paths, load := indexFlags(fs)
+	_, load := indexFlags(fs)
 	n := fs.Int("n", 100_000, "total measured pairs per run (the paper samples 100,000)")
 	seed := fs.Int64("seed", 42, "workload seed")
 	workers := fs.Int("workers", 0, "concurrent load workers, each with its own connection and request queue (0 = all cores)")
-	churn := fs.Float64("churn", 0, "fraction of requests preceded by one edge mutation through the target protocol (0 = read-only unless -deleteratio is set, which defaults this to 0.1; needs an hl index)")
+	churn := fs.Float64("churn", 0, "fraction of requests preceded by one edge mutation through the target protocol (0 = read-only unless -deleteratio is set, which defaults this to 0.1)")
 	deleteRatio := fs.Float64("deleteratio", 0, "fraction of churn mutations that delete a live edge instead of inserting (implies -churn 0.1 when churn is unset)")
 	skew := fs.Float64("skew", 0, "Zipf skew for churn insertion endpoints, >1 to enable (low vertex ids = hubs); uniform otherwise")
 	proto := fs.String("proto", "inproc", "target protocol: inproc (no wire protocol), http (HTTP/JSON API) or binary (PROTOCOL.md)")
@@ -413,22 +343,6 @@ func runLoad(args []string, _ io.Reader, stdout, _ io.Writer) error {
 	if err != nil {
 		return err
 	}
-	_, ip, err := paths()
-	if err != nil {
-		return err
-	}
-	if *churn > 0 {
-		// Churn mutates through the target protocol, so the self-hosted
-		// server must be live — which only the highway labelling can be.
-		tag, err := highway.SniffIndexMethod(ip)
-		if err != nil {
-			return err
-		}
-		if tag != "hl" {
-			return fmt.Errorf("-churn/-deleteratio needs an hl index (method %q serves read-only)", tag)
-		}
-	}
-
 	ix, err := load()
 	if err != nil {
 		return err
@@ -450,7 +364,7 @@ func runLoad(args []string, _ io.Reader, stdout, _ io.Writer) error {
 	// exist on every protocol.
 	var srv *serve.Server
 	if *churn > 0 {
-		srv, err = serve.NewLive(ix.(*highway.Index), serve.LiveConfig{
+		srv, err = serve.NewLive(ix, serve.LiveConfig{
 			Config: serve.Config{ReadBudget: *readBudget},
 		})
 		if err != nil {
@@ -458,7 +372,7 @@ func runLoad(args []string, _ io.Reader, stdout, _ io.Writer) error {
 		}
 		defer srv.Close()
 	} else {
-		srv = serve.NewIndex(ix, serve.Config{ReadBudget: *readBudget})
+		srv = serve.New(ix, serve.Config{ReadBudget: *readBudget})
 	}
 	var factory loadgen.TargetFactory
 	switch *proto {

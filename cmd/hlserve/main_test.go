@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -13,6 +12,7 @@ import (
 	"testing"
 
 	"highway"
+	"highway/internal/method"
 )
 
 // writeIndexedGraph saves a small graph and its index side by side and
@@ -33,7 +33,7 @@ func writeIndexedGraph(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Save(gp + ".idx"); err != nil {
+	if err := ix.(*highway.Index).Save(gp + ".idx"); err != nil {
 		t.Fatal(err)
 	}
 	return gp
@@ -246,75 +246,67 @@ func TestRouteShardsFlagGone(t *testing.T) {
 	}
 }
 
-// writeMethodIndex builds a non-hl index next to the graph, for the
-// generic serving paths.
-func writeMethodIndex(t *testing.T, methodName string) (graphPath, indexPath string) {
+// writeRetiredIndex saves a graph and, beside it at the default index
+// path, an index file as a baseline method wrote it before those formats
+// were retired: a container whose first section is the method tag. It
+// returns the graph path.
+func writeRetiredIndex(t *testing.T, methodName string) string {
 	t.Helper()
 	g := highway.BarabasiAlbert(300, 3, 5)
-	dir := t.TempDir()
-	gp := filepath.Join(dir, "g.hwg")
+	gp := filepath.Join(t.TempDir(), "g.hwg")
 	if err := highway.SaveGraph(g, gp); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := highway.Build(context.Background(), g, methodName, highway.WithLandmarkCount(8))
-	if err != nil {
+	var file bytes.Buffer
+	h := method.Header{N: uint64(g.NumVertices()), K: 8}
+	if err := method.WriteContainer(&file, h, []method.Section{{ID: method.SectTag, Payload: []byte(methodName)}}); err != nil {
 		t.Fatal(err)
 	}
-	ip := gp + ".idx"
-	if err := ix.Save(ip); err != nil {
+	if err := os.WriteFile(gp+".idx", file.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return gp, ip
+	return gp
 }
 
-// TestBatchAnyMethod runs the offline batch pipeline over a PLL index:
-// the shared loader must detect the method tag and the generic server
-// must answer through the interface.
+// wantRetired fails the test unless err is one line that names methodName
+// and says its files no longer load.
+func wantRetired(t *testing.T, what string, err error, methodName string) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), strconv.Quote(methodName)) ||
+		!strings.Contains(err.Error(), "no longer loadable") || strings.Contains(err.Error(), "\n") {
+		t.Fatalf("%s: err = %v, want one line naming %q as no longer loadable", what, err, methodName)
+	}
+}
+
+// TestBatchAnyMethod: the batch pipeline answers from the paper's
+// labelling only. A PLL index file fails with one line naming the method,
+// before any pair is answered.
 func TestBatchAnyMethod(t *testing.T) {
-	gp, _ := writeMethodIndex(t, "pll")
-	var out, errOut bytes.Buffer
-	in := strings.NewReader("0 1\n5 9\n")
-	if err := run([]string{"batch", "-graph", gp, "-workers", "2"}, in, &out, &errOut); err != nil {
-		t.Fatal(err)
-	}
-	got := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(got) != 2 {
-		t.Fatalf("batch wrote %d lines, want 2: %q", len(got), out.String())
-	}
-	g, err := highway.LoadGraph(gp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := highway.Build(context.Background(), g, "pll")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range [][2]int32{{0, 1}, {5, 9}} {
-		if want := fmt.Sprint(ix.Distance(p[0], p[1])); got[i] != want {
-			t.Fatalf("pair %v: batch says %s, index says %s", p, got[i], want)
-		}
+	gp := writeRetiredIndex(t, "pll")
+	var out bytes.Buffer
+	err := run([]string{"batch", "-graph", gp, "-workers", "2"}, strings.NewReader("0 1\n5 9\n"), &out, io.Discard)
+	wantRetired(t, "batch", err, "pll")
+	if out.Len() != 0 {
+		t.Fatalf("batch wrote %q from a file it could not load", out.String())
 	}
 }
 
-// TestServeMethodMismatch pins the -method cross-check: pointing serve
-// at a pll file while asking for hl must fail loudly before listening.
+// TestServeMethodMismatch: serve loads hl index files only, so the -method
+// flag that cross-checked a file's method tag is gone, and a retired
+// method's file fails every path that loads one — live, read-only, -wal and
+// the churn load — with one line naming the method, before listening.
 func TestServeMethodMismatch(t *testing.T) {
-	gp, ip := writeMethodIndex(t, "pll")
-	err := run([]string{"serve", "-graph", gp, "-index", ip, "-method", "hl", "-addr", "127.0.0.1:0"},
-		nil, io.Discard, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), `"pll"`) {
-		t.Fatalf("err = %v, want a method-mismatch error naming pll", err)
+	gp := writeRetiredIndex(t, "dynhl")
+	err := run([]string{"serve", "-graph", gp, "-method", "hl", "-addr", "127.0.0.1:0"}, nil, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-method: %v, want flag provided but not defined", err)
 	}
-	// A WAL needs the hl pipeline.
-	err = run([]string{"serve", "-graph", gp, "-index", ip, "-wal", filepath.Join(t.TempDir(), "edges.wal"), "-addr", "127.0.0.1:0"},
-		nil, io.Discard, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "hl index") {
-		t.Fatalf("err = %v, want the -wal/-method conflict", err)
-	}
-	// -churn load needs hl too.
-	err = run([]string{"load", "-graph", gp, "-index", ip, "-n", "10", "-churn", "0.5"},
-		nil, io.Discard, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "hl index") {
-		t.Fatalf("err = %v, want the -churn restriction", err)
+	for _, args := range [][]string{
+		{"serve", "-graph", gp, "-addr", "127.0.0.1:0"},
+		{"serve", "-graph", gp, "-readonly", "-addr", "127.0.0.1:0"},
+		{"serve", "-graph", gp, "-wal", filepath.Join(t.TempDir(), "edges.wal"), "-addr", "127.0.0.1:0"},
+		{"load", "-graph", gp, "-n", "10", "-churn", "0.5"},
+	} {
+		wantRetired(t, strings.Join(args, " "), run(args, nil, io.Discard, io.Discard), "dynhl")
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 
 	"highway"
 )
@@ -118,9 +116,9 @@ func ExampleClient() {
 }
 
 // ExampleBuild builds three different labelling methods through the
-// unified registry entry point with functional options, queries them
-// through the shared DistanceIndex interface, and round-trips one via
-// Save/LoadIndexAny. The answers agree because every method is exact.
+// unified registry entry point with functional options and queries them
+// through the shared DistanceIndex interface. The answers agree because
+// every method is exact.
 func ExampleBuild() {
 	g, _ := highway.FromEdges(6, [][2]int32{
 		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {1, 4},
@@ -138,19 +136,10 @@ func ExampleBuild() {
 		}
 		fmt.Printf("%s: d(0,3)=%d\n", ix.Stats().Method, ix.Distance(0, 3))
 	}
-
-	dir, _ := os.MkdirTemp("", "highway-example")
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "g.pll.idx")
-	ix, _ := highway.Build(ctx, g, "pll")
-	_ = ix.Save(path)
-	back, _ := highway.LoadIndexAny(path, g) // the method tag selects the decoder
-	fmt.Printf("loaded %s: d(2,5)=%d\n", back.Stats().Method, back.Distance(2, 5))
 	// Output:
 	// hl: d(0,3)=3
 	// pll: d(0,3)=3
 	// isl: d(0,3)=3
-	// loaded pll: d(2,5)=3
 }
 
 // ExampleIndex_UpperBound shows the offline bound versus the exact

@@ -3,49 +3,57 @@ package highway_test
 import (
 	"bytes"
 	"context"
-	"os"
-	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"highway"
 )
 
-// FuzzReadIndexAny holds every registered method's decoder total on
-// arbitrary bytes: no panic, no runaway allocation — either a valid
-// index or an error. Seeds are each method's own serialized output
-// (the interesting shapes) plus the legacy magics.
+// FuzzReadIndexAny holds the one index reader, ReadIndex, to its contract
+// on whatever file any registered method's name is attached to: either a
+// usable highway cover index or a one-line error, never a panic or a
+// runaway allocation. Seeds are, per method in registry order, the file it
+// is saved as — hl's own, and for every other method the method tag its
+// retired format began with, which must fail naming the method — plus the
+// two magics.
 func FuzzReadIndexAny(f *testing.F) {
 	g := highway.BarabasiAlbert(60, 2, 3)
-	dir := f.TempDir()
 	for _, m := range highway.Methods() {
+		if m.Name != "hl" {
+			file := retiredIndexFile(f, m.Name, g.NumVertices())
+			_, err := highway.ReadIndex(bytes.NewReader(file), g)
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(m.Name)) {
+				f.Fatalf("%s file: err = %v, want one naming the method", m.Name, err)
+			}
+			f.Add(file)
+			continue
+		}
 		ix, err := highway.Build(context.Background(), g, m.Name, highway.WithLandmarkCount(4))
 		if err != nil {
 			f.Fatal(err)
 		}
-		path := filepath.Join(dir, m.Name+".idx")
-		if err := ix.Save(path); err != nil {
+		var file bytes.Buffer
+		if err := highway.WriteIndex(ix.(*highway.Index), &file); err != nil {
 			f.Fatal(err)
 		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(raw)
+		f.Add(file.Bytes())
 	}
 	f.Add([]byte("HWLIDX01"))
 	f.Add([]byte("HWLIDX02"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, m := range highway.Methods() {
-			ix, err := m.Read(bytes.NewReader(data), g)
-			if err != nil {
-				continue
+		ix, err := highway.ReadIndex(bytes.NewReader(data), g)
+		if err != nil {
+			if strings.Contains(err.Error(), "\n") {
+				t.Fatalf("error spans lines: %q", err)
 			}
-			// A successfully decoded index must answer queries without
-			// panicking.
-			_ = ix.Distance(0, int32(g.NumVertices()-1))
-			_ = ix.UpperBound(1, 2)
-			_ = ix.Stats()
+			return
 		}
+		// A successfully decoded index must answer queries without
+		// panicking.
+		_ = ix.Distance(0, int32(g.NumVertices()-1))
+		_ = ix.UpperBound(1, 2)
+		_ = ix.Stats()
 	})
 }

@@ -66,19 +66,20 @@
 //
 // The paper's method and every baseline it evaluates against (PLL, FD,
 // IS-L) plus the dynamic highway labelling implement one interface —
-// DistanceIndex — and register under one name, so all five build, query,
-// persist and serve through the same API:
+// DistanceIndex — and register under one name, so all five build, query
+// and report their size through the same API:
 //
 //	for _, m := range highway.Methods() { fmt.Println(m.Name) } // hl dynhl pll fd isl
 //	ix, _ := highway.Build(ctx, g, "pll")
-//	_ = ix.Save("g.pll.idx")
-//	back, _ := highway.LoadIndexAny("g.pll.idx", g)
-//	srv := highway.NewServerFor(back, highway.ServeConfig{})
+//	d, st := ix.Distance(12, 34), ix.Stats()
 //
 // Build takes functional options (WithLandmarks, WithWorkers,
 // WithProgress, WithBitParallel, ...) and returns the
 // DistanceIndex interface; where a method's own surface is needed (Path,
-// Verify, ApplyOps, ...) assert the concrete type, e.g. ix.(*highway.Index).
+// Verify, Save, ApplyOps, ...) assert the concrete type, e.g.
+// ix.(*highway.Index). Only the highway cover labelling is saved, loaded
+// and served: the baselines are measured (build time, query time, label
+// size), not shipped.
 package highway
 
 import (
@@ -261,12 +262,6 @@ type ServeConfig = serve.Config
 // NewServer returns a Server over ix.
 func NewServer(ix *Index, cfg ServeConfig) *Server { return serve.New(ix, cfg) }
 
-// NewServerFor returns a read-only Server over any method's
-// DistanceIndex (the generic path behind "hlserve serve -method").
-// Only the highway cover labelling serves live updates; every other
-// method serves frozen.
-func NewServerFor(ix DistanceIndex, cfg ServeConfig) *Server { return serve.NewIndex(ix, cfg) }
-
 // Serve answers HTTP distance queries against ix on addr until ctx is
 // cancelled, then shuts down gracefully. Shorthand for
 // NewServer(ix, ServeConfig{}).ListenAndServe(ctx, addr).
@@ -325,14 +320,14 @@ func LoadLiveServer(graphPath, indexPath, walPath string, cfg LiveConfig) (*Serv
 // from scratch on the same graph substrate. They answer the same exact
 // distance queries with different construction-time / size / query-time
 // trade-offs. All of them implement DistanceIndex and build through
-// Build.
+// Build; none is saved or served.
 
 // PLLIndex is a pruned landmark labelling (Akiba et al. 2013): a complete
 // 2-hop cover answering queries by label intersection alone.
 type PLLIndex = pll.Index
 
-// FDIndex is the landmark-SPT oracle of Hayashi et al. 2016; it supports
-// incremental edge insertions via InsertEdge.
+// FDIndex is the landmark-SPT oracle of Hayashi et al. 2016, built
+// statically as the paper compares against it.
 type FDIndex = fd.Index
 
 // ISLIndex is an IS-Label oracle (Fu et al. 2013).

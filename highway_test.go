@@ -180,6 +180,10 @@ func TestFacadeRMAT(t *testing.T) {
 	}
 }
 
+// TestFDDynamicViaFacade: FD is built static, as the paper measures it,
+// and the facade's one dynamic path is the highway labelling's. Both
+// answer the same exact distance before an insert; only DynamicIndex
+// takes the insert.
 func TestFDDynamicViaFacade(t *testing.T) {
 	g := highway.BarabasiAlbert(300, 3, 11)
 	lm, _ := highway.SelectLandmarks(g, 6, highway.ByDegree, 0)
@@ -187,12 +191,21 @@ func TestFDDynamicViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := fdIx.NewSearcher().Distance(10, 200)
-	if err := fdIx.(*highway.FDIndex).InsertEdge(10, 200); err != nil {
+	if _, ok := fdIx.(interface{ InsertEdge(a, b int32) error }); ok {
+		t.Fatal("fd index accepts edge insertions")
+	}
+	dynIx, err := highway.Build(context.Background(), g, "dynhl", highway.WithLandmarks(lm))
+	if err != nil {
 		t.Fatal(err)
 	}
-	after := fdIx.NewSearcher().Distance(10, 200)
-	if after != 1 {
+	before := fdIx.NewSearcher().Distance(10, 200)
+	if d := dynIx.Distance(10, 200); d != before {
+		t.Fatalf("fd says d(10,200) = %d, dynhl says %d", before, d)
+	}
+	if err := dynIx.(*highway.DynamicIndex).InsertEdge(10, 200); err != nil {
+		t.Fatal(err)
+	}
+	if after := dynIx.Distance(10, 200); after != 1 {
 		t.Fatalf("after insert d = %d, want 1 (before %d)", after, before)
 	}
 }

@@ -26,7 +26,6 @@ import (
 // carry extra bits only where Sm1 already holds them, which cannot weaken
 // Query's bound (the -2 case is checked first).
 type Tree struct {
-	Root int32
 	Dist []int32
 	Sm1  []uint64
 	S0   []uint64
@@ -38,7 +37,6 @@ type Tree struct {
 func Build(g *graph.Graph, root int32, used []bool) *Tree {
 	n := g.NumVertices()
 	t := &Tree{
-		Root: root,
 		Dist: make([]int32, n),
 		Sm1:  make([]uint64, n),
 		S0:   make([]uint64, n),

@@ -107,8 +107,8 @@ func twoMembers(t *testing.T) (g *graph.Graph, a, b *memberNode, rt *Router) {
 	t.Helper()
 	g, ix := testIndex(t, 300)
 	cfg := serve.Config{MaxBatch: memberMaxBatch, ShutdownGrace: time.Second}
-	a = startMember(t, serve.NewIndex(ix, cfg), "")
-	b = startMember(t, serve.NewIndex(ix, cfg), "")
+	a = startMember(t, serve.New(ix, cfg), "")
+	b = startMember(t, serve.New(ix, cfg), "")
 	t.Cleanup(func() { a.kill(); b.kill() })
 	return g, a, b, testRouter(t, "", []string{a.addr, b.addr})
 }
@@ -174,8 +174,8 @@ func TestRouterFailover(t *testing.T) {
 func TestRouterConcurrentFailover(t *testing.T) {
 	g, ix := testIndex(t, 300)
 	cfg := serve.Config{ShutdownGrace: time.Second}
-	a := startMember(t, serve.NewIndex(ix, cfg), "")
-	b := startMember(t, serve.NewIndex(ix, cfg), "")
+	a := startMember(t, serve.New(ix, cfg), "")
+	b := startMember(t, serve.New(ix, cfg), "")
 	defer b.kill()
 	rt, err := NewRouter(RouterConfig{
 		Shards:         [][]string{{a.addr, b.addr}},

@@ -6,6 +6,7 @@ import (
 
 	"highway/internal/gen"
 	"highway/internal/graph"
+	"highway/internal/method"
 )
 
 // FuzzLoadIndex: arbitrary bytes must never panic or OOM the loader, for
@@ -42,6 +43,14 @@ func FuzzLoadIndex(f *testing.F) {
 	f.Add([]byte("HWLIDX01"))
 	f.Add([]byte("HWLIDX02"))
 	f.Add([]byte("garbage"))
+	// A file a baseline wrote before their formats were retired: its first
+	// section is the method tag, where the reader stops.
+	var retired bytes.Buffer
+	tag := method.Section{ID: method.SectTag, Payload: []byte("pll")}
+	if err := method.WriteContainer(&retired, method.Header{N: 11, K: 2}, []method.Section{tag, {ID: method.SectTag + 1, Payload: []byte{0, 0, 0, 0}}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(retired.Bytes())
 
 	g := gen.PaperFigure2()
 	overflowG := gen.Path(300) // the graph of the path300.hl1 seed; path600G is the last seed's

@@ -303,7 +303,7 @@ func (ix *Index) Stats() Stats {
 		}
 	}
 	return Stats{
-		Method:       method.TagHL,
+		Method:       "hl",
 		NumVertices:  ix.g.NumVertices(),
 		NumEdges:     ix.g.NumEdges(),
 		NumLandmarks: len(ix.landmarks),

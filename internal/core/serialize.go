@@ -55,7 +55,7 @@ func (f Format) String() string {
 //	nOverflow uint32
 //	overflow  nOverflow × (vertex uint32, rank uint8, dist uint32), CSR order
 //
-// Format v2 is an untagged method container (layout: see
+// Format v2 is an HWLIDX02 container (layout: see
 // internal/method/container.go) whose header carries n, k, Aux1 = entries
 // and Aux2 = nOverflow, with these sections (same element encodings as v1):
 //
@@ -117,11 +117,10 @@ func (ix *Index) WriteFormat(w io.Writer, f Format) error {
 		over = binary.LittleEndian.AppendUint32(over, uint32(o.d))
 	}
 	h := method.Header{
-		Method: method.TagHL,
-		N:      uint64(ix.g.NumVertices()),
-		K:      uint32(len(ix.landmarks)),
-		Aux1:   uint64(len(ix.labelRank)),
-		Aux2:   uint64(len(ix.overflow)),
+		N:    uint64(ix.g.NumVertices()),
+		K:    uint32(len(ix.landmarks)),
+		Aux1: uint64(len(ix.labelRank)),
+		Aux2: uint64(len(ix.overflow)),
 	}
 	return method.WriteContainer(w, h, []method.Section{
 		{ID: sectLandmarks, Payload: method.AppendI32s(nil, ix.landmarks)},
@@ -390,13 +389,13 @@ func readV1(br *bufio.Reader, g *graph.Graph) (*Index, error) {
 	return ix, nil
 }
 
-// readV2 decodes an untagged method container: the container layer checks
+// readV2 decodes an HWLIDX02 container: the container layer checks
 // framing, checksums and the per-section allocation bounds; what is left
 // are the checks that need to know what the sections mean.
 func readV2(br *bufio.Reader, g *graph.Graph) (*Index, error) {
 	var ix *Index
 	var want map[uint32]uint64 // exact byte length of every section
-	h, sec, err := method.ReadContainer(br, method.TagHL, func(h method.Header) (map[uint32]uint64, error) {
+	h, sec, err := method.ReadContainer(br, func(h method.Header) (map[uint32]uint64, error) {
 		n, k, entries, nOver := h.N, h.K, h.Aux1, h.Aux2
 		var err error
 		if ix, err = newIndexShell(g, n, k); err != nil {

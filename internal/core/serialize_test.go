@@ -53,7 +53,7 @@ func v1Fixtures(tb testing.TB) []v1Fixture {
 func reframe(tb testing.TB, file []byte, edit func(h *method.Header, sec map[uint32][]byte), extra ...method.Section) []byte {
 	tb.Helper()
 	ids := []uint32{sectLandmarks, sectHighway, sectLabelOff, sectLabelBase, sectLabelRel, sectLabelRank, sectLabelDist, sectOverflow}
-	h, sec, err := method.ReadContainer(bytes.NewReader(file), method.TagHL, func(method.Header) (map[uint32]uint64, error) {
+	h, sec, err := method.ReadContainer(bytes.NewReader(file), func(method.Header) (map[uint32]uint64, error) {
 		bounds := make(map[uint32]uint64)
 		for _, id := range ids {
 			bounds[id] = uint64(len(file))

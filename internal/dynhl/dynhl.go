@@ -69,12 +69,9 @@ import (
 	"highway/internal/method"
 )
 
-// The dynamic labelling implements the method-agnostic index contract
-// (and the Inserter mutation surface); see internal/method.
-var (
-	_ method.DistanceIndex = (*Index)(nil)
-	_ method.Inserter      = (*Index)(nil)
-)
+// The dynamic labelling implements the method-agnostic index contract;
+// see internal/method.
+var _ method.DistanceIndex = (*Index)(nil)
 
 // Infinity is the distance reported between disconnected vertices.
 const Infinity int32 = -1
@@ -153,7 +150,7 @@ func (ix *Index) UpperBound(s, t int32) int32 { return ix.cur.UpperBound(s, t) }
 // uncompressed measure.
 func (ix *Index) Stats() method.Stats {
 	st := ix.cur.Stats()
-	st.Method = tag
+	st.Method = "dynhl"
 	st.Bytes32, st.Bytes8 = 0, 0
 	return st
 }

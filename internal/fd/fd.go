@@ -9,14 +9,10 @@
 // bit-parallel neighbor bits per landmark — BuildBP implements the
 // bit-parallel part via internal/bptree).
 //
-// Unlike HL, FD is fully dynamic in the original paper; this
-// implementation supports its incremental side (edge insertions) by
-// repairing each landmark's distance array with a pruned BFS from the
-// improved endpoint. Deletions are out of scope (they need per-tree parent
-// counts and are orthogonal to the paper's comparison). Queries always
-// search a *graph.Graph: an insert refreezes the evolved adjacency with
-// graph.FromAdjacency, O(n+m) per edge, which no benchmark or bench test
-// measures (none inserts into fd).
+// FD is fully dynamic in the original paper; the paper compares against
+// its static build and query only, and so does this implementation: an
+// Index is built once and never mutated. The dynamic highway labelling
+// (internal/dynhl) is this repository's update path.
 package fd
 
 import (
@@ -29,19 +25,15 @@ import (
 	"highway/internal/method"
 )
 
-// FD implements the method-agnostic index contract (and the optional
-// Inserter mutation surface); see internal/method.
-var (
-	_ method.DistanceIndex = (*Index)(nil)
-	_ method.Inserter      = (*Index)(nil)
-)
+// FD implements the method-agnostic index contract; see internal/method.
+var _ method.DistanceIndex = (*Index)(nil)
 
 // Infinity is the distance reported between disconnected vertices.
 const Infinity int32 = -1
 
 // Index is an FD distance oracle.
 type Index struct {
-	g          *graph.Graph // the graph as it is now, inserted edges included
+	g          *graph.Graph
 	landmarks  []int32
 	rankOf     []int32
 	isLandmark []bool
@@ -49,14 +41,7 @@ type Index struct {
 
 	// bp holds one bit-parallel tree per landmark when built with
 	// BuildBP (the paper's "20+64" configuration); nil otherwise.
-	// BP trees are static: InsertEdge drops them (their bounds could
-	// become stale), falling back to the plain SPT bounds.
 	bp []*bptree.Tree
-
-	// adj holds the rows InsertEdge appends to, in insertion order (the
-	// order the overlay section is written in); g is refrozen from it.
-	// nil while the index is purely static.
-	adj [][]int32
 }
 
 // Build constructs the FD index: one full BFS per landmark.
@@ -207,84 +192,6 @@ func (ix *Index) Stats() method.Stats {
 		MaxLabelSize: k,
 		SizeBytes:    ix.SizeBytes(),
 		BPTrees:      len(ix.bp),
-	}
-}
-
-// InsertEdge adds the undirected edge {u,v} and repairs every landmark's
-// distance array incrementally. Inserting an existing edge or a self-loop
-// is a no-op. Vertices must already exist (vertex additions are not
-// supported; FD's original paper adds isolated vertices first, which never
-// changes distances).
-func (ix *Index) InsertEdge(u, v int32) error {
-	n := ix.g.NumVertices()
-	if u < 0 || v < 0 || int(u) >= n || int(v) >= n {
-		return fmt.Errorf("fd: edge {%d,%d} out of range [0,%d)", u, v, n)
-	}
-	if u == v || ix.g.HasEdge(u, v) {
-		return nil
-	}
-	ix.bp = nil // BP bounds are static; drop them on mutation
-	ix.materialize()
-	ix.adj[u] = append(ix.adj[u], v)
-	ix.adj[v] = append(ix.adj[v], u)
-	g, err := graph.FromAdjacency(ix.adj)
-	if err != nil {
-		return err
-	}
-	ix.g = g
-	for _, row := range ix.dist {
-		ix.repairRow(row, u, v)
-	}
-	return nil
-}
-
-// materialize copies the CSR adjacency into the mutable rows.
-func (ix *Index) materialize() {
-	if ix.adj != nil {
-		return
-	}
-	n := ix.g.NumVertices()
-	adj := make([][]int32, n)
-	for v := 0; v < n; v++ {
-		nb := ix.g.Neighbors(int32(v))
-		adj[v] = append(make([]int32, 0, len(nb)+1), nb...)
-	}
-	ix.adj = adj
-}
-
-// repairRow restores row = d(landmark, ·) after inserting {u,v}: if one
-// endpoint's distance improves through the other, a BFS from the improved
-// endpoint relaxes the affected region. Unreachable vertices (-1) become
-// reachable when the new edge connects their component.
-func (ix *Index) repairRow(row []int32, u, v int32) {
-	du, dv := row[u], row[v]
-	// Normalize: make u the better-connected endpoint.
-	if du < 0 && dv < 0 {
-		return // both unreachable: still unreachable
-	}
-	if du < 0 || (dv >= 0 && dv < du) {
-		u, v = v, u
-		du, dv = dv, du
-	}
-	if dv >= 0 && du+1 >= dv {
-		return // no improvement
-	}
-	// v improves to du+1; propagate.
-	row[v] = du + 1
-	frontier := []int32{v}
-	var next []int32
-	for len(frontier) > 0 {
-		next = next[:0]
-		for _, x := range frontier {
-			dx := row[x]
-			for _, y := range ix.g.Neighbors(x) {
-				if row[y] < 0 || row[y] > dx+1 {
-					row[y] = dx + 1
-					next = append(next, y)
-				}
-			}
-		}
-		frontier, next = next, frontier
 	}
 }
 

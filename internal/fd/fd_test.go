@@ -1,10 +1,8 @@
 package fd
 
 import (
-	"bytes"
 	"context"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"highway/internal/bfs"
@@ -86,134 +84,6 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
-// TestInsertEdge verifies dynamic updates keep the oracle exact: insert
-// random edges one by one and cross-check against BFS on a mirrored
-// builder graph after every insertion.
-func TestInsertEdge(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	n := 120
-	g := gen.BarabasiAlbert(n, 2, 4)
-	ix := buildOrFail(t, g, 6)
-
-	// Mirror of the evolving graph for ground truth.
-	edges := [][2]int32{}
-	for u := int32(0); u < int32(n); u++ {
-		for _, v := range g.Neighbors(u) {
-			if u < v {
-				edges = append(edges, [2]int32{u, v})
-			}
-		}
-	}
-	for round := 0; round < 15; round++ {
-		u := int32(rng.Intn(n))
-		v := int32(rng.Intn(n))
-		if err := ix.InsertEdge(u, v); err != nil {
-			t.Fatal(err)
-		}
-		if u != v {
-			edges = append(edges, [2]int32{u, v})
-		}
-		oracle.CheckSampled(t, graph.MustFromEdges(n, edges), ix.NewSearcher(), 40, int64(round))
-	}
-
-	// Every pair on the refrozen graph, and again on the file's overlay
-	// section read back over the base graph.
-	final := graph.MustFromEdges(n, edges)
-	if err := oracle.Diff(final, ix.NewSearcher(), oracle.AllPairs(n)); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "fd.idx")
-	if err := ix.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(path, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := oracle.Diff(final, back.NewSearcher(), oracle.AllPairs(n)); err != nil {
-		t.Fatalf("after Save and Load: %v", err)
-	}
-	if a, b := written(t, ix), written(t, back); !bytes.Equal(a, b) {
-		t.Fatalf("reloaded index writes %d bytes that differ from the %d saved", len(b), len(a))
-	}
-}
-
-func written(t *testing.T, ix *Index) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := ix.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestInsertEdgeConnectsComponents covers the unreachable→reachable
-// transition in the repair logic.
-func TestInsertEdgeConnectsComponents(t *testing.T) {
-	g := graph.MustFromEdges(6, [][2]int32{{0, 1}, {1, 2}, {3, 4}, {4, 5}})
-	ix, err := Build(context.Background(), g, []int32{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr := ix.NewSearcher()
-	if d := sr.Distance(0, 5); d != Infinity {
-		t.Fatalf("pre-insert d(0,5) = %d, want Infinity", d)
-	}
-	if err := ix.InsertEdge(2, 3); err != nil {
-		t.Fatal(err)
-	}
-	if d := sr.Distance(0, 5); d != 5 {
-		t.Fatalf("post-insert d(0,5) = %d, want 5", d)
-	}
-	// Landmark row must now reach the far component.
-	if d := sr.Distance(1, 5); d != 4 {
-		t.Fatalf("post-insert d(1,5) = %d, want 4", d)
-	}
-}
-
-func TestInsertEdgeNoOps(t *testing.T) {
-	g := gen.Cycle(6)
-	ix, err := Build(context.Background(), g, []int32{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.InsertEdge(2, 2); err != nil {
-		t.Fatal("self-loop should be a silent no-op")
-	}
-	if err := ix.InsertEdge(0, 1); err != nil {
-		t.Fatal("existing edge should be a no-op")
-	}
-	if err := ix.InsertEdge(0, 99); err == nil {
-		t.Fatal("out-of-range edge accepted")
-	}
-	// Re-inserting after materialization must also dedupe.
-	if err := ix.InsertEdge(0, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.InsertEdge(0, 3); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(ix.adj[0]); got != 3 {
-		t.Fatalf("adj[0] has %d entries, want 3 (2 original + 1 new)", got)
-	}
-
-	// A no-op leaves a static index static: its bit-parallel trees stay
-	// and the file gains no overlay section.
-	bp, err := BuildBP(context.Background(), gen.Path(6), []int32{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := written(t, bp)
-	for _, e := range [][2]int32{{0, 1}, {1, 0}, {4, 4}} {
-		if err := bp.InsertEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if bp.NumBPTrees() != 1 || !bytes.Equal(written(t, bp), before) {
-		t.Fatalf("no-op inserts left %d trees and %d bytes, want 1 and %d", bp.NumBPTrees(), len(written(t, bp)), len(before))
-	}
-}
-
 func TestAccounting(t *testing.T) {
 	g := gen.PaperFigure2()
 	ix := buildOrFail(t, g, 3)
@@ -283,27 +153,5 @@ func TestBuildBPExactAndCoverage(t *testing.T) {
 	}
 	if coveredBP == coveredPlain {
 		t.Logf("warning: BP added no coverage on this graph (plain=%d)", coveredPlain)
-	}
-}
-
-// TestBPDroppedOnInsert: dynamic updates invalidate BP bounds, so they
-// must be discarded and queries stay exact.
-func TestBPDroppedOnInsert(t *testing.T) {
-	g := gen.Cycle(12)
-	ix, err := BuildBP(context.Background(), g, []int32{0, 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.InsertEdge(2, 9); err != nil {
-		t.Fatal(err)
-	}
-	if ix.NumBPTrees() != 0 {
-		t.Fatal("BP trees survived mutation")
-	}
-	if d := ix.NewSearcher().Distance(2, 9); d != 1 {
-		t.Fatalf("d(2,9) = %d, want 1", d)
-	}
-	if d := ix.NewSearcher().Distance(1, 10); d != 3 {
-		t.Fatalf("d(1,10) = %d, want 3 (1-2-9-10)", d)
 	}
 }

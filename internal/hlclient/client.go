@@ -163,9 +163,6 @@ func Dial(ctx context.Context, addr string, cfg Config) (*Client, error) {
 	return c, nil
 }
 
-// Addr returns the server address the client dials.
-func (c *Client) Addr() string { return c.addr }
-
 // dial opens and handshakes one new connection.
 func (c *Client) dial(ctx context.Context) (*poolConn, error) {
 	dctx := ctx

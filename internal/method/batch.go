@@ -98,7 +98,6 @@ func DistanceBatchContext(ctx context.Context, sr Searcher, pairs [][2]int32, ds
 type Capabilities struct {
 	Batch  bool // NewSearcher returns a BatchSearcher
 	Source bool // NewSearcher returns a SourceSearcher
-	Insert bool // the index implements Inserter
 }
 
 // CapabilitiesOf probes ix: it creates one searcher and type-asserts
@@ -107,12 +106,11 @@ func CapabilitiesOf(ix DistanceIndex) Capabilities {
 	sr := ix.NewSearcher()
 	_, batch := sr.(BatchSearcher)
 	_, source := sr.(SourceSearcher)
-	_, insert := ix.(Inserter)
-	return Capabilities{Batch: batch, Source: source, Insert: insert}
+	return Capabilities{Batch: batch, Source: source}
 }
 
 // String renders the capability set in the compact form the CLIs print
-// ("batch,source,insert", or "none").
+// ("batch,source", or "none").
 func (c Capabilities) String() string {
 	out := ""
 	add := func(name string, on bool) {
@@ -126,7 +124,6 @@ func (c Capabilities) String() string {
 	}
 	add("batch", c.Batch)
 	add("source", c.Source)
-	add("insert", c.Insert)
 	if out == "" {
 		return "none"
 	}

@@ -54,11 +54,6 @@ func (ix index) Distance(s, t int32) int32   { return ix.sr.Distance(s, t) }
 func (ix index) UpperBound(s, t int32) int32 { return ix.sr.UpperBound(s, t) }
 func (ix index) NewSearcher() Searcher       { return ix.sr }
 func (ix index) Stats() Stats                { return Stats{} }
-func (ix index) Save(string) error           { return nil }
-
-type insertable struct{ index }
-
-func (insertable) InsertEdge(u, v int32) error { return nil }
 
 func TestDistanceBatchDispatch(t *testing.T) {
 	pairs := [][2]int32{{1, 2}, {3, 3}, {0, 9}}
@@ -148,8 +143,6 @@ func TestCapabilitiesOf(t *testing.T) {
 	}{
 		{index{&plain{}}, Capabilities{}, "none"},
 		{index{&vectorized{}}, Capabilities{Batch: true, Source: true}, "batch,source"},
-		{insertable{index{&plain{}}}, Capabilities{Insert: true}, "insert"},
-		{insertable{index{&vectorized{}}}, Capabilities{Batch: true, Source: true, Insert: true}, "batch,source,insert"},
 	} {
 		got := CapabilitiesOf(tc.ix)
 		if got != tc.want || got.String() != tc.text {

@@ -1,17 +1,19 @@
-// Package method defines the method-agnostic public surface every
-// distance labelling in this repository implements: the DistanceIndex
-// interface (exact queries, label upper bounds, per-goroutine
-// searchers, summary statistics, persistence), the Searcher interface
-// its NewSearcher returns, and the generic Stats record.
+// Package method defines the method-agnostic surface every distance
+// labelling in this repository implements: the DistanceIndex interface
+// (exact queries, label upper bounds, per-goroutine searchers, summary
+// statistics), the Searcher interface its NewSearcher returns, and the
+// generic Stats record. It also holds the "HWLIDX02" container that
+// frames the paper labelling's index file (container.go).
 //
 // The five labellings — the paper's highway cover labelling
 // (internal/core), its dynamic extension (internal/dynhl) and the three
 // baselines it evaluates against (internal/pll, internal/fd,
 // internal/isl) — all satisfy DistanceIndex, which is what lets the
-// serving subsystem (internal/serve), the differential-test harness
-// (internal/oracle), the benchmark runner (internal/bench) and the
-// CLIs treat "a distance oracle" as one pluggable thing selected by
-// name through the registry in the root highway package.
+// differential-test harness (internal/oracle) and the benchmark runner
+// (internal/bench) build, query and measure each of them through one
+// registry in the root highway package. Only the highway cover labelling
+// is saved, loaded and served: the baselines exist for the build time,
+// query time and label size columns of the paper's tables.
 //
 // This package sits below every labelling package in the dependency
 // graph (it imports none of them), so each can assert conformance with
@@ -41,12 +43,11 @@ type Searcher interface {
 
 // DistanceIndex is the one interface every labelling method exposes:
 // an exact distance oracle over a fixed vertex set that can summarize
-// and persist itself. Implementations are safe for concurrent readers.
-// The two that also accept edge updates (internal/dynhl, internal/fd)
-// do not synchronize them: a caller serializes an update with every
-// other call on the index. internal/dynhl's searchers and frozen
-// snapshots are bound to the immutable state they were taken from and
-// stay usable across updates.
+// itself. Implementations are safe for concurrent readers. The one that
+// also accepts edge updates (internal/dynhl) does not synchronize them:
+// a caller serializes an update with every other call on the index. Its
+// searchers and frozen snapshots are bound to the immutable state they
+// were taken from and stay usable across updates.
 type DistanceIndex interface {
 	// Distance returns the exact hop distance between s and t, or
 	// Infinity if disconnected. This is the pooled/allocating
@@ -59,12 +60,6 @@ type DistanceIndex interface {
 	NewSearcher() Searcher
 	// Stats summarizes the index (method name, sizes, entry counts).
 	Stats() Stats
-	// Save writes the index to path in the tagged v2 container format,
-	// loadable by the registry's LoadIndexAny and the method's own
-	// loader. The graph is not embedded (except where a method's
-	// documentation says otherwise): an index is only meaningful
-	// together with the graph it was built on.
-	Save(path string) error
 }
 
 // Stats summarizes an index for logs, the bench harness and the
@@ -109,11 +104,4 @@ func (s Stats) String() string {
 		out += fmt.Sprintf(" size=%dB", s.SizeBytes)
 	}
 	return out
-}
-
-// Inserter is the optional mutation surface: methods that support
-// exact online edge insertion (internal/dynhl, internal/fd) implement
-// it in addition to DistanceIndex.
-type Inserter interface {
-	InsertEdge(u, v int32) error
 }

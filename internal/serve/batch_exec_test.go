@@ -54,7 +54,6 @@ func (ix *countingIndex) Distance(s, t int32) int32    { return 1 }
 func (ix *countingIndex) UpperBound(s, t int32) int32  { return 1 }
 func (ix *countingIndex) NewSearcher() method.Searcher { return &countingSearcher{ix: ix} }
 func (ix *countingIndex) Stats() method.Stats          { return method.Stats{NumVertices: ix.n} }
-func (ix *countingIndex) Save(path string) error       { return nil }
 
 // TestDistanceBatchContextCancel pins the cancellation bound: a context
 // cancelled mid-batch stops the batch within ~method.CancelCheckEvery
@@ -65,7 +64,7 @@ func TestDistanceBatchContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ix.cancel = cancel
-	s := NewIndex(ix, Config{})
+	s := newServer(ix, ix.n, Config{})
 	pairs := make([][2]int32, 50*method.CancelCheckEvery)
 	out, err := s.DistanceBatchContext(ctx, pairs, nil)
 	if !errors.Is(err, context.Canceled) {
@@ -90,7 +89,7 @@ func TestDistanceBatchContextCancel(t *testing.T) {
 // zero pairs.
 func TestDistanceBatchContextPreCancelled(t *testing.T) {
 	ix := &countingIndex{n: 16}
-	s := NewIndex(ix, Config{})
+	s := newServer(ix, ix.n, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	out, err := s.DistanceBatchContext(ctx, make([][2]int32, 10_000), nil)
@@ -109,7 +108,7 @@ func TestDistanceBatchContextPreCancelled(t *testing.T) {
 // context-free DistanceBatch always runs to completion.
 func TestDistanceBatchNoContextCompletes(t *testing.T) {
 	ix := &countingIndex{n: 16}
-	s := NewIndex(ix, Config{})
+	s := newServer(ix, ix.n, Config{})
 	pairs := make([][2]int32, 3*method.CancelCheckEvery+7)
 	out, err := s.DistanceBatch(pairs, nil)
 	if err != nil || len(out) != len(pairs) {
@@ -130,7 +129,7 @@ func TestDistanceBatchNoContextCompletes(t *testing.T) {
 // asynchronously.
 func TestBatchHandlerClientDisconnect(t *testing.T) {
 	ix := &countingIndex{n: 16, cancelAt: 64, delayAfter: 50 * time.Microsecond}
-	s := NewIndex(ix, Config{})
+	s := newServer(ix, ix.n, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

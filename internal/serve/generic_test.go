@@ -13,10 +13,12 @@ import (
 	"highway/internal/pll"
 )
 
-// TestNewIndexServesAnyMethod drives the full HTTP surface over
-// non-highway indexes through the method-agnostic constructor: single
-// queries, batches, stats (which must name the method), and the
-// absence of the mutation API on a read-only server.
+// TestNewIndexServesAnyMethod: the read path never looks past the
+// DistanceIndex interface. Only the highway cover labelling is served
+// (New, NewLive), but a server holding a baseline's index through the
+// unexported constructor answers the full read-only HTTP surface: single
+// queries, batches, stats (which must name the method), and no mutation
+// API.
 func TestNewIndexServesAnyMethod(t *testing.T) {
 	g := gen.BarabasiAlbert(200, 3, 9)
 	ctx := context.Background()
@@ -31,8 +33,8 @@ func TestNewIndexServesAnyMethod(t *testing.T) {
 	}
 
 	for name, s := range map[string]*Server{
-		"pll": NewIndex(pllIx, Config{}),
-		"isl": NewIndex(islIx, Config{}),
+		"pll": newServer(pllIx, g.NumVertices(), Config{}),
+		"isl": newServer(islIx, g.NumVertices(), Config{}),
 	} {
 		t.Run(name, func(t *testing.T) {
 			ts := httptest.NewServer(s.Handler())

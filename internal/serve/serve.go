@@ -110,10 +110,9 @@ const DefaultMaxBatch = 100_000
 // Config.ShutdownGrace is zero.
 const DefaultShutdownGrace = 5 * time.Second
 
-// snapshot is one immutable published state of the server. The index is
-// any method's DistanceIndex — the server never looks past the interface on
-// the read path, which is what lets hlserve -method serve every labelling
-// through one machinery.
+// snapshot is one immutable published state of the server. The read path
+// never looks past the DistanceIndex interface: what New and NewLive
+// publish is a *core.Index, and tests substitute instrumented fakes.
 type snapshot struct {
 	ix    method.DistanceIndex
 	epoch uint64
@@ -174,14 +173,6 @@ type Server struct {
 // New returns a read-only Server over the highway cover index ix.
 func New(ix *core.Index, cfg Config) *Server {
 	return newServer(ix, ix.Graph().NumVertices(), cfg)
-}
-
-// NewIndex returns a read-only Server over any method's DistanceIndex:
-// the generic serving path behind "hlserve serve -method". Only the
-// highway cover labelling can additionally serve live updates (NewLive);
-// every other method serves frozen.
-func NewIndex(ix method.DistanceIndex, cfg Config) *Server {
-	return newServer(ix, ix.Stats().NumVertices, cfg)
 }
 
 func newServer(ix method.DistanceIndex, n int, cfg Config) *Server {

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"os"
 	"strings"
 
 	"highway/internal/bfs"
@@ -23,20 +21,22 @@ import (
 // Every distance labelling in this repository — the paper's highway
 // cover labelling, its dynamic extension, and the three baselines the
 // paper evaluates against — implements one interface (DistanceIndex)
-// and registers under one name, so benchmarks, tools and servers can
-// treat "a distance oracle" as a pluggable engine:
+// and registers under one name, so the benchmark runner and the
+// differential tests build, query and measure each of them the same way:
 //
 //	ix, err := highway.Build(ctx, g, "pll")
 //	ix, err = highway.Build(ctx, g, "hl",
 //	        highway.WithLandmarks(landmarks), highway.WithWorkers(8))
 //	d := ix.Distance(12, 34)
-//	err = ix.Save("g.pll.idx")
-//	ix2, err := highway.LoadIndexAny("g.pll.idx", g)
+//	st := ix.Stats() // label entries and bytes under the paper's accounting
+//
+// Only the highway cover labelling is saved, loaded and served (Index.Save,
+// LoadIndex, NewServer); the baselines exist for the paper's build time,
+// query time and label size columns.
 
 // DistanceIndex is the method-agnostic exact distance oracle every
 // labelling implements: queries, label upper bounds, per-goroutine
-// searchers, statistics and persistence. See internal/method for the
-// contract details.
+// searchers and statistics. See internal/method for the contract details.
 type DistanceIndex = method.DistanceIndex
 
 // DistanceSearcher is the per-goroutine searcher interface returned by
@@ -54,9 +54,8 @@ type BatchSearcher = method.BatchSearcher
 // capability.
 type SourceSearcher = method.SourceSearcher
 
-// MethodCapabilities records which optional interfaces an index and its
-// searchers satisfy (batched execution, source-to-many execution,
-// online insertion).
+// MethodCapabilities records which optional interfaces an index's
+// searchers satisfy (batched execution, source-to-many execution).
 type MethodCapabilities = method.Capabilities
 
 // IndexCapabilities probes an index for its optional capabilities; the
@@ -82,8 +81,7 @@ func SearcherDistanceMany(sr DistanceSearcher, source int32, targets []int32, ds
 	return method.DistanceMany(sr, source, targets, dst)
 }
 
-// ErrUnknownMethod is wrapped by MethodByName, Build and LoadIndexAny
-// when the requested method name is not registered; errors.Is
+// ErrUnknownMethod is wrapped by MethodByName and Build when the requested method name is not registered; errors.Is
 // distinguishes it from build and I/O failures.
 var ErrUnknownMethod = errors.New("highway: unknown method")
 
@@ -175,14 +173,10 @@ type Method struct {
 	Aliases []string
 	// Description is a one-line summary for CLI help output.
 	Description string
-	// Dynamic reports whether the method supports exact online edge
-	// insertion (and can therefore be served live).
-	Dynamic bool
 	// Landmarks reports whether the method consumes a landmark set.
 	Landmarks bool
 
 	build func(ctx context.Context, g *Graph, cfg *BuildConfig) (DistanceIndex, error)
-	read  func(r io.Reader, g *Graph) (DistanceIndex, error)
 }
 
 // methodRegistry holds the five labellings in canonical order: the
@@ -201,13 +195,11 @@ var methodRegistry = []Method{
 			}
 			return core.BuildOpts(ctx, g, lm, core.Options{Workers: cfg.Workers, Progress: cfg.Progress})
 		},
-		read: func(r io.Reader, g *Graph) (DistanceIndex, error) { return core.Read(r, g) },
 	},
 	{
 		Name:        "dynhl",
 		Aliases:     []string{"dynamic", "dyn"},
 		Description: "dynamic highway cover labelling (exact online edge insertion by selective landmark rebuild)",
-		Dynamic:     true,
 		Landmarks:   true,
 		build: func(ctx context.Context, g *Graph, cfg *BuildConfig) (DistanceIndex, error) {
 			lm, err := cfg.landmarksFor(g)
@@ -219,7 +211,6 @@ var methodRegistry = []Method{
 			}
 			return dynhl.Build(g, lm)
 		},
-		read: func(r io.Reader, g *Graph) (DistanceIndex, error) { return dynhl.Read(r, g) },
 	},
 	{
 		Name:        "pll",
@@ -230,12 +221,10 @@ var methodRegistry = []Method{
 			}
 			return pll.Build(ctx, g)
 		},
-		read: func(r io.Reader, g *Graph) (DistanceIndex, error) { return pll.Read(r, g) },
 	},
 	{
 		Name:        "fd",
 		Description: "fully dynamic landmark SPTs (Hayashi et al. 2016; optional bit-parallel trees)",
-		Dynamic:     true,
 		Landmarks:   true,
 		build: func(ctx context.Context, g *Graph, cfg *BuildConfig) (DistanceIndex, error) {
 			lm, err := cfg.landmarksFor(g)
@@ -247,7 +236,6 @@ var methodRegistry = []Method{
 			}
 			return fd.Build(ctx, g, lm)
 		},
-		read: func(r io.Reader, g *Graph) (DistanceIndex, error) { return fd.Read(r, g) },
 	},
 	{
 		Name:        "isl",
@@ -260,7 +248,6 @@ var methodRegistry = []Method{
 			}
 			return isl.Build(ctx, g, opt)
 		},
-		read: func(r io.Reader, g *Graph) (DistanceIndex, error) { return isl.Read(r, g) },
 	},
 }
 
@@ -337,46 +324,11 @@ func Build(ctx context.Context, g *Graph, methodName string, opts ...BuildOption
 	return m.build(ctx, g, &cfg)
 }
 
-// Read deserializes the method's index from a stream (the counterpart
-// of DistanceIndex Write-style streams; see LoadIndexAny for files).
-func (m Method) Read(r io.Reader, g *Graph) (DistanceIndex, error) { return m.read(r, g) }
-
-// SniffIndexMethod reports which method wrote an index file, without
-// decoding it: the v2 method tag, or "hl" for untagged v2 and v1 files.
-func SniffIndexMethod(path string) (string, error) {
-	return method.SniffFileTag(path)
-}
-
-// LoadIndexAny reads an index file written by any registered method's
-// Save and attaches it to g: the file's method tag selects the decoder
-// (untagged files are highway cover indexes), so one loader round-trips
-// every method:
-//
-//	ix, _ := highway.Build(ctx, g, "isl")
-//	_ = ix.Save("g.isl.idx")
-//	back, _ := highway.LoadIndexAny("g.isl.idx", g) // an IS-L index again
-func LoadIndexAny(path string, g *Graph) (DistanceIndex, error) {
-	tag, err := SniffIndexMethod(path)
-	if err != nil {
-		return nil, err
-	}
-	m, err := MethodByName(tag)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return m.read(f, g)
-}
-
 // VerifyIndex cross-checks any method's index against ground-truth BFS
 // on samples random pairs (deterministic per seed), returning an error
 // describing the first mismatch. The generic counterpart of
-// Index.Verify, used by hlbuild -method -verify. Ground truth is one
-// full BFS per distinct source into a reused buffer.
+// Index.Verify, used by hlbuild -verify. Ground truth is one full BFS per
+// distinct source into a reused buffer.
 func VerifyIndex(g *Graph, ix DistanceIndex, samples int, seed int64) error {
 	n := g.NumVertices()
 	if n == 0 || samples <= 0 {

@@ -1,13 +1,17 @@
 package highway_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"highway"
+	"highway/internal/method"
 	"highway/internal/oracle"
 )
 
@@ -65,11 +69,18 @@ func TestMethodRegistry(t *testing.T) {
 		}
 	})
 
+	// The one method whose index accepts edge updates is dynhl, the
+	// paper's labelling made dynamic; the baselines are built once, as the
+	// paper measures them.
 	t.Run("dynamic flags", func(t *testing.T) {
-		dyn := map[string]bool{"dynhl": true, "fd": true}
 		for _, m := range highway.Methods() {
-			if m.Dynamic != dyn[m.Name] {
-				t.Fatalf("method %q Dynamic = %v", m.Name, m.Dynamic)
+			ix, err := highway.Build(context.Background(), testGraphSmall(t), m.Name, buildOptionsFor(m.Name)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, dynamic := ix.(interface{ InsertEdges([][2]int32) error })
+			if dynamic != (m.Name == "dynhl") {
+				t.Fatalf("method %q accepts edge updates: %v", m.Name, dynamic)
 			}
 		}
 	})
@@ -116,9 +127,10 @@ func TestBuildMethodsOracle(t *testing.T) {
 // (highway.Graph is the same alias).
 type oracleGraph = highway.Graph
 
-// TestMethodRoundTrip pins Build → Save → LoadIndexAny for every
-// registered method: the tag survives, the loaded index answers every
-// pair identically, and the entry counts agree.
+// TestMethodRoundTrip pins which methods persist. The highway cover
+// labelling round-trips through Save → LoadIndex with its counts and every
+// answer intact; every other method is built, queried and measured in
+// memory and has no Save to call.
 func TestMethodRoundTrip(t *testing.T) {
 	g := testGraphSmall(t)
 	pairs := oracle.SampledPairs(g.NumVertices(), 300, 11)
@@ -128,23 +140,22 @@ func TestMethodRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			hl, ok := ix.(*highway.Index)
+			if !ok {
+				if _, saves := ix.(interface{ Save(string) error }); saves {
+					t.Fatalf("%s index has a Save method", m.Name)
+				}
+				return
+			}
 			path := filepath.Join(t.TempDir(), m.Name+".idx")
-			if err := ix.Save(path); err != nil {
+			if err := hl.Save(path); err != nil {
 				t.Fatalf("Save: %v", err)
 			}
-			tag, err := highway.SniffIndexMethod(path)
+			back, err := highway.LoadIndex(path, g)
 			if err != nil {
-				t.Fatalf("SniffIndexMethod: %v", err)
+				t.Fatalf("LoadIndex: %v", err)
 			}
-			if tag != m.Name {
-				t.Fatalf("sniffed method %q, want %q", tag, m.Name)
-			}
-			back, err := highway.LoadIndexAny(path, g)
-			if err != nil {
-				t.Fatalf("LoadIndexAny: %v", err)
-			}
-			st, bst := ix.Stats(), back.Stats()
-			if st.Method != bst.Method || st.NumEntries != bst.NumEntries || st.NumLandmarks != bst.NumLandmarks {
+			if st, bst := ix.Stats(), back.Stats(); st != bst {
 				t.Fatalf("stats changed across the round trip:\n  saved  %+v\n  loaded %+v", st, bst)
 			}
 			sr, bsr := ix.NewSearcher(), back.NewSearcher()
@@ -160,83 +171,102 @@ func TestMethodRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMethodRoundTripDynamic pins the dynamic methods' evolved state
-// across Save/Load: insertions made before Save must be visible after
-// LoadIndexAny (dynhl embeds its evolved graph; fd persists its
-// overlay).
+// TestMethodRoundTripDynamic pins how an evolved labelling persists: a
+// dynhl index saves what Freeze hands out, the core index over the evolved
+// graph, and insertions made before the save are visible after LoadIndex
+// against that graph. fd is static, so it has no evolved state to carry.
 func TestMethodRoundTripDynamic(t *testing.T) {
 	g := testGraphSmall(t)
 	edges := [][2]int32{{0, 150}, {3, 199}, {17, 101}}
-	for _, name := range []string{"dynhl", "fd"} {
-		t.Run(name, func(t *testing.T) {
-			ix, err := highway.Build(context.Background(), g, name, highway.WithLandmarkCount(4))
-			if err != nil {
-				t.Fatal(err)
+	t.Run("dynhl", func(t *testing.T) {
+		ix, err := highway.Build(context.Background(), g, "dynhl", highway.WithLandmarkCount(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dyn := ix.(*highway.DynamicIndex)
+		if err := dyn.InsertEdges(edges); err != nil {
+			t.Fatal(err)
+		}
+		evolved, frozen, err := dyn.Freeze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "dynhl.idx")
+		if err := frozen.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		back, err := highway.LoadIndex(path, evolved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range edges {
+			if d := back.Distance(e[0], e[1]); d != 1 {
+				t.Fatalf("inserted edge {%d,%d} lost across round trip: distance %d", e[0], e[1], d)
 			}
-			ins, ok := ix.(interface{ InsertEdge(a, b int32) error })
-			if !ok {
-				t.Fatalf("%s index does not expose InsertEdge", name)
+		}
+		sr, bsr := ix.NewSearcher(), back.NewSearcher()
+		for _, p := range oracle.SampledPairs(g.NumVertices(), 200, 13) {
+			if got, want := bsr.Distance(p[0], p[1]), sr.Distance(p[0], p[1]); got != want {
+				t.Fatalf("loaded Distance(%d,%d) = %d, original %d", p[0], p[1], got, want)
 			}
-			for _, e := range edges {
-				if err := ins.InsertEdge(e[0], e[1]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			path := filepath.Join(t.TempDir(), name+".idx")
-			if err := ix.Save(path); err != nil {
-				t.Fatal(err)
-			}
-			back, err := highway.LoadIndexAny(path, g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sr, bsr := ix.NewSearcher(), back.NewSearcher()
-			for _, e := range edges {
-				if d := bsr.Distance(e[0], e[1]); d != 1 {
-					t.Fatalf("inserted edge {%d,%d} lost across round trip: distance %d", e[0], e[1], d)
-				}
-			}
-			for _, p := range oracle.SampledPairs(g.NumVertices(), 200, 13) {
-				if got, want := bsr.Distance(p[0], p[1]), sr.Distance(p[0], p[1]); got != want {
-					t.Fatalf("loaded Distance(%d,%d) = %d, original %d", p[0], p[1], got, want)
-				}
-			}
-		})
-	}
+		}
+	})
+	t.Run("fd", func(t *testing.T) {
+		ix, err := highway.Build(context.Background(), g, "fd", highway.WithLandmarkCount(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := ix.(interface{ InsertEdge(a, b int32) error }); ok {
+			t.Fatal("fd index accepts edge insertions")
+		}
+	})
 }
 
-// TestLoadIndexCrossMethod pins the failure modes: loading another
-// method's file through the core-only LoadIndex names the actual
-// method, and untagged (core) files load as "hl" through LoadIndexAny.
+// retiredIndexFile is an index file as a baseline method wrote it before
+// those formats were retired: a container whose first section is the
+// method tag.
+func retiredIndexFile(t testing.TB, methodName string, n int) []byte {
+	t.Helper()
+	var file bytes.Buffer
+	h := method.Header{N: uint64(n), K: 4}
+	if err := method.WriteContainer(&file, h, []method.Section{{ID: method.SectTag, Payload: []byte(methodName)}}); err != nil {
+		t.Fatal(err)
+	}
+	return file.Bytes()
+}
+
+// TestLoadIndexCrossMethod pins the one check left of the method tag: a
+// file a baseline wrote, whose first section names its method, fails
+// LoadIndex and ReadIndex (core.Read) with one line naming the method,
+// while the highway cover labelling's own file loads.
 func TestLoadIndexCrossMethod(t *testing.T) {
 	g := testGraphSmall(t)
-	ctx := context.Background()
+	dir := t.TempDir()
+	for _, name := range []string{"pll", "dynhl"} {
+		file := retiredIndexFile(t, name, g.NumVertices())
+		path := filepath.Join(dir, name+".idx")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, loadErr := highway.LoadIndex(path, g)
+		_, readErr := highway.ReadIndex(bytes.NewReader(file), g)
+		for what, err := range map[string]error{"LoadIndex": loadErr, "ReadIndex": readErr} {
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(name)) ||
+				!strings.Contains(err.Error(), "no longer loadable") || strings.Contains(err.Error(), "\n") {
+				t.Fatalf("%s on a %s file: err = %v, want one line naming %q as no longer loadable", what, name, err, name)
+			}
+		}
+	}
 
-	pllIx, err := highway.Build(ctx, g, "pll")
+	hlIx, err := highway.Build(context.Background(), g, "hl", highway.WithLandmarkCount(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pllPath := filepath.Join(t.TempDir(), "g.pll.idx")
-	if err := pllIx.Save(pllPath); err != nil {
+	hlPath := filepath.Join(dir, "g.idx")
+	if err := hlIx.(*highway.Index).Save(hlPath); err != nil {
 		t.Fatal(err)
 	}
-	const want = `index file is method "pll", not "hl": load it through the method registry (highway.LoadIndexAny)`
-	if _, err := highway.LoadIndex(pllPath, g); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("LoadIndex on a pll file: err = %v, want %q", err, want)
-	}
-
-	hlIx, err := highway.Build(ctx, g, "hl", highway.WithLandmarkCount(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hlPath := filepath.Join(t.TempDir(), "g.idx")
-	if err := hlIx.Save(hlPath); err != nil {
-		t.Fatal(err)
-	}
-	if tag, err := highway.SniffIndexMethod(hlPath); err != nil || tag != "hl" {
-		t.Fatalf("SniffIndexMethod(core file) = %q, %v; want \"hl\"", tag, err)
-	}
-	back, err := highway.LoadIndexAny(hlPath, g)
+	back, err := highway.LoadIndex(hlPath, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,8 +277,7 @@ func TestLoadIndexCrossMethod(t *testing.T) {
 
 // TestBuildOptions exercises the functional options through observable
 // effects: explicit landmarks are honored, worker count does not change
-// the labelling, progress fires, and the method-agnostic server serves
-// any built index.
+// the labelling, progress fires, and the server serves the built index.
 func TestBuildOptions(t *testing.T) {
 	g := testGraphSmall(t)
 	ctx := context.Background()
@@ -283,7 +312,7 @@ func TestBuildOptions(t *testing.T) {
 		}
 	}
 
-	srv := highway.NewServerFor(ix, highway.ServeConfig{})
+	srv := highway.NewServer(ix.(*highway.Index), highway.ServeConfig{})
 	d, err := srv.Distance(0, 1)
 	if err != nil {
 		t.Fatal(err)
