@@ -7,6 +7,7 @@
 //	hlbuild -graph edges.txt -k 40 -strategy degree -workers 8 -verify 1000
 //	hlbuild -graph web.hwg -k 20 -progress           (log per-landmark BFS completion)
 //	hlbuild migrate -graph web.hwg -in old.idx -out web.idx   (v1, or v2 with 64-bit offsets → v2)
+//	hlbuild migrate -in old.hwg -out web.hwg                  (a graph file, or a <wal>.snap checkpoint)
 //
 // After a build, hlbuild reports wall time, worker count and how the
 // traversal expanded its levels (pushed top-down vs pulled bottom-up, and
@@ -16,18 +17,24 @@
 // migrate subcommand rewrites a legacy v1 file, or a v2 file from before
 // the label offsets shrank to sections 7 and 8 (`hlquery -stats` says
 // "64-bit offsets"), both of which stay readable but are no longer
-// written, as today's v2, verifying it against its graph on the way.
+// written, as today's v2, verifying it against its graph on the way; and
+// a graph file or checkpoint of a layout no server reads any more, told
+// apart by its first bytes, with no -graph.
 package main
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 	"time"
 
 	"highway"
+	"highway/internal/container"
+	"highway/internal/legacy"
+	"highway/internal/serve"
 )
 
 func main() {
@@ -116,54 +123,84 @@ func run(args []string) error {
 	return nil
 }
 
-// runMigrate rewrites an index file (v1, or v2 of any age) as today's v2.
+// runMigrate rewrites an index file (v1, or v2 of any age) as today's v2,
+// and a legacy graph file or snapshot, told by its first bytes, as today's.
 func runMigrate(args []string) error {
 	fs := flag.NewFlagSet("hlbuild migrate", flag.ContinueOnError)
 	var (
-		graphPath = fs.String("graph", "", "graph the index was built on (required)")
-		in        = fs.String("in", "", "index file to migrate: a legacy v1 file, or v2 (one with 64-bit offsets is rewritten with 16-bit ones) (required)")
-		out       = fs.String("out", "", "output path of the v2 file (default: input path + .v2)")
-		verify    = fs.Int("verify", 100, "cross-check this many random pairs against BFS before writing (0 = skip)")
+		graphPath = fs.String("graph", "", "graph the index was built on (required for an index file)")
+		in        = fs.String("in", "", "file to migrate: an index file (v1, or v2 with 64-bit offsets), or a legacy graph file or <wal>.snap snapshot (required)")
+		out       = fs.String("out", "", "output path (default: input path + .v2)")
+		verify    = fs.Int("verify", 100, "cross-check this many random pairs against BFS before writing an index or snapshot (0 = skip)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *graphPath == "" || *in == "" {
-		return fmt.Errorf("migrate: -graph and -in are required")
-	}
-	g, err := loadGraph(*graphPath)
-	if err != nil {
-		return err
-	}
-	ix, from, err := highway.LoadIndexFormat(*in, g)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("loaded %s (format %s): %s\n", *in, from, ix.Stats())
-	if *verify > 0 {
-		if err := ix.Verify(*verify, 1); err != nil {
-			return fmt.Errorf("migrate: refusing to rewrite a corrupt index: %w", err)
-		}
+	if *in == "" {
+		return fmt.Errorf("migrate: -in is required")
 	}
 	dest := *out
 	if dest == "" {
 		dest = *in + ".v2"
 	}
-	if err := ix.Save(dest); err != nil {
+	f, err := os.Open(*in)
+	if err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (format v2)\n", dest)
+	defer f.Close()
+	br := bufio.NewReader(f)
+	var g *highway.Graph
+	var ix *highway.Index
+	save := func() error { return ix.Save(dest) }
+	magic, _ := br.Peek(8)
+	kind := string(magic)
+	switch kind {
+	case legacy.GraphMagic:
+		g, err = legacy.ReadGraph(br)
+		save = func() error { return g.SaveBinary(dest) }
+	case legacy.SnapshotMagic:
+		g, ix, err = legacy.ReadSnapshot(br)
+		save = func() error {
+			return container.SaveFile(dest, true, func(w io.Writer) error { return serve.EncodeSnapshot(w, g, ix) })
+		}
+	default:
+		if *graphPath == "" {
+			return fmt.Errorf("migrate: -graph is required for an index file")
+		}
+		var from highway.IndexFormat
+		if g, err = loadGraph(*graphPath); err == nil {
+			ix, from, err = highway.LoadIndexFormat(*in, g)
+		}
+		kind = "format " + from.String()
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Printf("loaded %s (%s): %s\n", *in, kind, g)
+	if ix != nil && *verify > 0 {
+		if err := ix.Verify(*verify, 1); err != nil {
+			return fmt.Errorf("migrate: refusing to rewrite a corrupt index: %w", err)
+		}
+	}
+	if err := save(); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", dest)
 	return nil
 }
 
-// loadGraph auto-detects the binary format by extension, falling back to
-// text parsing.
+// loadGraph reads a graph file, or else a text edge list: a file that
+// begins as a graph file does, today's or a legacy one, reports its own
+// error, not a text parser's.
 func loadGraph(path string) (*highway.Graph, error) {
-	if strings.HasSuffix(path, ".hwg") || strings.HasSuffix(path, ".bin") {
-		return highway.LoadGraph(path)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
-	if g, err := highway.LoadGraph(path); err == nil {
-		return g, nil
+	defer f.Close()
+	magic, _ := bufio.NewReader(f).Peek(8) // a shorter file is no graph file
+	if m := string(magic); m == container.Magic || m == legacy.GraphMagic {
+		return highway.LoadGraph(path)
 	}
 	return highway.LoadEdgeList(path)
 }

@@ -9,8 +9,10 @@ import (
 	"testing"
 
 	"highway"
+	"highway/internal/container"
+	"highway/internal/core"
 	"highway/internal/gen"
-	"highway/internal/method"
+	"highway/internal/serve"
 )
 
 func writeGraph(t *testing.T) string {
@@ -178,7 +180,7 @@ func withSection3(t *testing.T, path string) []byte {
 	}
 	defer f.Close()
 	ids := []uint32{1, 2, 7, 8, 4, 5, 6}
-	h, sec, err := method.ReadContainer(f, func(method.Header) (map[uint32]uint64, error) {
+	h, sec, err := container.ReadContainer(f, false, func(container.Header) (map[uint32]uint64, error) {
 		bounds := map[uint32]uint64{}
 		for _, id := range ids {
 			bounds[id] = 1 << 30
@@ -189,17 +191,73 @@ func withSection3(t *testing.T, path string) []byte {
 		t.Fatal(err)
 	}
 	var off []byte
-	for v := 0; v*2 < len(sec[8]); v++ {
-		base := binary.LittleEndian.Uint64(sec[7][v/256*8:])
-		off = binary.LittleEndian.AppendUint64(off, base+uint64(binary.LittleEndian.Uint16(sec[8][v*2:])))
+	for v := 0; v*2 < len(sec[8].Payload); v++ {
+		base := binary.LittleEndian.Uint64(sec[7].Payload[v/256*8:])
+		off = binary.LittleEndian.AppendUint64(off, base+uint64(binary.LittleEndian.Uint16(sec[8].Payload[v*2:])))
 	}
 	var out bytes.Buffer
-	err = method.WriteContainer(&out, h, []method.Section{{ID: 1, Payload: sec[1]}, {ID: 2, Payload: sec[2]}, {ID: 3, Payload: off},
-		{ID: 4, Payload: sec[4]}, {ID: 5, Payload: sec[5]}, {ID: 6, Payload: sec[6]}})
+	err = container.WriteContainer(&out, h, []container.Section{sec[1], sec[2], {ID: 3, Payload: off}, sec[4], sec[5], sec[6]})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return out.Bytes()
+}
+
+// TestRunMigrateLegacyLayouts: the committed graph file and checkpoint of
+// the layouts from before the graph became container sections migrate,
+// told apart by their first bytes and with no -graph, to exactly what
+// SaveBinary and EncodeSnapshot write of the same state today. Building on
+// the old graph file fails with the line that names migrate.
+func TestRunMigrateLegacyLayouts(t *testing.T) {
+	testdata := filepath.Join("..", "..", "internal", "core", "testdata")
+	dir := t.TempDir()
+	g := gen.PaperFigure2()
+	ix, err := core.Build(g, gen.PaperLandmarks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var graphFile, snapshot bytes.Buffer
+	if err := g.WriteBinary(&graphFile); err != nil {
+		t.Fatal(err)
+	}
+	if err := serve.EncodeSnapshot(&snapshot, g, ix); err != nil {
+		t.Fatal(err)
+	}
+	for in, want := range map[string][]byte{"tiny.hwg1": graphFile.Bytes(), "tiny.snap1": snapshot.Bytes()} {
+		out := filepath.Join(dir, in+".migrated")
+		if err := run([]string{"migrate", "-in", filepath.Join(testdata, in), "-out", out}); err != nil {
+			t.Fatalf("%s: %v", in, err)
+		}
+		if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s migrated to %d bytes (%v), not the %d a fresh write gives", in, len(got), err, len(want))
+		}
+	}
+	err = run([]string{"-graph", filepath.Join(testdata, "tiny.hwg1"), "-k", "2", "-out", filepath.Join(dir, "x.idx")})
+	if err == nil || !strings.Contains(err.Error(), "hlbuild migrate") {
+		t.Fatalf("build on a legacy graph file: %v, want the line naming hlbuild migrate", err)
+	}
+}
+
+// TestRunBuildCorruptBinaryGraph: a graph file is one by its first bytes,
+// whatever its name, so a damaged one reports its damage, not a text
+// parser's complaint about line 1.
+func TestRunBuildCorruptBinaryGraph(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.graph")
+	if err := highway.SaveGraph(highway.BarabasiAlbert(400, 3, 5), path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 1
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"-graph", path, "-k", "4"})
+	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") || strings.Contains(err.Error(), "line 1") {
+		t.Fatalf("corrupt graph file: %v, want its checksum error", err)
+	}
 }
 
 func TestRunMigrateErrors(t *testing.T) {

@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"highway"
+	"highway/internal/container"
 	"highway/internal/datasets"
 	"highway/internal/gen"
 	"highway/internal/graph"
@@ -101,19 +102,11 @@ func run(args []string) error {
 		return fmt.Errorf("one of -dataset or -family is required")
 	}
 
+	write := g.WriteBinary
 	if *text {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		if err := g.WriteEdgeList(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	} else if err := highway.SaveGraph(g, *out); err != nil {
+		write = g.WriteEdgeList
+	}
+	if err := container.SaveFile(*out, false, write); err != nil {
 		return err
 	}
 	maxDeg, _ := g.MaxDegree()

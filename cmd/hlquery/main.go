@@ -14,19 +14,20 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"highway"
+	"highway/internal/container"
 )
 
 func main() {
@@ -73,10 +74,8 @@ func run(args []string) error {
 		// searchers offer (vectorized batch, source-to-many) — the same
 		// probe the serving layer uses.
 		fmt.Printf("capabilities: %s\n", highway.IndexCapabilities(ix))
-		// Index files exist in two formats, and v2 with the offsets at
-		// either of two widths; surface which (hlbuild migrate rewrites
-		// the older ones) and the real footprint. The magic and the
-		// section table say — no need to re-decode the index.
+		// Which layout (hlbuild migrate rewrites the older ones), and the
+		// real footprint.
 		format, err := indexFileFormat(ip)
 		if err != nil {
 			return err
@@ -99,30 +98,22 @@ func run(args []string) error {
 }
 
 // indexFileFormat names the index file's format from its magic and, for
-// v2, its section table (layout: internal/method/container.go), without
-// decoding the file a second time (LoadIndex already validated it in
-// full). It reads a bounded prefix.
+// v2, its section table, which LoadIndex has validated already.
 func indexFileFormat(path string) (string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return "", err
 	}
 	defer f.Close()
-	// Magic, the 40-byte header with the section count at byte 20, its CRC,
-	// then one 16-byte row per section (at most 64), the id first.
-	var head [8 + 40 + 4 + 64*16]byte
-	n, err := io.ReadFull(f, head[:])
-	if n >= 8 && string(head[:8]) == "HWLIDX01" {
+	_, rows, err := container.ReadTable(f)
+	if errors.Is(err, container.ErrV1) {
 		return highway.IndexFormatV1.String(), nil
 	}
-	if n < 8+40+4 {
-		return "", fmt.Errorf("%s: reading index header: %w", path, err)
+	if err != nil {
+		return "", fmt.Errorf("%s: %w", path, err)
 	}
-	rows := head[8+40+4 : n]
-	for i := 0; i < int(binary.LittleEndian.Uint32(head[8+20:])) && (i+1)*16 <= len(rows); i++ {
-		if binary.LittleEndian.Uint32(rows[i*16:]) == 3 { // labelOff [n+1]uint64, now sections 7 and 8
-			return "v2, 64-bit offsets: rewrite with `hlbuild migrate`", nil
-		}
+	if slices.ContainsFunc(rows, func(r container.Row) bool { return r.ID == 3 }) { // labelOff [n+1]uint64, now sections 7 and 8
+		return "v2, 64-bit offsets: rewrite with `hlbuild migrate`", nil
 	}
 	return highway.IndexFormatV2.String(), nil
 }

@@ -11,8 +11,8 @@ import (
 	"testing"
 
 	"highway"
+	"highway/internal/container"
 	"highway/internal/gen"
-	"highway/internal/method"
 )
 
 func fixture(t *testing.T) (string, string, *highway.Graph) {
@@ -131,8 +131,8 @@ func TestAnyMethodIndex(t *testing.T) {
 	gp, _, g := fixture(t)
 	for _, name := range []string{"pll", "isl", "fd", "dynhl"} {
 		var file bytes.Buffer
-		h := method.Header{N: uint64(g.NumVertices()), K: 6}
-		if err := method.WriteContainer(&file, h, []method.Section{{ID: method.SectTag, Payload: []byte(name)}}); err != nil {
+		h := container.Header{N: uint64(g.NumVertices()), K: 6}
+		if err := container.WriteContainer(&file, h, []container.Section{{ID: container.SectTag, Payload: []byte(name)}}); err != nil {
 			t.Fatal(err)
 		}
 		ip := filepath.Join(t.TempDir(), name+".idx")

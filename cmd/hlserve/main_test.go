@@ -12,7 +12,7 @@ import (
 	"testing"
 
 	"highway"
-	"highway/internal/method"
+	"highway/internal/container"
 )
 
 // writeIndexedGraph saves a small graph and its index side by side and
@@ -258,8 +258,8 @@ func writeRetiredIndex(t *testing.T, methodName string) string {
 		t.Fatal(err)
 	}
 	var file bytes.Buffer
-	h := method.Header{N: uint64(g.NumVertices()), K: 8}
-	if err := method.WriteContainer(&file, h, []method.Section{{ID: method.SectTag, Payload: []byte(methodName)}}); err != nil {
+	h := container.Header{N: uint64(g.NumVertices()), K: 8}
+	if err := container.WriteContainer(&file, h, []container.Section{{ID: container.SectTag, Payload: []byte(methodName)}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(gp+".idx", file.Bytes(), 0o644); err != nil {

@@ -152,7 +152,8 @@ func LoadEdgeList(path string) (*Graph, error) { return graph.LoadEdgeList(path)
 // LoadGraph reads a binary graph file written by SaveGraph.
 func LoadGraph(path string) (*Graph, error) { return graph.LoadBinary(path) }
 
-// SaveGraph writes the graph in the compact binary format.
+// SaveGraph writes the graph file: its CSR arrays as two checksummed
+// sections of the container index files use, through a temporary file.
 func SaveGraph(g *Graph, path string) error { return g.SaveBinary(path) }
 
 // LargestComponent returns the induced subgraph of g's largest connected
@@ -204,7 +205,7 @@ func SelectLandmarks(g *Graph, k int, strategy LandmarkStrategy, seed int64) ([]
 	return landmark.Select(g, landmark.Options{K: k, Strategy: strategy, Seed: seed})
 }
 
-// IndexFormat identifies an on-disk index layout; see the "Index format"
+// IndexFormat identifies an on-disk index layout; see the "File formats"
 // section of the README. v2 (checksummed sections, bulk-loadable label
 // arrays) is the one format written; v1 is the legacy streaming layout,
 // read-only (`hlbuild migrate` rewrites a v1 file as v2).

@@ -20,10 +20,13 @@ package cluster
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"highway/internal/container"
 )
 
 // NextGeneration durably claims the next primary generation from the
@@ -49,23 +52,11 @@ func NextGeneration(path string) (uint64, error) {
 	}
 	// Write-fsync-rename-fsync: a crash leaves either the old claimed
 	// generation or the new one, never a torn file.
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	err := container.SaveFile(path, true, func(w io.Writer) error {
+		_, err := fmt.Fprintf(w, "%d\n", gen)
+		return err
+	})
 	if err != nil {
-		return 0, fmt.Errorf("cluster: claim generation: %w", err)
-	}
-	if _, err := fmt.Fprintf(f, "%d\n", gen); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("cluster: claim generation: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
 		return 0, fmt.Errorf("cluster: claim generation: %w", err)
 	}
 	if dir, err := os.Open(filepath.Dir(path)); err == nil {

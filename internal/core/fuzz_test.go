@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"testing"
 
+	"highway/internal/container"
 	"highway/internal/gen"
 	"highway/internal/graph"
-	"highway/internal/method"
 )
 
 // FuzzLoadIndex: arbitrary bytes must never panic or OOM the loader, for
@@ -46,8 +46,8 @@ func FuzzLoadIndex(f *testing.F) {
 	// A file a baseline wrote before their formats were retired: its first
 	// section is the method tag, where the reader stops.
 	var retired bytes.Buffer
-	tag := method.Section{ID: method.SectTag, Payload: []byte("pll")}
-	if err := method.WriteContainer(&retired, method.Header{N: 11, K: 2}, []method.Section{tag, {ID: method.SectTag + 1, Payload: []byte{0, 0, 0, 0}}}); err != nil {
+	tag := container.Section{ID: container.SectTag, Payload: []byte("pll")}
+	if err := container.WriteContainer(&retired, container.Header{N: 11, K: 2}, []container.Section{tag, {ID: container.SectTag + 1, Payload: []byte{0, 0, 0, 0}}}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(retired.Bytes())

@@ -70,14 +70,19 @@ func TestGoldenV2(t *testing.T) {
 	checkAllPairs(t, g, ix2)
 }
 
-// TestLegacyFixturesUntouched: the three files no writer can produce any
-// more are what the v1 and section-3 readers are tested on, so nothing —
-// -update-golden least of all — may rewrite them.
+// TestLegacyFixturesUntouched: the files no writer can produce any more are
+// what the v1 and section-3 readers, and `hlbuild migrate`'s readers of the
+// graph file and checkpoint from before the graph became container
+// sections (tiny.hwg1 is gen.PaperFigure2(), tiny.snap1 that graph with its
+// labelling), are tested on, so nothing — -update-golden least of all —
+// may rewrite them.
 func TestLegacyFixturesUntouched(t *testing.T) {
 	for name, want := range map[string]string{
 		"tiny.hl1":       "ed1b0762e5429ff792f8a1e6b3ef660395eb4ca1e35d0ea2c4ea96dccb482100",
 		"path300.hl1":    "15b2542323ce20f716541b9f16ea4ba6d837e1bc0f67b3dadf6044c5ae67a088",
 		"tiny_off64.hl2": "7c6fc134483f31da4aa3be4608989f37f9f2b550a5d45388cb5dee9ac6375948",
+		"tiny.hwg1":      "e26fc490c6c337cef8120b79e06e3ec5ac86705d1cc3a18df812848fe9ff7e79",
+		"tiny.snap1":     "c2fbfd2b8ca2dd14276305c5231ca2ba86cc4c178981ef7b133378b5149bef1e",
 	} {
 		raw, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {

@@ -6,14 +6,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"slices"
 	"sort"
 
 	"highway/internal/bfs"
+	"highway/internal/container"
 	"highway/internal/graph"
-	"highway/internal/method"
 )
 
 // Format identifies an on-disk index layout version.
@@ -25,9 +26,9 @@ const (
 	// concatenated with no checksums. Read-only: every v1 file keeps
 	// loading, none is written (`hlbuild migrate` rewrites one as v2).
 	FormatV1 Format = 1
-	// FormatV2 is the "HWLIDX02" section container of internal/method
+	// FormatV2 is the "HWLIDX02" section container of internal/container
 	// (checksummed header and sections, unknown section ids skipped on
-	// read) carrying the seven sections below. The only format written.
+	// read) carrying the eight sections below. The only format written.
 	FormatV2 Format = 2
 )
 
@@ -56,16 +57,18 @@ func (f Format) String() string {
 //	overflow  nOverflow × (vertex uint32, rank uint8, dist uint32), CSR order
 //
 // Format v2 is an HWLIDX02 container (layout: see
-// internal/method/container.go) whose header carries n, k, Aux1 = entries
-// and Aux2 = nOverflow, with these sections (same element encodings as v1):
+// internal/container/container.go) whose header carries n, k, Aux1 =
+// entries and Aux2 = nOverflow, with these sections (same element
+// encodings as v1):
 //
-//	1 landmarks  [k]uint32
-//	2 highway    [k*k]int32
-//	7 labelBase  [⌈(n+1)/256⌉]uint64  labelOff of every 256th vertex
-//	8 labelRel   [n+1]uint16          labelOff[v] - labelBase[v/256]
-//	4 labelRank  [entries]uint8
-//	5 labelDist  [entries]uint8
-//	6 overflow   nOverflow × (vertex uint32, rank uint8, dist uint32)
+//	1  landmarks  [k]uint32
+//	2  highway    [k*k]int32
+//	7  labelBase  [⌈(n+1)/256⌉]uint64  labelOff of every 256th vertex
+//	8  labelRel   [n+1]uint16          labelOff[v] - labelBase[v/256]
+//	4  labelRank  [entries]uint8
+//	5  labelDist  [entries]uint8
+//	6  overflow   nOverflow × (vertex uint32, rank uint8, dist uint32)
+//	11 graph      uint32               the graph's Fingerprint
 //
 // Every section's exact length follows from the header, so the reader
 // bounds each allocation before making it.
@@ -83,10 +86,10 @@ func (f Format) String() string {
 // table — empty on every complex network — between its records and
 // section 6's 9-byte rows.
 //
-// The graph itself is not embedded: an index is only meaningful together
-// with the graph it was built on, and callers load/store the graph
-// separately (cmd/hlbuild writes both files side by side). Read verifies
-// the vertex count matches.
+// An index is meaningful only beside the graph it was built on: section 11
+// names that graph (graph.Fingerprint), and Read refuses the file beside
+// any other; a file from before section 11 is held to the vertex count. A
+// snapshot holds the graph itself, with sections 1–8 in one container.
 var indexMagicV1 = [8]byte{'H', 'W', 'L', 'I', 'D', 'X', '0', '1'}
 
 const (
@@ -98,6 +101,7 @@ const (
 	sectOverflow  uint32 = 6
 	sectLabelBase uint32 = 7
 	sectLabelRel  uint32 = 8
+	sectGraph     uint32 = 11
 )
 
 // Write serializes the index (without the graph) in format v2.
@@ -110,33 +114,38 @@ func (ix *Index) WriteFormat(w io.Writer, f Format) error {
 	if f != FormatV2 {
 		return fmt.Errorf("core: cannot write format %v: only v2 is written", f)
 	}
+	h, sections := ix.Sections()
+	fp := binary.LittleEndian.AppendUint32(nil, ix.g.Fingerprint())
+	return container.WriteContainer(w, h, append(sections, container.Section{ID: sectGraph, Payload: fp}))
+}
+
+// Sections returns the container header and sections 1–8 of ix: an index
+// file is these and section 11, a snapshot these beside the graph's.
+func (ix *Index) Sections() (container.Header, []container.Section) {
 	over := make([]byte, 0, 9*len(ix.overflow))
 	for _, o := range ix.overflow {
 		over = binary.LittleEndian.AppendUint32(over, uint32(o.v))
 		over = append(over, o.rank)
 		over = binary.LittleEndian.AppendUint32(over, uint32(o.d))
 	}
-	h := method.Header{
-		N:    uint64(ix.g.NumVertices()),
-		K:    uint32(len(ix.landmarks)),
-		Aux1: uint64(len(ix.labelRank)),
-		Aux2: uint64(len(ix.overflow)),
-	}
-	return method.WriteContainer(w, h, []method.Section{
-		{ID: sectLandmarks, Payload: method.AppendI32s(nil, ix.landmarks)},
-		{ID: sectHighway, Payload: method.AppendI32s(nil, ix.highway)},
+	landmarks, _ := binary.Append(nil, binary.LittleEndian, ix.landmarks) // cannot fail: fixed-size values
+	highway, _ := binary.Append(nil, binary.LittleEndian, ix.highway)
+	h := container.Header{N: uint64(ix.g.NumVertices()), K: uint32(len(ix.landmarks)), Aux1: uint64(len(ix.labelRank)), Aux2: uint64(len(ix.overflow))}
+	return h, []container.Section{
+		{ID: sectLandmarks, Payload: landmarks},
+		{ID: sectHighway, Payload: highway},
 		{ID: sectLabelBase, Payload: ix.labelOff.base},
 		{ID: sectLabelRel, Payload: ix.labelOff.rel},
 		{ID: sectLabelRank, Payload: ix.labelRank},
 		{ID: sectLabelDist, Payload: ix.labelDist},
 		{ID: sectOverflow, Payload: over},
-	})
+	}
 }
 
 // Read deserializes an index written in either format (the magic selects
 // the decoder) and attaches it to g, which must be the graph the index
-// was built on (the vertex count is checked; deeper mismatches surface as
-// wrong distances, which Verify can detect).
+// was built on: its fingerprint is checked where the file records one (see
+// above), and its vertex count always.
 func Read(r io.Reader, g *graph.Graph) (*Index, error) {
 	ix, _, err := ReadFormat(r, g)
 	return ix, err
@@ -144,8 +153,8 @@ func Read(r io.Reader, g *graph.Graph) (*Index, error) {
 
 // ReadFormat is Read, also reporting which format the stream was in.
 func ReadFormat(r io.Reader, g *graph.Graph) (*Index, Format, error) {
-	// Same size as method.ReadContainer's reader, which therefore reuses
-	// this one and the peeked magic is not lost.
+	// Same size as container.ReadContainer's reader, which therefore
+	// reuses this one and the peeked magic is not lost.
 	br := bufio.NewReaderSize(r, 64<<10)
 	if magic, _ := br.Peek(len(indexMagicV1)); bytes.Equal(magic, indexMagicV1[:]) {
 		br.Discard(len(indexMagicV1)) // cannot fail: those bytes were just peeked
@@ -154,29 +163,6 @@ func ReadFormat(r io.Reader, g *graph.Graph) (*Index, Format, error) {
 	}
 	ix, err := readV2(br, g)
 	return ix, FormatV2, err
-}
-
-// newIndexShell allocates an index with validated landmark bookkeeping;
-// shared by both decoders. The label arrays are the buffers the caller
-// reads the label sections into (adoptLabels).
-func newIndexShell(g *graph.Graph, n uint64, k uint32) (*Index, error) {
-	if int(n) != g.NumVertices() {
-		return nil, fmt.Errorf("core: index built for n=%d, graph has n=%d", n, g.NumVertices())
-	}
-	if k == 0 || k > MaxLandmarks {
-		return nil, fmt.Errorf("core: index claims k=%d landmarks", k)
-	}
-	ix := &Index{
-		g:          g,
-		landmarks:  make([]int32, k),
-		rankOf:     make([]int32, n),
-		isLandmark: make([]bool, n),
-		highway:    make([]int32, int(k)*int(k)),
-	}
-	for i := range ix.rankOf {
-		ix.rankOf[i] = -1
-	}
-	return ix, nil
 }
 
 func (ix *Index) setLandmark(rank int, v int32) error {
@@ -194,22 +180,21 @@ func (ix *Index) setLandmark(rank int, v int32) error {
 
 // legacyOffsets converts the n+1 uint64 offsets of a v1 file or of a v2
 // file's section 3 to ix.labelOff, rejecting a label of more than k entries
-// (a descending pair wraps to one), which is what bounds every allocation
-// sized by the total it returns.
-func (ix *Index) legacyOffsets(buf []byte, k uint32) (entries int64, err error) {
+// (a descending pair wraps to one).
+func (ix *Index) legacyOffsets(buf []byte, k uint32) error {
 	if binary.LittleEndian.Uint64(buf) != 0 {
-		return 0, fmt.Errorf("core: label offsets do not start at 0")
+		return fmt.Errorf("core: label offsets do not start at 0")
 	}
 	sizes := make([]uint8, ix.g.NumVertices())
 	for v := range sizes {
 		size := binary.LittleEndian.Uint64(buf[v*8+8:]) - binary.LittleEndian.Uint64(buf[v*8:])
 		if size > uint64(k) {
-			return 0, fmt.Errorf("core: label offsets not monotone or label of %d entries at vertex %d, k=%d", size, v, k)
+			return fmt.Errorf("core: label offsets not monotone or label of %d entries at vertex %d, k=%d", size, v, k)
 		}
 		sizes[v] = uint8(size)
 	}
-	ix.labelOff, entries = newOffsets(sizes)
-	return entries, nil
+	ix.labelOff, _ = newOffsets(sizes)
+	return nil
 }
 
 // adoptLabels makes the offsets already in ix.labelOff, the two label
@@ -324,103 +309,102 @@ func parseOverflowRecs(buf []byte, n uint64, k uint32) ([]overflowRec, error) {
 	return recs, nil
 }
 
+// readV1 reads a v1 stream — n and k, the arrays of sections 1 to 5, the
+// overflow count and section 6 — as those sections, each bounded by the
+// header read before it, and decodes them as v2's.
 func readV1(br *bufio.Reader, g *graph.Graph) (*Index, error) {
-	var b8 [8]byte
-	if _, err := io.ReadFull(br, b8[:]); err != nil {
+	var head struct {
+		N uint64
+		K uint32
+	}
+	if err := binary.Read(br, binary.LittleEndian, &head); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint64(b8[:])
-	if _, err := io.ReadFull(br, b8[:4]); err != nil {
-		return nil, err
+	if head.N != uint64(g.NumVertices()) {
+		return nil, fmt.Errorf("core: index built for n=%d, graph has n=%d", head.N, g.NumVertices())
 	}
-	k := binary.LittleEndian.Uint32(b8[:4])
-	ix, err := newIndexShell(g, n, k)
-	if err != nil {
-		return nil, err
-	}
-	for i := range ix.landmarks {
-		if _, err := io.ReadFull(br, b8[:4]); err != nil {
+	h := container.Header{N: head.N, K: head.K}
+	sec := map[uint32]container.Section{}
+	for _, id := range []uint32{sectLandmarks, sectHighway, sectLabelOff, sectLabelRank, sectLabelDist, sectOverflow} {
+		switch id {
+		case sectLabelRank: // the entry count is where the offsets end
+			h.Aux1 = binary.LittleEndian.Uint64(sec[sectLabelOff].Payload[h.N*8:])
+		case sectOverflow:
+			var nOver uint32
+			if err := binary.Read(br, binary.LittleEndian, &nOver); err != nil {
+				return nil, err
+			}
+			h.Aux2 = uint64(nOver)
+		}
+		want, err := Bounds(h)
+		if err != nil {
 			return nil, err
 		}
-		if err := ix.setLandmark(i, int32(binary.LittleEndian.Uint32(b8[:4]))); err != nil {
+		sec[id] = container.Section{ID: id, Payload: make([]byte, want[id])}
+		if _, err := io.ReadFull(br, sec[id].Payload); err != nil {
 			return nil, err
 		}
 	}
-	for i := range ix.highway {
-		if _, err := io.ReadFull(br, b8[:4]); err != nil {
-			return nil, err
-		}
-		ix.highway[i] = int32(binary.LittleEndian.Uint32(b8[:4]))
-	}
-	offBuf := make([]byte, (n+1)*8)
-	if _, err := io.ReadFull(br, offBuf); err != nil {
-		return nil, err
-	}
-	entries, err := ix.legacyOffsets(offBuf, k)
-	if err != nil {
-		return nil, err
-	}
-	rank8 := make([]uint8, entries)
-	dist8 := make([]uint8, entries)
-	if _, err := io.ReadFull(br, rank8); err != nil {
-		return nil, err
-	}
-	if _, err := io.ReadFull(br, dist8); err != nil {
-		return nil, err
-	}
-	if _, err := io.ReadFull(br, b8[:4]); err != nil {
-		return nil, err
-	}
-	nOv := binary.LittleEndian.Uint32(b8[:4])
-	if int64(nOv) > entries {
-		return nil, fmt.Errorf("core: %d overflow records for %d entries", nOv, entries)
-	}
-	ovBuf := make([]byte, int64(nOv)*9)
-	if _, err := io.ReadFull(br, ovBuf); err != nil {
-		return nil, err
-	}
-	over, err := parseOverflowRecs(ovBuf, n, k)
-	if err != nil {
-		return nil, err
-	}
-	if err := ix.adoptLabels(rank8, dist8, k, over); err != nil {
-		return nil, err
-	}
-	return ix, nil
+	return FromSections(h, sec, g)
 }
 
-// readV2 decodes an HWLIDX02 container: the container layer checks
-// framing, checksums and the per-section allocation bounds; what is left
-// are the checks that need to know what the sections mean.
+// readV2 decodes an HWLIDX02 container beside g, whose vertex count
+// vouches for every section's length.
 func readV2(br *bufio.Reader, g *graph.Graph) (*Index, error) {
-	var ix *Index
-	var want map[uint32]uint64 // exact byte length of every section
-	h, sec, err := method.ReadContainer(br, func(h method.Header) (map[uint32]uint64, error) {
-		n, k, entries, nOver := h.N, h.K, h.Aux1, h.Aux2
-		var err error
-		if ix, err = newIndexShell(g, n, k); err != nil {
-			return nil, err
+	h, sec, err := container.ReadContainer(br, true, func(h container.Header) (map[uint32]uint64, error) {
+		if h.N != uint64(g.NumVertices()) {
+			return nil, fmt.Errorf("core: index built for n=%d, graph has n=%d", h.N, g.NumVertices())
 		}
-		if entries > n*uint64(k) {
-			return nil, fmt.Errorf("core: implausible entry count %d", entries)
-		}
-		if nOver > entries {
-			return nil, fmt.Errorf("core: %d overflow records for %d entries", nOver, entries)
-		}
-		want = map[uint32]uint64{
-			sectLandmarks: uint64(k) * 4,
-			sectHighway:   uint64(k) * uint64(k) * 4,
-			sectLabelOff:  (n + 1) * 8,
-			sectLabelRank: entries,
-			sectLabelDist: entries,
-			sectOverflow:  nOver * 9,
-			sectLabelBase: (n/offBlock + 1) * 8,
-			sectLabelRel:  (n + 1) * 2,
-		}
-		return want, nil
+		return Bounds(h)
 	})
 	if err != nil {
 		return nil, err
+	}
+	// Only files from before section 11 lack it, and no writer of those
+	// wrote a section this reader skips: a skipped one is section 11 whose
+	// id, which no checksum covers, was corrupted.
+	for id, s := range sec {
+		if _, bound := sec[sectGraph]; !bound && s.Payload == nil {
+			return nil, fmt.Errorf("core: section %d unknown and section %d (the graph's fingerprint) missing", id, sectGraph)
+		}
+	}
+	return FromSections(h, sec, g)
+}
+
+// Bounds returns the exact length of each of sections 1–8 and 11 under
+// header h, after the checks that need only h.
+func Bounds(h container.Header) (map[uint32]uint64, error) {
+	n, k, entries, nOver := h.N, h.K, h.Aux1, h.Aux2
+	switch {
+	case n > math.MaxInt32 || k == 0 || k > MaxLandmarks:
+		return nil, fmt.Errorf("core: index claims n=%d, k=%d", n, k)
+	case entries > n*uint64(k):
+		return nil, fmt.Errorf("core: implausible entry count %d", entries)
+	case nOver > entries:
+		return nil, fmt.Errorf("core: %d overflow records for %d entries", nOver, entries)
+	}
+	return map[uint32]uint64{
+		sectLandmarks: uint64(k) * 4,
+		sectHighway:   uint64(k) * uint64(k) * 4,
+		sectLabelOff:  (n + 1) * 8,
+		sectLabelRank: entries,
+		sectLabelDist: entries,
+		sectOverflow:  nOver * 9,
+		sectLabelBase: (n/offBlock + 1) * 8,
+		sectLabelRel:  (n + 1) * 2,
+		sectGraph:     4,
+	}, nil
+}
+
+// FromSections decodes the labelling sections a container reader returned
+// under header h, checking what they mean, and attaches them to g.
+func FromSections(h container.Header, sec map[uint32]container.Section, g *graph.Graph) (*Index, error) {
+	want, err := Bounds(h)
+	if err != nil {
+		return nil, err
+	}
+	if h.N != uint64(g.NumVertices()) {
+		return nil, fmt.Errorf("core: index built for n=%d, graph has n=%d", h.N, g.NumVertices())
 	}
 	ids := []uint32{sectLandmarks, sectHighway, sectLabelBase, sectLabelRel, sectLabelRank, sectLabelDist, sectOverflow}
 	legacy, isLegacy := sec[sectLabelOff]
@@ -428,30 +412,38 @@ func readV2(br *bufio.Reader, g *graph.Graph) (*Index, error) {
 		ids = []uint32{sectLandmarks, sectHighway, sectLabelOff, sectLabelRank, sectLabelDist, sectOverflow}
 	}
 	for _, id := range ids {
-		if buf, ok := sec[id]; !ok {
+		if s, ok := sec[id]; !ok {
 			return nil, fmt.Errorf("core: required section %d missing", id)
-		} else if uint64(len(buf)) != want[id] {
-			return nil, fmt.Errorf("core: section %d has length %d, want %d", id, len(buf), want[id])
+		} else if uint64(len(s.Payload)) != want[id] {
+			return nil, fmt.Errorf("core: section %d has length %d, want %d", id, len(s.Payload), want[id])
 		}
 	}
+	if fp, ok := sec[sectGraph]; ok {
+		if want := binary.LittleEndian.AppendUint32(nil, g.Fingerprint()); !bytes.Equal(fp.Payload, want) {
+			return nil, fmt.Errorf("core: index was built on another graph of %d vertices (graph fingerprint %x, this graph's %x)", h.N, fp.Payload, want)
+		}
+	}
+	// The label arrays are the buffers the sections were read into.
+	ix := &Index{g: g, landmarks: make([]int32, h.K), rankOf: make([]int32, h.N), isLandmark: make([]bool, h.N), highway: make([]int32, h.K*h.K)}
+	for i := range ix.rankOf {
+		ix.rankOf[i] = -1
+	}
 	for i := range ix.landmarks {
-		if err := ix.setLandmark(i, int32(binary.LittleEndian.Uint32(sec[sectLandmarks][i*4:]))); err != nil {
+		if err := ix.setLandmark(i, int32(binary.LittleEndian.Uint32(sec[sectLandmarks].Payload[i*4:]))); err != nil {
 			return nil, err
 		}
 	}
-	if err := method.DecodeI32s(sec[sectHighway], ix.highway); err != nil {
-		return nil, err
-	}
+	binary.Decode(sec[sectHighway].Payload, binary.LittleEndian, ix.highway) // cannot fail: the length is checked
 	if !isLegacy {
-		ix.labelOff = offsets{base: sec[sectLabelBase], rel: sec[sectLabelRel]}
-	} else if _, err := ix.legacyOffsets(legacy, h.K); err != nil {
+		ix.labelOff = offsets{base: sec[sectLabelBase].Payload, rel: sec[sectLabelRel].Payload}
+	} else if err := ix.legacyOffsets(legacy.Payload, h.K); err != nil {
 		return nil, err
 	}
-	over, err := parseOverflowRecs(sec[sectOverflow], h.N, h.K)
+	over, err := parseOverflowRecs(sec[sectOverflow].Payload, h.N, h.K)
 	if err != nil {
 		return nil, err
 	}
-	if err := ix.adoptLabels(sec[sectLabelRank], sec[sectLabelDist], h.K, over); err != nil {
+	if err := ix.adoptLabels(sec[sectLabelRank].Payload, sec[sectLabelDist].Payload, h.K, over); err != nil {
 		return nil, err
 	}
 	return ix, nil
@@ -462,7 +454,7 @@ func (ix *Index) Save(path string) error { return ix.SaveAs(path, FormatV2) }
 
 // SaveAs is Save with the format spelled out; see WriteFormat.
 func (ix *Index) SaveAs(path string, f Format) error {
-	return method.SaveFile(path, func(w io.Writer) error { return ix.WriteFormat(w, f) })
+	return container.SaveFile(path, false, func(w io.Writer) error { return ix.WriteFormat(w, f) })
 }
 
 // Load reads an index file in either format and attaches it to g.

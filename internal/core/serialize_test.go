@@ -8,9 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"highway/internal/container"
 	"highway/internal/gen"
 	"highway/internal/graph"
-	"highway/internal/method"
 )
 
 // v1Fixture is a committed HWLIDX01 file with the graph it was built on
@@ -50,10 +50,10 @@ func v1Fixtures(tb testing.TB) []v1Fixture {
 // reframe decodes a v2 file into its header and sections, lets edit change
 // them, and frames those left again (checksums and all) in the order either
 // writer used, followed by any extra sections.
-func reframe(tb testing.TB, file []byte, edit func(h *method.Header, sec map[uint32][]byte), extra ...method.Section) []byte {
+func reframe(tb testing.TB, file []byte, edit func(h *container.Header, sec map[uint32][]byte), extra ...container.Section) []byte {
 	tb.Helper()
-	ids := []uint32{sectLandmarks, sectHighway, sectLabelOff, sectLabelBase, sectLabelRel, sectLabelRank, sectLabelDist, sectOverflow}
-	h, sec, err := method.ReadContainer(bytes.NewReader(file), func(method.Header) (map[uint32]uint64, error) {
+	ids := []uint32{sectLandmarks, sectHighway, sectLabelOff, sectLabelBase, sectLabelRel, sectLabelRank, sectLabelDist, sectOverflow, sectGraph}
+	h, read, err := container.ReadContainer(bytes.NewReader(file), true, func(container.Header) (map[uint32]uint64, error) {
 		bounds := make(map[uint32]uint64)
 		for _, id := range ids {
 			bounds[id] = uint64(len(file))
@@ -63,15 +63,19 @@ func reframe(tb testing.TB, file []byte, edit func(h *method.Header, sec map[uin
 	if err != nil {
 		tb.Fatal(err)
 	}
+	sec := make(map[uint32][]byte)
+	for id, s := range read {
+		sec[id] = s.Payload
+	}
 	edit(&h, sec)
-	var sections []method.Section
+	var sections []container.Section
 	for _, id := range ids {
 		if payload, ok := sec[id]; ok {
-			sections = append(sections, method.Section{ID: id, Payload: payload})
+			sections = append(sections, container.Section{ID: id, Payload: payload})
 		}
 	}
 	var out bytes.Buffer
-	if err := method.WriteContainer(&out, h, append(sections, extra...)); err != nil {
+	if err := container.WriteContainer(&out, h, append(sections, extra...)); err != nil {
 		tb.Fatal(err)
 	}
 	return out.Bytes()
@@ -81,14 +85,14 @@ func reframe(tb testing.TB, file []byte, edit func(h *method.Header, sec map[uin
 // id the reader does not know, appended last.
 func appendUnknownSection(tb testing.TB, file []byte, id uint32, payload []byte) []byte {
 	tb.Helper()
-	return reframe(tb, file, func(*method.Header, map[uint32][]byte) {}, method.Section{ID: id, Payload: payload})
+	return reframe(tb, file, func(*container.Header, map[uint32][]byte) {}, container.Section{ID: id, Payload: payload})
 }
 
 // legacyV2Bytes is the file the last writer of section 3 wrote for ix: the
-// n+1 offsets as uint64 where sections 7 and 8 are now.
+// n+1 offsets as uint64 where sections 7 and 8 are now, and no section 11.
 func legacyV2Bytes(tb testing.TB, ix *Index) []byte {
 	tb.Helper()
-	return reframe(tb, v2Bytes(tb, ix), func(_ *method.Header, sec map[uint32][]byte) {
+	return reframe(tb, v2Bytes(tb, ix), func(_ *container.Header, sec map[uint32][]byte) {
 		off := []byte{}
 		for v := 0; v <= ix.g.NumVertices(); v++ {
 			off = binary.LittleEndian.AppendUint64(off, uint64(ix.labelOff.at(int32(v))))
@@ -96,6 +100,7 @@ func legacyV2Bytes(tb testing.TB, ix *Index) []byte {
 		sec[sectLabelOff] = off
 		delete(sec, sectLabelBase)
 		delete(sec, sectLabelRel)
+		delete(sec, sectGraph)
 	})
 }
 
@@ -144,28 +149,28 @@ func TestReadChecksOverflowRecords(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name, want string
-		edit       func(h *method.Header, sec map[uint32][]byte)
+		edit       func(h *container.Header, sec map[uint32][]byte)
 	}{
-		{"escape without record", "missing overflow record", func(h *method.Header, sec map[uint32][]byte) {
+		{"escape without record", "missing overflow record", func(h *container.Header, sec map[uint32][]byte) {
 			sec[sectOverflow] = sec[sectOverflow][:len(sec[sectOverflow])-9]
 			h.Aux2--
 		}},
-		{"escape without record, mid-table", "missing overflow record", func(h *method.Header, sec map[uint32][]byte) {
+		{"escape without record, mid-table", "missing overflow record", func(h *container.Header, sec map[uint32][]byte) {
 			sec[sectOverflow] = append(sec[sectOverflow][:90:90], sec[sectOverflow][99:]...)
 			h.Aux2--
 		}},
-		{"record without escape", "not escaped", func(h *method.Header, sec map[uint32][]byte) {
+		{"record without escape", "not escaped", func(h *container.Header, sec map[uint32][]byte) {
 			sec[sectOverflow] = append(sec[sectOverflow], record(1, 0, 300)...) // d(0,1) = 1
 			h.Aux2++
 		}},
-		{"duplicate record", "duplicate overflow record", func(h *method.Header, sec map[uint32][]byte) {
+		{"duplicate record", "duplicate overflow record", func(h *container.Header, sec map[uint32][]byte) {
 			sec[sectOverflow] = append(sec[sectOverflow], sec[sectOverflow][:9]...)
 			h.Aux2++
 		}},
-		{"rank not below k", "out of range", func(h *method.Header, sec map[uint32][]byte) {
+		{"rank not below k", "out of range", func(h *container.Header, sec map[uint32][]byte) {
 			sec[sectLabelRank][17] = 2
 		}},
-		{"records in reverse order", "", func(h *method.Header, sec map[uint32][]byte) {
+		{"records in reverse order", "", func(h *container.Header, sec map[uint32][]byte) {
 			sec[sectOverflow] = reverseRecords(sec[sectOverflow])
 		}},
 	} {
@@ -204,7 +209,7 @@ func TestReadChecksOverflowRecords(t *testing.T) {
 // vertex but the landmarks 0 and 599) and what the reader says of it.
 type offsetCase struct {
 	name, want string
-	edit       func(h *method.Header, sec map[uint32][]byte)
+	edit       func(h *container.Header, sec map[uint32][]byte)
 }
 
 func offsetCases() []offsetCase {
@@ -216,44 +221,44 @@ func offsetCases() []offsetCase {
 	}
 	type sections = map[uint32][]byte
 	return []offsetCase{
-		{"base[0] not 0", "do not start at 0", func(_ *method.Header, sec sections) { add64(sec[sectLabelBase], 0, 1) }},
-		{"rel not 0 at a block start", "does not restart its block", func(_ *method.Header, sec sections) {
+		{"base[0] not 0", "do not start at 0", func(_ *container.Header, sec sections) { add64(sec[sectLabelBase], 0, 1) }},
+		{"rel not 0 at a block start", "does not restart its block", func(_ *container.Header, sec sections) {
 			add64(sec[sectLabelBase], 1, -1) // every offset as it was
 			for v := 256; v < 512; v++ {
 				add16(sec[sectLabelRel], v, 1)
 			}
 		}},
-		{"rel steps back inside a block", "not monotone", func(_ *method.Header, sec sections) { add16(sec[sectLabelRel], 300, -3) }},
-		{"label longer than k", "label of 3 entries at vertex 4", func(_ *method.Header, sec sections) {
+		{"rel steps back inside a block", "not monotone", func(_ *container.Header, sec sections) { add16(sec[sectLabelRel], 300, -3) }},
+		{"label longer than k", "label of 3 entries at vertex 4", func(_ *container.Header, sec sections) {
 			for v := 5; v < 256; v++ {
 				add16(sec[sectLabelRel], v, 1)
 			}
 		}},
-		{"label longer than k across a block boundary", "label of 5 entries at vertex 255", func(_ *method.Header, sec sections) {
+		{"label longer than k across a block boundary", "label of 5 entries at vertex 255", func(_ *container.Header, sec sections) {
 			add64(sec[sectLabelBase], 1, 3)
 		}},
-		{"label shorter than 0 across a block boundary", "not monotone", func(_ *method.Header, sec sections) {
+		{"label shorter than 0 across a block boundary", "not monotone", func(_ *container.Header, sec sections) {
 			add64(sec[sectLabelBase], 1, -3)
 		}},
-		{"base beyond int64", "not monotone", func(_ *method.Header, sec sections) {
+		{"base beyond int64", "not monotone", func(_ *container.Header, sec sections) {
 			binary.LittleEndian.PutUint64(sec[sectLabelBase][16:], 1<<63+1000)
 		}},
-		{"off(n) below the header's entries", "offsets claim 1195 entries, header says 1196", func(_ *method.Header, sec sections) {
+		{"off(n) below the header's entries", "offsets claim 1195 entries, header says 1196", func(_ *container.Header, sec sections) {
 			add16(sec[sectLabelRel], 599, -1)
 			add16(sec[sectLabelRel], 600, -1)
 		}},
-		{"off(n) above the header's entries", "offsets pass the header's 1196 entries", func(_ *method.Header, sec sections) {
+		{"off(n) above the header's entries", "offsets pass the header's 1196 entries", func(_ *container.Header, sec sections) {
 			add16(sec[sectLabelRel], 600, 1)
 		}},
-		{"rel one vertex long", "section 8 has length", func(_ *method.Header, sec sections) {
+		{"rel one vertex long", "section 8 has length", func(_ *container.Header, sec sections) {
 			sec[sectLabelRel] = append(sec[sectLabelRel], sec[sectLabelRel][1200:]...)
 		}},
-		{"base one block long", "section 7 has length", func(_ *method.Header, sec sections) {
+		{"base one block long", "section 7 has length", func(_ *container.Header, sec sections) {
 			sec[sectLabelBase] = append(sec[sectLabelBase], sec[sectLabelBase][16:]...)
 		}},
-		{"no rel", "required section 8 missing", func(_ *method.Header, sec sections) { delete(sec, sectLabelRel) }},
-		{"rank repeated in a label", "not ascending", func(_ *method.Header, sec sections) { sec[sectLabelRank][1] = 0 }},
-		{"ranks of a label descending", "not ascending", func(_ *method.Header, sec sections) {
+		{"no rel", "required section 8 missing", func(_ *container.Header, sec sections) { delete(sec, sectLabelRel) }},
+		{"rank repeated in a label", "not ascending", func(_ *container.Header, sec sections) { sec[sectLabelRank][1] = 0 }},
+		{"ranks of a label descending", "not ascending", func(_ *container.Header, sec sections) {
 			sec[sectLabelRank][0], sec[sectLabelRank][1] = 1, 0
 		}},
 	}
@@ -265,19 +270,19 @@ func legacyOffsetCases() []offsetCase {
 	type sections = map[uint32][]byte
 	put := func(sec sections, v int, off uint64) { binary.LittleEndian.PutUint64(sec[sectLabelOff][v*8:], off) }
 	return []offsetCase{
-		{"section 3 not starting at 0", "do not start at 0", func(_ *method.Header, sec sections) { put(sec, 0, 1) }},
-		{"section 3 stepping back", "not monotone", func(_ *method.Header, sec sections) { put(sec, 300, 590) }},
-		{"section 3 with a label longer than k", "label of 3 entries at vertex 4", func(_ *method.Header, sec sections) { put(sec, 5, 9) }},
-		{"section 3 with one label of every entry", "not monotone or label of 1196 entries", func(_ *method.Header, sec sections) {
+		{"section 3 not starting at 0", "do not start at 0", func(_ *container.Header, sec sections) { put(sec, 0, 1) }},
+		{"section 3 stepping back", "not monotone", func(_ *container.Header, sec sections) { put(sec, 300, 590) }},
+		{"section 3 with a label longer than k", "label of 3 entries at vertex 4", func(_ *container.Header, sec sections) { put(sec, 5, 9) }},
+		{"section 3 with one label of every entry", "not monotone or label of 1196 entries", func(_ *container.Header, sec sections) {
 			for v := 1; v < 600; v++ {
 				put(sec, v, 0)
 			}
 		}},
-		{"section 3 ending below the header's entries", "offsets claim 1195 entries", func(_ *method.Header, sec sections) {
+		{"section 3 ending below the header's entries", "offsets claim 1195 entries", func(_ *container.Header, sec sections) {
 			put(sec, 599, 1195)
 			put(sec, 600, 1195)
 		}},
-		{"section 3 one vertex short", "section 3 has length", func(_ *method.Header, sec sections) {
+		{"section 3 one vertex short", "section 3 has length", func(_ *container.Header, sec sections) {
 			sec[sectLabelOff] = sec[sectLabelOff][8:]
 		}},
 	}
@@ -498,6 +503,47 @@ func TestReadRejectsCorruptIndex(t *testing.T) {
 				t.Error("garbage accepted")
 			}
 		})
+	}
+}
+
+// TestReadRejectsSameSizeGraph: an index loaded beside a graph it was not
+// built on fails with one line, even where n and m agree. It loads beside
+// its own graph whether that was built in memory or read from a file, and
+// a file without section 11 — every file written before it — loads on its
+// vertex count, 20 bytes smaller.
+func TestReadRejectsSameSizeGraph(t *testing.T) {
+	built, other := gen.BarabasiAlbert(2000, 5, 1), gen.BarabasiAlbert(2000, 5, 2)
+	if built.NumVertices() != other.NumVertices() || built.NumEdges() != other.NumEdges() {
+		t.Fatalf("premise: %v and %v", built, other)
+	}
+	ix, err := Build(built, built.DegreeOrder()[:16])
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := v2Bytes(t, ix)
+	_, err = Read(bytes.NewReader(file), other)
+	if err == nil || !strings.Contains(err.Error(), "another graph") || strings.Contains(err.Error(), "\n") {
+		t.Fatalf("index beside another graph of the same n and m: err = %v, want one line", err)
+	}
+	var graphFile bytes.Buffer
+	if err := built.WriteBinary(&graphFile); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := graph.ReadBinary(&graphFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := reframe(t, file, func(_ *container.Header, sec map[uint32][]byte) { delete(sec, sectGraph) })
+	for name, c := range map[string]struct {
+		file []byte
+		g    *graph.Graph
+	}{"beside the graph built": {file, built}, "beside its file": {file, loaded}, "without section 11": {old, loaded}} {
+		if _, err := Read(bytes.NewReader(c.file), c.g); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	if len(file)-len(old) != 20 {
+		t.Errorf("section 11 costs %d bytes, want 20", len(file)-len(old))
 	}
 }
 

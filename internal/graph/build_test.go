@@ -14,6 +14,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"highway/internal/container"
 )
 
 // referenceBuild is the construction Builder.Build used before the
@@ -275,13 +277,19 @@ func TestReadBinaryRejectsNonCanonical(t *testing.T) {
 	}
 }
 
-// lyingHeader is a stream whose header claims the largest graph the format
-// allows and whose body is a few bytes.
+// lyingHeader is a stream whose header and table claim the largest graph
+// the format allows and whose sections are a few bytes.
 func lyingHeader() []byte {
-	data := append([]byte(nil), binaryMagic[:]...)
-	data = binary.LittleEndian.AppendUint64(data, maxVertices)
-	data = binary.LittleEndian.AppendUint64(data, 1<<33)
-	return append(data, make([]byte, 64)...)
+	var data bytes.Buffer
+	h := container.Header{N: maxVertices, Aux1: maxTargets}
+	if err := container.WriteContainer(&data, h, []container.Section{{ID: SectOffsets}, {ID: SectTargets}}); err != nil {
+		panic(err)
+	}
+	raw := data.Bytes()
+	table := len(raw) - 2*16 // the two rows: id, crc, then the length to inflate
+	binary.LittleEndian.PutUint64(raw[table+8:], (maxVertices+1)*8)
+	binary.LittleEndian.PutUint64(raw[table+16+8:], maxTargets*4)
+	return append(raw, make([]byte, 64)...)
 }
 
 // allocatedBy returns the bytes fn allocates, as the runtime counts them.
@@ -294,9 +302,9 @@ func allocatedBy(fn func()) uint64 {
 }
 
 // readBinaryBudget is what ReadBinary may allocate on a stream of size
-// bytes: its 1 MiB read buffer and first chunks, then no more than a few
-// times what the stream delivered (the arrays, one doubling behind them,
-// the symmetry cursor).
+// bytes: its read buffer and first chunks, then no more than a few times
+// what the stream delivered (the sections, one doubling behind them, the
+// decoded arrays, the symmetry cursor).
 func readBinaryBudget(size int) uint64 { return 4<<20 + 8*uint64(size) }
 
 func TestReadBinaryAllocationTracksInput(t *testing.T) {
@@ -435,12 +443,13 @@ func TestReadEdgeListAllocations(t *testing.T) {
 	}
 }
 
-// FuzzReadBinary holds the graph loader total on arbitrary bytes — the
-// bytes a follower bootstraps from arrive over the network: it never
-// panics, allocates in proportion to the bytes it was given whatever the
-// header claims, and whatever it accepts serializes back to exactly the
-// bytes it was read from and answers HasEdge the same from both ends. CI runs this target in the
-// fuzz job.
+// FuzzReadBinary holds the graph file reader total on arbitrary bytes —
+// the same container reader and section decoder take a follower's snapshot
+// from the network: it never panics, allocates in proportion to the bytes
+// it was given whatever the header and table claim, and whatever it
+// accepts answers HasEdge the same from both ends and, framed as
+// WriteBinary frames it, serializes back to exactly the bytes it was read
+// from. CI runs this target in the fuzz job.
 func FuzzReadBinary(f *testing.F) {
 	f.Add(graphBytes(f, pathGraph(5)))
 	f.Add(graphBytes(f, MustFromEdges(6, [][2]int32{{0, 1}, {1, 2}, {2, 0}, {3, 4}})))
@@ -448,7 +457,7 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(rawGraphBytes(f, []int64{0, 2, 3, 4}, []int32{2, 1, 0, 0}))
 	f.Add(rawGraphBytes(f, []int64{0, 1, 1, 2}, []int32{1, 0}))
 	f.Add(lyingHeader())
-	f.Add([]byte("HWGRAPH1"))
+	f.Add([]byte(container.Magic))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var g *Graph
@@ -460,7 +469,8 @@ func FuzzReadBinary(f *testing.F) {
 			return
 		}
 		out := graphBytes(t, g)
-		if !bytes.Equal(out, data[:len(out)]) {
+		h, rows, _ := container.ReadTable(bytes.NewReader(data))
+		if h.K == 0 && h.Aux2 == 0 && len(rows) == 2 && rows[0].ID == SectOffsets && rows[1].ID == SectTargets && !bytes.Equal(out, data[:len(out)]) {
 			t.Fatalf("accepted stream re-encodes differently: %x vs %x", out, data[:len(out)])
 		}
 		for v := int32(0); int(v) < g.NumVertices(); v++ {

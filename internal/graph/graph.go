@@ -11,6 +11,7 @@ package graph
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 )
 
 // Graph is an immutable undirected graph in CSR form.
@@ -22,8 +23,9 @@ import (
 //
 // The zero value is the empty graph.
 type Graph struct {
-	offsets []int64 // len n+1; offsets[v]..offsets[v+1] index targets
-	targets []int32 // len 2m; sorted within each vertex's range
+	offsets []int64       // len n+1; offsets[v]..offsets[v+1] index targets
+	targets []int32       // len 2m; sorted within each vertex's range
+	fp      atomic.Uint64 // 1<<32 | Fingerprint(), once known
 }
 
 // NumVertices returns n, the number of vertices.

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"highway/internal/container"
 )
 
 // pathGraph returns the path 0-1-2-...-(n-1).
@@ -370,6 +372,14 @@ func TestReadBinaryRejectsGarbage(t *testing.T) {
 	data[len(data)-1] = 0xFF // target out of range
 	if _, err := ReadBinary(bytes.NewBuffer(data)); err == nil {
 		t.Fatal("corrupted targets accepted")
+	}
+	// Offsets and no targets section: not an edgeless graph.
+	buf.Reset()
+	if err := container.WriteContainer(&buf, container.Header{N: 1}, []container.Section{{ID: SectOffsets, Payload: make([]byte, 16)}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadBinary(&buf); err == nil {
+		t.Fatal("file without a targets section accepted")
 	}
 }
 

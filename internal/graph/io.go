@@ -12,6 +12,8 @@ import (
 	"strconv"
 	"unicode"
 	"unicode/utf8"
+
+	"highway/internal/container"
 )
 
 // Text edge-list format: one edge per line, "u v" (whitespace separated),
@@ -98,13 +100,18 @@ func parseVertex(field []byte) (int64, error) {
 }
 
 // LoadEdgeList reads a text edge list file.
-func LoadEdgeList(path string) (*Graph, error) {
+func LoadEdgeList(path string) (*Graph, error) { return load(path, ReadEdgeList) }
+
+// LoadBinary reads a graph file.
+func LoadBinary(path string) (*Graph, error) { return load(path, ReadBinary) }
+
+func load(path string, read func(io.Reader) (*Graph, error)) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadEdgeList(bufio.NewReaderSize(f, 1<<20))
+	return read(f)
 }
 
 // WriteEdgeList writes the graph as a text edge list (each undirected edge
@@ -134,143 +141,98 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 	return err
 }
 
-// Binary format:
-//
-//	magic   [8]byte  "HWGRAPH1"
-//	n       uint64
-//	len2m   uint64   (len(targets))
-//	offsets [n+1]uint64
-//	targets [2m]uint32
-//
-// Little-endian throughout. The version byte in the magic allows future
-// int64-target formats without breaking readers.
-var binaryMagic = [8]byte{'H', 'W', 'G', 'R', 'A', 'P', 'H', '1'}
+// A graph file is a container (internal/container) whose header holds n
+// and, in Aux1, 2m, with the CSR arrays as sections 9 (offsets,
+// [n+1]uint64) and 10 (targets, [2m]uint32); a snapshot holds the same two
+// beside the labelling's.
+const (
+	SectOffsets uint32 = 9
+	SectTargets uint32 = 10
 
-// WriteBinary serializes the graph in the compact binary format.
+	maxVertices = math.MaxInt32 // ids are int32, compared against int32(n)
+	maxTargets  = 1 << 33       // 2m
+)
+
+// Sections encodes g as sections 9 and 10, the one encoder of its arrays,
+// and keeps their checksums as g's Fingerprint.
+func (g *Graph) Sections() []container.Section {
+	off := make([]byte, 0, 8*len(g.offsets))
+	for _, o := range g.offsets {
+		off = binary.LittleEndian.AppendUint64(off, uint64(o))
+	}
+	tgt := make([]byte, 0, 4*len(g.targets))
+	for _, t := range g.targets {
+		tgt = binary.LittleEndian.AppendUint32(tgt, uint32(t))
+	}
+	g.fp.Store(1<<32 | uint64(fingerprint(container.Checksum(0, off), container.Checksum(0, tgt))))
+	return []container.Section{{ID: SectOffsets, Payload: off}, {ID: SectTargets, Payload: tgt}}
+}
+
+// WriteBinary writes g as a graph file.
 func (g *Graph) WriteBinary(w io.Writer) error {
-	hdr := append(make([]byte, 0, 24), binaryMagic[:]...)
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(g.NumVertices()))
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(g.targets)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	if err := writeArray(w, g.offsets); err != nil {
-		return err
-	}
-	return writeArray(w, g.targets)
+	h := container.Header{N: uint64(g.NumVertices()), Aux1: uint64(len(g.targets))}
+	return container.WriteContainer(w, h, g.Sections())
 }
 
-// writeArray writes vals as little-endian values, encoding and writing a
-// chunk at a time as readArray reads them.
-func writeArray[T int32 | int64](w io.Writer, vals []T) error {
-	const chunk = 1 << 16 // values per write
-	buf := make([]byte, 0, min(len(vals), chunk)*binary.Size(T(0)))
-	for len(vals) > 0 {
-		k := min(len(vals), chunk)
-		out, err := binary.Append(buf, binary.LittleEndian, vals[:k])
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(out); err != nil {
-			return err
-		}
-		vals = vals[k:]
-	}
-	return nil
+// Bounds returns the longest sections 9 and 10 of a graph of n vertices.
+// n comes from the header the sections arrive under, so no reader vouches
+// for them, and FromSections refuses an n too large.
+func Bounds(n uint64) map[uint32]uint64 {
+	return map[uint32]uint64{SectOffsets: (n + 1) * 8, SectTargets: maxTargets * 4}
 }
 
-// maxVertices is the largest vertex count a Graph holds: ids are int32 and
-// loops compare them against int32(n).
-const maxVertices = math.MaxInt32
-
-// ReadBinary deserializes a graph written by WriteBinary. The bytes may
-// come from the network (a follower's snapshot bootstrap), so memory is
-// allocated as the arrays arrive, not from the header's counts, and rows
-// that are not canonical — where HasEdge's binary search would answer
-// wrong — are rejected with the vertex at fault.
+// ReadBinary reads a graph file written by WriteBinary.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("graph: reading magic: %w", err)
-	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %q (not a HWGRAPH1 file)", magic[:])
-	}
-	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("graph: reading header: %w", err)
-	}
-	n := binary.LittleEndian.Uint64(hdr[0:])
-	len2m := binary.LittleEndian.Uint64(hdr[8:])
-	if n > maxVertices || len2m > 1<<33 {
-		return nil, fmt.Errorf("graph: header claims n=%d, 2m=%d: too large", n, len2m)
-	}
-	offsets, err := readArray[int64](br, n+1)
+	h, sec, err := container.ReadContainer(r, false, func(h container.Header) (map[uint32]uint64, error) { return Bounds(h.N), nil })
 	if err != nil {
-		return nil, fmt.Errorf("graph: reading offsets: %w", err)
+		return nil, fmt.Errorf("graph: %w", err)
 	}
-	if err := checkOffsets(offsets, int64(len2m)); err != nil {
+	g, err := FromSections(h.N, sec)
+	if err == nil && uint64(len(g.targets)) != h.Aux1 {
+		return nil, fmt.Errorf("graph: header claims 2m=%d, section %d holds %d", h.Aux1, SectTargets, len(g.targets))
+	}
+	return g, err
+}
+
+// FromSections decodes sections 9 and 10 of a graph of n vertices: the one
+// decoder of the arrays, whatever framed them. Rows that are not canonical
+// — where HasEdge's binary search would answer wrong — are rejected with
+// the vertex at fault. The sections' CRCs make g's Fingerprint.
+func FromSections(n uint64, sec map[uint32]container.Section) (*Graph, error) {
+	off, hasOff := sec[SectOffsets]
+	tgt, hasTgt := sec[SectTargets]
+	if !hasOff || !hasTgt || n > maxVertices || uint64(len(off.Payload)) != (n+1)*8 || len(tgt.Payload)%4 != 0 {
+		return nil, fmt.Errorf("graph: sections %d and %d hold %d and %d bytes, not the arrays of %d vertices", SectOffsets, SectTargets, len(off.Payload), len(tgt.Payload), n)
+	}
+	g := &Graph{offsets: make([]int64, n+1), targets: make([]int32, len(tgt.Payload)/4)}
+	binary.Decode(off.Payload, binary.LittleEndian, g.offsets) // cannot fail: the lengths match
+	if err := checkOffsets(g.offsets, int64(len(g.targets))); err != nil {
 		return nil, err
 	}
-	targets, err := readArray[int32](br, len2m)
-	if err != nil {
-		return nil, fmt.Errorf("graph: reading targets: %w", err)
-	}
-	g := &Graph{offsets: offsets, targets: targets}
+	binary.Decode(tgt.Payload, binary.LittleEndian, g.targets)
 	if err := checkRows(g); err != nil {
 		return nil, err
 	}
+	g.fp.Store(1<<32 | uint64(fingerprint(off.CRC, tgt.CRC)))
 	return g, nil
 }
 
-// readArray reads count little-endian values. The result grows by doubling
-// as chunks arrive and ends at exactly count, so a header that lies about
-// its counts costs at most twice the bytes the stream really delivers, plus
-// one chunk.
-func readArray[T int32 | int64](r io.Reader, count uint64) ([]T, error) {
-	const chunk = 1 << 16 // values per read
-	size := binary.Size(T(0))
-	out := make([]T, 0, min(count, chunk))
-	buf := make([]byte, cap(out)*size)
-	for uint64(len(out)) < count {
-		if len(out) == cap(out) {
-			out = append(make([]T, 0, min(count, 2*uint64(cap(out)))), out...)
-		}
-		k := min(cap(out)-len(out), chunk)
-		if _, err := io.ReadFull(r, buf[:k*size]); err != nil {
-			return nil, err
-		}
-		out = out[:len(out)+k]
-		if _, err := binary.Decode(buf[:k*size], binary.LittleEndian, out[len(out)-k:]); err != nil {
-			return nil, err
-		}
+// Fingerprint names g's arrays, for an index file to record: the CRC-32C
+// of the CRC-32Cs of sections 9 and 10. A graph read or written as a
+// container has it already; one built in memory encodes them once.
+func (g *Graph) Fingerprint() uint32 {
+	if g.fp.Load() == 0 {
+		g.Sections()
 	}
-	return out, nil
+	return uint32(g.fp.Load())
 }
 
-// SaveBinary writes the graph to a file in binary format.
-func (g *Graph) SaveBinary(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := g.WriteBinary(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+func fingerprint(offCRC, tgtCRC uint32) uint32 {
+	return container.Checksum(0, binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, offCRC), tgtCRC))
 }
 
-// LoadBinary reads a binary graph file.
-func LoadBinary(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadBinary(f)
-}
+// SaveBinary writes the graph file at path through a temporary file.
+func (g *Graph) SaveBinary(path string) error { return container.SaveFile(path, false, g.WriteBinary) }
 
 // checkOffsets verifies the row starts alone, before a byte of the rows is
 // read: they begin at 0, never step back and end at the target count.

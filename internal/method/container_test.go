@@ -1,5 +1,8 @@
 package method
 
+// The tests of internal/container, which began in this package as the
+// framing of its index files.
+
 import (
 	"bytes"
 	"encoding/binary"
@@ -9,14 +12,26 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"highway/internal/container"
 )
 
+// The layout's fixed sizes, spelled out as container.go documents them.
+const (
+	headerLen = 40
+	tableRow  = 16
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // frame lays a container file out by hand: no section limit, any header.
-// It is how these tests get the files WriteContainer refuses to write. claim, where it has an entry for a row
-// index, replaces that row's length field (the payload stays as given).
-func frame(h Header, rows []Section, claim map[int]uint64) []byte {
+// It is how these tests get the files WriteContainer refuses to write.
+// claim, where it has an entry for a row index, replaces that row's length
+// field (the payload stays as given).
+func frame(h container.Header, rows []container.Section, claim map[int]uint64) []byte {
 	var hdr [headerLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], 2)
 	binary.LittleEndian.PutUint64(hdr[8:16], h.N)
@@ -29,8 +44,8 @@ func frame(h Header, rows []Section, claim map[int]uint64) []byte {
 
 // frameHeader is frame with the 40 header bytes supplied (and
 // checksummed as they are).
-func frameHeader(hdr [headerLen]byte, rows []Section, claim map[int]uint64) []byte {
-	out := append([]byte{}, magicV2[:]...)
+func frameHeader(hdr [headerLen]byte, rows []container.Section, claim map[int]uint64) []byte {
+	out := append([]byte{}, []byte(container.Magic)...)
 	out = append(out, hdr[:]...)
 	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(hdr[:], castagnoli))
 	for i, s := range rows {
@@ -50,7 +65,7 @@ func frameHeader(hdr [headerLen]byte, rows []Section, claim map[int]uint64) []by
 
 // tableIDs returns the section ids of a well-formed file in table order.
 func tableIDs(file []byte) []uint32 {
-	const tableStart = len(magicV2) + headerLen + 4
+	const tableStart = len(container.Magic) + headerLen + 4
 	ids := make([]uint32, binary.LittleEndian.Uint32(file[8+20:]))
 	for i := range ids {
 		ids[i] = binary.LittleEndian.Uint32(file[tableStart+i*tableRow:])
@@ -59,8 +74,8 @@ func tableIDs(file []byte) []uint32 {
 }
 
 // exactly is an expect function allowing each section its given length.
-func exactly(sections []Section) func(Header) (map[uint32]uint64, error) {
-	return func(Header) (map[uint32]uint64, error) {
+func exactly(sections []container.Section) func(container.Header) (map[uint32]uint64, error) {
+	return func(container.Header) (map[uint32]uint64, error) {
 		bounds := make(map[uint32]uint64)
 		for _, s := range sections {
 			bounds[s.ID] = uint64(len(s.Payload))
@@ -70,46 +85,57 @@ func exactly(sections []Section) func(Header) (map[uint32]uint64, error) {
 }
 
 // decode reads file the way the core decoder does: ReadContainer, then
-// every section it needs must be there.
-func decode(file []byte, sections []Section) (Header, map[uint32][]byte, error) {
-	h, got, err := ReadContainer(bytes.NewReader(file), exactly(sections))
+// every section it needs must be there, holding the CRC of its payload. It
+// returns the payloads read, not those of the sections skipped.
+func decode(file []byte, sections []container.Section) (container.Header, map[uint32][]byte, error) {
+	h, got, err := container.ReadContainer(bytes.NewReader(file), true, exactly(sections))
 	if err != nil {
 		return h, nil, err
+	}
+	payloads := make(map[uint32][]byte)
+	for id, s := range got {
+		if s.Payload == nil { // skipped: not buffered
+			continue
+		}
+		if s.ID != id || s.CRC != crc32.Checksum(s.Payload, castagnoli) {
+			return h, nil, fmt.Errorf("section %d read as id %d, CRC %08x", id, s.ID, s.CRC)
+		}
+		payloads[id] = s.Payload
 	}
 	for _, s := range sections {
 		if _, ok := got[s.ID]; !ok {
 			return h, nil, fmt.Errorf("required section %d missing", s.ID)
 		}
 	}
-	return h, got, nil
+	return h, payloads, nil
 }
 
-func mustWrite(tb testing.TB, h Header, sections []Section) []byte {
+func mustWrite(tb testing.TB, h container.Header, sections []container.Section) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	if err := WriteContainer(&buf, h, sections); err != nil {
+	if err := container.WriteContainer(&buf, h, sections); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
 var (
-	testSections = []Section{
-		{ID: SectTag + 1, Payload: []byte("first payload")},
-		{ID: SectTag + 2, Payload: nil},
-		{ID: SectTag + 3, Payload: bytes.Repeat([]byte{0xA5}, 300)},
+	testSections = []container.Section{
+		{ID: container.SectTag + 1, Payload: []byte("first payload")},
+		{ID: container.SectTag + 2, Payload: nil},
+		{ID: container.SectTag + 3, Payload: bytes.Repeat([]byte{0xA5}, 300)},
 	}
-	coreSections = []Section{{ID: 1, Payload: []byte{9, 0, 0, 0}}, {ID: 5, Payload: []byte("dist")}}
+	coreSections = []container.Section{{ID: 1, Payload: []byte{9, 0, 0, 0}}, {ID: 5, Payload: []byte("dist")}}
 )
 
 func TestContainerRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
-		h        Header
-		sections []Section
+		h        container.Header
+		sections []container.Section
 	}{
-		{"wide header", Header{N: 1 << 40, K: 7, Aux1: 11, Aux2: 1<<64 - 1}, testSections},
-		{"hl", Header{N: 12, K: 3, Aux1: 13}, coreSections},
+		{"wide header", container.Header{N: 1 << 40, K: 7, Aux1: 11, Aux2: 1<<64 - 1}, testSections},
+		{"hl", container.Header{N: 12, K: 3, Aux1: 13}, coreSections},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			file := mustWrite(t, tc.h, tc.sections)
@@ -167,9 +193,9 @@ func TestUntaggedLayout(t *testing.T) {
 	want = append(want, 9, 0, 0, 0)
 	want = append(want, "dist"...)
 
-	h := Header{N: 12, K: 3, Aux1: 13, Aux2: 513}
+	h := container.Header{N: 12, K: 3, Aux1: 13, Aux2: 513}
 	if got := mustWrite(t, h, coreSections); !bytes.Equal(got, want) {
-		t.Fatalf("WriteContainer:\n got %x\nwant %x", got, want)
+		t.Fatalf("container.WriteContainer:\n got %x\nwant %x", got, want)
 	}
 	if got := frame(h, coreSections, nil); !bytes.Equal(got, want) {
 		t.Fatalf("frame:\n got %x\nwant %x", got, want)
@@ -182,11 +208,11 @@ func TestUntaggedLayout(t *testing.T) {
 // the decoder needs having become one it does not know.
 func TestContainerRejectsBitFlips(t *testing.T) {
 	for _, tc := range []struct {
-		h        Header
-		sections []Section
+		h        container.Header
+		sections []container.Section
 	}{
-		{Header{N: 9, K: 2}, testSections},
-		{Header{N: 12, K: 3}, coreSections},
+		{container.Header{N: 9, K: 2}, testSections},
+		{container.Header{N: 12, K: 3}, coreSections},
 	} {
 		file := mustWrite(t, tc.h, tc.sections)
 		if _, _, err := decode(file, tc.sections); err != nil {
@@ -208,10 +234,10 @@ func TestContainerRejectsBitFlips(t *testing.T) {
 // ids the decoder does not list are skipped wherever they sit, without
 // being buffered.
 func TestContainerSkipsUnknownSections(t *testing.T) {
-	future := Section{ID: 99, Payload: []byte("from a later version")}
+	future := container.Section{ID: 99, Payload: []byte("from a later version")}
 	for _, at := range []int{0, 1, len(testSections)} {
-		sections := append(append(append([]Section{}, testSections[:at]...), future), testSections[at:]...)
-		file := mustWrite(t, Header{N: 5, K: 1}, sections)
+		sections := append(append(append([]container.Section{}, testSections[:at]...), future), testSections[at:]...)
+		file := mustWrite(t, container.Header{N: 5, K: 1}, sections)
 		_, got, err := decode(file, testSections)
 		if err != nil {
 			t.Fatalf("unknown section at %d: %v", at, err)
@@ -228,14 +254,16 @@ func TestContainerSkipsUnknownSections(t *testing.T) {
 }
 
 // retiredTag is the method-tag section a baseline's index file began with.
-func retiredTag(name string) Section { return Section{ID: SectTag, Payload: []byte(name)} }
+func retiredTag(name string) container.Section {
+	return container.Section{ID: container.SectTag, Payload: []byte(name)}
+}
 
 func TestContainerRejects(t *testing.T) {
-	h := Header{N: 4, K: 1}
+	h := container.Header{N: 4, K: 1}
 	tag := retiredTag
 	a, b := testSections[0], testSections[2]
 	var hdr [headerLen]byte
-	copy(hdr[:], frame(h, []Section{a}, nil)[len(magicV2):])
+	copy(hdr[:], frame(h, []container.Section{a}, nil)[len(container.Magic):])
 	version3, flagged := hdr, hdr
 	version3[0] = 3
 	flagged[4] = 1
@@ -245,28 +273,28 @@ func TestContainerRejects(t *testing.T) {
 		file []byte
 		msg  string // what the error must say
 	}{
-		{"duplicate known id", frame(h, []Section{a, b, a}, nil), "duplicate section 33"},
+		{"duplicate known id", frame(h, []container.Section{a, b, a}, nil), "duplicate section 33"},
 		// The row claims a petabyte; the bound stops it before any
 		// buffer of that size exists.
-		{"section longer than allowed", frame(h, []Section{a, b}, map[int]uint64{1: 1 << 50}), "section 35 has length 1125899906842624, exceeds 300"},
-		{"empty tag", frame(h, []Section{tag(""), a}, nil), `index file tagged "" is no longer loadable`},
-		{"explicit hl tag", frame(h, []Section{tag("hl"), a}, nil), `index file tagged "hl" is no longer loadable`},
-		{"tag longer than 64", frame(h, []Section{tag(strings.Repeat("x", 65)), a}, nil), "tag section length 65 exceeds 64"},
-		{"65 sections", frame(h, append([]Section{a}, make([]Section, 64)...), nil), "implausible section count 65"},
+		{"section longer than allowed", frame(h, []container.Section{a, b}, map[int]uint64{1: 1 << 50}), "section 35 has length 1125899906842624, exceeds 300"},
+		{"empty tag", frame(h, []container.Section{tag(""), a}, nil), `index file tagged "" is no longer loadable`},
+		{"explicit hl tag", frame(h, []container.Section{tag("hl"), a}, nil), `index file tagged "hl" is no longer loadable`},
+		{"tag longer than 64", frame(h, []container.Section{tag(strings.Repeat("x", 65)), a}, nil), "tag section length 65 exceeds 64"},
+		{"65 sections", frame(h, append([]container.Section{a}, make([]container.Section, 64)...), nil), "implausible section count 65"},
 		{"no sections", frame(h, nil, nil), "implausible section count 0"},
-		{"another method's file", frame(h, []Section{tag("isl"), a}, nil), `index file tagged "isl" is no longer loadable`},
-		{"tagged file read as hl", frame(h, []Section{tag("pll"), a}, nil), `index file tagged "pll" is no longer loadable`},
-		{"tag not first", frame(h, []Section{a, tag("pll")}, nil), "tag section 32 is not the first section"},
-		{"second tag", frame(h, []Section{tag("pll"), a, tag("isl")}, nil), `tagged "pll"`},
+		{"another method's file", frame(h, []container.Section{tag("isl"), a}, nil), `index file tagged "isl" is no longer loadable`},
+		{"tagged file read as hl", frame(h, []container.Section{tag("pll"), a}, nil), `index file tagged "pll" is no longer loadable`},
+		{"tag not first", frame(h, []container.Section{a, tag("pll")}, nil), "tag section 32 is not the first section"},
+		{"second tag", frame(h, []container.Section{tag("pll"), a, tag("isl")}, nil), `tagged "pll"`},
 		{"v1 stream", []byte("HWLIDX01 and then whatever"), "v1 files are decoded by internal/core"},
 		{"bad magic", []byte("HWLIDX03 and then whatever"), "bad magic"},
-		{"version 3", frameHeader(version3, []Section{a}, nil), "container version 3 unsupported"},
-		{"flags set", frameHeader(flagged, []Section{a}, nil), "unsupported flags 0x1"},
-		{"truncated table", frame(h, []Section{a}, nil)[:len(magicV2)+headerLen+4+3], "reading section table"},
-		{"truncated payload", frame(h, []Section{a}, nil)[:len(frame(h, []Section{a}, nil))-1], "reading section 33"},
+		{"version 3", frameHeader(version3, []container.Section{a}, nil), "container version 3 unsupported"},
+		{"flags set", frameHeader(flagged, []container.Section{a}, nil), "unsupported flags 0x1"},
+		{"truncated table", frame(h, []container.Section{a}, nil)[:len(container.Magic)+headerLen+4+3], "reading section table"},
+		{"truncated payload", frame(h, []container.Section{a}, nil)[:len(frame(h, []container.Section{a}, nil))-1], "reading section 33"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := ReadContainer(bytes.NewReader(tc.file), exactly([]Section{a, b}))
+			_, _, err := container.ReadContainer(bytes.NewReader(tc.file), true, exactly([]container.Section{a, b}))
 			if err == nil || !strings.Contains(err.Error(), tc.msg) {
 				t.Fatalf("err = %v, want one saying %q", err, tc.msg)
 			}
@@ -275,17 +303,17 @@ func TestContainerRejects(t *testing.T) {
 
 	// expect's own verdict on the header is passed through.
 	veto := errors.New("n is not my graph's")
-	_, _, err := ReadContainer(bytes.NewReader(frame(h, []Section{a}, nil)), func(Header) (map[uint32]uint64, error) { return nil, veto })
+	_, _, err := container.ReadContainer(bytes.NewReader(frame(h, []container.Section{a}, nil)), true, func(container.Header) (map[uint32]uint64, error) { return nil, veto })
 	if !errors.Is(err, veto) {
 		t.Fatalf("expect's error lost: %v", err)
 	}
 }
 
 func TestWriteContainerRejects(t *testing.T) {
-	if err := WriteContainer(io.Discard, Header{}, make([]Section, 65)); err == nil {
+	if err := container.WriteContainer(io.Discard, container.Header{}, make([]container.Section, 65)); err == nil {
 		t.Error("65 sections written")
 	}
-	if err := WriteContainer(io.Discard, Header{}, make([]Section, 64)); err != nil {
+	if err := container.WriteContainer(io.Discard, container.Header{}, make([]container.Section, 64)); err != nil {
 		t.Errorf("64 sections: %v", err)
 	}
 }
@@ -296,28 +324,35 @@ func TestWriteContainerRejects(t *testing.T) {
 // is read and whatever follows; the tag row's claimed length is bounded
 // before the tag is read.
 func TestRetiredMethodTag(t *testing.T) {
-	h := Header{N: 3, K: 1}
+	h := container.Header{N: 3, K: 1}
 	for _, name := range []string{"pll", "dynhl"} {
 		for _, file := range [][]byte{
-			mustWrite(t, h, append([]Section{retiredTag(name)}, testSections...)),
+			mustWrite(t, h, append([]container.Section{retiredTag(name)}, testSections...)),
 			// The section after the tag claims a petabyte: it is never reached.
-			frame(h, []Section{retiredTag(name), testSections[2]}, map[int]uint64{1: 1 << 50}),
+			frame(h, []container.Section{retiredTag(name), testSections[2]}, map[int]uint64{1: 1 << 50}),
 		} {
-			_, _, err := ReadContainer(bytes.NewReader(file), exactly(testSections))
+			_, _, err := container.ReadContainer(bytes.NewReader(file), true, exactly(testSections))
 			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q is no longer loadable", name)) || strings.Contains(err.Error(), "\n") {
 				t.Errorf("%s: err = %v, want one line naming it as no longer loadable", name, err)
 			}
 		}
 	}
-	huge := frame(h, []Section{retiredTag("pll")}, map[int]uint64{0: 1 << 50})
-	if _, _, err := ReadContainer(bytes.NewReader(huge), exactly(testSections)); err == nil || !strings.Contains(err.Error(), "tag section length 1125899906842624 exceeds 64") {
+	huge := frame(h, []container.Section{retiredTag("pll")}, map[int]uint64{0: 1 << 50})
+	if _, _, err := container.ReadContainer(bytes.NewReader(huge), true, exactly(testSections)); err == nil || !strings.Contains(err.Error(), "tag section length 1125899906842624 exceeds 64") {
 		t.Errorf("tag claiming a petabyte: %v", err)
 	}
 }
 
 // TestSaveFile: a save that fails half-way leaves the previous file as it
 // was and nothing else in the directory; one that succeeds replaces it.
+// A durable save (fsynced before the rename) behaves the same.
 func TestSaveFile(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) { testSaveFile(t, durable) })
+	}
+}
+
+func testSaveFile(t *testing.T, durable bool) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.idx")
 	entries := func() string {
@@ -328,7 +363,7 @@ func TestSaveFile(t *testing.T) {
 		return fmt.Sprint(names)
 	}
 	save := func(content string, fail error) error {
-		return SaveFile(path, func(w io.Writer) error {
+		return container.SaveFile(path, durable, func(w io.Writer) error {
 			if _, err := io.WriteString(w, content[:len(content)/2]); err != nil {
 				return err
 			}
@@ -368,59 +403,57 @@ func TestSaveFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("the second index")
-	if err := SaveFile(filepath.Join(dir, "no", "such", "dir.idx"), func(io.Writer) error { return nil }); err == nil {
+	if err := container.SaveFile(filepath.Join(dir, "no", "such", "dir.idx"), durable, func(io.Writer) error { return nil }); err == nil {
 		t.Fatal("save into a missing directory succeeded")
 	}
 }
 
-func TestEncodingHelpers(t *testing.T) {
-	i32 := []int32{0, -1, 1 << 30, -1 << 31}
-	got32 := make([]int32, len(i32))
-	if err := DecodeI32s(AppendI32s(nil, i32), got32); err != nil || fmt.Sprint(got32) != fmt.Sprint(i32) {
-		t.Errorf("int32 round trip: %v, %v", got32, err)
-	}
-	if got := AppendI32s([]byte{7}, []int32{258}); !bytes.Equal(got, []byte{7, 2, 1, 0, 0}) {
-		t.Errorf("AppendI32s is not little-endian append: %v", got)
-	}
-	if DecodeI32s(make([]byte, 7), got32) == nil {
-		t.Error("payload of the wrong length decoded")
-	}
-}
-
-// FuzzReadContainer: on arbitrary bytes the reader never panics and never
-// hands back (so never allocated) a section past its bound, and a file it
-// accepts in full is one WriteContainer writes back byte for byte.
+// FuzzReadContainer: on arbitrary bytes the reader, vouching for no bound,
+// never panics, never hands back a section past its bound, allocates in
+// proportion to the bytes it was given whatever lengths the table claims,
+// and a file it accepts in full is one WriteContainer writes back byte for
+// byte.
 func FuzzReadContainer(f *testing.F) {
+	grown := container.Section{ID: 9, Payload: []byte("arrives as it comes")}
 	for _, file := range [][]byte{
-		mustWrite(f, Header{N: 4, K: 1, Aux1: 3}, testSections),
-		mustWrite(f, Header{N: 12, K: 3, Aux1: 13}, coreSections),
-		frame(Header{}, []Section{testSections[0], retiredTag("pll")}, nil),
-		frame(Header{}, []Section{testSections[0], testSections[2]}, map[int]uint64{1: 1 << 50}),
+		mustWrite(f, container.Header{N: 4, K: 1, Aux1: 3}, testSections),
+		mustWrite(f, container.Header{N: 12, K: 3, Aux1: 13}, coreSections),
+		frame(container.Header{}, []container.Section{testSections[0], retiredTag("pll")}, nil),
+		frame(container.Header{}, []container.Section{testSections[0], testSections[2]}, map[int]uint64{1: 1 << 50}),
 		[]byte("HWLIDX01"),
 		[]byte("HWLIDX02"),
+		frame(container.Header{}, []container.Section{testSections[0], grown}, map[int]uint64{1: 1 << 40}),
 	} {
 		f.Add(file)
 		f.Add(file[:len(file)/2])
 	}
-	bounds := map[uint32]uint64{1: 64, 5: 64, SectTag + 1: 64, SectTag + 2: 0, SectTag + 3: 300}
+	bounds := map[uint32]uint64{1: 64, 5: 64, grown.ID: 1 << 40, container.SectTag + 1: 64, container.SectTag + 2: 0, container.SectTag + 3: 300}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, got, err := ReadContainer(bytes.NewReader(data), func(Header) (map[uint32]uint64, error) { return bounds, nil })
+		var h container.Header
+		var got map[uint32]container.Section
+		var err error
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h, got, err = container.ReadContainer(bytes.NewReader(data), false, func(container.Header) (map[uint32]uint64, error) { return bounds, nil })
+		runtime.ReadMemStats(&after)
+		if used := after.TotalAlloc - before.TotalAlloc; used > 1<<20+4*uint64(len(data)) {
+			t.Fatalf("%d bytes allocated reading %d", used, len(data))
+		}
 		if err != nil {
 			return
 		}
-		var sections []Section
+		var sections []container.Section
 		for _, id := range tableIDs(data) {
-			payload, ok := got[id]
-			if uint64(len(payload)) > bounds[id] {
-				t.Fatalf("section %d: %d bytes, bound %d", id, len(payload), bounds[id])
-			}
-			if !ok {
+			s := got[id]
+			if max, known := bounds[id]; !known {
 				return // a skipped section's bytes are not there to write back
+			} else if uint64(len(s.Payload)) > max {
+				t.Fatalf("section %d: %d bytes, bound %d", id, len(s.Payload), max)
 			}
-			sections = append(sections, Section{ID: id, Payload: payload})
+			sections = append(sections, s)
 		}
 		var out bytes.Buffer
-		if err := WriteContainer(&out, h, sections); err != nil {
+		if err := container.WriteContainer(&out, h, sections); err != nil {
 			t.Fatalf("accepted file cannot be written back: %v", err)
 		}
 		if !bytes.HasPrefix(data, out.Bytes()) {

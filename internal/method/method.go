@@ -2,8 +2,7 @@
 // labelling in this repository implements: the DistanceIndex interface
 // (exact queries, label upper bounds, per-goroutine searchers, summary
 // statistics), the Searcher interface its NewSearcher returns, and the
-// generic Stats record. It also holds the "HWLIDX02" container that
-// frames the paper labelling's index file (container.go).
+// generic Stats record.
 //
 // The five labellings — the paper's highway cover labelling
 // (internal/core), its dynamic extension (internal/dynhl) and the three

@@ -1,9 +1,9 @@
 package serve
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"highway/internal/container"
 	"highway/internal/core"
 	"highway/internal/dynhl"
 	"highway/internal/failpoint"
@@ -219,7 +220,14 @@ func LoadLive(graphPath, indexPath, walPath string, cfg LiveConfig) (*Server, er
 	// Only a checkpoint that does not exist selects the base files: the
 	// log was compacted against the snapshot, so starting from the base
 	// because the snapshot cannot be read would drop acknowledged writes.
-	_, ix, err := loadSnapshot(wal.SnapshotPath())
+	var ix *core.Index
+	f, err := os.Open(wal.SnapshotPath())
+	if err == nil {
+		if _, ix, err = DecodeSnapshot(f); err != nil {
+			err = fmt.Errorf("serve: %s: %w", f.Name(), err)
+		}
+		f.Close()
+	}
 	if errors.Is(err, fs.ErrNotExist) {
 		var g *graph.Graph
 		g, err = graph.LoadBinary(graphPath)
@@ -235,61 +243,23 @@ func LoadLive(graphPath, indexPath, walPath string, cfg LiveConfig) (*Server, er
 	return NewLive(ix, cfg) // NewLive owns (and closes) the WAL on failure
 }
 
-// snapMagic heads the single-file graph+index snapshot a checkpoint
-// persists next to the WAL. One file, one atomic rename: the graph and
-// the labelling can never be on disk out of step with each other,
-// which a two-file scheme could not guarantee across a crash.
-const snapMagic = "HWLSNAP1"
-
-// writeSnapshot persists graph+index as one file, fsynced before an
-// atomic rename into place — only after this returns may the WAL be
-// compacted, or a power failure could lose acknowledged edges. The WAL
-// (may be nil) only receives the directory-fsync error count.
+// writeSnapshot persists graph+index as one file (EncodeSnapshot), fsynced
+// before an atomic rename into place — only after this returns may the WAL
+// be compacted, or a power failure could lose acknowledged edges — so the
+// two can never be on disk out of step. The WAL (may be nil) only receives
+// the directory-fsync error count.
 func writeSnapshot(path string, g *graph.Graph, ix *core.Index, w *WAL) error {
-	if err := failpoint.Eval(FPSnapshotWrite); err != nil {
-		return fmt.Errorf("serve: snapshot: %w", err)
-	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("serve: snapshot: %w", err)
-	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	err = EncodeSnapshot(bw, g, ix)
+	err := failpoint.Eval(FPSnapshotWrite)
 	if err == nil {
-		err = bw.Flush()
-	}
-	if err == nil {
-		err = f.Sync() // contents must be durable before the rename publishes them
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
+		err = container.SaveFile(path, true, func(f io.Writer) error { return EncodeSnapshot(f, g, ix) })
 	}
 	if err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("serve: snapshot: %w", err)
 	}
 	if derr := syncDir(filepath.Dir(path)); derr != nil && w != nil {
 		w.dirSyncErrs.Add(1)
 	}
 	return nil
-}
-
-// loadSnapshot reads a snapshot written by writeSnapshot.
-func loadSnapshot(path string) (*graph.Graph, *core.Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("serve: snapshot: %w", err)
-	}
-	defer f.Close()
-	g, ix, err := DecodeSnapshot(bufio.NewReaderSize(f, 1<<20))
-	if err != nil {
-		return nil, nil, fmt.Errorf("serve: %s: %w", path, err)
-	}
-	return g, ix, nil
 }
 
 // InsertEdges accepts a batch of undirected edge insertions: validates

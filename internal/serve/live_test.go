@@ -543,7 +543,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := writeSnapshot(path, g, ix, nil); err != nil {
 		t.Fatal(err)
 	}
-	g2, ix2, err := loadSnapshot(path)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, ix2, err := DecodeSnapshot(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,11 +565,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 
-	bad := filepath.Join(t.TempDir(), "bad.snap")
-	if err := os.WriteFile(bad, []byte("not a snapshot at all"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := loadSnapshot(bad); err == nil {
+	if _, _, err := DecodeSnapshot(strings.NewReader("not a snapshot at all")); err == nil {
 		t.Fatal("want error loading garbage snapshot")
 	}
 }

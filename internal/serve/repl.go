@@ -1,11 +1,11 @@
 package serve
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
 	"io"
+	"maps"
 
+	"highway/internal/container"
 	"highway/internal/core"
 	"highway/internal/dynhl"
 	"highway/internal/graph"
@@ -130,37 +130,33 @@ func (s *Server) FrozenState() (*graph.Graph, *core.Index, uint64, error) {
 	return g, ix, up.epoch.Load(), nil
 }
 
-// EncodeSnapshot streams the single-file graph+index snapshot format
-// (magic, graph, labelling — the same bytes writeSnapshot persists next
-// to the WAL) to w. It is the payload of a TReplSnapshot transfer.
+// EncodeSnapshot writes the graph+index snapshot to w — one container of
+// the graph's sections 9 and 10 and the labelling's 1–8 — as a checkpoint
+// persists it next to the WAL and a TReplSnapshot transfer carries it.
 func EncodeSnapshot(w io.Writer, g *graph.Graph, ix *core.Index) error {
-	if _, err := io.WriteString(w, snapMagic); err != nil {
-		return err
-	}
-	if err := g.WriteBinary(w); err != nil {
-		return err
-	}
-	return ix.WriteFormat(w, core.FormatV2)
+	h, labels := ix.Sections()
+	return container.WriteContainer(w, h, append(g.Sections(), labels...))
 }
 
-// DecodeSnapshot reads a snapshot produced by EncodeSnapshot (or
-// persisted by a checkpoint).
+// DecodeSnapshot reads a snapshot written by EncodeSnapshot. The bytes may
+// come from the network, and n, which bounds every section, from the same
+// header: nothing vouches for the bounds.
 func DecodeSnapshot(r io.Reader) (*graph.Graph, *core.Index, error) {
-	// One shared buffered reader for all three sections: the graph
-	// decoder and the index decoder (core.Read, and method.ReadContainer
-	// under it) each call bufio.NewReaderSize with this size, which
-	// returns this reader instead of wrapping it — wrapping would read
-	// ahead and strand the next section's bytes in a private buffer.
-	br := bufio.NewReaderSize(r, 1<<20)
-	var magic [len(snapMagic)]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != snapMagic {
-		return nil, nil, errors.New("serve: not a serving snapshot (bad magic)")
+	h, sec, err := container.ReadContainer(r, false, func(h container.Header) (map[uint32]uint64, error) {
+		bounds, err := core.Bounds(h)
+		if err == nil {
+			maps.Copy(bounds, graph.Bounds(h.N))
+		}
+		return bounds, err
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("serve: snapshot: %w", err)
 	}
-	g, err := graph.ReadBinary(br)
+	g, err := graph.FromSections(h.N, sec)
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: snapshot graph: %w", err)
 	}
-	ix, err := core.Read(br, g)
+	ix, err := core.FromSections(h, sec, g)
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: snapshot index: %w", err)
 	}

@@ -11,7 +11,7 @@ import (
 	"testing"
 
 	"highway"
-	"highway/internal/method"
+	"highway/internal/container"
 	"highway/internal/oracle"
 )
 
@@ -228,8 +228,8 @@ func TestMethodRoundTripDynamic(t *testing.T) {
 func retiredIndexFile(t testing.TB, methodName string, n int) []byte {
 	t.Helper()
 	var file bytes.Buffer
-	h := method.Header{N: uint64(n), K: 4}
-	if err := method.WriteContainer(&file, h, []method.Section{{ID: method.SectTag, Payload: []byte(methodName)}}); err != nil {
+	h := container.Header{N: uint64(n), K: 4}
+	if err := container.WriteContainer(&file, h, []container.Section{{ID: container.SectTag, Payload: []byte(methodName)}}); err != nil {
 		t.Fatal(err)
 	}
 	return file.Bytes()
