@@ -38,7 +38,7 @@ func run(args []string) error {
 		shrink  = fs.Int("shrink", 1, "shrink divisor for -dataset sizes")
 		family  = fs.String("family", "", "generator family: ba | rmat | er | ws")
 		n       = fs.Int("n", 100000, "vertex count (ba, er, ws)")
-		deg     = fs.Int("deg", 10, "edges per vertex (ba attach count, rmat edge factor, ws neighbors)")
+		deg     = fs.Int("deg", 10, "ba, er, ws: average degree (ba attaches deg/2 edges a vertex, ws links deg/2 neighbours a side); rmat: edges drawn a vertex (the edge factor)")
 		scale   = fs.Uint("scale", 17, "rmat: log2 of the vertex count")
 		beta    = fs.Float64("beta", 0.1, "ws: rewiring probability")
 		seed    = fs.Int64("seed", 42, "generator seed")

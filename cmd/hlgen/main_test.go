@@ -23,6 +23,23 @@ func TestRunBA(t *testing.T) {
 	}
 }
 
+// TestRunBADegree: -deg is the average degree for ba, which attaches
+// deg/2 edges a vertex: 1000 vertices at -deg 10 are the 6-clique's 15
+// edges and 994 vertices' 5.
+func TestRunBADegree(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "g.hwg")
+	if err := run([]string{"-family", "ba", "-n", "1000", "-deg", "10", "-out", out}); err != nil {
+		t.Fatal(err)
+	}
+	g, err := highway.LoadGraph(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumEdges() != 4985 {
+		t.Fatalf("m = %d, want 4985", g.NumEdges())
+	}
+}
+
 func TestRunDataset(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "d.hwg")
 	if err := run([]string{"-dataset", "Skitter", "-shrink", "64", "-out", out}); err != nil {

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"fmt"
 	"testing"
 
 	"highway/internal/graph"
@@ -8,12 +9,17 @@ import (
 
 var sink *graph.Graph
 
-// BenchmarkRMAT times seed to raw CSR for the web-graph family: the draw
-// loop (scale draws per edge) and Builder.Build.
+// BenchmarkRMAT times seed to raw CSR for the web-graph family: the draws
+// (scale of them an edge), their decoding and Builder.Build. scale=18 is
+// the offline-rmat fixture's shape.
 func BenchmarkRMAT(b *testing.B) {
-	b.ReportAllocs()
-	for b.Loop() {
-		sink = RMAT(16, 8, 0.57, 0.19, 0.19, 42)
+	for _, scale := range []uint{16, 18} {
+		b.Run(fmt.Sprintf("scale=%d", scale), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				sink = RMAT(scale, 8, 0.57, 0.19, 0.19, 42)
+			}
+		})
 	}
 }
 

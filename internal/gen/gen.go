@@ -127,61 +127,6 @@ func BarabasiAlbert(n, k int, seed int64) *graph.Graph {
 	return b.MustBuild()
 }
 
-// RMAT returns an R-MAT graph with 2^scale vertices and approximately
-// edgeFactor * 2^scale undirected edges. Partition probabilities (a,b,c,d)
-// must sum to 1; the classic web-graph skew is (0.57, 0.19, 0.19, 0.05).
-// Duplicate and self-loop samples are dropped (not retried), so the final
-// edge count is slightly below the target — matching standard practice.
-// R-MAT yields extremely high-degree hubs, the shape of the paper's web
-// crawls where "pair coverage" approaches 1.
-func RMAT(scale uint, edgeFactor int, a, b, c float64, seed int64) *graph.Graph {
-	if scale > 30 {
-		panic(fmt.Sprintf("gen: RMAT scale=%d too large", scale))
-	}
-	d := 1.0 - a - b - c
-	if a < 0 || b < 0 || c < 0 || d < 0 {
-		panic(fmt.Sprintf("gen: RMAT probabilities (%v,%v,%v,%v) invalid", a, b, c, d))
-	}
-	n := 1 << scale
-	target := int64(edgeFactor) * int64(n)
-	src := rand.NewSource(seed).(rand.Source64)
-	bld := graph.NewBuilder(n)
-	bld.Reserve(int(target))
-	// A draw is rand.Rand.Float64's float64(Int63())/2^63, redrawn when it
-	// rounds to 1. Dividing by a power of two is exact, so comparing the
-	// numerator against thresholds scaled by 2^63 decides exactly as
-	// comparing the quotient against a, a+b and a+b+c did.
-	const one = 1 << 63
-	ta, tab, tabc := a*one, (a+b)*one, (a+b+c)*one
-	for i := int64(0); i < target; i++ {
-		u, v := 0, 0
-		for bit := 0; bit < int(scale); bit++ {
-			r := float64(src.Int63())
-			for r == one {
-				r = float64(src.Int63())
-			}
-			// Quadrants in threshold order: neither bit, v, u, both. The
-			// thresholds ascend, so u is set from a+b on and v between a
-			// and a+b and again from a+b+c on.
-			lt1, lt2, lt3 := b2i(r < ta), b2i(r < tab), b2i(r < tabc)
-			u |= (1 - lt2) << bit
-			v |= (lt2 - lt1 + 1 - lt3) << bit
-		}
-		bld.AddEdge(int32(u), int32(v)) // self-loops dropped by builder
-	}
-	return bld.MustBuild()
-}
-
-// b2i is 1 for true and 0 for false; the compiler makes it one flag-to-
-// register instruction, which is what keeps RMAT's inner loop free of
-// branches that depend on a random draw.
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // WattsStrogatz returns a small-world graph: a ring of n vertices each
 // connected to its k nearest neighbors on each side, with every edge
 // rewired with probability beta. k must satisfy 2k < n.

@@ -10,11 +10,12 @@ import (
 )
 
 // referenceRMAT is RMAT's draw loop as it was before it read the source
-// directly: one rand.Rand.Float64 per bit, a four-way switch on it. RMAT
-// must hand the Builder the same edges.
-func referenceRMAT(scale uint, edgeFactor int, a, b, c float64, seed int64) *graph.Graph {
+// directly: one rand.Rand.Float64 per bit, a four-way switch on it, one
+// edge after another. RMAT over the same source must hand the Builder the
+// same edges.
+func referenceRMAT(scale uint, edgeFactor int, a, b, c float64, src rand.Source) *graph.Graph {
 	n := 1 << scale
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(src)
 	bld := graph.NewBuilder(n)
 	for i := int64(0); i < int64(edgeFactor)*int64(n); i++ {
 		u, v := 0, 0
@@ -85,7 +86,7 @@ func graphBytes(t testing.TB, g *graph.Graph) []byte {
 func sameRMAT(t *testing.T, scale uint, edgeFactor int, a, b, c float64, seed int64) {
 	t.Helper()
 	got := RMAT(scale, edgeFactor, a, b, c, seed)
-	want := referenceRMAT(scale, edgeFactor, a, b, c, seed)
+	want := referenceRMAT(scale, edgeFactor, a, b, c, rand.NewSource(seed))
 	if !bytes.Equal(graphBytes(t, got), graphBytes(t, want)) {
 		t.Fatalf("RMAT(%d, %d, %v, %v, %v, %d) = %v, the rand.Rand loop gives %v: bytes differ", scale, edgeFactor, a, b, c, seed, got, want)
 	}

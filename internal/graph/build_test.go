@@ -189,6 +189,53 @@ func TestBuildMatchesReference(t *testing.T) {
 	}
 }
 
+// TestCanonicalizeSlack pins both ways canonicalize closes up rows that
+// shrank. A few repeated edges are closed up within Build's own array,
+// which keeps at most an eighth of its capacity as slack; an edge list
+// that lists both directions repeats every edge, and its rows move into an
+// array of exactly their size. Either way the bytes are the reference's.
+func TestCanonicalizeSlack(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	const n = 3000
+	var distinct [][2]int32
+	for u := int32(0); u < n; u++ {
+		for _, v := range rng.Perm(n)[:8] {
+			if u < int32(v) {
+				distinct = append(distinct, [2]int32{u, int32(v)})
+			}
+		}
+	}
+	fewRepeats := slices.Clone(distinct)
+	for _, e := range distinct[:len(distinct)/20] {
+		fewRepeats = append(fewRepeats, [2]int32{e[1], e[0]})
+	}
+	bothWays := slices.Clone(distinct)
+	for _, e := range distinct {
+		bothWays = append(bothWays, [2]int32{e[1], e[0]})
+	}
+	for _, tc := range []struct {
+		name    string
+		edges   [][2]int32
+		inPlace bool
+	}{{"few repeats", fewRepeats, true}, {"both directions", bothWays, false}} {
+		g := MustFromEdges(n, tc.edges)
+		_, targets := g.CSR()
+		if len(targets) != 2*len(distinct) {
+			t.Fatalf("%s: %d targets, want %d", tc.name, len(targets), 2*len(distinct))
+		}
+		if tc.inPlace && (cap(targets) != 2*len(tc.edges) || 8*(cap(targets)-len(targets)) > cap(targets)) {
+			t.Errorf("%s: targets has len %d, cap %d: not closed up within the %d slots Build filled, or more than an eighth slack", tc.name, len(targets), cap(targets), 2*len(tc.edges))
+		}
+		if !tc.inPlace && cap(targets) != len(targets) {
+			t.Errorf("%s: targets has len %d, cap %d: want an array of exactly its size", tc.name, len(targets), cap(targets))
+		}
+		want, _ := referenceBuild(n, tc.edges)
+		if !bytes.Equal(graphBytes(t, g), graphBytes(t, want)) {
+			t.Errorf("%s: built %v, reference %v: bytes differ", tc.name, g, want)
+		}
+	}
+}
+
 // TestBuildOutOfRangeMatchesReference: an endpoint outside [0,n) is the
 // same error from all three constructions, and of several such edges the
 // one named is the first in the order they were added.

@@ -18,9 +18,9 @@ type Builder struct {
 	edges []uint64 // packed (min<<32 | max)
 }
 
-// NewBuilder returns a Builder for a graph with n vertices. Edges to
-// vertices outside [0,n) grow n automatically if AutoGrow is used via
-// AddEdgeGrow; AddEdge rejects them at Build time.
+// NewBuilder returns a Builder for a graph with n vertices. An edge added
+// with AddEdgeGrow grows n to cover its endpoints; one added with AddEdge
+// that leaves [0,n) is reported by Build.
 func NewBuilder(n int) *Builder {
 	return &Builder{n: n}
 }
@@ -52,6 +52,19 @@ func (b *Builder) AddEdge(u, v int32) {
 		u, v = v, u
 	}
 	b.edges = append(b.edges, uint64(uint32(u))<<32|uint64(uint32(v)))
+}
+
+// AppendPacked lets a caller that produces edges in bulk write them
+// straight into the edge buffer: fill gets m free slots at its end, stores
+// each edge {u,v}, u < v, as uint64(u)<<32|uint64(v) in a prefix of them
+// and returns how long that prefix is. The edges then count as if AddEdge
+// had added them in that order. A self-loop or an edge with u > v is not
+// an edge fill may store; that is the caller's invariant and is not
+// checked here.
+func (b *Builder) AppendPacked(m int, fill func(slots []uint64) int) {
+	b.Reserve(m)
+	n := len(b.edges)
+	b.edges = b.edges[:n+fill(b.edges[n:n+max(m, 0)])]
 }
 
 // AddEdgeGrow records {u,v} and grows the vertex count to cover both

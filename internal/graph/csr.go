@@ -22,7 +22,8 @@ const parallelSlots = 1 << 17
 // targets[offsets[v]:offsets[v+1]], every entry in [0,n), in any order,
 // possibly naming v itself or a neighbour twice — and returns the
 // canonical graph: rows sorted ascending, self-loops and duplicates gone,
-// arrays exactly as long as what is left. A row that arrives ascending
+// arrays exactly as long as what is left (targets may keep up to an eighth
+// of its capacity as slack behind its end). A row that arrives ascending
 // (all of Build's, all of an ascending keep's) is only checked and, where
 // it repeats a neighbour, closed up; any other row is sorted first. Rows
 // are independent, so the row pass is split over GOMAXPROCS goroutines;
@@ -37,13 +38,22 @@ func canonicalize(offsets []int64, targets []int32) *Graph {
 		}
 		freed.Add(int64(f))
 	})
-	if freed.Load() == 0 {
+	f := freed.Load()
+	if f == 0 {
 		return &Graph{offsets: offsets, targets: targets}
 	}
 	// Some rows shrank and marked their freed tail with -1: move the live
-	// prefixes into an array of exactly the final size, so a long-lived
-	// graph does not carry the duplicates' share of the raw array.
-	packed := make([]int32, int64(len(targets))-freed.Load())
+	// prefixes together. Where that frees fewer than an eighth of the slots
+	// (R-MAT repeats about 6 % of the edges it draws) they move within the raw
+	// array and the slack stays behind its end, which saves allocating and
+	// faulting in a second array of nearly the same size. Where it frees
+	// more (an edge list that lists both directions frees half) they move
+	// into an array of exactly the final size, so a long-lived graph does
+	// not carry the repeats' share of the raw array.
+	packed := targets[:int64(len(targets))-f]
+	if 8*f >= int64(len(targets)) {
+		packed = make([]int32, len(packed))
+	}
 	p := int64(0)
 	for v := 0; v < n; v++ {
 		row := targets[offsets[v]:offsets[v+1]]
