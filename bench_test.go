@@ -9,14 +9,12 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"testing"
 
 	"highway"
 	"highway/internal/bfs"
 	"highway/internal/datasets"
-	"highway/internal/gen"
 	"highway/internal/workload"
 )
 
@@ -211,10 +209,8 @@ func BenchmarkIndexWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexLoad measures deserialization per format: v2's bulk
-// section reads on the benchmark graph, and v1's element-at-a-time stream
-// on the committed 300-vertex fixture (there is no v1 writer to make a
-// larger file; compare the legs by MB/s, not ns/op).
+// BenchmarkIndexLoad measures deserialization of the benchmark graph's
+// index: bulk section reads (compare by MB/s).
 func BenchmarkIndexLoad(b *testing.B) {
 	g, lm, _ := fixtures(b)
 	ix, err := buildHL(g, lm)
@@ -225,23 +221,11 @@ func BenchmarkIndexLoad(b *testing.B) {
 	if err := highway.WriteIndex(ix, &buf); err != nil {
 		b.Fatal(err)
 	}
-	v1, err := os.ReadFile("internal/core/testdata/path300.hl1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, leg := range []struct {
-		name string
-		raw  []byte
-		g    *highway.Graph
-	}{{"v1", v1, gen.Path(300)}, {"v2", buf.Bytes(), g}} {
-		b.Run(leg.name, func(b *testing.B) {
-			b.SetBytes(int64(len(leg.raw)))
-			for i := 0; i < b.N; i++ {
-				if _, err := highway.ReadIndex(bytes.NewReader(leg.raw), leg.g); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.SetBytes(int64(buf.Len()))
+	for i := 0; i < b.N; i++ {
+		if _, err := highway.ReadIndex(bytes.NewReader(buf.Bytes()), g); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

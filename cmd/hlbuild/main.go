@@ -6,20 +6,20 @@
 //	hlbuild -graph web.hwg -k 20 -out web.idx
 //	hlbuild -graph edges.txt -k 40 -strategy degree -workers 8 -verify 1000
 //	hlbuild -graph web.hwg -k 20 -progress           (log per-landmark BFS completion)
-//	hlbuild migrate -graph web.hwg -in old.idx -out web.idx   (v1, or v2 with 64-bit offsets → v2)
+//	hlbuild migrate -graph web.hwg -in old.idx -out web.idx   (an index file of a retired layout)
 //	hlbuild migrate -in old.hwg -out web.hwg                  (a graph file, or a <wal>.snap checkpoint)
 //
 // After a build, hlbuild reports wall time, worker count and how the
 // traversal expanded its levels (pushed top-down vs pulled bottom-up, and
 // the edges scanned each way); the build chooses per level by itself.
 //
-// Index files are written in format v2 (checksummed sections). The
-// migrate subcommand rewrites a legacy v1 file, or a v2 file from before
-// the label offsets shrank to sections 7 and 8 (`hlquery -stats` says
-// "64-bit offsets"), both of which stay readable but are no longer
-// written, as today's v2, verifying it against its graph on the way; and
-// a graph file or checkpoint of a layout no server reads any more, told
-// apart by its first bytes, with no -graph.
+// Index files are written in format v2 (checksummed sections), and a
+// server reads no other layout. The migrate subcommand rewrites what it
+// refuses as today's file: an index file of a retired layout (v1, v2 with
+// 64-bit offsets, v2 without the graph's fingerprint), accepted only if it
+// holds exactly what a fresh build of its landmarks on -graph holds, which
+// costs one build; and a graph file or checkpoint of a layout no server
+// reads any more, told apart by its first bytes, with no -graph.
 package main
 
 import (
@@ -123,13 +123,13 @@ func run(args []string) error {
 	return nil
 }
 
-// runMigrate rewrites an index file (v1, or v2 of any age) as today's v2,
-// and a legacy graph file or snapshot, told by its first bytes, as today's.
+// runMigrate rewrites an index file of any layout as today's, and a legacy
+// graph file or snapshot, told by its first bytes, as today's.
 func runMigrate(args []string) error {
 	fs := flag.NewFlagSet("hlbuild migrate", flag.ContinueOnError)
 	var (
 		graphPath = fs.String("graph", "", "graph the index was built on (required for an index file)")
-		in        = fs.String("in", "", "file to migrate: an index file (v1, or v2 with 64-bit offsets), or a legacy graph file or <wal>.snap snapshot (required)")
+		in        = fs.String("in", "", "file to migrate: an index file of any layout, or a legacy graph file or <wal>.snap snapshot (required)")
 		out       = fs.String("out", "", "output path (default: input path + .v2)")
 		verify    = fs.Int("verify", 100, "cross-check this many random pairs against BFS before writing an index or snapshot (0 = skip)")
 	)
@@ -167,11 +167,15 @@ func runMigrate(args []string) error {
 		if *graphPath == "" {
 			return fmt.Errorf("migrate: -graph is required for an index file")
 		}
-		var from highway.IndexFormat
-		if g, err = loadGraph(*graphPath); err == nil {
-			ix, from, err = highway.LoadIndexFormat(*in, g)
+		if g, err = loadGraph(*graphPath); err != nil {
+			break
 		}
-		kind = "format " + from.String()
+		if kind = legacy.IndexLayout(br); kind != "" {
+			ix, err = legacy.ReadIndex(br, g)
+		} else {
+			kind = "format v2"
+			ix, err = highway.ReadIndex(br, g)
+		}
 	}
 	if err != nil {
 		return err

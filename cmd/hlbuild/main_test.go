@@ -102,19 +102,18 @@ func TestRunMigrate(t *testing.T) {
 	if err := run([]string{"migrate", "-graph", gp, "-in", old}); err != nil {
 		t.Fatal(err)
 	}
-	ix2, f, err := highway.LoadIndexFormat(old+".v2", g)
+	ix2, err := highway.LoadIndex(old+".v2", g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f != highway.IndexFormatV2 {
-		t.Fatalf("migrated file is %v, want v2", f)
-	}
-	ix1, f, err := highway.LoadIndexFormat(old, g)
-	if err != nil || f != highway.IndexFormatV1 {
-		t.Fatalf("input: format %v err %v, want an intact v1 file", f, err)
-	}
-	if ix1.NumEntries() != ix2.NumEntries() || ix1.NumLandmarks() != ix2.NumLandmarks() || ix2.Distance(5, 295) != 290 {
+	if ix2.NumLandmarks() != 1 || ix2.Distance(5, 295) != 290 {
 		t.Fatal("migration changed the index")
+	}
+	if in, err := os.ReadFile(old); err != nil || !bytes.Equal(in, raw) {
+		t.Fatalf("input: %v, want the v1 file intact", err)
+	}
+	if _, err := highway.LoadIndex(old, g); err == nil || !strings.Contains(err.Error(), "hlbuild migrate") {
+		t.Fatalf("v1 file loaded: %v, want the line naming hlbuild migrate", err)
 	}
 	// A fresh build of the same landmark writes the same bytes: the
 	// migrated file is a first-class v2 file.
@@ -126,6 +125,21 @@ func TestRunMigrate(t *testing.T) {
 	b, _ := os.ReadFile(fresh)
 	if len(a) == 0 || !bytes.Equal(a, b) {
 		t.Fatal("migrated v1 file differs from a fresh v2 build")
+	}
+	// The other v1 fixture migrates to the golden file of the same index.
+	figGraph := filepath.Join(t.TempDir(), "fig2.hwg")
+	if err := highway.SaveGraph(gen.PaperFigure2(), figGraph); err != nil {
+		t.Fatal(err)
+	}
+	testdata := filepath.Join("..", "..", "internal", "core", "testdata")
+	out := filepath.Join(t.TempDir(), "tiny.idx")
+	if err := run([]string{"migrate", "-graph", figGraph, "-in", filepath.Join(testdata, "tiny.hl1"), "-out", out}); err != nil {
+		t.Fatal(err)
+	}
+	a, _ = os.ReadFile(out)
+	b, _ = os.ReadFile(filepath.Join(testdata, "tiny.hl2"))
+	if len(a) == 0 || !bytes.Equal(a, b) {
+		t.Fatal("tiny.hl1 migrated differs from tiny.hl2")
 	}
 }
 
@@ -166,6 +180,63 @@ func TestRunMigrateLegacyV2(t *testing.T) {
 		if len(got) >= len(in) {
 			t.Fatalf("%s: %d bytes migrated to %d, want fewer", c.in, len(in), len(got))
 		}
+	}
+}
+
+// TestRunMigratePreSection11: an index file as every writer from sections
+// 7 and 8 until section 11 framed it — today's sections without the
+// graph's fingerprint, held to its graph by n alone — no longer loads, and
+// migrates to exactly the file a build writes today, but only beside its
+// own graph: beside another of the same n and m it fails and writes
+// nothing.
+func TestRunMigratePreSection11(t *testing.T) {
+	dir := t.TempDir()
+	gp := writeGraph(t)
+	g, err := highway.LoadGraph(gp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := core.Build(g, g.DegreeOrder()[:8])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old, want bytes.Buffer
+	h, sections := ix.Sections()
+	if err := container.WriteContainer(&old, h, sections); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Write(&want); err != nil {
+		t.Fatal(err)
+	}
+	in := filepath.Join(dir, "old.idx")
+	if err := os.WriteFile(in, old.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := highway.LoadIndex(in, g); err == nil || !strings.Contains(err.Error(), "hlbuild migrate") || strings.Contains(err.Error(), "\n") {
+		t.Fatalf("pre-section-11 file loaded: %v, want one line naming hlbuild migrate", err)
+	}
+	out := filepath.Join(dir, "new.idx")
+	if err := run([]string{"migrate", "-graph", gp, "-in", in, "-out", out}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("migrated to %d bytes (%v), not the %d Write gives", len(got), err, want.Len())
+	}
+
+	other := highway.BarabasiAlbert(400, 3, 6)
+	if other.NumVertices() != g.NumVertices() || other.NumEdges() != g.NumEdges() {
+		t.Fatalf("premise: %v and %v", other, g)
+	}
+	otherPath := filepath.Join(dir, "other.hwg")
+	if err := highway.SaveGraph(other, otherPath); err != nil {
+		t.Fatal(err)
+	}
+	wrong := filepath.Join(dir, "wrong.idx")
+	if err := run([]string{"migrate", "-graph", otherPath, "-in", in, "-out", wrong, "-verify", "0"}); err == nil {
+		t.Fatal("migrated beside another graph of the same n and m")
+	}
+	if left, _ := filepath.Glob(wrong + "*"); len(left) != 0 {
+		t.Fatalf("refused migration left %v behind", left)
 	}
 }
 

@@ -14,20 +14,17 @@ package main
 import (
 	"bufio"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"os/signal"
-	"slices"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"highway"
-	"highway/internal/container"
 )
 
 func main() {
@@ -45,7 +42,7 @@ func run(args []string) error {
 		s         = fs.Int("s", -1, "one-shot: source vertex")
 		t         = fs.Int("t", -1, "one-shot: target vertex")
 		serve     = fs.String("serve", "", "HTTP listen address (e.g. :8080)")
-		stats     = fs.Bool("stats", false, "print index format and statistics, then exit")
+		stats     = fs.Bool("stats", false, "print index statistics, then exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -74,13 +71,7 @@ func run(args []string) error {
 		// searchers offer (vectorized batch, source-to-many) — the same
 		// probe the serving layer uses.
 		fmt.Printf("capabilities: %s\n", highway.IndexCapabilities(ix))
-		// Which layout (hlbuild migrate rewrites the older ones), and the
-		// real footprint.
-		format, err := indexFileFormat(ip)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("format: %s\nmemory: %d bytes\n", format, ix.ActualBytes())
+		fmt.Printf("memory: %d bytes\n", ix.ActualBytes())
 		return nil
 	case *s >= 0 && *t >= 0:
 		if err := checkVertex(g, *s); err != nil {
@@ -95,27 +86,6 @@ func run(args []string) error {
 	default:
 		return repl(ix, g)
 	}
-}
-
-// indexFileFormat names the index file's format from its magic and, for
-// v2, its section table, which LoadIndex has validated already.
-func indexFileFormat(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	_, rows, err := container.ReadTable(f)
-	if errors.Is(err, container.ErrV1) {
-		return highway.IndexFormatV1.String(), nil
-	}
-	if err != nil {
-		return "", fmt.Errorf("%s: %w", path, err)
-	}
-	if slices.ContainsFunc(rows, func(r container.Row) bool { return r.ID == 3 }) { // labelOff [n+1]uint64, now sections 7 and 8
-		return "v2, 64-bit offsets: rewrite with `hlbuild migrate`", nil
-	}
-	return highway.IndexFormatV2.String(), nil
 }
 
 // checkVertex validates an int vertex id before it is narrowed to

@@ -49,42 +49,27 @@ func TestOneShot(t *testing.T) {
 	}
 }
 
-// TestStatsAndV1Index: -stats works, and a legacy v1 index file (the
-// committed fixture: nothing writes v1 any more) is served transparently
-// by the same command.
+// TestStatsAndV1Index: -stats works on a saved index, and on each
+// committed file of a retired layout — both v1 files and the one with its
+// offsets in section 3 — it fails with one line naming hlbuild migrate, as
+// every other mode does.
 func TestStatsAndV1Index(t *testing.T) {
 	gp, ip, _ := fixture(t)
 	if err := run([]string{"-graph", gp, "-index", ip, "-stats"}); err != nil {
 		t.Fatal(err)
 	}
-	pathGraph := filepath.Join(t.TempDir(), "path300.hwg")
-	if err := highway.SaveGraph(gen.Path(300), pathGraph); err != nil {
-		t.Fatal(err)
-	}
-	v1 := filepath.Join("..", "..", "internal", "core", "testdata", "path300.hl1")
-	if f, err := indexFileFormat(v1); err != nil || f != "v1" {
-		t.Fatalf("indexFileFormat(v1 fixture) = %v, %v", f, err)
-	}
-	if f, err := indexFileFormat(ip); err != nil || f != "v2" {
-		t.Fatalf("indexFileFormat(saved index) = %v, %v", f, err)
-	}
-	// The v2 file of the last commit to write the offsets in section 3.
-	old := filepath.Join("..", "..", "internal", "core", "testdata", "tiny_off64.hl2")
-	if f, err := indexFileFormat(old); err != nil || !strings.Contains(f, "64-bit offsets") || !strings.Contains(f, "hlbuild migrate") {
-		t.Fatalf("indexFileFormat(section-3 fixture) = %v, %v", f, err)
-	}
-	figGraph := filepath.Join(t.TempDir(), "fig2.hwg")
-	if err := highway.SaveGraph(gen.PaperFigure2(), figGraph); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-graph", figGraph, "-index", old, "-stats"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-graph", pathGraph, "-index", v1, "-s", "1", "-t", "250"}); err != nil {
-		t.Fatalf("v1 index rejected: %v", err)
-	}
-	if err := run([]string{"-graph", pathGraph, "-index", v1, "-stats"}); err != nil {
-		t.Fatal(err)
+	testdata := filepath.Join("..", "..", "internal", "core", "testdata")
+	for name, g := range map[string]*highway.Graph{"tiny.hl1": gen.PaperFigure2(), "path300.hl1": gen.Path(300), "tiny_off64.hl2": gen.PaperFigure2()} {
+		graphPath := filepath.Join(t.TempDir(), "g.hwg")
+		if err := highway.SaveGraph(g, graphPath); err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range [][]string{{"-stats"}, {"-s", "1", "-t", "2"}} {
+			err := run(append([]string{"-graph", graphPath, "-index", filepath.Join(testdata, name)}, mode...))
+			if err == nil || !strings.Contains(err.Error(), "hlbuild migrate") || strings.Contains(err.Error(), "\n") {
+				t.Fatalf("%s %v: %v, want one line naming hlbuild migrate", name, mode, err)
+			}
+		}
 	}
 }
 

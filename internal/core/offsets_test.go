@@ -47,19 +47,17 @@ func TestOffsetsBlocks(t *testing.T) {
 	}
 }
 
-// roundTrips saves ix in both offset layouts and checks that each loads as
-// ix and writes ix's file again.
+// roundTrips saves ix and checks that the file loads as ix and writes ix's
+// file again.
 func roundTrips(t *testing.T, g *graph.Graph, ix *Index) {
 	t.Helper()
 	file := v2Bytes(t, ix)
-	for layout, raw := range map[string][]byte{"sections 7 and 8": file, "section 3": legacyV2Bytes(t, ix)} {
-		got, err := Read(bytes.NewReader(raw), g)
-		if err != nil {
-			t.Fatalf("%s: %v", layout, err)
-		}
-		if !indexesIdentical(ix, got) || !bytes.Equal(v2Bytes(t, got), file) {
-			t.Fatalf("%s: loaded a different index", layout)
-		}
+	got, err := Read(bytes.NewReader(file), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !indexesIdentical(ix, got) || !bytes.Equal(v2Bytes(t, got), file) {
+		t.Fatal("loaded a different index")
 	}
 }
 

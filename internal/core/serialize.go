@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -17,85 +16,51 @@ import (
 	"highway/internal/graph"
 )
 
-// Format identifies an on-disk index layout version.
+// Format names an index file layout. FormatV2 is the only one; the type,
+// WriteFormat, SaveAs and LoadFormat are kept for benchmark/ until ROADMAP
+// item 1(c) renames its calls to Write, Save and Load.
 type Format int
 
-const (
-	// FormatV1 is the original streaming layout ("HWLIDX01"): header,
-	// landmarks, highway, offsets, 8-bit labels, overflow records, all
-	// concatenated with no checksums. Read-only: every v1 file keeps
-	// loading, none is written (`hlbuild migrate` rewrites one as v2).
-	FormatV1 Format = 1
-	// FormatV2 is the "HWLIDX02" section container of internal/container
-	// (checksummed header and sections, unknown section ids skipped on
-	// read) carrying the eight sections below. The only format written.
-	FormatV2 Format = 2
-)
+// FormatV2 is the "HWLIDX02" section container of internal/container
+// carrying the sections below: the one layout written and read. Kept for
+// benchmark/ until ROADMAP item 1(c) renames its calls.
+const FormatV2 Format = 2
 
-func (f Format) String() string {
-	switch f {
-	case FormatV1:
-		return "v1"
-	case FormatV2:
-		return "v2"
-	default:
-		return fmt.Sprintf("Format(%d)", int(f))
-	}
-}
-
-// Index binary format v1 (little-endian, "HWLIDX01"):
-//
-//	magic     [8]byte "HWLIDX01"
-//	n         uint64
-//	k         uint32
-//	landmarks [k]uint32
-//	highway   [k*k]int32      (-1 = Infinity)
-//	labelOff  [n+1]uint64
-//	labelRank [entries]uint8
-//	labelDist [entries]uint8  (0xFF = see overflow)
-//	nOverflow uint32
-//	overflow  nOverflow × (vertex uint32, rank uint8, dist uint32), CSR order
-//
-// Format v2 is an HWLIDX02 container (layout: see
+// An index file is an HWLIDX02 container (layout: see
 // internal/container/container.go) whose header carries n, k, Aux1 =
-// entries and Aux2 = nOverflow, with these sections (same element
-// encodings as v1):
+// entries and Aux2 = nOverflow, with these sections (little-endian):
 //
 //	1  landmarks  [k]uint32
-//	2  highway    [k*k]int32
+//	2  highway    [k*k]int32           (-1 = Infinity)
 //	7  labelBase  [⌈(n+1)/256⌉]uint64  labelOff of every 256th vertex
 //	8  labelRel   [n+1]uint16          labelOff[v] - labelBase[v/256]
 //	4  labelRank  [entries]uint8
-//	5  labelDist  [entries]uint8
-//	6  overflow   nOverflow × (vertex uint32, rank uint8, dist uint32)
+//	5  labelDist  [entries]uint8       (0xFF = see overflow)
+//	6  overflow   nOverflow × (vertex uint32, rank uint8, dist uint32), CSR order
 //	11 graph      uint32               the graph's Fingerprint
 //
 // Every section's exact length follows from the header, so the reader
 // bounds each allocation before making it.
 //
-// Files written before sections 7 and 8 existed carry the offsets as v1
-// does, in section 3 (labelOff [n+1]uint64). Like v1 they are read, never
-// written: the reader converts either to base + rel once, and `hlbuild
-// migrate` rewrites the file.
-//
 // Sections 7, 8, 4 and 5 are Index.labelOff, labelRank and labelDist:
-// WriteFormat hands the four arrays to the container as they are, and a
-// reader, once adoptLabels has checked them, keeps the buffers it read them
-// into. Only the small sections are translated: the landmarks and highway
+// Write hands the four arrays to the container as they are, and a reader,
+// once adoptLabels has checked them, keeps the buffers it read them into.
+// Only the small sections are translated: the landmarks and highway
 // between their integer types and little-endian bytes, and the overflow
 // table — empty on every complex network — between its records and
 // section 6's 9-byte rows.
 //
 // An index is meaningful only beside the graph it was built on: section 11
-// names that graph (graph.Fingerprint), and Read refuses the file beside
-// any other; a file from before section 11 is held to the vertex count. A
-// snapshot holds the graph itself, with sections 1–8 in one container.
-var indexMagicV1 = [8]byte{'H', 'W', 'L', 'I', 'D', 'X', '0', '1'}
-
+// names that graph (graph.Fingerprint), and Read refuses a file that lacks
+// it or names another. A snapshot holds the graph itself, with sections 1,
+// 2 and 4–8 in one container and no section 11.
+//
+// This is the one layout read. The older ones — v1 "HWLIDX01", v2 with the
+// offsets as uint64 in section 3, v2 without section 11 — are refused with
+// one line naming `hlbuild migrate`, which reads them (internal/legacy).
 const (
 	sectLandmarks uint32 = 1
 	sectHighway   uint32 = 2
-	sectLabelOff  uint32 = 3 // read-only, see above
 	sectLabelRank uint32 = 4
 	sectLabelDist uint32 = 5
 	sectOverflow  uint32 = 6
@@ -104,23 +69,25 @@ const (
 	sectGraph     uint32 = 11
 )
 
-// Write serializes the index (without the graph) in format v2.
+// Write serializes the index (without the graph) as an index file. Output
+// is deterministic: the same index always produces identical bytes, which
+// the golden-file test pins down.
 func (ix *Index) Write(w io.Writer) error { return ix.WriteFormat(w, FormatV2) }
 
-// WriteFormat serializes the index; FormatV2 is the only format written
-// (v1 is read-only). Output is deterministic: the same index always
-// produces identical bytes, which the golden-file test pins down.
+// WriteFormat is Write, refusing any f but FormatV2. Kept for benchmark/
+// until ROADMAP item 1(c) renames its calls.
 func (ix *Index) WriteFormat(w io.Writer, f Format) error {
 	if f != FormatV2 {
-		return fmt.Errorf("core: cannot write format %v: only v2 is written", f)
+		return fmt.Errorf("core: cannot write format %d: only v2 is written", int(f))
 	}
 	h, sections := ix.Sections()
 	fp := binary.LittleEndian.AppendUint32(nil, ix.g.Fingerprint())
 	return container.WriteContainer(w, h, append(sections, container.Section{ID: sectGraph, Payload: fp}))
 }
 
-// Sections returns the container header and sections 1–8 of ix: an index
-// file is these and section 11, a snapshot these beside the graph's.
+// Sections returns the container header and sections 1, 2 and 4–8 of ix:
+// an index file is these and section 11, a snapshot these beside the
+// graph's.
 func (ix *Index) Sections() (container.Header, []container.Section) {
 	over := make([]byte, 0, 9*len(ix.overflow))
 	for _, o := range ix.overflow {
@@ -142,27 +109,29 @@ func (ix *Index) Sections() (container.Header, []container.Section) {
 	}
 }
 
-// Read deserializes an index written in either format (the magic selects
-// the decoder) and attaches it to g, which must be the graph the index
-// was built on: its fingerprint is checked where the file records one (see
-// above), and its vertex count always.
+// Read deserializes an index file and attaches it to g, which must be the
+// graph the index was built on: the fingerprint in section 11 is checked.
 func Read(r io.Reader, g *graph.Graph) (*Index, error) {
-	ix, _, err := ReadFormat(r, g)
-	return ix, err
-}
-
-// ReadFormat is Read, also reporting which format the stream was in.
-func ReadFormat(r io.Reader, g *graph.Graph) (*Index, Format, error) {
-	// Same size as container.ReadContainer's reader, which therefore
-	// reuses this one and the peeked magic is not lost.
-	br := bufio.NewReaderSize(r, 64<<10)
-	if magic, _ := br.Peek(len(indexMagicV1)); bytes.Equal(magic, indexMagicV1[:]) {
-		br.Discard(len(indexMagicV1)) // cannot fail: those bytes were just peeked
-		ix, err := readV1(br, g)
-		return ix, FormatV1, err
+	h, sec, err := container.ReadContainer(r, true, func(h container.Header) (map[uint32]uint64, error) {
+		if h.N != uint64(g.NumVertices()) {
+			return nil, fmt.Errorf("core: index built for n=%d, graph has n=%d", h.N, g.NumVertices())
+		}
+		return Bounds(h)
+	})
+	if err != nil {
+		return nil, err
 	}
-	ix, err := readV2(br, g)
-	return ix, FormatV2, err
+	// Every file from before section 11, section-3 files among them, lacks
+	// it; so does one whose section 11 id, which no checksum covers, was
+	// corrupted.
+	fp := sec[sectGraph].Payload
+	if fp == nil {
+		return nil, fmt.Errorf("core: index file has no section %d (the graph's fingerprint): a layout from before it, rewrite the file with `hlbuild migrate -graph G -in FILE`", sectGraph)
+	}
+	if want := binary.LittleEndian.AppendUint32(nil, g.Fingerprint()); !bytes.Equal(fp, want) {
+		return nil, fmt.Errorf("core: index was built on another graph of %d vertices (graph fingerprint %x, this graph's %x)", h.N, fp, want)
+	}
+	return FromSections(h, sec, g)
 }
 
 func (ix *Index) setLandmark(rank int, v int32) error {
@@ -178,25 +147,6 @@ func (ix *Index) setLandmark(rank int, v int32) error {
 	return nil
 }
 
-// legacyOffsets converts the n+1 uint64 offsets of a v1 file or of a v2
-// file's section 3 to ix.labelOff, rejecting a label of more than k entries
-// (a descending pair wraps to one).
-func (ix *Index) legacyOffsets(buf []byte, k uint32) error {
-	if binary.LittleEndian.Uint64(buf) != 0 {
-		return fmt.Errorf("core: label offsets do not start at 0")
-	}
-	sizes := make([]uint8, ix.g.NumVertices())
-	for v := range sizes {
-		size := binary.LittleEndian.Uint64(buf[v*8+8:]) - binary.LittleEndian.Uint64(buf[v*8:])
-		if size > uint64(k) {
-			return fmt.Errorf("core: label offsets not monotone or label of %d entries at vertex %d, k=%d", size, v, k)
-		}
-		sizes[v] = uint8(size)
-	}
-	ix.labelOff, _ = newOffsets(sizes)
-	return nil
-}
-
 // adoptLabels makes the offsets already in ix.labelOff, the two label
 // sections of a file and its overflow records the index's label storage,
 // after the checks that make them safe to query. The offsets start at 0,
@@ -204,10 +154,9 @@ func (ix *Index) legacyOffsets(buf []byte, k uint32) error {
 // and end at the length of the label sections; the ranks of every label
 // ascend strictly and stay below k, which the merge in UpperBound stands on;
 // and the escaped entries and the records pair up one to one. Our
-// writers emit records in CSR order, but any order is accepted (the original
-// v1 reader was order-agnostic, and "v1 stays readable" includes third-party
-// writers); a record for a non-escaped entry, an escaped entry without a
-// record and two records for one entry are corruption and rejected.
+// writers emit records in CSR order, but any order is accepted; a record
+// for a non-escaped entry, an escaped entry without a record and two
+// records for one entry are corruption and rejected.
 func (ix *Index) adoptLabels(rank8, dist8 []uint8, k uint32, over []overflowRec) error {
 	// The offsets, block by block. Every label's ranks ascend when the only
 	// ranks at or below the one before them are first in their label: the
@@ -309,69 +258,7 @@ func parseOverflowRecs(buf []byte, n uint64, k uint32) ([]overflowRec, error) {
 	return recs, nil
 }
 
-// readV1 reads a v1 stream — n and k, the arrays of sections 1 to 5, the
-// overflow count and section 6 — as those sections, each bounded by the
-// header read before it, and decodes them as v2's.
-func readV1(br *bufio.Reader, g *graph.Graph) (*Index, error) {
-	var head struct {
-		N uint64
-		K uint32
-	}
-	if err := binary.Read(br, binary.LittleEndian, &head); err != nil {
-		return nil, err
-	}
-	if head.N != uint64(g.NumVertices()) {
-		return nil, fmt.Errorf("core: index built for n=%d, graph has n=%d", head.N, g.NumVertices())
-	}
-	h := container.Header{N: head.N, K: head.K}
-	sec := map[uint32]container.Section{}
-	for _, id := range []uint32{sectLandmarks, sectHighway, sectLabelOff, sectLabelRank, sectLabelDist, sectOverflow} {
-		switch id {
-		case sectLabelRank: // the entry count is where the offsets end
-			h.Aux1 = binary.LittleEndian.Uint64(sec[sectLabelOff].Payload[h.N*8:])
-		case sectOverflow:
-			var nOver uint32
-			if err := binary.Read(br, binary.LittleEndian, &nOver); err != nil {
-				return nil, err
-			}
-			h.Aux2 = uint64(nOver)
-		}
-		want, err := Bounds(h)
-		if err != nil {
-			return nil, err
-		}
-		sec[id] = container.Section{ID: id, Payload: make([]byte, want[id])}
-		if _, err := io.ReadFull(br, sec[id].Payload); err != nil {
-			return nil, err
-		}
-	}
-	return FromSections(h, sec, g)
-}
-
-// readV2 decodes an HWLIDX02 container beside g, whose vertex count
-// vouches for every section's length.
-func readV2(br *bufio.Reader, g *graph.Graph) (*Index, error) {
-	h, sec, err := container.ReadContainer(br, true, func(h container.Header) (map[uint32]uint64, error) {
-		if h.N != uint64(g.NumVertices()) {
-			return nil, fmt.Errorf("core: index built for n=%d, graph has n=%d", h.N, g.NumVertices())
-		}
-		return Bounds(h)
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Only files from before section 11 lack it, and no writer of those
-	// wrote a section this reader skips: a skipped one is section 11 whose
-	// id, which no checksum covers, was corrupted.
-	for id, s := range sec {
-		if _, bound := sec[sectGraph]; !bound && s.Payload == nil {
-			return nil, fmt.Errorf("core: section %d unknown and section %d (the graph's fingerprint) missing", id, sectGraph)
-		}
-	}
-	return FromSections(h, sec, g)
-}
-
-// Bounds returns the exact length of each of sections 1–8 and 11 under
+// Bounds returns the exact length of each of sections 1, 2, 4–8 and 11 under
 // header h, after the checks that need only h.
 func Bounds(h container.Header) (map[uint32]uint64, error) {
 	n, k, entries, nOver := h.N, h.K, h.Aux1, h.Aux2
@@ -386,7 +273,6 @@ func Bounds(h container.Header) (map[uint32]uint64, error) {
 	return map[uint32]uint64{
 		sectLandmarks: uint64(k) * 4,
 		sectHighway:   uint64(k) * uint64(k) * 4,
-		sectLabelOff:  (n + 1) * 8,
 		sectLabelRank: entries,
 		sectLabelDist: entries,
 		sectOverflow:  nOver * 9,
@@ -406,21 +292,11 @@ func FromSections(h container.Header, sec map[uint32]container.Section, g *graph
 	if h.N != uint64(g.NumVertices()) {
 		return nil, fmt.Errorf("core: index built for n=%d, graph has n=%d", h.N, g.NumVertices())
 	}
-	ids := []uint32{sectLandmarks, sectHighway, sectLabelBase, sectLabelRel, sectLabelRank, sectLabelDist, sectOverflow}
-	legacy, isLegacy := sec[sectLabelOff]
-	if isLegacy {
-		ids = []uint32{sectLandmarks, sectHighway, sectLabelOff, sectLabelRank, sectLabelDist, sectOverflow}
-	}
-	for _, id := range ids {
+	for _, id := range []uint32{sectLandmarks, sectHighway, sectLabelBase, sectLabelRel, sectLabelRank, sectLabelDist, sectOverflow} {
 		if s, ok := sec[id]; !ok {
 			return nil, fmt.Errorf("core: required section %d missing", id)
 		} else if uint64(len(s.Payload)) != want[id] {
 			return nil, fmt.Errorf("core: section %d has length %d, want %d", id, len(s.Payload), want[id])
-		}
-	}
-	if fp, ok := sec[sectGraph]; ok {
-		if want := binary.LittleEndian.AppendUint32(nil, g.Fingerprint()); !bytes.Equal(fp.Payload, want) {
-			return nil, fmt.Errorf("core: index was built on another graph of %d vertices (graph fingerprint %x, this graph's %x)", h.N, fp.Payload, want)
 		}
 	}
 	// The label arrays are the buffers the sections were read into.
@@ -434,11 +310,7 @@ func FromSections(h container.Header, sec map[uint32]container.Section, g *graph
 		}
 	}
 	binary.Decode(sec[sectHighway].Payload, binary.LittleEndian, ix.highway) // cannot fail: the length is checked
-	if !isLegacy {
-		ix.labelOff = offsets{base: sec[sectLabelBase].Payload, rel: sec[sectLabelRel].Payload}
-	} else if err := ix.legacyOffsets(legacy.Payload, h.K); err != nil {
-		return nil, err
-	}
+	ix.labelOff = offsets{base: sec[sectLabelBase].Payload, rel: sec[sectLabelRel].Payload}
 	over, err := parseOverflowRecs(sec[sectOverflow].Payload, h.N, h.K)
 	if err != nil {
 		return nil, err
@@ -449,29 +321,30 @@ func FromSections(h container.Header, sec map[uint32]container.Section, g *graph
 	return ix, nil
 }
 
-// Save writes the index to a file in format v2.
+// Save writes the index to a file.
 func (ix *Index) Save(path string) error { return ix.SaveAs(path, FormatV2) }
 
-// SaveAs is Save with the format spelled out; see WriteFormat.
+// SaveAs is Save, refusing any f but FormatV2. Kept for benchmark/ until
+// ROADMAP item 1(c) renames its calls.
 func (ix *Index) SaveAs(path string, f Format) error {
 	return container.SaveFile(path, false, func(w io.Writer) error { return ix.WriteFormat(w, f) })
 }
 
-// Load reads an index file in either format and attaches it to g.
+// Load reads an index file and attaches it to g; see Read.
 func Load(path string, g *graph.Graph) (*Index, error) {
-	ix, _, err := LoadFormat(path, g)
-	return ix, err
-}
-
-// LoadFormat is Load, also reporting the file's format (for tooling that
-// surfaces or migrates it).
-func LoadFormat(path string, g *graph.Graph) (*Index, Format, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	defer f.Close()
-	return ReadFormat(f, g)
+	return Read(f, g)
+}
+
+// LoadFormat is Load, always reporting FormatV2. Kept for benchmark/ until
+// ROADMAP item 1(c) renames its calls.
+func LoadFormat(path string, g *graph.Graph) (*Index, Format, error) {
+	ix, err := Load(path, g)
+	return ix, FormatV2, err
 }
 
 // Verify cross-checks the index against ground-truth BFS on sample vertex

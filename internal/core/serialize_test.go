@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,46 +12,12 @@ import (
 	"highway/internal/graph"
 )
 
-// v1Fixture is a committed HWLIDX01 file with the graph it was built on
-// and the index it must decode to. No v1 writer exists any more, so these
-// files are where every test of the v1 reader gets its bytes.
-type v1Fixture struct {
-	name string
-	raw  []byte
-	g    *graph.Graph
-	want *Index
-}
-
-// v1Fixtures loads testdata/tiny.hl1 (the paper's Figure 2 example,
-// written by the original pre-v2 writer; no overflow records) and
-// testdata/path300.hl1 (the 300-vertex path with landmark 1, written by
-// the last `hlbuild -format v1`; the far end is 298 hops from the
-// landmark, so it carries 44 overflow records).
-func v1Fixtures(tb testing.TB) []v1Fixture {
-	tb.Helper()
-	path := gen.Path(300)
-	fixtures := []v1Fixture{
-		{name: "tiny.hl1", g: gen.PaperFigure2(), want: goldenIndex(tb)},
-		{name: "path300.hl1", g: path},
-	}
-	var err error
-	if fixtures[1].want, err = Build(path, []int32{1}); err != nil {
-		tb.Fatal(err)
-	}
-	for i := range fixtures {
-		if fixtures[i].raw, err = os.ReadFile(filepath.Join("testdata", fixtures[i].name)); err != nil {
-			tb.Fatalf("v1 fixture missing: %v", err)
-		}
-	}
-	return fixtures
-}
-
-// reframe decodes a v2 file into its header and sections, lets edit change
-// them, and frames those left again (checksums and all) in the order either
-// writer used, followed by any extra sections.
+// reframe decodes an index file into its header and sections, lets edit
+// change them, and frames those left again (checksums and all) in the order
+// the writer uses, followed by any extra sections.
 func reframe(tb testing.TB, file []byte, edit func(h *container.Header, sec map[uint32][]byte), extra ...container.Section) []byte {
 	tb.Helper()
-	ids := []uint32{sectLandmarks, sectHighway, sectLabelOff, sectLabelBase, sectLabelRel, sectLabelRank, sectLabelDist, sectOverflow, sectGraph}
+	ids := []uint32{sectLandmarks, sectHighway, sectLabelBase, sectLabelRel, sectLabelRank, sectLabelDist, sectOverflow, sectGraph}
 	h, read, err := container.ReadContainer(bytes.NewReader(file), true, func(container.Header) (map[uint32]uint64, error) {
 		bounds := make(map[uint32]uint64)
 		for _, id := range ids {
@@ -86,33 +51,6 @@ func reframe(tb testing.TB, file []byte, edit func(h *container.Header, sec map[
 func appendUnknownSection(tb testing.TB, file []byte, id uint32, payload []byte) []byte {
 	tb.Helper()
 	return reframe(tb, file, func(*container.Header, map[uint32][]byte) {}, container.Section{ID: id, Payload: payload})
-}
-
-// legacyV2Bytes is the file the last writer of section 3 wrote for ix: the
-// n+1 offsets as uint64 where sections 7 and 8 are now, and no section 11.
-func legacyV2Bytes(tb testing.TB, ix *Index) []byte {
-	tb.Helper()
-	return reframe(tb, v2Bytes(tb, ix), func(_ *container.Header, sec map[uint32][]byte) {
-		off := []byte{}
-		for v := 0; v <= ix.g.NumVertices(); v++ {
-			off = binary.LittleEndian.AppendUint64(off, uint64(ix.labelOff.at(int32(v))))
-		}
-		sec[sectLabelOff] = off
-		delete(sec, sectLabelBase)
-		delete(sec, sectLabelRel)
-		delete(sec, sectGraph)
-	})
-}
-
-// legacyV2Fixture is testdata/tiny_off64.hl2: the golden index as the
-// commit before sections 7 and 8 wrote it (it was tiny.hl2 then).
-func legacyV2Fixture(tb testing.TB) []byte {
-	tb.Helper()
-	raw, err := os.ReadFile(filepath.Join("testdata", "tiny_off64.hl2"))
-	if err != nil {
-		tb.Fatalf("legacy v2 fixture missing: %v", err)
-	}
-	return raw
 }
 
 // path600 is the index whose labels need the escape: both ends of a
@@ -190,18 +128,6 @@ func TestReadChecksOverflowRecords(t *testing.T) {
 			}
 		})
 	}
-
-	// v1 ends with its records, and third-party writers may emit them in any
-	// order: the fixture with its 44 reversed decodes as it does unchanged.
-	fx := v1Fixtures(t)[1]
-	tail := len(fx.raw) - 44*9
-	got, err := Read(bytes.NewReader(append(fx.raw[:tail:tail], reverseRecords(fx.raw[tail:])...)), fx.g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !indexesIdentical(fx.want, got) {
-		t.Fatal("v1 records out of CSR order decoded to a different index")
-	}
 }
 
 // offsetCase is one malformed offsets section, or pair of them, with a valid
@@ -264,62 +190,24 @@ func offsetCases() []offsetCase {
 	}
 }
 
-// legacyOffsetCases are offsetCases for section 3, edits of the same file as
-// legacyV2Bytes frames it.
-func legacyOffsetCases() []offsetCase {
-	type sections = map[uint32][]byte
-	put := func(sec sections, v int, off uint64) { binary.LittleEndian.PutUint64(sec[sectLabelOff][v*8:], off) }
-	return []offsetCase{
-		{"section 3 not starting at 0", "do not start at 0", func(_ *container.Header, sec sections) { put(sec, 0, 1) }},
-		{"section 3 stepping back", "not monotone", func(_ *container.Header, sec sections) { put(sec, 300, 590) }},
-		{"section 3 with a label longer than k", "label of 3 entries at vertex 4", func(_ *container.Header, sec sections) { put(sec, 5, 9) }},
-		{"section 3 with one label of every entry", "not monotone or label of 1196 entries", func(_ *container.Header, sec sections) {
-			for v := 1; v < 600; v++ {
-				put(sec, v, 0)
-			}
-		}},
-		{"section 3 ending below the header's entries", "offsets claim 1195 entries", func(_ *container.Header, sec sections) {
-			put(sec, 599, 1195)
-			put(sec, 600, 1195)
-		}},
-		{"section 3 one vertex short", "section 3 has length", func(_ *container.Header, sec sections) {
-			sec[sectLabelOff] = sec[sectLabelOff][8:]
-		}},
-	}
-}
-
 // TestReadChecksOffsets: the offsets are bytes the index keeps and every
 // query indexes the labels by, so the reader holds them to what a writer
 // produces — and the ranks of each label to ascending, which bounds a label
-// at k entries and is what the merge in UpperBound assumes. Section 3, which
-// older files carry the offsets in, is held to the same.
+// at k entries and is what the merge in UpperBound assumes.
 func TestReadChecksOffsets(t *testing.T) {
 	g, ix := path600(t)
-	for layout, cases := range map[string][]offsetCase{"sections 7 and 8": offsetCases(), "section 3": legacyOffsetCases()} {
-		good := v2Bytes(t, ix)
-		if layout == "section 3" {
-			good = legacyV2Bytes(t, ix)
-		}
-		got, err := Read(bytes.NewReader(good), g)
-		if err != nil || !indexesIdentical(ix, got) || !bytes.Equal(v2Bytes(t, got), v2Bytes(t, ix)) {
-			t.Fatalf("%s: the unedited file does not load as the index it was written from: %v", layout, err)
-		}
-		for _, c := range cases {
-			t.Run(c.name, func(t *testing.T) {
-				_, err := Read(bytes.NewReader(reframe(t, good, c.edit)), g)
-				if err == nil || !strings.Contains(err.Error(), c.want) {
-					t.Fatalf("Read: %v, want an error saying %q", err, c.want)
-				}
-			})
-		}
+	good := v2Bytes(t, ix)
+	got, err := Read(bytes.NewReader(good), g)
+	if err != nil || !indexesIdentical(ix, got) || !bytes.Equal(v2Bytes(t, got), good) {
+		t.Fatalf("the unedited file does not load as the index it was written from: %v", err)
 	}
-}
-
-// TestLegacyV2Writer: legacyV2Bytes, which the section-3 tests and fuzz
-// seeds are framed by, writes what the last writer of section 3 wrote.
-func TestLegacyV2Writer(t *testing.T) {
-	if !bytes.Equal(legacyV2Bytes(t, goldenIndex(t)), legacyV2Fixture(t)) {
-		t.Fatal("legacyV2Bytes of the golden index differs from testdata/tiny_off64.hl2")
+	for _, c := range offsetCases() {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Read(bytes.NewReader(reframe(t, good, c.edit)), g)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Read: %v, want an error saying %q", err, c.want)
+			}
+		})
 	}
 }
 
@@ -333,71 +221,32 @@ func TestIndexRoundTrip(t *testing.T) {
 	if err := ix.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	type leg struct {
-		name   string
-		raw    []byte
-		format Format
-		want   *Index
-	}
-	legs := []leg{
-		{"v2", buf.Bytes(), FormatV2, ix},
-		{"tiny_off64.hl2", legacyV2Fixture(t), FormatV2, goldenIndex(t)},
-	}
-	for _, fx := range v1Fixtures(t) {
-		legs = append(legs, leg{fx.name, fx.raw, FormatV1, fx.want})
-	}
-	for _, l := range legs {
-		t.Run(l.name, func(t *testing.T) {
-			ix2, got, err := ReadFormat(bytes.NewReader(l.raw), l.want.g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != l.format {
-				t.Fatalf("ReadFormat reported %v, want %v", got, l.format)
-			}
-			if !indexesIdentical(l.want, ix2) {
-				t.Fatal("decoded a different index")
-			}
-			if !bytes.Equal(v2Bytes(t, ix2), v2Bytes(t, l.want)) {
-				t.Fatal("re-saved, it differs from a fresh build's file")
-			}
-			for i := range l.want.landmarks {
-				if l.want.landmarks[i] != ix2.landmarks[i] {
-					t.Fatal("landmarks differ")
-				}
-			}
-			if err := ix2.Verify(200, 1); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestV1V2SameIndex: the two golden files of the same index decode to the
-// identical in-memory index, so a v1→v2 migration is lossless.
-func TestV1V2SameIndex(t *testing.T) {
-	g := gen.PaperFigure2()
-	var decoded [2]*Index
-	for i, name := range []string{"tiny.hl1", "tiny.hl2"} {
-		var err error
-		if decoded[i], err = Load(filepath.Join("testdata", name), g); err != nil {
+	t.Run("v2", func(t *testing.T) {
+		ix2, err := Read(bytes.NewReader(buf.Bytes()), g)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if !indexesIdentical(decoded[0], decoded[1]) {
-		t.Fatal("v1 and v2 decode to different indexes")
-	}
+		if !indexesIdentical(ix, ix2) {
+			t.Fatal("decoded a different index")
+		}
+		if !bytes.Equal(v2Bytes(t, ix2), buf.Bytes()) {
+			t.Fatal("re-saved, it differs from a fresh build's file")
+		}
+		if err := ix2.Verify(200, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
-// TestWriteV1Refused: v1 is read-only. Asking for it is an error, and
-// SaveAs leaves nothing at the destination.
+// TestWriteV1Refused: one layout is written. Asking WriteFormat or SaveAs
+// for v1 is an error, and SaveAs leaves nothing at the destination.
 func TestWriteV1Refused(t *testing.T) {
 	ix := goldenIndex(t)
-	if err := ix.WriteFormat(new(bytes.Buffer), FormatV1); err == nil {
+	if err := ix.WriteFormat(new(bytes.Buffer), Format(1)); err == nil {
 		t.Fatal("WriteFormat(v1) succeeded")
 	}
 	path := filepath.Join(t.TempDir(), "idx.v1")
-	if err := ix.SaveAs(path, FormatV1); err == nil {
+	if err := ix.SaveAs(path, Format(1)); err == nil {
 		t.Fatal("SaveAs(v1) succeeded")
 	}
 	if left, _ := filepath.Glob(path + "*"); len(left) != 0 {
@@ -424,19 +273,6 @@ func TestIndexRoundTripWithOverflow(t *testing.T) {
 	if d := ix2.NewSearcher().Distance(5, 595); d != 590 {
 		t.Fatalf("d(5,595) = %d, want 590", d)
 	}
-
-	// The v1 reader's overflow records, from the fixture that has them.
-	fx := v1Fixtures(t)[1]
-	ix1, err := Read(bytes.NewReader(fx.raw), fx.g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ix1.numOverflow(); got != 44 || got != fx.want.numOverflow() {
-		t.Fatalf("%s: %d overflow entries, want 44", fx.name, got)
-	}
-	if d := ix1.NewSearcher().Distance(5, 295); d != 290 {
-		t.Fatalf("%s: d(5,295) = %d, want 290", fx.name, d)
-	}
 }
 
 func TestIndexFileRoundTrip(t *testing.T) {
@@ -456,20 +292,8 @@ func TestIndexFileRoundTrip(t *testing.T) {
 	if f != FormatV2 {
 		t.Fatalf("Save wrote %v, want v2", f)
 	}
-	if ix2.NumEntries() != 13 {
-		t.Fatalf("entries = %d, want 13", ix2.NumEntries())
-	}
-
-	// A v1 file stays loadable (the compatibility path).
-	ix1, f, err := LoadFormat(filepath.Join("testdata", "tiny.hl1"), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f != FormatV1 {
-		t.Fatalf("v1 file detected as %v", f)
-	}
-	if !indexesIdentical(ix1, ix2) {
-		t.Fatal("v1 and v2 files decode differently")
+	if ix2.NumEntries() != 13 || !indexesIdentical(ix, ix2) {
+		t.Fatalf("entries = %d, want 13, or a different index", ix2.NumEntries())
 	}
 }
 
@@ -479,38 +303,47 @@ func TestReadRejectsCorruptIndex(t *testing.T) {
 	if err := goldenIndex(t).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for name, good := range map[string][]byte{"v1": v1Fixtures(t)[0].raw, "v2": buf.Bytes()} {
-		t.Run(name, func(t *testing.T) {
-			if _, err := Read(bytes.NewReader(good), g); err != nil {
-				t.Fatalf("test premise broken: %v", err)
+	t.Run("v2", func(t *testing.T) {
+		good := buf.Bytes()
+		if _, err := Read(bytes.NewReader(good), g); err != nil {
+			t.Fatalf("test premise broken: %v", err)
+		}
+		// Wrong magic.
+		bad := append([]byte{}, good...)
+		bad[0] = 'X'
+		if _, err := Read(bytes.NewReader(bad), g); err == nil {
+			t.Error("bad magic accepted")
+		}
+		// Wrong graph.
+		if _, err := Read(bytes.NewReader(good), gen.Path(3)); err == nil {
+			t.Error("mismatched graph accepted")
+		}
+		// Truncated stream.
+		if _, err := Read(bytes.NewReader(good[:len(good)-3]), g); err == nil {
+			t.Error("truncated stream accepted")
+		}
+		// Garbage.
+		if _, err := Read(bytes.NewReader([]byte("garbage!")), g); err == nil {
+			t.Error("garbage accepted")
+		}
+	})
+	// A v1 file is refused however intact, with the line naming the command
+	// that rewrites it; so is a truncated one.
+	t.Run("v1", func(t *testing.T) {
+		good := testdata(t, "tiny.hl1")
+		for _, raw := range [][]byte{good, good[:len(good)-3], good[:8]} {
+			if _, err := Read(bytes.NewReader(raw), g); !namesMigrate(err) {
+				t.Fatalf("v1 file of %d bytes: %v, want one line naming hlbuild migrate", len(raw), err)
 			}
-			// Wrong magic.
-			bad := append([]byte{}, good...)
-			bad[0] = 'X'
-			if _, err := Read(bytes.NewReader(bad), g); err == nil {
-				t.Error("bad magic accepted")
-			}
-			// Wrong graph.
-			if _, err := Read(bytes.NewReader(good), gen.Path(3)); err == nil {
-				t.Error("mismatched graph accepted")
-			}
-			// Truncated stream.
-			if _, err := Read(bytes.NewReader(good[:len(good)-3]), g); err == nil {
-				t.Error("truncated stream accepted")
-			}
-			// Garbage.
-			if _, err := Read(bytes.NewReader([]byte("garbage!")), g); err == nil {
-				t.Error("garbage accepted")
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestReadRejectsSameSizeGraph: an index loaded beside a graph it was not
 // built on fails with one line, even where n and m agree. It loads beside
-// its own graph whether that was built in memory or read from a file, and
-// a file without section 11 — every file written before it — loads on its
-// vertex count, 20 bytes smaller.
+// its own graph whether that was built in memory or read from a file; a
+// file without section 11 — every file written before it — is refused
+// beside either with the one line naming `hlbuild migrate`.
 func TestReadRejectsSameSizeGraph(t *testing.T) {
 	built, other := gen.BarabasiAlbert(2000, 5, 1), gen.BarabasiAlbert(2000, 5, 2)
 	if built.NumVertices() != other.NumVertices() || built.NumEdges() != other.NumEdges() {
@@ -533,51 +366,34 @@ func TestReadRejectsSameSizeGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := reframe(t, file, func(_ *container.Header, sec map[uint32][]byte) { delete(sec, sectGraph) })
-	for name, c := range map[string]struct {
-		file []byte
-		g    *graph.Graph
-	}{"beside the graph built": {file, built}, "beside its file": {file, loaded}, "without section 11": {old, loaded}} {
-		if _, err := Read(bytes.NewReader(c.file), c.g); err != nil {
+	for name, g := range map[string]*graph.Graph{"beside the graph built": built, "beside its file": loaded} {
+		if _, err := Read(bytes.NewReader(file), g); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
-	if len(file)-len(old) != 20 {
-		t.Errorf("section 11 costs %d bytes, want 20", len(file)-len(old))
+	old := withoutSection11(t, file)
+	for _, g := range []*graph.Graph{built, other} {
+		if _, err := Read(bytes.NewReader(old), g); !namesMigrate(err) {
+			t.Errorf("without section 11: %v, want one line naming hlbuild migrate", err)
+		}
 	}
 }
 
-// TestV1RejectsDamage: v1 has no checksums, so what protects its reader
-// is validation. Every truncation of either fixture is rejected; a byte
-// flip is either rejected or yields an index that is safe to query.
-func TestV1RejectsDamage(t *testing.T) {
-	for _, fx := range v1Fixtures(t) {
-		for cut := 0; cut < len(fx.raw); cut++ {
-			if _, err := Read(bytes.NewReader(fx.raw[:cut]), fx.g); err == nil {
-				t.Fatalf("%s truncated to %d bytes accepted", fx.name, cut)
-			}
-		}
-		rejected := 0
-		for pos := range fx.raw {
-			bad := append([]byte{}, fx.raw...)
-			bad[pos] ^= 0x10
-			ix, err := Read(bytes.NewReader(bad), fx.g)
-			if err != nil {
-				rejected++
-				continue
-			}
-			exerciseIndex(ix)
-		}
-		// The 28 bytes of magic, n, k and the landmark cannot survive one.
-		if rejected < 28 {
-			t.Fatalf("%s: only %d byte flips rejected", fx.name, rejected)
-		}
-	}
+// withoutSection11 is an index file as every writer before section 11
+// framed it.
+func withoutSection11(tb testing.TB, file []byte) []byte {
+	tb.Helper()
+	return reframe(tb, file, func(_ *container.Header, sec map[uint32][]byte) { delete(sec, sectGraph) })
+}
+
+// namesMigrate reports whether err is the one line that refuses a retired
+// layout by naming the command that rewrites it.
+func namesMigrate(err error) bool {
+	return err != nil && strings.Contains(err.Error(), "hlbuild migrate") && !strings.Contains(err.Error(), "\n")
 }
 
 // TestV2ChecksumCatchesBitFlips: any single corrupted payload byte must be
-// rejected by a section CRC (v1 has no such protection — that asymmetry
-// is the point of v2).
+// rejected by a section CRC.
 func TestV2ChecksumCatchesBitFlips(t *testing.T) {
 	g := gen.PaperFigure2()
 	ix, err := Build(g, gen.PaperLandmarks())

@@ -1,0 +1,353 @@
+package legacy
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"strings"
+	"testing"
+
+	"highway/internal/bfs"
+	"highway/internal/container"
+	"highway/internal/core"
+	"highway/internal/gen"
+	"highway/internal/graph"
+)
+
+// build is core.Build, failing tb on error.
+func build(tb testing.TB, g *graph.Graph, landmarks []int32) *core.Index {
+	tb.Helper()
+	ix, err := core.Build(g, landmarks)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ix
+}
+
+// goldenIndex is the index of the paper's running example with its
+// landmark set {1,5,9}: tiny.hl1, tiny_off64.hl2 and tiny.hl2 all hold it.
+func goldenIndex(tb testing.TB) *core.Index {
+	return build(tb, gen.PaperFigure2(), gen.PaperLandmarks())
+}
+
+// path600 is the index whose labels need the escape: both ends of a
+// 600-vertex path as landmarks, 688 entries 255 hops or more from theirs.
+func path600(tb testing.TB) *core.Index {
+	return build(tb, gen.Path(600), []int32{0, 599})
+}
+
+// v1Fixture is a committed HWLIDX01 file with the graph it was built on
+// and the index it must migrate to. No v1 writer exists any more, so these
+// files are where every test of the v1 reader gets its bytes.
+type v1Fixture struct {
+	name string
+	raw  []byte
+	g    *graph.Graph
+	want *core.Index
+}
+
+// v1Fixtures loads tiny.hl1 (the paper's Figure 2 example, written by the
+// original pre-v2 writer; no overflow records) and path300.hl1 (the
+// 300-vertex path with landmark 1, written by the last `hlbuild -format
+// v1`; the far end is 298 hops from the landmark, so it carries 44 overflow
+// records).
+func v1Fixtures(tb testing.TB) []v1Fixture {
+	tb.Helper()
+	path := gen.Path(300)
+	return []v1Fixture{
+		{name: "tiny.hl1", raw: fixture(tb, "tiny.hl1"), g: gen.PaperFigure2(), want: goldenIndex(tb)},
+		{name: "path300.hl1", raw: fixture(tb, "path300.hl1"), g: path, want: build(tb, path, []int32{1})},
+	}
+}
+
+// reframe decodes an index file of any container layout into its header
+// and sections, lets edit change them, and frames those left again
+// (checksums and all) in the order the writers used.
+func reframe(tb testing.TB, file []byte, edit func(h *container.Header, sec map[uint32][]byte)) []byte {
+	tb.Helper()
+	ids := []uint32{1, 2, sectLabelOff, sectLabelBase, sectLabelRel, 4, 5, sectOverflow, sectGraph}
+	h, read, err := container.ReadContainer(bytes.NewReader(file), true, func(container.Header) (map[uint32]uint64, error) {
+		bounds := make(map[uint32]uint64)
+		for _, id := range ids {
+			bounds[id] = uint64(len(file))
+		}
+		return bounds, nil
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sec := make(map[uint32][]byte)
+	for id, s := range read {
+		sec[id] = s.Payload
+	}
+	edit(&h, sec)
+	var sections []container.Section
+	for _, id := range ids {
+		if payload, ok := sec[id]; ok {
+			sections = append(sections, container.Section{ID: id, Payload: payload})
+		}
+	}
+	var out bytes.Buffer
+	if err := container.WriteContainer(&out, h, sections); err != nil {
+		tb.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// withoutSection11 is the file every writer from sections 7 and 8 until
+// section 11 wrote for ix.
+func withoutSection11(tb testing.TB, ix *core.Index) []byte {
+	tb.Helper()
+	return reframe(tb, indexBytes(tb, ix), func(_ *container.Header, sec map[uint32][]byte) { delete(sec, sectGraph) })
+}
+
+// legacyV2Bytes is the file the last writer of section 3 wrote for ix: the
+// n+1 offsets as uint64 where sections 7 and 8 are now, and no section 11.
+func legacyV2Bytes(tb testing.TB, ix *core.Index) []byte {
+	tb.Helper()
+	return reframe(tb, withoutSection11(tb, ix), func(_ *container.Header, sec map[uint32][]byte) {
+		off := binary.LittleEndian.AppendUint64(nil, 0)
+		var at uint64
+		for v := range int32(ix.Graph().NumVertices()) {
+			at += uint64(ix.LabelSize(v))
+			off = binary.LittleEndian.AppendUint64(off, at)
+		}
+		sec[sectLabelOff] = off
+		delete(sec, sectLabelBase)
+		delete(sec, sectLabelRel)
+	})
+}
+
+// offsetCase is one malformed section 3 with a valid checksum: an edit of
+// the path-600 file (k = 2, two entries a vertex but the landmarks 0 and
+// 599) as legacyV2Bytes frames it.
+type offsetCase struct {
+	name string
+	edit func(h *container.Header, sec map[uint32][]byte)
+}
+
+func legacyOffsetCases() []offsetCase {
+	type sections = map[uint32][]byte
+	put := func(sec sections, v int, off uint64) { binary.LittleEndian.PutUint64(sec[sectLabelOff][v*8:], off) }
+	return []offsetCase{
+		{"section 3 not starting at 0", func(_ *container.Header, sec sections) { put(sec, 0, 1) }},
+		{"section 3 stepping back", func(_ *container.Header, sec sections) { put(sec, 300, 590) }},
+		{"section 3 with a label longer than k", func(_ *container.Header, sec sections) { put(sec, 5, 9) }},
+		{"section 3 with one label of every entry", func(_ *container.Header, sec sections) {
+			for v := 1; v < 600; v++ {
+				put(sec, v, 0)
+			}
+		}},
+		{"section 3 ending below the header's entries", func(_ *container.Header, sec sections) {
+			put(sec, 599, 1195)
+			put(sec, 600, 1195)
+		}},
+		{"section 3 one vertex short", func(_ *container.Header, sec sections) {
+			sec[sectLabelOff] = sec[sectLabelOff][8:]
+		}},
+	}
+}
+
+// oneLine reports whether err is an error of one line that says want.
+func oneLine(err error, want string) bool {
+	return err != nil && strings.Contains(err.Error(), want) && !strings.Contains(err.Error(), "\n")
+}
+
+// migrates checks that raw, an index file of a retired layout built on g,
+// is what IndexLayout says it is, is refused by core.Read with the line
+// naming the migration, and migrates to want's file.
+func migrates(t *testing.T, raw []byte, g *graph.Graph, layout string, want *core.Index) {
+	t.Helper()
+	if got := IndexLayout(bufio.NewReader(bytes.NewReader(raw))); got != layout {
+		t.Fatalf("IndexLayout = %q, want %q", got, layout)
+	}
+	if _, err := core.Read(bytes.NewReader(raw), g); !oneLine(err, "hlbuild migrate") {
+		t.Fatalf("core.Read: %v, want one line naming hlbuild migrate", err)
+	}
+	ix, err := ReadIndex(bytes.NewReader(raw), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(indexBytes(t, ix), indexBytes(t, want)) {
+		t.Fatal("migrated, it differs from a fresh build's file")
+	}
+	if err := ix.Verify(200, 1); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIndexRoundTrip: each retired layout — both v1 fixtures, the file
+// with its offsets in section 3 and one without section 11 — is named by
+// IndexLayout, refused by the serving reader, and migrates to the file a
+// fresh build writes; today's file is no retired layout.
+func TestIndexRoundTrip(t *testing.T) {
+	for _, fx := range v1Fixtures(t) {
+		t.Run(fx.name, func(t *testing.T) { migrates(t, fx.raw, fx.g, "format v1", fx.want) })
+	}
+	t.Run("tiny_off64.hl2", func(t *testing.T) {
+		migrates(t, fixture(t, "tiny_off64.hl2"), gen.PaperFigure2(), "format v2, 64-bit offsets", goldenIndex(t))
+	})
+	t.Run("no section 11", func(t *testing.T) {
+		ix := path600(t)
+		migrates(t, withoutSection11(t, ix), ix.Graph(), "format v2, no section 11", ix)
+	})
+	if got := IndexLayout(bufio.NewReader(bytes.NewReader(fixture(t, "tiny.hl2")))); got != "" {
+		t.Fatalf("IndexLayout(tiny.hl2) = %q, want \"\"", got)
+	}
+}
+
+// TestGoldenV1Compat: tiny.hl1 was written by the pre-v2 code (the original
+// HWLIDX01 writer). It must keep migrating verbatim — this is the promise
+// that existing on-disk indexes survive the format change.
+func TestGoldenV1Compat(t *testing.T) {
+	g := gen.PaperFigure2()
+	ix, err := ReadIndex(bytes.NewReader(fixture(t, "tiny.hl1")), g)
+	if err != nil {
+		t.Fatalf("v1 file written by the old code no longer migrates: %v", err)
+	}
+	if ix.NumEntries() != 13 {
+		t.Fatalf("entries = %d, want 13 (Figure 3)", ix.NumEntries())
+	}
+	n := int32(g.NumVertices())
+	for s := range n {
+		for u := range n {
+			want := bfs.Dist(g, s, u)
+			if want == bfs.Unreachable {
+				want = core.Infinity
+			}
+			if got := ix.Distance(s, u); got != want {
+				t.Fatalf("d(%d,%d) = %d, want %d", s, u, got, want)
+			}
+		}
+	}
+}
+
+// TestV1V2SameIndex: the v1 golden file migrates to the v2 golden file's
+// bytes, so a v1→v2 migration is lossless.
+func TestV1V2SameIndex(t *testing.T) {
+	ix, err := ReadIndex(bytes.NewReader(fixture(t, "tiny.hl1")), gen.PaperFigure2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(indexBytes(t, ix), fixture(t, "tiny.hl2")) {
+		t.Fatal("tiny.hl1 migrates to other bytes than tiny.hl2")
+	}
+}
+
+// TestLegacyV2Writer: legacyV2Bytes, which the section-3 tests and fuzz
+// seeds are framed by, writes what the last writer of section 3 wrote.
+func TestLegacyV2Writer(t *testing.T) {
+	if !bytes.Equal(legacyV2Bytes(t, goldenIndex(t)), fixture(t, "tiny_off64.hl2")) {
+		t.Fatal("legacyV2Bytes of the golden index differs from testdata/tiny_off64.hl2")
+	}
+}
+
+// TestReadChecksOffsets: section 3 is held to the offsets of a fresh
+// build, and each malformed one is refused by its number.
+func TestReadChecksOffsets(t *testing.T) {
+	ix := path600(t)
+	good := legacyV2Bytes(t, ix)
+	if got, err := ReadIndex(bytes.NewReader(good), ix.Graph()); err != nil || !bytes.Equal(indexBytes(t, got), indexBytes(t, ix)) {
+		t.Fatalf("the unedited file does not migrate to the index it was written from: %v", err)
+	}
+	for _, c := range legacyOffsetCases() {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := ReadIndex(bytes.NewReader(reframe(t, good, c.edit)), ix.Graph())
+			if !oneLine(err, "section 3 is missing or not a fresh build's") {
+				t.Fatalf("ReadIndex: %v, want one line naming section 3", err)
+			}
+		})
+	}
+}
+
+// TestV1RejectsDamage: v1 has no checksums, and what protects its reader
+// is the comparison with a fresh build: every truncation of either fixture
+// and every byte flip in it is refused.
+func TestV1RejectsDamage(t *testing.T) {
+	for _, fx := range v1Fixtures(t) {
+		for cut := range fx.raw {
+			if _, err := ReadIndex(bytes.NewReader(fx.raw[:cut]), fx.g); err == nil {
+				t.Fatalf("%s truncated to %d bytes accepted", fx.name, cut)
+			}
+		}
+		for pos := range fx.raw {
+			bad := append([]byte{}, fx.raw...)
+			bad[pos] ^= 0x10
+			if _, err := ReadIndex(bytes.NewReader(bad), fx.g); err == nil {
+				t.Fatalf("%s: byte flip at %d accepted", fx.name, pos)
+			}
+		}
+	}
+}
+
+// TestV1OverflowRecords: v1 ends with its records, and third-party writers
+// may emit them in any order: path300.hl1 with its 44 reversed migrates as
+// it does unchanged, escaped distances and all.
+func TestV1OverflowRecords(t *testing.T) {
+	fx := v1Fixtures(t)[1]
+	tail := len(fx.raw) - 44*9
+	var reversed []byte
+	for i := len(fx.raw) - 9; i >= tail; i -= 9 {
+		reversed = append(reversed, fx.raw[i:i+9]...)
+	}
+	ix, err := ReadIndex(bytes.NewReader(append(fx.raw[:tail:tail], reversed...)), fx.g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, _ := ix.Sections(); h.Aux2 != 44 || !bytes.Equal(indexBytes(t, ix), indexBytes(t, fx.want)) {
+		t.Fatalf("%d overflow records, want 44, or a different index", h.Aux2)
+	}
+	if d := ix.Distance(5, 295); d != 290 {
+		t.Fatalf("d(5,295) = %d, want 290", d)
+	}
+}
+
+// TestReadIndexRefusesAnotherGraph: an old file held to its graph by n
+// alone is refused, with one line, beside another graph of the same n and
+// m — what no sample of distances could promise.
+func TestReadIndexRefusesAnotherGraph(t *testing.T) {
+	built, other := gen.BarabasiAlbert(400, 3, 1), gen.BarabasiAlbert(400, 3, 2)
+	if built.NumVertices() != other.NumVertices() || built.NumEdges() != other.NumEdges() {
+		t.Fatalf("premise: %v and %v", built, other)
+	}
+	ix := build(t, built, built.DegreeOrder()[:8])
+	for name, raw := range map[string][]byte{"no section 11": withoutSection11(t, ix), "section 3": legacyV2Bytes(t, ix)} {
+		if _, err := ReadIndex(bytes.NewReader(raw), other); !oneLine(err, notThisIndex) {
+			t.Errorf("%s beside another graph: %v, want one line saying %q", name, err, notThisIndex)
+		}
+	}
+}
+
+// FuzzReadLegacyIndex: the migration reader is total on arbitrary bytes —
+// a one-line error, or exactly the index a fresh build of the landmarks it
+// names gives — seeded with a file of every retired layout and every
+// malformed section 3 TestReadChecksOffsets names.
+func FuzzReadLegacyIndex(f *testing.F) {
+	path := path600(f)
+	for _, fx := range v1Fixtures(f) {
+		f.Add(fx.raw)
+	}
+	old := legacyV2Bytes(f, path)
+	f.Add(fixture(f, "tiny_off64.hl2"))
+	f.Add(withoutSection11(f, path))
+	f.Add(old)
+	for _, c := range legacyOffsetCases() {
+		f.Add(reframe(f, old, c.edit))
+	}
+	f.Add([]byte(IndexMagicV1))
+	graphs := []*graph.Graph{gen.PaperFigure2(), gen.Path(300), path.Graph()}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, g := range graphs {
+			ix, err := ReadIndex(bytes.NewReader(data), g)
+			if err != nil {
+				if strings.Contains(err.Error(), "\n") {
+					t.Fatalf("error spans lines: %q", err)
+				}
+				continue
+			}
+			if !bytes.Equal(indexBytes(t, ix), indexBytes(t, build(t, g, ix.Landmarks()))) {
+				t.Fatal("accepted, it differs from a fresh build of its landmarks")
+			}
+		}
+	})
+}

@@ -1,24 +1,30 @@
-// Package legacy reads the layouts that framed a graph before it became
-// container sections 9 and 10: the HWGRAPH1 graph file and the HWLSNAP1
-// checkpoint snapshot. No server reads them; `hlbuild migrate`, this
-// package's one importer, rewrites them.
+// Package legacy reads the layouts no server reads any more: the three
+// index layouts before today's (see ReadIndex), and the HWGRAPH1 graph file
+// and HWLSNAP1 checkpoint snapshot that framed a graph before it became
+// container sections 9 and 10. `hlbuild migrate`, this package's one
+// importer, rewrites them.
 package legacy
 
 import (
+	"bufio"
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"highway/internal/container"
 	"highway/internal/core"
 	"highway/internal/graph"
 )
 
-// The magics the two layouts begin with.
+// The magics the retired layouts of their own framing begin with.
 const (
 	GraphMagic    = "HWGRAPH1"
 	SnapshotMagic = "HWLSNAP1"
+	IndexMagicV1  = "HWLIDX01"
 )
 
 // ReadGraph decodes an HWGRAPH1 stream: the magic, n and 2m as uint64,
@@ -57,6 +63,158 @@ func ReadSnapshot(r io.Reader) (*graph.Graph, *core.Index, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ix, err := core.Read(r, g)
+	ix, err := ReadIndex(r, g)
 	return g, ix, err
 }
+
+// The index sections this package names: section 3 held the n+1 label
+// offsets as uint64 before sections 7 and 8, and section 11, the graph's
+// fingerprint, is what today's index file has and no older one.
+const (
+	sectLabelOff  uint32 = 3
+	sectOverflow  uint32 = 6
+	sectLabelBase uint32 = 7
+	sectLabelRel  uint32 = 8
+	sectGraph     uint32 = 11
+)
+
+// IndexLayout names the retired index layout br begins with, peeking at its
+// magic and section table, or returns "" for anything else: today's index
+// file, or bytes that are no index file at all, which core.Read refuses.
+func IndexLayout(br *bufio.Reader) string {
+	head, _ := br.Peek(8 + 44 + 64*16) // the longest magic, header and table
+	_, rows, err := container.ReadTable(bytes.NewReader(head))
+	has := func(id uint32) bool {
+		return slices.ContainsFunc(rows, func(r container.Row) bool { return r.ID == id })
+	}
+	switch {
+	case bytes.HasPrefix(head, []byte(IndexMagicV1)):
+		return "format v1"
+	case err != nil || has(sectGraph):
+		return ""
+	case has(sectLabelOff):
+		return "format v2, 64-bit offsets"
+	}
+	return "format v2, no section 11"
+}
+
+// ReadIndex reads an index file of a retired layout beside g, the graph it
+// was built on, and returns the index a fresh build of its landmarks on g
+// gives. Each layout holds today's sections 1, 2 and 4–6 in another frame:
+// v1 "HWLIDX01" (the magic, n u64 and k u32, then sections 1, 2, 3 —
+// labelOff [n+1]uint64 —, 4 and 5 bare, the overflow count u32 and section
+// 6, with no checksums); an HWLIDX02 container with the offsets in section
+// 3; and one with today's sections 7 and 8 but no section 11, held to its
+// graph by n alone. The file is accepted only if each of its sections holds
+// what the fresh build's does (the overflow records in any order). By Lemma
+// 3.11 the labelling of a graph and its landmarks is unique, so this
+// accepts exactly g's valid files and refuses a damaged one or one built on
+// another graph of the same n, at the cost of one build.
+func ReadIndex(r io.Reader, g *graph.Graph) (*core.Index, error) {
+	br, n := bufio.NewReader(r), uint64(g.NumVertices())
+	var h container.Header
+	var sec map[uint32]container.Section
+	var err error
+	if magic, _ := br.Peek(len(IndexMagicV1)); string(magic) == IndexMagicV1 {
+		h, sec, err = readV1(br, n)
+	} else {
+		h, sec, err = container.ReadContainer(br, false, func(h container.Header) (map[uint32]uint64, error) { return bounds(h, n) })
+	}
+	if err != nil {
+		return nil, err
+	}
+	return rebuild(h, sec, g)
+}
+
+// bounds is core.Bounds under h, with section 3's length, beside a graph of
+// n vertices.
+func bounds(h container.Header, n uint64) (map[uint32]uint64, error) {
+	if h.N != n {
+		return nil, fmt.Errorf("legacy: index built for n=%d, graph has n=%d", h.N, n)
+	}
+	want, err := core.Bounds(h)
+	if err == nil {
+		want[sectLabelOff] = (n + 1) * 8
+	}
+	return want, err
+}
+
+// readV1 reads a v1 stream section by section, each bounded by the header
+// read before it: the entry count is where the offsets end, and the
+// overflow count precedes section 6.
+func readV1(r io.Reader, n uint64) (container.Header, map[uint32]container.Section, error) {
+	var head [20]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		return container.Header{}, nil, fmt.Errorf("legacy: reading v1 header: %w", err)
+	}
+	h := container.Header{N: binary.LittleEndian.Uint64(head[8:]), K: binary.LittleEndian.Uint32(head[16:])}
+	sec := map[uint32]container.Section{}
+	for _, id := range []uint32{1, 2, sectLabelOff, 4, 5, sectOverflow} {
+		switch id {
+		case 4:
+			h.Aux1 = binary.LittleEndian.Uint64(sec[sectLabelOff].Payload[n*8:])
+		case sectOverflow:
+			var count [4]byte
+			if _, err := io.ReadFull(r, count[:]); err != nil {
+				return h, nil, fmt.Errorf("legacy: reading v1 overflow count: %w", err)
+			}
+			h.Aux2 = uint64(binary.LittleEndian.Uint32(count[:]))
+		}
+		want, err := bounds(h, n)
+		if err != nil {
+			return h, nil, err
+		}
+		payload, err := container.ReadN(r, want[id])
+		if err != nil {
+			return h, nil, fmt.Errorf("legacy: reading v1 section %d: %w", id, err)
+		}
+		sec[id] = container.Section{ID: id, Payload: payload}
+	}
+	return h, sec, nil
+}
+
+// rebuild builds the labelling of the landmarks in sec on g and returns it
+// if the file of header old and sections sec holds exactly that labelling
+// (see ReadIndex).
+func rebuild(old container.Header, sec map[uint32]container.Section, g *graph.Graph) (*core.Index, error) {
+	landmarks := make([]int32, len(sec[1].Payload)/4)
+	for i := range landmarks {
+		landmarks[i] = int32(binary.LittleEndian.Uint32(sec[1].Payload[i*4:]))
+	}
+	fresh, err := core.BuildParallel(g, landmarks)
+	if err != nil {
+		return nil, err
+	}
+	h, sections := fresh.Sections()
+	if h != old {
+		return nil, fmt.Errorf("legacy: header %+v is not a fresh build's %+v: %s", old, h, notThisIndex)
+	}
+	if _, ok := sec[sectLabelOff]; ok { // the offsets as the last writer of section 3 wrote them
+		off := make([]byte, 8, (h.N+1)*8)
+		var at uint64
+		for v := range int32(h.N) {
+			at += uint64(fresh.LabelSize(v))
+			off = binary.LittleEndian.AppendUint64(off, at)
+		}
+		sections = slices.DeleteFunc(sections, func(s container.Section) bool { return s.ID == sectLabelBase || s.ID == sectLabelRel })
+		sections = append(sections, container.Section{ID: sectLabelOff, Payload: off})
+	}
+	for _, want := range sections {
+		got, ok := sec[want.ID]
+		if want.ID == sectOverflow && len(got.Payload)%9 == 0 { // records in CSR order, as a build writes them
+			recs := slices.Collect(slices.Chunk(got.Payload, 9))
+			slices.SortFunc(recs, func(a, b []byte) int {
+				return cmp.Or(cmp.Compare(binary.LittleEndian.Uint32(a), binary.LittleEndian.Uint32(b)), cmp.Compare(a[4], b[4]))
+			})
+			got.Payload = slices.Concat(recs...)
+		}
+		if !ok || !bytes.Equal(got.Payload, want.Payload) {
+			return nil, fmt.Errorf("legacy: section %d is missing or not a fresh build's: %s", want.ID, notThisIndex)
+		}
+	}
+	return fresh, nil
+}
+
+// notThisIndex ends the error of a file that is not the labelling of its
+// landmarks on the graph given.
+const notThisIndex = "the file is damaged or was built on another graph"

@@ -10,23 +10,24 @@ import (
 	"highway/internal/gen"
 )
 
-// fixture reads a committed file of a legacy layout: tiny.hwg1 is the
-// paper's Figure 2 graph and tiny.snap1 that graph with its labelling,
-// both written by the last commit to write them.
-func fixture(t *testing.T, name string) []byte {
-	t.Helper()
+// fixture reads a committed file of internal/core/testdata: tiny.hwg1 is
+// the paper's Figure 2 graph and tiny.snap1 that graph with its labelling,
+// both written by the last commit to write them; the index files are
+// described where they are used.
+func fixture(tb testing.TB, name string) []byte {
+	tb.Helper()
 	raw, err := os.ReadFile(filepath.Join("..", "core", "testdata", name))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return raw
 }
 
-func indexBytes(t *testing.T, ix *core.Index) []byte {
-	t.Helper()
+func indexBytes(tb testing.TB, ix *core.Index) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
 	if err := ix.Write(&buf); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }

@@ -286,7 +286,7 @@ func TestContainerRejects(t *testing.T) {
 		{"tagged file read as hl", frame(h, []container.Section{tag("pll"), a}, nil), `index file tagged "pll" is no longer loadable`},
 		{"tag not first", frame(h, []container.Section{a, tag("pll")}, nil), "tag section 32 is not the first section"},
 		{"second tag", frame(h, []container.Section{tag("pll"), a, tag("isl")}, nil), `tagged "pll"`},
-		{"v1 stream", []byte("HWLIDX01 and then whatever"), "v1 files are decoded by internal/core"},
+		{"v1 stream", []byte("HWLIDX01 and then whatever"), "retired index layout: rewrite the file with `hlbuild migrate -graph G -in FILE`"},
 		{"bad magic", []byte("HWLIDX03 and then whatever"), "bad magic"},
 		{"version 3", frameHeader(version3, []container.Section{a}, nil), "container version 3 unsupported"},
 		{"flags set", frameHeader(flagged, []container.Section{a}, nil), "unsupported flags 0x1"},
