@@ -112,7 +112,9 @@ func (f *Follower) ReplAppend(epoch uint64, pairs [][2]int32) (uint64, error) {
 // ReplSnapshot implements serve.ReplicationHandler: buffer chunks of a
 // transfer and install the state when the done chunk arrives. A
 // snapshot at the follower's exact epoch is accepted — that makes the
-// primary's resync idempotent — and only older ones fence.
+// primary's resync idempotent — and only older ones fence. A transfer of
+// one chunk is decoded from that chunk, the frame's own payload, without
+// being buffered first.
 func (f *Follower) ReplSnapshot(epoch uint64, done bool, chunk []byte) (uint64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -126,11 +128,15 @@ func (f *Follower) ReplSnapshot(epoch uint64, done bool, chunk []byte) (uint64, 
 		f.snapEpoch = epoch
 		f.snapBuf = bytes.Buffer{}
 	}
-	f.snapBuf.Write(chunk)
+	data := chunk
+	if !done || f.snapBuf.Len() > 0 {
+		f.snapBuf.Write(chunk)
+		data = f.snapBuf.Bytes()
+	}
 	if !done {
 		return cur, nil
 	}
-	_, ix, err := serve.DecodeSnapshot(bytes.NewReader(f.snapBuf.Bytes()))
+	_, ix, err := serve.DecodeSnapshotBytes(data)
 	f.snapBuf = bytes.Buffer{}
 	f.snapEpoch = 0
 	if err != nil {

@@ -47,8 +47,10 @@ func TestFollowerReleasesSnapshotTransfer(t *testing.T) {
 	}
 	defer f.Server().Close()
 	before := heap()
-	for epoch := uint64(1); epoch <= 2; epoch++ { // bootstrap, then a resync over it
-		const chunk = 64 << 10
+	// Bootstrap in chunks, a resync over it, and one in a single chunk,
+	// which is decoded where it arrived.
+	for i, chunk := range []int{64 << 10, 64 << 10, snap.Len()} {
+		epoch := uint64(i + 1)
 		for raw := snap.Bytes(); len(raw) > 0; raw = raw[min(chunk, len(raw)):] {
 			if _, err := f.ReplSnapshot(epoch, len(raw) <= chunk, raw[:min(chunk, len(raw))]); err != nil {
 				t.Fatal(err)
@@ -63,4 +65,35 @@ func TestFollowerReleasesSnapshotTransfer(t *testing.T) {
 		}
 	}
 	runtime.KeepAlive(f)
+}
+
+// TestFollowerCopiesOneChunkSnapshot: a snapshot that arrives in one
+// chunk is decoded from the frame's payload, which the connection reuses
+// for its next frame — so the installed state must own every byte of it.
+// Overwriting the chunk after the install changes nothing the follower
+// serves.
+func TestFollowerCopiesOneChunkSnapshot(t *testing.T) {
+	g, ix := testIndex(t, 500)
+	want := indexBytes(t, ix)
+	chunk, err := serve.SnapshotBytes(g, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFollower(serve.Config{ShutdownGrace: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Server().Close()
+	if _, err := f.ReplSnapshot(1, true, chunk); err != nil {
+		t.Fatal(err)
+	}
+	for i := range chunk {
+		chunk[i] = 0xA5
+	}
+	f.mu.Lock()
+	_, got, err := f.dyn.Freeze()
+	f.mu.Unlock()
+	if err != nil || !bytes.Equal(indexBytes(t, got), want) {
+		t.Fatalf("the installed index changed with the chunk it was decoded from (%v)", err)
+	}
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -79,6 +78,14 @@ type Shipper struct {
 	srv   *serve.Server
 	cfg   ShipperConfig
 	links []*followerLink
+
+	// encMu serializes snapshot encodes and guards snap: the encoding of
+	// the newest epoch a link resynced at, shared by every link resyncing
+	// at that epoch and dropped when the last of them has sent it. It is
+	// taken before the server's writer lock (FrozenState), never under it.
+	encMu   sync.Mutex
+	snap    *encoding
+	encodes atomic.Int64
 
 	shipped atomic.Int64
 	acked   atomic.Int64
@@ -251,44 +258,12 @@ func (sh *Shipper) shipOne(l *followerLink, msg shipMsg) {
 // should back off.
 func (sh *Shipper) doResync(l *followerLink) bool {
 	// Clear the flag BEFORE freezing: a batch dropped after this point
-	// re-flags the link, and FrozenState below is serialized with the
-	// commit that dropped it, so re-running the resync covers it.
+	// re-flags the link, and the FrozenState the snapshot is taken at
+	// (acquire) is serialized with the commit that dropped it, so
+	// re-running the resync covers it.
 	l.needResync.Store(false)
-	g, ix, epoch, err := sh.srv.FrozenState()
-	if err != nil {
-		l.needResync.Store(true)
+	if !sh.sendSnapshot(l) {
 		return false
-	}
-	var buf bytes.Buffer
-	if err := serve.EncodeSnapshot(&buf, g, ix); err != nil {
-		l.needResync.Store(true)
-		return false
-	}
-	data := buf.Bytes()
-	for off := 0; ; off += sh.cfg.ChunkSize {
-		end := off + sh.cfg.ChunkSize
-		done := end >= len(data)
-		if done {
-			end = len(data)
-		}
-		ep, err := l.cl.ReplSnapshot(sh.ctx, epoch, done, data[off:end])
-		if err != nil {
-			var re *wire.RemoteError
-			if errors.As(err, &re) && re.Code == wire.CodeFenced {
-				// A snapshot below the follower's epoch: a newer
-				// primary owns it.
-				sh.fenced.Add(1)
-				l.deposed.Store(true)
-				sh.deposed.Store(true)
-				return false
-			}
-			l.needResync.Store(true)
-			return false
-		}
-		if done {
-			l.epoch.Store(ep)
-			break
-		}
 	}
 	sh.resyncs.Add(1)
 	// Drop queued batches the snapshot covers; the first one above its
@@ -317,6 +292,82 @@ func (sh *Shipper) doResync(l *followerLink) bool {
 		default:
 			return true
 		}
+	}
+}
+
+// encoding is one snapshot encoded for shipping: the container bytes of
+// the state at epoch, and how many links are still sending them.
+type encoding struct {
+	epoch uint64
+	data  []byte
+	users int // guarded by Shipper.encMu
+}
+
+// sendSnapshot streams the snapshot of the current state to the follower
+// in chunks, adopting its epoch once the last chunk installed. On failure
+// it flags the link for another resync, or deposes it on a fence.
+func (sh *Shipper) sendSnapshot(l *followerLink) bool {
+	enc, err := sh.acquire()
+	if err != nil {
+		l.needResync.Store(true)
+		return false
+	}
+	defer sh.release(enc)
+	for off := 0; ; off += sh.cfg.ChunkSize {
+		end := min(off+sh.cfg.ChunkSize, len(enc.data))
+		done := end == len(enc.data)
+		ep, err := l.cl.ReplSnapshot(sh.ctx, enc.epoch, done, enc.data[off:end])
+		if err != nil {
+			var re *wire.RemoteError
+			if errors.As(err, &re) && re.Code == wire.CodeFenced {
+				// A snapshot below the follower's epoch: a newer
+				// primary owns it.
+				sh.fenced.Add(1)
+				l.deposed.Store(true)
+				sh.deposed.Store(true)
+				return false
+			}
+			l.needResync.Store(true)
+			return false
+		}
+		if done {
+			l.epoch.Store(ep)
+			return true
+		}
+	}
+}
+
+// acquire returns the encoding of the server's current state: the shared
+// one when it is of the current epoch, else a fresh encode that links
+// resyncing at this epoch will share. The state is frozen under encMu, so
+// links that arrive during an encode wait for it instead of making their
+// own.
+func (sh *Shipper) acquire() (*encoding, error) {
+	sh.encMu.Lock()
+	defer sh.encMu.Unlock()
+	g, ix, epoch, err := sh.srv.FrozenState()
+	if err != nil {
+		return nil, err
+	}
+	if sh.snap == nil || sh.snap.epoch != epoch {
+		data, err := serve.SnapshotBytes(g, ix)
+		if err != nil {
+			return nil, err
+		}
+		sh.encodes.Add(1)
+		sh.snap = &encoding{epoch: epoch, data: data}
+	}
+	sh.snap.users++
+	return sh.snap, nil
+}
+
+// release marks one link done with enc. The last one out drops the
+// shipper's reference, so an encoding lives only while it is being sent.
+func (sh *Shipper) release(enc *encoding) {
+	sh.encMu.Lock()
+	defer sh.encMu.Unlock()
+	if enc.users--; enc.users == 0 && sh.snap == enc {
+		sh.snap = nil
 	}
 }
 

@@ -23,10 +23,12 @@ package container
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 )
 
@@ -178,6 +180,16 @@ func ReadTable(r io.Reader) (Header, []Row, error) {
 	return h, rows, nil
 }
 
+// Size returns the length of the container WriteContainer writes of
+// sections, whatever the header.
+func Size(sections []Section) int {
+	size := len(Magic) + headerLen + 4 + tableRow*len(sections)
+	for _, s := range sections {
+		size += len(s.Payload)
+	}
+	return size
+}
+
 // ReadContainer reads a container written by WriteContainer. expect maps
 // the header to the longest payload accepted for every known section id,
 // which callers verify exact lengths beyond. Each payload is read into a
@@ -192,42 +204,80 @@ func ReadContainer(r io.Reader, vouched bool, expect func(Header) (map[uint32]ui
 	if err != nil {
 		return h, nil, err
 	}
-	bounds, err := expect(h)
+	sections, err := readSections(h, rows, expect, func(row Row, keep bool) ([]byte, error) {
+		switch {
+		case !keep:
+			// Clamped: a length past MaxInt64 would turn negative and skip nothing.
+			_, err := io.CopyN(io.Discard, br, int64(min(row.Length, math.MaxInt64)))
+			return nil, err
+		case vouched:
+			buf := make([]byte, row.Length)
+			_, err := io.ReadFull(br, buf)
+			return buf, err
+		default:
+			return ReadN(br, row.Length)
+		}
+	})
+	return h, sections, err
+}
+
+// ReadBytes is ReadContainer over a container already in memory: the same
+// checks in the same order, with data bounding every length. A row longer
+// than the bytes left fails before anything is allocated for it, and each
+// payload returned is a sub-slice of data, not a copy — a caller that
+// keeps one past data's life copies it.
+func ReadBytes(data []byte, expect func(Header) (map[uint32]uint64, error)) (Header, map[uint32]Section, error) {
+	r := bytes.NewReader(data)
+	h, rows, err := ReadTable(r)
 	if err != nil {
 		return h, nil, err
+	}
+	rest := data[len(data)-r.Len():]
+	sections, err := readSections(h, rows, expect, func(row Row, _ bool) ([]byte, error) {
+		if row.Length > uint64(len(rest)) {
+			return nil, fmt.Errorf("%d bytes claimed, %d left: %w", row.Length, len(rest), io.ErrUnexpectedEOF)
+		}
+		p := rest[:row.Length:row.Length]
+		rest = rest[row.Length:]
+		return p, nil
+	})
+	return h, sections, err
+}
+
+// readSections checks the payloads of a container whose table has been
+// read, in table order, taking each from next: keep is false for a section
+// of an id expect does not list, which next only steps over.
+func readSections(h Header, rows []Row, expect func(Header) (map[uint32]uint64, error), next func(row Row, keep bool) ([]byte, error)) (map[uint32]Section, error) {
+	bounds, err := expect(h)
+	if err != nil {
+		return nil, err
 	}
 	sections := make(map[uint32]Section, len(rows))
 	for _, row := range rows {
 		max, known := bounds[row.ID]
 		if !known {
-			if _, err := io.CopyN(io.Discard, br, int64(row.Length)); err != nil {
-				return h, nil, fmt.Errorf("container: skipping section %d: %w", row.ID, err)
+			if _, err := next(row, false); err != nil {
+				return nil, fmt.Errorf("container: skipping section %d: %w", row.ID, err)
 			}
 			sections[row.ID] = Section{ID: row.ID, CRC: row.CRC}
 			continue
 		}
 		if row.Length > max {
-			return h, nil, fmt.Errorf("container: section %d has length %d, exceeds %d", row.ID, row.Length, max)
+			return nil, fmt.Errorf("container: section %d has length %d, exceeds %d", row.ID, row.Length, max)
 		}
 		if _, dup := sections[row.ID]; dup {
-			return h, nil, fmt.Errorf("container: duplicate section %d", row.ID)
+			return nil, fmt.Errorf("container: duplicate section %d", row.ID)
 		}
-		var buf []byte
-		if vouched {
-			buf = make([]byte, row.Length)
-			_, err = io.ReadFull(br, buf)
-		} else {
-			buf, err = ReadN(br, row.Length)
-		}
+		buf, err := next(row, true)
 		if err != nil {
-			return h, nil, fmt.Errorf("container: reading section %d: %w", row.ID, err)
+			return nil, fmt.Errorf("container: reading section %d: %w", row.ID, err)
 		}
 		if got := Checksum(0, buf); got != row.CRC {
-			return h, nil, fmt.Errorf("container: section %d checksum mismatch (got %08x, want %08x)", row.ID, got, row.CRC)
+			return nil, fmt.Errorf("container: section %d checksum mismatch (got %08x, want %08x)", row.ID, got, row.CRC)
 		}
 		sections[row.ID] = Section{ID: row.ID, CRC: row.CRC, Payload: buf}
 	}
-	return h, sections, nil
+	return sections, nil
 }
 
 // ReadN reads n bytes into a buffer that starts at 64 KiB and doubles as

@@ -1,7 +1,4 @@
-package method
-
-// The tests of internal/container, which began in this package as the
-// framing of its index files.
+package container_test
 
 import (
 	"bytes"
@@ -13,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"testing"
 
 	"highway/internal/container"
@@ -108,6 +104,15 @@ func decode(file []byte, sections []container.Section) (container.Header, map[ui
 		}
 	}
 	return h, payloads, nil
+}
+
+// allocatedBy returns the bytes fn allocates, as the runtime counts them.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 func mustWrite(tb testing.TB, h container.Header, sections []container.Section) []byte {
@@ -254,58 +259,38 @@ func TestContainerSkipsUnknownSections(t *testing.T) {
 }
 
 // retiredTag is the method-tag section a baseline's index file began with.
+// The table of malformed files the reader refuses, retired tags among them,
+// is TestContainerRejects in internal/method.
 func retiredTag(name string) container.Section {
 	return container.Section{ID: container.SectTag, Payload: []byte(name)}
 }
 
-func TestContainerRejects(t *testing.T) {
+// TestReadBytes: over a file in memory the sections are the file's own
+// bytes, and a row claiming more than is left fails without allocating
+// what it claims.
+func TestReadBytes(t *testing.T) {
 	h := container.Header{N: 4, K: 1}
-	tag := retiredTag
-	a, b := testSections[0], testSections[2]
-	var hdr [headerLen]byte
-	copy(hdr[:], frame(h, []container.Section{a}, nil)[len(container.Magic):])
-	version3, flagged := hdr, hdr
-	version3[0] = 3
-	flagged[4] = 1
-
-	for _, tc := range []struct {
-		name string
-		file []byte
-		msg  string // what the error must say
-	}{
-		{"duplicate known id", frame(h, []container.Section{a, b, a}, nil), "duplicate section 33"},
-		// The row claims a petabyte; the bound stops it before any
-		// buffer of that size exists.
-		{"section longer than allowed", frame(h, []container.Section{a, b}, map[int]uint64{1: 1 << 50}), "section 35 has length 1125899906842624, exceeds 300"},
-		{"empty tag", frame(h, []container.Section{tag(""), a}, nil), `index file tagged "" is no longer loadable`},
-		{"explicit hl tag", frame(h, []container.Section{tag("hl"), a}, nil), `index file tagged "hl" is no longer loadable`},
-		{"tag longer than 64", frame(h, []container.Section{tag(strings.Repeat("x", 65)), a}, nil), "tag section length 65 exceeds 64"},
-		{"65 sections", frame(h, append([]container.Section{a}, make([]container.Section, 64)...), nil), "implausible section count 65"},
-		{"no sections", frame(h, nil, nil), "implausible section count 0"},
-		{"another method's file", frame(h, []container.Section{tag("isl"), a}, nil), `index file tagged "isl" is no longer loadable`},
-		{"tagged file read as hl", frame(h, []container.Section{tag("pll"), a}, nil), `index file tagged "pll" is no longer loadable`},
-		{"tag not first", frame(h, []container.Section{a, tag("pll")}, nil), "tag section 32 is not the first section"},
-		{"second tag", frame(h, []container.Section{tag("pll"), a, tag("isl")}, nil), `tagged "pll"`},
-		{"v1 stream", []byte("HWLIDX01 and then whatever"), "retired index layout: rewrite the file with `hlbuild migrate -graph G -in FILE`"},
-		{"bad magic", []byte("HWLIDX03 and then whatever"), "bad magic"},
-		{"version 3", frameHeader(version3, []container.Section{a}, nil), "container version 3 unsupported"},
-		{"flags set", frameHeader(flagged, []container.Section{a}, nil), "unsupported flags 0x1"},
-		{"truncated table", frame(h, []container.Section{a}, nil)[:len(container.Magic)+headerLen+4+3], "reading section table"},
-		{"truncated payload", frame(h, []container.Section{a}, nil)[:len(frame(h, []container.Section{a}, nil))-1], "reading section 33"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := container.ReadContainer(bytes.NewReader(tc.file), true, exactly([]container.Section{a, b}))
-			if err == nil || !strings.Contains(err.Error(), tc.msg) {
-				t.Fatalf("err = %v, want one saying %q", err, tc.msg)
-			}
-		})
+	file := mustWrite(t, h, testSections)
+	if size := container.Size(testSections); size != len(file) {
+		t.Fatalf("Size = %d, the file is %d bytes", size, len(file))
 	}
-
-	// expect's own verdict on the header is passed through.
-	veto := errors.New("n is not my graph's")
-	_, _, err := container.ReadContainer(bytes.NewReader(frame(h, []container.Section{a}, nil)), true, func(container.Header) (map[uint32]uint64, error) { return nil, veto })
-	if !errors.Is(err, veto) {
-		t.Fatalf("expect's error lost: %v", err)
+	got, sections, err := container.ReadBytes(file, exactly(testSections))
+	if err != nil || got != h {
+		t.Fatalf("header %+v, %v", got, err)
+	}
+	end := &file[len(file)-1]
+	for _, s := range testSections[2:] { // the one with a payload to point into
+		p := sections[s.ID].Payload
+		if !bytes.Equal(p, s.Payload) || &p[len(p)-1] != end {
+			t.Fatalf("section %d is not the file's last %d bytes", s.ID, len(s.Payload))
+		}
+	}
+	huge := frame(h, []container.Section{testSections[0]}, map[int]uint64{0: 1 << 40})
+	bounds := func(container.Header) (map[uint32]uint64, error) {
+		return map[uint32]uint64{testSections[0].ID: 1 << 40}, nil
+	}
+	if used := allocatedBy(func() { _, _, err = container.ReadBytes(huge, bounds) }); err == nil || used > 64<<10 {
+		t.Fatalf("a row claiming 1 TiB of %d bytes: err %v, %d bytes allocated", len(huge), err, used)
 	}
 }
 
@@ -315,31 +300,6 @@ func TestWriteContainerRejects(t *testing.T) {
 	}
 	if err := container.WriteContainer(io.Discard, container.Header{}, make([]container.Section, 64)); err != nil {
 		t.Errorf("64 sections: %v", err)
-	}
-}
-
-// TestRetiredMethodTag: the reader still reads a retired baseline's
-// method tag, only to refuse the file. A container whose first section is
-// the tag fails with one line naming the method, before any other section
-// is read and whatever follows; the tag row's claimed length is bounded
-// before the tag is read.
-func TestRetiredMethodTag(t *testing.T) {
-	h := container.Header{N: 3, K: 1}
-	for _, name := range []string{"pll", "dynhl"} {
-		for _, file := range [][]byte{
-			mustWrite(t, h, append([]container.Section{retiredTag(name)}, testSections...)),
-			// The section after the tag claims a petabyte: it is never reached.
-			frame(h, []container.Section{retiredTag(name), testSections[2]}, map[int]uint64{1: 1 << 50}),
-		} {
-			_, _, err := container.ReadContainer(bytes.NewReader(file), true, exactly(testSections))
-			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q is no longer loadable", name)) || strings.Contains(err.Error(), "\n") {
-				t.Errorf("%s: err = %v, want one line naming it as no longer loadable", name, err)
-			}
-		}
-	}
-	huge := frame(h, []container.Section{retiredTag("pll")}, map[int]uint64{0: 1 << 50})
-	if _, _, err := container.ReadContainer(bytes.NewReader(huge), true, exactly(testSections)); err == nil || !strings.Contains(err.Error(), "tag section length 1125899906842624 exceeds 64") {
-		t.Errorf("tag claiming a petabyte: %v", err)
 	}
 }
 
@@ -412,7 +372,10 @@ func testSaveFile(t *testing.T, durable bool) {
 // never panics, never hands back a section past its bound, allocates in
 // proportion to the bytes it was given whatever lengths the table claims,
 // and a file it accepts in full is one WriteContainer writes back byte for
-// byte.
+// byte. ReadBytes, the same read over bytes in memory, agrees with it on
+// every input: it rejects what ReadContainer rejects and returns the same
+// header and sections for what it accepts, allocating nothing in
+// proportion to the input.
 func FuzzReadContainer(f *testing.F) {
 	grown := container.Section{ID: 9, Payload: []byte("arrives as it comes")}
 	for _, file := range [][]byte{
@@ -428,19 +391,31 @@ func FuzzReadContainer(f *testing.F) {
 		f.Add(file[:len(file)/2])
 	}
 	bounds := map[uint32]uint64{1: 64, 5: 64, grown.ID: 1 << 40, container.SectTag + 1: 64, container.SectTag + 2: 0, container.SectTag + 3: 300}
+	expect := func(container.Header) (map[uint32]uint64, error) { return bounds, nil }
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var h container.Header
-		var got map[uint32]container.Section
-		var err error
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		h, got, err = container.ReadContainer(bytes.NewReader(data), false, func(container.Header) (map[uint32]uint64, error) { return bounds, nil })
-		runtime.ReadMemStats(&after)
-		if used := after.TotalAlloc - before.TotalAlloc; used > 1<<20+4*uint64(len(data)) {
+		var h, mh container.Header
+		var got, mem map[uint32]container.Section
+		var err, merr error
+		if used := allocatedBy(func() { h, got, err = container.ReadContainer(bytes.NewReader(data), false, expect) }); used > 1<<20+4*uint64(len(data)) {
 			t.Fatalf("%d bytes allocated reading %d", used, len(data))
+		}
+		if used := allocatedBy(func() { mh, mem, merr = container.ReadBytes(data, expect) }); used > 64<<10 {
+			t.Fatalf("ReadBytes allocated %d bytes on %d in memory", used, len(data))
+		}
+		if (err == nil) != (merr == nil) {
+			t.Fatalf("ReadContainer: %v; ReadBytes: %v", err, merr)
 		}
 		if err != nil {
 			return
+		}
+		if mh != h || len(mem) != len(got) {
+			t.Fatalf("ReadBytes read %+v and %d sections, ReadContainer %+v and %d", mh, len(mem), h, len(got))
+		}
+		for id, s := range got {
+			m := mem[id]
+			if m.ID != s.ID || m.CRC != s.CRC || !bytes.Equal(m.Payload, s.Payload) || (m.Payload == nil) != (s.Payload == nil) {
+				t.Fatalf("section %d: ReadBytes %+v, ReadContainer %+v", id, m, s)
+			}
 		}
 		var sections []container.Section
 		for _, id := range tableIDs(data) {

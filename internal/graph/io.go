@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"slices"
 	"strconv"
 	"unicode"
 	"unicode/utf8"
@@ -205,11 +204,15 @@ func FromSections(n uint64, sec map[uint32]container.Section) (*Graph, error) {
 		return nil, fmt.Errorf("graph: sections %d and %d hold %d and %d bytes, not the arrays of %d vertices", SectOffsets, SectTargets, len(off.Payload), len(tgt.Payload), n)
 	}
 	g := &Graph{offsets: make([]int64, n+1), targets: make([]int32, len(tgt.Payload)/4)}
-	binary.Decode(off.Payload, binary.LittleEndian, g.offsets) // cannot fail: the lengths match
+	for i := range g.offsets {
+		g.offsets[i] = int64(binary.LittleEndian.Uint64(off.Payload[8*i:]))
+	}
 	if err := checkOffsets(g.offsets, int64(len(g.targets))); err != nil {
 		return nil, err
 	}
-	binary.Decode(tgt.Payload, binary.LittleEndian, g.targets)
+	for i := range g.targets {
+		g.targets[i] = int32(binary.LittleEndian.Uint32(tgt.Payload[4*i:]))
+	}
 	if err := checkRows(g); err != nil {
 		return nil, err
 	}
@@ -271,20 +274,29 @@ func checkRows(g *Graph) error {
 			prev = w
 		}
 	}
-	// Symmetry in one pass: visiting v in ascending order, the next
-	// unmatched entry of each sorted row w must be v itself.
-	next := slices.Clone(g.offsets[:n])
+	// Symmetry, each edge once: visiting v in ascending order, every upper
+	// neighbour w > v must have v as the next unmatched entry of its lower
+	// part (the neighbours below w, a prefix of its sorted row), and by v's
+	// own turn every u < v has done the same, so v's lower part must be used
+	// up — its upper part starts at the cursor.
+	off, tgt := g.offsets, g.targets
+	used := make([]int32, n) // entries of each row's lower part matched so far
 	for v := int32(0); int(v) < n; v++ {
-		for _, w := range g.Neighbors(v) {
-			i := next[w]
+		lo, hi := off[v]+int64(used[v]), off[v+1]
+		if lo < hi && tgt[lo] < v {
+			x := tgt[lo]
+			return fmt.Errorf("graph: vertex %d lists %d, but %d does not list %d", v, x, x, v)
+		}
+		for _, w := range tgt[lo:hi] {
+			p, end := off[w]+int64(used[w]), off[w+1] // w's next unmatched entry, its row's end
 			switch {
-			case i < g.offsets[w+1] && g.targets[i] < v:
-				x := g.targets[i]
+			case p < end && tgt[p] < v:
+				x := tgt[p]
 				return fmt.Errorf("graph: vertex %d lists %d, but %d does not list %d", w, x, x, w)
-			case i == g.offsets[w+1] || g.targets[i] != v:
+			case p == end || tgt[p] != v:
 				return fmt.Errorf("graph: vertex %d lists %d, but %d does not list %d", v, w, w, v)
 			}
-			next[w]++
+			used[w]++
 		}
 	}
 	return nil

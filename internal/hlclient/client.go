@@ -246,13 +246,14 @@ func (c *Client) Close() error {
 // do runs one request/response exchange with the client's full
 // resilience stack: circuit breaker check, then up to 1+MaxRetries
 // attempts with jittered exponential backoff between them. Each
-// attempt checks a connection out of the pool, frames the request and
-// decodes the response with decode (called while the connection still
-// owns the payload buffer — copy anything retained). A TError response
+// attempt checks a connection out of the pool, frames the request (the
+// payload build appends, then body as it is) and decodes the response
+// with decode (called while the connection still owns the payload
+// buffer — copy anything retained). A TError response
 // is returned as *wire.RemoteError with the connection kept healthy;
 // Overloaded is the one remote error that is retried (the server asked
 // for exactly that).
-func (c *Client) do(ctx context.Context, req wire.Type, build func(dst []byte) []byte,
+func (c *Client) do(ctx context.Context, req wire.Type, build func(dst []byte) []byte, body []byte,
 	want wire.Type, decode func(payload []byte) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -261,7 +262,7 @@ func (c *Client) do(ctx context.Context, req wire.Type, build func(dst []byte) [
 		if !c.brk.allow() {
 			return fmt.Errorf("%w: %s", ErrCircuitOpen, c.addr)
 		}
-		err := c.attempt(ctx, req, build, want, decode)
+		err := c.attempt(ctx, req, build, body, want, decode)
 
 		// Breaker accounting: any in-band response — success or remote
 		// error — proves the server alive; a caller-cancelled context
@@ -294,7 +295,7 @@ func (c *Client) do(ctx context.Context, req wire.Type, build func(dst []byte) [
 // Each such failure closes one stale pooled connection, so the loop
 // drains the pool and then dials fresh; a fresh connection's failure
 // is returned to the retry/backoff layer above.
-func (c *Client) attempt(ctx context.Context, req wire.Type, build func(dst []byte) []byte,
+func (c *Client) attempt(ctx context.Context, req wire.Type, build func(dst []byte) []byte, body []byte,
 	want wire.Type, decode func(payload []byte) error) error {
 	if c.cfg.AttemptTimeout > 0 {
 		var cancel context.CancelFunc
@@ -306,7 +307,7 @@ func (c *Client) attempt(ctx context.Context, req wire.Type, build func(dst []by
 		if err != nil {
 			return err
 		}
-		healthy, err := pc.roundTrip(ctx, req, build, want, decode)
+		healthy, err := pc.roundTrip(ctx, req, build, body, want, decode)
 		if healthy {
 			c.put(pc)
 		} else {
@@ -320,19 +321,21 @@ func (c *Client) attempt(ctx context.Context, req wire.Type, build func(dst []by
 }
 
 // roundTrip performs the exchange on one connection, reporting whether
-// the connection is still usable afterwards.
-func (pc *poolConn) roundTrip(ctx context.Context, req wire.Type, build func(dst []byte) []byte,
+// the connection is still usable afterwards. A request or response
+// buffer the exchange grew past wire.MaxRetained is released with it.
+func (pc *poolConn) roundTrip(ctx context.Context, req wire.Type, build func(dst []byte) []byte, body []byte,
 	want wire.Type, decode func(payload []byte) error) (healthy bool, err error) {
 	if dl, ok := ctx.Deadline(); ok {
 		pc.c.SetDeadline(dl)
 	} else {
 		pc.c.SetDeadline(time.Time{})
 	}
+	defer pc.release()
 	pc.scratch = pc.scratch[:0]
 	if build != nil {
 		pc.scratch = build(pc.scratch)
 	}
-	if err := pc.w.WriteFrame(req, pc.scratch); err != nil {
+	if err := pc.w.WriteFrameParts(req, pc.scratch, body); err != nil {
 		return false, fmt.Errorf("hlclient: write: %w", err)
 	}
 	if err := pc.w.Flush(); err != nil {
@@ -367,12 +370,21 @@ func (pc *poolConn) roundTrip(ctx context.Context, req wire.Type, build func(dst
 	}
 }
 
+// release drops the connection's request and response buffers if the
+// exchange just finished grew either past wire.MaxRetained.
+func (pc *poolConn) release() {
+	if cap(pc.scratch) > wire.MaxRetained {
+		pc.scratch = nil
+	}
+	pc.r.Release()
+}
+
 // Distance returns the exact distance between s and t (-1 when
 // disconnected), in one framed round trip.
 func (c *Client) Distance(ctx context.Context, s, t int32) (int32, error) {
 	var d int32
 	err := c.do(ctx,
-		wire.TDistance, func(dst []byte) []byte { return wire.AppendPair(dst, s, t) },
+		wire.TDistance, func(dst []byte) []byte { return wire.AppendPair(dst, s, t) }, nil,
 		wire.TDistanceResp, func(p []byte) error {
 			var derr error
 			d, derr = wire.DecodeDistance(p)
@@ -398,7 +410,7 @@ func (c *Client) Distance(ctx context.Context, s, t int32) (int32, error) {
 func (c *Client) DistanceBatch(ctx context.Context, pairs [][2]int32, dst []int32) ([]int32, error) {
 	var out []int32
 	err := c.do(ctx,
-		wire.TBatch, func(b []byte) []byte { return wire.AppendPairs(b, pairs) },
+		wire.TBatch, func(b []byte) []byte { return wire.AppendPairs(b, pairs) }, nil,
 		wire.TBatchResp, func(p []byte) error {
 			var derr error
 			out, derr = wire.DecodeDistances(p, dst)
@@ -419,7 +431,7 @@ func (c *Client) DistanceBatch(ctx context.Context, pairs [][2]int32, dst []int3
 func (c *Client) InsertEdges(ctx context.Context, edges [][2]int32) (serve.InsertResult, error) {
 	var res serve.InsertResult
 	err := c.do(ctx,
-		wire.TInsert, func(b []byte) []byte { return wire.AppendPairs(b, edges) },
+		wire.TInsert, func(b []byte) []byte { return wire.AppendPairs(b, edges) }, nil,
 		wire.TInsertResp, func(p []byte) error {
 			acc, ins, epoch, derr := wire.DecodeInsertResult(p)
 			res = serve.InsertResult{Accepted: acc, Inserted: ins, Epoch: epoch}
@@ -438,7 +450,7 @@ func (c *Client) InsertEdges(ctx context.Context, edges [][2]int32) (serve.Inser
 func (c *Client) DeleteEdges(ctx context.Context, edges [][2]int32) (serve.DeleteResult, error) {
 	var res serve.DeleteResult
 	err := c.do(ctx,
-		wire.TDelete, func(b []byte) []byte { return wire.AppendPairs(b, edges) },
+		wire.TDelete, func(b []byte) []byte { return wire.AppendPairs(b, edges) }, nil,
 		wire.TDeleteResp, func(p []byte) error {
 			acc, del, epoch, derr := wire.DecodeDeleteResult(p)
 			res = serve.DeleteResult{Accepted: acc, Deleted: del, Epoch: epoch}
@@ -455,7 +467,7 @@ func (c *Client) DeleteEdges(ctx context.Context, edges [][2]int32) (serve.Delet
 func (c *Client) Stats(ctx context.Context) (json.RawMessage, error) {
 	var doc json.RawMessage
 	err := c.do(ctx,
-		wire.TStats, nil,
+		wire.TStats, nil, nil,
 		wire.TStatsResp, func(p []byte) error {
 			doc = append(json.RawMessage(nil), p...) // the frame buffer is reused; copy
 			return nil
@@ -468,7 +480,7 @@ func (c *Client) Stats(ctx context.Context) (json.RawMessage, error) {
 
 // Ping performs a liveness round trip.
 func (c *Client) Ping(ctx context.Context) error {
-	return c.do(ctx, wire.TPing, nil, wire.TPingResp, nil)
+	return c.do(ctx, wire.TPing, nil, nil, wire.TPingResp, nil)
 }
 
 // ReplAppend ships one WAL batch (ops in WAL record encoding, see
@@ -479,7 +491,7 @@ func (c *Client) Ping(ctx context.Context) error {
 func (c *Client) ReplAppend(ctx context.Context, epoch uint64, ops [][2]int32) (uint64, error) {
 	var cur uint64
 	err := c.do(ctx,
-		wire.TReplAppend, func(b []byte) []byte { return wire.AppendReplAppend(b, epoch, ops) },
+		wire.TReplAppend, func(b []byte) []byte { return wire.AppendReplAppend(b, epoch, ops) }, nil,
 		wire.TReplAck, func(p []byte) error {
 			var derr error
 			cur, derr = wire.DecodeReplAck(p)
@@ -492,11 +504,13 @@ func (c *Client) ReplAppend(ctx context.Context, epoch uint64, ops [][2]int32) (
 }
 
 // ReplSnapshot ships one chunk of a streamed snapshot transfer (done on
-// the final chunk installs it), returning the follower's epoch.
+// the final chunk installs it), returning the follower's epoch. The chunk
+// goes to the connection as it is, after the 9-byte head; it is not
+// copied into the connection's buffers.
 func (c *Client) ReplSnapshot(ctx context.Context, epoch uint64, done bool, chunk []byte) (uint64, error) {
 	var cur uint64
 	err := c.do(ctx,
-		wire.TReplSnapshot, func(b []byte) []byte { return wire.AppendReplSnapshot(b, epoch, done, chunk) },
+		wire.TReplSnapshot, func(b []byte) []byte { return wire.AppendReplSnapshot(b, epoch, done, nil) }, chunk,
 		wire.TReplSnapshotResp, func(p []byte) error {
 			var derr error
 			cur, derr = wire.DecodeReplAck(p)

@@ -1,13 +1,17 @@
 package hlclient
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"highway/internal/core"
 	"highway/internal/gen"
@@ -345,4 +349,72 @@ func TestClientConcurrent(t *testing.T) {
 		}
 	}
 	_ = srv
+}
+
+// TestPooledConnReleasesLargeFrames: a snapshot chunk goes out without
+// being copied into the pooled connection's scratch, and no buffer a
+// large request or response grew outlives its exchange — the connection
+// goes back to the pool holding at most wire.MaxRetained in each.
+func TestPooledConnReleasesLargeFrames(t *testing.T) {
+	const size = 1 << 20
+	var chunkLen atomic.Int64
+	addr, stop := fakeServer(t, func(_ int32, typ wire.Type, p []byte) (wire.Type, []byte, bool) {
+		switch typ {
+		case wire.TReplSnapshot:
+			_, _, chunk, _ := wire.DecodeReplSnapshot(p)
+			chunkLen.Store(int64(len(chunk)))
+			return wire.TReplSnapshotResp, wire.AppendReplAck(nil, 5), true
+		case wire.TBatch:
+			pairs, _ := wire.DecodePairs(p, nil)
+			return wire.TBatchResp, wire.AppendDistances(nil, make([]int32, len(pairs))), true
+		default:
+			return wire.TStatsResp, append([]byte(`"`), append(bytes.Repeat([]byte{'x'}, size), '"')...), true
+		}
+	})
+	defer stop()
+	ctx := context.Background()
+	cl, err := Dial(ctx, addr, Config{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	pooled := func(what string) *poolConn {
+		t.Helper()
+		if len(cl.idle) != 1 {
+			t.Fatalf("after %s: %d pooled connections, want 1", what, len(cl.idle))
+		}
+		pc := cl.idle[0]
+		if held := cap(pc.scratch); held > wire.MaxRetained {
+			t.Fatalf("after %s the pooled connection's scratch holds %d bytes", what, held)
+		}
+		return pc
+	}
+
+	if ep, err := cl.ReplSnapshot(ctx, 5, true, make([]byte, size)); err != nil || ep != 5 || chunkLen.Load() != size {
+		t.Fatalf("ReplSnapshot: epoch %d, %v; the server got %d bytes", ep, err, chunkLen.Load())
+	}
+	if held := cap(pooled("a 1 MiB snapshot chunk").scratch); held > 64 {
+		t.Fatalf("the chunk was staged in the scratch: it holds %d bytes", held)
+	}
+	if _, err := cl.DistanceBatch(ctx, make([][2]int32, size/8), nil); err != nil {
+		t.Fatal(err)
+	}
+	pooled("a 1 MiB batch")
+
+	// The response side: the reader's buffer of a 1 MiB answer is garbage
+	// once the call returns, while its connection stays pooled.
+	var answer weak.Pointer[byte]
+	err = cl.do(ctx, wire.TStats, nil, nil, wire.TStatsResp, func(p []byte) error {
+		answer = weak.Make(&p[0])
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := pooled("a 1 MiB response")
+	runtime.GC()
+	if answer.Value() != nil {
+		t.Fatal("the 1 MiB response's buffer survives a collection in the pooled connection")
+	}
+	runtime.KeepAlive(pc)
 }

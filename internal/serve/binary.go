@@ -112,6 +112,20 @@ type connScratch struct {
 	out   []byte
 }
 
+// release drops every buffer the request just answered grew past
+// wire.MaxRetained bytes; a full batch's fit under it and are kept.
+func (st *connScratch) release() {
+	if 8*cap(st.pairs) > wire.MaxRetained {
+		st.pairs = nil
+	}
+	if 4*cap(st.dists) > wire.MaxRetained {
+		st.dists = nil
+	}
+	if cap(st.out) > wire.MaxRetained {
+		st.out = nil
+	}
+}
+
 // serveConn runs one connection's request loop: handshake, then
 // frame → dispatch → response until the peer closes, a frame is
 // corrupt, or the idle deadline passes. Framing errors drop the
@@ -195,6 +209,8 @@ func (fe *Frontend) serveConn(ctx context.Context, c net.Conn) {
 		if err := w.WriteFrame(respType, st.out); err != nil {
 			return
 		}
+		r.Release()
+		st.release()
 		// Pipelining flush heuristic: only flush when no further
 		// request is already buffered, so a burst of N requests costs
 		// ~1 write syscall, not N.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"maps"
@@ -134,24 +135,67 @@ func (s *Server) FrozenState() (*graph.Graph, *core.Index, uint64, error) {
 // the graph's sections 9 and 10 and the labelling's 1–8 — as a checkpoint
 // persists it next to the WAL and a TReplSnapshot transfer carries it.
 func EncodeSnapshot(w io.Writer, g *graph.Graph, ix *core.Index) error {
+	h, sections := snapshotSections(g, ix)
+	return container.WriteContainer(w, h, sections)
+}
+
+// SnapshotBytes returns what EncodeSnapshot writes, in one buffer of
+// exactly its length: the form a primary ships to its followers.
+func SnapshotBytes(g *graph.Graph, ix *core.Index) ([]byte, error) {
+	h, sections := snapshotSections(g, ix)
+	buf := bytes.NewBuffer(make([]byte, 0, container.Size(sections)))
+	err := container.WriteContainer(buf, h, sections)
+	return buf.Bytes(), err
+}
+
+func snapshotSections(g *graph.Graph, ix *core.Index) (container.Header, []container.Section) {
 	h, labels := ix.Sections()
-	return container.WriteContainer(w, h, append(g.Sections(), labels...))
+	return h, append(g.Sections(), labels...)
 }
 
 // DecodeSnapshot reads a snapshot written by EncodeSnapshot. The bytes may
 // come from the network, and n, which bounds every section, from the same
 // header: nothing vouches for the bounds.
 func DecodeSnapshot(r io.Reader) (*graph.Graph, *core.Index, error) {
-	h, sec, err := container.ReadContainer(r, false, func(h container.Header) (map[uint32]uint64, error) {
-		bounds, err := core.Bounds(h)
-		if err == nil {
-			maps.Copy(bounds, graph.Bounds(h.N))
-		}
-		return bounds, err
-	})
+	h, sec, err := container.ReadContainer(r, false, snapshotBounds)
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: snapshot: %w", err)
 	}
+	return fromSnapshotSections(h, sec)
+}
+
+// DecodeSnapshotBytes is DecodeSnapshot over a snapshot already in memory,
+// such as a replication frame's payload: data bounds every section, and
+// whatever the state keeps is copied out of data once, so data may be
+// reused as soon as it returns.
+func DecodeSnapshotBytes(data []byte) (*graph.Graph, *core.Index, error) {
+	h, sec, err := container.ReadBytes(data, snapshotBounds)
+	if err != nil {
+		return nil, nil, fmt.Errorf("serve: snapshot: %w", err)
+	}
+	// The graph decodes its sections into arrays of its own; the labelling
+	// keeps the buffers it is handed.
+	for id, s := range sec {
+		if id != graph.SectOffsets && id != graph.SectTargets {
+			s.Payload = bytes.Clone(s.Payload)
+			sec[id] = s
+		}
+	}
+	return fromSnapshotSections(h, sec)
+}
+
+// snapshotBounds is the longest section of each known id under a
+// snapshot's header: the labelling's and the graph's.
+func snapshotBounds(h container.Header) (map[uint32]uint64, error) {
+	bounds, err := core.Bounds(h)
+	if err == nil {
+		maps.Copy(bounds, graph.Bounds(h.N))
+	}
+	return bounds, err
+}
+
+// fromSnapshotSections decodes the sections of a snapshot's container.
+func fromSnapshotSections(h container.Header, sec map[uint32]container.Section) (*graph.Graph, *core.Index, error) {
 	g, err := graph.FromSections(h.N, sec)
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: snapshot graph: %w", err)

@@ -84,12 +84,22 @@ func legacySnapshot(tb testing.TB) []byte {
 	return raw
 }
 
+// decodeBytesBudget is what DecodeSnapshotBytes may allocate on size bytes
+// in memory: the state it returns — which is about as long as the
+// snapshot, the graph's arrays being its sections decoded — and a quarter
+// more for the cursors and maps beside it, but no buffer for the input.
+func decodeBytesBudget(size int) uint64 { return 64<<10 + 5*uint64(size)/4 }
+
 // FuzzDecodeSnapshot holds the snapshot reader, which every follower runs
-// on bytes from the network, total on arbitrary bytes: no panic, no more
-// allocated than the graph reader's budget whatever the header and table
-// claim, a legacy snapshot refused with one line naming `hlbuild migrate`,
-// and a snapshot it accepts with EncodeSnapshot's table is byte for byte
-// what EncodeSnapshot writes of the state it returns.
+// on bytes from the network, total on arbitrary bytes through both its
+// front doors, the stream (DecodeSnapshot) and bytes in memory
+// (DecodeSnapshotBytes): no panic, no more allocated than the graph
+// reader's budget on a stream or decodeBytesBudget in memory whatever the
+// header and table claim, a legacy snapshot refused with one line naming
+// `hlbuild migrate`, both doors rejecting an input or both returning states
+// that re-encode to the same bytes, and a snapshot accepted with
+// EncodeSnapshot's table is byte for byte what EncodeSnapshot writes of
+// the state it returns.
 func FuzzDecodeSnapshot(f *testing.F) {
 	g := gen.BarabasiAlbert(120, 3, 5)
 	ix, err := core.Build(g, g.DegreeOrder()[:6])
@@ -146,28 +156,107 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	}
 	written := ids(good)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var g *graph.Graph
-		var ix *core.Index
-		var err error
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		g, ix, err = DecodeSnapshot(bytes.NewReader(data))
-		runtime.ReadMemStats(&after)
-		if used := after.TotalAlloc - before.TotalAlloc; used > readBinaryBudget(len(data)) {
+		var g, mg *graph.Graph
+		var ix, mix *core.Index
+		var err, merr error
+		if used := allocatedBy(func() { g, ix, err = DecodeSnapshot(bytes.NewReader(data)) }); used > readBinaryBudget(len(data)) {
 			t.Fatalf("DecodeSnapshot allocated %d bytes on a %d-byte stream", used, len(data))
+		}
+		if used := allocatedBy(func() { mg, mix, merr = DecodeSnapshotBytes(data) }); used > decodeBytesBudget(len(data)) {
+			t.Fatalf("DecodeSnapshotBytes allocated %d bytes on %d in memory", used, len(data))
 		}
 		if bytes.HasPrefix(data, legacy[:8]) && (err == nil || !strings.Contains(err.Error(), "hlbuild migrate") || strings.Contains(err.Error(), "\n")) {
 			t.Fatalf("legacy snapshot: err = %v, want one line naming hlbuild migrate", err)
 		}
-		if err != nil || ids(data) != written {
+		if (err == nil) != (merr == nil) {
+			t.Fatalf("DecodeSnapshot: %v; DecodeSnapshotBytes: %v", err, merr)
+		}
+		if err != nil {
 			return
 		}
-		var out bytes.Buffer
-		if err := EncodeSnapshot(&out, g, ix); err != nil {
+		out, err := SnapshotBytes(g, ix)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.HasPrefix(data, out.Bytes()) {
-			t.Fatalf("accepted snapshot re-encodes differently:\n got %x\nfrom %x", out.Bytes(), data)
+		if mout, err := SnapshotBytes(mg, mix); err != nil || !bytes.Equal(mout, out) {
+			t.Fatalf("the two doors' states re-encode differently (%v):\nstream %x\nbytes  %x", err, out, mout)
+		}
+		if ids(data) == written && !bytes.HasPrefix(data, out) {
+			t.Fatalf("accepted snapshot re-encodes differently:\n got %x\nfrom %x", out, data)
+		}
+	})
+}
+
+// allocatedBy returns the bytes fn allocates, as the runtime counts them.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// ba20k is the state the cluster-ba20k workload replicates: BA n=20k, 10
+// a vertex on average, 16 landmarks by degree.
+func ba20k(tb testing.TB) (*graph.Graph, *core.Index) {
+	tb.Helper()
+	g := gen.BarabasiAlbert(20_000, 5, 7)
+	ix, err := core.Build(g, g.DegreeOrder()[:16])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g, ix
+}
+
+// TestDecodeSnapshotBytesBudget: on a snapshot of the size the cluster
+// ships, the bytes-in-hand reader allocates the state it returns and not a
+// copy of its input.
+func TestDecodeSnapshotBytesBudget(t *testing.T) {
+	data, err := SnapshotBytes(ba20k(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if used := allocatedBy(func() { _, _, err = DecodeSnapshotBytes(data) }); err != nil || used > decodeBytesBudget(len(data)) {
+		t.Fatalf("DecodeSnapshotBytes: %v, %d bytes allocated on %d, budget %d", err, used, len(data), decodeBytesBudget(len(data)))
+	}
+}
+
+// BenchmarkEncodeSnapshot is a primary's encode for a resync: the
+// snapshot of BA-20k in one buffer of its exact length.
+func BenchmarkEncodeSnapshot(b *testing.B) {
+	g, ix := ba20k(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := SnapshotBytes(g, ix); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeSnapshot is a follower's install of that snapshot from
+// the frame it arrived in (bytes), and the same read from a stream, as a
+// checkpoint is read.
+func BenchmarkDecodeSnapshot(b *testing.B) {
+	data, err := SnapshotBytes(ba20k(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("bytes", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for b.Loop() {
+			if _, _, err := DecodeSnapshotBytes(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("stream", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for b.Loop() {
+			if _, _, err := DecodeSnapshot(bytes.NewReader(data)); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -245,10 +245,16 @@ func ReadMagic(r io.Reader) error {
 	return nil
 }
 
+// MaxRetained is the largest frame buffer a connection keeps between
+// frames, on either end. Point frames and full batch frames fit under it
+// and reuse their buffers; a buffer a larger frame grew (a snapshot chunk,
+// an oversized batch) is dropped once its frame has been handled, so no
+// connection holds a snapshot-sized buffer for its life.
+const MaxRetained = 64 << 10
+
 // Writer frames records onto a stream. Not safe for concurrent use.
 type Writer struct {
-	bw      *bufio.Writer
-	scratch []byte
+	bw *bufio.Writer
 }
 
 // NewWriter returns a Writer over w. Frames are buffered; call Flush
@@ -259,19 +265,30 @@ func NewWriter(w io.Writer) *Writer {
 
 // WriteFrame appends one framed record. The payload is not retained.
 func (w *Writer) WriteFrame(t Type, payload []byte) error {
-	if len(payload)+1 > MaxFrame {
+	return w.WriteFrameParts(t, payload, nil)
+}
+
+// WriteFrameParts appends one framed record whose payload is head
+// followed by body, without joining them first: a large body goes from
+// the caller's buffer to the stream. Neither is retained.
+func (w *Writer) WriteFrameParts(t Type, head, body []byte) error {
+	size := len(head) + len(body)
+	if size+1 > MaxFrame {
 		return ErrFrameTooLarge
 	}
 	var hdr [lenSize + 1]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)+1))
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(size+1))
 	hdr[4] = byte(t)
 	if _, err := w.bw.Write(hdr[:]); err != nil {
 		return err
 	}
-	if _, err := w.bw.Write(payload); err != nil {
+	if _, err := w.bw.Write(head); err != nil {
 		return err
 	}
-	crc := crc32.Update(crc32.Checksum([]byte{byte(t)}, crcTable), crcTable, payload)
+	if _, err := w.bw.Write(body); err != nil {
+		return err
+	}
+	crc := crc32.Update(crc32.Update(crc32.Checksum([]byte{byte(t)}, crcTable), crcTable, head), crcTable, body)
 	var tail [crcSize]byte
 	binary.LittleEndian.PutUint32(tail[:], crc)
 	_, err := w.bw.Write(tail[:])
@@ -304,11 +321,17 @@ func NewReader(r io.Reader, maxFrame int) *Reader {
 // is in flight on this connection, so the response buffer is flushed.
 func (r *Reader) Buffered() int { return r.br.Buffered() }
 
+// firstStep bounds the first buffer a frame's body is read into: what a
+// length prefix alone can make a reader allocate.
+const firstStep = 1 << 20
+
 // ReadFrame reads one frame, verifies its checksum and returns its type
-// and payload. The payload slice is reused by the next ReadFrame call.
-// Oversized lengths are rejected before allocation: the body is read
-// incrementally so a hostile 16 MiB length prefix on a 5-byte stream
-// costs an error, not 16 MiB.
+// and payload. The payload slice is reused by the next ReadFrame call
+// (until Release drops it). Oversized lengths are rejected before
+// allocation: the body is read into a buffer of at most 1 MiB that then
+// grows in place, each time to no more than twice what the stream has
+// delivered, so a hostile 16 MiB length prefix on a 5-byte stream costs
+// an error, not 16 MiB.
 func (r *Reader) ReadFrame() (Type, []byte, error) {
 	var hdr [lenSize]byte
 	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
@@ -326,20 +349,20 @@ func (r *Reader) ReadFrame() (Type, []byte, error) {
 		return 0, nil, eofIsUnexpected(err)
 	}
 	body := int(n) - 1
-	if cap(r.buf) < body {
-		// Grow toward the need, but never allocate more than the bytes
-		// the stream actually produces: read in bounded steps.
-		r.buf = make([]byte, 0, min(body, 1<<20))
-	}
-	r.buf = r.buf[:0]
-	for len(r.buf) < body {
-		step := min(body-len(r.buf), 1<<20)
-		start := len(r.buf)
-		r.buf = append(r.buf, make([]byte, step)...)
-		if _, err := io.ReadFull(r.br, r.buf[start:]); err != nil {
+	buf := r.buf[:0]
+	for len(buf) < body {
+		if len(buf) == cap(buf) {
+			// Full: double, never past the frame.
+			grown := make([]byte, len(buf), min(body, max(2*cap(buf), firstStep)))
+			copy(grown, buf)
+			buf = grown
+		}
+		k, err := io.ReadFull(r.br, buf[len(buf):min(cap(buf), body)])
+		if buf = buf[:len(buf)+k]; err != nil {
 			return 0, nil, eofIsUnexpected(err)
 		}
 	}
+	r.buf = buf
 	var tail [crcSize]byte
 	if _, err := io.ReadFull(r.br, tail[:]); err != nil {
 		return 0, nil, eofIsUnexpected(err)
@@ -349,6 +372,15 @@ func (r *Reader) ReadFrame() (Type, []byte, error) {
 		return 0, nil, ErrChecksum
 	}
 	return Type(t), r.buf, nil
+}
+
+// Release drops the frame buffer if the last frame grew it past
+// MaxRetained. Call it once that frame's payload has been handled; the
+// payload must not be used after.
+func (r *Reader) Release() {
+	if cap(r.buf) > MaxRetained {
+		r.buf = nil
+	}
 }
 
 // eofIsUnexpected maps a mid-frame EOF to ErrUnexpectedEOF: only an EOF

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -117,6 +118,71 @@ func TestFrameSizeLimit(t *testing.T) {
 	w := NewWriter(io.Discard)
 	if err := w.WriteFrame(TBatch, make([]byte, MaxFrame)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized write: err = %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// TestWriteFrameParts: a payload written as two parts is the frame of
+// the two joined.
+func TestWriteFrameParts(t *testing.T) {
+	head, body := AppendReplSnapshot(nil, 9, true, nil), []byte("the chunk, written as it is")
+	var joined, parts bytes.Buffer
+	wj, w := NewWriter(&joined), NewWriter(&parts)
+	if err := wj.WriteFrame(TReplSnapshot, append(bytes.Clone(head), body...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteFrameParts(TReplSnapshot, head, body); err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(wj.Flush(), w.Flush()); err != nil {
+		t.Fatal(err)
+	}
+	if joined.Len() == 0 || !bytes.Equal(parts.Bytes(), joined.Bytes()) {
+		t.Fatalf("parts %x, joined %x", parts.Bytes(), joined.Bytes())
+	}
+	if err := w.WriteFrameParts(TReplSnapshot, head, make([]byte, MaxFrame-len(head))); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized parts: err = %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// TestReaderReleasesLargeFrames: the buffer a frame of 1 MiB and a bit
+// grew — 1 MiB, then the frame's length — is let go once the frame has
+// been handled, and the reader holds at most MaxRetained after; small
+// frames keep reusing theirs.
+func TestReaderReleasesLargeFrames(t *testing.T) {
+	big := bytes.Repeat([]byte{0xA5}, 1<<20+1<<18)
+	var stream bytes.Buffer
+	w := NewWriter(&stream)
+	for _, p := range [][]byte{big, AppendPair(nil, 1, 2), AppendPair(nil, 3, 4)} {
+		if err := w.WriteFrame(TBatch, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(&stream, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, p, err := r.ReadFrame()
+	runtime.ReadMemStats(&after)
+	if err != nil || !bytes.Equal(p, big) {
+		t.Fatalf("%d-byte frame: %v", len(big), err)
+	}
+	if used := after.TotalAlloc - before.TotalAlloc; used > firstStep+uint64(len(big))+1<<10 {
+		t.Fatalf("reading a %d-byte frame allocated %d bytes", len(big), used)
+	}
+	r.Release()
+	if held := cap(r.buf); held > MaxRetained {
+		t.Fatalf("after the %d-byte frame the reader holds %d bytes", len(big), held)
+	}
+	_, p1, err := r.ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Release()
+	_, p2, err := r.ReadFrame()
+	if err != nil || &p1[0] != &p2[0] {
+		t.Fatalf("a point frame's buffer was not reused (%v)", err)
 	}
 }
 
