@@ -330,8 +330,8 @@ type ISLOptions = isl.Options
 type DynamicIndex = dynhl.Index
 
 // DynamicFromIndex makes a static Index mutable without re-running any
-// BFS: the DynamicIndex starts out sharing ix (which stays valid and
-// untouched) and copies only the graph's adjacency. DynamicIndex.Freeze
+// BFS or copying anything: the DynamicIndex starts out sharing ix and its
+// graph (which stay valid and untouched). DynamicIndex.Freeze
 // is the way back — it hands out the current immutable Index and its
 // graph for serving, at no cost.
 func DynamicFromIndex(ix *Index) (*DynamicIndex, error) { return dynhl.FromCore(ix) }

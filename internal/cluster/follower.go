@@ -142,8 +142,8 @@ func (f *Follower) ReplSnapshot(epoch uint64, done bool, chunk []byte) (uint64, 
 	if err != nil {
 		return cur, fmt.Errorf("cluster: snapshot install: %w", err)
 	}
-	// The index carries its graph, so FromCore reconstructs the
-	// follower's mutable adjacency from the snapshot alone.
+	// The index carries its graph, so FromCore makes the follower's
+	// mutable state of the snapshot alone, copying nothing.
 	dyn, err := dynhl.FromCore(ix)
 	if err != nil {
 		return cur, fmt.Errorf("cluster: snapshot install: %w", err)

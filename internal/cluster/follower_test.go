@@ -14,8 +14,8 @@ import (
 // TestFollowerReleasesSnapshotTransfer: a bootstrap transfer is a graph and
 // an index long, and the follower buffers all of it before it installs.
 // Once installed — and once a resync has installed over it — what the
-// follower keeps alive is the graph, the index and dynhl's mutable copy of
-// the adjacency, within a tenth; the transfer buffer is not among them.
+// follower keeps alive is the graph and the index, within a tenth (dynhl
+// shares both and copies nothing); the transfer buffer is not among them.
 func TestFollowerReleasesSnapshotTransfer(t *testing.T) {
 	g := gen.BarabasiAlbert(20_000, 3, 7)
 	ix, err := core.Build(g, g.DegreeOrder()[:16])
@@ -27,9 +27,7 @@ func TestFollowerReleasesSnapshotTransfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	off, tgt := g.CSR()
-	graphBytes := int64(8*len(off) + 4*len(tgt))
-	adjacency := int64(4*len(tgt) + 24*g.NumVertices()) // dynhl.FromCore: the targets again, a slice header a vertex
-	want := graphBytes + ix.ActualBytes() + adjacency
+	want := int64(8*len(off)+4*len(tgt)) + ix.ActualBytes()
 	if int64(snap.Len()) < want/4 {
 		t.Fatalf("test premise broken: a %d-byte transfer would hide in the slack of %d", snap.Len(), want)
 	}
@@ -60,7 +58,7 @@ func TestFollowerReleasesSnapshotTransfer(t *testing.T) {
 			t.Fatalf("epoch %d after installing the snapshot of epoch %d", got, epoch)
 		}
 		if held := heap() - before; held < want*9/10 || held > want*11/10 {
-			t.Fatalf("after install %d the follower holds %d bytes, want graph + index + adjacency = %d (the transfer was %d)",
+			t.Fatalf("after install %d the follower holds %d bytes, want graph + index = %d (the transfer was %d)",
 				epoch, held, want, snap.Len())
 		}
 	}

@@ -3,7 +3,7 @@ package dynhl
 // BenchmarkDeleteMaint prices maintenance by blast radius: each
 // sub-benchmark deletes one edge whose removal dirties exactly d of the k
 // landmarks. Edges are pre-bucketed by their exact dirty count (the
-// unified d(r,a) ≠ d(r,b) test), so ns/op is the cost of one CSR copy, d
+// unified d(r,a) ≠ d(r,b) test), so ns/op is the cost of one CSR patch, d
 // pruned BFSs and one assemble; the restore between iterations
 // (re-inserting the edge) runs with the timer stopped.
 //
@@ -23,8 +23,9 @@ import (
 // landmarks its deletion would dirty.
 func bucketEdgesByDirty(ix *Index) map[int][][2]int32 {
 	buckets := make(map[int][][2]int32)
-	for a := int32(0); int(a) < len(ix.adj); a++ {
-		for _, b := range ix.adj[a] {
+	g := ix.cur.Graph()
+	for a := int32(0); int(a) < g.NumVertices(); a++ {
+		for _, b := range g.Neighbors(a) {
 			if b < a {
 				continue
 			}
@@ -81,15 +82,16 @@ func BenchmarkDeleteMaint(b *testing.B) {
 	}
 }
 
-// randomLiveEdges draws bs distinct live edges from the current
-// adjacency, endpoint-first so hubs are no likelier per edge than the
-// degree distribution already makes them.
+// randomLiveEdges draws bs distinct live edges from the current graph,
+// endpoint-first so hubs are no likelier per edge than the degree
+// distribution already makes them.
 func randomLiveEdges(rng *rand.Rand, ix *Index, bs int) [][2]int32 {
 	seen := make(map[[2]int32]bool, bs)
 	edges := make([][2]int32, 0, bs)
+	g := ix.cur.Graph()
 	for len(edges) < bs {
-		a := int32(rng.Intn(len(ix.adj)))
-		nb := ix.adj[a]
+		a := int32(rng.Intn(g.NumVertices()))
+		nb := g.Neighbors(a)
 		if len(nb) == 0 {
 			continue
 		}
@@ -107,6 +109,35 @@ func randomLiveEdges(rng *rand.Rand, ix *Index, bs int) [][2]int32 {
 	return edges
 }
 
+// BenchmarkApplySingleEdge is cluster-ba20k's write: one absent edge
+// inserted per batch into BA-20k (attachment 5, seed 42) with its 16
+// highest-degree vertices as landmarks. What a write allocates is the
+// patched CSR, the sweep's events and the assemble.
+func BenchmarkApplySingleEdge(b *testing.B) {
+	const n, k = 20000, 16
+	g := gen.BarabasiAlbert(n, 5, 42)
+	dyn, err := Build(g, g.DegreeOrder()[:k])
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	edges := make([][2]int32, 0, b.N)
+	for seen := make(map[[2]int32]bool); len(edges) < b.N; {
+		u, v := rng.Int31n(n), rng.Int31n(n)
+		if key := [2]int32{min(u, v), max(u, v)}; u != v && !seen[key] && !g.HasEdge(u, v) {
+			seen[key] = true
+			edges = append(edges, key)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, e := range edges {
+		if res, err := dyn.ApplyOps(InsertOps([][2]int32{e})); err != nil || res.Inserted != 1 {
+			b.Fatalf("insert %v: %+v, %v", e, res, err)
+		}
+	}
+}
+
 func BenchmarkChurnBatch(b *testing.B) {
 	const n, k, batch = 20000, 16, 8
 	g := gen.BarabasiAlbert(n, 5, 1)
@@ -122,7 +153,7 @@ func BenchmarkChurnBatch(b *testing.B) {
 		var ins [][2]int32
 		for len(ins) < batch-len(dels) {
 			e := [2]int32{int32(rng.Intn(n)), int32(rng.Intn(n))}
-			if e[0] != e[1] && !dyn.hasEdge(e[0], e[1]) {
+			if e[0] != e[1] && !dyn.cur.Graph().HasEdge(e[0], e[1]) {
 				ins = append(ins, e)
 			}
 		}

@@ -17,23 +17,23 @@
 // Each mutation batch (Apply, ApplyOps) therefore:
 //
 //  1. queries d(r,a) and d(r,b) for every landmark (landmark-endpoint
-//     queries are answered exactly by labels + highway alone), before the
-//     adjacency is touched;
+//     queries are answered exactly by labels + highway alone) on the
+//     labelling as it was before the batch;
 //  2. marks the landmarks with d(r,a) ≠ d(r,b) — including either
 //     endpoint changing reachability — as dirty, sharing one dirty set
 //     across the whole batch;
-//  3. copies the adjacency into a CSR graph once and has internal/core
-//     re-run Algorithm 1's pruned BFS for the dirty landmarks — all of them
-//     in one traversal of the graph — and assemble the next immutable
-//     core.Index.
+//  3. patches the current graph once with the batch's net edge changes
+//     (graph.Patch) and has internal/core re-run Algorithm 1's pruned BFS
+//     for the dirty landmarks — all of them in one traversal of the graph —
+//     and assemble the next immutable core.Index.
 //
 // # State
 //
-// The package holds no labelling of its own. An Index is the mutable
-// adjacency, the current core.Index — which answers the dirtiness test and
-// every query, and is the snapshot Freeze hands out — and a core.Rows around
-// that index, which re-runs ranks on it. The pruned BFS, the label merge and
-// the bounded search exist once, in internal/core.
+// The package holds no graph or labelling of its own. An Index is the
+// current core.Index — which holds the current graph, answers the
+// dirtiness test and every query, and is the snapshot Freeze hands out —
+// and a core.Rows around that index, which re-runs ranks on it. The pruned
+// BFS, the label merge and the bounded search exist once, in internal/core.
 //
 // Repairing the d dirty landmarks is the traversal a from-scratch build
 // makes with d of its k bits set, through the same kernel with the same
@@ -62,7 +62,6 @@ package dynhl
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"highway/internal/core"
 	"highway/internal/graph"
@@ -78,9 +77,8 @@ const Infinity int32 = -1
 
 // Index is a mutable highway cover labelling over an evolving graph.
 type Index struct {
-	adj   [][]int32   // mutable adjacency, rows in arrival order
 	rows  *core.Rows  // build state around cur; core re-runs dirty ranks on it
-	cur   *core.Index // exact labelling of adj over its own CSR copy of adj
+	cur   *core.Index // exact labelling of the current graph, cur.Graph()
 	maint MaintStats
 }
 
@@ -95,8 +93,8 @@ type MaintStats struct {
 // Maint returns the cumulative maintenance counters.
 func (ix *Index) Maint() MaintStats { return ix.maint }
 
-// Build constructs a dynamic index. The original graph is copied into a
-// mutable adjacency.
+// Build constructs a dynamic index over g, which it shares and never
+// changes.
 func Build(g *graph.Graph, landmarks []int32) (*Index, error) {
 	src, err := core.BuildParallel(g, landmarks)
 	if err != nil {
@@ -105,31 +103,20 @@ func Build(g *graph.Graph, landmarks []int32) (*Index, error) {
 	return FromCore(src)
 }
 
-// FromCore makes a static core.Index mutable without running a BFS, at the
-// cost of one copy of the adjacency (O(n + m)) and nothing that grows with
-// the labelling. The source index is shared, not copied — it is the dynamic
-// index's label state until the first batch that dirties a landmark — and
-// stays valid and unchanged. The error is always nil: a core.Index has at
+// FromCore makes a static core.Index mutable in O(1): it runs no BFS and
+// copies nothing. The source index and its graph are shared — they are the
+// dynamic index's state until the first batch that changes an edge — and
+// stay valid and unchanged. The error is always nil: a core.Index has at
 // least one landmark.
 func FromCore(src *core.Index) (*Index, error) {
-	g := src.Graph()
-	off, tgt := g.CSR()
-	// One backing array; each row's capacity ends at its length, so the
-	// first append to a row moves that row out instead of overwriting
-	// its neighbour.
-	tgt = slices.Clone(tgt)
-	adj := make([][]int32, g.NumVertices())
-	for v := range adj {
-		adj[v] = tgt[off[v]:off[v+1]:off[v+1]]
-	}
-	return &Index{adj: adj, rows: core.RowsOf(src), cur: src}, nil
+	return &Index{rows: core.RowsOf(src), cur: src}, nil
 }
 
-// Freeze returns the current state as an immutable snapshot: the CSR graph
-// of the evolved adjacency and the core.Index over it. Both already exist
-// (ApplyOps builds them), so this copies nothing; later mutations do not
-// affect the snapshot, so a server can keep answering from it while this
-// index continues absorbing updates. The error is always nil.
+// Freeze returns the current state as an immutable snapshot: the current
+// CSR graph and the core.Index over it. Both already exist (ApplyOps builds
+// them), so this copies nothing; later mutations do not affect the
+// snapshot, so a server can keep answering from it while this index
+// continues absorbing updates. The error is always nil.
 func (ix *Index) Freeze() (*graph.Graph, *core.Index, error) {
 	return ix.cur.Graph(), ix.cur, nil
 }
@@ -230,29 +217,33 @@ type OpResult struct {
 
 // ApplyOps applies a mixed batch of insertions and deletions with a
 // single repair pass: dirty landmarks are collected across the whole
-// batch, the adjacency is copied into a CSR graph once, and core re-runs
-// the dirty landmarks' pruned BFSs on it and assembles the next current
-// index. A batch that changes edges but dirties nothing only moves the
-// label arrays over to the new graph; one that changes no edge does
+// batch, the graph is patched with the batch's net changes once, and core
+// re-runs the dirty landmarks' pruned BFSs on it and assembles the next
+// current index. A batch that changes edges but dirties nothing only moves
+// the label arrays over to the new graph; one that changes no edge does
 // nothing. Self-loops, already present insertions and already absent
 // deletions are skipped and not counted, so replaying a mixed write-ahead
 // log against any earlier-or-equal state is idempotent.
 func (ix *Index) ApplyOps(ops []Op) (OpResult, error) {
 	var res OpResult
-	// Validate the whole batch before touching any state: a mid-batch
-	// failure after mutating the adjacency would leave labels stale.
-	n := len(ix.adj)
-	for _, op := range ops {
-		if a, b := op.A, op.B; a < 0 || b < 0 || int(a) >= n || int(b) >= n {
-			return res, fmt.Errorf("dynhl: edge {%d,%d} out of range [0,%d)", a, b, n)
-		}
-	}
-	dirty := make([]bool, ix.cur.NumLandmarks())
+	g, n := ix.cur.Graph(), ix.cur.Graph().NumVertices()
+	dirty, ranks := make([]bool, ix.cur.NumLandmarks()), []int(nil)
+	// now holds, smaller endpoint first, every edge an earlier op of the
+	// batch took effect on, and whether that left it present; any other
+	// edge is as g has it. Nothing changes before the last op is checked,
+	// so an op out of range fails the whole batch and changes nothing.
+	now := make(map[[2]int32]bool)
 	for _, op := range ops {
 		a, b := op.A, op.B
+		if a < 0 || b < 0 || int(a) >= n || int(b) >= n {
+			return OpResult{}, fmt.Errorf("dynhl: edge {%d,%d} out of range [0,%d)", a, b, n)
+		}
+		e := [2]int32{min(a, b), max(a, b)}
+		present, touched := now[e]
+		present = present || !touched && g.HasEdge(a, b)
 		// An op takes effect iff presence matches its kind: inserts need
 		// the edge absent, deletes need it present.
-		if a == b || ix.hasEdge(a, b) == !op.Del {
+		if a == b || present == !op.Del {
 			continue
 		}
 		// Mark dirty landmarks from the labelling as it was BEFORE the
@@ -264,39 +255,40 @@ func (ix *Index) ApplyOps(ops []Op) (OpResult, error) {
 		for r := range dirty {
 			if !dirty[r] && ix.cur.LandmarkDistance(int32(r), a) != ix.cur.LandmarkDistance(int32(r), b) {
 				dirty[r] = true
+				ranks = append(ranks, r)
 			}
 		}
+		now[e] = !op.Del
 		if op.Del {
-			ix.adj[a] = cutNeighbor(ix.adj[a], b)
-			ix.adj[b] = cutNeighbor(ix.adj[b], a)
 			res.Deleted++
 		} else {
-			ix.adj[a] = append(ix.adj[a], b)
-			ix.adj[b] = append(ix.adj[b], a)
 			res.Inserted++
 		}
 	}
 	if res.Inserted+res.Deleted == 0 {
 		return res, nil
 	}
-	var ranks []int
-	for r, d := range dirty {
-		if d {
-			ranks = append(ranks, r)
+	res.Dirty = len(ranks)
+	var ins, del [][2]int32
+	for e, present := range now {
+		switch {
+		case present && !g.HasEdge(e[0], e[1]):
+			ins = append(ins, e)
+		case !present && g.HasEdge(e[0], e[1]):
+			del = append(del, e)
 		}
 	}
-	res.Dirty = len(ranks)
-	// Neither call below can fail: the rows are in range and symmetric by
-	// construction, and the context is never cancelled (ApplyOps has none
-	// to pass on).
-	g, err := graph.FromAdjacency(ix.adj)
+	// Neither call below can fail: the net changes are in range, distinct
+	// and valid against g by construction, and the context is never
+	// cancelled (ApplyOps has none to pass on).
+	next, err := g.Patch(ins, del)
 	if err != nil {
-		return res, fmt.Errorf("dynhl: freeze adjacency: %w", err)
+		return res, fmt.Errorf("dynhl: patch: %w", err)
 	}
-	if _, err := ix.rows.Run(context.TODO(), g, ranks, core.Options{}); err != nil {
+	if _, err := ix.rows.Run(context.TODO(), next, ranks, core.Options{}); err != nil {
 		return res, fmt.Errorf("dynhl: repair: %w", err)
 	}
-	ix.cur = ix.rows.Assemble(g)
+	ix.cur = ix.rows.Assemble(next)
 	if res.Dirty == len(dirty) {
 		ix.maint.FullRebuilds++
 	} else if res.Dirty > 0 {
@@ -304,30 +296,4 @@ func (ix *Index) ApplyOps(ops []Op) (OpResult, error) {
 	}
 	ix.maint.LandmarksRebuilt += int64(res.Dirty)
 	return res, nil
-}
-
-// cutNeighbor drops v from an adjacency row, preserving neighbor order
-// (order never affects the labelling; keeping it deterministic keeps
-// debugging sane).
-func cutNeighbor(nb []int32, v int32) []int32 {
-	for i, w := range nb {
-		if w == v {
-			return append(nb[:i], nb[i+1:]...)
-		}
-	}
-	return nb
-}
-
-func (ix *Index) hasEdge(a, b int32) bool {
-	nb := ix.adj[a]
-	if len(ix.adj[b]) < len(nb) {
-		nb = ix.adj[b]
-		b = a
-	}
-	for _, w := range nb {
-		if w == b {
-			return true
-		}
-	}
-	return false
 }

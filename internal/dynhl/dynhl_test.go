@@ -174,12 +174,43 @@ func TestFromCoreMatchesBuild(t *testing.T) {
 	}
 }
 
-// TestFromCoreSharesLabels: FromCore copies the adjacency and nothing else.
-// The label state is the source index itself, so it and a batch that
-// changes an edge but no landmark's BFS — an edge between two leaves of a
-// star centred on the landmark — leave the dynamic index on the source's
-// own label arrays: the two together allocate less than one copy of them
-// on top of the adjacency.
+// TestFromCoreSharesGraph: FromCore copies nothing. Before any write,
+// Freeze hands out the source index and its own graph, and on BA-20k the
+// conversion allocates under 1 KiB. A write patches a new graph and leaves
+// the source's as it was.
+func TestFromCoreSharesGraph(t *testing.T) {
+	g := gen.BarabasiAlbert(20_000, 5, 42)
+	src, err := core.Build(g, g.DegreeOrder()[:16])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	dyn, _ := FromCore(src)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<10 {
+		t.Fatalf("FromCore allocated %d bytes on BA-20k, want under 1 KiB", got)
+	}
+	if fg, fix, _ := dyn.Freeze(); fg != src.Graph() || fix != src {
+		t.Fatal("before any write, Freeze does not return the source index and its graph")
+	}
+	e := [2]int32{0, 1}
+	for g.HasEdge(e[0], e[1]) {
+		e[1]++
+	}
+	if _, err := dyn.Apply([][2]int32{e}); err != nil {
+		t.Fatal(err)
+	}
+	if fg, _, _ := dyn.Freeze(); fg == g || !fg.HasEdge(e[0], e[1]) || g.HasEdge(e[0], e[1]) {
+		t.Fatalf("after inserting %v: the frozen graph is the source's, lacks the edge, or the source gained it", e)
+	}
+}
+
+// TestFromCoreSharesLabels: the label state is the source index itself, so
+// FromCore and a batch that changes an edge but no landmark's BFS — an edge
+// between two leaves of a star centred on the landmark — leave the dynamic
+// index on the source's own label arrays: the two together allocate the
+// patched graph and less than one copy of the labels.
 func TestFromCoreSharesLabels(t *testing.T) {
 	const n = 20_000
 	src, err := core.Build(gen.Star(n), []int32{0})
@@ -194,12 +225,12 @@ func TestFromCoreSharesLabels(t *testing.T) {
 	if err != nil || res.Inserted != 1 || res.Dirty != 0 {
 		t.Fatalf("leaf-to-leaf insert: %+v, %v", res, err)
 	}
-	// The adjacency copy, its slice headers and the batch's CSR are 49 B a
-	// vertex here; the offsets, ranks and distances of the labelling would
-	// be 4 B more, which the bound leaves no room for. (That the arrays
-	// are the very same ones is core's TestRowsNothingDirty.)
-	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(n*52); got > limit {
-		t.Fatalf("FromCore and a no-dirty batch allocated %d bytes, more than the adjacency's %d", got, limit)
+	// The patched CSR is 16 B a vertex here; the offsets, ranks and
+	// distances of the labelling would be 4 B more, which the bound leaves
+	// no room for. (That the arrays are the very same ones is core's
+	// TestRowsNothingDirty.)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(n*19); got > limit {
+		t.Fatalf("FromCore and a no-dirty batch allocated %d bytes, more than the patched graph's %d", got, limit)
 	}
 	if d := dyn.Distance(3, 7); d != 1 {
 		t.Fatalf("d(3,7) = %d after the insert, want 1", d)

@@ -57,6 +57,43 @@ func BenchmarkBuilderBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkPatch times the CSR half of a write: one edge inserted, as
+// cluster-ba20k writes, and a churn batch of 8 edges, 3 deleted and 5
+// inserted, as churn-ba20k writes. The batches are drawn once, valid
+// against the fixture, and every iteration patches the fixture itself.
+func BenchmarkPatch(b *testing.B) {
+	for _, fx := range benchFixtures {
+		g := fx.make()
+		n := int32(g.NumVertices())
+		rng := rand.New(rand.NewSource(3))
+		var ins, del [][2]int32
+		for len(ins) < 5 {
+			if u, v := rng.Int31n(n), rng.Int31n(n); u != v && !g.HasEdge(u, v) {
+				ins = append(ins, [2]int32{u, v})
+			}
+		}
+		for len(del) < 3 {
+			if u := rng.Int31n(n); g.Degree(u) > 0 {
+				del = append(del, [2]int32{u, g.Neighbors(u)[0]})
+			}
+		}
+		for _, bc := range []struct {
+			name     string
+			ins, del [][2]int32
+		}{{"edges=1", ins[:1], nil}, {"edges=8", ins, del}} {
+			b.Run(fx.name+"/"+bc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					var err error
+					if sink, err = g.Patch(bc.ins, bc.del); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkLargestComponent times component labelling plus the induced
 // subgraph, on the raw R-MAT graph (whose isolated vertices make the
 // extraction real) and on BA with a fifth of its vertices cut off.

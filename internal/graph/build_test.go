@@ -69,24 +69,6 @@ func referenceBuild(n int, edges [][2]int32) (*Graph, error) {
 	return g, nil
 }
 
-// adjacencyOf is the edge list as the rows a caller of FromAdjacency
-// holds: both directions of every edge in arrival order, repeats and
-// self-loops included. An endpoint outside [0,n) has no row of its own and
-// appears only in its partner's.
-func adjacencyOf(n int, edges [][2]int32) [][]int32 {
-	rows := make([][]int32, n)
-	for _, e := range edges {
-		u, v := e[0], e[1]
-		if u >= 0 && int(u) < n {
-			rows[u] = append(rows[u], v)
-		}
-		if v >= 0 && int(v) < n && u != v {
-			rows[v] = append(rows[v], u)
-		}
-	}
-	return rows
-}
-
 func graphBytes(t testing.TB, g *Graph) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -124,8 +106,8 @@ func randomMultigraph(rng *rand.Rand, n int) [][2]int32 {
 }
 
 // TestBuildMatchesReference is the differential gate on the construction
-// kernels: over seeded random multigraphs, Builder.Build and FromAdjacency
-// must serialize to exactly the reference's bytes, and so must the
+// kernels: over seeded random multigraphs, Builder.Build must serialize to
+// exactly the reference's bytes, and so must the
 // subgraph InducedSubgraph cuts out of them. Sizes lie on both sides of
 // parallelSlots and GOMAXPROCS is 1, 2 and 4, so every row pass runs
 // serial and split.
@@ -150,13 +132,6 @@ func TestBuildMatchesReference(t *testing.T) {
 		}
 		if !bytes.Equal(graphBytes(t, built), graphBytes(t, want)) {
 			t.Fatalf("n=%d, %d raw edges: Build gives %v, reference %v, bytes differ", n, len(edges), built, want)
-		}
-		fromRows, err := FromAdjacency(adjacencyOf(n, edges))
-		if err != nil {
-			t.Fatalf("n=%d: FromAdjacency: %v", n, err)
-		}
-		if !bytes.Equal(graphBytes(t, fromRows), graphBytes(t, want)) {
-			t.Fatalf("n=%d, %d raw edges: FromAdjacency gives %v, reference %v, bytes differ", n, len(edges), fromRows, want)
 		}
 		if err := checkRows(built); err != nil {
 			t.Fatalf("n=%d: built graph is not canonical: %v", n, err)
@@ -237,8 +212,8 @@ func TestCanonicalizeSlack(t *testing.T) {
 }
 
 // TestBuildOutOfRangeMatchesReference: an endpoint outside [0,n) is the
-// same error from all three constructions, and of several such edges the
-// one named is the first in the order they were added.
+// same error from Build, Patch and the reference, and of several such edges
+// the one named is the first in the order they were added.
 func TestBuildOutOfRangeMatchesReference(t *testing.T) {
 	for _, bad := range [][2]int32{{2, 9}, {9, 2}, {-1, 3}, {3, -4}} {
 		edges := [][2]int32{{0, 1}, {1, 2}, bad, {3, 4}, {7, 1}, {-2, -3}}
@@ -249,8 +224,8 @@ func TestBuildOutOfRangeMatchesReference(t *testing.T) {
 		if _, err := FromEdges(5, edges); err == nil || err.Error() != want.Error() {
 			t.Errorf("Build with %v: error %v, want %v", bad, err, want)
 		}
-		if _, err := FromAdjacency(adjacencyOf(5, edges[:4])); err == nil || err.Error() != want.Error() {
-			t.Errorf("FromAdjacency with %v: error %v, want %v", bad, err, want)
+		if _, err := MustFromEdges(5, edges[:2]).Patch(edges[2:], nil); err == nil || err.Error() != want.Error() {
+			t.Errorf("Patch with %v: error %v, want %v", bad, err, want)
 		}
 	}
 }

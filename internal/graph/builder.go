@@ -8,9 +8,8 @@ import (
 // Builder accumulates undirected edges and produces a deduplicated CSR
 // Graph. It is the entry point for constructing graphs from edges:
 // generators, file loaders and tests all go through it, so self-loop and
-// multi-edge handling is uniform everywhere. Callers that already hold
-// adjacency rows use FromAdjacency; both finish in the same row kernel
-// (canonicalize).
+// multi-edge handling is uniform everywhere. A caller that holds a graph
+// and a batch of edge changes uses Graph.Patch instead.
 //
 // Builder is not safe for concurrent use.
 type Builder struct {
@@ -141,28 +140,62 @@ func (b *Builder) MustBuild() *Graph {
 	return g
 }
 
-// FromAdjacency builds the graph whose vertex v has the neighbours rows[v],
-// for callers that already hold adjacency rows: rows are copied straight
-// into the CSR arrays and no edge list is formed. Rows may be in any order
-// and may repeat a neighbour or name their own vertex; both are dropped, as
-// Builder drops them. The rows must be symmetric (w in rows[v] iff v in
-// rows[w]); that is the caller's invariant and is not checked here.
-func FromAdjacency(rows [][]int32) (*Graph, error) {
-	n := len(rows)
-	offsets := make([]int64, n+1)
-	for v, row := range rows {
-		offsets[v+1] = offsets[v] + int64(len(row))
+// Patch returns g with the edges ins added and del removed, leaving g
+// unchanged: snapshots share it. It sorts the batch's arcs by row, moves
+// the targets between two arcs, untouched rows included, with one copy,
+// and merges each arc into its row where a binary search puts it: no row
+// is sorted. An insert present, a delete absent, an edge named twice (a
+// self-loop's two arcs are one arc twice) or an endpoint outside [0,n) is
+// an error and returns no graph. targets keeps 2 slots a delete as slack.
+func (g *Graph) Patch(ins, del [][2]int32) (*Graph, error) {
+	if len(ins)+len(del) == 0 {
+		return g, nil
 	}
-	targets := make([]int32, offsets[n])
-	for v, row := range rows {
-		for _, w := range row {
-			if w < 0 || int(w) >= n {
-				return nil, fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", min(int32(v), w), max(int32(v), w), n)
+	n, off, tgt := g.NumVertices(), g.offsets, g.targets
+	// Both arcs of every edge as row<<33 | target<<1 | deleted: sorted, they
+	// run by row and target, an edge named twice as two equal key>>1.
+	arcs := make([]uint64, 0, 2*(len(ins)+len(del)))
+	for bit, edges := range [][][2]int32{ins, del} {
+		for _, e := range edges {
+			u, v := e[0], e[1]
+			if u < 0 || v < 0 || int(u) >= n || int(v) >= n {
+				return nil, fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", min(u, v), max(u, v), n)
 			}
+			arcs = append(arcs, uint64(u)<<33|uint64(v)<<1|uint64(bit), uint64(v)<<33|uint64(u)<<1|uint64(bit))
 		}
-		copy(targets[offsets[v]:], row)
 	}
-	return canonicalize(offsets, targets), nil
+	slices.Sort(arcs)
+	offsets := make([]int64, n+1)
+	targets := make([]int32, len(tgt)+2*len(ins))
+	// tgt[:r] is read, targets[:p] written, and rows below next have their
+	// offsets. An edge's first arc met is in its smaller endpoint's row, so
+	// {v,w} below names it smaller endpoint first.
+	r, p, next := int64(0), int64(0), 0
+	for i, a := range arcs {
+		v, w := int(a>>33), int32(uint32(a>>1))
+		for ; next <= v; next++ {
+			offsets[next] = off[next] + p - r
+		}
+		at := max(r, off[v])
+		at += int64(SearchInt32(tgt[at:off[v+1]], w))
+		p, r = p+int64(copy(targets[p:], tgt[r:at])), at
+		present := at < off[v+1] && tgt[at] == w
+		switch {
+		case i > 0 && a>>1 == arcs[i-1]>>1:
+			return nil, fmt.Errorf("graph: edge {%d,%d} named twice", v, w)
+		case present != (a&1 == 1):
+			return nil, fmt.Errorf("graph: edge {%d,%d} %s", v, w, [2]string{"inserted is present", "deleted is absent"}[a&1])
+		case present:
+			r++
+		default:
+			targets[p], p = w, p+1
+		}
+	}
+	for ; next <= n; next++ {
+		offsets[next] = off[next] + p - r
+	}
+	p += int64(copy(targets[p:], tgt[r:]))
+	return &Graph{offsets: offsets, targets: targets[:p]}, nil
 }
 
 // FromEdges is a convenience constructor used heavily in tests: it builds a

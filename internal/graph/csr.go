@@ -17,8 +17,8 @@ import (
 // a half.
 const parallelSlots = 1 << 17
 
-// canonicalize is the one finishing kernel behind Builder.Build,
-// FromAdjacency and InducedSubgraph. It takes a raw CSR — row v occupies
+// canonicalize is the one finishing kernel behind Builder.Build and
+// InducedSubgraph. It takes a raw CSR — row v occupies
 // targets[offsets[v]:offsets[v+1]], every entry in [0,n), in any order,
 // possibly naming v itself or a neighbour twice — and returns the
 // canonical graph: rows sorted ascending, self-loops and duplicates gone,

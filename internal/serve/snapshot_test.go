@@ -25,8 +25,8 @@ import (
 // writes held memory in proportion to its write rate (peak_rss_mb on
 // churn-ba20k). The collector is off while forty snapshots are published
 // and read from, then runs once: what survives (the live state: one
-// snapshot, the writer's adjacency and sweep arrays, a searcher — about 1 MB
-// here however many writes) must be far less than forty snapshots, each of
+// snapshot, the writer's sweep arrays, a searcher — under 1 MB here
+// however many writes) must be far less than forty snapshots, each of
 // which held a labelling and the graph it was built on.
 func TestReplacedSnapshotsAreCollectable(t *testing.T) {
 	const n, writes = 5000, 40
