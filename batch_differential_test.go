@@ -52,14 +52,14 @@ func batchTestPairs(n int, seed int64) [][2]int32 {
 	return pairs
 }
 
-// TestMethodBatchDifferential holds every registered method to the
-// batch contract: dispatching through the capability layer
-// (SearcherDistanceBatch / SearcherDistanceMany) returns exactly the
-// method's own pair-at-a-time answers — whether the method opted into
-// vectorized execution or fell back to the pair loop — and exactly the
-// BFS ground truth for the exact methods. Pairs include duplicates,
-// repeated sources, s==t, landmark endpoints (low-id vertices are the
-// degree-ranked landmarks) and disconnected pairs.
+// TestMethodBatchDifferential holds the batch executor of the highway
+// cover labelling, static (hl) and dynamic (dynhl, whose searchers are
+// the static index's), to the batch contract: Searcher.DistanceBatch and
+// Searcher.DistanceMany return exactly the pair-at-a-time answers, and
+// exactly the BFS ground truth. Every baseline is diffed against BFS pair
+// by pair on the same pairs. Pairs include duplicates, repeated sources,
+// s==t, landmark endpoints (low-id vertices are the degree-ranked
+// landmarks) and disconnected pairs.
 func TestMethodBatchDifferential(t *testing.T) {
 	g := batchTestGraph(t)
 	n := g.NumVertices()
@@ -70,11 +70,15 @@ func TestMethodBatchDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			caps := highway.IndexCapabilities(ix)
-			t.Logf("%s capabilities: %s", m.Name, caps)
-			sr := ix.NewSearcher()
-			batched := highway.SearcherDistanceBatch(sr, pairs, nil)
 			pairwise := ix.NewSearcher()
+			if err := oracle.Diff(g, pairwise, pairs); err != nil {
+				t.Fatal(err)
+			}
+			if m.Name != "hl" && m.Name != "dynhl" {
+				return // a baseline answers one pair at a time
+			}
+			sr := ix.NewSearcher().(*highway.Searcher)
+			batched := sr.DistanceBatch(pairs, nil)
 			for i, p := range pairs {
 				if want := pairwise.Distance(p[0], p[1]); batched[i] != want {
 					t.Fatalf("batched[%d] (%d,%d) = %d, pairwise %d", i, p[0], p[1], batched[i], want)
@@ -86,40 +90,19 @@ func TestMethodBatchDifferential(t *testing.T) {
 				bySource[p[0]] = append(bySource[p[0]], p[1])
 			}
 			for src, targets := range bySource {
-				many := highway.SearcherDistanceMany(sr, src, targets, nil)
+				many := sr.DistanceMany(src, targets, nil)
 				for i, tv := range targets {
 					if want := pairwise.Distance(src, tv); many[i] != want {
 						t.Fatalf("many(%d→%d) = %d, pairwise %d", src, tv, many[i], want)
 					}
 				}
 			}
-			// Exact methods must also match BFS ground truth through the
-			// batched path. (All five registered methods are exact oracles.)
+			// The batched path against BFS ground truth, one pair a batch.
 			if err := oracle.Diff(g, oracle.Func(func(s, tt int32) int32 {
-				out := highway.SearcherDistanceBatch(sr, [][2]int32{{s, tt}}, nil)
-				return out[0]
+				return sr.DistanceBatch([][2]int32{{s, tt}}, nil)[0]
 			}), oracle.SampledPairs(n, 200, 17)); err != nil {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// TestIndexCapabilities pins which methods opt into vectorized batch
-// execution: the highway cover labelling, its dynamic form (whose
-// searchers are the static index's) and PLL do, the rest fall back to
-// the pair loop (still correct, just unamortized).
-func TestIndexCapabilities(t *testing.T) {
-	g := testGraphSmall(t)
-	want := map[string]bool{"hl": true, "dynhl": true, "pll": true}
-	for _, m := range highway.Methods() {
-		ix, err := highway.Build(context.Background(), g, m.Name, buildOptionsFor(m.Name)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		caps := highway.IndexCapabilities(ix)
-		if caps.Batch != want[m.Name] || caps.Source != want[m.Name] {
-			t.Errorf("%s capabilities = %+v, want batch/source %v", m.Name, caps, want[m.Name])
-		}
 	}
 }

@@ -67,10 +67,6 @@ func run(args []string) error {
 	case *stats:
 		st := ix.Stats()
 		fmt.Printf("index: %s\nmethod: %s\nstats: %s\n", ip, st.Method, st)
-		// Capability discovery: which optional execution surfaces the
-		// searchers offer (vectorized batch, source-to-many) — the same
-		// probe the serving layer uses.
-		fmt.Printf("capabilities: %s\n", highway.IndexCapabilities(ix))
 		fmt.Printf("memory: %d bytes\n", ix.ActualBytes())
 		return nil
 	case *s >= 0 && *t >= 0:

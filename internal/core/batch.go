@@ -4,14 +4,6 @@ import (
 	"slices"
 
 	"highway/internal/bfs"
-	"highway/internal/method"
-)
-
-// The searcher opts into the optional vectorized-execution capabilities
-// the serving layer discovers through the registry.
-var (
-	_ method.BatchSearcher  = (*Searcher)(nil)
-	_ method.SourceSearcher = (*Searcher)(nil)
 )
 
 // Vectorized batch execution (ROADMAP item 3): amortize the per-query

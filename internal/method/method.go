@@ -12,7 +12,9 @@
 // (internal/bench) build, query and measure each of them through one
 // registry in the root highway package. Only the highway cover labelling
 // is saved, loaded and served: the baselines exist for the build time,
-// query time and label size columns of the paper's tables.
+// query time and label size columns of the paper's tables. The server
+// (internal/serve) therefore holds a *core.Index and answers batches with
+// core's own executor, so this package defines no batch surface.
 //
 // This package sits below every labelling package in the dependency
 // graph (it imports none of them), so each can assert conformance with

@@ -225,26 +225,10 @@ func (ix *Index) Distance(s, t int32) int32 {
 // an admissible bound.
 func (ix *Index) UpperBound(s, t int32) int32 { return ix.Distance(s, t) }
 
-// Searcher adapts the index to the per-goroutine searcher contract.
-// Single-pair queries are allocation-free merges over immutable arrays;
-// the scratch fields serve the vectorized batch path (see batch.go):
-// hubDist is the source's label stamped by hub rank (kept at MaxInt32
-// between groups), perm the batch sort permutation. Like every
-// Searcher, one per goroutine.
-type Searcher struct {
-	ix      *Index
-	hubDist []int32
-	perm    []int32
-}
-
-// Distance returns the 2-hop-cover distance (see Index.Distance).
-func (sr *Searcher) Distance(s, t int32) int32 { return sr.ix.Distance(s, t) }
-
-// UpperBound returns the 2-hop bound (== Distance for PLL).
-func (sr *Searcher) UpperBound(s, t int32) int32 { return sr.ix.Distance(s, t) }
-
-// NewSearcher returns a query searcher bound to the index.
-func (ix *Index) NewSearcher() method.Searcher { return &Searcher{ix: ix} }
+// NewSearcher returns the index itself: its queries are allocation-free
+// merges over immutable arrays, safe for concurrent use, so a searcher
+// needs no scratch of its own.
+func (ix *Index) NewSearcher() method.Searcher { return ix }
 
 // Stats summarizes the index (method-agnostic form).
 func (ix *Index) Stats() method.Stats {

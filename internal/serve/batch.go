@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"highway/internal/method"
 	"highway/internal/workload"
 )
 
@@ -81,7 +80,7 @@ func (s *Server) runPipeline(w io.Writer, workers int, source func(emit func(wor
 					pbuf[i] = [2]int32{p.S, p.T}
 				}
 				l := s.acquire()
-				out := method.DistanceBatch(l.sr, pbuf, make([]int32, len(job.pairs)))
+				out := l.sr.DistanceBatch(pbuf, make([]int32, len(job.pairs)))
 				s.release(l)
 				job.done <- out
 			}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -12,128 +13,118 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"highway/internal/method"
+	"highway/internal/core"
+	"highway/internal/workload"
 )
 
-// countingIndex is a stub DistanceIndex whose searchers count Distance
-// calls and can fire a callback at a chosen call number — the
-// instrument behind the cancellation-bound tests: it makes "how many
-// pairs ran after cancel" an exact observable instead of a timing
-// guess.
-type countingIndex struct {
-	n        int
-	calls    atomic.Int64
-	cancelAt int64
-	cancel   func()
-	// delayAfter slows every query after the cancel point down, giving
-	// an asynchronously-delivered cancellation (an HTTP client
-	// disconnect crossing the transport) time to land while the batch
-	// is still in flight.
-	delayAfter time.Duration
+// countingCtx is a context whose Err starts returning context.Canceled at
+// its k-th poll (never, for k = 0) and counts every poll. The batch
+// executor polls once per CancelCheckEvery-pair chunk, so "how many pairs
+// ran before the cancellation was seen" is exact, not a timing guess.
+type countingCtx struct {
+	context.Context
+	k     int64
+	polls atomic.Int64
 }
 
-type countingSearcher struct{ ix *countingIndex }
+func (c *countingCtx) Err() error {
+	if n := c.polls.Add(1); c.k > 0 && n >= c.k {
+		return context.Canceled
+	}
+	return c.Context.Err()
+}
 
-func (sr *countingSearcher) Distance(s, t int32) int32 {
-	c := sr.ix.calls.Add(1)
-	if sr.ix.cancelAt > 0 && c >= sr.ix.cancelAt {
-		if c == sr.ix.cancelAt {
-			sr.ix.cancel()
-		}
-		if sr.ix.delayAfter > 0 {
-			time.Sleep(sr.ix.delayAfter)
+// batchPairs returns count random pairs of ix's graph.
+func batchPairs(ix *core.Index, count int) [][2]int32 {
+	pairs := make([][2]int32, count)
+	for i, p := range workload.RandomPairs(ix.Graph(), count, 5) {
+		pairs[i] = [2]int32{p.S, p.T}
+	}
+	return pairs
+}
+
+// checkAnswers fails unless got[i] is ix's distance for pairs[i].
+func checkAnswers(t *testing.T, ix *core.Index, pairs [][2]int32, got []int32) {
+	t.Helper()
+	sr := ix.Searcher()
+	for i, d := range got {
+		if want := sr.Distance(pairs[i][0], pairs[i][1]); d != want {
+			t.Fatalf("answer %d: d(%d,%d) = %d, want %d", i, pairs[i][0], pairs[i][1], d, want)
 		}
 	}
-	return 1
 }
-func (sr *countingSearcher) UpperBound(s, t int32) int32 { return 1 }
-
-func (ix *countingIndex) Distance(s, t int32) int32    { return 1 }
-func (ix *countingIndex) UpperBound(s, t int32) int32  { return 1 }
-func (ix *countingIndex) NewSearcher() method.Searcher { return &countingSearcher{ix: ix} }
-func (ix *countingIndex) Stats() method.Stats          { return method.Stats{NumVertices: ix.n} }
 
 // TestDistanceBatchContextCancel pins the cancellation bound: a context
-// cancelled mid-batch stops the batch within ~method.CancelCheckEvery
-// pairs (the in-flight chunk finishes, nothing after it starts) and
-// surfaces ctx.Err() with the completed prefix.
+// that reports cancellation at its k-th poll stops the batch after the
+// k-1 chunks that ran before it, and ctx.Err() comes back with exactly
+// those chunks' answers.
 func TestDistanceBatchContextCancel(t *testing.T) {
-	ix := &countingIndex{n: 16, cancelAt: 100}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ix.cancel = cancel
-	s := newServer(ix, ix.n, Config{})
-	pairs := make([][2]int32, 50*method.CancelCheckEvery)
-	out, err := s.DistanceBatchContext(ctx, pairs, nil)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	calls := ix.calls.Load()
-	if calls > 2*method.CancelCheckEvery {
-		t.Fatalf("%d pairs ran after cancelling at pair %d; want within ~%d",
-			calls, ix.cancelAt, method.CancelCheckEvery)
-	}
-	if len(out) != int(calls) {
-		t.Fatalf("returned prefix %d answers, %d pairs ran", len(out), calls)
-	}
-	for i, d := range out {
-		if d != 1 {
-			t.Fatalf("out[%d] = %d, want 1 (answers before the cancel point must be valid)", i, d)
+	ix := testIndex(t)
+	s := New(ix, Config{})
+	pairs := batchPairs(ix, 10*CancelCheckEvery+7)
+	for _, k := range []int64{2, 3, 10} {
+		ctx := &countingCtx{Context: context.Background(), k: k}
+		out, err := s.DistanceBatchContext(ctx, pairs, nil)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("k=%d: err = %v, want context.Canceled", k, err)
 		}
+		if want := int(k-1) * CancelCheckEvery; len(out) != want || ctx.polls.Load() != k {
+			t.Fatalf("k=%d: %d answers after %d polls, want %d after %d", k, len(out), ctx.polls.Load(), want, k)
+		}
+		checkAnswers(t, ix, pairs, out)
 	}
 }
 
 // TestDistanceBatchContextPreCancelled: an already-dead context runs
 // zero pairs.
 func TestDistanceBatchContextPreCancelled(t *testing.T) {
-	ix := &countingIndex{n: 16}
-	s := newServer(ix, ix.n, Config{})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	out, err := s.DistanceBatchContext(ctx, make([][2]int32, 10_000), nil)
+	ix := testIndex(t)
+	s := New(ix, Config{})
+	ctx := &countingCtx{Context: context.Background(), k: 1}
+	out, err := s.DistanceBatchContext(ctx, batchPairs(ix, 10_000), nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if got := ix.calls.Load(); got != 0 {
-		t.Fatalf("%d pairs ran under a pre-cancelled context", got)
-	}
-	if len(out) != 0 {
-		t.Fatalf("got %d answers under a pre-cancelled context", len(out))
+	if len(out) != 0 || ctx.polls.Load() != 1 {
+		t.Fatalf("%d answers after %d polls under a pre-cancelled context", len(out), ctx.polls.Load())
 	}
 }
 
 // TestDistanceBatchNoContextCompletes pins the wrapper's contract: the
-// context-free DistanceBatch always runs to completion.
+// context-free DistanceBatch always runs to completion, chunk boundaries
+// included, into dst when it has the capacity.
 func TestDistanceBatchNoContextCompletes(t *testing.T) {
-	ix := &countingIndex{n: 16}
-	s := newServer(ix, ix.n, Config{})
-	pairs := make([][2]int32, 3*method.CancelCheckEvery+7)
-	out, err := s.DistanceBatch(pairs, nil)
-	if err != nil || len(out) != len(pairs) {
-		t.Fatalf("DistanceBatch: %v, %d answers", err, len(out))
+	ix := testIndex(t)
+	s := New(ix, Config{})
+	pairs := batchPairs(ix, 3*CancelCheckEvery+7)
+	dst := make([]int32, 1, len(pairs))
+	out, err := s.DistanceBatch(pairs, dst)
+	if err != nil || len(out) != len(pairs) || &out[0] != &dst[0] {
+		t.Fatalf("DistanceBatch: %v, %d answers, dst reused %v", err, len(out), &out[0] == &dst[0])
 	}
-	if got := ix.calls.Load(); got != int64(len(pairs)) {
-		t.Fatalf("%d pairs ran, want %d", got, len(pairs))
-	}
+	checkAnswers(t, ix, pairs, out)
 }
 
 // TestBatchHandlerClientDisconnect verifies the HTTP plumbing: when the
-// batch client goes away mid-request, r.Context() cancellation reaches
-// the executor and the handler abandons the remaining pairs instead of
-// computing a response nobody reads. The stub cancels the client's
-// request context from inside the 64th query, so the test is
-// deterministic about *when* the disconnect happens; the bound is loose
-// (a few chunks) because the transport delivers the disconnect
-// asynchronously.
+// request context is cancelled mid-batch, the cancellation reaches the
+// executor through r.Context() and the handler abandons the remaining
+// pairs instead of computing a response nobody reads. The counting
+// context, installed on top of r.Context(), reports the cancellation at
+// its third poll: the executor stops there, and the client gets no
+// answers.
 func TestBatchHandlerClientDisconnect(t *testing.T) {
-	ix := &countingIndex{n: 16, cancelAt: 64, delayAfter: 50 * time.Microsecond}
-	s := newServer(ix, ix.n, Config{})
-	ts := httptest.NewServer(s.Handler())
+	s := New(testIndex(t), Config{})
+	h := s.Handler()
+	served := make(chan *countingCtx, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctx := &countingCtx{Context: r.Context(), k: 3}
+		h.ServeHTTP(w, r.WithContext(ctx))
+		served <- ctx
+	}))
 	defer ts.Close()
 
-	total := 40 * method.CancelCheckEvery
+	total := 40 * CancelCheckEvery
 	var body bytes.Buffer
 	body.WriteString(`{"pairs":[`)
 	for i := 0; i < total; i++ {
@@ -144,26 +135,22 @@ func TestBatchHandlerClientDisconnect(t *testing.T) {
 	}
 	body.WriteString(`]}`)
 
-	cctx, ccancel := context.WithCancel(context.Background())
-	defer ccancel()
-	ix.cancel = ccancel
-	req, err := http.NewRequestWithContext(cctx, http.MethodPost, ts.URL+"/distance/batch", &body)
+	resp, err := http.Post(ts.URL+"/distance/batch", "application/json", &body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := ts.Client().Do(req)
-	if err == nil {
-		resp.Body.Close()
-		t.Fatal("request succeeded; want client-side cancellation")
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The handler has returned once the server drains; Close waits for
-	// in-flight handlers, so after this the call count is final.
-	ts.Close()
-	if calls := ix.calls.Load(); calls >= int64(total) {
-		t.Fatalf("handler answered all %d pairs after the client disconnected", total)
-	} else if calls > 16*method.CancelCheckEvery {
-		t.Fatalf("%d pairs ran after a disconnect at pair 64; want within a few %d-pair chunks",
-			calls, method.CancelCheckEvery)
+	if len(got) != 0 {
+		t.Fatalf("handler answered a cancelled batch: %d %.80s", resp.StatusCode, got)
+	}
+	// The executor's three polls, then the handler's check that there is
+	// nobody left to answer.
+	if polls := (<-served).polls.Load(); polls != 4 {
+		t.Fatalf("request context polled %d times, want 4", polls)
 	}
 }
 

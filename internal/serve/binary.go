@@ -134,7 +134,7 @@ func (st *connScratch) release() {
 // frame and the connection keeps going.
 //
 // ctx is the listener context: its cancellation (shutdown) aborts an
-// in-flight batch within ~method.CancelCheckEvery pairs and drops the
+// in-flight batch within ~CancelCheckEvery pairs and drops the
 // connection. A peer that merely disconnects mid-batch is only observed
 // at response-write time — the pipelined reader gives the server no
 // per-request signal before that (see PROTOCOL.md).

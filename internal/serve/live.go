@@ -177,7 +177,7 @@ func NewLive(ix *core.Index, cfg LiveConfig) (*Server, error) {
 	if err != nil {
 		return fail(fmt.Errorf("serve: live conversion: %w", err))
 	}
-	s := newServer(ix, ix.Graph().NumVertices(), cfg.Config)
+	s := New(ix, cfg.Config)
 	up := &updater{cfg: cfg, dyn: dyn, wal: cfg.WAL, closeCh: make(chan struct{})}
 	s.up, s.writable = up, true
 	up.epoch.Store(cfg.EpochBase)

@@ -10,7 +10,6 @@ import (
 	"highway/internal/core"
 	"highway/internal/dynhl"
 	"highway/internal/graph"
-	"highway/internal/method"
 )
 
 // Replication surface: the hooks internal/cluster wires a Server into a
@@ -105,8 +104,8 @@ func (s *Server) replicationStats() *ReplicationStats {
 // a follower makes replicated state visible to its readers; live
 // servers publish through their own write path instead and must not mix
 // the two.
-func (s *Server) Publish(ix method.DistanceIndex, epoch uint64) {
-	s.n.Store(int64(ix.Stats().NumVertices))
+func (s *Server) Publish(ix *core.Index, epoch uint64) {
+	s.n.Store(int64(ix.Graph().NumVertices()))
 	s.snap.Store(newSnapshot(ix, epoch))
 }
 

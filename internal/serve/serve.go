@@ -110,15 +110,14 @@ const DefaultMaxBatch = 100_000
 // Config.ShutdownGrace is zero.
 const DefaultShutdownGrace = 5 * time.Second
 
-// snapshot is one immutable published state of the server. The read path
-// never looks past the DistanceIndex interface: what New and NewLive
-// publish is a *core.Index, and tests substitute instrumented fakes.
+// snapshot is one immutable published state of the server: the highway
+// cover index every read of that state answers from.
 type snapshot struct {
-	ix    method.DistanceIndex
+	ix    *core.Index
 	epoch uint64
 }
 
-func newSnapshot(ix method.DistanceIndex, epoch uint64) *snapshot {
+func newSnapshot(ix *core.Index, epoch uint64) *snapshot {
 	return &snapshot{ix: ix, epoch: epoch}
 }
 
@@ -127,7 +126,7 @@ func newSnapshot(ix method.DistanceIndex, epoch uint64) *snapshot {
 // specific index.
 type lease struct {
 	sn *snapshot
-	sr method.Searcher
+	sr *core.Searcher
 }
 
 // Server serves exact distance queries from an atomically swappable
@@ -172,10 +171,6 @@ type Server struct {
 
 // New returns a read-only Server over the highway cover index ix.
 func New(ix *core.Index, cfg Config) *Server {
-	return newServer(ix, ix.Graph().NumVertices(), cfg)
-}
-
-func newServer(ix method.DistanceIndex, n int, cfg Config) *Server {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
@@ -184,16 +179,17 @@ func newServer(ix method.DistanceIndex, n int, cfg Config) *Server {
 	}
 	s := &Server{cfg: cfg, started: time.Now()}
 	s.Frontend = Frontend{backend: serverBackend{s}, maxBatch: cfg.MaxBatch, grace: cfg.ShutdownGrace}
-	s.n.Store(int64(n))
+	s.n.Store(int64(ix.Graph().NumVertices()))
 	s.readGate.budget = resolveBudget(cfg.ReadBudget, DefaultReadBudget)
 	s.writeGate.budget = resolveBudget(cfg.WriteBudget, DefaultWriteBudget)
 	s.snap.Store(newSnapshot(ix, 0))
 	return s
 }
 
-// Index returns the currently served index snapshot. On a live server a
-// later call may return a newer index; the returned index itself is
-// immutable and stays valid.
+// Index returns the currently served index snapshot, which is always a
+// *core.Index (the method-agnostic return type is kept for callers that
+// type-assert it). On a live server a later call may return a newer
+// index; the returned index itself is immutable and stays valid.
 func (s *Server) Index() method.DistanceIndex { return s.snap.Load().ix }
 
 // Epoch returns the current snapshot epoch: 0 at startup (EpochBase on
@@ -214,7 +210,7 @@ func (s *Server) acquire() *lease {
 	if l, _ := s.searchers.Get().(*lease); l != nil && l.sn == sn {
 		return l
 	}
-	return &lease{sn: sn, sr: sn.ix.NewSearcher()}
+	return &lease{sn: sn, sr: sn.ix.Searcher()}
 }
 
 func (s *Server) release(l *lease) { s.searchers.Put(l) }
@@ -246,10 +242,14 @@ func (s *Server) DistanceBatch(pairs [][2]int32, dst []int32) ([]int32, error) {
 	return s.DistanceBatchContext(context.Background(), pairs, dst)
 }
 
-// DistanceBatchContext is DistanceBatch with cancellation: the batch is
-// dispatched through the snapshot searcher's best execution path (the
-// vectorized batch executor when the method provides one, the pair loop
-// otherwise) in chunks of method.CancelCheckEvery pairs, and a
+// CancelCheckEvery is the pair granularity at which DistanceBatchContext
+// polls its context: a cancelled context stops an in-flight batch within
+// about this many pairs.
+const CancelCheckEvery = 1024
+
+// DistanceBatchContext is DistanceBatch with cancellation: the batch runs
+// through the snapshot searcher's vectorized executor in chunks of
+// CancelCheckEvery pairs, ctx is polled before each chunk, and a
 // cancelled ctx abandons the remaining pairs within about one chunk.
 // On cancellation it returns ctx.Err() and the prefix of answers
 // already computed (dst truncated; answers are valid for their pairs).
@@ -266,10 +266,20 @@ func (s *Server) DistanceBatchContext(ctx context.Context, pairs [][2]int32, dst
 			return nil, fmt.Errorf("pair %d: %w", i, err)
 		}
 	}
+	if cap(dst) < len(pairs) {
+		dst = make([]int32, len(pairs))
+	}
+	dst = dst[:len(pairs)]
 	l := s.acquire()
-	dst, err := method.DistanceBatchContext(ctx, l.sr, pairs, dst)
-	s.release(l)
-	return dst, err
+	defer s.release(l)
+	for off := 0; off < len(pairs); off += CancelCheckEvery {
+		if err := ctx.Err(); err != nil {
+			return dst[:off], err
+		}
+		end := min(off+CancelCheckEvery, len(pairs))
+		l.sr.DistanceBatch(pairs[off:end], dst[off:end])
+	}
+	return dst, nil
 }
 
 // checkVertex validates a vertex id against the served vertex set

@@ -174,7 +174,7 @@ func TestStatsAndHealthEndpoints(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	if st.Index.NumVertices != ix.Graph().NumVertices() || st.Index.NumLandmarks != ix.NumLandmarks() {
+	if st.Index.Method != "hl" || st.Index.NumVertices != ix.Graph().NumVertices() || st.Index.NumLandmarks != ix.NumLandmarks() {
 		t.Fatalf("index stats %+v", st.Index)
 	}
 	dist := st.Endpoints["distance"]

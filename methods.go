@@ -41,45 +41,8 @@ type DistanceIndex = method.DistanceIndex
 
 // DistanceSearcher is the per-goroutine searcher interface returned by
 // DistanceIndex.NewSearcher. The concrete highway cover Searcher (with
-// Path) is still available via Index.Searcher.
+// Path, DistanceBatch and DistanceMany) is available via Index.Searcher.
 type DistanceSearcher = method.Searcher
-
-// BatchSearcher is the optional vectorized-execution capability: a
-// searcher that answers many pairs in one call, amortizing per-source
-// label work. The highway cover labelling (static and dynamic) and PLL
-// opt in; discover a method's capabilities with IndexCapabilities.
-type BatchSearcher = method.BatchSearcher
-
-// SourceSearcher is the one-source-to-many-targets form of the batch
-// capability.
-type SourceSearcher = method.SourceSearcher
-
-// MethodCapabilities records which optional interfaces an index's
-// searchers satisfy (batched execution, source-to-many execution).
-type MethodCapabilities = method.Capabilities
-
-// IndexCapabilities probes an index for its optional capabilities; the
-// serving layer uses the same discovery to pick the batch execution
-// path.
-func IndexCapabilities(ix DistanceIndex) MethodCapabilities {
-	return method.CapabilitiesOf(ix)
-}
-
-// SearcherDistanceBatch answers all pairs through the searcher's best
-// available path: its vectorized executor when it implements
-// BatchSearcher, otherwise a pair-at-a-time loop. dst is reused when it
-// has capacity and may be nil. Batched answers are always identical to
-// pair-at-a-time answers — batching is an execution strategy, not a
-// semantics change.
-func SearcherDistanceBatch(sr DistanceSearcher, pairs [][2]int32, dst []int32) []int32 {
-	return method.DistanceBatch(sr, pairs, dst)
-}
-
-// SearcherDistanceMany is the one-source-to-many counterpart of
-// SearcherDistanceBatch.
-func SearcherDistanceMany(sr DistanceSearcher, source int32, targets []int32, dst []int32) []int32 {
-	return method.DistanceMany(sr, source, targets, dst)
-}
 
 // ErrUnknownMethod is wrapped by MethodByName and Build when the requested method name is not registered; errors.Is
 // distinguishes it from build and I/O failures.
