@@ -14,21 +14,18 @@
 //	hlserve serve -graph g.hwg -wal edges.wal    # ... with durable updates
 //	hlserve route -primary p:8081 -followers a:8081,b:8081  # cluster router: each read goes to one follower
 //	hlserve batch -graph g.hwg < pairs.txt       # one distance per line, input order
-//	hlserve load  -graph g.hwg -n 100000         # in-process load test: qps + p50/p90/p99
-//	hlserve load  -graph g.hwg -proto binary -batch 64   # ... through the wire protocol
-//	hlserve load  -graph g.hwg -parallel 1,2,4,8 -json sweep.json  # qps-vs-parallelism sweep, as a JSON report
-//	hlserve load  -graph g.hwg -deleteratio 0.1  # trace-style churn: edge inserts + deletes mixed into the measured load, any -proto
 //	hlserve serve -graph g.hwg -read-budget 64   # bounded in-flight admission (shed with 429/Overloaded)
-//	hlserve load  -graph g.hwg -proto http -read-budget 2 -batch 1024 -parallel 8  # overload drill: shed accounting in the report
 //	hlserve genpairs -graph g.hwg -n 100000      # emit "s t" lines for batch mode
 //	hlserve help [command]
 //
-// Build the graph and index first with hlbuild. Every command takes
-// -graph (binary graph file); serve, batch and load also take -index
-// (default: graph path + .idx), a highway cover index file of either
-// format. With -wal, serve prefers the snapshot a previous run's checkpoint persisted next
-// to the log, then replays the log, so restarts lose nothing that was
-// acknowledged.
+// Build the graph and index first with hlbuild. serve, batch and
+// genpairs take -graph (binary graph file); serve and batch also take
+// -index (default: graph path + .idx), a highway cover index file as
+// hlbuild writes it (files of a retired layout name hlbuild migrate).
+// With -wal, serve prefers the snapshot a previous run's checkpoint
+// persisted next to the log, then replays the log, so restarts lose
+// nothing that was acknowledged. Load is measured by the benchmark
+// harness (go run -C benchmark .; see benchmark/README.md).
 package main
 
 import (
@@ -36,18 +33,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"os/signal"
-	"runtime"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"highway"
 	"highway/internal/cluster"
-	"highway/internal/loadgen"
 	"highway/internal/serve"
 	"highway/internal/workload"
 )
@@ -60,7 +53,6 @@ var commands = []struct {
 	{"serve", "serve the live HTTP/JSON API (GET /distance, POST /distance/batch, POST /edges, /stats, /healthz) and, with -binaddr, the binary wire protocol; -replicate ships the WAL to followers, -follower receives it", runServe},
 	{"route", "run the cluster router: each read goes to one health-checked follower (least in flight, failing over), writes are forwarded to the primary, both protocols", runRoute},
 	{"batch", `answer "s t" lines from stdin, one distance per line on stdout, in input order`, runBatch},
-	{"load", "load-test a target protocol (inproc | http | binary): p50/p90/p99 latency, warmup-excluded qps, optional -parallel sweep and -json report", runLoad},
 	{"genpairs", `emit "s t" query lines from the workload generator (feed for batch)`, runGenpairs},
 }
 
@@ -299,190 +291,6 @@ func runBatch(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintln(stderr, "hlserve:", stats)
 	return nil
-}
-
-func runLoad(args []string, _ io.Reader, stdout, _ io.Writer) error {
-	fs := flag.NewFlagSet("hlserve load", flag.ContinueOnError)
-	_, load := indexFlags(fs)
-	n := fs.Int("n", 100_000, "total measured pairs per run (the paper samples 100,000)")
-	seed := fs.Int64("seed", 42, "workload seed")
-	workers := fs.Int("workers", 0, "concurrent load workers, each with its own connection and request queue (0 = all cores)")
-	churn := fs.Float64("churn", 0, "fraction of requests preceded by one edge mutation through the target protocol (0 = read-only unless -deleteratio is set, which defaults this to 0.1)")
-	deleteRatio := fs.Float64("deleteratio", 0, "fraction of churn mutations that delete a live edge instead of inserting (implies -churn 0.1 when churn is unset)")
-	skew := fs.Float64("skew", 0, "Zipf skew for churn insertion endpoints, >1 to enable (low vertex ids = hubs); uniform otherwise")
-	proto := fs.String("proto", "inproc", "target protocol: inproc (no wire protocol), http (HTTP/JSON API) or binary (PROTOCOL.md)")
-	target := fs.String("target", "", "drive already-running servers at this comma-separated address list (http base URLs or binary host:ports; workers spread round-robin) instead of a self-hosted loopback listener")
-	batch := fs.Int("batch", 1, "pairs per request (1 = the single-query path)")
-	warmup := fs.Int("warmup", 0, "per-worker warmup requests, issued before the clock starts and excluded from every reported figure (0 = a tenth of the per-worker requests, <0 = none)")
-	readBudget := fs.Int("read-budget", -1, "admission budget of the self-hosted server, in cost units of 1 + pairs/1024 (<0 = unlimited, the load-test default); shed requests are counted and timed separately")
-	parallel := fs.String("parallel", "", "comma-separated worker counts to sweep with a fixed total request budget, e.g. 1,2,4,8 (overrides -workers)")
-	jsonPath := fs.String("json", "", "write all runs as a JSON report to this file (a loadgen.Report; empty = stdout only)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	// Everything that can be rejected before touching the index is
-	// rejected here: a bad flag combination must cost an error message,
-	// not an index load (on billion-edge graphs, minutes).
-	if *churn < 0 || *churn > 1 {
-		return fmt.Errorf("-churn must be in [0,1], got %g", *churn)
-	}
-	if *deleteRatio < 0 || *deleteRatio > 1 {
-		return fmt.Errorf("-deleteratio must be in [0,1], got %g", *deleteRatio)
-	}
-	if *deleteRatio > 0 && *churn == 0 {
-		*churn = 0.1 // -deleteratio alone means "churn, a tenth of the requests"
-	}
-	if *proto != "inproc" && *proto != "http" && *proto != "binary" {
-		return fmt.Errorf("unknown -proto %q (want inproc, http or binary)", *proto)
-	}
-	if *batch <= 0 {
-		return fmt.Errorf("-batch must be positive, got %d", *batch)
-	}
-	levels, err := parseLevels(*parallel)
-	if err != nil {
-		return err
-	}
-	ix, err := load()
-	if err != nil {
-		return err
-	}
-	if *workers <= 0 {
-		*workers = runtime.GOMAXPROCS(0)
-	}
-	if levels == nil {
-		levels = []int{*workers}
-	}
-
-	// Every run goes through the percentile harness. The target is
-	// the in-process server, or a wire protocol — self-hosted on a
-	// loopback listener unless -target points at a running server, so a
-	// protocol-overhead comparison needs nothing but this one command.
-	// The default budget is unlimited: a load test wants to measure the
-	// index, not the gate — overload experiments opt in via -read-budget.
-	// A churn run self-hosts a live server so the mutation endpoints
-	// exist on every protocol.
-	var srv *serve.Server
-	if *churn > 0 {
-		srv, err = serve.NewLive(ix, serve.LiveConfig{
-			Config: serve.Config{ReadBudget: *readBudget},
-		})
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-	} else {
-		srv = serve.New(ix, serve.Config{ReadBudget: *readBudget})
-	}
-	var factory loadgen.TargetFactory
-	switch *proto {
-	case "inproc":
-		factory = loadgen.InProcFactory(srv)
-	case "http":
-		// -target accepts a comma-separated endpoint list; workers are
-		// spread round-robin across them (aggregate replica-set QPS).
-		if *target == "" {
-			ln, stop, err := selfHost(func(ctx context.Context, ln net.Listener) error { return srv.Serve(ctx, ln) })
-			if err != nil {
-				return err
-			}
-			defer stop()
-			factory = loadgen.HTTPFactory("http://" + ln.Addr().String())
-		} else {
-			bases := strings.Split(*target, ",")
-			for i, b := range bases {
-				if !strings.Contains(b, "://") {
-					bases[i] = "http://" + b
-				}
-			}
-			factory = loadgen.MultiHTTPFactory(bases)
-		}
-	case "binary":
-		if *target == "" {
-			ln, stop, err := selfHost(srv.ServeBinary)
-			if err != nil {
-				return err
-			}
-			defer stop()
-			factory = loadgen.BinaryFactory(ln.Addr().String())
-		} else {
-			factory = loadgen.MultiBinaryFactory(strings.Split(*target, ","))
-		}
-	}
-
-	opt := loadgen.Options{
-		Requests:    *n / *batch, // total budget; Sweep splits it across workers
-		Warmup:      *warmup,
-		Batch:       *batch,
-		N:           ix.Stats().NumVertices,
-		Seed:        *seed,
-		Churn:       *churn,
-		DeleteRatio: *deleteRatio,
-		Skew:        *skew,
-	}
-	runs, err := loadgen.Sweep(opt, levels, factory)
-	if err != nil {
-		return err
-	}
-	for i := range runs {
-		runs[i].Protocol = *proto
-		fmt.Fprintln(stdout, "hlserve:", runs[i])
-	}
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			return err
-		}
-		rp := loadgen.Report{
-			Command: "hlserve load " + strings.Join(args, " "),
-			Host:    fmt.Sprintf("%s/%s, %d cores, %s", runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.Version()),
-			Runs:    runs,
-		}
-		if err := rp.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "hlserve: wrote %d runs to %s\n", len(runs), *jsonPath)
-	}
-	return nil
-}
-
-// parseLevels parses the -parallel flag: a comma-separated list of
-// positive worker counts, nil when empty.
-func parseLevels(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	levels := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("-parallel wants positive worker counts like 1,2,4,8; got %q", s)
-		}
-		levels = append(levels, v)
-	}
-	return levels, nil
-}
-
-// selfHost starts serveFn on a loopback listener and returns the
-// listener plus a stop func that shuts the listener down and reports
-// its exit error.
-func selfHost(serveFn func(context.Context, net.Listener) error) (net.Listener, func() error, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, nil, err
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- serveFn(ctx, ln) }()
-	return ln, func() error {
-		cancel()
-		return <-done
-	}, nil
 }
 
 func runGenpairs(args []string, _ io.Reader, stdout, _ io.Writer) error {

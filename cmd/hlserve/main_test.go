@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -45,7 +44,7 @@ func TestHelpListsCommands(t *testing.T) {
 	if err := run([]string{"help"}, nil, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	for _, cmd := range []string{"serve", "batch", "load", "genpairs"} {
+	for _, cmd := range []string{"serve", "route", "batch", "genpairs"} {
 		if !strings.Contains(out.String(), cmd) {
 			t.Fatalf("help output lacks %q:\n%s", cmd, out.String())
 		}
@@ -62,7 +61,7 @@ func TestUnknownCommand(t *testing.T) {
 	}
 }
 
-func TestGenpairsAndLoad(t *testing.T) {
+func TestGenpairs(t *testing.T) {
 	gp := writeIndexedGraph(t)
 
 	var pairs bytes.Buffer
@@ -75,90 +74,6 @@ func TestGenpairsAndLoad(t *testing.T) {
 	}
 	if len(strings.Fields(lines[0])) != 2 {
 		t.Fatalf("bad pair line %q", lines[0])
-	}
-
-	var out bytes.Buffer
-	if err := run([]string{"load", "-graph", gp, "-n", "500", "-seed", "1", "-workers", "2"}, nil, &out, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "500 pairs") {
-		t.Fatalf("load output %q lacks pair count", out.String())
-	}
-}
-
-// TestLoadProtocols drives the harness through every wire protocol
-// against a self-hosted loopback listener: the one-command
-// protocol-overhead comparison must work end to end.
-func TestLoadProtocols(t *testing.T) {
-	gp := writeIndexedGraph(t)
-	for _, proto := range []string{"inproc", "http", "binary"} {
-		var out bytes.Buffer
-		args := []string{"load", "-graph", gp, "-n", "200", "-workers", "2", "-batch", "4", "-proto", proto, "-warmup", "2"}
-		if err := run(args, nil, &out, io.Discard); err != nil {
-			t.Fatalf("%s: %v", proto, err)
-		}
-		got := out.String()
-		if !strings.Contains(got, "200 pairs") || !strings.Contains(got, "p99") || !strings.Contains(got, proto) {
-			t.Fatalf("%s load output %q lacks pairs/percentiles/protocol", proto, got)
-		}
-	}
-}
-
-// TestLoadSweepJSON pins the -parallel sweep and the shape of the -json
-// report.
-func TestLoadSweepJSON(t *testing.T) {
-	gp := writeIndexedGraph(t)
-	jp := filepath.Join(t.TempDir(), "bench.json")
-	var out bytes.Buffer
-	args := []string{"load", "-graph", gp, "-n", "100", "-parallel", "1,2", "-json", jp}
-	if err := run(args, nil, &out, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(jp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rp struct {
-		Command string `json:"command"`
-		Runs    []struct {
-			Protocol string  `json:"protocol"`
-			Workers  int     `json:"workers"`
-			QPS      float64 `json:"qps"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(b, &rp); err != nil {
-		t.Fatal(err)
-	}
-	if len(rp.Runs) != 2 || rp.Runs[0].Workers != 1 || rp.Runs[1].Workers != 2 {
-		t.Fatalf("report runs %+v", rp.Runs)
-	}
-	for _, r := range rp.Runs {
-		if r.Protocol != "inproc" || r.QPS <= 0 {
-			t.Fatalf("bad run %+v", r)
-		}
-	}
-	if !strings.Contains(rp.Command, "-parallel 1,2") {
-		t.Fatalf("report command %q does not reproduce the invocation", rp.Command)
-	}
-}
-
-// TestLoadFlagValidation pins that bad flag combinations fail at parse
-// time, before any index is loaded (the graph path here does not even
-// exist).
-func TestLoadFlagValidation(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		want string
-	}{
-		{[]string{"load", "-graph", "nope.hwg", "-proto", "grpc"}, "-proto"},
-		{[]string{"load", "-graph", "nope.hwg", "-churn", "1.5"}, "-churn"},
-		{[]string{"load", "-graph", "nope.hwg", "-batch", "0"}, "-batch"},
-		{[]string{"load", "-graph", "nope.hwg", "-parallel", "1,zero"}, "-parallel"},
-	} {
-		err := run(tc.args, nil, io.Discard, io.Discard)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("args %v: err = %v, want mention of %q", tc.args, err, tc.want)
-		}
 	}
 }
 
@@ -197,21 +112,10 @@ func TestBatchFromStdin(t *testing.T) {
 
 func TestMissingGraphFlag(t *testing.T) {
 	var out bytes.Buffer
-	for _, cmd := range []string{"load", "genpairs", "serve"} {
+	for _, cmd := range []string{"genpairs", "serve"} {
 		if err := run([]string{cmd}, nil, &out, io.Discard); err == nil {
 			t.Fatalf("%s without -graph: want error", cmd)
 		}
-	}
-}
-
-func TestMixedLoad(t *testing.T) {
-	gp := writeIndexedGraph(t)
-	var out bytes.Buffer
-	if err := run([]string{"load", "-graph", gp, "-n", "500", "-seed", "1", "-workers", "2", "-warmup", "-1", "-churn", "0.05"}, nil, &out, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "500 pairs") || !strings.Contains(out.String(), "churn=") {
-		t.Fatalf("mixed load output %q lacks read/write stats", out.String())
 	}
 }
 
@@ -231,6 +135,15 @@ func TestServeRebuildGrowthFlagGone(t *testing.T) {
 	err := run([]string{"serve", "-graph", gp, "-rebuild-growth", "1.5"}, nil, io.Discard, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 		t.Fatalf("-rebuild-growth: %v, want flag provided but not defined", err)
+	}
+}
+
+// TestLoadCommandGone: load is measured by the benchmark harness, so
+// hlserve has no load command of its own.
+func TestLoadCommandGone(t *testing.T) {
+	err := run([]string{"load", "-n", "100"}, nil, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), `unknown command "load"`) {
+		t.Fatalf("load: %v, want unknown command \"load\"", err)
 	}
 }
 
@@ -312,8 +225,8 @@ func TestBatchAnyMethod(t *testing.T) {
 
 // TestServeMethodMismatch: serve loads hl index files only, so the -method
 // flag that cross-checked a file's method tag is gone, and a retired
-// method's file fails every path that loads one — live, read-only, -wal and
-// the churn load — with one line naming the method, before listening.
+// method's file fails every path that loads one — live, read-only and
+// -wal — with one line naming the method, before listening.
 func TestServeMethodMismatch(t *testing.T) {
 	gp := writeRetiredIndex(t, "dynhl")
 	err := run([]string{"serve", "-graph", gp, "-method", "hl", "-addr", "127.0.0.1:0"}, nil, io.Discard, io.Discard)
@@ -324,7 +237,6 @@ func TestServeMethodMismatch(t *testing.T) {
 		{"serve", "-graph", gp, "-addr", "127.0.0.1:0"},
 		{"serve", "-graph", gp, "-readonly", "-addr", "127.0.0.1:0"},
 		{"serve", "-graph", gp, "-wal", filepath.Join(t.TempDir(), "edges.wal"), "-addr", "127.0.0.1:0"},
-		{"load", "-graph", gp, "-n", "10", "-churn", "0.5"},
 	} {
 		wantRetired(t, strings.Join(args, " "), run(args, nil, io.Discard, io.Discard), "dynhl")
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"highway/internal/core"
+	"highway/internal/failpoint"
 	"highway/internal/gen"
 	"highway/internal/graph"
 	"highway/internal/hlclient"
@@ -339,6 +340,47 @@ func TestPickLeastInflight(t *testing.T) {
 	first.up.Store(false)
 	if m, cl := pick(rt.members); m != nil || cl != nil {
 		t.Fatal("no healthy member: want nil")
+	}
+}
+
+// TestRouterSpreadsConcurrentReads: with reads slow enough to overlap
+// (serve.query holds each for 2ms on the member), eight readers through
+// the router keep both replicas working — each serves at least a third
+// of the reads — and every read is still one member call.
+func TestRouterSpreadsConcurrentReads(t *testing.T) {
+	const readers, perReader = 8, 25
+	g, a, b, rt := twoMembers(t)
+	if err := failpoint.Set(serve.FPQuery, "delay(2ms)"); err != nil {
+		t.Fatal(err)
+	}
+	defer failpoint.Clear(serve.FPQuery)
+	served := func(m *memberNode) int64 { return m.srv.EndpointStats(time.Second)["bin_distance"].Requests }
+	fromA, fromB := served(a), served(b)
+
+	ctx := context.Background()
+	n := int32(g.NumVertices())
+	var wg sync.WaitGroup
+	for w := int32(0); w < readers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int32(0); i < perReader; i++ {
+				if _, err := rt.Distance(ctx, (w*perReader+i)%n, (7*i)%n); err != nil {
+					t.Errorf("routed read: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	st := rt.Stats()
+	if st.Reads != readers*perReader || st.Fanout != st.Reads || st.Errors != 0 {
+		t.Fatalf("want %d reads, one member call each: %+v", readers*perReader, st)
+	}
+	gotA, gotB := served(a)-fromA, served(b)-fromB
+	t.Logf("%d reads: %d on the first member, %d on the second", st.Reads, gotA, gotB)
+	if 3*gotA < st.Reads || 3*gotB < st.Reads {
+		t.Fatalf("members served %d and %d of %d concurrent reads, want at least a third each", gotA, gotB, st.Reads)
 	}
 }
 

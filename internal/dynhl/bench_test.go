@@ -8,8 +8,8 @@ package dynhl
 // (re-inserting the edge) runs with the timer stopped.
 //
 // BenchmarkChurnBatch is the operational companion: random 8-op
-// mixed batches at a 30% delete ratio, the shape `hlserve load
-// -deleteratio` produces.
+// mixed batches at a 30% delete ratio, the shape the benchmark's
+// churn-ba20k workload writes.
 
 import (
 	"fmt"

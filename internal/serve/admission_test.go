@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"highway/internal/core"
+	"highway/internal/failpoint"
 	"highway/internal/gen"
 	"highway/internal/landmark"
 	"highway/internal/wire"
@@ -202,6 +203,216 @@ func TestBinaryShedsWhenOverBudget(t *testing.T) {
 	if st := srv.AdmissionStats(); st.Read.Shed < 1 {
 		t.Fatalf("read gate stats = %+v, want >=1 shed", st.Read)
 	}
+}
+
+// TestOverloadShed drives a server whose read budget covers a quarter or
+// less of the offered in-flight demand, under real concurrency, on each
+// protocol. A 400-vertex index answers a 1024-pair batch in about 100µs,
+// too fast for work to pile up at the gate, so the serve.query failpoint
+// holds every admitted request for 10ms: eight workers then overflow a
+// budget of 2 (a 1024-pair batch costs 1 or 2 units) every time. The
+// contract: some requests are admitted and the rest shed; a shed comes
+// back faster than an admitted request, because it skips the work; the
+// whole budget is returned once the run drains; and the gate's counters,
+// in AdmissionStats and on /stats, are exactly what the clients saw.
+func TestOverloadShed(t *testing.T) {
+	const (
+		workers  = 8
+		requests = 30 // per worker
+		batch    = 1024
+		budget   = 2
+	)
+	g := gen.BarabasiAlbert(400, 3, 7)
+	lms, err := landmark.Select(g, landmark.Options{K: 8, Strategy: landmark.Degree})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := core.BuildParallel(g, lms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := failpoint.Set(FPQuery, "delay(10ms)"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { failpoint.Clear(FPQuery) })
+	pairs := make([][2]int32, batch)
+	for i := range pairs {
+		pairs[i] = [2]int32{int32(i % 400), int32(i * 7 % 400)}
+	}
+
+	// drive runs one worker per do, each issuing requests of its own,
+	// and returns the client-side latencies of the shed and the admitted
+	// ones. A do reports its own failures (t.Errorf) and returns ok=false
+	// to stop its worker.
+	drive := func(dos []func() (shed, ok bool)) (shed, admitted []time.Duration) {
+		type result struct{ shed, admitted []time.Duration }
+		results := make(chan result, len(dos))
+		for _, do := range dos {
+			go func() {
+				var r result
+				for i := 0; i < requests; i++ {
+					start := time.Now()
+					s, ok := do()
+					if !ok {
+						break
+					}
+					if s {
+						r.shed = append(r.shed, time.Since(start))
+					} else {
+						r.admitted = append(r.admitted, time.Since(start))
+					}
+				}
+				results <- r
+			}()
+		}
+		for range dos {
+			r := <-results
+			shed = append(shed, r.shed...)
+			admitted = append(admitted, r.admitted...)
+		}
+		return shed, admitted
+	}
+
+	check := func(t *testing.T, srv *Server, shed, admitted []time.Duration) {
+		t.Helper()
+		if t.Failed() {
+			t.FailNow()
+		}
+		if len(shed) == 0 || len(admitted) == 0 {
+			t.Fatalf("%d shed, %d admitted at 4x the budget: want both", len(shed), len(admitted))
+		}
+		s, a := median(shed), median(admitted)
+		t.Logf("%d shed, p50 %v; %d admitted, p50 %v", len(shed), s, len(admitted), a)
+		if s >= a {
+			t.Errorf("shed p50 %v >= admitted p50 %v: shedding is not cheaper than working", s, a)
+		}
+		st := srv.AdmissionStats().Read
+		if st.Inflight != 0 {
+			t.Errorf("read inflight = %d after the run drained, want 0 (leaked budget)", st.Inflight)
+		}
+		if st.Shed != int64(len(shed)) || st.Admitted != int64(len(admitted)) {
+			t.Errorf("read gate counted %d shed, %d admitted; the clients saw %d, %d", st.Shed, st.Admitted, len(shed), len(admitted))
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+		var doc struct {
+			Admission AdmissionStats `json:"admission"`
+		}
+		if err := json.NewDecoder(rec.Body).Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc.Admission.Read != st {
+			t.Errorf("/stats admission.read = %+v, AdmissionStats().Read = %+v", doc.Admission.Read, st)
+		}
+	}
+
+	t.Run("http", func(t *testing.T) {
+		srv := New(ix, Config{ShutdownGrace: time.Second, ReadBudget: budget})
+		hs := httptest.NewServer(srv.Handler())
+		body, err := json.Marshal(map[string]any{"pairs": pairs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		do := func() (shed, ok bool) {
+			resp, err := hs.Client().Post(hs.URL+"/distance/batch", "application/json", strings.NewReader(string(body)))
+			if err != nil {
+				t.Error(err)
+				return false, false
+			}
+			defer resp.Body.Close()
+			switch resp.StatusCode {
+			case http.StatusTooManyRequests:
+				return true, true
+			case http.StatusOK:
+				var br struct {
+					Distances []int32 `json:"distances"`
+				}
+				if err := json.NewDecoder(resp.Body).Decode(&br); err != nil || len(br.Distances) != batch {
+					t.Errorf("admitted batch: %d answers, err %v; want %d", len(br.Distances), err, batch)
+					return false, false
+				}
+				return false, true
+			}
+			t.Errorf("POST /distance/batch status %d, want 200 or 429", resp.StatusCode)
+			return false, false
+		}
+		dos := make([]func() (bool, bool), workers)
+		for w := range dos {
+			dos[w] = do
+		}
+		shed, admitted := drive(dos)
+		hs.Close() // waits for the handlers, whose deferred release follows the response
+		check(t, srv, shed, admitted)
+	})
+
+	t.Run("binary", func(t *testing.T) {
+		srv := New(ix, Config{ShutdownGrace: time.Second, ReadBudget: budget})
+		addr, shutdown := admBinListener(t, srv)
+		defer shutdown()
+		frame := wire.AppendPairs(nil, pairs)
+		dos := make([]func() (bool, bool), workers)
+		for w := range dos {
+			c, r, wr := binConn(t, addr)
+			defer c.Close()
+			var dst []int32
+			dos[w] = func() (shed, ok bool) {
+				if err := wr.WriteFrame(wire.TBatch, frame); err != nil {
+					t.Error(err)
+					return false, false
+				}
+				if err := wr.Flush(); err != nil {
+					t.Error(err)
+					return false, false
+				}
+				typ, p, err := r.ReadFrame()
+				if err != nil {
+					t.Error(err)
+					return false, false
+				}
+				switch typ {
+				case wire.TBatchResp:
+					if dst, err = wire.DecodeDistances(p, dst); err != nil || len(dst) != batch {
+						t.Errorf("admitted batch: %d answers, err %v; want %d", len(dst), err, batch)
+						return false, false
+					}
+					return false, true
+				case wire.TError:
+					if code, msg, err := wire.DecodeError(p); err != nil || code != wire.CodeOverloaded {
+						t.Errorf("batch answered error %v %q (decode err %v), want Overloaded", code, msg, err)
+						return false, false
+					}
+					return true, true
+				}
+				t.Errorf("batch answered %v, want BatchResp or Error", typ)
+				return false, false
+			}
+		}
+		// The binary listener releases the budget before it writes the
+		// answer, so the gate has drained once every answer is read.
+		shed, admitted := drive(dos)
+		check(t, srv, shed, admitted)
+	})
+}
+
+// median returns the lower median of ds. It counts rather than sorts:
+// the samples are few.
+func median(ds []time.Duration) time.Duration {
+	k := (len(ds) - 1) / 2
+	for _, x := range ds {
+		below, atOrBelow := 0, 0
+		for _, y := range ds {
+			if y < x {
+				below++
+			}
+			if y <= x {
+				atOrBelow++
+			}
+		}
+		if below <= k && k < atOrBelow {
+			return x
+		}
+	}
+	return 0
 }
 
 // admBinListener starts a binary listener for an existing server.
