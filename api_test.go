@@ -158,16 +158,14 @@ func surfaceDiff(want, got string) string {
 	return b.String()
 }
 
-// TestAPISurfaceHasRegistry spot-checks that the golden surface indeed
-// covers the unified method API, so the golden file cannot silently be
-// regenerated empty.
-func TestAPISurfaceHasRegistry(t *testing.T) {
+// TestAPISurfaceHasBuild spot-checks that the golden surface indeed
+// covers the one way to build the paper's index, so the golden file
+// cannot silently be regenerated empty.
+func TestAPISurfaceHasBuild(t *testing.T) {
 	got := renderAPISurface(t)
 	for _, needle := range []string{
-		"func Build(ctx context.Context, g *Graph, methodName string, opts ...BuildOption) (DistanceIndex, error)",
-		"func MethodByName(name string) (Method, error)",
-		"func Methods() []Method",
-		"func WithLandmarks(landmarks []int32) BuildOption",
+		"type Index = core.Index\nfunc Build(ctx context.Context, g *Graph, landmarks []int32, opt BuildOptions) (*Index, error)",
+		"type BuildOptions = core.Options",
 		"DistanceIndex = method.DistanceIndex",
 	} {
 		if !strings.Contains(got, needle) {

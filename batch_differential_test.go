@@ -1,7 +1,6 @@
 package highway_test
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -64,17 +63,14 @@ func TestMethodBatchDifferential(t *testing.T) {
 	g := batchTestGraph(t)
 	n := g.NumVertices()
 	pairs := batchTestPairs(n, 5)
-	for _, m := range highway.Methods() {
-		t.Run(m.Name, func(t *testing.T) {
-			ix, err := highway.Build(context.Background(), g, m.Name, buildOptionsFor(m.Name)...)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, m := range testMethods {
+		t.Run(m.name, func(t *testing.T) {
+			ix := buildTest(t, m, g)
 			pairwise := ix.NewSearcher()
 			if err := oracle.Diff(g, pairwise, pairs); err != nil {
 				t.Fatal(err)
 			}
-			if m.Name != "hl" && m.Name != "dynhl" {
+			if m.name != "hl" && m.name != "dynhl" {
 				return // a baseline answers one pair at a time
 			}
 			sr := ix.NewSearcher().(*highway.Searcher)

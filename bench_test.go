@@ -78,7 +78,7 @@ func BenchmarkTable2BuildHL(b *testing.B) {
 	g, lm, _ := fixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := buildHL(g, lm, highway.WithWorkers(1)); err != nil {
+		if _, err := buildHLSeq(g, lm); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -88,7 +88,7 @@ func BenchmarkTable2BuildFD(b *testing.B) {
 	g, lm, _ := fixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := highway.Build(context.Background(), g, "fd", highway.WithLandmarks(lm)); err != nil {
+		if _, err := testMethodNamed("fd").build(context.Background(), g, lm); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -98,7 +98,7 @@ func BenchmarkTable2BuildPLL(b *testing.B) {
 	g, _, _ := fixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := highway.Build(context.Background(), g, "pll"); err != nil {
+		if _, err := testMethodNamed("pll").build(context.Background(), g, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -108,7 +108,7 @@ func BenchmarkTable2BuildISL(b *testing.B) {
 	g, _, _ := fixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := highway.Build(context.Background(), g, "isl"); err != nil {
+		if _, err := testMethodNamed("isl").build(context.Background(), g, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -143,7 +143,7 @@ func BenchmarkTable2QueryHL(b *testing.B) {
 
 func BenchmarkTable2QueryFD(b *testing.B) {
 	g, lm, pairs := fixtures(b)
-	ix, err := highway.Build(context.Background(), g, "fd", highway.WithLandmarks(lm))
+	ix, err := testMethodNamed("fd").build(context.Background(), g, lm)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func BenchmarkTable2QueryFD(b *testing.B) {
 
 func BenchmarkTable2QueryPLL(b *testing.B) {
 	g, _, pairs := fixtures(b)
-	ix, err := highway.Build(context.Background(), g, "pll")
+	ix, err := testMethodNamed("pll").build(context.Background(), g, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func BenchmarkTable2QueryPLL(b *testing.B) {
 
 func BenchmarkTable2QueryISL(b *testing.B) {
 	g, _, pairs := fixtures(b)
-	ix, err := highway.Build(context.Background(), g, "isl")
+	ix, err := testMethodNamed("isl").build(context.Background(), g, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -239,15 +239,15 @@ func BenchmarkTable3Sizes(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fdIx, err := highway.Build(context.Background(), g, "fd", highway.WithLandmarks(lm))
+	fdIx, err := testMethodNamed("fd").build(context.Background(), g, lm)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pllIx, err := highway.Build(context.Background(), g, "pll")
+	pllIx, err := testMethodNamed("pll").build(context.Background(), g, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	islIx, err := highway.Build(context.Background(), g, "isl")
+	islIx, err := testMethodNamed("isl").build(context.Background(), g, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func BenchmarkFig1a(b *testing.B) {
 			return workload.OracleFunc(sr.Distance), ix.SizeBytes32()
 		}},
 		{"FD", func() (workload.Oracle, int64) {
-			ix, err := highway.Build(context.Background(), g, "fd", highway.WithLandmarks(lm))
+			ix, err := testMethodNamed("fd").build(context.Background(), g, lm)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -294,14 +294,14 @@ func BenchmarkFig1a(b *testing.B) {
 			return workload.OracleFunc(sr.Distance), ix.Stats().SizeBytes
 		}},
 		{"PLL", func() (workload.Oracle, int64) {
-			ix, err := highway.Build(context.Background(), g, "pll")
+			ix, err := testMethodNamed("pll").build(context.Background(), g, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
 			return workload.OracleFunc(ix.Distance), ix.Stats().SizeBytes
 		}},
 		{"ISL", func() (workload.Oracle, int64) {
-			ix, err := highway.Build(context.Background(), g, "isl")
+			ix, err := testMethodNamed("isl").build(context.Background(), g, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -340,14 +340,14 @@ func BenchmarkFig1b(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("HL/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := buildHL(g, lm, highway.WithWorkers(1)); err != nil {
+				if _, err := buildHLSeq(g, lm); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("FD/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := highway.Build(context.Background(), g, "fd", highway.WithLandmarks(lm)); err != nil {
+				if _, err := testMethodNamed("fd").build(context.Background(), g, lm); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -385,7 +385,7 @@ func BenchmarkFig7BuildHL(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := buildHL(g, lm, highway.WithWorkers(1)); err != nil {
+				if _, err := buildHLSeq(g, lm); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -81,23 +81,22 @@ func run(args []string) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	opts := []highway.BuildOption{
-		highway.WithLandmarkCount(*k),
-		highway.WithStrategy(highway.LandmarkStrategy(*strategy)),
-		highway.WithSeed(*seed),
-		highway.WithWorkers(*workers),
-	}
-	if *progress {
-		opts = append(opts, highway.WithProgress(func(done, total int) {
-			fmt.Fprintf(os.Stderr, "hlbuild: landmark BFS %d/%d done\n", done, total)
-		}))
-	}
-	start := time.Now()
-	built, err := highway.Build(ctx, g, "hl", opts...)
+	// A -k above n selects every vertex.
+	landmarks, err := highway.SelectLandmarks(g, min(*k, g.NumVertices()), highway.LandmarkStrategy(*strategy), *seed)
 	if err != nil {
 		return err
 	}
-	ix := built.(*highway.Index)
+	opt := highway.BuildOptions{Workers: *workers}
+	if *progress {
+		opt.Progress = func(done, total int) {
+			fmt.Fprintf(os.Stderr, "hlbuild: landmark BFS %d/%d done\n", done, total)
+		}
+	}
+	start := time.Now()
+	ix, err := highway.Build(ctx, g, landmarks, opt)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("built hl in %s: %s\n", time.Since(start).Round(time.Millisecond), ix.Stats())
 	bs := ix.BuildStats()
 	tr := bs.Traversal
@@ -106,7 +105,7 @@ func run(args []string) error {
 		tr.EdgesScanned(), tr.EdgesTopDown, tr.EdgesBottomUp)
 
 	if *verify > 0 {
-		if err := highway.VerifyIndex(g, ix, *verify, *seed); err != nil {
+		if err := ix.Verify(*verify, *seed); err != nil {
 			return err
 		}
 		fmt.Printf("verified %d random pairs against BFS\n", *verify)

@@ -47,6 +47,26 @@ func TestRunBuild(t *testing.T) {
 	}
 }
 
+// TestRunBuildClampsK: a -k above the vertex count makes every vertex a
+// landmark instead of failing the selection.
+func TestRunBuildClampsK(t *testing.T) {
+	g := gen.Path(5)
+	gp := filepath.Join(t.TempDir(), "path5.hwg")
+	if err := highway.SaveGraph(g, gp); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-graph", gp, "-k", "20", "-verify", "50"}); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := highway.LoadIndex(gp+".idx", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ix.NumLandmarks(); got != g.NumVertices() {
+		t.Fatalf("-k 20 on %d vertices built %d landmarks, want %d", g.NumVertices(), got, g.NumVertices())
+	}
+}
+
 func TestRunBuildTextGraph(t *testing.T) {
 	g := highway.BarabasiAlbert(100, 2, 2)
 	dir := t.TempDir()

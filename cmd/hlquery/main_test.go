@@ -27,12 +27,12 @@ func fixture(t *testing.T) (string, string, *highway.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := highway.Build(context.Background(), g, "hl", highway.WithLandmarks(lm))
+	ix, err := highway.Build(context.Background(), g, lm, highway.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ip := gp + ".idx"
-	if err := ix.(*highway.Index).Save(ip); err != nil {
+	if err := ix.Save(ip); err != nil {
 		t.Fatal(err)
 	}
 	return gp, ip, g

@@ -29,11 +29,11 @@ func writeIndexedGraph(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := highway.Build(context.Background(), g, "hl", highway.WithLandmarks(lms))
+	ix, err := highway.Build(context.Background(), g, lms, highway.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.(*highway.Index).Save(gp + ".idx"); err != nil {
+	if err := ix.Save(gp + ".idx"); err != nil {
 		t.Fatal(err)
 	}
 	return gp

@@ -21,7 +21,7 @@ func ExampleBuild_hl() {
 		panic(err)
 	}
 	landmarks, _ := highway.SelectLandmarks(g, 2, highway.ByDegree, 0)
-	ix, _ := highway.Build(context.Background(), g, "hl", highway.WithLandmarks(landmarks))
+	ix, _ := highway.Build(context.Background(), g, landmarks, highway.BuildOptions{})
 	fmt.Println(ix.Distance(0, 3))
 	fmt.Println(ix.Distance(2, 5))
 	// Output:
@@ -37,9 +37,9 @@ func ExampleNewServer() {
 		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {1, 4},
 	})
 	landmarks, _ := highway.SelectLandmarks(g, 2, highway.ByDegree, 0)
-	ix, _ := highway.Build(context.Background(), g, "hl", highway.WithLandmarks(landmarks))
+	ix, _ := highway.Build(context.Background(), g, landmarks, highway.BuildOptions{})
 
-	srv := highway.NewServer(ix.(*highway.Index), highway.ServeConfig{})
+	srv := highway.NewServer(ix, highway.ServeConfig{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -63,9 +63,9 @@ func ExampleServer_InsertEdges() {
 		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {1, 4},
 	})
 	landmarks, _ := highway.SelectLandmarks(g, 2, highway.ByDegree, 0)
-	ix, _ := highway.Build(context.Background(), g, "hl", highway.WithLandmarks(landmarks))
+	ix, _ := highway.Build(context.Background(), g, landmarks, highway.BuildOptions{})
 
-	srv, _ := highway.NewLiveServer(ix.(*highway.Index), highway.LiveConfig{})
+	srv, _ := highway.NewLiveServer(ix, highway.LiveConfig{})
 	defer srv.Close()
 
 	before, _ := srv.Distance(0, 3)
@@ -87,8 +87,8 @@ func ExampleClient() {
 		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {1, 4},
 	})
 	landmarks, _ := highway.SelectLandmarks(g, 2, highway.ByDegree, 0)
-	ix, _ := highway.Build(context.Background(), g, "hl", highway.WithLandmarks(landmarks))
-	srv := highway.NewServer(ix.(*highway.Index), highway.ServeConfig{})
+	ix, _ := highway.Build(context.Background(), g, landmarks, highway.BuildOptions{})
+	srv := highway.NewServer(ix, highway.ServeConfig{})
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -115,38 +115,34 @@ func ExampleClient() {
 	// [3 1]
 }
 
-// ExampleBuild builds three different labelling methods through the
-// unified registry entry point with functional options and queries them
-// through the shared DistanceIndex interface. The answers agree because
-// every method is exact.
+// ExampleBuild builds the paper's index over a landmark set with
+// BuildOptions: Workers sets how many goroutines share the build
+// traversal (the index is the same for every value) and Progress sees
+// each landmark's pruned BFS finish.
 func ExampleBuild() {
 	g, _ := highway.FromEdges(6, [][2]int32{
 		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {1, 4},
 	})
-	ctx := context.Background()
 	landmarks, _ := highway.SelectLandmarks(g, 2, highway.ByDegree, 0)
-
-	for _, name := range []string{"hl", "pll", "isl"} {
-		ix, err := highway.Build(ctx, g, name,
-			highway.WithLandmarks(landmarks), // used by hl; pll and isl ignore it
-			highway.WithWorkers(1),
-		)
-		if err != nil {
-			panic(err)
-		}
-		fmt.Printf("%s: d(0,3)=%d\n", ix.Stats().Method, ix.Distance(0, 3))
+	ix, err := highway.Build(context.Background(), g, landmarks, highway.BuildOptions{
+		Workers:  1,
+		Progress: func(done, total int) { fmt.Printf("landmark BFS %d/%d done\n", done, total) },
+	})
+	if err != nil {
+		panic(err)
 	}
+	fmt.Printf("%s: k=%d d(0,3)=%d\n", ix.Stats().Method, ix.NumLandmarks(), ix.Distance(0, 3))
 	// Output:
-	// hl: d(0,3)=3
-	// pll: d(0,3)=3
-	// isl: d(0,3)=3
+	// landmark BFS 1/2 done
+	// landmark BFS 2/2 done
+	// hl: k=2 d(0,3)=3
 }
 
 // ExampleIndex_UpperBound shows the offline bound versus the exact
 // distance on a path where the landmark sits at one end.
 func ExampleIndex_UpperBound() {
 	g, _ := highway.FromEdges(5, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
-	ix, _ := highway.Build(context.Background(), g, "hl", highway.WithLandmarks([]int32{0})) // landmark at the left end
+	ix, _ := highway.Build(context.Background(), g, []int32{0}, highway.BuildOptions{}) // landmark at the left end
 	// The only landmark detour between 1 and 4 goes 1→0→...→4.
 	fmt.Println(ix.UpperBound(1, 4))
 	fmt.Println(ix.Distance(1, 4))
@@ -156,13 +152,13 @@ func ExampleIndex_UpperBound() {
 }
 
 // ExampleSearcher_Path reconstructs one shortest path. Path lives on
-// the concrete highway cover Searcher (Index.Searcher, on the *Index
-// that Build returns for "hl"); the method-agnostic NewSearcher interface
-// covers Distance and UpperBound only.
+// the concrete highway cover Searcher (Index.Searcher); the
+// method-agnostic NewSearcher interface covers Distance and UpperBound
+// only.
 func ExampleSearcher_Path() {
 	g, _ := highway.FromEdges(5, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
-	ix, _ := highway.Build(context.Background(), g, "hl", highway.WithLandmarks([]int32{2}))
-	sr := ix.(*highway.Index).Searcher()
+	ix, _ := highway.Build(context.Background(), g, []int32{2}, highway.BuildOptions{})
+	sr := ix.Searcher()
 	fmt.Println(sr.Path(0, 4))
 	// Output:
 	// [0 1 2 3 4]

@@ -45,11 +45,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	built, err := highway.Build(context.Background(), g, "hl", highway.WithLandmarks(landmarks))
+	ix, err := highway.Build(context.Background(), g, landmarks, highway.BuildOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	ix := built.(*highway.Index) // the live server wants the highway labelling itself
 
 	dir, err := os.MkdirTemp("", "dynamicgraph")
 	if err != nil {

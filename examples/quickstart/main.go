@@ -29,7 +29,7 @@ func main() {
 	// Build the labelling with one pruned BFS per landmark, in parallel
 	// (the paper's HL-P). The result is minimal and deterministic.
 	start := time.Now()
-	ix, err := highway.Build(context.Background(), g, "hl", highway.WithLandmarks(landmarks))
+	ix, err := highway.Build(context.Background(), g, landmarks, highway.BuildOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

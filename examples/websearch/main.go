@@ -31,7 +31,7 @@ func main() {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	ix, err := highway.Build(context.Background(), g, "hl", highway.WithLandmarks(landmarks))
+	ix, err := highway.Build(context.Background(), g, landmarks, highway.BuildOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

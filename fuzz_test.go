@@ -11,30 +11,30 @@ import (
 )
 
 // FuzzReadIndexAny holds the one index reader, ReadIndex, to its contract
-// on whatever file any registered method's name is attached to: either a
-// usable highway cover index or a one-line error, never a panic or a
-// runaway allocation. Seeds are, per method in registry order, the file it
+// on whatever file any method's name is attached to: either a usable
+// highway cover index or a one-line error, never a panic or a runaway
+// allocation. Seeds are, per method in testMethods order, the file it
 // is saved as — hl's own, and for every other method the method tag its
 // retired format began with, which must fail naming the method — plus the
 // two magics.
 func FuzzReadIndexAny(f *testing.F) {
 	g := highway.BarabasiAlbert(60, 2, 3)
-	for _, m := range highway.Methods() {
-		if m.Name != "hl" {
-			file := retiredIndexFile(f, m.Name, g.NumVertices())
+	for _, m := range testMethods {
+		if m.name != "hl" {
+			file := retiredIndexFile(f, m.name, g.NumVertices())
 			_, err := highway.ReadIndex(bytes.NewReader(file), g)
-			if err == nil || !strings.Contains(err.Error(), strconv.Quote(m.Name)) {
-				f.Fatalf("%s file: err = %v, want one naming the method", m.Name, err)
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(m.name)) {
+				f.Fatalf("%s file: err = %v, want one naming the method", m.name, err)
 			}
 			f.Add(file)
 			continue
 		}
-		ix, err := highway.Build(context.Background(), g, m.Name, highway.WithLandmarkCount(4))
+		ix, err := highway.Build(context.Background(), g, testLandmarks(f, g, 4), highway.BuildOptions{})
 		if err != nil {
 			f.Fatal(err)
 		}
 		var file bytes.Buffer
-		if err := highway.WriteIndex(ix.(*highway.Index), &file); err != nil {
+		if err := highway.WriteIndex(ix, &file); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(file.Bytes())

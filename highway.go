@@ -11,8 +11,8 @@
 //
 //	g := highway.BarabasiAlbert(100_000, 5, 42)
 //	landmarks, _ := highway.SelectLandmarks(g, 20, highway.ByDegree, 0)
-//	ix, _ := highway.Build(ctx, g, "hl", highway.WithLandmarks(landmarks)) // parallel pruned BFSs
-//	d := ix.Distance(12, 34)                                               // exact distance, -1 if disconnected
+//	ix, _ := highway.Build(ctx, g, landmarks, highway.BuildOptions{}) // parallel pruned BFSs
+//	d := ix.Distance(12, 34)                                          // exact distance, -1 if disconnected
 //
 // For tight query loops create one Searcher per goroutine:
 //
@@ -27,7 +27,7 @@
 // graceful shutdown when the context is cancelled. The hlserve command
 // is a thin CLI over the same machinery.
 //
-//	srv := highway.NewServer(ix.(*highway.Index), highway.ServeConfig{})
+//	srv := highway.NewServer(ix, highway.ServeConfig{})
 //	err := srv.ListenAndServe(ctx, ":8080")
 //	// GET  /distance?s=12&t=34          -> {"s":12,"t":34,"distance":3}
 //	// POST /distance/batch {"pairs":[[1,2],[3,4]]} -> {"count":2,"distances":[2,3]}
@@ -57,29 +57,17 @@
 // rebuilt. See DESIGN.md for the architecture and lifecycle.
 //
 //	wal, _ := highway.OpenWAL("edges.wal")
-//	srv, _ := highway.NewLiveServer(ix.(*highway.Index), highway.LiveConfig{WAL: wal})
+//	srv, _ := highway.NewLiveServer(ix, highway.LiveConfig{WAL: wal})
 //	// POST   /edges {"edge":[12,34]}       -> {"accepted":1,"inserted":1,"epoch":1}
 //	// POST   /edges {"edges":[[1,2],[3,4]]}
 //	// DELETE /edges {"edge":[12,34]}       -> {"accepted":1,"deleted":1,"epoch":2}
 //
-// # Methods
+// # Baselines
 //
-// The paper's method and every baseline it evaluates against (PLL, FD,
-// IS-L) plus the dynamic highway labelling implement one interface —
-// DistanceIndex — and register under one name, so all five build, query
-// and report their size through the same API:
-//
-//	for _, m := range highway.Methods() { fmt.Println(m.Name) } // hl dynhl pll fd isl
-//	ix, _ := highway.Build(ctx, g, "pll")
-//	d, st := ix.Distance(12, 34), ix.Stats()
-//
-// Build takes functional options (WithLandmarks, WithWorkers,
-// WithProgress, WithBitParallel, ...) and returns the
-// DistanceIndex interface; where a method's own surface is needed (Path,
-// Verify, Save, ApplyOps, ...) assert the concrete type, e.g.
-// ix.(*highway.Index). Only the highway cover labelling is saved, loaded
-// and served: the baselines are measured (build time, query time, label
-// size), not shipped.
+// The paper evaluates its labelling against PLL, FD and IS-L. Those are
+// built and measured in memory by the experiment harness (cmd/hlbench),
+// which calls their packages directly; this package builds, saves,
+// loads and serves the highway cover labelling only.
 package highway
 
 import (
@@ -89,12 +77,10 @@ import (
 	"highway/internal/bfs"
 	"highway/internal/core"
 	"highway/internal/dynhl"
-	"highway/internal/fd"
 	"highway/internal/gen"
 	"highway/internal/graph"
-	"highway/internal/isl"
 	"highway/internal/landmark"
-	"highway/internal/pll"
+	"highway/internal/method"
 	"highway/internal/serve"
 	"highway/internal/workload"
 )
@@ -108,12 +94,30 @@ type Graph = graph.Graph
 type Builder = graph.Builder
 
 // Index is a highway cover distance labelling: the exact distance oracle
-// of the paper. Build(ctx, g, "hl", ...) returns one.
+// of the paper. Build returns one.
 type Index = core.Index
 
+// Build constructs the highway cover labelling of g over landmarks
+// (Algorithm 1): every landmark's pruned BFS runs in one traversal whose
+// levels opt.Workers goroutines share, and the index is the same for
+// every worker count. ctx cancels a long build.
+func Build(ctx context.Context, g *Graph, landmarks []int32, opt BuildOptions) (*Index, error) {
+	return core.BuildOpts(ctx, g, landmarks, opt)
+}
+
 // Searcher answers queries against an Index without per-query allocation;
-// create one per goroutine with Index.NewSearcher.
+// create one per goroutine with Index.Searcher.
 type Searcher = core.Searcher
+
+// DistanceIndex is the method-agnostic exact distance oracle: queries,
+// label upper bounds, per-goroutine searchers and statistics.
+// Server.Index returns the served index as one.
+type DistanceIndex = method.DistanceIndex
+
+// DistanceSearcher is the per-goroutine searcher Index.NewSearcher
+// returns. The concrete Searcher (with Path, DistanceBatch and
+// DistanceMany) comes from Index.Searcher.
+type DistanceSearcher = method.Searcher
 
 // BuildOptions controls index construction (worker count, progress
 // reporting).
@@ -298,35 +302,12 @@ func LoadLiveServer(graphPath, indexPath, walPath string, cfg LiveConfig) (*Serv
 	return serve.LoadLive(graphPath, indexPath, walPath, cfg)
 }
 
-// Baseline oracles.
-//
-// These are the comparison methods of the paper's evaluation, implemented
-// from scratch on the same graph substrate. They answer the same exact
-// distance queries with different construction-time / size / query-time
-// trade-offs. All of them implement DistanceIndex and build through
-// Build; none is saved or served.
-
-// PLLIndex is a pruned landmark labelling (Akiba et al. 2013): a complete
-// 2-hop cover answering queries by label intersection alone.
-type PLLIndex = pll.Index
-
-// FDIndex is the landmark-SPT oracle of Hayashi et al. 2016, built
-// statically as the paper compares against it.
-type FDIndex = fd.Index
-
-// ISLIndex is an IS-Label oracle (Fu et al. 2013).
-type ISLIndex = isl.Index
-
-// ISLOptions configures the IS-Label build (hierarchy depth, fill-in
-// cap); pass it with WithISLOptions.
-type ISLOptions = isl.Options
-
 // DynamicIndex is a mutable highway cover labelling supporting edge
 // insertions and deletions via selective landmark rebuild: only landmarks
 // whose shortest-path trees can change are re-labelled, and the result is
 // always identical to a from-scratch build on the evolved graph (exact,
 // minimal and order-independent like the static index).
-// Build(ctx, g, "dynhl", ...) returns one.
+// DynamicFromIndex returns one.
 type DynamicIndex = dynhl.Index
 
 // DynamicFromIndex makes a static Index mutable without re-running any

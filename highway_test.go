@@ -14,19 +14,29 @@ import (
 	"time"
 
 	"highway"
+	"highway/internal/fd"
 	"highway/internal/gen"
 )
 
-// buildHL builds the paper's labelling through the registry and returns
-// the concrete index: most tests here go on to Path, Verify, the format
-// functions or the serving constructors, which DistanceIndex does not
-// carry.
-func buildHL(g *highway.Graph, lm []int32, opts ...highway.BuildOption) (*highway.Index, error) {
-	ix, err := highway.Build(context.Background(), g, "hl", append(opts, highway.WithLandmarks(lm))...)
-	if err != nil {
-		return nil, err
+// buildHL builds the paper's labelling on all cores.
+func buildHL(g *highway.Graph, lm []int32) (*highway.Index, error) {
+	return highway.Build(context.Background(), g, lm, highway.BuildOptions{})
+}
+
+// buildHLSeq builds it on the calling goroutine alone: the paper's
+// sequential HL.
+func buildHLSeq(g *highway.Graph, lm []int32) (*highway.Index, error) {
+	return highway.Build(context.Background(), g, lm, highway.BuildOptions{Workers: 1})
+}
+
+// testMethodNamed returns the testMethods entry called name.
+func testMethodNamed(name string) testMethod {
+	for _, m := range testMethods {
+		if m.name == name {
+			return m
+		}
 	}
-	return ix.(*highway.Index), nil
+	panic("no test method " + name)
 }
 
 // TestFacadeEndToEnd exercises the whole public surface the way the README
@@ -41,7 +51,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqIx, err := buildHL(g, lm, highway.WithWorkers(1))
+	seqIx, err := buildHLSeq(g, lm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,15 +61,15 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 	// Cross-check the oracle against the baselines on sampled pairs.
 	ctx := context.Background()
-	pllIx, err := highway.Build(ctx, g, "pll")
+	pllIx, err := testMethodNamed("pll").build(ctx, g, lm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fdIx, err := highway.Build(ctx, g, "fd", highway.WithLandmarks(lm))
+	fdIx, err := testMethodNamed("fd").build(ctx, g, lm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	islIx, err := highway.Build(ctx, g, "isl")
+	islIx, err := testMethodNamed("isl").build(ctx, g, lm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,14 +197,18 @@ func TestFacadeRMAT(t *testing.T) {
 func TestFDDynamicViaFacade(t *testing.T) {
 	g := highway.BarabasiAlbert(300, 3, 11)
 	lm, _ := highway.SelectLandmarks(g, 6, highway.ByDegree, 0)
-	fdIx, err := highway.Build(context.Background(), g, "fd", highway.WithLandmarks(lm))
+	fdIx, err := fd.Build(context.Background(), g, lm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := fdIx.(interface{ InsertEdge(a, b int32) error }); ok {
+	if _, ok := any(fdIx).(interface{ InsertEdge(a, b int32) error }); ok {
 		t.Fatal("fd index accepts edge insertions")
 	}
-	dynIx, err := highway.Build(context.Background(), g, "dynhl", highway.WithLandmarks(lm))
+	static, err := buildHL(g, lm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dynIx, err := highway.DynamicFromIndex(static)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +216,7 @@ func TestFDDynamicViaFacade(t *testing.T) {
 	if d := dynIx.Distance(10, 200); d != before {
 		t.Fatalf("fd says d(10,200) = %d, dynhl says %d", before, d)
 	}
-	if err := dynIx.(*highway.DynamicIndex).InsertEdge(10, 200); err != nil {
+	if err := dynIx.InsertEdge(10, 200); err != nil {
 		t.Fatal(err)
 	}
 	if after := dynIx.Distance(10, 200); after != 1 {
@@ -213,12 +227,12 @@ func TestFDDynamicViaFacade(t *testing.T) {
 func TestDynamicIndexViaFacade(t *testing.T) {
 	g := highway.BarabasiAlbert(400, 3, 13)
 	lm, _ := highway.SelectLandmarks(g, 8, highway.ByDegree, 0)
-	built, err := highway.Build(context.Background(), g, "dynhl", highway.WithLandmarks(lm))
+	built, err := testMethodNamed("dynhl").build(context.Background(), g, lm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dyn := built.(*highway.DynamicIndex)
-	static, err := buildHL(g, lm)
+	static, err := buildHLSeq(g, lm)
 	if err != nil {
 		t.Fatal(err)
 	}

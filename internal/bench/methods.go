@@ -12,16 +12,20 @@ import (
 	"fmt"
 	"time"
 
-	"highway"
 	"highway/internal/bfs"
+	"highway/internal/core"
+	"highway/internal/fd"
 	"highway/internal/graph"
+	"highway/internal/isl"
+	"highway/internal/method"
+	"highway/internal/pll"
 	"highway/internal/workload"
 )
 
 // MethodName identifies one competitor row/column in the tables. The
-// names are the paper's display names; each maps onto a registry method
-// plus options (registryBuild), except the online Bi-BFS baseline,
-// which has no index to build.
+// names are the paper's display names; buildIndex maps each onto its
+// package's build in the paper's configuration, except the online Bi-BFS
+// baseline, which has no index to build.
 type MethodName string
 
 const (
@@ -54,39 +58,36 @@ type BuildResult struct {
 
 	// NewSearcher returns a single-goroutine exact-distance oracle.
 	NewSearcher func() workload.Oracle
-	// Bounder exposes the method's label upper bound (every registry
+	// Bounder exposes the method's label upper bound (every indexed
 	// method implements one; nil only for Bi-BFS).
 	Bounder workload.Bounder
 }
 
-// registryBuild maps a display name onto the unified method registry:
-// the registry name plus the options reproducing the paper's
-// configuration of that competitor.
-func registryBuild(m MethodName, landmarks []int32, workers int) (name string, opts []highway.BuildOption, ok bool) {
-	opts = []highway.BuildOption{highway.WithLandmarks(landmarks)}
+// buildIndex builds one competitor in the paper's configuration of it,
+// cancelled with ctx.
+func buildIndex(ctx context.Context, m MethodName, g *graph.Graph, landmarks []int32, workers int) (method.DistanceIndex, error) {
 	switch m {
 	case MethodHLP:
-		return "hl", append(opts, highway.WithWorkers(workers)), true
+		return core.BuildOpts(ctx, g, landmarks, core.Options{Workers: workers})
 	case MethodHL:
-		return "hl", append(opts, highway.WithWorkers(1)), true
+		return core.BuildOpts(ctx, g, landmarks, core.Options{Workers: 1})
 	case MethodFD:
-		return "fd", opts, true
+		return fd.Build(ctx, g, landmarks)
 	case MethodFDBP:
-		return "fd", append(opts, highway.WithBitParallel(1)), true
+		return fd.BuildBP(ctx, g, landmarks)
 	case MethodPLL:
 		// The paper's PLL configuration: 50 bit-parallel trees plus the
 		// pruned labelling (Section 6.2).
-		return "pll", []highway.BuildOption{highway.WithBitParallel(50)}, true
+		return pll.BuildBP(ctx, g, 50)
 	case MethodISL:
-		return "isl", nil, true
+		return isl.Build(ctx, g, isl.DefaultOptions())
 	default:
-		return "", nil, false
+		panic(fmt.Sprintf("bench: unknown method %q", m))
 	}
 }
 
-// buildMethod runs one method under a wall-clock budget through the
-// unified registry (highway.Build); only the online Bi-BFS baseline is
-// special-cased, having no index.
+// buildMethod runs one method under a wall-clock budget; only the online
+// Bi-BFS baseline is special-cased, having no index.
 func buildMethod(m MethodName, g *graph.Graph, landmarks []int32, budget time.Duration, workers int) BuildResult {
 	if m == MethodBiBFS {
 		return BuildResult{
@@ -99,14 +100,10 @@ func buildMethod(m MethodName, g *graph.Graph, landmarks []int32, budget time.Du
 			},
 		}
 	}
-	name, opts, ok := registryBuild(m, landmarks, workers)
-	if !ok {
-		panic(fmt.Sprintf("bench: unknown method %q", m))
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
 	start := time.Now()
-	ix, err := highway.Build(ctx, g, name, opts...)
+	ix, err := buildIndex(ctx, m, g, landmarks, workers)
 	if err != nil {
 		reason := err.Error()
 		if errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil {

@@ -73,7 +73,8 @@ func startPrimary(t *testing.T, ix *core.Index, walPath string, followers []stri
 	if err := ix.Save(indexPath); err != nil {
 		t.Fatal(err)
 	}
-	sh := NewShipper(ShipperConfig{Followers: followers, RetryInterval: 20 * time.Millisecond})
+	shortRetry(t)
+	sh := NewShipper(ShipperConfig{Followers: followers})
 	srv, err := serve.LoadLive(graphPath, indexPath, walPath, serve.LiveConfig{
 		Config:           serve.Config{ShutdownGrace: time.Second},
 		RebuildThreshold: checkpointEvery,
@@ -374,7 +375,8 @@ func TestDeposedPrimary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh := NewShipper(ShipperConfig{Followers: []string{fn.addr}, RetryInterval: 20 * time.Millisecond})
+		shortRetry(t)
+		sh := NewShipper(ShipperConfig{Followers: []string{fn.addr}})
 		srv, err := serve.NewLive(ix0, serve.LiveConfig{
 			Config:    serve.Config{ShutdownGrace: time.Second},
 			WAL:       wal,

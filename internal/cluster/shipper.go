@@ -17,31 +17,32 @@ import (
 type ShipperConfig struct {
 	// Followers are the binary-protocol addresses of the replica set.
 	Followers []string
-	// QueueDepth bounds each follower's in-memory batch queue
-	// (DefaultQueueDepth when 0). A follower that falls further behind
-	// than the queue drops off the tail and is healed by a snapshot
-	// resync instead of unbounded buffering.
-	QueueDepth int
-	// ChunkSize is the snapshot-transfer chunk size in bytes
-	// (DefaultChunkSize when 0). Must stay under wire.MaxFrame with
-	// room for the 9-byte replication header.
-	ChunkSize int
-	// RetryInterval paces reconnect/resync attempts against a follower
-	// that is down (DefaultRetryInterval when 0).
-	RetryInterval time.Duration
-	// Client overrides the per-follower client configuration. The
-	// zero value is replaced by a shipping-tuned one: a single pooled
-	// connection (ordering), no breaker (the shipper has its own
-	// resync state machine).
-	Client hlclient.Config
 }
 
-// Defaults for ShipperConfig zero values.
 const (
-	DefaultQueueDepth    = 256
-	DefaultChunkSize     = 4 << 20
-	DefaultRetryInterval = 200 * time.Millisecond
+	// queueDepth bounds each follower's in-memory batch queue. A follower
+	// that falls further behind than the queue drops off the tail and is
+	// healed by a snapshot resync instead of unbounded buffering.
+	queueDepth = 256
+	// chunkSize is the snapshot-transfer chunk size in bytes. It stays
+	// under wire.MaxFrame with room for the 9-byte replication header.
+	chunkSize = 4 << 20
 )
+
+// retryInterval paces reconnect/resync attempts against a follower that
+// is down. A variable so the package's tests can shorten it; a shipper
+// reads it once, in NewShipper.
+var retryInterval = 200 * time.Millisecond
+
+// followerClient is each follower's client configuration: a single pooled
+// connection (ordering), no retries and no breaker (the shipper has its
+// own resync state machine).
+var followerClient = hlclient.Config{
+	PoolSize:         1,
+	MaxRetries:       -1,
+	BreakerThreshold: -1,
+	AttemptTimeout:   30 * time.Second,
+}
 
 // shipMsg is one committed write batch queued for a follower: the
 // epoch it became visible at, the ops in WAL pair encoding, and the
@@ -76,7 +77,7 @@ type followerLink struct {
 // whenever the follower is fresh, behind, or unreachable.
 type Shipper struct {
 	srv   *serve.Server
-	cfg   ShipperConfig
+	retry time.Duration // retryInterval when the shipper was made
 	links []*followerLink
 
 	// encMu serializes snapshot encodes and guards snap: the encoding of
@@ -105,27 +106,10 @@ type Shipper struct {
 // enqueues; nothing ships until Start provides the server whose
 // FrozenState backs snapshot transfers.
 func NewShipper(cfg ShipperConfig) *Shipper {
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = DefaultQueueDepth
-	}
-	if cfg.ChunkSize <= 0 {
-		cfg.ChunkSize = DefaultChunkSize
-	}
-	if cfg.RetryInterval <= 0 {
-		cfg.RetryInterval = DefaultRetryInterval
-	}
-	if cfg.Client == (hlclient.Config{}) {
-		cfg.Client = hlclient.Config{
-			PoolSize:         1,  // one ordered stream per follower
-			MaxRetries:       -1, // the resync state machine owns recovery
-			BreakerThreshold: -1,
-			AttemptTimeout:   30 * time.Second,
-		}
-	}
-	sh := &Shipper{cfg: cfg}
+	sh := &Shipper{retry: retryInterval}
 	sh.ctx, sh.cancel = context.WithCancel(context.Background())
 	for _, addr := range cfg.Followers {
-		l := &followerLink{addr: addr, q: make(chan shipMsg, cfg.QueueDepth)}
+		l := &followerLink{addr: addr, q: make(chan shipMsg, queueDepth)}
 		l.needResync.Store(true) // fresh follower: bootstrap snapshot first
 		sh.links = append(sh.links, l)
 	}
@@ -193,7 +177,7 @@ func (sh *Shipper) run(l *followerLink) {
 			return
 		}
 		if l.cl == nil {
-			cl, err := hlclient.Dial(sh.ctx, l.addr, sh.cfg.Client)
+			cl, err := hlclient.Dial(sh.ctx, l.addr, followerClient)
 			if err != nil {
 				sh.sleep()
 				continue
@@ -313,8 +297,8 @@ func (sh *Shipper) sendSnapshot(l *followerLink) bool {
 		return false
 	}
 	defer sh.release(enc)
-	for off := 0; ; off += sh.cfg.ChunkSize {
-		end := min(off+sh.cfg.ChunkSize, len(enc.data))
+	for off := 0; ; off += chunkSize {
+		end := min(off+chunkSize, len(enc.data))
 		done := end == len(enc.data)
 		ep, err := l.cl.ReplSnapshot(sh.ctx, enc.epoch, done, enc.data[off:end])
 		if err != nil {
@@ -373,7 +357,7 @@ func (sh *Shipper) release(enc *encoding) {
 
 // sleep pauses between retries, waking early on shutdown.
 func (sh *Shipper) sleep() {
-	t := time.NewTimer(sh.cfg.RetryInterval)
+	t := time.NewTimer(sh.retry)
 	defer t.Stop()
 	select {
 	case <-sh.ctx.Done():

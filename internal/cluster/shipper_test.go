@@ -32,11 +32,20 @@ func (g *gatedFollower) ReplSnapshot(epoch uint64, done bool, chunk []byte) (uin
 	return g.Follower.ReplSnapshot(epoch, done, chunk)
 }
 
+// shortRetry shortens the shipper's reconnect/resync pacing for the
+// shippers t makes.
+func shortRetry(t *testing.T) {
+	old := retryInterval
+	retryInterval = 20 * time.Millisecond
+	t.Cleanup(func() { retryInterval = old })
+}
+
 // startPrimaryOf starts an in-memory live primary over ix shipping to
 // followers.
 func startPrimaryOf(t *testing.T, ix *core.Index, followers []string) *primaryNode {
 	t.Helper()
-	sh := NewShipper(ShipperConfig{Followers: followers, RetryInterval: 20 * time.Millisecond})
+	shortRetry(t)
+	sh := NewShipper(ShipperConfig{Followers: followers})
 	srv, err := serve.NewLive(ix, serve.LiveConfig{Config: serve.Config{ShutdownGrace: time.Second}, OnCommit: sh.OnCommit})
 	if err != nil {
 		t.Fatal(err)

@@ -291,7 +291,7 @@ func (ix *Index) ActualBytes() int64 {
 }
 
 // Stats is the method-agnostic index summary (see internal/method);
-// the alias keeps every pre-registry call site compiling.
+// the alias keeps core.Stats call sites compiling.
 type Stats = method.Stats
 
 // Stats returns summary statistics of the index.

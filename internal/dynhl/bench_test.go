@@ -45,7 +45,7 @@ func BenchmarkDeleteMaint(b *testing.B) {
 	const n, k = 20000, 16
 	g := gen.BarabasiAlbert(n, 5, 1)
 	landmarks := g.DegreeOrder()[:k]
-	base, err := Build(g, landmarks)
+	base, err := build(g, landmarks)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func BenchmarkDeleteMaint(b *testing.B) {
 			b.Fatalf("no edges dirty exactly %d landmarks", d)
 		}
 		b.Run(fmt.Sprintf("dirty=%d", d), func(b *testing.B) {
-			dyn, err := Build(g, landmarks)
+			dyn, err := build(g, landmarks)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -116,7 +116,7 @@ func randomLiveEdges(rng *rand.Rand, ix *Index, bs int) [][2]int32 {
 func BenchmarkApplySingleEdge(b *testing.B) {
 	const n, k = 20000, 16
 	g := gen.BarabasiAlbert(n, 5, 42)
-	dyn, err := Build(g, g.DegreeOrder()[:k])
+	dyn, err := build(g, g.DegreeOrder()[:k])
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func BenchmarkApplySingleEdge(b *testing.B) {
 func BenchmarkChurnBatch(b *testing.B) {
 	const n, k, batch = 20000, 16, 8
 	g := gen.BarabasiAlbert(n, 5, 1)
-	dyn, err := Build(g, g.DegreeOrder()[:k])
+	dyn, err := build(g, g.DegreeOrder()[:k])
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestChurnOracleDifferential(t *testing.T) {
 			oracle.ChurnConfig{Batches: 40, BatchSize: 2, DeleteRatio: 0.3, Trials: 40, Seed: 5}, 20},
 	} {
 		t.Run(in.name, func(t *testing.T) {
-			dyn, err := Build(in.g, in.g.DegreeOrder()[:in.k])
+			dyn, err := build(in.g, in.g.DegreeOrder()[:in.k])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +103,7 @@ func TestChurnCornerCases(t *testing.T) {
 			if k > 4 {
 				k = 4
 			}
-			dyn, err := Build(g, g.DegreeOrder()[:k])
+			dyn, err := build(g, g.DegreeOrder()[:k])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +132,7 @@ func applyNext(t testing.TB, dyn *Index, st *workload.OpStream) {
 // construction agree.
 func TestFreezeGraphMatchesFromEdges(t *testing.T) {
 	g := gen.BarabasiAlbert(2000, 3, 11)
-	dyn, err := Build(g, g.DegreeOrder()[:8])
+	dyn, err := build(g, g.DegreeOrder()[:8])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func indexBytes(t testing.TB, ix *core.Index) []byte {
 // the landmarks. Run under -race.
 func TestConcurrentReadersBetweenBatches(t *testing.T) {
 	g := gen.BarabasiAlbert(400, 3, 5)
-	dyn, err := Build(g, g.DegreeOrder()[:8])
+	dyn, err := build(g, g.DegreeOrder()[:8])
 	if err != nil {
 		t.Fatal(err)
 	}

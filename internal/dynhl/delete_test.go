@@ -55,7 +55,7 @@ func TestDeleteMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := gen.BarabasiAlbert(150, 2, 3)
 	lm := g.DegreeOrder()[:6]
-	dyn, err := Build(g, lm)
+	dyn, err := build(g, lm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestMixedOpsMatchRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := gen.ErdosRenyi(120, 220, 4)
 	lm := g.DegreeOrder()[:5]
-	dyn, err := Build(g, lm)
+	dyn, err := build(g, lm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestMixedOpsMatchRebuild(t *testing.T) {
 // no repair work may happen at all.
 func TestDeleteDetectionSkipsCleanLandmarks(t *testing.T) {
 	g := gen.Star(10)
-	dyn, err := Build(g, []int32{0})
+	dyn, err := build(g, []int32{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestDeleteDetectionSkipsCleanLandmarks(t *testing.T) {
 // bridge must flip distances to Infinity, in labels and highway alike.
 func TestDeleteDisconnects(t *testing.T) {
 	g := graph.MustFromEdges(7, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}})
-	dyn, err := Build(g, []int32{1, 4})
+	dyn, err := build(g, []int32{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestDeleteDisconnects(t *testing.T) {
 // idempotence WAL replay depends on), and range validation still fires.
 func TestDeleteNoOps(t *testing.T) {
 	g := gen.Cycle(8)
-	dyn, err := Build(g, []int32{0})
+	dyn, err := build(g, []int32{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestRandomizedChurnAgainstRebuildProperty(t *testing.T) {
 		}
 		k := 1 + rng.Intn(5)
 		lm := g.DegreeOrder()[:k]
-		dyn, err := Build(g, lm)
+		dyn, err := build(g, lm)
 		if err != nil {
 			return false
 		}

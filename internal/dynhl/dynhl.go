@@ -93,16 +93,6 @@ type MaintStats struct {
 // Maint returns the cumulative maintenance counters.
 func (ix *Index) Maint() MaintStats { return ix.maint }
 
-// Build constructs a dynamic index over g, which it shares and never
-// changes.
-func Build(g *graph.Graph, landmarks []int32) (*Index, error) {
-	src, err := core.BuildParallel(g, landmarks)
-	if err != nil {
-		return nil, err
-	}
-	return FromCore(src)
-}
-
 // FromCore makes a static core.Index mutable in O(1): it runs no BFS and
 // copies nothing. The source index and its graph are shared — they are the
 // dynamic index's state until the first batch that changes an edge — and

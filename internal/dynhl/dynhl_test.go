@@ -48,10 +48,20 @@ func (m *mirror) delete(a, b int32) {
 
 func (m *mirror) graph() *graph.Graph { return graph.MustFromEdges(m.n, m.edges) }
 
+// build is how a dynamic index comes to be: a static build over g, made
+// mutable.
+func build(g *graph.Graph, landmarks []int32) (*Index, error) {
+	src, err := core.BuildParallel(g, landmarks)
+	if err != nil {
+		return nil, err
+	}
+	return FromCore(src)
+}
+
 func TestStaticMatchesCore(t *testing.T) {
 	g := gen.BarabasiAlbert(400, 3, 5)
 	lm := g.DegreeOrder()[:10]
-	dyn, err := Build(g, lm)
+	dyn, err := build(g, lm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +89,7 @@ func TestInsertMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := gen.BarabasiAlbert(150, 2, 3)
 	lm := g.DegreeOrder()[:6]
-	dyn, err := Build(g, lm)
+	dyn, err := build(g, lm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +114,7 @@ func TestInsertQueriesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := gen.ErdosRenyi(120, 200, 2)
 	lm := g.DegreeOrder()[:5]
-	dyn, err := Build(g, lm)
+	dyn, err := build(g, lm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +140,7 @@ func TestCornerCaseGraphs(t *testing.T) {
 		if k > g.NumVertices() {
 			k = g.NumVertices()
 		}
-		dyn, err := Build(g, g.DegreeOrder()[:k])
+		dyn, err := build(g, g.DegreeOrder()[:k])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +162,7 @@ func TestFromCoreMatchesBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := Build(g, lm)
+	direct, err := build(g, lm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +253,7 @@ func TestFromCoreSharesLabels(t *testing.T) {
 func TestFreezeSnapshot(t *testing.T) {
 	g := gen.ErdosRenyi(100, 160, 8)
 	lm := g.DegreeOrder()[:6]
-	dyn, err := Build(g, lm)
+	dyn, err := build(g, lm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +295,7 @@ func TestFreezeSnapshot(t *testing.T) {
 // TestInsertConnectsComponents exercises the newly-reachable path.
 func TestInsertConnectsComponents(t *testing.T) {
 	g := graph.MustFromEdges(7, [][2]int32{{0, 1}, {1, 2}, {3, 4}, {4, 5}, {5, 6}})
-	dyn, err := Build(g, []int32{1, 4})
+	dyn, err := build(g, []int32{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +318,7 @@ func TestInsertConnectsComponents(t *testing.T) {
 
 func TestInsertNoOps(t *testing.T) {
 	g := gen.Cycle(8)
-	dyn, err := Build(g, []int32{0})
+	dyn, err := build(g, []int32{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,13 +342,13 @@ func TestInsertNoOps(t *testing.T) {
 
 func TestBuildErrors(t *testing.T) {
 	g := gen.Path(5)
-	if _, err := Build(g, nil); err == nil {
+	if _, err := build(g, nil); err == nil {
 		t.Error("no landmarks accepted")
 	}
-	if _, err := Build(g, []int32{0, 0}); err == nil {
+	if _, err := build(g, []int32{0, 0}); err == nil {
 		t.Error("duplicate landmark accepted")
 	}
-	if _, err := Build(g, []int32{9}); err == nil {
+	if _, err := build(g, []int32{9}); err == nil {
 		t.Error("out-of-range landmark accepted")
 	}
 }
@@ -349,7 +359,7 @@ func TestBuildErrors(t *testing.T) {
 func TestDirtyDetectionSkipsCleanLandmarks(t *testing.T) {
 	// Star with center 0: all leaves at distance 1 from landmark 0.
 	g := gen.Star(10)
-	dyn, err := Build(g, []int32{0})
+	dyn, err := build(g, []int32{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +394,7 @@ func TestRandomizedAgainstRebuildProperty(t *testing.T) {
 		}
 		k := 1 + rng.Intn(5)
 		lm := g.DegreeOrder()[:k]
-		dyn, err := Build(g, lm)
+		dyn, err := build(g, lm)
 		if err != nil {
 			return false
 		}

@@ -9,8 +9,8 @@
 // baselines it evaluates against (internal/pll, internal/fd,
 // internal/isl) — all satisfy DistanceIndex, which is what lets the
 // differential-test harness (internal/oracle) and the benchmark runner
-// (internal/bench) build, query and measure each of them through one
-// registry in the root highway package. Only the highway cover labelling
+// (internal/bench) query and measure each of them the same way, whichever
+// package built it. Only the highway cover labelling
 // is saved, loaded and served: the baselines exist for the build time,
 // query time and label size columns of the paper's tables. The server
 // (internal/serve) therefore holds a *core.Index and answers batches with
@@ -69,9 +69,8 @@ type DistanceIndex interface {
 // (the paper's two HL accountings), only the bit-parallel builds fill
 // BPTrees.
 type Stats struct {
-	// Method is the registry name of the method that built the index
-	// ("hl", "pll", "fd", "isl", "dynhl"); empty on indexes predating
-	// the registry.
+	// Method names the method that built the index ("hl", "pll", "fd",
+	// "isl", "dynhl").
 	Method string
 
 	NumVertices  int

@@ -223,6 +223,7 @@ func TestChaosCrashRestartDurability(t *testing.T) {
 	dir := t.TempDir()
 	n := int32(g.NumVertices())
 	t.Cleanup(failpoint.Reset)
+	setLiveTimings(t, 2*time.Millisecond, 2*time.Millisecond, 8*time.Millisecond)
 
 	for it := 0; it < iters; it++ {
 		it := it
@@ -236,12 +237,7 @@ func TestChaosCrashRestartDurability(t *testing.T) {
 			// which is what makes the byte-exact WAL prediction valid for
 			// them (compaction does shorten the log).
 			checkpointOn := rng.Intn(4) == 0
-			cfg := LiveConfig{
-				DegradedProbeInterval: 2 * time.Millisecond,
-				RebuildRetryBase:      2 * time.Millisecond,
-				RebuildRetryMax:       8 * time.Millisecond,
-				RebuildThreshold:      -1,
-			}
+			cfg := LiveConfig{RebuildThreshold: -1}
 			if checkpointOn {
 				cfg.RebuildThreshold = 8 + rng.Intn(16)
 			}

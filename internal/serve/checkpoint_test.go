@@ -84,8 +84,8 @@ func TestCheckpointCrashWindow(t *testing.T) {
 
 			// An hour of backoff: the failed checkpoint is not retried
 			// while the test looks at what it left.
-			srv, err := LoadLive(graphPath, indexPath, walPath, LiveConfig{
-				RebuildThreshold: len(before), RebuildRetryBase: time.Hour, RebuildRetryMax: time.Hour})
+			setLiveTimings(t, degradedProbeInterval, time.Hour, time.Hour)
+			srv, err := LoadLive(graphPath, indexPath, walPath, LiveConfig{RebuildThreshold: len(before)})
 			if err != nil {
 				t.Fatal(err)
 			}

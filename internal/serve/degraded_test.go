@@ -26,6 +26,14 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// setLiveTimings sets the live server's recovery-probe interval and
+// checkpoint-retry backoff bounds for the servers t makes.
+func setLiveTimings(t *testing.T, probe, retryBase, retryMax time.Duration) {
+	old := [3]time.Duration{degradedProbeInterval, rebuildRetryBase, rebuildRetryMax}
+	degradedProbeInterval, rebuildRetryBase, rebuildRetryMax = probe, retryBase, retryMax
+	t.Cleanup(func() { degradedProbeInterval, rebuildRetryBase, rebuildRetryMax = old[0], old[1], old[2] })
+}
+
 // TestDegradedReadOnlyUnderFsyncFailure is the degraded-mode acceptance
 // test (run under -race in CI): while the WAL's fsync persistently
 // fails, the server keeps serving concurrent reads with zero errors,
@@ -40,10 +48,10 @@ func TestDegradedReadOnlyUnderFsyncFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	setLiveTimings(t, 10*time.Millisecond, rebuildRetryBase, rebuildRetryMax)
 	s, err := NewLive(ix, LiveConfig{
-		WAL:                   wal,
-		RebuildThreshold:      -1, // isolate degradation from checkpoints
-		DegradedProbeInterval: 10 * time.Millisecond,
+		WAL:              wal,
+		RebuildThreshold: -1, // isolate degradation from checkpoints
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,11 +193,10 @@ func TestRebuildRetryBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	setLiveTimings(t, degradedProbeInterval, 10*time.Millisecond, 40*time.Millisecond)
 	s, err := NewLive(ix, LiveConfig{
 		WAL:              wal,
 		RebuildThreshold: 4,
-		RebuildRetryBase: 10 * time.Millisecond,
-		RebuildRetryMax:  40 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

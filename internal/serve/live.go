@@ -41,18 +41,6 @@ type LiveConfig struct {
 	// benchmark harness sets it (ROADMAP item 1(c) retires it).
 	RebuildGrowth float64
 
-	// DegradedProbeInterval is how often a degraded server probes the
-	// WAL (an fsync of the open log) to decide whether writes can be
-	// re-enabled. 0 means DefaultDegradedProbeInterval.
-	DegradedProbeInterval time.Duration
-
-	// RebuildRetryBase and RebuildRetryMax bound the exponential backoff
-	// between retries of a failed checkpoint: the first retry
-	// fires after Base, each consecutive failure doubles the wait, capped
-	// at Max. Zeros mean DefaultRebuildRetryBase/DefaultRebuildRetryMax.
-	RebuildRetryBase time.Duration
-	RebuildRetryMax  time.Duration
-
 	// EpochBase seeds the snapshot epoch counter. A replicating primary
 	// passes its persisted generation shifted into the high 32 bits
 	// (cluster.NextGeneration), so every epoch it ever publishes is
@@ -74,14 +62,19 @@ type LiveConfig struct {
 // when LiveConfig.RebuildThreshold is zero.
 const DefaultRebuildThreshold = 8192
 
-// DefaultDegradedProbeInterval is how often a degraded server re-probes
-// its WAL when LiveConfig.DegradedProbeInterval is zero.
-const DefaultDegradedProbeInterval = 250 * time.Millisecond
-
-// Default checkpoint-retry backoff bounds (LiveConfig.RebuildRetryBase/Max).
-const (
-	DefaultRebuildRetryBase = time.Second
-	DefaultRebuildRetryMax  = time.Minute
+// The live server's timings. Variables so the package's tests can
+// shorten them; a server reads them once, in NewLive.
+var (
+	// degradedProbeInterval is how often a degraded server probes the WAL
+	// (an fsync of the open log) to decide whether writes can be
+	// re-enabled.
+	degradedProbeInterval = 250 * time.Millisecond
+	// rebuildRetryBase and rebuildRetryMax bound the exponential backoff
+	// between retries of a failed checkpoint: the first retry fires after
+	// the base, each consecutive failure doubles the wait, capped at the
+	// max.
+	rebuildRetryBase = time.Second
+	rebuildRetryMax  = time.Minute
 )
 
 // InsertResult reports one accepted update batch.
@@ -115,6 +108,9 @@ type DeleteResult struct {
 type updater struct {
 	mu  sync.Mutex
 	cfg LiveConfig
+	// probeEvery, retryBase and retryMax are the package's timings as
+	// NewLive found them.
+	probeEvery, retryBase, retryMax time.Duration
 
 	// dyn is the mutable truth: the dynamic labelling every accepted
 	// batch is applied to. Its labelling is always identical to a
@@ -178,7 +174,8 @@ func NewLive(ix *core.Index, cfg LiveConfig) (*Server, error) {
 		return fail(fmt.Errorf("serve: live conversion: %w", err))
 	}
 	s := New(ix, cfg.Config)
-	up := &updater{cfg: cfg, dyn: dyn, wal: cfg.WAL, closeCh: make(chan struct{})}
+	up := &updater{cfg: cfg, dyn: dyn, wal: cfg.WAL, closeCh: make(chan struct{}),
+		probeEvery: degradedProbeInterval, retryBase: rebuildRetryBase, retryMax: rebuildRetryMax}
 	s.up, s.writable = up, true
 	up.epoch.Store(cfg.EpochBase)
 	if cfg.EpochBase != 0 {
@@ -388,21 +385,13 @@ func (up *updater) enterDegradedLocked(cause error) {
 	go up.recoveryProbe()
 }
 
-// probeInterval resolves the configured recovery-probe cadence.
-func (up *updater) probeInterval() time.Duration {
-	if up.cfg.DegradedProbeInterval > 0 {
-		return up.cfg.DegradedProbeInterval
-	}
-	return DefaultDegradedProbeInterval
-}
-
 // recoveryProbe periodically fsyncs the WAL while the server is
 // degraded; the first success re-arms writes and ends the probe. The
 // probe also ends on Close or if something else already cleared the
 // degraded state.
 func (up *updater) recoveryProbe() {
 	defer up.wg.Done()
-	ticker := time.NewTicker(up.probeInterval())
+	ticker := time.NewTicker(up.probeEvery)
 	defer ticker.Stop()
 	for {
 		select {
@@ -468,28 +457,18 @@ func (up *updater) maybeCheckpoint() {
 
 // scheduleRetryLocked (mu held) arms a one-shot timer that re-evaluates
 // the trigger after a capped exponential backoff: base·2^(fails-1),
-// clamped to the configured max. Until a checkpoint lands the log keeps
+// clamped to retryMax. Until a checkpoint lands the log keeps
 // growing, which costs restart time and never an answer.
 func (up *updater) scheduleRetryLocked() {
 	up.checkpointFails++
 	if up.closed || up.retryTimer != nil {
 		return
 	}
-	base := up.cfg.RebuildRetryBase
-	if base <= 0 {
-		base = DefaultRebuildRetryBase
-	}
-	maxWait := up.cfg.RebuildRetryMax
-	if maxWait <= 0 {
-		maxWait = DefaultRebuildRetryMax
-	}
-	wait := base
-	for i := 1; i < up.checkpointFails && wait < maxWait; i++ {
+	wait := up.retryBase
+	for i := 1; i < up.checkpointFails && wait < up.retryMax; i++ {
 		wait *= 2
 	}
-	if wait > maxWait {
-		wait = maxWait
-	}
+	wait = min(wait, up.retryMax)
 	up.retryTimer = time.AfterFunc(wait, func() {
 		up.mu.Lock()
 		defer up.mu.Unlock()

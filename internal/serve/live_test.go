@@ -275,7 +275,11 @@ func TestLiveRestartReplaysWAL(t *testing.T) {
 	}
 
 	// From-scratch dynamic build over the same op sequence.
-	ref, err := dynhl.Build(g, lms)
+	base, err := core.BuildParallel(g, lms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := dynhl.FromCore(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +336,11 @@ func TestLiveStressRebuildAndRestart(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 
 	// Reference: from-scratch dynamic index fed the same sequence.
-	ref, err := dynhl.Build(g, lms)
+	base, err := core.BuildParallel(g, lms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := dynhl.FromCore(base)
 	if err != nil {
 		t.Fatal(err)
 	}

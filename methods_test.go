@@ -3,7 +3,6 @@ package highway_test
 import (
 	"bytes"
 	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -12,78 +11,64 @@ import (
 
 	"highway"
 	"highway/internal/container"
+	"highway/internal/fd"
+	"highway/internal/isl"
 	"highway/internal/oracle"
+	"highway/internal/pll"
 )
 
-// TestMethodRegistry pins the registry contents and the name-resolution
-// error taxonomy.
-func TestMethodRegistry(t *testing.T) {
-	want := []string{"hl", "dynhl", "pll", "fd", "isl"}
-	got := highway.MethodNames()
-	if len(got) != len(want) {
-		t.Fatalf("MethodNames() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("MethodNames() = %v, want %v", got, want)
-		}
-	}
-	for _, m := range highway.Methods() {
-		if m.Description == "" {
-			t.Errorf("method %q has no description", m.Name)
-		}
-	}
+// testMethod is one labelling the root tests and benchmarks hold to the
+// same checks: the paper's index, its dynamic form and the three
+// baselines, each built from its own package. build takes the landmark
+// set; pll and isl ignore it.
+type testMethod struct {
+	name  string
+	build func(ctx context.Context, g *highway.Graph, lm []int32) (highway.DistanceIndex, error)
+}
 
-	t.Run("aliases and case", func(t *testing.T) {
-		for name, canonical := range map[string]string{
-			"hl": "hl", "HL": "hl", "highway": "hl", "hl-p": "hl",
-			"IS-L": "isl", "islabel": "isl",
-			"dynamic": "dynhl", "dyn": "dynhl",
-			" fd ": "fd", "PLL": "pll",
-		} {
-			m, err := highway.MethodByName(name)
-			if err != nil {
-				t.Fatalf("MethodByName(%q): %v", name, err)
-			}
-			if m.Name != canonical {
-				t.Fatalf("MethodByName(%q) = %q, want %q", name, m.Name, canonical)
-			}
+// testMethods keeps the per-method test configuration in one place; pll
+// and fd run their bit-parallel variants.
+var testMethods = []testMethod{
+	{"hl", func(ctx context.Context, g *highway.Graph, lm []int32) (highway.DistanceIndex, error) {
+		return highway.Build(ctx, g, lm, highway.BuildOptions{})
+	}},
+	{"dynhl", func(ctx context.Context, g *highway.Graph, lm []int32) (highway.DistanceIndex, error) {
+		ix, err := highway.Build(ctx, g, lm, highway.BuildOptions{})
+		if err != nil {
+			return nil, err
 		}
-	})
+		return highway.DynamicFromIndex(ix)
+	}},
+	{"pll", func(ctx context.Context, g *highway.Graph, _ []int32) (highway.DistanceIndex, error) {
+		return pll.BuildBP(ctx, g, 4)
+	}},
+	{"fd", func(ctx context.Context, g *highway.Graph, lm []int32) (highway.DistanceIndex, error) {
+		return fd.BuildBP(ctx, g, lm)
+	}},
+	{"isl", func(ctx context.Context, g *highway.Graph, _ []int32) (highway.DistanceIndex, error) {
+		return isl.Build(ctx, g, isl.DefaultOptions())
+	}},
+}
 
-	t.Run("unknown name", func(t *testing.T) {
-		for _, name := range []string{"", "bfs", "hl2", "landmark"} {
-			_, err := highway.MethodByName(name)
-			if !errors.Is(err, highway.ErrUnknownMethod) {
-				t.Fatalf("MethodByName(%q) error = %v, want ErrUnknownMethod", name, err)
-			}
-			// The error must teach the caller the valid names.
-			for _, known := range highway.MethodNames() {
-				if !strings.Contains(err.Error(), known) {
-					t.Fatalf("error %q does not list method %q", err, known)
-				}
-			}
-			if _, err := highway.Build(context.Background(), testGraphSmall(t), name); !errors.Is(err, highway.ErrUnknownMethod) {
-				t.Fatalf("Build(%q) error = %v, want ErrUnknownMethod", name, err)
-			}
-		}
-	})
+// buildTest builds m over g with testLandmarks, failing t on error.
+func buildTest(t testing.TB, m testMethod, g *highway.Graph) highway.DistanceIndex {
+	t.Helper()
+	ix, err := m.build(context.Background(), g, testLandmarks(t, g, 4))
+	if err != nil {
+		t.Fatalf("build %s: %v", m.name, err)
+	}
+	return ix
+}
 
-	// The one method whose index accepts edge updates is dynhl, the
-	// paper's labelling made dynamic; the baselines are built once, as the
-	// paper measures them.
-	t.Run("dynamic flags", func(t *testing.T) {
-		for _, m := range highway.Methods() {
-			ix, err := highway.Build(context.Background(), testGraphSmall(t), m.Name, buildOptionsFor(m.Name)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, dynamic := ix.(interface{ InsertEdges([][2]int32) error })
-			if dynamic != (m.Name == "dynhl") {
-				t.Fatalf("method %q accepts edge updates: %v", m.Name, dynamic)
-			}
-		}
-	})
+// testLandmarks selects min(k, n) degree-ranked landmarks, so the
+// corner-case graphs stay buildable.
+func testLandmarks(t testing.TB, g *highway.Graph, k int) []int32 {
+	t.Helper()
+	lm, err := highway.SelectLandmarks(g, min(k, g.NumVertices()), highway.ByDegree, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lm
 }
 
 func testGraphSmall(t *testing.T) *highway.Graph {
@@ -91,31 +76,17 @@ func testGraphSmall(t *testing.T) *highway.Graph {
 	return highway.BarabasiAlbert(200, 3, 7)
 }
 
-// buildOptionsFor keeps per-method test configuration in one place:
-// small landmark counts so the corner-case graphs stay buildable.
-func buildOptionsFor(name string) []highway.BuildOption {
-	opts := []highway.BuildOption{highway.WithLandmarkCount(4)}
-	if name == "pll" || name == "fd" {
-		// Exercise the bit-parallel variants through the same entry point.
-		opts = append(opts, highway.WithBitParallel(4))
-	}
-	return opts
-}
-
-// TestBuildMethodsOracle holds every registered method, built through
-// highway.Build, to the shared differential suite: corner-case graphs
-// checked on all pairs, through every surface of the DistanceIndex
-// contract (Distance, Searcher, UpperBound admissibility, Stats).
+// TestBuildMethodsOracle holds every method to the shared differential
+// suite: corner-case graphs checked on all pairs, through every surface
+// of the DistanceIndex contract (Distance, Searcher, UpperBound
+// admissibility, Stats).
 func TestBuildMethodsOracle(t *testing.T) {
-	for _, m := range highway.Methods() {
-		t.Run(m.Name, func(t *testing.T) {
+	for _, m := range testMethods {
+		t.Run(m.name, func(t *testing.T) {
 			oracle.CheckIndexCases(t, func(t *testing.T, g *oracleGraph) highway.DistanceIndex {
-				ix, err := highway.Build(context.Background(), g, m.Name, buildOptionsFor(m.Name)...)
-				if err != nil {
-					t.Fatalf("Build(%q): %v", m.Name, err)
-				}
-				if got := ix.Stats().Method; got != m.Name {
-					t.Fatalf("Stats().Method = %q, want %q", got, m.Name)
+				ix := buildTest(t, m, g)
+				if got := ix.Stats().Method; got != m.name {
+					t.Fatalf("Stats().Method = %q, want %q", got, m.name)
 				}
 				return ix
 			})
@@ -134,21 +105,18 @@ type oracleGraph = highway.Graph
 func TestMethodRoundTrip(t *testing.T) {
 	g := testGraphSmall(t)
 	pairs := oracle.SampledPairs(g.NumVertices(), 300, 11)
-	for _, m := range highway.Methods() {
-		t.Run(m.Name, func(t *testing.T) {
-			ix, err := highway.Build(context.Background(), g, m.Name, buildOptionsFor(m.Name)...)
-			if err != nil {
-				t.Fatal(err)
+	for _, m := range testMethods {
+		t.Run(m.name, func(t *testing.T) {
+			ix := buildTest(t, m, g)
+			saver, saves := ix.(interface{ Save(string) error })
+			if saves != (m.name == "hl") {
+				t.Fatalf("%s index has a Save method: %v", m.name, saves)
 			}
-			hl, ok := ix.(*highway.Index)
-			if !ok {
-				if _, saves := ix.(interface{ Save(string) error }); saves {
-					t.Fatalf("%s index has a Save method", m.Name)
-				}
+			if !saves {
 				return
 			}
-			path := filepath.Join(t.TempDir(), m.Name+".idx")
-			if err := hl.Save(path); err != nil {
+			path := filepath.Join(t.TempDir(), m.name+".idx")
+			if err := saver.Save(path); err != nil {
 				t.Fatalf("Save: %v", err)
 			}
 			back, err := highway.LoadIndex(path, g)
@@ -177,13 +145,17 @@ func TestMethodRoundTrip(t *testing.T) {
 // against that graph. fd is static, so it has no evolved state to carry.
 func TestMethodRoundTripDynamic(t *testing.T) {
 	g := testGraphSmall(t)
+	lm := testLandmarks(t, g, 4)
 	edges := [][2]int32{{0, 150}, {3, 199}, {17, 101}}
 	t.Run("dynhl", func(t *testing.T) {
-		ix, err := highway.Build(context.Background(), g, "dynhl", highway.WithLandmarkCount(4))
+		ix, err := highway.Build(context.Background(), g, lm, highway.BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dyn := ix.(*highway.DynamicIndex)
+		dyn, err := highway.DynamicFromIndex(ix)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := dyn.InsertEdges(edges); err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +176,7 @@ func TestMethodRoundTripDynamic(t *testing.T) {
 				t.Fatalf("inserted edge {%d,%d} lost across round trip: distance %d", e[0], e[1], d)
 			}
 		}
-		sr, bsr := ix.NewSearcher(), back.NewSearcher()
+		sr, bsr := dyn.NewSearcher(), back.NewSearcher()
 		for _, p := range oracle.SampledPairs(g.NumVertices(), 200, 13) {
 			if got, want := bsr.Distance(p[0], p[1]), sr.Distance(p[0], p[1]); got != want {
 				t.Fatalf("loaded Distance(%d,%d) = %d, original %d", p[0], p[1], got, want)
@@ -212,11 +184,11 @@ func TestMethodRoundTripDynamic(t *testing.T) {
 		}
 	})
 	t.Run("fd", func(t *testing.T) {
-		ix, err := highway.Build(context.Background(), g, "fd", highway.WithLandmarkCount(4))
+		ix, err := fd.Build(context.Background(), g, lm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := ix.(interface{ InsertEdge(a, b int32) error }); ok {
+		if _, ok := any(ix).(interface{ InsertEdge(a, b int32) error }); ok {
 			t.Fatal("fd index accepts edge insertions")
 		}
 	})
@@ -258,12 +230,12 @@ func TestLoadIndexCrossMethod(t *testing.T) {
 		}
 	}
 
-	hlIx, err := highway.Build(context.Background(), g, "hl", highway.WithLandmarkCount(8))
+	hlIx, err := highway.Build(context.Background(), g, testLandmarks(t, g, 8), highway.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hlPath := filepath.Join(dir, "g.idx")
-	if err := hlIx.(*highway.Index).Save(hlPath); err != nil {
+	if err := hlIx.Save(hlPath); err != nil {
 		t.Fatal(err)
 	}
 	back, err := highway.LoadIndex(hlPath, g)
@@ -275,34 +247,30 @@ func TestLoadIndexCrossMethod(t *testing.T) {
 	}
 }
 
-// TestBuildOptions exercises the functional options through observable
-// effects: explicit landmarks are honored, worker count does not change
+// TestBuildOptions exercises BuildOptions through observable effects:
+// the given landmarks are the index's, the worker count does not change
 // the labelling, progress fires, and the server serves the built index.
 func TestBuildOptions(t *testing.T) {
 	g := testGraphSmall(t)
 	ctx := context.Background()
-	lm, err := highway.SelectLandmarks(g, 6, highway.ByDegree, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lm := testLandmarks(t, g, 6)
 
 	var calls int
-	ix, err := highway.Build(ctx, g, "hl",
-		highway.WithLandmarks(lm),
-		highway.WithWorkers(1),
-		highway.WithProgress(func(done, total int) { calls++ }),
-	)
+	ix, err := highway.Build(ctx, g, lm, highway.BuildOptions{
+		Workers:  1,
+		Progress: func(done, total int) { calls++ },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if calls == 0 {
-		t.Fatal("WithProgress callback never fired")
+		t.Fatal("Progress callback never fired")
 	}
 	if got := ix.Stats().NumLandmarks; got != len(lm) {
 		t.Fatalf("NumLandmarks = %d, want %d", got, len(lm))
 	}
 
-	par, err := highway.Build(ctx, g, "hl", highway.WithLandmarks(lm))
+	par, err := highway.Build(ctx, g, lm, highway.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +280,7 @@ func TestBuildOptions(t *testing.T) {
 		}
 	}
 
-	srv := highway.NewServer(ix.(*highway.Index), highway.ServeConfig{})
+	srv := highway.NewServer(ix, highway.ServeConfig{})
 	d, err := srv.Distance(0, 1)
 	if err != nil {
 		t.Fatal(err)
