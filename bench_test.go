@@ -203,7 +203,7 @@ func BenchmarkIndexWrite(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if err := highway.WriteIndex(ix, io.Discard); err != nil {
+		if err := ix.Write(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -218,7 +218,7 @@ func BenchmarkIndexLoad(b *testing.B) {
 		b.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := highway.WriteIndex(ix, &buf); err != nil {
+	if err := ix.Write(&buf); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(buf.Len()))

@@ -14,6 +14,7 @@
 //	hlserve serve -graph g.hwg -wal edges.wal    # ... with durable updates
 //	hlserve route -primary p:8081 -followers a:8081,b:8081  # cluster router: each read goes to one follower
 //	hlserve batch -graph g.hwg < pairs.txt       # one distance per line, input order
+//	hlserve batch -graph g.hwg </dev/null        # the index's stats line, no queries
 //	hlserve serve -graph g.hwg -read-budget 64   # bounded in-flight admission (shed with 429/Overloaded)
 //	hlserve genpairs -graph g.hwg -n 100000      # emit "s t" lines for batch mode
 //	hlserve help [command]
@@ -22,6 +23,9 @@
 // genpairs take -graph (binary graph file); serve and batch also take
 // -index (default: graph path + .idx), a highway cover index file as
 // hlbuild writes it (files of a retired layout name hlbuild migrate).
+// batch prints one stderr line once the index loads — its statistics
+// and in-memory size (memory=<bytes>B) — and one more with the pair
+// count and throughput when stdin ends; stdout carries distances only.
 // With -wal, serve prefers the snapshot a previous run's checkpoint
 // persisted next to the log, then replays the log, so restarts lose
 // nothing that was acknowledged. Load is measured by the benchmark
@@ -285,6 +289,7 @@ func runBatch(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	fmt.Fprintf(stderr, "hlserve: %s memory=%dB\n", ix.Stats(), ix.ActualBytes())
 	stats, err := serve.New(ix, serve.Config{}).RunBatch(stdin, stdout, *workers)
 	if err != nil {
 		return err

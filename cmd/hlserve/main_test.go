@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -112,10 +113,73 @@ func TestBatchFromStdin(t *testing.T) {
 
 func TestMissingGraphFlag(t *testing.T) {
 	var out bytes.Buffer
-	for _, cmd := range []string{"genpairs", "serve"} {
+	for _, cmd := range []string{"genpairs", "serve", "batch"} {
 		if err := run([]string{cmd}, nil, &out, io.Discard); err == nil {
 			t.Fatalf("%s without -graph: want error", cmd)
 		}
+	}
+}
+
+// TestBatchOneShot: -index names an index file away from the default
+// path, and batch answers from it a single pair as the library does.
+func TestBatchOneShot(t *testing.T) {
+	gp := writeIndexedGraph(t)
+	ip := filepath.Join(t.TempDir(), "elsewhere.idx")
+	if err := os.Rename(gp+".idx", ip); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"batch", "-graph", gp, "-index", ip}, strings.NewReader("1 250\n"), &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	g, err := highway.LoadGraph(gp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := highway.LoadIndex(ip, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := strconv.Itoa(int(ix.Distance(1, 250))) + "\n"; out.String() != want {
+		t.Fatalf("batch 1 250 = %q, want %q", out.String(), want)
+	}
+}
+
+// TestBatchRunErrors: a pair with an id outside the graph and a graph
+// file that does not exist each fail batch with an error.
+func TestBatchRunErrors(t *testing.T) {
+	gp := writeIndexedGraph(t)
+	if err := run([]string{"batch", "-graph", gp}, strings.NewReader("1 99999\n"), io.Discard, io.Discard); err == nil {
+		t.Error("out-of-range vertex accepted")
+	}
+	if err := run([]string{"batch", "-graph", filepath.Join(t.TempDir(), "missing.hwg")}, strings.NewReader("1 2\n"), io.Discard, io.Discard); err == nil {
+		t.Error("missing graph accepted")
+	}
+}
+
+// TestBatchReportsIndex: batch reports the index it loaded — its Stats
+// and its in-memory size — on stderr, so a run on empty stdin prints the
+// index's summary and answers nothing.
+func TestBatchReportsIndex(t *testing.T) {
+	gp := writeIndexedGraph(t)
+	var out, errOut bytes.Buffer
+	if err := run([]string{"batch", "-graph", gp}, strings.NewReader(""), &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("batch on empty stdin wrote %q to stdout", out.String())
+	}
+	g, err := highway.LoadGraph(gp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := highway.LoadIndex(gp+".idx", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("%s memory=%dB", ix.Stats(), ix.ActualBytes())
+	if strings.Count(errOut.String(), want) != 1 {
+		t.Fatalf("stderr %q: want one line containing %q", errOut.String(), want)
 	}
 }
 
@@ -192,22 +256,59 @@ func wantRetired(t *testing.T, what string, err error, methodName string) {
 	}
 }
 
-// TestServeV1IndexNamesMigrate: a server reads one index layout. Given the
-// committed v1 file, serve exits with the one line naming the command that
-// rewrites it, whether it would serve the index frozen, live, or live over
-// a write-ahead log.
-func TestServeV1IndexNamesMigrate(t *testing.T) {
-	gp := filepath.Join(t.TempDir(), "fig2.hwg")
-	if err := highway.SaveGraph(gen.PaperFigure2(), gp); err != nil {
-		t.Fatal(err)
-	}
-	v1 := filepath.Join("..", "..", "internal", "core", "testdata", "tiny.hl1")
-	for _, extra := range [][]string{{"-readonly"}, nil, {"-wal", filepath.Join(t.TempDir(), "edges.wal")}} {
-		err := run(append([]string{"serve", "-graph", gp, "-index", v1, "-addr", "127.0.0.1:0"}, extra...), nil, io.Discard, io.Discard)
-		if err == nil || !strings.Contains(err.Error(), "hlbuild migrate -graph") || strings.Contains(err.Error(), "\n") {
-			t.Fatalf("serve %v on a v1 index: %v, want one line naming hlbuild migrate", extra, err)
+// forEachRetiredLayout calls f with each committed index file of a
+// retired layout — both v1 files and the v2 file with its offsets in
+// section 3 — and the path of a saved graph it was built on.
+func forEachRetiredLayout(t *testing.T, f func(name, gp, ip string)) {
+	t.Helper()
+	testdata := filepath.Join("..", "..", "internal", "core", "testdata")
+	for name, g := range map[string]*highway.Graph{"tiny.hl1": gen.PaperFigure2(), "path300.hl1": gen.Path(300), "tiny_off64.hl2": gen.PaperFigure2()} {
+		gp := filepath.Join(t.TempDir(), "g.hwg")
+		if err := highway.SaveGraph(g, gp); err != nil {
+			t.Fatal(err)
 		}
+		f(name, gp, filepath.Join(testdata, name))
 	}
+}
+
+// wantMigrate fails the test unless err is one line naming the command
+// that rewrites a retired index layout, and nothing was written to out.
+func wantMigrate(t *testing.T, what string, err error, out *bytes.Buffer) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), "hlbuild migrate -graph") || strings.Contains(err.Error(), "\n") {
+		t.Fatalf("%s: %v, want one line naming hlbuild migrate", what, err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("%s wrote %q", what, out.String())
+	}
+}
+
+// TestServeV1IndexNamesMigrate: a server reads one index layout. Given
+// each committed file of a retired layout, serve exits with the one line
+// naming the command that rewrites it, whether it would serve the index
+// frozen, live, or live over a write-ahead log.
+func TestServeV1IndexNamesMigrate(t *testing.T) {
+	forEachRetiredLayout(t, func(name, gp, ip string) {
+		for _, extra := range [][]string{{"-readonly"}, nil, {"-wal", filepath.Join(t.TempDir(), "edges.wal")}} {
+			var out bytes.Buffer
+			err := run(append([]string{"serve", "-graph", gp, "-index", ip, "-addr", "127.0.0.1:0"}, extra...), nil, &out, io.Discard)
+			wantMigrate(t, fmt.Sprintf("serve %v on %s", extra, name), err, &out)
+		}
+	})
+}
+
+// TestBatchV1IndexNamesMigrate: batch reads the same one layout. Given
+// each committed file of a retired layout, it fails with the line naming
+// hlbuild migrate before answering a pair or reporting the index.
+func TestBatchV1IndexNamesMigrate(t *testing.T) {
+	forEachRetiredLayout(t, func(name, gp, ip string) {
+		var out, errOut bytes.Buffer
+		err := run([]string{"batch", "-graph", gp, "-index", ip}, strings.NewReader("1 2\n"), &out, &errOut)
+		wantMigrate(t, "batch on "+name, err, &out)
+		if errOut.Len() != 0 {
+			t.Fatalf("batch on %s reported %q for an index it could not load", name, errOut.String())
+		}
+	})
 }
 
 // TestBatchAnyMethod: the batch pipeline answers from the paper's
@@ -220,6 +321,20 @@ func TestBatchAnyMethod(t *testing.T) {
 	wantRetired(t, "batch", err, "pll")
 	if out.Len() != 0 {
 		t.Fatalf("batch wrote %q from a file it could not load", out.String())
+	}
+}
+
+// TestBatchAnyMethodIndex: the other retired methods' files fail batch the
+// same way as PLL's does, each with one line naming its method.
+func TestBatchAnyMethodIndex(t *testing.T) {
+	for _, name := range []string{"isl", "fd", "dynhl"} {
+		gp := writeRetiredIndex(t, name)
+		var out bytes.Buffer
+		err := run([]string{"batch", "-graph", gp}, strings.NewReader("1 250\n"), &out, io.Discard)
+		wantRetired(t, "batch", err, name)
+		if out.Len() != 0 {
+			t.Fatalf("batch wrote %q from a %s file it could not load", out.String(), name)
+		}
 	}
 }
 

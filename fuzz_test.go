@@ -34,7 +34,7 @@ func FuzzReadIndexAny(f *testing.F) {
 			f.Fatal(err)
 		}
 		var file bytes.Buffer
-		if err := highway.WriteIndex(ix, &file); err != nil {
+		if err := ix.Write(&file); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(file.Bytes())

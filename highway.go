@@ -214,11 +214,7 @@ func SelectLandmarks(g *Graph, k int, strategy LandmarkStrategy, seed int64) ([]
 // naming `hlbuild migrate`, which rewrites it.
 func LoadIndex(path string, g *Graph) (*Index, error) { return core.Load(path, g) }
 
-// WriteIndex serializes an index to a stream, as Index.Save writes it to a
-// file.
-func WriteIndex(ix *Index, w io.Writer) error { return ix.Write(w) }
-
-// ReadIndex reads a serialized index from a stream and attaches it to g;
+// ReadIndex reads an index as Index.Write streams it and attaches it to g;
 // an older layout fails as in LoadIndex.
 func ReadIndex(r io.Reader, g *Graph) (*Index, error) { return core.Read(r, g) }
 
@@ -249,13 +245,6 @@ type ServeConfig = serve.Config
 
 // NewServer returns a Server over ix.
 func NewServer(ix *Index, cfg ServeConfig) *Server { return serve.New(ix, cfg) }
-
-// Serve answers HTTP distance queries against ix on addr until ctx is
-// cancelled, then shuts down gracefully. Shorthand for
-// NewServer(ix, ServeConfig{}).ListenAndServe(ctx, addr).
-func Serve(ctx context.Context, ix *Index, addr string) error {
-	return serve.New(ix, ServeConfig{}).ListenAndServe(ctx, addr)
-}
 
 // LiveConfig tunes an updatable Server: the base ServeConfig plus the
 // write-ahead log and the log length that triggers a checkpoint

@@ -201,7 +201,7 @@ func TestFDDynamicViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := any(fdIx).(interface{ InsertEdge(a, b int32) error }); ok {
+	if _, ok := any(fdIx).(interface{ InsertEdges(edges [][2]int32) error }); ok {
 		t.Fatal("fd index accepts edge insertions")
 	}
 	static, err := buildHL(g, lm)
@@ -216,7 +216,7 @@ func TestFDDynamicViaFacade(t *testing.T) {
 	if d := dynIx.Distance(10, 200); d != before {
 		t.Fatalf("fd says d(10,200) = %d, dynhl says %d", before, d)
 	}
-	if err := dynIx.InsertEdge(10, 200); err != nil {
+	if err := dynIx.InsertEdges([][2]int32{{10, 200}}); err != nil {
 		t.Fatal(err)
 	}
 	if after := dynIx.Distance(10, 200); after != 1 {
@@ -240,7 +240,7 @@ func TestDynamicIndexViaFacade(t *testing.T) {
 		t.Fatal("dynamic and static builds disagree")
 	}
 	before := dyn.Distance(7, 300)
-	if err := dyn.InsertEdge(7, 300); err != nil {
+	if err := dyn.InsertEdges([][2]int32{{7, 300}}); err != nil {
 		t.Fatal(err)
 	}
 	if d := dyn.Distance(7, 300); d != 1 {
@@ -270,7 +270,7 @@ func TestIndexFilesViaFacade(t *testing.T) {
 		t.Fatal("v2 round trip changed the index")
 	}
 	var buf bytes.Buffer
-	if err := highway.WriteIndex(ix, &buf); err != nil {
+	if err := ix.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if got, err = highway.ReadIndex(&buf, g); err != nil || got.NumEntries() != ix.NumEntries() {
@@ -287,7 +287,7 @@ func TestIndexFilesViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dyn.InsertEdge(0, 299); err != nil {
+	if err := dyn.InsertEdges([][2]int32{{0, 299}}); err != nil {
 		t.Fatal(err)
 	}
 	fg, frozen, err := dyn.Freeze()
@@ -405,13 +405,13 @@ func TestFacadeServe(t *testing.T) {
 		}
 	}
 
-	// highway.Serve: bind an ephemeral port, then shut down via context.
+	// ListenAndServe: bind an ephemeral port, then shut down via context.
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- highway.Serve(ctx, ix, "127.0.0.1:0") }()
+	go func() { done <- highway.NewServer(ix, highway.ServeConfig{}).ListenAndServe(ctx, "127.0.0.1:0") }()
 	time.Sleep(50 * time.Millisecond)
 	cancel()
 	if err := <-done; err != nil {
-		t.Fatalf("Serve returned %v after cancel, want nil", err)
+		t.Fatalf("ListenAndServe returned %v after cancel, want nil", err)
 	}
 }

@@ -30,10 +30,10 @@ func savedBA100k(tb testing.TB, dir string) (g *graph.Graph, ix *Index, path str
 	return g, ix, path, st.Size()
 }
 
-// TestActualBytesIsTheHeap holds ActualBytes, which hlquery's "memory:"
-// line and the serving tests' retention limits stand on, to what the
-// runtime says a built index keeps alive. The tenth of slack is the
-// allocator's: every array is rounded up to whole pages.
+// TestActualBytesIsTheHeap holds ActualBytes, which hlserve batch's
+// "memory=" report and the serving tests' retention limits stand on, to
+// what the runtime says a built index keeps alive. The tenth of slack is
+// the allocator's: every array is rounded up to whole pages.
 func TestActualBytesIsTheHeap(t *testing.T) {
 	g := gen.BarabasiAlbert(20_000, 3, 42)
 	lm := g.DegreeOrder()[:16]

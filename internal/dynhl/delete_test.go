@@ -62,7 +62,7 @@ func TestDeleteMatchesRebuild(t *testing.T) {
 	m := newMirror(g)
 	for round := 0; round < 25; round++ {
 		e := m.edges[rng.Intn(len(m.edges))]
-		if err := dyn.DeleteEdge(e[0], e[1]); err != nil {
+		if err := dyn.DeleteEdges([][2]int32{e}); err != nil {
 			t.Fatal(err)
 		}
 		m.delete(e[0], e[1])
@@ -114,7 +114,7 @@ func TestDeleteDetectionSkipsCleanLandmarks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dyn.InsertEdge(3, 7); err != nil {
+	if err := dyn.InsertEdges([][2]int32{{3, 7}}); err != nil {
 		t.Fatal(err)
 	}
 	before := dyn.Maint()
@@ -144,7 +144,7 @@ func TestDeleteDisconnects(t *testing.T) {
 	if d := dyn.Distance(0, 6); d != 6 {
 		t.Fatalf("pre-delete d(0,6) = %d", d)
 	}
-	if err := dyn.DeleteEdge(2, 3); err != nil {
+	if err := dyn.DeleteEdges([][2]int32{{2, 3}}); err != nil {
 		t.Fatal(err)
 	}
 	if d := dyn.Distance(0, 6); d != Infinity {
@@ -157,7 +157,7 @@ func TestDeleteDisconnects(t *testing.T) {
 		t.Fatalf("post-delete d(0,2) = %d, want 2", d)
 	}
 	// Reconnecting through a different vertex must repair again.
-	if err := dyn.InsertEdge(0, 6); err != nil {
+	if err := dyn.InsertEdges([][2]int32{{0, 6}}); err != nil {
 		t.Fatal(err)
 	}
 	if d := dyn.Distance(2, 3); d != 6 {
@@ -174,10 +174,10 @@ func TestDeleteNoOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := dyn.NumEntries()
-	if err := dyn.DeleteEdge(3, 3); err != nil {
+	if err := dyn.DeleteEdges([][2]int32{{3, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := dyn.DeleteEdge(2, 6); err != nil { // never an edge
+	if err := dyn.DeleteEdges([][2]int32{{2, 6}}); err != nil { // never an edge
 		t.Fatal(err)
 	}
 	res, err := dyn.ApplyOps(DeleteOps([][2]int32{{0, 1}, {0, 1}}))
@@ -187,7 +187,7 @@ func TestDeleteNoOps(t *testing.T) {
 	if res.Deleted != 1 {
 		t.Fatalf("double delete of one edge counted %d", res.Deleted)
 	}
-	if err := dyn.DeleteEdge(0, 99); err == nil {
+	if err := dyn.DeleteEdges([][2]int32{{0, 99}}); err == nil {
 		t.Fatal("out-of-range delete accepted")
 	}
 	if err := dyn.DeleteEdges(nil); err != nil {
@@ -225,13 +225,13 @@ func TestRandomizedChurnAgainstRebuildProperty(t *testing.T) {
 		for round := 0; round < 10; round++ {
 			if rng.Intn(2) == 0 && len(m.edges) > 0 {
 				e := m.edges[rng.Intn(len(m.edges))]
-				if dyn.DeleteEdge(e[0], e[1]) != nil {
+				if dyn.DeleteEdges([][2]int32{e}) != nil {
 					return false
 				}
 				m.delete(e[0], e[1])
 			} else {
 				a, b := int32(rng.Intn(60)), int32(rng.Intn(60))
-				if dyn.InsertEdge(a, b) != nil {
+				if dyn.InsertEdges([][2]int32{{a, b}}) != nil {
 					return false
 				}
 				// The mirror's edge list must stay duplicate-free or a

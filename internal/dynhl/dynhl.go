@@ -14,7 +14,7 @@
 //     path from r (on a shortest path the endpoint distances differ by
 //     exactly one), so removing it leaves r's shortest-path DAG intact.
 //
-// Each mutation batch (Apply, ApplyOps) therefore:
+// Each mutation batch (ApplyOps) therefore:
 //
 //  1. queries d(r,a) and d(r,b) for every landmark (landmark-endpoint
 //     queries are answered exactly by labels + highway alone) on the
@@ -138,39 +138,19 @@ func (ix *Index) NumEntries() int64 { return ix.cur.NumEntries() }
 // Landmarks returns the landmark vertex ids by rank.
 func (ix *Index) Landmarks() []int32 { return ix.cur.Landmarks() }
 
-// InsertEdge adds {a,b} and repairs the labelling exactly. Self-loops and
-// existing edges are no-ops.
-func (ix *Index) InsertEdge(a, b int32) error {
-	return ix.InsertEdges([][2]int32{{a, b}})
-}
-
 // InsertEdges applies a batch of insertions with a single repair pass:
 // dirty landmarks are collected across the whole batch and rebuilt once.
+// Self-loops and existing edges are no-ops.
 func (ix *Index) InsertEdges(edges [][2]int32) error {
-	_, err := ix.Apply(edges)
+	_, err := ix.ApplyOps(InsertOps(edges))
 	return err
-}
-
-// DeleteEdge removes {a,b} and repairs the labelling exactly. Absent
-// edges and self-loops are no-ops.
-func (ix *Index) DeleteEdge(a, b int32) error {
-	return ix.DeleteEdges([][2]int32{{a, b}})
 }
 
 // DeleteEdges applies a batch of deletions with a single repair pass.
+// Absent edges and self-loops are no-ops.
 func (ix *Index) DeleteEdges(edges [][2]int32) error {
 	_, err := ix.ApplyOps(DeleteOps(edges))
 	return err
-}
-
-// Apply is InsertEdges reporting how many of the edges were actually
-// new. Self-loops and already-present edges are skipped (and not
-// counted), which makes replaying a write-ahead log against any
-// earlier-or-equal state idempotent — the property the serving layer's
-// crash recovery builds on.
-func (ix *Index) Apply(edges [][2]int32) (int, error) {
-	res, err := ix.ApplyOps(InsertOps(edges))
-	return res.Inserted, err
 }
 
 // Op is one edge mutation in a mixed batch: insert the undirected edge

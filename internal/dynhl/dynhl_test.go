@@ -96,7 +96,7 @@ func TestInsertMatchesRebuild(t *testing.T) {
 	m := newMirror(g)
 	for round := 0; round < 25; round++ {
 		a, b := int32(rng.Intn(150)), int32(rng.Intn(150))
-		if err := dyn.InsertEdge(a, b); err != nil {
+		if err := dyn.InsertEdges([][2]int32{{a, b}}); err != nil {
 			t.Fatal(err)
 		}
 		m.insert(a, b)
@@ -173,7 +173,7 @@ func TestFromCoreMatchesBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for round := 0; round < 6; round++ {
 		a, b := int32(rng.Intn(200)), int32(rng.Intn(200))
-		if err := conv.InsertEdge(a, b); err != nil {
+		if err := conv.InsertEdges([][2]int32{{a, b}}); err != nil {
 			t.Fatal(err)
 		}
 		m.insert(a, b)
@@ -208,7 +208,7 @@ func TestFromCoreSharesGraph(t *testing.T) {
 	for g.HasEdge(e[0], e[1]) {
 		e[1]++
 	}
-	if _, err := dyn.Apply([][2]int32{e}); err != nil {
+	if err := dyn.InsertEdges([][2]int32{e}); err != nil {
 		t.Fatal(err)
 	}
 	if fg, _, _ := dyn.Freeze(); fg == g || !fg.HasEdge(e[0], e[1]) || g.HasEdge(e[0], e[1]) {
@@ -261,7 +261,7 @@ func TestFreezeSnapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 10; round++ {
 		a, b := int32(rng.Intn(100)), int32(rng.Intn(100))
-		if err := dyn.InsertEdge(a, b); err != nil {
+		if err := dyn.InsertEdges([][2]int32{{a, b}}); err != nil {
 			t.Fatal(err)
 		}
 		m.insert(a, b)
@@ -284,7 +284,7 @@ func TestFreezeSnapshot(t *testing.T) {
 	}
 	oracle.CheckSampled(t, truth, frozen.NewSearcher(), 150, 6)
 	// Mutating on must not leak into the snapshot.
-	if err := dyn.InsertEdge(0, 99); err != nil {
+	if err := dyn.InsertEdges([][2]int32{{0, 99}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := frozen.Verify(100, 7); err != nil {
@@ -305,7 +305,7 @@ func TestInsertConnectsComponents(t *testing.T) {
 	if h := dyn.cur.Highway(1, 4); h != Infinity {
 		t.Fatalf("cross-component highway = %d", h)
 	}
-	if err := dyn.InsertEdge(2, 3); err != nil {
+	if err := dyn.InsertEdges([][2]int32{{2, 3}}); err != nil {
 		t.Fatal(err)
 	}
 	if d := dyn.Distance(0, 6); d != 6 {
@@ -323,16 +323,16 @@ func TestInsertNoOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := dyn.NumEntries()
-	if err := dyn.InsertEdge(3, 3); err != nil {
+	if err := dyn.InsertEdges([][2]int32{{3, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := dyn.InsertEdge(0, 1); err != nil {
+	if err := dyn.InsertEdges([][2]int32{{0, 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if dyn.NumEntries() != before {
 		t.Fatal("no-op insertions changed the labelling")
 	}
-	if err := dyn.InsertEdge(0, 99); err == nil {
+	if err := dyn.InsertEdges([][2]int32{{0, 99}}); err == nil {
 		t.Fatal("out-of-range edge accepted")
 	}
 	if err := dyn.InsertEdges(nil); err != nil {
@@ -401,7 +401,7 @@ func TestRandomizedAgainstRebuildProperty(t *testing.T) {
 		m := newMirror(g)
 		for round := 0; round < 8; round++ {
 			a, b := int32(rng.Intn(60)), int32(rng.Intn(60))
-			if dyn.InsertEdge(a, b) != nil {
+			if dyn.InsertEdges([][2]int32{{a, b}}) != nil {
 				return false
 			}
 			m.insert(a, b)

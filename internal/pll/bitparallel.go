@@ -2,7 +2,6 @@ package pll
 
 import (
 	"context"
-	"math"
 
 	"highway/internal/bptree"
 	"highway/internal/graph"
@@ -16,7 +15,7 @@ import (
 
 // BuildBP constructs a PLL index with nBP bit-parallel trees rooted at the
 // highest-degree vertices followed by the standard pruned BFS over the
-// full degree order.
+// full degree order, pruning with the trees as well as the labels.
 func BuildBP(ctx context.Context, g *graph.Graph, nBP int) (*Index, error) {
 	n := g.NumVertices()
 	order := g.DegreeOrder()
@@ -34,74 +33,5 @@ func BuildBP(ctx context.Context, g *graph.Graph, nBP int) (*Index, error) {
 		}
 		trees = append(trees, bptree.Build(g, order[i], used))
 	}
-	ix, err := buildRootsWithBP(ctx, g, order, trees)
-	if err != nil {
-		return nil, err
-	}
-	ix.bp = trees
-	return ix, nil
-}
-
-// buildRootsWithBP is BuildRoots with BP-augmented pruning: a vertex is
-// pruned when either the normal 2-hop labels or a BP tree already certify
-// the distance.
-func buildRootsWithBP(ctx context.Context, g *graph.Graph, roots []int32, trees []*bptree.Tree) (*Index, error) {
-	n := g.NumVertices()
-	rankOf := make([]int32, n)
-	for i := range rankOf {
-		rankOf[i] = -1
-	}
-	for i, v := range roots {
-		rankOf[v] = int32(i)
-	}
-	labels := make([][]entry, n)
-	hubDist := make([]int32, len(roots))
-	for i := range hubDist {
-		hubDist[i] = math.MaxInt32
-	}
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	frontier := make([]int32, 0, 1024)
-	next := make([]int32, 0, 1024)
-	visited := make([]int32, 0, 1024)
-
-	for ri, root := range roots {
-		if ri%64 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		for _, e := range labels[root] {
-			hubDist[e.rank] = e.dist
-		}
-		frontier = append(frontier[:0], root)
-		dist[root] = 0
-		visited = append(visited[:0], root)
-		for d := int32(0); len(frontier) > 0; d++ {
-			next = next[:0]
-			for _, u := range frontier {
-				if query2hop(labels[u], hubDist) <= d || bptree.MinQuery(trees, root, u) <= d {
-					continue
-				}
-				labels[u] = append(labels[u], entry{rank: int32(ri), dist: d})
-				for _, v := range g.Neighbors(u) {
-					if dist[v] < 0 {
-						dist[v] = d + 1
-						visited = append(visited, v)
-						next = append(next, v)
-					}
-				}
-			}
-			frontier, next = next, frontier
-		}
-		for _, e := range labels[root] {
-			hubDist[e.rank] = math.MaxInt32
-		}
-		for _, v := range visited {
-			dist[v] = -1
-		}
-	}
-	return pack(g, roots, rankOf, labels), nil
+	return build(ctx, g, order, trees)
 }

@@ -66,6 +66,15 @@ func Build(ctx context.Context, g *graph.Graph) (*Index, error) {
 // the Figure 4 reproduction and the labelling-size comparison against HL,
 // Corollary 3.14).
 func BuildRoots(ctx context.Context, g *graph.Graph, roots []int32) (*Index, error) {
+	return build(ctx, g, roots, nil)
+}
+
+// build runs one pruned BFS per root, in order. A visited vertex u at
+// distance d is pruned when the labels built so far or one of the
+// bit-parallel trees (nil for plain PLL) already certify d(root,u) ≤ d —
+// the one extra test bit-parallel PLL adds. The trees become the index's
+// extra hubs at query time.
+func build(ctx context.Context, g *graph.Graph, roots []int32, trees []*bptree.Tree) (*Index, error) {
 	n := g.NumVertices()
 	if len(roots) == 0 {
 		return nil, fmt.Errorf("pll: no roots")
@@ -117,9 +126,9 @@ func BuildRoots(ctx context.Context, g *graph.Graph, roots []int32) (*Index, err
 		for d := int32(0); len(frontier) > 0; d++ {
 			next = next[:0]
 			for _, u := range frontier {
-				// Prune if the existing 2-hop labels already cover
-				// d(root,u) ≤ d.
-				if query2hop(labels[u], hubDist) <= d {
+				// Prune if the existing 2-hop labels or a tree already
+				// cover d(root,u) ≤ d.
+				if query2hop(labels[u], hubDist) <= d || bptree.MinQuery(trees, root, u) <= d {
 					continue
 				}
 				labels[u] = append(labels[u], entry{rank: int32(ri), dist: d})
@@ -142,7 +151,9 @@ func BuildRoots(ctx context.Context, g *graph.Graph, roots []int32) (*Index, err
 		}
 	}
 
-	return pack(g, roots, rankOf, labels), nil
+	ix := pack(g, roots, rankOf, labels)
+	ix.bp = trees
+	return ix, nil
 }
 
 type entry struct {

@@ -559,11 +559,10 @@ func (s *Server) Close() error {
 type LiveStats struct {
 	Epoch         uint64 `json:"epoch"`
 	AcceptedEdges int64  `json:"accepted_edges"`
-	// EdgesSinceRebuild is the number of accepted ops no checkpoint
-	// covers yet: the WAL length (0 without a WAL).
-	EdgesSinceRebuild int  `json:"edges_since_rebuild"`
-	WALEnabled        bool `json:"wal_enabled"`
-	WALLen            int  `json:"wal_len"`
+	WALEnabled    bool   `json:"wal_enabled"`
+	// WALLen is the number of accepted ops no checkpoint covers yet: the
+	// WAL length (0 without a WAL).
+	WALLen int `json:"wal_len"`
 	// Rebuilds counts completed checkpoints (snapshot durable and log
 	// compacted), RebuildErrors the failed attempts.
 	Rebuilds      int64   `json:"rebuilds"`
@@ -624,7 +623,6 @@ func (s *Server) LiveStats() *LiveStats {
 	}
 	if up.wal != nil {
 		st.WALLen = up.wal.Len()
-		st.EdgesSinceRebuild = st.WALLen
 		ws := up.wal.Stats()
 		st.WAL = &ws
 	}

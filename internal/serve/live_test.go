@@ -447,7 +447,7 @@ func TestLiveStressRebuildAndRestart(t *testing.T) {
 			t.Fatalf("write: status %d err %v result %+v", resp.StatusCode, err, res)
 		}
 		history = append(history, edges...)
-		if _, err := ref.Apply(edges); err != nil {
+		if err := ref.InsertEdges(edges); err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range probes {

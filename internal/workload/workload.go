@@ -69,9 +69,8 @@ func RandomPairs(g *graph.Graph, count int, seed int64) []Pair {
 }
 
 // WritePairs emits count stream pairs as whitespace-separated "s t"
-// lines: the text format consumed by hlserve's batch mode and hlquery's
-// REPL. Use it to generate load-test inputs without materializing the
-// workload in memory.
+// lines: the text format hlserve's batch mode consumes. Use it to
+// generate batch inputs without materializing the workload in memory.
 func WritePairs(w io.Writer, g *graph.Graph, count int, seed int64) error {
 	if g.NumVertices() == 0 || count == 0 {
 		return nil

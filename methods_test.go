@@ -188,7 +188,7 @@ func TestMethodRoundTripDynamic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := any(ix).(interface{ InsertEdge(a, b int32) error }); ok {
+		if _, ok := any(ix).(interface{ InsertEdges(edges [][2]int32) error }); ok {
 			t.Fatal("fd index accepts edge insertions")
 		}
 	})
