@@ -16,7 +16,8 @@
 // Index files are written in format v2 (checksummed sections), and a
 // server reads no other layout. The migrate subcommand rewrites what it
 // refuses as today's file: an index file of a retired layout (v1, v2 with
-// 64-bit offsets, v2 without the graph's fingerprint), accepted only if it
+// 64-bit offsets, v2 without the graph's fingerprint, v2 with one distance
+// byte an entry), accepted only if it
 // holds exactly what a fresh build of its landmarks on -graph holds, which
 // costs one build; and a graph file or checkpoint of a layout no server
 // reads any more, told apart by its first bytes, with no -graph.
@@ -153,11 +154,12 @@ func runMigrate(args []string) error {
 	save := func() error { return ix.Save(dest) }
 	magic, _ := br.Peek(8)
 	kind := string(magic)
-	switch kind {
-	case legacy.GraphMagic:
+	switch snapshot := legacy.SnapshotLayout(br); {
+	case kind == legacy.GraphMagic:
 		g, err = legacy.ReadGraph(br)
 		save = func() error { return g.SaveBinary(dest) }
-	case legacy.SnapshotMagic:
+	case snapshot != "":
+		kind = snapshot
 		g, ix, err = legacy.ReadSnapshot(br)
 		save = func() error {
 			return container.SaveFile(dest, true, func(w io.Writer) error { return serve.EncodeSnapshot(w, g, ix) })

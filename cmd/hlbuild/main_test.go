@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"highway/internal/container"
 	"highway/internal/core"
 	"highway/internal/gen"
+	"highway/internal/legacy"
 	"highway/internal/serve"
 )
 
@@ -157,9 +159,9 @@ func TestRunMigrate(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, _ = os.ReadFile(out)
-	b, _ = os.ReadFile(filepath.Join(testdata, "tiny.hl2"))
+	b, _ = os.ReadFile(filepath.Join(testdata, "tiny_codes.hl2"))
 	if len(a) == 0 || !bytes.Equal(a, b) {
-		t.Fatal("tiny.hl1 migrated differs from tiny.hl2")
+		t.Fatal("tiny.hl1 migrated differs from tiny_codes.hl2")
 	}
 }
 
@@ -180,11 +182,12 @@ func TestRunMigrateLegacyV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := filepath.Join(dir, "old.idx")
-	if err := os.WriteFile(old, withSection3(t, fresh), 0o644); err != nil {
+	if err := os.WriteFile(old, withSection3(t, gp, fresh), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct{ graph, in, want string }{
-		{figGraph, filepath.Join(testdata, "tiny_off64.hl2"), filepath.Join(testdata, "tiny.hl2")},
+		{figGraph, filepath.Join(testdata, "tiny_off64.hl2"), filepath.Join(testdata, "tiny_codes.hl2")},
+		{figGraph, filepath.Join(testdata, "tiny.hl2"), filepath.Join(testdata, "tiny_codes.hl2")},
 		{gp, old, fresh},
 	} {
 		out := filepath.Join(dir, "migrated.idx")
@@ -221,7 +224,7 @@ func TestRunMigratePreSection11(t *testing.T) {
 		t.Fatal(err)
 	}
 	var old, want bytes.Buffer
-	h, sections := ix.Sections()
+	h, sections := legacy.ByteSections(ix)
 	if err := container.WriteContainer(&old, h, sections); err != nil {
 		t.Fatal(err)
 	}
@@ -260,42 +263,38 @@ func TestRunMigratePreSection11(t *testing.T) {
 	}
 }
 
-// withSection3 reframes the hl index file at path as its writer's
-// predecessor did: the n+1 label offsets as uint64 in section 3, where
+// withSection3 writes the index file at path, built on the graph file at
+// gp, as the last writer of section 3 did: one distance byte an entry in
+// section 5, and the n+1 label offsets as uint64 in section 3, where
 // sections 7 (one base per 256 vertices) and 8 (uint16 past the base) are.
-func withSection3(t *testing.T, path string) []byte {
+func withSection3(t *testing.T, gp, path string) []byte {
 	t.Helper()
-	f, err := os.Open(path)
+	g, err := highway.LoadGraph(gp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	ids := []uint32{1, 2, 7, 8, 4, 5, 6}
-	h, sec, err := container.ReadContainer(f, false, func(container.Header) (map[uint32]uint64, error) {
-		bounds := map[uint32]uint64{}
-		for _, id := range ids {
-			bounds[id] = 1 << 30
-		}
-		return bounds, nil
-	})
+	ix, err := core.Load(path, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var off []byte
-	for v := 0; v*2 < len(sec[8].Payload); v++ {
-		base := binary.LittleEndian.Uint64(sec[7].Payload[v/256*8:])
-		off = binary.LittleEndian.AppendUint64(off, base+uint64(binary.LittleEndian.Uint16(sec[8].Payload[v*2:])))
+	h, sections := legacy.ByteSections(ix)
+	off := make([]byte, 8)
+	var at uint64
+	for v := range int32(g.NumVertices()) {
+		at += uint64(ix.LabelSize(v))
+		off = binary.LittleEndian.AppendUint64(off, at)
 	}
+	sections = slices.DeleteFunc(sections, func(s container.Section) bool { return s.ID == 7 || s.ID == 8 })
 	var out bytes.Buffer
-	err = container.WriteContainer(&out, h, []container.Section{sec[1], sec[2], {ID: 3, Payload: off}, sec[4], sec[5], sec[6]})
-	if err != nil {
+	if err := container.WriteContainer(&out, h, slices.Insert(sections, 2, container.Section{ID: 3, Payload: off})); err != nil {
 		t.Fatal(err)
 	}
 	return out.Bytes()
 }
 
-// TestRunMigrateLegacyLayouts: the committed graph file and checkpoint of
-// the layouts from before the graph became container sections migrate,
+// TestRunMigrateLegacyLayouts: the committed graph file and checkpoints of
+// the layouts from before the graph became container sections, and the
+// checkpoint whose labels kept one distance byte an entry, migrate,
 // told apart by their first bytes and with no -graph, to exactly what
 // SaveBinary and EncodeSnapshot write of the same state today. Building on
 // the old graph file fails with the line that names migrate.
@@ -314,7 +313,7 @@ func TestRunMigrateLegacyLayouts(t *testing.T) {
 	if err := serve.EncodeSnapshot(&snapshot, g, ix); err != nil {
 		t.Fatal(err)
 	}
-	for in, want := range map[string][]byte{"tiny.hwg1": graphFile.Bytes(), "tiny.snap1": snapshot.Bytes()} {
+	for in, want := range map[string][]byte{"tiny.hwg1": graphFile.Bytes(), "tiny.snap1": snapshot.Bytes(), "tiny.snap2": snapshot.Bytes()} {
 		out := filepath.Join(dir, in+".migrated")
 		if err := run([]string{"migrate", "-in", filepath.Join(testdata, in), "-out", out}); err != nil {
 			t.Fatalf("%s: %v", in, err)

@@ -257,12 +257,13 @@ func wantRetired(t *testing.T, what string, err error, methodName string) {
 }
 
 // forEachRetiredLayout calls f with each committed index file of a
-// retired layout — both v1 files and the v2 file with its offsets in
-// section 3 — and the path of a saved graph it was built on.
+// retired layout — both v1 files, the v2 file with its offsets in section
+// 3 and the one with a distance byte an entry in section 5 — and the path
+// of a saved graph it was built on.
 func forEachRetiredLayout(t *testing.T, f func(name, gp, ip string)) {
 	t.Helper()
 	testdata := filepath.Join("..", "..", "internal", "core", "testdata")
-	for name, g := range map[string]*highway.Graph{"tiny.hl1": gen.PaperFigure2(), "path300.hl1": gen.Path(300), "tiny_off64.hl2": gen.PaperFigure2()} {
+	for name, g := range map[string]*highway.Graph{"tiny.hl1": gen.PaperFigure2(), "path300.hl1": gen.Path(300), "tiny_off64.hl2": gen.PaperFigure2(), "tiny.hl2": gen.PaperFigure2()} {
 		gp := filepath.Join(t.TempDir(), "g.hwg")
 		if err := highway.SaveGraph(g, gp); err != nil {
 			t.Fatal(err)

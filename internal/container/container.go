@@ -12,13 +12,14 @@
 //
 // Every payload is checksummed with CRC-32C and its length bounded before
 // any allocation. Readers skip unknown ids, so sections can be added
-// without revving the magic. Ids: 1, 2 and 4–8 the labelling
-// (internal/core; 3 held its offsets in files only `hlbuild migrate` reads
-// now), 9 and 10 the graph (internal/graph), 11 an index file's graph
-// fingerprint, 32 (SectTag) the first of every file of the retired PLL, FD,
-// IS-L and dynhl formats, refused with one line naming the method, as the
-// v1 index layout "HWLIDX01" and the layouts before the graph became
-// sections are with one naming `hlbuild migrate`.
+// without revving the magic. Ids: 1, 2, 4, 6–8 and 12 the labelling
+// (internal/core; 3 held its offsets and 5 its distances, a byte each, in
+// files only `hlbuild migrate` reads now), 9 and 10 the graph
+// (internal/graph), 11 an index file's graph fingerprint, 32 (SectTag)
+// the first of every file of the retired PLL, FD, IS-L and dynhl formats,
+// refused with one line naming the method, as the v1 index layout
+// "HWLIDX01" and the layouts before the graph became sections are with one
+// naming `hlbuild migrate`.
 package container
 
 import (

@@ -284,7 +284,7 @@ func (sr *Searcher) sourceVia(source int32) []int32 {
 	}
 	via := sr.viaBuf(k)
 	for p, hi := ix.span(source); p < hi; p++ {
-		ds, r := ix.distAt(source, p), int(ix.labelRank[p])
+		ds, r := ix.distAt(p), int(ix.labelRank[p])
 		row := ix.highway[r*k : (r+1)*k]
 		for j, h := range row {
 			if h < 0 {
@@ -308,7 +308,7 @@ func boundViaVec(ix *Index, via []int32, t int32) int32 {
 		if v < 0 {
 			continue
 		}
-		if d := v + ix.distAt(t, p); best < 0 || d < best {
+		if d := v + ix.distAt(p); best < 0 || d < best {
 			best = d
 		}
 	}

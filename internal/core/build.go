@@ -487,13 +487,16 @@ func share(workers, n int, fn func(w, i int)) {
 // arrays. When nothing ran since the last index — a batch that changed
 // edges but no landmark's BFS — that index's label arrays are attached to
 // g as they are; when only some ranks ran, its entries of the other ranks
-// are merged with the new ones. No index handed out earlier is written.
+// are merged with the new ones. The distance codes take their width from
+// the whole labelling, so they are packed last. No index handed out
+// earlier is written.
 func (rw *Rows) Assemble(g *graph.Graph) *Index {
 	ix := &Index{g: g, landmarks: rw.landmarks, rankOf: rw.rankOf, isLandmark: rw.isLandmark, highway: rw.highway}
 	if prev := rw.ix; len(rw.runs) == 0 {
-		ix.labelOff, ix.labelRank, ix.labelDist, ix.overflow = prev.labelOff, prev.labelRank, prev.labelDist, prev.overflow
+		ix.labelOff, ix.labelRank, ix.overflow = prev.labelOff, prev.labelRank, prev.overflow
+		ix.setDist(prev.labelDist)
 	} else {
-		ix.packEvents(rw.runs, rw.workers)
+		l := packEvents(rw.runs, g.NumVertices(), rw.workers)
 		var keep [MaxLandmarks + 1]uint8 // 1 for a rank that did not run
 		kept := len(rw.landmarks)
 		for r := 0; r < kept; r++ {
@@ -506,22 +509,75 @@ func (rw *Rows) Assemble(g *graph.Graph) *Index {
 			}
 		}
 		if prev != nil && kept > 0 {
-			ix.mergeKept(prev, &keep, rw.workers)
+			l = l.mergeKept(prev, &keep, rw.workers)
 		}
-		slices.SortFunc(ix.overflow, cmpOverflow)
+		ix.pack(l, rw.workers)
 	}
 	rw.ix, rw.ixHighway, rw.runs = ix, true, nil
 	return ix
 }
 
-// packEvents lays the events of the runs out as ix's label arrays: vertex v
-// has popcount(labelled[v]) entries per run, runs in order, and within a run
-// the entry of bit b sits behind those of the lower bits set. Every event
-// bit owns its position, so the workers share the chunks without sharing a
-// write; an event too deep for a byte goes on its worker's own list of
-// overflow records, which leave here concatenated and unsorted.
-func (ix *Index) packEvents(runs []*groupRun, workers int) {
-	n := ix.g.NumVertices()
+// wideLabels is a labelling before its distances are packed: one byte an
+// entry, min(d-1, 255), the exact distance of each entry at 255 (d ≥ 256)
+// by its position in deep, and how many entries escape at each of
+// distWidths.
+type wideLabels struct {
+	off     offsets
+	rank    []uint8
+	code    []uint8
+	deep    map[int64]int32
+	escaped escapeCounts
+}
+
+// escapeCounts holds, for each of distWidths, a number of entries whose
+// code escapes at that width.
+type escapeCounts [len(distWidths)]int64
+
+// add counts n entries of code c: they escape at the widths w with
+// c ≥ 2^w - 1, narrowest first.
+func (e *escapeCounts) add(c uint8, n int64) {
+	if c < 3 { // escapes at no width, not even 2 bits: the common case
+		return
+	}
+	for i := len(distWidths) - 1; i >= 0 && c >= 1<<distWidths[i]-1; i-- {
+		e[i] += n
+	}
+}
+
+// sum adds up the workers' counts.
+func sum(counts []escapeCounts) (total escapeCounts) {
+	for _, c := range counts {
+		for i := range c {
+			total[i] += c[i]
+		}
+	}
+	return total
+}
+
+// posDist is the position and distance of one entry too deep for a byte.
+type posDist struct {
+	p int64
+	d int32
+}
+
+// deepOf gathers the workers' lists of entries too deep for a byte.
+func deepOf(lists [][]posDist) map[int64]int32 {
+	deep := make(map[int64]int32)
+	for _, list := range lists {
+		for _, e := range list {
+			deep[e.p] = e.d
+		}
+	}
+	return deep
+}
+
+// packEvents lays the events of the runs out as a labelling of n vertices:
+// vertex v has popcount(labelled[v]) entries per run, runs in order, and
+// within a run the entry of bit b sits behind those of the lower bits set.
+// Every event bit owns its position, so the workers share the chunks
+// without sharing a write; an event too deep for a byte goes on its
+// worker's own list.
+func packEvents(runs []*groupRun, n, workers int) wideLabels {
 	sizes := make([]uint8, n)
 	for _, run := range runs {
 		for v, m := range run.labelled {
@@ -529,13 +585,15 @@ func (ix *Index) packEvents(runs []*groupRun, workers int) {
 		}
 	}
 	off, entries := newOffsets(sizes)
-	rank, dist := make([]uint8, entries), make([]uint8, entries)
-	over := make([][]overflowRec, workers)
+	rank, code := make([]uint8, entries), make([]uint8, entries)
+	deep := make([][]posDist, workers)
+	counts := make([]escapeCounts, workers)
 	var before []uint8 // per vertex, its entries of the runs before the current one
 	for i, run := range runs {
 		share(workers, len(run.events), func(w, c int) {
 			for _, e := range run.events[c] {
-				all, d := run.labelled[e.v], uint8(min(e.d, int32(distOverflow)))
+				all, d := run.labelled[e.v], uint8(min(e.d-1, 255))
+				counts[w].add(d, int64(bits.OnesCount32(e.mask)))
 				start := off.at(e.v)
 				if i > 0 {
 					start += int64(before[e.v])
@@ -543,9 +601,9 @@ func (ix *Index) packEvents(runs []*groupRun, workers int) {
 				for m := e.mask; m != 0; m &= m - 1 {
 					b := bits.TrailingZeros32(m)
 					p := start + int64(bits.OnesCount32(all&(1<<b-1)))
-					rank[p], dist[p] = uint8(run.ranks[b]), d
-					if d == distOverflow {
-						over[w] = append(over[w], overflowRec{v: e.v, rank: rank[p], d: e.d})
+					rank[p], code[p] = uint8(run.ranks[b]), d
+					if d == 255 {
+						deep[w] = append(deep[w], posDist{p, e.d})
 					}
 				}
 			}
@@ -559,20 +617,20 @@ func (ix *Index) packEvents(runs []*groupRun, workers int) {
 			}
 		}
 	}
-	ix.labelOff, ix.labelRank, ix.labelDist, ix.overflow = off, rank, dist, slices.Concat(over...)
+	return wideLabels{off: off, rank: rank, code: code, deep: deepOf(deep), escaped: sum(counts)}
 }
 
-// mergeKept replaces ix's label arrays, which hold the ranks that ran, with
-// their per-vertex merge with prev's entries of the ranks keep marks, and
-// appends those ranks' overflow records to ix's.
-func (ix *Index) mergeKept(prev *Index, keep *[MaxLandmarks + 1]uint8, workers int) {
-	n := ix.g.NumVertices()
+// mergeKept returns the per-vertex merge of l, which holds the ranks that
+// ran, with prev's entries of the ranks keep marks, counting the kept
+// entries' escapes as it copies them.
+func (l wideLabels) mergeKept(prev *Index, keep *[MaxLandmarks + 1]uint8, workers int) wideLabels {
+	n := len(prev.rankOf)
 	sizes := make([]uint8, n)
 	share(workers, (n+pullBlock-1)/pullBlock, func(_, i int) {
 		v := int32(i * pullBlock)
-		a, q := ix.labelOff.at(v), prev.labelOff.at(v)
+		a, q := l.off.at(v), prev.labelOff.at(v)
 		for ; v < int32(min((i+1)*pullBlock, n)); v++ {
-			aEnd, qEnd := ix.labelOff.at(v+1), prev.labelOff.at(v+1)
+			aEnd, qEnd := l.off.at(v+1), prev.labelOff.at(v+1)
 			size := uint8(aEnd - a)
 			for _, r := range prev.labelRank[q:qEnd] {
 				size += keep[r]
@@ -581,32 +639,131 @@ func (ix *Index) mergeKept(prev *Index, keep *[MaxLandmarks + 1]uint8, workers i
 		}
 	})
 	off, entries := newOffsets(sizes)
-	rank, dist := make([]uint8, entries), make([]uint8, entries)
-	share(workers, (n+pullBlock-1)/pullBlock, func(_, i int) {
+	rank, code := make([]uint8, entries), make([]uint8, entries)
+	prevCode, pw, esc := make([]uint8, len(prev.labelRank)), prev.labelDist[0], prev.distMask
+	share(workers, (len(prevCode)+packChunk-1)/packChunk, func(_, i int) {
+		unpackCodes(prevCode[i*packChunk:min((i+1)*packChunk, len(prevCode))], prev.codes[i*packChunk*int(pw)/8:], pw)
+	})
+	deep, counts := make([][]posDist, workers), make([]escapeCounts, workers)
+	share(workers, (n+pullBlock-1)/pullBlock, func(w, i int) {
 		v := int32(i * pullBlock)
-		p, a, q := off.at(v), ix.labelOff.at(v), prev.labelOff.at(v)
+		p, a, q := off.at(v), l.off.at(v), prev.labelOff.at(v)
 		for ; v < int32(min((i+1)*pullBlock, n)); v++ {
-			aEnd, qEnd := ix.labelOff.at(v+1), prev.labelOff.at(v+1)
+			aEnd, qEnd := l.off.at(v+1), prev.labelOff.at(v+1)
 			for ; q < qEnd; q++ {
 				r := prev.labelRank[q]
 				if keep[r] == 0 {
 					continue
 				}
-				for ; a < aEnd && ix.labelRank[a] < r; a, p = a+1, p+1 {
-					rank[p], dist[p] = ix.labelRank[a], ix.labelDist[a]
+				for ; a < aEnd && l.rank[a] < r; a, p = a+1, p+1 {
+					rank[p], code[p] = l.rank[a], l.code[a]
 				}
-				rank[p], dist[p] = r, prev.labelDist[q]
+				rank[p], code[p] = r, prevCode[q]
+				if code[p] >= 3 { // it escapes at some width, perhaps at prev's
+					if code[p] == esc {
+						d := prev.overflow[q]
+						if code[p] = uint8(min(d-1, 255)); d > 255 {
+							deep[w] = append(deep[w], posDist{p, d})
+						}
+					}
+					counts[w].add(code[p], 1)
+				}
 				p++
 			}
 			for ; a < aEnd; a, p = a+1, p+1 {
-				rank[p], dist[p] = ix.labelRank[a], ix.labelDist[a]
+				rank[p], code[p] = l.rank[a], l.code[a]
 			}
 		}
 	})
-	for _, o := range prev.overflow {
-		if keep[o.rank] != 0 {
-			ix.overflow = append(ix.overflow, o)
+	// The entries of the ranks that ran keep their distances; those too
+	// deep for a byte move to their new positions.
+	for a, d := range l.deep {
+		v := l.off.vertexOf(a)
+		p := off.at(v)
+		for q := prev.labelOff.at(v); q < prev.labelOff.at(v+1); q++ {
+			if keep[prev.labelRank[q]] != 0 && prev.labelRank[q] < l.rank[a] {
+				p++
+			}
+		}
+		deep[0] = append(deep[0], posDist{p + a - l.off.at(v), d})
+	}
+	return wideLabels{off: off, rank: rank, code: code, deep: deepOf(deep), escaped: sum(append(counts, l.escaped))}
+}
+
+// packChunk entries are packed at a time: a multiple of the 4 codes a
+// byte holds at the narrowest width, so no two chunks share a byte.
+const packChunk = 1 << 12
+
+// packCodes writes codes, each clamped to 2^w - 1, as codes of w bits, LSB
+// first, to out, which is zero: a byte at a time, so that no byte is
+// written twice but at the end.
+func packCodes(out, codes []uint8, w uint8) {
+	esc, b := uint8(1<<w-1), 0
+	switch w {
+	case 8:
+		b = copy(out, codes)
+	case 4:
+		for ; 2*b+2 <= len(codes); b++ {
+			c := codes[2*b : 2*b+2 : 2*b+2]
+			out[b] = min(c[0], esc) | min(c[1], esc)<<4
+		}
+	case 2:
+		for ; 4*b+4 <= len(codes); b++ {
+			c := codes[4*b : 4*b+4 : 4*b+4]
+			out[b] = min(c[0], esc) | min(c[1], esc)<<2 | min(c[2], esc)<<4 | min(c[3], esc)<<6
 		}
 	}
-	ix.labelOff, ix.labelRank, ix.labelDist = off, rank, dist
+	for k, c := range codes[b*8/int(w):] { // the last byte's, when it is not full
+		out[b] |= min(c, esc) << (uint(k) * uint(w))
+	}
+}
+
+// unpackCodes writes the len(dst) codes of w bits src begins with to dst,
+// one a byte: packCodes undone.
+func unpackCodes(dst []uint8, src []byte, w uint8) {
+	mask, j := uint8(1<<w-1), 0
+	switch w {
+	case 8:
+		j = copy(dst, src)
+	case 4:
+		for ; j+2 <= len(dst); j += 2 {
+			x := src[j/2]
+			dst[j], dst[j+1] = x&mask, x>>4
+		}
+	case 2:
+		for ; j+4 <= len(dst); j += 4 {
+			x, d := src[j/4], dst[j:j+4:j+4]
+			d[0], d[1], d[2], d[3] = x&mask, x>>2&mask, x>>4&mask, x>>6
+		}
+	}
+	for ; j < len(dst); j++ { // the last byte's, when it is not full
+		bit := uint(j) * uint(w)
+		dst[j] = src[bit/8] >> (bit % 8) & mask
+	}
+}
+
+// pack makes l ix's label arrays, its distances packed at the width
+// chooseWidth gives for them, and the entries that escape at that width
+// its overflow map.
+func (ix *Index) pack(l wideLabels, workers int) {
+	entries := len(l.code)
+	chunks := (entries + packChunk - 1) / packChunk
+	width, nEscaped := chooseWidth(int64(entries), l.escaped)
+	dist := make([]byte, distLen(int64(entries), width))
+	dist[0] = width
+	ix.labelOff, ix.labelRank = l.off, l.rank
+	ix.setDist(dist)
+	share(workers, chunks, func(_, i int) {
+		packCodes(ix.codes[i*packChunk*int(width)/8:], l.code[i*packChunk:min((i+1)*packChunk, entries)], width)
+	})
+	if nEscaped > 0 {
+		ix.overflow = make(map[int64]int32, nEscaped)
+		for p := range escapes(dist) {
+			d := int32(l.code[p]) + 1
+			if l.code[p] == 255 {
+				d = l.deep[p]
+			}
+			ix.overflow[p] = d
+		}
+	}
 }

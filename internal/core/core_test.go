@@ -3,8 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"maps"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"highway/internal/bfs"
@@ -189,24 +189,38 @@ func sameEntrySet(a, b *Index, v int32) bool {
 // any worker count AND any traversal direction produces an identical
 // index. The direction sweep pins the direction-optimizing engine to the
 // top-down reference: bottom-up levels must claim exactly the same label
-// and prune sets.
+// and prune sets. It runs at each distance code width, on graphs large
+// enough (but BA-600) for workers to share a build's levels and packing;
+// a ring lattice with 1% of its edges rewired is far enough across for
+// w = 8.
 func TestParallelMatchesSequential(t *testing.T) {
-	g := gen.BarabasiAlbert(600, 4, 17)
-	lm := g.DegreeOrder()[:20]
-	seq, err := Build(g, lm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 3, 8} {
-		for _, dir := range []direction{dirAuto, dirPush, dirPull} {
-			par, err := BuildOpts(context.Background(), g, lm, Options{Workers: workers, dir: dir})
+	ba, ws, ring := gen.BarabasiAlbert(600, 4, 17), gen.WattsStrogatz(10_000, 6, 0.1, 1), gen.WattsStrogatz(10_000, 4, 0.01, 1)
+	for _, c := range []widthCase{
+		{"ba600", ba, ba.DegreeOrder()[:20], 2},
+		widthCases()[0],
+		{"smallworld", ws, ws.DegreeOrder()[:20], 4},
+		{"ring", ring, ring.DegreeOrder()[:20], 8},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			seq, err := Build(c.g, c.lm)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !indexesIdentical(seq, par) {
-				t.Fatalf("workers=%d direction=%d produced a different index", workers, dir)
+			if w := seq.labelDist[0]; w != c.w {
+				t.Fatalf("test premise broken: width %d, want %d", w, c.w)
 			}
-		}
+			for _, workers := range []int{0, 2, 3, 8} {
+				for _, dir := range []direction{dirAuto, dirPush, dirPull} {
+					par, err := BuildOpts(context.Background(), c.g, c.lm, Options{Workers: workers, dir: dir})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !indexesIdentical(seq, par) {
+						t.Fatalf("workers=%d direction=%d produced a different index", workers, dir)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -373,7 +387,7 @@ func indexesIdentical(a, b *Index) bool {
 		}
 	}
 	return bytes.Equal(a.labelRank, b.labelRank) && bytes.Equal(a.labelDist, b.labelDist) &&
-		slices.Equal(a.overflow, b.overflow)
+		maps.Equal(a.overflow, b.overflow)
 }
 
 // TestMinimality verifies Lemma 3.7 in both directions on random graphs:

@@ -15,24 +15,32 @@ import (
 // Successful loads must yield an index whose basic operations are safe to
 // call.
 func FuzzLoadIndex(f *testing.F) {
-	// Seeds: the golden index and the path-600 index, whose 688 overflow
-	// records are in section 6, and every malformed offsets section
+	// Seeds: an index of each distance code width — the golden index
+	// (w = 2), the spider's (w = 4, 5 overflow records) and the path-600
+	// index (w = 8, 686 records) — and every malformed offsets section
 	// TestReadChecksOffsets names; then a file of each retired layout: the
 	// committed v1 files and the one with its offsets in section 3, both
-	// indexes without section 11, and the committed graph file and
+	// indexes without section 11, the committed index file and checkpoint
+	// with one distance byte an entry, and the committed graph file and
 	// checkpoint from before the graph became sections. Each of those is
 	// refused with the one line naming the command that rewrites it
 	// (internal/legacy reads them).
 	fig2 := gen.PaperFigure2()
 	path600G, path600Ix := path600(f)
+	spiderCase := widthCases()[1]
+	spiderIx, err := Build(spiderCase.g, spiderCase.lm)
+	if err != nil {
+		f.Fatal(err)
+	}
 	golden, path600File := v2Bytes(f, goldenIndex(f)), v2Bytes(f, path600Ix)
-	seeds := [][]byte{golden, path600File}
+	seeds := [][]byte{golden, v2Bytes(f, spiderIx), path600File}
 	for _, old := range []struct {
 		file []byte
 		g    *graph.Graph
 	}{
 		{testdata(f, "tiny.hl1"), fig2}, {testdata(f, "path300.hl1"), gen.Path(300)}, {testdata(f, "tiny_off64.hl2"), fig2},
 		{withoutSection11(f, golden), fig2}, {withoutSection11(f, path600File), path600G},
+		{testdata(f, "tiny.hl2"), fig2}, {testdata(f, "tiny.snap2"), fig2},
 		{testdata(f, "tiny.hwg1"), fig2}, {testdata(f, "tiny.snap1"), fig2},
 	} {
 		if _, err := Read(bytes.NewReader(old.file), old.g); !namesMigrate(err) {
@@ -75,7 +83,7 @@ func FuzzLoadIndex(f *testing.F) {
 		}
 		// More graph sizes exercise the n-mismatch path and the overflow
 		// machinery bounds.
-		for _, g := range []*graph.Graph{overflowG, path600G} {
+		for _, g := range []*graph.Graph{overflowG, spiderCase.g, path600G} {
 			if ix, err := Read(bytes.NewReader(data), g); err == nil {
 				exerciseIndex(ix)
 			}
@@ -112,7 +120,10 @@ func exerciseIndex(ix *Index) {
 // FuzzIndexRoundTrip: for generated indexes across graph families and
 // sizes, Save→Load must reproduce a deep-equal index.
 func FuzzIndexRoundTrip(f *testing.F) {
+	// One seed of each distance code width at least: w = 2 (ER, BA), w = 4
+	// (ER of 84 vertices, 4 landmarks) and w = 8 (the paths).
 	f.Add(int64(1), uint8(30), uint8(3))
+	f.Add(int64(1), uint8(80), uint8(3))
 	f.Add(int64(2), uint8(80), uint8(7))
 	f.Add(int64(3), uint8(5), uint8(1))
 	f.Add(int64(5), uint8(89), uint8(1)) // the longest path, two landmarks

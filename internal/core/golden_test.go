@@ -25,9 +25,9 @@ func goldenIndex(tb testing.TB) *Index {
 	return ix
 }
 
-// TestGoldenV2 pins the v2 format bytes: if serialization drifts — field
-// order, section ids, checksums, encoding — this fails before any user's
-// index files stop loading. Regenerate deliberately with
+// TestGoldenV2 pins the v2 format bytes, section 12's distance codes among
+// them: if serialization drifts — field order, section ids, checksums,
+// encoding — this fails before any user's index files stop loading. Regenerate deliberately with
 // `go test ./internal/core -run TestGoldenV2 -update-golden` and call the
 // change out in review: it breaks files written by older builds.
 func TestGoldenV2(t *testing.T) {
@@ -36,7 +36,7 @@ func TestGoldenV2(t *testing.T) {
 	if err := ix.WriteFormat(&buf, FormatV2); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", "tiny.hl2")
+	path := filepath.Join("testdata", "tiny_codes.hl2")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -68,16 +68,20 @@ func TestGoldenV2(t *testing.T) {
 }
 
 // TestLegacyFixturesUntouched: the files no writer can produce any more are
-// what the v1 and section-3 readers, and `hlbuild migrate`'s readers of the
-// graph file and checkpoint from before the graph became container
-// sections (tiny.hwg1 is gen.PaperFigure2(), tiny.snap1 that graph with its
-// labelling), are tested on, so nothing — -update-golden least of all —
-// may rewrite them.
+// what the v1, section-3 and section-5 readers, and `hlbuild migrate`'s
+// readers of the graph file and checkpoint from before the graph became
+// container sections (tiny.hwg1 is gen.PaperFigure2(), tiny.snap1 that
+// graph with its labelling), are tested on, so nothing — -update-golden
+// least of all — may rewrite them. tiny.hl2 is the golden index of the last
+// writer of section 5, one distance byte an entry, and tiny.snap2 its
+// checkpoint of the same graph and labelling.
 func TestLegacyFixturesUntouched(t *testing.T) {
 	for name, want := range map[string]string{
 		"tiny.hl1":       "ed1b0762e5429ff792f8a1e6b3ef660395eb4ca1e35d0ea2c4ea96dccb482100",
 		"path300.hl1":    "15b2542323ce20f716541b9f16ea4ba6d837e1bc0f67b3dadf6044c5ae67a088",
 		"tiny_off64.hl2": "7c6fc134483f31da4aa3be4608989f37f9f2b550a5d45388cb5dee9ac6375948",
+		"tiny.hl2":       "df84c9564af2c19b84dddfd383a43d47c3baaeefebc72b4159422deff13b8c46",
+		"tiny.snap2":     "54c2e6fc217b4378a679d07605baa991b2b50164c7f5dcb9662d73e92aaf383a",
 		"tiny.hwg1":      "e26fc490c6c337cef8120b79e06e3ec5ac86705d1cc3a18df812848fe9ff7e79",
 		"tiny.snap1":     "c2fbfd2b8ca2dd14276305c5231ca2ba86cc4c178981ef7b133378b5149bef1e",
 	} {

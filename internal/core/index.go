@@ -1,8 +1,9 @@
 // Package core implements the paper's primary contribution: the highway
 // cover distance labelling (Section 3) and the bounded distance querying
 // framework built on it (Section 4), including the optimizations of
-// Section 5 (parallel construction over landmarks, 8-bit label
-// compression, and the common-landmark query shortcut of Lemma 5.1).
+// Section 5 (parallel construction over landmarks, 8-bit landmark ranks
+// beside distance codes of the 2, 4 or 8 bits the labelling needs, and the
+// common-landmark query shortcut of Lemma 5.1).
 //
 // # Overview
 //
@@ -34,7 +35,8 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"slices"
+	"math/bits"
+	"sort"
 	"sync"
 
 	"highway/internal/graph"
@@ -49,12 +51,6 @@ var _ method.DistanceIndex = (*Index)(nil)
 // Infinity is the distance reported between disconnected vertices.
 const Infinity int32 = -1
 
-// distOverflow marks an 8-bit stored distance whose real value lives in
-// the overflow table. Complex networks have tiny diameters, so in practice
-// the table stays empty; it exists so that the 8-bit encoding is still
-// exact on adversarial inputs (long paths, grids).
-const distOverflow uint8 = 0xFF
-
 // MaxLandmarks bounds the landmark count so ranks fit the paper's 8-bit
 // compressed representation ("usually no more than 100 landmarks",
 // Section 5.2).
@@ -65,15 +61,21 @@ const MaxLandmarks = 255
 // # Label storage
 //
 // Labels live in a flat structure-of-arrays CSR layout: vertex v's label
-// occupies positions span(v) of the two contiguous parallel arrays labelRank
-// and labelDist, sorted by landmark rank within each vertex. There are no
-// per-vertex slice headers to chase. An entry is the paper's HL(8)
-// (Section 5.2, SizeBytes8): one byte of rank and one byte of distance. A
-// distance ≥ 255 is stored as distOverflow and its real value in overflow,
-// sorted by (vertex, rank) and found by binary search. Every reader goes
-// through distAt, so the query hot path is a merge over two byte ranges
-// plus one compare per entry that a complex network, whose diameter is a
-// few dozen, never takes.
+// occupies positions span(v) of labelRank, one byte of landmark rank an
+// entry as in the paper's HL(8) (Section 5.2), sorted by rank within each
+// vertex, and of labelDist, one code of w bits an entry. There are no
+// per-vertex slice headers to chase. An entry (r, d) exists only when no
+// other landmark lies on a shortest r–v path, so its distance is tiny: the
+// code is d-1, and its all-ones value escapes to overflow, which maps the
+// entry's position to its real distance (≥ 2^w). The width w ∈ {2, 4, 8}
+// is the one whose codes and overflow records take the fewest bytes, the
+// wider on a tie (chooseWidth): a function of the labelling, which is
+// unique (Lemma 3.11), so every index of one graph and landmark set has
+// the same bytes. Complex networks get
+// w = 2 and a handful of records; a long path or a grid, whose distances
+// run into the hundreds, w = 8. Every reader goes through distAt, so the
+// query hot path is a merge over the rank bytes plus two shifts, one mask
+// and one compare per distance read.
 //
 // The offsets take their width from the same limit as the ranks: a label
 // has at most MaxLandmarks entries, so prefix sums restarted every offBlock
@@ -81,7 +83,7 @@ const MaxLandmarks = 255
 // offset of its first vertex, and one uint16 per vertex, its offset past
 // that: at(v) = base[v>>8] + rel[v], 2.03 B a vertex with no cap on the
 // total. Both are little-endian bytes, because all four label arrays are
-// the index file's sections 7, 8, 4 and 5 themselves: a save writes them as
+// the index file's sections 7, 8, 4 and 12 themselves: a save writes them as
 // they are and a load keeps the buffers it read them into (serialize.go).
 //
 // The highway matrix stores exact landmark-to-landmark distances
@@ -107,10 +109,13 @@ type Index struct {
 	highway    []int32 // k*k, row-major; Infinity = unreachable
 
 	// Flat CSR label storage (structure-of-arrays).
-	labelOff  offsets       // n+1 prefix sums of label sizes
-	labelRank []uint8       // len labelOff.at(n); landmark ranks, ascending per vertex
-	labelDist []uint8       // len labelOff.at(n); distOverflow: see overflow
-	overflow  []overflowRec // the escaped entries, sorted by cmpOverflow
+	labelOff  offsets         // n+1 prefix sums of label sizes
+	labelRank []uint8         // len labelOff.at(n); landmark ranks, ascending per vertex
+	labelDist []byte          // the width w, then labelOff.at(n) codes of w bits, LSB first
+	codes     []byte          // labelDist[1:]: entry p's code is at bit p<<distLog
+	distLog   uint8           // log2 w
+	distMask  uint8           // 2^w - 1: the code of an escaped entry
+	overflow  map[int64]int32 // position -> distance of each escaped entry
 
 	// built records how BuildOpts constructed this index (zero value for
 	// loaded indexes and ones Rows.Assemble returned directly). Written
@@ -149,8 +154,8 @@ func (ix *Index) Highway(r1, r2 int32) int32 {
 	return ix.highway[int(i)*len(ix.landmarks)+int(j)]
 }
 
-// overflowRec is one escaped label entry: the entry (rank) of vertex v,
-// whose distance d does not fit a byte.
+// overflowRec is one escaped label entry as section 6 records it: the
+// entry (rank) of vertex v, whose distance d does not fit its code.
 type overflowRec struct {
 	v    int32
 	rank uint8
@@ -174,11 +179,16 @@ type offsets struct{ base, rel []byte }
 
 const offBlock = 256
 
-// at returns where vertex v's label starts in labelRank and labelDist;
-// at(n) is the number of entries.
+// at returns the position of vertex v's first entry in labelRank and
+// labelDist; at(n) is the number of entries.
 func (o offsets) at(v int32) int64 {
 	return int64(binary.LittleEndian.Uint64(o.base[uint(v)/offBlock*8:])) +
 		int64(binary.LittleEndian.Uint16(o.rel[uint(v)*2:]))
+}
+
+// vertexOf returns the vertex whose label holds position p.
+func (o offsets) vertexOf(p int64) int32 {
+	return int32(sort.Search(len(o.rel)/2-1, func(v int) bool { return o.at(int32(v+1)) > p }))
 }
 
 // newOffsets returns the offsets of labels of the given sizes, one per
@@ -204,22 +214,44 @@ func newOffsets(sizes []uint8) (o offsets, entries int64) {
 // span returns the positions lo..hi of vertex v's label.
 func (ix *Index) span(v int32) (lo, hi int64) { return ix.labelOff.at(v), ix.labelOff.at(v + 1) }
 
-// distAt returns the distance of vertex v's label entry at position p.
-func (ix *Index) distAt(v int32, p int64) int32 {
-	if d := ix.labelDist[p]; d != distOverflow {
-		return int32(d)
+// distWidths are the code widths a labelling may take, widest first.
+var distWidths = [...]uint8{8, 4, 2}
+
+// chooseWidth returns the code width of a labelling of entries entries,
+// escaped[i] of which have a distance ≥ 2^w for w = distWidths[i], and how
+// many escape at it: the w that makes ⌈entries·w/8⌉ bytes of codes plus 9
+// bytes for each overflow record least, the wider on a tie.
+func chooseWidth(entries int64, escaped escapeCounts) (w uint8, escapes int64) {
+	size := func(i int) int64 { return (entries*int64(distWidths[i])+7)/8 + 9*escaped[i] }
+	best := 0
+	for i := range distWidths {
+		if size(i) < size(best) {
+			best = i
+		}
 	}
-	return ix.escaped(v, ix.labelRank[p])
+	return distWidths[best], escaped[best]
 }
 
-// escaped returns the distance of an entry stored as distOverflow. Every
-// constructor of an Index guarantees the entry its record. Kept out of line
-// so that distAt, which almost never calls it, inlines into the merge loops.
-//
-//go:noinline
-func (ix *Index) escaped(v int32, rank uint8) int32 {
-	i, _ := slices.BinarySearchFunc(ix.overflow, overflowRec{v: v, rank: rank}, cmpOverflow)
-	return ix.overflow[i].d
+// distLen is the length of the distance section of entries codes of w bits.
+func distLen(entries int64, w uint8) int64 { return 1 + (entries*int64(w)+7)/8 }
+
+// setDist makes dist, a width byte w ∈ distWidths and the codes, ix's
+// distance codes.
+func (ix *Index) setDist(dist []byte) {
+	ix.labelDist, ix.codes = dist, dist[1:]
+	ix.distLog = uint8(bits.TrailingZeros8(dist[0]))
+	ix.distMask = uint8(1<<dist[0] - 1)
+}
+
+// distAt returns the distance of the label entry at position p: one shift
+// and one mask, and a map lookup for an escape, which does not count
+// against inlining into the query loops as a call would.
+func (ix *Index) distAt(p int64) int32 {
+	bit := uint64(p) << (ix.distLog & 3) // & 3: no guard for a shift past 63
+	if c := ix.codes[bit/8] >> (bit % 8) & ix.distMask; c != ix.distMask {
+		return int32(c) + 1
+	}
+	return ix.overflow[p]
 }
 
 // Label returns vertex v's label, sorted by rank, as freshly allocated
@@ -228,7 +260,7 @@ func (ix *Index) Label(v int32) (ranks []int32, dists []int32) {
 	lo, hi := ix.span(v)
 	ranks, dists = make([]int32, hi-lo), make([]int32, hi-lo)
 	for p := lo; p < hi; p++ {
-		ranks[p-lo], dists[p-lo] = int32(ix.labelRank[p]), ix.distAt(v, p)
+		ranks[p-lo], dists[p-lo] = int32(ix.labelRank[p]), ix.distAt(p)
 	}
 	return ranks, dists
 }
@@ -246,8 +278,8 @@ func (ix *Index) NumEntries() int64 {
 	return int64(len(ix.labelRank))
 }
 
-// numOverflow counts entries whose distance does not fit a byte
-// (≥ distOverflow).
+// numOverflow counts entries whose distance does not fit their code
+// (≥ 2^w).
 func (ix *Index) numOverflow() int64 { return int64(len(ix.overflow)) }
 
 // AvgLabelSize returns the average number of entries per label (Table 2's
@@ -269,11 +301,16 @@ func (ix *Index) SizeBytes32() int64 {
 
 // SizeBytes8 reports the labelling size under the paper's compressed
 // accounting (Table 3's "HL(8)"): 8 bits per landmark id + 8 bits per
-// distance per entry, plus the highway matrix. The label part is exactly
-// what the label arrays take, in memory and in both index formats.
+// distance per entry, plus the highway matrix. The label arrays take less:
+// their distance codes have the w ≤ 8 bits the labelling needs (see
+// ActualBytes).
 func (ix *Index) SizeBytes8() int64 {
 	return ix.NumEntries()*2 + int64(len(ix.highway))*4
 }
+
+// overflowSlot is what an escaped entry costs in the overflow map: its
+// key and value, and its share of the map's control bytes and free slots.
+const overflowSlot = 24
 
 // ActualBytes reports the real in-memory footprint of the index
 // structures (offsets, flat label arrays, overflow table, highway,
@@ -283,7 +320,7 @@ func (ix *Index) ActualBytes() int64 {
 		int64(len(ix.labelOff.rel)) +
 		int64(len(ix.labelRank)) +
 		int64(len(ix.labelDist)) +
-		int64(len(ix.overflow))*12 +
+		int64(len(ix.overflow))*overflowSlot +
 		int64(len(ix.highway))*4 +
 		int64(len(ix.landmarks))*4 +
 		int64(len(ix.rankOf))*4 +

@@ -134,16 +134,16 @@ func (sr *Searcher) UpperBound(s, t int32) int32 {
 		// One label dwarfs the other: iterate the short side and look
 		// each of its ranks up in the long side, a range of at most 255
 		// bytes, instead of stepping the merge one rank at a time.
-		pv, pLo, pHi, qv, qLo, qHi := s, slo, shi, t, tlo, thi
+		pLo, pHi, qLo, qHi := slo, shi, tlo, thi
 		if ls > lt {
-			pv, pLo, pHi, qv, qLo, qHi = t, tlo, thi, s, slo, shi
+			pLo, pHi, qLo, qHi = tlo, thi, slo, shi
 		}
 		long := rank[qLo:qHi]
 		for p := pLo; p < pHi; p++ {
 			rp := rank[p]
 			if q := bytes.IndexByte(long, rp); q >= 0 {
 				mask[rp] = true
-				if d := ix.distAt(pv, p) + ix.distAt(qv, qLo+int64(q)); best < 0 || d < best {
+				if d := ix.distAt(p) + ix.distAt(qLo+int64(q)); best < 0 || d < best {
 					best = d
 				}
 			}
@@ -155,7 +155,7 @@ func (sr *Searcher) UpperBound(s, t int32) int32 {
 			switch {
 			case ri == rj:
 				mask[ri] = true
-				if d := ix.distAt(s, i) + ix.distAt(t, j); best < 0 || d < best {
+				if d := ix.distAt(i) + ix.distAt(j); best < 0 || d < best {
 					best = d
 				}
 				i++
@@ -174,7 +174,7 @@ func (sr *Searcher) UpperBound(s, t int32) int32 {
 		if mask[ri] {
 			continue
 		}
-		ds := ix.distAt(s, i)
+		ds := ix.distAt(i)
 		row := ix.highway[int(ri)*k : (int(ri)+1)*k]
 		for j := tlo; j < thi; j++ {
 			rj := rank[j]
@@ -182,7 +182,7 @@ func (sr *Searcher) UpperBound(s, t int32) int32 {
 				continue
 			}
 			if h := row[rj]; h >= 0 {
-				if d := ds + h + ix.distAt(t, j); best < 0 || d < best {
+				if d := ds + h + ix.distAt(j); best < 0 || d < best {
 					best = d
 				}
 			}
@@ -210,7 +210,7 @@ func (ix *Index) LandmarkDistance(r, v int32) int32 {
 		if h < 0 {
 			continue
 		}
-		if d := h + ix.distAt(v, p); best < 0 || d < best {
+		if d := h + ix.distAt(p); best < 0 || d < best {
 			best = d
 		}
 	}

@@ -79,20 +79,61 @@ func referenceIndex(g *graph.Graph, landmarks []int32) *Index {
 		ix.highway = append(ix.highway, row...)
 	}
 	sizes := make([]uint8, n)
+	var dists []int32
 	for v := range sizes {
 		for r := range labels {
 			if d := labels[r][v]; d >= 0 {
 				ix.labelRank = append(ix.labelRank, uint8(r))
-				ix.labelDist = append(ix.labelDist, uint8(min(d, int32(distOverflow))))
-				if d >= int32(distOverflow) {
-					ix.overflow = append(ix.overflow, overflowRec{v: int32(v), rank: uint8(r), d: d})
-				}
+				dists = append(dists, d)
 				sizes[v]++
 			}
 		}
 	}
 	ix.labelOff, _ = newOffsets(sizes)
+	w := bruteWidth(dists)
+	codes := make([]byte, (len(dists)*int(w)+7)/8)
+	v := int32(0)
+	for p, d := range dists {
+		for ix.labelOff.at(v+1) <= int64(p) {
+			v++
+		}
+		code := min(d-1, 1<<w-1)
+		if code == 1<<w-1 {
+			if ix.overflow == nil {
+				ix.overflow = map[int64]int32{}
+			}
+			ix.overflow[int64(p)] = d
+		}
+		for b := range int(w) { // bit by bit, LSB first
+			bit := p*int(w) + b
+			codes[bit/8] |= byte(code>>b&1) << (bit % 8)
+		}
+	}
+	ix.setDist(append([]byte{w}, codes...))
 	return ix
+}
+
+// bruteWidth is the code width section 12 must carry for a labelling with
+// these distances, from its definition: of 2, 4 and 8 bits, the width
+// whose codes (⌈entries·w/8⌉ bytes) and 9-byte records for the distances
+// d ≥ 2^w take the fewest bytes, the wider on a tie.
+func bruteWidth(dists []int32) uint8 {
+	size := func(w int) int {
+		bytes := (len(dists)*w + 7) / 8
+		for _, d := range dists {
+			if d >= 1<<w {
+				bytes += 9
+			}
+		}
+		return bytes
+	}
+	best := 8
+	for _, w := range []int{4, 2} {
+		if size(w) < size(best) {
+			best = w
+		}
+	}
+	return uint8(best)
 }
 
 // spread returns k distinct landmarks: the highest-degree vertices first,

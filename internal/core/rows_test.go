@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -39,15 +40,11 @@ func edgesOf(g *graph.Graph) [][2]int32 {
 // k/2 highest-degree vertices of each.
 func twoTowns(half, k int, seed int64) (*graph.Graph, []int32) {
 	a, b := gen.BarabasiAlbert(half, 2, seed), gen.BarabasiAlbert(half, 2, seed+100)
-	edges := edgesOf(a)
-	for _, e := range edgesOf(b) {
-		edges = append(edges, [2]int32{e[0] + int32(half), e[1] + int32(half)})
-	}
 	lm := slices.Clone(a.DegreeOrder()[:k/2])
 	for _, v := range b.DegreeOrder()[:k/2] {
 		lm = append(lm, v+int32(half))
 	}
-	return graph.MustFromEdges(2*half, edges), lm
+	return union(a, b), lm
 }
 
 // mutate returns g changed among its first half vertices only: a few
@@ -110,18 +107,81 @@ func TestRowsRerunMatchesBuild(t *testing.T) {
 			isLandmark[v] = true
 		}
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			checkRerun(t, g, mutate(g, 200, isLandmark, rng), lm, rng, false)
+			g2 := mutate(g, 200, isLandmark, rng)
+			wantWidths(t, g, g2, lm, 2, 2)
+			checkRerun(t, g, g2, lm, rng, false)
 		})
 	}
 	// Distances past the 8-bit escape: on the path 0-1-…-699 landmark 350
 	// hides everything beyond it from landmark 0, so a chord out there
-	// dirties rank 1 alone, and both ranks label vertices from 255 hops and
+	// dirties rank 1 alone, and both ranks label vertices from 256 hops and
 	// more away. The re-run rank and the kept one both own overflow records.
 	path := gen.Path(700)
-	chord := graph.MustFromEdges(700, append(edgesOf(path), [2]int32{600, 699}))
 	t.Run("path700", func(t *testing.T) {
+		chord := withEdges(path, [2]int32{600, 699})
+		wantWidths(t, path, chord, []int32{0, 350}, 8, 8)
 		checkRerun(t, path, chord, []int32{0, 350}, rand.New(rand.NewSource(7)), true)
 	})
+	// At w = 4: two spiders, each a landmark with ten legs of 15 hops and
+	// long ones of 20 — two on the first, one on the second. A chord from
+	// the first landmark to the tip of a long leg (vertex 170) dirties its
+	// rank alone, and both ranks keep entries 16 hops or more away.
+	legs := []int{15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 20}
+	first := spider(append(legs, 20))
+	spiders := union(first, spider(legs))
+	t.Run("spiders", func(t *testing.T) {
+		lm := []int32{0, int32(first.NumVertices())}
+		chord := withEdges(spiders, [2]int32{0, 170})
+		wantWidths(t, spiders, chord, lm, 4, 4)
+		checkRerun(t, spiders, chord, lm, rand.New(rand.NewSource(8)), true)
+	})
+	// The width changes under the merge: a path of 300 off landmark 0
+	// (w = 8) beside a town with a landmark of its own, whose entries are
+	// kept; chords from 0 to every tenth vertex bring the path within 5
+	// hops (w = 4), and the way back re-runs every rank.
+	town := gen.BarabasiAlbert(200, 2, 3)
+	tail := union(gen.Path(301), town)
+	t.Run("width 8 to 4", func(t *testing.T) {
+		var chords [][2]int32
+		for v := int32(10); v <= 300; v += 10 {
+			chords = append(chords, [2]int32{0, v})
+		}
+		lm := []int32{0, 301 + town.DegreeOrder()[0]}
+		wantWidths(t, tail, withEdges(tail, chords...), lm, 8, 4)
+		checkRerun(t, tail, withEdges(tail, chords...), lm, rand.New(rand.NewSource(9)), false)
+	})
+}
+
+// union is the disjoint union of a and b, b's vertices numbered after a's.
+func union(a, b *graph.Graph) *graph.Graph {
+	edges, n := edgesOf(a), int32(a.NumVertices())
+	for _, e := range edgesOf(b) {
+		edges = append(edges, [2]int32{e[0] + n, e[1] + n})
+	}
+	return graph.MustFromEdges(int(n)+b.NumVertices(), edges)
+}
+
+// withEdges is g with the given edges added.
+func withEdges(g *graph.Graph, edges ...[2]int32) *graph.Graph {
+	return graph.MustFromEdges(g.NumVertices(), append(edgesOf(g), edges...))
+}
+
+// wantWidths fails t unless the labellings of lm on g and on g2 code their
+// distances in w and w2 bits.
+func wantWidths(t *testing.T, g, g2 *graph.Graph, lm []int32, w, w2 uint8) {
+	t.Helper()
+	for i, c := range []struct {
+		g *graph.Graph
+		w uint8
+	}{{g, w}, {g2, w2}} {
+		ix, err := Build(c.g, lm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ix.labelDist[0]; got != c.w {
+			t.Fatalf("test premise broken: labelling %d has width %d, want %d", i+1, got, c.w)
+		}
+	}
 }
 
 // checkRerun is one input of TestRowsRerunMatchesBuild: g changed into g2.
@@ -150,7 +210,7 @@ func checkRerun(t *testing.T, g, g2 *graph.Graph, lm []int32, rng *rand.Rand, es
 		if changed {
 			dirty++
 		}
-		if slices.ContainsFunc(ref.overflow, func(o overflowRec) bool { return int(o.rank) == r }) {
+		if slices.ContainsFunc(slices.Collect(maps.Keys(ref.overflow)), func(p int64) bool { return int(ref.labelRank[p]) == r }) {
 			cleanEscaped, dirtyEscaped = cleanEscaped || !changed, dirtyEscaped || changed
 		}
 		if changed || !escapes && rng.Intn(3) == 0 {

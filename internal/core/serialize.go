@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"iter"
+	"maps"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"slices"
-	"sort"
 
 	"highway/internal/bfs"
 	"highway/internal/container"
@@ -35,38 +37,43 @@ const FormatV2 Format = 2
 //	7  labelBase  [⌈(n+1)/256⌉]uint64  labelOff of every 256th vertex
 //	8  labelRel   [n+1]uint16          labelOff[v] - labelBase[v/256]
 //	4  labelRank  [entries]uint8
-//	5  labelDist  [entries]uint8       (0xFF = see overflow)
+//	12 labelDist  w uint8, then entries codes of w bits, LSB first, the
+//	              padding bits 0: d-1, or 2^w-1 = see overflow
 //	6  overflow   nOverflow × (vertex uint32, rank uint8, dist uint32), CSR order
 //	11 graph      uint32               the graph's Fingerprint
 //
-// Every section's exact length follows from the header, so the reader
-// bounds each allocation before making it.
+// The width w is 2, 4 or 8 (chooseWidth), so section 12 is 1 +
+// ⌈entries·w/8⌉ bytes long, and every other section's exact length follows
+// from the header: the reader bounds each allocation before making it.
 //
-// Sections 7, 8, 4 and 5 are Index.labelOff, labelRank and labelDist:
+// Sections 7, 8, 4 and 12 are Index.labelOff, labelRank and labelDist:
 // Write hands the four arrays to the container as they are, and a reader,
 // once adoptLabels has checked them, keeps the buffers it read them into.
 // Only the small sections are translated: the landmarks and highway
 // between their integer types and little-endian bytes, and the overflow
-// table — empty on every complex network — between its records and
-// section 6's 9-byte rows.
+// table — a few hundred records on a complex network — between its records
+// and section 6's 9-byte rows.
 //
 // An index is meaningful only beside the graph it was built on: section 11
 // names that graph (graph.Fingerprint), and Read refuses a file that lacks
 // it or names another. A snapshot holds the graph itself, with sections 1,
-// 2 and 4–8 in one container and no section 11.
+// 2, 4, 6–8 and 12 in one container and no section 11.
 //
 // This is the one layout read. The older ones — v1 "HWLIDX01", v2 with the
-// offsets as uint64 in section 3, v2 without section 11 — are refused with
-// one line naming `hlbuild migrate`, which reads them (internal/legacy).
+// offsets as uint64 in section 3, v2 without section 11, and v2 with one
+// distance byte an entry in section 5 where section 12 is now, index files
+// and snapshots alike — are refused with one line naming `hlbuild
+// migrate`, which reads them (internal/legacy).
 const (
 	sectLandmarks uint32 = 1
 	sectHighway   uint32 = 2
 	sectLabelRank uint32 = 4
-	sectLabelDist uint32 = 5
+	sectByteDist  uint32 = 5 // retired: one distance byte an entry
 	sectOverflow  uint32 = 6
 	sectLabelBase uint32 = 7
 	sectLabelRel  uint32 = 8
 	sectGraph     uint32 = 11
+	sectLabelDist uint32 = 12
 )
 
 // Write serializes the index (without the graph) as an index file. Output
@@ -85,15 +92,15 @@ func (ix *Index) WriteFormat(w io.Writer, f Format) error {
 	return container.WriteContainer(w, h, append(sections, container.Section{ID: sectGraph, Payload: fp}))
 }
 
-// Sections returns the container header and sections 1, 2 and 4–8 of ix:
-// an index file is these and section 11, a snapshot these beside the
-// graph's.
+// Sections returns the container header and sections 1, 2, 4, 6–8 and 12
+// of ix: an index file is these and section 11, a snapshot these beside
+// the graph's.
 func (ix *Index) Sections() (container.Header, []container.Section) {
 	over := make([]byte, 0, 9*len(ix.overflow))
-	for _, o := range ix.overflow {
-		over = binary.LittleEndian.AppendUint32(over, uint32(o.v))
-		over = append(over, o.rank)
-		over = binary.LittleEndian.AppendUint32(over, uint32(o.d))
+	for _, p := range slices.Sorted(maps.Keys(ix.overflow)) {
+		over = binary.LittleEndian.AppendUint32(over, uint32(ix.labelOff.vertexOf(p)))
+		over = append(over, ix.labelRank[p])
+		over = binary.LittleEndian.AppendUint32(over, uint32(ix.overflow[p]))
 	}
 	landmarks, _ := binary.Append(nil, binary.LittleEndian, ix.landmarks) // cannot fail: fixed-size values
 	highway, _ := binary.Append(nil, binary.LittleEndian, ix.highway)
@@ -147,17 +154,19 @@ func (ix *Index) setLandmark(rank int, v int32) error {
 	return nil
 }
 
-// adoptLabels makes the offsets already in ix.labelOff, the two label
-// sections of a file and its overflow records the index's label storage,
-// after the checks that make them safe to query. The offsets start at 0,
-// never step back or by more than k, restart their uint16 at every block
-// and end at the length of the label sections; the ranks of every label
-// ascend strictly and stay below k, which the merge in UpperBound stands on;
-// and the escaped entries and the records pair up one to one. Our
-// writers emit records in CSR order, but any order is accepted; a record
-// for a non-escaped entry, an escaped entry without a record and two
-// records for one entry are corruption and rejected.
-func (ix *Index) adoptLabels(rank8, dist8 []uint8, k uint32, over []overflowRec) error {
+// adoptLabels makes the offsets already in ix.labelOff, the rank and
+// distance sections of a file and its overflow records the index's label
+// storage, after the checks that make them safe to query. The offsets
+// start at 0, never step back or by more than k, restart their uint16 at
+// every block and end at the length of the rank section; the ranks of
+// every label ascend strictly and stay below k, which the merge in
+// UpperBound stands on; the distance section is a width of distWidths and
+// the codes of that width, no more, no fewer and no padding bit set; and
+// the escaped entries and the records pair up one to one. Our writers emit
+// records in CSR order, but any order is accepted; a record for a
+// non-escaped entry, an escaped entry without a record and two records for
+// one entry are corruption and rejected.
+func (ix *Index) adoptLabels(rank8, dist []byte, k uint32, over []overflowRec) error {
 	// The offsets, block by block. Every label's ranks ascend when the only
 	// ranks at or below the one before them are first in their label: the
 	// walk counts the labels that start so, the pass after it every such
@@ -203,38 +212,88 @@ func (ix *Index) adoptLabels(rank8, dist8 []uint8, k uint32, over []overflowRec)
 	if down != startsDown {
 		return fmt.Errorf("core: %d label ranks not ascending within their label", down-startsDown)
 	}
+	entries := int64(len(rank8))
+	if len(dist) == 0 {
+		return fmt.Errorf("core: section %d is empty", sectLabelDist)
+	}
+	w := dist[0]
+	if !slices.Contains(distWidths[:], w) {
+		return fmt.Errorf("core: section %d has distance width %d, not 2, 4 or 8", sectLabelDist, w)
+	}
+	if want := distLen(entries, w); int64(len(dist)) != want {
+		return fmt.Errorf("core: section %d has length %d, want %d for %d entries of %d bits", sectLabelDist, len(dist), want, entries, w)
+	}
+	if pad := entries * int64(w) % 8; pad != 0 && dist[len(dist)-1]>>pad != 0 {
+		return fmt.Errorf("core: section %d has padding bits set", sectLabelDist)
+	}
 	slices.SortFunc(over, cmpOverflow)
 	for i := 1; i < len(over); i++ {
 		if cmpOverflow(over[i-1], over[i]) == 0 {
 			return fmt.Errorf("core: duplicate overflow record (v=%d rank=%d)", over[i].v, over[i].rank)
 		}
 	}
+	for _, o := range over {
+		if o.d < 1<<w {
+			return fmt.Errorf("core: overflow record (v=%d rank=%d) of distance %d, which a %d-bit code holds", o.v, o.rank, o.d, w)
+		}
+	}
 	// The escaped entries, met in CSR order, must be exactly the records.
 	stray := func(o overflowRec) error {
 		return fmt.Errorf("core: overflow record (v=%d rank=%d) for an entry that is not escaped", o.v, o.rank)
 	}
-	used := 0
-	for p := 0; ; p++ {
-		i := bytes.IndexByte(dist8[p:], distOverflow)
-		if i < 0 {
-			break
-		}
-		p += i
-		v := sort.Search(n, func(v int) bool { return ix.labelOff.at(int32(v+1)) > int64(p) })
-		entry := overflowRec{v: int32(v), rank: rank8[p]}
+	var escaped map[int64]int32
+	if len(over) > 0 {
+		escaped = make(map[int64]int32, len(over))
+	}
+	for p := range escapes(dist) {
+		v := ix.labelOff.vertexOf(p)
+		entry, used := overflowRec{v: v, rank: rank8[p]}, len(escaped)
 		switch {
 		case used == len(over) || cmpOverflow(over[used], entry) > 0:
 			return fmt.Errorf("core: missing overflow record for vertex %d rank %d", v, rank8[p])
 		case cmpOverflow(over[used], entry) < 0:
 			return stray(over[used])
 		}
-		used++
+		escaped[p] = over[used].d
 	}
-	if used < len(over) {
-		return stray(over[used])
+	if len(escaped) < len(over) {
+		return stray(over[len(escaped)])
 	}
-	ix.labelRank, ix.labelDist, ix.overflow = rank8, dist8, over
+	ix.labelRank, ix.overflow = rank8, escaped
+	ix.setDist(dist)
 	return nil
+}
+
+// escapes yields, ascending, the positions of the all-ones codes of a
+// distance section whose padding bits are 0, eight bytes at a time: in a
+// word x, the code at bit i is all ones when bits i…i+w-1 are, which the
+// ANDs of x with its shifts by 1, 2 and 4 gather at bit i.
+func escapes(dist []byte) iter.Seq[int64] {
+	w, codes := uint(dist[0]), dist[1:]
+	var lowBits uint64 // bit 0 of every code in a word
+	for b := uint(0); b < 64; b += w {
+		lowBits |= 1 << b
+	}
+	return func(yield func(int64) bool) {
+		for i := 0; i < len(codes); i += 8 {
+			var x uint64
+			if i+8 <= len(codes) {
+				x = binary.LittleEndian.Uint64(codes[i:])
+			} else {
+				var tail [8]byte
+				copy(tail[:], codes[i:])
+				x = binary.LittleEndian.Uint64(tail[:])
+			}
+			for s := uint(1); s < w; s *= 2 {
+				x &= x >> s
+			}
+			for x &= lowBits; x != 0; x &= x - 1 {
+				if !yield(int64(i)*8/int64(w) + int64(bits.TrailingZeros64(x))/int64(w)) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // stepsDown is 1 if b ≤ a and 0 otherwise, without a branch to mispredict.
@@ -250,7 +309,7 @@ func parseOverflowRecs(buf []byte, n uint64, k uint32) ([]overflowRec, error) {
 		v := int32(binary.LittleEndian.Uint32(rec[0:4]))
 		rank := rec[4]
 		d := int32(binary.LittleEndian.Uint32(rec[5:9]))
-		if v < 0 || uint64(v) >= n || uint32(rank) >= k || d < int32(distOverflow) {
+		if v < 0 || uint64(v) >= n || uint32(rank) >= k {
 			return nil, fmt.Errorf("core: bad overflow record (v=%d rank=%d d=%d)", v, rank, d)
 		}
 		recs[i] = overflowRec{v: v, rank: rank, d: d}
@@ -258,8 +317,9 @@ func parseOverflowRecs(buf []byte, n uint64, k uint32) ([]overflowRec, error) {
 	return recs, nil
 }
 
-// Bounds returns the exact length of each of sections 1, 2, 4–8 and 11 under
-// header h, after the checks that need only h.
+// Bounds returns the exact length of each of sections 1, 2, 4, 6–8 and 11
+// under header h, and the longest section 12 (one width byte and a byte an
+// entry), after the checks that need only h.
 func Bounds(h container.Header) (map[uint32]uint64, error) {
 	n, k, entries, nOver := h.N, h.K, h.Aux1, h.Aux2
 	switch {
@@ -274,7 +334,7 @@ func Bounds(h container.Header) (map[uint32]uint64, error) {
 		sectLandmarks: uint64(k) * 4,
 		sectHighway:   uint64(k) * uint64(k) * 4,
 		sectLabelRank: entries,
-		sectLabelDist: entries,
+		sectLabelDist: 1 + entries,
 		sectOverflow:  nOver * 9,
 		sectLabelBase: (n/offBlock + 1) * 8,
 		sectLabelRel:  (n + 1) * 2,
@@ -292,10 +352,13 @@ func FromSections(h container.Header, sec map[uint32]container.Section, g *graph
 	if h.N != uint64(g.NumVertices()) {
 		return nil, fmt.Errorf("core: index built for n=%d, graph has n=%d", h.N, g.NumVertices())
 	}
+	if _, old := sec[sectByteDist]; old {
+		return nil, fmt.Errorf("core: labels keep one distance byte an entry (section %d), a layout from before section %d: rewrite the file with `hlbuild migrate -graph G -in FILE` (an index file) or `hlbuild migrate -in FILE` (a checkpoint)", sectByteDist, sectLabelDist)
+	}
 	for _, id := range []uint32{sectLandmarks, sectHighway, sectLabelBase, sectLabelRel, sectLabelRank, sectLabelDist, sectOverflow} {
 		if s, ok := sec[id]; !ok {
 			return nil, fmt.Errorf("core: required section %d missing", id)
-		} else if uint64(len(s.Payload)) != want[id] {
+		} else if uint64(len(s.Payload)) != want[id] && id != sectLabelDist { // its width sets its length: see adoptLabels
 			return nil, fmt.Errorf("core: section %d has length %d, want %d", id, len(s.Payload), want[id])
 		}
 	}

@@ -53,8 +53,8 @@ func appendUnknownSection(tb testing.TB, file []byte, id uint32, payload []byte)
 	return reframe(tb, file, func(*container.Header, map[uint32][]byte) {}, container.Section{ID: id, Payload: payload})
 }
 
-// path600 is the index whose labels need the escape: both ends of a
-// 600-vertex path as landmarks, 688 entries 255 hops or more from theirs.
+// path600 is the index whose labels need the escape at w = 8: both ends of
+// a 600-vertex path as landmarks, 686 entries 256 hops or more from theirs.
 func path600(tb testing.TB) (*graph.Graph, *Index) {
 	tb.Helper()
 	g := gen.Path(600)
@@ -454,10 +454,14 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 		t.Fatalf("clean index failed verify: %v", err)
 	}
 	// Corrupt one stored distance and expect Verify to notice: a too-large
-	// entry inflates some exact distance.
-	for p := range ix.labelDist {
-		if ix.labelDist[p] >= 1 {
-			ix.labelDist[p] += 3
+	// entry inflates some exact distance. At w = 2, setting the high bit of
+	// a distance-1 code makes it 3 without escaping.
+	if ix.labelDist[0] != 2 {
+		t.Fatalf("test premise broken: distance width %d, want 2", ix.labelDist[0])
+	}
+	for p := range uint64(ix.NumEntries()) {
+		if bit := p * 2; ix.labelDist[1+bit/8]>>(bit%8)&3 == 0 {
+			ix.labelDist[1+bit/8] |= 2 << (bit % 8)
 			break
 		}
 	}

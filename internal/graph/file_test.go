@@ -2,6 +2,7 @@ package graph_test
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -67,5 +68,34 @@ func TestFingerprintConcurrent(t *testing.T) {
 		if want := read.Fingerprint(); fp != want {
 			t.Errorf("goroutine %d: fingerprint %08x, the file's checksums give %08x", i, fp, want)
 		}
+	}
+}
+
+// TestFingerprintAllocates: the first Fingerprint of a graph built in
+// memory checksums its arrays through one small buffer, and does not
+// encode them whole: on a graph of 4 MiB of targets it allocates at most
+// 128 KiB, and gives the value its file's checksums give.
+func TestFingerprintAllocates(t *testing.T) {
+	g := gen.BarabasiAlbert(100_000, 6, 1)
+	if targets := 4 * 2 * g.NumEdges(); targets < 4<<20 {
+		t.Fatalf("premise: %d bytes of targets", targets)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fp := g.Fingerprint()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 128<<10 {
+		t.Fatalf("first Fingerprint allocated %d bytes, want at most 128 KiB", got)
+	}
+	var file bytes.Buffer
+	if err := g.WriteBinary(&file); err != nil {
+		t.Fatal(err)
+	}
+	read, err := graph.ReadBinary(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := read.Fingerprint(); fp != want {
+		t.Fatalf("fingerprint %08x, the file's checksums give %08x", fp, want)
 	}
 }

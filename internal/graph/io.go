@@ -222,12 +222,37 @@ func FromSections(n uint64, sec map[uint32]container.Section) (*Graph, error) {
 
 // Fingerprint names g's arrays, for an index file to record: the CRC-32C
 // of the CRC-32Cs of sections 9 and 10. A graph read or written as a
-// container has it already; one built in memory encodes them once.
+// container has it already; one built in memory checksums the sections'
+// bytes once, encoded a 64 KiB buffer at a time, not the sections whole.
 func (g *Graph) Fingerprint() uint32 {
 	if g.fp.Load() == 0 {
-		g.Sections()
+		buf := make([]byte, 0, 64<<10)
+		offCRC, tgtCRC := checksumLE(buf, g.offsets), checksumLE(buf, g.targets)
+		g.fp.Store(1<<32 | uint64(fingerprint(offCRC, tgtCRC)))
 	}
 	return uint32(g.fp.Load())
+}
+
+// checksumLE returns the CRC-32C of vals as little-endian bytes, encoded
+// into buf cap(buf)/8 values at a time.
+func checksumLE[T int32 | int64](buf []byte, vals []T) uint32 {
+	var crc uint32
+	for len(vals) > 0 {
+		n, b := min(len(vals), cap(buf)/8), buf[:0]
+		switch chunk := any(vals[:n]).(type) {
+		case []int64:
+			for _, v := range chunk {
+				b = binary.LittleEndian.AppendUint64(b, uint64(v))
+			}
+		case []int32:
+			for _, v := range chunk {
+				b = binary.LittleEndian.AppendUint32(b, uint32(v))
+			}
+		}
+		crc = container.Checksum(crc, b)
+		vals = vals[n:]
+	}
+	return crc
 }
 
 func fingerprint(offCRC, tgtCRC uint32) uint32 {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"highway/internal/core"
 	"highway/internal/gen"
 	"highway/internal/graph"
+	"highway/internal/serve"
 )
 
 // build is core.Build, failing tb on error.
@@ -25,13 +27,15 @@ func build(tb testing.TB, g *graph.Graph, landmarks []int32) *core.Index {
 }
 
 // goldenIndex is the index of the paper's running example with its
-// landmark set {1,5,9}: tiny.hl1, tiny_off64.hl2 and tiny.hl2 all hold it.
+// landmark set {1,5,9}: tiny.hl1, tiny_off64.hl2 and tiny.hl2 all hold it
+// with one distance byte an entry, and tiny.snap2 beside its graph.
 func goldenIndex(tb testing.TB) *core.Index {
 	return build(tb, gen.PaperFigure2(), gen.PaperLandmarks())
 }
 
 // path600 is the index whose labels need the escape: both ends of a
-// 600-vertex path as landmarks, 688 entries 255 hops or more from theirs.
+// 600-vertex path as landmarks, 688 entries 255 hops or more from theirs,
+// escaped in the layouts of one distance byte an entry.
 func path600(tb testing.TB) *core.Index {
 	return build(tb, gen.Path(600), []int32{0, 599})
 }
@@ -94,11 +98,36 @@ func reframe(tb testing.TB, file []byte, edit func(h *container.Header, sec map[
 	return out.Bytes()
 }
 
+// byteDistBytes is the file the last writer of section 5 wrote for ix: one
+// distance byte an entry where section 12 is now.
+func byteDistBytes(tb testing.TB, ix *core.Index) []byte {
+	tb.Helper()
+	h, sections := ByteSections(ix)
+	fp := binary.LittleEndian.AppendUint32(nil, ix.Graph().Fingerprint())
+	var out bytes.Buffer
+	if err := container.WriteContainer(&out, h, append(sections, container.Section{ID: sectGraph, Payload: fp})); err != nil {
+		tb.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// byteDistSnapshot is the checkpoint the last writer of section 5 wrote for
+// ix: the graph's sections beside the labelling's, without section 11.
+func byteDistSnapshot(tb testing.TB, ix *core.Index) []byte {
+	tb.Helper()
+	h, sections := ByteSections(ix)
+	var out bytes.Buffer
+	if err := container.WriteContainer(&out, h, append(ix.Graph().Sections(), sections...)); err != nil {
+		tb.Fatal(err)
+	}
+	return out.Bytes()
+}
+
 // withoutSection11 is the file every writer from sections 7 and 8 until
 // section 11 wrote for ix.
 func withoutSection11(tb testing.TB, ix *core.Index) []byte {
 	tb.Helper()
-	return reframe(tb, indexBytes(tb, ix), func(_ *container.Header, sec map[uint32][]byte) { delete(sec, sectGraph) })
+	return reframe(tb, byteDistBytes(tb, ix), func(_ *container.Header, sec map[uint32][]byte) { delete(sec, sectGraph) })
 }
 
 // legacyV2Bytes is the file the last writer of section 3 wrote for ix: the
@@ -177,9 +206,11 @@ func migrates(t *testing.T, raw []byte, g *graph.Graph, layout string, want *cor
 }
 
 // TestIndexRoundTrip: each retired layout — both v1 fixtures, the file
-// with its offsets in section 3 and one without section 11 — is named by
+// with its offsets in section 3 and one without section 11 (the one with a
+// distance byte an entry: TestMigrateByteDistances) — is named by
 // IndexLayout, refused by the serving reader, and migrates to the file a
-// fresh build writes; today's file is no retired layout.
+// fresh build writes; today's file, and a checkpoint, are no retired
+// index layout.
 func TestIndexRoundTrip(t *testing.T) {
 	for _, fx := range v1Fixtures(t) {
 		t.Run(fx.name, func(t *testing.T) { migrates(t, fx.raw, fx.g, "format v1", fx.want) })
@@ -191,8 +222,10 @@ func TestIndexRoundTrip(t *testing.T) {
 		ix := path600(t)
 		migrates(t, withoutSection11(t, ix), ix.Graph(), "format v2, no section 11", ix)
 	})
-	if got := IndexLayout(bufio.NewReader(bytes.NewReader(fixture(t, "tiny.hl2")))); got != "" {
-		t.Fatalf("IndexLayout(tiny.hl2) = %q, want \"\"", got)
+	for _, name := range []string{"tiny_codes.hl2", "tiny.snap2"} {
+		if got := IndexLayout(bufio.NewReader(bytes.NewReader(fixture(t, name)))); got != "" {
+			t.Fatalf("IndexLayout(%s) = %q, want \"\"", name, got)
+		}
 	}
 }
 
@@ -222,23 +255,124 @@ func TestGoldenV1Compat(t *testing.T) {
 	}
 }
 
-// TestV1V2SameIndex: the v1 golden file migrates to the v2 golden file's
+// TestV1V2SameIndex: the v1 golden file migrates to the golden file's
 // bytes, so a v1→v2 migration is lossless.
 func TestV1V2SameIndex(t *testing.T) {
 	ix, err := ReadIndex(bytes.NewReader(fixture(t, "tiny.hl1")), gen.PaperFigure2())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(indexBytes(t, ix), fixture(t, "tiny.hl2")) {
-		t.Fatal("tiny.hl1 migrates to other bytes than tiny.hl2")
+	if !bytes.Equal(indexBytes(t, ix), fixture(t, "tiny_codes.hl2")) {
+		t.Fatal("tiny.hl1 migrates to other bytes than tiny_codes.hl2")
 	}
 }
 
-// TestLegacyV2Writer: legacyV2Bytes, which the section-3 tests and fuzz
-// seeds are framed by, writes what the last writer of section 3 wrote.
+// TestLegacyV2Writer: legacyV2Bytes, byteDistBytes and byteDistSnapshot,
+// which the tests and fuzz seeds of retired layouts are framed by, write
+// what the last writers of section 3 and of section 5 wrote.
 func TestLegacyV2Writer(t *testing.T) {
-	if !bytes.Equal(legacyV2Bytes(t, goldenIndex(t)), fixture(t, "tiny_off64.hl2")) {
-		t.Fatal("legacyV2Bytes of the golden index differs from testdata/tiny_off64.hl2")
+	for name, got := range map[string][]byte{
+		"tiny_off64.hl2": legacyV2Bytes(t, goldenIndex(t)),
+		"tiny.hl2":       byteDistBytes(t, goldenIndex(t)),
+		"tiny.snap2":     byteDistSnapshot(t, goldenIndex(t)),
+	} {
+		if !bytes.Equal(got, fixture(t, name)) {
+			t.Errorf("the writer of the golden index differs from testdata/%s", name)
+		}
+	}
+}
+
+// TestMigrateByteDistances: an index file and a checkpoint whose labels
+// keep one distance byte an entry in section 5 — the committed ones the
+// last writer of section 5 wrote, and path600's, whose distances reach 599
+// — are each named by IndexLayout or SnapshotLayout, refused by the
+// serving readers with one line naming `hlbuild migrate`, and migrate to
+// the labelling they hold, entry for entry.
+func TestMigrateByteDistances(t *testing.T) {
+	fig, path := goldenIndex(t), path600(t)
+	for _, c := range []struct {
+		name     string
+		raw      []byte
+		snapshot bool
+		want     *core.Index
+	}{
+		{"tiny.hl2", fixture(t, "tiny.hl2"), false, fig},
+		{"tiny.snap2", fixture(t, "tiny.snap2"), true, fig},
+		{"path600 index", byteDistBytes(t, path), false, path},
+		{"path600 snapshot", byteDistSnapshot(t, path), true, path},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var ix *core.Index
+			var err error
+			if c.snapshot {
+				if got := SnapshotLayout(bufio.NewReader(bytes.NewReader(c.raw))); got != "snapshot, byte distances" {
+					t.Fatalf("SnapshotLayout = %q", got)
+				}
+				if _, _, err := serve.DecodeSnapshot(bytes.NewReader(c.raw)); !oneLine(err, "hlbuild migrate") {
+					t.Fatalf("serve.DecodeSnapshot: %v, want one line naming hlbuild migrate", err)
+				}
+				var g *graph.Graph
+				if g, ix, err = ReadSnapshot(bytes.NewReader(c.raw)); err == nil && g.Fingerprint() != c.want.Graph().Fingerprint() {
+					t.Fatal("the snapshot's graph differs from the one it was written from")
+				}
+			} else {
+				if got := IndexLayout(bufio.NewReader(bytes.NewReader(c.raw))); got != "format v2, byte distances" {
+					t.Fatalf("IndexLayout = %q", got)
+				}
+				if _, err := core.Read(bytes.NewReader(c.raw), c.want.Graph()); !oneLine(err, "hlbuild migrate") {
+					t.Fatalf("core.Read: %v, want one line naming hlbuild migrate", err)
+				}
+				ix, err = ReadIndex(bytes.NewReader(c.raw), c.want.Graph())
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(indexBytes(t, ix), indexBytes(t, c.want)) {
+				t.Fatal("migrated, it differs from a fresh build's file")
+			}
+			byteLabelsEqual(t, c.raw, ix)
+		})
+	}
+}
+
+// byteLabelsEqual decodes the labels of raw, a file with one distance byte
+// an entry, by hand and holds ix's labels to them entry for entry.
+func byteLabelsEqual(t *testing.T, raw []byte, ix *core.Index) {
+	t.Helper()
+	_, read, err := container.ReadContainer(bytes.NewReader(raw), false, func(container.Header) (map[uint32]uint64, error) {
+		return map[uint32]uint64{sectLabelBase: 1 << 20, sectLabelRel: 1 << 20, sectLabelRank: 1 << 20, sectByteDist: 1 << 20, sectOverflow: 1 << 20}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	escaped := map[[2]uint32]int32{}
+	for rec := range slices.Chunk(read[sectOverflow].Payload, 9) {
+		escaped[[2]uint32{binary.LittleEndian.Uint32(rec), uint32(rec[4])}] = int32(binary.LittleEndian.Uint32(rec[5:]))
+	}
+	base, rel := read[sectLabelBase].Payload, read[sectLabelRel].Payload
+	at := func(v int) int {
+		return int(binary.LittleEndian.Uint64(base[v/256*8:])) + int(binary.LittleEndian.Uint16(rel[v*2:]))
+	}
+	entries := 0
+	for v := range ix.Graph().NumVertices() {
+		ranks, dists := ix.Label(int32(v))
+		lo, hi := at(v), at(v+1)
+		if hi-lo != len(ranks) {
+			t.Fatalf("vertex %d: %d entries, the file has %d", v, len(ranks), hi-lo)
+		}
+		for i := range ranks {
+			r, d := read[sectLabelRank].Payload[lo+i], int32(read[sectByteDist].Payload[lo+i])
+			if d == 255 {
+				d = escaped[[2]uint32{uint32(v), uint32(r)}]
+			}
+			if int32(r) != ranks[i] || d != dists[i] {
+				t.Fatalf("vertex %d entry %d: (%d, %d), the file has (%d, %d)", v, i, ranks[i], dists[i], r, d)
+			}
+			entries++
+		}
+	}
+	if entries == 0 || int64(entries) != ix.NumEntries() {
+		t.Fatalf("%d entries compared, the index has %d", entries, ix.NumEntries())
 	}
 }
 
@@ -294,7 +428,7 @@ func TestV1OverflowRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h, _ := ix.Sections(); h.Aux2 != 44 || !bytes.Equal(indexBytes(t, ix), indexBytes(t, fx.want)) {
+	if h, _ := ByteSections(ix); h.Aux2 != 44 || !bytes.Equal(indexBytes(t, ix), indexBytes(t, fx.want)) {
 		t.Fatalf("%d overflow records, want 44, or a different index", h.Aux2)
 	}
 	if d := ix.Distance(5, 295); d != 290 {
@@ -311,7 +445,7 @@ func TestReadIndexRefusesAnotherGraph(t *testing.T) {
 		t.Fatalf("premise: %v and %v", built, other)
 	}
 	ix := build(t, built, built.DegreeOrder()[:8])
-	for name, raw := range map[string][]byte{"no section 11": withoutSection11(t, ix), "section 3": legacyV2Bytes(t, ix)} {
+	for name, raw := range map[string][]byte{"byte distances": byteDistBytes(t, ix), "no section 11": withoutSection11(t, ix), "section 3": legacyV2Bytes(t, ix)} {
 		if _, err := ReadIndex(bytes.NewReader(raw), other); !oneLine(err, notThisIndex) {
 			t.Errorf("%s beside another graph: %v, want one line saying %q", name, err, notThisIndex)
 		}
@@ -329,6 +463,8 @@ func FuzzReadLegacyIndex(f *testing.F) {
 	}
 	old := legacyV2Bytes(f, path)
 	f.Add(fixture(f, "tiny_off64.hl2"))
+	f.Add(fixture(f, "tiny.hl2"))
+	f.Add(byteDistBytes(f, path))
 	f.Add(withoutSection11(f, path))
 	f.Add(old)
 	for _, c := range legacyOffsetCases() {

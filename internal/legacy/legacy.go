@@ -1,8 +1,9 @@
-// Package legacy reads the layouts no server reads any more: the three
-// index layouts before today's (see ReadIndex), and the HWGRAPH1 graph file
-// and HWLSNAP1 checkpoint snapshot that framed a graph before it became
-// container sections 9 and 10. `hlbuild migrate`, this package's one
-// importer, rewrites them.
+// Package legacy reads the layouts no server reads any more: the four
+// index layouts before today's (see ReadIndex), the snapshot whose labels
+// kept one distance byte an entry, and the HWGRAPH1 graph file and HWLSNAP1
+// checkpoint snapshot that framed a graph before it became container
+// sections 9 and 10. `hlbuild migrate`, this package's one importer,
+// rewrites them.
 package legacy
 
 import (
@@ -13,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 
 	"highway/internal/container"
@@ -52,64 +54,117 @@ func readArray(r io.Reader, size uint64) (container.Section, error) {
 	return container.Section{CRC: container.Checksum(0, payload), Payload: payload}, err
 }
 
-// ReadSnapshot decodes an HWLSNAP1 stream: the magic, an HWGRAPH1 graph,
-// then the index file of its labelling.
+// ReadSnapshot decodes a snapshot of a retired layout (see SnapshotLayout):
+// an HWLSNAP1 stream — the magic, an HWGRAPH1 graph, then the index file of
+// its labelling — or a container of the graph's sections 9 and 10 beside
+// labels of one distance byte an entry.
 func ReadSnapshot(r io.Reader) (*graph.Graph, *core.Index, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil || string(magic[:]) != SnapshotMagic {
-		return nil, nil, fmt.Errorf("legacy: not a %s snapshot (magic %q, %v)", SnapshotMagic, magic[:], err)
+	br := bufio.NewReader(r)
+	if magic, _ := br.Peek(len(SnapshotMagic)); string(magic) != SnapshotMagic {
+		h, sec, err := container.ReadContainer(br, false, func(h container.Header) (map[uint32]uint64, error) {
+			want, err := bounds(h, h.N)
+			if err == nil {
+				maps.Copy(want, graph.Bounds(h.N))
+			}
+			return want, err
+		})
+		if err != nil {
+			return nil, nil, fmt.Errorf("legacy: snapshot: %w", err)
+		}
+		if _, ok := sec[sectByteDist]; !ok {
+			return nil, nil, fmt.Errorf("legacy: snapshot has no section %d: not a retired layout", sectByteDist)
+		}
+		g, err := graph.FromSections(h.N, sec)
+		if err != nil {
+			return nil, nil, err
+		}
+		ix, err := rebuild(h, sec, g)
+		return g, ix, err
 	}
-	g, err := ReadGraph(r)
+	br.Discard(len(SnapshotMagic)) // cannot fail: the bytes were peeked
+	g, err := ReadGraph(br)
 	if err != nil {
 		return nil, nil, err
 	}
-	ix, err := ReadIndex(r, g)
+	ix, err := ReadIndex(br, g)
 	return g, ix, err
 }
 
 // The index sections this package names: section 3 held the n+1 label
-// offsets as uint64 before sections 7 and 8, and section 11, the graph's
-// fingerprint, is what today's index file has and no older one.
+// offsets as uint64 before sections 7 and 8, section 5 one distance byte an
+// entry before section 12, and section 11, the graph's fingerprint, is
+// what an index file has from the last layout with section 5 on.
 const (
 	sectLabelOff  uint32 = 3
+	sectLabelRank uint32 = 4
+	sectByteDist  uint32 = 5
 	sectOverflow  uint32 = 6
 	sectLabelBase uint32 = 7
 	sectLabelRel  uint32 = 8
 	sectGraph     uint32 = 11
+	sectLabelDist uint32 = 12
 )
+
+// peekTable returns the first bytes of br and, when they are a container's,
+// whether its table lists a section of each id asked.
+func peekTable(br *bufio.Reader) (head []byte, has func(id uint32) bool) {
+	head, _ = br.Peek(8 + 44 + 64*16) // the longest magic, header and table
+	_, rows, err := container.ReadTable(bytes.NewReader(head))
+	return head, func(id uint32) bool {
+		return err == nil && slices.ContainsFunc(rows, func(r container.Row) bool { return r.ID == id })
+	}
+}
 
 // IndexLayout names the retired index layout br begins with, peeking at its
 // magic and section table, or returns "" for anything else: today's index
-// file, or bytes that are no index file at all, which core.Read refuses.
+// file, a snapshot (see SnapshotLayout), or bytes that are no index file at
+// all, which core.Read refuses.
 func IndexLayout(br *bufio.Reader) string {
-	head, _ := br.Peek(8 + 44 + 64*16) // the longest magic, header and table
-	_, rows, err := container.ReadTable(bytes.NewReader(head))
-	has := func(id uint32) bool {
-		return slices.ContainsFunc(rows, func(r container.Row) bool { return r.ID == id })
-	}
+	head, has := peekTable(br)
 	switch {
 	case bytes.HasPrefix(head, []byte(IndexMagicV1)):
 		return "format v1"
-	case err != nil || has(sectGraph):
+	case !has(sectLabelRank) || has(graph.SectOffsets):
 		return ""
 	case has(sectLabelOff):
 		return "format v2, 64-bit offsets"
+	case !has(sectGraph):
+		return "format v2, no section 11"
+	case has(sectByteDist):
+		return "format v2, byte distances"
 	}
-	return "format v2, no section 11"
+	return ""
+}
+
+// SnapshotLayout names the retired snapshot layout br begins with — an
+// HWLSNAP1 stream, or a container of the graph's sections beside labels of
+// one distance byte an entry — or returns "".
+func SnapshotLayout(br *bufio.Reader) string {
+	head, has := peekTable(br)
+	switch {
+	case bytes.HasPrefix(head, []byte(SnapshotMagic)):
+		return SnapshotMagic
+	case has(graph.SectOffsets) && has(sectByteDist):
+		return "snapshot, byte distances"
+	}
+	return ""
 }
 
 // ReadIndex reads an index file of a retired layout beside g, the graph it
 // was built on, and returns the index a fresh build of its landmarks on g
-// gives. Each layout holds today's sections 1, 2 and 4–6 in another frame:
-// v1 "HWLIDX01" (the magic, n u64 and k u32, then sections 1, 2, 3 —
-// labelOff [n+1]uint64 —, 4 and 5 bare, the overflow count u32 and section
-// 6, with no checksums); an HWLIDX02 container with the offsets in section
-// 3; and one with today's sections 7 and 8 but no section 11, held to its
-// graph by n alone. The file is accepted only if each of its sections holds
-// what the fresh build's does (the overflow records in any order). By Lemma
-// 3.11 the labelling of a graph and its landmarks is unique, so this
-// accepts exactly g's valid files and refuses a damaged one or one built on
-// another graph of the same n, at the cost of one build.
+// gives. Each layout holds today's sections 1, 2, 4 and 6, and one
+// distance byte an entry (0xFF and a record for d ≥ 255) in section 5
+// where section 12 is now, in another frame: v1 "HWLIDX01" (the magic, n
+// u64 and k u32, then sections 1, 2, 3 — labelOff [n+1]uint64 —, 4 and 5
+// bare, the overflow count u32 and section 6, with no checksums); an
+// HWLIDX02 container with the offsets in section 3; one with today's
+// sections 7 and 8 but no section 11, held to its graph by n alone; and
+// one with section 11. The file is accepted only if each of its sections
+// holds what the fresh build's does in that layout (the overflow records
+// in any order). By Lemma 3.11 the labelling of a graph and its landmarks
+// is unique, so this accepts exactly g's valid files and refuses a damaged
+// one or one built on another graph of the same n, at the cost of one
+// build.
 func ReadIndex(r io.Reader, g *graph.Graph) (*core.Index, error) {
 	br, n := bufio.NewReader(r), uint64(g.NumVertices())
 	var h container.Header
@@ -126,8 +181,8 @@ func ReadIndex(r io.Reader, g *graph.Graph) (*core.Index, error) {
 	return rebuild(h, sec, g)
 }
 
-// bounds is core.Bounds under h, with section 3's length, beside a graph of
-// n vertices.
+// bounds is core.Bounds under h, with the lengths of sections 3 and 5,
+// beside a graph of n vertices.
 func bounds(h container.Header, n uint64) (map[uint32]uint64, error) {
 	if h.N != n {
 		return nil, fmt.Errorf("legacy: index built for n=%d, graph has n=%d", h.N, n)
@@ -135,6 +190,7 @@ func bounds(h container.Header, n uint64) (map[uint32]uint64, error) {
 	want, err := core.Bounds(h)
 	if err == nil {
 		want[sectLabelOff] = (n + 1) * 8
+		want[sectByteDist] = h.Aux1
 	}
 	return want, err
 }
@@ -149,9 +205,9 @@ func readV1(r io.Reader, n uint64) (container.Header, map[uint32]container.Secti
 	}
 	h := container.Header{N: binary.LittleEndian.Uint64(head[8:]), K: binary.LittleEndian.Uint32(head[16:])}
 	sec := map[uint32]container.Section{}
-	for _, id := range []uint32{1, 2, sectLabelOff, 4, 5, sectOverflow} {
+	for _, id := range []uint32{1, 2, sectLabelOff, sectLabelRank, sectByteDist, sectOverflow} {
 		switch id {
-		case 4:
+		case sectLabelRank:
 			h.Aux1 = binary.LittleEndian.Uint64(sec[sectLabelOff].Payload[n*8:])
 		case sectOverflow:
 			var count [4]byte
@@ -185,7 +241,7 @@ func rebuild(old container.Header, sec map[uint32]container.Section, g *graph.Gr
 	if err != nil {
 		return nil, err
 	}
-	h, sections := fresh.Sections()
+	h, sections := ByteSections(fresh)
 	if h != old {
 		return nil, fmt.Errorf("legacy: header %+v is not a fresh build's %+v: %s", old, h, notThisIndex)
 	}
@@ -198,6 +254,9 @@ func rebuild(old container.Header, sec map[uint32]container.Section, g *graph.Gr
 		}
 		sections = slices.DeleteFunc(sections, func(s container.Section) bool { return s.ID == sectLabelBase || s.ID == sectLabelRel })
 		sections = append(sections, container.Section{ID: sectLabelOff, Payload: off})
+	}
+	if _, ok := sec[sectGraph]; ok {
+		sections = append(sections, container.Section{ID: sectGraph, Payload: binary.LittleEndian.AppendUint32(nil, g.Fingerprint())})
 	}
 	for _, want := range sections {
 		got, ok := sec[want.ID]
@@ -213,6 +272,36 @@ func rebuild(old container.Header, sec map[uint32]container.Section, g *graph.Gr
 		}
 	}
 	return fresh, nil
+}
+
+// ByteSections returns the header and sections 1, 2, 4–8 of ix as the last
+// writer of section 5 laid them out: one distance byte an entry in section
+// 5, and 0xFF there and a record in section 6 for each distance ≥ 255.
+// ReadIndex holds a file to them, and tests frame retired files with them.
+func ByteSections(ix *core.Index) (container.Header, []container.Section) {
+	h, sections := ix.Sections()
+	dist := make([]byte, 0, h.Aux1)
+	var over []byte
+	for v := range int32(h.N) {
+		ranks, dists := ix.Label(v)
+		for i, d := range dists {
+			dist = append(dist, byte(min(d, 255)))
+			if d >= 255 {
+				over = binary.LittleEndian.AppendUint32(over, uint32(v))
+				over = binary.LittleEndian.AppendUint32(append(over, byte(ranks[i])), uint32(d))
+			}
+		}
+	}
+	h.Aux2 = uint64(len(over) / 9)
+	for i, s := range sections {
+		switch s.ID {
+		case sectLabelDist:
+			sections[i] = container.Section{ID: sectByteDist, Payload: dist}
+		case sectOverflow:
+			sections[i].Payload = over
+		}
+	}
+	return h, sections
 }
 
 // notThisIndex ends the error of a file that is not the labelling of its

@@ -235,31 +235,34 @@ func TestLoadLiveUnreadableSnapshot(t *testing.T) {
 	}
 }
 
-// TestLoadLiveLegacySnapshot: a checkpoint of the layout from before the
-// graph became container sections is refused with one line naming
-// `hlbuild migrate`, and the restart serves nothing — neither that
-// checkpoint nor the base files beside it.
+// TestLoadLiveLegacySnapshot: a checkpoint of a retired layout — from
+// before the graph became container sections, or with one distance byte a
+// label entry — is refused with one line naming `hlbuild migrate`, and the
+// restart serves nothing — neither that checkpoint nor the base files
+// beside it.
 func TestLoadLiveLegacySnapshot(t *testing.T) {
-	g, _, ix := liveBase(t, 300, 6)
-	graphPath, indexPath, walPath := saveBase(t, g, ix)
-	wal, err := OpenWAL(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapPath := wal.SnapshotPath()
-	if err := wal.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(snapPath, legacySnapshot(t), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := LoadLive(graphPath, indexPath, walPath, LiveConfig{})
-	if err == nil {
-		srv.Close()
-		t.Fatal("LoadLive served over a legacy checkpoint")
-	}
-	if srv != nil || !strings.Contains(err.Error(), "hlbuild migrate") || strings.Contains(err.Error(), "\n") {
-		t.Fatalf("legacy checkpoint: server %v, err = %v; want none and one line naming hlbuild migrate", srv, err)
+	for _, name := range []string{"tiny.snap1", "tiny.snap2"} {
+		g, _, ix := liveBase(t, 300, 6)
+		graphPath, indexPath, walPath := saveBase(t, g, ix)
+		wal, err := OpenWAL(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snapPath := wal.SnapshotPath()
+		if err := wal.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(snapPath, legacySnapshot(t, name), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := LoadLive(graphPath, indexPath, walPath, LiveConfig{})
+		if err == nil {
+			srv.Close()
+			t.Fatalf("LoadLive served over %s", name)
+		}
+		if srv != nil || !strings.Contains(err.Error(), "hlbuild migrate") || strings.Contains(err.Error(), "\n") {
+			t.Fatalf("%s: server %v, err = %v; want none and one line naming hlbuild migrate", name, srv, err)
+		}
 	}
 }
 

@@ -131,7 +131,7 @@ func (s *Server) FrozenState() (*graph.Graph, *core.Index, uint64, error) {
 }
 
 // EncodeSnapshot writes the graph+index snapshot to w — one container of
-// the graph's sections 9 and 10 and the labelling's 1–8 — as a checkpoint
+// the graph's sections 9 and 10 and the labelling's — as a checkpoint
 // persists it next to the WAL and a TReplSnapshot transfer carries it.
 func EncodeSnapshot(w io.Writer, g *graph.Graph, ix *core.Index) error {
 	h, sections := snapshotSections(g, ix)

@@ -72,12 +72,13 @@ func TestReplacedSnapshotsAreCollectable(t *testing.T) {
 // holds more than a graph, and still grows every section as it arrives.
 func readBinaryBudget(size int) uint64 { return 4<<20 + 8*uint64(size) }
 
-// legacySnapshot is the committed checkpoint of the layout a snapshot had
-// before the graph became container sections: the paper's Figure 2 and its
-// labelling, as the last commit to write that layout wrote them.
-func legacySnapshot(tb testing.TB) []byte {
+// legacySnapshot is a committed checkpoint of a retired layout: the paper's
+// Figure 2 and its labelling, as the last commit to write that layout wrote
+// them — tiny.snap1 before the graph became container sections, tiny.snap2
+// before the distances became codes of the bits they need.
+func legacySnapshot(tb testing.TB, name string) []byte {
 	tb.Helper()
-	raw, err := os.ReadFile(filepath.Join("..", "core", "testdata", "tiny.snap1"))
+	raw, err := os.ReadFile(filepath.Join("..", "core", "testdata", name))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -143,8 +144,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(noLandmarks.Bytes())
-	legacy := legacySnapshot(f)
+	legacy := legacySnapshot(f, "tiny.snap1")
 	f.Add(legacy)
+	f.Add(legacySnapshot(f, "tiny.snap2"))
 
 	ids := func(file []byte) string {
 		_, rows, _ := container.ReadTable(bytes.NewReader(file))
