@@ -15,8 +15,8 @@ import (
 // transparently across server restarts.
 type Client = hlclient.Client
 
-// ClientConfig tunes a Client (pool size, dial timeout, retry policy,
-// circuit breaker); the zero value is ready for use.
+// ClientConfig tunes a Client (pool size, retry budget, circuit breaker
+// threshold); the zero value is ready for use.
 type ClientConfig = hlclient.Config
 
 // ErrClientClosed is returned by every Client call after Close.

@@ -41,7 +41,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"highway"
 	"highway/internal/cluster"
@@ -251,7 +250,6 @@ func runRoute(args []string, _ io.Reader, stdout, _ io.Writer) error {
 	primary := fs.String("primary", "", "primary's binary address for forwarded writes (empty = read-only cluster)")
 	followers := fs.String("followers", "", "comma-separated follower binary addresses; every one is a full replica and a read goes to exactly one of them")
 	maxBatch := fs.Int("maxbatch", 0, "max pairs per batch request (0 = default)")
-	healthMs := fs.Int("health-interval", 0, "member health-check interval in milliseconds (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -259,12 +257,7 @@ func runRoute(args []string, _ io.Reader, stdout, _ io.Writer) error {
 		return fmt.Errorf("route needs -followers")
 	}
 	members := strings.Split(*followers, ",")
-	rt, err := cluster.NewRouter(cluster.RouterConfig{
-		Primary:        *primary,
-		Shards:         [][]string{members},
-		MaxBatch:       *maxBatch,
-		HealthInterval: time.Duration(*healthMs) * time.Millisecond,
-	})
+	rt, err := cluster.NewRouter(cluster.RouterConfig{Primary: *primary, Shards: [][]string{members}, MaxBatch: *maxBatch})
 	if err != nil {
 		return err
 	}

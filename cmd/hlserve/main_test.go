@@ -224,6 +224,15 @@ func TestRouteShardsFlagGone(t *testing.T) {
 	}
 }
 
+// TestRouteHealthIntervalFlagGone: the router's health cadence is a
+// constant (500 ms), so the flag that set it is gone.
+func TestRouteHealthIntervalFlagGone(t *testing.T) {
+	err := run([]string{"route", "-followers", "a:9001", "-health-interval", "10"}, nil, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -health-interval") {
+		t.Fatalf("-health-interval: %v, want flag provided but not defined", err)
+	}
+}
+
 // writeRetiredIndex saves a graph and, beside it at the default index
 // path, an index file as a baseline method wrote it before those formats
 // were retired: a container whose first section is the method tag. It

@@ -32,7 +32,7 @@ type followerNode struct {
 // (the restart path).
 func startFollower(t *testing.T, addr string) *followerNode {
 	t.Helper()
-	f, err := NewFollower(serve.Config{ShutdownGrace: time.Second})
+	f, err := NewFollower(serve.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,6 @@ func startPrimary(t *testing.T, ix *core.Index, walPath string, followers []stri
 	shortRetry(t)
 	sh := NewShipper(ShipperConfig{Followers: followers})
 	srv, err := serve.LoadLive(graphPath, indexPath, walPath, serve.LiveConfig{
-		Config:           serve.Config{ShutdownGrace: time.Second},
 		RebuildThreshold: checkpointEvery,
 		EpochBase:        EpochBase(gen),
 		OnCommit:         sh.OnCommit,
@@ -378,7 +377,6 @@ func TestDeposedPrimary(t *testing.T) {
 		shortRetry(t)
 		sh := NewShipper(ShipperConfig{Followers: []string{fn.addr}})
 		srv, err := serve.NewLive(ix0, serve.LiveConfig{
-			Config:    serve.Config{ShutdownGrace: time.Second},
 			WAL:       wal,
 			EpochBase: EpochBase(gen2),
 			OnCommit:  sh.OnCommit,

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
-	"time"
 
 	"highway/internal/core"
 	"highway/internal/gen"
@@ -39,7 +38,7 @@ func TestFollowerReleasesSnapshotTransfer(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return int64(m.HeapAlloc)
 	}
-	f, err := NewFollower(serve.Config{ShutdownGrace: time.Second})
+	f, err := NewFollower(serve.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +76,7 @@ func TestFollowerCopiesOneChunkSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFollower(serve.Config{ShutdownGrace: time.Second})
+	f, err := NewFollower(serve.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

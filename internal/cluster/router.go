@@ -23,22 +23,21 @@ type RouterConfig struct {
 	// every member is a full replica. (The name and shape are kept for
 	// callers that compile against them; a read goes to one member.)
 	Shards [][]string
-	// HealthInterval paces the member health loop
-	// (DefaultHealthInterval when 0).
-	HealthInterval time.Duration
 	// MaxBatch caps routed batches, mirroring serve.Config.MaxBatch
 	// (serve.DefaultMaxBatch when 0).
 	MaxBatch int
-	// ShutdownGrace bounds listener drain on shutdown
-	// (serve.DefaultShutdownGrace when 0).
-	ShutdownGrace time.Duration
-	// Client configures the pooled client dialed to every member.
-	Client hlclient.Config
 }
 
-// DefaultHealthInterval is the member health-check cadence when
-// RouterConfig.HealthInterval is zero.
-const DefaultHealthInterval = 500 * time.Millisecond
+// healthInterval paces the member health loop; a probe may take four of
+// them. A variable so the package's tests can change it; a router reads
+// it once, in NewRouter.
+var healthInterval = 500 * time.Millisecond
+
+// memberClient is the client every member is dialed with: no retries
+// and no breaker, because the router owns failure handling for the hop
+// (the health loop, and read's ejection and failover). A member's
+// Overloaded is relayed at once; the edge client retries it.
+var memberClient = hlclient.Config{MaxRetries: -1, BreakerThreshold: -1}
 
 // member is one routed endpoint: a lazily-dialed pooled client plus
 // the health bit and in-flight gauge the read balancer keys on.
@@ -70,10 +69,10 @@ func (m *member) client() *hlclient.Client {
 type Router struct {
 	*serve.Frontend
 
-	cfg     RouterConfig
-	members []*member // the read replicas
-	primary *member   // nil when unconfigured
-	probed  []*member // members plus the primary: what the health loop dials and Close closes
+	health  time.Duration // healthInterval when the router was made
+	members []*member     // the read replicas
+	primary *member       // nil when unconfigured
+	probed  []*member     // members plus the primary: what the health loop dials and Close closes
 	started time.Time
 
 	fanout atomic.Int64 // member calls issued for reads: reads + failovers
@@ -94,17 +93,11 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("cluster: router needs at least one read member")
 	}
-	if cfg.HealthInterval <= 0 {
-		cfg.HealthInterval = DefaultHealthInterval
-	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = serve.DefaultMaxBatch
 	}
-	if cfg.ShutdownGrace <= 0 {
-		cfg.ShutdownGrace = serve.DefaultShutdownGrace
-	}
-	rt := &Router{cfg: cfg, started: time.Now()}
-	rt.Frontend = serve.NewFrontend(rt, cfg.MaxBatch, cfg.ShutdownGrace)
+	rt := &Router{health: healthInterval, started: time.Now()}
+	rt.Frontend = serve.NewFrontend(rt, cfg.MaxBatch)
 	rt.ctx, rt.cancel = context.WithCancel(context.Background())
 	for _, a := range addrs {
 		rt.members = append(rt.members, &member{addr: a})
@@ -139,11 +132,11 @@ func (rt *Router) probe() {
 		wg.Add(1)
 		go func(m *member) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(rt.ctx, rt.cfg.HealthInterval*4)
+			ctx, cancel := context.WithTimeout(rt.ctx, rt.health*4)
 			defer cancel()
 			cl := m.cl.Load()
 			if cl == nil {
-				fresh, err := hlclient.Dial(ctx, m.addr, rt.cfg.Client)
+				fresh, err := hlclient.Dial(ctx, m.addr, memberClient)
 				if err != nil {
 					m.up.Store(false)
 					return
@@ -159,11 +152,11 @@ func (rt *Router) probe() {
 }
 
 // healthLoop probes at start (the initial dial pass) and then every
-// HealthInterval until Close.
+// health interval until Close.
 func (rt *Router) healthLoop() {
 	defer rt.wg.Done()
 	rt.probe()
-	t := time.NewTicker(rt.cfg.HealthInterval)
+	t := time.NewTicker(rt.health)
 	defer t.Stop()
 	for {
 		select {
@@ -196,11 +189,12 @@ func pick(members []*member) (*member, *hlclient.Client) {
 }
 
 // read runs fn against the least-inflight healthy member on the
-// caller's goroutine. A transport-ish error (ErrCircuitOpen, connection
-// failures) ejects that member until the next health probe and fails
-// over to the next healthy one — at most one attempt per configured
-// member; a remote error is the member's deterministic answer and
-// surfaces as-is.
+// caller's goroutine. Members are dialed without retries or breaker, so
+// fn is one attempt: an error that is not a *wire.RemoteError (a dial,
+// write or read failure) ejects that member until the next health probe
+// and fails over to the next healthy one — at most one attempt per
+// configured member. A remote error is the member's answer and surfaces
+// as-is.
 func (rt *Router) read(fn func(cl *hlclient.Client) error) error {
 	rt.reads.Add(1)
 	for range rt.members {

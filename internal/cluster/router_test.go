@@ -79,25 +79,35 @@ func testIndex(t *testing.T, n int) (*graph.Graph, *core.Index) {
 	return g, ix
 }
 
+// setHealthInterval sets the health cadence of the routers the test
+// builds, restoring it when the test ends.
+func setHealthInterval(t *testing.T, d time.Duration) {
+	old := healthInterval
+	healthInterval = d
+	t.Cleanup(func() { healthInterval = old })
+}
+
 // testRouter starts a router whose health loop never ticks after its
 // initial dial pass, so a test decides when members are probed
 // (rt.probe()) and the counters it reads are its own requests'.
 func testRouter(t *testing.T, primary string, shards ...[]string) *Router {
 	t.Helper()
-	rt, err := NewRouter(RouterConfig{
-		Primary:        primary,
-		Shards:         shards,
-		HealthInterval: time.Hour,
-		ShutdownGrace:  time.Second,
-		Client:         hlclient.Config{MaxRetries: -1, DialTimeout: time.Second},
-	})
+	setHealthInterval(t, time.Hour)
+	return startRouter(t, RouterConfig{Primary: primary, Shards: shards})
+}
+
+// startRouter builds a router from cfg and waits until it has dialed
+// every member it was given.
+func startRouter(t *testing.T, cfg RouterConfig) *Router {
+	t.Helper()
+	rt, err := NewRouter(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
 	waitUntil(t, "the router to dial all its members", func() bool {
 		st := rt.Stats()
-		return st.MemberUp == st.Members && (primary == "" || st.PrimaryUp)
+		return st.MemberUp == st.Members && (cfg.Primary == "" || st.PrimaryUp)
 	})
 	return rt
 }
@@ -107,7 +117,7 @@ func testRouter(t *testing.T, primary string, shards ...[]string) *Router {
 func twoMembers(t *testing.T) (g *graph.Graph, a, b *memberNode, rt *Router) {
 	t.Helper()
 	g, ix := testIndex(t, 300)
-	cfg := serve.Config{MaxBatch: memberMaxBatch, ShutdownGrace: time.Second}
+	cfg := serve.Config{MaxBatch: memberMaxBatch}
 	a = startMember(t, serve.New(ix, cfg), "")
 	b = startMember(t, serve.New(ix, cfg), "")
 	t.Cleanup(func() { a.kill(); b.kill() })
@@ -168,29 +178,51 @@ func TestRouterFailover(t *testing.T) {
 	}
 }
 
+// TestRouterShippedConfigFailsOver: the router is configured as
+// hlserve route configures it — members and nothing else — and the
+// first member's responses die twice: on the pooled connection and on
+// the fresh one the client re-sends on. The router dials members
+// without retries or breaker, so the read that meets the failure ejects
+// the member and answers from the other one in the same call; no client
+// retry schedule runs underneath it.
+func TestRouterShippedConfigFailsOver(t *testing.T) {
+	g, _, _, rt := twoMembers(t)
+	if err := failpoint.Set(serve.FPBinWrite, "2*error(response write died)"); err != nil {
+		t.Fatal(err)
+	}
+	defer failpoint.Clear(serve.FPBinWrite)
+
+	const s, u = 3, 250
+	d, err := rt.Distance(context.Background(), s, u) // an idle router picks the first member
+	st := rt.Stats()
+	if err != nil {
+		t.Fatalf("routed read: %v", err)
+	}
+	if err := oracle.Diff(g, oracle.Func(func(int32, int32) int32 { return d }), [][2]int32{{s, u}}); err != nil {
+		t.Fatalf("routed read against BFS: %v", err)
+	}
+	if hits := failpoint.Hits(serve.FPBinWrite); hits != 2 {
+		t.Fatalf("the failpoint fired %d times, want 2", hits)
+	}
+	if st.Reads != 1 || st.Fanout != st.Reads+1 || st.MemberUp != 1 || st.Errors != 0 {
+		t.Fatalf("want one read, one failover and the first member ejected: %+v", st)
+	}
+}
+
 // TestRouterConcurrentFailover is the same drill with the health loop
 // ticking and several readers in flight while the member dies and comes
 // back: no read may fail or answer wrongly, whichever of kill, probe and
 // read gets there first.
 func TestRouterConcurrentFailover(t *testing.T) {
 	g, ix := testIndex(t, 300)
-	cfg := serve.Config{ShutdownGrace: time.Second}
-	a := startMember(t, serve.New(ix, cfg), "")
-	b := startMember(t, serve.New(ix, cfg), "")
+	a := startMember(t, serve.New(ix, serve.Config{}), "")
+	b := startMember(t, serve.New(ix, serve.Config{}), "")
 	defer b.kill()
-	rt, err := NewRouter(RouterConfig{
-		Shards:         [][]string{{a.addr, b.addr}},
-		HealthInterval: 5 * time.Millisecond,
-		Client:         hlclient.Config{MaxRetries: -1, DialTimeout: time.Second},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	setHealthInterval(t, 5*time.Millisecond)
+	rt := startRouter(t, RouterConfig{Shards: [][]string{{a.addr, b.addr}}})
 	membersUp := func(want int) func() bool {
 		return func() bool { return rt.Stats().MemberUp == want }
 	}
-	waitUntil(t, "both members dialed", membersUp(2))
 
 	pairs := oracle.SampledPairs(g.NumVertices(), 64, 13)
 	sr := ix.NewSearcher()
@@ -276,7 +308,7 @@ func TestRouterUnavailable(t *testing.T) {
 
 	// Primary configured but down: the probe clears its up bit.
 	_, ix := testIndex(t, 60)
-	live, err := serve.NewLive(ix, serve.LiveConfig{Config: serve.Config{ShutdownGrace: time.Second}})
+	live, err := serve.NewLive(ix, serve.LiveConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

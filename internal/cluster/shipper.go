@@ -35,14 +35,13 @@ const (
 var retryInterval = 200 * time.Millisecond
 
 // followerClient is each follower's client configuration: a single pooled
-// connection (ordering), no retries and no breaker (the shipper has its
-// own resync state machine).
-var followerClient = hlclient.Config{
-	PoolSize:         1,
-	MaxRetries:       -1,
-	BreakerThreshold: -1,
-	AttemptTimeout:   30 * time.Second,
-}
+// connection (ordering), no retries and no breaker (the shipper's resync
+// loop is the only retry).
+var followerClient = hlclient.Config{PoolSize: 1, MaxRetries: -1, BreakerThreshold: -1}
+
+// shipTimeout bounds one replication call — a batch, or one snapshot
+// chunk — so a hung follower costs its link a resync, not its goroutine.
+const shipTimeout = 30 * time.Second
 
 // shipMsg is one committed write batch queued for a follower: the
 // epoch it became visible at, the ops in WAL pair encoding, and the
@@ -214,7 +213,9 @@ func (sh *Shipper) shipOne(l *followerLink, msg shipMsg) {
 		sh.acked.Add(1)
 		return
 	}
-	ep, err := l.cl.ReplAppend(sh.ctx, msg.epoch, msg.pairs)
+	ctx, cancel := context.WithTimeout(sh.ctx, shipTimeout)
+	ep, err := l.cl.ReplAppend(ctx, msg.epoch, msg.pairs)
+	cancel()
 	if err == nil {
 		l.epoch.Store(ep)
 		sh.acked.Add(1)
@@ -300,7 +301,9 @@ func (sh *Shipper) sendSnapshot(l *followerLink) bool {
 	for off := 0; ; off += chunkSize {
 		end := min(off+chunkSize, len(enc.data))
 		done := end == len(enc.data)
-		ep, err := l.cl.ReplSnapshot(sh.ctx, enc.epoch, done, enc.data[off:end])
+		ctx, cancel := context.WithTimeout(sh.ctx, shipTimeout)
+		ep, err := l.cl.ReplSnapshot(ctx, enc.epoch, done, enc.data[off:end])
+		cancel()
 		if err != nil {
 			var re *wire.RemoteError
 			if errors.As(err, &re) && re.Code == wire.CodeFenced {

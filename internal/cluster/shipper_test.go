@@ -46,7 +46,7 @@ func startPrimaryOf(t *testing.T, ix *core.Index, followers []string) *primaryNo
 	t.Helper()
 	shortRetry(t)
 	sh := NewShipper(ShipperConfig{Followers: followers})
-	srv, err := serve.NewLive(ix, serve.LiveConfig{Config: serve.Config{ShutdownGrace: time.Second}, OnCommit: sh.OnCommit})
+	srv, err := serve.NewLive(ix, serve.LiveConfig{OnCommit: sh.OnCommit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestShipperEncodesOncePerEpoch(t *testing.T) {
 	var addrs []string
 	var nodes []*followerNode
 	for i := 0; i < followers; i++ {
-		f, err := NewFollower(serve.Config{ShutdownGrace: time.Second})
+		f, err := NewFollower(serve.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

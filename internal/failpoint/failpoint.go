@@ -1,10 +1,10 @@
 // Package failpoint is the fault-injection substrate of the serving
-// tier: named points in production code where tests (or an operator
-// running a chaos drill) can inject failures — an error return, a
-// delay, a panic, or a bounded burst of errors — without touching the
-// code under test. The WAL, the snapshot writer and the binary listener
-// all evaluate failpoints on their failure-prone paths; see DESIGN.md
-// "Failure modes & degraded operation" for the site list.
+// tier: named points in production code where tests can inject
+// failures — an error return, a delay, or a bounded burst of errors —
+// without touching the code under test. The WAL, the snapshot writer
+// and the binary listener all evaluate failpoints on their
+// failure-prone paths; see DESIGN.md "Failure modes & degraded
+// operation" for the site list.
 //
 // The design constraint is that a disarmed failpoint must cost almost
 // nothing: production binaries run with every failpoint disarmed, and
@@ -15,23 +15,18 @@
 //
 // # Arming
 //
-// Tests arm failpoints with Set and clean up with Clear or Reset:
+// Failpoints are armed in-process only, by the tests that drive them
+// (the serve package's chaos harness among them), with Set, and
+// cleaned up with Clear or Reset:
 //
 //	failpoint.Set("wal.sync", "error(disk gone)")
 //	defer failpoint.Reset()
-//
-// Operators (and the chaos CI job) arm them at process start via the
-// HIGHWAY_FAILPOINTS environment variable, a semicolon-separated list
-// of name=spec entries:
-//
-//	HIGHWAY_FAILPOINTS='wal.sync=3*error(injected);serve.snapshot.write=delay(50ms)'
 //
 // # Spec grammar
 //
 //	spec    = [ count "*" ] action
 //	action  = "error" [ "(" message ")" ]
 //	        | "delay" "(" duration ")"
-//	        | "panic" [ "(" message ")" ]
 //	count   = positive integer: the failpoint fires on its first count
 //	          hits, then disarms itself (fail-N-times)
 //
@@ -44,7 +39,6 @@ package failpoint
 import (
 	"errors"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -56,16 +50,11 @@ import (
 // can tell injected faults from organic ones.
 var ErrInjected = errors.New("failpoint: injected error")
 
-// EnvVar is the environment variable scanned at init for failpoints to
-// arm at process start.
-const EnvVar = "HIGHWAY_FAILPOINTS"
-
 type action uint8
 
 const (
 	actError action = iota
 	actDelay
-	actPanic
 )
 
 // point is one armed failpoint.
@@ -88,17 +77,6 @@ var (
 	points = map[string]*point{}
 )
 
-func init() {
-	if env := os.Getenv(EnvVar); env != "" {
-		if err := SetFromEnv(env); err != nil {
-			// A malformed env spec must not be silently ignored (the
-			// chaos run would silently test nothing), nor can init
-			// return an error: fail loudly.
-			panic(fmt.Sprintf("failpoint: parsing %s: %v", EnvVar, err))
-		}
-	}
-}
-
 // Set arms the named failpoint with the given spec (see the package
 // doc for the grammar), replacing any previous arming.
 func Set(name, spec string) error {
@@ -113,25 +91,6 @@ func Set(name, spec string) error {
 	}
 	points[name] = p
 	armed.Add(1)
-	return nil
-}
-
-// SetFromEnv arms every failpoint in a semicolon-separated name=spec
-// list (the HIGHWAY_FAILPOINTS format).
-func SetFromEnv(list string) error {
-	for _, entry := range strings.Split(list, ";") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		name, spec, ok := strings.Cut(entry, "=")
-		if !ok {
-			return fmt.Errorf("entry %q is not name=spec", entry)
-		}
-		if err := Set(strings.TrimSpace(name), strings.TrimSpace(spec)); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -187,7 +146,7 @@ func Enabled(name string) bool {
 
 // Eval evaluates the named failpoint: nil when disarmed (the common
 // case, one atomic load), otherwise the injected behavior — an error
-// wrapping ErrInjected, a delay then nil, or a panic. A fail-N-times
+// wrapping ErrInjected, or a delay then nil. A fail-N-times
 // point disarms itself after its Nth hit.
 func Eval(name string) error {
 	if armed.Load() == 0 {
@@ -210,15 +169,11 @@ func Eval(name string) error {
 	act, msg, delay := p.act, p.msg, p.delay
 	mu.Unlock()
 
-	switch act {
-	case actDelay:
+	if act == actDelay {
 		time.Sleep(delay)
 		return nil
-	case actPanic:
-		panic(fmt.Sprintf("failpoint %q: %s", name, msg))
-	default:
-		return fmt.Errorf("%w: %s: %s", ErrInjected, name, msg)
 	}
+	return fmt.Errorf("%w: %s: %s", ErrInjected, name, msg)
 }
 
 // parse compiles a spec string into a point.
@@ -254,14 +209,8 @@ func parse(spec string) (*point, error) {
 			return nil, fmt.Errorf("bad delay in spec %q", spec)
 		}
 		p.delay = d
-	case "panic":
-		p.act = actPanic
-		p.msg = arg
-		if p.msg == "" {
-			p.msg = "injected panic"
-		}
 	default:
-		return nil, fmt.Errorf("unknown action %q (want error, delay or panic)", name)
+		return nil, fmt.Errorf("unknown action %q (want error or delay)", name)
 	}
 	return p, nil
 }

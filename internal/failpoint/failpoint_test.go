@@ -82,41 +82,11 @@ func TestDelay(t *testing.T) {
 	}
 }
 
-func TestPanic(t *testing.T) {
-	defer Reset()
-	if err := Set("p", "panic(boom)"); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		r := recover()
-		if r == nil || !strings.Contains(r.(string), "boom") {
-			t.Fatalf("recover = %v, want injected panic", r)
-		}
-	}()
-	Eval("p")
-	t.Fatal("unreachable: panic failpoint did not panic")
-}
-
-func TestSetFromEnv(t *testing.T) {
-	defer Reset()
-	if err := SetFromEnv("x=error(one); y=3*delay(1ms) ;; z=panic"); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"x", "y", "z"} {
-		if !Enabled(name) {
-			t.Fatalf("%s not armed from env list", name)
-		}
-	}
-	if err := SetFromEnv("no-equals-sign"); err == nil {
-		t.Fatal("want error on malformed env entry")
-	}
-}
-
 func TestParseErrors(t *testing.T) {
 	defer Reset()
 	for _, spec := range []string{
 		"", "bogus", "error(unclosed", "0*error", "-1*error", "x*error",
-		"delay", "delay(nope)", "delay(-1s)",
+		"delay", "delay(nope)", "delay(-1s)", "panic", "panic(boom)",
 	} {
 		if err := Set("bad", spec); err == nil {
 			t.Errorf("spec %q: want parse error", spec)

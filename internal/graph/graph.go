@@ -44,15 +44,6 @@ func (g *Graph) NumEdges() int64 {
 	return int64(len(g.targets)) / 2
 }
 
-// CheckVertex returns an error if v is not a valid vertex id. The shared
-// validation for every user-facing query surface (CLI, HTTP).
-func (g *Graph) CheckVertex(v int32) error {
-	if v < 0 || int(v) >= g.NumVertices() {
-		return fmt.Errorf("vertex %d out of range [0,%d)", v, g.NumVertices())
-	}
-	return nil
-}
-
 // Degree returns the number of neighbors of v.
 func (g *Graph) Degree(v int32) int {
 	return int(g.offsets[v+1] - g.offsets[v])

@@ -16,14 +16,14 @@
 // and deletes of absent edges are accepted as no-ops; see
 // internal/serve's WAL replay contract).
 //
-// On top of that sits the resilience layer (Config knobs; see
-// resilience.go): requests the server shed with wire.CodeOverloaded,
-// and transport-level failures, are retried up to MaxRetries times
-// with jittered exponential backoff; a circuit breaker trips after
+// On top of that sits the resilience layer (see resilience.go):
+// requests the server shed with wire.CodeOverloaded, and
+// transport-level failures, are retried up to MaxRetries times with
+// jittered exponential backoff; and a circuit breaker trips after
 // BreakerThreshold consecutive transport failures so a down server
-// costs callers ErrCircuitOpen, not a dial timeout each; and
-// AttemptTimeout gives every attempt its own slice of the caller's
-// deadline so one hung connection cannot eat all of it.
+// costs callers ErrCircuitOpen, not a dial timeout each. A caller that
+// owns failure handling itself (the cluster router and shipper) turns
+// both off with negative values.
 //
 // Deadlines come from the caller's context: a context deadline is
 // applied to the dial, the write and the read of each call.
@@ -49,51 +49,33 @@ type Config struct {
 	// extra connections, which are closed instead of pooled when they
 	// come back to a full pool.
 	PoolSize int
-	// DialTimeout bounds connection establishment plus the protocol
-	// handshake when the caller's context carries no deadline
-	// (DefaultDialTimeout when 0).
-	DialTimeout time.Duration
 
 	// MaxRetries bounds how many times a failed request is re-sent
 	// beyond its first attempt, with jittered exponential backoff in
-	// between (DefaultMaxRetries when 0; negative disables retries).
-	// Retried failures are server sheds (wire Overloaded) and
-	// transport-level errors; every request type is idempotent, so a
-	// retry after a lost acknowledgement never duplicates state. The
-	// immediate re-send after a stale pooled connection does not count
-	// against this budget.
+	// between (10 ms doubling to at most 1 s; DefaultMaxRetries when 0;
+	// negative disables retries). Retried failures are server sheds
+	// (wire Overloaded) and transport-level errors; every request type
+	// is idempotent, so a retry after a lost acknowledgement never
+	// duplicates state. The immediate re-send after a stale pooled
+	// connection does not count against this budget.
 	MaxRetries int
-	// RetryBaseDelay and RetryMaxDelay shape the backoff: attempt k
-	// waits roughly RetryBaseDelay·2^k (equal-jittered), capped at
-	// RetryMaxDelay (DefaultRetryBaseDelay/DefaultRetryMaxDelay when
-	// 0).
-	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
-	// AttemptTimeout bounds each attempt — dial plus round trip —
-	// separately from the caller's context, so one hung attempt spends
-	// only its slice of the caller's deadline before the next tries a
-	// fresh connection (0 = no per-attempt bound; the caller's context
-	// still applies).
-	AttemptTimeout time.Duration
 
 	// BreakerThreshold opens the circuit breaker after that many
 	// consecutive transport-level failures: further calls fail fast
 	// with ErrCircuitOpen instead of dialing a server known to be down
 	// (DefaultBreakerThreshold when 0; negative disables the breaker).
-	// After BreakerCooldown (DefaultBreakerCooldown when 0) one probe
-	// request is let through; success closes the breaker, failure
-	// re-opens it.
+	// After a 1 s cooldown one probe request is let through; success
+	// closes the breaker, failure re-opens it.
 	BreakerThreshold int
-	BreakerCooldown  time.Duration
 }
 
 // DefaultPoolSize is the idle-connection cap used when Config.PoolSize
 // is zero.
 const DefaultPoolSize = 8
 
-// DefaultDialTimeout bounds dial+handshake when Config.DialTimeout is
-// zero and the context has no deadline.
-const DefaultDialTimeout = 10 * time.Second
+// dialTimeout bounds dial+handshake when the caller's context has no
+// deadline.
+const dialTimeout = 10 * time.Second
 
 // ErrClientClosed is returned by every call after Close.
 var ErrClientClosed = errors.New("hlclient: client is closed")
@@ -128,20 +110,11 @@ func Dial(ctx context.Context, addr string, cfg Config) (*Client, error) {
 	if cfg.PoolSize <= 0 {
 		cfg.PoolSize = DefaultPoolSize
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = DefaultDialTimeout
-	}
 	switch {
 	case cfg.MaxRetries == 0:
 		cfg.MaxRetries = DefaultMaxRetries
 	case cfg.MaxRetries < 0:
 		cfg.MaxRetries = 0
-	}
-	if cfg.RetryBaseDelay <= 0 {
-		cfg.RetryBaseDelay = DefaultRetryBaseDelay
-	}
-	if cfg.RetryMaxDelay <= 0 {
-		cfg.RetryMaxDelay = DefaultRetryMaxDelay
 	}
 	switch {
 	case cfg.BreakerThreshold == 0:
@@ -149,12 +122,9 @@ func Dial(ctx context.Context, addr string, cfg Config) (*Client, error) {
 	case cfg.BreakerThreshold < 0:
 		cfg.BreakerThreshold = 0 // disabled
 	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = DefaultBreakerCooldown
-	}
 	c := &Client{addr: addr, cfg: cfg}
 	c.brk.threshold = cfg.BreakerThreshold
-	c.brk.cooldown = cfg.BreakerCooldown
+	c.brk.cooldown = breakerCooldown
 	pc, err := c.dial(ctx)
 	if err != nil {
 		return nil, err
@@ -168,7 +138,7 @@ func (c *Client) dial(ctx context.Context) (*poolConn, error) {
 	dctx := ctx
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
-		dctx, cancel = context.WithTimeout(ctx, c.cfg.DialTimeout)
+		dctx, cancel = context.WithTimeout(ctx, dialTimeout)
 		defer cancel()
 	}
 	var d net.Dialer
@@ -281,15 +251,14 @@ func (c *Client) do(ctx context.Context, req wire.Type, build func(dst []byte) [
 		if err == nil || !retryable(err) || attempt >= c.cfg.MaxRetries || ctx.Err() != nil {
 			return err
 		}
-		if sleepCtx(ctx, backoff(attempt, c.cfg.RetryBaseDelay, c.cfg.RetryMaxDelay)) != nil {
+		if sleepCtx(ctx, backoff(attempt, retryBaseDelay, retryMaxDelay)) != nil {
 			return err // the caller's deadline beat the backoff; report the real failure
 		}
 	}
 }
 
 // attempt is one try of do: check out (or dial) a connection and run
-// the round trip, under the per-attempt timeout when configured. A
-// transport failure on a reused connection is re-sent immediately on
+// the round trip. A transport failure on a reused connection is re-sent immediately on
 // the next connection — the pooled connection had gone stale under us
 // (server restart, idle timeout), which is routine, not overload.
 // Each such failure closes one stale pooled connection, so the loop
@@ -297,11 +266,6 @@ func (c *Client) do(ctx context.Context, req wire.Type, build func(dst []byte) [
 // is returned to the retry/backoff layer above.
 func (c *Client) attempt(ctx context.Context, req wire.Type, build func(dst []byte) []byte, body []byte,
 	want wire.Type, decode func(payload []byte) error) error {
-	if c.cfg.AttemptTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.cfg.AttemptTimeout)
-		defer cancel()
-	}
 	for {
 		pc, reused, err := c.get(ctx)
 		if err != nil {

@@ -35,12 +35,12 @@ func startServer(t *testing.T, live bool) (string, *serve.Server, *core.Index, f
 	}
 	var srv *serve.Server
 	if live {
-		srv, err = serve.NewLive(ix, serve.LiveConfig{Config: serve.Config{ShutdownGrace: time.Second}})
+		srv, err = serve.NewLive(ix, serve.LiveConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 	} else {
-		srv = serve.New(ix, serve.Config{ShutdownGrace: time.Second})
+		srv = serve.New(ix, serve.Config{})
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -185,7 +185,7 @@ func TestClientReconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := serve.New(ix, serve.Config{ShutdownGrace: 100 * time.Millisecond})
+	srv := serve.New(ix, serve.Config{})
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

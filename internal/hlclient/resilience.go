@@ -21,10 +21,16 @@ import (
 // Default retry/breaker tuning, used for the zero Config values.
 const (
 	DefaultMaxRetries       = 3
-	DefaultRetryBaseDelay   = 10 * time.Millisecond
-	DefaultRetryMaxDelay    = time.Second
 	DefaultBreakerThreshold = 5
-	DefaultBreakerCooldown  = time.Second
+)
+
+// The backoff shape and the breaker's cooldown. Variables so the
+// package's tests can shorten them; a Client reads the cooldown once,
+// in Dial.
+var (
+	retryBaseDelay  = 10 * time.Millisecond
+	retryMaxDelay   = time.Second
+	breakerCooldown = time.Second
 )
 
 // ErrCircuitOpen is returned without touching the network while the

@@ -84,7 +84,7 @@ func TestPairsCost(t *testing.T) {
 // re-admits traffic.
 func TestHTTPShedsWhenOverBudget(t *testing.T) {
 	ix := admTestIndex(t)
-	s := New(ix, Config{ShutdownGrace: time.Second, ReadBudget: 1, WriteBudget: 1})
+	s := New(ix, Config{ReadBudget: 1, WriteBudget: 1})
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 
@@ -153,7 +153,7 @@ func TestHTTPShedsWhenOverBudget(t *testing.T) {
 // connection survives, and ungated frames (stats, ping) keep working.
 func TestBinaryShedsWhenOverBudget(t *testing.T) {
 	ix := admTestIndex(t)
-	srv := New(ix, Config{ShutdownGrace: time.Second, ReadBudget: 1})
+	srv := New(ix, Config{ReadBudget: 1})
 	addr, shutdown := admBinListener(t, srv)
 	defer shutdown()
 	c, r, w := binConn(t, addr)
@@ -307,7 +307,7 @@ func TestOverloadShed(t *testing.T) {
 	}
 
 	t.Run("http", func(t *testing.T) {
-		srv := New(ix, Config{ShutdownGrace: time.Second, ReadBudget: budget})
+		srv := New(ix, Config{ReadBudget: budget})
 		hs := httptest.NewServer(srv.Handler())
 		body, err := json.Marshal(map[string]any{"pairs": pairs})
 		if err != nil {
@@ -346,7 +346,7 @@ func TestOverloadShed(t *testing.T) {
 	})
 
 	t.Run("binary", func(t *testing.T) {
-		srv := New(ix, Config{ShutdownGrace: time.Second, ReadBudget: budget})
+		srv := New(ix, Config{ReadBudget: budget})
 		addr, shutdown := admBinListener(t, srv)
 		defer shutdown()
 		frame := wire.AppendPairs(nil, pairs)

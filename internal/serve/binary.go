@@ -92,7 +92,7 @@ func (fe *Frontend) ServeBinary(ctx context.Context, ln net.Listener) error {
 	go func() { wg.Wait(); close(drained) }()
 	select {
 	case <-drained:
-	case <-time.After(fe.grace):
+	case <-time.After(shutdownGrace):
 		mu.Lock()
 		for c := range conns {
 			c.Close()

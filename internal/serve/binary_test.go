@@ -32,12 +32,12 @@ func binTestServer(t *testing.T, live bool) (addr string, srv *Server, ix *core.
 		t.Fatal(err)
 	}
 	if live {
-		srv, err = NewLive(ix, LiveConfig{Config: Config{ShutdownGrace: time.Second}})
+		srv, err = NewLive(ix, LiveConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 	} else {
-		srv = New(ix, Config{ShutdownGrace: time.Second})
+		srv = New(ix, Config{})
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -372,7 +372,7 @@ func TestBinaryGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(ix, Config{ShutdownGrace: 500 * time.Millisecond})
+	srv := New(ix, Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +395,7 @@ func TestBinaryGracefulShutdown(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ServeBinary returned %v on graceful shutdown", err)
 		}
-	case <-time.After(5 * time.Second):
+	case <-time.After(shutdownGrace / 2):
 		t.Fatal("ServeBinary did not return after cancel")
 	}
 }
@@ -412,7 +412,7 @@ func TestBinaryShutdownRightAfterResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(ix, Config{ShutdownGrace: 10 * time.Second})
+	srv := New(ix, Config{})
 	for i := 0; i < 40; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -433,7 +433,7 @@ func TestBinaryShutdownRightAfterResponse(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ServeBinary returned %v on graceful shutdown", err)
 			}
-		case <-time.After(5 * time.Second):
+		case <-time.After(shutdownGrace / 2): // below the grace, so waiting it out fails
 			t.Fatalf("round %d: ServeBinary waited for the grace period with no request in flight", i)
 		}
 		c.Close()

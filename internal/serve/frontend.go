@@ -37,8 +37,7 @@ type Backend interface {
 // neither, so it is un-gated and answers replication frames Malformed.
 type Frontend struct {
 	backend  Backend
-	maxBatch int           // pairs or edges per request, Config.MaxBatch
-	grace    time.Duration // listener drain bound, Config.ShutdownGrace
+	maxBatch int // pairs or edges per request, Config.MaxBatch
 	// writable registers the /edges routes (and lists them in GET /). A
 	// read-only Server has none; binary Insert/Delete frames always reach
 	// the backend, which answers ReadOnly.
@@ -56,9 +55,9 @@ type Frontend struct {
 }
 
 // NewFrontend returns a writable, un-gated front-end for a backend
-// outside this package. maxBatch and shutdownGrace must be positive.
-func NewFrontend(b Backend, maxBatch int, shutdownGrace time.Duration) *Frontend {
-	return &Frontend{backend: b, maxBatch: maxBatch, grace: shutdownGrace, writable: true}
+// outside this package. maxBatch must be positive.
+func NewFrontend(b Backend, maxBatch int) *Frontend {
+	return &Frontend{backend: b, maxBatch: maxBatch, writable: true}
 }
 
 // EndpointStats snapshots the per-endpoint latency/QPS counters of both

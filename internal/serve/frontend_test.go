@@ -21,7 +21,6 @@ import (
 	"highway/internal/cluster"
 	"highway/internal/core"
 	"highway/internal/gen"
-	"highway/internal/hlclient"
 	"highway/internal/landmark"
 	"highway/internal/serve"
 	"highway/internal/wire"
@@ -64,16 +63,7 @@ func listen(t *testing.T, name string, fe binaryServer) front {
 // binary listener at addr, and waits until it has dialed both.
 func routerTo(t *testing.T, addr string, maxBatch int) *cluster.Router {
 	t.Helper()
-	rt, err := cluster.NewRouter(cluster.RouterConfig{
-		Primary:        addr,
-		Shards:         [][]string{{addr}},
-		MaxBatch:       maxBatch,
-		HealthInterval: 10 * time.Millisecond,
-		ShutdownGrace:  time.Second,
-		// A relayed Overloaded must come back as the member sent it, not
-		// after the client's own backoff schedule.
-		Client: hlclient.Config{MaxRetries: -1},
-	})
+	rt, err := cluster.NewRouter(cluster.RouterConfig{Primary: addr, Shards: [][]string{{addr}}, MaxBatch: maxBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +92,7 @@ func serverAndRouter(t *testing.T) (*core.Index, []front) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.NewLive(ix, serve.LiveConfig{Config: serve.Config{MaxBatch: testMaxBatch, ShutdownGrace: time.Second}})
+	srv, err := serve.NewLive(ix, serve.LiveConfig{Config: serve.Config{MaxBatch: testMaxBatch}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +314,7 @@ func TestFrontendBinaryContract(t *testing.T) {
 	}
 
 	t.Run("insert on a read-only server", func(t *testing.T) {
-		ro := listen(t, "server", serve.New(ix, serve.Config{MaxBatch: testMaxBatch, ShutdownGrace: time.Second}))
+		ro := listen(t, "server", serve.New(ix, serve.Config{MaxBatch: testMaxBatch}))
 		routed := listen(t, "router", routerTo(t, ro.bin, testMaxBatch))
 		sameError(t, []front{ro, routed}, wire.TInsert, wire.AppendPairs(nil, [][2]int32{{0, 1}}), wire.CodeReadOnly)
 	})
@@ -376,7 +366,7 @@ func TestFrontendShutdownAcksAppliedWrites(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv, err := serve.NewLive(ix, serve.LiveConfig{Config: serve.Config{ShutdownGrace: 5 * time.Second}})
+			srv, err := serve.NewLive(ix, serve.LiveConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -487,7 +477,7 @@ func TestErrorTable(t *testing.T) {
 				err = errors.New("disk on fire") // Internal: whatever matches no sentinel
 			}
 			err = fmt.Errorf("%w: detail", err) // classified through wrapping
-			direct := listen(t, "direct", serve.NewFrontend(failing{err}, testMaxBatch, time.Second))
+			direct := listen(t, "direct", serve.NewFrontend(failing{err}, testMaxBatch))
 			routed := listen(t, "routed", routerTo(t, direct.bin, testMaxBatch))
 			for _, f := range []front{direct, routed} {
 				for _, req := range []struct{ method, path, body string }{

@@ -45,7 +45,7 @@ func (fe *Frontend) Handler() http.Handler {
 }
 
 // ListenAndServe serves the HTTP API on addr until ctx is cancelled,
-// then shuts down gracefully, waiting up to the shutdown grace for
+// then shuts down gracefully, waiting up to shutdownGrace (5 s) for
 // in-flight requests. It returns nil on clean shutdown.
 func (fe *Frontend) ListenAndServe(ctx context.Context, addr string) error {
 	ln, err := net.Listen("tcp", addr)
@@ -94,7 +94,7 @@ func (fe *Frontend) Serve(ctx context.Context, ln net.Listener) error {
 	case err := <-errc:
 		return err
 	case <-ctx.Done():
-		sctx, cancel := context.WithTimeout(context.Background(), fe.grace)
+		sctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 		defer cancel()
 		if err := hs.Shutdown(sctx); err != nil {
 			return err

@@ -86,10 +86,6 @@ type Config struct {
 	// (DefaultMaxBatch when 0). Oversized batches are rejected with 413
 	// rather than truncated.
 	MaxBatch int
-	// ShutdownGrace bounds how long ListenAndServe waits for in-flight
-	// requests after its context is cancelled (DefaultShutdownGrace
-	// when 0).
-	ShutdownGrace time.Duration
 
 	// ReadBudget and WriteBudget bound concurrent in-flight work per
 	// request class, in admission cost units (1 + pairs/1024 per
@@ -106,9 +102,9 @@ type Config struct {
 // request latency in the tens of milliseconds.
 const DefaultMaxBatch = 100_000
 
-// DefaultShutdownGrace is the graceful-shutdown bound used when
-// Config.ShutdownGrace is zero.
-const DefaultShutdownGrace = 5 * time.Second
+// shutdownGrace bounds how long a listener waits for in-flight requests
+// after its context is cancelled, before it closes their connections.
+const shutdownGrace = 5 * time.Second
 
 // snapshot is one immutable published state of the server: the highway
 // cover index every read of that state answers from.
@@ -174,11 +170,8 @@ func New(ix *core.Index, cfg Config) *Server {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
-	if cfg.ShutdownGrace <= 0 {
-		cfg.ShutdownGrace = DefaultShutdownGrace
-	}
 	s := &Server{cfg: cfg, started: time.Now()}
-	s.Frontend = Frontend{backend: serverBackend{s}, maxBatch: cfg.MaxBatch, grace: cfg.ShutdownGrace}
+	s.Frontend = Frontend{backend: serverBackend{s}, maxBatch: cfg.MaxBatch}
 	s.n.Store(int64(ix.Graph().NumVertices()))
 	s.readGate.budget = resolveBudget(cfg.ReadBudget, DefaultReadBudget)
 	s.writeGate.budget = resolveBudget(cfg.WriteBudget, DefaultWriteBudget)

@@ -172,7 +172,7 @@ const (
 	// already-applied history. The frame was NOT applied.
 	CodeFenced ErrorCode = 9
 	// CodeUnavailable: a router has no healthy upstream for the
-	// request (all members down or circuit-open). Nothing was
+	// request (every member it could use is down). Nothing was
 	// executed; retrying after a backoff may succeed.
 	CodeUnavailable ErrorCode = 10
 )
