@@ -202,3 +202,32 @@ func BenchmarkBiBFS(b *testing.B) {
 		BiBFS(g, s, u, sc)
 	}
 }
+
+// TestBoundedBiBFSStopsAtTheBound: once ds+dt+1 reaches the bound, no
+// unmet level can beat it, so that level is not expanded. On the path
+// 0-1-22-23 with leaves 2..21 hanging off 1, the bound 3 is exact: the
+// search claims 0 and 1 from s, 23 and 22 from t, and stops, where
+// expanding s's second level would claim the twenty leaves too.
+func TestBoundedBiBFSStopsAtTheBound(t *testing.T) {
+	edges := [][2]int32{{0, 1}, {1, 22}, {22, 23}}
+	for leaf := int32(2); leaf <= 21; leaf++ {
+		edges = append(edges, [2]int32{1, leaf})
+	}
+	g := graph.MustFromEdges(24, edges)
+	sc := NewScratch(g.NumVertices())
+	if d := BoundedBiBFS(g, 0, 23, 3, nil, sc); d != 3 {
+		t.Fatalf("BoundedBiBFS(0,23, bound 3) = %d, want 3", d)
+	}
+	marked := 0
+	for v := range sc.markS {
+		if sc.markS[v] == sc.epoch {
+			marked++
+		}
+		if sc.markT[v] == sc.epoch {
+			marked++
+		}
+	}
+	if marked != 4 {
+		t.Fatalf("the search claimed %d vertices, want 4: it expanded a level the bound made useless", marked)
+	}
+}

@@ -51,10 +51,11 @@ func BiBFS(g *graph.Graph, s, t int32, sc *Scratch) int32 {
 //
 //   - skip marks vertices removed from the graph (the landmarks R); nil
 //     means no vertex is skipped. s and t themselves must not be skipped.
-//   - bound is the upper bound d⊤st from the labelling. The search stops as
-//     soon as ds+dt reaches bound, returning bound (the label-derived
-//     distance is then known to be exact, since bound ≤ any remaining
-//     sparsified path).
+//   - bound is the upper bound d⊤st from the labelling. While the two balls
+//     have not met, every s–t path in the sparsified graph is at least
+//     ds+dt+1 long, so the search stops as soon as ds+dt+1 reaches bound,
+//     returning bound without expanding the next (and largest) level: no
+//     path it could find would be shorter than bound.
 //
 // The return value is d_{G[V\R]}(s,t) if it is < bound, bound if the bound
 // was hit first, and Unreachable if the frontiers die out before the bound
@@ -94,7 +95,7 @@ func BoundedBiBFS(g *graph.Graph, s, t int32, bound int32, skip []bool, sc *Scra
 	sizeS, sizeT := 1, 1 // |Ps|, |Pt| — Algorithm 2 expands the smaller side
 
 	for len(qs) > 0 && len(qt) > 0 {
-		if ds+dt >= bound {
+		if ds+dt+1 >= bound {
 			return bound
 		}
 		var (

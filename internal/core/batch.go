@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 
 	"highway/internal/bfs"
@@ -24,7 +25,7 @@ import (
 //     For a landmark source, via *is* its highway row: zero setup.
 //  2. Targets are visited in sorted order (one shared permutation, no
 //     per-pair allocation), so label reads walk the flat label CSR
-//     (labelRel/labelRank/labelDist) sequentially, and duplicate
+//     (labelOff, the rank section and labelDist) sequentially, and duplicate
 //     targets are answered once and copied.
 //  3. The fallback searches reuse one bfs.Scratch (the searcher's), and
 //     a group with enough refinements to do replaces its per-pair
@@ -283,15 +284,19 @@ func (sr *Searcher) sourceVia(source int32) []int32 {
 		return ix.highway[int(r)*k : int(r+1)*k]
 	}
 	via := sr.viaBuf(k)
-	for p, hi := ix.span(source); p < hi; p++ {
-		ds, r := ix.distAt(p), int(ix.labelRank[p])
-		row := ix.highway[r*k : (r+1)*k]
-		for j, h := range row {
-			if h < 0 {
-				continue
-			}
-			if d := ds + h; via[j] < 0 || d < via[j] {
-				via[j] = d
+	var m landmarkSet
+	p := ix.labelOf(source, &m)
+	for w, x := range m[:] {
+		for ; x != 0; x &= x - 1 {
+			ds, r := ix.distAt(p), w<<6|bits.TrailingZeros64(x)
+			p++
+			for j, h := range ix.highway[r*k : (r+1)*k] {
+				if h < 0 {
+					continue
+				}
+				if d := ds + h; via[j] < 0 || d < via[j] {
+					via[j] = d
+				}
 			}
 		}
 	}
@@ -303,13 +308,16 @@ func (sr *Searcher) sourceVia(source int32) []int32 {
 // returns exactly Searcher.UpperBound(source, t).
 func boundViaVec(ix *Index, via []int32, t int32) int32 {
 	best := Infinity
-	for p, hi := ix.span(t); p < hi; p++ {
-		v := via[ix.labelRank[p]]
-		if v < 0 {
-			continue
-		}
-		if d := v + ix.distAt(p); best < 0 || d < best {
-			best = d
+	var m landmarkSet
+	p := ix.labelOf(t, &m)
+	for w, x := range m[:] {
+		for ; x != 0; x &= x - 1 {
+			if v := via[w<<6|bits.TrailingZeros64(x)]; v >= 0 {
+				if d := v + ix.distAt(p); best < 0 || d < best {
+					best = d
+				}
+			}
+			p++
 		}
 	}
 	return best

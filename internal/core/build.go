@@ -487,43 +487,42 @@ func share(workers, n int, fn func(w, i int)) {
 // arrays. When nothing ran since the last index — a batch that changed
 // edges but no landmark's BFS — that index's label arrays are attached to
 // g as they are; when only some ranks ran, its entries of the other ranks
-// are merged with the new ones. The distance codes take their width from
+// are merged with the new ones. The rank form and the code width come from
 // the whole labelling, so they are packed last. No index handed out
 // earlier is written.
 func (rw *Rows) Assemble(g *graph.Graph) *Index {
 	ix := &Index{g: g, landmarks: rw.landmarks, rankOf: rw.rankOf, isLandmark: rw.isLandmark, highway: rw.highway}
 	if prev := rw.ix; len(rw.runs) == 0 {
-		ix.labelOff, ix.labelRank, ix.overflow = prev.labelOff, prev.labelRank, prev.overflow
+		ix.labelOff, ix.labelRank, ix.labelMask, ix.overflow = prev.labelOff, prev.labelRank, prev.labelMask, prev.overflow
 		ix.setDist(prev.labelDist)
 	} else {
-		l := packEvents(rw.runs, g.NumVertices(), rw.workers)
-		var keep [MaxLandmarks + 1]uint8 // 1 for a rank that did not run
-		kept := len(rw.landmarks)
-		for r := 0; r < kept; r++ {
-			keep[r] = 1
+		k := len(rw.landmarks)
+		var keep landmarkSet // the ranks that did not run
+		for r := range k {
+			keep[r>>6] |= 1 << (r & 63)
 		}
 		for _, run := range rw.runs {
 			for _, r := range run.ranks {
-				keep[r] = 0
-				kept--
+				keep[r>>6] &^= 1 << (r & 63)
 			}
 		}
-		if prev != nil && kept > 0 {
-			l = l.mergeKept(prev, &keep, rw.workers)
+		if keep == (landmarkSet{}) {
+			prev = nil
 		}
-		ix.pack(l, rw.workers)
+		ix.pack(layLabels(rw.runs, prev, &keep, g.NumVertices(), k, rw.workers), rw.workers)
 	}
 	rw.ix, rw.ixHighway, rw.runs = ix, true, nil
 	return ix
 }
 
-// wideLabels is a labelling before its distances are packed: one byte an
+// wideLabels is a labelling before its ranks and distances are packed:
+// per vertex the ranks it holds, as a mask section holds them, one byte an
 // entry, min(d-1, 255), the exact distance of each entry at 255 (d ≥ 256)
 // by its position in deep, and how many entries escape at each of
 // distWidths.
 type wideLabels struct {
 	off     offsets
-	rank    []uint8
+	mask    []byte // ⌈k/8⌉ bytes a vertex
 	code    []uint8
 	deep    map[int64]int32
 	escaped escapeCounts
@@ -571,123 +570,132 @@ func deepOf(lists [][]posDist) map[int64]int32 {
 	return deep
 }
 
-// packEvents lays the events of the runs out as a labelling of n vertices:
-// vertex v has popcount(labelled[v]) entries per run, runs in order, and
-// within a run the entry of bit b sits behind those of the lower bits set.
-// Every event bit owns its position, so the workers share the chunks
-// without sharing a write; an event too deep for a byte goes on its
-// worker's own list.
-func packEvents(runs []*groupRun, n, workers int) wideLabels {
-	sizes := make([]uint8, n)
-	for _, run := range runs {
-		for v, m := range run.labelled {
-			sizes[v] += uint8(bits.OnesCount32(m))
+// layLabels lays out the labelling of n vertices and k landmarks that the
+// events of the runs and prev's entries of the ranks in keep make (prev is
+// nil when nothing is kept): each vertex holds the ranks its labelled words
+// name and prev's in keep, and the entry of rank r sits behind those of the
+// lower ranks it holds. Every entry owns its position, so the workers share
+// the chunks and blocks without sharing a write; an entry too deep for a
+// byte goes on its worker's own list.
+func layLabels(runs []*groupRun, prev *Index, keep *landmarkSet, n, k, workers int) wideLabels {
+	size, blocks := (k+7)>>3, (n+pullBlock-1)/pullBlock
+	masks, sizes := make([]byte, n*size), make([]uint8, n)
+	share(workers, blocks, func(_, i int) {
+		for v := i * pullBlock; v < min((i+1)*pullBlock, n); v++ {
+			var m landmarkSet
+			if prev != nil {
+				prev.labelOf(int32(v), &m)
+				for w := range m {
+					m[w] &= keep[w]
+				}
+			}
+			for _, run := range runs {
+				x, r0, last := run.labelled[v], run.ranks[0], run.ranks[len(run.ranks)-1]
+				if last-r0 == len(run.ranks)-1 && r0>>6 == last>>6 { // consecutive, in one word: every BuildOpts run
+					m[r0>>6&3] |= uint64(x) << (r0 & 63)
+					continue
+				}
+				for ; x != 0; x &= x - 1 {
+					r := run.ranks[bits.TrailingZeros32(x)]
+					m[r>>6&3] |= 1 << (r & 63)
+				}
+			}
+			c := 0
+			for _, x := range m[:(k+63)>>6] {
+				c += bits.OnesCount64(x)
+			}
+			sizes[v] = uint8(c)
+			storeMask(masks, size, v, &m)
 		}
-	}
+	})
 	off, entries := newOffsets(sizes)
-	rank, code := make([]uint8, entries), make([]uint8, entries)
-	deep := make([][]posDist, workers)
-	counts := make([]escapeCounts, workers)
-	var before []uint8 // per vertex, its entries of the runs before the current one
-	for i, run := range runs {
+	code := make([]uint8, entries)
+	deep, counts := make([][]posDist, workers), make([]escapeCounts, workers)
+	for _, run := range runs {
 		share(workers, len(run.events), func(w, c int) {
 			for _, e := range run.events[c] {
-				all, d := run.labelled[e.v], uint8(min(e.d-1, 255))
+				d := uint8(min(e.d-1, 255))
 				counts[w].add(d, int64(bits.OnesCount32(e.mask)))
-				start := off.at(e.v)
-				if i > 0 {
-					start += int64(before[e.v])
+				var m landmarkSet // read only where other ranks may precede the run's
+				all, start := run.labelled[e.v], off.at(e.v)
+				first := start // the entry of the run's first rank
+				if run.ranks[0] > 0 || prev != nil {
+					loadMask(masks, size, int(e.v), &m)
+					first += before(m[:], run.ranks[0])
 				}
-				for m := e.mask; m != 0; m &= m - 1 {
-					b := bits.TrailingZeros32(m)
-					p := start + int64(bits.OnesCount32(all&(1<<b-1)))
-					rank[p], code[p] = uint8(run.ranks[b]), d
-					if d == 255 {
+				for x := e.mask; x != 0; x &= x - 1 {
+					p := first + int64(bits.OnesCount32(all&(x&-x-1)))
+					if prev != nil { // kept ranks may sit between the run's
+						p = start + before(m[:], run.ranks[bits.TrailingZeros32(x)])
+					}
+					if code[p] = d; d == 255 {
 						deep[w] = append(deep[w], posDist{p, e.d})
 					}
 				}
 			}
 		})
-		if i+1 < len(runs) {
-			if i == 0 {
-				before = make([]uint8, n)
-			}
-			for v, m := range run.labelled {
-				before[v] += uint8(bits.OnesCount32(m))
-			}
-		}
 	}
-	return wideLabels{off: off, rank: rank, code: code, deep: deepOf(deep), escaped: sum(counts)}
-}
-
-// mergeKept returns the per-vertex merge of l, which holds the ranks that
-// ran, with prev's entries of the ranks keep marks, counting the kept
-// entries' escapes as it copies them.
-func (l wideLabels) mergeKept(prev *Index, keep *[MaxLandmarks + 1]uint8, workers int) wideLabels {
-	n := len(prev.rankOf)
-	sizes := make([]uint8, n)
-	share(workers, (n+pullBlock-1)/pullBlock, func(_, i int) {
-		v := int32(i * pullBlock)
-		a, q := l.off.at(v), prev.labelOff.at(v)
-		for ; v < int32(min((i+1)*pullBlock, n)); v++ {
-			aEnd, qEnd := l.off.at(v+1), prev.labelOff.at(v+1)
-			size := uint8(aEnd - a)
-			for _, r := range prev.labelRank[q:qEnd] {
-				size += keep[r]
-			}
-			sizes[v], a, q = size, aEnd, qEnd
-		}
-	})
-	off, entries := newOffsets(sizes)
-	rank, code := make([]uint8, entries), make([]uint8, entries)
-	prevCode, pw, esc := make([]uint8, len(prev.labelRank)), prev.labelDist[0], prev.distMask
-	share(workers, (len(prevCode)+packChunk-1)/packChunk, func(_, i int) {
-		unpackCodes(prevCode[i*packChunk:min((i+1)*packChunk, len(prevCode))], prev.codes[i*packChunk*int(pw)/8:], pw)
-	})
-	deep, counts := make([][]posDist, workers), make([]escapeCounts, workers)
-	share(workers, (n+pullBlock-1)/pullBlock, func(w, i int) {
-		v := int32(i * pullBlock)
-		p, a, q := off.at(v), l.off.at(v), prev.labelOff.at(v)
-		for ; v < int32(min((i+1)*pullBlock, n)); v++ {
-			aEnd, qEnd := l.off.at(v+1), prev.labelOff.at(v+1)
-			for ; q < qEnd; q++ {
-				r := prev.labelRank[q]
-				if keep[r] == 0 {
-					continue
-				}
-				for ; a < aEnd && l.rank[a] < r; a, p = a+1, p+1 {
-					rank[p], code[p] = l.rank[a], l.code[a]
-				}
-				rank[p], code[p] = r, prevCode[q]
-				if code[p] >= 3 { // it escapes at some width, perhaps at prev's
-					if code[p] == esc {
-						d := prev.overflow[q]
-						if code[p] = uint8(min(d-1, 255)); d > 255 {
-							deep[w] = append(deep[w], posDist{p, d})
+	if prev != nil {
+		// The kept entries' codes, unpacked and copied a byte a distance,
+		// counting their escapes.
+		nPrev := prev.NumEntries()
+		prevCode, pw, esc := make([]uint8, nPrev), prev.labelDist[0], prev.distMask
+		share(workers, int((nPrev+packChunk-1)/packChunk), func(_, i int) {
+			unpackCodes(prevCode[i*packChunk:min((i+1)*packChunk, int(nPrev))], prev.codes[i*packChunk*int(pw)/8:], pw)
+		})
+		share(workers, blocks, func(w, i int) {
+			for v := i * pullBlock; v < min((i+1)*pullBlock, n); v++ {
+				var pm, m landmarkSet
+				q, p := prev.labelOf(int32(v), &pm), off.at(int32(v))
+				loadMask(masks, size, v, &m)
+				for wd, x := range m[:] {
+					for ; x != 0; x, p = x&(x-1), p+1 {
+						if keep[wd&3]&(x&-x) == 0 { // a rank that ran
+							continue
+						}
+						// Its position in prev; q counts prev's entries of the words before.
+						pq := q + int64(bits.OnesCount64(pm[wd&3]&(x&-x-1)))
+						if code[p] = prevCode[pq]; code[p] >= 3 { // it escapes at some width, perhaps at prev's
+							if code[p] == esc {
+								d := prev.overflow[pq]
+								if code[p] = uint8(min(d-1, 255)); d > 255 {
+									deep[w] = append(deep[w], posDist{p, d})
+								}
+							}
+							counts[w].add(code[p], 1)
 						}
 					}
-					counts[w].add(code[p], 1)
+					q += int64(bits.OnesCount64(pm[wd&3]))
 				}
-				p++
 			}
-			for ; a < aEnd; a, p = a+1, p+1 {
-				rank[p], code[p] = l.rank[a], l.code[a]
+		})
+	}
+	return wideLabels{off: off, mask: masks, code: code, deep: deepOf(deep), escaped: sum(counts)}
+}
+
+// setRanks stores the ranks of l, whose offsets ix holds, in the form
+// chooseMask picks: a mask of ⌈k/8⌉ bytes a vertex, or a byte an entry.
+func (ix *Index) setRanks(l *wideLabels, workers int) {
+	n, k := len(ix.rankOf), len(ix.landmarks)
+	if chooseMask(n, k, ix.NumEntries()) {
+		ix.labelRank, ix.labelMask = nil, l.mask
+		return
+	}
+	ranks := make([]byte, ix.NumEntries())
+	share(workers, (n+pullBlock-1)/pullBlock, func(_, i int) {
+		for v := i * pullBlock; v < min((i+1)*pullBlock, n); v++ {
+			var m landmarkSet
+			loadMask(l.mask, (k+7)>>3, v, &m)
+			p := ix.labelOff.at(int32(v))
+			for w, x := range m[:] {
+				for ; x != 0; x &= x - 1 {
+					ranks[p] = uint8(w<<6 | bits.TrailingZeros64(x))
+					p++
+				}
 			}
 		}
 	})
-	// The entries of the ranks that ran keep their distances; those too
-	// deep for a byte move to their new positions.
-	for a, d := range l.deep {
-		v := l.off.vertexOf(a)
-		p := off.at(v)
-		for q := prev.labelOff.at(v); q < prev.labelOff.at(v+1); q++ {
-			if keep[prev.labelRank[q]] != 0 && prev.labelRank[q] < l.rank[a] {
-				p++
-			}
-		}
-		deep[0] = append(deep[0], posDist{p + a - l.off.at(v), d})
-	}
-	return wideLabels{off: off, rank: rank, code: code, deep: deepOf(deep), escaped: sum(append(counts, l.escaped))}
+	ix.labelRank, ix.labelMask = ranks, nil
 }
 
 // packChunk entries are packed at a time: a multiple of the 4 codes a
@@ -742,20 +750,21 @@ func unpackCodes(dst []uint8, src []byte, w uint8) {
 	}
 }
 
-// pack makes l ix's label arrays, its distances packed at the width
-// chooseWidth gives for them, and the entries that escape at that width
-// its overflow map.
+// pack makes l ix's label arrays: its ranks in the form chooseMask gives,
+// its distances packed at the width chooseWidth gives for them, and the
+// entries that escape at that width its overflow map.
 func (ix *Index) pack(l wideLabels, workers int) {
 	entries := len(l.code)
 	chunks := (entries + packChunk - 1) / packChunk
 	width, nEscaped := chooseWidth(int64(entries), l.escaped)
 	dist := make([]byte, distLen(int64(entries), width))
 	dist[0] = width
-	ix.labelOff, ix.labelRank = l.off, l.rank
+	ix.labelOff = l.off
 	ix.setDist(dist)
 	share(workers, chunks, func(_, i int) {
 		packCodes(ix.codes[i*packChunk*int(width)/8:], l.code[i*packChunk:min((i+1)*packChunk, entries)], width)
 	})
+	ix.setRanks(&l, workers)
 	if nEscaped > 0 {
 		ix.overflow = make(map[int64]int32, nEscaped)
 		for p := range escapes(dist) {

@@ -195,11 +195,14 @@ func sameEntrySet(a, b *Index, v int32) bool {
 // w = 8.
 func TestParallelMatchesSequential(t *testing.T) {
 	ba, ws, ring := gen.BarabasiAlbert(600, 4, 17), gen.WattsStrogatz(10_000, 6, 0.1, 1), gen.WattsStrogatz(10_000, 4, 0.01, 1)
+	ba2k := gen.BarabasiAlbert(2000, 10, 42)
 	for _, c := range []widthCase{
 		{"ba600", ba, ba.DegreeOrder()[:20], 2},
 		widthCases()[0],
 		{"smallworld", ws, ws.DegreeOrder()[:20], 4},
 		{"ring", ring, ring.DegreeOrder()[:20], 8},
+		// Four groups of landmarks whose ranks take a mask of two words.
+		{"ba2000 k100", ba2k, ba2k.DegreeOrder()[:100], 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			seq, err := Build(c.g, c.lm)
@@ -386,7 +389,7 @@ func indexesIdentical(a, b *Index) bool {
 			return false
 		}
 	}
-	return bytes.Equal(a.labelRank, b.labelRank) && bytes.Equal(a.labelDist, b.labelDist) &&
+	return bytes.Equal(a.labelRank, b.labelRank) && bytes.Equal(a.labelMask, b.labelMask) && bytes.Equal(a.labelDist, b.labelDist) &&
 		maps.Equal(a.overflow, b.overflow)
 }
 

@@ -32,11 +32,24 @@ func savedBA100k(tb testing.TB, dir string) (g *graph.Graph, ix *Index, path str
 
 // TestActualBytesIsTheHeap holds ActualBytes, which hlserve batch's
 // "memory=" report and the serving tests' retention limits stand on, to
-// what the runtime says a built index keeps alive. The tenth of slack is
-// the allocator's: every array is rounded up to whole pages.
+// what the runtime says a built index keeps alive, for an index of each
+// rank form: BA-20k's ranks take the mask, a 100×100 grid's keep rank
+// bytes. The tenth of slack is the allocator's: every array is rounded up
+// to whole pages.
 func TestActualBytesIsTheHeap(t *testing.T) {
-	g := gen.BarabasiAlbert(20_000, 3, 42)
-	lm := g.DegreeOrder()[:16]
+	ba, grid := gen.BarabasiAlbert(20_000, 3, 42), gen.Grid(100, 100)
+	for _, c := range []struct {
+		g    *graph.Graph
+		lm   []int32
+		mask bool
+	}{{ba, ba.DegreeOrder()[:16], true}, {grid, grid.DegreeOrder()[:20], false}} {
+		checkActualBytes(t, c.g, c.lm, c.mask)
+	}
+}
+
+// checkActualBytes is TestActualBytesIsTheHeap for the index of lm on g,
+// whose ranks take the mask if mask is set.
+func checkActualBytes(t *testing.T, g *graph.Graph, lm []int32, mask bool) {
 	heap := func() int64 {
 		runtime.GC()
 		runtime.GC() // the first may leave the sweep of what it freed unfinished
@@ -50,6 +63,9 @@ func TestActualBytesIsTheHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	held := heap() - before
+	if (ix.labelMask != nil) != mask {
+		t.Fatalf("test premise broken: mask form %v, want %v", ix.labelMask != nil, mask)
+	}
 	if want := ix.ActualBytes(); held < want*9/10 || held > want*11/10 {
 		t.Fatalf("a built index holds %d bytes of heap, ActualBytes says %d", held, want)
 	}
@@ -58,7 +74,8 @@ func TestActualBytesIsTheHeap(t *testing.T) {
 }
 
 // TestLoadAdoptsSections: a load allocates what it keeps. The offset and
-// label sections are read into the buffers the index then serves from, so
+// label sections — BA-100k's ranks take the mask, section 13 — are read
+// into the buffers the index then serves from, so
 // loading allocates the file once, rankOf and isLandmark (5 B a vertex, 6
 // with slack for the small sections' decoded copies) and the 64 KiB reader,
 // and what the loaded index writes is the file.
@@ -68,8 +85,8 @@ func TestLoadAdoptsSections(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	ix, err := Load(path, g)
 	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || ix.labelMask == nil {
+		t.Fatalf("%v, or test premise broken: the ranks keep rank bytes", err)
 	}
 	if got, limit := int64(after.TotalAlloc-before.TotalAlloc), size+6*int64(g.NumVertices())+64<<10; got > limit {
 		t.Fatalf("loading a %d-byte index allocated %d bytes, more than the file, 6 B a vertex and the reader (%d)", size, got, limit)

@@ -17,14 +17,17 @@ import (
 func FuzzLoadIndex(f *testing.F) {
 	// Seeds: an index of each distance code width — the golden index
 	// (w = 2), the spider's (w = 4, 5 overflow records) and the path-600
-	// index (w = 8, 686 records) — and every malformed offsets section
-	// TestReadChecksOffsets names; then a file of each retired layout: the
-	// committed v1 files and the one with its offsets in section 3, both
-	// indexes without section 11, the committed index file and checkpoint
-	// with one distance byte an entry, and the committed graph file and
-	// checkpoint from before the graph became sections. Each of those is
-	// refused with the one line naming the command that rewrites it
-	// (internal/legacy reads them).
+	// index (w = 8, 686 records) — and of each rank form — the first two
+	// keep rank bytes, path-600's ranks take the mask, and so do those of
+	// the paper's example with its three highest-degree vertices as
+	// landmarks —, every malformed offsets section TestReadChecksOffsets
+	// names and every malformed rank mask TestReadChecksRankMask names;
+	// then a file of each retired layout: the committed v1 files and the
+	// one with its offsets in section 3, both indexes without section 11,
+	// the committed index file and checkpoint with one distance byte an
+	// entry, and the committed graph file and checkpoint from before the
+	// graph became sections. Each of those is refused with the one line
+	// naming the command that rewrites it (internal/legacy reads them).
 	fig2 := gen.PaperFigure2()
 	path600G, path600Ix := path600(f)
 	spiderCase := widthCases()[1]
@@ -33,7 +36,7 @@ func FuzzLoadIndex(f *testing.F) {
 		f.Fatal(err)
 	}
 	golden, path600File := v2Bytes(f, goldenIndex(f)), v2Bytes(f, path600Ix)
-	seeds := [][]byte{golden, v2Bytes(f, spiderIx), path600File}
+	seeds := [][]byte{golden, v2Bytes(f, spiderIx), path600File, v2Bytes(f, goldenMaskIndex(f))}
 	for _, old := range []struct {
 		file []byte
 		g    *graph.Graph
@@ -49,6 +52,9 @@ func FuzzLoadIndex(f *testing.F) {
 		seeds = append(seeds, old.file)
 	}
 	for _, c := range offsetCases() {
+		f.Add(reframe(f, rankBytesFile(f, path600Ix), c.edit))
+	}
+	for _, c := range rankMaskCases(path600Ix) {
 		f.Add(reframe(f, path600File, c.edit))
 	}
 	for _, good := range seeds {
@@ -121,12 +127,16 @@ func exerciseIndex(ix *Index) {
 // sizes, Save→Load must reproduce a deep-equal index.
 func FuzzIndexRoundTrip(f *testing.F) {
 	// One seed of each distance code width at least: w = 2 (ER, BA), w = 4
-	// (ER of 84 vertices, 4 landmarks) and w = 8 (the paths).
+	// (ER of 84 vertices, 4 landmarks) and w = 8 (the paths); and of each
+	// rank form: the ER and BA graphs take the mask, the paths keep rank
+	// bytes, and so does ER-9 with two landmarks: 9 entries for 9 mask
+	// bytes, a tie.
 	f.Add(int64(1), uint8(30), uint8(3))
 	f.Add(int64(1), uint8(80), uint8(3))
 	f.Add(int64(2), uint8(80), uint8(7))
 	f.Add(int64(3), uint8(5), uint8(1))
 	f.Add(int64(5), uint8(89), uint8(1)) // the longest path, two landmarks
+	f.Add(int64(4), uint8(5), uint8(1))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, kRaw uint8) {
 		n := 4 + int(nRaw)%90
 		var g *graph.Graph

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"highway/internal/container"
 	"highway/internal/gen"
 )
 
@@ -25,18 +26,39 @@ func goldenIndex(tb testing.TB) *Index {
 	return ix
 }
 
-// TestGoldenV2 pins the v2 format bytes, section 12's distance codes among
-// them: if serialization drifts — field order, section ids, checksums,
-// encoding — this fails before any user's index files stop loading. Regenerate deliberately with
+// goldenMaskIndex is the fixture behind the golden file of the mask form:
+// the paper's running example with its three highest-degree vertices as
+// landmarks, 18 entries for 14 mask bytes.
+func goldenMaskIndex(tb testing.TB) *Index {
+	tb.Helper()
+	g := gen.PaperFigure2()
+	ix, err := Build(g, g.DegreeOrder()[:3])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ix
+}
+
+// TestGoldenV2 pins the v2 format bytes of both rank forms, section 12's
+// distance codes among them: if serialization drifts — field order,
+// section ids, checksums, encoding — this fails before any user's index
+// files stop loading. tiny_codes.hl2 keeps its ranks in section 4,
+// tiny_mask.hl2 in section 13. Regenerate deliberately with
 // `go test ./internal/core -run TestGoldenV2 -update-golden` and call the
 // change out in review: it breaks files written by older builds.
 func TestGoldenV2(t *testing.T) {
-	ix := goldenIndex(t)
+	for name, ix := range map[string]*Index{"tiny_codes.hl2": goldenIndex(t), "tiny_mask.hl2": goldenMaskIndex(t)} {
+		t.Run(name, func(t *testing.T) { checkGolden(t, ix, name) })
+	}
+}
+
+// checkGolden is TestGoldenV2 for one index and its file.
+func checkGolden(t *testing.T, ix *Index, name string) {
 	var buf bytes.Buffer
 	if err := ix.WriteFormat(&buf, FormatV2); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", "tiny_codes.hl2")
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -67,6 +89,47 @@ func TestGoldenV2(t *testing.T) {
 	checkAllPairs(t, g, ix2)
 }
 
+// TestRankBytesOfDenseLabellingLoad: writers before section 13 kept every
+// labelling's ranks in section 4. tiny_ranks.hl2 is what the last of them
+// wrote for goldenMaskIndex, whose ranks a writer of today puts in section
+// 13: it loads as the index a build gives, answers every pair as BFS does,
+// and writes tiny_mask.hl2. rankBytesFile frames that file byte for byte,
+// so the reader checks tested on its files are the ones such files meet.
+// Either form is read as written and held in the one chosen.
+func TestRankBytesOfDenseLabellingLoad(t *testing.T) {
+	g, ix := gen.PaperFigure2(), goldenMaskIndex(t)
+	old := testdata(t, "tiny_ranks.hl2")
+	if !bytes.Equal(rankBytesFile(t, ix), old) {
+		t.Fatal("rankBytesFile does not frame the file the writers before section 13 wrote")
+	}
+	got, err := Read(bytes.NewReader(old), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !indexesIdentical(ix, got) || !bytes.Equal(v2Bytes(t, got), testdata(t, "tiny_mask.hl2")) {
+		t.Fatal("the section-4 file loads as another index than a build's, or writes another file")
+	}
+	checkAllPairs(t, g, got)
+
+	// The other way round, which no writer produces: the golden index's
+	// sparse ranks as masks in section 13 load as rank bytes.
+	sparse := goldenIndex(t)
+	masks := make([]byte, g.NumVertices())
+	for v := range int32(g.NumVertices()) {
+		r, _ := sparse.Label(v)
+		for _, x := range r {
+			masks[v] |= 1 << x
+		}
+	}
+	file := reframe(t, testdata(t, "tiny_codes.hl2"), func(_ *container.Header, sec map[uint32][]byte) {
+		delete(sec, sectLabelRank)
+		sec[sectLabelMask] = masks
+	})
+	if got, err := Read(bytes.NewReader(file), g); err != nil || !indexesIdentical(sparse, got) {
+		t.Fatalf("the golden index's ranks as masks: %v, or another index than a build's", err)
+	}
+}
+
 // TestLegacyFixturesUntouched: the files no writer can produce any more are
 // what the v1, section-3 and section-5 readers, and `hlbuild migrate`'s
 // readers of the graph file and checkpoint from before the graph became
@@ -74,7 +137,8 @@ func TestGoldenV2(t *testing.T) {
 // graph with its labelling), are tested on, so nothing — -update-golden
 // least of all — may rewrite them. tiny.hl2 is the golden index of the last
 // writer of section 5, one distance byte an entry, and tiny.snap2 its
-// checkpoint of the same graph and labelling.
+// checkpoint of the same graph and labelling. tiny_ranks.hl2 is a labelling
+// whose ranks take the mask, as the last writer before section 13 wrote it.
 func TestLegacyFixturesUntouched(t *testing.T) {
 	for name, want := range map[string]string{
 		"tiny.hl1":       "ed1b0762e5429ff792f8a1e6b3ef660395eb4ca1e35d0ea2c4ea96dccb482100",
@@ -84,6 +148,7 @@ func TestLegacyFixturesUntouched(t *testing.T) {
 		"tiny.snap2":     "54c2e6fc217b4378a679d07605baa991b2b50164c7f5dcb9662d73e92aaf383a",
 		"tiny.hwg1":      "e26fc490c6c337cef8120b79e06e3ec5ac86705d1cc3a18df812848fe9ff7e79",
 		"tiny.snap1":     "c2fbfd2b8ca2dd14276305c5231ca2ba86cc4c178981ef7b133378b5149bef1e",
+		"tiny_ranks.hl2": "0f54628001cb89c7fd5673afd82185d26cbe83c9ed5d3c088fc39890192bd0b6",
 	} {
 		raw, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {

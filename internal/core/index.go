@@ -1,9 +1,10 @@
 // Package core implements the paper's primary contribution: the highway
 // cover distance labelling (Section 3) and the bounded distance querying
 // framework built on it (Section 4), including the optimizations of
-// Section 5 (parallel construction over landmarks, 8-bit landmark ranks
-// beside distance codes of the 2, 4 or 8 bits the labelling needs, and the
-// common-landmark query shortcut of Lemma 5.1).
+// Section 5 (parallel construction over landmarks, landmark ranks of 8
+// bits or a per-vertex bitmask, whichever is smaller, beside distance codes
+// of the 2, 4 or 8 bits the labelling needs, and the common-landmark query
+// shortcut of Lemma 5.1).
 //
 // # Overview
 //
@@ -61,30 +62,36 @@ const MaxLandmarks = 255
 // # Label storage
 //
 // Labels live in a flat structure-of-arrays CSR layout: vertex v's label
-// occupies positions span(v) of labelRank, one byte of landmark rank an
-// entry as in the paper's HL(8) (Section 5.2), sorted by rank within each
-// vertex, and of labelDist, one code of w bits an entry. There are no
-// per-vertex slice headers to chase. An entry (r, d) exists only when no
-// other landmark lies on a shortest r–v path, so its distance is tiny: the
-// code is d-1, and its all-ones value escapes to overflow, which maps the
-// entry's position to its real distance (≥ 2^w). The width w ∈ {2, 4, 8}
-// is the one whose codes and overflow records take the fewest bytes, the
-// wider on a tie (chooseWidth): a function of the labelling, which is
-// unique (Lemma 3.11), so every index of one graph and landmark set has
-// the same bytes. Complex networks get
-// w = 2 and a handful of records; a long path or a grid, whose distances
-// run into the hundreds, w = 8. Every reader goes through distAt, so the
-// query hot path is a merge over the rank bytes plus two shifts, one mask
-// and one compare per distance read.
+// occupies positions span(v) of labelDist, one code of w bits an entry,
+// sorted by landmark rank; there are no per-vertex slice headers to chase.
+// Its ranks are kept as labelRank, a byte an entry as in the paper's HL(8)
+// (Section 5.2), or as labelMask, ⌈k/8⌉ bytes a vertex with bit r set iff
+// landmark r is in L(v) (Akiba et al.'s bit-parallel labels, SIGMOD 2013),
+// whichever is fewer bytes, rank bytes on a tie (chooseMask): the mask on
+// complex networks, rank bytes on a grid or a path. Either way labelOf
+// gives v's ranks as a landmarkSet, and the entry of rank r sits at
+// span(v)'s start plus the number of v's ranks below r.
+//
+// An entry (r, d) exists only when no other landmark lies on a shortest
+// r–v path, so its distance is tiny: the code is d-1, and its all-ones
+// value escapes to overflow, which maps the entry's position to its real
+// distance (≥ 2^w). The width w ∈ {2, 4, 8} is the one whose codes and
+// overflow records take the fewest bytes, the wider on a tie (chooseWidth):
+// w = 2 and a handful of records on complex networks, w = 8 on a long path
+// or a grid. Form and width are functions of the labelling, which is
+// unique (Lemma 3.11), so every index of one graph and landmark set has the
+// same bytes. The query hot path is one AND of two rank sets, a walk over
+// their set bits, and a shift, a mask and a compare per distance read.
 //
 // The offsets take their width from the same limit as the ranks: a label
 // has at most MaxLandmarks entries, so prefix sums restarted every offBlock
 // vertices stay ≤ 255·255 < 2¹⁶. labelOff holds one uint64 per block, the
 // offset of its first vertex, and one uint16 per vertex, its offset past
 // that: at(v) = base[v>>8] + rel[v], 2.03 B a vertex with no cap on the
-// total. Both are little-endian bytes, because all four label arrays are
-// the index file's sections 7, 8, 4 and 12 themselves: a save writes them as
-// they are and a load keeps the buffers it read them into (serialize.go).
+// total. Both are little-endian bytes, because all the label arrays are
+// the index file's sections 7, 8, 4 or 13, and 12 themselves: a save
+// writes them as they are and a load keeps the buffers it read them into
+// (serialize.go).
 //
 // The highway matrix stores exact landmark-to-landmark distances
 // row-major; Infinity where disconnected.
@@ -110,7 +117,8 @@ type Index struct {
 
 	// Flat CSR label storage (structure-of-arrays).
 	labelOff  offsets         // n+1 prefix sums of label sizes
-	labelRank []uint8         // len labelOff.at(n); landmark ranks, ascending per vertex
+	labelRank []uint8         // rank bytes: len labelOff.at(n), ranks ascending per vertex; or nil
+	labelMask []byte          // mask: ⌈k/8⌉ bytes a vertex, bit r for landmark r; or nil
 	labelDist []byte          // the width w, then labelOff.at(n) codes of w bits, LSB first
 	codes     []byte          // labelDist[1:]: entry p's code is at bit p<<distLog
 	distLog   uint8           // log2 w
@@ -179,8 +187,8 @@ type offsets struct{ base, rel []byte }
 
 const offBlock = 256
 
-// at returns the position of vertex v's first entry in labelRank and
-// labelDist; at(n) is the number of entries.
+// at returns the position of vertex v's first entry; at(n) is the number
+// of entries.
 func (o offsets) at(v int32) int64 {
 	return int64(binary.LittleEndian.Uint64(o.base[uint(v)/offBlock*8:])) +
 		int64(binary.LittleEndian.Uint16(o.rel[uint(v)*2:]))
@@ -213,6 +221,94 @@ func newOffsets(sizes []uint8) (o offsets, entries int64) {
 
 // span returns the positions lo..hi of vertex v's label.
 func (ix *Index) span(v int32) (lo, hi int64) { return ix.labelOff.at(v), ix.labelOff.at(v + 1) }
+
+// landmarkSet is a set of landmark ranks, rank r at bit r%64 of word r/64:
+// four words hold MaxLandmarks.
+type landmarkSet [4]uint64
+
+// before returns how many ranks below r the words of a set hold, more than
+// r/64 of them: where the entry of rank r sits in a label of those ranks.
+func before(words []uint64, r int) int64 {
+	n := bits.OnesCount64(words[r>>6] & (1<<(r&63) - 1))
+	for _, x := range words[:r>>6] {
+		n += bits.OnesCount64(x)
+	}
+	return int64(n)
+}
+
+// nth returns the (i+1)-th lowest rank the words of a set hold, or -1 when
+// they hold no more than i.
+func nth(words []uint64, i int64) int {
+	for w, x := range words {
+		for ; x != 0; x, i = x&(x-1), i-1 {
+			if i == 0 {
+				return w<<6 | bits.TrailingZeros64(x)
+			}
+		}
+	}
+	return -1
+}
+
+// labelOf returns where vertex v's label starts and adds its ranks to m,
+// which must be empty: every reader of a label goes through it. (m is not a
+// result: a 32-byte result is copied out in halves that stall on the
+// callee's word stores.)
+func (ix *Index) labelOf(v int32, m *landmarkSet) (lo int64) {
+	lo = ix.labelOff.at(v)
+	if ix.labelMask == nil {
+		var low uint64 // m[0], kept out of memory while it fills
+		for _, r := range ix.labelRank[lo:ix.labelOff.at(v+1)] {
+			if r < 64 {
+				low |= 1 << r
+			} else {
+				m[r>>6] |= 1 << (r & 63)
+			}
+		}
+		m[0] = low
+		return lo
+	}
+	loadMask(ix.labelMask, (len(ix.landmarks)+7)>>3, int(v), m)
+	return lo
+}
+
+// loadMask makes m the ranks vertex v's size bytes of masks, a mask
+// section's layout, hold: a word at a time.
+func loadMask(masks []byte, size, v int, m *landmarkSet) {
+	for b := 0; b < size; b += 8 {
+		var x uint64
+		if rest := masks[v*size+b:]; len(rest) >= 8 {
+			x = binary.LittleEndian.Uint64(rest)
+		} else {
+			for i, c := range rest {
+				x |= uint64(c) << (8 * i)
+			}
+		}
+		if size-b < 8 { // the bytes past v's are the next vertex's
+			x &= 1<<(8*(size-b)) - 1
+		}
+		m[b>>3&3] = x
+	}
+}
+
+// storeMask writes m as vertex v's size bytes of masks: loadMask undone.
+func storeMask(masks []byte, size, v int, m *landmarkSet) {
+	dst := masks[v*size : (v+1)*size]
+	for b := range dst {
+		dst[b] = byte(m[b>>3&3] >> (8 * (b & 7)))
+	}
+}
+
+// entryAt returns the vertex and landmark rank of the entry at position p.
+func (ix *Index) entryAt(p int64) (v int32, rank uint8) {
+	v = ix.labelOff.vertexOf(p)
+	var m landmarkSet
+	return v, uint8(nth(m[:], p-ix.labelOf(v, &m)))
+}
+
+// chooseMask reports whether a labelling of n vertices, k landmarks and
+// entries entries keeps its ranks as a mask of ⌈k/8⌉ bytes a vertex rather
+// than a byte an entry: when that is fewer bytes, rank bytes on a tie.
+func chooseMask(n, k int, entries int64) bool { return int64(n)*int64((k+7)/8) < entries }
 
 // distWidths are the code widths a labelling may take, widest first.
 var distWidths = [...]uint8{8, 4, 2}
@@ -257,10 +353,15 @@ func (ix *Index) distAt(p int64) int32 {
 // Label returns vertex v's label, sorted by rank, as freshly allocated
 // parallel slices of landmark ranks and decoded distances.
 func (ix *Index) Label(v int32) (ranks []int32, dists []int32) {
-	lo, hi := ix.span(v)
-	ranks, dists = make([]int32, hi-lo), make([]int32, hi-lo)
-	for p := lo; p < hi; p++ {
-		ranks[p-lo], dists[p-lo] = int32(ix.labelRank[p]), ix.distAt(p)
+	var m landmarkSet
+	lo, hi := ix.labelOf(v, &m), ix.labelOff.at(v+1)
+	ranks, dists = make([]int32, 0, hi-lo), make([]int32, 0, hi-lo)
+	for w, x := range m[:] {
+		for ; x != 0; x &= x - 1 {
+			ranks = append(ranks, int32(w<<6|bits.TrailingZeros64(x)))
+			dists = append(dists, ix.distAt(lo))
+			lo++
+		}
 	}
 	return ranks, dists
 }
@@ -275,7 +376,7 @@ func (ix *Index) LabelSize(v int32) int {
 // NumEntries returns size(L) = Σ_v |L(v)|, the labelling size measure of
 // the paper (LS in Figure 3).
 func (ix *Index) NumEntries() int64 {
-	return int64(len(ix.labelRank))
+	return ix.labelOff.at(int32(len(ix.rankOf)))
 }
 
 // numOverflow counts entries whose distance does not fit their code
@@ -313,12 +414,13 @@ func (ix *Index) SizeBytes8() int64 {
 const overflowSlot = 24
 
 // ActualBytes reports the real in-memory footprint of the index
-// structures (offsets, flat label arrays, overflow table, highway,
-// landmark arrays).
+// structures (offsets, flat label arrays, rank bytes or masks among them,
+// overflow table, highway, landmark arrays).
 func (ix *Index) ActualBytes() int64 {
 	return int64(len(ix.labelOff.base)) +
 		int64(len(ix.labelOff.rel)) +
 		int64(len(ix.labelRank)) +
+		int64(len(ix.labelMask)) +
 		int64(len(ix.labelDist)) +
 		int64(len(ix.overflow))*overflowSlot +
 		int64(len(ix.highway))*4 +

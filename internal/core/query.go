@@ -1,24 +1,20 @@
 package core
 
 import (
-	"bytes"
+	"math/bits"
 
 	"highway/internal/bfs"
 	"highway/internal/method"
 )
 
 // Searcher answers distance queries against an Index. It owns the scratch
-// buffers of the bounded bidirectional search and the common-landmark
-// mask, so it is cheap to query repeatedly but must not be shared between
-// goroutines. Create one per querying goroutine with Index.NewSearcher,
-// or use the Index conveniences (Distance, UpperBound, Path), which draw
-// searchers from an internal pool.
+// buffers of the bounded bidirectional search, so it is cheap to query
+// repeatedly but must not be shared between goroutines. Create one per
+// querying goroutine with Index.NewSearcher, or use the Index conveniences
+// (Distance, UpperBound, Path), which draw searchers from an internal pool.
 type Searcher struct {
 	ix *Index
 	sc *bfs.Scratch
-	// common marks landmark ranks present in both endpoint labels
-	// (Lemma 5.1 shortcut).
-	common []bool
 
 	// Batch-execution scratch (see batch.go): the shared source bound
 	// vector, the sort permutation, and the sparsified single-source
@@ -103,8 +99,8 @@ func (sr *Searcher) Distance(s, t int32) int32 {
 }
 
 // UpperBound is the searcher-local version of Index.UpperBound. It runs
-// entirely on the flat CSR arrays: no label materialization — a merge over
-// two sorted rank ranges plus a cross-pair scan of the highway rows.
+// entirely on the flat CSR arrays: no label materialization — one AND of
+// the two labels' rank sets plus a cross-pair scan of the highway rows.
 func (sr *Searcher) UpperBound(s, t int32) int32 {
 	ix := sr.ix
 	if s == t {
@@ -117,73 +113,43 @@ func (sr *Searcher) UpperBound(s, t int32) int32 {
 	if rt := ix.rankOf[t]; rt >= 0 {
 		return ix.LandmarkDistance(rt, s)
 	}
-	slo, shi := ix.span(s)
-	tlo, thi := ix.span(t)
-	if slo == shi || tlo == thi {
-		return Infinity
-	}
-	rank := ix.labelRank
+	var ms, mt landmarkSet
+	slo, tlo := ix.labelOf(s, &ms), ix.labelOf(t, &mt)
+	words := (k + 63) >> 6
 	best := Infinity
-	// Pass 1: common landmarks (Lemma 5.1): δL(r,s) + δL(r,t). Labels are
-	// sorted by rank, so a single merge finds them; the same merge fills
-	// the common mask. Landmarks common to both labels also dominate every
-	// cross pair they participate in (triangle inequality), so pass 2 may
-	// skip those pairs entirely.
-	mask := sr.maskBuf(k)
-	if ls, lt := shi-slo, thi-tlo; ls > 16*lt || lt > 16*ls {
-		// One label dwarfs the other: iterate the short side and look
-		// each of its ranks up in the long side, a range of at most 255
-		// bytes, instead of stepping the merge one rank at a time.
-		pLo, pHi, qLo, qHi := slo, shi, tlo, thi
-		if ls > lt {
-			pLo, pHi, qLo, qHi = tlo, thi, slo, shi
-		}
-		long := rank[qLo:qHi]
-		for p := pLo; p < pHi; p++ {
-			rp := rank[p]
-			if q := bytes.IndexByte(long, rp); q >= 0 {
-				mask[rp] = true
-				if d := ix.distAt(p) + ix.distAt(qLo+int64(q)); best < 0 || d < best {
-					best = d
-				}
-			}
-		}
-	} else {
-		i, j := slo, tlo
-		for i < shi && j < thi {
-			ri, rj := rank[i], rank[j]
-			switch {
-			case ri == rj:
-				mask[ri] = true
-				if d := ix.distAt(i) + ix.distAt(j); best < 0 || d < best {
-					best = d
-				}
-				i++
-				j++
-			case ri < rj:
-				i++
-			default:
-				j++
+	// Pass 1: common landmarks (Lemma 5.1): δL(r,s) + δL(r,t), found by one
+	// AND. Landmarks common to both labels also dominate every cross pair
+	// they participate in (triangle inequality), so pass 2 skips them.
+	for w := range words {
+		for x := ms[w] & mt[w]; x != 0; x &= x - 1 {
+			r := w<<6 | bits.TrailingZeros64(x)
+			if d := ix.distAt(slo+before(ms[:], r)) + ix.distAt(tlo+before(mt[:], r)); best < 0 || d < best {
+				best = d
 			}
 		}
 	}
-	// Pass 2: cross pairs through the highway (Equation 4), skipping any
-	// pair whose side is a shared landmark.
-	for i := slo; i < shi; i++ {
-		ri := rank[i]
-		if mask[ri] {
-			continue
-		}
-		ds := ix.distAt(i)
-		row := ix.highway[int(ri)*k : (int(ri)+1)*k]
-		for j := tlo; j < thi; j++ {
-			rj := rank[j]
-			if mask[rj] {
+	// Pass 2: cross pairs through the highway (Equation 4). A label's
+	// entries follow its set bits in order, so each walk counts positions
+	// as it goes, stepping over the landmarks the other label holds too.
+	p := slo
+	for w := range words {
+		for x := ms[w]; x != 0; x, p = x&(x-1), p+1 {
+			if mt[w]&(x&-x) != 0 {
 				continue
 			}
-			if h := row[rj]; h >= 0 {
-				if d := ds + h + ix.distAt(j); best < 0 || d < best {
-					best = d
+			ds, ri := ix.distAt(p), w<<6|bits.TrailingZeros64(x)
+			row := ix.highway[ri*k : (ri+1)*k]
+			q := tlo
+			for wt := range words {
+				for y := mt[wt]; y != 0; y, q = y&(y-1), q+1 {
+					if ms[wt]&(y&-y) != 0 {
+						continue
+					}
+					if h := row[wt<<6|bits.TrailingZeros64(y)]; h >= 0 {
+						if d := ds + h + ix.distAt(q); best < 0 || d < best {
+							best = d
+						}
+					}
 				}
 			}
 		}
@@ -205,25 +171,17 @@ func (ix *Index) LandmarkDistance(r, v int32) int32 {
 		return row[rv]
 	}
 	best := Infinity
-	for p, hi := ix.span(v); p < hi; p++ {
-		h := row[ix.labelRank[p]]
-		if h < 0 {
-			continue
-		}
-		if d := h + ix.distAt(p); best < 0 || d < best {
-			best = d
+	var m landmarkSet
+	p := ix.labelOf(v, &m)
+	for w, x := range m[:] {
+		for ; x != 0; x &= x - 1 {
+			if h := row[w<<6|bits.TrailingZeros64(x)]; h >= 0 {
+				if d := h + ix.distAt(p); best < 0 || d < best {
+					best = d
+				}
+			}
+			p++
 		}
 	}
 	return best
-}
-
-// maskBuf returns the searcher's cleared rank mask, sized to k. The mask
-// lives on the searcher to avoid per-query allocation.
-func (sr *Searcher) maskBuf(k int) []bool {
-	if cap(sr.common) < k {
-		sr.common = make([]bool, k)
-	}
-	mask := sr.common[:k]
-	clear(mask)
-	return mask
 }

@@ -79,17 +79,26 @@ func referenceIndex(g *graph.Graph, landmarks []int32) *Index {
 		ix.highway = append(ix.highway, row...)
 	}
 	sizes := make([]uint8, n)
+	var ranks []uint8
 	var dists []int32
+	size := (k + 7) / 8
+	mask := make([]byte, n*size)
 	for v := range sizes {
 		for r := range labels {
 			if d := labels[r][v]; d >= 0 {
-				ix.labelRank = append(ix.labelRank, uint8(r))
+				ranks = append(ranks, uint8(r))
+				mask[v*size+r/8] |= 1 << (r % 8)
 				dists = append(dists, d)
 				sizes[v]++
 			}
 		}
 	}
 	ix.labelOff, _ = newOffsets(sizes)
+	if len(mask) < len(ranks) { // the smaller form, rank bytes on a tie
+		ix.labelMask = mask
+	} else {
+		ix.labelRank = ranks
+	}
 	w := bruteWidth(dists)
 	codes := make([]byte, (len(dists)*int(w)+7)/8)
 	v := int32(0)

@@ -150,6 +150,29 @@ func TestRowsRerunMatchesBuild(t *testing.T) {
 		wantWidths(t, tail, withEdges(tail, chords...), lm, 8, 4)
 		checkRerun(t, tail, withEdges(tail, chords...), lm, rand.New(rand.NewSource(9)), false)
 	})
+	// The rank form changes under the merge: three stars of 100 leaves,
+	// their centres the landmarks, label each leaf once (300 entries for
+	// 303 mask bytes: rank bytes); edges from the second centre to every
+	// leaf of the first give those leaves a second entry (400 entries: the
+	// mask), dirtying the first two ranks, and the third star's entries are
+	// kept. The way back re-runs every rank into rank bytes.
+	stars := union(union(gen.Star(101), gen.Star(101)), gen.Star(101))
+	t.Run("rank bytes to mask", func(t *testing.T) {
+		var spokes [][2]int32
+		for leaf := int32(1); leaf <= 100; leaf++ {
+			spokes = append(spokes, [2]int32{101, leaf})
+		}
+		lm, dense := []int32{0, 101, 202}, withEdges(stars, spokes...)
+		for i, c := range []struct {
+			g    *graph.Graph
+			mask bool
+		}{{stars, false}, {dense, true}} {
+			if ix, err := Build(c.g, lm); err != nil || (ix.labelMask != nil) != c.mask {
+				t.Fatalf("test premise broken: labelling %d: %v, or mask form %v", i+1, err, !c.mask)
+			}
+		}
+		checkRerun(t, stars, dense, lm, rand.New(rand.NewSource(10)), false)
+	})
 }
 
 // union is the disjoint union of a and b, b's vertices numbered after a's.
@@ -210,7 +233,7 @@ func checkRerun(t *testing.T, g, g2 *graph.Graph, lm []int32, rng *rand.Rand, es
 		if changed {
 			dirty++
 		}
-		if slices.ContainsFunc(slices.Collect(maps.Keys(ref.overflow)), func(p int64) bool { return int(ref.labelRank[p]) == r }) {
+		if slices.ContainsFunc(slices.Collect(maps.Keys(ref.overflow)), func(p int64) bool { _, rank := ref.entryAt(p); return int(rank) == r }) {
 			cleanEscaped, dirtyEscaped = cleanEscaped || !changed, dirtyEscaped || changed
 		}
 		if changed || !escapes && rng.Intn(3) == 0 {

@@ -36,19 +36,22 @@ const FormatV2 Format = 2
 //	2  highway    [k*k]int32           (-1 = Infinity)
 //	7  labelBase  [⌈(n+1)/256⌉]uint64  labelOff of every 256th vertex
 //	8  labelRel   [n+1]uint16          labelOff[v] - labelBase[v/256]
-//	4  labelRank  [entries]uint8
+//	4  labelRank  [entries]uint8       ranks ascending per vertex; or
+//	13 labelMask  [n·⌈k/8⌉]uint8       per vertex, bit r set iff rank r is in its label
 //	12 labelDist  w uint8, then entries codes of w bits, LSB first, the
 //	              padding bits 0: d-1, or 2^w-1 = see overflow
 //	6  overflow   nOverflow × (vertex uint32, rank uint8, dist uint32), CSR order
 //	11 graph      uint32               the graph's Fingerprint
 //
-// The width w is 2, 4 or 8 (chooseWidth), so section 12 is 1 +
-// ⌈entries·w/8⌉ bytes long, and every other section's exact length follows
-// from the header: the reader bounds each allocation before making it.
+// A file holds exactly one of sections 4 and 13, the one of fewer bytes,
+// section 4 on a tie (chooseMask); a reader takes either. The width w is
+// 2, 4 or 8 (chooseWidth), so section 12 is 1 + ⌈entries·w/8⌉ bytes long,
+// and every other section's exact length follows from the header: the
+// reader bounds each allocation before making it.
 //
-// Sections 7, 8, 4 and 12 are Index.labelOff, labelRank and labelDist:
-// Write hands the four arrays to the container as they are, and a reader,
-// once adoptLabels has checked them, keeps the buffers it read them into.
+// Sections 7, 8, 4 or 13, and 12 are Index.labelOff, labelRank or
+// labelMask, and labelDist: Write hands the arrays to the container as they
+// are, and a reader, once adoptLabels has checked them, keeps the buffers.
 // Only the small sections are translated: the landmarks and highway
 // between their integer types and little-endian bytes, and the overflow
 // table — a few hundred records on a complex network — between its records
@@ -57,7 +60,7 @@ const FormatV2 Format = 2
 // An index is meaningful only beside the graph it was built on: section 11
 // names that graph (graph.Fingerprint), and Read refuses a file that lacks
 // it or names another. A snapshot holds the graph itself, with sections 1,
-// 2, 4, 6–8 and 12 in one container and no section 11.
+// 2, 4 or 13, 6–8 and 12 in one container and no section 11.
 //
 // This is the one layout read. The older ones — v1 "HWLIDX01", v2 with the
 // offsets as uint64 in section 3, v2 without section 11, and v2 with one
@@ -74,6 +77,7 @@ const (
 	sectLabelRel  uint32 = 8
 	sectGraph     uint32 = 11
 	sectLabelDist uint32 = 12
+	sectLabelMask uint32 = 13
 )
 
 // Write serializes the index (without the graph) as an index file. Output
@@ -92,25 +96,30 @@ func (ix *Index) WriteFormat(w io.Writer, f Format) error {
 	return container.WriteContainer(w, h, append(sections, container.Section{ID: sectGraph, Payload: fp}))
 }
 
-// Sections returns the container header and sections 1, 2, 4, 6–8 and 12
-// of ix: an index file is these and section 11, a snapshot these beside
-// the graph's.
+// Sections returns the container header and sections 1, 2, 4 or 13, 6–8
+// and 12 of ix: an index file is these and section 11, a snapshot these
+// beside the graph's.
 func (ix *Index) Sections() (container.Header, []container.Section) {
 	over := make([]byte, 0, 9*len(ix.overflow))
 	for _, p := range slices.Sorted(maps.Keys(ix.overflow)) {
-		over = binary.LittleEndian.AppendUint32(over, uint32(ix.labelOff.vertexOf(p)))
-		over = append(over, ix.labelRank[p])
+		v, rank := ix.entryAt(p)
+		over = binary.LittleEndian.AppendUint32(over, uint32(v))
+		over = append(over, rank)
 		over = binary.LittleEndian.AppendUint32(over, uint32(ix.overflow[p]))
+	}
+	ranks := container.Section{ID: sectLabelRank, Payload: ix.labelRank}
+	if ix.labelMask != nil {
+		ranks = container.Section{ID: sectLabelMask, Payload: ix.labelMask}
 	}
 	landmarks, _ := binary.Append(nil, binary.LittleEndian, ix.landmarks) // cannot fail: fixed-size values
 	highway, _ := binary.Append(nil, binary.LittleEndian, ix.highway)
-	h := container.Header{N: uint64(ix.g.NumVertices()), K: uint32(len(ix.landmarks)), Aux1: uint64(len(ix.labelRank)), Aux2: uint64(len(ix.overflow))}
+	h := container.Header{N: uint64(ix.g.NumVertices()), K: uint32(len(ix.landmarks)), Aux1: uint64(ix.NumEntries()), Aux2: uint64(len(ix.overflow))}
 	return h, []container.Section{
 		{ID: sectLandmarks, Payload: landmarks},
 		{ID: sectHighway, Payload: highway},
 		{ID: sectLabelBase, Payload: ix.labelOff.base},
 		{ID: sectLabelRel, Payload: ix.labelOff.rel},
-		{ID: sectLabelRank, Payload: ix.labelRank},
+		ranks,
 		{ID: sectLabelDist, Payload: ix.labelDist},
 		{ID: sectOverflow, Payload: over},
 	}
@@ -154,25 +163,33 @@ func (ix *Index) setLandmark(rank int, v int32) error {
 	return nil
 }
 
-// adoptLabels makes the offsets already in ix.labelOff, the rank and
-// distance sections of a file and its overflow records the index's label
-// storage, after the checks that make them safe to query. The offsets
-// start at 0, never step back or by more than k, restart their uint16 at
-// every block and end at the length of the rank section; the ranks of
-// every label ascend strictly and stay below k, which the merge in
-// UpperBound stands on; the distance section is a width of distWidths and
+// adoptLabels makes the offsets already in ix.labelOff, the rank section
+// of a file — section 4's bytes, or section 13's masks when mask is set —
+// its distance section and its overflow records the index's label storage,
+// after the checks that make them safe to query. The offsets start at 0,
+// never step back or by more than k, restart their uint16 at every block
+// and end at the header's entries; the ranks of every label stay below k
+// and, as rank bytes, ascend strictly, or, as a mask, number what the
+// offsets say, which is what labelOf stands on; the distance section is a
+// width of distWidths and
 // the codes of that width, no more, no fewer and no padding bit set; and
 // the escaped entries and the records pair up one to one. Our writers emit
 // records in CSR order, but any order is accepted; a record for a
 // non-escaped entry, an escaped entry without a record and two records for
 // one entry are corruption and rejected.
-func (ix *Index) adoptLabels(rank8, dist []byte, k uint32, over []overflowRec) error {
+func (ix *Index) adoptLabels(ranks []byte, mask bool, entries int64, dist []byte, k uint32, over []overflowRec) error {
 	// The offsets, block by block. Every label's ranks ascend when the only
 	// ranks at or below the one before them are first in their label: the
 	// walk counts the labels that start so, the pass after it every such
 	// rank, and the two must agree. (A loop over each label's ranks
 	// mispredicts its exit once a vertex, which doubled the time of a load.)
 	n, off := ix.g.NumVertices(), ix.labelOff
+	if mask {
+		ix.labelMask = ranks
+	} else {
+		ix.labelRank = ranks
+	}
+	size := int(k+7) / 8
 	var base, lo int64 // of v's block; where label v-1 starts
 	var startsDown uint64
 	for v := 0; v <= n; v++ {
@@ -189,30 +206,41 @@ func (ix *Index) adoptLabels(rank8, dist []byte, k uint32, over []overflowRec) e
 		if hi < lo || hi-lo > int64(k) {
 			return fmt.Errorf("core: label offsets not monotone or label of %d entries at vertex %d, k=%d", hi-lo, v-1, k)
 		}
-		if hi > int64(len(rank8)) {
-			return fmt.Errorf("core: offsets pass the header's %d entries at vertex %d", len(rank8), v-1)
+		if hi > entries {
+			return fmt.Errorf("core: offsets pass the header's %d entries at vertex %d", entries, v-1)
 		}
-		if lo < hi {
-			if uint32(rank8[hi-1]) >= k { // the label's highest, given that its ranks ascend
-				return fmt.Errorf("core: label rank %d out of range [0,%d)", rank8[hi-1], k)
+		switch {
+		case mask && v > 0:
+			if k%8 != 0 && ranks[v*size-1]>>(k%8) != 0 {
+				return fmt.Errorf("core: label mask of vertex %d holds a rank out of range [0,%d)", v-1, k)
+			}
+			count := int64(0)
+			for _, b := range ranks[(v-1)*size : v*size] {
+				count += int64(bits.OnesCount8(b))
+			}
+			if count != hi-lo {
+				return fmt.Errorf("core: label mask of vertex %d holds %d ranks, its offsets %d entries", v-1, count, hi-lo)
+			}
+		case !mask && lo < hi:
+			if uint32(ranks[hi-1]) >= k { // the label's highest, given that its ranks ascend
+				return fmt.Errorf("core: label rank %d out of range [0,%d)", ranks[hi-1], k)
 			}
 			if lo > 0 {
-				startsDown += stepsDown(rank8[lo-1], rank8[lo])
+				startsDown += stepsDown(ranks[lo-1], ranks[lo])
 			}
 		}
 		lo = hi
 	}
-	if lo != int64(len(rank8)) {
-		return fmt.Errorf("core: offsets claim %d entries, header says %d", lo, len(rank8))
+	if lo != entries {
+		return fmt.Errorf("core: offsets claim %d entries, header says %d", lo, entries)
 	}
 	var down uint64
-	for p := 1; p < len(rank8); p++ {
-		down += stepsDown(rank8[p-1], rank8[p])
+	for p := 1; p < len(ix.labelRank); p++ {
+		down += stepsDown(ranks[p-1], ranks[p])
 	}
 	if down != startsDown {
 		return fmt.Errorf("core: %d label ranks not ascending within their label", down-startsDown)
 	}
-	entries := int64(len(rank8))
 	if len(dist) == 0 {
 		return fmt.Errorf("core: section %d is empty", sectLabelDist)
 	}
@@ -246,11 +274,11 @@ func (ix *Index) adoptLabels(rank8, dist []byte, k uint32, over []overflowRec) e
 		escaped = make(map[int64]int32, len(over))
 	}
 	for p := range escapes(dist) {
-		v := ix.labelOff.vertexOf(p)
-		entry, used := overflowRec{v: v, rank: rank8[p]}, len(escaped)
+		v, rank := ix.entryAt(p)
+		entry, used := overflowRec{v: v, rank: rank}, len(escaped)
 		switch {
 		case used == len(over) || cmpOverflow(over[used], entry) > 0:
-			return fmt.Errorf("core: missing overflow record for vertex %d rank %d", v, rank8[p])
+			return fmt.Errorf("core: missing overflow record for vertex %d rank %d", v, rank)
 		case cmpOverflow(over[used], entry) < 0:
 			return stray(over[used])
 		}
@@ -259,7 +287,7 @@ func (ix *Index) adoptLabels(rank8, dist []byte, k uint32, over []overflowRec) e
 	if len(escaped) < len(over) {
 		return stray(over[len(escaped)])
 	}
-	ix.labelRank, ix.overflow = rank8, escaped
+	ix.overflow = escaped
 	ix.setDist(dist)
 	return nil
 }
@@ -317,9 +345,9 @@ func parseOverflowRecs(buf []byte, n uint64, k uint32) ([]overflowRec, error) {
 	return recs, nil
 }
 
-// Bounds returns the exact length of each of sections 1, 2, 4, 6–8 and 11
-// under header h, and the longest section 12 (one width byte and a byte an
-// entry), after the checks that need only h.
+// Bounds returns the exact length of each of sections 1, 2, 4, 6–8, 11 and
+// 13 under header h, and the longest section 12 (one width byte and a byte
+// an entry), after the checks that need only h.
 func Bounds(h container.Header) (map[uint32]uint64, error) {
 	n, k, entries, nOver := h.N, h.K, h.Aux1, h.Aux2
 	switch {
@@ -334,6 +362,7 @@ func Bounds(h container.Header) (map[uint32]uint64, error) {
 		sectLandmarks: uint64(k) * 4,
 		sectHighway:   uint64(k) * uint64(k) * 4,
 		sectLabelRank: entries,
+		sectLabelMask: n * uint64((k+7)/8),
 		sectLabelDist: 1 + entries,
 		sectOverflow:  nOver * 9,
 		sectLabelBase: (n/offBlock + 1) * 8,
@@ -355,7 +384,17 @@ func FromSections(h container.Header, sec map[uint32]container.Section, g *graph
 	if _, old := sec[sectByteDist]; old {
 		return nil, fmt.Errorf("core: labels keep one distance byte an entry (section %d), a layout from before section %d: rewrite the file with `hlbuild migrate -graph G -in FILE` (an index file) or `hlbuild migrate -in FILE` (a checkpoint)", sectByteDist, sectLabelDist)
 	}
-	for _, id := range []uint32{sectLandmarks, sectHighway, sectLabelBase, sectLabelRel, sectLabelRank, sectLabelDist, sectOverflow} {
+	ranks, rankBytes := sec[sectLabelRank]
+	masks, mask := sec[sectLabelMask]
+	switch {
+	case rankBytes && mask:
+		return nil, fmt.Errorf("core: both section %d and section %d hold the label ranks", sectLabelRank, sectLabelMask)
+	case !rankBytes && !mask:
+		return nil, fmt.Errorf("core: required section %d or %d (the label ranks) missing", sectLabelRank, sectLabelMask)
+	case mask:
+		ranks = masks
+	}
+	for _, id := range []uint32{sectLandmarks, sectHighway, sectLabelBase, sectLabelRel, ranks.ID, sectLabelDist, sectOverflow} {
 		if s, ok := sec[id]; !ok {
 			return nil, fmt.Errorf("core: required section %d missing", id)
 		} else if uint64(len(s.Payload)) != want[id] && id != sectLabelDist { // its width sets its length: see adoptLabels
@@ -378,8 +417,22 @@ func FromSections(h container.Header, sec map[uint32]container.Section, g *graph
 	if err != nil {
 		return nil, err
 	}
-	if err := ix.adoptLabels(sec[sectLabelRank].Payload, sec[sectLabelDist].Payload, h.K, over); err != nil {
+	if err := ix.adoptLabels(ranks.Payload, mask, int64(h.Aux1), sec[sectLabelDist].Payload, h.K, over); err != nil {
 		return nil, err
+	}
+	if mask != chooseMask(int(h.N), int(h.K), int64(h.Aux1)) {
+		// Section 4 of a dense labelling, as writers before section 13 wrote
+		// every one: held in the chosen form, it writes what a build writes.
+		l, size := wideLabels{mask: ix.labelMask}, (int(h.K)+7)>>3
+		if !mask {
+			l.mask = make([]byte, int(h.N)*size)
+			for v := range int(h.N) {
+				var m landmarkSet
+				ix.labelOf(int32(v), &m)
+				storeMask(l.mask, size, v, &m)
+			}
+		}
+		ix.setRanks(&l, 1)
 	}
 	return ix, nil
 }

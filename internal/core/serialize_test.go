@@ -17,7 +17,7 @@ import (
 // the writer uses, followed by any extra sections.
 func reframe(tb testing.TB, file []byte, edit func(h *container.Header, sec map[uint32][]byte), extra ...container.Section) []byte {
 	tb.Helper()
-	ids := []uint32{sectLandmarks, sectHighway, sectLabelBase, sectLabelRel, sectLabelRank, sectLabelDist, sectOverflow, sectGraph}
+	ids := []uint32{sectLandmarks, sectHighway, sectLabelBase, sectLabelRel, sectLabelRank, sectLabelMask, sectLabelDist, sectOverflow, sectGraph}
 	h, read, err := container.ReadContainer(bytes.NewReader(file), true, func(container.Header) (map[uint32]uint64, error) {
 		bounds := make(map[uint32]uint64)
 		for _, id := range ids {
@@ -53,8 +53,40 @@ func appendUnknownSection(tb testing.TB, file []byte, id uint32, payload []byte)
 	return reframe(tb, file, func(*container.Header, map[uint32][]byte) {}, container.Section{ID: id, Payload: payload})
 }
 
+// rankBytes is ix's section 4: its ranks, a byte an entry.
+func rankBytes(ix *Index) []byte {
+	var ranks []byte
+	for v := range int32(ix.g.NumVertices()) {
+		r, _ := ix.Label(v)
+		for _, x := range r {
+			ranks = append(ranks, byte(x))
+		}
+	}
+	return ranks
+}
+
+// rankBytesFile is ix's index file with its ranks in section 4, whatever
+// their form: a file as every writer before section 13 framed it.
+func rankBytesFile(tb testing.TB, ix *Index) []byte {
+	tb.Helper()
+	h, sections := ix.Sections()
+	for i, s := range sections {
+		if s.ID == sectLabelMask {
+			sections[i] = container.Section{ID: sectLabelRank, Payload: rankBytes(ix)}
+		}
+	}
+	fp := container.Section{ID: sectGraph, Payload: binary.LittleEndian.AppendUint32(nil, ix.g.Fingerprint())}
+	var out bytes.Buffer
+	if err := container.WriteContainer(&out, h, append(sections, fp)); err != nil {
+		tb.Fatal(err)
+	}
+	return out.Bytes()
+}
+
 // path600 is the index whose labels need the escape at w = 8: both ends of
 // a 600-vertex path as landmarks, 686 entries 256 hops or more from theirs.
+// Every vertex but the two ends holds both ranks, so its ranks take the
+// mask: 600 bytes against 1196.
 func path600(tb testing.TB) (*graph.Graph, *Index) {
 	tb.Helper()
 	g := gen.Path(600)
@@ -106,7 +138,7 @@ func TestReadChecksOverflowRecords(t *testing.T) {
 			h.Aux2++
 		}},
 		{"rank not below k", "out of range", func(h *container.Header, sec map[uint32][]byte) {
-			sec[sectLabelRank][17] = 2
+			sec[sectLabelMask][17] |= 1 << 2
 		}},
 		{"records in reverse order", "", func(h *container.Header, sec map[uint32][]byte) {
 			sec[sectOverflow] = reverseRecords(sec[sectOverflow])
@@ -130,9 +162,10 @@ func TestReadChecksOverflowRecords(t *testing.T) {
 	}
 }
 
-// offsetCase is one malformed offsets section, or pair of them, with a valid
-// checksum: an edit of the path-600 file (k = 2, three blocks, two entries a
-// vertex but the landmarks 0 and 599) and what the reader says of it.
+// offsetCase is one malformed offsets or rank section, or pair of them, with
+// a valid checksum: an edit of the path-600 file with its ranks in section
+// 4 (k = 2, three blocks, two entries a vertex but the landmarks 0 and 599)
+// and what the reader says of it.
 type offsetCase struct {
 	name, want string
 	edit       func(h *container.Header, sec map[uint32][]byte)
@@ -183,6 +216,7 @@ func offsetCases() []offsetCase {
 			sec[sectLabelBase] = append(sec[sectLabelBase], sec[sectLabelBase][16:]...)
 		}},
 		{"no rel", "required section 8 missing", func(_ *container.Header, sec sections) { delete(sec, sectLabelRel) }},
+		{"rank not below k", "out of range", func(_ *container.Header, sec sections) { sec[sectLabelRank][17] = 2 }},
 		{"rank repeated in a label", "not ascending", func(_ *container.Header, sec sections) { sec[sectLabelRank][1] = 0 }},
 		{"ranks of a label descending", "not ascending", func(_ *container.Header, sec sections) {
 			sec[sectLabelRank][0], sec[sectLabelRank][1] = 1, 0
@@ -190,15 +224,81 @@ func offsetCases() []offsetCase {
 	}
 }
 
-// TestReadChecksOffsets: the offsets are bytes the index keeps and every
-// query indexes the labels by, so the reader holds them to what a writer
-// produces — and the ranks of each label to ascending, which bounds a label
-// at k entries and is what the merge in UpperBound assumes.
-func TestReadChecksOffsets(t *testing.T) {
+// rankMaskCases are malformed rank sections of the path-600 file as a
+// build writes it (k = 2, so one byte a vertex, 0b11 but at the landmarks 0
+// and 599, whose labels are empty), each with a valid checksum, and what
+// the reader says of them.
+func rankMaskCases(ix *Index) []offsetCase {
+	type sections = map[uint32][]byte
+	return []offsetCase{
+		{"rank at k", "vertex 17 holds a rank out of range [0,2)", func(_ *container.Header, sec sections) {
+			sec[sectLabelMask][17] |= 1 << 2
+		}},
+		{"rank the offsets do not count", "vertex 0 holds 1 ranks, its offsets 0 entries", func(_ *container.Header, sec sections) {
+			sec[sectLabelMask][0] = 1
+		}},
+		{"entry without its rank", "vertex 17 holds 1 ranks, its offsets 2 entries", func(_ *container.Header, sec sections) {
+			sec[sectLabelMask][17] &^= 2
+		}},
+		{"both sections", "both section 4 and section 13", func(_ *container.Header, sec sections) {
+			sec[sectLabelRank] = rankBytes(ix)
+		}},
+		{"neither section", "required section 4 or 13 (the label ranks) missing", func(_ *container.Header, sec sections) {
+			delete(sec, sectLabelMask)
+		}},
+		{"one byte long", "section 13 has length 601, exceeds 600", func(_ *container.Header, sec sections) {
+			sec[sectLabelMask] = append(sec[sectLabelMask], 0)
+		}},
+		{"one byte short", "section 13 has length 599, want 600", func(_ *container.Header, sec sections) {
+			sec[sectLabelMask] = sec[sectLabelMask][:599]
+		}},
+	}
+}
+
+// TestReadChecksRankMask: a reader keeps section 13 as it is and labelOf
+// counts a label's entries by its bits, so each way the masks can disagree
+// with k, the offsets and the header is refused by name, and a file must
+// hold one rank section, not both or neither. At k = 100 the bits past k
+// are the top four of each vertex's thirteenth byte.
+func TestReadChecksRankMask(t *testing.T) {
 	g, ix := path600(t)
 	good := v2Bytes(t, ix)
+	if ix.labelMask == nil {
+		t.Fatal("test premise broken: path-600 keeps rank bytes")
+	}
+	for _, c := range rankMaskCases(ix) {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Read(bytes.NewReader(reframe(t, good, c.edit)), g)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Read: %v, want an error saying %q", err, c.want)
+			}
+		})
+	}
+	t.Run("rank at k, k=100", func(t *testing.T) {
+		ba := gen.BarabasiAlbert(2000, 10, 42)
+		ix, err := Build(ba, ba.DegreeOrder()[:100])
+		if err != nil || ix.labelMask == nil {
+			t.Fatalf("test premise broken: %v, mask form %v", err, ix != nil && ix.labelMask != nil)
+		}
+		file := reframe(t, v2Bytes(t, ix), func(_ *container.Header, sec map[uint32][]byte) { sec[sectLabelMask][13*7+12] |= 1 << 4 })
+		if _, err := Read(bytes.NewReader(file), ba); err == nil || !strings.Contains(err.Error(), "vertex 7 holds a rank out of range [0,100)") {
+			t.Fatalf("Read: %v, want vertex 7's rank 100 refused", err)
+		}
+	})
+}
+
+// TestReadChecksOffsets: the offsets are bytes the index keeps and every
+// query indexes the labels by, so the reader holds them to what a writer
+// produces — and the ranks of each label in section 4 to ascending and
+// below k, which bounds a label at k entries and is what labelOf assumes.
+// The file is path-600's with its ranks in section 4, as the writers
+// before section 13 framed it: it loads as the index a build gives, which
+// writes the mask.
+func TestReadChecksOffsets(t *testing.T) {
+	g, ix := path600(t)
+	good := rankBytesFile(t, ix)
 	got, err := Read(bytes.NewReader(good), g)
-	if err != nil || !indexesIdentical(ix, got) || !bytes.Equal(v2Bytes(t, got), good) {
+	if err != nil || !indexesIdentical(ix, got) || !bytes.Equal(v2Bytes(t, got), v2Bytes(t, ix)) {
 		t.Fatalf("the unedited file does not load as the index it was written from: %v", err)
 	}
 	for _, c := range offsetCases() {

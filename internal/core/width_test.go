@@ -123,7 +123,8 @@ func TestReadChecksDistanceCodes(t *testing.T) {
 		v++
 	}
 	record := binary.LittleEndian.AppendUint32(nil, uint32(v))
-	record = append(record, ix.labelRank[0])
+	_, rank := ix.entryAt(0)
+	record = append(record, rank)
 	type sections = map[uint32][]byte
 	escapeFirst := func(sec sections) { sec[sectLabelDist][1] |= 3 } // entry 0, vertex v's first
 	for _, c := range []struct {
@@ -170,6 +171,92 @@ func TestReadChecksDistanceCodes(t *testing.T) {
 			}
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("Read: %v, want an error saying %q", err, c.want)
+			}
+		})
+	}
+}
+
+// formCase is a graph and landmark set whose labelling keeps its ranks as
+// a mask (mask) or as rank bytes.
+type formCase struct {
+	name string
+	g    *graph.Graph
+	lm   []int32
+	mask bool
+}
+
+// formCases are labellings of both forms: BA-20k as the benchmark builds
+// it, 106 066 entries for 20 000 mask bytes; a 100×100 grid, whose 9 980
+// entries keep rank bytes against 30 000; the paper's example, 13 entries
+// against 14; its six highest-degree vertices, 14 entries and 14 bytes, a
+// tie that keeps rank bytes; and at k > 64, where a set is more than one
+// word, BA-2000 with k = 100 (36 454 entries, 26 000 bytes) and an ER graph
+// of 1 000 vertices with k = 255 (74 540 entries, 32 000 bytes) beside
+// BA-2000 with k = 255 (48 467 entries, 64 000 bytes).
+func formCases() []formCase {
+	ba20k, grid, fig2 := gen.BarabasiAlbert(20_000, 5, 42), gen.Grid(100, 100), gen.PaperFigure2()
+	ba2k, er := gen.BarabasiAlbert(2000, 10, 42), gen.ErdosRenyi(1000, 20_000, 1)
+	return []formCase{
+		{"ba20k", ba20k, ba20k.DegreeOrder()[:16], true},
+		{"grid", grid, grid.DegreeOrder()[:20], false},
+		{"figure2", fig2, gen.PaperLandmarks(), false},
+		{"figure2 tie", fig2, fig2.DegreeOrder()[:6], false},
+		{"ba2000 k100", ba2k, ba2k.DegreeOrder()[:100], true},
+		{"er1000 k255", er, er.DegreeOrder()[:255], true},
+		{"ba2000 k255", ba2k, ba2k.DegreeOrder()[:255], false},
+	}
+}
+
+// TestRankForms: each labelling keeps its ranks in the form the brute
+// force over Label picks — a mask of ⌈k/8⌉ bytes a vertex when that is
+// fewer bytes than one an entry, rank bytes on a tie — its file is
+// Algorithm 1's, Write → Read → Write gives the same bytes, and the answers
+// are BFS's: every pair's on graphs under 1 000 vertices; on the others,
+// from 8 sources, every target's through DistanceMany (whose label walks
+// are batch.go's) and every 64th one's through Distance.
+func TestRankForms(t *testing.T) {
+	for _, c := range formCases() {
+		t.Run(c.name, func(t *testing.T) {
+			ix, err := Build(c.g, c.lm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := int32(c.g.NumVertices())
+			entries := 0
+			for v := range n {
+				r, _ := ix.Label(v)
+				entries += len(r)
+			}
+			brute := int(n)*((len(c.lm)+7)/8) < entries
+			if mask := ix.labelMask != nil; mask != c.mask || mask != brute || mask == (ix.labelRank != nil) {
+				t.Fatalf("mask form %v (rank bytes %v), want %v; brute force over Label gives %v", mask, ix.labelRank != nil, c.mask, brute)
+			}
+			file := v2Bytes(t, ix)
+			if !bytes.Equal(file, v2Bytes(t, referenceIndex(c.g, c.lm))) {
+				t.Fatal("labels differ from Algorithm 1's")
+			}
+			ix2, err := Read(bytes.NewReader(file), c.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !indexesIdentical(ix, ix2) || !bytes.Equal(v2Bytes(t, ix2), file) {
+				t.Fatal("Write → Read → Write changed the index")
+			}
+			if n < 1000 {
+				checkAllPairs(t, c.g, ix2)
+				return
+			}
+			sr, all := ix2.Searcher(), make([]int32, n)
+			for u := range all {
+				all[u] = int32(u)
+			}
+			for s := int32(0); s < n; s += n / 8 {
+				want, many := bfs.Distances(c.g, s), sr.DistanceMany(s, all, nil)
+				for u := range n {
+					if many[u] != want[u] || u%64 == 0 && sr.Distance(s, u) != want[u] {
+						t.Fatalf("d(%d,%d) = %d (DistanceMany), %d (Distance), want %d", s, u, many[u], sr.Distance(s, u), want[u])
+					}
+				}
 			}
 		})
 	}

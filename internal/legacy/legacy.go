@@ -103,6 +103,7 @@ const (
 	sectLabelRel  uint32 = 8
 	sectGraph     uint32 = 11
 	sectLabelDist uint32 = 12
+	sectLabelMask uint32 = 13
 )
 
 // peekTable returns the first bytes of br and, when they are a container's,
@@ -275,16 +276,19 @@ func rebuild(old container.Header, sec map[uint32]container.Section, g *graph.Gr
 }
 
 // ByteSections returns the header and sections 1, 2, 4–8 of ix as the last
-// writer of section 5 laid them out: one distance byte an entry in section
-// 5, and 0xFF there and a record in section 6 for each distance ≥ 255.
-// ReadIndex holds a file to them, and tests frame retired files with them.
+// writer of section 5 laid them out: a rank byte an entry in section 4
+// whatever the form ix keeps its ranks in, one distance byte an entry in
+// section 5, and 0xFF there and a record in section 6 for each distance
+// ≥ 255. ReadIndex holds a file to them, and tests frame retired files
+// with them.
 func ByteSections(ix *core.Index) (container.Header, []container.Section) {
 	h, sections := ix.Sections()
-	dist := make([]byte, 0, h.Aux1)
+	rank, dist := make([]byte, 0, h.Aux1), make([]byte, 0, h.Aux1)
 	var over []byte
 	for v := range int32(h.N) {
 		ranks, dists := ix.Label(v)
 		for i, d := range dists {
+			rank = append(rank, byte(ranks[i]))
 			dist = append(dist, byte(min(d, 255)))
 			if d >= 255 {
 				over = binary.LittleEndian.AppendUint32(over, uint32(v))
@@ -295,6 +299,8 @@ func ByteSections(ix *core.Index) (container.Header, []container.Section) {
 	h.Aux2 = uint64(len(over) / 9)
 	for i, s := range sections {
 		switch s.ID {
+		case sectLabelMask:
+			sections[i] = container.Section{ID: sectLabelRank, Payload: rank}
 		case sectLabelDist:
 			sections[i] = container.Section{ID: sectByteDist, Payload: dist}
 		case sectOverflow:
