@@ -328,6 +328,29 @@ func TestRunMigrateLegacyLayouts(t *testing.T) {
 	}
 }
 
+// TestRunMigrateMaskSection13: the index file whose ranks are masks in
+// section 13 migrates, beside its graph, to the bytes a fresh build writes
+// (tiny_bits.hl2), and the serving reader refuses it with the line naming
+// migrate.
+func TestRunMigrateMaskSection13(t *testing.T) {
+	testdata := filepath.Join("..", "..", "internal", "core", "testdata")
+	gp, out := filepath.Join(t.TempDir(), "fig2.hwg"), filepath.Join(t.TempDir(), "tiny.idx")
+	if err := highway.SaveGraph(gen.PaperFigure2(), gp); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := highway.LoadIndex(filepath.Join(testdata, "tiny_mask.hl2"), gen.PaperFigure2()); err == nil || !strings.Contains(err.Error(), "hlbuild migrate") {
+		t.Fatalf("section-13 file loaded: %v, want the line naming hlbuild migrate", err)
+	}
+	if err := run([]string{"migrate", "-graph", gp, "-in", filepath.Join(testdata, "tiny_mask.hl2"), "-out", out}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	want, werr := os.ReadFile(filepath.Join(testdata, "tiny_bits.hl2"))
+	if err != nil || werr != nil || !bytes.Equal(got, want) {
+		t.Fatalf("migrated to %d bytes (%v, %v), not tiny_bits.hl2's %d", len(got), err, werr, len(want))
+	}
+}
+
 // TestRunBuildCorruptBinaryGraph: a graph file is one by its first bytes,
 // whatever its name, so a damaged one reports its damage, not a text
 // parser's complaint about line 1.

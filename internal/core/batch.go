@@ -25,7 +25,7 @@ import (
 //     For a landmark source, via *is* its highway row: zero setup.
 //  2. Targets are visited in sorted order (one shared permutation, no
 //     per-pair allocation), so label reads walk the flat label CSR
-//     (labelOff, the rank section and labelDist) sequentially, and duplicate
+//     (the rank sections and labelDist) sequentially, and duplicate
 //     targets are answered once and copied.
 //  3. The fallback searches reuse one bfs.Scratch (the searcher's), and
 //     a group with enough refinements to do replaces its per-pair

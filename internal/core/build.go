@@ -515,14 +515,14 @@ func (rw *Rows) Assemble(g *graph.Graph) *Index {
 	return ix
 }
 
-// wideLabels is a labelling before its ranks and distances are packed:
-// per vertex the ranks it holds, as a mask section holds them, one byte an
-// entry, min(d-1, 255), the exact distance of each entry at 255 (d ≥ 256)
-// by its position in deep, and how many entries escape at each of
-// distWidths.
+// wideLabels is a labelling before its distances are packed and its ranks
+// take their form: per vertex the ranks it holds, as the mask form holds
+// them, one byte an entry, min(d-1, 255), the exact distance of each entry
+// at 255 (d ≥ 256) by its position in deep, and how many entries escape at
+// each of distWidths.
 type wideLabels struct {
-	off     offsets
-	mask    []byte // ⌈k/8⌉ bytes a vertex
+	ranks   rankBits
+	off     offsets // where the labels start
 	code    []uint8
 	deep    map[int64]int32
 	escaped escapeCounts
@@ -578,38 +578,26 @@ func deepOf(lists [][]posDist) map[int64]int32 {
 // the chunks and blocks without sharing a write; an entry too deep for a
 // byte goes on its worker's own list.
 func layLabels(runs []*groupRun, prev *Index, keep *landmarkSet, n, k, workers int) wideLabels {
-	size, blocks := (k+7)>>3, (n+pullBlock-1)/pullBlock
-	masks, sizes := make([]byte, n*size), make([]uint8, n)
-	share(workers, blocks, func(_, i int) {
-		for v := i * pullBlock; v < min((i+1)*pullBlock, n); v++ {
-			var m landmarkSet
-			if prev != nil {
-				prev.labelOf(int32(v), &m)
-				for w := range m {
-					m[w] &= keep[w]
-				}
+	ranks, off := packRanks(n, k, workers, func(v int, m *landmarkSet) {
+		if prev != nil {
+			prev.labelOf(int32(v), m)
+			for w := range m {
+				m[w] &= keep[w]
 			}
-			for _, run := range runs {
-				x, r0, last := run.labelled[v], run.ranks[0], run.ranks[len(run.ranks)-1]
-				if last-r0 == len(run.ranks)-1 && r0>>6 == last>>6 { // consecutive, in one word: every BuildOpts run
-					m[r0>>6&3] |= uint64(x) << (r0 & 63)
-					continue
-				}
-				for ; x != 0; x &= x - 1 {
-					r := run.ranks[bits.TrailingZeros32(x)]
-					m[r>>6&3] |= 1 << (r & 63)
-				}
+		}
+		for _, run := range runs {
+			x, r0, last := run.labelled[v], run.ranks[0], run.ranks[len(run.ranks)-1]
+			if last-r0 == len(run.ranks)-1 && r0>>6 == last>>6 { // consecutive, in one word: every BuildOpts run
+				m[r0>>6&3] |= uint64(x) << (r0 & 63)
+				continue
 			}
-			c := 0
-			for _, x := range m[:(k+63)>>6] {
-				c += bits.OnesCount64(x)
+			for ; x != 0; x &= x - 1 {
+				r := run.ranks[bits.TrailingZeros32(x)]
+				m[r>>6&3] |= 1 << (r & 63)
 			}
-			sizes[v] = uint8(c)
-			storeMask(masks, size, v, &m)
 		}
 	})
-	off, entries := newOffsets(sizes)
-	code := make([]uint8, entries)
+	code := make([]uint8, off.at(int32(n)))
 	deep, counts := make([][]posDist, workers), make([]escapeCounts, workers)
 	for _, run := range runs {
 		share(workers, len(run.events), func(w, c int) {
@@ -620,7 +608,7 @@ func layLabels(runs []*groupRun, prev *Index, keep *landmarkSet, n, k, workers i
 				all, start := run.labelled[e.v], off.at(e.v)
 				first := start // the entry of the run's first rank
 				if run.ranks[0] > 0 || prev != nil {
-					loadMask(masks, size, int(e.v), &m)
+					ranks.labelOf(e.v, &m)
 					first += before(m[:], run.ranks[0])
 				}
 				for x := e.mask; x != 0; x &= x - 1 {
@@ -643,11 +631,10 @@ func layLabels(runs []*groupRun, prev *Index, keep *landmarkSet, n, k, workers i
 		share(workers, int((nPrev+packChunk-1)/packChunk), func(_, i int) {
 			unpackCodes(prevCode[i*packChunk:min((i+1)*packChunk, int(nPrev))], prev.codes[i*packChunk*int(pw)/8:], pw)
 		})
-		share(workers, blocks, func(w, i int) {
+		share(workers, (n+pullBlock-1)/pullBlock, func(w, i int) {
 			for v := i * pullBlock; v < min((i+1)*pullBlock, n); v++ {
 				var pm, m landmarkSet
-				q, p := prev.labelOf(int32(v), &pm), off.at(int32(v))
-				loadMask(masks, size, v, &m)
+				q, p := prev.labelOf(int32(v), &pm), ranks.labelOf(int32(v), &m)
 				for wd, x := range m[:] {
 					for ; x != 0; x, p = x&(x-1), p+1 {
 						if keep[wd&3]&(x&-x) == 0 { // a rank that ran
@@ -670,32 +657,31 @@ func layLabels(runs []*groupRun, prev *Index, keep *landmarkSet, n, k, workers i
 			}
 		})
 	}
-	return wideLabels{off: off, mask: masks, code: code, deep: deepOf(deep), escaped: sum(counts)}
+	return wideLabels{ranks: ranks, off: off, code: code, deep: deepOf(deep), escaped: sum(counts)}
 }
 
-// setRanks stores the ranks of l, whose offsets ix holds, in the form
-// chooseMask picks: a mask of ⌈k/8⌉ bytes a vertex, or a byte an entry.
-func (ix *Index) setRanks(l *wideLabels, workers int) {
+// setRanks makes ranks, laid out in the mask form's bits and as off places
+// them, ix's in the form chooseMask picks: the bits as they are, or a byte
+// an entry beside off.
+func (ix *Index) setRanks(ranks rankBits, off offsets) {
 	n, k := len(ix.rankOf), len(ix.landmarks)
-	if chooseMask(n, k, ix.NumEntries()) {
-		ix.labelRank, ix.labelMask = nil, l.mask
+	if chooseMask(n, k, off.at(int32(n))) {
+		ix.labelOff, ix.labelRank, ix.labelMask = offsets{}, nil, ranks
 		return
 	}
-	ranks := make([]byte, ix.NumEntries())
-	share(workers, (n+pullBlock-1)/pullBlock, func(_, i int) {
-		for v := i * pullBlock; v < min((i+1)*pullBlock, n); v++ {
-			var m landmarkSet
-			loadMask(l.mask, (k+7)>>3, v, &m)
-			p := ix.labelOff.at(int32(v))
-			for w, x := range m[:] {
-				for ; x != 0; x &= x - 1 {
-					ranks[p] = uint8(w<<6 | bits.TrailingZeros64(x))
-					p++
-				}
+	labelRank := make([]byte, off.at(int32(n)))
+	for v := range int32(n) {
+		var m landmarkSet
+		ranks.labelOf(v, &m)
+		p := off.at(v)
+		for w, x := range m[:] {
+			for ; x != 0; x &= x - 1 {
+				labelRank[p] = uint8(w<<6 | bits.TrailingZeros64(x))
+				p++
 			}
 		}
-	})
-	ix.labelRank, ix.labelMask = ranks, nil
+	}
+	ix.labelOff, ix.labelRank, ix.labelMask = off, labelRank, rankBits{}
 }
 
 // packChunk entries are packed at a time: a multiple of the 4 codes a
@@ -759,12 +745,11 @@ func (ix *Index) pack(l wideLabels, workers int) {
 	width, nEscaped := chooseWidth(int64(entries), l.escaped)
 	dist := make([]byte, distLen(int64(entries), width))
 	dist[0] = width
-	ix.labelOff = l.off
 	ix.setDist(dist)
 	share(workers, chunks, func(_, i int) {
 		packCodes(ix.codes[i*packChunk*int(width)/8:], l.code[i*packChunk:min((i+1)*packChunk, entries)], width)
 	})
-	ix.setRanks(&l, workers)
+	ix.setRanks(l.ranks, l.off)
 	if nEscaped > 0 {
 		ix.overflow = make(map[int64]int32, nEscaped)
 		for p := range escapes(dist) {

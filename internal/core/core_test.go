@@ -384,12 +384,14 @@ func indexesIdentical(a, b *Index) bool {
 			return false
 		}
 	}
-	for v := int32(0); v <= int32(a.g.NumVertices()); v++ {
-		if a.labelOff.at(v) != b.labelOff.at(v) {
+	for v := range int32(a.g.NumVertices()) {
+		alo, ahi := a.span(v)
+		if blo, bhi := b.span(v); alo != blo || ahi != bhi {
 			return false
 		}
 	}
-	return bytes.Equal(a.labelRank, b.labelRank) && bytes.Equal(a.labelMask, b.labelMask) && bytes.Equal(a.labelDist, b.labelDist) &&
+	return bytes.Equal(a.labelRank, b.labelRank) && bytes.Equal(a.labelMask.bits, b.labelMask.bits) && bytes.Equal(a.labelMask.dir, b.labelMask.dir) &&
+		bytes.Equal(a.labelDist, b.labelDist) &&
 		maps.Equal(a.overflow, b.overflow)
 }
 

@@ -63,8 +63,8 @@ func checkActualBytes(t *testing.T, g *graph.Graph, lm []int32, mask bool) {
 		t.Fatal(err)
 	}
 	held := heap() - before
-	if (ix.labelMask != nil) != mask {
-		t.Fatalf("test premise broken: mask form %v, want %v", ix.labelMask != nil, mask)
+	if (ix.labelMask.bits != nil) != mask {
+		t.Fatalf("test premise broken: mask form %v, want %v", ix.labelMask.bits != nil, mask)
 	}
 	if want := ix.ActualBytes(); held < want*9/10 || held > want*11/10 {
 		t.Fatalf("a built index holds %d bytes of heap, ActualBytes says %d", held, want)
@@ -85,7 +85,7 @@ func TestLoadAdoptsSections(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	ix, err := Load(path, g)
 	runtime.ReadMemStats(&after)
-	if err != nil || ix.labelMask == nil {
+	if err != nil || ix.labelMask.bits == nil {
 		t.Fatalf("%v, or test premise broken: the ranks keep rank bytes", err)
 	}
 	if got, limit := int64(after.TotalAlloc-before.TotalAlloc), size+6*int64(g.NumVertices())+64<<10; got > limit {

@@ -17,17 +17,18 @@ import (
 func FuzzLoadIndex(f *testing.F) {
 	// Seeds: an index of each distance code width — the golden index
 	// (w = 2), the spider's (w = 4, 5 overflow records) and the path-600
-	// index (w = 8, 686 records) — and of each rank form — the first two
-	// keep rank bytes, path-600's ranks take the mask, and so do those of
+	// index (w = 8, 686 records), whose ranks take the bits, as do those of
 	// the paper's example with its three highest-degree vertices as
-	// landmarks —, every malformed offsets section TestReadChecksOffsets
-	// names and every malformed rank mask TestReadChecksRankMask names;
-	// then a file of each retired layout: the committed v1 files and the
-	// one with its offsets in section 3, both indexes without section 11,
-	// the committed index file and checkpoint with one distance byte an
-	// entry, and the committed graph file and checkpoint from before the
-	// graph became sections. Each of those is refused with the one line
-	// naming the command that rewrites it (internal/legacy reads them).
+	// landmarks — and the grid whose ranks keep rank bytes —, every
+	// malformed offsets section TestReadChecksOffsets names and every
+	// malformed rank bits or directory TestReadChecksRankMask names; then a
+	// file of each retired layout: the committed v1 files and the one with
+	// its offsets in section 3, both indexes without section 11, the
+	// committed index file and checkpoint with one distance byte an entry,
+	// the committed graph file and checkpoint from before the graph became
+	// sections, and the committed index file with masks in section 13. Each
+	// of those is refused with the one line naming the command that
+	// rewrites it (internal/legacy reads them).
 	fig2 := gen.PaperFigure2()
 	path600G, path600Ix := path600(f)
 	spiderCase := widthCases()[1]
@@ -36,7 +37,7 @@ func FuzzLoadIndex(f *testing.F) {
 		f.Fatal(err)
 	}
 	golden, path600File := v2Bytes(f, goldenIndex(f)), v2Bytes(f, path600Ix)
-	seeds := [][]byte{golden, v2Bytes(f, spiderIx), path600File, v2Bytes(f, goldenMaskIndex(f))}
+	seeds := [][]byte{golden, v2Bytes(f, spiderIx), path600File, v2Bytes(f, goldenMaskIndex(f)), v2Bytes(f, goldenRankIndex(f))}
 	for _, old := range []struct {
 		file []byte
 		g    *graph.Graph
@@ -44,7 +45,7 @@ func FuzzLoadIndex(f *testing.F) {
 		{testdata(f, "tiny.hl1"), fig2}, {testdata(f, "path300.hl1"), gen.Path(300)}, {testdata(f, "tiny_off64.hl2"), fig2},
 		{withoutSection11(f, golden), fig2}, {withoutSection11(f, path600File), path600G},
 		{testdata(f, "tiny.hl2"), fig2}, {testdata(f, "tiny.snap2"), fig2},
-		{testdata(f, "tiny.hwg1"), fig2}, {testdata(f, "tiny.snap1"), fig2},
+		{testdata(f, "tiny.hwg1"), fig2}, {testdata(f, "tiny.snap1"), fig2}, {testdata(f, "tiny_mask.hl2"), fig2},
 	} {
 		if _, err := Read(bytes.NewReader(old.file), old.g); !namesMigrate(err) {
 			f.Fatalf("seed %d: %v, want one line naming hlbuild migrate", len(seeds), err)
@@ -80,7 +81,7 @@ func FuzzLoadIndex(f *testing.F) {
 	}
 	f.Add(retired.Bytes())
 
-	overflowG := gen.Path(300) // the graph of the path300.hl1 seed
+	overflowG, gridG := gen.Path(300), gen.Grid(5, 6) // the graphs of the path300.hl1 and grid seeds
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Loading must be total: either an error or a usable index.
 		ix, err := Read(bytes.NewReader(data), fig2)
@@ -89,7 +90,7 @@ func FuzzLoadIndex(f *testing.F) {
 		}
 		// More graph sizes exercise the n-mismatch path and the overflow
 		// machinery bounds.
-		for _, g := range []*graph.Graph{overflowG, spiderCase.g, path600G} {
+		for _, g := range []*graph.Graph{overflowG, spiderCase.g, path600G, gridG} {
 			if ix, err := Read(bytes.NewReader(data), g); err == nil {
 				exerciseIndex(ix)
 			}
@@ -127,10 +128,8 @@ func exerciseIndex(ix *Index) {
 // sizes, Save→Load must reproduce a deep-equal index.
 func FuzzIndexRoundTrip(f *testing.F) {
 	// One seed of each distance code width at least: w = 2 (ER, BA), w = 4
-	// (ER of 84 vertices, 4 landmarks) and w = 8 (the paths); and of each
-	// rank form: the ER and BA graphs take the mask, the paths keep rank
-	// bytes, and so does ER-9 with two landmarks: 9 entries for 9 mask
-	// bytes, a tie.
+	// (ER of 84 vertices, 4 landmarks) and w = 8 (the paths). On graphs this
+	// small every labelling's ranks take the bits: offsets alone cost more.
 	f.Add(int64(1), uint8(30), uint8(3))
 	f.Add(int64(1), uint8(80), uint8(3))
 	f.Add(int64(2), uint8(80), uint8(7))

@@ -26,9 +26,10 @@ func goldenIndex(tb testing.TB) *Index {
 	return ix
 }
 
-// goldenMaskIndex is the fixture behind the golden file of the mask form:
-// the paper's running example with its three highest-degree vertices as
-// landmarks, 18 entries for 14 mask bytes.
+// goldenMaskIndex is the paper's running example with its three
+// highest-degree vertices as landmarks, 18 entries: tiny_bits.hl2 is its
+// file, and tiny_mask.hl2 and tiny_ranks.hl2 what writers before sections
+// 14 and 15 wrote for it.
 func goldenMaskIndex(tb testing.TB) *Index {
 	tb.Helper()
 	g := gen.PaperFigure2()
@@ -39,16 +40,35 @@ func goldenMaskIndex(tb testing.TB) *Index {
 	return ix
 }
 
+// goldenRankIndex is a labelling whose ranks keep rank bytes: a 5×6 grid
+// with its 15 highest-degree vertices as landmarks, 17 entries, 87 bytes
+// of rank bytes and offsets against 88 of bits and directory.
+func goldenRankIndex(tb testing.TB) *Index {
+	tb.Helper()
+	g := gen.Grid(5, 6)
+	ix, err := Build(g, g.DegreeOrder()[:15])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ix
+}
+
 // TestGoldenV2 pins the v2 format bytes of both rank forms, section 12's
 // distance codes among them: if serialization drifts — field order,
 // section ids, checksums, encoding — this fails before any user's index
-// files stop loading. tiny_codes.hl2 keeps its ranks in section 4,
-// tiny_mask.hl2 in section 13. Regenerate deliberately with
-// `go test ./internal/core -run TestGoldenV2 -update-golden` and call the
-// change out in review: it breaks files written by older builds.
+// files stop loading. tiny_codes.hl2 and tiny_bits.hl2 keep their ranks in
+// sections 14 and 15, grid_ranks.hl2 in sections 7, 8 and 4. Regenerate
+// deliberately with `go test ./internal/core -run TestGoldenV2
+// -update-golden` and call the change out in review: it breaks files
+// written by older builds.
 func TestGoldenV2(t *testing.T) {
-	for name, ix := range map[string]*Index{"tiny_codes.hl2": goldenIndex(t), "tiny_mask.hl2": goldenMaskIndex(t)} {
-		t.Run(name, func(t *testing.T) { checkGolden(t, ix, name) })
+	for name, ix := range map[string]*Index{"tiny_codes.hl2": goldenIndex(t), "tiny_bits.hl2": goldenMaskIndex(t), "grid_ranks.hl2": goldenRankIndex(t)} {
+		t.Run(name, func(t *testing.T) {
+			if mask := ix.labelMask.bits != nil; mask != (name != "grid_ranks.hl2") {
+				t.Fatalf("test premise broken: mask form %v", mask)
+			}
+			checkGolden(t, ix, name)
+		})
 	}
 }
 
@@ -78,7 +98,7 @@ func checkGolden(t *testing.T, ix *Index, name string) {
 	}
 
 	// The checked-in bytes must also load and answer correctly.
-	g := gen.PaperFigure2()
+	g := ix.Graph()
 	ix2, err := Read(bytes.NewReader(want), g)
 	if err != nil {
 		t.Fatal(err)
@@ -91,11 +111,11 @@ func checkGolden(t *testing.T, ix *Index, name string) {
 
 // TestRankBytesOfDenseLabellingLoad: writers before section 13 kept every
 // labelling's ranks in section 4. tiny_ranks.hl2 is what the last of them
-// wrote for goldenMaskIndex, whose ranks a writer of today puts in section
-// 13: it loads as the index a build gives, answers every pair as BFS does,
-// and writes tiny_mask.hl2. rankBytesFile frames that file byte for byte,
-// so the reader checks tested on its files are the ones such files meet.
-// Either form is read as written and held in the one chosen.
+// wrote for goldenMaskIndex, whose ranks a writer of today puts in sections
+// 14 and 15: it loads as the index a build gives, answers every pair as
+// BFS does, and writes tiny_bits.hl2. rankBytesFile frames that file byte
+// for byte, so the reader checks tested on its files are the ones such
+// files meet. Either form is read as written and held in the one chosen.
 func TestRankBytesOfDenseLabellingLoad(t *testing.T) {
 	g, ix := gen.PaperFigure2(), goldenMaskIndex(t)
 	old := testdata(t, "tiny_ranks.hl2")
@@ -106,27 +126,23 @@ func TestRankBytesOfDenseLabellingLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !indexesIdentical(ix, got) || !bytes.Equal(v2Bytes(t, got), testdata(t, "tiny_mask.hl2")) {
+	if !indexesIdentical(ix, got) || !bytes.Equal(v2Bytes(t, got), testdata(t, "tiny_bits.hl2")) {
 		t.Fatal("the section-4 file loads as another index than a build's, or writes another file")
 	}
 	checkAllPairs(t, g, got)
 
-	// The other way round, which no writer produces: the golden index's
-	// sparse ranks as masks in section 13 load as rank bytes.
-	sparse := goldenIndex(t)
-	masks := make([]byte, g.NumVertices())
-	for v := range int32(g.NumVertices()) {
-		r, _ := sparse.Label(v)
-		for _, x := range r {
-			masks[v] |= 1 << x
+	// The other way round, which no writer produces: the grid's sparse
+	// ranks as bits in sections 14 and 15 load as rank bytes.
+	sparse := goldenRankIndex(t)
+	plain := plainRanksOf(sparse)
+	file := reframe(t, testdata(t, "grid_ranks.hl2"), func(_ *container.Header, sec map[uint32][]byte) {
+		for _, id := range []uint32{sectLabelBase, sectLabelRel, sectLabelRank} {
+			delete(sec, id)
 		}
-	}
-	file := reframe(t, testdata(t, "tiny_codes.hl2"), func(_ *container.Header, sec map[uint32][]byte) {
-		delete(sec, sectLabelRank)
-		sec[sectLabelMask] = masks
+		sec[sectLabelBits], sec[sectLabelDir] = plain[sectLabelBits], plain[sectLabelDir]
 	})
-	if got, err := Read(bytes.NewReader(file), g); err != nil || !indexesIdentical(sparse, got) {
-		t.Fatalf("the golden index's ranks as masks: %v, or another index than a build's", err)
+	if got, err := Read(bytes.NewReader(file), sparse.Graph()); err != nil || !indexesIdentical(sparse, got) || !bytes.Equal(v2Bytes(t, got), testdata(t, "grid_ranks.hl2")) {
+		t.Fatalf("the grid's ranks as bits: %v, or another index than a build's", err)
 	}
 }
 
@@ -138,7 +154,8 @@ func TestRankBytesOfDenseLabellingLoad(t *testing.T) {
 // least of all — may rewrite them. tiny.hl2 is the golden index of the last
 // writer of section 5, one distance byte an entry, and tiny.snap2 its
 // checkpoint of the same graph and labelling. tiny_ranks.hl2 is a labelling
-// whose ranks take the mask, as the last writer before section 13 wrote it.
+// whose ranks take the mask, as the last writer before section 13 wrote it,
+// and tiny_mask.hl2 the same as the last writer of section 13 wrote it.
 func TestLegacyFixturesUntouched(t *testing.T) {
 	for name, want := range map[string]string{
 		"tiny.hl1":       "ed1b0762e5429ff792f8a1e6b3ef660395eb4ca1e35d0ea2c4ea96dccb482100",
@@ -149,6 +166,7 @@ func TestLegacyFixturesUntouched(t *testing.T) {
 		"tiny.hwg1":      "e26fc490c6c337cef8120b79e06e3ec5ac86705d1cc3a18df812848fe9ff7e79",
 		"tiny.snap1":     "c2fbfd2b8ca2dd14276305c5231ca2ba86cc4c178981ef7b133378b5149bef1e",
 		"tiny_ranks.hl2": "0f54628001cb89c7fd5673afd82185d26cbe83c9ed5d3c088fc39890192bd0b6",
+		"tiny_mask.hl2":  "71778ea387deb8ea027ca083d0175d00ee0d17ab878bdf2913bf10c9ec550119",
 	} {
 		raw, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {

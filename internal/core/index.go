@@ -65,12 +65,13 @@ const MaxLandmarks = 255
 // occupies positions span(v) of labelDist, one code of w bits an entry,
 // sorted by landmark rank; there are no per-vertex slice headers to chase.
 // Its ranks are kept as labelRank, a byte an entry as in the paper's HL(8)
-// (Section 5.2), or as labelMask, ⌈k/8⌉ bytes a vertex with bit r set iff
-// landmark r is in L(v) (Akiba et al.'s bit-parallel labels, SIGMOD 2013),
-// whichever is fewer bytes, rank bytes on a tie (chooseMask): the mask on
-// complex networks, rank bytes on a grid or a path. Either way labelOf
-// gives v's ranks as a landmarkSet, and the entry of rank r sits at
-// span(v)'s start plus the number of v's ranks below r.
+// (Section 5.2), beside offsets, or as labelMask, k bits a vertex with bit
+// r set iff landmark r is in L(v) (Akiba et al.'s bit-parallel labels,
+// SIGMOD 2013) packed end to end beside a rank directory, whichever is
+// fewer bytes, rank bytes on a tie (chooseMask): the mask on complex
+// networks, rank bytes on a grid or a path. Either way labelOf gives v's
+// ranks as a landmarkSet, and the entry of rank r sits at span(v)'s start
+// plus the number of v's ranks below r.
 //
 // An entry (r, d) exists only when no other landmark lies on a shortest
 // r–v path, so its distance is tiny: the code is d-1, and its all-ones
@@ -83,13 +84,15 @@ const MaxLandmarks = 255
 // same bytes. The query hot path is one AND of two rank sets, a walk over
 // their set bits, and a shift, a mask and a compare per distance read.
 //
-// The offsets take their width from the same limit as the ranks: a label
-// has at most MaxLandmarks entries, so prefix sums restarted every offBlock
-// vertices stay ≤ 255·255 < 2¹⁶. labelOff holds one uint64 per block, the
-// offset of its first vertex, and one uint16 per vertex, its offset past
-// that: at(v) = base[v>>8] + rel[v], 2.03 B a vertex with no cap on the
-// total. Both are little-endian bytes, because all the label arrays are
-// the index file's sections 7, 8, 4 or 13, and 12 themselves: a save
+// The rank bytes' offsets take their width from the same limit as the
+// ranks: a label has at most MaxLandmarks entries, so prefix sums
+// restarted every offBlock vertices stay ≤ 255·255 < 2¹⁶. labelOff holds
+// one uint64 per block, the offset of its first vertex, and one uint16 per
+// vertex, its offset past that: at(v) = base[v>>8] + rel[v], 2.03 B a
+// vertex with no cap on the total. The mask needs none: its directory
+// (rankBits) gives a label's start in ≤ 2 B a vertex, 5/8 of one at k = 20.
+// All are little-endian bytes, because all the label arrays are the index
+// file's sections 7, 8 and 4, or 14 and 15, and 12 themselves: a save
 // writes them as they are and a load keeps the buffers it read them into
 // (serialize.go).
 //
@@ -116,10 +119,10 @@ type Index struct {
 	highway    []int32 // k*k, row-major; Infinity = unreachable
 
 	// Flat CSR label storage (structure-of-arrays).
-	labelOff  offsets         // n+1 prefix sums of label sizes
-	labelRank []uint8         // rank bytes: len labelOff.at(n), ranks ascending per vertex; or nil
-	labelMask []byte          // mask: ⌈k/8⌉ bytes a vertex, bit r for landmark r; or nil
-	labelDist []byte          // the width w, then labelOff.at(n) codes of w bits, LSB first
+	labelOff  offsets         // rank bytes: n+1 prefix sums of label sizes
+	labelRank []uint8         // rank bytes: ranks ascending per vertex; or nil
+	labelMask rankBits        // mask: k bits a vertex and their directory; or zero
+	labelDist []byte          // the width w, then NumEntries codes of w bits, LSB first
 	codes     []byte          // labelDist[1:]: entry p's code is at bit p<<distLog
 	distLog   uint8           // log2 w
 	distMask  uint8           // 2^w - 1: the code of an escaped entry
@@ -179,10 +182,10 @@ func cmpOverflow(a, b overflowRec) int {
 	return cmp.Compare(a.rank, b.rank)
 }
 
-// offsets is the prefix sums of the label sizes, n+1 of them, as the index
-// file's sections 7 and 8 hold them: base is one little-endian uint64 per
-// block of offBlock vertices, the offset of the block's first vertex, and
-// rel one uint16 per vertex, its offset past that.
+// offsets is the prefix sums of the label sizes in the rank-byte form, n+1
+// of them, as the index file's sections 7 and 8 hold them: base is one
+// little-endian uint64 per block of offBlock vertices, the offset of the
+// block's first vertex, and rel one uint16 per vertex, its offset past that.
 type offsets struct{ base, rel []byte }
 
 const offBlock = 256
@@ -192,11 +195,6 @@ const offBlock = 256
 func (o offsets) at(v int32) int64 {
 	return int64(binary.LittleEndian.Uint64(o.base[uint(v)/offBlock*8:])) +
 		int64(binary.LittleEndian.Uint16(o.rel[uint(v)*2:]))
-}
-
-// vertexOf returns the vertex whose label holds position p.
-func (o offsets) vertexOf(p int64) int32 {
-	return int32(sort.Search(len(o.rel)/2-1, func(v int) bool { return o.at(int32(v+1)) > p }))
 }
 
 // newOffsets returns the offsets of labels of the given sizes, one per
@@ -219,12 +217,132 @@ func newOffsets(sizes []uint8) (o offsets, entries int64) {
 	}
 }
 
+// rankBits is the mask form's ranks, sections 14 and 15: vertex v's ranks
+// are bits v·k … v·k+k-1 of bits, a little-endian uint64 string, and dir is
+// Jacobson's rank directory over it: one uint64 per 2¹⁶ bits, the set bits
+// before them (base), then one uint16 per stride of ⌈k/64⌉ words, those
+// from its block's start to the stride's (rel). A label starts at base +
+// rel + a popcount of its stride up to v·k, one word whenever k ≤ 64.
+type rankBits struct {
+	bits, dir []byte
+	base, rel []byte // dir's two arrays
+	k, stride uint   // bits a vertex; words a stride
+}
+
+// maskLens returns the lengths of sections 14 and 15 for n vertices of k
+// landmarks.
+func maskLens(n, k int) (bitsLen, dirLen int64) {
+	words, stride := (int64(n)*int64(k)+63)/64, int64(k+63)/64
+	return words * 8, (words+1023)/1024*8 + (words+stride-1)/stride*2
+}
+
+// newRankBits returns the ranks of k landmarks a vertex that bits and dir,
+// of the lengths maskLens gives, hold.
+func newRankBits(bits, dir []byte, k int) rankBits {
+	blocks := (len(bits)/8 + 1023) / 1024 * 8
+	return rankBits{bits: bits, dir: dir, base: dir[:blocks], rel: dir[blocks:], k: uint(k), stride: uint(k+63) / 64}
+}
+
+// word returns word w of the bit string.
+func (b *rankBits) word(w uint) uint64 { return binary.LittleEndian.Uint64(b.bits[w*8:]) }
+
+// labelOf is Index.labelOf in the mask form, for any k: the directory's
+// counts, a popcount of v's stride up to v·k, and v's ranks 64 at a time
+// from the words they straddle.
+func (b *rankBits) labelOf(v int32, m *landmarkSet) (lo int64) {
+	pos := uint(v) * b.k
+	j := pos >> 6 // v's stride
+	if b.stride > 1 {
+		j /= b.stride
+	}
+	s := j * b.stride
+	lo = int64(binary.LittleEndian.Uint64(b.base[s>>10*8:])) + int64(binary.LittleEndian.Uint16(b.rel[j*2:]))
+	for ; s < pos>>6; s++ {
+		lo += int64(bits.OnesCount64(b.word(s)))
+	}
+	lo += int64(bits.OnesCount64(b.word(s) & (1<<(pos&63) - 1)))
+	for i := uint(0); i < b.k; i += 64 { // past the string's end, the second word is garbage the mask drops
+		w, off := (pos+i)>>6, (pos+i)&63
+		m[i>>6] = (b.word(w)>>off | b.word(min(w+1, uint(len(b.bits))/8-1))<<(64-off)) & (1<<min(b.k-i, 64) - 1)
+	}
+	return lo
+}
+
+// store writes m as vertex v's ranks into a string of zeros there. It
+// writes no word that holds none of them, so vertices whose bits start
+// on a word boundary and those after them can be stored concurrently.
+func (b *rankBits) store(v int, m *landmarkSet) {
+	pos := uint(v) * b.k
+	for i := uint(0); i < b.k; i += 64 {
+		w, off, x := (pos+i)>>6, (pos+i)&63, m[i>>6&3]
+		binary.LittleEndian.PutUint64(b.bits[w*8:], b.word(w)|x<<off)
+		if off+min(b.k-i, 64) > 64 {
+			binary.LittleEndian.PutUint64(b.bits[w*8+8:], b.word(w+1)|x>>(64-off))
+		}
+	}
+}
+
+// directory holds dir to the counts of b's bits — the set bits before
+// each block's first word and from there to each stride's — and returns
+// how many ranks the bits hold: one popcount a word. With fill, it writes
+// the counts first.
+func (b *rankBits) directory(fill bool) (int64, error) {
+	var total uint64 // the set bits before word w
+	for w, next, j := uint(0), uint(0), 0; w < uint(len(b.bits))/8; w++ {
+		base, rel := b.base[w/1024*8:], b.rel[j*2:]
+		if fill && w%1024 == 0 {
+			binary.LittleEndian.PutUint64(base, total)
+		}
+		if fill && w == next {
+			binary.LittleEndian.PutUint16(rel, uint16(total-binary.LittleEndian.Uint64(base)))
+		}
+		if w%1024 == 0 && binary.LittleEndian.Uint64(base) != total || w == next && uint64(binary.LittleEndian.Uint16(rel)) != total-binary.LittleEndian.Uint64(base) {
+			return 0, fmt.Errorf("core: section %d does not count the ranks of section %d before word %d", sectLabelDir, sectLabelBits, w)
+		}
+		if w == next {
+			next, j = next+b.stride, j+1
+		}
+		total += uint64(bits.OnesCount64(b.word(w)))
+	}
+	return int64(total), nil
+}
+
+// packRanks lays out the ranks fill gives each of n vertices as the mask
+// form holds them, and as the offsets of rank bytes would place their
+// labels. The workers take blocks of pullBlock vertices, whose bits start
+// on a word boundary, so no two write one word.
+func packRanks(n, k, workers int, fill func(v int, m *landmarkSet)) (rankBits, offsets) {
+	bitsLen, dirLen := maskLens(n, k)
+	b, sizes := newRankBits(make([]byte, bitsLen), make([]byte, dirLen), k), make([]uint8, n)
+	share(workers, (n+pullBlock-1)/pullBlock, func(_, i int) {
+		var m landmarkSet // a block's: fill makes it escape
+		for v := i * pullBlock; v < min((i+1)*pullBlock, n); v++ {
+			m = landmarkSet{}
+			fill(v, &m)
+			b.store(v, &m)
+			sizes[v] = uint8(m.size())
+		}
+	})
+	_, _ = b.directory(true) // counts it has just written cannot disagree
+	off, _ := newOffsets(sizes)
+	return b, off
+}
+
 // span returns the positions lo..hi of vertex v's label.
-func (ix *Index) span(v int32) (lo, hi int64) { return ix.labelOff.at(v), ix.labelOff.at(v + 1) }
+func (ix *Index) span(v int32) (lo, hi int64) {
+	var m landmarkSet
+	lo = ix.labelOf(v, &m)
+	return lo, lo + m.size()
+}
 
 // landmarkSet is a set of landmark ranks, rank r at bit r%64 of word r/64:
 // four words hold MaxLandmarks.
 type landmarkSet [4]uint64
+
+// size returns how many ranks m holds.
+func (m *landmarkSet) size() int64 {
+	return int64(bits.OnesCount64(m[0]) + bits.OnesCount64(m[1]) + bits.OnesCount64(m[2]) + bits.OnesCount64(m[3]))
+}
 
 // before returns how many ranks below r the words of a set hold, more than
 // r/64 of them: where the entry of rank r sits in a label of those ranks.
@@ -254,61 +372,44 @@ func nth(words []uint64, i int64) int {
 // result: a 32-byte result is copied out in halves that stall on the
 // callee's word stores.)
 func (ix *Index) labelOf(v int32, m *landmarkSet) (lo int64) {
+	if b := &ix.labelMask; b.k-1 < 57 { // the mask at k ≤ 57, inline (k = 0, the rank bytes, wraps)
+		pos := uint(v) * b.k // v's stride is its word, and the 8 bytes from v·k's hold its ranks
+		at := min(pos>>3, uint(len(b.bits))-8)
+		m[0] = binary.LittleEndian.Uint64(b.bits[at:]) >> (pos - at*8) & (1<<b.k - 1)
+		return int64(binary.LittleEndian.Uint64(b.base[pos>>16*8:])) + int64(binary.LittleEndian.Uint16(b.rel[pos>>6*2:])) +
+			int64(bits.OnesCount64(b.word(pos>>6)<<(63-pos&63)<<1))
+	}
+	if ix.labelMask.bits != nil {
+		return ix.labelMask.labelOf(v, m)
+	}
 	lo = ix.labelOff.at(v)
-	if ix.labelMask == nil {
-		var low uint64 // m[0], kept out of memory while it fills
-		for _, r := range ix.labelRank[lo:ix.labelOff.at(v+1)] {
-			if r < 64 {
-				low |= 1 << r
-			} else {
-				m[r>>6] |= 1 << (r & 63)
-			}
-		}
-		m[0] = low
-		return lo
-	}
-	loadMask(ix.labelMask, (len(ix.landmarks)+7)>>3, int(v), m)
-	return lo
-}
-
-// loadMask makes m the ranks vertex v's size bytes of masks, a mask
-// section's layout, hold: a word at a time.
-func loadMask(masks []byte, size, v int, m *landmarkSet) {
-	for b := 0; b < size; b += 8 {
-		var x uint64
-		if rest := masks[v*size+b:]; len(rest) >= 8 {
-			x = binary.LittleEndian.Uint64(rest)
+	var low uint64 // m[0], kept out of memory while it fills
+	for _, r := range ix.labelRank[lo:ix.labelOff.at(v+1)] {
+		if r < 64 {
+			low |= 1 << r
 		} else {
-			for i, c := range rest {
-				x |= uint64(c) << (8 * i)
-			}
+			m[r>>6] |= 1 << (r & 63)
 		}
-		if size-b < 8 { // the bytes past v's are the next vertex's
-			x &= 1<<(8*(size-b)) - 1
-		}
-		m[b>>3&3] = x
 	}
-}
-
-// storeMask writes m as vertex v's size bytes of masks: loadMask undone.
-func storeMask(masks []byte, size, v int, m *landmarkSet) {
-	dst := masks[v*size : (v+1)*size]
-	for b := range dst {
-		dst[b] = byte(m[b>>3&3] >> (8 * (b & 7)))
-	}
+	m[0] = low
+	return lo
 }
 
 // entryAt returns the vertex and landmark rank of the entry at position p.
 func (ix *Index) entryAt(p int64) (v int32, rank uint8) {
-	v = ix.labelOff.vertexOf(p)
+	v = int32(sort.Search(len(ix.rankOf), func(v int) bool { _, hi := ix.span(int32(v)); return hi > p }))
 	var m landmarkSet
 	return v, uint8(nth(m[:], p-ix.labelOf(v, &m)))
 }
 
 // chooseMask reports whether a labelling of n vertices, k landmarks and
-// entries entries keeps its ranks as a mask of ⌈k/8⌉ bytes a vertex rather
-// than a byte an entry: when that is fewer bytes, rank bytes on a tie.
-func chooseMask(n, k int, entries int64) bool { return int64(n)*int64((k+7)/8) < entries }
+// entries entries keeps its ranks in the mask form, sections 14 and 15,
+// rather than a byte an entry beside its offsets, sections 4, 7 and 8: when
+// those are fewer bytes, rank bytes on a tie.
+func chooseMask(n, k int, entries int64) bool {
+	bitsLen, dirLen := maskLens(n, k)
+	return bitsLen+dirLen < entries+int64(n/offBlock+1)*8+int64(n+1)*2
+}
 
 // distWidths are the code widths a labelling may take, widest first.
 var distWidths = [...]uint8{8, 4, 2}
@@ -354,8 +455,8 @@ func (ix *Index) distAt(p int64) int32 {
 // parallel slices of landmark ranks and decoded distances.
 func (ix *Index) Label(v int32) (ranks []int32, dists []int32) {
 	var m landmarkSet
-	lo, hi := ix.labelOf(v, &m), ix.labelOff.at(v+1)
-	ranks, dists = make([]int32, 0, hi-lo), make([]int32, 0, hi-lo)
+	lo := ix.labelOf(v, &m)
+	ranks, dists = make([]int32, 0, m.size()), make([]int32, 0, m.size())
 	for w, x := range m[:] {
 		for ; x != 0; x &= x - 1 {
 			ranks = append(ranks, int32(w<<6|bits.TrailingZeros64(x)))
@@ -376,7 +477,8 @@ func (ix *Index) LabelSize(v int32) int {
 // NumEntries returns size(L) = Σ_v |L(v)|, the labelling size measure of
 // the paper (LS in Figure 3).
 func (ix *Index) NumEntries() int64 {
-	return ix.labelOff.at(int32(len(ix.rankOf)))
+	_, hi := ix.span(int32(len(ix.rankOf)) - 1)
+	return hi
 }
 
 // numOverflow counts entries whose distance does not fit their code
@@ -414,13 +516,15 @@ func (ix *Index) SizeBytes8() int64 {
 const overflowSlot = 24
 
 // ActualBytes reports the real in-memory footprint of the index
-// structures (offsets, flat label arrays, rank bytes or masks among them,
-// overflow table, highway, landmark arrays).
+// structures (flat label arrays — rank bytes and offsets, or rank bits and
+// their directory, and distance codes —, overflow table, highway, landmark
+// arrays).
 func (ix *Index) ActualBytes() int64 {
 	return int64(len(ix.labelOff.base)) +
 		int64(len(ix.labelOff.rel)) +
 		int64(len(ix.labelRank)) +
-		int64(len(ix.labelMask)) +
+		int64(len(ix.labelMask.bits)) +
+		int64(len(ix.labelMask.dir)) +
 		int64(len(ix.labelDist)) +
 		int64(len(ix.overflow))*overflowSlot +
 		int64(len(ix.highway))*4 +

@@ -79,8 +79,10 @@ func TestBlockEdgeIndexes(t *testing.T) {
 }
 
 // TestFullLabels: K(255,600) with the 255 side as landmarks gives every
-// other vertex a label of 255 entries, so every full block of offsets sums
-// to 65 025, the most a uint16 is asked to hold.
+// other vertex a label of 255 entries. Its ranks take the mask, whose
+// directory counts up to 65 280 in a uint16; in rank bytes, read from a
+// file that keeps them, every full block of offsets sums to 65 025, the
+// most a uint16 of them is asked to hold.
 func TestFullLabels(t *testing.T) {
 	const k, rest = MaxLandmarks, 600
 	var edges [][2]int32
@@ -96,16 +98,20 @@ func TestFullLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.NumEntries() != k*rest || ix.LabelSize(k) != k {
-		t.Fatalf("test premise broken: %d entries, |L(%d)| = %d", ix.NumEntries(), k, ix.LabelSize(k))
+	if ix.NumEntries() != k*rest || ix.LabelSize(k) != k || ix.labelMask.bits == nil {
+		t.Fatalf("test premise broken: %d entries, |L(%d)| = %d, mask form %v", ix.NumEntries(), k, ix.LabelSize(k), ix.labelMask.bits != nil)
 	}
-	if lo, hi := ix.labelOff.at(256), ix.labelOff.at(511); hi-lo != 255*255 {
-		t.Fatalf("a full block spans %d entries, want %d", hi-lo, 255*255)
+	if lo, _ := ix.span(256); lo != 255 {
+		t.Fatalf("vertex 256's label starts at %d, want 255", lo)
 	}
 	if !indexesIdentical(referenceIndex(g, lm), ix) {
 		t.Fatal("build differs from the reference")
 	}
 	roundTrips(t, g, ix)
+	ranks, err := Read(bytes.NewReader(rankBytesFile(t, ix)), g)
+	if err != nil || !indexesIdentical(ix, ranks) {
+		t.Fatalf("the rank-bytes file: %v, or another index", err)
+	}
 	if d := ix.Distance(k, k+rest-1); d != 2 {
 		t.Fatalf("d between two non-landmarks = %d, want 2", d)
 	}

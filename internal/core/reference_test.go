@@ -78,32 +78,34 @@ func referenceIndex(g *graph.Graph, landmarks []int32) *Index {
 		labels[r], row = referencePrunedBFS(g, root, ix.rankOf, k)
 		ix.highway = append(ix.highway, row...)
 	}
-	sizes := make([]uint8, n)
-	var ranks []uint8
 	var dists []int32
-	size := (k + 7) / 8
-	mask := make([]byte, n*size)
-	for v := range sizes {
+	ends := make([]int, n) // where each label ends
+	for v := range n {
 		for r := range labels {
 			if d := labels[r][v]; d >= 0 {
-				ranks = append(ranks, uint8(r))
-				mask[v*size+r/8] |= 1 << (r % 8)
 				dists = append(dists, d)
-				sizes[v]++
 			}
 		}
+		ends[v] = len(dists)
 	}
-	ix.labelOff, _ = newOffsets(sizes)
-	if len(mask) < len(ranks) { // the smaller form, rank bytes on a tie
-		ix.labelMask = mask
+	sec := plainRanks(n, k, func(v int) (ranks []int32) {
+		for r := range labels {
+			if labels[r][v] >= 0 {
+				ranks = append(ranks, int32(r))
+			}
+		}
+		return ranks
+	})
+	if rankBytes, maskBytes := rankFormBytes(sec); maskBytes < rankBytes { // the smaller form, rank bytes on a tie
+		ix.labelMask = newRankBits(sec[sectLabelBits], sec[sectLabelDir], k)
 	} else {
-		ix.labelRank = ranks
+		ix.labelOff, ix.labelRank = offsets{base: sec[sectLabelBase], rel: sec[sectLabelRel]}, sec[sectLabelRank]
 	}
 	w := bruteWidth(dists)
 	codes := make([]byte, (len(dists)*int(w)+7)/8)
 	v := int32(0)
 	for p, d := range dists {
-		for ix.labelOff.at(v+1) <= int64(p) {
+		for ends[v] <= p {
 			v++
 		}
 		code := min(d-1, 1<<w-1)

@@ -150,27 +150,30 @@ func TestRowsRerunMatchesBuild(t *testing.T) {
 		wantWidths(t, tail, withEdges(tail, chords...), lm, 8, 4)
 		checkRerun(t, tail, withEdges(tail, chords...), lm, rand.New(rand.NewSource(9)), false)
 	})
-	// The rank form changes under the merge: three stars of 100 leaves,
-	// their centres the landmarks, label each leaf once (300 entries for
-	// 303 mask bytes: rank bytes); edges from the second centre to every
-	// leaf of the first give those leaves a second entry (400 entries: the
-	// mask), dirtying the first two ranks, and the third star's entries are
-	// kept. The way back re-runs every rank into rank bytes.
-	stars := union(union(gen.Star(101), gen.Star(101)), gen.Star(101))
+	// The rank form changes under the merge: 24 stars of 10 leaves, their
+	// centres the landmarks, label each leaf once (240 entries, 786 bytes of
+	// rank bytes and offsets against 998 of bits and directory: rank
+	// bytes); edges from the first two centres to every leaf of the first
+	// twelve stars give those leaves more entries (460: the mask), dirtying
+	// the first twelve ranks, and the other stars' entries are kept. The way
+	// back re-runs every rank into rank bytes.
+	const centres, leaves = 24, 10
+	stars := gen.Star(leaves + 1)
+	lm := []int32{0}
+	for c := int32(1); c < centres; c++ {
+		stars = union(stars, gen.Star(leaves+1))
+		lm = append(lm, c*(leaves+1))
+	}
 	t.Run("rank bytes to mask", func(t *testing.T) {
 		var spokes [][2]int32
-		for leaf := int32(1); leaf <= 100; leaf++ {
-			spokes = append(spokes, [2]int32{101, leaf})
-		}
-		lm, dense := []int32{0, 101, 202}, withEdges(stars, spokes...)
-		for i, c := range []struct {
-			g    *graph.Graph
-			mask bool
-		}{{stars, false}, {dense, true}} {
-			if ix, err := Build(c.g, lm); err != nil || (ix.labelMask != nil) != c.mask {
-				t.Fatalf("test premise broken: labelling %d: %v, or mask form %v", i+1, err, !c.mask)
+		for _, hub := range lm[:2] {
+			for _, c := range lm[:centres/2] {
+				for leaf := c + 1; leaf <= c+leaves; leaf++ {
+					spokes = append(spokes, [2]int32{hub, leaf})
+				}
 			}
 		}
+		dense := withEdges(stars, spokes...)
 		checkRerun(t, stars, dense, lm, rand.New(rand.NewSource(10)), false)
 	})
 }
@@ -298,7 +301,7 @@ func TestRowsNothingDirty(t *testing.T) {
 	if got.Graph() != g2 || base.Graph() != g {
 		t.Fatal("Assemble did not attach the new graph, or moved the old index onto it")
 	}
-	if &got.labelDist[0] != &base.labelDist[0] || &got.labelOff.rel[0] != &base.labelOff.rel[0] || &got.highway[0] != &base.highway[0] {
+	if &got.labelDist[0] != &base.labelDist[0] || &got.labelMask.bits[0] != &base.labelMask.bits[0] || &got.highway[0] != &base.highway[0] {
 		t.Fatal("label arrays were copied though no rank ran")
 	}
 	ref, err := Build(g2, []int32{0})

@@ -36,37 +36,41 @@ const FormatV2 Format = 2
 //	2  highway    [k*k]int32           (-1 = Infinity)
 //	7  labelBase  [⌈(n+1)/256⌉]uint64  labelOff of every 256th vertex
 //	8  labelRel   [n+1]uint16          labelOff[v] - labelBase[v/256]
-//	4  labelRank  [entries]uint8       ranks ascending per vertex; or
-//	13 labelMask  [n·⌈k/8⌉]uint8       per vertex, bit r set iff rank r is in its label
+//	4  labelRank  [entries]uint8       ranks ascending per vertex; or, in their place,
+//	14 labelBits  [⌈n·k/64⌉]uint64     bit v·k+r set iff rank r is in L(v), the padding bits 0
+//	15 labelDir   [⌈n·k/2¹⁶⌉]uint64    the set bits of 14 before each block of 2¹⁶, then
+//	              [⌈n·k/S⌉]uint16      from its block to each stride of S = 64·⌈k/64⌉
 //	12 labelDist  w uint8, then entries codes of w bits, LSB first, the
 //	              padding bits 0: d-1, or 2^w-1 = see overflow
 //	6  overflow   nOverflow × (vertex uint32, rank uint8, dist uint32), CSR order
 //	11 graph      uint32               the graph's Fingerprint
 //
-// A file holds exactly one of sections 4 and 13, the one of fewer bytes,
-// section 4 on a tie (chooseMask); a reader takes either. The width w is
-// 2, 4 or 8 (chooseWidth), so section 12 is 1 + ⌈entries·w/8⌉ bytes long,
-// and every other section's exact length follows from the header: the
-// reader bounds each allocation before making it.
+// A file holds the rank form of fewer bytes, rank bytes on a tie
+// (chooseMask); a reader takes either. The width w is 2, 4 or 8 (chooseWidth), so section
+// 12 is 1 + ⌈entries·w/8⌉ bytes long, and every other section's exact
+// length follows from the header: the reader bounds each allocation before
+// making it.
 //
-// Sections 7, 8, 4 or 13, and 12 are Index.labelOff, labelRank or
-// labelMask, and labelDist: Write hands the arrays to the container as they
-// are, and a reader, once adoptLabels has checked them, keeps the buffers.
-// Only the small sections are translated: the landmarks and highway
-// between their integer types and little-endian bytes, and the overflow
-// table — a few hundred records on a complex network — between its records
-// and section 6's 9-byte rows.
+// Sections 7, 8 and 4, or 14 and 15, and 12 are Index.labelOff and
+// labelRank, or labelMask, and labelDist: Write hands the arrays to the
+// container as they are, and a reader, once it has checked them, keeps
+// the buffers. Only the small sections are translated: the landmarks and
+// highway between their integer types and little-endian bytes, and the
+// overflow table — a few hundred records on a complex network — between
+// its records and section 6's 9-byte rows.
 //
 // An index is meaningful only beside the graph it was built on: section 11
 // names that graph (graph.Fingerprint), and Read refuses a file that lacks
 // it or names another. A snapshot holds the graph itself, with sections 1,
-// 2, 4 or 13, 6–8 and 12 in one container and no section 11.
+// 2, the ranks, 6 and 12 in one container and no section 11.
 //
 // This is the one layout read. The older ones — v1 "HWLIDX01", v2 with the
-// offsets as uint64 in section 3, v2 without section 11, and v2 with one
-// distance byte an entry in section 5 where section 12 is now, index files
-// and snapshots alike — are refused with one line naming `hlbuild
-// migrate`, which reads them (internal/legacy).
+// offsets as uint64 in section 3, v2 without section 11, v2 with one
+// distance byte an entry in section 5 where section 12 is now, and v2 with
+// masks of ⌈k/8⌉ bytes a vertex beside offsets in section 13 where
+// sections 14 and 15 are now, index files and snapshots alike — are refused
+// with one line naming `hlbuild migrate`, which reads them
+// (internal/legacy).
 const (
 	sectLandmarks uint32 = 1
 	sectHighway   uint32 = 2
@@ -77,7 +81,9 @@ const (
 	sectLabelRel  uint32 = 8
 	sectGraph     uint32 = 11
 	sectLabelDist uint32 = 12
-	sectLabelMask uint32 = 13
+	sectByteMask  uint32 = 13 // retired: ⌈k/8⌉ mask bytes a vertex beside offsets
+	sectLabelBits uint32 = 14
+	sectLabelDir  uint32 = 15
 )
 
 // Write serializes the index (without the graph) as an index file. Output
@@ -96,7 +102,7 @@ func (ix *Index) WriteFormat(w io.Writer, f Format) error {
 	return container.WriteContainer(w, h, append(sections, container.Section{ID: sectGraph, Payload: fp}))
 }
 
-// Sections returns the container header and sections 1, 2, 4 or 13, 6–8
+// Sections returns the container header and sections 1, 2, the ranks, 6
 // and 12 of ix: an index file is these and section 11, a snapshot these
 // beside the graph's.
 func (ix *Index) Sections() (container.Header, []container.Section) {
@@ -107,22 +113,17 @@ func (ix *Index) Sections() (container.Header, []container.Section) {
 		over = append(over, rank)
 		over = binary.LittleEndian.AppendUint32(over, uint32(ix.overflow[p]))
 	}
-	ranks := container.Section{ID: sectLabelRank, Payload: ix.labelRank}
-	if ix.labelMask != nil {
-		ranks = container.Section{ID: sectLabelMask, Payload: ix.labelMask}
-	}
 	landmarks, _ := binary.Append(nil, binary.LittleEndian, ix.landmarks) // cannot fail: fixed-size values
 	highway, _ := binary.Append(nil, binary.LittleEndian, ix.highway)
 	h := container.Header{N: uint64(ix.g.NumVertices()), K: uint32(len(ix.landmarks)), Aux1: uint64(ix.NumEntries()), Aux2: uint64(len(ix.overflow))}
-	return h, []container.Section{
-		{ID: sectLandmarks, Payload: landmarks},
-		{ID: sectHighway, Payload: highway},
-		{ID: sectLabelBase, Payload: ix.labelOff.base},
-		{ID: sectLabelRel, Payload: ix.labelOff.rel},
-		ranks,
-		{ID: sectLabelDist, Payload: ix.labelDist},
-		{ID: sectOverflow, Payload: over},
+	sections := []container.Section{{ID: sectLandmarks, Payload: landmarks}, {ID: sectHighway, Payload: highway}}
+	if ix.labelMask.bits != nil {
+		sections = append(sections, container.Section{ID: sectLabelBits, Payload: ix.labelMask.bits}, container.Section{ID: sectLabelDir, Payload: ix.labelMask.dir})
+	} else {
+		sections = append(sections, container.Section{ID: sectLabelBase, Payload: ix.labelOff.base},
+			container.Section{ID: sectLabelRel, Payload: ix.labelOff.rel}, container.Section{ID: sectLabelRank, Payload: ix.labelRank})
 	}
+	return h, append(sections, container.Section{ID: sectLabelDist, Payload: ix.labelDist}, container.Section{ID: sectOverflow, Payload: over})
 }
 
 // Read deserializes an index file and attaches it to g, which must be the
@@ -163,33 +164,19 @@ func (ix *Index) setLandmark(rank int, v int32) error {
 	return nil
 }
 
-// adoptLabels makes the offsets already in ix.labelOff, the rank section
-// of a file — section 4's bytes, or section 13's masks when mask is set —
-// its distance section and its overflow records the index's label storage,
-// after the checks that make them safe to query. The offsets start at 0,
-// never step back or by more than k, restart their uint16 at every block
-// and end at the header's entries; the ranks of every label stay below k
-// and, as rank bytes, ascend strictly, or, as a mask, number what the
-// offsets say, which is what labelOf stands on; the distance section is a
-// width of distWidths and
-// the codes of that width, no more, no fewer and no padding bit set; and
-// the escaped entries and the records pair up one to one. Our writers emit
-// records in CSR order, but any order is accepted; a record for a
-// non-escaped entry, an escaped entry without a record and two records for
-// one entry are corruption and rejected.
-func (ix *Index) adoptLabels(ranks []byte, mask bool, entries int64, dist []byte, k uint32, over []overflowRec) error {
-	// The offsets, block by block. Every label's ranks ascend when the only
-	// ranks at or below the one before them are first in their label: the
-	// walk counts the labels that start so, the pass after it every such
-	// rank, and the two must agree. (A loop over each label's ranks
-	// mispredicts its exit once a vertex, which doubled the time of a load.)
+// adoptRanks makes a file's rank bytes, beside the offsets already in
+// ix.labelOff, the index's ranks, after the checks that make them safe to
+// query: the offsets start at 0, never step back or by more than k,
+// restart their uint16 at every block and end at the header's entries,
+// and the ranks of every label stay below k and ascend strictly, which is
+// what labelOf stands on. Every label's ranks ascend when the only ranks
+// at or below the one before them are first in their label: the walk
+// counts the labels that start so, the pass after it every such rank, and
+// the two must agree. (A loop over each label's ranks mispredicts its exit
+// once a vertex, which doubled the time of a load.)
+func (ix *Index) adoptRanks(ranks []byte, entries int64, k uint32) error {
 	n, off := ix.g.NumVertices(), ix.labelOff
-	if mask {
-		ix.labelMask = ranks
-	} else {
-		ix.labelRank = ranks
-	}
-	size := int(k+7) / 8
+	ix.labelRank = ranks
 	var base, lo int64 // of v's block; where label v-1 starts
 	var startsDown uint64
 	for v := 0; v <= n; v++ {
@@ -209,19 +196,7 @@ func (ix *Index) adoptLabels(ranks []byte, mask bool, entries int64, dist []byte
 		if hi > entries {
 			return fmt.Errorf("core: offsets pass the header's %d entries at vertex %d", entries, v-1)
 		}
-		switch {
-		case mask && v > 0:
-			if k%8 != 0 && ranks[v*size-1]>>(k%8) != 0 {
-				return fmt.Errorf("core: label mask of vertex %d holds a rank out of range [0,%d)", v-1, k)
-			}
-			count := int64(0)
-			for _, b := range ranks[(v-1)*size : v*size] {
-				count += int64(bits.OnesCount8(b))
-			}
-			if count != hi-lo {
-				return fmt.Errorf("core: label mask of vertex %d holds %d ranks, its offsets %d entries", v-1, count, hi-lo)
-			}
-		case !mask && lo < hi:
+		if lo < hi {
 			if uint32(ranks[hi-1]) >= k { // the label's highest, given that its ranks ascend
 				return fmt.Errorf("core: label rank %d out of range [0,%d)", ranks[hi-1], k)
 			}
@@ -235,12 +210,39 @@ func (ix *Index) adoptLabels(ranks []byte, mask bool, entries int64, dist []byte
 		return fmt.Errorf("core: offsets claim %d entries, header says %d", lo, entries)
 	}
 	var down uint64
-	for p := 1; p < len(ix.labelRank); p++ {
+	for p := 1; p < len(ranks); p++ {
 		down += stepsDown(ranks[p-1], ranks[p])
 	}
 	if down != startsDown {
 		return fmt.Errorf("core: %d label ranks not ascending within their label", down-startsDown)
 	}
+	return nil
+}
+
+// adoptBits makes sections 14 and 15 the index's ranks once the directory
+// counts the bits, the padding bits past n·k are 0 and the bits number the
+// header's entries. (A field of k bits holds no rank of k or more.)
+func (ix *Index) adoptBits(words, dir []byte, entries int64, k uint32) error {
+	b := newRankBits(words, dir, int(k))
+	if pad := uint(ix.g.NumVertices()) * uint(k) % 64; pad != 0 && b.word(uint(len(words))/8-1)>>pad != 0 {
+		return fmt.Errorf("core: section %d has padding bits set", sectLabelBits)
+	}
+	total, err := b.directory(false)
+	if err == nil && total != entries {
+		err = fmt.Errorf("core: section %d holds %d ranks, the header says %d entries", sectLabelBits, total, entries)
+	}
+	ix.labelMask = b
+	return err
+}
+
+// adoptDist makes a file's distance section and overflow records the
+// index's, once its ranks are: the distance section is a width of
+// distWidths and the codes of that width, no more, no fewer and no padding
+// bit set; and the escaped entries and the records pair up one to one. Our
+// writers emit records in CSR order, but any order is accepted; a record
+// for a non-escaped entry, an escaped entry without a record and two
+// records for one entry are corruption and rejected.
+func (ix *Index) adoptDist(entries int64, dist []byte, over []overflowRec) error {
 	if len(dist) == 0 {
 		return fmt.Errorf("core: section %d is empty", sectLabelDist)
 	}
@@ -345,9 +347,9 @@ func parseOverflowRecs(buf []byte, n uint64, k uint32) ([]overflowRec, error) {
 	return recs, nil
 }
 
-// Bounds returns the exact length of each of sections 1, 2, 4, 6–8, 11 and
-// 13 under header h, and the longest section 12 (one width byte and a byte
-// an entry), after the checks that need only h.
+// Bounds returns the exact length of each of sections 1, 2, 4, 6–8, 11,
+// 14 and 15 under header h, and the longest section 12 (one width byte and
+// a byte an entry), after the checks that need only h.
 func Bounds(h container.Header) (map[uint32]uint64, error) {
 	n, k, entries, nOver := h.N, h.K, h.Aux1, h.Aux2
 	switch {
@@ -358,11 +360,13 @@ func Bounds(h container.Header) (map[uint32]uint64, error) {
 	case nOver > entries:
 		return nil, fmt.Errorf("core: %d overflow records for %d entries", nOver, entries)
 	}
+	bitsLen, dirLen := maskLens(int(n), int(k))
 	return map[uint32]uint64{
 		sectLandmarks: uint64(k) * 4,
 		sectHighway:   uint64(k) * uint64(k) * 4,
 		sectLabelRank: entries,
-		sectLabelMask: n * uint64((k+7)/8),
+		sectLabelBits: uint64(bitsLen),
+		sectLabelDir:  uint64(dirLen),
 		sectLabelDist: 1 + entries,
 		sectOverflow:  nOver * 9,
 		sectLabelBase: (n/offBlock + 1) * 8,
@@ -381,23 +385,28 @@ func FromSections(h container.Header, sec map[uint32]container.Section, g *graph
 	if h.N != uint64(g.NumVertices()) {
 		return nil, fmt.Errorf("core: index built for n=%d, graph has n=%d", h.N, g.NumVertices())
 	}
+	migrate := "rewrite the file with `hlbuild migrate -graph G -in FILE` (an index file) or `hlbuild migrate -in FILE` (a checkpoint)"
 	if _, old := sec[sectByteDist]; old {
-		return nil, fmt.Errorf("core: labels keep one distance byte an entry (section %d), a layout from before section %d: rewrite the file with `hlbuild migrate -graph G -in FILE` (an index file) or `hlbuild migrate -in FILE` (a checkpoint)", sectByteDist, sectLabelDist)
+		return nil, fmt.Errorf("core: labels keep one distance byte an entry (section %d), a layout from before section %d: %s", sectByteDist, sectLabelDist, migrate)
 	}
-	ranks, rankBytes := sec[sectLabelRank]
-	masks, mask := sec[sectLabelMask]
+	if _, old := sec[sectByteMask]; old {
+		return nil, fmt.Errorf("core: label ranks are masks of ⌈k/8⌉ bytes a vertex beside offsets (section %d), a layout from before sections %d and %d: %s", sectByteMask, sectLabelBits, sectLabelDir, migrate)
+	}
+	_, rankBytes := sec[sectLabelRank]
+	_, mask := sec[sectLabelBits]
+	ids := []uint32{sectLabelBase, sectLabelRel, sectLabelRank}
 	switch {
 	case rankBytes && mask:
-		return nil, fmt.Errorf("core: both section %d and section %d hold the label ranks", sectLabelRank, sectLabelMask)
+		return nil, fmt.Errorf("core: both section %d and section %d hold the label ranks", sectLabelRank, sectLabelBits)
 	case !rankBytes && !mask:
-		return nil, fmt.Errorf("core: required section %d or %d (the label ranks) missing", sectLabelRank, sectLabelMask)
+		return nil, fmt.Errorf("core: required section %d or %d (the label ranks) missing", sectLabelRank, sectLabelBits)
 	case mask:
-		ranks = masks
+		ids = []uint32{sectLabelBits, sectLabelDir}
 	}
-	for _, id := range []uint32{sectLandmarks, sectHighway, sectLabelBase, sectLabelRel, ranks.ID, sectLabelDist, sectOverflow} {
+	for _, id := range append(ids, sectLandmarks, sectHighway, sectLabelDist, sectOverflow) {
 		if s, ok := sec[id]; !ok {
 			return nil, fmt.Errorf("core: required section %d missing", id)
-		} else if uint64(len(s.Payload)) != want[id] && id != sectLabelDist { // its width sets its length: see adoptLabels
+		} else if uint64(len(s.Payload)) != want[id] && id != sectLabelDist { // its width sets its length: see adoptDist
 			return nil, fmt.Errorf("core: section %d has length %d, want %d", id, len(s.Payload), want[id])
 		}
 	}
@@ -412,27 +421,28 @@ func FromSections(h container.Header, sec map[uint32]container.Section, g *graph
 		}
 	}
 	binary.Decode(sec[sectHighway].Payload, binary.LittleEndian, ix.highway) // cannot fail: the length is checked
-	ix.labelOff = offsets{base: sec[sectLabelBase].Payload, rel: sec[sectLabelRel].Payload}
 	over, err := parseOverflowRecs(sec[sectOverflow].Payload, h.N, h.K)
 	if err != nil {
 		return nil, err
 	}
-	if err := ix.adoptLabels(ranks.Payload, mask, int64(h.Aux1), sec[sectLabelDist].Payload, h.K, over); err != nil {
+	n, k, entries := int(h.N), int(h.K), int64(h.Aux1)
+	if mask {
+		err = ix.adoptBits(sec[sectLabelBits].Payload, sec[sectLabelDir].Payload, entries, h.K)
+	} else {
+		ix.labelOff = offsets{base: sec[sectLabelBase].Payload, rel: sec[sectLabelRel].Payload}
+		err = ix.adoptRanks(sec[sectLabelRank].Payload, entries, h.K)
+	}
+	if err == nil {
+		err = ix.adoptDist(entries, sec[sectLabelDist].Payload, over)
+	}
+	if err != nil {
 		return nil, err
 	}
-	if mask != chooseMask(int(h.N), int(h.K), int64(h.Aux1)) {
-		// Section 4 of a dense labelling, as writers before section 13 wrote
-		// every one: held in the chosen form, it writes what a build writes.
-		l, size := wideLabels{mask: ix.labelMask}, (int(h.K)+7)>>3
-		if !mask {
-			l.mask = make([]byte, int(h.N)*size)
-			for v := range int(h.N) {
-				var m landmarkSet
-				ix.labelOf(int32(v), &m)
-				storeMask(l.mask, size, v, &m)
-			}
-		}
-		ix.setRanks(&l, 1)
+	if mask != chooseMask(n, k, entries) {
+		// Rank bytes of a labelling the mask holds in fewer, as writers
+		// before section 13 wrote every one, or the other way round: held
+		// in the chosen form, it writes what a build writes.
+		ix.setRanks(packRanks(n, k, 1, func(v int, m *landmarkSet) { ix.labelOf(int32(v), m) }))
 	}
 	return ix, nil
 }

@@ -17,7 +17,7 @@ import (
 // the writer uses, followed by any extra sections.
 func reframe(tb testing.TB, file []byte, edit func(h *container.Header, sec map[uint32][]byte), extra ...container.Section) []byte {
 	tb.Helper()
-	ids := []uint32{sectLandmarks, sectHighway, sectLabelBase, sectLabelRel, sectLabelRank, sectLabelMask, sectLabelDist, sectOverflow, sectGraph}
+	ids := []uint32{sectLandmarks, sectHighway, sectLabelBase, sectLabelRel, sectLabelRank, sectByteMask, sectLabelBits, sectLabelDir, sectLabelDist, sectOverflow, sectGraph}
 	h, read, err := container.ReadContainer(bytes.NewReader(file), true, func(container.Header) (map[uint32]uint64, error) {
 		bounds := make(map[uint32]uint64)
 		for _, id := range ids {
@@ -53,28 +53,32 @@ func appendUnknownSection(tb testing.TB, file []byte, id uint32, payload []byte)
 	return reframe(tb, file, func(*container.Header, map[uint32][]byte) {}, container.Section{ID: id, Payload: payload})
 }
 
-// rankBytes is ix's section 4: its ranks, a byte an entry.
-func rankBytes(ix *Index) []byte {
-	var ranks []byte
-	for v := range int32(ix.g.NumVertices()) {
-		r, _ := ix.Label(v)
-		for _, x := range r {
-			ranks = append(ranks, byte(x))
-		}
-	}
-	return ranks
-}
-
-// rankBytesFile is ix's index file with its ranks in section 4, whatever
-// their form: a file as every writer before section 13 framed it.
+// rankBytesFile is ix's index file with its ranks in sections 7, 8 and 4,
+// whatever their form: a file as every writer before sections 14 and 15
+// framed a labelling whose ranks took rank bytes, and every writer before
+// section 13 framed every labelling.
 func rankBytesFile(tb testing.TB, ix *Index) []byte {
 	tb.Helper()
 	h, sections := ix.Sections()
-	for i, s := range sections {
-		if s.ID == sectLabelMask {
-			sections[i] = container.Section{ID: sectLabelRank, Payload: rankBytes(ix)}
+	plain := plainRanksOf(ix)
+	var out []container.Section
+	for _, s := range sections {
+		switch s.ID {
+		case sectLabelBits:
+			for _, id := range []uint32{sectLabelBase, sectLabelRel, sectLabelRank} {
+				out = append(out, container.Section{ID: id, Payload: plain[id]})
+			}
+		case sectLabelDir:
+		default:
+			out = append(out, s)
 		}
 	}
+	return fileOf(tb, ix, h, out)
+}
+
+// fileOf frames h and sections as an index file of ix's graph.
+func fileOf(tb testing.TB, ix *Index, h container.Header, sections []container.Section) []byte {
+	tb.Helper()
 	fp := container.Section{ID: sectGraph, Payload: binary.LittleEndian.AppendUint32(nil, ix.g.Fingerprint())}
 	var out bytes.Buffer
 	if err := container.WriteContainer(&out, h, append(sections, fp)); err != nil {
@@ -86,7 +90,7 @@ func rankBytesFile(tb testing.TB, ix *Index) []byte {
 // path600 is the index whose labels need the escape at w = 8: both ends of
 // a 600-vertex path as landmarks, 686 entries 256 hops or more from theirs.
 // Every vertex but the two ends holds both ranks, so its ranks take the
-// mask: 600 bytes against 1196.
+// mask: 152 bytes of bits and 46 of directory against 2 422.
 func path600(tb testing.TB) (*graph.Graph, *Index) {
 	tb.Helper()
 	g := gen.Path(600)
@@ -137,8 +141,8 @@ func TestReadChecksOverflowRecords(t *testing.T) {
 			sec[sectOverflow] = append(sec[sectOverflow], sec[sectOverflow][:9]...)
 			h.Aux2++
 		}},
-		{"rank not below k", "out of range", func(h *container.Header, sec map[uint32][]byte) {
-			sec[sectLabelMask][17] |= 1 << 2
+		{"rank not below k", "bad overflow record (v=1 rank=2", func(h *container.Header, sec map[uint32][]byte) {
+			sec[sectOverflow][4] = 2
 		}},
 		{"records in reverse order", "", func(h *container.Header, sec map[uint32][]byte) {
 			sec[sectOverflow] = reverseRecords(sec[sectOverflow])
@@ -225,64 +229,95 @@ func offsetCases() []offsetCase {
 }
 
 // rankMaskCases are malformed rank sections of the path-600 file as a
-// build writes it (k = 2, so one byte a vertex, 0b11 but at the landmarks 0
-// and 599, whose labels are empty), each with a valid checksum, and what
-// the reader says of them.
+// build writes it, each with a valid checksum, and what the reader says of
+// them. At k = 2 vertex v's ranks are bits 2v and 2v+1 of section 14, both
+// set but at the landmarks 0 and 599, whose labels are empty: 1 196 set
+// bits in 19 words, the last 16 bits padding, and section 15 one base and
+// 19 counts, one a word.
 func rankMaskCases(ix *Index) []offsetCase {
 	type sections = map[uint32][]byte
+	flip := func(sec sections, bit int) { sec[sectLabelBits][bit/8] ^= 1 << (bit % 8) }
 	return []offsetCase{
-		{"rank at k", "vertex 17 holds a rank out of range [0,2)", func(_ *container.Header, sec sections) {
-			sec[sectLabelMask][17] |= 1 << 2
+		{"rank at k", "section 14 holds 1197 ranks, the header says 1196 entries", func(_ *container.Header, sec sections) {
+			flip(sec, 598*2+2) // vertex 598's rank 2 is vertex 599's rank 0
 		}},
-		{"rank the offsets do not count", "vertex 0 holds 1 ranks, its offsets 0 entries", func(_ *container.Header, sec sections) {
-			sec[sectLabelMask][0] = 1
+		{"rank the offsets do not count", "section 15 does not count the ranks of section 14 before word 1", func(_ *container.Header, sec sections) {
+			flip(sec, 0)
 		}},
-		{"entry without its rank", "vertex 17 holds 1 ranks, its offsets 2 entries", func(_ *container.Header, sec sections) {
-			sec[sectLabelMask][17] &^= 2
+		{"entry without its rank", "section 15 does not count the ranks of section 14 before word 1", func(_ *container.Header, sec sections) {
+			flip(sec, 17*2+1)
 		}},
-		{"both sections", "both section 4 and section 13", func(_ *container.Header, sec sections) {
-			sec[sectLabelRank] = rankBytes(ix)
+		{"entry without its rank, past the last count", "section 14 holds 1195 ranks, the header says 1196 entries", func(_ *container.Header, sec sections) {
+			flip(sec, 598*2+1)
 		}},
-		{"neither section", "required section 4 or 13 (the label ranks) missing", func(_ *container.Header, sec sections) {
-			delete(sec, sectLabelMask)
+		{"padding bit set", "section 14 has padding bits set", func(_ *container.Header, sec sections) {
+			flip(sec, 1200)
 		}},
-		{"one byte long", "section 13 has length 601, exceeds 600", func(_ *container.Header, sec sections) {
-			sec[sectLabelMask] = append(sec[sectLabelMask], 0)
+		{"base not 0", "section 15 does not count the ranks of section 14 before word 0", func(_ *container.Header, sec sections) {
+			sec[sectLabelDir][0] = 1
 		}},
-		{"one byte short", "section 13 has length 599, want 600", func(_ *container.Header, sec sections) {
-			sec[sectLabelMask] = sec[sectLabelMask][:599]
+		{"count off by one", "section 15 does not count the ranks of section 14 before word 5", func(_ *container.Header, sec sections) {
+			sec[sectLabelDir][8+5*2]++
+		}},
+		{"both sections", "both section 4 and section 14", func(_ *container.Header, sec sections) {
+			sec[sectLabelRank] = plainRanksOf(ix)[sectLabelRank]
+		}},
+		{"neither section", "required section 4 or 14 (the label ranks) missing", func(_ *container.Header, sec sections) {
+			delete(sec, sectLabelBits)
+		}},
+		{"no directory", "required section 15 missing", func(_ *container.Header, sec sections) {
+			delete(sec, sectLabelDir)
+		}},
+		{"one byte long", "section 14 has length 153, exceeds 152", func(_ *container.Header, sec sections) {
+			sec[sectLabelBits] = append(sec[sectLabelBits], 0)
+		}},
+		{"one byte short", "section 14 has length 151, want 152", func(_ *container.Header, sec sections) {
+			sec[sectLabelBits] = sec[sectLabelBits][:151]
+		}},
+		{"directory one count long", "section 15 has length 48, exceeds 46", func(_ *container.Header, sec sections) {
+			sec[sectLabelDir] = append(sec[sectLabelDir], 0, 0)
+		}},
+		{"section 13 beside them", "hlbuild migrate", func(_ *container.Header, sec sections) {
+			sec[sectByteMask] = make([]byte, 600)
 		}},
 	}
 }
 
-// TestReadChecksRankMask: a reader keeps section 13 as it is and labelOf
-// counts a label's entries by its bits, so each way the masks can disagree
-// with k, the offsets and the header is refused by name, and a file must
-// hold one rank section, not both or neither. At k = 100 the bits past k
-// are the top four of each vertex's thirteenth byte.
+// TestReadChecksRankMask: a reader keeps sections 14 and 15 as they are
+// and labelOf finds a label's start by the directory, so each way the bits
+// can disagree with the directory, the header or n·k is refused by name,
+// a file must hold one rank form, not both or neither, and a file with
+// the masks of section 13, which no writer of today writes, is refused
+// with the line naming `hlbuild migrate`. At k = 100 vertex 7's rank 100
+// is vertex 8's rank 0, which its label lacks.
 func TestReadChecksRankMask(t *testing.T) {
 	g, ix := path600(t)
 	good := v2Bytes(t, ix)
-	if ix.labelMask == nil {
+	if ix.labelMask.bits == nil {
 		t.Fatal("test premise broken: path-600 keeps rank bytes")
 	}
 	for _, c := range rankMaskCases(ix) {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := Read(bytes.NewReader(reframe(t, good, c.edit)), g)
-			if err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("Read: %v, want an error saying %q", err, c.want)
+			if err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "\n") {
+				t.Fatalf("Read: %v, want one line saying %q", err, c.want)
 			}
 		})
 	}
 	t.Run("rank at k, k=100", func(t *testing.T) {
 		ba := gen.BarabasiAlbert(2000, 10, 42)
 		ix, err := Build(ba, ba.DegreeOrder()[:100])
-		if err != nil || ix.labelMask == nil {
-			t.Fatalf("test premise broken: %v, mask form %v", err, ix != nil && ix.labelMask != nil)
+		if err != nil || ix.labelMask.bits == nil {
+			t.Fatalf("test premise broken: %v, mask form %v", err, ix != nil && ix.labelMask.bits != nil)
 		}
-		file := reframe(t, v2Bytes(t, ix), func(_ *container.Header, sec map[uint32][]byte) { sec[sectLabelMask][13*7+12] |= 1 << 4 })
-		if _, err := Read(bytes.NewReader(file), ba); err == nil || !strings.Contains(err.Error(), "vertex 7 holds a rank out of range [0,100)") {
-			t.Fatalf("Read: %v, want vertex 7's rank 100 refused", err)
+		if r, _ := ix.Label(8); len(r) > 0 && r[0] == 0 {
+			t.Fatal("test premise broken: vertex 8 holds rank 0")
+		}
+		file := reframe(t, v2Bytes(t, ix), func(_ *container.Header, sec map[uint32][]byte) {
+			sec[sectLabelBits][(7*100+100)/8] |= 1 << ((7*100 + 100) % 8)
+		})
+		if _, err := Read(bytes.NewReader(file), ba); err == nil || !strings.Contains(err.Error(), "section 14 before word 14") {
+			t.Fatalf("Read: %v, want vertex 7's rank 100 refused at the stride after it", err)
 		}
 	})
 }

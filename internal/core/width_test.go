@@ -185,22 +185,25 @@ type formCase struct {
 	mask bool
 }
 
-// formCases are labellings of both forms: BA-20k as the benchmark builds
-// it, 106 066 entries for 20 000 mask bytes; a 100×100 grid, whose 9 980
-// entries keep rank bytes against 30 000; the paper's example, 13 entries
-// against 14; its six highest-degree vertices, 14 entries and 14 bytes, a
-// tie that keeps rank bytes; and at k > 64, where a set is more than one
-// word, BA-2000 with k = 100 (36 454 entries, 26 000 bytes) and an ER graph
-// of 1 000 vertices with k = 255 (74 540 entries, 32 000 bytes) beside
-// BA-2000 with k = 255 (48 467 entries, 64 000 bytes).
+// formCases are labellings of both forms, with the bytes of their rank
+// sections as rank bytes and offsets against bits and directory: BA-20k as
+// the benchmark builds it (106 066 entries: 146 700 against 50 040); a
+// 100×100 grid (9 980 entries: 30 302 against 31 282); the paper's
+// example (13 entries: 51 against 18); a 4×5 grid with its 16
+// highest-degree vertices as landmarks (8 entries: 58 either way, a tie
+// that keeps rank bytes); and at k > 64, where a set is more than one
+// word and a stride more than one word, BA-2000 with k = 100 (36 454
+// entries: 40 520 against 28 158), an ER graph of 1 000 vertices with
+// k = 255 (74 540 entries: 76 574 against 33 906) and BA-2000 with k = 255
+// (48 467 entries: 52 533 against 67 802).
 func formCases() []formCase {
-	ba20k, grid, fig2 := gen.BarabasiAlbert(20_000, 5, 42), gen.Grid(100, 100), gen.PaperFigure2()
+	ba20k, grid, fig2, tie := gen.BarabasiAlbert(20_000, 5, 42), gen.Grid(100, 100), gen.PaperFigure2(), gen.Grid(4, 5)
 	ba2k, er := gen.BarabasiAlbert(2000, 10, 42), gen.ErdosRenyi(1000, 20_000, 1)
 	return []formCase{
 		{"ba20k", ba20k, ba20k.DegreeOrder()[:16], true},
 		{"grid", grid, grid.DegreeOrder()[:20], false},
-		{"figure2", fig2, gen.PaperLandmarks(), false},
-		{"figure2 tie", fig2, fig2.DegreeOrder()[:6], false},
+		{"figure2", fig2, gen.PaperLandmarks(), true},
+		{"grid4x5 tie", tie, tie.DegreeOrder()[:16], false},
 		{"ba2000 k100", ba2k, ba2k.DegreeOrder()[:100], true},
 		{"er1000 k255", er, er.DegreeOrder()[:255], true},
 		{"ba2000 k255", ba2k, ba2k.DegreeOrder()[:255], false},
@@ -208,12 +211,17 @@ func formCases() []formCase {
 }
 
 // TestRankForms: each labelling keeps its ranks in the form the brute
-// force over Label picks — a mask of ⌈k/8⌉ bytes a vertex when that is
-// fewer bytes than one an entry, rank bytes on a tie — its file is
-// Algorithm 1's, Write → Read → Write gives the same bytes, and the answers
-// are BFS's: every pair's on graphs under 1 000 vertices; on the others,
-// from 8 sources, every target's through DistanceMany (whose label walks
-// are batch.go's) and every 64th one's through Distance.
+// force over Label picks — of rank bytes beside offsets (sections 4, 7
+// and 8) and k bits a vertex beside their directory (sections 14 and 15),
+// both built by plainRanks from their definitions, the one of fewer bytes,
+// rank bytes on a tie — with those sections' bytes; its file is no longer
+// than the one the writer before sections 14 and 15 wrote, whose ranks
+// took a byte an entry or ⌈k/8⌉ bytes a vertex beside the offsets, in
+// three sections; the file is Algorithm 1's, Write → Read → Write gives the
+// same bytes, and the answers are BFS's: every pair's on graphs under
+// 1 000 vertices; on the others, from 8 sources, every target's through
+// DistanceMany (whose label walks are batch.go's) and every 64th one's
+// through Distance.
 func TestRankForms(t *testing.T) {
 	for _, c := range formCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -221,17 +229,20 @@ func TestRankForms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n := int32(c.g.NumVertices())
-			entries := 0
-			for v := range n {
-				r, _ := ix.Label(v)
-				entries += len(r)
+			n, k, entries := c.g.NumVertices(), len(c.lm), int(ix.NumEntries())
+			rankBytes, maskBytes := rankFormBytes(plainRanksOf(ix))
+			brute := maskBytes < rankBytes
+			if mask := ix.labelMask.bits != nil; mask != c.mask || mask != brute || mask == (ix.labelRank != nil) {
+				t.Fatalf("mask form %v (rank bytes %v), want %v; brute force over Label gives %v (%d bytes of rank bytes, %d of bits)", mask, ix.labelRank != nil, c.mask, brute, rankBytes, maskBytes)
 			}
-			brute := int(n)*((len(c.lm)+7)/8) < entries
-			if mask := ix.labelMask != nil; mask != c.mask || mask != brute || mask == (ix.labelRank != nil) {
-				t.Fatalf("mask form %v (rank bytes %v), want %v; brute force over Label gives %v", mask, ix.labelRank != nil, c.mask, brute)
+			checkPlainRanks(t, ix)
+			file, ours := v2Bytes(t, ix), rankBytes+3*16
+			if brute {
+				ours = maskBytes + 2*16
 			}
-			file := v2Bytes(t, ix)
+			if parent := len(file) - ours + rankBytes - entries + min(entries, n*((k+7)/8)) + 3*16; len(file) > parent {
+				t.Fatalf("the file is %d bytes, the writer before sections 14 and 15 wrote %d", len(file), parent)
+			}
 			if !bytes.Equal(file, v2Bytes(t, referenceIndex(c.g, c.lm))) {
 				t.Fatal("labels differ from Algorithm 1's")
 			}
@@ -250,9 +261,9 @@ func TestRankForms(t *testing.T) {
 			for u := range all {
 				all[u] = int32(u)
 			}
-			for s := int32(0); s < n; s += n / 8 {
+			for s := int32(0); s < int32(n); s += int32(n / 8) {
 				want, many := bfs.Distances(c.g, s), sr.DistanceMany(s, all, nil)
-				for u := range n {
+				for u := range int32(n) {
 					if many[u] != want[u] || u%64 == 0 && sr.Distance(s, u) != want[u] {
 						t.Fatalf("d(%d,%d) = %d (DistanceMany), %d (Distance), want %d", s, u, many[u], sr.Distance(s, u), want[u])
 					}

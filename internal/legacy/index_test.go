@@ -69,7 +69,7 @@ func v1Fixtures(tb testing.TB) []v1Fixture {
 // (checksums and all) in the order the writers used.
 func reframe(tb testing.TB, file []byte, edit func(h *container.Header, sec map[uint32][]byte)) []byte {
 	tb.Helper()
-	ids := []uint32{1, 2, sectLabelOff, sectLabelBase, sectLabelRel, 4, 5, sectOverflow, sectGraph}
+	ids := []uint32{1, 2, sectLabelOff, sectLabelBase, sectLabelRel, 4, sectLabelMask, 5, sectLabelDist, sectOverflow, sectGraph}
 	h, read, err := container.ReadContainer(bytes.NewReader(file), true, func(container.Header) (map[uint32]uint64, error) {
 		bounds := make(map[uint32]uint64)
 		for _, id := range ids {
@@ -116,6 +116,32 @@ func byteDistBytes(tb testing.TB, ix *core.Index) []byte {
 func byteDistSnapshot(tb testing.TB, ix *core.Index) []byte {
 	tb.Helper()
 	h, sections := ByteSections(ix)
+	var out bytes.Buffer
+	if err := container.WriteContainer(&out, h, append(ix.Graph().Sections(), sections...)); err != nil {
+		tb.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// maskBytes is the file the last writer of section 13 wrote for ix: its
+// ranks as masks of ⌈k/8⌉ bytes a vertex beside the offsets of sections 7
+// and 8, where sections 14 and 15 are now.
+func maskBytes(tb testing.TB, ix *core.Index) []byte {
+	tb.Helper()
+	h, sections := offsetSections(ix, true)
+	fp := binary.LittleEndian.AppendUint32(nil, ix.Graph().Fingerprint())
+	var out bytes.Buffer
+	if err := container.WriteContainer(&out, h, append(sections, container.Section{ID: sectGraph, Payload: fp})); err != nil {
+		tb.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// maskSnapshot is the checkpoint the last writer of section 13 wrote for
+// ix: the graph's sections beside the labelling's, without section 11.
+func maskSnapshot(tb testing.TB, ix *core.Index) []byte {
+	tb.Helper()
+	h, sections := offsetSections(ix, true)
 	var out bytes.Buffer
 	if err := container.WriteContainer(&out, h, append(ix.Graph().Sections(), sections...)); err != nil {
 		tb.Fatal(err)
@@ -222,7 +248,7 @@ func TestIndexRoundTrip(t *testing.T) {
 		ix := path600(t)
 		migrates(t, withoutSection11(t, ix), ix.Graph(), "format v2, no section 11", ix)
 	})
-	for _, name := range []string{"tiny_codes.hl2", "tiny.snap2"} {
+	for _, name := range []string{"tiny_codes.hl2", "tiny_bits.hl2", "grid_ranks.hl2", "tiny_ranks.hl2", "tiny.snap2"} {
 		if got := IndexLayout(bufio.NewReader(bytes.NewReader(fixture(t, name)))); got != "" {
 			t.Fatalf("IndexLayout(%s) = %q, want \"\"", name, got)
 		}
@@ -332,6 +358,72 @@ func TestMigrateByteDistances(t *testing.T) {
 			}
 			byteLabelsEqual(t, c.raw, ix)
 		})
+	}
+}
+
+// TestMigrateMaskSection13: an index file and a checkpoint whose ranks are
+// masks of ⌈k/8⌉ bytes a vertex in section 13 beside the offsets of
+// sections 7 and 8 — tiny_mask.hl2, which maskBytes frames byte for byte,
+// and path600's and BA-2000's with k = 100 (13 bytes a vertex) — are each
+// named by IndexLayout or SnapshotLayout, refused by the serving readers
+// with one line naming `hlbuild migrate`, and migrate to the file a fresh
+// build writes: tiny_mask.hl2 to tiny_bits.hl2. A mask bit flipped under a
+// valid checksum is refused by the section's number.
+func TestMigrateMaskSection13(t *testing.T) {
+	fig := build(t, gen.PaperFigure2(), gen.PaperFigure2().DegreeOrder()[:3])
+	if !bytes.Equal(maskBytes(t, fig), fixture(t, "tiny_mask.hl2")) {
+		t.Fatal("maskBytes does not frame the file the last writer of section 13 wrote")
+	}
+	if !bytes.Equal(indexBytes(t, fig), fixture(t, "tiny_bits.hl2")) {
+		t.Fatal("test premise broken: the fresh build does not write tiny_bits.hl2")
+	}
+	ba := gen.BarabasiAlbert(2000, 10, 42)
+	path, dense := path600(t), build(t, ba, ba.DegreeOrder()[:100])
+	for _, c := range []struct {
+		name     string
+		raw      []byte
+		snapshot bool
+		want     *core.Index
+	}{
+		{"tiny_mask.hl2", fixture(t, "tiny_mask.hl2"), false, fig},
+		{"path600 index", maskBytes(t, path), false, path},
+		{"path600 snapshot", maskSnapshot(t, path), true, path},
+		{"ba2000 k100 index", maskBytes(t, dense), false, dense},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var ix *core.Index
+			var err error
+			if c.snapshot {
+				if got := SnapshotLayout(bufio.NewReader(bytes.NewReader(c.raw))); got != "snapshot, masks in section 13" {
+					t.Fatalf("SnapshotLayout = %q", got)
+				}
+				if _, _, err := serve.DecodeSnapshot(bytes.NewReader(c.raw)); !oneLine(err, "hlbuild migrate") {
+					t.Fatalf("serve.DecodeSnapshot: %v, want one line naming hlbuild migrate", err)
+				}
+				var g *graph.Graph
+				if g, ix, err = ReadSnapshot(bytes.NewReader(c.raw)); err == nil && g.Fingerprint() != c.want.Graph().Fingerprint() {
+					t.Fatal("the snapshot's graph differs from the one it was written from")
+				}
+			} else {
+				if got := IndexLayout(bufio.NewReader(bytes.NewReader(c.raw))); got != "format v2, masks in section 13" {
+					t.Fatalf("IndexLayout = %q", got)
+				}
+				if _, err := core.Read(bytes.NewReader(c.raw), c.want.Graph()); !oneLine(err, "hlbuild migrate") {
+					t.Fatalf("core.Read: %v, want one line naming hlbuild migrate", err)
+				}
+				ix, err = ReadIndex(bytes.NewReader(c.raw), c.want.Graph())
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(indexBytes(t, ix), indexBytes(t, c.want)) {
+				t.Fatal("migrated, it differs from a fresh build's file")
+			}
+		})
+	}
+	flipped := reframe(t, maskBytes(t, path), func(_ *container.Header, sec map[uint32][]byte) { sec[sectLabelMask][17] ^= 1 })
+	if _, err := ReadIndex(bytes.NewReader(flipped), path.Graph()); !oneLine(err, "section 13 is missing or not a fresh build's") {
+		t.Fatalf("ReadIndex of a flipped mask bit: %v, want one line naming section 13", err)
 	}
 }
 
@@ -445,7 +537,7 @@ func TestReadIndexRefusesAnotherGraph(t *testing.T) {
 		t.Fatalf("premise: %v and %v", built, other)
 	}
 	ix := build(t, built, built.DegreeOrder()[:8])
-	for name, raw := range map[string][]byte{"byte distances": byteDistBytes(t, ix), "no section 11": withoutSection11(t, ix), "section 3": legacyV2Bytes(t, ix)} {
+	for name, raw := range map[string][]byte{"byte distances": byteDistBytes(t, ix), "no section 11": withoutSection11(t, ix), "section 3": legacyV2Bytes(t, ix), "section 13": maskBytes(t, ix)} {
 		if _, err := ReadIndex(bytes.NewReader(raw), other); !oneLine(err, notThisIndex) {
 			t.Errorf("%s beside another graph: %v, want one line saying %q", name, err, notThisIndex)
 		}
@@ -471,6 +563,8 @@ func FuzzReadLegacyIndex(f *testing.F) {
 		f.Add(reframe(f, old, c.edit))
 	}
 	f.Add([]byte(IndexMagicV1))
+	f.Add(fixture(f, "tiny_mask.hl2"))
+	f.Add(maskBytes(f, path))
 	graphs := []*graph.Graph{gen.PaperFigure2(), gen.Path(300), path.Graph()}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, g := range graphs {

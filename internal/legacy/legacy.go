@@ -1,9 +1,9 @@
-// Package legacy reads the layouts no server reads any more: the four
-// index layouts before today's (see ReadIndex), the snapshot whose labels
-// kept one distance byte an entry, and the HWGRAPH1 graph file and HWLSNAP1
-// checkpoint snapshot that framed a graph before it became container
-// sections 9 and 10. `hlbuild migrate`, this package's one importer,
-// rewrites them.
+// Package legacy reads the layouts no server reads any more: the five
+// index layouts before today's (see ReadIndex), the snapshots whose labels
+// kept one distance byte an entry or masks in section 13, and the HWGRAPH1
+// graph file and HWLSNAP1 checkpoint snapshot that framed a graph before it
+// became container sections 9 and 10. `hlbuild migrate`, this package's
+// one importer, rewrites them.
 package legacy
 
 import (
@@ -57,7 +57,7 @@ func readArray(r io.Reader, size uint64) (container.Section, error) {
 // ReadSnapshot decodes a snapshot of a retired layout (see SnapshotLayout):
 // an HWLSNAP1 stream — the magic, an HWGRAPH1 graph, then the index file of
 // its labelling — or a container of the graph's sections 9 and 10 beside
-// labels of one distance byte an entry.
+// labels of one distance byte an entry, or with masks in section 13.
 func ReadSnapshot(r io.Reader) (*graph.Graph, *core.Index, error) {
 	br := bufio.NewReader(r)
 	if magic, _ := br.Peek(len(SnapshotMagic)); string(magic) != SnapshotMagic {
@@ -71,8 +71,9 @@ func ReadSnapshot(r io.Reader) (*graph.Graph, *core.Index, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("legacy: snapshot: %w", err)
 		}
-		if _, ok := sec[sectByteDist]; !ok {
-			return nil, nil, fmt.Errorf("legacy: snapshot has no section %d: not a retired layout", sectByteDist)
+		_, byteDist := sec[sectByteDist]
+		if _, masks := sec[sectLabelMask]; !byteDist && !masks {
+			return nil, nil, fmt.Errorf("legacy: snapshot has no section %d or %d: not a retired layout", sectByteDist, sectLabelMask)
 		}
 		g, err := graph.FromSections(h.N, sec)
 		if err != nil {
@@ -92,8 +93,10 @@ func ReadSnapshot(r io.Reader) (*graph.Graph, *core.Index, error) {
 
 // The index sections this package names: section 3 held the n+1 label
 // offsets as uint64 before sections 7 and 8, section 5 one distance byte an
-// entry before section 12, and section 11, the graph's fingerprint, is
-// what an index file has from the last layout with section 5 on.
+// entry before section 12, section 13 masks of ⌈k/8⌉ bytes a vertex beside
+// sections 7 and 8 before sections 14 and 15, and section 11, the graph's
+// fingerprint, is what an index file has from the last layout with section
+// 5 on.
 const (
 	sectLabelOff  uint32 = 3
 	sectLabelRank uint32 = 4
@@ -104,6 +107,8 @@ const (
 	sectGraph     uint32 = 11
 	sectLabelDist uint32 = 12
 	sectLabelMask uint32 = 13
+	sectLabelBits uint32 = 14
+	sectLabelDir  uint32 = 15
 )
 
 // peekTable returns the first bytes of br and, when they are a container's,
@@ -125,7 +130,11 @@ func IndexLayout(br *bufio.Reader) string {
 	switch {
 	case bytes.HasPrefix(head, []byte(IndexMagicV1)):
 		return "format v1"
-	case !has(sectLabelRank) || has(graph.SectOffsets):
+	case has(graph.SectOffsets):
+		return ""
+	case has(sectLabelMask):
+		return "format v2, masks in section 13"
+	case !has(sectLabelRank):
 		return ""
 	case has(sectLabelOff):
 		return "format v2, 64-bit offsets"
@@ -139,7 +148,7 @@ func IndexLayout(br *bufio.Reader) string {
 
 // SnapshotLayout names the retired snapshot layout br begins with — an
 // HWLSNAP1 stream, or a container of the graph's sections beside labels of
-// one distance byte an entry — or returns "".
+// one distance byte an entry or with masks in section 13 — or returns "".
 func SnapshotLayout(br *bufio.Reader) string {
 	head, has := peekTable(br)
 	switch {
@@ -147,25 +156,29 @@ func SnapshotLayout(br *bufio.Reader) string {
 		return SnapshotMagic
 	case has(graph.SectOffsets) && has(sectByteDist):
 		return "snapshot, byte distances"
+	case has(graph.SectOffsets) && has(sectLabelMask):
+		return "snapshot, masks in section 13"
 	}
 	return ""
 }
 
 // ReadIndex reads an index file of a retired layout beside g, the graph it
 // was built on, and returns the index a fresh build of its landmarks on g
-// gives. Each layout holds today's sections 1, 2, 4 and 6, and one
+// gives. Each layout holds today's sections 1, 2 and 6, and the offsets
+// of sections 7 and 8 (or 3) beside the ranks in section 4 or 13, in
+// another frame: v1 "HWLIDX01" (the magic, n u64 and k u32, then sections
+// 1, 2, 3 — labelOff [n+1]uint64 —, 4 and 5 bare, the overflow count u32
+// and section 6, with no checksums); an HWLIDX02 container with the
+// offsets in section 3; one with sections 7 and 8 but no section 11, held
+// to its graph by n alone; and one with section 11 — all four with one
 // distance byte an entry (0xFF and a record for d ≥ 255) in section 5
-// where section 12 is now, in another frame: v1 "HWLIDX01" (the magic, n
-// u64 and k u32, then sections 1, 2, 3 — labelOff [n+1]uint64 —, 4 and 5
-// bare, the overflow count u32 and section 6, with no checksums); an
-// HWLIDX02 container with the offsets in section 3; one with today's
-// sections 7 and 8 but no section 11, held to its graph by n alone; and
-// one with section 11. The file is accepted only if each of its sections
-// holds what the fresh build's does in that layout (the overflow records
-// in any order). By Lemma 3.11 the labelling of a graph and its landmarks
-// is unique, so this accepts exactly g's valid files and refuses a damaged
-// one or one built on another graph of the same n, at the cost of one
-// build.
+// where section 12 is now; and one with section 12 and the ranks as masks
+// of ⌈k/8⌉ bytes a vertex in section 13 where sections 14 and 15 are now.
+// The file is accepted only if each of its sections holds what the fresh
+// build's does in that layout (the overflow records in any order). By
+// Lemma 3.11 the labelling of a graph and its landmarks is unique, so this
+// accepts exactly g's valid files and refuses a damaged one or one built
+// on another graph of the same n, at the cost of one build.
 func ReadIndex(r io.Reader, g *graph.Graph) (*core.Index, error) {
 	br, n := bufio.NewReader(r), uint64(g.NumVertices())
 	var h container.Header
@@ -182,7 +195,7 @@ func ReadIndex(r io.Reader, g *graph.Graph) (*core.Index, error) {
 	return rebuild(h, sec, g)
 }
 
-// bounds is core.Bounds under h, with the lengths of sections 3 and 5,
+// bounds is core.Bounds under h, with the lengths of sections 3, 5 and 13,
 // beside a graph of n vertices.
 func bounds(h container.Header, n uint64) (map[uint32]uint64, error) {
 	if h.N != n {
@@ -192,6 +205,7 @@ func bounds(h container.Header, n uint64) (map[uint32]uint64, error) {
 	if err == nil {
 		want[sectLabelOff] = (n + 1) * 8
 		want[sectByteDist] = h.Aux1
+		want[sectLabelMask] = n * uint64((h.K+7)/8)
 	}
 	return want, err
 }
@@ -243,6 +257,9 @@ func rebuild(old container.Header, sec map[uint32]container.Section, g *graph.Gr
 		return nil, err
 	}
 	h, sections := ByteSections(fresh)
+	if _, ok := sec[sectLabelMask]; ok {
+		h, sections = offsetSections(fresh, true)
+	}
 	if h != old {
 		return nil, fmt.Errorf("legacy: header %+v is not a fresh build's %+v: %s", old, h, notThisIndex)
 	}
@@ -276,19 +293,18 @@ func rebuild(old container.Header, sec map[uint32]container.Section, g *graph.Gr
 }
 
 // ByteSections returns the header and sections 1, 2, 4–8 of ix as the last
-// writer of section 5 laid them out: a rank byte an entry in section 4
-// whatever the form ix keeps its ranks in, one distance byte an entry in
-// section 5, and 0xFF there and a record in section 6 for each distance
-// ≥ 255. ReadIndex holds a file to them, and tests frame retired files
-// with them.
+// writer of section 5 laid them out: the offsets in sections 7 and 8 and a
+// rank byte an entry in section 4 whatever the form ix keeps its ranks in,
+// one distance byte an entry in section 5, and 0xFF there and a record in
+// section 6 for each distance ≥ 255. ReadIndex holds a file to them, and
+// tests frame retired files with them.
 func ByteSections(ix *core.Index) (container.Header, []container.Section) {
-	h, sections := ix.Sections()
-	rank, dist := make([]byte, 0, h.Aux1), make([]byte, 0, h.Aux1)
+	h, sections := offsetSections(ix, false)
+	dist := make([]byte, 0, h.Aux1)
 	var over []byte
 	for v := range int32(h.N) {
 		ranks, dists := ix.Label(v)
 		for i, d := range dists {
-			rank = append(rank, byte(ranks[i]))
 			dist = append(dist, byte(min(d, 255)))
 			if d >= 255 {
 				over = binary.LittleEndian.AppendUint32(over, uint32(v))
@@ -299,8 +315,6 @@ func ByteSections(ix *core.Index) (container.Header, []container.Section) {
 	h.Aux2 = uint64(len(over) / 9)
 	for i, s := range sections {
 		switch s.ID {
-		case sectLabelMask:
-			sections[i] = container.Section{ID: sectLabelRank, Payload: rank}
 		case sectLabelDist:
 			sections[i] = container.Section{ID: sectByteDist, Payload: dist}
 		case sectOverflow:
@@ -308,6 +322,50 @@ func ByteSections(ix *core.Index) (container.Header, []container.Section) {
 		}
 	}
 	return h, sections
+}
+
+// offsetSections returns the header and sections of ix as the writers
+// before sections 14 and 15 laid them out: the offsets in sections 7 and 8
+// — one uint64 per 256 vertices, the offset of the first, and one uint16 a
+// vertex past it — and the ranks a byte an entry in section 4 or, with
+// masks, ⌈k/8⌉ bytes a vertex in section 13, where ix's rank sections are.
+func offsetSections(ix *core.Index, masks bool) (container.Header, []container.Section) {
+	h, sections := ix.Sections()
+	n, size := int(h.N), int(h.K+7)/8
+	var base, rel, rank []byte
+	mask := make([]byte, n*size)
+	var at, blockStart uint64
+	for v := 0; v <= n; v++ {
+		if v%256 == 0 {
+			blockStart = at
+			base = binary.LittleEndian.AppendUint64(base, at)
+		}
+		rel = binary.LittleEndian.AppendUint16(rel, uint16(at-blockStart))
+		if v == n {
+			break
+		}
+		ranks, _ := ix.Label(int32(v))
+		for _, r := range ranks {
+			rank = append(rank, byte(r))
+			mask[v*size+int(r)/8] |= 1 << (r % 8)
+		}
+		at += uint64(len(ranks))
+	}
+	ranks := container.Section{ID: sectLabelRank, Payload: rank}
+	if masks {
+		ranks = container.Section{ID: sectLabelMask, Payload: mask}
+	}
+	var out []container.Section
+	for _, s := range sections {
+		switch s.ID {
+		case sectLabelBase, sectLabelRel, sectLabelRank, sectLabelBits, sectLabelDir:
+		case sectLabelDist: // the ranks come before it
+			out = append(out, container.Section{ID: sectLabelBase, Payload: base}, container.Section{ID: sectLabelRel, Payload: rel}, ranks, s)
+		default:
+			out = append(out, s)
+		}
+	}
+	return h, out
 }
 
 // notThisIndex ends the error of a file that is not the labelling of its
