@@ -12,7 +12,7 @@
 //
 // Every payload is checksummed with CRC-32C and its length bounded before
 // any allocation. Readers skip unknown ids, so sections can be added
-// without revving the magic. Ids: 1, 2, 4, 6–8, 12, 14 and 15 the
+// without revving the magic. Ids: 1, 2, 4, 6–8, 12 and 14–16 the
 // labelling (internal/core; 3 held its offsets and 5 its distances, a byte
 // each, and 13 its ranks as masks of ⌈k/8⌉ bytes a vertex, in files only
 // `hlbuild migrate` reads now), 9 and 10 the graph

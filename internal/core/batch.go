@@ -285,10 +285,10 @@ func (sr *Searcher) sourceVia(source int32) []int32 {
 	}
 	via := sr.viaBuf(k)
 	var m landmarkSet
-	p := ix.labelOf(source, &m)
+	p, l := ix.labelOf(source, &m), ix.distOf(source)
 	for w, x := range m[:] {
 		for ; x != 0; x &= x - 1 {
-			ds, r := ix.distAt(p), w<<6|bits.TrailingZeros64(x)
+			ds, r := ix.distAt(l, p), w<<6|bits.TrailingZeros64(x)
 			p++
 			for j, h := range ix.highway[r*k : (r+1)*k] {
 				if h < 0 {
@@ -309,11 +309,11 @@ func (sr *Searcher) sourceVia(source int32) []int32 {
 func boundViaVec(ix *Index, via []int32, t int32) int32 {
 	best := Infinity
 	var m landmarkSet
-	p := ix.labelOf(t, &m)
+	p, l := ix.labelOf(t, &m), ix.distOf(t)
 	for w, x := range m[:] {
 		for ; x != 0; x &= x - 1 {
 			if v := via[w<<6|bits.TrailingZeros64(x)]; v >= 0 {
-				if d := v + ix.distAt(p); best < 0 || d < best {
+				if d := v + ix.distAt(l, p); best < 0 || d < best {
 					best = d
 				}
 			}

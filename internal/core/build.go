@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -186,9 +188,10 @@ func (rw *Rows) Run(ctx context.Context, g *graph.Graph, ranks []int, opt Option
 // groupRun is what one sweep produced: which of its ranks labelled each
 // vertex, and at which depth, as one event per (vertex, level).
 type groupRun struct {
-	ranks    []int     // ascending; bit b of every mask is rank ranks[b]
-	labelled []uint32  // per vertex: the ranks that labelled it
-	events   [][]event // chunks, in no order that matters
+	ranks     []int     // ascending; bit b of every mask is rank ranks[b]
+	labelled  []uint32  // per vertex: the ranks that labelled it
+	low, high []uint8   // per vertex: the codes of the first and last depth they did
+	events    [][]event // chunks, in no order that matters
 }
 
 // event says the ranks in mask labelled vertex v at distance d.
@@ -224,16 +227,17 @@ type sweep struct {
 
 // sweepRun is what a sweep knows only while it runs.
 type sweepRun struct {
-	off      []int64
-	tgt      []int32
-	rankOf   []int32
-	highway  []int32
-	k        int
-	ranks    []int
-	labelled []uint32
-	active   uint32 // ranks still running
-	pruning  uint32 // ranks with a non-empty Qprune at the frontier
-	depth    int32  // of the level being claimed
+	off       []int64
+	tgt       []int32
+	rankOf    []int32
+	highway   []int32
+	k         int
+	ranks     []int
+	labelled  []uint32
+	low, high []uint8 // per vertex: the codes, min(d-1, 255), of its first and last labelling depth
+	active    uint32  // ranks still running
+	pruning   uint32  // ranks with a non-empty Qprune at the frontier
+	depth     int32   // of the level being claimed
 }
 
 // levelOut is what one worker produced at one level, padded so that
@@ -280,7 +284,7 @@ func (s *sweep) run(ctx context.Context, rw *Rows, g *graph.Graph, ranks []int, 
 		s.frontier = append(s.frontier, nil)
 	}
 	s.sweepRun = sweepRun{rankOf: rw.rankOf, highway: rw.highway, k: k, ranks: ranks,
-		labelled: make([]uint32, n), active: ^uint32(0) >> (groupBits - len(ranks))}
+		labelled: make([]uint32, n), low: make([]uint8, n), high: make([]uint8, n), active: ^uint32(0) >> (groupBits - len(ranks))}
 	defer func() { s.sweepRun = sweepRun{} }()
 	s.off, s.tgt = g.CSR()
 	outs := make([]levelOut, workers)
@@ -358,7 +362,7 @@ func (s *sweep) run(ctx context.Context, rw *Rows, g *graph.Graph, ranks []int, 
 		finished(s.active &^ still)
 		s.active, s.pruning = still, pruneAny
 	}
-	run := &groupRun{ranks: ranks, labelled: s.labelled}
+	run := &groupRun{ranks: ranks, labelled: s.labelled, low: s.low, high: s.high}
 	for w := range outs {
 		for _, u := range outs[w].list {
 			s.front[u] = 0
@@ -444,7 +448,10 @@ func (s *sweep) claim(v int32, acc uint64, o *levelOut) {
 	s.seen[v] |= reach
 	s.next[v] = uint64(reach) | uint64(prune)<<32
 	if label := reach &^ prune; label != 0 {
-		s.labelled[v] |= label
+		if s.labelled[v] == 0 {
+			s.low[v] = uint8(min(s.depth-1, 255))
+		}
+		s.high[v], s.labelled[v] = uint8(min(s.depth-1, 255)), s.labelled[v]|label
 		last := len(o.events) - 1
 		if last < 0 || len(o.events[last]) == eventChunk {
 			o.events = append(o.events, make([]event, 0, eventChunk))
@@ -493,14 +500,11 @@ func share(workers, n int, fn func(w, i int)) {
 func (rw *Rows) Assemble(g *graph.Graph) *Index {
 	ix := &Index{g: g, landmarks: rw.landmarks, rankOf: rw.rankOf, isLandmark: rw.isLandmark, highway: rw.highway}
 	if prev := rw.ix; len(rw.runs) == 0 {
-		ix.labelOff, ix.labelRank, ix.labelMask, ix.overflow = prev.labelOff, prev.labelRank, prev.labelMask, prev.overflow
-		ix.setDist(prev.labelDist)
+		ix.labelOff, ix.labelRank, ix.labelMask = prev.labelOff, prev.labelRank, prev.labelMask
+		ix.labelDist, ix.dist, ix.overflow = prev.labelDist, prev.dist, prev.overflow
 	} else {
 		k := len(rw.landmarks)
-		var keep landmarkSet // the ranks that did not run
-		for r := range k {
-			keep[r>>6] |= 1 << (r & 63)
-		}
+		keep := below(k) // the ranks that did not run
 		for _, run := range rw.runs {
 			for _, r := range run.ranks {
 				keep[r>>6] &^= 1 << (r & 63)
@@ -509,48 +513,93 @@ func (rw *Rows) Assemble(g *graph.Graph) *Index {
 		if keep == (landmarkSet{}) {
 			prev = nil
 		}
-		ix.pack(layLabels(rw.runs, prev, &keep, g.NumVertices(), k, rw.workers), rw.workers)
+		l := layLabels(rw.runs, prev, &keep, g.NumVertices(), k, rw.workers)
+		ix.pack(&l, rw.workers)
 	}
 	rw.ix, rw.ixHighway, rw.runs = ix, true, nil
 	return ix
 }
 
+// below returns the set of the ranks below k.
+func below(k int) (m landmarkSet) {
+	for r := range k {
+		m[r>>6] |= 1 << (r & 63)
+	}
+	return m
+}
+
 // wideLabels is a labelling before its distances are packed and its ranks
 // take their form: per vertex the ranks it holds, as the mask form holds
-// them, one byte an entry, min(d-1, 255), the exact distance of each entry
-// at 255 (d ≥ 256) by its position in deep, and how many entries escape at
-// each of distWidths.
+// them, and the smallest code, min(d-1, 255), and the span, at most 255, of
+// its label, and the counts of them all; one byte an entry, its code less
+// its label's smallest; and the exact distance of each entry coded 255 (d ≥
+// 256) by its position in deep.
 type wideLabels struct {
-	ranks   rankBits
-	off     offsets // where the labels start
-	code    []uint8
-	deep    map[int64]int32
-	escaped escapeCounts
+	ranks     rankBits
+	off       offsets // where the labels start
+	code      []uint8
+	deep      map[int64]int32
+	low, span []uint8
+	stats     distStats
 }
 
-// escapeCounts holds, for each of distWidths, a number of entries whose
-// code escapes at that width.
-type escapeCounts [len(distWidths)]int64
-
-// add counts n entries of code c: they escape at the widths w with
-// c ≥ 2^w - 1, narrowest first.
-func (e *escapeCounts) add(c uint8, n int64) {
-	if c < 3 { // escapes at no width, not even 2 bits: the common case
-		return
+// dist returns the distance of the entry at position p of a label whose
+// smallest code is low.
+func (l *wideLabels) dist(p int64, low uint8) int32 {
+	if c := l.code[p] + low; c < 255 {
+		return int32(c) + 1
 	}
-	for i := len(distWidths) - 1; i >= 0 && c >= 1<<distWidths[i]-1; i-- {
-		e[i] += n
-	}
+	return l.deep[p]
 }
 
-// sum adds up the workers' counts.
-func sum(counts []escapeCounts) (total escapeCounts) {
-	for _, c := range counts {
-		for i := range c {
-			total[i] += c[i]
+// distStats is what choosing the distance form takes: entries by the bits
+// bits.Len(c+1) their code needs, and by those their label's smallest code
+// and span need; w bits hold a code that needs w, a span whose Len is w.
+type distStats struct {
+	entry [10]int64
+	label [10][9]int64
+}
+
+// add counts a label whose smallest code is low, whose codes are low more
+// than these, and whose largest distance is top, and returns its span, at
+// most 255.
+func (st *distStats) add(codes []uint8, low uint8, top int32) (span uint8) {
+	if len(codes) == 0 {
+		return 0
+	}
+	if top > 3 { // some code escapes at some width
+		for _, c := range codes {
+			st.entry[bits.Len16(uint16(c)+uint16(low)+1)]++
+		}
+	} else {
+		st.entry[0] += int64(len(codes)) // escaping at no width, they need not be told apart
+	}
+	span = uint8(min(top-int32(low)-1, 255))
+	st.label[bits.Len16(uint16(low)+1)][bits.Len8(span)] += int64(len(codes))
+	return span
+}
+
+// escaped returns how many entries sit in labels whose base of w bits or
+// excess of wo does not hold them.
+func (st *distStats) escaped(w, wo uint8) (n int64) {
+	for a, row := range st.label {
+		for b, c := range row {
+			if a > int(w) || b > int(wo) {
+				n += c
+			}
 		}
 	}
-	return total
+	return n
+}
+
+// merge adds o's counts to st's.
+func (st *distStats) merge(o *distStats) {
+	for a := range st.label {
+		st.entry[a] += o.entry[a]
+		for b := range st.label[a] {
+			st.label[a][b] += o.label[a][b]
+		}
+	}
 }
 
 // posDist is the position and distance of one entry too deep for a byte.
@@ -576,7 +625,8 @@ func deepOf(lists [][]posDist) map[int64]int32 {
 // name and prev's in keep, and the entry of rank r sits behind those of the
 // lower ranks it holds. Every entry owns its position, so the workers share
 // the chunks and blocks without sharing a write; an entry too deep for a
-// byte goes on its worker's own list.
+// byte goes on its worker's own list. prev's distances are read in either
+// form.
 func layLabels(runs []*groupRun, prev *Index, keep *landmarkSet, n, k, workers int) wideLabels {
 	ranks, off := packRanks(n, k, workers, func(v int, m *landmarkSet) {
 		if prev != nil {
@@ -597,13 +647,26 @@ func layLabels(runs []*groupRun, prev *Index, keep *landmarkSet, n, k, workers i
 			}
 		}
 	})
-	code := make([]uint8, off.at(int32(n)))
-	deep, counts := make([][]posDist, workers), make([]escapeCounts, workers)
+	// Codes are written less a low no code of their label is below, from the
+	// runs and prev's base: a build's label's smallest, a merge's nearly.
+	l := wideLabels{ranks: ranks, off: off, code: make([]uint8, off.at(int32(n))), low: make([]uint8, n), span: make([]uint8, n)}
+	code, deep := l.code, make([][]posDist, workers)
+	share(workers, (n+pullBlock-1)/pullBlock, func(_, i int) {
+		for v := i * pullBlock; v < min((i+1)*pullBlock, n); v++ {
+			if l.low[v] = 255; prev != nil {
+				l.low[v] = uint8(max(prev.distOf(int32(v)).base-1, 0))
+			}
+			for _, run := range runs {
+				if run.labelled[v] != 0 { // span: the largest code, for now
+					l.low[v], l.span[v] = min(l.low[v], run.low[v]), max(l.span[v], run.high[v])
+				}
+			}
+		}
+	})
 	for _, run := range runs {
 		share(workers, len(run.events), func(w, c int) {
 			for _, e := range run.events[c] {
-				d := uint8(min(e.d-1, 255))
-				counts[w].add(d, int64(bits.OnesCount32(e.mask)))
+				d := uint8(min(e.d-1, 255)) - l.low[e.v]
 				var m landmarkSet // read only where other ranks may precede the run's
 				all, start := run.labelled[e.v], off.at(e.v)
 				first := start // the entry of the run's first rank
@@ -616,48 +679,60 @@ func layLabels(runs []*groupRun, prev *Index, keep *landmarkSet, n, k, workers i
 					if prev != nil { // kept ranks may sit between the run's
 						p = start + before(m[:], run.ranks[bits.TrailingZeros32(x)])
 					}
-					if code[p] = d; d == 255 {
+					if code[p] = d; e.d > 255 {
 						deep[w] = append(deep[w], posDist{p, e.d})
 					}
 				}
 			}
 		})
 	}
-	if prev != nil {
-		// The kept entries' codes, unpacked and copied a byte a distance,
-		// counting their escapes.
-		nPrev := prev.NumEntries()
-		prevCode, pw, esc := make([]uint8, nPrev), prev.labelDist[0], prev.distMask
-		share(workers, int((nPrev+packChunk-1)/packChunk), func(_, i int) {
-			unpackCodes(prevCode[i*packChunk:min((i+1)*packChunk, int(nPrev))], prev.codes[i*packChunk*int(pw)/8:], pw)
-		})
-		share(workers, (n+pullBlock-1)/pullBlock, func(w, i int) {
-			for v := i * pullBlock; v < min((i+1)*pullBlock, n); v++ {
+	// Each label's smallest code and largest distance, counted; a merge
+	// reads prev's entries in either form.
+	l.deep = deepOf(deep)
+	parts, deep := make([]distStats, workers), make([][]posDist, workers)
+	share(workers, (n+pullBlock-1)/pullBlock, func(w, i int) {
+		lo := off.at(int32(i * pullBlock))
+		for v := i * pullBlock; v < min((i+1)*pullBlock, n); v++ {
+			hi, low, top := off.at(int32(v+1)), l.low[v], int32(0)
+			switch {
+			case lo == hi:
+				low = 0
+			case prev == nil:
+				top = int32(l.span[v]) + 1
+				for p := lo; p < hi && top > 255; p++ { // the deepest distances are in deep
+					top = max(top, l.dist(p, low))
+				}
+			default:
 				var pm, m landmarkSet
-				q, p := prev.labelOf(int32(v), &pm), ranks.labelOf(int32(v), &m)
+				q, p, pl, small := prev.labelOf(int32(v), &pm), lo, prev.distOf(int32(v)), 255
+				ranks.labelOf(int32(v), &m)
 				for wd, x := range m[:] {
 					for ; x != 0; x, p = x&(x-1), p+1 {
-						if keep[wd&3]&(x&-x) == 0 { // a rank that ran
-							continue
-						}
-						// Its position in prev; q counts prev's entries of the words before.
-						pq := q + int64(bits.OnesCount64(pm[wd&3]&(x&-x-1)))
-						if code[p] = prevCode[pq]; code[p] >= 3 { // it escapes at some width, perhaps at prev's
-							if code[p] == esc {
-								d := prev.overflow[pq]
-								if code[p] = uint8(min(d-1, 255)); d > 255 {
-									deep[w] = append(deep[w], posDist{p, d})
-								}
+						d := l.dist(p, low)         // a rank that ran
+						if keep[wd&3]&(x&-x) != 0 { // a kept one: its position in prev, after the words before
+							d = prev.distAt(pl, q+int64(bits.OnesCount64(pm[wd&3]&(x&-x-1))))
+							if code[p] = uint8(min(d-1, 255)) - low; d > 255 {
+								deep[w] = append(deep[w], posDist{p, d})
 							}
-							counts[w].add(code[p], 1)
 						}
+						small, top = min(small, int(code[p])), max(top, d)
 					}
 					q += int64(bits.OnesCount64(pm[wd&3]))
 				}
+				for p := lo; p < hi && small > 0; p++ { // the smallest went up
+					code[p] -= uint8(small)
+				}
+				low += uint8(small)
 			}
-		})
+			l.low[v], l.span[v] = low, parts[w].add(code[lo:hi], low, top)
+			lo = hi
+		}
+	})
+	maps.Copy(l.deep, deepOf(deep))
+	for i := range parts {
+		l.stats.merge(&parts[i])
 	}
-	return wideLabels{ranks: ranks, off: off, code: code, deep: deepOf(deep), escaped: sum(counts)}
+	return l
 }
 
 // setRanks makes ranks, laid out in the mask form's bits and as off places
@@ -684,13 +759,13 @@ func (ix *Index) setRanks(ranks rankBits, off offsets) {
 	ix.labelOff, ix.labelRank, ix.labelMask = off, labelRank, rankBits{}
 }
 
-// packChunk entries are packed at a time: a multiple of the 4 codes a
+// packChunk entries are packed at a time: a multiple of the 8 codes a
 // byte holds at the narrowest width, so no two chunks share a byte.
 const packChunk = 1 << 12
 
-// packCodes writes codes, each clamped to 2^w - 1, as codes of w bits, LSB
-// first, to out, which is zero: a byte at a time, so that no byte is
-// written twice but at the end.
+// packCodes writes codes, each clamped to 2^w - 1 (at w = 1, each 0 or 1),
+// as codes of w ∈ {1, 2, 4, 8} bits, LSB first, to out, which is zero: a
+// byte at a time, so that no byte is written twice but at the end.
 func packCodes(out, codes []uint8, w uint8) {
 	esc, b := uint8(1<<w-1), 0
 	switch w {
@@ -706,58 +781,67 @@ func packCodes(out, codes []uint8, w uint8) {
 			c := codes[4*b : 4*b+4 : 4*b+4]
 			out[b] = min(c[0], esc) | min(c[1], esc)<<2 | min(c[2], esc)<<4 | min(c[3], esc)<<6
 		}
+	case 1: // codes of 0 or 1, eight gathered by one multiply
+		for ; 8*b+8 <= len(codes); b++ {
+			out[b] = uint8(binary.LittleEndian.Uint64(codes[8*b:]) * 0x0102040810204080 >> 56)
+		}
 	}
 	for k, c := range codes[b*8/int(w):] { // the last byte's, when it is not full
 		out[b] |= min(c, esc) << (uint(k) * uint(w))
 	}
 }
 
-// unpackCodes writes the len(dst) codes of w bits src begins with to dst,
-// one a byte: packCodes undone.
-func unpackCodes(dst []uint8, src []byte, w uint8) {
-	mask, j := uint8(1<<w-1), 0
-	switch w {
-	case 8:
-		j = copy(dst, src)
-	case 4:
-		for ; j+2 <= len(dst); j += 2 {
-			x := src[j/2]
-			dst[j], dst[j+1] = x&mask, x>>4
-		}
-	case 2:
-		for ; j+4 <= len(dst); j += 4 {
-			x, d := src[j/4], dst[j:j+4:j+4]
-			d[0], d[1], d[2], d[3] = x&mask, x>>2&mask, x>>4&mask, x>>6
-		}
-	}
-	for ; j < len(dst); j++ { // the last byte's, when it is not full
-		bit := uint(j) * uint(w)
-		dst[j] = src[bit/8] >> (bit % 8) & mask
-	}
-}
-
 // pack makes l ix's label arrays: its ranks in the form chooseMask gives,
-// its distances packed at the width chooseWidth gives for them, and the
-// entries that escape at that width its overflow map.
-func (ix *Index) pack(l wideLabels, workers int) {
-	entries := len(l.code)
-	chunks := (entries + packChunk - 1) / packChunk
-	width, nEscaped := chooseWidth(int64(entries), l.escaped)
-	dist := make([]byte, distLen(int64(entries), width))
-	dist[0] = width
-	ix.setDist(dist)
-	share(workers, chunks, func(_, i int) {
-		packCodes(ix.codes[i*packChunk*int(width)/8:], l.code[i*packChunk:min((i+1)*packChunk, entries)], width)
-	})
+// its distances in the form and widths chooseDist gives, and the entries
+// that escape there its overflow map.
+func (ix *Index) pack(l *wideLabels, workers int) {
+	n, entries := len(ix.rankOf), int64(len(l.code))
 	ix.setRanks(l.ranks, l.off)
-	if nEscaped > 0 {
-		ix.overflow = make(map[int64]int32, nEscaped)
-		for p := range escapes(dist) {
-			d := int32(l.code[p]) + 1
-			if l.code[p] == 255 {
-				d = l.deep[p]
+	perLabel, width, wo := chooseDist(n, entries, &l.stats)
+	dist, codeW := make([]byte, distLen(entries, width)), width
+	if perLabel {
+		dist, codeW = make([]byte, 2+(int64(n)*int64(width)+7)/8+(entries*int64(wo)+7)/8), wo
+		dist[1] = wo
+	}
+	dist[0] = width
+	ix.setDist(dist, perLabel)
+	// Per entry, each code is d-1 again and escapes at width. Per label, a
+	// label the widths do not hold escapes, its base all ones and its
+	// excesses 0, and an entry too deep for a byte takes its excess from deep.
+	over := make([][]posDist, workers)
+	share(workers, (n+pullBlock-1)/pullBlock, func(w, i int) {
+		lo := l.off.at(int32(i * pullBlock))
+		for v := i * pullBlock; v < min((i+1)*pullBlock, n); v++ {
+			hi, low, span := l.off.at(int32(v+1)), l.low[v], l.span[v]
+			switch {
+			case !perLabel: // codes again
+				for p := lo; p < hi; p++ {
+					if l.code[p] += low; l.code[p] >= 1<<width-1 {
+						over[w] = append(over[w], posDist{p, l.dist(p, 0)})
+					}
+				}
+			case low >= 1<<width-1 || span >= 1<<wo:
+				for p := lo; p < hi; p++ {
+					over[w], l.code[p] = append(over[w], posDist{p, l.dist(p, low)}), 0
+				}
+				l.low[v] = 255
+			case int(low)+int(span) >= 255: // the deepest distances are in deep
+				for p := lo; p < hi; p++ {
+					l.code[p] = uint8(l.dist(p, low) - int32(low) - 1)
+				}
 			}
-			ix.overflow[p] = d
+			lo = hi
 		}
+	})
+	ix.overflow = deepOf(over)
+	if perLabel {
+		share(workers, (n+packChunk-1)/packChunk, func(_, i int) {
+			packCodes(ix.dist.bases[i*packChunk*int(width)/8:], l.low[i*packChunk:min((i+1)*packChunk, n)], width)
+		})
+	}
+	if codeW > 0 {
+		share(workers, int((entries+packChunk-1)/packChunk), func(_, i int) {
+			packCodes(ix.dist.codes[i*packChunk*int(codeW)/8:], l.code[i*packChunk:min((i+1)*packChunk, int(entries))], codeW)
+		})
 	}
 }

@@ -189,28 +189,29 @@ func sameEntrySet(a, b *Index, v int32) bool {
 // any worker count AND any traversal direction produces an identical
 // index. The direction sweep pins the direction-optimizing engine to the
 // top-down reference: bottom-up levels must claim exactly the same label
-// and prune sets. It runs at each distance code width, on graphs large
-// enough (but BA-600) for workers to share a build's levels and packing;
+// and prune sets. It runs in each distance form and at each per-entry width,
+// on graphs large enough (but BA-600) for workers to share a build's levels
+// and packing;
 // a ring lattice with 1% of its edges rewired is far enough across for
 // w = 8.
 func TestParallelMatchesSequential(t *testing.T) {
 	ba, ws, ring := gen.BarabasiAlbert(600, 4, 17), gen.WattsStrogatz(10_000, 6, 0.1, 1), gen.WattsStrogatz(10_000, 4, 0.01, 1)
 	ba2k := gen.BarabasiAlbert(2000, 10, 42)
 	for _, c := range []widthCase{
-		{"ba600", ba, ba.DegreeOrder()[:20], 2},
+		{"ba600", ba, ba.DegreeOrder()[:20], perLabel(2, 1), 22},
 		widthCases()[0],
-		{"smallworld", ws, ws.DegreeOrder()[:20], 4},
-		{"ring", ring, ring.DegreeOrder()[:20], 8},
+		{"smallworld", ws, ws.DegreeOrder()[:20], perEntry(4), 0},
+		{"ring", ring, ring.DegreeOrder()[:20], perEntry(8), 0},
 		// Four groups of landmarks whose ranks take a mask of two words.
-		{"ba2000 k100", ba2k, ba2k.DegreeOrder()[:100], 2},
+		{"ba2000 k100", ba2k, ba2k.DegreeOrder()[:100], perLabel(2, 1), 30},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			seq, err := Build(c.g, c.lm)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if w := seq.labelDist[0]; w != c.w {
-				t.Fatalf("test premise broken: width %d, want %d", w, c.w)
+			if got := formOf(seq); got != c.form {
+				t.Fatalf("test premise broken: form %+v, want %+v", got, c.form)
 			}
 			for _, workers := range []int{0, 2, 3, 8} {
 				for _, dir := range []direction{dirAuto, dirPush, dirPull} {

@@ -28,7 +28,9 @@ func FuzzLoadIndex(f *testing.F) {
 	// the committed graph file and checkpoint from before the graph became
 	// sections, and the committed index file with masks in section 13. Each
 	// of those is refused with the one line naming the command that
-	// rewrites it (internal/legacy reads them).
+	// rewrites it (internal/legacy reads them); last, the labelling whose
+	// distances are kept per label, and every malformed section 16
+	// TestReadChecksExcessCodes names.
 	fig2 := gen.PaperFigure2()
 	path600G, path600Ix := path600(f)
 	spiderCase := widthCases()[1]
@@ -80,6 +82,11 @@ func FuzzLoadIndex(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(retired.Bytes())
+	hubs := goldenExcessIndex(f)
+	f.Add(v2Bytes(f, hubs))
+	for _, c := range excessCases() {
+		f.Add(reframe(f, v2Bytes(f, hubs), c.edit))
+	}
 
 	overflowG, gridG := gen.Path(300), gen.Grid(5, 6) // the graphs of the path300.hl1 and grid seeds
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -90,7 +97,7 @@ func FuzzLoadIndex(f *testing.F) {
 		}
 		// More graph sizes exercise the n-mismatch path and the overflow
 		// machinery bounds.
-		for _, g := range []*graph.Graph{overflowG, spiderCase.g, path600G, gridG} {
+		for _, g := range []*graph.Graph{overflowG, spiderCase.g, path600G, gridG, hubs.Graph()} {
 			if ix, err := Read(bytes.NewReader(data), g); err == nil {
 				exerciseIndex(ix)
 			}

@@ -11,6 +11,7 @@ import (
 
 	"highway/internal/container"
 	"highway/internal/gen"
+	"highway/internal/graph"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden index files")
@@ -53,19 +54,40 @@ func goldenRankIndex(tb testing.TB) *Index {
 	return ix
 }
 
-// TestGoldenV2 pins the v2 format bytes of both rank forms, section 12's
-// distance codes among them: if serialization drifts — field order,
-// section ids, checksums, encoding — this fails before any user's index
-// files stop loading. tiny_codes.hl2 and tiny_bits.hl2 keep their ranks in
-// sections 14 and 15, grid_ranks.hl2 in sections 7, 8 and 4. Regenerate
-// deliberately with `go test ./internal/core -run TestGoldenV2
-// -update-golden` and call the change out in review: it breaks files
-// written by older builds.
+// goldenExcessIndex is a labelling whose distances are kept per label: 3
+// landmarks (0, 1, 2) joined to each of 41 shared leaves (3 … 43), whose
+// labels are three entries at distance 1; vertex 44, beside landmark 0 and
+// leaf 3, with the one label that spans a hop (1, 2, 2); and the tail
+// 0-45-46-47-48, whose last label, (0, 4), escapes at a 2-bit base. 130
+// entries: bases of 2 bits and excesses of 1 and one record, 41 bytes,
+// against 43 for per-entry codes of 2 bits and their record.
+func goldenExcessIndex(tb testing.TB) *Index {
+	tb.Helper()
+	edges := [][2]int32{{0, 44}, {3, 44}, {0, 45}, {45, 46}, {46, 47}, {47, 48}}
+	for leaf := int32(3); leaf <= 43; leaf++ {
+		edges = append(edges, [2]int32{0, leaf}, [2]int32{1, leaf}, [2]int32{2, leaf})
+	}
+	ix, err := Build(graph.MustFromEdges(49, edges), []int32{0, 1, 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ix
+}
+
+// TestGoldenV2 pins the v2 format bytes of both rank forms and both
+// distance forms: if serialization drifts — field order, section ids,
+// checksums, encoding — this fails before any user's index files stop
+// loading. tiny_codes.hl2, tiny_bits.hl2 and hubs_excess.hl2 keep their
+// ranks in sections 14 and 15, grid_ranks.hl2 in sections 7, 8 and 4;
+// hubs_excess.hl2 keeps its distances per label in section 16, the others
+// per entry in section 12. Regenerate deliberately with `go test
+// ./internal/core -run TestGoldenV2 -update-golden` and call the change out
+// in review: it breaks files written by older builds.
 func TestGoldenV2(t *testing.T) {
-	for name, ix := range map[string]*Index{"tiny_codes.hl2": goldenIndex(t), "tiny_bits.hl2": goldenMaskIndex(t), "grid_ranks.hl2": goldenRankIndex(t)} {
+	for name, ix := range map[string]*Index{"tiny_codes.hl2": goldenIndex(t), "tiny_bits.hl2": goldenMaskIndex(t), "grid_ranks.hl2": goldenRankIndex(t), "hubs_excess.hl2": goldenExcessIndex(t)} {
 		t.Run(name, func(t *testing.T) {
-			if mask := ix.labelMask.bits != nil; mask != (name != "grid_ranks.hl2") {
-				t.Fatalf("test premise broken: mask form %v", mask)
+			if mask, perLabel := ix.labelMask.bits != nil, formOf(ix).perLabel; mask != (name != "grid_ranks.hl2") || perLabel != (name == "hubs_excess.hl2") {
+				t.Fatalf("test premise broken: mask form %v, per label %v", mask, perLabel)
 			}
 			checkGolden(t, ix, name)
 		})

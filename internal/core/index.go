@@ -3,8 +3,8 @@
 // framework built on it (Section 4), including the optimizations of
 // Section 5 (parallel construction over landmarks, landmark ranks of 8
 // bits or a per-vertex bitmask, whichever is smaller, beside distance codes
-// of the 2, 4 or 8 bits the labelling needs, and the common-landmark query
-// shortcut of Lemma 5.1).
+// of the bits the labelling needs, an entry's or a label's, and the
+// common-landmark query shortcut of Lemma 5.1).
 //
 // # Overview
 //
@@ -36,6 +36,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 	"sync"
@@ -62,8 +63,8 @@ const MaxLandmarks = 255
 // # Label storage
 //
 // Labels live in a flat structure-of-arrays CSR layout: vertex v's label
-// occupies positions span(v) of labelDist, one code of w bits an entry,
-// sorted by landmark rank; there are no per-vertex slice headers to chase.
+// occupies positions span(v) of the entries, sorted by landmark rank; there
+// are no per-vertex slice headers to chase.
 // Its ranks are kept as labelRank, a byte an entry as in the paper's HL(8)
 // (Section 5.2), beside offsets, or as labelMask, k bits a vertex with bit
 // r set iff landmark r is in L(v) (Akiba et al.'s bit-parallel labels,
@@ -74,15 +75,20 @@ const MaxLandmarks = 255
 // plus the number of v's ranks below r.
 //
 // An entry (r, d) exists only when no other landmark lies on a shortest
-// r–v path, so its distance is tiny: the code is d-1, and its all-ones
-// value escapes to overflow, which maps the entry's position to its real
-// distance (≥ 2^w). The width w ∈ {2, 4, 8} is the one whose codes and
-// overflow records take the fewest bytes, the wider on a tie (chooseWidth):
-// w = 2 and a handful of records on complex networks, w = 8 on a long path
-// or a grid. Form and width are functions of the labelling, which is
-// unique (Lemma 3.11), so every index of one graph and landmark set has the
-// same bytes. The query hot path is one AND of two rank sets, a walk over
-// their set bits, and a shift, a mask and a compare per distance read.
+// r–v path, so its distance is tiny, and two entries of a label differ by
+// less than their landmarks' highway distance: none on R-MAT, whose hubs
+// are pairwise adjacent. labelDist keeps the distances per entry (section
+// 12: a code of w bits, d-1) or per label (section 16: a base code of w
+// bits a vertex, its smallest d-1, and an excess code of wo ∈ {0, 1, 2, 4}
+// bits an entry, d less that), an all-ones code escaping the entry, or the
+// whole label, to overflow, which maps an entry's position to its real
+// distance. Form and widths, w ∈ {2, 4, 8}, are those whose section and
+// records take the fewest bytes (chooseDist): per label, w = 2 and wo ≤ 1
+// on complex networks, per entry, w = 8, on a long path or a grid. Both
+// rank and distance forms are functions of the labelling, which is unique
+// (Lemma 3.11), so every index of one graph and landmark set has the same
+// bytes. The query hot path is one AND of two rank sets, a walk over their
+// set bits, and a multiply, a shift, a mask and a compare per distance.
 //
 // The rank bytes' offsets take their width from the same limit as the
 // ranks: a label has at most MaxLandmarks entries, so prefix sums
@@ -92,7 +98,7 @@ const MaxLandmarks = 255
 // vertex with no cap on the total. The mask needs none: its directory
 // (rankBits) gives a label's start in ≤ 2 B a vertex, 5/8 of one at k = 20.
 // All are little-endian bytes, because all the label arrays are the index
-// file's sections 7, 8 and 4, or 14 and 15, and 12 themselves: a save
+// file's sections 7, 8 and 4, or 14 and 15, and 12 or 16 themselves: a save
 // writes them as they are and a load keeps the buffers it read them into
 // (serialize.go).
 //
@@ -122,10 +128,8 @@ type Index struct {
 	labelOff  offsets         // rank bytes: n+1 prefix sums of label sizes
 	labelRank []uint8         // rank bytes: ranks ascending per vertex; or nil
 	labelMask rankBits        // mask: k bits a vertex and their directory; or zero
-	labelDist []byte          // the width w, then NumEntries codes of w bits, LSB first
-	codes     []byte          // labelDist[1:]: entry p's code is at bit p<<distLog
-	distLog   uint8           // log2 w
-	distMask  uint8           // 2^w - 1: the code of an escaped entry
+	labelDist []byte          // section 12 or 16 as written and read
+	dist      distCodes       // what reads it
 	overflow  map[int64]int32 // position -> distance of each escaped entry
 
 	// built records how BuildOpts constructed this index (zero value for
@@ -241,6 +245,13 @@ func maskLens(n, k int) (bitsLen, dirLen int64) {
 func newRankBits(bits, dir []byte, k int) rankBits {
 	blocks := (len(bits)/8 + 1023) / 1024 * 8
 	return rankBits{bits: bits, dir: dir, base: dir[:blocks], rel: dir[blocks:], k: uint(k), stride: uint(k+63) / 64}
+}
+
+// near returns the k ≤ 57 bits from bit pos on, which the 8 bytes from
+// pos's hold.
+func (b *rankBits) near(pos uint) uint64 {
+	at := min(pos>>3, uint(len(b.bits))-8)
+	return binary.LittleEndian.Uint64(b.bits[at:]) >> (pos - at*8) & (1<<b.k - 1)
 }
 
 // word returns word w of the bit string.
@@ -373,9 +384,8 @@ func nth(words []uint64, i int64) int {
 // callee's word stores.)
 func (ix *Index) labelOf(v int32, m *landmarkSet) (lo int64) {
 	if b := &ix.labelMask; b.k-1 < 57 { // the mask at k ≤ 57, inline (k = 0, the rank bytes, wraps)
-		pos := uint(v) * b.k // v's stride is its word, and the 8 bytes from v·k's hold its ranks
-		at := min(pos>>3, uint(len(b.bits))-8)
-		m[0] = binary.LittleEndian.Uint64(b.bits[at:]) >> (pos - at*8) & (1<<b.k - 1)
+		pos := uint(v) * b.k // v's stride is its word
+		m[0] = b.near(pos)
 		return int64(binary.LittleEndian.Uint64(b.base[pos>>16*8:])) + int64(binary.LittleEndian.Uint16(b.rel[pos>>6*2:])) +
 			int64(bits.OnesCount64(b.word(pos>>6)<<(63-pos&63)<<1))
 	}
@@ -411,42 +421,92 @@ func chooseMask(n, k int, entries int64) bool {
 	return bitsLen+dirLen < entries+int64(n/offBlock+1)*8+int64(n+1)*2
 }
 
-// distWidths are the code widths a labelling may take, widest first.
-var distWidths = [...]uint8{8, 4, 2}
+// distWidths are the widths of a per-entry code or a base code, widest
+// first, and excessWidths those of an excess code, narrowest first.
+var (
+	distWidths   = [...]uint8{8, 4, 2}
+	excessWidths = [...]uint8{0, 1, 2, 4}
+)
 
-// chooseWidth returns the code width of a labelling of entries entries,
-// escaped[i] of which have a distance ≥ 2^w for w = distWidths[i], and how
-// many escape at it: the w that makes ⌈entries·w/8⌉ bytes of codes plus 9
-// bytes for each overflow record least, the wider on a tie.
-func chooseWidth(entries int64, escaped escapeCounts) (w uint8, escapes int64) {
-	size := func(i int) int64 { return (entries*int64(distWidths[i])+7)/8 + 9*escaped[i] }
-	best := 0
-	for i := range distWidths {
-		if size(i) < size(best) {
-			best = i
+// chooseDist returns the distance form of a labelling of n vertices and
+// entries entries with stats st: per-entry codes of w bits, or (perLabel)
+// base codes of w bits and excess codes of wo, whichever section and
+// overflow records (9 bytes each) are fewest, the wider w, then the
+// narrower wo, then per-entry codes on a tie.
+func chooseDist(n int, entries int64, st *distStats) (perLabel bool, w, wo uint8) {
+	best := int64(math.MaxInt64)
+	for _, bw := range distWidths {
+		var esc int64
+		for _, c := range st.entry[bw+1:] {
+			esc += c
+		}
+		if s := distLen(entries, bw) + 9*esc; s < best {
+			best, w = s, bw
 		}
 	}
-	return distWidths[best], escaped[best]
+	for _, bw := range distWidths {
+		for _, ow := range excessWidths {
+			if s := 2 + (int64(n)*int64(bw)+7)/8 + (entries*int64(ow)+7)/8 + 9*st.escaped(bw, ow); s < best {
+				best, perLabel, w, wo = s, true, bw, ow
+			}
+		}
+	}
+	return perLabel, w, wo
 }
 
-// distLen is the length of the distance section of entries codes of w bits.
+// distLen is the length of section 12 for entries codes of w bits.
 func distLen(entries int64, w uint8) int64 { return 1 + (entries*int64(w)+7)/8 }
 
-// setDist makes dist, a width byte w ∈ distWidths and the codes, ix's
-// distance codes.
-func (ix *Index) setDist(dist []byte) {
-	ix.labelDist, ix.codes = dist, dist[1:]
-	ix.distLog = uint8(bits.TrailingZeros8(dist[0]))
-	ix.distMask = uint8(1<<dist[0] - 1)
+// distCodes reads the distances out of section 12, where every label's base
+// is 1, or 16: vertex v's base code at bit v·baseW of bases, entry p's code
+// at bit p·codeW of codes, each escaping at its esc. An unused array is the
+// section itself, read under a zero mask.
+type distCodes struct {
+	bases, codes             []byte
+	baseW, baseMask, baseEsc uint8
+	codeW, codeMask, codeEsc uint8
 }
 
-// distAt returns the distance of the label entry at position p: one shift
-// and one mask, and a map lookup for an escape, which does not count
-// against inlining into the query loops as a call would.
-func (ix *Index) distAt(p int64) int32 {
-	bit := uint64(p) << (ix.distLog & 3) // & 3: no guard for a shift past 63
-	if c := ix.codes[bit/8] >> (bit % 8) & ix.distMask; c != ix.distMask {
-		return int32(c) + 1
+// setDist makes sect, section 12 or (perLabel) 16, ix's distances.
+func (ix *Index) setDist(sect []byte, perLabel bool) {
+	ix.labelDist = sect
+	if w := sect[0]; !perLabel {
+		ix.dist = distCodes{bases: sect, baseEsc: 0xFF, codes: sect[1:], codeW: w, codeMask: 1<<w - 1, codeEsc: 1<<w - 1}
+		return
+	}
+	wb, wo := sect[0], sect[1]
+	split := 2 + (len(ix.rankOf)*int(wb)+7)/8
+	ix.dist = distCodes{bases: sect[2:split], baseW: wb, baseMask: 1<<wb - 1, baseEsc: 1<<wb - 1,
+		codes: sect[split:], codeW: wo, codeMask: 1<<wo - 1, codeEsc: 0xFF}
+	if wo == 0 {
+		ix.dist.codes = sect
+	}
+}
+
+// labelBase is what reading a label's distances takes: its base, and the
+// code that escapes to overflow — 0 in an escaped label, whose codes are 0.
+type labelBase struct {
+	base int32
+	esc  uint8
+}
+
+// distOf returns vertex v's labelBase, which distAt reads its entries with.
+func (ix *Index) distOf(v int32) labelBase {
+	d := &ix.dist
+	bit := uint(v) * uint(d.baseW)
+	if c := d.bases[bit/8] >> (bit % 8) & d.baseMask; c != d.baseEsc {
+		return labelBase{base: int32(c) + 1, esc: d.codeEsc}
+	}
+	return labelBase{}
+}
+
+// distAt returns the distance of the entry at position p of the label l is
+// of: a map lookup for an escape, which does not count against inlining
+// into the query loops as a call would.
+func (ix *Index) distAt(l labelBase, p int64) int32 {
+	bit := uint64(p) * uint64(ix.dist.codeW)
+	if c := ix.dist.codes[bit/8] >> (bit % 8) & ix.dist.codeMask; c != l.esc {
+		return l.base + int32(c)
 	}
 	return ix.overflow[p]
 }
@@ -455,12 +515,12 @@ func (ix *Index) distAt(p int64) int32 {
 // parallel slices of landmark ranks and decoded distances.
 func (ix *Index) Label(v int32) (ranks []int32, dists []int32) {
 	var m landmarkSet
-	lo := ix.labelOf(v, &m)
+	lo, l := ix.labelOf(v, &m), ix.distOf(v)
 	ranks, dists = make([]int32, 0, m.size()), make([]int32, 0, m.size())
 	for w, x := range m[:] {
 		for ; x != 0; x &= x - 1 {
 			ranks = append(ranks, int32(w<<6|bits.TrailingZeros64(x)))
-			dists = append(dists, ix.distAt(lo))
+			dists = append(dists, ix.distAt(l, lo))
 			lo++
 		}
 	}

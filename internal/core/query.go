@@ -115,6 +115,7 @@ func (sr *Searcher) UpperBound(s, t int32) int32 {
 	}
 	var ms, mt landmarkSet
 	slo, tlo := ix.labelOf(s, &ms), ix.labelOf(t, &mt)
+	sl, tl := ix.distOf(s), ix.distOf(t)
 	words := (k + 63) >> 6
 	best := Infinity
 	// Pass 1: common landmarks (Lemma 5.1): δL(r,s) + δL(r,t), found by one
@@ -123,7 +124,7 @@ func (sr *Searcher) UpperBound(s, t int32) int32 {
 	for w := range words {
 		for x := ms[w] & mt[w]; x != 0; x &= x - 1 {
 			r := w<<6 | bits.TrailingZeros64(x)
-			if d := ix.distAt(slo+before(ms[:], r)) + ix.distAt(tlo+before(mt[:], r)); best < 0 || d < best {
+			if d := ix.distAt(sl, slo+before(ms[:], r)) + ix.distAt(tl, tlo+before(mt[:], r)); best < 0 || d < best {
 				best = d
 			}
 		}
@@ -137,7 +138,7 @@ func (sr *Searcher) UpperBound(s, t int32) int32 {
 			if mt[w]&(x&-x) != 0 {
 				continue
 			}
-			ds, ri := ix.distAt(p), w<<6|bits.TrailingZeros64(x)
+			ds, ri := ix.distAt(sl, p), w<<6|bits.TrailingZeros64(x)
 			row := ix.highway[ri*k : (ri+1)*k]
 			q := tlo
 			for wt := range words {
@@ -146,7 +147,7 @@ func (sr *Searcher) UpperBound(s, t int32) int32 {
 						continue
 					}
 					if h := row[wt<<6|bits.TrailingZeros64(y)]; h >= 0 {
-						if d := ds + h + ix.distAt(q); best < 0 || d < best {
+						if d := ds + h + ix.distAt(tl, q); best < 0 || d < best {
 							best = d
 						}
 					}
@@ -172,11 +173,11 @@ func (ix *Index) LandmarkDistance(r, v int32) int32 {
 	}
 	best := Infinity
 	var m landmarkSet
-	p := ix.labelOf(v, &m)
+	p, l := ix.labelOf(v, &m), ix.distOf(v)
 	for w, x := range m[:] {
 		for ; x != 0; x &= x - 1 {
 			if h := row[w<<6|bits.TrailingZeros64(x)]; h >= 0 {
-				if d := h + ix.distAt(p); best < 0 || d < best {
+				if d := h + ix.distAt(l, p); best < 0 || d < best {
 					best = d
 				}
 			}

@@ -78,15 +78,13 @@ func referenceIndex(g *graph.Graph, landmarks []int32) *Index {
 		labels[r], row = referencePrunedBFS(g, root, ix.rankOf, k)
 		ix.highway = append(ix.highway, row...)
 	}
-	var dists []int32
-	ends := make([]int, n) // where each label ends
+	dists := make([][]int32, n) // each label's distances, by rank
 	for v := range n {
 		for r := range labels {
 			if d := labels[r][v]; d >= 0 {
-				dists = append(dists, d)
+				dists[v] = append(dists[v], d)
 			}
 		}
-		ends[v] = len(dists)
 	}
 	sec := plainRanks(n, k, func(v int) (ranks []int32) {
 		for r := range labels {
@@ -101,50 +99,77 @@ func referenceIndex(g *graph.Graph, landmarks []int32) *Index {
 	} else {
 		ix.labelOff, ix.labelRank = offsets{base: sec[sectLabelBase], rel: sec[sectLabelRel]}, sec[sectLabelRank]
 	}
-	w := bruteWidth(dists)
-	codes := make([]byte, (len(dists)*int(w)+7)/8)
-	v := int32(0)
-	for p, d := range dists {
-		for ends[v] <= p {
-			v++
-		}
-		code := min(d-1, 1<<w-1)
-		if code == 1<<w-1 {
-			if ix.overflow == nil {
-				ix.overflow = map[int64]int32{}
-			}
-			ix.overflow[int64(p)] = d
-		}
-		for b := range int(w) { // bit by bit, LSB first
-			bit := p*int(w) + b
-			codes[bit/8] |= byte(code>>b&1) << (bit % 8)
-		}
-	}
-	ix.setDist(append([]byte{w}, codes...))
+	dist, perLabel, over := bruteDist(dists)
+	ix.setDist(dist, perLabel)
+	ix.overflow = over
 	return ix
 }
 
-// bruteWidth is the code width section 12 must carry for a labelling with
-// these distances, from its definition: of 2, 4 and 8 bits, the width
-// whose codes (⌈entries·w/8⌉ bytes) and 9-byte records for the distances
-// d ≥ 2^w take the fewest bytes, the wider on a tie.
-func bruteWidth(dists []int32) uint8 {
-	size := func(w int) int {
-		bytes := (len(dists)*w + 7) / 8
-		for _, d := range dists {
-			if d >= 1<<w {
-				bytes += 9
+// bruteDist is the distance section a labelling whose labels have these
+// distances (by rank) must carry, from the definitions: every width of
+// per-entry codes (section 12), and every base width with every excess
+// width (section 16), a label escaping whole where the base does not hold
+// its smallest distance or the excess its span, laid out bit by bit, the one
+// whose section and 9-byte records take the fewest bytes — the wider base,
+// then the narrower excess, then per-entry on a tie. It returns the section,
+// whether it is 16, and the distances of the escaped entries by position.
+func bruteDist(labels [][]int32) (sect []byte, perLabel bool, over map[int64]int32) {
+	put := func(b []byte, at, w int, c int32) { // code c of w bits at code position at, LSB first
+		for i := range w {
+			b[(at*w+i)/8] |= byte(c>>i&1) << ((at*w + i) % 8)
+		}
+	}
+	n, entries, best := len(labels), 0, -1
+	for _, l := range labels {
+		entries += len(l)
+	}
+	try := func(s []byte, pl bool, o map[int64]int32) {
+		if size := len(s) + 9*len(o); best < 0 || size < best {
+			best, sect, perLabel, over = size, s, pl, o
+		}
+	}
+	for _, w := range []int{8, 4, 2} {
+		s, o, p := make([]byte, 1+(entries*w+7)/8), map[int64]int32{}, 0
+		s[0] = byte(w)
+		for _, l := range labels {
+			for _, d := range l {
+				if d-1 >= 1<<w-1 {
+					o[int64(p)] = d
+				}
+				put(s[1:], p, w, min(d-1, 1<<w-1))
+				p++
 			}
 		}
-		return bytes
+		try(s, false, o)
 	}
-	best := 8
-	for _, w := range []int{4, 2} {
-		if size(w) < size(best) {
-			best = w
+	for _, wb := range []int{8, 4, 2} {
+		for _, wo := range []int{0, 1, 2, 4} {
+			baseLen := (n*wb + 7) / 8
+			s, o, p := make([]byte, 2+baseLen+(entries*wo+7)/8), map[int64]int32{}, 0
+			s[0], s[1] = byte(wb), byte(wo)
+			for v, l := range labels {
+				if len(l) == 0 {
+					continue
+				}
+				lo := slices.Min(l)
+				escaped := lo-1 >= 1<<wb-1 || slices.Max(l)-lo >= 1<<wo
+				for _, d := range l {
+					if escaped {
+						o[int64(p)] = d
+					} else {
+						put(s[2+baseLen:], p, wo, d-lo)
+					}
+					p++
+				}
+				if escaped {
+					lo = 1 << wb // the base code all ones
+				}
+				put(s[2:], v, wb, lo-1)
+			}
+			try(s, true, o)
 		}
 	}
-	return uint8(best)
+	return sect, perLabel, over
 }
 
 // spread returns k distinct landmarks: the highest-degree vertices first,

@@ -95,6 +95,12 @@ func rowOf(ix *Index, r int) []int32 {
 // GOMAXPROCS, in every direction. The source index and every index
 // assembled on the way must come out of it unchanged.
 func TestRowsRerunMatchesBuild(t *testing.T) {
+	// The distance forms of each seed's labelling before and after: seed 1's
+	// merge turns per-entry codes into per-label ones.
+	forms := [][2]distForm{
+		{perEntry(2), perLabel(2, 2)}, {perEntry(2), perEntry(2)}, {perEntry(2), perEntry(2)},
+		{perLabel(2, 1), perLabel(2, 1)}, {perLabel(2, 2), perLabel(2, 2)}, {perLabel(2, 1), perLabel(2, 1)},
+	}
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		// Nothing changes in the second town, so its landmarks stay clean
@@ -102,13 +108,10 @@ func TestRowsRerunMatchesBuild(t *testing.T) {
 		// first town's are ranks 0..39, so the re-run set straddles the
 		// boundary between the first two groups of 32.
 		g, lm := twoTowns(200, []int{10, 80}[seed%2], seed)
-		isLandmark := make([]bool, g.NumVertices())
-		for _, v := range lm {
-			isLandmark[v] = true
-		}
+		isLandmark := landmarkMask(g, lm)
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			g2 := mutate(g, 200, isLandmark, rng)
-			wantWidths(t, g, g2, lm, 2, 2)
+			wantForms(t, g, g2, lm, forms[seed-1][0], forms[seed-1][1])
 			checkRerun(t, g, g2, lm, rng, false)
 		})
 	}
@@ -119,7 +122,7 @@ func TestRowsRerunMatchesBuild(t *testing.T) {
 	path := gen.Path(700)
 	t.Run("path700", func(t *testing.T) {
 		chord := withEdges(path, [2]int32{600, 699})
-		wantWidths(t, path, chord, []int32{0, 350}, 8, 8)
+		wantForms(t, path, chord, []int32{0, 350}, perEntry(8), perEntry(8))
 		checkRerun(t, path, chord, []int32{0, 350}, rand.New(rand.NewSource(7)), true)
 	})
 	// At w = 4: two spiders, each a landmark with ten legs of 15 hops and
@@ -132,7 +135,7 @@ func TestRowsRerunMatchesBuild(t *testing.T) {
 	t.Run("spiders", func(t *testing.T) {
 		lm := []int32{0, int32(first.NumVertices())}
 		chord := withEdges(spiders, [2]int32{0, 170})
-		wantWidths(t, spiders, chord, lm, 4, 4)
+		wantForms(t, spiders, chord, lm, perEntry(4), perEntry(4))
 		checkRerun(t, spiders, chord, lm, rand.New(rand.NewSource(8)), true)
 	})
 	// The width changes under the merge: a path of 300 off landmark 0
@@ -147,7 +150,7 @@ func TestRowsRerunMatchesBuild(t *testing.T) {
 			chords = append(chords, [2]int32{0, v})
 		}
 		lm := []int32{0, 301 + town.DegreeOrder()[0]}
-		wantWidths(t, tail, withEdges(tail, chords...), lm, 8, 4)
+		wantForms(t, tail, withEdges(tail, chords...), lm, perEntry(8), perEntry(4))
 		checkRerun(t, tail, withEdges(tail, chords...), lm, rand.New(rand.NewSource(9)), false)
 	})
 	// The rank form changes under the merge: 24 stars of 10 leaves, their
@@ -176,6 +179,40 @@ func TestRowsRerunMatchesBuild(t *testing.T) {
 		dense := withEdges(stars, spokes...)
 		checkRerun(t, stars, dense, lm, rand.New(rand.NewSource(10)), false)
 	})
+	// Per label on both sides of the merge: R-MAT-16, whose labels are all
+	// flat and stay so when a few edges change (no excess code; 2 of the 20
+	// ranks dirty), and two BA towns whose labels span at most one hop
+	// (excesses of 1 bit).
+	rmat, _ := graph.LargestComponent(gen.RMAT(16, 8, 0.57, 0.19, 0.19, 3))
+	rmatLm := rmat.DegreeOrder()[:20]
+	t.Run("rmat flat", func(t *testing.T) {
+		g2 := mutate(rmat, rmat.NumVertices(), landmarkMask(rmat, rmatLm), rand.New(rand.NewSource(2)))
+		wantForms(t, rmat, g2, rmatLm, perLabel(2, 0), perLabel(2, 0))
+		checkRerun(t, rmat, g2, rmatLm, rand.New(rand.NewSource(11)), true)
+	})
+	towns, townLm := twoTowns(200, 16, 4)
+	t.Run("towns one bit", func(t *testing.T) {
+		g2 := mutate(towns, 200, landmarkMask(towns, townLm), rand.New(rand.NewSource(3)))
+		wantForms(t, towns, g2, townLm, perLabel(2, 1), perLabel(2, 1))
+		checkRerun(t, towns, g2, townLm, rand.New(rand.NewSource(12)), false)
+	})
+	// The form flips under the merge: per-entry codes before, per label
+	// after, and back again when every rank re-runs.
+	towns, townLm = twoTowns(200, 16, 11)
+	t.Run("per entry to per label", func(t *testing.T) {
+		g2 := mutate(towns, 200, landmarkMask(towns, townLm), rand.New(rand.NewSource(11)))
+		wantForms(t, towns, g2, townLm, perEntry(2), perLabel(2, 2))
+		checkRerun(t, towns, g2, townLm, rand.New(rand.NewSource(13)), false)
+	})
+}
+
+// landmarkMask is the isLandmark array of lm on g.
+func landmarkMask(g *graph.Graph, lm []int32) []bool {
+	isLandmark := make([]bool, g.NumVertices())
+	for _, v := range lm {
+		isLandmark[v] = true
+	}
+	return isLandmark
 }
 
 // union is the disjoint union of a and b, b's vertices numbered after a's.
@@ -192,20 +229,20 @@ func withEdges(g *graph.Graph, edges ...[2]int32) *graph.Graph {
 	return graph.MustFromEdges(g.NumVertices(), append(edgesOf(g), edges...))
 }
 
-// wantWidths fails t unless the labellings of lm on g and on g2 code their
-// distances in w and w2 bits.
-func wantWidths(t *testing.T, g, g2 *graph.Graph, lm []int32, w, w2 uint8) {
+// wantForms fails t unless the labellings of lm on g and on g2 keep their
+// distances in forms f and f2.
+func wantForms(t *testing.T, g, g2 *graph.Graph, lm []int32, f, f2 distForm) {
 	t.Helper()
 	for i, c := range []struct {
 		g *graph.Graph
-		w uint8
-	}{{g, w}, {g2, w2}} {
+		f distForm
+	}{{g, f}, {g2, f2}} {
 		ix, err := Build(c.g, lm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := ix.labelDist[0]; got != c.w {
-			t.Fatalf("test premise broken: labelling %d has width %d, want %d", i+1, got, c.w)
+		if got := formOf(ix); got != c.f {
+			t.Fatalf("test premise broken: labelling %d keeps its distances as %+v, want %+v", i+1, got, c.f)
 		}
 	}
 }

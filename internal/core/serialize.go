@@ -8,7 +8,6 @@ import (
 	"iter"
 	"maps"
 	"math"
-	"math/bits"
 	"math/rand"
 	"os"
 	"slices"
@@ -41,17 +40,24 @@ const FormatV2 Format = 2
 //	15 labelDir   [⌈n·k/2¹⁶⌉]uint64    the set bits of 14 before each block of 2¹⁶, then
 //	              [⌈n·k/S⌉]uint16      from its block to each stride of S = 64·⌈k/64⌉
 //	12 labelDist  w uint8, then entries codes of w bits, LSB first, the
-//	              padding bits 0: d-1, or 2^w-1 = see overflow
+//	              padding bits 0: d-1, or 2^w-1 = see overflow; or
+//	16 labelDist  w, wo uint8, then n codes of w bits, each label's
+//	              smallest d-1 (2^w-1: see overflow for all its entries;
+//	              0 for an empty label), then entries codes of wo bits,
+//	              d less that smallest (0 in an escaped label), each part
+//	              LSB first and its padding bits 0
 //	6  overflow   nOverflow × (vertex uint32, rank uint8, dist uint32), CSR order
 //	11 graph      uint32               the graph's Fingerprint
 //
-// A file holds the rank form of fewer bytes, rank bytes on a tie
-// (chooseMask); a reader takes either. The width w is 2, 4 or 8 (chooseWidth), so section
-// 12 is 1 + ⌈entries·w/8⌉ bytes long, and every other section's exact
-// length follows from the header: the reader bounds each allocation before
-// making it.
+// A file holds the rank form and the distance form of fewer bytes, rank
+// bytes and section 12 on a tie (chooseMask, chooseDist); a reader takes
+// any, and lays out again a file with another rank form or with section
+// 12. w is 2, 4 or 8 and wo 0, 1, 2 or 4, so section 12 is 1 +
+// ⌈entries·w/8⌉ bytes long and 16 2 + ⌈n·w/8⌉ + ⌈entries·wo/8⌉, and every
+// other section's exact length follows from the header: the reader bounds
+// each allocation before making it.
 //
-// Sections 7, 8 and 4, or 14 and 15, and 12 are Index.labelOff and
+// Sections 7, 8 and 4, or 14 and 15, and 12 or 16 are Index.labelOff and
 // labelRank, or labelMask, and labelDist: Write hands the arrays to the
 // container as they are, and a reader, once it has checked them, keeps
 // the buffers. Only the small sections are translated: the landmarks and
@@ -62,7 +68,7 @@ const FormatV2 Format = 2
 // An index is meaningful only beside the graph it was built on: section 11
 // names that graph (graph.Fingerprint), and Read refuses a file that lacks
 // it or names another. A snapshot holds the graph itself, with sections 1,
-// 2, the ranks, 6 and 12 in one container and no section 11.
+// 2, the ranks, the distances and 6 in one container and no section 11.
 //
 // This is the one layout read. The older ones — v1 "HWLIDX01", v2 with the
 // offsets as uint64 in section 3, v2 without section 11, v2 with one
@@ -72,18 +78,19 @@ const FormatV2 Format = 2
 // with one line naming `hlbuild migrate`, which reads them
 // (internal/legacy).
 const (
-	sectLandmarks uint32 = 1
-	sectHighway   uint32 = 2
-	sectLabelRank uint32 = 4
-	sectByteDist  uint32 = 5 // retired: one distance byte an entry
-	sectOverflow  uint32 = 6
-	sectLabelBase uint32 = 7
-	sectLabelRel  uint32 = 8
-	sectGraph     uint32 = 11
-	sectLabelDist uint32 = 12
-	sectByteMask  uint32 = 13 // retired: ⌈k/8⌉ mask bytes a vertex beside offsets
-	sectLabelBits uint32 = 14
-	sectLabelDir  uint32 = 15
+	sectLandmarks   uint32 = 1
+	sectHighway     uint32 = 2
+	sectLabelRank   uint32 = 4
+	sectByteDist    uint32 = 5 // retired: one distance byte an entry
+	sectOverflow    uint32 = 6
+	sectLabelBase   uint32 = 7
+	sectLabelRel    uint32 = 8
+	sectGraph       uint32 = 11
+	sectLabelDist   uint32 = 12
+	sectByteMask    uint32 = 13 // retired: ⌈k/8⌉ mask bytes a vertex beside offsets
+	sectLabelBits   uint32 = 14
+	sectLabelDir    uint32 = 15
+	sectLabelExcess uint32 = 16
 )
 
 // Write serializes the index (without the graph) as an index file. Output
@@ -102,9 +109,9 @@ func (ix *Index) WriteFormat(w io.Writer, f Format) error {
 	return container.WriteContainer(w, h, append(sections, container.Section{ID: sectGraph, Payload: fp}))
 }
 
-// Sections returns the container header and sections 1, 2, the ranks, 6
-// and 12 of ix: an index file is these and section 11, a snapshot these
-// beside the graph's.
+// Sections returns the container header and sections 1, 2, the ranks, the
+// distances and 6 of ix: an index file is these and section 11, a snapshot
+// these beside the graph's.
 func (ix *Index) Sections() (container.Header, []container.Section) {
 	over := make([]byte, 0, 9*len(ix.overflow))
 	for _, p := range slices.Sorted(maps.Keys(ix.overflow)) {
@@ -123,7 +130,11 @@ func (ix *Index) Sections() (container.Header, []container.Section) {
 		sections = append(sections, container.Section{ID: sectLabelBase, Payload: ix.labelOff.base},
 			container.Section{ID: sectLabelRel, Payload: ix.labelOff.rel}, container.Section{ID: sectLabelRank, Payload: ix.labelRank})
 	}
-	return h, append(sections, container.Section{ID: sectLabelDist, Payload: ix.labelDist}, container.Section{ID: sectOverflow, Payload: over})
+	dist := sectLabelDist
+	if ix.dist.baseW != 0 { // per label
+		dist = sectLabelExcess
+	}
+	return h, append(sections, container.Section{ID: dist, Payload: ix.labelDist}, container.Section{ID: sectOverflow, Payload: over})
 }
 
 // Read deserializes an index file and attaches it to g, which must be the
@@ -235,13 +246,11 @@ func (ix *Index) adoptBits(words, dir []byte, entries int64, k uint32) error {
 	return err
 }
 
-// adoptDist makes a file's distance section and overflow records the
-// index's, once its ranks are: the distance section is a width of
-// distWidths and the codes of that width, no more, no fewer and no padding
-// bit set; and the escaped entries and the records pair up one to one. Our
-// writers emit records in CSR order, but any order is accepted; a record
-// for a non-escaped entry, an escaped entry without a record and two
-// records for one entry are corruption and rejected.
+// adoptDist makes a file's section 12 and overflow records the index's,
+// once its ranks are: the section is a width of distWidths and the codes of
+// that width, no more, no fewer and no padding bit set; no record is of a
+// distance the code holds; and the escaped entries and the records pair up
+// one to one (adoptRecords).
 func (ix *Index) adoptDist(entries int64, dist []byte, over []overflowRec) error {
 	if len(dist) == 0 {
 		return fmt.Errorf("core: section %d is empty", sectLabelDist)
@@ -256,74 +265,102 @@ func (ix *Index) adoptDist(entries int64, dist []byte, over []overflowRec) error
 	if pad := entries * int64(w) % 8; pad != 0 && dist[len(dist)-1]>>pad != 0 {
 		return fmt.Errorf("core: section %d has padding bits set", sectLabelDist)
 	}
+	for _, o := range over {
+		if o.d < 1<<w {
+			return fmt.Errorf("core: overflow record (v=%d rank=%d) of distance %d, which a %d-bit code holds", o.v, o.rank, o.d, w)
+		}
+	}
+	ix.setDist(dist, false)
+	return ix.adoptRecords(over, func(yield func(int64) bool) { // the all-ones codes
+		for p := range entries {
+			if bit := p * int64(w); dist[1+bit/8]>>(bit%8)&ix.dist.codeMask == ix.dist.codeMask && !yield(p) {
+				return
+			}
+		}
+	})
+}
+
+// adoptExcess makes a file's section 16 and overflow records the index's,
+// once its ranks are: the section is a base width of distWidths and an
+// excess width of excessWidths, then the codes of those widths, no more, no
+// fewer and no padding bit set; every empty label's base code is 0, and
+// every excess code in an escaped label is; and the entries of the escaped
+// labels and the records pair up one to one (adoptRecords).
+func (ix *Index) adoptExcess(entries int64, sect []byte, over []overflowRec) error {
+	if len(sect) < 2 || !slices.Contains(distWidths[:], sect[0]) || !slices.Contains(excessWidths[:], sect[1]) {
+		return fmt.Errorf("core: section %d has widths %v, not a base of 2, 4 or 8 bits and an excess of 0, 1, 2 or 4", sectLabelExcess, sect[:min(len(sect), 2)])
+	}
+	n, wb, wo := int64(len(ix.rankOf)), int64(sect[0]), int64(sect[1])
+	baseLen := (n*wb + 7) / 8
+	if want := 2 + baseLen + (entries*wo+7)/8; int64(len(sect)) != want {
+		return fmt.Errorf("core: section %d has length %d, want %d for %d bases of %d bits and %d excesses of %d", sectLabelExcess, len(sect), want, n, wb, entries, wo)
+	}
+	if pad := n * wb % 8; pad != 0 && sect[1+baseLen]>>pad != 0 || entries*wo%8 != 0 && sect[len(sect)-1]>>(entries*wo%8) != 0 {
+		return fmt.Errorf("core: section %d has padding bits set", sectLabelExcess)
+	}
+	ix.setDist(sect, true)
+	var escaped []int64
+	for v := range int32(n) {
+		var m landmarkSet
+		b, mask := ix.distOf(v), &ix.labelMask
+		switch {
+		case b.base == 1: // a code of 0 is right for any label
+			continue
+		case mask.k-1 < 57 && b.base != 0 && mask.near(uint(v)*mask.k) != 0: // a label's, held
+			continue
+		}
+		lo := ix.labelOf(v, &m)
+		switch {
+		case m.size() == 0:
+			return fmt.Errorf("core: section %d has a base code other than 0 for the empty label of vertex %d", sectLabelExcess, v)
+		case b.base != 0: // not escaped
+			continue
+		}
+		for p := lo; p < lo+m.size(); p++ {
+			if ix.distAt(labelBase{esc: 0xFF}, p) != 0 {
+				return fmt.Errorf("core: section %d has an excess code that is not 0 in the escaped label of vertex %d", sectLabelExcess, v)
+			}
+			escaped = append(escaped, p)
+		}
+	}
+	return ix.adoptRecords(over, slices.Values(escaped))
+}
+
+// adoptRecords makes over the overflow map of the escaped entries, which
+// escaped yields in CSR order. Our writers emit records in CSR order, but
+// any order is accepted; a record for an entry that is not escaped, an
+// escaped entry without a record and two records for one entry are
+// corruption and rejected.
+func (ix *Index) adoptRecords(over []overflowRec, escaped iter.Seq[int64]) error {
 	slices.SortFunc(over, cmpOverflow)
 	for i := 1; i < len(over); i++ {
 		if cmpOverflow(over[i-1], over[i]) == 0 {
 			return fmt.Errorf("core: duplicate overflow record (v=%d rank=%d)", over[i].v, over[i].rank)
 		}
 	}
-	for _, o := range over {
-		if o.d < 1<<w {
-			return fmt.Errorf("core: overflow record (v=%d rank=%d) of distance %d, which a %d-bit code holds", o.v, o.rank, o.d, w)
-		}
-	}
-	// The escaped entries, met in CSR order, must be exactly the records.
 	stray := func(o overflowRec) error {
 		return fmt.Errorf("core: overflow record (v=%d rank=%d) for an entry that is not escaped", o.v, o.rank)
 	}
-	var escaped map[int64]int32
+	var found map[int64]int32
 	if len(over) > 0 {
-		escaped = make(map[int64]int32, len(over))
+		found = make(map[int64]int32, len(over))
 	}
-	for p := range escapes(dist) {
+	for p := range escaped {
 		v, rank := ix.entryAt(p)
-		entry, used := overflowRec{v: v, rank: rank}, len(escaped)
+		entry, used := overflowRec{v: v, rank: rank}, len(found)
 		switch {
 		case used == len(over) || cmpOverflow(over[used], entry) > 0:
 			return fmt.Errorf("core: missing overflow record for vertex %d rank %d", v, rank)
 		case cmpOverflow(over[used], entry) < 0:
 			return stray(over[used])
 		}
-		escaped[p] = over[used].d
+		found[p] = over[used].d
 	}
-	if len(escaped) < len(over) {
-		return stray(over[len(escaped)])
+	if len(found) < len(over) {
+		return stray(over[len(found)])
 	}
-	ix.overflow = escaped
-	ix.setDist(dist)
+	ix.overflow = found
 	return nil
-}
-
-// escapes yields, ascending, the positions of the all-ones codes of a
-// distance section whose padding bits are 0, eight bytes at a time: in a
-// word x, the code at bit i is all ones when bits i…i+w-1 are, which the
-// ANDs of x with its shifts by 1, 2 and 4 gather at bit i.
-func escapes(dist []byte) iter.Seq[int64] {
-	w, codes := uint(dist[0]), dist[1:]
-	var lowBits uint64 // bit 0 of every code in a word
-	for b := uint(0); b < 64; b += w {
-		lowBits |= 1 << b
-	}
-	return func(yield func(int64) bool) {
-		for i := 0; i < len(codes); i += 8 {
-			var x uint64
-			if i+8 <= len(codes) {
-				x = binary.LittleEndian.Uint64(codes[i:])
-			} else {
-				var tail [8]byte
-				copy(tail[:], codes[i:])
-				x = binary.LittleEndian.Uint64(tail[:])
-			}
-			for s := uint(1); s < w; s *= 2 {
-				x &= x >> s
-			}
-			for x &= lowBits; x != 0; x &= x - 1 {
-				if !yield(int64(i)*8/int64(w) + int64(bits.TrailingZeros64(x))/int64(w)) {
-					return
-				}
-			}
-		}
-	}
 }
 
 // stepsDown is 1 if b ≤ a and 0 otherwise, without a branch to mispredict.
@@ -348,8 +385,9 @@ func parseOverflowRecs(buf []byte, n uint64, k uint32) ([]overflowRec, error) {
 }
 
 // Bounds returns the exact length of each of sections 1, 2, 4, 6–8, 11,
-// 14 and 15 under header h, and the longest section 12 (one width byte and
-// a byte an entry), after the checks that need only h.
+// 14 and 15 under header h, and the longest sections 12 (one width byte and
+// a byte an entry) and 16 (two width bytes, a byte a vertex and half one an
+// entry), after the checks that need only h.
 func Bounds(h container.Header) (map[uint32]uint64, error) {
 	n, k, entries, nOver := h.N, h.K, h.Aux1, h.Aux2
 	switch {
@@ -362,16 +400,17 @@ func Bounds(h container.Header) (map[uint32]uint64, error) {
 	}
 	bitsLen, dirLen := maskLens(int(n), int(k))
 	return map[uint32]uint64{
-		sectLandmarks: uint64(k) * 4,
-		sectHighway:   uint64(k) * uint64(k) * 4,
-		sectLabelRank: entries,
-		sectLabelBits: uint64(bitsLen),
-		sectLabelDir:  uint64(dirLen),
-		sectLabelDist: 1 + entries,
-		sectOverflow:  nOver * 9,
-		sectLabelBase: (n/offBlock + 1) * 8,
-		sectLabelRel:  (n + 1) * 2,
-		sectGraph:     4,
+		sectLandmarks:   uint64(k) * 4,
+		sectHighway:     uint64(k) * uint64(k) * 4,
+		sectLabelRank:   entries,
+		sectLabelBits:   uint64(bitsLen),
+		sectLabelDir:    uint64(dirLen),
+		sectLabelDist:   1 + entries,
+		sectLabelExcess: 2 + n + (entries+1)/2,
+		sectOverflow:    nOver * 9,
+		sectLabelBase:   (n/offBlock + 1) * 8,
+		sectLabelRel:    (n + 1) * 2,
+		sectGraph:       4,
 	}, nil
 }
 
@@ -394,19 +433,25 @@ func FromSections(h container.Header, sec map[uint32]container.Section, g *graph
 	}
 	_, rankBytes := sec[sectLabelRank]
 	_, mask := sec[sectLabelBits]
+	_, perEntry := sec[sectLabelDist]
+	_, perLabel := sec[sectLabelExcess]
 	ids := []uint32{sectLabelBase, sectLabelRel, sectLabelRank}
 	switch {
 	case rankBytes && mask:
 		return nil, fmt.Errorf("core: both section %d and section %d hold the label ranks", sectLabelRank, sectLabelBits)
 	case !rankBytes && !mask:
 		return nil, fmt.Errorf("core: required section %d or %d (the label ranks) missing", sectLabelRank, sectLabelBits)
+	case perEntry && perLabel:
+		return nil, fmt.Errorf("core: both section %d and section %d hold the label distances", sectLabelDist, sectLabelExcess)
+	case !perEntry && !perLabel:
+		return nil, fmt.Errorf("core: required section %d missing, and no section %d in its place", sectLabelDist, sectLabelExcess)
 	case mask:
 		ids = []uint32{sectLabelBits, sectLabelDir}
 	}
-	for _, id := range append(ids, sectLandmarks, sectHighway, sectLabelDist, sectOverflow) {
+	for _, id := range append(ids, sectLandmarks, sectHighway, sectOverflow) {
 		if s, ok := sec[id]; !ok {
 			return nil, fmt.Errorf("core: required section %d missing", id)
-		} else if uint64(len(s.Payload)) != want[id] && id != sectLabelDist { // its width sets its length: see adoptDist
+		} else if uint64(len(s.Payload)) != want[id] {
 			return nil, fmt.Errorf("core: section %d has length %d, want %d", id, len(s.Payload), want[id])
 		}
 	}
@@ -432,17 +477,25 @@ func FromSections(h container.Header, sec map[uint32]container.Section, g *graph
 		ix.labelOff = offsets{base: sec[sectLabelBase].Payload, rel: sec[sectLabelRel].Payload}
 		err = ix.adoptRanks(sec[sectLabelRank].Payload, entries, h.K)
 	}
-	if err == nil {
+	switch {
+	case err != nil:
+	case perLabel:
+		err = ix.adoptExcess(entries, sec[sectLabelExcess].Payload, over)
+	default:
 		err = ix.adoptDist(entries, sec[sectLabelDist].Payload, over)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if mask != chooseMask(n, k, entries) {
+	if perEntry || mask != chooseMask(n, k, entries) {
 		// Rank bytes of a labelling the mask holds in fewer, as writers
-		// before section 13 wrote every one, or the other way round: held
-		// in the chosen form, it writes what a build writes.
-		ix.setRanks(packRanks(n, k, 1, func(v int, m *landmarkSet) { ix.labelOf(int32(v), m) }))
+		// before section 13 wrote every one, or the other way round, or
+		// per-entry codes, which writers before section 16 wrote for every
+		// labelling: laid out again, it is held in the chosen forms and
+		// writes what a build writes.
+		all := below(k)
+		l := layLabels(nil, ix, &all, n, k, 1)
+		ix.pack(&l, 1)
 	}
 	return ix, nil
 }

@@ -17,7 +17,7 @@ import (
 // the writer uses, followed by any extra sections.
 func reframe(tb testing.TB, file []byte, edit func(h *container.Header, sec map[uint32][]byte), extra ...container.Section) []byte {
 	tb.Helper()
-	ids := []uint32{sectLandmarks, sectHighway, sectLabelBase, sectLabelRel, sectLabelRank, sectByteMask, sectLabelBits, sectLabelDir, sectLabelDist, sectOverflow, sectGraph}
+	ids := []uint32{sectLandmarks, sectHighway, sectLabelBase, sectLabelRel, sectLabelRank, sectByteMask, sectLabelBits, sectLabelDir, sectLabelDist, sectLabelExcess, sectOverflow, sectGraph}
 	h, read, err := container.ReadContainer(bytes.NewReader(file), true, func(container.Header) (map[uint32]uint64, error) {
 		bounds := make(map[uint32]uint64)
 		for _, id := range ids {

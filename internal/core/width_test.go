@@ -3,6 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"maps"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,26 +15,55 @@ import (
 	"highway/internal/graph"
 )
 
-// widthCase is a graph and landmark set whose labelling codes its
-// distances in w bits, with some entries escaping at that width.
-type widthCase struct {
-	name string
-	g    *graph.Graph
-	lm   []int32
-	w    uint8
+// distForm is how a labelling keeps its distances: per entry in codes of w
+// bits (section 12), or per label (perLabel) in bases of w bits and
+// excesses of wo (section 16).
+type distForm struct {
+	perLabel bool
+	w, wo    uint8
 }
 
-// widthCases are one labelling of each width: BA-20k as the benchmark
-// builds it (w = 2, 3 entries 4 or more hops from their landmark), a
-// spider whose landmark has ten legs of 15 hops and one of 20 (w = 4, 5
-// entries 16 hops or more away), and the 300-vertex path with landmark 1
-// (w = 8, 43 entries 256 hops or more away).
+// perEntry and perLabel are the two kinds of distForm.
+func perEntry(w uint8) distForm     { return distForm{w: w} }
+func perLabel(w, wo uint8) distForm { return distForm{true, w, wo} }
+
+// formOf returns the distForm of ix.
+func formOf(ix *Index) distForm {
+	if ix.dist.baseW != 0 {
+		return perLabel(ix.labelDist[0], ix.labelDist[1])
+	}
+	return perEntry(ix.labelDist[0])
+}
+
+// widthCase is a graph and landmark set whose labelling keeps its
+// distances in form, with records overflow records.
+type widthCase struct {
+	name    string
+	g       *graph.Graph
+	lm      []int32
+	form    distForm
+	records int
+}
+
+// widthCases are a labelling of each per-entry width and two per label:
+// BA-20k as the benchmark builds it, each of whose labels spans at most
+// one hop (bases of 2 bits, excesses of 1); a spider whose landmark has
+// ten legs of 15 hops and one of 20 (w = 4, 5 entries 16 hops or more
+// away); the 300-vertex path with landmark 1 (w = 8, 43 entries 256 hops
+// or more away); BA-2000 of degree 3 (w = 2, 23 entries 4 or more hops
+// from their landmark); and R-MAT-16,
+// whose 20 hubs are pairwise adjacent, so that every label is flat (bases
+// of 2 bits, no excess), 140 entries in the labels whose smallest distance
+// is 4 or more.
 func widthCases() []widthCase {
-	ba := gen.BarabasiAlbert(20_000, 5, 42)
+	ba2k, ba := gen.BarabasiAlbert(2000, 3, 42), gen.BarabasiAlbert(20_000, 5, 42)
+	rmat, _ := graph.LargestComponent(gen.RMAT(16, 8, 0.57, 0.19, 0.19, 3))
 	return []widthCase{
-		{"ba20k", ba, ba.DegreeOrder()[:16], 2},
-		{"spider", spider([]int{15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 20}), []int32{0}, 4},
-		{"path300", gen.Path(300), []int32{1}, 8},
+		{"ba20k", ba, ba.DegreeOrder()[:16], perLabel(2, 1), 0},
+		{"spider", spider([]int{15, 15, 15, 15, 15, 15, 15, 15, 15, 15, 20}), []int32{0}, perEntry(4), 5},
+		{"path300", gen.Path(300), []int32{1}, perEntry(8), 43},
+		{"ba2000", ba2k, ba2k.DegreeOrder()[:16], perEntry(2), 23},
+		{"rmat16", rmat, rmat.DegreeOrder()[:20], perLabel(2, 0), 140},
 	}
 }
 
@@ -49,11 +81,11 @@ func spider(legs []int) *graph.Graph {
 	return graph.MustFromEdges(int(n), edges)
 }
 
-// TestDistanceWidths: at each width the code width is the brute-force
-// argmin over the distances Label reports, every escaped distance is at
-// least 2^w, Write → Read → Write gives the same bytes, and the answers are
-// BFS's: every pair's on the small graphs, and on BA-20k every pair from
-// 8 sources, beside labels byte-identical to Algorithm 1's.
+// TestDistanceWidths: in each form and at each width the section and the
+// overflow records are the brute-force argmin over the distances Label
+// reports (bruteDist), Write → Read → Write gives the same bytes, and the
+// answers are BFS's: every pair's on the small graphs, and on the others
+// every pair from 8 sources, beside labels byte-identical to Algorithm 1's.
 func TestDistanceWidths(t *testing.T) {
 	for _, c := range widthCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -62,21 +94,15 @@ func TestDistanceWidths(t *testing.T) {
 				t.Fatal(err)
 			}
 			n := int32(c.g.NumVertices())
-			var dists []int32
+			labels := make([][]int32, n)
 			for v := range n {
-				_, d := ix.Label(v)
-				dists = append(dists, d...)
+				_, labels[v] = ix.Label(v)
 			}
-			if w := ix.labelDist[0]; w != c.w || w != bruteWidth(dists) {
-				t.Fatalf("width %d, want %d; brute force over Label gives %d", w, c.w, bruteWidth(dists))
+			if got := formOf(ix); got != c.form || int(ix.numOverflow()) != c.records {
+				t.Fatalf("form %+v with %d records, want %+v with %d", got, ix.numOverflow(), c.form, c.records)
 			}
-			if ix.numOverflow() == 0 {
-				t.Fatal("test premise broken: no escaped entries")
-			}
-			for p, d := range ix.overflow {
-				if d < 1<<c.w {
-					t.Fatalf("the escaped entry at %d has distance %d, which a %d-bit code holds", p, d, c.w)
-				}
+			if sect, perLabel, over := bruteDist(labels); !bytes.Equal(sect, ix.labelDist) || perLabel != formOf(ix).perLabel || !maps.Equal(over, ix.overflow) {
+				t.Fatalf("brute force over Label gives per-label %v, widths %v and %d records", perLabel, sect[:2], len(over))
 			}
 			file := v2Bytes(t, ix)
 			ix2, err := Read(bytes.NewReader(file), c.g)
@@ -173,6 +199,128 @@ func TestReadChecksDistanceCodes(t *testing.T) {
 				t.Fatalf("Read: %v, want an error saying %q", err, c.want)
 			}
 		})
+	}
+}
+
+// excessCases are malformed distance sections of hubs_excess.hl2, the file
+// of goldenExcessIndex, each with a valid checksum, and what the reader says
+// of them. Section 16 is its widths (2, 1), 13 bytes of bases — vertex v's
+// at bit 2v; the landmarks 0, 1 and 2 have empty labels, vertex 47's base
+// is 2 and vertex 48's, escaped, 3; 6 padding bits — and 17 of excesses:
+// entries 124 and 125, vertex 44's second and third, are 1, entry 129 is
+// vertex 48's, whose distance 4 is the one record; 6 padding bits.
+func excessCases() []offsetCase {
+	type sections = map[uint32][]byte
+	withRecord := func(v, d uint32) []byte { // of rank 0
+		return binary.LittleEndian.AppendUint32(append(binary.LittleEndian.AppendUint32(nil, v), 0), d)
+	}
+	return []offsetCase{
+		{"base width 3", "section 16 has widths [3 1]", func(_ *container.Header, sec sections) { sec[sectLabelExcess][0] = 3 }},
+		{"excess width 3", "section 16 has widths [2 3]", func(_ *container.Header, sec sections) { sec[sectLabelExcess][1] = 3 }},
+		{"excess width 8", "section 16 has widths [2 8]", func(_ *container.Header, sec sections) { sec[sectLabelExcess][1] = 8 }},
+		{"one byte long", "section 16 has length 33, want 32", func(_ *container.Header, sec sections) {
+			sec[sectLabelExcess] = append(sec[sectLabelExcess], 0)
+		}},
+		{"one byte short", "section 16 has length 31, want 32", func(_ *container.Header, sec sections) {
+			sec[sectLabelExcess] = sec[sectLabelExcess][:31]
+		}},
+		{"longer than a byte a base and half one an excess", "exceeds 116", func(_ *container.Header, sec sections) {
+			sec[sectLabelExcess] = append(sec[sectLabelExcess], make([]byte, 100)...)
+		}},
+		{"base padding bit set", "section 16 has padding bits set", func(_ *container.Header, sec sections) { sec[sectLabelExcess][14] |= 0x80 }},
+		{"excess padding bit set", "section 16 has padding bits set", func(_ *container.Header, sec sections) { sec[sectLabelExcess][31] |= 0x80 }},
+		{"code on an empty label", "a base code other than 0 for the empty label of vertex 0", func(_ *container.Header, sec sections) {
+			sec[sectLabelExcess][2] |= 1
+		}},
+		{"excess in an escaped label", "excess code that is not 0 in the escaped label of vertex 48", func(_ *container.Header, sec sections) {
+			sec[sectLabelExcess][31] |= 2
+		}},
+		{"escaped label without its record", "missing overflow record for vertex 48 rank 0", func(h *container.Header, sec sections) {
+			sec[sectOverflow], h.Aux2 = nil, 0
+		}},
+		{"stray record", "overflow record (v=47 rank=0) for an entry that is not escaped", func(h *container.Header, sec sections) {
+			sec[sectOverflow], h.Aux2 = append(withRecord(47, 3), sec[sectOverflow]...), 2
+		}},
+		{"section 12 beside it", "both section 12 and section 16 hold the label distances", func(_ *container.Header, sec sections) {
+			sec[sectLabelDist] = []byte{2}
+		}},
+		{"neither section", "required section 12 missing, and no section 16 in its place", func(_ *container.Header, sec sections) {
+			delete(sec, sectLabelExcess)
+		}},
+	}
+}
+
+// TestReadChecksExcessCodes: a reader keeps section 16 as it is, so each
+// way it can disagree with the header, the ranks and section 6 is refused
+// by name; the unedited file loads.
+func TestReadChecksExcessCodes(t *testing.T) {
+	ix := goldenExcessIndex(t)
+	good := testdata(t, "hubs_excess.hl2")
+	if h, _ := ix.Sections(); !bytes.Equal(good, v2Bytes(t, ix)) || h.Aux1 != 130 || h.Aux2 != 1 || len(ix.labelDist) != 32 {
+		t.Fatalf("test premise broken: header %+v, section 16 of %d bytes", h, len(ix.labelDist))
+	}
+	if _, d := ix.Label(48); d[0] != 4 {
+		t.Fatal("test premise broken: vertex 48 is not 4 hops from landmark 0")
+	}
+	for _, c := range excessCases() {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Read(bytes.NewReader(reframe(t, good, c.edit)), ix.Graph())
+			if err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "\n") {
+				t.Fatalf("Read: %v, want one line saying %q", err, c.want)
+			}
+		})
+	}
+}
+
+// TestExcessBoundedByHighway: Lemma 3.7 puts (r, d) in L(v) only when no
+// other landmark lies on a shortest r–v path, so two entries of one label
+// differ by less than their landmarks' highway distance: di ≤ δH(ri,rj) +
+// dj by the triangle inequality, and equality would put rj on a shortest
+// ri–v path. |di − dj| ≤ δH(ri,rj) − 1 is what bounds a label's excess,
+// to none at all among pairwise adjacent landmarks. Checked on seeded BA,
+// R-MAT, ER, Watts–Strogatz, grid and path graphs with the highest-degree
+// and random landmarks.
+func TestExcessBoundedByHighway(t *testing.T) {
+	rmat, _ := graph.LargestComponent(gen.RMAT(12, 8, 0.57, 0.19, 0.19, 5))
+	for name, g := range map[string]*graph.Graph{
+		"ba":   gen.BarabasiAlbert(3000, 3, 5),
+		"rmat": rmat,
+		"er":   gen.ErdosRenyi(2000, 5000, 5),
+		"ws":   gen.WattsStrogatz(2000, 4, 0.05, 5),
+		"grid": gen.Grid(40, 40),
+		"path": gen.Path(700),
+	} {
+		spans := 0
+		for _, random := range []bool{false, true} {
+			lm := g.DegreeOrder()[:24]
+			if random {
+				lm = nil
+				for _, v := range rand.New(rand.NewSource(5)).Perm(g.NumVertices())[:24] {
+					lm = append(lm, int32(v))
+				}
+			}
+			ix, err := Build(g, lm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := len(lm)
+			for v := range int32(g.NumVertices()) {
+				ranks, dists := ix.Label(v)
+				for i := range ranks {
+					for j := range i {
+						if h := ix.highway[int(ranks[i])*k+int(ranks[j])]; max(dists[i]-dists[j], dists[j]-dists[i]) > h-1 {
+							t.Fatalf("%s (random landmarks %v): vertex %d holds (%d, %d) and (%d, %d), δH = %d", name, random, v, ranks[i], dists[i], ranks[j], dists[j], h)
+						}
+					}
+				}
+				if len(dists) > 0 && slices.Max(dists) > slices.Min(dists) {
+					spans++
+				}
+			}
+		}
+		if spans == 0 {
+			t.Fatalf("%s: no label spans a hop; the bound is not tested", name)
+		}
 	}
 }
 

@@ -427,6 +427,58 @@ func TestMigrateMaskSection13(t *testing.T) {
 	}
 }
 
+// TestPerEntryCodesLoad: every writer before section 16 kept a labelling's
+// distances per entry in section 12, and no migrate is needed for them: a
+// reader of today lays such a file out again on load when the labelling is
+// held per label. BA-600 with 20 landmarks is: bases of 2 bits, excesses of
+// 1 and 22 records, the entries of the labels that span two hops; per
+// entry, codes of 2 bits and no record.
+// As the last writer of section 12 framed it, its index file through
+// core.Read and its checkpoint through serve.DecodeSnapshot each load,
+// answer every pair as BFS does, and write a fresh build's bytes.
+func TestPerEntryCodesLoad(t *testing.T) {
+	g := gen.BarabasiAlbert(600, 4, 17)
+	fresh := build(t, g, g.DegreeOrder()[:20])
+	hFresh, _ := fresh.Sections()
+	h, sections := codeSections(fresh)
+	if hFresh.Aux2 != 22 || h.Aux2 != 0 || !slices.ContainsFunc(sections, func(s container.Section) bool { return s.ID == sectLabelDist }) {
+		t.Fatalf("test premise broken: %d records per label, %d per entry", hFresh.Aux2, h.Aux2)
+	}
+	var file, snap bytes.Buffer
+	fp := container.Section{ID: sectGraph, Payload: binary.LittleEndian.AppendUint32(nil, g.Fingerprint())}
+	if err := container.WriteContainer(&file, h, append(slices.Clone(sections), fp)); err != nil {
+		t.Fatal(err)
+	}
+	if err := container.WriteContainer(&snap, h, append(g.Sections(), sections...)); err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := core.Read(bytes.NewReader(file.Bytes()), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapG, fromSnap, err := serve.DecodeSnapshot(bytes.NewReader(snap.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := serve.SnapshotBytes(g, fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := serve.SnapshotBytes(snapG, fromSnap); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("the checkpoint, loaded, writes another snapshot than a fresh build's (%v)", err)
+	}
+	if !bytes.Equal(indexBytes(t, fromFile), indexBytes(t, fresh)) {
+		t.Fatal("the index file, loaded, writes another file than a fresh build's")
+	}
+	for s := range int32(g.NumVertices()) {
+		for u, d := range bfs.Distances(g, s) {
+			if a, b := fromFile.Distance(s, int32(u)), fromSnap.Distance(s, int32(u)); a != d || b != d {
+				t.Fatalf("d(%d,%d) = %d from the index file, %d from the checkpoint, want %d", s, u, a, b, d)
+			}
+		}
+	}
+}
+
 // byteLabelsEqual decodes the labels of raw, a file with one distance byte
 // an entry, by hand and holds ix's labels to them entry for entry.
 func byteLabelsEqual(t *testing.T, raw []byte, ix *core.Index) {

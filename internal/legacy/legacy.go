@@ -94,21 +94,23 @@ func ReadSnapshot(r io.Reader) (*graph.Graph, *core.Index, error) {
 // The index sections this package names: section 3 held the n+1 label
 // offsets as uint64 before sections 7 and 8, section 5 one distance byte an
 // entry before section 12, section 13 masks of ⌈k/8⌉ bytes a vertex beside
-// sections 7 and 8 before sections 14 and 15, and section 11, the graph's
-// fingerprint, is what an index file has from the last layout with section
-// 5 on.
+// sections 7 and 8 before sections 14 and 15, section 12 per-entry codes of
+// every labelling before section 16 held some per label, and section 11, the
+// graph's fingerprint, is what an index file has from the last layout with
+// section 5 on.
 const (
-	sectLabelOff  uint32 = 3
-	sectLabelRank uint32 = 4
-	sectByteDist  uint32 = 5
-	sectOverflow  uint32 = 6
-	sectLabelBase uint32 = 7
-	sectLabelRel  uint32 = 8
-	sectGraph     uint32 = 11
-	sectLabelDist uint32 = 12
-	sectLabelMask uint32 = 13
-	sectLabelBits uint32 = 14
-	sectLabelDir  uint32 = 15
+	sectLabelOff    uint32 = 3
+	sectLabelRank   uint32 = 4
+	sectByteDist    uint32 = 5
+	sectOverflow    uint32 = 6
+	sectLabelBase   uint32 = 7
+	sectLabelRel    uint32 = 8
+	sectGraph       uint32 = 11
+	sectLabelDist   uint32 = 12
+	sectLabelMask   uint32 = 13
+	sectLabelBits   uint32 = 14
+	sectLabelDir    uint32 = 15
+	sectLabelExcess uint32 = 16
 )
 
 // peekTable returns the first bytes of br and, when they are a container's,
@@ -330,7 +332,7 @@ func ByteSections(ix *core.Index) (container.Header, []container.Section) {
 // vertex past it — and the ranks a byte an entry in section 4 or, with
 // masks, ⌈k/8⌉ bytes a vertex in section 13, where ix's rank sections are.
 func offsetSections(ix *core.Index, masks bool) (container.Header, []container.Section) {
-	h, sections := ix.Sections()
+	h, sections := codeSections(ix)
 	n, size := int(h.N), int(h.K+7)/8
 	var base, rel, rank []byte
 	mask := make([]byte, n*size)
@@ -366,6 +368,57 @@ func offsetSections(ix *core.Index, masks bool) (container.Header, []container.S
 		}
 	}
 	return h, out
+}
+
+// codeSections returns the header and sections of ix as the writers before
+// section 16 laid them out: its distances per entry in section 12, a code of
+// w bits d-1, the all-ones code escaping to a record in section 6, at the w
+// of 2, 4 and 8 whose codes and records take the fewest bytes, the wider on
+// a tie. Tests frame the files of those writers with it.
+func codeSections(ix *core.Index) (container.Header, []container.Section) {
+	h, sections := ix.Sections()
+	type entry struct{ v, rank, d int32 }
+	var entries []entry
+	for v := range int32(h.N) {
+		ranks, dists := ix.Label(v)
+		for i, d := range dists {
+			entries = append(entries, entry{v, ranks[i], d})
+		}
+	}
+	size := func(w int) (bytes int) {
+		for _, e := range entries {
+			if e.d >= 1<<w {
+				bytes += 9
+			}
+		}
+		return bytes + (len(entries)*w+7)/8
+	}
+	w := 8
+	for _, narrower := range []int{4, 2} {
+		if size(narrower) < size(w) {
+			w = narrower
+		}
+	}
+	codes, over := make([]byte, 1+(len(entries)*w+7)/8), []byte(nil)
+	codes[0] = byte(w)
+	for p, e := range entries {
+		c := min(e.d-1, 1<<w-1)
+		codes[1+p*w/8] |= byte(c) << (p * w % 8)
+		if c == 1<<w-1 {
+			over = binary.LittleEndian.AppendUint32(over, uint32(e.v))
+			over = binary.LittleEndian.AppendUint32(append(over, byte(e.rank)), uint32(e.d))
+		}
+	}
+	h.Aux2 = uint64(len(over) / 9)
+	for i, s := range sections {
+		switch s.ID {
+		case sectLabelExcess:
+			sections[i] = container.Section{ID: sectLabelDist, Payload: codes}
+		case sectOverflow:
+			sections[i].Payload = over
+		}
+	}
+	return h, sections
 }
 
 // notThisIndex ends the error of a file that is not the labelling of its
