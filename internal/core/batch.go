@@ -285,7 +285,8 @@ func (sr *Searcher) sourceVia(source int32) []int32 {
 	}
 	via := sr.viaBuf(k)
 	var m landmarkSet
-	p, l := ix.labelOf(source, &m), ix.distOf(source)
+	s, leaf := ix.slotOf(source)
+	p, l := ix.labelOf(s, &m), ix.distOf(s, leaf)
 	for w, x := range m[:] {
 		for ; x != 0; x &= x - 1 {
 			ds, r := ix.distAt(l, p), w<<6|bits.TrailingZeros64(x)
@@ -309,7 +310,8 @@ func (sr *Searcher) sourceVia(source int32) []int32 {
 func boundViaVec(ix *Index, via []int32, t int32) int32 {
 	best := Infinity
 	var m landmarkSet
-	p, l := ix.labelOf(t, &m), ix.distOf(t)
+	s, leaf := ix.slotOf(t)
+	p, l := ix.labelOf(s, &m), ix.distOf(s, leaf)
 	for w, x := range m[:] {
 		for ; x != 0; x &= x - 1 {
 			if v := via[w<<6|bits.TrailingZeros64(x)]; v >= 0 {

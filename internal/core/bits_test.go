@@ -61,12 +61,29 @@ func plainRanks(n, k int, ranksOf func(v int) []int32) map[uint32][]byte {
 	return sec
 }
 
-// plainRanksOf is plainRanks of ix's labels as Label reports them.
+// plainRanksOf is plainRanks of ix's labels as Label reports them, those
+// referenceKept keeps.
 func plainRanksOf(ix *Index) map[uint32][]byte {
-	return plainRanks(ix.g.NumVertices(), len(ix.landmarks), func(v int) []int32 {
+	slots := referenceSlots(ix)
+	return plainRanks(len(slots), len(ix.landmarks), func(s int) []int32 {
+		r, _ := ix.Label(int32(slots[s]))
+		return r
+	})
+}
+
+// referenceSlots returns the vertices whose labels as Label reports them
+// referenceKept keeps, in order: the slots' vertices.
+func referenceSlots(ix *Index) (slots []int) {
+	kept := referenceKept(ix.g, ix.landmarks, func(v int) []int32 {
 		r, _ := ix.Label(int32(v))
 		return r
 	})
+	for v, ok := range kept {
+		if ok {
+			slots = append(slots, v)
+		}
+	}
+	return slots
 }
 
 // rankFormBytes returns the bytes of the rank sections of each form in

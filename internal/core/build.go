@@ -492,18 +492,20 @@ func share(workers, n int, fn func(w, i int)) {
 // the last Run was on. A vertex's entries are placed by rank whatever order
 // the events come in, so every worker count and direction gives the same
 // arrays. When nothing ran since the last index — a batch that changed
-// edges but no landmark's BFS — that index's label arrays are attached to
-// g as they are; when only some ranks ran, its entries of the other ranks
-// are merged with the new ones. The rank form and the code width come from
-// the whole labelling, so they are packed last. No index handed out
-// earlier is written.
+// edges but no landmark's BFS — and g elides the leaves that index did,
+// its label arrays are attached to g as they are; otherwise its entries of
+// the ranks that did not run are merged with the new ones. The elided set,
+// the rank form and the code width come from the whole labelling, so they
+// are packed last. No index handed out earlier is written.
 func (rw *Rows) Assemble(g *graph.Graph) *Index {
 	ix := &Index{g: g, landmarks: rw.landmarks, rankOf: rw.rankOf, isLandmark: rw.isLandmark, highway: rw.highway}
-	if prev := rw.ix; len(rw.runs) == 0 {
+	prev, k := rw.ix, len(rw.landmarks)
+	cand := leavesOf(g, rw.isLandmark)
+	if len(rw.runs) == 0 && prev.elides(cand) {
+		ix.setLeaves(prev.leaves, prev.entries)
 		ix.labelOff, ix.labelRank, ix.labelMask = prev.labelOff, prev.labelRank, prev.labelMask
 		ix.labelDist, ix.dist, ix.overflow = prev.labelDist, prev.dist, prev.overflow
 	} else {
-		k := len(rw.landmarks)
 		keep := below(k) // the ranks that did not run
 		for _, run := range rw.runs {
 			for _, r := range run.ranks {
@@ -513,11 +515,21 @@ func (rw *Rows) Assemble(g *graph.Graph) *Index {
 		if keep == (landmarkSet{}) {
 			prev = nil
 		}
-		l := layLabels(rw.runs, prev, &keep, g.NumVertices(), k, rw.workers)
+		l := layLabels(rw.runs, prev, &keep, cand, g.NumVertices(), k, rw.workers)
 		ix.pack(&l, rw.workers)
 	}
 	rw.ix, rw.ixHighway, rw.runs = ix, true, nil
 	return ix
+}
+
+// elides reports whether ix's labelling, on a graph whose leaves
+// (leavesOf) are cand, elides the ones ix does.
+func (ix *Index) elides(cand leafSet) bool {
+	elided := cand.sum(func(v int32) int64 { return int64(ix.LabelSize(v)) })
+	if !chooseLeaves(len(ix.rankOf), len(ix.landmarks), ix.entries, cand.count(), elided) {
+		return ix.leaves.words == nil
+	}
+	return slices.Equal(cand.words, ix.leaves.words)
 }
 
 // below returns the set of the ranks below k.
@@ -529,12 +541,15 @@ func below(k int) (m landmarkSet) {
 }
 
 // wideLabels is a labelling before its distances are packed and its ranks
-// take their form: per vertex the ranks it holds, as the mask form holds
-// them, and the smallest code, min(d-1, 255), and the span, at most 255, of
-// its label, and the counts of them all; one byte an entry, its code less
-// its label's smallest; and the exact distance of each entry coded 255 (d ≥
-// 256) by its position in deep.
+// take their form: the vertices it elides and the entries of every label;
+// per slot the ranks it holds, as the mask form holds them, and the
+// smallest code, min(d-1, 255), and the span, at most 255, of its label,
+// and the counts of them all; one byte an entry, its code less its label's
+// smallest; and the exact distance of each entry coded 255 (d ≥ 256) by
+// its position in deep.
 type wideLabels struct {
+	leaves    leafSet
+	entries   int64
 	ranks     rankBits
 	off       offsets // where the labels start
 	code      []uint8
@@ -623,14 +638,17 @@ func deepOf(lists [][]posDist) map[int64]int32 {
 // events of the runs and prev's entries of the ranks in keep make (prev is
 // nil when nothing is kept): each vertex holds the ranks its labelled words
 // name and prev's in keep, and the entry of rank r sits behind those of the
-// lower ranks it holds. Every entry owns its position, so the workers share
-// the chunks and blocks without sharing a write; an entry too deep for a
-// byte goes on its worker's own list. prev's distances are read in either
-// form.
-func layLabels(runs []*groupRun, prev *Index, keep *landmarkSet, n, k, workers int) wideLabels {
+// lower ranks it holds. The leaves cand (leavesOf) keep no label when
+// chooseLeaves says so, and the other vertices' labels fill the slots in
+// vertex order. Every entry owns its position, so the workers share the
+// chunks and blocks without sharing a write; an entry too deep for a byte
+// goes on its worker's own list. prev's labels are read through slotOf, in
+// either distance form.
+func layLabels(runs []*groupRun, prev *Index, keep *landmarkSet, cand leafSet, n, k, workers int) wideLabels {
 	ranks, off := packRanks(n, k, workers, func(v int, m *landmarkSet) {
 		if prev != nil {
-			prev.labelOf(int32(v), m)
+			s, _ := prev.slotOf(int32(v))
+			prev.labelOf(s, m)
 			for w := range m {
 				m[w] &= keep[w]
 			}
@@ -647,18 +665,38 @@ func layLabels(runs []*groupRun, prev *Index, keep *landmarkSet, n, k, workers i
 			}
 		}
 	})
+	l := wideLabels{entries: off.at(int32(n))}
+	var verts []int32 // slot -> vertex, when leaves are elided
+	if elided := cand.sum(func(v int32) int64 { return off.at(v+1) - off.at(v) }); chooseLeaves(n, k, l.entries, cand.count(), elided) {
+		l.leaves, verts = cand, make([]int32, 0, n-cand.count())
+		for v := range int32(n) {
+			if !cand.has(v) {
+				verts = append(verts, v)
+			}
+		}
+		all := ranks
+		ranks, off = packRanks(len(verts), k, workers, func(s int, m *landmarkSet) { all.ranksOf(verts[s], m) })
+	}
 	// Codes are written less a low no code of their label is below, from the
 	// runs and prev's base: a build's label's smallest, a merge's nearly.
-	l := wideLabels{ranks: ranks, off: off, code: make([]uint8, off.at(int32(n))), low: make([]uint8, n), span: make([]uint8, n)}
+	slots := n - l.leaves.count()
+	l.ranks, l.off, l.code, l.low, l.span = ranks, off, make([]uint8, off.at(int32(slots))), make([]uint8, slots), make([]uint8, slots)
+	vertex := func(s int) int32 {
+		if verts == nil {
+			return int32(s)
+		}
+		return verts[s]
+	}
 	code, deep := l.code, make([][]posDist, workers)
-	share(workers, (n+pullBlock-1)/pullBlock, func(_, i int) {
-		for v := i * pullBlock; v < min((i+1)*pullBlock, n); v++ {
-			if l.low[v] = 255; prev != nil {
-				l.low[v] = uint8(max(prev.distOf(int32(v)).base-1, 0))
+	share(workers, (slots+pullBlock-1)/pullBlock, func(_, i int) {
+		for s := i * pullBlock; s < min((i+1)*pullBlock, slots); s++ {
+			v := vertex(s)
+			if l.low[s] = 255; prev != nil {
+				l.low[s] = uint8(max(prev.distOf(prev.slotOf(v)).base-1, 0))
 			}
 			for _, run := range runs {
 				if run.labelled[v] != 0 { // span: the largest code, for now
-					l.low[v], l.span[v] = min(l.low[v], run.low[v]), max(l.span[v], run.high[v])
+					l.low[s], l.span[s] = min(l.low[s], run.low[v]), max(l.span[s], run.high[v])
 				}
 			}
 		}
@@ -666,12 +704,19 @@ func layLabels(runs []*groupRun, prev *Index, keep *landmarkSet, n, k, workers i
 	for _, run := range runs {
 		share(workers, len(run.events), func(w, c int) {
 			for _, e := range run.events[c] {
-				d := uint8(min(e.d-1, 255)) - l.low[e.v]
+				s := e.v
+				if l.leaves.words != nil {
+					if l.leaves.has(s) {
+						continue
+					}
+					s = l.leaves.slot(s)
+				}
+				d := uint8(min(e.d-1, 255)) - l.low[s]
 				var m landmarkSet // read only where other ranks may precede the run's
-				all, start := run.labelled[e.v], off.at(e.v)
+				all, start := run.labelled[e.v], off.at(s)
 				first := start // the entry of the run's first rank
 				if run.ranks[0] > 0 || prev != nil {
-					ranks.labelOf(e.v, &m)
+					ranks.labelOf(s, &m)
 					first += before(m[:], run.ranks[0])
 				}
 				for x := e.mask; x != 0; x &= x - 1 {
@@ -690,22 +735,23 @@ func layLabels(runs []*groupRun, prev *Index, keep *landmarkSet, n, k, workers i
 	// reads prev's entries in either form.
 	l.deep = deepOf(deep)
 	parts, deep := make([]distStats, workers), make([][]posDist, workers)
-	share(workers, (n+pullBlock-1)/pullBlock, func(w, i int) {
+	share(workers, (slots+pullBlock-1)/pullBlock, func(w, i int) {
 		lo := off.at(int32(i * pullBlock))
-		for v := i * pullBlock; v < min((i+1)*pullBlock, n); v++ {
-			hi, low, top := off.at(int32(v+1)), l.low[v], int32(0)
+		for s := i * pullBlock; s < min((i+1)*pullBlock, slots); s++ {
+			hi, low, top := off.at(int32(s+1)), l.low[s], int32(0)
 			switch {
 			case lo == hi:
 				low = 0
 			case prev == nil:
-				top = int32(l.span[v]) + 1
+				top = int32(l.span[s]) + 1
 				for p := lo; p < hi && top > 255; p++ { // the deepest distances are in deep
 					top = max(top, l.dist(p, low))
 				}
 			default:
 				var pm, m landmarkSet
-				q, p, pl, small := prev.labelOf(int32(v), &pm), lo, prev.distOf(int32(v)), 255
-				ranks.labelOf(int32(v), &m)
+				ps, leaf := prev.slotOf(vertex(s))
+				q, p, pl, small := prev.labelOf(ps, &pm), lo, prev.distOf(ps, leaf), 255
+				ranks.labelOf(int32(s), &m)
 				for wd, x := range m[:] {
 					for ; x != 0; x, p = x&(x-1), p+1 {
 						d := l.dist(p, low)         // a rank that ran
@@ -724,7 +770,7 @@ func layLabels(runs []*groupRun, prev *Index, keep *landmarkSet, n, k, workers i
 				}
 				low += uint8(small)
 			}
-			l.low[v], l.span[v] = low, parts[w].add(code[lo:hi], low, top)
+			l.low[s], l.span[s] = low, parts[w].add(code[lo:hi], low, top)
 			lo = hi
 		}
 	})
@@ -735,11 +781,22 @@ func layLabels(runs []*groupRun, prev *Index, keep *landmarkSet, n, k, workers i
 	return l
 }
 
+// setLeaves makes s the leaves ix elides, whose labelling holds entries,
+// on a rankOf of its own when s is not empty.
+func (ix *Index) setLeaves(s leafSet, entries int64) {
+	ix.leaves, ix.entries = s, entries
+	if s.words != nil {
+		rankOf := make([]int32, len(ix.rankOf))
+		s.readRanks(ix.g, ix.rankOf, rankOf)
+		ix.rankOf = rankOf
+	}
+}
+
 // setRanks makes ranks, laid out in the mask form's bits and as off places
 // them, ix's in the form chooseMask picks: the bits as they are, or a byte
-// an entry beside off.
+// an entry beside off. ix.leaves says which labels they are.
 func (ix *Index) setRanks(ranks rankBits, off offsets) {
-	n, k := len(ix.rankOf), len(ix.landmarks)
+	n, k := ix.slots(), len(ix.landmarks)
 	if chooseMask(n, k, off.at(int32(n))) {
 		ix.labelOff, ix.labelRank, ix.labelMask = offsets{}, nil, ranks
 		return
@@ -791,11 +848,12 @@ func packCodes(out, codes []uint8, w uint8) {
 	}
 }
 
-// pack makes l ix's label arrays: its ranks in the form chooseMask gives,
-// its distances in the form and widths chooseDist gives, and the entries
-// that escape there its overflow map.
+// pack makes l ix's label arrays: the leaves it elides, its ranks in the
+// form chooseMask gives, its distances in the form and widths chooseDist
+// gives, and the entries that escape there its overflow map.
 func (ix *Index) pack(l *wideLabels, workers int) {
-	n, entries := len(ix.rankOf), int64(len(l.code))
+	n, entries := len(l.low), int64(len(l.code))
+	ix.setLeaves(l.leaves, l.entries)
 	ix.setRanks(l.ranks, l.off)
 	perLabel, width, wo := chooseDist(n, entries, &l.stats)
 	dist, codeW := make([]byte, distLen(entries, width)), width

@@ -5,6 +5,7 @@ import (
 	"context"
 	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"highway/internal/bfs"
@@ -377,15 +378,21 @@ func TestBuildProgress(t *testing.T) {
 }
 
 func indexesIdentical(a, b *Index) bool {
-	if a.NumEntries() != b.NumEntries() || len(a.highway) != len(b.highway) {
+	if a.NumEntries() != b.NumEntries() || len(a.highway) != len(b.highway) || !slices.Equal(a.leaves.words, b.leaves.words) {
 		return false
+	}
+	for v := range int32(a.g.NumVertices()) {
+		as, aleaf := a.slotOf(v)
+		if bs, bleaf := b.slotOf(v); as != bs || aleaf != bleaf {
+			return false
+		}
 	}
 	for i := range a.highway {
 		if a.highway[i] != b.highway[i] {
 			return false
 		}
 	}
-	for v := range int32(a.g.NumVertices()) {
+	for v := range int32(a.slots()) {
 		alo, ahi := a.span(v)
 		if blo, bhi := b.span(v); alo != blo || ahi != bhi {
 			return false

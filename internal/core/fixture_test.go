@@ -22,7 +22,7 @@ type benchFixture struct {
 var benchFixtures = []benchFixture{
 	{"ba20k", func() *graph.Graph { return gen.BarabasiAlbert(20_000, 5, 42) }, 16, 69_557},
 	{"ba100k", func() *graph.Graph { return gen.BarabasiAlbert(100_000, 5, 42) }, 20, 435_502},
-	{"rmat18", func() *graph.Graph { return gen.RMAT(18, 8, 0.57, 0.19, 0.19, 42) }, 20, 508_149},
+	{"rmat18", func() *graph.Graph { return gen.RMAT(18, 8, 0.57, 0.19, 0.19, 42) }, 20, 385_203},
 }
 
 // build returns the fixture's index, built as the benchmark builds it.
@@ -57,20 +57,46 @@ func TestFixtureIndexBytes(t *testing.T) {
 	}
 }
 
+// boundPairs returns 200 000 random pairs of ix's vertices, seeded as
+// BenchmarkUpperBound seeds them, and the sum of their bounds.
+func boundPairs(ix *Index) (pairs [][2]int32, sum float64) {
+	rng, n, sr := rand.New(rand.NewSource(1)), ix.g.NumVertices(), ix.Searcher()
+	pairs = make([][2]int32, 200_000)
+	for i := range pairs {
+		pairs[i] = [2]int32{int32(rng.Intn(n)), int32(rng.Intn(n))}
+		sum += float64(sr.UpperBound(pairs[i][0], pairs[i][1]))
+	}
+	return pairs, sum
+}
+
+// TestUpperBoundSums pins the sum BenchmarkUpperBound reports on BA-20k
+// and on R-MAT-16 (the benchmark's R-MAT generator at scale 16, seed 42,
+// k = 20), whose leaves the labelling elides: a change to the layout of
+// the labels that moves any bound fails here, under -short too.
+func TestUpperBoundSums(t *testing.T) {
+	rmat16 := benchFixture{"rmat16", func() *graph.Graph { return gen.RMAT(16, 8, 0.57, 0.19, 0.19, 42) }, 20, 0}
+	for _, c := range []struct {
+		fx  benchFixture
+		sum float64
+	}{{benchFixtures[0], 832_363}, {rmat16, 672_002}} {
+		t.Run(c.fx.name, func(t *testing.T) {
+			if _, sum := boundPairs(c.fx.build(t)); sum != c.sum {
+				t.Fatalf("the bounds of 200 000 random pairs sum to %.0f, want %.0f", sum, c.sum)
+			}
+		})
+	}
+}
+
 // BenchmarkUpperBound times Searcher.UpperBound, the label merge every
 // query starts with, over 200 000 random pairs of each benchmark fixture,
 // one pair an op, and reports the sum of their bounds, which every layout
-// of the labels must repeat.
+// of the labels must repeat (TestUpperBoundSums).
 func BenchmarkUpperBound(b *testing.B) {
 	for _, fx := range benchFixtures {
 		b.Run(fx.name, func(b *testing.B) {
 			ix := fx.build(b)
-			rng, n, sr := rand.New(rand.NewSource(1)), ix.g.NumVertices(), ix.Searcher()
-			pairs, sum := make([][2]int32, 200_000), 0.0
-			for i := range pairs {
-				pairs[i] = [2]int32{int32(rng.Intn(n)), int32(rng.Intn(n))}
-				sum += float64(sr.UpperBound(pairs[i][0], pairs[i][1]))
-			}
+			pairs, sum := boundPairs(ix)
+			sr := ix.Searcher()
 			for i := 0; b.Loop(); i = (i + 1) % len(pairs) {
 				sr.UpperBound(pairs[i][0], pairs[i][1])
 			}

@@ -34,22 +34,25 @@ func savedBA100k(tb testing.TB, dir string) (g *graph.Graph, ix *Index, path str
 // "memory=" report and the serving tests' retention limits stand on, to
 // what the runtime says a built index keeps alive, for an index of each
 // rank form: BA-20k's ranks take the mask, a 100×100 grid's keep rank
-// bytes. The tenth of slack is the allocator's: every array is rounded up
-// to whole pages.
+// bytes, and R-MAT-16's take the mask and keep no label for its leaves,
+// beside the elided set and a rankOf of its own. The tenth of slack is the
+// allocator's: every array is rounded up to whole pages.
 func TestActualBytesIsTheHeap(t *testing.T) {
 	ba, grid := gen.BarabasiAlbert(20_000, 3, 42), gen.Grid(100, 100)
+	rmat, _ := graph.LargestComponent(gen.RMAT(16, 8, 0.57, 0.19, 0.19, 3))
 	for _, c := range []struct {
-		g    *graph.Graph
-		lm   []int32
-		mask bool
-	}{{ba, ba.DegreeOrder()[:16], true}, {grid, grid.DegreeOrder()[:20], false}} {
-		checkActualBytes(t, c.g, c.lm, c.mask)
+		g            *graph.Graph
+		lm           []int32
+		mask, elided bool
+	}{{ba, ba.DegreeOrder()[:16], true, false}, {grid, grid.DegreeOrder()[:20], false, false}, {rmat, rmat.DegreeOrder()[:20], true, true}} {
+		checkActualBytes(t, c.g, c.lm, c.mask, c.elided)
 	}
 }
 
 // checkActualBytes is TestActualBytesIsTheHeap for the index of lm on g,
-// whose ranks take the mask if mask is set.
-func checkActualBytes(t *testing.T, g *graph.Graph, lm []int32, mask bool) {
+// whose ranks take the mask if mask is set and which keeps no label for
+// its leaves if elided is.
+func checkActualBytes(t *testing.T, g *graph.Graph, lm []int32, mask, elided bool) {
 	heap := func() int64 {
 		runtime.GC()
 		runtime.GC() // the first may leave the sweep of what it freed unfinished
@@ -63,8 +66,8 @@ func checkActualBytes(t *testing.T, g *graph.Graph, lm []int32, mask bool) {
 		t.Fatal(err)
 	}
 	held := heap() - before
-	if (ix.labelMask.bits != nil) != mask {
-		t.Fatalf("test premise broken: mask form %v, want %v", ix.labelMask.bits != nil, mask)
+	if (ix.labelMask.bits != nil) != mask || (ix.leaves.words != nil) != elided {
+		t.Fatalf("test premise broken: mask form %v, leaves elided %v; want %v, %v", ix.labelMask.bits != nil, ix.leaves.words != nil, mask, elided)
 	}
 	if want := ix.ActualBytes(); held < want*9/10 || held > want*11/10 {
 		t.Fatalf("a built index holds %d bytes of heap, ActualBytes says %d", held, want)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"testing"
@@ -28,9 +29,12 @@ func FuzzLoadIndex(f *testing.F) {
 	// the committed graph file and checkpoint from before the graph became
 	// sections, and the committed index file with masks in section 13. Each
 	// of those is refused with the one line naming the command that
-	// rewrites it (internal/legacy reads them); last, the labelling whose
+	// rewrites it (internal/legacy reads them); then the labelling whose
 	// distances are kept per label, and every malformed section 16
-	// TestReadChecksExcessCodes names.
+	// TestReadChecksExcessCodes names; last, the labelling that keeps no
+	// label for its leaves, as it is written and as writers before sections
+	// 17 to 20 wrote it, and every malformed section TestReadChecksLeaves
+	// names.
 	fig2 := gen.PaperFigure2()
 	path600G, path600Ix := path600(f)
 	spiderCase := widthCases()[1]
@@ -87,6 +91,12 @@ func FuzzLoadIndex(f *testing.F) {
 	for _, c := range excessCases() {
 		f.Add(reframe(f, v2Bytes(f, hubs), c.edit))
 	}
+	leaves := goldenLeafIndex(f)
+	f.Add(v2Bytes(f, leaves))
+	f.Add(testdata(f, "leaves_kept.hl2"))
+	for _, c := range leafCases(f, testdata(f, "leaves_kept.hl2")) {
+		f.Add(reframe(f, v2Bytes(f, leaves), c.edit))
+	}
 
 	overflowG, gridG := gen.Path(300), gen.Grid(5, 6) // the graphs of the path300.hl1 and grid seeds
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -97,7 +107,7 @@ func FuzzLoadIndex(f *testing.F) {
 		}
 		// More graph sizes exercise the n-mismatch path and the overflow
 		// machinery bounds.
-		for _, g := range []*graph.Graph{overflowG, spiderCase.g, path600G, gridG, hubs.Graph()} {
+		for _, g := range []*graph.Graph{overflowG, spiderCase.g, path600G, gridG, hubs.Graph(), leaves.Graph()} {
 			if ix, err := Read(bytes.NewReader(data), g); err == nil {
 				exerciseIndex(ix)
 			}
@@ -143,13 +153,23 @@ func FuzzIndexRoundTrip(f *testing.F) {
 	f.Add(int64(3), uint8(5), uint8(1))
 	f.Add(int64(5), uint8(89), uint8(1)) // the longest path, two landmarks
 	f.Add(int64(4), uint8(5), uint8(1))
+	// With kRaw's top bit set the graph is a small R-MAT with pendant trees
+	// (leafy): three labellings that keep no label for their leaves (k = 8,
+	// 7 and 6; 33, 30 and 35 leaves), and one of 13 vertices whose 3 leaves
+	// are too few to elide.
+	f.Add(int64(1), uint8(60), uint8(0x80|7))
+	f.Add(int64(2), uint8(89), uint8(0x80|6))
+	f.Add(int64(3), uint8(89), uint8(0x80|5))
+	f.Add(int64(4), uint8(10), uint8(0x80|1))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, kRaw uint8) {
 		n := 4 + int(nRaw)%90
 		var g *graph.Graph
-		switch seed % 3 {
-		case 0:
+		switch {
+		case kRaw&0x80 != 0:
+			g = leafy(n, seed)
+		case seed%3 == 0:
 			g = gen.BarabasiAlbert(n, 2, seed)
-		case 1:
+		case seed%3 == 1:
 			g = gen.ErdosRenyi(n, int64(2*n), seed)
 		default:
 			// Long path: distances overflow the 8-bit disk encoding, so
@@ -181,4 +201,32 @@ func FuzzIndexRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// leafy returns an R-MAT graph of about n vertices, the largest component
+// of scale ⌈log₂ n⌉ - 1, seeded by seed, with pendant trees hung on it:
+// every third vertex gets a leaf, every fifth a path of two, every seventh
+// two leaves — leaves whose neighbour has other neighbours, which a
+// labelling may elide, and ends of paths, whose neighbour is no leaf.
+func leafy(n int, seed int64) *graph.Graph {
+	scale := max(bits.Len(uint(n))-1, 2)
+	core, _ := graph.LargestComponent(gen.RMAT(uint(scale), 4, 0.57, 0.19, 0.19, seed))
+	edges, next := edgesOf(core), int32(core.NumVertices())
+	hang := func(u int32, path int) {
+		for range path {
+			edges, u, next = append(edges, [2]int32{u, next}), next, next+1
+		}
+	}
+	for u := range int32(core.NumVertices()) {
+		switch {
+		case u%7 == 0:
+			hang(u, 1)
+			hang(u, 1)
+		case u%5 == 0:
+			hang(u, 2)
+		case u%3 == 0:
+			hang(u, 1)
+		}
+	}
+	return graph.MustFromEdges(int(next), edges)
 }

@@ -4,7 +4,9 @@
 // Section 5 (parallel construction over landmarks, landmark ranks of 8
 // bits or a per-vertex bitmask, whichever is smaller, beside distance codes
 // of the bits the labelling needs, an entry's or a label's, and the
-// common-landmark query shortcut of Lemma 5.1).
+// common-landmark query shortcut of Lemma 5.1). A leaf's label is its
+// neighbour's, each distance one higher, so the labels of leaves are not
+// kept when that saves more bytes than finding the others costs.
 //
 // # Overview
 //
@@ -62,17 +64,34 @@ const MaxLandmarks = 255
 //
 // # Label storage
 //
-// Labels live in a flat structure-of-arrays CSR layout: vertex v's label
-// occupies positions span(v) of the entries, sorted by landmark rank; there
-// are no per-vertex slice headers to chase.
-// Its ranks are kept as labelRank, a byte an entry as in the paper's HL(8)
-// (Section 5.2), beside offsets, or as labelMask, k bits a vertex with bit
-// r set iff landmark r is in L(v) (Akiba et al.'s bit-parallel labels,
-// SIGMOD 2013) packed end to end beside a rank directory, whichever is
-// fewer bytes, rank bytes on a tie (chooseMask): the mask on complex
-// networks, rank bytes on a grid or a path. Either way labelOf gives v's
-// ranks as a landmarkSet, and the entry of rank r sits at span(v)'s start
-// plus the number of v's ranks below r.
+// Labels live in a flat structure-of-arrays CSR layout: the label kept in
+// slot s occupies positions span(s) of the entries, sorted by landmark rank;
+// there are no per-vertex slice headers to chase. A vertex's slot is the
+// vertex itself, unless the labelling elides leaves (leaves): a vertex of
+// degree one that is not a landmark, whose neighbour u is neither a landmark
+// nor of degree one, has every shortest path from a landmark run through u,
+// so L(v) is L(u) with each distance one higher (Lemma 3.7) and is not kept
+// — Akiba, Sommer and Kawarabayashi's core–fringe split (EDBT 2012) at
+// degree one, where no parent needs storing. The elided set is derived from
+// the graph, never stored in the file; the labelling elides it when the rank
+// sections that saves are more bytes than the set (chooseLeaves): on R-MAT,
+// a quarter of whose vertices are such leaves, but on no BA graph, whose
+// minimum degree is above one. The rank sections and the distance codes then
+// hold the kept vertices only, in vertex order, and slotOf, the one funnel
+// every label reader goes through, sends an elided vertex to its neighbour's
+// slot with its base one higher. A kept vertex finds its slot with one rank
+// query over the set (leaves, 2 bits a vertex, small enough to stay
+// cached), and an elided one its neighbour's in rankOf, which a query loads
+// anyway to test for a landmark: there an elided vertex's entry is ^slot.
+// NumEntries still counts every label, the file's header the kept ones.
+// A label's ranks are kept as labelRank, a byte an entry as in the paper's
+// HL(8) (Section 5.2), beside offsets, or as labelMask, k bits a slot with
+// bit r set iff landmark r is in its label (Akiba et al.'s bit-parallel
+// labels, SIGMOD 2013) packed end to end beside a rank directory, whichever
+// is fewer bytes, rank bytes on a tie (chooseMask): the mask on complex
+// networks, rank bytes on a grid or a path. Either way labelOf gives slot
+// s's ranks as a landmarkSet, and the entry of rank r sits at span(s)'s
+// start plus the number of s's ranks below r.
 //
 // An entry (r, d) exists only when no other landmark lies on a shortest
 // r–v path, so its distance is tiny, and two entries of a label differ by
@@ -120,12 +139,14 @@ const MaxLandmarks = 255
 type Index struct {
 	g          *graph.Graph
 	landmarks  []int32 // rank -> vertex id
-	rankOf     []int32 // vertex id -> rank, -1 for non-landmarks
+	rankOf     []int32 // vertex id -> rank, < 0 for non-landmarks (^slot for an elided one: slotOf)
 	isLandmark []bool  // len n; the skip mask for Algorithm 2
 	highway    []int32 // k*k, row-major; Infinity = unreachable
 
-	// Flat CSR label storage (structure-of-arrays).
-	labelOff  offsets         // rank bytes: n+1 prefix sums of label sizes
+	// Flat CSR label storage (structure-of-arrays), one label a slot.
+	leaves    leafSet         // the vertices whose label is not kept
+	entries   int64           // Σ|L(v)| over every vertex, elided ones included
+	labelOff  offsets         // rank bytes: slots+1 prefix sums of label sizes
 	labelRank []uint8         // rank bytes: ranks ascending per vertex; or nil
 	labelMask rankBits        // mask: k bits a vertex and their directory; or zero
 	labelDist []byte          // section 12 or 16 as written and read
@@ -186,8 +207,8 @@ func cmpOverflow(a, b overflowRec) int {
 	return cmp.Compare(a.rank, b.rank)
 }
 
-// offsets is the prefix sums of the label sizes in the rank-byte form, n+1
-// of them, as the index file's sections 7 and 8 hold them: base is one
+// offsets is the prefix sums of the label sizes in the rank-byte form, one
+// a slot and one more, as the index file's sections 7 and 8 hold them: base is one
 // little-endian uint64 per block of offBlock vertices, the offset of the
 // block's first vertex, and rel one uint16 per vertex, its offset past that.
 type offsets struct{ base, rel []byte }
@@ -221,7 +242,7 @@ func newOffsets(sizes []uint8) (o offsets, entries int64) {
 	}
 }
 
-// rankBits is the mask form's ranks, sections 14 and 15: vertex v's ranks
+// rankBits is the mask form's ranks, sections 14 and 15: slot v's ranks
 // are bits v·k … v·k+k-1 of bits, a little-endian uint64 string, and dir is
 // Jacobson's rank directory over it: one uint64 per 2¹⁶ bits, the set bits
 // before them (base), then one uint16 per stride of ⌈k/64⌉ words, those
@@ -272,11 +293,17 @@ func (b *rankBits) labelOf(v int32, m *landmarkSet) (lo int64) {
 		lo += int64(bits.OnesCount64(b.word(s)))
 	}
 	lo += int64(bits.OnesCount64(b.word(s) & (1<<(pos&63) - 1)))
+	b.ranksOf(v, m)
+	return lo
+}
+
+// ranksOf adds v's ranks to m, 64 at a time from the words they straddle.
+func (b *rankBits) ranksOf(v int32, m *landmarkSet) {
+	pos := uint(v) * b.k
 	for i := uint(0); i < b.k; i += 64 { // past the string's end, the second word is garbage the mask drops
 		w, off := (pos+i)>>6, (pos+i)&63
 		m[i>>6] = (b.word(w)>>off | b.word(min(w+1, uint(len(b.bits))/8-1))<<(64-off)) & (1<<min(b.k-i, 64) - 1)
 	}
-	return lo
 }
 
 // store writes m as vertex v's ranks into a string of zeros there. It
@@ -308,7 +335,7 @@ func (b *rankBits) directory(fill bool) (int64, error) {
 			binary.LittleEndian.PutUint16(rel, uint16(total-binary.LittleEndian.Uint64(base)))
 		}
 		if w%1024 == 0 && binary.LittleEndian.Uint64(base) != total || w == next && uint64(binary.LittleEndian.Uint16(rel)) != total-binary.LittleEndian.Uint64(base) {
-			return 0, fmt.Errorf("core: section %d does not count the ranks of section %d before word %d", sectLabelDir, sectLabelBits, w)
+			return 0, fmt.Errorf("before word %d", w)
 		}
 		if w == next {
 			next, j = next+b.stride, j+1
@@ -339,11 +366,130 @@ func packRanks(n, k, workers int, fill func(v int, m *landmarkSet)) (rankBits, o
 	return b, off
 }
 
-// span returns the positions lo..hi of vertex v's label.
-func (ix *Index) span(v int32) (lo, hi int64) {
+// span returns the positions lo..hi of the label in slot s.
+func (ix *Index) span(s int32) (lo, hi int64) {
 	var m landmarkSet
-	lo = ix.labelOf(v, &m)
+	lo = ix.labelOf(s, &m)
 	return lo, lo + m.size()
+}
+
+// leafSet is a set of elided vertices: word v/32's low half has bit v%32
+// set iff vertex v is in it, and its high half counts those below v&^31, so
+// a kept vertex's slot is one load and one popcount away. The zero value is
+// the empty set.
+type leafSet struct{ words []uint64 }
+
+// leavesOf returns the vertices of g whose label is their neighbour's,
+// each distance one higher: those of degree one that are no landmark and
+// whose neighbour is neither a landmark nor of degree one: one pass over
+// the offsets, and one over the vertices of degree one.
+func leavesOf(g *graph.Graph, isLandmark []bool) leafSet {
+	off, tgt := g.CSR()
+	n := g.NumVertices()
+	var words []uint64 // made at the first vertex of degree one
+	for lo := 0; lo < n; lo += 32 {
+		var ends uint64 // the block's vertices of degree one, found without a branch
+		o := off[lo : min(lo+32, n)+1]
+		for i := range len(o) - 1 {
+			d := uint64(o[i+1] - o[i] - 1) // 0 at degree one
+			ends |= ((d|-d)>>63 ^ 1) << (i & 31)
+		}
+		if ends != 0 && words == nil {
+			words = make([]uint64, (n+31)/32)
+		}
+		if ends != 0 {
+			words[lo/32] = ends << 32 // in the high half until the counts go there
+		}
+	}
+	count := 0
+	for w, x := range words { // those that are leaves, in the low halves
+		for ends := x >> 32; ends != 0; ends &= ends - 1 {
+			v := w*32 + bits.TrailingZeros64(ends)
+			if u := tgt[off[v]]; !isLandmark[v] && !isLandmark[u] && words[u/32]>>(32+u%32)&1 == 0 {
+				words[w] |= 1 << (v % 32)
+				count++
+			}
+		}
+	}
+	if count == 0 {
+		return leafSet{}
+	}
+	count = 0
+	for w, x := range words { // and the counts before each block in the high halves
+		words[w] = uint64(count)<<32 | x&(1<<32-1)
+		count += bits.OnesCount32(uint32(x))
+	}
+	return leafSet{words}
+}
+
+// has reports whether v is in the set.
+func (s *leafSet) has(v int32) bool { return s.words[v>>5]>>(v&31)&1 != 0 }
+
+// slot returns the slot of a vertex not in the set: v less the vertices
+// of the set below it (up to it, for one in the set).
+func (s *leafSet) slot(v int32) int32 {
+	x := s.words[v>>5]
+	return v - int32(x>>32) - int32(bits.OnesCount32(uint32(x)<<(31-v&31)))
+}
+
+// count returns the size of the set.
+func (s *leafSet) count() int {
+	if len(s.words) == 0 {
+		return 0
+	}
+	x := s.words[len(s.words)-1]
+	return int(x>>32) + bits.OnesCount32(uint32(x))
+}
+
+// readRanks writes rankOf to out, as Index.rankOf, with the entry of every
+// vertex of the set made ^s, s the slot of its neighbour, whose label it
+// reads once the set is elided. out may be rankOf.
+func (s *leafSet) readRanks(g *graph.Graph, rankOf, out []int32) {
+	copy(out, rankOf)
+	off, tgt := g.CSR()
+	for w, x := range s.words {
+		for low := uint32(x); low != 0; low &= low - 1 {
+			v := w*32 + bits.TrailingZeros32(low)
+			out[v] = ^s.slot(tgt[off[v]])
+		}
+	}
+}
+
+// vertex returns the vertex in slot i, the inverse of slot: the first
+// whose slot, v less the vertices of the set up to it, reaches i.
+func (s *leafSet) vertex(i int32) int32 {
+	if s.words == nil {
+		return i
+	}
+	return int32(sort.Search(len(s.words)*32, func(v int) bool { return s.slot(int32(v)) >= i }))
+}
+
+// sum returns Σ size(v) over the vertices of the set.
+func (s *leafSet) sum(size func(v int32) int64) (total int64) {
+	for w, x := range s.words {
+		for low := uint32(x); low != 0; low &= low - 1 {
+			total += size(int32(w)*32 + int32(bits.TrailingZeros32(low)))
+		}
+	}
+	return total
+}
+
+// slots returns how many labels the index keeps.
+func (ix *Index) slots() int { return len(ix.rankOf) - ix.leaves.count() }
+
+// slotOf is the funnel every reader of a vertex's label goes through: it
+// returns the slot that keeps v's label, and 1 when that is v's
+// neighbour's, whose distances distOf then reads one higher, or 0. A kept
+// vertex's slot is one rank query over the set; an elided one's, its
+// neighbour's, is in rankOf (readRanks).
+func (ix *Index) slotOf(v int32) (s, leaf int32) {
+	if ix.leaves.words == nil {
+		return v, 0
+	}
+	if x := ix.leaves.words[v>>5]; x>>(v&31)&1 == 0 {
+		return v - int32(x>>32) - int32(bits.OnesCount32(uint32(x)<<(31-v&31))), 0
+	}
+	return ^ix.rankOf[v], 1
 }
 
 // landmarkSet is a set of landmark ranks, rank r at bit r%64 of word r/64:
@@ -378,10 +524,10 @@ func nth(words []uint64, i int64) int {
 	return -1
 }
 
-// labelOf returns where vertex v's label starts and adds its ranks to m,
-// which must be empty: every reader of a label goes through it. (m is not a
-// result: a 32-byte result is copied out in halves that stall on the
-// callee's word stores.)
+// labelOf returns where the label in slot v starts and adds its ranks to
+// m, which must be empty: every reader of a label goes through it, after
+// slotOf. (m is not a result: a 32-byte result is copied out in halves that
+// stall on the callee's word stores.)
 func (ix *Index) labelOf(v int32, m *landmarkSet) (lo int64) {
 	if b := &ix.labelMask; b.k-1 < 57 { // the mask at k ≤ 57, inline (k = 0, the rank bytes, wraps)
 		pos := uint(v) * b.k // v's stride is its word
@@ -407,18 +553,36 @@ func (ix *Index) labelOf(v int32, m *landmarkSet) (lo int64) {
 
 // entryAt returns the vertex and landmark rank of the entry at position p.
 func (ix *Index) entryAt(p int64) (v int32, rank uint8) {
-	v = int32(sort.Search(len(ix.rankOf), func(v int) bool { _, hi := ix.span(int32(v)); return hi > p }))
+	s := int32(sort.Search(ix.slots(), func(s int) bool { _, hi := ix.span(int32(s)); return hi > p }))
 	var m landmarkSet
-	return v, uint8(nth(m[:], p-ix.labelOf(v, &m)))
+	return ix.leaves.vertex(s), uint8(nth(m[:], p-ix.labelOf(s, &m)))
 }
 
-// chooseMask reports whether a labelling of n vertices, k landmarks and
-// entries entries keeps its ranks in the mask form, sections 14 and 15,
-// rather than a byte an entry beside its offsets, sections 4, 7 and 8: when
-// those are fewer bytes, rank bytes on a tie.
-func chooseMask(n, k int, entries int64) bool {
+// rankLens returns the bytes of the rank sections of n labels of k
+// landmarks and entries entries in each form: the mask, sections 14 and 15,
+// and a byte an entry beside offsets, sections 4, 7 and 8.
+func rankLens(n, k int, entries int64) (mask, rankBytes int64) {
 	bitsLen, dirLen := maskLens(n, k)
-	return bitsLen+dirLen < entries+int64(n/offBlock+1)*8+int64(n+1)*2
+	return bitsLen + dirLen, entries + int64(n/offBlock+1)*8 + int64(n+1)*2
+}
+
+// chooseMask reports whether n labels of k landmarks and entries entries
+// keep their ranks in the mask form rather than as rank bytes: when those
+// are fewer bytes, rank bytes on a tie.
+func chooseMask(n, k int, entries int64) bool {
+	mask, rankBytes := rankLens(n, k, entries)
+	return mask < rankBytes
+}
+
+// chooseLeaves reports whether a labelling of n vertices, k landmarks and
+// entries entries keeps no label for its count leaves (leavesOf), which hold
+// elided of the entries: when the rank sections that saves, each side in
+// the form chooseMask picks, are more bytes than the leafSet. A path's two
+// ends or one new leaf on a large graph are not.
+func chooseLeaves(n, k int, entries int64, count int, elided int64) bool {
+	all, allBytes := rankLens(n, k, entries)
+	kept, keptBytes := rankLens(n-count, k, entries-elided)
+	return count > 0 && min(all, allBytes)-min(kept, keptBytes) > int64(n+31)/32*8
 }
 
 // distWidths are the widths of a per-entry code or a base code, widest
@@ -467,7 +631,8 @@ type distCodes struct {
 	codeW, codeMask, codeEsc uint8
 }
 
-// setDist makes sect, section 12 or (perLabel) 16, ix's distances.
+// setDist makes sect, section 12 or (perLabel) 16, ix's distances, once
+// ix.leaves is.
 func (ix *Index) setDist(sect []byte, perLabel bool) {
 	ix.labelDist = sect
 	if w := sect[0]; !perLabel {
@@ -475,7 +640,7 @@ func (ix *Index) setDist(sect []byte, perLabel bool) {
 		return
 	}
 	wb, wo := sect[0], sect[1]
-	split := 2 + (len(ix.rankOf)*int(wb)+7)/8
+	split := 2 + (ix.slots()*int(wb)+7)/8
 	ix.dist = distCodes{bases: sect[2:split], baseW: wb, baseMask: 1<<wb - 1, baseEsc: 1<<wb - 1,
 		codes: sect[split:], codeW: wo, codeMask: 1<<wo - 1, codeEsc: 0xFF}
 	if wo == 0 {
@@ -483,21 +648,23 @@ func (ix *Index) setDist(sect []byte, perLabel bool) {
 	}
 }
 
-// labelBase is what reading a label's distances takes: its base, and the
-// code that escapes to overflow — 0 in an escaped label, whose codes are 0.
+// labelBase is what reading a label's distances takes: its base, the code
+// that escapes to overflow — 0 in an escaped label, whose codes are 0 —,
+// and what an escaped distance gains: 1 read by an elided vertex.
 type labelBase struct {
-	base int32
-	esc  uint8
+	base, leaf int32
+	esc        uint8
 }
 
-// distOf returns vertex v's labelBase, which distAt reads its entries with.
-func (ix *Index) distOf(v int32) labelBase {
+// distOf returns the labelBase of the label in slot v read by a vertex
+// leaf hops farther from every landmark than the slot's (slotOf).
+func (ix *Index) distOf(v, leaf int32) labelBase {
 	d := &ix.dist
 	bit := uint(v) * uint(d.baseW)
 	if c := d.bases[bit/8] >> (bit % 8) & d.baseMask; c != d.baseEsc {
-		return labelBase{base: int32(c) + 1, esc: d.codeEsc}
+		return labelBase{base: int32(c) + 1 + leaf, esc: d.codeEsc, leaf: leaf}
 	}
-	return labelBase{}
+	return labelBase{leaf: leaf}
 }
 
 // distAt returns the distance of the entry at position p of the label l is
@@ -508,14 +675,15 @@ func (ix *Index) distAt(l labelBase, p int64) int32 {
 	if c := ix.dist.codes[bit/8] >> (bit % 8) & ix.dist.codeMask; c != l.esc {
 		return l.base + int32(c)
 	}
-	return ix.overflow[p]
+	return ix.overflow[p] + l.leaf
 }
 
 // Label returns vertex v's label, sorted by rank, as freshly allocated
 // parallel slices of landmark ranks and decoded distances.
 func (ix *Index) Label(v int32) (ranks []int32, dists []int32) {
 	var m landmarkSet
-	lo, l := ix.labelOf(v, &m), ix.distOf(v)
+	s, leaf := ix.slotOf(v)
+	lo, l := ix.labelOf(s, &m), ix.distOf(s, leaf)
 	ranks, dists = make([]int32, 0, m.size()), make([]int32, 0, m.size())
 	for w, x := range m[:] {
 		for ; x != 0; x &= x - 1 {
@@ -530,14 +698,27 @@ func (ix *Index) Label(v int32) (ranks []int32, dists []int32) {
 // LabelSize returns |L(v)|, the number of entries in v's label.
 // Landmarks have empty labels (labels are defined on V\R).
 func (ix *Index) LabelSize(v int32) int {
-	lo, hi := ix.span(v)
-	return int(hi - lo)
+	s, _ := ix.slotOf(v)
+	return int(ix.size(s))
+}
+
+// size returns how many entries the label in slot s holds.
+func (ix *Index) size(s int32) int64 {
+	if b := &ix.labelMask; b.k-1 < 57 {
+		return int64(bits.OnesCount64(b.near(uint(s) * b.k)))
+	}
+	lo, hi := ix.span(s)
+	return hi - lo
 }
 
 // NumEntries returns size(L) = Σ_v |L(v)|, the labelling size measure of
-// the paper (LS in Figure 3).
-func (ix *Index) NumEntries() int64 {
-	_, hi := ix.span(int32(len(ix.rankOf)) - 1)
+// the paper (LS in Figure 3), elided labels included.
+func (ix *Index) NumEntries() int64 { return ix.entries }
+
+// kept returns the entries of the labels kept, which the index file's
+// header counts.
+func (ix *Index) kept() int64 {
+	_, hi := ix.span(int32(ix.slots()) - 1)
 	return hi
 }
 
@@ -578,9 +759,10 @@ const overflowSlot = 24
 // ActualBytes reports the real in-memory footprint of the index
 // structures (flat label arrays — rank bytes and offsets, or rank bits and
 // their directory, and distance codes —, overflow table, highway, landmark
-// arrays).
+// arrays and the elided set).
 func (ix *Index) ActualBytes() int64 {
-	return int64(len(ix.labelOff.base)) +
+	return int64(len(ix.leaves.words))*8 +
+		int64(len(ix.labelOff.base)) +
 		int64(len(ix.labelOff.rel)) +
 		int64(len(ix.labelRank)) +
 		int64(len(ix.labelMask.bits)) +

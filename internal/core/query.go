@@ -114,8 +114,10 @@ func (sr *Searcher) UpperBound(s, t int32) int32 {
 		return ix.LandmarkDistance(rt, s)
 	}
 	var ms, mt landmarkSet
-	slo, tlo := ix.labelOf(s, &ms), ix.labelOf(t, &mt)
-	sl, tl := ix.distOf(s), ix.distOf(t)
+	ss, sleaf := ix.slotOf(s)
+	ts, tleaf := ix.slotOf(t)
+	slo, tlo := ix.labelOf(ss, &ms), ix.labelOf(ts, &mt)
+	sl, tl := ix.distOf(ss, sleaf), ix.distOf(ts, tleaf)
 	words := (k + 63) >> 6
 	best := Infinity
 	// Pass 1: common landmarks (Lemma 5.1): δL(r,s) + δL(r,t), found by one
@@ -173,7 +175,8 @@ func (ix *Index) LandmarkDistance(r, v int32) int32 {
 	}
 	best := Infinity
 	var m landmarkSet
-	p, l := ix.labelOf(v, &m), ix.distOf(v)
+	s, leaf := ix.slotOf(v)
+	p, l := ix.labelOf(s, &m), ix.distOf(s, leaf)
 	for w, x := range m[:] {
 		for ; x != 0; x &= x - 1 {
 			if h := row[w<<6|bits.TrailingZeros64(x)]; h >= 0 {

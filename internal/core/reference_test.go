@@ -62,7 +62,8 @@ func referencePrunedBFS(g *graph.Graph, root int32, rankOf []int32, k int) (labe
 	return label, highway
 }
 
-// referenceIndex builds the index rank by rank from referencePrunedBFS.
+// referenceIndex builds the index rank by rank from referencePrunedBFS,
+// keeping the labels referenceKept says.
 func referenceIndex(g *graph.Graph, landmarks []int32) *Index {
 	n, k := g.NumVertices(), len(landmarks)
 	ix := &Index{g: g, landmarks: landmarks, rankOf: make([]int32, n), isLandmark: make([]bool, n)}
@@ -78,22 +79,46 @@ func referenceIndex(g *graph.Graph, landmarks []int32) *Index {
 		labels[r], row = referencePrunedBFS(g, root, ix.rankOf, k)
 		ix.highway = append(ix.highway, row...)
 	}
-	dists := make([][]int32, n) // each label's distances, by rank
-	for v := range n {
-		for r := range labels {
-			if d := labels[r][v]; d >= 0 {
-				dists[v] = append(dists[v], d)
-			}
-		}
-	}
-	sec := plainRanks(n, k, func(v int) (ranks []int32) {
+	ranksOf := func(v int) (ranks []int32) {
 		for r := range labels {
 			if labels[r][v] >= 0 {
 				ranks = append(ranks, int32(r))
 			}
 		}
 		return ranks
-	})
+	}
+	kept := referenceKept(g, landmarks, ranksOf)
+	var slots []int     // the vertices kept, in order
+	var dists [][]int32 // each kept label's distances, by rank
+	for v := range n {
+		ix.entries += int64(len(ranksOf(v)))
+		if !kept[v] {
+			continue
+		}
+		slots = append(slots, v)
+		dists = append(dists, nil)
+		for r := range labels {
+			if d := labels[r][v]; d >= 0 {
+				dists[len(dists)-1] = append(dists[len(dists)-1], d)
+			}
+		}
+	}
+	if len(slots) < n { // and the slot each elided vertex reads, by search
+		ix.leaves.words = make([]uint64, (n+31)/32)
+		elided := 0
+		for v := range n {
+			if v%32 == 0 {
+				ix.leaves.words[v/32] = uint64(elided) << 32
+			}
+			if !kept[v] {
+				ix.leaves.words[v/32] |= 1 << (v % 32)
+				s, _ := slices.BinarySearch(slots, int(g.Neighbors(int32(v))[0]))
+				ix.rankOf[v] = ^int32(s)
+				elided++
+			}
+		}
+	}
+	sec := plainRanks(len(slots), k, func(s int) []int32 { return ranksOf(slots[s]) })
 	if rankBytes, maskBytes := rankFormBytes(sec); maskBytes < rankBytes { // the smaller form, rank bytes on a tie
 		ix.labelMask = newRankBits(sec[sectLabelBits], sec[sectLabelDir], k)
 	} else {
@@ -103,6 +128,31 @@ func referenceIndex(g *graph.Graph, landmarks []int32) *Index {
 	ix.setDist(dist, perLabel)
 	ix.overflow = over
 	return ix
+}
+
+// referenceKept returns, from the definitions, whether a labelling of the
+// landmarks lm on g whose ranks ranksOf gives keeps each vertex's label:
+// all but the leaves — a vertex of degree one and no landmark whose
+// neighbour is neither a landmark nor of degree one — when the rank
+// sections of the smaller form over the others are more than 8 bytes for
+// every 32 vertices fewer than over all of them, and every one otherwise.
+func referenceKept(g *graph.Graph, lm []int32, ranksOf func(v int) []int32) []bool {
+	n, k, isLandmark := g.NumVertices(), len(lm), landmarkMask(g, lm)
+	kept, all := make([]bool, n), make([]bool, n)
+	var others []int
+	for v := range n {
+		nb := g.Neighbors(int32(v))
+		all[v], kept[v] = true, len(nb) != 1 || isLandmark[v] || isLandmark[nb[0]] || g.Degree(nb[0]) == 1
+		if kept[v] {
+			others = append(others, v)
+		}
+	}
+	allRanks, allMask := rankFormBytes(plainRanks(n, k, ranksOf))
+	keptRanks, keptMask := rankFormBytes(plainRanks(len(others), k, func(s int) []int32 { return ranksOf(others[s]) }))
+	if min(allRanks, allMask)-min(keptRanks, keptMask) <= (n+31)/32*8 {
+		return all
+	}
+	return kept
 }
 
 // bruteDist is the distance section a labelling whose labels have these
@@ -236,6 +286,28 @@ func FuzzPrunedBFSEquivalence(f *testing.F) {
 	f.Add(uint8(9), uint8(3), []byte{0, 1, 1, 2, 2, 3, 5, 6, 6, 7, 3, 7})
 	f.Add(uint8(80), uint8(70), []byte("the quick brown fox jumps over the lazy dog"))
 	f.Add(uint8(40), uint8(40), []byte{})
+	// Leaf-heavy inputs: small R-MAT graphs with pendant trees (leafy). The
+	// labellings of 8 and 40 landmarks keep no label for their leaves, the
+	// second's ranks in rank bytes; those of 20 and 3 keep every label.
+	elided := 0
+	for i, c := range []struct{ n, k int }{{40, 8}, {60, 20}, {90, 40}, {95, 3}} {
+		g := leafy(c.n, int64(i+1))
+		var raw []byte
+		for _, e := range edgesOf(g) {
+			raw = append(raw, byte(e[0]), byte(e[1]))
+		}
+		if g.NumVertices() > 96 {
+			f.Fatalf("leafy seed %d has %d vertices, more than the 96 the fuzz input names", i, g.NumVertices())
+		}
+		k := min(c.k, g.NumVertices())
+		if ix, err := Build(g, spread(g, k, int64(len(raw)))); err == nil && ix.leaves.words != nil {
+			elided++
+		}
+		f.Add(uint8(g.NumVertices()-1), uint8(k-1), raw)
+	}
+	if elided == 0 {
+		f.Fatal("test premise broken: no leafy seed elides its leaves")
+	}
 	f.Fuzz(func(t *testing.T, nRaw, kRaw uint8, raw []byte) {
 		n := int(nRaw)%96 + 1
 		k := int(kRaw)%n + 1

@@ -182,10 +182,16 @@ func TestRowsRerunMatchesBuild(t *testing.T) {
 	// Per label on both sides of the merge: R-MAT-16, whose labels are all
 	// flat and stay so when a few edges change (no excess code; 2 of the 20
 	// ranks dirty), and two BA towns whose labels span at most one hop
-	// (excesses of 1 bit).
+	// (excesses of 1 bit). Each of R-MAT's leaves gets a leaf of its own, so
+	// that the old leaves 4 hops from every hub keep their labels, which
+	// escape at a base of 2 bits, and the new ones are elided.
 	rmat, _ := graph.LargestComponent(gen.RMAT(16, 8, 0.57, 0.19, 0.19, 3))
+	rmat = pendants(rmat)
 	rmatLm := rmat.DegreeOrder()[:20]
 	t.Run("rmat flat", func(t *testing.T) {
+		if ix, err := Build(rmat, rmatLm); err != nil || ix.leaves.words == nil {
+			t.Fatalf("test premise broken: %v, or no leaf elided", err)
+		}
 		g2 := mutate(rmat, rmat.NumVertices(), landmarkMask(rmat, rmatLm), rand.New(rand.NewSource(2)))
 		wantForms(t, rmat, g2, rmatLm, perLabel(2, 0), perLabel(2, 0))
 		checkRerun(t, rmat, g2, rmatLm, rand.New(rand.NewSource(11)), true)
@@ -204,6 +210,17 @@ func TestRowsRerunMatchesBuild(t *testing.T) {
 		wantForms(t, towns, g2, townLm, perEntry(2), perLabel(2, 2))
 		checkRerun(t, towns, g2, townLm, rand.New(rand.NewSource(13)), false)
 	})
+}
+
+// pendants is g with a new vertex joined to each vertex of degree one.
+func pendants(g *graph.Graph) *graph.Graph {
+	edges, n := edgesOf(g), int32(g.NumVertices())
+	for v := range int32(g.NumVertices()) {
+		if g.Degree(v) == 1 {
+			edges, n = append(edges, [2]int32{v, n}), n+1
+		}
+	}
+	return graph.MustFromEdges(int(n), edges)
 }
 
 // landmarkMask is the isLandmark array of lm on g.
@@ -351,4 +368,75 @@ func TestRowsNothingDirty(t *testing.T) {
 	if d := got.Distance(3, 7); d != 1 {
 		t.Fatalf("d(3,7) = %d on the new graph, want 1", d)
 	}
+}
+
+// TestRowsLeafFlip: an edge joining two leaves of one vertex moves no
+// landmark's distances, so nothing re-runs, but the two stop being leaves
+// and the labelling keeps their labels again; deleting the edge makes them
+// leaves again. After each step Assemble must give what a build gives: on
+// R-MAT-16, whose leaves are elided, and on BA-300 with two leaves hung on
+// one vertex, too few to elide.
+func TestRowsLeafFlip(t *testing.T) {
+	rmat, _ := graph.LargestComponent(gen.RMAT(16, 8, 0.57, 0.19, 0.19, 3))
+	ba := gen.BarabasiAlbert(300, 2, 5)
+	ba = graph.MustFromEdges(302, append(edgesOf(ba), [2]int32{150, 300}, [2]int32{150, 301}))
+	for _, c := range []struct {
+		name   string
+		g      *graph.Graph
+		lm     []int32
+		elided bool
+	}{{"rmat16", rmat, rmat.DegreeOrder()[:20], true}, {"ba300", ba, ba.DegreeOrder()[:8], false}} {
+		t.Run(c.name, func(t *testing.T) {
+			base, err := Build(c.g, c.lm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := twoLeaves(c.g, landmarkMask(c.g, c.lm))
+			if (base.leaves.words != nil) != c.elided || a < 0 {
+				t.Fatalf("test premise broken: leaves elided %v, two leaves of one vertex: %d and %d", base.leaves.words != nil, a, b)
+			}
+			for r := range int32(len(c.lm)) {
+				if base.LandmarkDistance(r, a) != base.LandmarkDistance(r, b) {
+					t.Fatalf("test premise broken: leaves %d and %d differ in their distance to rank %d", a, b, r)
+				}
+			}
+			rw := RowsOf(base)
+			for step, g := range []*graph.Graph{withEdges(c.g, [2]int32{a, b}), c.g} {
+				if _, err := rw.Run(context.Background(), g, nil, Options{}); err != nil {
+					t.Fatal(err)
+				}
+				got := rw.Assemble(g)
+				ref, err := Build(g, c.lm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(v2Bytes(t, got), v2Bytes(t, ref)) || !indexesIdentical(got, ref) {
+					t.Fatalf("step %d: the labelling reattached to the graph differs from a build on it", step)
+				}
+				if d := got.Distance(a, b); d != int32(step)+1 {
+					t.Fatalf("step %d: d(%d,%d) = %d", step, a, b, d)
+				}
+			}
+		})
+	}
+}
+
+// twoLeaves returns two vertices of degree one and no landmark hung on one
+// vertex that is no landmark, or -1, -1.
+func twoLeaves(g *graph.Graph, isLandmark []bool) (a, b int32) {
+	for u := range int32(g.NumVertices()) {
+		if isLandmark[u] {
+			continue
+		}
+		var found []int32
+		for _, v := range g.Neighbors(u) {
+			if g.Degree(v) == 1 && !isLandmark[v] {
+				found = append(found, v)
+			}
+		}
+		if len(found) >= 2 {
+			return found[0], found[1]
+		}
+	}
+	return -1, -1
 }

@@ -8,6 +8,7 @@ import (
 	"iter"
 	"maps"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"slices"
@@ -29,19 +30,21 @@ const FormatV2 Format = 2
 
 // An index file is an HWLIDX02 container (layout: see
 // internal/container/container.go) whose header carries n, k, Aux1 =
-// entries and Aux2 = nOverflow, with these sections (little-endian):
+// entries and Aux2 = nOverflow, with these sections (little-endian), where
+// the labels are those of the s slots, the vertices the labelling keeps a
+// label for (Index, "Label storage"), and entries counts theirs:
 //
 //	1  landmarks  [k]uint32
 //	2  highway    [k*k]int32           (-1 = Infinity)
-//	7  labelBase  [⌈(n+1)/256⌉]uint64  labelOff of every 256th vertex
-//	8  labelRel   [n+1]uint16          labelOff[v] - labelBase[v/256]
-//	4  labelRank  [entries]uint8       ranks ascending per vertex; or, in their place,
-//	14 labelBits  [⌈n·k/64⌉]uint64     bit v·k+r set iff rank r is in L(v), the padding bits 0
-//	15 labelDir   [⌈n·k/2¹⁶⌉]uint64    the set bits of 14 before each block of 2¹⁶, then
-//	              [⌈n·k/S⌉]uint16      from its block to each stride of S = 64·⌈k/64⌉
+//	7  labelBase  [⌈(s+1)/256⌉]uint64  labelOff of every 256th slot
+//	8  labelRel   [s+1]uint16          labelOff[v] - labelBase[v/256]
+//	4  labelRank  [entries]uint8       ranks ascending per slot; or, in their place,
+//	14 labelBits  [⌈s·k/64⌉]uint64     bit v·k+r set iff rank r is in slot v's label, the padding bits 0
+//	15 labelDir   [⌈s·k/2¹⁶⌉]uint64    the set bits of 14 before each block of 2¹⁶, then
+//	              [⌈s·k/S⌉]uint16      from its block to each stride of S = 64·⌈k/64⌉
 //	12 labelDist  w uint8, then entries codes of w bits, LSB first, the
 //	              padding bits 0: d-1, or 2^w-1 = see overflow; or
-//	16 labelDist  w, wo uint8, then n codes of w bits, each label's
+//	16 labelDist  w, wo uint8, then s codes of w bits, each label's
 //	              smallest d-1 (2^w-1: see overflow for all its entries;
 //	              0 for an empty label), then entries codes of wo bits,
 //	              d less that smallest (0 in an escaped label), each part
@@ -49,13 +52,18 @@ const FormatV2 Format = 2
 //	6  overflow   nOverflow × (vertex uint32, rank uint8, dist uint32), CSR order
 //	11 graph      uint32               the graph's Fingerprint
 //
-// A file holds the rank form and the distance form of fewer bytes, rank
-// bytes and section 12 on a tie (chooseMask, chooseDist); a reader takes
-// any, and lays out again a file with another rank form or with section
-// 12. w is 2, 4 or 8 and wo 0, 1, 2 or 4, so section 12 is 1 +
-// ⌈entries·w/8⌉ bytes long and 16 2 + ⌈n·w/8⌉ + ⌈entries·wo/8⌉, and every
-// other section's exact length follows from the header: the reader bounds
-// each allocation before making it.
+// A labelling that keeps every label has s = n. One that elides leaves
+// (chooseLeaves) writes sections 7, 8, 14 and 15 as 19, 20, 17 and 18, so
+// that a reader from before the elided set refuses it for want of its rank
+// sections; the set itself is derived from the graph, by writer and reader
+// alike, and not written. A file holds the rank form and the distance form
+// of fewer bytes, rank bytes and section 12 on a tie (chooseMask,
+// chooseDist); a reader takes any, and lays out again a file with another
+// rank form, with section 12, or eliding other leaves than a build would.
+// w is 2, 4 or 8 and wo 0, 1, 2 or 4, so section 12 is 1 + ⌈entries·w/8⌉
+// bytes long and 16 2 + ⌈s·w/8⌉ + ⌈entries·wo/8⌉, and every other
+// section's exact length follows from the header and s: the reader bounds
+// each allocation by n before making it.
 //
 // Sections 7, 8 and 4, or 14 and 15, and 12 or 16 are Index.labelOff and
 // labelRank, or labelMask, and labelDist: Write hands the arrays to the
@@ -91,6 +99,10 @@ const (
 	sectLabelBits   uint32 = 14
 	sectLabelDir    uint32 = 15
 	sectLabelExcess uint32 = 16
+	sectLeafBits    uint32 = 17 // 14, 15, 7 and 8 of a labelling that elides leaves
+	sectLeafDir     uint32 = 18
+	sectLeafBase    uint32 = 19
+	sectLeafRel     uint32 = 20
 )
 
 // Write serializes the index (without the graph) as an index file. Output
@@ -122,19 +134,30 @@ func (ix *Index) Sections() (container.Header, []container.Section) {
 	}
 	landmarks, _ := binary.Append(nil, binary.LittleEndian, ix.landmarks) // cannot fail: fixed-size values
 	highway, _ := binary.Append(nil, binary.LittleEndian, ix.highway)
-	h := container.Header{N: uint64(ix.g.NumVertices()), K: uint32(len(ix.landmarks)), Aux1: uint64(ix.NumEntries()), Aux2: uint64(len(ix.overflow))}
+	h := container.Header{N: uint64(ix.g.NumVertices()), K: uint32(len(ix.landmarks)), Aux1: uint64(ix.kept()), Aux2: uint64(len(ix.overflow))}
 	sections := []container.Section{{ID: sectLandmarks, Payload: landmarks}, {ID: sectHighway, Payload: highway}}
+	ids := rankIDs(ix.leaves.words != nil)
 	if ix.labelMask.bits != nil {
-		sections = append(sections, container.Section{ID: sectLabelBits, Payload: ix.labelMask.bits}, container.Section{ID: sectLabelDir, Payload: ix.labelMask.dir})
+		sections = append(sections, container.Section{ID: ids[0], Payload: ix.labelMask.bits}, container.Section{ID: ids[1], Payload: ix.labelMask.dir})
 	} else {
-		sections = append(sections, container.Section{ID: sectLabelBase, Payload: ix.labelOff.base},
-			container.Section{ID: sectLabelRel, Payload: ix.labelOff.rel}, container.Section{ID: sectLabelRank, Payload: ix.labelRank})
+		sections = append(sections, container.Section{ID: ids[2], Payload: ix.labelOff.base},
+			container.Section{ID: ids[3], Payload: ix.labelOff.rel}, container.Section{ID: sectLabelRank, Payload: ix.labelRank})
 	}
 	dist := sectLabelDist
 	if ix.dist.baseW != 0 { // per label
 		dist = sectLabelExcess
 	}
 	return h, append(sections, container.Section{ID: dist, Payload: ix.labelDist}, container.Section{ID: sectOverflow, Payload: over})
+}
+
+// rankIDs returns the ids of the bits and directory of the mask form and
+// the block offsets and relative offsets of rank bytes, in a file that
+// elides leaves or in one that does not.
+func rankIDs(elided bool) [4]uint32 {
+	if elided {
+		return [4]uint32{sectLeafBits, sectLeafDir, sectLeafBase, sectLeafRel}
+	}
+	return [4]uint32{sectLabelBits, sectLabelDir, sectLabelBase, sectLabelRel}
 }
 
 // Read deserializes an index file and attaches it to g, which must be the
@@ -186,7 +209,7 @@ func (ix *Index) setLandmark(rank int, v int32) error {
 // the two must agree. (A loop over each label's ranks mispredicts its exit
 // once a vertex, which doubled the time of a load.)
 func (ix *Index) adoptRanks(ranks []byte, entries int64, k uint32) error {
-	n, off := ix.g.NumVertices(), ix.labelOff
+	n, off := ix.slots(), ix.labelOff
 	ix.labelRank = ranks
 	var base, lo int64 // of v's block; where label v-1 starts
 	var startsDown uint64
@@ -235,12 +258,16 @@ func (ix *Index) adoptRanks(ranks []byte, entries int64, k uint32) error {
 // header's entries. (A field of k bits holds no rank of k or more.)
 func (ix *Index) adoptBits(words, dir []byte, entries int64, k uint32) error {
 	b := newRankBits(words, dir, int(k))
-	if pad := uint(ix.g.NumVertices()) * uint(k) % 64; pad != 0 && b.word(uint(len(words))/8-1)>>pad != 0 {
-		return fmt.Errorf("core: section %d has padding bits set", sectLabelBits)
+	ids := rankIDs(ix.leaves.words != nil)
+	if pad := uint(ix.slots()) * uint(k) % 64; pad != 0 && b.word(uint(len(words))/8-1)>>pad != 0 {
+		return fmt.Errorf("core: section %d has padding bits set", ids[0])
 	}
 	total, err := b.directory(false)
-	if err == nil && total != entries {
-		err = fmt.Errorf("core: section %d holds %d ranks, the header says %d entries", sectLabelBits, total, entries)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("core: section %d does not count the ranks of section %d %w", ids[1], ids[0], err)
+	case total != entries:
+		err = fmt.Errorf("core: section %d holds %d ranks, the header says %d entries", ids[0], total, entries)
 	}
 	ix.labelMask = b
 	return err
@@ -290,7 +317,7 @@ func (ix *Index) adoptExcess(entries int64, sect []byte, over []overflowRec) err
 	if len(sect) < 2 || !slices.Contains(distWidths[:], sect[0]) || !slices.Contains(excessWidths[:], sect[1]) {
 		return fmt.Errorf("core: section %d has widths %v, not a base of 2, 4 or 8 bits and an excess of 0, 1, 2 or 4", sectLabelExcess, sect[:min(len(sect), 2)])
 	}
-	n, wb, wo := int64(len(ix.rankOf)), int64(sect[0]), int64(sect[1])
+	n, wb, wo := int64(ix.slots()), int64(sect[0]), int64(sect[1])
 	baseLen := (n*wb + 7) / 8
 	if want := 2 + baseLen + (entries*wo+7)/8; int64(len(sect)) != want {
 		return fmt.Errorf("core: section %d has length %d, want %d for %d bases of %d bits and %d excesses of %d", sectLabelExcess, len(sect), want, n, wb, entries, wo)
@@ -299,32 +326,45 @@ func (ix *Index) adoptExcess(entries int64, sect []byte, over []overflowRec) err
 		return fmt.Errorf("core: section %d has padding bits set", sectLabelExcess)
 	}
 	ix.setDist(sect, true)
+	// A code of 0 is right for any label, so only the others are looked at:
+	// those a word of codes holds, found a word at a time.
 	var escaped []int64
-	for v := range int32(n) {
-		var m landmarkSet
-		b, mask := ix.distOf(v), &ix.labelMask
-		switch {
-		case b.base == 1: // a code of 0 is right for any label
-			continue
-		case mask.k-1 < 57 && b.base != 0 && mask.near(uint(v)*mask.k) != 0: // a label's, held
-			continue
+	bases, mask := ix.dist.bases, &ix.labelMask
+	for at := 0; at < len(bases); at += 8 {
+		var word [8]byte
+		copy(word[:], bases[at:])
+		nonzero := binary.LittleEndian.Uint64(word[:])
+		for shift := 1; shift < int(wb); shift <<= 1 {
+			nonzero |= nonzero >> shift
 		}
-		lo := ix.labelOf(v, &m)
-		switch {
-		case m.size() == 0:
-			return fmt.Errorf("core: section %d has a base code other than 0 for the empty label of vertex %d", sectLabelExcess, v)
-		case b.base != 0: // not escaped
-			continue
-		}
-		for p := lo; p < lo+m.size(); p++ {
-			if ix.distAt(labelBase{esc: 0xFF}, p) != 0 {
-				return fmt.Errorf("core: section %d has an excess code that is not 0 in the escaped label of vertex %d", sectLabelExcess, v)
+		for nonzero &= fieldLows[wb]; nonzero != 0; nonzero &= nonzero - 1 {
+			v := int32((at*8 + bits.TrailingZeros64(nonzero)) / int(wb))
+			b := ix.distOf(v, 0)
+			if mask.k-1 < 57 && b.base != 0 && mask.near(uint(v)*mask.k) != 0 { // a label's, held
+				continue
 			}
-			escaped = append(escaped, p)
+			var m landmarkSet
+			lo := ix.labelOf(v, &m)
+			switch {
+			case m.size() == 0:
+				return fmt.Errorf("core: section %d has a base code other than 0 for the empty label of vertex %d", sectLabelExcess, ix.leaves.vertex(v))
+			case b.base != 0: // not escaped
+				continue
+			}
+			for p := lo; p < lo+m.size(); p++ {
+				if ix.distAt(labelBase{esc: 0xFF}, p) != 0 {
+					return fmt.Errorf("core: section %d has an excess code that is not 0 in the escaped label of vertex %d", sectLabelExcess, ix.leaves.vertex(v))
+				}
+				escaped = append(escaped, p)
+			}
 		}
 	}
 	return ix.adoptRecords(over, slices.Values(escaped))
 }
+
+// fieldLows has, for each width w of a base code, the lowest bit of every
+// field of w bits of a word set.
+var fieldLows = [9]uint64{2: 0x5555555555555555, 4: 0x1111111111111111, 8: 0x0101010101010101}
 
 // adoptRecords makes over the overflow map of the escaped entries, which
 // escaped yields in CSR order. Our writers emit records in CSR order, but
@@ -385,9 +425,10 @@ func parseOverflowRecs(buf []byte, n uint64, k uint32) ([]overflowRec, error) {
 }
 
 // Bounds returns the exact length of each of sections 1, 2, 4, 6–8, 11,
-// 14 and 15 under header h, and the longest sections 12 (one width byte and
-// a byte an entry) and 16 (two width bytes, a byte a vertex and half one an
-// entry), after the checks that need only h.
+// 14 and 15 under header h, the longest sections 17–20 (those of 14, 15, 7
+// and 8 over fewer vertices), 12 (one width byte and a byte an entry) and
+// 16 (two width bytes, a byte a vertex and half one an entry), after the
+// checks that need only h.
 func Bounds(h container.Header) (map[uint32]uint64, error) {
 	n, k, entries, nOver := h.N, h.K, h.Aux1, h.Aux2
 	switch {
@@ -411,6 +452,10 @@ func Bounds(h container.Header) (map[uint32]uint64, error) {
 		sectLabelBase:   (n/offBlock + 1) * 8,
 		sectLabelRel:    (n + 1) * 2,
 		sectGraph:       4,
+		sectLeafBits:    uint64(bitsLen),
+		sectLeafDir:     uint64(dirLen),
+		sectLeafBase:    (n/offBlock + 1) * 8,
+		sectLeafRel:     (n + 1) * 2,
 	}, nil
 }
 
@@ -433,25 +478,32 @@ func FromSections(h container.Header, sec map[uint32]container.Section, g *graph
 	}
 	_, rankBytes := sec[sectLabelRank]
 	_, mask := sec[sectLabelBits]
+	_, leafMask := sec[sectLeafBits]
+	_, leafOff := sec[sectLeafBase]
 	_, perEntry := sec[sectLabelDist]
 	_, perLabel := sec[sectLabelExcess]
-	ids := []uint32{sectLabelBase, sectLabelRel, sectLabelRank}
 	switch {
 	case rankBytes && mask:
 		return nil, fmt.Errorf("core: both section %d and section %d hold the label ranks", sectLabelRank, sectLabelBits)
-	case !rankBytes && !mask:
+	case leafMask && (rankBytes || mask):
+		return nil, fmt.Errorf("core: both section %d and section %d or %d hold the label ranks", sectLeafBits, sectLabelRank, sectLabelBits)
+	case !rankBytes && !mask && !leafMask:
 		return nil, fmt.Errorf("core: required section %d or %d (the label ranks) missing", sectLabelRank, sectLabelBits)
 	case perEntry && perLabel:
 		return nil, fmt.Errorf("core: both section %d and section %d hold the label distances", sectLabelDist, sectLabelExcess)
 	case !perEntry && !perLabel:
 		return nil, fmt.Errorf("core: required section %d missing, and no section %d in its place", sectLabelDist, sectLabelExcess)
-	case mask:
-		ids = []uint32{sectLabelBits, sectLabelDir}
 	}
-	for _, id := range append(ids, sectLandmarks, sectHighway, sectOverflow) {
+	elided, mask := leafMask || rankBytes && leafOff, mask || leafMask
+	ids := rankIDs(elided)
+	rankSects := []uint32{ids[2], ids[3], sectLabelRank}
+	if mask {
+		rankSects = ids[:2]
+	}
+	for _, id := range append(rankSects, sectLandmarks, sectHighway, sectOverflow) {
 		if s, ok := sec[id]; !ok {
 			return nil, fmt.Errorf("core: required section %d missing", id)
-		} else if uint64(len(s.Payload)) != want[id] {
+		} else if !slices.Contains(ids[:], id) && uint64(len(s.Payload)) != want[id] {
 			return nil, fmt.Errorf("core: section %d has length %d, want %d", id, len(s.Payload), want[id])
 		}
 	}
@@ -470,11 +522,25 @@ func FromSections(h container.Header, sec map[uint32]container.Section, g *graph
 	if err != nil {
 		return nil, err
 	}
+	// The rank sections hold the labels of the vertices a file that elides
+	// leaves keeps, which the graph and landmarks give.
 	n, k, entries := int(h.N), int(h.K), int64(h.Aux1)
+	cand := leavesOf(g, ix.isLandmark)
+	if elided {
+		ix.leaves = cand
+		cand.readRanks(g, ix.rankOf, ix.rankOf)
+	}
+	bitsLen, dirLen := maskLens(ix.slots(), k)
+	exact := map[uint32]int64{ids[0]: bitsLen, ids[1]: dirLen, ids[2]: int64(ix.slots()/offBlock+1) * 8, ids[3]: int64(ix.slots()+1) * 2}
+	for _, id := range rankSects {
+		if l, ok := exact[id]; ok && int64(len(sec[id].Payload)) != l {
+			return nil, fmt.Errorf("core: section %d has length %d, want %d", id, len(sec[id].Payload), l)
+		}
+	}
 	if mask {
-		err = ix.adoptBits(sec[sectLabelBits].Payload, sec[sectLabelDir].Payload, entries, h.K)
+		err = ix.adoptBits(sec[ids[0]].Payload, sec[ids[1]].Payload, entries, h.K)
 	} else {
-		ix.labelOff = offsets{base: sec[sectLabelBase].Payload, rel: sec[sectLabelRel].Payload}
+		ix.labelOff = offsets{base: sec[ids[2]].Payload, rel: sec[ids[3]].Payload}
 		err = ix.adoptRanks(sec[sectLabelRank].Payload, entries, h.K)
 	}
 	switch {
@@ -487,14 +553,19 @@ func FromSections(h container.Header, sec map[uint32]container.Section, g *graph
 	if err != nil {
 		return nil, err
 	}
-	if perEntry || mask != chooseMask(n, k, entries) {
+	leafEntries := cand.sum(func(v int32) int64 { return int64(ix.LabelSize(v)) })
+	if ix.entries = entries; ix.leaves.words != nil {
+		ix.entries += leafEntries
+	}
+	if perEntry || mask != chooseMask(ix.slots(), k, entries) || chooseLeaves(n, k, ix.entries, cand.count(), leafEntries) != (ix.leaves.words != nil) {
 		// Rank bytes of a labelling the mask holds in fewer, as writers
-		// before section 13 wrote every one, or the other way round, or
+		// before section 13 wrote every one, or the other way round,
 		// per-entry codes, which writers before section 16 wrote for every
-		// labelling: laid out again, it is held in the chosen forms and
-		// writes what a build writes.
+		// labelling, or every label of a graph whose leaves a build elides,
+		// as writers before sections 17 to 20 wrote them: laid out again,
+		// it is held in the chosen forms and writes what a build writes.
 		all := below(k)
-		l := layLabels(nil, ix, &all, n, k, 1)
+		l := layLabels(nil, ix, &all, cand, n, k, 1)
 		ix.pack(&l, 1)
 	}
 	return ix, nil

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"maps"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ import (
 // the writer uses, followed by any extra sections.
 func reframe(tb testing.TB, file []byte, edit func(h *container.Header, sec map[uint32][]byte), extra ...container.Section) []byte {
 	tb.Helper()
-	ids := []uint32{sectLandmarks, sectHighway, sectLabelBase, sectLabelRel, sectLabelRank, sectByteMask, sectLabelBits, sectLabelDir, sectLabelDist, sectLabelExcess, sectOverflow, sectGraph}
+	ids := []uint32{sectLandmarks, sectHighway, sectLabelBase, sectLabelRel, sectLeafBase, sectLeafRel, sectLabelRank, sectByteMask, sectLabelBits, sectLabelDir, sectLeafBits, sectLeafDir, sectLabelDist, sectLabelExcess, sectOverflow, sectGraph}
 	h, read, err := container.ReadContainer(bytes.NewReader(file), true, func(container.Header) (map[uint32]uint64, error) {
 		bounds := make(map[uint32]uint64)
 		for _, id := range ids {
@@ -60,15 +61,15 @@ func appendUnknownSection(tb testing.TB, file []byte, id uint32, payload []byte)
 func rankBytesFile(tb testing.TB, ix *Index) []byte {
 	tb.Helper()
 	h, sections := ix.Sections()
-	plain := plainRanksOf(ix)
+	plain, ids := plainRanksOf(ix), rankIDs(ix.leaves.words != nil)
 	var out []container.Section
 	for _, s := range sections {
 		switch s.ID {
-		case sectLabelBits:
-			for _, id := range []uint32{sectLabelBase, sectLabelRel, sectLabelRank} {
-				out = append(out, container.Section{ID: id, Payload: plain[id]})
+		case ids[0]:
+			for i, id := range []uint32{sectLabelBase, sectLabelRel, sectLabelRank} {
+				out = append(out, container.Section{ID: append(ids[2:], sectLabelRank)[i], Payload: plain[id]})
 			}
-		case sectLabelDir:
+		case ids[1]:
 		default:
 			out = append(out, s)
 		}
@@ -280,6 +281,57 @@ func rankMaskCases(ix *Index) []offsetCase {
 		{"section 13 beside them", "hlbuild migrate", func(_ *container.Header, sec sections) {
 			sec[sectByteMask] = make([]byte, 600)
 		}},
+	}
+}
+
+// leafCases are malformed rank sections of leaves.hl2, each with a valid
+// checksum, and what the reader says of them: its 40 kept labels of 8
+// ranks each are 40 bytes in section 17 and their directory 14 in section
+// 18; every label of leaves_kept.hl2, whose sections 14 and 15 the first
+// cases borrow, 72 and 26.
+func leafCases(tb testing.TB, kept []byte) []offsetCase {
+	type sections = map[uint32][]byte
+	var all sections
+	reframe(tb, kept, func(_ *container.Header, sec sections) { all = maps.Clone(sec) })
+	return []offsetCase{
+		{"the kept labels under the ids of all", "section 14 has length 40, want 72", func(_ *container.Header, sec sections) {
+			sec[sectLabelBits], sec[sectLabelDir] = sec[sectLeafBits], sec[sectLeafDir]
+			delete(sec, sectLeafBits)
+			delete(sec, sectLeafDir)
+		}},
+		{"every label under the ids of the kept", "section 17 has length 72, want 40", func(_ *container.Header, sec sections) {
+			sec[sectLeafBits], sec[sectLeafDir] = all[sectLabelBits], all[sectLabelDir]
+		}},
+		{"section 14 beside them", "both section 17 and section 4 or 14", func(_ *container.Header, sec sections) {
+			sec[sectLabelBits], sec[sectLabelDir] = all[sectLabelBits], all[sectLabelDir]
+		}},
+		{"no directory", "required section 18 missing", func(_ *container.Header, sec sections) { delete(sec, sectLeafDir) }},
+		{"one byte long", "section 17 has length 41, want 40", func(_ *container.Header, sec sections) {
+			sec[sectLeafBits] = append(sec[sectLeafBits], 0)
+		}},
+		{"rank the directory does not count", "section 18 does not count the ranks of section 17 before word 1", func(_ *container.Header, sec sections) {
+			sec[sectLeafBits][0] ^= 1 << 7
+		}},
+		{"a rank more than the header's entries", "section 17 holds 117 ranks, the header says 116 entries", func(_ *container.Header, sec sections) {
+			sec[sectLeafBits][39] ^= 1 << 7
+		}},
+	}
+}
+
+// TestReadChecksLeaves: a file that keeps no label for its leaves holds
+// its rank sections under ids 17 and 18, over the vertices it keeps, which
+// the graph gives: the reader holds their lengths to that and refuses them
+// beside sections 14 and 15, each by name.
+func TestReadChecksLeaves(t *testing.T) {
+	ix := goldenLeafIndex(t)
+	good := testdata(t, "leaves.hl2")
+	for _, c := range leafCases(t, testdata(t, "leaves_kept.hl2")) {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Read(bytes.NewReader(reframe(t, good, c.edit)), ix.Graph())
+			if err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "\n") {
+				t.Fatalf("Read: %v, want one line saying %q", err, c.want)
+			}
+		})
 	}
 }
 

@@ -1,8 +1,10 @@
 package dynhl
 
 import (
+	"bytes"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -244,6 +246,59 @@ func TestFromCoreSharesLabels(t *testing.T) {
 	}
 	if d := dyn.Distance(3, 7); d != 1 {
 		t.Fatalf("d(3,7) = %d after the insert, want 1", d)
+	}
+}
+
+// TestLeafFlipMatchesBuild: on R-MAT-16, whose labelling keeps no label
+// for its leaves, an edge joining two leaves of one vertex dirties no
+// landmark but makes the two keep their labels again, and deleting it makes
+// them leaves again. After each batch the index's file is byte for byte a
+// from-scratch build's.
+func TestLeafFlipMatchesBuild(t *testing.T) {
+	g, _ := graph.LargestComponent(gen.RMAT(16, 8, 0.57, 0.19, 0.19, 3))
+	lm := g.DegreeOrder()[:20]
+	dyn, err := build(g, lm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := int32(-1), int32(-1)
+	for u := range int32(g.NumVertices()) {
+		var leaves []int32
+		for _, v := range g.Neighbors(u) {
+			if g.Degree(v) == 1 {
+				leaves = append(leaves, v)
+			}
+		}
+		if len(leaves) >= 2 && !slices.Contains(lm, u) {
+			a, b = leaves[0], leaves[1]
+			break
+		}
+	}
+	if a < 0 {
+		t.Fatal("test premise broken: no vertex with two leaves")
+	}
+	for step, op := range []Op{{A: a, B: b}, {A: a, B: b, Del: true}} {
+		res, err := dyn.ApplyOps([]Op{op})
+		if err != nil || res.Dirty != 0 || res.Inserted+res.Deleted != 1 {
+			t.Fatalf("step %d: %+v, %v; want one edge changed and no landmark dirty", step, res, err)
+		}
+		ref, err := core.Build(dyn.cur.Graph(), lm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, want bytes.Buffer
+		if err := dyn.cur.Write(&got); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Write(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("step %d: the index differs from a build on the changed graph", step)
+		}
+		if d := dyn.Distance(a, b); d != int32(step)+1 {
+			t.Fatalf("step %d: d(%d,%d) = %d", step, a, b, d)
+		}
 	}
 }
 

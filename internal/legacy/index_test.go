@@ -26,6 +26,19 @@ func build(tb testing.TB, g *graph.Graph, landmarks []int32) *core.Index {
 	return ix
 }
 
+// leafyIndex is the index of R-MAT-12's largest component and its 16
+// highest-degree vertices, which keeps no label for its leaves: the
+// retired layouts, written before that, hold every label.
+func leafyIndex(tb testing.TB) *core.Index {
+	tb.Helper()
+	g, _ := graph.LargestComponent(gen.RMAT(12, 8, 0.57, 0.19, 0.19, 5))
+	ix := build(tb, g, g.DegreeOrder()[:16])
+	if _, sections := ix.Sections(); !slices.ContainsFunc(sections, func(s container.Section) bool { return s.ID == sectLeafBits }) {
+		tb.Fatal("test premise broken: R-MAT-12 keeps every label")
+	}
+	return ix
+}
+
 // goldenIndex is the index of the paper's running example with its
 // landmark set {1,5,9}: tiny.hl1, tiny_off64.hl2 and tiny.hl2 all hold it
 // with one distance byte an entry, and tiny.snap2 beside its graph.
@@ -315,7 +328,7 @@ func TestLegacyV2Writer(t *testing.T) {
 // serving readers with one line naming `hlbuild migrate`, and migrate to
 // the labelling they hold, entry for entry.
 func TestMigrateByteDistances(t *testing.T) {
-	fig, path := goldenIndex(t), path600(t)
+	fig, path, leafy := goldenIndex(t), path600(t), leafyIndex(t)
 	for _, c := range []struct {
 		name     string
 		raw      []byte
@@ -326,6 +339,7 @@ func TestMigrateByteDistances(t *testing.T) {
 		{"tiny.snap2", fixture(t, "tiny.snap2"), true, fig},
 		{"path600 index", byteDistBytes(t, path), false, path},
 		{"path600 snapshot", byteDistSnapshot(t, path), true, path},
+		{"rmat12 index", byteDistBytes(t, leafy), false, leafy},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var ix *core.Index
@@ -389,6 +403,7 @@ func TestMigrateMaskSection13(t *testing.T) {
 		{"path600 index", maskBytes(t, path), false, path},
 		{"path600 snapshot", maskSnapshot(t, path), true, path},
 		{"ba2000 k100 index", maskBytes(t, dense), false, dense},
+		{"rmat12 snapshot", maskSnapshot(t, leafyIndex(t)), true, leafyIndex(t)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var ix *core.Index

@@ -95,9 +95,11 @@ func ReadSnapshot(r io.Reader) (*graph.Graph, *core.Index, error) {
 // offsets as uint64 before sections 7 and 8, section 5 one distance byte an
 // entry before section 12, section 13 masks of ⌈k/8⌉ bytes a vertex beside
 // sections 7 and 8 before sections 14 and 15, section 12 per-entry codes of
-// every labelling before section 16 held some per label, and section 11, the
-// graph's fingerprint, is what an index file has from the last layout with
-// section 5 on.
+// every labelling before section 16 held some per label, every writer
+// before sections 17 to 20 (14, 15, 7 and 8 of the labels a labelling keeps
+// when it elides its leaves) kept every label, and section 11, the graph's
+// fingerprint, is what an index file has from the last layout with section
+// 5 on.
 const (
 	sectLabelOff    uint32 = 3
 	sectLabelRank   uint32 = 4
@@ -111,6 +113,10 @@ const (
 	sectLabelBits   uint32 = 14
 	sectLabelDir    uint32 = 15
 	sectLabelExcess uint32 = 16
+	sectLeafBits    uint32 = 17
+	sectLeafDir     uint32 = 18
+	sectLeafBase    uint32 = 19
+	sectLeafRel     uint32 = 20
 )
 
 // peekTable returns the first bytes of br and, when they are a container's,
@@ -357,10 +363,11 @@ func offsetSections(ix *core.Index, masks bool) (container.Header, []container.S
 	if masks {
 		ranks = container.Section{ID: sectLabelMask, Payload: mask}
 	}
+	h.Aux1 = at // every label's entries, elided ones included
 	var out []container.Section
 	for _, s := range sections {
 		switch s.ID {
-		case sectLabelBase, sectLabelRel, sectLabelRank, sectLabelBits, sectLabelDir:
+		case sectLabelBase, sectLabelRel, sectLabelRank, sectLabelBits, sectLabelDir, sectLeafBits, sectLeafDir, sectLeafBase, sectLeafRel:
 		case sectLabelDist: // the ranks come before it
 			out = append(out, container.Section{ID: sectLabelBase, Payload: base}, container.Section{ID: sectLabelRel, Payload: rel}, ranks, s)
 		default:
@@ -374,7 +381,9 @@ func offsetSections(ix *core.Index, masks bool) (container.Header, []container.S
 // section 16 laid them out: its distances per entry in section 12, a code of
 // w bits d-1, the all-ones code escaping to a record in section 6, at the w
 // of 2, 4 and 8 whose codes and records take the fewest bytes, the wider on
-// a tie. Tests frame the files of those writers with it.
+// a tie, for every label. Tests frame the files of those writers with it;
+// the rank sections are ix's, which hold every label only when ix elides
+// no leaf (offsetSections lays them out for every label).
 func codeSections(ix *core.Index) (container.Header, []container.Section) {
 	h, sections := ix.Sections()
 	type entry struct{ v, rank, d int32 }
@@ -409,7 +418,7 @@ func codeSections(ix *core.Index) (container.Header, []container.Section) {
 			over = binary.LittleEndian.AppendUint32(append(over, byte(e.rank)), uint32(e.d))
 		}
 	}
-	h.Aux2 = uint64(len(over) / 9)
+	h.Aux1, h.Aux2 = uint64(len(entries)), uint64(len(over)/9)
 	for i, s := range sections {
 		switch s.ID {
 		case sectLabelExcess:
