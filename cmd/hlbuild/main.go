@@ -7,7 +7,7 @@
 //	hlbuild -graph edges.txt -k 40 -strategy degree -workers 8 -verify 1000
 //	hlbuild -graph web.hwg -k 20 -progress           (log per-landmark BFS completion)
 //	hlbuild migrate -graph web.hwg -in old.idx -out web.idx   (an index file of a retired layout)
-//	hlbuild migrate -in old.hwg -out web.hwg                  (a graph file, or a <wal>.snap checkpoint)
+//	hlbuild migrate -in old.hwg -out web.hwg                  (a graph file, or a <wal>.snap checkpoint of any layout)
 //
 // After a build, hlbuild reports wall time, worker count and how the
 // traversal expanded its levels (pushed top-down vs pulled bottom-up, and
@@ -16,15 +16,18 @@
 // Index files are written in format v2 (checksummed sections), and a
 // server reads no other layout. The migrate subcommand rewrites what it
 // refuses as today's file: an index file of a retired layout (v1, v2 with
-// 64-bit offsets, v2 without the graph's fingerprint, v2 with one distance
-// byte an entry), accepted only if it
+// 64-bit offsets, v2 without the graph's fingerprint, v2 whose labels kept
+// one distance byte an entry, masks in section 13, a rank byte an entry in
+// section 4 or a distance code an entry in section 12), accepted only if it
 // holds exactly what a fresh build of its landmarks on -graph holds, which
-// costs one build; and a graph file or checkpoint of a layout no server
-// reads any more, told apart by its first bytes, with no -graph.
+// costs one build; and a graph file or checkpoint, of a layout no server
+// reads any more or of today's, told apart by its first bytes, with no
+// -graph.
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -34,6 +37,7 @@ import (
 
 	"highway"
 	"highway/internal/container"
+	"highway/internal/graph"
 	"highway/internal/legacy"
 	"highway/internal/serve"
 )
@@ -123,8 +127,8 @@ func run(args []string) error {
 	return nil
 }
 
-// runMigrate rewrites an index file of any layout as today's, and a legacy
-// graph file or snapshot, told by its first bytes, as today's.
+// runMigrate rewrites an index file of any layout as today's, and a graph
+// file or snapshot of any layout, told by its first bytes, as today's.
 func runMigrate(args []string) error {
 	fs := flag.NewFlagSet("hlbuild migrate", flag.ContinueOnError)
 	var (
@@ -152,6 +156,9 @@ func runMigrate(args []string) error {
 	var g *highway.Graph
 	var ix *highway.Index
 	save := func() error { return ix.Save(dest) }
+	saveSnapshot := func() error {
+		return container.SaveFile(dest, true, func(w io.Writer) error { return serve.EncodeSnapshot(w, g, ix) })
+	}
 	magic, _ := br.Peek(8)
 	kind := string(magic)
 	switch snapshot := legacy.SnapshotLayout(br); {
@@ -161,9 +168,11 @@ func runMigrate(args []string) error {
 	case snapshot != "":
 		kind = snapshot
 		g, ix, err = legacy.ReadSnapshot(br)
-		save = func() error {
-			return container.SaveFile(dest, true, func(w io.Writer) error { return serve.EncodeSnapshot(w, g, ix) })
-		}
+		save = saveSnapshot
+	case holdsGraph(br):
+		kind = "snapshot"
+		g, ix, err = serve.DecodeSnapshot(br)
+		save = saveSnapshot
 	default:
 		if *graphPath == "" {
 			return fmt.Errorf("migrate: -graph is required for an index file")
@@ -192,6 +201,20 @@ func runMigrate(args []string) error {
 	}
 	fmt.Printf("wrote %s\n", dest)
 	return nil
+}
+
+// holdsGraph reports whether br begins with a container whose table lists
+// the graph's sections 9 and 10: a snapshot, not an index file.
+func holdsGraph(br *bufio.Reader) bool {
+	head, _ := br.Peek(8 + 44 + 64*16) // the magic, header and a table of 64 rows
+	_, rows, err := container.ReadTable(bytes.NewReader(head))
+	found := 0
+	for _, r := range rows {
+		if r.ID == graph.SectOffsets || r.ID == graph.SectTargets {
+			found++
+		}
+	}
+	return err == nil && found == 2
 }
 
 // loadGraph reads a graph file, or else a text edge list: a file that

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -159,9 +160,9 @@ func TestRunMigrate(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, _ = os.ReadFile(out)
-	b, _ = os.ReadFile(filepath.Join(testdata, "tiny_codes.hl2"))
+	b, _ = os.ReadFile(filepath.Join(testdata, "figure2.hl2"))
 	if len(a) == 0 || !bytes.Equal(a, b) {
-		t.Fatal("tiny.hl1 migrated differs from tiny_codes.hl2")
+		t.Fatal("tiny.hl1 migrated differs from figure2.hl2")
 	}
 }
 
@@ -186,8 +187,8 @@ func TestRunMigrateLegacyV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []struct{ graph, in, want string }{
-		{figGraph, filepath.Join(testdata, "tiny_off64.hl2"), filepath.Join(testdata, "tiny_codes.hl2")},
-		{figGraph, filepath.Join(testdata, "tiny.hl2"), filepath.Join(testdata, "tiny_codes.hl2")},
+		{figGraph, filepath.Join(testdata, "tiny_off64.hl2"), filepath.Join(testdata, "figure2.hl2")},
+		{figGraph, filepath.Join(testdata, "tiny.hl2"), filepath.Join(testdata, "figure2.hl2")},
 		{gp, old, fresh},
 	} {
 		out := filepath.Join(dir, "migrated.idx")
@@ -330,8 +331,8 @@ func TestRunMigrateLegacyLayouts(t *testing.T) {
 
 // TestRunMigrateMaskSection13: the index file whose ranks are masks in
 // section 13 migrates, beside its graph, to the bytes a fresh build writes
-// (tiny_bits.hl2), and the serving reader refuses it with the line naming
-// migrate.
+// (figure2_top3.hl2), and the serving reader refuses it with the line
+// naming migrate.
 func TestRunMigrateMaskSection13(t *testing.T) {
 	testdata := filepath.Join("..", "..", "internal", "core", "testdata")
 	gp, out := filepath.Join(t.TempDir(), "fig2.hwg"), filepath.Join(t.TempDir(), "tiny.idx")
@@ -345,9 +346,108 @@ func TestRunMigrateMaskSection13(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(out)
-	want, werr := os.ReadFile(filepath.Join(testdata, "tiny_bits.hl2"))
+	want, werr := os.ReadFile(filepath.Join(testdata, "figure2_top3.hl2"))
 	if err != nil || werr != nil || !bytes.Equal(got, want) {
-		t.Fatalf("migrated to %d bytes (%v, %v), not tiny_bits.hl2's %d", len(got), err, werr, len(want))
+		t.Fatalf("migrated to %d bytes (%v, %v), not figure2_top3.hl2's %d", len(got), err, werr, len(want))
+	}
+}
+
+// TestRunMigrateSection12: the index files whose distances are a code an
+// entry in section 12 (tiny_codes.hl2) beside ranks a byte an entry in
+// section 4 (grid_ranks.hl2) migrate, beside their graph, to the bytes a
+// fresh build writes (figure2.hl2, grid.hl2), after the serving reader
+// refuses them with the line naming migrate; and a checkpoint of such
+// labels beside its graph migrates with no -graph to what EncodeSnapshot
+// writes today.
+func TestRunMigrateSection12(t *testing.T) {
+	testdata := filepath.Join("..", "..", "internal", "core", "testdata")
+	dir := t.TempDir()
+	for _, c := range []struct {
+		g       *highway.Graph
+		in, out string
+	}{{gen.PaperFigure2(), "tiny_codes.hl2", "figure2.hl2"}, {gen.Grid(5, 6), "grid_ranks.hl2", "grid.hl2"}} {
+		gp, out := filepath.Join(dir, c.in+".hwg"), filepath.Join(dir, c.out)
+		if err := highway.SaveGraph(c.g, gp); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := highway.LoadIndex(filepath.Join(testdata, c.in), c.g); err == nil || !strings.Contains(err.Error(), "hlbuild migrate") || strings.Contains(err.Error(), "\n") {
+			t.Fatalf("%s loaded: %v, want one line naming hlbuild migrate", c.in, err)
+		}
+		if err := run([]string{"migrate", "-graph", gp, "-in", filepath.Join(testdata, c.in), "-out", out}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(out)
+		want, werr := os.ReadFile(filepath.Join(testdata, c.out))
+		if err != nil || werr != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s migrated to %d bytes (%v, %v), not %s's %d", c.in, len(got), err, werr, c.out, len(want))
+		}
+	}
+	// tiny_codes.hl2's label sections beside the graph's: a checkpoint of
+	// the last writer of section 12.
+	g := gen.PaperFigure2()
+	raw, err := os.ReadFile(filepath.Join(testdata, "tiny_codes.hl2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, sec, err := container.ReadContainer(bytes.NewReader(raw), true, func(container.Header) (map[uint32]uint64, error) {
+		return map[uint32]uint64{1: 1 << 10, 2: 1 << 10, 6: 1 << 10, 12: 1 << 10, 14: 1 << 10, 15: 1 << 10}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := []container.Section{sec[1], sec[2], sec[14], sec[15], sec[12], sec[6]}
+	var old, want bytes.Buffer
+	if err := container.WriteContainer(&old, h, append(g.Sections(), labels...)); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := core.Build(g, gen.PaperLandmarks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := serve.EncodeSnapshot(&want, g, ix); err != nil {
+		t.Fatal(err)
+	}
+	in, out := filepath.Join(dir, "old.snap"), filepath.Join(dir, "new.snap")
+	if err := os.WriteFile(in, old.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"migrate", "-in", in, "-out", out}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("the section-12 checkpoint migrated to %d bytes (%v), not the %d EncodeSnapshot writes", len(got), err, want.Len())
+	}
+}
+
+// TestRunMigrateCurrentSnapshot: a checkpoint already in today's layout,
+// such as one written before an operator runs migrate over every
+// checkpoint, is rewritten as it is, with or without -graph, and exits 0.
+func TestRunMigrateCurrentSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	g := gen.BarabasiAlbert(500, 3, 7)
+	ix, err := core.Build(g, g.DegreeOrder()[:8])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := serve.EncodeSnapshot(&snap, g, ix); err != nil {
+		t.Fatal(err)
+	}
+	in, gp := filepath.Join(dir, "s.wal.snap"), filepath.Join(dir, "g.hwg")
+	if err := os.WriteFile(in, snap.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := highway.SaveGraph(g, gp); err != nil {
+		t.Fatal(err)
+	}
+	for i, args := range [][]string{{"-in", in}, {"-graph", gp, "-in", in}} {
+		out := filepath.Join(dir, fmt.Sprint("out", i))
+		if err := run(append([]string{"migrate", "-out", out}, args...)); err != nil {
+			t.Fatalf("migrate %v: %v", args, err)
+		}
+		if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, snap.Bytes()) {
+			t.Fatalf("migrate %v rewrote %d bytes (%v), not the %d of the checkpoint", args, len(got), err, snap.Len())
+		}
 	}
 }
 

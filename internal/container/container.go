@@ -12,11 +12,12 @@
 //
 // Every payload is checksummed with CRC-32C and its length bounded before
 // any allocation. Readers skip unknown ids, so sections can be added
-// without revving the magic. Ids: 1, 2, 4, 6–8, 12 and 14–20 the
-// labelling (internal/core; 17–20 hold 14, 15, 7 and 8 of a labelling that
-// keeps no label for its leaves; 3 held its offsets and 5 its distances, a
-// byte each, and 13 its ranks as masks of ⌈k/8⌉ bytes a vertex, in files
-// only `hlbuild migrate` reads now), 9 and 10 the graph
+// without revving the magic. Ids: 1, 2, 6 and 14–18 the labelling
+// (internal/core; 17 and 18 hold 14 and 15 of a labelling that keeps no
+// label for its leaves; 3, 7 and 8 (19 and 20) held its offsets, 4 a rank
+// byte an entry, 5 a distance byte an entry, 12 a distance code an entry
+// and 13 its ranks as masks of ⌈k/8⌉ bytes a vertex, in files only
+// `hlbuild migrate` reads now), 9 and 10 the graph
 // (internal/graph), 11 an index file's graph fingerprint, 32 (SectTag)
 // the first of every file of the retired PLL, FD, IS-L and dynhl formats,
 // refused with one line naming the method, as the v1 index layout

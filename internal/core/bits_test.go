@@ -100,11 +100,12 @@ var bitsKs = []int{1, 3, 16, 20, 63, 64, 65, 100, 128, 255}
 // bitsN is a vertex count whose n·k bits run into a third 2¹⁶-bit block.
 func bitsN(k int) int { return 2<<16/k + 2 }
 
-// TestPackedRankOffsets holds labelOf over packed ranks to the plain
+// TestPackedRankOffsets holds start and ranksOf over packed ranks to the plain
 // prefix sums: for each k of bitsKs, random labels, dense and sparse, of
 // bitsN(k) vertices, and packRanks with 1, 2 and 5 workers, give the
-// bits, directory and offsets plainRanks gives, and every vertex's start
-// and ranks are the prefix sum of the labels before it and its own.
+// bits and directory plainRanks gives and the count of all their ranks,
+// and every vertex's start, size and ranks are the prefix sum of the
+// labels before it and its own.
 func TestPackedRankOffsets(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, k := range bitsKs {
@@ -123,15 +124,13 @@ func TestPackedRankOffsets(t *testing.T) {
 			}
 			want := plainRanks(n, k, func(v int) []int32 { return labels[v] })
 			for _, workers := range []int{1, 2, 5} {
-				b, off := packRanks(n, k, workers, func(v int, m *landmarkSet) {
+				b, entries := packRanks(n, k, workers, func(v int, m *landmarkSet) {
 					for _, r := range labels[v] {
 						m[r>>6] |= 1 << (r & 63)
 					}
 				})
-				entries := off.at(int32(n))
-				if !bytes.Equal(b.bits, want[sectLabelBits]) || !bytes.Equal(b.dir, want[sectLabelDir]) ||
-					!bytes.Equal(off.base, want[sectLabelBase]) || !bytes.Equal(off.rel, want[sectLabelRel]) {
-					t.Fatalf("k=%d n=%d workers=%d: packRanks differs from the plain bits, directory and offsets", k, n, workers)
+				if !bytes.Equal(b.bits, want[sectLabelBits]) || !bytes.Equal(b.dir, want[sectLabelDir]) || entries != int64(len(want[sectLabelRank])) {
+					t.Fatalf("k=%d n=%d workers=%d: packRanks differs from the plain bits and directory, or counts %d ranks", k, n, workers, entries)
 				}
 				if got, err := b.directory(false); err != nil || got != entries {
 					t.Fatalf("k=%d: directory(false) = %d, %v; want %d", k, got, err, entries)
@@ -142,8 +141,9 @@ func TestPackedRankOffsets(t *testing.T) {
 					for _, r := range labels[v] {
 						ranks[r>>6] |= 1 << (r & 63)
 					}
-					if lo := b.labelOf(int32(v), &m); lo != sum || m != ranks {
-						t.Fatalf("k=%d n=%d: vertex %d starts at %d with ranks %x, want %d and %x", k, n, v, lo, m, sum, ranks)
+					b.ranksOf(int32(v), &m)
+					if lo := b.start(int32(v)); lo != sum || m != ranks || b.size(int32(v)) != int64(len(labels[v])) {
+						t.Fatalf("k=%d n=%d: vertex %d starts at %d with %d ranks %x, want %d and %x", k, n, v, lo, b.size(int32(v)), m, sum, ranks)
 					}
 					sum += int64(len(labels[v]))
 				}
@@ -154,8 +154,8 @@ func TestPackedRankOffsets(t *testing.T) {
 
 // TestPackedIndexes: at each k of bitsKs, an index of bitsN(k) vertices —
 // a Barabási–Albert graph, its k highest-degree vertices as landmarks —
-// whatever form it takes, gives every vertex the start and ranks of the
-// plain prefix sums over Label and the rank sections plainRanks gives;
+// gives every vertex the start and ranks of the plain prefix sums over
+// Label and the rank sections plainRanks gives;
 // Write → Read → Write gives the same bytes, and builds with 1, 2 and 5
 // workers give the same file.
 func TestPackedIndexes(t *testing.T) {
@@ -189,19 +189,14 @@ func TestPackedIndexes(t *testing.T) {
 func checkPlainRanks(t *testing.T, ix *Index) {
 	t.Helper()
 	want := plainRanksOf(ix)
-	rankBytes, maskBytes := rankFormBytes(want)
 	_, sections := ix.Sections()
 	got := map[uint32][]byte{}
 	for _, s := range sections {
 		got[s.ID] = s.Payload
 	}
-	ids := []uint32{sectLabelBase, sectLabelRel, sectLabelRank}
-	if maskBytes < rankBytes {
-		ids = []uint32{sectLabelBits, sectLabelDir}
-	}
-	for _, id := range ids {
-		if !bytes.Equal(got[id], want[id]) {
-			t.Fatalf("section %d differs from the plain one (rank bytes %d, mask %d)", id, rankBytes, maskBytes)
+	for i, id := range rankIDs(ix.leaves.words != nil) {
+		if !bytes.Equal(got[id], want[[]uint32{sectLabelBits, sectLabelDir}[i]]) {
+			t.Fatalf("section %d differs from the plain one", id)
 		}
 	}
 	var sum int64

@@ -503,8 +503,7 @@ func (rw *Rows) Assemble(g *graph.Graph) *Index {
 	cand := leavesOf(g, rw.isLandmark)
 	if len(rw.runs) == 0 && prev.elides(cand) {
 		ix.setLeaves(prev.leaves, prev.entries)
-		ix.labelOff, ix.labelRank, ix.labelMask = prev.labelOff, prev.labelRank, prev.labelMask
-		ix.labelDist, ix.dist, ix.overflow = prev.labelDist, prev.dist, prev.overflow
+		ix.labelMask, ix.labelDist, ix.dist, ix.overflow = prev.labelMask, prev.labelDist, prev.dist, prev.overflow
 	} else {
 		keep := below(k) // the ranks that did not run
 		for _, run := range rw.runs {
@@ -525,8 +524,7 @@ func (rw *Rows) Assemble(g *graph.Graph) *Index {
 // elides reports whether ix's labelling, on a graph whose leaves
 // (leavesOf) are cand, elides the ones ix does.
 func (ix *Index) elides(cand leafSet) bool {
-	elided := cand.sum(func(v int32) int64 { return int64(ix.LabelSize(v)) })
-	if !chooseLeaves(len(ix.rankOf), len(ix.landmarks), ix.entries, cand.count(), elided) {
+	if !chooseLeaves(len(ix.rankOf), len(ix.landmarks), cand.count()) {
 		return ix.leaves.words == nil
 	}
 	return slices.Equal(cand.words, ix.leaves.words)
@@ -540,18 +538,16 @@ func below(k int) (m landmarkSet) {
 	return m
 }
 
-// wideLabels is a labelling before its distances are packed and its ranks
-// take their form: the vertices it elides and the entries of every label;
-// per slot the ranks it holds, as the mask form holds them, and the
-// smallest code, min(d-1, 255), and the span, at most 255, of its label,
-// and the counts of them all; one byte an entry, its code less its label's
-// smallest; and the exact distance of each entry coded 255 (d ≥ 256) by
-// its position in deep.
+// wideLabels is a labelling before its distances are packed: the vertices
+// it elides and the entries of every label; per slot the ranks it holds,
+// and the smallest code, min(d-1, 255), and the span, at most 255, of its
+// label, and the counts of them all; one byte an entry, its code less its
+// label's smallest; and the exact distance of each entry coded 255
+// (d ≥ 256) by its position in deep.
 type wideLabels struct {
 	leaves    leafSet
 	entries   int64
 	ranks     rankBits
-	off       offsets // where the labels start
 	code      []uint8
 	deep      map[int64]int32
 	low, span []uint8
@@ -567,30 +563,21 @@ func (l *wideLabels) dist(p int64, low uint8) int32 {
 	return l.deep[p]
 }
 
-// distStats is what choosing the distance form takes: entries by the bits
-// bits.Len(c+1) their code needs, and by those their label's smallest code
-// and span need; w bits hold a code that needs w, a span whose Len is w.
+// distStats is what choosing the distance widths takes: entries by the
+// bits bits.Len(c+1) their label's smallest code needs and by those its
+// span needs; w bits hold a code that needs w, a span whose Len is w.
 type distStats struct {
-	entry [10]int64
 	label [10][9]int64
 }
 
-// add counts a label whose smallest code is low, whose codes are low more
-// than these, and whose largest distance is top, and returns its span, at
-// most 255.
-func (st *distStats) add(codes []uint8, low uint8, top int32) (span uint8) {
-	if len(codes) == 0 {
+// add counts a label of entries entries whose smallest code is low and
+// whose largest distance is top, and returns its span, at most 255.
+func (st *distStats) add(entries int64, low uint8, top int32) (span uint8) {
+	if entries == 0 {
 		return 0
 	}
-	if top > 3 { // some code escapes at some width
-		for _, c := range codes {
-			st.entry[bits.Len16(uint16(c)+uint16(low)+1)]++
-		}
-	} else {
-		st.entry[0] += int64(len(codes)) // escaping at no width, they need not be told apart
-	}
 	span = uint8(min(top-int32(low)-1, 255))
-	st.label[bits.Len16(uint16(low)+1)][bits.Len8(span)] += int64(len(codes))
+	st.label[bits.Len16(uint16(low)+1)][bits.Len8(span)] += entries
 	return span
 }
 
@@ -610,7 +597,6 @@ func (st *distStats) escaped(w, wo uint8) (n int64) {
 // merge adds o's counts to st's.
 func (st *distStats) merge(o *distStats) {
 	for a := range st.label {
-		st.entry[a] += o.entry[a]
 		for b := range st.label[a] {
 			st.label[a][b] += o.label[a][b]
 		}
@@ -642,10 +628,9 @@ func deepOf(lists [][]posDist) map[int64]int32 {
 // chooseLeaves says so, and the other vertices' labels fill the slots in
 // vertex order. Every entry owns its position, so the workers share the
 // chunks and blocks without sharing a write; an entry too deep for a byte
-// goes on its worker's own list. prev's labels are read through slotOf, in
-// either distance form.
+// goes on its worker's own list. prev's labels are read through slotOf.
 func layLabels(runs []*groupRun, prev *Index, keep *landmarkSet, cand leafSet, n, k, workers int) wideLabels {
-	ranks, off := packRanks(n, k, workers, func(v int, m *landmarkSet) {
+	ranks, entries := packRanks(n, k, workers, func(v int, m *landmarkSet) {
 		if prev != nil {
 			s, _ := prev.slotOf(int32(v))
 			prev.labelOf(s, m)
@@ -665,9 +650,9 @@ func layLabels(runs []*groupRun, prev *Index, keep *landmarkSet, cand leafSet, n
 			}
 		}
 	})
-	l := wideLabels{entries: off.at(int32(n))}
+	l := wideLabels{entries: entries}
 	var verts []int32 // slot -> vertex, when leaves are elided
-	if elided := cand.sum(func(v int32) int64 { return off.at(v+1) - off.at(v) }); chooseLeaves(n, k, l.entries, cand.count(), elided) {
+	if chooseLeaves(n, k, cand.count()) {
 		l.leaves, verts = cand, make([]int32, 0, n-cand.count())
 		for v := range int32(n) {
 			if !cand.has(v) {
@@ -675,12 +660,12 @@ func layLabels(runs []*groupRun, prev *Index, keep *landmarkSet, cand leafSet, n
 			}
 		}
 		all := ranks
-		ranks, off = packRanks(len(verts), k, workers, func(s int, m *landmarkSet) { all.ranksOf(verts[s], m) })
+		ranks, entries = packRanks(len(verts), k, workers, func(s int, m *landmarkSet) { all.ranksOf(verts[s], m) })
 	}
 	// Codes are written less a low no code of their label is below, from the
 	// runs and prev's base: a build's label's smallest, a merge's nearly.
 	slots := n - l.leaves.count()
-	l.ranks, l.off, l.code, l.low, l.span = ranks, off, make([]uint8, off.at(int32(slots))), make([]uint8, slots), make([]uint8, slots)
+	l.ranks, l.code, l.low, l.span = ranks, make([]uint8, entries), make([]uint8, slots), make([]uint8, slots)
 	vertex := func(s int) int32 {
 		if verts == nil {
 			return int32(s)
@@ -713,10 +698,10 @@ func layLabels(runs []*groupRun, prev *Index, keep *landmarkSet, cand leafSet, n
 				}
 				d := uint8(min(e.d-1, 255)) - l.low[s]
 				var m landmarkSet // read only where other ranks may precede the run's
-				all, start := run.labelled[e.v], off.at(s)
+				all, start := run.labelled[e.v], ranks.start(s)
 				first := start // the entry of the run's first rank
 				if run.ranks[0] > 0 || prev != nil {
-					ranks.labelOf(s, &m)
+					ranks.ranksOf(s, &m)
 					first += before(m[:], run.ranks[0])
 				}
 				for x := e.mask; x != 0; x &= x - 1 {
@@ -736,9 +721,9 @@ func layLabels(runs []*groupRun, prev *Index, keep *landmarkSet, cand leafSet, n
 	l.deep = deepOf(deep)
 	parts, deep := make([]distStats, workers), make([][]posDist, workers)
 	share(workers, (slots+pullBlock-1)/pullBlock, func(w, i int) {
-		lo := off.at(int32(i * pullBlock))
+		lo := ranks.start(int32(i * pullBlock))
 		for s := i * pullBlock; s < min((i+1)*pullBlock, slots); s++ {
-			hi, low, top := off.at(int32(s+1)), l.low[s], int32(0)
+			hi, low, top := lo+ranks.size(int32(s)), l.low[s], int32(0)
 			switch {
 			case lo == hi:
 				low = 0
@@ -751,7 +736,7 @@ func layLabels(runs []*groupRun, prev *Index, keep *landmarkSet, cand leafSet, n
 				var pm, m landmarkSet
 				ps, leaf := prev.slotOf(vertex(s))
 				q, p, pl, small := prev.labelOf(ps, &pm), lo, prev.distOf(ps, leaf), 255
-				ranks.labelOf(int32(s), &m)
+				ranks.ranksOf(int32(s), &m)
 				for wd, x := range m[:] {
 					for ; x != 0; x, p = x&(x-1), p+1 {
 						d := l.dist(p, low)         // a rank that ran
@@ -770,7 +755,7 @@ func layLabels(runs []*groupRun, prev *Index, keep *landmarkSet, cand leafSet, n
 				}
 				low += uint8(small)
 			}
-			l.low[s], l.span[s] = low, parts[w].add(code[lo:hi], low, top)
+			l.low[s], l.span[s] = low, parts[w].add(hi-lo, low, top)
 			lo = hi
 		}
 	})
@@ -790,30 +775,6 @@ func (ix *Index) setLeaves(s leafSet, entries int64) {
 		s.readRanks(ix.g, ix.rankOf, rankOf)
 		ix.rankOf = rankOf
 	}
-}
-
-// setRanks makes ranks, laid out in the mask form's bits and as off places
-// them, ix's in the form chooseMask picks: the bits as they are, or a byte
-// an entry beside off. ix.leaves says which labels they are.
-func (ix *Index) setRanks(ranks rankBits, off offsets) {
-	n, k := ix.slots(), len(ix.landmarks)
-	if chooseMask(n, k, off.at(int32(n))) {
-		ix.labelOff, ix.labelRank, ix.labelMask = offsets{}, nil, ranks
-		return
-	}
-	labelRank := make([]byte, off.at(int32(n)))
-	for v := range int32(n) {
-		var m landmarkSet
-		ranks.labelOf(v, &m)
-		p := off.at(v)
-		for w, x := range m[:] {
-			for ; x != 0; x &= x - 1 {
-				labelRank[p] = uint8(w<<6 | bits.TrailingZeros64(x))
-				p++
-			}
-		}
-	}
-	ix.labelOff, ix.labelRank, ix.labelMask = off, labelRank, rankBits{}
 }
 
 // packChunk entries are packed at a time: a multiple of the 8 codes a
@@ -848,36 +809,25 @@ func packCodes(out, codes []uint8, w uint8) {
 	}
 }
 
-// pack makes l ix's label arrays: the leaves it elides, its ranks in the
-// form chooseMask gives, its distances in the form and widths chooseDist
-// gives, and the entries that escape there its overflow map.
+// pack makes l ix's label arrays: the leaves it elides, its ranks, its
+// distances in the widths chooseDist gives, and the entries that escape
+// there its overflow map.
 func (ix *Index) pack(l *wideLabels, workers int) {
 	n, entries := len(l.low), int64(len(l.code))
 	ix.setLeaves(l.leaves, l.entries)
-	ix.setRanks(l.ranks, l.off)
-	perLabel, width, wo := chooseDist(n, entries, &l.stats)
-	dist, codeW := make([]byte, distLen(entries, width)), width
-	if perLabel {
-		dist, codeW = make([]byte, 2+(int64(n)*int64(width)+7)/8+(entries*int64(wo)+7)/8), wo
-		dist[1] = wo
-	}
-	dist[0] = width
-	ix.setDist(dist, perLabel)
-	// Per entry, each code is d-1 again and escapes at width. Per label, a
-	// label the widths do not hold escapes, its base all ones and its
+	ix.labelMask = l.ranks
+	width, wo := chooseDist(n, entries, &l.stats)
+	dist := make([]byte, 2+(int64(n)*int64(width)+7)/8+(entries*int64(wo)+7)/8)
+	dist[0], dist[1] = width, wo
+	ix.setDist(dist)
+	// A label the widths do not hold escapes, its base all ones and its
 	// excesses 0, and an entry too deep for a byte takes its excess from deep.
 	over := make([][]posDist, workers)
 	share(workers, (n+pullBlock-1)/pullBlock, func(w, i int) {
-		lo := l.off.at(int32(i * pullBlock))
+		lo := l.ranks.start(int32(i * pullBlock))
 		for v := i * pullBlock; v < min((i+1)*pullBlock, n); v++ {
-			hi, low, span := l.off.at(int32(v+1)), l.low[v], l.span[v]
+			hi, low, span := lo+l.ranks.size(int32(v)), l.low[v], l.span[v]
 			switch {
-			case !perLabel: // codes again
-				for p := lo; p < hi; p++ {
-					if l.code[p] += low; l.code[p] >= 1<<width-1 {
-						over[w] = append(over[w], posDist{p, l.dist(p, 0)})
-					}
-				}
 			case low >= 1<<width-1 || span >= 1<<wo:
 				for p := lo; p < hi; p++ {
 					over[w], l.code[p] = append(over[w], posDist{p, l.dist(p, low)}), 0
@@ -892,14 +842,12 @@ func (ix *Index) pack(l *wideLabels, workers int) {
 		}
 	})
 	ix.overflow = deepOf(over)
-	if perLabel {
-		share(workers, (n+packChunk-1)/packChunk, func(_, i int) {
-			packCodes(ix.dist.bases[i*packChunk*int(width)/8:], l.low[i*packChunk:min((i+1)*packChunk, n)], width)
-		})
-	}
-	if codeW > 0 {
+	share(workers, (n+packChunk-1)/packChunk, func(_, i int) {
+		packCodes(ix.dist.bases[i*packChunk*int(width)/8:], l.low[i*packChunk:min((i+1)*packChunk, n)], width)
+	})
+	if wo > 0 {
 		share(workers, int((entries+packChunk-1)/packChunk), func(_, i int) {
-			packCodes(ix.dist.codes[i*packChunk*int(codeW)/8:], l.code[i*packChunk:min((i+1)*packChunk, int(entries))], codeW)
+			packCodes(ix.dist.codes[i*packChunk*int(wo)/8:], l.code[i*packChunk:min((i+1)*packChunk, int(entries))], wo)
 		})
 	}
 }

@@ -190,21 +190,21 @@ func sameEntrySet(a, b *Index, v int32) bool {
 // any worker count AND any traversal direction produces an identical
 // index. The direction sweep pins the direction-optimizing engine to the
 // top-down reference: bottom-up levels must claim exactly the same label
-// and prune sets. It runs in each distance form and at each per-entry width,
-// on graphs large enough (but BA-600) for workers to share a build's levels
-// and packing;
-// a ring lattice with 1% of its edges rewired is far enough across for
-// w = 8.
+// and prune sets. It runs at each base width and with excesses of 1, 2 and
+// 4 bits, on graphs large enough (but BA-600) for workers to share a
+// build's levels and packing; a ring lattice with 1% of its edges rewired
+// is far enough across for w = 8, and its labels span enough hops that
+// 23 050 entries escape.
 func TestParallelMatchesSequential(t *testing.T) {
 	ba, ws, ring := gen.BarabasiAlbert(600, 4, 17), gen.WattsStrogatz(10_000, 6, 0.1, 1), gen.WattsStrogatz(10_000, 4, 0.01, 1)
 	ba2k := gen.BarabasiAlbert(2000, 10, 42)
 	for _, c := range []widthCase{
-		{"ba600", ba, ba.DegreeOrder()[:20], perLabel(2, 1), 22},
+		{"ba600", ba, ba.DegreeOrder()[:20], distForm{2, 1}, 22},
 		widthCases()[0],
-		{"smallworld", ws, ws.DegreeOrder()[:20], perEntry(4), 0},
-		{"ring", ring, ring.DegreeOrder()[:20], perEntry(8), 0},
+		{"smallworld", ws, ws.DegreeOrder()[:20], distForm{4, 4}, 0},
+		{"ring", ring, ring.DegreeOrder()[:20], distForm{8, 4}, 23_050},
 		// Four groups of landmarks whose ranks take a mask of two words.
-		{"ba2000 k100", ba2k, ba2k.DegreeOrder()[:100], perLabel(2, 1), 30},
+		{"ba2000 k100", ba2k, ba2k.DegreeOrder()[:100], distForm{2, 1}, 30},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			seq, err := Build(c.g, c.lm)
@@ -398,7 +398,7 @@ func indexesIdentical(a, b *Index) bool {
 			return false
 		}
 	}
-	return bytes.Equal(a.labelRank, b.labelRank) && bytes.Equal(a.labelMask.bits, b.labelMask.bits) && bytes.Equal(a.labelMask.dir, b.labelMask.dir) &&
+	return bytes.Equal(a.labelMask.bits, b.labelMask.bits) && bytes.Equal(a.labelMask.dir, b.labelMask.dir) &&
 		bytes.Equal(a.labelDist, b.labelDist) &&
 		maps.Equal(a.overflow, b.overflow)
 }

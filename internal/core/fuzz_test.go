@@ -16,25 +16,26 @@ import (
 // Successful loads must yield an index whose basic operations are safe to
 // call.
 func FuzzLoadIndex(f *testing.F) {
-	// Seeds: an index of each distance code width — the golden index
-	// (w = 2), the spider's (w = 4, 5 overflow records) and the path-600
-	// index (w = 8, 686 records), whose ranks take the bits, as do those of
-	// the paper's example with its three highest-degree vertices as
-	// landmarks — and the grid whose ranks keep rank bytes —, every
-	// malformed offsets section TestReadChecksOffsets names and every
-	// malformed rank bits or directory TestReadChecksRankMask names; then a
-	// file of each retired layout: the committed v1 files and the one with
-	// its offsets in section 3, both indexes without section 11, the
-	// committed index file and checkpoint with one distance byte an entry,
-	// the committed graph file and checkpoint from before the graph became
-	// sections, and the committed index file with masks in section 13. Each
-	// of those is refused with the one line naming the command that
-	// rewrites it (internal/legacy reads them); then the labelling whose
-	// distances are kept per label, and every malformed section 16
-	// TestReadChecksExcessCodes names; last, the labelling that keeps no
-	// label for its leaves, as it is written and as writers before sections
-	// 17 to 20 wrote it, and every malformed section TestReadChecksLeaves
-	// names.
+	// Seeds: an index of each base width — the golden index (w = 2), the
+	// spider's (5 overflow records) and the path-600 index (w = 8, 686
+	// records), and the paper's example with its three highest-degree
+	// vertices as landmarks, and the grid whose ranks would take a byte
+	// fewer as rank bytes — and every malformed rank bits or directory
+	// TestReadChecksRankMask names; then a file of each retired layout: the
+	// committed v1 files and the one with its offsets in section 3, both
+	// indexes without section 11, the committed index file and checkpoint
+	// with one distance byte an entry, the committed graph file and
+	// checkpoint from before the graph became sections, the committed index
+	// file with masks in section 13, the committed files with a distance
+	// code an entry in section 12 (tiny_codes.hl2, tiny_bits.hl2), beside
+	// rank bytes in section 4 (grid_ranks.hl2, tiny_ranks.hl2), and
+	// path-600's ranks as rank bytes beside section 16. Each of those is
+	// refused with the one line naming the command that rewrites it
+	// (internal/legacy reads them); then the labelling whose labels span a
+	// hop, and every malformed section 16 TestReadChecksExcessCodes names;
+	// last, the labelling that keeps no label for its leaves, as it is
+	// written and as writers before sections 17 to 20 wrote it, and every
+	// malformed section TestReadChecksLeaves names.
 	fig2 := gen.PaperFigure2()
 	path600G, path600Ix := path600(f)
 	spiderCase := widthCases()[1]
@@ -43,7 +44,7 @@ func FuzzLoadIndex(f *testing.F) {
 		f.Fatal(err)
 	}
 	golden, path600File := v2Bytes(f, goldenIndex(f)), v2Bytes(f, path600Ix)
-	seeds := [][]byte{golden, v2Bytes(f, spiderIx), path600File, v2Bytes(f, goldenMaskIndex(f)), v2Bytes(f, goldenRankIndex(f))}
+	seeds := [][]byte{golden, v2Bytes(f, spiderIx), path600File, v2Bytes(f, goldenTop3Index(f)), v2Bytes(f, goldenGridIndex(f))}
 	for _, old := range []struct {
 		file []byte
 		g    *graph.Graph
@@ -52,14 +53,13 @@ func FuzzLoadIndex(f *testing.F) {
 		{withoutSection11(f, golden), fig2}, {withoutSection11(f, path600File), path600G},
 		{testdata(f, "tiny.hl2"), fig2}, {testdata(f, "tiny.snap2"), fig2},
 		{testdata(f, "tiny.hwg1"), fig2}, {testdata(f, "tiny.snap1"), fig2}, {testdata(f, "tiny_mask.hl2"), fig2},
+		{testdata(f, "tiny_codes.hl2"), fig2}, {testdata(f, "tiny_bits.hl2"), fig2}, {testdata(f, "grid_ranks.hl2"), gen.Grid(5, 6)},
+		{testdata(f, "tiny_ranks.hl2"), fig2}, {rankBytesFile(f, path600Ix), path600G},
 	} {
 		if _, err := Read(bytes.NewReader(old.file), old.g); !namesMigrate(err) {
 			f.Fatalf("seed %d: %v, want one line naming hlbuild migrate", len(seeds), err)
 		}
 		seeds = append(seeds, old.file)
-	}
-	for _, c := range offsetCases() {
-		f.Add(reframe(f, rankBytesFile(f, path600Ix), c.edit))
 	}
 	for _, c := range rankMaskCases(path600Ix) {
 		f.Add(reframe(f, path600File, c.edit))

@@ -27,11 +27,12 @@ func goldenIndex(tb testing.TB) *Index {
 	return ix
 }
 
-// goldenMaskIndex is the paper's running example with its three
-// highest-degree vertices as landmarks, 18 entries: tiny_bits.hl2 is its
-// file, and tiny_mask.hl2 and tiny_ranks.hl2 what writers before sections
-// 14 and 15 wrote for it.
-func goldenMaskIndex(tb testing.TB) *Index {
+// goldenTop3Index is the paper's running example with its three
+// highest-degree vertices as landmarks, 18 entries: figure2_top3.hl2 is its
+// file; tiny_mask.hl2 and tiny_ranks.hl2 are what writers before sections
+// 14 and 15 wrote for it, and tiny_bits.hl2 what writers before section 16
+// did.
+func goldenTop3Index(tb testing.TB) *Index {
 	tb.Helper()
 	g := gen.PaperFigure2()
 	ix, err := Build(g, g.DegreeOrder()[:3])
@@ -41,10 +42,12 @@ func goldenMaskIndex(tb testing.TB) *Index {
 	return ix
 }
 
-// goldenRankIndex is a labelling whose ranks keep rank bytes: a 5×6 grid
-// with its 15 highest-degree vertices as landmarks, 17 entries, 87 bytes
-// of rank bytes and offsets against 88 of bits and directory.
-func goldenRankIndex(tb testing.TB) *Index {
+// goldenGridIndex is a labelling whose ranks would take a byte fewer as
+// rank bytes beside offsets: a 5×6 grid with its 15 highest-degree
+// vertices as landmarks, 17 entries, 87 bytes of rank bytes and offsets
+// against 88 of bits and directory. grid.hl2 is its file, and
+// grid_ranks.hl2 what writers before section 16 wrote for it.
+func goldenGridIndex(tb testing.TB) *Index {
 	tb.Helper()
 	g := gen.Grid(5, 6)
 	ix, err := Build(g, g.DegreeOrder()[:15])
@@ -101,23 +104,19 @@ func goldenLeafIndex(tb testing.TB) *Index {
 	return ix
 }
 
-// TestGoldenV2 pins the v2 format bytes of both rank forms, both distance
-// forms and a labelling that keeps no label for its leaves: if
-// serialization drifts — field order, section ids, checksums, encoding —
-// this fails before any user's index files stop loading. tiny_codes.hl2,
-// tiny_bits.hl2 and hubs_excess.hl2 keep their ranks in sections 14 and 15,
-// grid_ranks.hl2 in sections 7, 8 and 4, and leaves.hl2, which elides its
-// leaves, in sections 17 and 18; hubs_excess.hl2 and leaves.hl2 keep their
-// distances per label in section 16, the others per entry in section 12.
-// Regenerate deliberately with `go test ./internal/core -run TestGoldenV2
-// -update-golden` and call the change out in review: it breaks files
-// written by older builds.
+// TestGoldenV2 pins the v2 format bytes of five labellings, one of which
+// keeps no label for its leaves: if serialization drifts — field order,
+// section ids, checksums, encoding — this fails before any user's index
+// files stop loading. Every file keeps its ranks in sections 14 and 15 —
+// leaves.hl2, which elides its leaves, in 17 and 18 — and its distances per
+// label in section 16. Regenerate deliberately with `go test
+// ./internal/core -run TestGoldenV2 -update-golden` and call the change out
+// in review: it breaks files written by older builds.
 func TestGoldenV2(t *testing.T) {
-	for name, ix := range map[string]*Index{"tiny_codes.hl2": goldenIndex(t), "tiny_bits.hl2": goldenMaskIndex(t), "grid_ranks.hl2": goldenRankIndex(t), "hubs_excess.hl2": goldenExcessIndex(t), "leaves.hl2": goldenLeafIndex(t)} {
+	for name, ix := range map[string]*Index{"figure2.hl2": goldenIndex(t), "figure2_top3.hl2": goldenTop3Index(t), "grid.hl2": goldenGridIndex(t), "hubs_excess.hl2": goldenExcessIndex(t), "leaves.hl2": goldenLeafIndex(t)} {
 		t.Run(name, func(t *testing.T) {
-			mask, perLabel, elided := ix.labelMask.bits != nil, formOf(ix).perLabel, ix.leaves.words != nil
-			if mask != (name != "grid_ranks.hl2") || perLabel != (name == "hubs_excess.hl2" || name == "leaves.hl2") || elided != (name == "leaves.hl2") {
-				t.Fatalf("test premise broken: mask form %v, per label %v, leaves elided %v", mask, perLabel, elided)
+			if elided := ix.leaves.words != nil; elided != (name == "leaves.hl2") {
+				t.Fatalf("test premise broken: leaves elided %v", elided)
 			}
 			checkGolden(t, ix, name)
 		})
@@ -127,28 +126,30 @@ func TestGoldenV2(t *testing.T) {
 // TestKeptLeavesLoad: writers before sections 17 to 20 kept every label.
 // leaves_kept.hl2 is what the last of them wrote for goldenLeafIndex, its
 // ranks in sections 14 and 15 over all 69 vertices: it loads as the index
-// a build gives, answers every pair as BFS does, and writes leaves.hl2. So
-// do the kept labels' ranks as rank bytes in sections 19, 20 and 4, which
-// no writer produces for this labelling.
+// a build gives, answers every pair as BFS does, and writes leaves.hl2.
+// The kept labels' ranks as rank bytes in sections 19, 20 and 4, which no
+// writer produced for this labelling, are a layout only `hlbuild migrate`
+// reads: refused with its line.
 func TestKeptLeavesLoad(t *testing.T) {
 	ix, want := goldenLeafIndex(t), testdata(t, "leaves.hl2")
-	plain := plainRanksOf(ix)
-	for name, file := range map[string][]byte{
-		"every label": testdata(t, "leaves_kept.hl2"),
-		"rank bytes": reframe(t, want, func(_ *container.Header, sec map[uint32][]byte) {
+	t.Run("every label", func(t *testing.T) {
+		got, err := Read(bytes.NewReader(testdata(t, "leaves_kept.hl2")), ix.Graph())
+		if err != nil || !indexesIdentical(ix, got) || !bytes.Equal(v2Bytes(t, got), want) {
+			t.Fatalf("%v, or another index than a build's, or another file than leaves.hl2", err)
+		}
+		checkAllPairs(t, ix.Graph(), got)
+	})
+	t.Run("rank bytes", func(t *testing.T) {
+		plain := plainRanksOf(ix)
+		file := reframe(t, want, func(_ *container.Header, sec map[uint32][]byte) {
 			delete(sec, sectLeafBits)
 			delete(sec, sectLeafDir)
 			sec[sectLeafBase], sec[sectLeafRel], sec[sectLabelRank] = plain[sectLabelBase], plain[sectLabelRel], plain[sectLabelRank]
-		}),
-	} {
-		t.Run(name, func(t *testing.T) {
-			got, err := Read(bytes.NewReader(file), ix.Graph())
-			if err != nil || !indexesIdentical(ix, got) || !bytes.Equal(v2Bytes(t, got), want) {
-				t.Fatalf("%v, or another index than a build's, or another file than leaves.hl2", err)
-			}
-			checkAllPairs(t, ix.Graph(), got)
 		})
-	}
+		if _, err := Read(bytes.NewReader(file), ix.Graph()); !namesMigrate(err) {
+			t.Fatalf("sections 19, 20 and 4: %v, want one line naming hlbuild migrate", err)
+		}
+	})
 }
 
 // checkGolden is TestGoldenV2 for one index and its file.
@@ -188,43 +189,6 @@ func checkGolden(t *testing.T, ix *Index, name string) {
 	checkAllPairs(t, g, ix2)
 }
 
-// TestRankBytesOfDenseLabellingLoad: writers before section 13 kept every
-// labelling's ranks in section 4. tiny_ranks.hl2 is what the last of them
-// wrote for goldenMaskIndex, whose ranks a writer of today puts in sections
-// 14 and 15: it loads as the index a build gives, answers every pair as
-// BFS does, and writes tiny_bits.hl2. rankBytesFile frames that file byte
-// for byte, so the reader checks tested on its files are the ones such
-// files meet. Either form is read as written and held in the one chosen.
-func TestRankBytesOfDenseLabellingLoad(t *testing.T) {
-	g, ix := gen.PaperFigure2(), goldenMaskIndex(t)
-	old := testdata(t, "tiny_ranks.hl2")
-	if !bytes.Equal(rankBytesFile(t, ix), old) {
-		t.Fatal("rankBytesFile does not frame the file the writers before section 13 wrote")
-	}
-	got, err := Read(bytes.NewReader(old), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !indexesIdentical(ix, got) || !bytes.Equal(v2Bytes(t, got), testdata(t, "tiny_bits.hl2")) {
-		t.Fatal("the section-4 file loads as another index than a build's, or writes another file")
-	}
-	checkAllPairs(t, g, got)
-
-	// The other way round, which no writer produces: the grid's sparse
-	// ranks as bits in sections 14 and 15 load as rank bytes.
-	sparse := goldenRankIndex(t)
-	plain := plainRanksOf(sparse)
-	file := reframe(t, testdata(t, "grid_ranks.hl2"), func(_ *container.Header, sec map[uint32][]byte) {
-		for _, id := range []uint32{sectLabelBase, sectLabelRel, sectLabelRank} {
-			delete(sec, id)
-		}
-		sec[sectLabelBits], sec[sectLabelDir] = plain[sectLabelBits], plain[sectLabelDir]
-	})
-	if got, err := Read(bytes.NewReader(file), sparse.Graph()); err != nil || !indexesIdentical(sparse, got) || !bytes.Equal(v2Bytes(t, got), testdata(t, "grid_ranks.hl2")) {
-		t.Fatalf("the grid's ranks as bits: %v, or another index than a build's", err)
-	}
-}
-
 // TestLegacyFixturesUntouched: the files no writer can produce any more are
 // what the v1, section-3 and section-5 readers, and `hlbuild migrate`'s
 // readers of the graph file and checkpoint from before the graph became
@@ -236,7 +200,10 @@ func TestRankBytesOfDenseLabellingLoad(t *testing.T) {
 // whose ranks take the mask, as the last writer before section 13 wrote it,
 // and tiny_mask.hl2 the same as the last writer of section 13 wrote it.
 // leaves_kept.hl2 is goldenLeafIndex as the last writer before sections 17
-// to 20 wrote it, every label kept.
+// to 20 wrote it, every label kept. tiny_codes.hl2, tiny_bits.hl2 and
+// grid_ranks.hl2 are goldenIndex, goldenTop3Index and goldenGridIndex as
+// the last writer of section 12, a distance code an entry, wrote them, the
+// grid's ranks a byte an entry beside offsets in sections 7, 8 and 4.
 func TestLegacyFixturesUntouched(t *testing.T) {
 	for name, want := range map[string]string{
 		"tiny.hl1":        "ed1b0762e5429ff792f8a1e6b3ef660395eb4ca1e35d0ea2c4ea96dccb482100",
@@ -249,6 +216,9 @@ func TestLegacyFixturesUntouched(t *testing.T) {
 		"tiny_ranks.hl2":  "0f54628001cb89c7fd5673afd82185d26cbe83c9ed5d3c088fc39890192bd0b6",
 		"tiny_mask.hl2":   "71778ea387deb8ea027ca083d0175d00ee0d17ab878bdf2913bf10c9ec550119",
 		"leaves_kept.hl2": "3e36d9b27c91f589a312d404f77102edadc8c851dc6ecb1bd40921482152b6f8",
+		"tiny_codes.hl2":  "a2f13a4d0d96cf96af19107b8e5a772f3a7343c8b1b54c253e228a7d39aba8cc",
+		"tiny_bits.hl2":   "4e5a0fe23e20d1e249e8ae6bb421dbe9f909513b861119a451deeeb10a75f498",
+		"grid_ranks.hl2":  "90285f3eac7c8bc7102640644201eecd22958295f82671e0b23587337c9705a7",
 	} {
 		raw, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {

@@ -1,12 +1,12 @@
 // Package core implements the paper's primary contribution: the highway
 // cover distance labelling (Section 3) and the bounded distance querying
 // framework built on it (Section 4), including the optimizations of
-// Section 5 (parallel construction over landmarks, landmark ranks of 8
-// bits or a per-vertex bitmask, whichever is smaller, beside distance codes
-// of the bits the labelling needs, an entry's or a label's, and the
-// common-landmark query shortcut of Lemma 5.1). A leaf's label is its
-// neighbour's, each distance one higher, so the labels of leaves are not
-// kept when that saves more bytes than finding the others costs.
+// Section 5 (parallel construction over landmarks, landmark ranks as a
+// per-vertex bitmask beside a label's distances as one base and an excess
+// of the bits the labelling needs an entry, and the common-landmark query
+// shortcut of Lemma 5.1). A leaf's label is its neighbour's, each distance
+// one higher, so the labels of leaves are not kept when that saves more
+// bytes than finding the others costs.
 //
 // # Overview
 //
@@ -55,9 +55,10 @@ var _ method.DistanceIndex = (*Index)(nil)
 // Infinity is the distance reported between disconnected vertices.
 const Infinity int32 = -1
 
-// MaxLandmarks bounds the landmark count so ranks fit the paper's 8-bit
-// compressed representation ("usually no more than 100 landmarks",
-// Section 5.2).
+// MaxLandmarks bounds the landmark count so a rank fits the byte an
+// overflow record (section 6) gives it, as in the paper's 8-bit compressed
+// representation ("usually no more than 100 landmarks", Section 5.2), and a
+// label's ranks fit a landmarkSet.
 const MaxLandmarks = 255
 
 // Index is a highway cover distance labelling over a graph.
@@ -84,42 +85,31 @@ const MaxLandmarks = 255
 // cached), and an elided one its neighbour's in rankOf, which a query loads
 // anyway to test for a landmark: there an elided vertex's entry is ^slot.
 // NumEntries still counts every label, the file's header the kept ones.
-// A label's ranks are kept as labelRank, a byte an entry as in the paper's
-// HL(8) (Section 5.2), beside offsets, or as labelMask, k bits a slot with
-// bit r set iff landmark r is in its label (Akiba et al.'s bit-parallel
-// labels, SIGMOD 2013) packed end to end beside a rank directory, whichever
-// is fewer bytes, rank bytes on a tie (chooseMask): the mask on complex
-// networks, rank bytes on a grid or a path. Either way labelOf gives slot
-// s's ranks as a landmarkSet, and the entry of rank r sits at span(s)'s
-// start plus the number of s's ranks below r.
+// A label's ranks are kept as labelMask, k bits a slot with bit r set iff
+// landmark r is in its label (Akiba et al.'s bit-parallel labels, SIGMOD
+// 2013), packed end to end beside a rank directory (rankBits) that gives a
+// label's start in ≤ 2 B a vertex, 5/8 of one at k = 20: labelOf gives slot
+// s's ranks as a landmarkSet, and the entry of rank r sits at its start plus
+// the number of s's ranks below r.
 //
 // An entry (r, d) exists only when no other landmark lies on a shortest
 // r–v path, so its distance is tiny, and two entries of a label differ by
 // less than their landmarks' highway distance: none on R-MAT, whose hubs
-// are pairwise adjacent. labelDist keeps the distances per entry (section
-// 12: a code of w bits, d-1) or per label (section 16: a base code of w
-// bits a vertex, its smallest d-1, and an excess code of wo ∈ {0, 1, 2, 4}
-// bits an entry, d less that), an all-ones code escaping the entry, or the
-// whole label, to overflow, which maps an entry's position to its real
-// distance. Form and widths, w ∈ {2, 4, 8}, are those whose section and
-// records take the fewest bytes (chooseDist): per label, w = 2 and wo ≤ 1
-// on complex networks, per entry, w = 8, on a long path or a grid. Both
-// rank and distance forms are functions of the labelling, which is unique
-// (Lemma 3.11), so every index of one graph and landmark set has the same
-// bytes. The query hot path is one AND of two rank sets, a walk over their
-// set bits, and a multiply, a shift, a mask and a compare per distance.
+// are pairwise adjacent. labelDist keeps the distances per label (section
+// 16): a base code of w bits a slot, its smallest d-1, and an excess code
+// of wo ∈ {0, 1, 2, 4} bits an entry, d less that; an all-ones base escapes
+// the whole label to overflow, which maps an entry's position to its real
+// distance. The widths, w ∈ {2, 4, 8}, are those whose section and records
+// take the fewest bytes (chooseDist): w = 2 and wo ≤ 1 on complex networks.
+// They are a function of the labelling, which is unique (Lemma 3.11), so
+// every index of one graph and landmark set has the same bytes. The query
+// hot path is one AND of two rank sets, a walk over their set bits, and a
+// multiply, a shift, a mask and a compare per distance.
 //
-// The rank bytes' offsets take their width from the same limit as the
-// ranks: a label has at most MaxLandmarks entries, so prefix sums
-// restarted every offBlock vertices stay ≤ 255·255 < 2¹⁶. labelOff holds
-// one uint64 per block, the offset of its first vertex, and one uint16 per
-// vertex, its offset past that: at(v) = base[v>>8] + rel[v], 2.03 B a
-// vertex with no cap on the total. The mask needs none: its directory
-// (rankBits) gives a label's start in ≤ 2 B a vertex, 5/8 of one at k = 20.
-// All are little-endian bytes, because all the label arrays are the index
-// file's sections 7, 8 and 4, or 14 and 15, and 12 or 16 themselves: a save
-// writes them as they are and a load keeps the buffers it read them into
-// (serialize.go).
+// All are little-endian bytes, because the label arrays are the index
+// file's sections 14 and 15 (17 and 18 when leaves are elided) and 16
+// themselves: a save writes them as they are and a load keeps the buffers
+// it read them into (serialize.go).
 //
 // The highway matrix stores exact landmark-to-landmark distances
 // row-major; Infinity where disconnected.
@@ -146,10 +136,8 @@ type Index struct {
 	// Flat CSR label storage (structure-of-arrays), one label a slot.
 	leaves    leafSet         // the vertices whose label is not kept
 	entries   int64           // Σ|L(v)| over every vertex, elided ones included
-	labelOff  offsets         // rank bytes: slots+1 prefix sums of label sizes
-	labelRank []uint8         // rank bytes: ranks ascending per vertex; or nil
-	labelMask rankBits        // mask: k bits a vertex and their directory; or zero
-	labelDist []byte          // section 12 or 16 as written and read
+	labelMask rankBits        // k bits a slot and their directory
+	labelDist []byte          // section 16 as written and read
 	dist      distCodes       // what reads it
 	overflow  map[int64]int32 // position -> distance of each escaped entry
 
@@ -207,42 +195,7 @@ func cmpOverflow(a, b overflowRec) int {
 	return cmp.Compare(a.rank, b.rank)
 }
 
-// offsets is the prefix sums of the label sizes in the rank-byte form, one
-// a slot and one more, as the index file's sections 7 and 8 hold them: base is one
-// little-endian uint64 per block of offBlock vertices, the offset of the
-// block's first vertex, and rel one uint16 per vertex, its offset past that.
-type offsets struct{ base, rel []byte }
-
-const offBlock = 256
-
-// at returns the position of vertex v's first entry; at(n) is the number
-// of entries.
-func (o offsets) at(v int32) int64 {
-	return int64(binary.LittleEndian.Uint64(o.base[uint(v)/offBlock*8:])) +
-		int64(binary.LittleEndian.Uint16(o.rel[uint(v)*2:]))
-}
-
-// newOffsets returns the offsets of labels of the given sizes, one per
-// vertex — a byte holds any, a label having at most MaxLandmarks entries —
-// and their sum.
-func newOffsets(sizes []uint8) (o offsets, entries int64) {
-	n := len(sizes)
-	o = offsets{base: make([]byte, (n+offBlock)/offBlock*8), rel: make([]byte, (n+1)*2)}
-	var base int64
-	for v := 0; ; v++ {
-		if v%offBlock == 0 {
-			base = entries
-			binary.LittleEndian.PutUint64(o.base[v/offBlock*8:], uint64(base))
-		}
-		binary.LittleEndian.PutUint16(o.rel[v*2:], uint16(entries-base))
-		if v == n {
-			return o, entries
-		}
-		entries += int64(sizes[v])
-	}
-}
-
-// rankBits is the mask form's ranks, sections 14 and 15: slot v's ranks
+// rankBits is the labels' ranks, sections 14 and 15: slot v's ranks
 // are bits v·k … v·k+k-1 of bits, a little-endian uint64 string, and dir is
 // Jacobson's rank directory over it: one uint64 per 2¹⁶ bits, the set bits
 // before them (base), then one uint16 per stride of ⌈k/64⌉ words, those
@@ -278,10 +231,9 @@ func (b *rankBits) near(pos uint) uint64 {
 // word returns word w of the bit string.
 func (b *rankBits) word(w uint) uint64 { return binary.LittleEndian.Uint64(b.bits[w*8:]) }
 
-// labelOf is Index.labelOf in the mask form, for any k: the directory's
-// counts, a popcount of v's stride up to v·k, and v's ranks 64 at a time
-// from the words they straddle.
-func (b *rankBits) labelOf(v int32, m *landmarkSet) (lo int64) {
+// start returns where the label of slot v starts, for any k: the
+// directory's counts and a popcount of v's stride up to v·k.
+func (b *rankBits) start(v int32) (lo int64) {
 	pos := uint(v) * b.k
 	j := pos >> 6 // v's stride
 	if b.stride > 1 {
@@ -292,9 +244,17 @@ func (b *rankBits) labelOf(v int32, m *landmarkSet) (lo int64) {
 	for ; s < pos>>6; s++ {
 		lo += int64(bits.OnesCount64(b.word(s)))
 	}
-	lo += int64(bits.OnesCount64(b.word(s) & (1<<(pos&63) - 1)))
-	b.ranksOf(v, m)
-	return lo
+	return lo + int64(bits.OnesCount64(b.word(s)&(1<<(pos&63)-1)))
+}
+
+// size returns how many ranks slot v holds.
+func (b *rankBits) size(v int32) int64 {
+	if b.k <= 57 {
+		return int64(bits.OnesCount64(b.near(uint(v) * b.k)))
+	}
+	var m landmarkSet
+	b.ranksOf(v, &m)
+	return m.size()
 }
 
 // ranksOf adds v's ranks to m, 64 at a time from the words they straddle.
@@ -345,25 +305,22 @@ func (b *rankBits) directory(fill bool) (int64, error) {
 	return int64(total), nil
 }
 
-// packRanks lays out the ranks fill gives each of n vertices as the mask
-// form holds them, and as the offsets of rank bytes would place their
-// labels. The workers take blocks of pullBlock vertices, whose bits start
-// on a word boundary, so no two write one word.
-func packRanks(n, k, workers int, fill func(v int, m *landmarkSet)) (rankBits, offsets) {
+// packRanks lays out the ranks fill gives each of n vertices and returns
+// them and how many there are. The workers take blocks of pullBlock
+// vertices, whose bits start on a word boundary, so no two write one word.
+func packRanks(n, k, workers int, fill func(v int, m *landmarkSet)) (rankBits, int64) {
 	bitsLen, dirLen := maskLens(n, k)
-	b, sizes := newRankBits(make([]byte, bitsLen), make([]byte, dirLen), k), make([]uint8, n)
+	b := newRankBits(make([]byte, bitsLen), make([]byte, dirLen), k)
 	share(workers, (n+pullBlock-1)/pullBlock, func(_, i int) {
 		var m landmarkSet // a block's: fill makes it escape
 		for v := i * pullBlock; v < min((i+1)*pullBlock, n); v++ {
 			m = landmarkSet{}
 			fill(v, &m)
 			b.store(v, &m)
-			sizes[v] = uint8(m.size())
 		}
 	})
-	_, _ = b.directory(true) // counts it has just written cannot disagree
-	off, _ := newOffsets(sizes)
-	return b, off
+	entries, _ := b.directory(true) // counts it has just written cannot disagree
+	return b, entries
 }
 
 // span returns the positions lo..hi of the label in slot s.
@@ -529,26 +486,14 @@ func nth(words []uint64, i int64) int {
 // slotOf. (m is not a result: a 32-byte result is copied out in halves that
 // stall on the callee's word stores.)
 func (ix *Index) labelOf(v int32, m *landmarkSet) (lo int64) {
-	if b := &ix.labelMask; b.k-1 < 57 { // the mask at k ≤ 57, inline (k = 0, the rank bytes, wraps)
-		pos := uint(v) * b.k // v's stride is its word
+	if b := &ix.labelMask; b.k <= 57 { // inline: v's stride is its word
+		pos := uint(v) * b.k
 		m[0] = b.near(pos)
 		return int64(binary.LittleEndian.Uint64(b.base[pos>>16*8:])) + int64(binary.LittleEndian.Uint16(b.rel[pos>>6*2:])) +
 			int64(bits.OnesCount64(b.word(pos>>6)<<(63-pos&63)<<1))
 	}
-	if ix.labelMask.bits != nil {
-		return ix.labelMask.labelOf(v, m)
-	}
-	lo = ix.labelOff.at(v)
-	var low uint64 // m[0], kept out of memory while it fills
-	for _, r := range ix.labelRank[lo:ix.labelOff.at(v+1)] {
-		if r < 64 {
-			low |= 1 << r
-		} else {
-			m[r>>6] |= 1 << (r & 63)
-		}
-	}
-	m[0] = low
-	return lo
+	ix.labelMask.ranksOf(v, m)
+	return ix.labelMask.start(v)
 }
 
 // entryAt returns the vertex and landmark rank of the entry at position p.
@@ -558,99 +503,64 @@ func (ix *Index) entryAt(p int64) (v int32, rank uint8) {
 	return ix.leaves.vertex(s), uint8(nth(m[:], p-ix.labelOf(s, &m)))
 }
 
-// rankLens returns the bytes of the rank sections of n labels of k
-// landmarks and entries entries in each form: the mask, sections 14 and 15,
-// and a byte an entry beside offsets, sections 4, 7 and 8.
-func rankLens(n, k int, entries int64) (mask, rankBytes int64) {
-	bitsLen, dirLen := maskLens(n, k)
-	return bitsLen + dirLen, entries + int64(n/offBlock+1)*8 + int64(n+1)*2
+// chooseLeaves reports whether a labelling of n vertices and k landmarks
+// keeps no label for its count leaves (leavesOf): when the rank sections
+// that saves are more bytes than the leafSet. A path's two ends or one new
+// leaf on a large graph are not.
+func chooseLeaves(n, k, count int) bool {
+	allBits, allDir := maskLens(n, k)
+	keptBits, keptDir := maskLens(n-count, k)
+	return count > 0 && allBits+allDir-keptBits-keptDir > int64(n+31)/32*8
 }
 
-// chooseMask reports whether n labels of k landmarks and entries entries
-// keep their ranks in the mask form rather than as rank bytes: when those
-// are fewer bytes, rank bytes on a tie.
-func chooseMask(n, k int, entries int64) bool {
-	mask, rankBytes := rankLens(n, k, entries)
-	return mask < rankBytes
-}
-
-// chooseLeaves reports whether a labelling of n vertices, k landmarks and
-// entries entries keeps no label for its count leaves (leavesOf), which hold
-// elided of the entries: when the rank sections that saves, each side in
-// the form chooseMask picks, are more bytes than the leafSet. A path's two
-// ends or one new leaf on a large graph are not.
-func chooseLeaves(n, k int, entries int64, count int, elided int64) bool {
-	all, allBytes := rankLens(n, k, entries)
-	kept, keptBytes := rankLens(n-count, k, entries-elided)
-	return count > 0 && min(all, allBytes)-min(kept, keptBytes) > int64(n+31)/32*8
-}
-
-// distWidths are the widths of a per-entry code or a base code, widest
-// first, and excessWidths those of an excess code, narrowest first.
+// distWidths are the widths of a base code, widest first, and
+// excessWidths those of an excess code, narrowest first.
 var (
 	distWidths   = [...]uint8{8, 4, 2}
 	excessWidths = [...]uint8{0, 1, 2, 4}
 )
 
-// chooseDist returns the distance form of a labelling of n vertices and
-// entries entries with stats st: per-entry codes of w bits, or (perLabel)
-// base codes of w bits and excess codes of wo, whichever section and
-// overflow records (9 bytes each) are fewest, the wider w, then the
-// narrower wo, then per-entry codes on a tie.
-func chooseDist(n int, entries int64, st *distStats) (perLabel bool, w, wo uint8) {
+// chooseDist returns the widths of the base codes of n labels and the
+// excess codes of their entries entries, with stats st: those whose section
+// and overflow records (9 bytes each) are fewest, the wider w, then the
+// narrower wo, on a tie.
+func chooseDist(n int, entries int64, st *distStats) (w, wo uint8) {
 	best := int64(math.MaxInt64)
-	for _, bw := range distWidths {
-		var esc int64
-		for _, c := range st.entry[bw+1:] {
-			esc += c
-		}
-		if s := distLen(entries, bw) + 9*esc; s < best {
-			best, w = s, bw
-		}
-	}
 	for _, bw := range distWidths {
 		for _, ow := range excessWidths {
 			if s := 2 + (int64(n)*int64(bw)+7)/8 + (entries*int64(ow)+7)/8 + 9*st.escaped(bw, ow); s < best {
-				best, perLabel, w, wo = s, true, bw, ow
+				best, w, wo = s, bw, ow
 			}
 		}
 	}
-	return perLabel, w, wo
+	return w, wo
 }
 
-// distLen is the length of section 12 for entries codes of w bits.
-func distLen(entries int64, w uint8) int64 { return 1 + (entries*int64(w)+7)/8 }
-
-// distCodes reads the distances out of section 12, where every label's base
-// is 1, or 16: vertex v's base code at bit v·baseW of bases, entry p's code
-// at bit p·codeW of codes, each escaping at its esc. An unused array is the
-// section itself, read under a zero mask.
+// distCodes reads the distances out of section 16: slot v's base code at
+// bit v·baseW of bases, entry p's excess code at bit p·codeW of codes, the
+// base escaping when all ones. With no excess, codes is the section itself,
+// read under a zero mask.
 type distCodes struct {
-	bases, codes             []byte
-	baseW, baseMask, baseEsc uint8
-	codeW, codeMask, codeEsc uint8
+	bases, codes    []byte
+	baseW, baseMask uint8
+	codeW, codeMask uint8
 }
 
-// setDist makes sect, section 12 or (perLabel) 16, ix's distances, once
-// ix.leaves is.
-func (ix *Index) setDist(sect []byte, perLabel bool) {
-	ix.labelDist = sect
-	if w := sect[0]; !perLabel {
-		ix.dist = distCodes{bases: sect, baseEsc: 0xFF, codes: sect[1:], codeW: w, codeMask: 1<<w - 1, codeEsc: 1<<w - 1}
-		return
-	}
+// setDist makes sect, section 16, ix's distances, once ix.leaves is.
+func (ix *Index) setDist(sect []byte) {
 	wb, wo := sect[0], sect[1]
 	split := 2 + (ix.slots()*int(wb)+7)/8
-	ix.dist = distCodes{bases: sect[2:split], baseW: wb, baseMask: 1<<wb - 1, baseEsc: 1<<wb - 1,
-		codes: sect[split:], codeW: wo, codeMask: 1<<wo - 1, codeEsc: 0xFF}
+	ix.labelDist = sect
+	ix.dist = distCodes{bases: sect[2:split], baseW: wb, baseMask: 1<<wb - 1, codes: sect[split:], codeW: wo, codeMask: 1<<wo - 1}
 	if wo == 0 {
 		ix.dist.codes = sect
 	}
 }
 
 // labelBase is what reading a label's distances takes: its base, the code
-// that escapes to overflow — 0 in an escaped label, whose codes are 0 —,
-// and what an escaped distance gains: 1 read by an elided vertex.
+// that escapes to overflow — 0 in an escaped label, whose codes are 0, and
+// 0xFF, which no excess code is, in any other —, and what an escaped
+// distance gains: 1 read by an elided vertex.
 type labelBase struct {
 	base, leaf int32
 	esc        uint8
@@ -661,8 +571,8 @@ type labelBase struct {
 func (ix *Index) distOf(v, leaf int32) labelBase {
 	d := &ix.dist
 	bit := uint(v) * uint(d.baseW)
-	if c := d.bases[bit/8] >> (bit % 8) & d.baseMask; c != d.baseEsc {
-		return labelBase{base: int32(c) + 1 + leaf, esc: d.codeEsc, leaf: leaf}
+	if c := d.bases[bit/8] >> (bit % 8) & d.baseMask; c != d.baseMask {
+		return labelBase{base: int32(c) + 1 + leaf, esc: 0xFF, leaf: leaf}
 	}
 	return labelBase{leaf: leaf}
 }
@@ -699,16 +609,7 @@ func (ix *Index) Label(v int32) (ranks []int32, dists []int32) {
 // Landmarks have empty labels (labels are defined on V\R).
 func (ix *Index) LabelSize(v int32) int {
 	s, _ := ix.slotOf(v)
-	return int(ix.size(s))
-}
-
-// size returns how many entries the label in slot s holds.
-func (ix *Index) size(s int32) int64 {
-	if b := &ix.labelMask; b.k-1 < 57 {
-		return int64(bits.OnesCount64(b.near(uint(s) * b.k)))
-	}
-	lo, hi := ix.span(s)
-	return hi - lo
+	return int(ix.labelMask.size(s))
 }
 
 // NumEntries returns size(L) = Σ_v |L(v)|, the labelling size measure of
@@ -757,14 +658,11 @@ func (ix *Index) SizeBytes8() int64 {
 const overflowSlot = 24
 
 // ActualBytes reports the real in-memory footprint of the index
-// structures (flat label arrays — rank bytes and offsets, or rank bits and
-// their directory, and distance codes —, overflow table, highway, landmark
-// arrays and the elided set).
+// structures (flat label arrays — rank bits and their directory, and
+// distance codes —, overflow table, highway, landmark arrays and the
+// elided set).
 func (ix *Index) ActualBytes() int64 {
 	return int64(len(ix.leaves.words))*8 +
-		int64(len(ix.labelOff.base)) +
-		int64(len(ix.labelOff.rel)) +
-		int64(len(ix.labelRank)) +
 		int64(len(ix.labelMask.bits)) +
 		int64(len(ix.labelMask.dir)) +
 		int64(len(ix.labelDist)) +

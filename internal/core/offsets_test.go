@@ -9,39 +9,36 @@ import (
 	"highway/internal/graph"
 )
 
-// TestOffsetsBlocks holds newOffsets and at to plain prefix sums around the
-// block edges: n+1 offsets fill a block short of one, exactly, and one over,
-// for one block and two, with every label at the 255 entries that bring a
-// block's last uint16 to its limit and with random sizes.
+// TestOffsetsBlocks holds the label starts the rank directory gives to
+// plain prefix sums around its block edges: n·k bits that end a word short
+// of a block of 2¹⁶, on one and a word past one, for one block and two,
+// with every label full — the largest counts a uint16 of the directory is
+// asked to hold — and with random labels.
 func TestOffsetsBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{0, 254, 255, 256, 511, 512} {
-		for _, size := range []func() uint8{
-			func() uint8 { return MaxLandmarks },
-			func() uint8 { return uint8(rng.Intn(MaxLandmarks + 1)) },
-		} {
-			sizes := make([]uint8, n)
-			for v := range sizes {
-				sizes[v] = size()
-			}
-			off, entries := newOffsets(sizes)
-			if len(off.base) != (n+1+offBlock-1)/offBlock*8 || len(off.rel) != (n+1)*2 {
-				t.Fatalf("n=%d: %d bytes of base and %d of rel", n, len(off.base), len(off.rel))
-			}
-			var sum int64
-			for v := 0; v <= n; v++ {
-				if got := off.at(int32(v)); got != sum {
-					t.Fatalf("n=%d: at(%d) = %d, want %d", n, v, got, sum)
-				}
-				if v%offBlock == 0 && off.rel[v*2]|off.rel[v*2+1] != 0 {
-					t.Fatalf("n=%d: block starting at %d does not restart", n, v)
-				}
-				if v < n {
+	for _, k := range []int{1, 64, 100, MaxLandmarks} {
+		for _, end := range []int{1<<16 - 64, 1 << 16, 1<<16 + 64, 2<<16 - 64, 2 << 16, 2<<16 + 64} {
+			n := end / k
+			for _, full := range []bool{true, false} {
+				sizes := make([]int, n)
+				b, entries := packRanks(n, k, 1, func(v int, m *landmarkSet) {
+					for r := range k {
+						if full || rng.Intn(2) == 0 {
+							m[r>>6] |= 1 << (r & 63)
+							sizes[v]++
+						}
+					}
+				})
+				var sum int64
+				for v := range n {
+					if got := b.start(int32(v)); got != sum {
+						t.Fatalf("k=%d n=%d: start(%d) = %d, want %d", k, n, v, got, sum)
+					}
 					sum += int64(sizes[v])
 				}
-			}
-			if entries != sum {
-				t.Fatalf("n=%d: %d entries, want %d", n, entries, sum)
+				if entries != sum {
+					t.Fatalf("k=%d n=%d: %d entries, want %d", k, n, entries, sum)
+				}
 			}
 		}
 	}
@@ -61,8 +58,9 @@ func roundTrips(t *testing.T, g *graph.Graph, ix *Index) {
 	}
 }
 
-// TestBlockEdgeIndexes: built, saved and reloaded indexes whose offsets end
-// at each block edge agree with the reference.
+// TestBlockEdgeIndexes: built, saved and reloaded indexes of n around the
+// 256 vertices a block of the retired offsets held, and a directory word
+// of 64 bits at k = 5 holds 12.8 of, agree with the reference.
 func TestBlockEdgeIndexes(t *testing.T) {
 	for _, n := range []int{254, 255, 256, 511, 512} {
 		g := gen.BarabasiAlbert(n, 2, int64(n))
@@ -79,10 +77,8 @@ func TestBlockEdgeIndexes(t *testing.T) {
 }
 
 // TestFullLabels: K(255,600) with the 255 side as landmarks gives every
-// other vertex a label of 255 entries. Its ranks take the mask, whose
-// directory counts up to 65 280 in a uint16; in rank bytes, read from a
-// file that keeps them, every full block of offsets sums to 65 025, the
-// most a uint16 of them is asked to hold.
+// other vertex a label of 255 entries, whose directory counts up to
+// 65 280 in a uint16.
 func TestFullLabels(t *testing.T) {
 	const k, rest = MaxLandmarks, 600
 	var edges [][2]int32
@@ -98,8 +94,8 @@ func TestFullLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.NumEntries() != k*rest || ix.LabelSize(k) != k || ix.labelMask.bits == nil {
-		t.Fatalf("test premise broken: %d entries, |L(%d)| = %d, mask form %v", ix.NumEntries(), k, ix.LabelSize(k), ix.labelMask.bits != nil)
+	if ix.NumEntries() != k*rest || ix.LabelSize(k) != k {
+		t.Fatalf("test premise broken: %d entries, |L(%d)| = %d", ix.NumEntries(), k, ix.LabelSize(k))
 	}
 	if lo, _ := ix.span(256); lo != 255 {
 		t.Fatalf("vertex 256's label starts at %d, want 255", lo)
@@ -108,10 +104,6 @@ func TestFullLabels(t *testing.T) {
 		t.Fatal("build differs from the reference")
 	}
 	roundTrips(t, g, ix)
-	ranks, err := Read(bytes.NewReader(rankBytesFile(t, ix)), g)
-	if err != nil || !indexesIdentical(ix, ranks) {
-		t.Fatalf("the rank-bytes file: %v, or another index", err)
-	}
 	if d := ix.Distance(k, k+rest-1); d != 2 {
 		t.Fatalf("d between two non-landmarks = %d, want 2", d)
 	}

@@ -119,13 +119,9 @@ func referenceIndex(g *graph.Graph, landmarks []int32) *Index {
 		}
 	}
 	sec := plainRanks(len(slots), k, func(s int) []int32 { return ranksOf(slots[s]) })
-	if rankBytes, maskBytes := rankFormBytes(sec); maskBytes < rankBytes { // the smaller form, rank bytes on a tie
-		ix.labelMask = newRankBits(sec[sectLabelBits], sec[sectLabelDir], k)
-	} else {
-		ix.labelOff, ix.labelRank = offsets{base: sec[sectLabelBase], rel: sec[sectLabelRel]}, sec[sectLabelRank]
-	}
-	dist, perLabel, over := bruteDist(dists)
-	ix.setDist(dist, perLabel)
+	ix.labelMask = newRankBits(sec[sectLabelBits], sec[sectLabelDir], k)
+	dist, over := bruteDist(dists)
+	ix.setDist(dist)
 	ix.overflow = over
 	return ix
 }
@@ -133,9 +129,9 @@ func referenceIndex(g *graph.Graph, landmarks []int32) *Index {
 // referenceKept returns, from the definitions, whether a labelling of the
 // landmarks lm on g whose ranks ranksOf gives keeps each vertex's label:
 // all but the leaves — a vertex of degree one and no landmark whose
-// neighbour is neither a landmark nor of degree one — when the rank
-// sections of the smaller form over the others are more than 8 bytes for
-// every 32 vertices fewer than over all of them, and every one otherwise.
+// neighbour is neither a landmark nor of degree one — when their rank
+// bits and directory are more than 8 bytes for every 32 vertices fewer
+// than all vertices', and every one otherwise.
 func referenceKept(g *graph.Graph, lm []int32, ranksOf func(v int) []int32) []bool {
 	n, k, isLandmark := g.NumVertices(), len(lm), landmarkMask(g, lm)
 	kept, all := make([]bool, n), make([]bool, n)
@@ -147,23 +143,22 @@ func referenceKept(g *graph.Graph, lm []int32, ranksOf func(v int) []int32) []bo
 			others = append(others, v)
 		}
 	}
-	allRanks, allMask := rankFormBytes(plainRanks(n, k, ranksOf))
-	keptRanks, keptMask := rankFormBytes(plainRanks(len(others), k, func(s int) []int32 { return ranksOf(others[s]) }))
-	if min(allRanks, allMask)-min(keptRanks, keptMask) <= (n+31)/32*8 {
+	_, allMask := rankFormBytes(plainRanks(n, k, ranksOf))
+	_, keptMask := rankFormBytes(plainRanks(len(others), k, func(s int) []int32 { return ranksOf(others[s]) }))
+	if allMask-keptMask <= (n+31)/32*8 {
 		return all
 	}
 	return kept
 }
 
 // bruteDist is the distance section a labelling whose labels have these
-// distances (by rank) must carry, from the definitions: every width of
-// per-entry codes (section 12), and every base width with every excess
-// width (section 16), a label escaping whole where the base does not hold
-// its smallest distance or the excess its span, laid out bit by bit, the one
-// whose section and 9-byte records take the fewest bytes — the wider base,
-// then the narrower excess, then per-entry on a tie. It returns the section,
-// whether it is 16, and the distances of the escaped entries by position.
-func bruteDist(labels [][]int32) (sect []byte, perLabel bool, over map[int64]int32) {
+// distances (by rank) must carry, from the definitions: every base width
+// with every excess width (section 16), a label escaping whole where the
+// base does not hold its smallest distance or the excess its span, laid out
+// bit by bit, the one whose section and 9-byte records take the fewest
+// bytes — the wider base, then the narrower excess, on a tie. It returns
+// the section and the distances of the escaped entries by position.
+func bruteDist(labels [][]int32) (sect []byte, over map[int64]int32) {
 	put := func(b []byte, at, w int, c int32) { // code c of w bits at code position at, LSB first
 		for i := range w {
 			b[(at*w+i)/8] |= byte(c>>i&1) << ((at*w + i) % 8)
@@ -172,25 +167,6 @@ func bruteDist(labels [][]int32) (sect []byte, perLabel bool, over map[int64]int
 	n, entries, best := len(labels), 0, -1
 	for _, l := range labels {
 		entries += len(l)
-	}
-	try := func(s []byte, pl bool, o map[int64]int32) {
-		if size := len(s) + 9*len(o); best < 0 || size < best {
-			best, sect, perLabel, over = size, s, pl, o
-		}
-	}
-	for _, w := range []int{8, 4, 2} {
-		s, o, p := make([]byte, 1+(entries*w+7)/8), map[int64]int32{}, 0
-		s[0] = byte(w)
-		for _, l := range labels {
-			for _, d := range l {
-				if d-1 >= 1<<w-1 {
-					o[int64(p)] = d
-				}
-				put(s[1:], p, w, min(d-1, 1<<w-1))
-				p++
-			}
-		}
-		try(s, false, o)
 	}
 	for _, wb := range []int{8, 4, 2} {
 		for _, wo := range []int{0, 1, 2, 4} {
@@ -216,10 +192,12 @@ func bruteDist(labels [][]int32) (sect []byte, perLabel bool, over map[int64]int
 				}
 				put(s[2:], v, wb, lo-1)
 			}
-			try(s, true, o)
+			if size := len(s) + 9*len(o); best < 0 || size < best {
+				best, sect, over = size, s, o
+			}
 		}
 	}
-	return sect, perLabel, over
+	return sect, over
 }
 
 // spread returns k distinct landmarks: the highest-degree vertices first,

@@ -95,11 +95,10 @@ func rowOf(ix *Index, r int) []int32 {
 // GOMAXPROCS, in every direction. The source index and every index
 // assembled on the way must come out of it unchanged.
 func TestRowsRerunMatchesBuild(t *testing.T) {
-	// The distance forms of each seed's labelling before and after: seed 1's
-	// merge turns per-entry codes into per-label ones.
+	// The distance widths of each seed's labelling before and after.
 	forms := [][2]distForm{
-		{perEntry(2), perLabel(2, 2)}, {perEntry(2), perEntry(2)}, {perEntry(2), perEntry(2)},
-		{perLabel(2, 1), perLabel(2, 1)}, {perLabel(2, 2), perLabel(2, 2)}, {perLabel(2, 1), perLabel(2, 1)},
+		{distForm{2, 2}, distForm{2, 2}}, {distForm{2, 2}, distForm{2, 2}}, {distForm{2, 2}, distForm{2, 2}},
+		{distForm{2, 1}, distForm{2, 1}}, {distForm{2, 2}, distForm{2, 2}}, {distForm{2, 1}, distForm{2, 1}},
 	}
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -115,17 +114,17 @@ func TestRowsRerunMatchesBuild(t *testing.T) {
 			checkRerun(t, g, g2, lm, rng, false)
 		})
 	}
-	// Distances past the 8-bit escape: on the path 0-1-…-699 landmark 350
+	// Distances past the 8-bit base: on the path 0-1-…-699 landmark 350
 	// hides everything beyond it from landmark 0, so a chord out there
 	// dirties rank 1 alone, and both ranks label vertices from 256 hops and
 	// more away. The re-run rank and the kept one both own overflow records.
 	path := gen.Path(700)
 	t.Run("path700", func(t *testing.T) {
 		chord := withEdges(path, [2]int32{600, 699})
-		wantForms(t, path, chord, []int32{0, 350}, perEntry(8), perEntry(8))
+		wantForms(t, path, chord, []int32{0, 350}, distForm{8, 0}, distForm{8, 0})
 		checkRerun(t, path, chord, []int32{0, 350}, rand.New(rand.NewSource(7)), true)
 	})
-	// At w = 4: two spiders, each a landmark with ten legs of 15 hops and
+	// At a base of 4 bits: two spiders, each a landmark with ten legs of 15 hops and
 	// long ones of 20 — two on the first, one on the second. A chord from
 	// the first landmark to the tip of a long leg (vertex 170) dirties its
 	// rank alone, and both ranks keep entries 16 hops or more away.
@@ -135,10 +134,10 @@ func TestRowsRerunMatchesBuild(t *testing.T) {
 	t.Run("spiders", func(t *testing.T) {
 		lm := []int32{0, int32(first.NumVertices())}
 		chord := withEdges(spiders, [2]int32{0, 170})
-		wantForms(t, spiders, chord, lm, perEntry(4), perEntry(4))
+		wantForms(t, spiders, chord, lm, distForm{4, 0}, distForm{4, 0})
 		checkRerun(t, spiders, chord, lm, rand.New(rand.NewSource(8)), true)
 	})
-	// The width changes under the merge: a path of 300 off landmark 0
+	// The base width changes under the merge: a path of 300 off landmark 0
 	// (w = 8) beside a town with a landmark of its own, whose entries are
 	// kept; chords from 0 to every tenth vertex bring the path within 5
 	// hops (w = 4), and the way back re-runs every rank.
@@ -150,16 +149,16 @@ func TestRowsRerunMatchesBuild(t *testing.T) {
 			chords = append(chords, [2]int32{0, v})
 		}
 		lm := []int32{0, 301 + town.DegreeOrder()[0]}
-		wantForms(t, tail, withEdges(tail, chords...), lm, perEntry(8), perEntry(4))
+		wantForms(t, tail, withEdges(tail, chords...), lm, distForm{8, 0}, distForm{4, 0})
 		checkRerun(t, tail, withEdges(tail, chords...), lm, rand.New(rand.NewSource(9)), false)
 	})
-	// The rank form changes under the merge: 24 stars of 10 leaves, their
-	// centres the landmarks, label each leaf once (240 entries, 786 bytes of
-	// rank bytes and offsets against 998 of bits and directory: rank
-	// bytes); edges from the first two centres to every leaf of the first
-	// twelve stars give those leaves more entries (460: the mask), dirtying
-	// the first twelve ranks, and the other stars' entries are kept. The way
-	// back re-runs every rank into rank bytes.
+	// The labels go from sparse to dense under the merge (named for the
+	// flip from rank bytes to the mask this made when ranks took either
+	// form): 24 stars of 10 leaves, their centres the landmarks, label each
+	// leaf once (240 entries); edges from the first two centres to every
+	// leaf of the first twelve stars give those leaves more entries (460),
+	// dirtying the first twelve ranks, and the other stars' entries are
+	// kept. The way back re-runs every rank.
 	const centres, leaves = 24, 10
 	stars := gen.Star(leaves + 1)
 	lm := []int32{0}
@@ -193,21 +192,22 @@ func TestRowsRerunMatchesBuild(t *testing.T) {
 			t.Fatalf("test premise broken: %v, or no leaf elided", err)
 		}
 		g2 := mutate(rmat, rmat.NumVertices(), landmarkMask(rmat, rmatLm), rand.New(rand.NewSource(2)))
-		wantForms(t, rmat, g2, rmatLm, perLabel(2, 0), perLabel(2, 0))
+		wantForms(t, rmat, g2, rmatLm, distForm{2, 0}, distForm{2, 0})
 		checkRerun(t, rmat, g2, rmatLm, rand.New(rand.NewSource(11)), true)
 	})
 	towns, townLm := twoTowns(200, 16, 4)
 	t.Run("towns one bit", func(t *testing.T) {
 		g2 := mutate(towns, 200, landmarkMask(towns, townLm), rand.New(rand.NewSource(3)))
-		wantForms(t, towns, g2, townLm, perLabel(2, 1), perLabel(2, 1))
+		wantForms(t, towns, g2, townLm, distForm{2, 1}, distForm{2, 1})
 		checkRerun(t, towns, g2, townLm, rand.New(rand.NewSource(12)), false)
 	})
-	// The form flips under the merge: per-entry codes before, per label
-	// after, and back again when every rank re-runs.
+	// Two more towns (named for the flip from per-entry codes to per-label
+	// ones this made when distances took either form): bases of 2 bits and
+	// excesses of 2 on both sides, and back again when every rank re-runs.
 	towns, townLm = twoTowns(200, 16, 11)
 	t.Run("per entry to per label", func(t *testing.T) {
 		g2 := mutate(towns, 200, landmarkMask(towns, townLm), rand.New(rand.NewSource(11)))
-		wantForms(t, towns, g2, townLm, perEntry(2), perLabel(2, 2))
+		wantForms(t, towns, g2, townLm, distForm{2, 2}, distForm{2, 2})
 		checkRerun(t, towns, g2, townLm, rand.New(rand.NewSource(13)), false)
 	})
 }

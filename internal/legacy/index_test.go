@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -82,7 +83,8 @@ func v1Fixtures(tb testing.TB) []v1Fixture {
 // (checksums and all) in the order the writers used.
 func reframe(tb testing.TB, file []byte, edit func(h *container.Header, sec map[uint32][]byte)) []byte {
 	tb.Helper()
-	ids := []uint32{1, 2, sectLabelOff, sectLabelBase, sectLabelRel, 4, sectLabelMask, 5, sectLabelDist, sectOverflow, sectGraph}
+	ids := []uint32{1, 2, sectLabelOff, sectLabelBase, sectLabelRel, sectLeafBase, sectLeafRel, sectLabelRank, sectLabelMask,
+		sectLabelBits, sectLabelDir, sectLeafBits, sectLeafDir, sectByteDist, sectLabelDist, sectLabelExcess, sectOverflow, sectGraph}
 	h, read, err := container.ReadContainer(bytes.NewReader(file), true, func(container.Header) (map[uint32]uint64, error) {
 		bounds := make(map[uint32]uint64)
 		for _, id := range ids {
@@ -111,55 +113,47 @@ func reframe(tb testing.TB, file []byte, edit func(h *container.Header, sec map[
 	return out.Bytes()
 }
 
-// byteDistBytes is the file the last writer of section 5 wrote for ix: one
-// distance byte an entry where section 12 is now.
-func byteDistBytes(tb testing.TB, ix *core.Index) []byte {
+// framed is the file the writer of the layout of the given section ids
+// wrote for ix (see frame): an index file, with section 11, or a
+// checkpoint, beside the graph's sections and without it.
+func framed(tb testing.TB, ix *core.Index, snapshot bool, ids ...uint32) []byte {
 	tb.Helper()
-	h, sections := ByteSections(ix)
-	fp := binary.LittleEndian.AppendUint32(nil, ix.Graph().Fingerprint())
+	h, sections := frame(ix, func(id uint32) bool { return slices.Contains(ids, id) })
+	if snapshot {
+		sections = append(ix.Graph().Sections(), sections...)
+	} else {
+		sections = append(sections, container.Section{ID: sectGraph, Payload: binary.LittleEndian.AppendUint32(nil, ix.Graph().Fingerprint())})
+	}
 	var out bytes.Buffer
-	if err := container.WriteContainer(&out, h, append(sections, container.Section{ID: sectGraph, Payload: fp})); err != nil {
+	if err := container.WriteContainer(&out, h, sections); err != nil {
 		tb.Fatal(err)
 	}
 	return out.Bytes()
+}
+
+// byteDistBytes is the file the last writer of section 5 wrote for ix: one
+// distance byte an entry where section 12 is now.
+func byteDistBytes(tb testing.TB, ix *core.Index) []byte {
+	return framed(tb, ix, false, sectLabelRank, sectByteDist)
 }
 
 // byteDistSnapshot is the checkpoint the last writer of section 5 wrote for
 // ix: the graph's sections beside the labelling's, without section 11.
 func byteDistSnapshot(tb testing.TB, ix *core.Index) []byte {
-	tb.Helper()
-	h, sections := ByteSections(ix)
-	var out bytes.Buffer
-	if err := container.WriteContainer(&out, h, append(ix.Graph().Sections(), sections...)); err != nil {
-		tb.Fatal(err)
-	}
-	return out.Bytes()
+	return framed(tb, ix, true, sectLabelRank, sectByteDist)
 }
 
 // maskBytes is the file the last writer of section 13 wrote for ix: its
 // ranks as masks of ⌈k/8⌉ bytes a vertex beside the offsets of sections 7
-// and 8, where sections 14 and 15 are now.
+// and 8, where sections 14 and 15 are now, its distances in section 12.
 func maskBytes(tb testing.TB, ix *core.Index) []byte {
-	tb.Helper()
-	h, sections := offsetSections(ix, true)
-	fp := binary.LittleEndian.AppendUint32(nil, ix.Graph().Fingerprint())
-	var out bytes.Buffer
-	if err := container.WriteContainer(&out, h, append(sections, container.Section{ID: sectGraph, Payload: fp})); err != nil {
-		tb.Fatal(err)
-	}
-	return out.Bytes()
+	return framed(tb, ix, false, sectLabelMask, sectLabelDist)
 }
 
 // maskSnapshot is the checkpoint the last writer of section 13 wrote for
 // ix: the graph's sections beside the labelling's, without section 11.
 func maskSnapshot(tb testing.TB, ix *core.Index) []byte {
-	tb.Helper()
-	h, sections := offsetSections(ix, true)
-	var out bytes.Buffer
-	if err := container.WriteContainer(&out, h, append(ix.Graph().Sections(), sections...)); err != nil {
-		tb.Fatal(err)
-	}
-	return out.Bytes()
+	return framed(tb, ix, true, sectLabelMask, sectLabelDist)
 }
 
 // withoutSection11 is the file every writer from sections 7 and 8 until
@@ -261,7 +255,7 @@ func TestIndexRoundTrip(t *testing.T) {
 		ix := path600(t)
 		migrates(t, withoutSection11(t, ix), ix.Graph(), "format v2, no section 11", ix)
 	})
-	for _, name := range []string{"tiny_codes.hl2", "tiny_bits.hl2", "grid_ranks.hl2", "tiny_ranks.hl2", "tiny.snap2"} {
+	for _, name := range []string{"figure2.hl2", "figure2_top3.hl2", "grid.hl2", "leaves_kept.hl2", "tiny.snap2"} {
 		if got := IndexLayout(bufio.NewReader(bytes.NewReader(fixture(t, name)))); got != "" {
 			t.Fatalf("IndexLayout(%s) = %q, want \"\"", name, got)
 		}
@@ -301,8 +295,8 @@ func TestV1V2SameIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(indexBytes(t, ix), fixture(t, "tiny_codes.hl2")) {
-		t.Fatal("tiny.hl1 migrates to other bytes than tiny_codes.hl2")
+	if !bytes.Equal(indexBytes(t, ix), fixture(t, "figure2.hl2")) {
+		t.Fatal("tiny.hl1 migrates to other bytes than figure2.hl2")
 	}
 }
 
@@ -381,15 +375,15 @@ func TestMigrateByteDistances(t *testing.T) {
 // and path600's and BA-2000's with k = 100 (13 bytes a vertex) — are each
 // named by IndexLayout or SnapshotLayout, refused by the serving readers
 // with one line naming `hlbuild migrate`, and migrate to the file a fresh
-// build writes: tiny_mask.hl2 to tiny_bits.hl2. A mask bit flipped under a
+// build writes: tiny_mask.hl2 to figure2_top3.hl2. A mask bit flipped under a
 // valid checksum is refused by the section's number.
 func TestMigrateMaskSection13(t *testing.T) {
 	fig := build(t, gen.PaperFigure2(), gen.PaperFigure2().DegreeOrder()[:3])
 	if !bytes.Equal(maskBytes(t, fig), fixture(t, "tiny_mask.hl2")) {
 		t.Fatal("maskBytes does not frame the file the last writer of section 13 wrote")
 	}
-	if !bytes.Equal(indexBytes(t, fig), fixture(t, "tiny_bits.hl2")) {
-		t.Fatal("test premise broken: the fresh build does not write tiny_bits.hl2")
+	if !bytes.Equal(indexBytes(t, fig), fixture(t, "figure2_top3.hl2")) {
+		t.Fatal("test premise broken: the fresh build does not write figure2_top3.hl2")
 	}
 	ba := gen.BarabasiAlbert(2000, 10, 42)
 	path, dense := path600(t), build(t, ba, ba.DegreeOrder()[:100])
@@ -442,53 +436,135 @@ func TestMigrateMaskSection13(t *testing.T) {
 	}
 }
 
+// migratesSnapshot checks that raw, a checkpoint of a retired layout, is
+// what SnapshotLayout says it is, is refused by serve.DecodeSnapshot with
+// the line naming the migration, and migrates to the graph and labelling
+// of want.
+func migratesSnapshot(t *testing.T, raw []byte, layout string, want *core.Index) {
+	t.Helper()
+	if got := SnapshotLayout(bufio.NewReader(bytes.NewReader(raw))); got != layout {
+		t.Fatalf("SnapshotLayout = %q, want %q", got, layout)
+	}
+	if _, _, err := serve.DecodeSnapshot(bytes.NewReader(raw)); !oneLine(err, "hlbuild migrate") {
+		t.Fatalf("serve.DecodeSnapshot: %v, want one line naming hlbuild migrate", err)
+	}
+	g, ix, err := ReadSnapshot(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Fingerprint() != want.Graph().Fingerprint() || !bytes.Equal(indexBytes(t, ix), indexBytes(t, want)) {
+		t.Fatal("migrated, the checkpoint differs from the state it was written from")
+	}
+}
+
 // TestPerEntryCodesLoad: every writer before section 16 kept a labelling's
-// distances per entry in section 12, and no migrate is needed for them: a
-// reader of today lays such a file out again on load when the labelling is
-// held per label. BA-600 with 20 landmarks is: bases of 2 bits, excesses of
-// 1 and 22 records, the entries of the labels that span two hops; per
-// entry, codes of 2 bits and no record.
-// As the last writer of section 12 framed it, its index file through
-// core.Read and its checkpoint through serve.DecodeSnapshot each load,
-// answer every pair as BFS does, and write a fresh build's bytes.
+// distances per entry in section 12, as did those after it where that took
+// fewer bytes. BA-600 with 20 landmarks is held per label today: bases of
+// 2 bits, excesses of 1 and 22 records, the entries of the labels that span
+// two hops; per entry, codes of 2 bits and no record. As the last writer of
+// section 12 framed it, its index file and its checkpoint are refused by
+// the serving readers with the line naming `hlbuild migrate`, and migrate
+// to a fresh build, which answers every pair as BFS does.
 func TestPerEntryCodesLoad(t *testing.T) {
 	g := gen.BarabasiAlbert(600, 4, 17)
 	fresh := build(t, g, g.DegreeOrder()[:20])
 	hFresh, _ := fresh.Sections()
-	h, sections := codeSections(fresh)
-	if hFresh.Aux2 != 22 || h.Aux2 != 0 || !slices.ContainsFunc(sections, func(s container.Section) bool { return s.ID == sectLabelDist }) {
+	if h, _ := frame(fresh, func(id uint32) bool { return id == sectLabelDist }); hFresh.Aux2 != 22 || h.Aux2 != 0 {
 		t.Fatalf("test premise broken: %d records per label, %d per entry", hFresh.Aux2, h.Aux2)
 	}
-	var file, snap bytes.Buffer
-	fp := container.Section{ID: sectGraph, Payload: binary.LittleEndian.AppendUint32(nil, g.Fingerprint())}
-	if err := container.WriteContainer(&file, h, append(slices.Clone(sections), fp)); err != nil {
-		t.Fatal(err)
-	}
-	if err := container.WriteContainer(&snap, h, append(g.Sections(), sections...)); err != nil {
-		t.Fatal(err)
-	}
-	fromFile, err := core.Read(bytes.NewReader(file.Bytes()), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapG, fromSnap, err := serve.DecodeSnapshot(bytes.NewReader(snap.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := serve.SnapshotBytes(g, fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := serve.SnapshotBytes(snapG, fromSnap); err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("the checkpoint, loaded, writes another snapshot than a fresh build's (%v)", err)
-	}
-	if !bytes.Equal(indexBytes(t, fromFile), indexBytes(t, fresh)) {
-		t.Fatal("the index file, loaded, writes another file than a fresh build's")
-	}
+	migrates(t, framed(t, fresh, false, sectLabelDist), g, "format v2, distance codes in section 12", fresh)
+	migratesSnapshot(t, framed(t, fresh, true, sectLabelDist), "snapshot, distance codes in section 12", fresh)
 	for s := range int32(g.NumVertices()) {
 		for u, d := range bfs.Distances(g, s) {
-			if a, b := fromFile.Distance(s, int32(u)), fromSnap.Distance(s, int32(u)); a != d || b != d {
-				t.Fatalf("d(%d,%d) = %d from the index file, %d from the checkpoint, want %d", s, u, a, b, d)
+			if got := fresh.Distance(s, int32(u)); got != d {
+				t.Fatalf("d(%d,%d) = %d, want %d", s, u, got, d)
+			}
+		}
+	}
+}
+
+// TestRankBytesOfDenseLabellingLoad: writers before section 13 kept every
+// labelling's ranks a byte an entry in section 4. tiny_ranks.hl2 is what
+// the last of them wrote for the paper's example with its three
+// highest-degree vertices as landmarks, which frame gives byte for byte: it
+// migrates to figure2_top3.hl2, and its checkpoint to the state it holds.
+func TestRankBytesOfDenseLabellingLoad(t *testing.T) {
+	g := gen.PaperFigure2()
+	ix := build(t, g, g.DegreeOrder()[:3])
+	old := fixture(t, "tiny_ranks.hl2")
+	if !bytes.Equal(framed(t, ix, false, sectLabelRank, sectLabelDist), old) {
+		t.Fatal("frame does not give the file the writers before section 13 wrote")
+	}
+	migrates(t, old, g, "format v2, rank bytes in section 4", ix)
+	if !bytes.Equal(indexBytes(t, ix), fixture(t, "figure2_top3.hl2")) {
+		t.Fatal("test premise broken: the fresh build does not write figure2_top3.hl2")
+	}
+	migratesSnapshot(t, framed(t, ix, true, sectLabelRank, sectLabelDist), "snapshot, rank bytes in section 4", ix)
+}
+
+// TestMigrateSection12Fixtures: tiny_codes.hl2, tiny_bits.hl2 and
+// grid_ranks.hl2 are what the last writer of section 12 wrote for the
+// paper's example with landmarks {1,5,9} and with its three highest-degree
+// vertices, and for a 5×6 grid with its 15 highest-degree vertices, whose
+// ranks it kept a byte an entry in sections 7, 8 and 4. frame gives each
+// byte for byte; each is named, refused by the serving reader, and
+// migrates to the fresh build's file of today (figure2.hl2,
+// figure2_top3.hl2, grid.hl2); with any one byte flipped it is refused in
+// one line.
+func TestMigrateSection12Fixtures(t *testing.T) {
+	fig, grid := gen.PaperFigure2(), gen.Grid(5, 6)
+	for _, c := range []struct {
+		old, want, layout string
+		ix                *core.Index
+		ids               []uint32
+	}{
+		{"tiny_codes.hl2", "figure2.hl2", "format v2, distance codes in section 12", goldenIndex(t), []uint32{sectLabelDist}},
+		{"tiny_bits.hl2", "figure2_top3.hl2", "format v2, distance codes in section 12", build(t, fig, fig.DegreeOrder()[:3]), []uint32{sectLabelDist}},
+		{"grid_ranks.hl2", "grid.hl2", "format v2, rank bytes in section 4", build(t, grid, grid.DegreeOrder()[:15]), []uint32{sectLabelRank, sectLabelDist}},
+	} {
+		t.Run(c.old, func(t *testing.T) {
+			raw := fixture(t, c.old)
+			if !bytes.Equal(framed(t, c.ix, false, c.ids...), raw) {
+				t.Fatalf("frame does not give %s", c.old)
+			}
+			migrates(t, raw, c.ix.Graph(), c.layout, c.ix)
+			if !bytes.Equal(indexBytes(t, c.ix), fixture(t, c.want)) {
+				t.Fatalf("test premise broken: the fresh build does not write %s", c.want)
+			}
+			for pos := range raw {
+				bad := bytes.Clone(raw)
+				bad[pos] ^= 0x10
+				if _, err := ReadIndex(bytes.NewReader(bad), c.ix.Graph()); err == nil || strings.Contains(err.Error(), "\n") {
+					t.Fatalf("byte flip at %d: %v, want a one-line error", pos, err)
+				}
+			}
+		})
+	}
+}
+
+// TestMigrateEveryLayout: each layout a writer since section 12 produced
+// with section 4 or 12 — ranks as bits in sections 14 and 15 or a byte an
+// entry beside offsets in 7, 8 and 4, every label kept or, in 17 and 18 or
+// 19, 20 and 4, the leaves' elided, beside distances per entry in section
+// 12 or per label in 16 — migrates as an index file and as a checkpoint,
+// for R-MAT-12, whose leaves today's build elides, and path-600, whose
+// labels all escape.
+func TestMigrateEveryLayout(t *testing.T) {
+	for _, ix := range []*core.Index{leafyIndex(t), path600(t)} {
+		for _, ranks := range [][]uint32{{sectLabelBits}, {sectLeafBits}, {sectLabelRank}, {sectLeafBase, sectLabelRank}} {
+			for _, dist := range []uint32{sectLabelDist, sectLabelExcess} {
+				ids := append(slices.Clone(ranks), dist)
+				if dist == sectLabelExcess && !slices.Contains(ranks, sectLabelRank) {
+					continue // today's layout
+				}
+				t.Run(fmt.Sprint(ix.Graph().NumVertices(), ids), func(t *testing.T) {
+					layout := "distance codes in section 12"
+					if slices.Contains(ranks, sectLabelRank) {
+						layout = "rank bytes in section 4"
+					}
+					migrates(t, framed(t, ix, false, ids...), ix.Graph(), "format v2, "+layout, ix)
+					migratesSnapshot(t, framed(t, ix, true, ids...), "snapshot, "+layout, ix)
+				})
 			}
 		}
 	}
@@ -632,7 +708,13 @@ func FuzzReadLegacyIndex(f *testing.F) {
 	f.Add([]byte(IndexMagicV1))
 	f.Add(fixture(f, "tiny_mask.hl2"))
 	f.Add(maskBytes(f, path))
-	graphs := []*graph.Graph{gen.PaperFigure2(), gen.Path(300), path.Graph()}
+	for _, name := range []string{"tiny_codes.hl2", "tiny_bits.hl2", "grid_ranks.hl2", "tiny_ranks.hl2"} {
+		f.Add(fixture(f, name))
+	}
+	for _, ids := range [][]uint32{{sectLabelDist}, {sectLabelRank, sectLabelDist}, {sectLabelRank, sectLabelExcess}} {
+		f.Add(framed(f, path, false, ids...))
+	}
+	graphs := []*graph.Graph{gen.PaperFigure2(), gen.Path(300), path.Graph(), gen.Grid(5, 6)}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, g := range graphs {
 			ix, err := ReadIndex(bytes.NewReader(data), g)

@@ -1,9 +1,9 @@
-// Package legacy reads the layouts no server reads any more: the five
-// index layouts before today's (see ReadIndex), the snapshots whose labels
-// kept one distance byte an entry or masks in section 13, and the HWGRAPH1
-// graph file and HWLSNAP1 checkpoint snapshot that framed a graph before it
-// became container sections 9 and 10. `hlbuild migrate`, this package's
-// one importer, rewrites them.
+// Package legacy reads the layouts no server reads any more: the index
+// layouts before today's (see ReadIndex), the snapshots whose labels kept
+// their ranks or distances in one of them, and the HWGRAPH1 graph file and
+// HWLSNAP1 checkpoint snapshot that framed a graph before it became
+// container sections 9 and 10. `hlbuild migrate`, this package's one
+// importer, rewrites them.
 package legacy
 
 import (
@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math/bits"
 	"slices"
 
 	"highway/internal/container"
@@ -57,7 +58,7 @@ func readArray(r io.Reader, size uint64) (container.Section, error) {
 // ReadSnapshot decodes a snapshot of a retired layout (see SnapshotLayout):
 // an HWLSNAP1 stream — the magic, an HWGRAPH1 graph, then the index file of
 // its labelling — or a container of the graph's sections 9 and 10 beside
-// labels of one distance byte an entry, or with masks in section 13.
+// labels of a retired index layout.
 func ReadSnapshot(r io.Reader) (*graph.Graph, *core.Index, error) {
 	br := bufio.NewReader(r)
 	if magic, _ := br.Peek(len(SnapshotMagic)); string(magic) != SnapshotMagic {
@@ -71,9 +72,8 @@ func ReadSnapshot(r io.Reader) (*graph.Graph, *core.Index, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("legacy: snapshot: %w", err)
 		}
-		_, byteDist := sec[sectByteDist]
-		if _, masks := sec[sectLabelMask]; !byteDist && !masks {
-			return nil, nil, fmt.Errorf("legacy: snapshot has no section %d or %d: not a retired layout", sectByteDist, sectLabelMask)
+		if !slices.ContainsFunc(retiredLabels, func(id uint32) bool { _, ok := sec[id]; return ok }) {
+			return nil, nil, fmt.Errorf("legacy: snapshot has none of sections %v: not a retired layout", retiredLabels)
 		}
 		g, err := graph.FromSections(h.N, sec)
 		if err != nil {
@@ -92,14 +92,14 @@ func ReadSnapshot(r io.Reader) (*graph.Graph, *core.Index, error) {
 }
 
 // The index sections this package names: section 3 held the n+1 label
-// offsets as uint64 before sections 7 and 8, section 5 one distance byte an
-// entry before section 12, section 13 masks of ⌈k/8⌉ bytes a vertex beside
-// sections 7 and 8 before sections 14 and 15, section 12 per-entry codes of
-// every labelling before section 16 held some per label, every writer
-// before sections 17 to 20 (14, 15, 7 and 8 of the labels a labelling keeps
-// when it elides its leaves) kept every label, and section 11, the graph's
-// fingerprint, is what an index file has from the last layout with section
-// 5 on.
+// offsets as uint64 before sections 7 and 8 (19 and 20 of a labelling that
+// elides leaves) held them, one base per 256 vertices and a uint16 a
+// vertex past it, beside the ranks a byte an entry in section 4 or, before
+// sections 14 and 15, masks of ⌈k/8⌉ bytes a vertex in section 13; section
+// 5 held one distance byte an entry before section 12 held a code of w
+// bits an entry and section 16 the codes of a label; section 11, the
+// graph's fingerprint, is what an index file has from the last layout with
+// section 5 on.
 const (
 	sectLabelOff    uint32 = 3
 	sectLabelRank   uint32 = 4
@@ -118,6 +118,10 @@ const (
 	sectLeafBase    uint32 = 19
 	sectLeafRel     uint32 = 20
 )
+
+// retiredLabels are the label sections of which a container beside the
+// graph's sections 9 and 10 holds one in a retired snapshot layout.
+var retiredLabels = []uint32{sectLabelRank, sectByteDist, sectLabelDist, sectLabelMask}
 
 // peekTable returns the first bytes of br and, when they are a container's,
 // whether its table lists a section of each id asked.
@@ -142,46 +146,54 @@ func IndexLayout(br *bufio.Reader) string {
 		return ""
 	case has(sectLabelMask):
 		return "format v2, masks in section 13"
-	case !has(sectLabelRank):
-		return ""
 	case has(sectLabelOff):
 		return "format v2, 64-bit offsets"
-	case !has(sectGraph):
+	case has(sectLabelRank) && !has(sectGraph):
 		return "format v2, no section 11"
 	case has(sectByteDist):
 		return "format v2, byte distances"
+	case has(sectLabelRank):
+		return "format v2, rank bytes in section 4"
+	case has(sectLabelDist):
+		return "format v2, distance codes in section 12"
 	}
 	return ""
 }
 
 // SnapshotLayout names the retired snapshot layout br begins with — an
-// HWLSNAP1 stream, or a container of the graph's sections beside labels of
-// one distance byte an entry or with masks in section 13 — or returns "".
+// HWLSNAP1 stream, or a container of the graph's sections beside labels
+// with one of retiredLabels — or returns "".
 func SnapshotLayout(br *bufio.Reader) string {
 	head, has := peekTable(br)
 	switch {
 	case bytes.HasPrefix(head, []byte(SnapshotMagic)):
 		return SnapshotMagic
-	case has(graph.SectOffsets) && has(sectByteDist):
+	case !has(graph.SectOffsets):
+		return ""
+	case has(sectByteDist):
 		return "snapshot, byte distances"
-	case has(graph.SectOffsets) && has(sectLabelMask):
+	case has(sectLabelMask):
 		return "snapshot, masks in section 13"
+	case has(sectLabelRank):
+		return "snapshot, rank bytes in section 4"
+	case has(sectLabelDist):
+		return "snapshot, distance codes in section 12"
 	}
 	return ""
 }
 
 // ReadIndex reads an index file of a retired layout beside g, the graph it
 // was built on, and returns the index a fresh build of its landmarks on g
-// gives. Each layout holds today's sections 1, 2 and 6, and the offsets
-// of sections 7 and 8 (or 3) beside the ranks in section 4 or 13, in
-// another frame: v1 "HWLIDX01" (the magic, n u64 and k u32, then sections
-// 1, 2, 3 — labelOff [n+1]uint64 —, 4 and 5 bare, the overflow count u32
-// and section 6, with no checksums); an HWLIDX02 container with the
-// offsets in section 3; one with sections 7 and 8 but no section 11, held
-// to its graph by n alone; and one with section 11 — all four with one
-// distance byte an entry (0xFF and a record for d ≥ 255) in section 5
-// where section 12 is now; and one with section 12 and the ranks as masks
-// of ⌈k/8⌉ bytes a vertex in section 13 where sections 14 and 15 are now.
+// gives. Each layout holds today's sections 1, 2 and 6 in another frame,
+// beside the labels in one of its forms (see frame): v1 "HWLIDX01" (the
+// magic, n u64 and k u32, then sections 1, 2, 3, 4 and 5 bare, the
+// overflow count u32 and section 6, with no checksums); an HWLIDX02
+// container with the offsets in section 3; one with sections 7 and 8 but
+// no section 11, held to its graph by n alone; one with section 11 — all
+// four with one distance byte an entry (0xFF and a record for d ≥ 255) in
+// section 5; one with section 12 and the ranks as masks in section 13; and
+// those whose ranks are a byte an entry in section 4 or whose distances are
+// codes an entry in section 12, every label kept or the leaves' elided.
 // The file is accepted only if each of its sections holds what the fresh
 // build's does in that layout (the overflow records in any order). By
 // Lemma 3.11 the labelling of a graph and its landmarks is unique, so this
@@ -203,17 +215,19 @@ func ReadIndex(r io.Reader, g *graph.Graph) (*core.Index, error) {
 	return rebuild(h, sec, g)
 }
 
-// bounds is core.Bounds under h, with the lengths of sections 3, 5 and 13,
-// beside a graph of n vertices.
+// bounds is core.Bounds under h, with the longest sections 3, 4, 5, 7, 8,
+// 12, 13, 19 and 20, beside a graph of n vertices.
 func bounds(h container.Header, n uint64) (map[uint32]uint64, error) {
 	if h.N != n {
 		return nil, fmt.Errorf("legacy: index built for n=%d, graph has n=%d", h.N, n)
 	}
 	want, err := core.Bounds(h)
 	if err == nil {
-		want[sectLabelOff] = (n + 1) * 8
-		want[sectByteDist] = h.Aux1
-		want[sectLabelMask] = n * uint64((h.K+7)/8)
+		maps.Copy(want, map[uint32]uint64{
+			sectLabelOff: (n + 1) * 8, sectLabelRank: h.Aux1, sectByteDist: h.Aux1, sectLabelDist: 1 + h.Aux1,
+			sectLabelMask: n * uint64((h.K+7)/8), sectLabelBase: (n/256 + 1) * 8, sectLabelRel: (n + 1) * 2,
+			sectLeafBase: (n/256 + 1) * 8, sectLeafRel: (n + 1) * 2,
+		})
 	}
 	return want, err
 }
@@ -264,24 +278,12 @@ func rebuild(old container.Header, sec map[uint32]container.Section, g *graph.Gr
 	if err != nil {
 		return nil, err
 	}
-	h, sections := ByteSections(fresh)
-	if _, ok := sec[sectLabelMask]; ok {
-		h, sections = offsetSections(fresh, true)
-	}
+	has := func(id uint32) bool { _, ok := sec[id]; return ok }
+	h, sections := frame(fresh, has)
 	if h != old {
 		return nil, fmt.Errorf("legacy: header %+v is not a fresh build's %+v: %s", old, h, notThisIndex)
 	}
-	if _, ok := sec[sectLabelOff]; ok { // the offsets as the last writer of section 3 wrote them
-		off := make([]byte, 8, (h.N+1)*8)
-		var at uint64
-		for v := range int32(h.N) {
-			at += uint64(fresh.LabelSize(v))
-			off = binary.LittleEndian.AppendUint64(off, at)
-		}
-		sections = slices.DeleteFunc(sections, func(s container.Section) bool { return s.ID == sectLabelBase || s.ID == sectLabelRel })
-		sections = append(sections, container.Section{ID: sectLabelOff, Payload: off})
-	}
-	if _, ok := sec[sectGraph]; ok {
+	if has(sectGraph) {
 		sections = append(sections, container.Section{ID: sectGraph, Payload: binary.LittleEndian.AppendUint32(nil, g.Fingerprint())})
 	}
 	for _, want := range sections {
@@ -297,137 +299,198 @@ func rebuild(old container.Header, sec map[uint32]container.Section, g *graph.Gr
 			return nil, fmt.Errorf("legacy: section %d is missing or not a fresh build's: %s", want.ID, notThisIndex)
 		}
 	}
+	for id := range sec { // a snapshot's graph aside, no more sections than the layout's
+		if id != graph.SectOffsets && id != graph.SectTargets && !slices.ContainsFunc(sections, func(s container.Section) bool { return s.ID == id }) {
+			return nil, fmt.Errorf("legacy: section %d is not one of its layout's: %s", id, notThisIndex)
+		}
+	}
 	return fresh, nil
 }
 
-// ByteSections returns the header and sections 1, 2, 4–8 of ix as the last
-// writer of section 5 laid them out: the offsets in sections 7 and 8 and a
-// rank byte an entry in section 4 whatever the form ix keeps its ranks in,
-// one distance byte an entry in section 5, and 0xFF there and a record in
-// section 6 for each distance ≥ 255. ReadIndex holds a file to them, and
-// tests frame retired files with them.
+// ByteSections returns the header and sections of ix as the last writer of
+// section 5 laid them out: a rank byte an entry in section 4 beside the
+// offsets of sections 7 and 8, and one distance byte an entry in section 5.
 func ByteSections(ix *core.Index) (container.Header, []container.Section) {
-	h, sections := offsetSections(ix, false)
-	dist := make([]byte, 0, h.Aux1)
-	var over []byte
-	for v := range int32(h.N) {
-		ranks, dists := ix.Label(v)
-		for i, d := range dists {
-			dist = append(dist, byte(min(d, 255)))
-			if d >= 255 {
-				over = binary.LittleEndian.AppendUint32(over, uint32(v))
-				over = binary.LittleEndian.AppendUint32(append(over, byte(ranks[i])), uint32(d))
-			}
-		}
-	}
-	h.Aux2 = uint64(len(over) / 9)
-	for i, s := range sections {
-		switch s.ID {
-		case sectLabelDist:
-			sections[i] = container.Section{ID: sectByteDist, Payload: dist}
-		case sectOverflow:
-			sections[i].Payload = over
-		}
-	}
-	return h, sections
+	return frame(ix, func(id uint32) bool { return id == sectLabelRank || id == sectByteDist })
 }
 
-// offsetSections returns the header and sections of ix as the writers
-// before sections 14 and 15 laid them out: the offsets in sections 7 and 8
-// — one uint64 per 256 vertices, the offset of the first, and one uint16 a
-// vertex past it — and the ranks a byte an entry in section 4 or, with
-// masks, ⌈k/8⌉ bytes a vertex in section 13, where ix's rank sections are.
-func offsetSections(ix *core.Index, masks bool) (container.Header, []container.Section) {
-	h, sections := codeSections(ix)
-	n, size := int(h.N), int(h.K+7)/8
-	var base, rel, rank []byte
-	mask := make([]byte, n*size)
+// frame returns the header and sections 1, 2, the offsets, the ranks, the
+// distances and 6 of ix as the writer of the layout whose section ids has
+// reports laid them out:
+//
+//   - the labels of every vertex, or, with section 17 or 19, of all but its
+//     leaves: those of degree one and no landmark whose neighbour is neither
+//     a landmark nor of degree one;
+//   - their ranks as masks of ⌈k/8⌉ bytes a label in section 13, or a byte an
+//     entry in section 4, beside their offsets — the n+1 of them as uint64
+//     in section 3, or one uint64 per 256 labels, the offset of the first,
+//     and a uint16 a label past it in sections 7 and 8 (19 and 20) —, or as
+//     k bits a label in section 14 (17) beside the set bits before each
+//     block of 2¹⁶ and from there to each stride of ⌈k/64⌉ words in 15 (18);
+//   - their distances as one byte an entry in section 5, 0xFF escaping at
+//     d ≥ 255; or as a code of w bits an entry in section 12, d-1, the
+//     all-ones code escaping; or per label in section 16 (core.Index); w and
+//     wo those whose codes and 9-byte records take the fewest bytes, the
+//     wider w, then the narrower wo, on a tie;
+//   - a record in section 6 for each escaped entry.
+func frame(ix *core.Index, has func(id uint32) bool) (container.Header, []container.Section) {
+	h, today := ix.Sections()
+	g, k := ix.Graph(), int(h.K)
+	elided := has(sectLeafBits) || has(sectLeafBase)
+	var verts []int32 // the vertices whose labels the file holds
+	var ranks, dists [][]int32
+	for v := range int32(h.N) {
+		if nb := g.Neighbors(v); elided && len(nb) == 1 && !ix.IsLandmark(v) && !ix.IsLandmark(nb[0]) && g.Degree(nb[0]) != 1 {
+			continue
+		}
+		r, d := ix.Label(v)
+		verts, ranks, dists = append(verts, v), append(ranks, r), append(dists, d)
+	}
+	// The ranks and their offsets.
+	size, words := (k+7)/8, (len(verts)*k+63)/64
+	var base, rel, off, rank, dirBase, dirRel []byte
+	mask, bitString := make([]byte, len(verts)*size), make([]byte, words*8)
 	var at, blockStart uint64
-	for v := 0; v <= n; v++ {
-		if v%256 == 0 {
+	for i := 0; ; i++ {
+		if i%256 == 0 {
 			blockStart = at
 			base = binary.LittleEndian.AppendUint64(base, at)
 		}
 		rel = binary.LittleEndian.AppendUint16(rel, uint16(at-blockStart))
-		if v == n {
+		off = binary.LittleEndian.AppendUint64(off, at)
+		if i == len(verts) {
 			break
 		}
-		ranks, _ := ix.Label(int32(v))
-		for _, r := range ranks {
+		for _, r := range ranks[i] {
 			rank = append(rank, byte(r))
-			mask[v*size+int(r)/8] |= 1 << (r % 8)
+			mask[i*size+int(r)/8] |= 1 << (r % 8)
+			bit := i*k + int(r)
+			bitString[bit/8] |= 1 << (bit % 8)
 		}
-		at += uint64(len(ranks))
+		at += uint64(len(ranks[i]))
 	}
-	ranks := container.Section{ID: sectLabelRank, Payload: rank}
-	if masks {
-		ranks = container.Section{ID: sectLabelMask, Payload: mask}
-	}
-	h.Aux1 = at // every label's entries, elided ones included
-	var out []container.Section
-	for _, s := range sections {
-		switch s.ID {
-		case sectLabelBase, sectLabelRel, sectLabelRank, sectLabelBits, sectLabelDir, sectLeafBits, sectLeafDir, sectLeafBase, sectLeafRel:
-		case sectLabelDist: // the ranks come before it
-			out = append(out, container.Section{ID: sectLabelBase, Payload: base}, container.Section{ID: sectLabelRel, Payload: rel}, ranks, s)
-		default:
-			out = append(out, s)
+	var total uint64 // the set bits before word w
+	for w := range words {
+		if w%1024 == 0 {
+			dirBase = binary.LittleEndian.AppendUint64(dirBase, total)
 		}
-	}
-	return h, out
-}
-
-// codeSections returns the header and sections of ix as the writers before
-// section 16 laid them out: its distances per entry in section 12, a code of
-// w bits d-1, the all-ones code escaping to a record in section 6, at the w
-// of 2, 4 and 8 whose codes and records take the fewest bytes, the wider on
-// a tie, for every label. Tests frame the files of those writers with it;
-// the rank sections are ix's, which hold every label only when ix elides
-// no leaf (offsetSections lays them out for every label).
-func codeSections(ix *core.Index) (container.Header, []container.Section) {
-	h, sections := ix.Sections()
-	type entry struct{ v, rank, d int32 }
-	var entries []entry
-	for v := range int32(h.N) {
-		ranks, dists := ix.Label(v)
-		for i, d := range dists {
-			entries = append(entries, entry{v, ranks[i], d})
+		if w%((k+63)/64) == 0 {
+			dirRel = binary.LittleEndian.AppendUint16(dirRel, uint16(total-binary.LittleEndian.Uint64(dirBase[w/1024*8:])))
 		}
+		total += uint64(bits.OnesCount64(binary.LittleEndian.Uint64(bitString[w*8:])))
 	}
-	size := func(w int) (bytes int) {
-		for _, e := range entries {
-			if e.d >= 1<<w {
-				bytes += 9
+	ids := [4]uint32{sectLabelBase, sectLabelRel, sectLabelBits, sectLabelDir}
+	if elided {
+		ids = [4]uint32{sectLeafBase, sectLeafRel, sectLeafBits, sectLeafDir}
+	}
+	sections := today[:2:2]
+	switch {
+	case has(sectLabelOff):
+		sections = append(sections, container.Section{ID: sectLabelOff, Payload: off}, container.Section{ID: sectLabelRank, Payload: rank})
+	case has(sectLabelMask):
+		sections = append(sections, container.Section{ID: ids[0], Payload: base}, container.Section{ID: ids[1], Payload: rel}, container.Section{ID: sectLabelMask, Payload: mask})
+	case has(sectLabelRank):
+		sections = append(sections, container.Section{ID: ids[0], Payload: base}, container.Section{ID: ids[1], Payload: rel}, container.Section{ID: sectLabelRank, Payload: rank})
+	default:
+		sections = append(sections, container.Section{ID: ids[2], Payload: bitString}, container.Section{ID: ids[3], Payload: append(dirBase, dirRel...)})
+	}
+	// The distances and the records of those that escape.
+	var over []byte
+	escape := func(i, j int) {
+		over = binary.LittleEndian.AppendUint32(over, uint32(verts[i]))
+		over = binary.LittleEndian.AppendUint32(append(over, byte(ranks[i][j])), uint32(dists[i][j]))
+	}
+	var dist container.Section
+	switch {
+	case has(sectByteDist):
+		dist.ID, dist.Payload = sectByteDist, make([]byte, 0, at)
+		for i, l := range dists {
+			for j, d := range l {
+				if dist.Payload = append(dist.Payload, byte(min(d, 255))); d >= 255 {
+					escape(i, j)
+				}
 			}
 		}
-		return bytes + (len(entries)*w+7)/8
+	case has(sectLabelDist):
+		w, best := 0, 0
+		for _, cw := range []int{8, 4, 2} {
+			bytes := int(at*uint64(cw)+7) / 8
+			for _, l := range dists {
+				for _, d := range l {
+					if d >= 1<<cw {
+						bytes += 9
+					}
+				}
+			}
+			if w == 0 || bytes < best {
+				w, best = cw, bytes
+			}
+		}
+		dist.ID, dist.Payload = sectLabelDist, append(make([]byte, 0, 1+(int(at)*w+7)/8), byte(w))
+		codes := make([]int32, 0, at)
+		for i, l := range dists {
+			for j, d := range l {
+				if codes = append(codes, min(d-1, 1<<w-1)); d >= 1<<w {
+					escape(i, j)
+				}
+			}
+		}
+		dist.Payload = packBits(dist.Payload, codes, w)
+	default:
+		// A label escapes whole where the base does not hold its smallest
+		// code, min(d-1, 255), or the excess its span.
+		low, span := make([]int32, len(dists)), make([]int32, len(dists))
+		for i, l := range dists {
+			if len(l) > 0 {
+				low[i], span[i] = min(slices.Min(l)-1, 255), slices.Max(l)-slices.Min(l)
+			}
+		}
+		escaped := func(i, w, wo int) bool { return len(dists[i]) > 0 && (low[i] >= 1<<w-1 || span[i] >= 1<<wo) }
+		var w, wo, best int
+		for _, bw := range []int{8, 4, 2} {
+			for _, ow := range []int{0, 1, 2, 4} {
+				bytes := 2 + (len(dists)*bw+7)/8 + (int(at)*ow+7)/8
+				for i, l := range dists {
+					if escaped(i, bw, ow) {
+						bytes += 9 * len(l)
+					}
+				}
+				if w == 0 || bytes < best {
+					w, wo, best = bw, ow, bytes
+				}
+			}
+		}
+		var bases, excess []int32
+		for i, l := range dists {
+			b := low[i]
+			if escaped(i, w, wo) {
+				b = 1<<w - 1
+			}
+			bases = append(bases, b)
+			for j, d := range l {
+				if escaped(i, w, wo) {
+					escape(i, j)
+					d = low[i] + 1
+				}
+				excess = append(excess, d-1-low[i])
+			}
+		}
+		dist.ID, dist.Payload = sectLabelExcess, packBits(packBits([]byte{byte(w), byte(wo)}, bases, w), excess, wo)
 	}
-	w := 8
-	for _, narrower := range []int{4, 2} {
-		if size(narrower) < size(w) {
-			w = narrower
+	h.Aux1, h.Aux2 = at, uint64(len(over)/9)
+	return h, append(sections, dist, container.Section{ID: sectOverflow, Payload: over})
+}
+
+// packBits appends codes of w bits, LSB first, to dst, the padding bits 0.
+func packBits(dst []byte, codes []int32, w int) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, (len(codes)*w+7)/8)...)
+	for i, c := range codes {
+		for b := range w {
+			dst[start+(i*w+b)/8] |= byte(c>>b&1) << ((i*w + b) % 8)
 		}
 	}
-	codes, over := make([]byte, 1+(len(entries)*w+7)/8), []byte(nil)
-	codes[0] = byte(w)
-	for p, e := range entries {
-		c := min(e.d-1, 1<<w-1)
-		codes[1+p*w/8] |= byte(c) << (p * w % 8)
-		if c == 1<<w-1 {
-			over = binary.LittleEndian.AppendUint32(over, uint32(e.v))
-			over = binary.LittleEndian.AppendUint32(append(over, byte(e.rank)), uint32(e.d))
-		}
-	}
-	h.Aux1, h.Aux2 = uint64(len(entries)), uint64(len(over)/9)
-	for i, s := range sections {
-		switch s.ID {
-		case sectLabelExcess:
-			sections[i] = container.Section{ID: sectLabelDist, Payload: codes}
-		case sectOverflow:
-			sections[i].Payload = over
-		}
-	}
-	return h, sections
+	return dst
 }
 
 // notThisIndex ends the error of a file that is not the labelling of its
