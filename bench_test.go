@@ -36,7 +36,7 @@ func fixtures(b *testing.B) (*highway.Graph, []int32, []highway.Pair) {
 			panic(err)
 		}
 		fixGraph = d.Load(benchShrink)
-		fixLM, err = highway.SelectLandmarks(fixGraph, 20, highway.ByDegree, 0)
+		fixLM, err = highway.SelectLandmarks(fixGraph, 20)
 		if err != nil {
 			panic(err)
 		}
@@ -327,7 +327,7 @@ func BenchmarkFig1a(b *testing.B) {
 func BenchmarkFig1b(b *testing.B) {
 	for _, n := range []int{5_000, 20_000, 80_000} {
 		g := highway.BarabasiAlbert(n, 5, int64(n))
-		lm, err := highway.SelectLandmarks(g, 20, highway.ByDegree, 0)
+		lm, err := highway.SelectLandmarks(g, 20)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -379,7 +379,7 @@ func BenchmarkFig6Distribution(b *testing.B) {
 func BenchmarkFig7BuildHL(b *testing.B) {
 	g, _, _ := fixtures(b)
 	for _, k := range []int{10, 20, 30, 40, 50} {
-		lm, err := highway.SelectLandmarks(g, k, highway.ByDegree, 0)
+		lm, err := highway.SelectLandmarks(g, k)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -396,7 +396,7 @@ func BenchmarkFig7BuildHL(b *testing.B) {
 func BenchmarkFig7QueryHL(b *testing.B) {
 	g, _, pairs := fixtures(b)
 	for _, k := range []int{10, 20, 30, 40, 50} {
-		lm, err := highway.SelectLandmarks(g, k, highway.ByDegree, 0)
+		lm, err := highway.SelectLandmarks(g, k)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -419,7 +419,7 @@ func BenchmarkFig7QueryHL(b *testing.B) {
 func BenchmarkFig8Sizes(b *testing.B) {
 	g, _, _ := fixtures(b)
 	for _, k := range []int{10, 20, 30, 40, 50} {
-		lm, err := highway.SelectLandmarks(g, k, highway.ByDegree, 0)
+		lm, err := highway.SelectLandmarks(g, k)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -442,7 +442,7 @@ func BenchmarkFig9Coverage(b *testing.B) {
 	g, _, pairs := fixtures(b)
 	sample := pairs[:1024]
 	for _, k := range []int{10, 20, 30, 40, 50} {
-		lm, err := highway.SelectLandmarks(g, k, highway.ByDegree, 0)
+		lm, err := highway.SelectLandmarks(g, k)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	hlbuild -graph web.hwg -k 20 -out web.idx
-//	hlbuild -graph edges.txt -k 40 -strategy degree -workers 8 -verify 1000
+//	hlbuild -graph edges.txt -k 40 -workers 8 -verify 1000
 //	hlbuild -graph web.hwg -k 20 -progress           (log per-landmark BFS completion)
 //	hlbuild migrate -graph web.hwg -in old.idx -out web.idx   (an index file of a retired layout)
 //	hlbuild migrate -in old.hwg -out web.hwg                  (a graph file, or a <wal>.snap checkpoint of any layout)
@@ -42,6 +42,9 @@ import (
 	"highway/internal/serve"
 )
 
+// verifySeed draws the pairs -verify cross-checks, so a run is repeatable.
+const verifySeed = 42
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "hlbuild:", err)
@@ -57,8 +60,6 @@ func run(args []string) error {
 	var (
 		graphPath = fs.String("graph", "", "graph file: binary (.hwg) or text edge list (required)")
 		k         = fs.Int("k", 20, "number of landmarks")
-		strategy  = fs.String("strategy", "degree", "landmark strategy: degree | random | closeness | degree-spread")
-		seed      = fs.Int64("seed", 42, "seed for randomized strategies")
 		workers   = fs.Int("workers", 0, "goroutines sharing each level of the build traversal (0 = all cores, 1 = one); the index is the same for every value")
 		out       = fs.String("out", "", "index output path (default: graph path + .idx)")
 		verify    = fs.Int("verify", 0, "cross-check this many random pairs against BFS after building")
@@ -86,8 +87,9 @@ func run(args []string) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	// A -k above n selects every vertex.
-	landmarks, err := highway.SelectLandmarks(g, min(*k, g.NumVertices()), highway.LandmarkStrategy(*strategy), *seed)
+	// The landmarks are the k highest-degree vertices; a -k above n
+	// selects every vertex.
+	landmarks, err := highway.SelectLandmarks(g, min(*k, g.NumVertices()))
 	if err != nil {
 		return err
 	}
@@ -110,7 +112,7 @@ func run(args []string) error {
 		tr.EdgesScanned(), tr.EdgesTopDown, tr.EdgesBottomUp)
 
 	if *verify > 0 {
-		if err := ix.Verify(*verify, *seed); err != nil {
+		if err := ix.Verify(*verify, verifySeed); err != nil {
 			return err
 		}
 		fmt.Printf("verified %d random pairs against BFS\n", *verify)

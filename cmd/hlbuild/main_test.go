@@ -91,10 +91,16 @@ func TestRunBuildTextGraph(t *testing.T) {
 	}
 }
 
-func TestRunBuildStrategy(t *testing.T) {
+// TestBuildStrategyFlagGone: the landmarks are the k highest-degree
+// vertices, so the flags that chose another strategy and seeded it are
+// gone.
+func TestBuildStrategyFlagGone(t *testing.T) {
 	gp := writeGraph(t)
-	if err := run([]string{"-graph", gp, "-k", "5", "-strategy", "random", "-seed", "9"}); err != nil {
-		t.Fatal(err)
+	for _, args := range [][]string{{"-strategy", "random"}, {"-seed", "9"}} {
+		err := run(append([]string{"-graph", gp, "-k", "5"}, args...))
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			t.Fatalf("%s: %v, want flag provided but not defined", args[0], err)
+		}
 	}
 }
 
@@ -500,9 +506,6 @@ func TestRunBuildErrors(t *testing.T) {
 	gp := writeGraph(t)
 	if err := run([]string{"-graph", gp, "-k", "0"}); err == nil {
 		t.Error("k=0 accepted")
-	}
-	if err := run([]string{"-graph", gp, "-strategy", "bogus"}); err == nil {
-		t.Error("bogus strategy accepted")
 	}
 	// One format is written: the flag that chose it is gone.
 	if err := run([]string{"-graph", gp, "-format", "v1"}); err == nil {

@@ -26,7 +26,7 @@ func writeIndexedGraph(t *testing.T) string {
 	if err := highway.SaveGraph(g, gp); err != nil {
 		t.Fatal(err)
 	}
-	lms, err := highway.SelectLandmarks(g, 8, highway.ByDegree, 0)
+	lms, err := highway.SelectLandmarks(g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

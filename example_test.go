@@ -20,7 +20,7 @@ func ExampleBuild_hl() {
 	if err != nil {
 		panic(err)
 	}
-	landmarks, _ := highway.SelectLandmarks(g, 2, highway.ByDegree, 0)
+	landmarks, _ := highway.SelectLandmarks(g, 2)
 	ix, _ := highway.Build(context.Background(), g, landmarks, highway.BuildOptions{})
 	fmt.Println(ix.Distance(0, 3))
 	fmt.Println(ix.Distance(2, 5))
@@ -36,7 +36,7 @@ func ExampleNewServer() {
 	g, _ := highway.FromEdges(6, [][2]int32{
 		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {1, 4},
 	})
-	landmarks, _ := highway.SelectLandmarks(g, 2, highway.ByDegree, 0)
+	landmarks, _ := highway.SelectLandmarks(g, 2)
 	ix, _ := highway.Build(context.Background(), g, landmarks, highway.BuildOptions{})
 
 	srv := highway.NewServer(ix, highway.ServeConfig{})
@@ -62,7 +62,7 @@ func ExampleServer_InsertEdges() {
 	g, _ := highway.FromEdges(6, [][2]int32{
 		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {1, 4},
 	})
-	landmarks, _ := highway.SelectLandmarks(g, 2, highway.ByDegree, 0)
+	landmarks, _ := highway.SelectLandmarks(g, 2)
 	ix, _ := highway.Build(context.Background(), g, landmarks, highway.BuildOptions{})
 
 	srv, _ := highway.NewLiveServer(ix, highway.LiveConfig{})
@@ -86,7 +86,7 @@ func ExampleClient() {
 	g, _ := highway.FromEdges(6, [][2]int32{
 		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {1, 4},
 	})
-	landmarks, _ := highway.SelectLandmarks(g, 2, highway.ByDegree, 0)
+	landmarks, _ := highway.SelectLandmarks(g, 2)
 	ix, _ := highway.Build(context.Background(), g, landmarks, highway.BuildOptions{})
 	srv := highway.NewServer(ix, highway.ServeConfig{})
 
@@ -123,7 +123,7 @@ func ExampleBuild() {
 	g, _ := highway.FromEdges(6, [][2]int32{
 		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {1, 4},
 	})
-	landmarks, _ := highway.SelectLandmarks(g, 2, highway.ByDegree, 0)
+	landmarks, _ := highway.SelectLandmarks(g, 2)
 	ix, err := highway.Build(context.Background(), g, landmarks, highway.BuildOptions{
 		Workers:  1,
 		Progress: func(done, total int) { fmt.Printf("landmark BFS %d/%d done\n", done, total) },

@@ -41,7 +41,7 @@ import (
 
 func main() {
 	g := highway.BarabasiAlbert(20_000, 4, 11)
-	landmarks, err := highway.SelectLandmarks(g, 16, highway.ByDegree, 0)
+	landmarks, err := highway.SelectLandmarks(g, 16)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func main() {
 	fmt.Printf("graph: n=%d m=%d avg.deg=%.1f\n", g.NumVertices(), g.NumEdges(), g.AvgDegree())
 
 	// The paper selects the top-degree vertices as landmarks (Section 6.3).
-	landmarks, err := highway.SelectLandmarks(g, 20, highway.ByDegree, 0)
+	landmarks, err := highway.SelectLandmarks(g, 20)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,7 +25,7 @@ import (
 func main() {
 	fmt.Println("generating a 100k-member social network ...")
 	g := highway.BarabasiAlbert(100_000, 6, 2024)
-	landmarks, err := highway.SelectLandmarks(g, 30, highway.ByDegree, 0)
+	landmarks, err := highway.SelectLandmarks(g, 30)
 	if err != nil {
 		log.Fatal(err)
 	}

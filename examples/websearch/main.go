@@ -26,7 +26,7 @@ func main() {
 	g, _ := highway.LargestComponent(raw)
 	fmt.Printf("crawl: n=%d m=%d max.deg=%d\n", g.NumVertices(), g.NumEdges(), maxDeg(g))
 
-	landmarks, err := highway.SelectLandmarks(g, 40, highway.ByDegree, 0)
+	landmarks, err := highway.SelectLandmarks(g, 40)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,7 +10,7 @@
 // # Quick start
 //
 //	g := highway.BarabasiAlbert(100_000, 5, 42)
-//	landmarks, _ := highway.SelectLandmarks(g, 20, highway.ByDegree, 0)
+//	landmarks, _ := highway.SelectLandmarks(g, 20)
 //	ix, _ := highway.Build(ctx, g, landmarks, highway.BuildOptions{}) // parallel pruned BFSs
 //	d := ix.Distance(12, 34)                                          // exact distance, -1 if disconnected
 //
@@ -188,25 +188,10 @@ func WattsStrogatz(n, k int, beta float64, seed int64) *Graph {
 	return gen.WattsStrogatz(n, k, beta, seed)
 }
 
-// LandmarkStrategy selects how SelectLandmarks picks the landmark set.
-type LandmarkStrategy = landmark.Strategy
-
-const (
-	// ByDegree picks the k highest-degree vertices (the paper's choice).
-	ByDegree = landmark.Degree
-	// ByRandom picks k vertices uniformly at random.
-	ByRandom = landmark.Random
-	// ByCloseness picks the k vertices with best sampled closeness.
-	ByCloseness = landmark.Closeness
-	// ByDegreeSpread picks high-degree vertices that are pairwise
-	// non-adjacent where possible.
-	ByDegreeSpread = landmark.DegreeSpread
-)
-
-// SelectLandmarks returns k landmarks under the given strategy (seed is
-// used by the randomized strategies).
-func SelectLandmarks(g *Graph, k int, strategy LandmarkStrategy, seed int64) ([]int32, error) {
-	return landmark.Select(g, landmark.Options{K: k, Strategy: strategy, Seed: seed})
+// SelectLandmarks returns the k highest-degree vertices, rank 0 first
+// (the paper's choice, Section 6.3); ties go to the lower vertex id.
+func SelectLandmarks(g *Graph, k int) ([]int32, error) {
+	return landmark.Select(g, landmark.Options{K: k})
 }
 
 // LoadIndex reads an index file written by Index.Save and attaches it to

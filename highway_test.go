@@ -43,7 +43,7 @@ func testMethodNamed(name string) testMethod {
 // quick start does.
 func TestFacadeEndToEnd(t *testing.T) {
 	g := highway.BarabasiAlbert(2000, 4, 7)
-	lm, err := highway.SelectLandmarks(g, 16, highway.ByDegree, 0)
+	lm, err := highway.SelectLandmarks(g, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestFacadeGraphIO(t *testing.T) {
 		t.Fatal("graph IO mismatch")
 	}
 
-	lm, err := highway.SelectLandmarks(g2, 8, highway.ByDegree, 0)
+	lm, err := highway.SelectLandmarks(g2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestFacadeBuilderAndComponents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lm, _ := highway.SelectLandmarks(g2, 1, highway.ByDegree, 0)
+	lm, _ := highway.SelectLandmarks(g2, 1)
 	ix, err := buildHL(g2, lm)
 	if err != nil {
 		t.Fatal(err)
@@ -159,24 +159,6 @@ func TestFacadeBuilderAndComponents(t *testing.T) {
 	}
 	if st := ix.Stats(); st.NumLandmarks != 1 {
 		t.Fatalf("stats: %+v", st)
-	}
-}
-
-func TestFacadeStrategies(t *testing.T) {
-	g := highway.ErdosRenyi(200, 600, 9)
-	lcc, _ := highway.LargestComponent(g)
-	for _, s := range []highway.LandmarkStrategy{highway.ByDegree, highway.ByRandom, highway.ByCloseness, highway.ByDegreeSpread} {
-		lm, err := highway.SelectLandmarks(lcc, 5, s, 11)
-		if err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
-		ix, err := buildHL(lcc, lm)
-		if err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
-		if err := ix.Verify(100, 1); err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
 	}
 }
 
@@ -196,7 +178,7 @@ func TestFacadeRMAT(t *testing.T) {
 // takes the insert.
 func TestFDDynamicViaFacade(t *testing.T) {
 	g := highway.BarabasiAlbert(300, 3, 11)
-	lm, _ := highway.SelectLandmarks(g, 6, highway.ByDegree, 0)
+	lm, _ := highway.SelectLandmarks(g, 6)
 	fdIx, err := fd.Build(context.Background(), g, lm)
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +208,7 @@ func TestFDDynamicViaFacade(t *testing.T) {
 
 func TestDynamicIndexViaFacade(t *testing.T) {
 	g := highway.BarabasiAlbert(400, 3, 13)
-	lm, _ := highway.SelectLandmarks(g, 8, highway.ByDegree, 0)
+	lm, _ := highway.SelectLandmarks(g, 8)
 	built, err := testMethodNamed("dynhl").build(context.Background(), g, lm)
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +235,7 @@ func TestDynamicIndexViaFacade(t *testing.T) {
 // and the static→dynamic→frozen conversion cycle.
 func TestIndexFilesViaFacade(t *testing.T) {
 	g := highway.BarabasiAlbert(300, 3, 21)
-	lm, _ := highway.SelectLandmarks(g, 8, highway.ByDegree, 0)
+	lm, _ := highway.SelectLandmarks(g, 8)
 	ix, err := buildHL(g, lm)
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +289,7 @@ func TestIndexFilesViaFacade(t *testing.T) {
 
 func TestPathViaFacade(t *testing.T) {
 	g := highway.BarabasiAlbert(300, 3, 17)
-	lm, _ := highway.SelectLandmarks(g, 8, highway.ByDegree, 0)
+	lm, _ := highway.SelectLandmarks(g, 8)
 	ix, err := buildHL(g, lm)
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +323,7 @@ func TestLargeScaleIntegration(t *testing.T) {
 		t.Skip("large-scale integration skipped in -short mode")
 	}
 	g := highway.BarabasiAlbert(100_000, 5, 99)
-	lm, err := highway.SelectLandmarks(g, 32, highway.ByDegree, 0)
+	lm, err := highway.SelectLandmarks(g, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +345,7 @@ func TestLargeScaleIntegration(t *testing.T) {
 // shutdown through context cancellation.
 func TestFacadeServe(t *testing.T) {
 	g := highway.BarabasiAlbert(300, 3, 8)
-	lm, err := highway.SelectLandmarks(g, 8, highway.ByDegree, 0)
+	lm, err := highway.SelectLandmarks(g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,59 +5,14 @@ import (
 	"text/tabwriter"
 
 	"highway/internal/core"
-	"highway/internal/landmark"
 	"highway/internal/workload"
 )
 
-// Ablation experiments for the design choices DESIGN.md calls out. These
-// go beyond the paper's published evaluation:
-//
-//   - "strategies": the paper's conclusion names landmark selection as
-//     future work; this sweep compares the degree heuristic against
-//     random, sampled-closeness and degree-spread selection on
-//     construction time, labelling size, pair coverage and query time.
-//   - "bounds": isolates the two halves of the query framework, timing
-//     label-only upper bounds (approximate) against the full bounded
-//     search (exact) and reporting how often the bound is already exact
-//     (the pair coverage of Figure 9 seen from the latency side).
-
-// Ablation runs every ablation experiment.
-func (r *Runner) Ablation() error {
-	if err := r.AblationStrategies(); err != nil {
-		return err
-	}
-	return r.AblationBounds()
-}
-
-// AblationStrategies compares landmark selection strategies.
-func (r *Runner) AblationStrategies() error {
-	r.header(fmt.Sprintf("Ablation A: landmark selection strategies (k=%d)", r.cfg.Landmarks))
-	tw := tabwriter.NewWriter(r.cfg.Out, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Dataset\tStrategy\tCT\tSize\tCoverage\tQT")
-	strategies := []landmark.Strategy{landmark.Degree, landmark.Random, landmark.Closeness, landmark.DegreeSpread}
-	for _, d := range r.selected() {
-		g := d.Load(r.cfg.Shrink)
-		pairs := workload.RandomPairs(g, min(r.cfg.Pairs, 20_000), r.cfg.Seed)
-		k := min(r.cfg.Landmarks, g.NumVertices())
-		for _, st := range strategies {
-			lm, err := landmark.Select(g, landmark.Options{K: k, Strategy: st, Seed: r.cfg.Seed})
-			if err != nil {
-				return fmt.Errorf("ablation: %s/%s: %w", d.Name, st, err)
-			}
-			res := r.build(MethodHLP, d.Name+"/"+string(st), g, lm)
-			if res.DNF {
-				fmt.Fprintf(tw, "%s\t%s\tDNF\t-\t-\t-\n", d.Name, st)
-				continue
-			}
-			cov := workload.PairCoverage(res.Bounder, res.NewSearcher(), pairs)
-			qt := measureQueries(res.NewSearcher(), pairs)
-			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%.3f\t%s\n",
-				d.Name, st, fmtCT(res), fmtBytes(res.SizeBytes), cov, fmtQT(qt, false))
-		}
-		r.progress(d.Name)
-	}
-	return tw.Flush()
-}
+// The ablation experiment goes beyond the paper's published evaluation:
+// it isolates the two halves of the query framework, timing label-only
+// upper bounds (approximate) against the full bounded search (exact) and
+// reporting how often the bound is already exact (the pair coverage of
+// Figure 9 seen from the latency side).
 
 // AblationBounds times the offline half of a query (label upper bound)
 // against the full exact query, and reports the fraction of pairs where
@@ -68,7 +23,7 @@ func (r *Runner) AblationBounds() error {
 	fmt.Fprintln(tw, "Dataset\tQT[bound only]\tQT[full query]\tbound==exact")
 	for _, d := range r.selected() {
 		g := d.Load(r.cfg.Shrink)
-		lm := r.landmarksFor(g, min(r.cfg.Landmarks, g.NumVertices()))
+		lm := r.landmarksFor(g, r.cfg.Landmarks)
 		ix, err := core.BuildParallel(g, lm)
 		if err != nil {
 			return fmt.Errorf("ablation: %s: %w", d.Name, err)

@@ -26,7 +26,7 @@ func batchFixture(b *testing.B) *core.Index {
 	b.Helper()
 	batchFixOnce.Do(func() {
 		batchFixG = gen.BarabasiAlbert(100_000, 5, 1)
-		lm, err := landmark.Select(batchFixG, landmark.Options{K: 20, Strategy: landmark.Degree})
+		lm, err := landmark.Select(batchFixG, landmark.Options{K: 20})
 		if err != nil {
 			panic(err)
 		}

@@ -29,7 +29,7 @@ func buildFixture(b *testing.B) (*graph.Graph, []int32) {
 			panic(err)
 		}
 		buildFixG = d.Load(4)
-		buildFixLM, err = landmark.Select(buildFixG, landmark.Options{K: 20, Strategy: landmark.Degree})
+		buildFixLM, err = landmark.Select(buildFixG, landmark.Options{K: 20})
 		if err != nil {
 			panic(err)
 		}

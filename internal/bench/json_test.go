@@ -17,7 +17,7 @@ import (
 // reason, not as a blank row.
 func TestDNFReportedInJSON(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, 1)
-	lm, err := landmark.Select(g, landmark.Options{K: 8, Strategy: landmark.Degree})
+	lm, err := landmark.Select(g, landmark.Options{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,12 @@
 // re-runs the paper's experiments — the dataset statistics of Table 1,
 // the construction/query/size comparisons of Tables 2-3, the speedup
 // and scaling curves of Figures 1 and 6-9 — over the synthetic stand-in
-// datasets of internal/datasets, plus the ablation studies DESIGN.md
-// calls out (landmark selection strategies, bound-only vs full
-// queries). Each experiment id maps to one Runner method; see DESIGN.md
-// for the per-experiment index (what each id reproduces, which methods
-// and measurements it involves) and EXPERIMENTS.md for recorded runs
-// next to the paper's published numbers.
+// datasets of internal/datasets, plus the ablation study DESIGN.md
+// calls out (bound-only vs full queries). Each experiment id maps to one
+// Runner method; see DESIGN.md for the per-experiment index (what each
+// id reproduces, which methods and measurements it involves) and
+// EXPERIMENTS.md for recorded runs next to the paper's published
+// numbers.
 //
 // Methods that exceed the per-run build budget are reported as DNF
 // rather than aborting the whole table, mirroring how the paper reports
@@ -28,7 +28,6 @@ import (
 	"highway/internal/datasets"
 	"highway/internal/gen"
 	"highway/internal/graph"
-	"highway/internal/landmark"
 	"highway/internal/workload"
 )
 
@@ -132,6 +131,9 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.Out == nil {
 		return nil, fmt.Errorf("bench: Config.Out is required")
 	}
+	if cfg.Landmarks < 1 {
+		return nil, fmt.Errorf("bench: Config.Landmarks = %d, want ≥ 1", cfg.Landmarks)
+	}
 	for _, name := range cfg.Datasets {
 		if _, err := datasets.ByName(name); err != nil {
 			return nil, err
@@ -174,7 +176,7 @@ func (r *Runner) Run(ids []string) error {
 		case "fig9":
 			err = r.Fig9()
 		case "ablation":
-			err = r.Ablation()
+			err = r.AblationBounds()
 		default:
 			err = fmt.Errorf("bench: unknown experiment %q (known: %v)", id, ExperimentIDs())
 		}
@@ -215,14 +217,11 @@ func (r *Runner) progress(row string) {
 	}
 }
 
+// landmarksFor returns g's min(k, n) highest-degree vertices, as
+// landmark.Select picks them: k exceeds n only on degenerate shrink
+// settings, and NewRunner keeps k ≥ 1.
 func (r *Runner) landmarksFor(g *graph.Graph, k int) []int32 {
-	lm, err := landmark.Select(g, landmark.Options{K: k, Strategy: landmark.Degree})
-	if err != nil {
-		// k exceeding n only happens on degenerate shrink settings; fall
-		// back to every vertex.
-		return g.DegreeOrder()
-	}
-	return lm
+	return g.DegreeOrder()[:min(k, g.NumVertices())]
 }
 
 // build runs a method through the per-runner cache. key identifies the
@@ -410,7 +409,7 @@ func (r *Runner) Fig6() error {
 	fmt.Fprintln(tw, "Dataset\tmean\tdistribution (fraction per distance)")
 	for _, d := range r.selected() {
 		g := d.Load(r.cfg.Shrink)
-		lm := r.landmarksFor(g, min(r.cfg.Landmarks, g.NumVertices()))
+		lm := r.landmarksFor(g, r.cfg.Landmarks)
 		ix, err := core.BuildParallel(g, lm)
 		if err != nil {
 			return fmt.Errorf("fig6: %s: %w", d.Name, err)
@@ -475,7 +474,7 @@ func (r *Runner) Fig8() error {
 			}
 			row += "\t" + fmtBytes(res.SizeBytes)
 		}
-		fdRes := r.build(MethodFD, d.Name, g, r.landmarksFor(g, min(20, g.NumVertices())))
+		fdRes := r.build(MethodFD, d.Name, g, r.landmarksFor(g, 20))
 		if fdRes.DNF {
 			row += "\tDNF"
 		} else {
@@ -512,8 +511,7 @@ func (r *Runner) Fig9() error {
 		}
 		// The paper's FD carries 64 bit-parallel neighbors per landmark,
 		// which is what lifts its coverage above HL's at equal k.
-		fdk := min(20, g.NumVertices())
-		fdRes := r.build(MethodFDBP, d.Name, g, r.landmarksFor(g, fdk))
+		fdRes := r.build(MethodFDBP, d.Name, g, r.landmarksFor(g, 20))
 		if fdRes.DNF {
 			fmt.Fprintf(tw, "%s\tDNF\n", row)
 		} else {

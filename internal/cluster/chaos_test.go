@@ -138,7 +138,7 @@ func TestClusterChaosChurn(t *testing.T) {
 	walPath := filepath.Join(dir, "edges.wal")
 
 	g := gen.BarabasiAlbert(200, 3, 7)
-	lms, err := landmark.Select(g, landmark.Options{K: 8, Strategy: landmark.Degree})
+	lms, err := landmark.Select(g, landmark.Options{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestClusterChaosChurn(t *testing.T) {
 // the primary again.
 func TestCheckpointKeepsEpoch(t *testing.T) {
 	g := gen.BarabasiAlbert(60, 2, 3)
-	lms, err := landmark.Select(g, landmark.Options{K: 4, Strategy: landmark.Degree})
+	lms, err := landmark.Select(g, landmark.Options{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestCheckpointKeepsEpoch(t *testing.T) {
 func TestStaleEpochFenced(t *testing.T) {
 	dir := t.TempDir()
 	g := gen.BarabasiAlbert(60, 2, 3)
-	lms, err := landmark.Select(g, landmark.Options{K: 4, Strategy: landmark.Degree})
+	lms, err := landmark.Select(g, landmark.Options{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestStaleEpochFenced(t *testing.T) {
 func TestDeposedPrimary(t *testing.T) {
 	dir := t.TempDir()
 	g := gen.BarabasiAlbert(60, 2, 3)
-	lms, err := landmark.Select(g, landmark.Options{K: 4, Strategy: landmark.Degree})
+	lms, err := landmark.Select(g, landmark.Options{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

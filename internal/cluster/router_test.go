@@ -68,7 +68,7 @@ func (n *memberNode) restart(t *testing.T) *memberNode {
 func testIndex(t *testing.T, n int) (*graph.Graph, *core.Index) {
 	t.Helper()
 	g := gen.BarabasiAlbert(n, 3, 7)
-	lms, err := landmark.Select(g, landmark.Options{K: 8, Strategy: landmark.Degree})
+	lms, err := landmark.Select(g, landmark.Options{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // that an Index tolerates unlimited concurrent readers.
 func TestConcurrentDistance(t *testing.T) {
 	g := gen.BarabasiAlbert(2000, 3, 7)
-	lms, err := landmark.Select(g, landmark.Options{K: 16, Strategy: landmark.Degree})
+	lms, err := landmark.Select(g, landmark.Options{K: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

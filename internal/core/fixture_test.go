@@ -29,7 +29,7 @@ var benchFixtures = []benchFixture{
 func (fx benchFixture) build(tb testing.TB) *Index {
 	tb.Helper()
 	g, _ := graph.LargestComponent(fx.gen())
-	lm, err := landmark.Select(g, landmark.Options{K: fx.k, Strategy: landmark.Degree})
+	lm, err := landmark.Select(g, landmark.Options{K: fx.k})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -25,7 +25,7 @@ import (
 func startServer(t *testing.T, live bool) (string, *serve.Server, *core.Index, func()) {
 	t.Helper()
 	g := gen.BarabasiAlbert(500, 3, 11)
-	lms, err := landmark.Select(g, landmark.Options{K: 8, Strategy: landmark.Degree})
+	lms, err := landmark.Select(g, landmark.Options{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestClientInsertEdges(t *testing.T) {
 // replacement listener on the same address.
 func TestClientReconnect(t *testing.T) {
 	g := gen.BarabasiAlbert(200, 3, 5)
-	lms, err := landmark.Select(g, landmark.Options{K: 4, Strategy: landmark.Degree})
+	lms, err := landmark.Select(g, landmark.Options{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -309,7 +309,7 @@ func TestInsertRetryNoDoubleApply(t *testing.T) {
 func newTestServerOn(t *testing.T, ln net.Listener) (stop func()) {
 	t.Helper()
 	g := gen.BarabasiAlbert(500, 3, 11)
-	lms, err := landmark.Select(g, landmark.Options{K: 8, Strategy: landmark.Degree})
+	lms, err := landmark.Select(g, landmark.Options{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,166 +1,39 @@
 // Package landmark selects the landmark set R used by the highway cover
-// labelling and the baselines. The paper uses the k highest-degree
-// vertices ("we chose top 20 vertices as landmarks after sorting based on
-// decreasing order of their degrees", Section 6.3); the paper's conclusion
-// names landmark selection strategies as future work, so this package also
-// implements the natural alternatives — uniform random, sampled
-// closeness centrality, and degree-with-spread — that internal/bench's
-// ablation experiment compares on construction time, labelling size,
-// pair coverage and query time (see DESIGN.md's per-experiment index).
-//
-// Selection is deterministic given the strategy's seed, so every
-// experiment and test that derives landmarks from a (graph, k, seed)
-// triple is reproducible.
+// labelling and the baselines: the k highest-degree vertices ("we chose
+// top 20 vertices as landmarks after sorting based on decreasing order of
+// their degrees", Section 6.3 of the paper), ties broken as
+// graph.DegreeOrder breaks them, so a (graph, k) pair always yields the
+// same landmarks. EXPERIMENTS.md's Ablation A measured random,
+// sampled-closeness and degree-spread selection against it.
 package landmark
 
 import (
 	"fmt"
-	"math/rand"
 
-	"highway/internal/bfs"
 	"highway/internal/graph"
 )
 
-// Strategy identifies a landmark selection strategy.
+// Strategy names a selection rule; Degree is the only one.
 type Strategy string
 
-const (
-	// Degree picks the k highest-degree vertices (the paper's choice).
-	Degree Strategy = "degree"
-	// Random picks k vertices uniformly at random (seeded).
-	Random Strategy = "random"
-	// Closeness picks the k vertices with the highest approximate
-	// closeness centrality, estimated from a fixed sample of BFS sources.
-	Closeness Strategy = "closeness"
-	// DegreeSpread picks high-degree vertices while forbidding landmarks
-	// to be adjacent to an already chosen landmark, spreading the highway
-	// over the graph.
-	DegreeSpread Strategy = "degree-spread"
-)
+// Degree picks the k highest-degree vertices (the paper's choice).
+const Degree Strategy = "degree"
 
 // Options configures Select.
 type Options struct {
-	K        int      // number of landmarks (required, ≥ 1)
-	Strategy Strategy // defaults to Degree
-	Seed     int64    // used by Random and Closeness sampling
+	K int // number of landmarks, 1 ≤ K ≤ n
+	// Strategy is "" or Degree. Only the benchmark harness names it; it
+	// goes under ROADMAP 1(c)'s rule.
+	Strategy Strategy
 }
 
-// Select returns K landmark vertex ids ordered by decreasing preference.
-// The returned slice is sorted by selection rank (rank 0 first), which is
-// the rank order the labelling stores.
+// Select returns the K highest-degree vertices, rank 0 first.
 func Select(g *graph.Graph, opt Options) ([]int32, error) {
-	n := g.NumVertices()
-	if opt.K < 1 {
-		return nil, fmt.Errorf("landmark: K = %d, want ≥ 1", opt.K)
+	if n := g.NumVertices(); opt.K < 1 || opt.K > n {
+		return nil, fmt.Errorf("landmark: K = %d, want 1 ≤ K ≤ %d (the vertex count)", opt.K, n)
 	}
-	if opt.K > n {
-		return nil, fmt.Errorf("landmark: K = %d exceeds vertex count %d", opt.K, n)
+	if opt.Strategy != "" && opt.Strategy != Degree {
+		return nil, fmt.Errorf("landmark: unknown strategy %q", opt.Strategy)
 	}
-	st := opt.Strategy
-	if st == "" {
-		st = Degree
-	}
-	switch st {
-	case Degree:
-		return g.DegreeOrder()[:opt.K], nil
-	case Random:
-		rng := rand.New(rand.NewSource(opt.Seed))
-		perm := rng.Perm(n)
-		out := make([]int32, opt.K)
-		for i := range out {
-			out[i] = int32(perm[i])
-		}
-		return out, nil
-	case Closeness:
-		return byCloseness(g, opt.K, opt.Seed), nil
-	case DegreeSpread:
-		return bySpread(g, opt.K), nil
-	default:
-		return nil, fmt.Errorf("landmark: unknown strategy %q", st)
-	}
-}
-
-// byCloseness estimates closeness centrality by running BFS from
-// min(64, n) sampled sources and scoring each vertex by the negated sum of
-// distances to the samples (unreachable counts as a large penalty).
-func byCloseness(g *graph.Graph, k int, seed int64) []int32 {
-	n := g.NumVertices()
-	samples := 64
-	if samples > n {
-		samples = n
-	}
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(n)
-	score := make([]int64, n)
-	const penalty = int64(1) << 30
-	var dist []int32
-	for s := 0; s < samples; s++ {
-		dist = bfs.DistancesReuse(g, int32(perm[s]), dist)
-		for v, d := range dist {
-			if d == bfs.Unreachable {
-				score[v] += penalty
-			} else {
-				score[v] += int64(d)
-			}
-		}
-	}
-	// Select k smallest total distances; ties by degree then id for
-	// determinism.
-	order := g.DegreeOrder()
-	better := func(a, b int32) bool {
-		if score[a] != score[b] {
-			return score[a] < score[b]
-		}
-		return false // DegreeOrder position already encodes the tiebreak
-	}
-	// Simple selection over the degree order: stable partial sort.
-	out := make([]int32, 0, k)
-	chosen := make([]bool, n)
-	for len(out) < k {
-		var best int32 = -1
-		for _, v := range order {
-			if chosen[v] {
-				continue
-			}
-			if best < 0 || better(v, best) {
-				best = v
-			}
-		}
-		chosen[best] = true
-		out = append(out, best)
-	}
-	return out
-}
-
-// bySpread walks the degree order, skipping vertices adjacent to an
-// already selected landmark; if the graph runs out of non-adjacent
-// candidates the remaining slots fall back to plain degree order.
-func bySpread(g *graph.Graph, k int) []int32 {
-	order := g.DegreeOrder()
-	out := make([]int32, 0, k)
-	taken := make([]bool, g.NumVertices())
-	blocked := make([]bool, g.NumVertices())
-	for _, v := range order {
-		if len(out) == k {
-			break
-		}
-		if blocked[v] {
-			continue
-		}
-		out = append(out, v)
-		taken[v] = true
-		for _, w := range g.Neighbors(v) {
-			blocked[w] = true
-		}
-	}
-	for _, v := range order {
-		if len(out) == k {
-			break
-		}
-		if !taken[v] {
-			out = append(out, v)
-			taken[v] = true
-		}
-	}
-	return out
+	return g.DegreeOrder()[:opt.K], nil
 }

@@ -57,77 +57,3 @@ func TestSelectErrors(t *testing.T) {
 		t.Error("unknown strategy accepted")
 	}
 }
-
-func TestSelectRandomDeterministic(t *testing.T) {
-	g := gen.Cycle(50)
-	a, err := Select(g, Options{K: 5, Strategy: Random, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := Select(g, Options{K: 5, Strategy: Random, Seed: 7})
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("random selection not deterministic for fixed seed")
-		}
-	}
-	c, _ := Select(g, Options{K: 5, Strategy: Random, Seed: 8})
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical selection (suspicious)")
-	}
-	seen := map[int32]bool{}
-	for _, v := range a {
-		if seen[v] {
-			t.Fatal("duplicate landmark")
-		}
-		seen[v] = true
-	}
-}
-
-func TestSelectCloseness(t *testing.T) {
-	// On a path, the middle vertex has the best closeness.
-	g := gen.Path(21)
-	lm, err := Select(g, Options{K: 1, Strategy: Closeness, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lm[0] < 7 || lm[0] > 13 {
-		t.Fatalf("closeness landmark = %d, want near the middle of the path", lm[0])
-	}
-}
-
-func TestSelectDegreeSpread(t *testing.T) {
-	// Two stars joined by an edge between their centers: spread must not
-	// pick both centers' neighbors.
-	g := gen.Star(6) // center 0
-	lm, err := Select(g, Options{K: 2, Strategy: DegreeSpread})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lm[0] != 0 {
-		t.Fatalf("first landmark = %d, want center 0", lm[0])
-	}
-	// All other vertices are adjacent to 0, so the fallback fills slot 2.
-	if len(lm) != 2 || lm[1] == 0 {
-		t.Fatalf("lm = %v", lm)
-	}
-	// Spread on a larger graph: no two early landmarks adjacent when
-	// avoidable.
-	g2 := gen.Grid(10, 10)
-	lm2, err := Select(g2, Options{K: 5, Strategy: DegreeSpread})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < len(lm2); i++ {
-		for j := i + 1; j < len(lm2); j++ {
-			if g2.HasEdge(lm2[i], lm2[j]) {
-				t.Fatalf("landmarks %d and %d adjacent", lm2[i], lm2[j])
-			}
-		}
-	}
-}

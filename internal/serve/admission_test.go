@@ -20,7 +20,7 @@ import (
 func admTestIndex(t *testing.T) *core.Index {
 	t.Helper()
 	g := gen.BarabasiAlbert(300, 3, 42)
-	lms, err := landmark.Select(g, landmark.Options{K: 6, Strategy: landmark.Degree})
+	lms, err := landmark.Select(g, landmark.Options{K: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestOverloadShed(t *testing.T) {
 		budget   = 2
 	)
 	g := gen.BarabasiAlbert(400, 3, 7)
-	lms, err := landmark.Select(g, landmark.Options{K: 8, Strategy: landmark.Degree})
+	lms, err := landmark.Select(g, landmark.Options{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

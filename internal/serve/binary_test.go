@@ -23,7 +23,7 @@ import (
 func binTestServer(t *testing.T, live bool) (addr string, srv *Server, ix *core.Index, shutdown func()) {
 	t.Helper()
 	g := gen.BarabasiAlbert(400, 3, 7)
-	lms, err := landmark.Select(g, landmark.Options{K: 8, Strategy: landmark.Degree})
+	lms, err := landmark.Select(g, landmark.Options{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ const testMaxBatch = 4 // HTTP body cap = 4*64+1024 = 1280 bytes
 func serverAndRouter(t *testing.T) (*core.Index, []front) {
 	t.Helper()
 	g := gen.BarabasiAlbert(400, 3, 7)
-	lms, err := landmark.Select(g, landmark.Options{K: 8, Strategy: landmark.Degree})
+	lms, err := landmark.Select(g, landmark.Options{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestFrontendShutdownAcksAppliedWrites(t *testing.T) {
 	for _, through := range []string{"server", "router"} {
 		t.Run(through, func(t *testing.T) {
 			g := gen.BarabasiAlbert(400, 3, 7)
-			lms, err := landmark.Select(g, landmark.Options{K: 8, Strategy: landmark.Degree})
+			lms, err := landmark.Select(g, landmark.Options{K: 8})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,7 +28,7 @@ import (
 func liveBase(t *testing.T, n int, k int) (*graph.Graph, []int32, *core.Index) {
 	t.Helper()
 	g := gen.BarabasiAlbert(n, 3, 42)
-	lms, err := landmark.Select(g, landmark.Options{K: k, Strategy: landmark.Degree})
+	lms, err := landmark.Select(g, landmark.Options{K: k})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ import (
 func testIndex(t *testing.T) *core.Index {
 	t.Helper()
 	g := gen.BarabasiAlbert(500, 3, 42)
-	lms, err := landmark.Select(g, landmark.Options{K: 10, Strategy: landmark.Degree})
+	lms, err := landmark.Select(g, landmark.Options{K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

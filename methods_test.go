@@ -64,7 +64,7 @@ func buildTest(t testing.TB, m testMethod, g *highway.Graph) highway.DistanceInd
 // corner-case graphs stay buildable.
 func testLandmarks(t testing.TB, g *highway.Graph, k int) []int32 {
 	t.Helper()
-	lm, err := highway.SelectLandmarks(g, min(k, g.NumVertices()), highway.ByDegree, 0)
+	lm, err := highway.SelectLandmarks(g, min(k, g.NumVertices()))
 	if err != nil {
 		t.Fatal(err)
 	}
