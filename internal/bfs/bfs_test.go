@@ -219,11 +219,8 @@ func TestBoundedBiBFSStopsAtTheBound(t *testing.T) {
 		t.Fatalf("BoundedBiBFS(0,23, bound 3) = %d, want 3", d)
 	}
 	marked := 0
-	for v := range sc.markS {
-		if sc.markS[v] == sc.epoch {
-			marked++
-		}
-		if sc.markT[v] == sc.epoch {
+	for _, st := range sc.stamp {
+		if st >= 2*sc.epoch {
 			marked++
 		}
 	}

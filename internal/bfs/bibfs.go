@@ -6,33 +6,39 @@ import "highway/internal/graph"
 // One Scratch supports any number of sequential searches on graphs with at
 // most its capacity of vertices; it is not safe for concurrent use.
 //
-// Visited sides are tracked with epoch-stamped arrays so that resetting a
-// search costs O(1) instead of O(n).
+// One stamp a vertex records the side of the current search that holds
+// it: 2·epoch the s-side, 2·epoch+1 the t-side, anything lower neither,
+// so resetting a search costs O(1) instead of O(n). One word serves both
+// sides because the second side to reach a vertex ends the search.
 type Scratch struct {
-	markS, markT []uint64 // epoch when vertex joined the s- or t-side
-	epoch        uint64
-	qs, qt, qn   []int32
+	stamp      []uint32
+	epoch      uint32 // < 1<<31, so both sides' stamps fit a uint32
+	qs, qt, qn []int32
 }
 
 // NewScratch returns a Scratch for graphs with up to n vertices.
 func NewScratch(n int) *Scratch {
 	return &Scratch{
-		markS: make([]uint64, n),
-		markT: make([]uint64, n),
-		epoch: 0,
+		stamp: make([]uint32, n),
 		qs:    make([]int32, 0, 1024),
 		qt:    make([]int32, 0, 1024),
 		qn:    make([]int32, 0, 1024),
 	}
 }
 
-// grow ensures capacity for n vertices.
-func (s *Scratch) grow(n int) {
-	if len(s.markS) < n {
-		s.markS = make([]uint64, n)
-		s.markT = make([]uint64, n)
+// next starts a search on a graph of n vertices and returns its epoch,
+// growing the stamps if the graph is larger than any before.
+func (s *Scratch) next(n int) uint32 {
+	if len(s.stamp) < n {
+		s.stamp = make([]uint32, n)
 		s.epoch = 0
 	}
+	s.epoch++
+	if s.epoch == 1<<31 { // 2·epoch would wrap: clear stale stamps
+		clear(s.stamp)
+		s.epoch = 1
+	}
+	return s.epoch
 }
 
 // NoBound disables the distance bound of BoundedBiBFS, turning it into the
@@ -73,15 +79,9 @@ func BoundedBiBFS(g *graph.Graph, s, t int32, bound int32, skip []bool, sc *Scra
 		// d(s,t) ≥ 1 for s != t, so a bound of 0 is already exact.
 		return bound
 	}
-	sc.grow(g.NumVertices())
-	sc.epoch++
-	if sc.epoch == 0 { // wrapped: clear stale marks
-		clear(sc.markS)
-		clear(sc.markT)
-		sc.epoch = 1
-	}
+	base := 2 * sc.next(g.NumVertices())
 	off, tgt := g.CSR()
-	epoch := sc.epoch
+	stamp := sc.stamp
 	qs := append(sc.qs[:0], s)
 	qt := append(sc.qt[:0], t)
 	spare := sc.qn[:0]
@@ -89,8 +89,7 @@ func BoundedBiBFS(g *graph.Graph, s, t int32, bound int32, skip []bool, sc *Scra
 	// below never leaves two scratch fields aliasing one buffer across
 	// calls.
 	defer func() { sc.qs, sc.qt, sc.qn = qs, qt, spare }()
-	sc.markS[s] = epoch
-	sc.markT[t] = epoch
+	stamp[s], stamp[t] = base, base+1
 	ds, dt := int32(0), int32(0)
 	sizeS, sizeT := 1, 1 // |Ps|, |Pt| — Algorithm 2 expands the smaller side
 
@@ -98,31 +97,28 @@ func BoundedBiBFS(g *graph.Graph, s, t int32, bound int32, skip []bool, sc *Scra
 		if ds+dt+1 >= bound {
 			return bound
 		}
-		var (
-			frontier  *[]int32
-			mine, his []uint64
-		)
+		frontier, mine := &qs, base
 		forward := sizeS <= sizeT
-		if forward {
-			frontier, mine, his = &qs, sc.markS, sc.markT
-		} else {
-			frontier, mine, his = &qt, sc.markT, sc.markS
+		if !forward {
+			frontier, mine = &qt, base+1
 		}
 		next := spare[:0]
 		for _, u := range *frontier {
 			for _, v := range tgt[off[u]:off[u+1]] {
+				if st := stamp[v]; st >= base {
+					if st != mine {
+						// Frontiers meet: ds + 1 + dt is the shortest
+						// sparsified path (Algorithm 2 line 10).
+						return ds + 1 + dt
+					}
+					continue
+				}
+				// Only an unclaimed vertex reads the skip mask: a landmark
+				// is never claimed, so its stamp is always stale.
 				if skip != nil && skip[v] {
 					continue
 				}
-				if mine[v] == epoch {
-					continue
-				}
-				if his[v] == epoch {
-					// Frontiers meet: ds + 1 + dt is the shortest
-					// sparsified path (Algorithm 2 line 10).
-					return ds + 1 + dt
-				}
-				mine[v] = epoch
+				stamp[v] = mine
 				next = append(next, v)
 			}
 		}

@@ -17,3 +17,7 @@ const (
 func DistancesIntoDir(g *graph.Graph, src int32, dist []int32, dir Direction, stats *TraversalStats) int {
 	return distancesCSR(g, src, dist, dir, stats)
 }
+
+// SetEpoch sets the epoch of sc's last search, so that a test can run
+// the next searches across the epoch at which the stamps are cleared.
+func SetEpoch(sc *Scratch, epoch uint32) { sc.epoch = epoch }

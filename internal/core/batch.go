@@ -132,7 +132,7 @@ func (sr *Searcher) DistanceBatch(pairs [][2]int32, dst []int32) []int32 {
 func (ix *Index) DistanceMany(source int32, targets []int32, dst []int32) []int32 {
 	sr := ix.pooled()
 	dst = sr.DistanceMany(source, targets, dst)
-	ix.release(sr)
+	release(sr)
 	return dst
 }
 
@@ -141,7 +141,7 @@ func (ix *Index) DistanceMany(source int32, targets []int32, dst []int32) []int3
 func (ix *Index) DistanceBatch(pairs [][2]int32, dst []int32) []int32 {
 	sr := ix.pooled()
 	dst = sr.DistanceBatch(pairs, dst)
-	ix.release(sr)
+	release(sr)
 	return dst
 }
 

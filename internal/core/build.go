@@ -80,6 +80,9 @@ func BuildOpts(ctx context.Context, g *graph.Graph, landmarks []int32, opt Optio
 	if k > MaxLandmarks {
 		return nil, fmt.Errorf("core: %d landmarks exceeds MaxLandmarks=%d", k, MaxLandmarks)
 	}
+	// The index keeps a copy: no more than k ids, and none a caller can
+	// still write to.
+	landmarks = append(make([]int32, 0, k), landmarks...)
 	n := g.NumVertices()
 	rw := &Rows{landmarks: landmarks, rankOf: make([]int32, n), isLandmark: make([]bool, n), highway: make([]int32, k*k)}
 	for i := range rw.rankOf {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"highway/internal/gen"
 	"highway/internal/landmark"
@@ -68,5 +70,32 @@ func TestConcurrentDistance(t *testing.T) {
 	close(errs)
 	for msg := range errs {
 		t.Fatal(msg)
+	}
+}
+
+// TestPooledIndexIsCollectable: an index queried only through the pooled
+// conveniences is garbage at the first collection after its caller drops
+// it. Their idle searchers are bound to no index; a pool per index kept
+// it reachable through the runtime's pool registry for two more.
+func TestPooledIndexIsCollectable(t *testing.T) {
+	wp := func() weak.Pointer[Index] {
+		g := gen.BarabasiAlbert(500, 3, 7)
+		ix, err := Build(g, g.DegreeOrder()[:8])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ix.Searcher().Distance(1, 2)
+		if got := ix.Distance(1, 2); got != want {
+			t.Fatalf("Distance(1,2) = %d, a searcher says %d", got, want)
+		}
+		ix.UpperBound(3, 4)
+		ix.Path(5, 6)
+		ix.DistanceMany(7, []int32{8, 9}, nil)
+		ix.DistanceBatch([][2]int32{{10, 11}}, nil)
+		return weak.Make(ix)
+	}()
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("an index queried through its pooled conveniences survives a collection after its caller dropped it")
 	}
 }

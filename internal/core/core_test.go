@@ -624,6 +624,36 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
+// TestBuildCopiesLandmarks: an index keeps its own k landmark ids, not
+// the caller's slice, so no n-vertex order stays behind them and a caller
+// writing into its slice after the build changes neither the landmarks
+// nor an answer.
+func TestBuildCopiesLandmarks(t *testing.T) {
+	g := gen.BarabasiAlbert(300, 3, 5)
+	const k = 6
+	order := g.DegreeOrder()
+	lm := slices.Clone(order[:k])
+	ix, err := BuildOpts(context.Background(), g, order[:k], Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cap(ix.Landmarks()); got != k {
+		t.Fatalf("cap(Landmarks()) = %d, want %d", got, k)
+	}
+	slices.Reverse(order)
+	if !slices.Equal(ix.Landmarks(), lm) {
+		t.Fatalf("after the caller overwrote its slice the landmarks read %v, want %v", ix.Landmarks(), lm)
+	}
+	for s := int32(0); s < 300; s += 7 {
+		dist := bfs.Distances(g, s)
+		for u := int32(0); u < 300; u++ {
+			if got := ix.Distance(s, u); got != dist[u] {
+				t.Fatalf("after the caller overwrote its landmarks: Distance(%d,%d) = %d, BFS says %d", s, u, got, dist[u])
+			}
+		}
+	}
+}
+
 // TestBuildCancellation: the context is checked before every level and
 // every group of landmarks, so a build stops whether it was cancelled
 // before it started, while the first group was running, or between groups.

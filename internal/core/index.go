@@ -41,7 +41,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"sync"
 
 	"highway/internal/graph"
 	"highway/internal/method"
@@ -122,10 +121,8 @@ const MaxLandmarks = 255
 // positions and are joined before the index is returned; a Rows copies
 // the highway before it writes again, and merges a previous index's
 // entries into new arrays). Every method is therefore safe for unlimited
-// concurrent readers. The one mutable field, the internal searcher pool, is a
-// sync.Pool touched only by the pooled conveniences Distance, UpperBound
-// and Path. Searchers own mutable scratch state: share the Index, never a
-// Searcher.
+// concurrent readers. Searchers own mutable scratch state: share the
+// Index, never a Searcher.
 type Index struct {
 	g          *graph.Graph
 	landmarks  []int32 // rank -> vertex id
@@ -145,8 +142,6 @@ type Index struct {
 	// loaded indexes and ones Rows.Assemble returned directly). Written
 	// once before BuildOpts returns, immutable after.
 	built BuildStats
-
-	pool sync.Pool // of *Searcher, for the concurrency-safe conveniences
 }
 
 // BuildStats returns the construction statistics of an index built by

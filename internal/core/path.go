@@ -45,6 +45,6 @@ func (sr *Searcher) Path(s, t int32) []int32 {
 func (ix *Index) Path(s, t int32) []int32 {
 	sr := ix.pooled()
 	p := sr.Path(s, t)
-	ix.release(sr)
+	release(sr)
 	return p
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"sync"
 
 	"highway/internal/bfs"
 	"highway/internal/method"
@@ -11,7 +12,8 @@ import (
 // buffers of the bounded bidirectional search, so it is cheap to query
 // repeatedly but must not be shared between goroutines. Create one per
 // querying goroutine with Index.NewSearcher, or use the Index conveniences
-// (Distance, UpperBound, Path), which draw searchers from an internal pool.
+// (Distance, UpperBound, Path), which draw searchers from an internal pool
+// shared by every index.
 type Searcher struct {
 	ix *Index
 	sc *bfs.Scratch
@@ -39,17 +41,31 @@ func (ix *Index) Searcher() *Searcher {
 	return &Searcher{ix: ix, sc: bfs.NewScratch(ix.g.NumVertices())}
 }
 
-// pooled draws a searcher from the index's pool, creating one on demand.
+// searchers holds the idle searchers of the pooled conveniences, bound to
+// no index. It is one pool for the package, not one per index: the
+// runtime keeps every sync.Pool that was ever used, and what its idle
+// items reference, reachable for two more collections, so a pool per
+// index kept every index queried through it alive that long. A searcher's
+// scratch grows when a larger graph needs it, so rebinding one to another
+// index costs nothing.
+var searchers sync.Pool
+
+// pooled draws an idle searcher and binds it to ix, creating one on
+// demand.
 func (ix *Index) pooled() *Searcher {
-	sr, _ := ix.pool.Get().(*Searcher)
+	sr, _ := searchers.Get().(*Searcher)
 	if sr == nil {
-		sr = ix.Searcher()
+		return ix.Searcher()
 	}
+	sr.ix = ix
 	return sr
 }
 
-// release returns a pooled searcher.
-func (ix *Index) release(sr *Searcher) { ix.pool.Put(sr) }
+// release unbinds a pooled searcher and makes it idle again.
+func release(sr *Searcher) {
+	sr.ix = nil
+	searchers.Put(sr)
+}
 
 // Distance returns the exact shortest-path distance between s and t, or
 // Infinity if they are disconnected. It is safe for concurrent use; for
@@ -57,7 +73,7 @@ func (ix *Index) release(sr *Searcher) { ix.pool.Put(sr) }
 func (ix *Index) Distance(s, t int32) int32 {
 	sr := ix.pooled()
 	d := sr.Distance(s, t)
-	ix.release(sr)
+	release(sr)
 	return d
 }
 
@@ -70,7 +86,7 @@ func (ix *Index) Distance(s, t int32) int32 {
 func (ix *Index) UpperBound(s, t int32) int32 {
 	sr := ix.pooled()
 	ub := sr.UpperBound(s, t)
-	ix.release(sr)
+	release(sr)
 	return ub
 }
 

@@ -27,7 +27,8 @@ type Options struct {
 	Strategy Strategy
 }
 
-// Select returns the K highest-degree vertices, rank 0 first.
+// Select returns the K highest-degree vertices, rank 0 first, in a slice
+// of their own: an index built on them keeps no n-vertex order behind it.
 func Select(g *graph.Graph, opt Options) ([]int32, error) {
 	if n := g.NumVertices(); opt.K < 1 || opt.K > n {
 		return nil, fmt.Errorf("landmark: K = %d, want 1 ≤ K ≤ %d (the vertex count)", opt.K, n)
@@ -35,5 +36,7 @@ func Select(g *graph.Graph, opt Options) ([]int32, error) {
 	if opt.Strategy != "" && opt.Strategy != Degree {
 		return nil, fmt.Errorf("landmark: unknown strategy %q", opt.Strategy)
 	}
-	return g.DegreeOrder()[:opt.K], nil
+	lm := make([]int32, opt.K)
+	copy(lm, g.DegreeOrder())
+	return lm, nil
 }

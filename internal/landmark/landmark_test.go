@@ -23,8 +23,8 @@ func TestSelectDegreeTop20(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lm) != 20 {
-		t.Fatalf("len = %d", len(lm))
+	if len(lm) != 20 || cap(lm) != 20 {
+		t.Fatalf("len = %d, cap = %d: want 20 ids with no vertex order behind them", len(lm), cap(lm))
 	}
 	// Decreasing degree.
 	for i := 1; i < len(lm); i++ {

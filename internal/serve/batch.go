@@ -79,10 +79,7 @@ func (s *Server) runPipeline(w io.Writer, workers int, source func(emit func(wor
 				for i, p := range job.pairs {
 					pbuf[i] = [2]int32{p.S, p.T}
 				}
-				l := s.acquire()
-				out := l.sr.DistanceBatch(pbuf, make([]int32, len(job.pairs)))
-				s.release(l)
-				job.done <- out
+				job.done <- s.readIndex().DistanceBatch(pbuf, make([]int32, len(job.pairs)))
 			}
 		}()
 	}

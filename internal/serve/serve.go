@@ -70,7 +70,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -117,14 +116,6 @@ func newSnapshot(ix *core.Index, epoch uint64) *snapshot {
 	return &snapshot{ix: ix, epoch: epoch}
 }
 
-// lease is a Searcher checked out for one request, with the snapshot it
-// answers for: Searchers hold scratch state sized and aimed at one
-// specific index.
-type lease struct {
-	sn *snapshot
-	sr *core.Searcher
-}
-
 // Server serves exact distance queries from an atomically swappable
 // index snapshot. Create one with New (read-only) or NewLive/LoadLive
 // (updatable); the zero value is not usable.
@@ -144,15 +135,6 @@ type Server struct {
 	// and work against that immutable snapshot; writers publish a new
 	// snapshot with Store. Never mutated in place.
 	snap atomic.Pointer[snapshot]
-
-	// searchers holds idle leases. It is one pool for the server's life,
-	// not one per snapshot: the runtime keeps every sync.Pool that was
-	// ever used, and whatever its idle items reference, reachable for two
-	// more collections, so a pool per snapshot kept each replaced index
-	// and graph alive that long — memory in proportion to the write rate.
-	// Here a replaced snapshot is held by the few idle leases bound to it,
-	// and only until acquire meets and drops them.
-	searchers sync.Pool
 
 	// up holds the writer state of a live server; nil for read-only
 	// servers (New).
@@ -190,23 +172,19 @@ func (s *Server) Index() method.DistanceIndex { return s.snap.Load().ix }
 // new snapshot; a checkpoint does not move it.
 func (s *Server) Epoch() uint64 { return s.snap.Load().epoch }
 
-// acquire loads the current snapshot and checks out a Searcher bound to
-// it: an idle one when the pool's next lease is for this snapshot, a new
-// one otherwise (a lease for a replaced snapshot is dropped). release
-// makes the lease idle again. The serve.query failpoint fires here — once
-// per request, on every query path of every protocol — so tests can
-// dilate query time without touching the index (only delay actions make
-// sense at this site; an error action's error is discarded).
-func (s *Server) acquire() *lease {
+// readIndex returns the index of the current snapshot, which one request
+// answers from. Reads go through the index's pooled conveniences, whose
+// idle searchers are bound to no index (core's one pool rebinds them at
+// checkout): a replaced snapshot is garbage at once, however many reads it
+// served, and the first read after a publish allocates no searcher. The
+// serve.query failpoint fires here — once per request, on every query
+// path of every protocol — so tests can dilate query time without
+// touching the index (only delay actions make sense at this site; an
+// error action's error is discarded).
+func (s *Server) readIndex() *core.Index {
 	_ = failpoint.Eval(FPQuery)
-	sn := s.snap.Load()
-	if l, _ := s.searchers.Get().(*lease); l != nil && l.sn == sn {
-		return l
-	}
-	return &lease{sn: sn, sr: sn.ix.Searcher()}
+	return s.snap.Load().ix
 }
-
-func (s *Server) release(l *lease) { s.searchers.Put(l) }
 
 // Distance answers one exact distance query against the current
 // snapshot. It is the programmatic equivalent of GET /distance and safe
@@ -218,19 +196,15 @@ func (s *Server) Distance(sv, tv int32) (int32, error) {
 	if err := s.checkVertex(tv); err != nil {
 		return core.Infinity, err
 	}
-	l := s.acquire()
-	d := l.sr.Distance(sv, tv)
-	s.release(l)
-	return d, nil
+	return s.readIndex().Distance(sv, tv), nil
 }
 
-// DistanceBatch answers len(pairs) queries with one searcher checkout
-// against one consistent snapshot: distances[i] answers pairs[i]. It is
-// the programmatic equivalent of POST /distance/batch (and of a binary
-// Batch frame). The result is written into dst when it has the
-// capacity; dst may be nil. Safe for concurrent use. It is
-// DistanceBatchContext without cancellation: the batch always runs to
-// completion.
+// DistanceBatch answers len(pairs) queries against one consistent
+// snapshot: distances[i] answers pairs[i]. It is the programmatic
+// equivalent of POST /distance/batch (and of a binary Batch frame). The
+// result is written into dst when it has the capacity; dst may be nil.
+// Safe for concurrent use. It is DistanceBatchContext without
+// cancellation: the batch always runs to completion.
 func (s *Server) DistanceBatch(pairs [][2]int32, dst []int32) ([]int32, error) {
 	return s.DistanceBatchContext(context.Background(), pairs, dst)
 }
@@ -241,7 +215,7 @@ func (s *Server) DistanceBatch(pairs [][2]int32, dst []int32) ([]int32, error) {
 const CancelCheckEvery = 1024
 
 // DistanceBatchContext is DistanceBatch with cancellation: the batch runs
-// through the snapshot searcher's vectorized executor in chunks of
+// through the snapshot index's vectorized executor in chunks of
 // CancelCheckEvery pairs, ctx is polled before each chunk, and a
 // cancelled ctx abandons the remaining pairs within about one chunk.
 // On cancellation it returns ctx.Err() and the prefix of answers
@@ -263,14 +237,13 @@ func (s *Server) DistanceBatchContext(ctx context.Context, pairs [][2]int32, dst
 		dst = make([]int32, len(pairs))
 	}
 	dst = dst[:len(pairs)]
-	l := s.acquire()
-	defer s.release(l)
+	ix := s.readIndex()
 	for off := 0; off < len(pairs); off += CancelCheckEvery {
 		if err := ctx.Err(); err != nil {
 			return dst[:off], err
 		}
 		end := min(off+CancelCheckEvery, len(pairs))
-		l.sr.DistanceBatch(pairs[off:end], dst[off:end])
+		ix.DistanceBatch(pairs[off:end], dst[off:end])
 	}
 	return dst, nil
 }

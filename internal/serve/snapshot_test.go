@@ -66,6 +66,37 @@ func TestReplacedSnapshotsAreCollectable(t *testing.T) {
 	}
 }
 
+// TestReadAfterPublishAllocatesNoSearcher: idle searchers are bound to no
+// snapshot, so the first read after a publish draws one as every read
+// does. A read and a publish together allocate what each does alone; a
+// searcher dropped with its snapshot would add its scratch to the read.
+func TestReadAfterPublishAllocatesNoSearcher(t *testing.T) {
+	g := gen.BarabasiAlbert(2000, 3, 7)
+	var ixs [2]*core.Index
+	for i := range ixs {
+		var err error
+		if ixs[i], err = core.Build(g, g.DegreeOrder()[:8+i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := New(ixs[0], Config{})
+	read := func() {
+		if _, err := s.Distance(1, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var epoch uint64
+	publish := func() {
+		epoch++
+		s.Publish(ixs[epoch%2], epoch)
+	}
+	steady := testing.AllocsPerRun(100, read)
+	published := testing.AllocsPerRun(100, publish)
+	if both := testing.AllocsPerRun(100, func() { publish(); read() }); both != steady+published {
+		t.Fatalf("a read right after a publish allocates %v, a read alone %v and a publish %v: the read made a searcher", both-published, steady, published)
+	}
+}
+
 // readBinaryBudget is what the graph reader may allocate on a stream of
 // size bytes (FuzzReadBinary's budget in internal/graph): its read buffer
 // and first chunks, then a few times what the stream delivered. A snapshot

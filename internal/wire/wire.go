@@ -252,6 +252,13 @@ func ReadMagic(r io.Reader) error {
 // connection holds a snapshot-sized buffer for its life.
 const MaxRetained = 64 << 10
 
+// bufSize is the stream buffer of a Reader and of a Writer, net/http's
+// default: every connection end holds it for its life, busy or idle. A
+// longer frame mostly bypasses it, because bufio moves a read or write
+// larger than its free space straight between the stream and the
+// caller's bytes.
+const bufSize = 4 << 10
+
 // Writer frames records onto a stream. Not safe for concurrent use.
 type Writer struct {
 	bw *bufio.Writer
@@ -260,7 +267,7 @@ type Writer struct {
 // NewWriter returns a Writer over w. Frames are buffered; call Flush
 // when the caller has no further frames to pipeline.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{bw: bufio.NewWriterSize(w, 1<<16)}
+	return &Writer{bw: bufio.NewWriterSize(w, bufSize)}
 }
 
 // WriteFrame appends one framed record. The payload is not retained.
@@ -312,7 +319,7 @@ func NewReader(r io.Reader, maxFrame int) *Reader {
 	if maxFrame <= 0 || maxFrame > MaxFrame {
 		maxFrame = MaxFrame
 	}
-	return &Reader{br: bufio.NewReaderSize(r, 1<<16), max: maxFrame}
+	return &Reader{br: bufio.NewReaderSize(r, bufSize), max: maxFrame}
 }
 
 // Buffered reports how many unread bytes are sitting in the reader's
