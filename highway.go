@@ -163,7 +163,9 @@ func SaveGraph(g *Graph, path string) error { return g.SaveBinary(path) }
 // LargestComponent returns the induced subgraph of g's largest connected
 // component and the mapping from new vertex ids to original ids. The
 // labelling assumes connected inputs (paper Section 2); run this first on
-// graphs that may be disconnected.
+// graphs that may be disconnected. On a graph whose highest-degree vertex
+// lies in a component of more than half the vertices, as on every
+// generated network, finding it takes one reachability sweep.
 func LargestComponent(g *Graph) (*Graph, []int32) { return graph.LargestComponent(g) }
 
 // Generators for synthetic networks (deterministic per seed).

@@ -23,10 +23,15 @@ func BenchmarkRMAT(b *testing.B) {
 	}
 }
 
-// BenchmarkBarabasiAlbert times seed to CSR for the social-network family.
+// BenchmarkBarabasiAlbert times seed to CSR for the social-network family,
+// at the shapes of the benchmark's two BA fixtures.
 func BenchmarkBarabasiAlbert(b *testing.B) {
-	b.ReportAllocs()
-	for b.Loop() {
-		sink = BarabasiAlbert(20_000, 5, 42)
+	for _, n := range []int{20_000, 100_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				sink = BarabasiAlbert(n, 5, 42)
+			}
+		})
 	}
 }

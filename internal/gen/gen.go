@@ -32,6 +32,7 @@ package gen
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -88,43 +89,63 @@ func BarabasiAlbert(n, k int, seed int64) *graph.Graph {
 	if 2*int64(n)*int64(k) > math.MaxInt32 {
 		panic(fmt.Sprintf("gen: BarabasiAlbert n=%d k=%d: more than 2^30 edges", n, k))
 	}
-	src := rand.NewSource(seed).(rand.Source64)
 	b := graph.NewBuilder(n)
 	b.Reserve(n * k) // (k+1)k/2 clique edges + (n-k-1)k attachments <= nk
-	// repeated stores every edge endpoint twice; uniform sampling from it
-	// realizes degree-proportional selection.
-	repeated := make([]int32, 0, 2*int64(n)*int64(k))
 	for u := 0; u < k+1; u++ {
 		for v := u + 1; v < k+1; v++ {
 			b.AddEdge(int32(u), int32(v))
-			repeated = append(repeated, int32(u), int32(v))
 		}
 	}
+	clique := k * (k + 1) / 2
+	draws := newStream(rand.NewSource(seed).(rand.Source64), 1<<63) // skips no output: Intn redraws itself
+	buf := make([]uint64, lagLong+min(chunkDraws, (n-k)*k))
+	next := len(buf)
 	chosen := make([]int32, 0, k)
 	for v := k + 1; v < n; v++ {
-		// A draw is rand.Rand.Intn(len(repeated)): the high 31 bits of
-		// Int63, redrawn while above the last multiple of the length, then
-		// reduced. (math/rand masks instead when the length is a power of
-		// two; then nothing is redrawn and the remainder is that mask.)
-		// repeated grows only between vertices, so the bound is per vertex.
-		m := uint32(len(repeated))
-		last := uint32(1<<31 - 1 - (1<<31)%m)
+		// A draw is rand.Rand.Intn(2·edges): Int63's high 31 bits, redrawn
+		// above the last multiple of the length, then reduced (for a power
+		// of two math/rand masks instead, which is the same).
+		edges := b.Packed()
+		m := newDivisor(uint32(2 * len(edges)))
+		last := 1<<31 - 1 - m.mod(1<<31)
 		chosen = chosen[:0]
 		for len(chosen) < k {
-			x := uint32(src.Int63() >> 32)
-			for x > last {
-				x = uint32(src.Int63() >> 32)
+			if next == len(buf) {
+				draws.fill(buf)
+				next = lagLong
 			}
-			if t := repeated[x%m]; !slices.Contains(chosen, t) {
+			x := uint32(buf[next] & int63 >> 32)
+			next++
+			if t := endpoint(edges, clique, m.mod(x)); x <= last && !slices.Contains(chosen, t) {
 				chosen = append(chosen, t)
 			}
 		}
 		for _, t := range chosen {
 			b.AddEdge(int32(v), t)
-			repeated = append(repeated, int32(v), t)
 		}
 	}
 	return b.MustBuild()
+}
+
+// endpoint returns endpoint x of the list BarabasiAlbert draws from to
+// attach by degree: edge i's are 2i and 2i+1, a clique edge's smaller one
+// first, an attachment's larger one, and the Builder packs the smaller high.
+func endpoint(edges []uint64, clique int, x uint32) int32 {
+	i := int(x >> 1)
+	high := x&1 ^ uint32(b2i(i >= clique)) ^ 1 // 1 where the smaller is meant
+	return int32(uint32(edges[i] >> (32 * high)))
+}
+
+// divisor takes remainders by m with its reciprocal c = ⌈2^64/m⌉ (Lemire,
+// Kaser and Kurz, SP&E 2019): for x and m below 2^32, x mod m is exactly
+// the high word of (c·x mod 2^64)·m.
+type divisor struct{ m, c uint64 }
+
+func newDivisor(m uint32) divisor { return divisor{uint64(m), ^uint64(0)/uint64(m) + 1} }
+
+func (d divisor) mod(x uint32) uint32 {
+	hi, _ := bits.Mul64(d.c*uint64(x), d.m)
+	return uint32(hi)
 }
 
 // WattsStrogatz returns a small-world graph: a ring of n vertices each

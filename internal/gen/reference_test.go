@@ -135,7 +135,11 @@ func TestBarabasiAlbertMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	shapes := [][2]int{{0, 0}, {2, 1}, {9, 8}, {100, 1}, {3000, 5}, {500, 40}}
 	// With k = 1 the draws are from 2, 4, 6, 8, … endpoints, which takes in
-	// the power-of-two case of Intn: a mask there, a remainder here.
+	// the power-of-two case of Intn: a mask there, a remainder here. Only
+	// k = 1 lands on a power of two (otherwise k(k+1+2j) has an odd factor
+	// above 1, k or k+1+2j): at once after the clique with n = 3, and last
+	// with n = 2^p + 2. With n = k + 1 = 2 nothing is drawn.
+	shapes = append(shapes, [][2]int{{1, 1}, {3, 1}, {4, 1}, {6, 1}, {10, 1}, {34, 1}, {1026, 1}}...)
 	for i := 0; i < 30; i++ {
 		shapes = append(shapes, [2]int{rng.Intn(2000), rng.Intn(12)})
 	}
@@ -155,4 +159,59 @@ func TestBarabasiAlbertRejectsOverflow(t *testing.T) {
 		}
 	}()
 	BarabasiAlbert(1<<27, 8, 1)
+}
+
+// TestDivisorMatchesRemainder: the reciprocal remainder is x % m at the
+// edges of both operands' ranges and on seeded values.
+func TestDivisorMatchesRemainder(t *testing.T) {
+	ms := []uint32{1, 2, 3, 1<<31 - 1}
+	for p := 1; p < 32; p++ {
+		ms = append(ms, 1<<p-1, 1<<p, 1<<p+1)
+	}
+	rng := rand.New(rand.NewSource(29))
+	for range 200 {
+		ms = append(ms, 1+uint32(rng.Int31()))
+	}
+	for _, m := range ms {
+		d := newDivisor(m)
+		xs := []uint32{0, m - 1, m, 1<<31 - 1, 1 << 31, math.MaxUint32}
+		for range 50 {
+			xs = append(xs, rng.Uint32(), uint32(rng.Int31n(1<<31-1)))
+		}
+		for _, x := range xs {
+			if got := d.mod(x); got != x%m {
+				t.Fatalf("%d mod %d = %d, want %d", x, m, got, x%m)
+			}
+		}
+	}
+}
+
+// TestEndpointMatchesList: endpoint reads from the Builder's packed edges
+// what the list of endpoints, as referenceBarabasiAlbert keeps it, holds
+// at every position, across the clique's last edge and the first
+// attachments.
+func TestEndpointMatchesList(t *testing.T) {
+	for _, k := range []int{1, 2, 3, 7} {
+		b := graph.NewBuilder(0)
+		var list []int32
+		for u := 0; u < k+1; u++ {
+			for v := u + 1; v < k+1; v++ {
+				b.AddEdgeGrow(int32(u), int32(v))
+				list = append(list, int32(u), int32(v))
+			}
+		}
+		for v := k + 1; v < k+5; v++ {
+			before := len(list) // targets are older than v
+			for j := range k {
+				t := list[(7*v+3*j)%before]
+				b.AddEdgeGrow(int32(v), t)
+				list = append(list, int32(v), t)
+			}
+		}
+		for x := range list {
+			if got := endpoint(b.Packed(), k*(k+1)/2, uint32(x)); got != list[x] {
+				t.Fatalf("k=%d: endpoint %d is %d, the list holds %d", k, x, got, list[x])
+			}
+		}
+	}
 }

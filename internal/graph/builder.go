@@ -66,6 +66,10 @@ func (b *Builder) AppendPacked(m int, fill func(slots []uint64) int) {
 	b.edges = b.edges[:n+fill(b.edges[n:n+max(m, 0)])]
 }
 
+// Packed returns the edges added so far as AppendPacked packs them: the
+// Builder's own buffer, read-only and valid until the next edge is added.
+func (b *Builder) Packed() []uint64 { return b.edges }
+
 // AddEdgeGrow records {u,v} and grows the vertex count to cover both
 // endpoints. Useful when loading edge lists whose vertex count is unknown.
 func (b *Builder) AddEdgeGrow(u, v int32) {

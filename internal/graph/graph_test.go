@@ -262,30 +262,6 @@ func TestInducedSubgraphErrors(t *testing.T) {
 	}
 }
 
-func TestConnectedComponents(t *testing.T) {
-	// Two triangles and an isolated vertex.
-	g := MustFromEdges(7, [][2]int32{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}})
-	labels, count := ConnectedComponents(g)
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-	if labels[0] != labels[1] || labels[1] != labels[2] {
-		t.Fatal("triangle 1 split")
-	}
-	if labels[3] != labels[4] || labels[4] != labels[5] {
-		t.Fatal("triangle 2 split")
-	}
-	if labels[6] == labels[0] || labels[6] == labels[3] {
-		t.Fatal("isolated vertex merged")
-	}
-	if IsConnected(g) {
-		t.Fatal("disconnected graph reported connected")
-	}
-	if !IsConnected(pathGraph(10)) {
-		t.Fatal("path reported disconnected")
-	}
-}
-
 func TestLargestComponent(t *testing.T) {
 	// Component A: path of 4; component B: triangle.
 	g := MustFromEdges(7, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}, {6, 4}})
