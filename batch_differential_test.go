@@ -52,8 +52,7 @@ func batchTestPairs(n int, seed int64) [][2]int32 {
 }
 
 // TestMethodBatchDifferential holds the batch executor of the highway
-// cover labelling, static (hl) and dynamic (dynhl, whose searchers are
-// the static index's), to the batch contract: Searcher.DistanceBatch and
+// cover labelling (hl) to the batch contract: Searcher.DistanceBatch and
 // Searcher.DistanceMany return exactly the pair-at-a-time answers, and
 // exactly the BFS ground truth. Every baseline is diffed against BFS pair
 // by pair on the same pairs. Pairs include duplicates, repeated sources,
@@ -70,7 +69,7 @@ func TestMethodBatchDifferential(t *testing.T) {
 			if err := oracle.Diff(g, pairwise, pairs); err != nil {
 				t.Fatal(err)
 			}
-			if m.name != "hl" && m.name != "dynhl" {
+			if m.name != "hl" {
 				return // a baseline answers one pair at a time
 			}
 			sr := ix.NewSearcher().(*highway.Searcher)

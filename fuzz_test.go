@@ -15,18 +15,22 @@ import (
 // highway cover index or a one-line error, never a panic or a runaway
 // allocation. Seeds are, per method in testMethods order, the file it
 // is saved as — hl's own, and for every other method the method tag its
-// retired format began with, which must fail naming the method — plus the
-// two magics.
+// retired format began with, which must fail naming the method — then
+// the retired dynhl format, which began with its tag too, and the two
+// magics.
 func FuzzReadIndexAny(f *testing.F) {
 	g := highway.BarabasiAlbert(60, 2, 3)
+	addRetired := func(name string) {
+		file := retiredIndexFile(f, name, g.NumVertices())
+		_, err := highway.ReadIndex(bytes.NewReader(file), g)
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(name)) {
+			f.Fatalf("%s file: err = %v, want one naming the method", name, err)
+		}
+		f.Add(file)
+	}
 	for _, m := range testMethods {
 		if m.name != "hl" {
-			file := retiredIndexFile(f, m.name, g.NumVertices())
-			_, err := highway.ReadIndex(bytes.NewReader(file), g)
-			if err == nil || !strings.Contains(err.Error(), strconv.Quote(m.name)) {
-				f.Fatalf("%s file: err = %v, want one naming the method", m.name, err)
-			}
-			f.Add(file)
+			addRetired(m.name)
 			continue
 		}
 		ix, err := highway.Build(context.Background(), g, testLandmarks(f, g, 4), highway.BuildOptions{})
@@ -39,6 +43,7 @@ func FuzzReadIndexAny(f *testing.F) {
 		}
 		f.Add(file.Bytes())
 	}
+	addRetired("dynhl")
 	f.Add([]byte("HWLIDX01"))
 	f.Add([]byte("HWLIDX02"))
 

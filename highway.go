@@ -45,11 +45,12 @@
 //
 // # Live updates
 //
-// A server built with NewLiveServer additionally accepts edge
-// insertions and deletions while serving: reads stay lock-free against
-// an atomically swapped immutable snapshot, writes go through the
-// dynamic labelling (the pruned BFS is re-run for the landmarks a batch
-// dirtied, and only those) and publish a fresh snapshot per batch. An optional write-ahead edge log
+// A server built with NewLiveServer is the one updatable index: it
+// additionally accepts edge insertions and deletions while serving.
+// Reads stay lock-free against an atomically swapped immutable snapshot;
+// each write batch re-runs the pruned BFS of the landmarks it dirtied,
+// and only those, and publishes a fresh snapshot, which Server.Index
+// returns. An optional write-ahead edge log
 // (OpenWAL) makes acknowledged writes crash-durable — deletions are
 // logged in the same file as one's-complement records — and once the
 // log reaches a threshold length a background checkpoint persists the
@@ -76,7 +77,6 @@ import (
 
 	"highway/internal/bfs"
 	"highway/internal/core"
-	"highway/internal/dynhl"
 	"highway/internal/gen"
 	"highway/internal/graph"
 	"highway/internal/landmark"
@@ -277,18 +277,3 @@ func NewLiveServer(ix *Index, cfg LiveConfig) (*Server, error) { return serve.Ne
 func LoadLiveServer(graphPath, indexPath, walPath string, cfg LiveConfig) (*Server, error) {
 	return serve.LoadLive(graphPath, indexPath, walPath, cfg)
 }
-
-// DynamicIndex is a mutable highway cover labelling supporting edge
-// insertions and deletions via selective landmark rebuild: only landmarks
-// whose shortest-path trees can change are re-labelled, and the result is
-// always identical to a from-scratch build on the evolved graph (exact,
-// minimal and order-independent like the static index).
-// DynamicFromIndex returns one.
-type DynamicIndex = dynhl.Index
-
-// DynamicFromIndex makes a static Index mutable without re-running any
-// BFS or copying anything: the DynamicIndex starts out sharing ix and its
-// graph (which stay valid and untouched). DynamicIndex.Freeze
-// is the way back — it hands out the current immutable Index and its
-// graph for serving, at no cost.
-func DynamicFromIndex(ix *Index) (*DynamicIndex, error) { return dynhl.FromCore(ix) }

@@ -173,9 +173,9 @@ func TestFacadeRMAT(t *testing.T) {
 }
 
 // TestFDDynamicViaFacade: FD is built static, as the paper measures it,
-// and the facade's one dynamic path is the highway labelling's. Both
-// answer the same exact distance before an insert; only DynamicIndex
-// takes the insert.
+// and the facade's one dynamic path is the highway labelling's live
+// server. Both answer the same exact distance before an insert; only the
+// live server takes the insert.
 func TestFDDynamicViaFacade(t *testing.T) {
 	g := highway.BarabasiAlbert(300, 3, 11)
 	lm, _ := highway.SelectLandmarks(g, 6)
@@ -190,49 +190,54 @@ func TestFDDynamicViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dynIx, err := highway.DynamicFromIndex(static)
+	srv, err := highway.NewLiveServer(static, highway.LiveConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer srv.Close()
 	before := fdIx.NewSearcher().Distance(10, 200)
-	if d := dynIx.Distance(10, 200); d != before {
-		t.Fatalf("fd says d(10,200) = %d, dynhl says %d", before, d)
+	if d, err := srv.Distance(10, 200); err != nil || d != before {
+		t.Fatalf("fd says d(10,200) = %d, the live server says %d (%v)", before, d, err)
 	}
-	if err := dynIx.InsertEdges([][2]int32{{10, 200}}); err != nil {
+	if _, err := srv.InsertEdges([][2]int32{{10, 200}}); err != nil {
 		t.Fatal(err)
 	}
-	if after := dynIx.Distance(10, 200); after != 1 {
-		t.Fatalf("after insert d = %d, want 1 (before %d)", after, before)
+	if after, err := srv.Distance(10, 200); err != nil || after != 1 {
+		t.Fatalf("after insert d = %d (%v), want 1 (before %d)", after, err, before)
 	}
 }
 
 func TestDynamicIndexViaFacade(t *testing.T) {
 	g := highway.BarabasiAlbert(400, 3, 13)
 	lm, _ := highway.SelectLandmarks(g, 8)
-	built, err := testMethodNamed("dynhl").build(context.Background(), g, lm)
+	built, err := buildHL(g, lm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn := built.(*highway.DynamicIndex)
+	srv, err := highway.NewLiveServer(built, highway.LiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
 	static, err := buildHLSeq(g, lm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dyn.NumEntries() != static.NumEntries() {
-		t.Fatal("dynamic and static builds disagree")
+	if srv.Index().Stats() != static.Stats() {
+		t.Fatal("the live server and a sequential build disagree")
 	}
-	before := dyn.Distance(7, 300)
-	if err := dyn.InsertEdges([][2]int32{{7, 300}}); err != nil {
+	before, _ := srv.Distance(7, 300)
+	if _, err := srv.InsertEdges([][2]int32{{7, 300}}); err != nil {
 		t.Fatal(err)
 	}
-	if d := dyn.Distance(7, 300); d != 1 {
-		t.Fatalf("after insert d = %d (before %d), want 1", d, before)
+	if d, err := srv.Distance(7, 300); err != nil || d != 1 {
+		t.Fatalf("after insert d = %d (before %d, %v), want 1", d, before, err)
 	}
 }
 
 // TestIndexFilesViaFacade exercises the index file surface end to end: a
 // save and load, a stream round trip, the refusal of a committed v1 file,
-// and the static→dynamic→frozen conversion cycle.
+// and an index served live, updated and taken back from the server.
 func TestIndexFilesViaFacade(t *testing.T) {
 	g := highway.BarabasiAlbert(300, 3, 21)
 	lm, _ := highway.SelectLandmarks(g, 8)
@@ -264,19 +269,17 @@ func TestIndexFilesViaFacade(t *testing.T) {
 		t.Fatalf("v1 file: %v, want the line naming hlbuild migrate", err)
 	}
 
-	// Static → dynamic without a rebuild, mutate, freeze back.
-	dyn, err := highway.DynamicFromIndex(ix)
+	// Served live without a rebuild, updated, taken back.
+	srv, err := highway.NewLiveServer(ix, highway.LiveConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dyn.InsertEdges([][2]int32{{0, 299}}); err != nil {
+	defer srv.Close()
+	if _, err := srv.InsertEdges([][2]int32{{0, 299}}); err != nil {
 		t.Fatal(err)
 	}
-	fg, frozen, err := dyn.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fg.NumEdges() != g.NumEdges()+1 {
+	frozen := srv.Index().(*highway.Index)
+	if fg := frozen.Graph(); fg.NumEdges() != g.NumEdges()+1 {
 		t.Fatalf("frozen graph has %d edges, want %d", fg.NumEdges(), g.NumEdges()+1)
 	}
 	if d := frozen.Distance(0, 299); d != 1 {

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"highway/internal/core"
-	"highway/internal/dynhl"
 	"highway/internal/graph"
 	"highway/internal/serve"
 )
@@ -15,7 +14,7 @@ import (
 // Follower is the receiving side of WAL shipping: a read-only server
 // whose state arrives from the primary as one streamed snapshot
 // followed by per-batch TReplAppend frames, each applied through the
-// same dynamic-labelling maintenance the primary runs. Followers keep
+// same core.Rows.ApplyOps the primary runs. Followers keep
 // no log of their own — durability lives in the primary's WAL, and a
 // follower that restarts (or falls off the shipping queue) is healed
 // by a fresh snapshot transfer — so its labelling is always exactly
@@ -33,7 +32,7 @@ type Follower struct {
 	// installs must be serial — the epoch check and the mutation have
 	// to be one atomic step.
 	mu           sync.Mutex
-	dyn          *dynhl.Index // nil until bootstrapped
+	rows         *core.Rows // nil until bootstrapped
 	epoch        atomic.Uint64
 	bootstrapped atomic.Bool
 
@@ -77,7 +76,7 @@ func (f *Follower) Server() *serve.Server { return f.srv }
 func (f *Follower) Epoch() uint64 { return f.epoch.Load() }
 
 // ReplAppend implements serve.ReplicationHandler: decode the WAL pair
-// batch, fence stale epochs, apply through dynhl, publish the fresh
+// batch, fence stale epochs, apply through core.Rows, publish the fresh
 // snapshot at the shipped epoch.
 func (f *Follower) ReplAppend(epoch uint64, pairs [][2]int32) (uint64, error) {
 	f.mu.Lock()
@@ -96,12 +95,9 @@ func (f *Follower) ReplAppend(epoch uint64, pairs [][2]int32) (uint64, error) {
 	if err != nil {
 		return cur, err
 	}
-	if _, err := f.dyn.ApplyOps(ops); err != nil {
-		return cur, fmt.Errorf("cluster: replicated apply: %w", err)
-	}
-	_, fresh, err := f.dyn.Freeze()
+	fresh, _, err := f.rows.ApplyOps(ops)
 	if err != nil {
-		return cur, fmt.Errorf("cluster: freeze: %w", err)
+		return cur, fmt.Errorf("cluster: replicated apply: %w", err)
 	}
 	f.srv.Publish(fresh, epoch)
 	f.epoch.Store(epoch)
@@ -142,13 +138,9 @@ func (f *Follower) ReplSnapshot(epoch uint64, done bool, chunk []byte) (uint64, 
 	if err != nil {
 		return cur, fmt.Errorf("cluster: snapshot install: %w", err)
 	}
-	// The index carries its graph, so FromCore makes the follower's
-	// mutable state of the snapshot alone, copying nothing.
-	dyn, err := dynhl.FromCore(ix)
-	if err != nil {
-		return cur, fmt.Errorf("cluster: snapshot install: %w", err)
-	}
-	f.dyn = dyn
+	// The index carries its graph, so RowsOf makes the follower's
+	// updatable state of the snapshot alone, copying nothing.
+	f.rows = core.RowsOf(ix)
 	f.srv.Publish(ix, epoch)
 	f.epoch.Store(epoch)
 	f.bootstrapped.Store(true)

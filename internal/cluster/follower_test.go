@@ -13,8 +13,9 @@ import (
 // TestFollowerReleasesSnapshotTransfer: a bootstrap transfer is a graph and
 // an index long, and the follower buffers all of it before it installs.
 // Once installed — and once a resync has installed over it — what the
-// follower keeps alive is the graph and the index, within a tenth (dynhl
-// shares both and copies nothing); the transfer buffer is not among them.
+// follower keeps alive is the graph and the index, within a tenth
+// (core.RowsOf shares both and copies nothing); the transfer buffer is
+// not among them.
 func TestFollowerReleasesSnapshotTransfer(t *testing.T) {
 	g := gen.BarabasiAlbert(20_000, 3, 7)
 	ix, err := core.Build(g, g.DegreeOrder()[:16])
@@ -87,10 +88,7 @@ func TestFollowerCopiesOneChunkSnapshot(t *testing.T) {
 	for i := range chunk {
 		chunk[i] = 0xA5
 	}
-	f.mu.Lock()
-	_, got, err := f.dyn.Freeze()
-	f.mu.Unlock()
-	if err != nil || !bytes.Equal(indexBytes(t, got), want) {
-		t.Fatalf("the installed index changed with the chunk it was decoded from (%v)", err)
+	if got := f.Server().Index().(*core.Index); !bytes.Equal(indexBytes(t, got), want) {
+		t.Fatal("the installed index changed with the chunk it was decoded from")
 	}
 }

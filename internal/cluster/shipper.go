@@ -7,7 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"highway/internal/dynhl"
+	"highway/internal/core"
 	"highway/internal/hlclient"
 	"highway/internal/serve"
 	"highway/internal/wire"
@@ -131,7 +131,7 @@ func (sh *Shipper) Start(srv *serve.Server) {
 // gets a non-blocking enqueue, and an overflowing queue is resolved by
 // flagging the link for a snapshot resync (whose FrozenState, taken
 // later, necessarily covers this batch).
-func (sh *Shipper) OnCommit(epoch uint64, ops []dynhl.Op) {
+func (sh *Shipper) OnCommit(epoch uint64, ops []core.Op) {
 	msg := shipMsg{
 		epoch: epoch,
 		pairs: serve.EncodeWALOps(make([][2]int32, 0, len(ops)), ops),

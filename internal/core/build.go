@@ -28,7 +28,7 @@ type Options struct {
 
 	// Progress, when non-nil, is called once per landmark, when its pruned
 	// BFS has finished, with the number finished so far (1…total in order)
-	// and the landmark count, on the goroutine that called BuildOpts or Run.
+	// and the landmark count, on the goroutine that called BuildOpts.
 	Progress func(done, total int)
 
 	// dir forces every level to be pushed or pulled. Only the in-package
@@ -100,23 +100,23 @@ func BuildOpts(ctx context.Context, g *graph.Graph, landmarks []int32, opt Optio
 		rw.isLandmark[v] = true
 		all[r] = r
 	}
-	stats, err := rw.Run(ctx, g, all, opt)
+	stats, err := rw.run(ctx, g, all, opt)
 	if err != nil {
 		return nil, err
 	}
-	ix := rw.Assemble(g)
+	ix := rw.assemble(g)
 	ix.built = stats
 	return ix, nil
 }
 
 // Rows is the build state of a labelling: the highway matrix, the last
 // index assembled (or read by RowsOf), which IS the label state, and the
-// outcome of a Run that has not been assembled yet. Algorithm 1 is
+// outcome of a run that has not been assembled yet. Algorithm 1 is
 // independent per landmark (Lemma 3.11), so after the graph changes,
 // re-running any set of ranks that contains every rank whose BFS outcome
 // changed and assembling gives exactly the index a from-scratch build on
-// the new graph gives. internal/dynhl keeps that condition; BuildOpts is
-// the case "every rank".
+// the new graph gives. ApplyOps keeps that condition; BuildOpts is the
+// case "every rank".
 //
 // A Rows is not safe for concurrent use. The indexes it assembles are
 // immutable and share no array the Rows later writes.
@@ -128,11 +128,11 @@ type Rows struct {
 
 	// ix holds the label entries of every rank not in runs; nil until
 	// BuildOpts assembles. While ixHighway is set its highway is the array
-	// above, and Run copies before it writes.
+	// above, and run copies before it writes.
 	ix        *Index
 	ixHighway bool
-	runs      []*groupRun // what Run produced since ix, ranks ascending
-	workers   int         // of that Run; Assemble packs and merges with as many
+	runs      []*groupRun // what run produced since ix, ranks ascending
+	workers   int         // of that run; assemble packs and merges with as many
 	sw        sweep
 }
 
@@ -143,14 +143,14 @@ func RowsOf(ix *Index) *Rows {
 		highway: ix.highway, ix: ix, ixHighway: true}
 }
 
-// Run replaces the label entries and highway rows of the given ranks with
+// run replaces the label entries and highway rows of the given ranks with
 // the outcome of their pruned BFSs on g, which must have the vertex count
 // the Rows was made for. The ranks run in ascending groups of at most 32,
 // each group as one sweep: whatever the number of ranks in a group, the
-// graph is traversed once. The result is pending until Assemble, which must
-// come before the next Run. The context is checked between levels and
+// graph is traversed once. The result is pending until assemble, which must
+// come before the next run. The context is checked between levels and
 // between groups; after an error the Rows must be dropped.
-func (rw *Rows) Run(ctx context.Context, g *graph.Graph, ranks []int, opt Options) (BuildStats, error) {
+func (rw *Rows) run(ctx context.Context, g *graph.Graph, ranks []int, opt Options) (BuildStats, error) {
 	rw.workers = opt.Workers
 	if rw.workers <= 0 {
 		rw.workers = runtime.GOMAXPROCS(0)
@@ -163,7 +163,7 @@ func (rw *Rows) Run(ctx context.Context, g *graph.Graph, ranks []int, opt Option
 		return stats, nil
 	}
 	if len(rw.runs) > 0 {
-		panic("core: Rows.Run called again before Assemble")
+		panic("core: Rows.run called again before assemble")
 	}
 	if rw.ixHighway {
 		rw.highway, rw.ixHighway = slices.Clone(rw.highway), false
@@ -491,8 +491,8 @@ func share(workers, n int, fn func(w, i int)) {
 	wg.Wait()
 }
 
-// Assemble packs the label state into the flat CSR index over g, the graph
-// the last Run was on. A vertex's entries are placed by rank whatever order
+// assemble packs the label state into the flat CSR index over g, the graph
+// the last run was on. A vertex's entries are placed by rank whatever order
 // the events come in, so every worker count and direction gives the same
 // arrays. When nothing ran since the last index — a batch that changed
 // edges but no landmark's BFS — and g elides the leaves that index did,
@@ -500,7 +500,7 @@ func share(workers, n int, fn func(w, i int)) {
 // the ranks that did not run are merged with the new ones. The elided set,
 // the rank form and the code width come from the whole labelling, so they
 // are packed last. No index handed out earlier is written.
-func (rw *Rows) Assemble(g *graph.Graph) *Index {
+func (rw *Rows) assemble(g *graph.Graph) *Index {
 	ix := &Index{g: g, landmarks: rw.landmarks, rankOf: rw.rankOf, isLandmark: rw.isLandmark, highway: rw.highway}
 	prev, k := rw.ix, len(rw.landmarks)
 	cand := leavesOf(g, rw.isLandmark)

@@ -364,7 +364,7 @@ func TestBuildProgress(t *testing.T) {
 			}
 			calls = 0
 			subset := []int{k - 1, 0, 5}
-			_, err = RowsOf(ix).Run(context.Background(), g, subset, Options{Workers: workers, Progress: func(done, total int) {
+			_, err = RowsOf(ix).run(context.Background(), g, subset, Options{Workers: workers, Progress: func(done, total int) {
 				calls++
 				if total != len(subset) || done != calls {
 					t.Fatalf("re-run call %d: done = %d, total = %d", calls, done, total)

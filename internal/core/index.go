@@ -24,8 +24,8 @@
 // and a "worker" is a goroutine that takes a share of a level's vertices,
 // not a landmark's BFS. A vertex's outcome at a level depends only on the
 // level before, so any worker count and direction produce a byte-identical
-// index; re-running some landmarks after the graph changed (Rows, used by
-// internal/dynhl) is the same traversal with fewer bits set.
+// index; re-running some landmarks after the graph changed (Rows.ApplyOps,
+// update.go) is the same traversal with fewer bits set.
 //
 // A query (s,t) computes the upper bound d⊤ = min over label entries of
 // δL(ri,s) + δH(ri,rj) + δL(rj,t) (Equation 4; pairs sharing a landmark
@@ -115,7 +115,7 @@ const MaxLandmarks = 255
 //
 // # Concurrency
 //
-// An Index is immutable once Build/BuildParallel/Read/Rows.Assemble
+// An Index is immutable once Build/BuildParallel/Read/Rows.ApplyOps
 // returns: label arrays, the highway matrix and the landmark arrays are
 // written only until then and never after (build workers write disjoint
 // positions and are joined before the index is returned; a Rows copies
@@ -139,7 +139,7 @@ type Index struct {
 	overflow  map[int64]int32 // position -> distance of each escaped entry
 
 	// built records how BuildOpts constructed this index (zero value for
-	// loaded indexes and ones Rows.Assemble returned directly). Written
+	// loaded indexes and ones Rows.ApplyOps returned). Written
 	// once before BuildOpts returns, immutable after.
 	built BuildStats
 }
@@ -147,7 +147,7 @@ type Index struct {
 // BuildStats returns the construction statistics of an index built by
 // Build/BuildParallel/BuildOpts: worker count and the traversal engine's
 // top-down/bottom-up level and edge counters. Indexes obtained by
-// loading or from Rows.Assemble return the zero value.
+// loading or from Rows.ApplyOps return the zero value.
 func (ix *Index) BuildStats() BuildStats { return ix.built }
 
 // Graph returns the underlying graph.

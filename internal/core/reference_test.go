@@ -324,7 +324,7 @@ var buildFixtures = []struct {
 }
 
 // BenchmarkBuild times one whole build (every level of every group, and
-// Assemble) and reports the arcs the traversal examined, which do not
+// assemble) and reports the arcs the traversal examined, which do not
 // depend on the worker count.
 func BenchmarkBuild(b *testing.B) {
 	for _, fx := range buildFixtures {
@@ -346,7 +346,7 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkRepairSubset times what a dynhl batch pays in core after one
+// BenchmarkRepairSubset times what an ApplyOps batch pays after one
 // edge change: re-running 1, 4 or all 16 ranks and assembling, which for a
 // proper subset includes merging the untouched ranks' entries.
 func BenchmarkRepairSubset(b *testing.B) {
@@ -366,11 +366,11 @@ func BenchmarkRepairSubset(b *testing.B) {
 			var arcs int64
 			rw := RowsOf(base)
 			for b.Loop() {
-				stats, err := rw.Run(context.Background(), g2, ranks, Options{})
+				stats, err := rw.run(context.Background(), g2, ranks, Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				rw.Assemble(g2)
+				rw.assemble(g2)
 				arcs = stats.Traversal.EdgesScanned()
 			}
 			b.ReportMetric(float64(arcs), "arcs/op")

@@ -87,8 +87,8 @@ func rowOf(ix *Index, r int) []int32 {
 	return row
 }
 
-// TestRowsRerunMatchesBuild is the differential for the entry point
-// internal/dynhl maintains a labelling through: build on G, change G into
+// TestRowsRerunMatchesBuild is the differential for the step ApplyOps
+// maintains a labelling through: build on G, change G into
 // G′, re-run on G′ a random set of ranks that contains every rank whose
 // BFS outcome differs between the two, and require the assembled index to
 // be byte for byte what BuildOpts makes of G′ — for one worker and for
@@ -311,10 +311,10 @@ func checkRerun(t *testing.T, g, g2 *graph.Graph, lm []int32, rng *rand.Rand, es
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		for _, dir := range []direction{dirAuto, dirPush, dirPull} {
 			rw := RowsOf(base)
-			if _, err := rw.Run(context.Background(), g2, ranks, Options{Workers: workers, dir: dir}); err != nil {
+			if _, err := rw.run(context.Background(), g2, ranks, Options{Workers: workers, dir: dir}); err != nil {
 				t.Fatal(err)
 			}
-			got := rw.Assemble(g2)
+			got := rw.assemble(g2)
 			if !bytes.Equal(v2Bytes(t, got), want) {
 				t.Fatalf("workers=%d direction=%d: re-running %v (%d dirty) differs from a build on the changed graph",
 					workers, dir, ranks, dirty)
@@ -324,14 +324,14 @@ func checkRerun(t *testing.T, g, g2 *graph.Graph, lm []int32, rng *rand.Rand, es
 			for r := range all {
 				all[r] = r
 			}
-			if _, err := rw.Run(context.Background(), g, all, Options{Workers: workers, dir: dir}); err != nil {
+			if _, err := rw.run(context.Background(), g, all, Options{Workers: workers, dir: dir}); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(v2Bytes(t, rw.Assemble(g)), baseBytes) {
+			if !bytes.Equal(v2Bytes(t, rw.assemble(g)), baseBytes) {
 				t.Fatalf("workers=%d direction=%d: running every rank differs from Build", workers, dir)
 			}
 			if !bytes.Equal(v2Bytes(t, got), want) || !bytes.Equal(v2Bytes(t, base), baseBytes) {
-				t.Fatal("a later Run wrote into an index assembled or read earlier")
+				t.Fatal("a later run wrote into an index assembled or read earlier")
 			}
 		}
 	}
@@ -339,7 +339,7 @@ func checkRerun(t *testing.T, g, g2 *graph.Graph, lm []int32, rng *rand.Rand, es
 
 // TestRowsNothingDirty: a change that alters no landmark's BFS — an edge
 // between two leaves of a star centred on the only landmark — re-runs
-// nothing, and Assemble attaches the same label arrays to the new graph.
+// nothing, and assemble attaches the same label arrays to the new graph.
 func TestRowsNothingDirty(t *testing.T) {
 	g := gen.Star(10)
 	base, err := Build(g, []int32{0})
@@ -348,12 +348,12 @@ func TestRowsNothingDirty(t *testing.T) {
 	}
 	g2 := graph.MustFromEdges(10, append(edgesOf(g), [2]int32{3, 7}))
 	rw := RowsOf(base)
-	if _, err := rw.Run(context.Background(), g2, nil, Options{}); err != nil {
+	if _, err := rw.run(context.Background(), g2, nil, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	got := rw.Assemble(g2)
+	got := rw.assemble(g2)
 	if got.Graph() != g2 || base.Graph() != g {
-		t.Fatal("Assemble did not attach the new graph, or moved the old index onto it")
+		t.Fatal("assemble did not attach the new graph, or moved the old index onto it")
 	}
 	if &got.labelDist[0] != &base.labelDist[0] || &got.labelMask.bits[0] != &base.labelMask.bits[0] || &got.highway[0] != &base.highway[0] {
 		t.Fatal("label arrays were copied though no rank ran")
@@ -373,7 +373,7 @@ func TestRowsNothingDirty(t *testing.T) {
 // TestRowsLeafFlip: an edge joining two leaves of one vertex moves no
 // landmark's distances, so nothing re-runs, but the two stop being leaves
 // and the labelling keeps their labels again; deleting the edge makes them
-// leaves again. After each step Assemble must give what a build gives: on
+// leaves again. After each step assemble must give what a build gives: on
 // R-MAT-16, whose leaves are elided, and on BA-300 with two leaves hung on
 // one vertex, too few to elide.
 func TestRowsLeafFlip(t *testing.T) {
@@ -402,10 +402,10 @@ func TestRowsLeafFlip(t *testing.T) {
 			}
 			rw := RowsOf(base)
 			for step, g := range []*graph.Graph{withEdges(c.g, [2]int32{a, b}), c.g} {
-				if _, err := rw.Run(context.Background(), g, nil, Options{}); err != nil {
+				if _, err := rw.run(context.Background(), g, nil, Options{}); err != nil {
 					t.Fatal(err)
 				}
-				got := rw.Assemble(g)
+				got := rw.assemble(g)
 				ref, err := Build(g, c.lm)
 				if err != nil {
 					t.Fatal(err)

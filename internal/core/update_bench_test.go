@@ -1,4 +1,4 @@
-package dynhl
+package core
 
 // BenchmarkDeleteMaint prices maintenance by blast radius: each
 // sub-benchmark deletes one edge whose removal dirties exactly d of the k
@@ -21,17 +21,17 @@ import (
 
 // bucketEdgesByDirty scans every live edge and groups it by how many
 // landmarks its deletion would dirty.
-func bucketEdgesByDirty(ix *Index) map[int][][2]int32 {
+func bucketEdgesByDirty(ix *updated) map[int][][2]int32 {
 	buckets := make(map[int][][2]int32)
-	g := ix.cur.Graph()
+	g := ix.Graph()
 	for a := int32(0); int(a) < g.NumVertices(); a++ {
 		for _, b := range g.Neighbors(a) {
 			if b < a {
 				continue
 			}
 			d := 0
-			for r := int32(0); int(r) < ix.cur.NumLandmarks(); r++ {
-				if ix.cur.LandmarkDistance(r, a) != ix.cur.LandmarkDistance(r, b) {
+			for r := int32(0); int(r) < ix.NumLandmarks(); r++ {
+				if ix.LandmarkDistance(r, a) != ix.LandmarkDistance(r, b) {
 					d++
 				}
 			}
@@ -45,7 +45,7 @@ func BenchmarkDeleteMaint(b *testing.B) {
 	const n, k = 20000, 16
 	g := gen.BarabasiAlbert(n, 5, 1)
 	landmarks := g.DegreeOrder()[:k]
-	base, err := build(g, landmarks)
+	base, err := updatable(g, landmarks)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func BenchmarkDeleteMaint(b *testing.B) {
 			b.Fatalf("no edges dirty exactly %d landmarks", d)
 		}
 		b.Run(fmt.Sprintf("dirty=%d", d), func(b *testing.B) {
-			dyn, err := build(g, landmarks)
+			dyn, err := updatable(g, landmarks)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -85,10 +85,10 @@ func BenchmarkDeleteMaint(b *testing.B) {
 // randomLiveEdges draws bs distinct live edges from the current graph,
 // endpoint-first so hubs are no likelier per edge than the degree
 // distribution already makes them.
-func randomLiveEdges(rng *rand.Rand, ix *Index, bs int) [][2]int32 {
+func randomLiveEdges(rng *rand.Rand, ix *updated, bs int) [][2]int32 {
 	seen := make(map[[2]int32]bool, bs)
 	edges := make([][2]int32, 0, bs)
-	g := ix.cur.Graph()
+	g := ix.Graph()
 	for len(edges) < bs {
 		a := int32(rng.Intn(g.NumVertices()))
 		nb := g.Neighbors(a)
@@ -116,7 +116,7 @@ func randomLiveEdges(rng *rand.Rand, ix *Index, bs int) [][2]int32 {
 func BenchmarkApplySingleEdge(b *testing.B) {
 	const n, k = 20000, 16
 	g := gen.BarabasiAlbert(n, 5, 42)
-	dyn, err := build(g, g.DegreeOrder()[:k])
+	dyn, err := updatable(g, g.DegreeOrder()[:k])
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -141,11 +141,12 @@ func BenchmarkApplySingleEdge(b *testing.B) {
 func BenchmarkChurnBatch(b *testing.B) {
 	const n, k, batch = 20000, 16, 8
 	g := gen.BarabasiAlbert(n, 5, 1)
-	dyn, err := build(g, g.DegreeOrder()[:k])
+	dyn, err := updatable(g, g.DegreeOrder()[:k])
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
+	rebuilt := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -153,16 +154,17 @@ func BenchmarkChurnBatch(b *testing.B) {
 		var ins [][2]int32
 		for len(ins) < batch-len(dels) {
 			e := [2]int32{int32(rng.Intn(n)), int32(rng.Intn(n))}
-			if e[0] != e[1] && !dyn.cur.Graph().HasEdge(e[0], e[1]) {
+			if e[0] != e[1] && !dyn.Graph().HasEdge(e[0], e[1]) {
 				ins = append(ins, e)
 			}
 		}
 		ops := append(DeleteOps(dels), InsertOps(ins)...)
 		b.StartTimer()
-		if _, err := dyn.ApplyOps(ops); err != nil {
+		res, err := dyn.ApplyOps(ops)
+		if err != nil {
 			b.Fatal(err)
 		}
+		rebuilt += res.Dirty
 	}
-	st := dyn.Maint()
-	b.ReportMetric(float64(st.LandmarksRebuilt)/float64(b.N), "rebuiltLM/op")
+	b.ReportMetric(float64(rebuilt)/float64(b.N), "rebuiltLM/op")
 }

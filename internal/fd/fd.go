@@ -11,8 +11,8 @@
 //
 // FD is fully dynamic in the original paper; the paper compares against
 // its static build and query only, and so does this implementation: an
-// Index is built once and never mutated. The dynamic highway labelling
-// (internal/dynhl) is this repository's update path.
+// Index is built once and never mutated. The highway labelling's
+// core.Rows.ApplyOps is this repository's update path.
 package fd
 
 import (

@@ -4,15 +4,15 @@
 // statistics), the Searcher interface its NewSearcher returns, and the
 // generic Stats record.
 //
-// The five labellings — the paper's highway cover labelling
-// (internal/core), its dynamic extension (internal/dynhl) and the three
-// baselines it evaluates against (internal/pll, internal/fd,
-// internal/isl) — all satisfy DistanceIndex, which is what lets the
-// differential-test harness (internal/oracle) and the benchmark runner
-// (internal/bench) query and measure each of them the same way, whichever
-// package built it. Only the highway cover labelling
-// is saved, loaded and served: the baselines exist for the build time,
-// query time and label size columns of the paper's tables. The server
+// The four labellings — the paper's highway cover labelling
+// (internal/core), which also takes edge updates (core.Rows.ApplyOps),
+// and the three baselines it evaluates against (internal/pll,
+// internal/fd, internal/isl) — all satisfy DistanceIndex, which is what
+// lets the differential-test harness (internal/oracle) and the benchmark
+// runner (internal/bench) query and measure each of them the same way,
+// whichever package built it. Only the highway cover labelling is saved,
+// loaded and served: the baselines exist for the build time, query time
+// and label size columns of the paper's tables. The server
 // (internal/serve) therefore holds a *core.Index and answers batches with
 // core's own executor, so this package defines no batch surface.
 //
@@ -44,11 +44,10 @@ type Searcher interface {
 
 // DistanceIndex is the one interface every labelling method exposes:
 // an exact distance oracle over a fixed vertex set that can summarize
-// itself. Implementations are safe for concurrent readers. The one that
-// also accepts edge updates (internal/dynhl) does not synchronize them:
-// a caller serializes an update with every other call on the index. Its
-// searchers and frozen snapshots are bound to the immutable state they
-// were taken from and stay usable across updates.
+// itself. Implementations are immutable and safe for concurrent
+// readers: an edge update (core.Rows.ApplyOps) returns a new index and
+// leaves the one it started from, and that index's searchers, as they
+// were.
 type DistanceIndex interface {
 	// Distance returns the exact hop distance between s and t, or
 	// Infinity if disconnected. This is the pooled/allocating
@@ -70,7 +69,7 @@ type DistanceIndex interface {
 // BPTrees.
 type Stats struct {
 	// Method names the method that built the index ("hl", "pll", "fd",
-	// "isl", "dynhl").
+	// "isl").
 	Method string
 
 	NumVertices  int

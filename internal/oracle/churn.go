@@ -9,7 +9,7 @@ import (
 )
 
 // EdgeOp is one churn step: an undirected edge insertion or (Del)
-// deletion. It deliberately mirrors dynhl.Op without importing it, so
+// deletion. It deliberately mirrors core.Op without importing it, so
 // the harness stays below every labelling in the dependency graph.
 type EdgeOp struct {
 	A, B int32

@@ -1,7 +1,7 @@
 // Package oracle is a shared differential-testing harness for exact
 // distance oracles: it checks any Distance(s,t) int32 implementation
 // against plain BFS ground truth on deterministic seeded generator
-// graphs. Every index method in this repo (core, pll, fd, isl, dynhl)
+// graphs. Every index method in this repo (core, pll, fd, isl)
 // wires its correctness tests through this package instead of hand-rolled
 // BFS comparison loops, so all methods are held to one oracle-backed
 // standard and new methods get the full corner-case suite for free.

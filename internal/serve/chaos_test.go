@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"highway/internal/dynhl"
+	"highway/internal/core"
 	"highway/internal/failpoint"
 	"highway/internal/graph"
 )
@@ -114,14 +114,14 @@ func newLiveEdges(g *graph.Graph) *liveEdges {
 	for v := int32(0); int(v) < g.NumVertices(); v++ {
 		for _, u := range g.Neighbors(v) {
 			if v < u {
-				l.apply(dynhl.Op{A: v, B: u})
+				l.apply(core.Op{A: v, B: u})
 			}
 		}
 	}
 	return l
 }
 
-func (l *liveEdges) apply(op dynhl.Op) {
+func (l *liveEdges) apply(op core.Op) {
 	a, b := op.A, op.B
 	if a > b {
 		a, b = b, a
@@ -141,7 +141,7 @@ func (l *liveEdges) apply(op dynhl.Op) {
 	}
 }
 
-func (l *liveEdges) ack(ops []dynhl.Op) {
+func (l *liveEdges) ack(ops []core.Op) {
 	for _, op := range ops {
 		l.apply(op)
 	}
@@ -152,21 +152,21 @@ func (l *liveEdges) ack(ops []dynhl.Op) {
 // Single-kind batches match the public mutation API (InsertEdges /
 // DeleteEdges) while the round interleaving makes the schedule — and
 // the WAL — genuinely mixed.
-func randOpBatch(rng *rand.Rand, n int32, live *liveEdges) []dynhl.Op {
+func randOpBatch(rng *rand.Rand, n int32, live *liveEdges) []core.Op {
 	k := 1 + rng.Intn(3)
 	if rng.Intn(3) == 0 && len(live.list) > 0 {
-		ops := make([]dynhl.Op, k)
+		ops := make([]core.Op, k)
 		for i := range ops {
 			e := live.list[rng.Intn(len(live.list))]
-			ops[i] = dynhl.Op{A: e[0], B: e[1], Del: true}
+			ops[i] = core.Op{A: e[0], B: e[1], Del: true}
 		}
 		return ops
 	}
-	return dynhl.InsertOps(randBatch(rng, n, k))
+	return core.InsertOps(randBatch(rng, n, k))
 }
 
 // sendOps pushes one single-kind batch through the public mutation API.
-func sendOps(srv *Server, ops []dynhl.Op) error {
+func sendOps(srv *Server, ops []core.Op) error {
 	pairs := make([][2]int32, len(ops))
 	for i, op := range ops {
 		pairs[i] = [2]int32{op.A, op.B}
@@ -182,7 +182,7 @@ func sendOps(srv *Server, ops []dynhl.Op) error {
 
 // replayOps feeds an acked op history into a live server through the
 // public API, preserving op order by splitting it into same-kind runs.
-func replayOps(srv *Server, ops []dynhl.Op) error {
+func replayOps(srv *Server, ops []core.Op) error {
 	for i := 0; i < len(ops); {
 		j := i + 1
 		for j < len(ops) && ops[j].Del == ops[i].Del {
@@ -199,7 +199,7 @@ func replayOps(srv *Server, ops []dynhl.Op) error {
 // expectedWALBytes is the byte-exact log an acked op history must leave
 // behind when no compaction ran: magic, then one record per op in
 // acknowledgement order, deletions in one's-complement encoding.
-func expectedWALBytes(acked []dynhl.Op) []byte {
+func expectedWALBytes(acked []core.Op) []byte {
 	buf := make([]byte, 0, len(walMagic)+len(acked)*walRecordSize)
 	buf = append(buf, walMagic...)
 	for _, op := range acked {
@@ -246,7 +246,7 @@ func TestChaosCrashRestartDurability(t *testing.T) {
 			// across all kill/restart cycles: the history the restarted
 			// server must reproduce exactly. live mirrors its effect so
 			// later deletions target real edges.
-			var acked []dynhl.Op
+			var acked []core.Op
 			live := newLiveEdges(g)
 			cycles := 1 + rng.Intn(2)
 			for c := 0; c < cycles; c++ {

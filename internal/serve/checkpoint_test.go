@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"highway/internal/core"
-	"highway/internal/dynhl"
 	"highway/internal/failpoint"
 	"highway/internal/graph"
 )
@@ -36,7 +35,7 @@ func servedBytes(t *testing.T, s *Server) []byte {
 }
 
 // scratchBytes is v2Bytes of a from-scratch build over base ⊕ history.
-func scratchBytes(t *testing.T, base *graph.Graph, lms []int32, history []dynhl.Op) []byte {
+func scratchBytes(t *testing.T, base *graph.Graph, lms []int32, history []core.Op) []byte {
 	t.Helper()
 	live := newLiveEdges(base)
 	live.ack(history)
@@ -72,12 +71,12 @@ func TestCheckpointCrashWindow(t *testing.T) {
 			if g.HasEdge(e[0], e[1]) {
 				t.Fatalf("test edge %v is a base edge", e)
 			}
-			before := []dynhl.Op{
+			before := []core.Op{
 				{A: e[0], B: e[1]}, {A: e[0], B: e[1], Del: true}, {A: e[0], B: e[1]},
 				{A: b[0], B: b[1], Del: true}, {A: 3, B: 250}, {A: 4, B: 260}, {A: 5, B: 270},
 			}
 			// One op short of the threshold, so no second checkpoint starts.
-			after := []dynhl.Op{
+			after := []core.Op{
 				{A: e[0], B: e[1], Del: true}, {A: e[0], B: e[1]}, {A: b[0], B: b[1], Del: true},
 				{A: b[0], B: b[1]}, {A: 3, B: 250, Del: true}, {A: e[0], B: e[1], Del: true},
 			}
@@ -154,8 +153,8 @@ func TestCheckpointOnRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	history := dynhl.InsertOps(randBatch(rand.New(rand.NewSource(3)), 300, 10))
-	history = append(history, dynhl.Op{A: history[0].A, B: history[0].B, Del: true})
+	history := core.InsertOps(randBatch(rand.New(rand.NewSource(3)), 300, 10))
+	history = append(history, core.Op{A: history[0].A, B: history[0].B, Del: true})
 	if err := replayOps(srv, history); err != nil {
 		t.Fatal(err)
 	}

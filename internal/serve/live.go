@@ -13,7 +13,6 @@ import (
 
 	"highway/internal/container"
 	"highway/internal/core"
-	"highway/internal/dynhl"
 	"highway/internal/failpoint"
 	"highway/internal/graph"
 )
@@ -55,7 +54,7 @@ type LiveConfig struct {
 	// the write is acknowledged. It must not block (the cluster shipper
 	// enqueues and returns) and must not call back into the server's
 	// write path.
-	OnCommit func(epoch uint64, ops []dynhl.Op)
+	OnCommit func(epoch uint64, ops []core.Op)
 }
 
 // DefaultRebuildThreshold is the WAL length that triggers a checkpoint
@@ -112,18 +111,18 @@ type updater struct {
 	// NewLive found them.
 	probeEvery, retryBase, retryMax time.Duration
 
-	// dyn is the mutable truth: the dynamic labelling every accepted
-	// batch is applied to. Its labelling is always identical to a
-	// from-scratch build on the current edge set (internal/dynhl's
-	// invariant), which is what makes WAL replay and snapshot
-	// publication exact.
-	dyn *dynhl.Index
-	wal *WAL // nil when running without durability
+	// rows takes every accepted batch, and cur is the index it last
+	// returned: always identical to a from-scratch build on the current
+	// edge set (core.Rows.ApplyOps), which is what makes WAL replay and
+	// snapshot publication exact.
+	rows *core.Rows
+	cur  *core.Index
+	wal  *WAL // nil when running without durability
 
 	// delta collects the ops accepted while a checkpoint is in flight:
 	// the ones its snapshot does not cover, which the log is compacted
 	// down to.
-	delta         []dynhl.Op
+	delta         []core.Op
 	checkpointing bool
 	closed        bool
 	wg            sync.WaitGroup // in-flight checkpoint + recovery-probe goroutines
@@ -154,11 +153,12 @@ type updater struct {
 	recoveries       atomic.Int64
 	acceptedDeletes  atomic.Int64
 	deletedTotal     atomic.Int64
+	repairs          atomic.Int64 // batches that re-ran some landmark
 }
 
 // NewLive returns an updatable Server seeded from ix. If cfg.WAL is set,
 // any ops (insertions and deletions) recovered from the log are replayed
-// first (onto dynhl.FromCore(ix), which shares ix and leaves it intact),
+// first (onto core.RowsOf(ix), which shares ix and leaves it intact),
 // so the served snapshot reflects every write acknowledged before a
 // crash. The server takes ownership of the WAL.
 func NewLive(ix *core.Index, cfg LiveConfig) (*Server, error) {
@@ -169,12 +169,8 @@ func NewLive(ix *core.Index, cfg LiveConfig) (*Server, error) {
 		}
 		return nil, err
 	}
-	dyn, err := dynhl.FromCore(ix)
-	if err != nil {
-		return fail(fmt.Errorf("serve: live conversion: %w", err))
-	}
 	s := New(ix, cfg.Config)
-	up := &updater{cfg: cfg, dyn: dyn, wal: cfg.WAL, closeCh: make(chan struct{}),
+	up := &updater{cfg: cfg, rows: core.RowsOf(ix), cur: ix, wal: cfg.WAL, closeCh: make(chan struct{}),
 		probeEvery: degradedProbeInterval, retryBase: rebuildRetryBase, retryMax: rebuildRetryMax}
 	s.up, s.writable = up, true
 	up.epoch.Store(cfg.EpochBase)
@@ -183,15 +179,10 @@ func NewLive(ix *core.Index, cfg LiveConfig) (*Server, error) {
 	}
 	if up.wal != nil {
 		if rec := up.wal.Recovered(); len(rec) > 0 {
-			if _, err := dyn.ApplyOps(rec); err != nil {
+			if _, err := up.apply(rec); err != nil {
 				return fail(fmt.Errorf("serve: wal replay: %w", err))
 			}
-			_, fresh, err := dyn.Freeze()
-			if err != nil {
-				return fail(fmt.Errorf("serve: wal replay freeze: %w", err))
-			}
-			epoch := up.epoch.Add(1)
-			s.snap.Store(newSnapshot(fresh, epoch))
+			s.snap.Store(newSnapshot(up.cur, up.epoch.Add(1)))
 		}
 		// A log recovered past the threshold is checkpointed now: waiting
 		// for a write would replay all of it on every read-mostly restart.
@@ -262,13 +253,13 @@ func writeSnapshot(path string, g *graph.Graph, ix *core.Index, w *WAL) error {
 // InsertEdges accepts a batch of undirected edge insertions: validates
 // every endpoint (the whole batch is rejected on any invalid vertex —
 // no partial application), appends the batch to the WAL with one fsync,
-// applies it to the dynamic labelling, and publishes a fresh snapshot
+// applies it to the labelling, and publishes a fresh snapshot
 // that every subsequent read observes. Duplicate edges and self-loops
 // are accepted but ignored (counted in Accepted, not Inserted), which
 // is what makes WAL replay idempotent. Safe for concurrent use; writers
 // are serialized, readers never blocked.
 func (s *Server) InsertEdges(edges [][2]int32) (InsertResult, error) {
-	res, epoch, err := s.mutate(dynhl.InsertOps(edges))
+	res, epoch, err := s.mutate(core.InsertOps(edges))
 	if err != nil {
 		return InsertResult{}, err
 	}
@@ -283,7 +274,7 @@ func (s *Server) InsertEdges(edges [][2]int32) (InsertResult, error) {
 // already deleted, which is what makes replay idempotent — and
 // self-loops are acked but ignored (Accepted, not Deleted).
 func (s *Server) DeleteEdges(edges [][2]int32) (DeleteResult, error) {
-	res, epoch, err := s.mutate(dynhl.DeleteOps(edges))
+	res, epoch, err := s.mutate(core.DeleteOps(edges))
 	if err != nil {
 		return DeleteResult{}, err
 	}
@@ -291,30 +282,30 @@ func (s *Server) DeleteEdges(edges [][2]int32) (DeleteResult, error) {
 }
 
 // mutate is the single writer path shared by InsertEdges and
-// DeleteEdges: validate → WAL append (one fsync) → apply to the dynamic
-// labelling → publish snapshot → bump counters → maybe kick a checkpoint.
-func (s *Server) mutate(ops []dynhl.Op) (dynhl.OpResult, uint64, error) {
+// DeleteEdges: validate → WAL append (one fsync) → apply
+// (core.Rows.ApplyOps) → publish snapshot → bump counters → maybe kick a checkpoint.
+func (s *Server) mutate(ops []core.Op) (core.OpResult, uint64, error) {
 	if s.up == nil {
-		return dynhl.OpResult{}, 0, ErrReadOnly
+		return core.OpResult{}, 0, ErrReadOnly
 	}
 	n := s.n.Load()
 	for _, op := range ops {
 		if op.A < 0 || int64(op.A) >= n || op.B < 0 || int64(op.B) >= n {
-			return dynhl.OpResult{}, 0, fmt.Errorf("%w: {%d,%d} outside [0,%d)", ErrEdgeRange, op.A, op.B, n)
+			return core.OpResult{}, 0, fmt.Errorf("%w: {%d,%d} outside [0,%d)", ErrEdgeRange, op.A, op.B, n)
 		}
 	}
 	up := s.up
 	up.mu.Lock()
 	defer up.mu.Unlock()
 	if up.closed {
-		return dynhl.OpResult{}, 0, ErrClosed
+		return core.OpResult{}, 0, ErrClosed
 	}
 	if up.degraded {
 		up.writesRejected.Add(1)
-		return dynhl.OpResult{}, 0, fmt.Errorf("%w: %s", ErrDegraded, up.degradedReason)
+		return core.OpResult{}, 0, fmt.Errorf("%w: %s", ErrDegraded, up.degradedReason)
 	}
 	if len(ops) == 0 {
-		return dynhl.OpResult{}, up.epoch.Load(), nil
+		return core.OpResult{}, up.epoch.Load(), nil
 	}
 	// Durability first: the batch must be on disk before any state the
 	// crash-recovery path cannot reconstruct is mutated.
@@ -327,21 +318,17 @@ func (s *Server) mutate(ops []dynhl.Op) (dynhl.OpResult, uint64, error) {
 			// taxonomy too, so clients see one consistent signal.
 			up.enterDegradedLocked(err)
 			up.writesRejected.Add(1)
-			return dynhl.OpResult{}, 0, fmt.Errorf("%w: %w", ErrDegraded, err)
+			return core.OpResult{}, 0, fmt.Errorf("%w: %w", ErrDegraded, err)
 		}
 	}
-	res, err := up.dyn.ApplyOps(ops)
+	res, err := up.apply(ops)
 	if err != nil {
 		// Unreachable after the validation above; keep the state
 		// machine honest anyway.
-		return dynhl.OpResult{}, 0, err
-	}
-	_, fresh, err := up.dyn.Freeze()
-	if err != nil {
-		return dynhl.OpResult{}, 0, fmt.Errorf("serve: freeze: %w", err)
+		return core.OpResult{}, 0, err
 	}
 	epoch := up.epoch.Add(1)
-	s.snap.Store(newSnapshot(fresh, epoch))
+	s.snap.Store(newSnapshot(up.cur, epoch))
 	if up.cfg.OnCommit != nil {
 		// Under mu: commits reach the hook strictly in epoch order,
 		// before the write is acked, which is what lets the cluster
@@ -363,6 +350,20 @@ func (s *Server) mutate(ops []dynhl.Op) (dynhl.OpResult, uint64, error) {
 	}
 	up.maybeCheckpoint()
 	return res, epoch, nil
+}
+
+// apply (mu held, or before the server is shared) applies a batch to the
+// labelling and makes the index it returns the current one.
+func (up *updater) apply(ops []core.Op) (core.OpResult, error) {
+	next, res, err := up.rows.ApplyOps(ops)
+	if err != nil {
+		return res, err
+	}
+	up.cur = next
+	if res.Dirty > 0 {
+		up.repairs.Add(1)
+	}
+	return res, nil
 }
 
 // enterDegradedLocked (mu held) flips the server into degraded
@@ -446,13 +447,12 @@ func (up *updater) maybeCheckpoint() {
 	if th < 0 || up.wal.Len() < th {
 		return
 	}
-	// The frozen state is immutable and equals base ⊕ the whole log; the
+	// The current index is immutable and equals base ⊕ the whole log; the
 	// ops accepted from here on are collected in delta (empty between
 	// checkpoints).
-	g, ix, _ := up.dyn.Freeze() // never fails: the state already exists
 	up.checkpointing = true
 	up.wg.Add(1)
-	go up.checkpoint(g, ix)
+	go up.checkpoint(up.cur.Graph(), up.cur)
 }
 
 // scheduleRetryLocked (mu held) arms a one-shot timer that re-evaluates
@@ -477,7 +477,7 @@ func (up *updater) scheduleRetryLocked() {
 	})
 }
 
-// checkpoint bounds the log without computing anything: the dynamic
+// checkpoint bounds the log without computing anything: the maintained
 // labelling is already the unique minimal one for the current edge set,
 // so the served snapshot is what a rebuild would produce. g and ix are
 // immutable, so the (possibly long) disk write runs outside the writer
@@ -603,7 +603,6 @@ func (s *Server) LiveStats() *LiveStats {
 		return nil
 	}
 	up.mu.Lock()
-	maint := up.dyn.Maint()
 	st := &LiveStats{
 		Epoch:            up.epoch.Load(),
 		AcceptedEdges:    up.acceptedTotal.Load(),
@@ -614,7 +613,7 @@ func (s *Server) LiveStats() *LiveStats {
 		LastRebuildMs:    float64(up.lastCheckpointNs.Load()) / 1e6,
 		AcceptedDeletes:  up.acceptedDeletes.Load(),
 		EdgesDeleted:     up.deletedTotal.Load(),
-		SelectiveRepairs: maint.SelectiveRepairs + maint.FullRebuilds,
+		SelectiveRepairs: up.repairs.Load(),
 		Degraded:         up.degraded,
 		DegradedReason:   up.degradedReason,
 		WritesRejected:   up.writesRejected.Load(),

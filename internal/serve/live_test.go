@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"highway/internal/core"
-	"highway/internal/dynhl"
 	"highway/internal/gen"
 	"highway/internal/graph"
 	"highway/internal/landmark"
@@ -214,9 +213,61 @@ func TestReadOnlyServerRejectsUpdates(t *testing.T) {
 	}
 }
 
+// TestLiveStatsCountsRepairs: /stats selective_repairs counts the write
+// batches that re-ran some landmark's pruned BFS, and the start-up WAL
+// replay is one such batch. On the path 0-…-9 with landmark 0, the edge
+// {0,5} joins vertices at distances 0 and 5 and dirties it; {0,1} is
+// already an edge.
+func TestLiveStatsCountsRepairs(t *testing.T) {
+	ix, err := core.Build(gen.Path(10), []int32{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(t.TempDir(), "edges.wal")
+	start := func() *Server {
+		t.Helper()
+		wal, err := OpenWAL(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewLive(ix, LiveConfig{WAL: wal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	srv := start()
+	for _, c := range []struct {
+		name string
+		edge [2]int32
+		want int64
+	}{
+		{"a write that dirties the landmark", [2]int32{0, 5}, 1},
+		{"a duplicate insert", [2]int32{0, 1}, 1},
+	} {
+		if _, err := srv.InsertEdges([][2]int32{c.edge}); err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.LiveStats().SelectiveRepairs; got != c.want {
+			t.Fatalf("after %s: selective_repairs = %d, want %d", c.name, got, c.want)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv = start()
+	defer srv.Close()
+	if got := srv.LiveStats().SelectiveRepairs; got != 1 {
+		t.Fatalf("after a restart that replayed one batch: selective_repairs = %d, want 1", got)
+	}
+	if d, err := srv.Distance(0, 5); err != nil || d != 1 {
+		t.Fatalf("after the replay d(0,5) = %d (%v), want 1", d, err)
+	}
+}
+
 // TestLiveRestartReplaysWAL is acceptance criterion (a): distances after
-// a restart+replay of a mixed insert/delete schedule are identical to a
-// from-scratch dynamic build over the same op sequence, and the log on
+// a restart+replay of a mixed insert/delete schedule are identical to
+// ApplyOps over the same op sequence from the base index, and the log on
 // disk is byte-identical to the acked history (inserts as plain
 // records, deletes one's-complement).
 func TestLiveRestartReplaysWAL(t *testing.T) {
@@ -232,18 +283,18 @@ func TestLiveRestartReplaysWAL(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	live := newLiveEdges(g)
-	var history []dynhl.Op
+	var history []core.Op
 	for batch := 0; batch < 14; batch++ {
-		var ops []dynhl.Op
+		var ops []core.Op
 		if batch%3 == 2 {
 			// Delete a handful of live edges (base or freshly inserted).
 			for i := 0; i < 5; i++ {
 				e := live.list[rng.Intn(len(live.list))]
-				ops = append(ops, dynhl.Op{A: e[0], B: e[1], Del: true})
+				ops = append(ops, core.Op{A: e[0], B: e[1], Del: true})
 			}
 		} else {
 			for i := 0; i < 8; i++ {
-				ops = append(ops, dynhl.Op{A: rng.Int31n(500), B: rng.Int31n(500)})
+				ops = append(ops, core.Op{A: rng.Int31n(500), B: rng.Int31n(500)})
 			}
 		}
 		if err := sendOps(srvA, ops); err != nil {
@@ -279,11 +330,8 @@ func TestLiveRestartReplaysWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := dynhl.FromCore(base)
+	ref, _, err := core.RowsOf(base).ApplyOps(history)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.ApplyOps(history); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range workload.RandomPairs(g, 400, 99) {
@@ -340,10 +388,7 @@ func TestLiveStressRebuildAndRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := dynhl.FromCore(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, ref := core.RowsOf(base), base
 
 	// Readers hammer GET /distance and /stats. Every pair's distance
 	// must be non-increasing over time (-1 = unreachable = +inf): any
@@ -447,7 +492,7 @@ func TestLiveStressRebuildAndRestart(t *testing.T) {
 			t.Fatalf("write: status %d err %v result %+v", resp.StatusCode, err, res)
 		}
 		history = append(history, edges...)
-		if err := ref.InsertEdges(edges); err != nil {
+		if ref, _, err = rows.ApplyOps(core.InsertOps(edges)); err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range probes {

@@ -8,7 +8,6 @@ import (
 
 	"highway/internal/container"
 	"highway/internal/core"
-	"highway/internal/dynhl"
 	"highway/internal/graph"
 )
 
@@ -109,7 +108,7 @@ func (s *Server) Publish(ix *core.Index, epoch uint64) {
 	s.snap.Store(newSnapshot(ix, epoch))
 }
 
-// FrozenState freezes and returns the live server's current graph,
+// FrozenState returns the live server's current graph,
 // index and epoch — the state a primary streams to a follower that
 // needs a full resync. The returned graph and index are immutable; the
 // epoch is the snapshot epoch they correspond to.
@@ -123,11 +122,7 @@ func (s *Server) FrozenState() (*graph.Graph, *core.Index, uint64, error) {
 	if up.closed {
 		return nil, nil, 0, ErrClosed
 	}
-	g, ix, err := up.dyn.Freeze()
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("serve: freeze: %w", err)
-	}
-	return g, ix, up.epoch.Load(), nil
+	return up.cur.Graph(), up.cur, up.epoch.Load(), nil
 }
 
 // EncodeSnapshot writes the graph+index snapshot to w — one container of
@@ -206,11 +201,11 @@ func fromSnapshotSections(h container.Header, sec map[uint32]container.Section) 
 	return g, ix, nil
 }
 
-// EncodeWALOps converts dynhl ops to the WAL pair encoding TReplAppend
+// EncodeWALOps converts update ops to the WAL pair encoding TReplAppend
 // frames carry: inserts as plain (a,b), deletions as one's-complement
 // (^a,^b) — the same record encoding HWLWAL01 uses on disk. Appends to
 // dst and returns the extended slice.
-func EncodeWALOps(dst [][2]int32, ops []dynhl.Op) [][2]int32 {
+func EncodeWALOps(dst [][2]int32, ops []core.Op) [][2]int32 {
 	for _, op := range ops {
 		a, b := walEncode(op)
 		dst = append(dst, [2]int32{a, b})
@@ -221,8 +216,8 @@ func EncodeWALOps(dst [][2]int32, ops []dynhl.Op) [][2]int32 {
 // DecodeWALOps is the inverse of EncodeWALOps, with the WAL's
 // corruption check: a mixed-sign pair is neither a plain insert nor a
 // complemented deletion.
-func DecodeWALOps(pairs [][2]int32) ([]dynhl.Op, error) {
-	ops := make([]dynhl.Op, len(pairs))
+func DecodeWALOps(pairs [][2]int32) ([]core.Op, error) {
+	ops := make([]core.Op, len(pairs))
 	for i, p := range pairs {
 		op, ok := walDecode(p[0], p[1])
 		if !ok {

@@ -46,19 +46,19 @@
 // (DELETE /edges, or DeleteEdges). Writers are serialized behind a
 // mutex and never block readers: each accepted batch is (1) appended to
 // the write-ahead edge log if one is configured (deletions as
-// one's-complement records in the same log), (2) applied to a mutable
-// dynhl.Index, which re-runs the pruned BFS of the landmarks the batch
-// dirtied and assembles the next immutable index, and (3) that index is
-// atomically swapped in as the snapshot, so the next read observes it.
+// one's-complement records in the same log), (2) applied by
+// core.Rows.ApplyOps, which re-runs the pruned BFS of the landmarks the
+// batch dirtied and assembles the next immutable index, and (3) that index
+// is atomically swapped in as the snapshot, so the next read observes it.
 //
 // The WAL makes acknowledged writes durable: appends are batched into
 // one fsync per accepted request, and LoadLive replays the log through
-// dynhl.FromCore on startup, so a crash loses nothing that was
+// the same ApplyOps on startup, so a crash loses nothing that was
 // acknowledged. When the log reaches LiveConfig.RebuildThreshold
 // records, a background checkpoint persists the snapshot being served
 // next to the WAL and compacts the log to the ops accepted since —
 // bounding restart replay time. Nothing is recomputed or published: the
-// dynamic labelling is already the one a from-scratch build would
+// maintained labelling is already the one a from-scratch build would
 // produce, so the epoch and the served index do not move. See DESIGN.md
 // for the full lifecycle.
 //

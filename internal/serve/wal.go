@@ -9,7 +9,7 @@ import (
 	"path/filepath"
 	"sync/atomic"
 
-	"highway/internal/dynhl"
+	"highway/internal/core"
 	"highway/internal/failpoint"
 )
 
@@ -17,8 +17,8 @@ import (
 // server. Every accepted edge mutation — insertion or deletion — is
 // appended (and fsynced) to the log *before* it is applied to the
 // in-memory labelling, so an acknowledged write survives a crash; on
-// startup the log is replayed into a fresh dynamic index (LoadLive).
-// Replay is idempotent — the dynamic index treats re-inserting a present
+// startup the log is replayed onto the loaded index (LoadLive).
+// Replay is idempotent — core.Rows.ApplyOps treats re-inserting a present
 // edge and re-deleting an absent one as no-ops — which keeps the
 // crash-recovery protocol simple: it is always safe to replay the whole
 // log against any snapshot at or behind the log's tail.
@@ -39,7 +39,7 @@ type WAL struct {
 	path      string
 	f         *os.File
 	records   int
-	recovered []dynhl.Op
+	recovered []core.Op
 	buf       []byte
 
 	// off is the durable end of the log: the byte offset just past the
@@ -94,7 +94,7 @@ func walSum(a, b int32) uint32 {
 
 // walEncode maps an op to its stored endpoint pair: inserts store the
 // endpoints as-is, deletes store both one's-complemented (negative).
-func walEncode(op dynhl.Op) (a, b int32) {
+func walEncode(op core.Op) (a, b int32) {
 	if op.Del {
 		return ^op.A, ^op.B
 	}
@@ -103,14 +103,14 @@ func walEncode(op dynhl.Op) (a, b int32) {
 
 // walDecode is walEncode's inverse. ok is false for a mixed-sign pair,
 // which no append ever produces: recovery treats it as tail corruption.
-func walDecode(a, b int32) (op dynhl.Op, ok bool) {
+func walDecode(a, b int32) (op core.Op, ok bool) {
 	switch {
 	case a >= 0 && b >= 0:
-		return dynhl.Op{A: a, B: b}, true
+		return core.Op{A: a, B: b}, true
 	case a < 0 && b < 0:
-		return dynhl.Op{A: ^a, B: ^b, Del: true}, true
+		return core.Op{A: ^a, B: ^b, Del: true}, true
 	default:
-		return dynhl.Op{}, false
+		return core.Op{}, false
 	}
 }
 
@@ -184,7 +184,7 @@ func (w *WAL) recover() error {
 
 // Recovered returns the ops that were in the log when it was opened, in
 // append order. The caller replays them and must not modify the slice.
-func (w *WAL) Recovered() []dynhl.Op { return w.recovered }
+func (w *WAL) Recovered() []core.Op { return w.recovered }
 
 // Len returns the number of records currently in the log.
 func (w *WAL) Len() int { return w.records }
@@ -200,7 +200,7 @@ func (w *WAL) SnapshotPath() string { return w.path + ".snap" }
 
 // Append logs a batch of insertions; AppendOps is the general form.
 func (w *WAL) Append(edges [][2]int32) error {
-	return w.AppendOps(dynhl.InsertOps(edges))
+	return w.AppendOps(core.InsertOps(edges))
 }
 
 // AppendOps logs a batch of edge mutations with a single fsync (group
@@ -211,7 +211,7 @@ func (w *WAL) Append(edges [][2]int32) error {
 // truncated back to the last acknowledged record before the error is
 // returned, so a restart never replays ops the caller was told were not
 // accepted. If even the truncation fails the WAL fails stop.
-func (w *WAL) AppendOps(ops []dynhl.Op) error {
+func (w *WAL) AppendOps(ops []core.Op) error {
 	if w.f == nil {
 		return fmt.Errorf("wal: log handle lost (failed compaction reopen or closed)")
 	}
@@ -321,7 +321,7 @@ func (w *WAL) Probe() error {
 // log, the WAL fails stop: the stale handle (now an unlinked inode) is
 // dropped and every subsequent Append errors rather than acknowledging
 // writes that would vanish with the process.
-func (w *WAL) CompactTo(ops []dynhl.Op) error {
+func (w *WAL) CompactTo(ops []core.Op) error {
 	if w.f == nil {
 		return fmt.Errorf("wal: log handle lost (failed compaction reopen or closed)")
 	}

@@ -6,7 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"highway/internal/dynhl"
+	"highway/internal/core"
 	"highway/internal/failpoint"
 )
 
@@ -16,7 +16,7 @@ func tempWALPath(t *testing.T) string {
 }
 
 // opOf is shorthand for the insert op an edge pair logs as.
-func opOf(e [2]int32) dynhl.Op { return dynhl.Op{A: e[0], B: e[1]} }
+func opOf(e [2]int32) core.Op { return core.Op{A: e[0], B: e[1]} }
 
 func TestWALAppendRecoverRoundTrip(t *testing.T) {
 	path := tempWALPath(t)
@@ -167,7 +167,7 @@ func TestWALCompactTo(t *testing.T) {
 	if err := w.Append([][2]int32{{1, 2}, {3, 4}, {5, 6}, {7, 8}}); err != nil {
 		t.Fatal(err)
 	}
-	delta := dynhl.InsertOps([][2]int32{{7, 8}})
+	delta := core.InsertOps([][2]int32{{7, 8}})
 	if err := w.CompactTo(delta); err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestWALMixedOpsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops := []dynhl.Op{
+	ops := []core.Op{
 		{A: 1, B: 2},
 		{A: 1, B: 2, Del: true},
 		{A: 0, B: 7},
@@ -396,7 +396,7 @@ func TestWALMixedOpsRoundTrip(t *testing.T) {
 // TestWALTornTailEveryOffset: a crash at any byte offset inside a
 // trailing delete record must truncate exactly that record.
 func TestWALDeleteTornTailEveryOffset(t *testing.T) {
-	ops := []dynhl.Op{{A: 1, B: 2}, {A: 3, B: 4, Del: true}, {A: 1, B: 2, Del: true}}
+	ops := []core.Op{{A: 1, B: 2}, {A: 3, B: 4, Del: true}, {A: 1, B: 2, Del: true}}
 	full := int64(len(walMagic) + len(ops)*walRecordSize)
 	for cut := 0; cut < walRecordSize; cut++ {
 		path := tempWALPath(t)
@@ -439,7 +439,7 @@ func TestWALMixedSignRecordTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendOps([]dynhl.Op{{A: 1, B: 2}, {A: 3, B: 4, Del: true}}); err != nil {
+	if err := w.AppendOps([]core.Op{{A: 1, B: 2}, {A: 3, B: 4, Del: true}}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -470,7 +470,7 @@ func TestWALMixedSignRecordTruncates(t *testing.T) {
 	if w2.Len() != 2 {
 		t.Fatalf("mixed-sign record survived: recovered %d ops, want 2", w2.Len())
 	}
-	if w2.Recovered()[1] != (dynhl.Op{A: 3, B: 4, Del: true}) {
+	if w2.Recovered()[1] != (core.Op{A: 3, B: 4, Del: true}) {
 		t.Fatalf("recovered %+v", w2.Recovered())
 	}
 }

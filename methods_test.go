@@ -18,8 +18,7 @@ import (
 )
 
 // testMethod is one labelling the root tests and benchmarks hold to the
-// same checks: the paper's index, its dynamic form and the three
-// baselines, each built from its own package. build takes the landmark
+// same checks: the paper's index and the three baselines, each built from its own package. build takes the landmark
 // set; pll and isl ignore it.
 type testMethod struct {
 	name  string
@@ -31,13 +30,6 @@ type testMethod struct {
 var testMethods = []testMethod{
 	{"hl", func(ctx context.Context, g *highway.Graph, lm []int32) (highway.DistanceIndex, error) {
 		return highway.Build(ctx, g, lm, highway.BuildOptions{})
-	}},
-	{"dynhl", func(ctx context.Context, g *highway.Graph, lm []int32) (highway.DistanceIndex, error) {
-		ix, err := highway.Build(ctx, g, lm, highway.BuildOptions{})
-		if err != nil {
-			return nil, err
-		}
-		return highway.DynamicFromIndex(ix)
 	}},
 	{"pll", func(ctx context.Context, g *highway.Graph, _ []int32) (highway.DistanceIndex, error) {
 		return pll.BuildBP(ctx, g, 4)
@@ -140,9 +132,10 @@ func TestMethodRoundTrip(t *testing.T) {
 }
 
 // TestMethodRoundTripDynamic pins how an evolved labelling persists: a
-// dynhl index saves what Freeze hands out, the core index over the evolved
-// graph, and insertions made before the save are visible after LoadIndex
-// against that graph. fd is static, so it has no evolved state to carry.
+// live server's Index is the core index over the evolved graph, it saves
+// like any other, and insertions made before the save are visible after
+// LoadIndex against that graph. fd is static, so it has no evolved state
+// to carry.
 func TestMethodRoundTripDynamic(t *testing.T) {
 	g := testGraphSmall(t)
 	lm := testLandmarks(t, g, 4)
@@ -152,22 +145,20 @@ func TestMethodRoundTripDynamic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dyn, err := highway.DynamicFromIndex(ix)
+		srv, err := highway.NewLiveServer(ix, highway.LiveConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dyn.InsertEdges(edges); err != nil {
+		defer srv.Close()
+		if _, err := srv.InsertEdges(edges); err != nil {
 			t.Fatal(err)
 		}
-		evolved, frozen, err := dyn.Freeze()
-		if err != nil {
-			t.Fatal(err)
-		}
+		evolved := srv.Index().(*highway.Index)
 		path := filepath.Join(t.TempDir(), "dynhl.idx")
-		if err := frozen.Save(path); err != nil {
+		if err := evolved.Save(path); err != nil {
 			t.Fatal(err)
 		}
-		back, err := highway.LoadIndex(path, evolved)
+		back, err := highway.LoadIndex(path, evolved.Graph())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +167,7 @@ func TestMethodRoundTripDynamic(t *testing.T) {
 				t.Fatalf("inserted edge {%d,%d} lost across round trip: distance %d", e[0], e[1], d)
 			}
 		}
-		sr, bsr := dyn.NewSearcher(), back.NewSearcher()
+		sr, bsr := evolved.NewSearcher(), back.NewSearcher()
 		for _, p := range oracle.SampledPairs(g.NumVertices(), 200, 13) {
 			if got, want := bsr.Distance(p[0], p[1]), sr.Distance(p[0], p[1]); got != want {
 				t.Fatalf("loaded Distance(%d,%d) = %d, original %d", p[0], p[1], got, want)
