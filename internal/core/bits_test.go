@@ -124,7 +124,7 @@ func TestPackedRankOffsets(t *testing.T) {
 			}
 			want := plainRanks(n, k, func(v int) []int32 { return labels[v] })
 			for _, workers := range []int{1, 2, 5} {
-				b, entries := packRanks(n, k, workers, func(v int, m *landmarkSet) {
+				b, entries := packRanks(n, k, workers, leafSet{}, func(_ int, v, _ int32, m *landmarkSet) {
 					for _, r := range labels[v] {
 						m[r>>6] |= 1 << (r & 63)
 					}

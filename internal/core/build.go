@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"maps"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -104,6 +102,7 @@ func BuildOpts(ctx context.Context, g *graph.Graph, landmarks []int32, opt Optio
 	if err != nil {
 		return nil, err
 	}
+	rw.sw = sweep{} // no later run reuses its words, so the layout need not hold them
 	ix := rw.assemble(g)
 	ix.built = stats
 	return ix, nil
@@ -188,16 +187,19 @@ func (rw *Rows) run(ctx context.Context, g *graph.Graph, ranks []int, opt Option
 	return stats, nil
 }
 
-// groupRun is what one sweep produced: which of its ranks labelled each
-// vertex, and at which depth, as one event per (vertex, level).
+// groupRun is what one sweep produced: per vertex, which of its ranks
+// labelled it and the codes of the first and last depth they did, and an
+// event for each later (vertex, level). The ranks of labelled[v] that no
+// event names labelled v at its first depth.
 type groupRun struct {
 	ranks     []int     // ascending; bit b of every mask is rank ranks[b]
 	labelled  []uint32  // per vertex: the ranks that labelled it
-	low, high []uint8   // per vertex: the codes of the first and last depth they did
+	low, high []uint8   // per vertex: the codes, min(d-1, 255), of the first and last depth they did
 	events    [][]event // chunks, in no order that matters
 }
 
-// event says the ranks in mask labelled vertex v at distance d.
+// event says the ranks in mask labelled vertex v at distance d, a depth
+// after v's first or one whose code, min(d-1, 255), does not give it.
 type event struct {
 	v, d int32
 	mask uint32
@@ -223,7 +225,7 @@ type sweep struct {
 	// between runs.
 	seen        []uint32
 	front, next []uint64
-	frontier    [][]int32 // per worker: the vertices with a non-zero front word
+	frontier    [][]int32 // per worker: the vertices a pushed level claimed
 
 	sweepRun // zero between runs, so that no graph or labelling is held
 }
@@ -247,11 +249,12 @@ type sweepRun struct {
 // neighbours in a slice do not share a cache line.
 type levelOut struct {
 	events             [][]event // chunks of eventChunk; grown by a chunk, never copied
-	list               []int32   // vertices claimed at this level
+	list               []int32   // vertices a pushed level claimed
 	labelAny, pruneAny uint32    // OR of the label and prune masks claimed
+	claimed            int       // vertices claimed
 	arcs               int64     // adjacency entries examined
-	frontEdges         int64     // Σ degree over list
-	_                  [56]byte
+	frontEdges         int64     // Σ degree over the vertices claimed
+	_                  [48]byte
 }
 
 // groupBits landmarks fit a sweep: one bit each in both halves of a uint64.
@@ -305,7 +308,9 @@ func (s *sweep) run(ctx context.Context, rw *Rows, g *graph.Graph, ranks []int, 
 		frontEdges += s.off[root+1] - s.off[root]
 	}
 
-	pull := false
+	// A pulled level lists no vertex: the level after it clears front whole,
+	// and a push reads its frontier from the front words.
+	pull, pulled := false, false
 	for s.depth = 1; s.active != 0; s.depth++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -330,7 +335,7 @@ func (s *sweep) run(ctx context.Context, rw *Rows, g *graph.Graph, ranks []int, 
 				s.pullBlock(i*pullBlock, min((i+1)*pullBlock, n), &outs[w])
 			})
 		} else {
-			s.push(&outs[0])
+			s.push(&outs[0], pulled)
 		}
 		var labelAny, pruneAny uint32
 		var arcs int64
@@ -341,13 +346,11 @@ func (s *sweep) run(ctx context.Context, rw *Rows, g *graph.Graph, ranks []int, 
 			pruneAny |= o.pruneAny
 			arcs += o.arcs
 			frontEdges += o.frontEdges
-			frontCount += len(o.list)
-			o.labelAny, o.pruneAny, o.arcs, o.frontEdges = 0, 0, 0, 0
-			for _, u := range s.frontier[w] {
-				s.front[u] = 0
-			}
+			frontCount += o.claimed
+			o.labelAny, o.pruneAny, o.claimed, o.arcs, o.frontEdges = 0, 0, 0, 0, 0
 		}
-		s.front, s.next = s.next, s.front
+		s.clearFront(pulled)
+		s.front, s.next, pulled = s.next, s.front, pull
 		if pull {
 			stats.BottomUpLevels++
 			stats.EdgesBottomUp += arcs
@@ -365,40 +368,66 @@ func (s *sweep) run(ctx context.Context, rw *Rows, g *graph.Graph, ranks []int, 
 		finished(s.active &^ still)
 		s.active, s.pruning = still, pruneAny
 	}
+	for w := range outs {
+		s.frontier[w] = outs[w].list
+	}
+	s.clearFront(pulled)
 	run := &groupRun{ranks: ranks, labelled: s.labelled, low: s.low, high: s.high}
 	for w := range outs {
-		for _, u := range outs[w].list {
-			s.front[u] = 0
-		}
 		run.events = append(run.events, outs[w].events...)
 	}
 	return run, nil
 }
 
+// clearFront zeroes the front words: all of them after a pulled level,
+// which lists no vertex, or those of the vertices frontier lists.
+func (s *sweep) clearFront(pulled bool) {
+	if pulled {
+		clear(s.front)
+		return
+	}
+	for _, list := range s.frontier {
+		for _, u := range list {
+			s.front[u] = 0
+		}
+	}
+}
+
 // push expands a sparse level: every frontier vertex ORs its word into the
 // next word of each neighbour, minus what the neighbour has already seen;
 // the vertices touched are then claimed. seen does not change until every
-// parent has contributed, so a pruned parent met second still wins.
-func (s *sweep) push(o *levelOut) {
+// parent has contributed, so a pruned parent met second still wins. After
+// a pulled level the frontier is the vertices whose front word is set.
+func (s *sweep) push(o *levelOut, pulled bool) {
 	active := both(s.active)
-	for _, list := range s.frontier {
-		for _, u := range list {
-			f := s.front[u] & active
-			if f == 0 {
+	expand := func(u int32) {
+		f := s.front[u] & active
+		if f == 0 {
+			return
+		}
+		nb := s.tgt[s.off[u]:s.off[u+1]]
+		o.arcs += int64(len(nb))
+		for _, v := range nb {
+			w := f &^ both(s.seen[v])
+			if w == 0 {
 				continue
 			}
-			nb := s.tgt[s.off[u]:s.off[u+1]]
-			o.arcs += int64(len(nb))
-			for _, v := range nb {
-				w := f &^ both(s.seen[v])
-				if w == 0 {
-					continue
-				}
-				if s.next[v] == 0 {
-					o.list = append(o.list, v)
-				}
-				s.next[v] |= w
+			if s.next[v] == 0 {
+				o.list = append(o.list, v)
 			}
+			s.next[v] |= w
+		}
+	}
+	if pulled {
+		for u, f := range s.front {
+			if f != 0 {
+				expand(int32(u))
+			}
+		}
+	}
+	for _, list := range s.frontier {
+		for _, u := range list {
+			expand(u)
 		}
 	}
 	for _, v := range o.list {
@@ -431,7 +460,6 @@ func (s *sweep) pullBlock(lo, hi int, o *levelOut) {
 		}
 		arcs += int64(scanned)
 		if acc &= both(wanted); acc != 0 {
-			o.list = append(o.list, int32(v))
 			s.claim(int32(v), acc, o)
 		}
 	}
@@ -439,7 +467,9 @@ func (s *sweep) pullBlock(lo, hi int, o *levelOut) {
 }
 
 // claim settles v at the current depth for the ranks in acc's low half,
-// pruned for those in its high half (a subset).
+// pruned for those in its high half (a subset). The ranks that label v at
+// its first depth need no event: it is low[v], and they are the ones of
+// labelled[v] that no event names.
 func (s *sweep) claim(v int32, acc uint64, o *levelOut) {
 	reach, prune := uint32(acc), uint32(acc>>32)
 	if col := s.rankOf[v]; col >= 0 {
@@ -451,19 +481,23 @@ func (s *sweep) claim(v int32, acc uint64, o *levelOut) {
 	s.seen[v] |= reach
 	s.next[v] = uint64(reach) | uint64(prune)<<32
 	if label := reach &^ prune; label != 0 {
-		if s.labelled[v] == 0 {
-			s.low[v] = uint8(min(s.depth-1, 255))
+		code, later := uint8(min(s.depth-1, 255)), s.labelled[v] != 0
+		if !later {
+			s.low[v] = code
 		}
-		s.high[v], s.labelled[v] = uint8(min(s.depth-1, 255)), s.labelled[v]|label
-		last := len(o.events) - 1
-		if last < 0 || len(o.events[last]) == eventChunk {
-			o.events = append(o.events, make([]event, 0, eventChunk))
-			last++
+		s.high[v], s.labelled[v] = code, s.labelled[v]|label
+		if later || code == 255 {
+			last := len(o.events) - 1
+			if last < 0 || len(o.events[last]) == eventChunk {
+				o.events = append(o.events, make([]event, 0, eventChunk))
+				last++
+			}
+			o.events[last] = append(o.events[last], event{v: v, d: s.depth, mask: label})
 		}
-		o.events[last] = append(o.events[last], event{v: v, d: s.depth, mask: label})
 		o.labelAny |= label
 	}
 	o.pruneAny |= prune
+	o.claimed++
 	o.frontEdges += s.off[v+1] - s.off[v]
 }
 
@@ -497,9 +531,8 @@ func share(workers, n int, fn func(w, i int)) {
 // arrays. When nothing ran since the last index — a batch that changed
 // edges but no landmark's BFS — and g elides the leaves that index did,
 // its label arrays are attached to g as they are; otherwise its entries of
-// the ranks that did not run are merged with the new ones. The elided set,
-// the rank form and the code width come from the whole labelling, so they
-// are packed last. No index handed out earlier is written.
+// the ranks that did not run are merged with the new ones (lay). No index
+// handed out earlier is written.
 func (rw *Rows) assemble(g *graph.Graph) *Index {
 	ix := &Index{g: g, landmarks: rw.landmarks, rankOf: rw.rankOf, isLandmark: rw.isLandmark, highway: rw.highway}
 	prev, k := rw.ix, len(rw.landmarks)
@@ -517,8 +550,7 @@ func (rw *Rows) assemble(g *graph.Graph) *Index {
 		if keep == (landmarkSet{}) {
 			prev = nil
 		}
-		l := layLabels(rw.runs, prev, &keep, cand, g.NumVertices(), k, rw.workers)
-		ix.pack(&l, rw.workers)
+		ix.lay(rw.runs, prev, &keep, cand, rw.workers)
 	}
 	rw.ix, rw.ixHighway, rw.runs = ix, true, nil
 	return ix
@@ -539,31 +571,6 @@ func below(k int) (m landmarkSet) {
 		m[r>>6] |= 1 << (r & 63)
 	}
 	return m
-}
-
-// wideLabels is a labelling before its distances are packed: the vertices
-// it elides and the entries of every label; per slot the ranks it holds,
-// and the smallest code, min(d-1, 255), and the span, at most 255, of its
-// label, and the counts of them all; one byte an entry, its code less its
-// label's smallest; and the exact distance of each entry coded 255
-// (d ≥ 256) by its position in deep.
-type wideLabels struct {
-	leaves    leafSet
-	entries   int64
-	ranks     rankBits
-	code      []uint8
-	deep      map[int64]int32
-	low, span []uint8
-	stats     distStats
-}
-
-// dist returns the distance of the entry at position p of a label whose
-// smallest code is low.
-func (l *wideLabels) dist(p int64, low uint8) int32 {
-	if c := l.code[p] + low; c < 255 {
-		return int32(c) + 1
-	}
-	return l.deep[p]
 }
 
 // distStats is what choosing the distance widths takes: entries by the
@@ -606,13 +613,14 @@ func (st *distStats) merge(o *distStats) {
 	}
 }
 
-// posDist is the position and distance of one entry too deep for a byte.
+// posDist is the position and distance of one escaped entry.
 type posDist struct {
 	p int64
 	d int32
 }
 
-// deepOf gathers the workers' lists of entries too deep for a byte.
+// deepOf gathers lists of escaped entries, a later list's entry replacing
+// an earlier one's at the same position.
 func deepOf(lists [][]posDist) map[int64]int32 {
 	deep := make(map[int64]int32)
 	for _, list := range lists {
@@ -623,26 +631,64 @@ func deepOf(lists [][]posDist) map[int64]int32 {
 	return deep
 }
 
-// layLabels lays out the labelling of n vertices and k landmarks that the
-// events of the runs and prev's entries of the ranks in keep make (prev is
-// nil when nothing is kept): each vertex holds the ranks its labelled words
-// name and prev's in keep, and the entry of rank r sits behind those of the
-// lower ranks it holds. The leaves cand (leavesOf) keep no label when
-// chooseLeaves says so, and the other vertices' labels fill the slots in
-// vertex order. Every entry owns its position, so the workers share the
-// chunks and blocks without sharing a write; an entry too deep for a byte
-// goes on its worker's own list. prev's labels are read through slotOf.
-func layLabels(runs []*groupRun, prev *Index, keep *landmarkSet, cand leafSet, n, k, workers int) wideLabels {
-	ranks, entries := packRanks(n, k, workers, func(v int, m *landmarkSet) {
+// lay makes ix's label arrays the labelling of the runs and of prev's
+// entries of the ranks in keep (prev, never ix, is nil when nothing is
+// kept): each vertex holds the ranks its labelled words name and prev's in
+// keep, and the entry of rank r sits behind those of the lower ranks it
+// holds. The leaves cand (leavesOf) keep no label when chooseLeaves says
+// so, and the other vertices' labels fill the slots in vertex order.
+//
+// One pass packs the ranks and counts each label's smallest code and
+// largest distance — the sweep's low and high, an event's distance where
+// a byte does not hold it, and prev's kept entries —, which choose the
+// widths. The events then write the codes of their later depths, and a
+// last pass the bases and the codes of the first depths, the ones still
+// zero, and of prev's entries: every code once, at its width. Every entry
+// owns its position; the events, which come in any order, OR their codes
+// into a word atomically, and the last pass takes the even blocks of
+// slots, then the odd ones, so no word it writes is another worker's.
+func (ix *Index) lay(runs []*groupRun, prev *Index, keep *landmarkSet, cand leafSet, workers int) {
+	n, k := len(ix.rankOf), len(ix.landmarks)
+	if !chooseLeaves(n, k, cand.count()) {
+		cand = leafSet{}
+	}
+	ix.setLeaves(cand, 0)
+	leaves, slots := &ix.leaves, ix.slots()
+	var runOf [MaxLandmarks]*groupRun
+	deep := make(map[int32]int32) // vertex -> its largest distance past a byte
+	for _, run := range runs {
+		for _, r := range run.ranks {
+			runOf[r] = run
+		}
+		for c := range run.events {
+			for _, e := range run.events[c] {
+				if e.d > 255 {
+					deep[e.v] = max(deep[e.v], e.d)
+				}
+			}
+		}
+	}
+	low, span := make([]uint8, slots), make([]uint8, slots)
+	parts := make([]distStats, workers)
+	ranks, kept := packRanks(slots, k, workers, *leaves, func(w int, s, v int32, m *landmarkSet) {
+		small, top := uint8(255), int32(0)
 		if prev != nil {
-			s, _ := prev.slotOf(int32(v))
-			prev.labelOf(s, m)
-			for w := range m {
-				m[w] &= keep[w]
+			ps, leaf := prev.slotOf(v)
+			q, pl := prev.labelOf(ps, m), prev.distOf(ps, leaf)
+			for wd, x := range m {
+				for y := x & keep[wd]; y != 0; y &= y - 1 {
+					d := prev.distAt(pl, q+int64(bits.OnesCount64(x&(y&-y-1))))
+					small, top = min(small, uint8(min(d-1, 255))), max(top, d)
+				}
+				q, m[wd] = q+int64(bits.OnesCount64(x)), x&keep[wd]
 			}
 		}
 		for _, run := range runs {
 			x, r0, last := run.labelled[v], run.ranks[0], run.ranks[len(run.ranks)-1]
+			if x == 0 {
+				continue
+			}
+			small, top = min(small, run.low[v]), max(top, int32(run.high[v])+1)
 			if last-r0 == len(run.ranks)-1 && r0>>6 == last>>6 { // consecutive, in one word: every BuildOpts run
 				m[r0>>6&3] |= uint64(x) << (r0 & 63)
 				continue
@@ -652,54 +698,44 @@ func layLabels(runs []*groupRun, prev *Index, keep *landmarkSet, cand leafSet, n
 				m[r>>6&3] |= 1 << (r & 63)
 			}
 		}
+		if *m == (landmarkSet{}) {
+			small = 0
+		}
+		if top > 255 { // a code of 255 says only that the distance is past a byte
+			top = max(top, deep[v])
+		}
+		low[s], span[s] = small, parts[w].add(m.size(), small, top)
 	})
-	l := wideLabels{entries: entries}
-	var verts []int32 // slot -> vertex, when leaves are elided
-	if chooseLeaves(n, k, cand.count()) {
-		l.leaves, verts = cand, make([]int32, 0, n-cand.count())
-		for v := range int32(n) {
-			if !cand.has(v) {
-				verts = append(verts, v)
-			}
-		}
-		all := ranks
-		ranks, entries = packRanks(len(verts), k, workers, func(s int, m *landmarkSet) { all.ranksOf(verts[s], m) })
+	ix.labelMask = ranks
+	ix.entries = kept + leaves.sum(func(v int32) int64 { return int64(ix.LabelSize(v)) })
+	for i := range parts[1:] {
+		parts[0].merge(&parts[i+1])
 	}
-	// Codes are written less a low no code of their label is below, from the
-	// runs and prev's base: a build's label's smallest, a merge's nearly.
-	slots := n - l.leaves.count()
-	l.ranks, l.code, l.low, l.span = ranks, make([]uint8, entries), make([]uint8, slots), make([]uint8, slots)
-	vertex := func(s int) int32 {
-		if verts == nil {
-			return int32(s)
-		}
-		return verts[s]
+	width, wo := chooseDist(slots, kept, &parts[0])
+	sect := make([]byte, 2+(int64(slots)*int64(width)+7)/8+(kept*int64(wo)+7)/8)
+	sect[0], sect[1] = width, wo
+	ix.setDist(sect)
+	escaped := func(s int32) bool { return low[s] >= 1<<width-1 || span[s] >= 1<<wo }
+	// The excess codes, as section 16 will hold them, and entry p's word
+	// and shift among them.
+	words := make([]uint64, (kept*int64(wo)+63)/64)
+	at := func(p int64) (*uint64, uint64) {
+		bit := uint64(p) * uint64(wo)
+		return &words[bit/64], bit % 64
 	}
-	code, deep := l.code, make([][]posDist, workers)
-	share(workers, (slots+pullBlock-1)/pullBlock, func(_, i int) {
-		for s := i * pullBlock; s < min((i+1)*pullBlock, slots); s++ {
-			v := vertex(s)
-			if l.low[s] = 255; prev != nil {
-				l.low[s] = uint8(max(prev.distOf(prev.slotOf(v)).base-1, 0))
-			}
-			for _, run := range runs {
-				if run.labelled[v] != 0 { // span: the largest code, for now
-					l.low[s], l.span[s] = min(l.low[s], run.low[v]), max(l.span[s], run.high[v])
-				}
-			}
-		}
-	})
+	// An escaped label's entries go to over, a first depth's or prev's in
+	// the first half, an event's in the second, which replaces it.
+	over := make([][]posDist, 2*workers)
 	for _, run := range runs {
 		share(workers, len(run.events), func(w, c int) {
 			for _, e := range run.events[c] {
 				s := e.v
-				if l.leaves.words != nil {
-					if l.leaves.has(s) {
+				if leaves.words != nil {
+					if leaves.has(s) {
 						continue
 					}
-					s = l.leaves.slot(s)
+					s = leaves.slot(s)
 				}
-				d := uint8(min(e.d-1, 255)) - l.low[s]
 				var m landmarkSet // read only where other ranks may precede the run's
 				all, start := run.labelled[e.v], ranks.start(s)
 				first := start // the entry of the run's first rank
@@ -707,66 +743,70 @@ func layLabels(runs []*groupRun, prev *Index, keep *landmarkSet, cand leafSet, n
 					ranks.ranksOf(s, &m)
 					first += before(m[:], run.ranks[0])
 				}
+				esc := escaped(s)
 				for x := e.mask; x != 0; x &= x - 1 {
 					p := first + int64(bits.OnesCount32(all&(x&-x-1)))
 					if prev != nil { // kept ranks may sit between the run's
 						p = start + before(m[:], run.ranks[bits.TrailingZeros32(x)])
 					}
-					if code[p] = d; e.d > 255 {
-						deep[w] = append(deep[w], posDist{p, e.d})
+					if esc {
+						over[workers+w] = append(over[workers+w], posDist{p, e.d})
+					} else if c := e.d - 1 - int32(low[s]); c > 0 { // events come in any order
+						word, sh := at(p)
+						atomic.OrUint64(word, uint64(c)<<sh)
 					}
 				}
 			}
 		})
 	}
-	// Each label's smallest code and largest distance, counted; a merge
-	// reads prev's entries in either form.
-	l.deep = deepOf(deep)
-	parts, deep := make([]distStats, workers), make([][]posDist, workers)
-	share(workers, (slots+pullBlock-1)/pullBlock, func(w, i int) {
-		lo := ranks.start(int32(i * pullBlock))
-		for s := i * pullBlock; s < min((i+1)*pullBlock, slots); s++ {
-			hi, low, top := lo+ranks.size(int32(s)), l.low[s], int32(0)
-			switch {
-			case lo == hi:
-				low = 0
-			case prev == nil:
-				top = int32(l.span[s]) + 1
-				for p := lo; p < hi && top > 255; p++ { // the deepest distances are in deep
-					top = max(top, l.dist(p, low))
+	bases := ix.dist.bases // a block's fill whole bytes
+	eachSlot(*leaves, slots, workers, true, func(w int, s, v int32, m *landmarkSet) {
+		esc, small := escaped(s), low[s]
+		if esc {
+			small = 1<<width - 1
+		}
+		bit := uint(s) * uint(width)
+		bases[bit/8] |= small << (bit % 8)
+		need := esc || prev != nil
+		for _, run := range runs {
+			need = need || run.labelled[v] != 0 && run.low[v] != small
+		}
+		if !need {
+			return
+		}
+		var pm landmarkSet
+		p, q, pl := ix.labelOf(s, m), int64(0), labelBase{}
+		if prev != nil {
+			ps, leaf := prev.slotOf(v)
+			q, pl = prev.labelOf(ps, &pm), prev.distOf(ps, leaf)
+		}
+		for wd, x := range m {
+			for ; x != 0; x, p = x&(x-1), p+1 {
+				var d int32
+				if keep[wd]&(x&-x) != 0 {
+					d = prev.distAt(pl, q+int64(bits.OnesCount64(pm[wd]&(x&-x-1))))
+				} else if d = int32(runOf[wd<<6|bits.TrailingZeros64(x)].low[v]) + 1; !esc && uint8(d-1) == small {
+					continue // a first depth coded 0
 				}
-			default:
-				var pm, m landmarkSet
-				ps, leaf := prev.slotOf(vertex(s))
-				q, p, pl, small := prev.labelOf(ps, &pm), lo, prev.distOf(ps, leaf), 255
-				ranks.ranksOf(int32(s), &m)
-				for wd, x := range m[:] {
-					for ; x != 0; x, p = x&(x-1), p+1 {
-						d := l.dist(p, low)         // a rank that ran
-						if keep[wd&3]&(x&-x) != 0 { // a kept one: its position in prev, after the words before
-							d = prev.distAt(pl, q+int64(bits.OnesCount64(pm[wd&3]&(x&-x-1))))
-							if code[p] = uint8(min(d-1, 255)) - low; d > 255 {
-								deep[w] = append(deep[w], posDist{p, d})
-							}
-						}
-						small, top = min(small, int(code[p])), max(top, d)
+				if esc {
+					over[w] = append(over[w], posDist{p, d})
+				} else if d-1 > int32(small) {
+					if word, sh := at(p); *word>>sh&(1<<wo-1) == 0 { // not a later depth its event wrote
+						*word |= uint64(d-1-int32(small)) << sh
 					}
-					q += int64(bits.OnesCount64(pm[wd&3]))
 				}
-				for p := lo; p < hi && small > 0; p++ { // the smallest went up
-					code[p] -= uint8(small)
-				}
-				low += uint8(small)
 			}
-			l.low[s], l.span[s] = low, parts[w].add(hi-lo, low, top)
-			lo = hi
+			q += int64(bits.OnesCount64(pm[wd]))
 		}
 	})
-	maps.Copy(l.deep, deepOf(deep))
-	for i := range parts {
-		l.stats.merge(&parts[i])
+	ix.overflow = deepOf(over)
+	if out := ix.dist.codes; wo > 0 {
+		for i, x := range words {
+			for j := 8 * i; j < min(8*i+8, len(out)); j, x = j+1, x>>8 {
+				out[j] = byte(x)
+			}
+		}
 	}
-	return l
 }
 
 // setLeaves makes s the leaves ix elides, whose labelling holds entries,
@@ -777,80 +817,5 @@ func (ix *Index) setLeaves(s leafSet, entries int64) {
 		rankOf := make([]int32, len(ix.rankOf))
 		s.readRanks(ix.g, ix.rankOf, rankOf)
 		ix.rankOf = rankOf
-	}
-}
-
-// packChunk entries are packed at a time: a multiple of the 8 codes a
-// byte holds at the narrowest width, so no two chunks share a byte.
-const packChunk = 1 << 12
-
-// packCodes writes codes, each clamped to 2^w - 1 (at w = 1, each 0 or 1),
-// as codes of w ∈ {1, 2, 4, 8} bits, LSB first, to out, which is zero: a
-// byte at a time, so that no byte is written twice but at the end.
-func packCodes(out, codes []uint8, w uint8) {
-	esc, b := uint8(1<<w-1), 0
-	switch w {
-	case 8:
-		b = copy(out, codes)
-	case 4:
-		for ; 2*b+2 <= len(codes); b++ {
-			c := codes[2*b : 2*b+2 : 2*b+2]
-			out[b] = min(c[0], esc) | min(c[1], esc)<<4
-		}
-	case 2:
-		for ; 4*b+4 <= len(codes); b++ {
-			c := codes[4*b : 4*b+4 : 4*b+4]
-			out[b] = min(c[0], esc) | min(c[1], esc)<<2 | min(c[2], esc)<<4 | min(c[3], esc)<<6
-		}
-	case 1: // codes of 0 or 1, eight gathered by one multiply
-		for ; 8*b+8 <= len(codes); b++ {
-			out[b] = uint8(binary.LittleEndian.Uint64(codes[8*b:]) * 0x0102040810204080 >> 56)
-		}
-	}
-	for k, c := range codes[b*8/int(w):] { // the last byte's, when it is not full
-		out[b] |= min(c, esc) << (uint(k) * uint(w))
-	}
-}
-
-// pack makes l ix's label arrays: the leaves it elides, its ranks, its
-// distances in the widths chooseDist gives, and the entries that escape
-// there its overflow map.
-func (ix *Index) pack(l *wideLabels, workers int) {
-	n, entries := len(l.low), int64(len(l.code))
-	ix.setLeaves(l.leaves, l.entries)
-	ix.labelMask = l.ranks
-	width, wo := chooseDist(n, entries, &l.stats)
-	dist := make([]byte, 2+(int64(n)*int64(width)+7)/8+(entries*int64(wo)+7)/8)
-	dist[0], dist[1] = width, wo
-	ix.setDist(dist)
-	// A label the widths do not hold escapes, its base all ones and its
-	// excesses 0, and an entry too deep for a byte takes its excess from deep.
-	over := make([][]posDist, workers)
-	share(workers, (n+pullBlock-1)/pullBlock, func(w, i int) {
-		lo := l.ranks.start(int32(i * pullBlock))
-		for v := i * pullBlock; v < min((i+1)*pullBlock, n); v++ {
-			hi, low, span := lo+l.ranks.size(int32(v)), l.low[v], l.span[v]
-			switch {
-			case low >= 1<<width-1 || span >= 1<<wo:
-				for p := lo; p < hi; p++ {
-					over[w], l.code[p] = append(over[w], posDist{p, l.dist(p, low)}), 0
-				}
-				l.low[v] = 255
-			case int(low)+int(span) >= 255: // the deepest distances are in deep
-				for p := lo; p < hi; p++ {
-					l.code[p] = uint8(l.dist(p, low) - int32(low) - 1)
-				}
-			}
-			lo = hi
-		}
-	})
-	ix.overflow = deepOf(over)
-	share(workers, (n+packChunk-1)/packChunk, func(_, i int) {
-		packCodes(ix.dist.bases[i*packChunk*int(width)/8:], l.low[i*packChunk:min((i+1)*packChunk, n)], width)
-	})
-	if wo > 0 {
-		share(workers, int((entries+packChunk-1)/packChunk), func(_, i int) {
-			packCodes(ix.dist.codes[i*packChunk*int(wo)/8:], l.code[i*packChunk:min((i+1)*packChunk, int(entries))], wo)
-		})
 	}
 }

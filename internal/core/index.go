@@ -300,22 +300,45 @@ func (b *rankBits) directory(fill bool) (int64, error) {
 	return int64(total), nil
 }
 
-// packRanks lays out the ranks fill gives each of n vertices and returns
-// them and how many there are. The workers take blocks of pullBlock
-// vertices, whose bits start on a word boundary, so no two write one word.
-func packRanks(n, k, workers int, fill func(v int, m *landmarkSet)) (rankBits, int64) {
+// packRanks lays out the ranks fill(w, s, v, m) gives each of n slots
+// and returns them and how many there are, the slots those of the vertices
+// not in leaves (eachSlot). The workers take blocks of pullBlock slots,
+// whose bits start on a word boundary, so no two write one word.
+func packRanks(n, k, workers int, leaves leafSet, fill func(w int, s, v int32, m *landmarkSet)) (rankBits, int64) {
 	bitsLen, dirLen := maskLens(n, k)
 	b := newRankBits(make([]byte, bitsLen), make([]byte, dirLen), k)
-	share(workers, (n+pullBlock-1)/pullBlock, func(_, i int) {
-		var m landmarkSet // a block's: fill makes it escape
-		for v := i * pullBlock; v < min((i+1)*pullBlock, n); v++ {
-			m = landmarkSet{}
-			fill(v, &m)
-			b.store(v, &m)
-		}
+	eachSlot(leaves, n, workers, false, func(w int, s, v int32, m *landmarkSet) {
+		fill(w, s, v, m)
+		b.store(int(s), m)
 	})
 	entries, _ := b.directory(true) // counts it has just written cannot disagree
 	return b, entries
+}
+
+// eachSlot calls fn(w, s, v, m) for each of n slots s, v the vertex whose
+// label the slot keeps when leaves are elided, in blocks of pullBlock slots
+// that the workers draw (w numbers the worker), in order within a block; m
+// is the block's own set, empty at every call. Apart, no two neighbouring
+// blocks run at once: the even ones run first, then the odd ones.
+func eachSlot(leaves leafSet, n, workers int, apart bool, fn func(w int, s, v int32, m *landmarkSet)) {
+	blocks, step := (n+pullBlock-1)/pullBlock, 1
+	if apart {
+		step = 2
+	}
+	for first := range step {
+		share(workers, (blocks-first+step-1)/step, func(w, i int) {
+			var m landmarkSet // fn makes it escape, once a block
+			i = first + i*step
+			v := leaves.vertex(int32(i * pullBlock))
+			for s := int32(i * pullBlock); s < int32(min((i+1)*pullBlock, n)); s, v = s+1, v+1 {
+				for leaves.words != nil && leaves.has(v) {
+					v++
+				}
+				m = landmarkSet{}
+				fn(w, s, v, &m)
+			}
+		})
+	}
 }
 
 // span returns the positions lo..hi of the label in slot s.

@@ -21,7 +21,7 @@ func TestOffsetsBlocks(t *testing.T) {
 			n := end / k
 			for _, full := range []bool{true, false} {
 				sizes := make([]int, n)
-				b, entries := packRanks(n, k, 1, func(v int, m *landmarkSet) {
+				b, entries := packRanks(n, k, 1, leafSet{}, func(_ int, v, _ int32, m *landmarkSet) {
 					for r := range k {
 						if full || rng.Intn(2) == 0 {
 							m[r>>6] |= 1 << (r & 63)

@@ -431,9 +431,8 @@ func FromSections(h container.Header, sec map[uint32]container.Section, g *graph
 		// before sections 17 and 18 wrote them, or the other way round: laid
 		// out again, it is held as a build holds it and writes what a build
 		// writes.
-		all := below(k)
-		l := layLabels(nil, ix, &all, cand, n, k, 1)
-		ix.pack(&l, 1)
+		all, read := below(k), *ix
+		ix.lay(nil, &read, &all, cand, 1)
 	}
 	return ix, nil
 }
