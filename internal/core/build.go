@@ -644,9 +644,9 @@ func deepOf(lists [][]posDist) map[int64]int32 {
 // widths. The events then write the codes of their later depths, and a
 // last pass the bases and the codes of the first depths, the ones still
 // zero, and of prev's entries: every code once, at its width. Every entry
-// owns its position; the events, which come in any order, OR their codes
-// into a word atomically, and the last pass takes the even blocks of
-// slots, then the odd ones, so no word it writes is another worker's.
+// owns its bits, but one word of codes may hold the entries of blocks two
+// workers take — of any two blocks, where those between them hold no
+// entry —, so the events and the last pass alike OR codes in atomically.
 func (ix *Index) lay(runs []*groupRun, prev *Index, keep *landmarkSet, cand leafSet, workers int) {
 	n, k := len(ix.rankOf), len(ix.landmarks)
 	if !chooseLeaves(n, k, cand.count()) {
@@ -760,7 +760,7 @@ func (ix *Index) lay(runs []*groupRun, prev *Index, keep *landmarkSet, cand leaf
 		})
 	}
 	bases := ix.dist.bases // a block's fill whole bytes
-	eachSlot(*leaves, slots, workers, true, func(w int, s, v int32, m *landmarkSet) {
+	eachSlot(*leaves, slots, workers, func(w int, s, v int32, m *landmarkSet) {
 		esc, small := escaped(s), low[s]
 		if esc {
 			small = 1<<width - 1
@@ -791,8 +791,8 @@ func (ix *Index) lay(runs []*groupRun, prev *Index, keep *landmarkSet, cand leaf
 				if esc {
 					over[w] = append(over[w], posDist{p, d})
 				} else if d-1 > int32(small) {
-					if word, sh := at(p); *word>>sh&(1<<wo-1) == 0 { // not a later depth its event wrote
-						*word |= uint64(d-1-int32(small)) << sh
+					if word, sh := at(p); atomic.LoadUint64(word)>>sh&(1<<wo-1) == 0 { // not a later depth its event wrote
+						atomic.OrUint64(word, uint64(d-1-int32(small))<<sh)
 					}
 				}
 			}

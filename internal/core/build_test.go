@@ -223,3 +223,49 @@ func TestFirstDepthMovedByInsert(t *testing.T) {
 		}
 	}
 }
+
+// TestLayAcrossEmptyBlocks: BA-10k's vertices numbered so that every other
+// block of pullBlock slots holds only isolated vertices, whose labels are
+// empty. The codes of two blocks with an empty one between them then share
+// words, which two workers write at once. With 40 landmarks, in two groups,
+// and on a repair that merges kept entries, first depths that are not the
+// label's smallest are coded in the last pass of the layout; the builds,
+// pushed or pulled, on one worker or two, and the repair are byte for byte
+// Algorithm 1's labelling. Run it under -race.
+func TestLayAcrossEmptyBlocks(t *testing.T) {
+	ba := gen.BarabasiAlbert(10000, 3, 11)
+	spread := func(v int32) int32 { return v/pullBlock*2*pullBlock + v%pullBlock }
+	var edges [][2]int32
+	for _, e := range edgesOf(ba) {
+		edges = append(edges, [2]int32{spread(e[0]), spread(e[1])})
+	}
+	g := graph.MustFromEdges(int(spread(int32(ba.NumVertices()-1)))+1+pullBlock, edges)
+	lm := g.DegreeOrder()[:40]
+	checkReference(t, g, lm)
+
+	a, b := spread(9000), spread(9990)
+	g2 := withEdges(g, [2]int32{a, b})
+	want := v2Bytes(t, referenceIndex(g2, lm))
+	base, err := Build(g, lm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dirty []int
+	for r := range lm {
+		if base.LandmarkDistance(int32(r), a) != base.LandmarkDistance(int32(r), b) {
+			dirty = append(dirty, r)
+		}
+	}
+	if len(dirty) == 0 || len(dirty) == len(lm) {
+		t.Fatalf("test premise broken: %d of %d ranks dirty", len(dirty), len(lm))
+	}
+	for _, dir := range []direction{dirPush, dirPull} {
+		rw := RowsOf(base)
+		if _, err := rw.run(context.Background(), g2, dirty, Options{Workers: 2, dir: dir}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(v2Bytes(t, rw.assemble(g2)), want) {
+			t.Fatalf("direction=%d: repair differs from the reference", dir)
+		}
+	}
+}

@@ -307,7 +307,7 @@ func (b *rankBits) directory(fill bool) (int64, error) {
 func packRanks(n, k, workers int, leaves leafSet, fill func(w int, s, v int32, m *landmarkSet)) (rankBits, int64) {
 	bitsLen, dirLen := maskLens(n, k)
 	b := newRankBits(make([]byte, bitsLen), make([]byte, dirLen), k)
-	eachSlot(leaves, n, workers, false, func(w int, s, v int32, m *landmarkSet) {
+	eachSlot(leaves, n, workers, func(w int, s, v int32, m *landmarkSet) {
 		fill(w, s, v, m)
 		b.store(int(s), m)
 	})
@@ -318,27 +318,19 @@ func packRanks(n, k, workers int, leaves leafSet, fill func(w int, s, v int32, m
 // eachSlot calls fn(w, s, v, m) for each of n slots s, v the vertex whose
 // label the slot keeps when leaves are elided, in blocks of pullBlock slots
 // that the workers draw (w numbers the worker), in order within a block; m
-// is the block's own set, empty at every call. Apart, no two neighbouring
-// blocks run at once: the even ones run first, then the odd ones.
-func eachSlot(leaves leafSet, n, workers int, apart bool, fn func(w int, s, v int32, m *landmarkSet)) {
-	blocks, step := (n+pullBlock-1)/pullBlock, 1
-	if apart {
-		step = 2
-	}
-	for first := range step {
-		share(workers, (blocks-first+step-1)/step, func(w, i int) {
-			var m landmarkSet // fn makes it escape, once a block
-			i = first + i*step
-			v := leaves.vertex(int32(i * pullBlock))
-			for s := int32(i * pullBlock); s < int32(min((i+1)*pullBlock, n)); s, v = s+1, v+1 {
-				for leaves.words != nil && leaves.has(v) {
-					v++
-				}
-				m = landmarkSet{}
-				fn(w, s, v, &m)
+// is the block's own set, empty at every call.
+func eachSlot(leaves leafSet, n, workers int, fn func(w int, s, v int32, m *landmarkSet)) {
+	share(workers, (n+pullBlock-1)/pullBlock, func(w, i int) {
+		var m landmarkSet // fn makes it escape, once a block
+		v := leaves.vertex(int32(i * pullBlock))
+		for s := int32(i * pullBlock); s < int32(min((i+1)*pullBlock, n)); s, v = s+1, v+1 {
+			for leaves.words != nil && leaves.has(v) {
+				v++
 			}
-		})
-	}
+			m = landmarkSet{}
+			fn(w, s, v, &m)
+		}
+	})
 }
 
 // span returns the positions lo..hi of the label in slot s.
