@@ -6,38 +6,36 @@
 //	hlbuild -graph web.hwg -k 20 -out web.idx
 //	hlbuild -graph edges.txt -k 40 -workers 8 -verify 1000
 //	hlbuild -graph web.hwg -k 20 -progress           (log per-landmark BFS completion)
-//	hlbuild migrate -graph web.hwg -in old.idx -out web.idx   (an index file of a retired layout)
-//	hlbuild migrate -in old.hwg -out web.hwg                  (a graph file, or a <wal>.snap checkpoint of any layout)
+//	hlbuild migrate -graph web.hwg -in old.idx -out web.idx   (an index file of the layout d2d3576 retired)
+//	hlbuild migrate -in web.wal.snap -out web.wal.snap        (a checkpoint of that layout, or of today's)
 //
 // After a build, hlbuild reports wall time, worker count and how the
 // traversal expanded its levels (pushed top-down vs pulled bottom-up, and
 // the edges scanned each way); the build chooses per level by itself.
 //
 // Index files are written in format v2 (checksummed sections), and a
-// server reads no other layout. The migrate subcommand rewrites what it
-// refuses as today's file: an index file of a retired layout (v1, v2 with
-// 64-bit offsets, v2 without the graph's fingerprint, v2 whose labels kept
-// one distance byte an entry, masks in section 13, a rank byte an entry in
-// section 4 or a distance code an entry in section 12), accepted only if it
-// holds exactly what a fresh build of its landmarks on -graph holds, which
-// costs one build; and a graph file or checkpoint, of a layout no server
-// reads any more or of today's, told apart by its first bytes, with no
-// -graph.
+// server reads no other layout. The migrate subcommand rewrites as today's
+// file the layout d2d3576 retired, which a server refuses: an index file
+// whose labels keep a rank byte an entry in section 4 or a distance code
+// an entry in section 12, accepted only if it holds exactly
+// what a fresh build of its landmarks on -graph holds, which costs one
+// build; and a checkpoint of such labels, or of today's, told apart by its
+// section table, with no -graph. Every older layout is refused in one line
+// naming the release whose migrate reads it.
 package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"highway"
 	"highway/internal/container"
-	"highway/internal/graph"
 	"highway/internal/legacy"
 	"highway/internal/serve"
 )
@@ -129,13 +127,14 @@ func run(args []string) error {
 	return nil
 }
 
-// runMigrate rewrites an index file of any layout as today's, and a graph
-// file or snapshot of any layout, told by its first bytes, as today's.
+// runMigrate rewrites an index file or checkpoint of the layout d2d3576
+// retired, or a checkpoint of today's, told by its section table, as
+// today's.
 func runMigrate(args []string) error {
 	fs := flag.NewFlagSet("hlbuild migrate", flag.ContinueOnError)
 	var (
 		graphPath = fs.String("graph", "", "graph the index was built on (required for an index file)")
-		in        = fs.String("in", "", "file to migrate: an index file of any layout, or a legacy graph file or <wal>.snap snapshot (required)")
+		in        = fs.String("in", "", "file to migrate: an index file of the layout d2d3576 retired or today's, or a <wal>.snap checkpoint of either (required)")
 		out       = fs.String("out", "", "output path (default: input path + .v2)")
 		verify    = fs.Int("verify", 100, "cross-check this many random pairs against BFS before writing an index or snapshot (0 = skip)")
 	)
@@ -157,32 +156,22 @@ func runMigrate(args []string) error {
 	br := bufio.NewReader(f)
 	var g *highway.Graph
 	var ix *highway.Index
-	save := func() error { return ix.Save(dest) }
-	saveSnapshot := func() error {
-		return container.SaveFile(dest, true, func(w io.Writer) error { return serve.EncodeSnapshot(w, g, ix) })
-	}
-	magic, _ := br.Peek(8)
-	kind := string(magic)
-	switch snapshot := legacy.SnapshotLayout(br); {
-	case kind == legacy.GraphMagic:
-		g, err = legacy.ReadGraph(br)
-		save = func() error { return g.SaveBinary(dest) }
-	case snapshot != "":
-		kind = snapshot
-		g, ix, err = legacy.ReadSnapshot(br)
-		save = saveSnapshot
-	case holdsGraph(br):
-		kind = "snapshot"
+	magic, _ := br.Peek(len(container.Magic))
+	kind := legacy.Layout(br)
+	switch {
+	case string(magic) != container.Magic:
+		_, _, err = container.ReadTable(br) // refuses every other magic, a retired layout's naming the release that reads it
+	case kind == "snapshot":
 		g, ix, err = serve.DecodeSnapshot(br)
-		save = saveSnapshot
+	case strings.HasPrefix(kind, "snapshot"):
+		g, ix, err = legacy.ReadSnapshot(br)
+	case *graphPath == "":
+		return fmt.Errorf("migrate: -graph is required for an index file")
 	default:
-		if *graphPath == "" {
-			return fmt.Errorf("migrate: -graph is required for an index file")
-		}
 		if g, err = loadGraph(*graphPath); err != nil {
 			break
 		}
-		if kind = legacy.IndexLayout(br); kind != "" {
+		if kind != "" {
 			ix, err = legacy.ReadIndex(br, g)
 		} else {
 			kind = "format v2"
@@ -193,43 +182,33 @@ func runMigrate(args []string) error {
 		return err
 	}
 	fmt.Printf("loaded %s (%s): %s\n", *in, kind, g)
-	if ix != nil && *verify > 0 {
+	if *verify > 0 {
 		if err := ix.Verify(*verify, 1); err != nil {
 			return fmt.Errorf("migrate: refusing to rewrite a corrupt index: %w", err)
 		}
 	}
-	if err := save(); err != nil {
+	if strings.HasPrefix(kind, "snapshot") {
+		err = container.SaveFile(dest, true, func(w io.Writer) error { return serve.EncodeSnapshot(w, g, ix) })
+	} else {
+		err = ix.Save(dest)
+	}
+	if err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s\n", dest)
 	return nil
 }
 
-// holdsGraph reports whether br begins with a container whose table lists
-// the graph's sections 9 and 10: a snapshot, not an index file.
-func holdsGraph(br *bufio.Reader) bool {
-	head, _ := br.Peek(8 + 44 + 64*16) // the magic, header and a table of 64 rows
-	_, rows, err := container.ReadTable(bytes.NewReader(head))
-	found := 0
-	for _, r := range rows {
-		if r.ID == graph.SectOffsets || r.ID == graph.SectTargets {
-			found++
-		}
-	}
-	return err == nil && found == 2
-}
-
 // loadGraph reads a graph file, or else a text edge list: a file that
-// begins as a graph file does, today's or a legacy one, reports its own
-// error, not a text parser's.
+// begins with "HW", as a container and every retired binary layout do and
+// no edge list can, reports its own error, not a text parser's.
 func loadGraph(path string) (*highway.Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	magic, _ := bufio.NewReader(f).Peek(8) // a shorter file is no graph file
-	if m := string(magic); m == container.Magic || m == legacy.GraphMagic {
+	if magic, _ := bufio.NewReader(f).Peek(2); string(magic) == "HW" {
 		return highway.LoadGraph(path)
 	}
 	return highway.LoadEdgeList(path)

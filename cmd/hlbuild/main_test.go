@@ -2,11 +2,9 @@ package main
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -14,7 +12,6 @@ import (
 	"highway/internal/container"
 	"highway/internal/core"
 	"highway/internal/gen"
-	"highway/internal/legacy"
 	"highway/internal/serve"
 )
 
@@ -104,258 +101,114 @@ func TestBuildStrategyFlagGone(t *testing.T) {
 	}
 }
 
-// v1Fixture is the committed HWLIDX01 file (nothing writes v1 any more)
-// and the graph it was built on, saved where the CLI can load it.
-func v1Fixture(t *testing.T) (graphPath, indexPath string, g *highway.Graph) {
-	t.Helper()
-	g = gen.Path(300)
-	graphPath = filepath.Join(t.TempDir(), "path300.hwg")
-	if err := highway.SaveGraph(g, graphPath); err != nil {
+// testdata is where the committed index files and checkpoints are.
+var testdata = filepath.Join("..", "..", "internal", "core", "testdata")
+
+// TestRunMigrate: with no -out the output path is the input's plus ".v2",
+// the input is left as it was, and the migrated file is a first-class one:
+// the bytes a fresh build of the same landmarks writes. grid_ranks.hl2 is
+// a 5×6 grid's labelling of its 15 highest-degree vertices, its ranks a
+// byte an entry in section 4.
+func TestRunMigrate(t *testing.T) {
+	dir := t.TempDir()
+	g := gen.Grid(5, 6)
+	gp := filepath.Join(dir, "grid.hwg")
+	if err := highway.SaveGraph(g, gp); err != nil {
 		t.Fatal(err)
 	}
-	return graphPath, filepath.Join("..", "..", "internal", "core", "testdata", "path300.hl1"), g
-}
-
-func TestRunMigrate(t *testing.T) {
-	gp, v1, g := v1Fixture(t)
-	// With no -out the output path is the input's plus ".v2"; copy the
-	// fixture so that lands in the temp dir.
-	raw, err := os.ReadFile(v1)
+	// Copy the fixture so the default output lands in the temp dir.
+	raw, err := os.ReadFile(filepath.Join(testdata, "grid_ranks.hl2"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := filepath.Join(t.TempDir(), "old.idx")
+	old := filepath.Join(dir, "old.idx")
 	if err := os.WriteFile(old, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"migrate", "-graph", gp, "-in", old}); err != nil {
 		t.Fatal(err)
 	}
-	ix2, err := highway.LoadIndex(old+".v2", g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix2.NumLandmarks() != 1 || ix2.Distance(5, 295) != 290 {
-		t.Fatal("migration changed the index")
-	}
 	if in, err := os.ReadFile(old); err != nil || !bytes.Equal(in, raw) {
-		t.Fatalf("input: %v, want the v1 file intact", err)
+		t.Fatalf("input: %v, want grid_ranks.hl2 intact", err)
 	}
-	if _, err := highway.LoadIndex(old, g); err == nil || !strings.Contains(err.Error(), "hlbuild migrate") {
-		t.Fatalf("v1 file loaded: %v, want the line naming hlbuild migrate", err)
-	}
-	// A fresh build of the same landmark writes the same bytes: the
-	// migrated file is a first-class v2 file.
-	fresh := filepath.Join(t.TempDir(), "fresh.idx")
-	if err := run([]string{"-graph", gp, "-k", "1", "-out", fresh}); err != nil {
+	fresh := filepath.Join(dir, "fresh.idx")
+	if err := run([]string{"-graph", gp, "-k", "15", "-out", fresh}); err != nil {
 		t.Fatal(err)
 	}
 	a, _ := os.ReadFile(old + ".v2")
 	b, _ := os.ReadFile(fresh)
 	if len(a) == 0 || !bytes.Equal(a, b) {
-		t.Fatal("migrated v1 file differs from a fresh v2 build")
-	}
-	// The other v1 fixture migrates to the golden file of the same index.
-	figGraph := filepath.Join(t.TempDir(), "fig2.hwg")
-	if err := highway.SaveGraph(gen.PaperFigure2(), figGraph); err != nil {
-		t.Fatal(err)
-	}
-	testdata := filepath.Join("..", "..", "internal", "core", "testdata")
-	out := filepath.Join(t.TempDir(), "tiny.idx")
-	if err := run([]string{"migrate", "-graph", figGraph, "-in", filepath.Join(testdata, "tiny.hl1"), "-out", out}); err != nil {
-		t.Fatal(err)
-	}
-	a, _ = os.ReadFile(out)
-	b, _ = os.ReadFile(filepath.Join(testdata, "figure2.hl2"))
-	if len(a) == 0 || !bytes.Equal(a, b) {
-		t.Fatal("tiny.hl1 migrated differs from figure2.hl2")
+		t.Fatal("migrated grid_ranks.hl2 differs from a fresh build")
 	}
 }
 
-// TestRunMigrateLegacyV2: a v2 file with its label offsets in section 3,
-// as every build before sections 7 and 8 wrote them, migrates to the bytes
-// of a fresh build. The committed fixture is such a build's own file; the
-// other is a fresh hlbuild's file framed the old way.
-func TestRunMigrateLegacyV2(t *testing.T) {
-	testdata := filepath.Join("..", "..", "internal", "core", "testdata")
+// TestRunMigrateLegacyLayouts: each committed file of a layout older than
+// the one written before d2d3576 — the v1 index files, the one with its
+// offsets in section 3, the index file and checkpoint with a distance byte
+// an entry in section 5, the index file with masks in section 13, the
+// graph file and checkpoint from before the graph became sections — and
+// an index file without section 11 is refused, with or without -graph, in
+// one line naming the release whose migrate reads it, and nothing is
+// written; one subtest a file. Building on the old graph file fails with
+// the same line.
+func TestRunMigrateLegacyLayouts(t *testing.T) {
 	dir := t.TempDir()
 	figGraph := filepath.Join(dir, "fig2.hwg")
+	pathGraph := filepath.Join(dir, "path300.hwg")
 	if err := highway.SaveGraph(gen.PaperFigure2(), figGraph); err != nil {
 		t.Fatal(err)
 	}
-	gp := writeGraph(t)
-	fresh := filepath.Join(dir, "fresh.idx")
-	if err := run([]string{"-graph", gp, "-k", "8", "-out", fresh}); err != nil {
+	if err := highway.SaveGraph(gen.Path(300), pathGraph); err != nil {
 		t.Fatal(err)
 	}
-	old := filepath.Join(dir, "old.idx")
-	if err := os.WriteFile(old, withSection3(t, gp, fresh), 0o644); err != nil {
+	// tiny_codes.hl2 without section 11, as no writer of its layout framed it.
+	raw, err := os.ReadFile(filepath.Join(testdata, "tiny_codes.hl2"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct{ graph, in, want string }{
-		{figGraph, filepath.Join(testdata, "tiny_off64.hl2"), filepath.Join(testdata, "figure2.hl2")},
-		{figGraph, filepath.Join(testdata, "tiny.hl2"), filepath.Join(testdata, "figure2.hl2")},
-		{gp, old, fresh},
+	h, sec, err := container.ReadContainer(bytes.NewReader(raw), true, func(container.Header) (map[uint32]uint64, error) {
+		return map[uint32]uint64{1: 1 << 10, 2: 1 << 10, 6: 1 << 10, 12: 1 << 10, 14: 1 << 10, 15: 1 << 10}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var noGraph bytes.Buffer
+	if err := container.WriteContainer(&noGraph, h, []container.Section{sec[1], sec[2], sec[14], sec[15], sec[12], sec[6]}); err != nil {
+		t.Fatal(err)
+	}
+	noGraphPath := filepath.Join(dir, "no_section_11.hl2")
+	if err := os.WriteFile(noGraphPath, noGraph.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wantRefused := func(t *testing.T, what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "hlbuild migrate") || !strings.Contains(err.Error(), container.OldRelease) || strings.Contains(err.Error(), "\n") {
+			t.Fatalf("%s: %v, want one line naming hlbuild migrate %s", what, err, container.OldRelease)
+		}
+	}
+	td := func(name string) string { return filepath.Join(testdata, name) }
+	for _, c := range []struct{ in, graph string }{
+		{td("tiny.hl1"), figGraph}, {td("path300.hl1"), pathGraph}, {td("tiny_off64.hl2"), figGraph},
+		{td("tiny.hl2"), figGraph}, {td("tiny_mask.hl2"), figGraph}, {noGraphPath, figGraph},
+		{td("tiny.snap2"), ""}, {td("tiny.hwg1"), ""}, {td("tiny.snap1"), ""},
 	} {
-		out := filepath.Join(dir, "migrated.idx")
-		if err := run([]string{"migrate", "-graph", c.graph, "-in", c.in, "-out", out}); err != nil {
-			t.Fatal(err)
-		}
-		in, _ := os.ReadFile(c.in)
-		got, _ := os.ReadFile(out)
-		want, _ := os.ReadFile(c.want)
-		if len(got) == 0 || !bytes.Equal(got, want) {
-			t.Fatalf("%s migrated differs from %s", c.in, c.want)
-		}
-		if len(got) >= len(in) {
-			t.Fatalf("%s: %d bytes migrated to %d, want fewer", c.in, len(in), len(got))
-		}
+		t.Run(filepath.Base(c.in), func(t *testing.T) {
+			argSets := [][]string{{"-graph", c.graph}}
+			if c.graph == "" { // a graph file or checkpoint, which needs no -graph
+				argSets = [][]string{nil, {"-graph", figGraph}}
+			}
+			for _, args := range argSets {
+				out := filepath.Join(t.TempDir(), "out")
+				err := run(append([]string{"migrate", "-in", c.in, "-out", out}, args...))
+				wantRefused(t, fmt.Sprintf("migrate %v", args), err)
+				if left, _ := filepath.Glob(out + "*"); len(left) != 0 {
+					t.Fatalf("refused migration left %v behind", left)
+				}
+			}
+		})
 	}
-}
-
-// TestRunMigratePreSection11: an index file as every writer from sections
-// 7 and 8 until section 11 framed it — today's sections without the
-// graph's fingerprint, held to its graph by n alone — no longer loads, and
-// migrates to exactly the file a build writes today, but only beside its
-// own graph: beside another of the same n and m it fails and writes
-// nothing.
-func TestRunMigratePreSection11(t *testing.T) {
-	dir := t.TempDir()
-	gp := writeGraph(t)
-	g, err := highway.LoadGraph(gp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := core.Build(g, g.DegreeOrder()[:8])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var old, want bytes.Buffer
-	h, sections := legacy.ByteSections(ix)
-	if err := container.WriteContainer(&old, h, sections); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Write(&want); err != nil {
-		t.Fatal(err)
-	}
-	in := filepath.Join(dir, "old.idx")
-	if err := os.WriteFile(in, old.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := highway.LoadIndex(in, g); err == nil || !strings.Contains(err.Error(), "hlbuild migrate") || strings.Contains(err.Error(), "\n") {
-		t.Fatalf("pre-section-11 file loaded: %v, want one line naming hlbuild migrate", err)
-	}
-	out := filepath.Join(dir, "new.idx")
-	if err := run([]string{"migrate", "-graph", gp, "-in", in, "-out", out}); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("migrated to %d bytes (%v), not the %d Write gives", len(got), err, want.Len())
-	}
-
-	other := highway.BarabasiAlbert(400, 3, 6)
-	if other.NumVertices() != g.NumVertices() || other.NumEdges() != g.NumEdges() {
-		t.Fatalf("premise: %v and %v", other, g)
-	}
-	otherPath := filepath.Join(dir, "other.hwg")
-	if err := highway.SaveGraph(other, otherPath); err != nil {
-		t.Fatal(err)
-	}
-	wrong := filepath.Join(dir, "wrong.idx")
-	if err := run([]string{"migrate", "-graph", otherPath, "-in", in, "-out", wrong, "-verify", "0"}); err == nil {
-		t.Fatal("migrated beside another graph of the same n and m")
-	}
-	if left, _ := filepath.Glob(wrong + "*"); len(left) != 0 {
-		t.Fatalf("refused migration left %v behind", left)
-	}
-}
-
-// withSection3 writes the index file at path, built on the graph file at
-// gp, as the last writer of section 3 did: one distance byte an entry in
-// section 5, and the n+1 label offsets as uint64 in section 3, where
-// sections 7 (one base per 256 vertices) and 8 (uint16 past the base) are.
-func withSection3(t *testing.T, gp, path string) []byte {
-	t.Helper()
-	g, err := highway.LoadGraph(gp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := core.Load(path, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, sections := legacy.ByteSections(ix)
-	off := make([]byte, 8)
-	var at uint64
-	for v := range int32(g.NumVertices()) {
-		at += uint64(ix.LabelSize(v))
-		off = binary.LittleEndian.AppendUint64(off, at)
-	}
-	sections = slices.DeleteFunc(sections, func(s container.Section) bool { return s.ID == 7 || s.ID == 8 })
-	var out bytes.Buffer
-	if err := container.WriteContainer(&out, h, slices.Insert(sections, 2, container.Section{ID: 3, Payload: off})); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes()
-}
-
-// TestRunMigrateLegacyLayouts: the committed graph file and checkpoints of
-// the layouts from before the graph became container sections, and the
-// checkpoint whose labels kept one distance byte an entry, migrate,
-// told apart by their first bytes and with no -graph, to exactly what
-// SaveBinary and EncodeSnapshot write of the same state today. Building on
-// the old graph file fails with the line that names migrate.
-func TestRunMigrateLegacyLayouts(t *testing.T) {
-	testdata := filepath.Join("..", "..", "internal", "core", "testdata")
-	dir := t.TempDir()
-	g := gen.PaperFigure2()
-	ix, err := core.Build(g, gen.PaperLandmarks())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var graphFile, snapshot bytes.Buffer
-	if err := g.WriteBinary(&graphFile); err != nil {
-		t.Fatal(err)
-	}
-	if err := serve.EncodeSnapshot(&snapshot, g, ix); err != nil {
-		t.Fatal(err)
-	}
-	for in, want := range map[string][]byte{"tiny.hwg1": graphFile.Bytes(), "tiny.snap1": snapshot.Bytes(), "tiny.snap2": snapshot.Bytes()} {
-		out := filepath.Join(dir, in+".migrated")
-		if err := run([]string{"migrate", "-in", filepath.Join(testdata, in), "-out", out}); err != nil {
-			t.Fatalf("%s: %v", in, err)
-		}
-		if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("%s migrated to %d bytes (%v), not the %d a fresh write gives", in, len(got), err, len(want))
-		}
-	}
-	err = run([]string{"-graph", filepath.Join(testdata, "tiny.hwg1"), "-k", "2", "-out", filepath.Join(dir, "x.idx")})
-	if err == nil || !strings.Contains(err.Error(), "hlbuild migrate") {
-		t.Fatalf("build on a legacy graph file: %v, want the line naming hlbuild migrate", err)
-	}
-}
-
-// TestRunMigrateMaskSection13: the index file whose ranks are masks in
-// section 13 migrates, beside its graph, to the bytes a fresh build writes
-// (figure2_top3.hl2), and the serving reader refuses it with the line
-// naming migrate.
-func TestRunMigrateMaskSection13(t *testing.T) {
-	testdata := filepath.Join("..", "..", "internal", "core", "testdata")
-	gp, out := filepath.Join(t.TempDir(), "fig2.hwg"), filepath.Join(t.TempDir(), "tiny.idx")
-	if err := highway.SaveGraph(gen.PaperFigure2(), gp); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := highway.LoadIndex(filepath.Join(testdata, "tiny_mask.hl2"), gen.PaperFigure2()); err == nil || !strings.Contains(err.Error(), "hlbuild migrate") {
-		t.Fatalf("section-13 file loaded: %v, want the line naming hlbuild migrate", err)
-	}
-	if err := run([]string{"migrate", "-graph", gp, "-in", filepath.Join(testdata, "tiny_mask.hl2"), "-out", out}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(out)
-	want, werr := os.ReadFile(filepath.Join(testdata, "figure2_top3.hl2"))
-	if err != nil || werr != nil || !bytes.Equal(got, want) {
-		t.Fatalf("migrated to %d bytes (%v, %v), not figure2_top3.hl2's %d", len(got), err, werr, len(want))
-	}
+	err = run([]string{"-graph", td("tiny.hwg1"), "-k", "2", "-out", filepath.Join(dir, "x.idx")})
+	wantRefused(t, "build on a legacy graph file", err)
 }
 
 // TestRunMigrateSection12: the index files whose distances are a code an
@@ -490,9 +343,16 @@ func TestRunMigrateErrors(t *testing.T) {
 	if err := run([]string{"migrate", "-graph", gp, "-in", gp}); err == nil {
 		t.Error("a graph file accepted as an index")
 	}
-	_, v1, _ := v1Fixture(t)
-	if err := run([]string{"migrate", "-graph", gp, "-in", v1}); err == nil {
+	// Grid(6, 5) has grid_ranks.hl2's n and m, but other vertex numbers.
+	other, out := filepath.Join(t.TempDir(), "grid65.hwg"), filepath.Join(t.TempDir(), "wrong.idx")
+	if err := highway.SaveGraph(gen.Grid(6, 5), other); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"migrate", "-graph", other, "-in", filepath.Join(testdata, "grid_ranks.hl2"), "-out", out, "-verify", "0"}); err == nil {
 		t.Error("index migrated against the wrong graph")
+	}
+	if left, _ := filepath.Glob(out + "*"); len(left) != 0 {
+		t.Errorf("refused migration left %v behind", left)
 	}
 }
 

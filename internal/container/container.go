@@ -14,15 +14,15 @@
 // any allocation. Readers skip unknown ids, so sections can be added
 // without revving the magic. Ids: 1, 2, 6 and 14–18 the labelling
 // (internal/core; 17 and 18 hold 14 and 15 of a labelling that keeps no
-// label for its leaves; 3, 7 and 8 (19 and 20) held its offsets, 4 a rank
-// byte an entry, 5 a distance byte an entry, 12 a distance code an entry
-// and 13 its ranks as masks of ⌈k/8⌉ bytes a vertex, in files only
-// `hlbuild migrate` reads now), 9 and 10 the graph
-// (internal/graph), 11 an index file's graph fingerprint, 32 (SectTag)
-// the first of every file of the retired PLL, FD, IS-L and dynhl formats,
-// refused with one line naming the method, as the v1 index layout
-// "HWLIDX01" and the layouts before the graph became sections are with one
-// naming `hlbuild migrate`.
+// label for its leaves; 7 and 8 (19 and 20) held its offsets beside 4, a
+// rank byte an entry, and 12 a distance code an entry, in files only
+// `hlbuild migrate` reads now; 3, 5 and 13 held the offsets, distances
+// and ranks of older ones), 9 and 10 the graph (internal/graph), 11 an
+// index file's graph fingerprint, 32 (SectTag) the first of every file of
+// the retired PLL, FD, IS-L and dynhl formats, refused with one line
+// naming the method, as the v1 index layout "HWLIDX01" and the layouts
+// before the graph became sections are with one naming the `hlbuild
+// migrate` of the release that reads them (OldRelease).
 package container
 
 import (
@@ -41,6 +41,11 @@ const Magic = "HWLIDX02"
 
 // SectTag is the section id of the retired method-name payload.
 const SectTag uint32 = 32
+
+// OldRelease ends the refusal of a layout today's `hlbuild migrate` does
+// not read: 38d1fa7 is the last commit whose migrate reads every layout
+// written before d2d3576.
+const OldRelease = "of a release up to 38d1fa7 (README, Compatibility)"
 
 const (
 	headerLen  = 40
@@ -126,9 +131,9 @@ func ReadTable(r io.Reader) (Header, []Row, error) {
 	switch m := string(magic[:]); m {
 	case Magic:
 	case "HWLIDX01":
-		return h, nil, fmt.Errorf("container: %s is a retired index layout: rewrite the file with `hlbuild migrate -graph G -in FILE`", m)
+		return h, nil, fmt.Errorf("container: %s is a retired index layout: rewrite the file with `hlbuild migrate -graph G -in FILE` %s", m, OldRelease)
 	case "HWGRAPH1", "HWLSNAP1":
-		return h, nil, fmt.Errorf("container: %s is a retired layout: rewrite the file with `hlbuild migrate -in FILE`", m)
+		return h, nil, fmt.Errorf("container: %s is a retired layout: rewrite the file with `hlbuild migrate -in FILE` %s", m, OldRelease)
 	default:
 		return h, nil, fmt.Errorf("container: bad magic %q (not an HWLIDX02 container)", m)
 	}

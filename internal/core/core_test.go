@@ -105,17 +105,22 @@ func checkAllPairs(t *testing.T, g *graph.Graph, ix *Index) {
 }
 
 // TestExhaustiveSmallGraphs checks HL == BFS on every pair of the shared
-// corner-case suite, across landmark counts.
+// corner-case suite, across landmark counts, and HL-P's build at k = 2
+// (subtest BuildParallel).
 func TestExhaustiveSmallGraphs(t *testing.T) {
-	for _, k := range []int{1, 2, 3} {
+	check := func(t *testing.T, k int, build func(*graph.Graph, []int32) (*Index, error)) {
 		oracle.CheckCases(t, func(t *testing.T, g *graph.Graph) oracle.Oracle {
-			ix, err := Build(g, g.DegreeOrder()[:k])
+			ix, err := build(g, g.DegreeOrder()[:k])
 			if err != nil {
 				t.Fatalf("k=%d: %v", k, err)
 			}
 			return ix.NewSearcher()
 		})
 	}
+	for _, k := range []int{1, 2, 3} {
+		check(t, k, Build)
+	}
+	t.Run("BuildParallel", func(t *testing.T) { check(t, 2, BuildParallel) })
 }
 
 // TestRandomGraphsProperty is the main correctness property: on random

@@ -31,11 +31,13 @@ func FuzzLoadIndex(f *testing.F) {
 	// rank bytes in section 4 (grid_ranks.hl2, tiny_ranks.hl2), and
 	// path-600's ranks as rank bytes beside section 16. Each of those is
 	// refused with the one line naming the command that rewrites it
-	// (internal/legacy reads them); then the labelling whose labels span a
-	// hop, and every malformed section 16 TestReadChecksExcessCodes names;
-	// last, the labelling that keeps no label for its leaves, as it is
-	// written and as writers before sections 17 to 20 wrote it, and every
-	// malformed section TestReadChecksLeaves names.
+	// (internal/legacy reads those with section 4 or 12, the `hlbuild
+	// migrate` of container.OldRelease the others); then the labelling
+	// whose labels span a hop, and every malformed section 16
+	// TestReadChecksExcessCodes names; last, the labelling that keeps no
+	// label for its leaves, as it is written and as writers before
+	// sections 17 to 20 wrote it, and every malformed section
+	// TestReadChecksLeaves names.
 	fig2 := gen.PaperFigure2()
 	path600G, path600Ix := path600(f)
 	spiderCase := widthCases()[1]

@@ -190,11 +190,13 @@ func checkGolden(t *testing.T, ix *Index, name string) {
 }
 
 // TestLegacyFixturesUntouched: the files no writer can produce any more are
-// what the v1, section-3 and section-5 readers, and `hlbuild migrate`'s
-// readers of the graph file and checkpoint from before the graph became
-// container sections (tiny.hwg1 is gen.PaperFigure2(), tiny.snap1 that
-// graph with its labelling), are tested on, so nothing — -update-golden
-// least of all — may rewrite them. tiny.hl2 is the golden index of the last
+// what `hlbuild migrate` is tested on — the layouts it reads, and the
+// older ones every reader refuses in one line naming the release whose
+// migrate reads them: v1, section 3, section 5, section 13 and the graph
+// file and checkpoint from before the graph became container sections
+// (tiny.hwg1 is gen.PaperFigure2(), tiny.snap1 that graph with its
+// labelling) — so nothing — -update-golden least of all — may rewrite
+// them. tiny.hl2 is the golden index of the last
 // writer of section 5, one distance byte an entry, and tiny.snap2 its
 // checkpoint of the same graph and labelling. tiny_ranks.hl2 is a labelling
 // whose ranks take the mask, as the last writer before section 13 wrote it,

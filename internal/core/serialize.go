@@ -69,13 +69,15 @@ const FormatV2 Format = 2
 // it or names another. A snapshot holds the graph itself, with sections 1,
 // 2, the ranks, 16 and 6 in one container and no section 11.
 //
-// This is the one layout read. The older ones (retired, below) — v1
-// "HWLIDX01", v2 with the offsets as uint64 in section 3, v2 without
-// section 11, and v2 whose labels kept one distance byte an entry (section
-// 5), masks of ⌈k/8⌉ bytes a vertex (13), a rank byte an entry beside
-// offsets (4, with 7 and 8 or 19 and 20) or a distance code an entry (12),
-// index files and snapshots alike — are refused with one line naming
-// `hlbuild migrate`, which reads them (internal/legacy).
+// This is the one layout read. The older ones are refused with one line
+// naming `hlbuild migrate`: v2 whose labels kept a rank byte an entry
+// beside offsets (4, with 7 and 8 or 19 and 20) or a distance code an
+// entry (12), index files and snapshots alike, which it reads
+// (internal/legacy); and, naming the release whose migrate reads them
+// (container.OldRelease), v2 without section 11, v2 whose labels kept one
+// distance byte an entry (5) or masks of ⌈k/8⌉ bytes a vertex (13), and v1
+// "HWLIDX01" (the container's magic) and v2 with the offsets as uint64 in
+// section 3, neither of which has section 11.
 const (
 	sectLandmarks   uint32 = 1
 	sectHighway     uint32 = 2
@@ -97,15 +99,16 @@ const (
 )
 
 // retired are the sections of the layouts only `hlbuild migrate` reads,
-// and what their labels kept there.
+// what their labels kept there, and the release whose migrate reads them
+// (none named: today's).
 var retired = []struct {
-	ids  []uint32
-	what string
+	ids       []uint32
+	what, rel string
 }{
-	{[]uint32{sectByteDist}, "labels keep one distance byte an entry (section 5), a layout from before section 12"},
-	{[]uint32{sectByteMask}, "label ranks are masks of ⌈k/8⌉ bytes a vertex beside offsets (section 13), a layout from before sections 14 and 15"},
-	{[]uint32{sectLabelRank, sectLabelBase, sectLabelRel, sectLeafBase, sectLeafRel}, "label ranks are a byte an entry beside offsets (sections 4, 7 and 8, or 19 and 20), a layout this reader does not read"},
-	{[]uint32{sectLabelDist}, "labels keep a distance code an entry (section 12), a layout this reader does not read"},
+	{[]uint32{sectByteDist}, "labels keep one distance byte an entry (section 5), a layout from before section 12", " " + container.OldRelease},
+	{[]uint32{sectByteMask}, "label ranks are masks of ⌈k/8⌉ bytes a vertex beside offsets (section 13), a layout from before sections 14 and 15", " " + container.OldRelease},
+	{[]uint32{sectLabelRank, sectLabelBase, sectLabelRel, sectLeafBase, sectLeafRel}, "label ranks are a byte an entry beside offsets (sections 4, 7 and 8, or 19 and 20), a layout this reader does not read", ""},
+	{[]uint32{sectLabelDist}, "labels keep a distance code an entry (section 12), a layout this reader does not read", ""},
 }
 
 // Write serializes the index (without the graph) as an index file. Output
@@ -170,7 +173,7 @@ func Read(r io.Reader, g *graph.Graph) (*Index, error) {
 	// corrupted.
 	fp := sec[sectGraph].Payload
 	if fp == nil {
-		return nil, fmt.Errorf("core: index file has no section %d (the graph's fingerprint): a layout from before it, rewrite the file with `hlbuild migrate -graph G -in FILE`", sectGraph)
+		return nil, fmt.Errorf("core: index file has no section %d (the graph's fingerprint): a layout from before it, rewrite the file with `hlbuild migrate -graph G -in FILE` %s", sectGraph, container.OldRelease)
 	}
 	if want := binary.LittleEndian.AppendUint32(nil, g.Fingerprint()); !bytes.Equal(fp, want) {
 		return nil, fmt.Errorf("core: index was built on another graph of %d vertices (graph fingerprint %x, this graph's %x)", h.N, fp, want)
@@ -366,7 +369,7 @@ func FromSections(h container.Header, sec map[uint32]container.Section, g *graph
 	}
 	for _, old := range retired {
 		if slices.ContainsFunc(old.ids, func(id uint32) bool { _, ok := sec[id]; return ok }) {
-			return nil, fmt.Errorf("core: %s: rewrite the file with `hlbuild migrate -graph G -in FILE` (an index file) or `hlbuild migrate -in FILE` (a checkpoint)", old.what)
+			return nil, fmt.Errorf("core: %s: rewrite the file with `hlbuild migrate -graph G -in FILE` (an index file) or `hlbuild migrate -in FILE` (a checkpoint)%s", old.what, old.rel)
 		}
 	}
 	_, mask := sec[sectLabelBits]

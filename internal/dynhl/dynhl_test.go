@@ -113,22 +113,6 @@ func TestInsertQueriesExact(t *testing.T) {
 	}
 }
 
-// TestCornerCaseGraphs runs the dynamic index over the shared corner-case
-// suite (no insertions: the static labelling must already be exact).
-func TestCornerCaseGraphs(t *testing.T) {
-	oracle.CheckCases(t, func(t *testing.T, g *graph.Graph) oracle.Oracle {
-		k := 2
-		if k > g.NumVertices() {
-			k = g.NumVertices()
-		}
-		dyn, err := build(g, g.DegreeOrder()[:k])
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dyn.cur
-	})
-}
-
 // TestFromCoreMatchesBuild: converting a static index must yield exactly
 // the state a direct dynamic build produces, and insertions afterwards
 // must keep matching from-scratch rebuilds.

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"highway/internal/graph"
-	"highway/internal/legacy"
 )
+
+// graphMagic began the retired graph file, whose layout graphFNV hashes.
+const graphMagic = "HWGRAPH1"
 
 // graphFNV hashes g's CSR arrays in the layout the values below were
 // recorded in, the legacy graph file's: its magic, n and 2m, the offsets as
@@ -17,7 +19,7 @@ func graphFNV(t testing.TB, g *graph.Graph) uint64 {
 	t.Helper()
 	offsets, targets := g.CSR()
 	h := fnv.New64a()
-	h.Write([]byte(legacy.GraphMagic))
+	h.Write([]byte(graphMagic))
 	for _, v := range []any{uint64(g.NumVertices()), uint64(len(targets)), offsets, targets} {
 		if err := binary.Write(h, binary.LittleEndian, v); err != nil {
 			t.Fatal(err)

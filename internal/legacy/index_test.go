@@ -28,8 +28,7 @@ func build(tb testing.TB, g *graph.Graph, landmarks []int32) *core.Index {
 }
 
 // leafyIndex is the index of R-MAT-12's largest component and its 16
-// highest-degree vertices, which keeps no label for its leaves: the
-// retired layouts, written before that, hold every label.
+// highest-degree vertices, which keeps no label for its leaves.
 func leafyIndex(tb testing.TB) *core.Index {
 	tb.Helper()
 	g, _ := graph.LargestComponent(gen.RMAT(12, 8, 0.57, 0.19, 0.19, 5))
@@ -41,50 +40,26 @@ func leafyIndex(tb testing.TB) *core.Index {
 }
 
 // goldenIndex is the index of the paper's running example with its
-// landmark set {1,5,9}: tiny.hl1, tiny_off64.hl2 and tiny.hl2 all hold it
-// with one distance byte an entry, and tiny.snap2 beside its graph.
+// landmark set {1,5,9}: tiny_codes.hl2 holds it with a distance code an
+// entry.
 func goldenIndex(tb testing.TB) *core.Index {
 	return build(tb, gen.PaperFigure2(), gen.PaperLandmarks())
 }
 
 // path600 is the index whose labels need the escape: both ends of a
-// 600-vertex path as landmarks, 688 entries 255 hops or more from theirs,
-// escaped in the layouts of one distance byte an entry.
+// 600-vertex path as landmarks, whose labels all escape per label and
+// whose entries 256 hops or more from their landmark escape per entry.
 func path600(tb testing.TB) *core.Index {
 	return build(tb, gen.Path(600), []int32{0, 599})
 }
 
-// v1Fixture is a committed HWLIDX01 file with the graph it was built on
-// and the index it must migrate to. No v1 writer exists any more, so these
-// files are where every test of the v1 reader gets its bytes.
-type v1Fixture struct {
-	name string
-	raw  []byte
-	g    *graph.Graph
-	want *core.Index
-}
-
-// v1Fixtures loads tiny.hl1 (the paper's Figure 2 example, written by the
-// original pre-v2 writer; no overflow records) and path300.hl1 (the
-// 300-vertex path with landmark 1, written by the last `hlbuild -format
-// v1`; the far end is 298 hops from the landmark, so it carries 44 overflow
-// records).
-func v1Fixtures(tb testing.TB) []v1Fixture {
-	tb.Helper()
-	path := gen.Path(300)
-	return []v1Fixture{
-		{name: "tiny.hl1", raw: fixture(tb, "tiny.hl1"), g: gen.PaperFigure2(), want: goldenIndex(tb)},
-		{name: "path300.hl1", raw: fixture(tb, "path300.hl1"), g: path, want: build(tb, path, []int32{1})},
-	}
-}
-
-// reframe decodes an index file of any container layout into its header
+// reframe decodes an index file of a layout frame lays out into its header
 // and sections, lets edit change them, and frames those left again
 // (checksums and all) in the order the writers used.
 func reframe(tb testing.TB, file []byte, edit func(h *container.Header, sec map[uint32][]byte)) []byte {
 	tb.Helper()
-	ids := []uint32{1, 2, sectLabelOff, sectLabelBase, sectLabelRel, sectLeafBase, sectLeafRel, sectLabelRank, sectLabelMask,
-		sectLabelBits, sectLabelDir, sectLeafBits, sectLeafDir, sectByteDist, sectLabelDist, sectLabelExcess, sectOverflow, sectGraph}
+	ids := []uint32{1, 2, sectLabelBase, sectLabelRel, sectLeafBase, sectLeafRel, sectLabelRank,
+		sectLabelBits, sectLabelDir, sectLeafBits, sectLeafDir, sectLabelDist, sectLabelExcess, sectOverflow, sectGraph}
 	h, read, err := container.ReadContainer(bytes.NewReader(file), true, func(container.Header) (map[uint32]uint64, error) {
 		bounds := make(map[uint32]uint64)
 		for _, id := range ids {
@@ -131,82 +106,40 @@ func framed(tb testing.TB, ix *core.Index, snapshot bool, ids ...uint32) []byte 
 	return out.Bytes()
 }
 
-// byteDistBytes is the file the last writer of section 5 wrote for ix: one
-// distance byte an entry where section 12 is now.
-func byteDistBytes(tb testing.TB, ix *core.Index) []byte {
-	return framed(tb, ix, false, sectLabelRank, sectByteDist)
+// rankBytes is the file the last writers before d2d3576 wrote for ix where
+// its ranks took fewer bytes a byte an entry, beside a distance code an
+// entry in section 12.
+func rankBytes(tb testing.TB, ix *core.Index) []byte {
+	return framed(tb, ix, false, sectLabelRank, sectLabelDist)
 }
 
-// byteDistSnapshot is the checkpoint the last writer of section 5 wrote for
-// ix: the graph's sections beside the labelling's, without section 11.
-func byteDistSnapshot(tb testing.TB, ix *core.Index) []byte {
-	return framed(tb, ix, true, sectLabelRank, sectByteDist)
-}
-
-// maskBytes is the file the last writer of section 13 wrote for ix: its
-// ranks as masks of ⌈k/8⌉ bytes a vertex beside the offsets of sections 7
-// and 8, where sections 14 and 15 are now, its distances in section 12.
-func maskBytes(tb testing.TB, ix *core.Index) []byte {
-	return framed(tb, ix, false, sectLabelMask, sectLabelDist)
-}
-
-// maskSnapshot is the checkpoint the last writer of section 13 wrote for
-// ix: the graph's sections beside the labelling's, without section 11.
-func maskSnapshot(tb testing.TB, ix *core.Index) []byte {
-	return framed(tb, ix, true, sectLabelMask, sectLabelDist)
-}
-
-// withoutSection11 is the file every writer from sections 7 and 8 until
-// section 11 wrote for ix.
-func withoutSection11(tb testing.TB, ix *core.Index) []byte {
-	tb.Helper()
-	return reframe(tb, byteDistBytes(tb, ix), func(_ *container.Header, sec map[uint32][]byte) { delete(sec, sectGraph) })
-}
-
-// legacyV2Bytes is the file the last writer of section 3 wrote for ix: the
-// n+1 offsets as uint64 where sections 7 and 8 are now, and no section 11.
-func legacyV2Bytes(tb testing.TB, ix *core.Index) []byte {
-	tb.Helper()
-	return reframe(tb, withoutSection11(tb, ix), func(_ *container.Header, sec map[uint32][]byte) {
-		off := binary.LittleEndian.AppendUint64(nil, 0)
-		var at uint64
-		for v := range int32(ix.Graph().NumVertices()) {
-			at += uint64(ix.LabelSize(v))
-			off = binary.LittleEndian.AppendUint64(off, at)
-		}
-		sec[sectLabelOff] = off
-		delete(sec, sectLabelBase)
-		delete(sec, sectLabelRel)
-	})
-}
-
-// offsetCase is one malformed section 3 with a valid checksum: an edit of
-// the path-600 file (k = 2, two entries a vertex but the landmarks 0 and
-// 599) as legacyV2Bytes frames it.
+// offsetCase is one malformed section 7 or 8 with a valid checksum: an
+// edit of the path-600 file (k = 2, two entries a vertex but the landmarks
+// 0 and 599) as rankBytes frames it.
 type offsetCase struct {
 	name string
+	id   uint32 // the section edited
 	edit func(h *container.Header, sec map[uint32][]byte)
 }
 
-func legacyOffsetCases() []offsetCase {
+func offsetCases() []offsetCase {
 	type sections = map[uint32][]byte
-	put := func(sec sections, v int, off uint64) { binary.LittleEndian.PutUint64(sec[sectLabelOff][v*8:], off) }
+	add := func(sec sections, v, by int) {
+		binary.LittleEndian.PutUint16(sec[sectLabelRel][v*2:], uint16(int(binary.LittleEndian.Uint16(sec[sectLabelRel][v*2:]))+by))
+	}
 	return []offsetCase{
-		{"section 3 not starting at 0", func(_ *container.Header, sec sections) { put(sec, 0, 1) }},
-		{"section 3 stepping back", func(_ *container.Header, sec sections) { put(sec, 300, 590) }},
-		{"section 3 with a label longer than k", func(_ *container.Header, sec sections) { put(sec, 5, 9) }},
-		{"section 3 with one label of every entry", func(_ *container.Header, sec sections) {
-			for v := 1; v < 600; v++ {
-				put(sec, v, 0)
-			}
+		{"section 7 not starting at 0", sectLabelBase, func(_ *container.Header, sec sections) { binary.LittleEndian.PutUint64(sec[sectLabelBase], 1) }},
+		{"section 7 one block short", sectLabelBase, func(_ *container.Header, sec sections) { sec[sectLabelBase] = sec[sectLabelBase][8:] }},
+		{"sections 7 and 8 with one label of every entry", sectLabelBase, func(_ *container.Header, sec sections) {
+			clear(sec[sectLabelBase])
+			clear(sec[sectLabelRel])
+			binary.LittleEndian.PutUint16(sec[sectLabelRel][600*2:], 1196)
 		}},
-		{"section 3 ending below the header's entries", func(_ *container.Header, sec sections) {
-			put(sec, 599, 1195)
-			put(sec, 600, 1195)
-		}},
-		{"section 3 one vertex short", func(_ *container.Header, sec sections) {
-			sec[sectLabelOff] = sec[sectLabelOff][8:]
-		}},
+		{"section 8 stepping back", sectLabelRel, func(_ *container.Header, sec sections) { add(sec, 300, -3) }},
+		{"section 8 with a label longer than k", sectLabelRel, func(_ *container.Header, sec sections) { add(sec, 5, 1) }},
+		{"section 8 not 0 at a block start", sectLabelRel, func(_ *container.Header, sec sections) { add(sec, 256, 1) }},
+		{"section 8 ending below the header's entries", sectLabelRel, func(_ *container.Header, sec sections) { add(sec, 600, -1) }},
+		{"section 8 one vertex short", sectLabelRel, func(_ *container.Header, sec sections) { sec[sectLabelRel] = sec[sectLabelRel][2:] }},
 	}
 }
 
@@ -216,12 +149,12 @@ func oneLine(err error, want string) bool {
 }
 
 // migrates checks that raw, an index file of a retired layout built on g,
-// is what IndexLayout says it is, is refused by core.Read with the line
-// naming the migration, and migrates to want's file.
+// is what Layout says it is, is refused by core.Read with the line naming
+// the migration, and migrates to want's file.
 func migrates(t *testing.T, raw []byte, g *graph.Graph, layout string, want *core.Index) {
 	t.Helper()
-	if got := IndexLayout(bufio.NewReader(bytes.NewReader(raw))); got != layout {
-		t.Fatalf("IndexLayout = %q, want %q", got, layout)
+	if got := Layout(bufio.NewReader(bytes.NewReader(raw))); got != layout {
+		t.Fatalf("Layout = %q, want %q", got, layout)
 	}
 	if _, err := core.Read(bytes.NewReader(raw), g); !oneLine(err, "hlbuild migrate") {
 		t.Fatalf("core.Read: %v, want one line naming hlbuild migrate", err)
@@ -238,212 +171,13 @@ func migrates(t *testing.T, raw []byte, g *graph.Graph, layout string, want *cor
 	}
 }
 
-// TestIndexRoundTrip: each retired layout — both v1 fixtures, the file
-// with its offsets in section 3 and one without section 11 (the one with a
-// distance byte an entry: TestMigrateByteDistances) — is named by
-// IndexLayout, refused by the serving reader, and migrates to the file a
-// fresh build writes; today's file, and a checkpoint, are no retired
-// index layout.
-func TestIndexRoundTrip(t *testing.T) {
-	for _, fx := range v1Fixtures(t) {
-		t.Run(fx.name, func(t *testing.T) { migrates(t, fx.raw, fx.g, "format v1", fx.want) })
-	}
-	t.Run("tiny_off64.hl2", func(t *testing.T) {
-		migrates(t, fixture(t, "tiny_off64.hl2"), gen.PaperFigure2(), "format v2, 64-bit offsets", goldenIndex(t))
-	})
-	t.Run("no section 11", func(t *testing.T) {
-		ix := path600(t)
-		migrates(t, withoutSection11(t, ix), ix.Graph(), "format v2, no section 11", ix)
-	})
-	for _, name := range []string{"figure2.hl2", "figure2_top3.hl2", "grid.hl2", "leaves_kept.hl2", "tiny.snap2"} {
-		if got := IndexLayout(bufio.NewReader(bytes.NewReader(fixture(t, name)))); got != "" {
-			t.Fatalf("IndexLayout(%s) = %q, want \"\"", name, got)
-		}
-	}
-}
-
-// TestGoldenV1Compat: tiny.hl1 was written by the pre-v2 code (the original
-// HWLIDX01 writer). It must keep migrating verbatim — this is the promise
-// that existing on-disk indexes survive the format change.
-func TestGoldenV1Compat(t *testing.T) {
-	g := gen.PaperFigure2()
-	ix, err := ReadIndex(bytes.NewReader(fixture(t, "tiny.hl1")), g)
-	if err != nil {
-		t.Fatalf("v1 file written by the old code no longer migrates: %v", err)
-	}
-	if ix.NumEntries() != 13 {
-		t.Fatalf("entries = %d, want 13 (Figure 3)", ix.NumEntries())
-	}
-	n := int32(g.NumVertices())
-	for s := range n {
-		for u := range n {
-			want := bfs.Dist(g, s, u)
-			if want == bfs.Unreachable {
-				want = core.Infinity
-			}
-			if got := ix.Distance(s, u); got != want {
-				t.Fatalf("d(%d,%d) = %d, want %d", s, u, got, want)
-			}
-		}
-	}
-}
-
-// TestV1V2SameIndex: the v1 golden file migrates to the golden file's
-// bytes, so a v1→v2 migration is lossless.
-func TestV1V2SameIndex(t *testing.T) {
-	ix, err := ReadIndex(bytes.NewReader(fixture(t, "tiny.hl1")), gen.PaperFigure2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(indexBytes(t, ix), fixture(t, "figure2.hl2")) {
-		t.Fatal("tiny.hl1 migrates to other bytes than figure2.hl2")
-	}
-}
-
-// TestLegacyV2Writer: legacyV2Bytes, byteDistBytes and byteDistSnapshot,
-// which the tests and fuzz seeds of retired layouts are framed by, write
-// what the last writers of section 3 and of section 5 wrote.
-func TestLegacyV2Writer(t *testing.T) {
-	for name, got := range map[string][]byte{
-		"tiny_off64.hl2": legacyV2Bytes(t, goldenIndex(t)),
-		"tiny.hl2":       byteDistBytes(t, goldenIndex(t)),
-		"tiny.snap2":     byteDistSnapshot(t, goldenIndex(t)),
-	} {
-		if !bytes.Equal(got, fixture(t, name)) {
-			t.Errorf("the writer of the golden index differs from testdata/%s", name)
-		}
-	}
-}
-
-// TestMigrateByteDistances: an index file and a checkpoint whose labels
-// keep one distance byte an entry in section 5 — the committed ones the
-// last writer of section 5 wrote, and path600's, whose distances reach 599
-// — are each named by IndexLayout or SnapshotLayout, refused by the
-// serving readers with one line naming `hlbuild migrate`, and migrate to
-// the labelling they hold, entry for entry.
-func TestMigrateByteDistances(t *testing.T) {
-	fig, path, leafy := goldenIndex(t), path600(t), leafyIndex(t)
-	for _, c := range []struct {
-		name     string
-		raw      []byte
-		snapshot bool
-		want     *core.Index
-	}{
-		{"tiny.hl2", fixture(t, "tiny.hl2"), false, fig},
-		{"tiny.snap2", fixture(t, "tiny.snap2"), true, fig},
-		{"path600 index", byteDistBytes(t, path), false, path},
-		{"path600 snapshot", byteDistSnapshot(t, path), true, path},
-		{"rmat12 index", byteDistBytes(t, leafy), false, leafy},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			var ix *core.Index
-			var err error
-			if c.snapshot {
-				if got := SnapshotLayout(bufio.NewReader(bytes.NewReader(c.raw))); got != "snapshot, byte distances" {
-					t.Fatalf("SnapshotLayout = %q", got)
-				}
-				if _, _, err := serve.DecodeSnapshot(bytes.NewReader(c.raw)); !oneLine(err, "hlbuild migrate") {
-					t.Fatalf("serve.DecodeSnapshot: %v, want one line naming hlbuild migrate", err)
-				}
-				var g *graph.Graph
-				if g, ix, err = ReadSnapshot(bytes.NewReader(c.raw)); err == nil && g.Fingerprint() != c.want.Graph().Fingerprint() {
-					t.Fatal("the snapshot's graph differs from the one it was written from")
-				}
-			} else {
-				if got := IndexLayout(bufio.NewReader(bytes.NewReader(c.raw))); got != "format v2, byte distances" {
-					t.Fatalf("IndexLayout = %q", got)
-				}
-				if _, err := core.Read(bytes.NewReader(c.raw), c.want.Graph()); !oneLine(err, "hlbuild migrate") {
-					t.Fatalf("core.Read: %v, want one line naming hlbuild migrate", err)
-				}
-				ix, err = ReadIndex(bytes.NewReader(c.raw), c.want.Graph())
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(indexBytes(t, ix), indexBytes(t, c.want)) {
-				t.Fatal("migrated, it differs from a fresh build's file")
-			}
-			byteLabelsEqual(t, c.raw, ix)
-		})
-	}
-}
-
-// TestMigrateMaskSection13: an index file and a checkpoint whose ranks are
-// masks of ⌈k/8⌉ bytes a vertex in section 13 beside the offsets of
-// sections 7 and 8 — tiny_mask.hl2, which maskBytes frames byte for byte,
-// and path600's and BA-2000's with k = 100 (13 bytes a vertex) — are each
-// named by IndexLayout or SnapshotLayout, refused by the serving readers
-// with one line naming `hlbuild migrate`, and migrate to the file a fresh
-// build writes: tiny_mask.hl2 to figure2_top3.hl2. A mask bit flipped under a
-// valid checksum is refused by the section's number.
-func TestMigrateMaskSection13(t *testing.T) {
-	fig := build(t, gen.PaperFigure2(), gen.PaperFigure2().DegreeOrder()[:3])
-	if !bytes.Equal(maskBytes(t, fig), fixture(t, "tiny_mask.hl2")) {
-		t.Fatal("maskBytes does not frame the file the last writer of section 13 wrote")
-	}
-	if !bytes.Equal(indexBytes(t, fig), fixture(t, "figure2_top3.hl2")) {
-		t.Fatal("test premise broken: the fresh build does not write figure2_top3.hl2")
-	}
-	ba := gen.BarabasiAlbert(2000, 10, 42)
-	path, dense := path600(t), build(t, ba, ba.DegreeOrder()[:100])
-	for _, c := range []struct {
-		name     string
-		raw      []byte
-		snapshot bool
-		want     *core.Index
-	}{
-		{"tiny_mask.hl2", fixture(t, "tiny_mask.hl2"), false, fig},
-		{"path600 index", maskBytes(t, path), false, path},
-		{"path600 snapshot", maskSnapshot(t, path), true, path},
-		{"ba2000 k100 index", maskBytes(t, dense), false, dense},
-		{"rmat12 snapshot", maskSnapshot(t, leafyIndex(t)), true, leafyIndex(t)},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			var ix *core.Index
-			var err error
-			if c.snapshot {
-				if got := SnapshotLayout(bufio.NewReader(bytes.NewReader(c.raw))); got != "snapshot, masks in section 13" {
-					t.Fatalf("SnapshotLayout = %q", got)
-				}
-				if _, _, err := serve.DecodeSnapshot(bytes.NewReader(c.raw)); !oneLine(err, "hlbuild migrate") {
-					t.Fatalf("serve.DecodeSnapshot: %v, want one line naming hlbuild migrate", err)
-				}
-				var g *graph.Graph
-				if g, ix, err = ReadSnapshot(bytes.NewReader(c.raw)); err == nil && g.Fingerprint() != c.want.Graph().Fingerprint() {
-					t.Fatal("the snapshot's graph differs from the one it was written from")
-				}
-			} else {
-				if got := IndexLayout(bufio.NewReader(bytes.NewReader(c.raw))); got != "format v2, masks in section 13" {
-					t.Fatalf("IndexLayout = %q", got)
-				}
-				if _, err := core.Read(bytes.NewReader(c.raw), c.want.Graph()); !oneLine(err, "hlbuild migrate") {
-					t.Fatalf("core.Read: %v, want one line naming hlbuild migrate", err)
-				}
-				ix, err = ReadIndex(bytes.NewReader(c.raw), c.want.Graph())
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(indexBytes(t, ix), indexBytes(t, c.want)) {
-				t.Fatal("migrated, it differs from a fresh build's file")
-			}
-		})
-	}
-	flipped := reframe(t, maskBytes(t, path), func(_ *container.Header, sec map[uint32][]byte) { sec[sectLabelMask][17] ^= 1 })
-	if _, err := ReadIndex(bytes.NewReader(flipped), path.Graph()); !oneLine(err, "section 13 is missing or not a fresh build's") {
-		t.Fatalf("ReadIndex of a flipped mask bit: %v, want one line naming section 13", err)
-	}
-}
-
 // migratesSnapshot checks that raw, a checkpoint of a retired layout, is
-// what SnapshotLayout says it is, is refused by serve.DecodeSnapshot with
-// the line naming the migration, and migrates to the graph and labelling
-// of want.
+// what Layout says it is, is refused by serve.DecodeSnapshot with the line
+// naming the migration, and migrates to the graph and labelling of want.
 func migratesSnapshot(t *testing.T, raw []byte, layout string, want *core.Index) {
 	t.Helper()
-	if got := SnapshotLayout(bufio.NewReader(bytes.NewReader(raw))); got != layout {
-		t.Fatalf("SnapshotLayout = %q, want %q", got, layout)
+	if got := Layout(bufio.NewReader(bytes.NewReader(raw))); got != layout {
+		t.Fatalf("Layout = %q, want %q", got, layout)
 	}
 	if _, _, err := serve.DecodeSnapshot(bytes.NewReader(raw)); !oneLine(err, "hlbuild migrate") {
 		t.Fatalf("serve.DecodeSnapshot: %v, want one line naming hlbuild migrate", err)
@@ -570,118 +304,35 @@ func TestMigrateEveryLayout(t *testing.T) {
 	}
 }
 
-// byteLabelsEqual decodes the labels of raw, a file with one distance byte
-// an entry, by hand and holds ix's labels to them entry for entry.
-func byteLabelsEqual(t *testing.T, raw []byte, ix *core.Index) {
-	t.Helper()
-	_, read, err := container.ReadContainer(bytes.NewReader(raw), false, func(container.Header) (map[uint32]uint64, error) {
-		return map[uint32]uint64{sectLabelBase: 1 << 20, sectLabelRel: 1 << 20, sectLabelRank: 1 << 20, sectByteDist: 1 << 20, sectOverflow: 1 << 20}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	escaped := map[[2]uint32]int32{}
-	for rec := range slices.Chunk(read[sectOverflow].Payload, 9) {
-		escaped[[2]uint32{binary.LittleEndian.Uint32(rec), uint32(rec[4])}] = int32(binary.LittleEndian.Uint32(rec[5:]))
-	}
-	base, rel := read[sectLabelBase].Payload, read[sectLabelRel].Payload
-	at := func(v int) int {
-		return int(binary.LittleEndian.Uint64(base[v/256*8:])) + int(binary.LittleEndian.Uint16(rel[v*2:]))
-	}
-	entries := 0
-	for v := range ix.Graph().NumVertices() {
-		ranks, dists := ix.Label(int32(v))
-		lo, hi := at(v), at(v+1)
-		if hi-lo != len(ranks) {
-			t.Fatalf("vertex %d: %d entries, the file has %d", v, len(ranks), hi-lo)
-		}
-		for i := range ranks {
-			r, d := read[sectLabelRank].Payload[lo+i], int32(read[sectByteDist].Payload[lo+i])
-			if d == 255 {
-				d = escaped[[2]uint32{uint32(v), uint32(r)}]
-			}
-			if int32(r) != ranks[i] || d != dists[i] {
-				t.Fatalf("vertex %d entry %d: (%d, %d), the file has (%d, %d)", v, i, ranks[i], dists[i], r, d)
-			}
-			entries++
-		}
-	}
-	if entries == 0 || int64(entries) != ix.NumEntries() {
-		t.Fatalf("%d entries compared, the index has %d", entries, ix.NumEntries())
-	}
-}
-
-// TestReadChecksOffsets: section 3 is held to the offsets of a fresh
-// build, and each malformed one is refused by its number.
+// TestReadChecksOffsets: sections 7 and 8 are held to the offsets of a
+// fresh build, and each malformed one is refused by its number.
 func TestReadChecksOffsets(t *testing.T) {
 	ix := path600(t)
-	good := legacyV2Bytes(t, ix)
+	good := rankBytes(t, ix)
 	if got, err := ReadIndex(bytes.NewReader(good), ix.Graph()); err != nil || !bytes.Equal(indexBytes(t, got), indexBytes(t, ix)) {
 		t.Fatalf("the unedited file does not migrate to the index it was written from: %v", err)
 	}
-	for _, c := range legacyOffsetCases() {
+	for _, c := range offsetCases() {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := ReadIndex(bytes.NewReader(reframe(t, good, c.edit)), ix.Graph())
-			if !oneLine(err, "section 3 is missing or not a fresh build's") {
-				t.Fatalf("ReadIndex: %v, want one line naming section 3", err)
+			if want := fmt.Sprintf("section %d is missing or not a fresh build's", c.id); !oneLine(err, want) {
+				t.Fatalf("ReadIndex: %v, want one line saying %q", err, want)
 			}
 		})
 	}
 }
 
-// TestV1RejectsDamage: v1 has no checksums, and what protects its reader
-// is the comparison with a fresh build: every truncation of either fixture
-// and every byte flip in it is refused.
-func TestV1RejectsDamage(t *testing.T) {
-	for _, fx := range v1Fixtures(t) {
-		for cut := range fx.raw {
-			if _, err := ReadIndex(bytes.NewReader(fx.raw[:cut]), fx.g); err == nil {
-				t.Fatalf("%s truncated to %d bytes accepted", fx.name, cut)
-			}
-		}
-		for pos := range fx.raw {
-			bad := append([]byte{}, fx.raw...)
-			bad[pos] ^= 0x10
-			if _, err := ReadIndex(bytes.NewReader(bad), fx.g); err == nil {
-				t.Fatalf("%s: byte flip at %d accepted", fx.name, pos)
-			}
-		}
-	}
-}
-
-// TestV1OverflowRecords: v1 ends with its records, and third-party writers
-// may emit them in any order: path300.hl1 with its 44 reversed migrates as
-// it does unchanged, escaped distances and all.
-func TestV1OverflowRecords(t *testing.T) {
-	fx := v1Fixtures(t)[1]
-	tail := len(fx.raw) - 44*9
-	var reversed []byte
-	for i := len(fx.raw) - 9; i >= tail; i -= 9 {
-		reversed = append(reversed, fx.raw[i:i+9]...)
-	}
-	ix, err := ReadIndex(bytes.NewReader(append(fx.raw[:tail:tail], reversed...)), fx.g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h, _ := ByteSections(ix); h.Aux2 != 44 || !bytes.Equal(indexBytes(t, ix), indexBytes(t, fx.want)) {
-		t.Fatalf("%d overflow records, want 44, or a different index", h.Aux2)
-	}
-	if d := ix.Distance(5, 295); d != 290 {
-		t.Fatalf("d(5,295) = %d, want 290", d)
-	}
-}
-
-// TestReadIndexRefusesAnotherGraph: an old file held to its graph by n
-// alone is refused, with one line, beside another graph of the same n and
-// m — what no sample of distances could promise.
+// TestReadIndexRefusesAnotherGraph: a file of each layout ReadIndex reads
+// is refused, with one line, beside another graph of the same n and m —
+// what no sample of distances could promise.
 func TestReadIndexRefusesAnotherGraph(t *testing.T) {
 	built, other := gen.BarabasiAlbert(400, 3, 1), gen.BarabasiAlbert(400, 3, 2)
 	if built.NumVertices() != other.NumVertices() || built.NumEdges() != other.NumEdges() {
 		t.Fatalf("premise: %v and %v", built, other)
 	}
 	ix := build(t, built, built.DegreeOrder()[:8])
-	for name, raw := range map[string][]byte{"byte distances": byteDistBytes(t, ix), "no section 11": withoutSection11(t, ix), "section 3": legacyV2Bytes(t, ix), "section 13": maskBytes(t, ix)} {
-		if _, err := ReadIndex(bytes.NewReader(raw), other); !oneLine(err, notThisIndex) {
+	for name, ids := range map[string][]uint32{"sections 4 and 12": {sectLabelRank, sectLabelDist}, "section 4": {sectLabelRank}, "section 12": {sectLabelDist}} {
+		if _, err := ReadIndex(bytes.NewReader(framed(t, ix, false, ids...)), other); !oneLine(err, notThisIndex) {
 			t.Errorf("%s beside another graph: %v, want one line saying %q", name, err, notThisIndex)
 		}
 	}
@@ -689,32 +340,31 @@ func TestReadIndexRefusesAnotherGraph(t *testing.T) {
 
 // FuzzReadLegacyIndex: the migration reader is total on arbitrary bytes —
 // a one-line error, or exactly the index a fresh build of the landmarks it
-// names gives — seeded with a file of every retired layout and every
-// malformed section 3 TestReadChecksOffsets names.
+// names gives — seeded with a file of each layout it reads, every
+// malformed section 7 and 8 TestReadChecksOffsets names, and each file of
+// an older layout, which it must refuse.
 func FuzzReadLegacyIndex(f *testing.F) {
 	path := path600(f)
-	for _, fx := range v1Fixtures(f) {
-		f.Add(fx.raw)
+	graphs := []*graph.Graph{gen.PaperFigure2(), gen.Path(300), path.Graph(), gen.Grid(5, 6)}
+	good := rankBytes(f, path)
+	f.Add(good)
+	for _, c := range offsetCases() {
+		f.Add(reframe(f, good, c.edit))
 	}
-	old := legacyV2Bytes(f, path)
-	f.Add(fixture(f, "tiny_off64.hl2"))
-	f.Add(fixture(f, "tiny.hl2"))
-	f.Add(byteDistBytes(f, path))
-	f.Add(withoutSection11(f, path))
-	f.Add(old)
-	for _, c := range legacyOffsetCases() {
-		f.Add(reframe(f, old, c.edit))
-	}
-	f.Add([]byte(IndexMagicV1))
-	f.Add(fixture(f, "tiny_mask.hl2"))
-	f.Add(maskBytes(f, path))
 	for _, name := range []string{"tiny_codes.hl2", "tiny_bits.hl2", "grid_ranks.hl2", "tiny_ranks.hl2"} {
 		f.Add(fixture(f, name))
 	}
-	for _, ids := range [][]uint32{{sectLabelDist}, {sectLabelRank, sectLabelDist}, {sectLabelRank, sectLabelExcess}} {
+	for _, ids := range [][]uint32{{sectLabelDist}, {sectLabelRank, sectLabelExcess}, {sectLeafBase, sectLabelRank, sectLabelDist}} {
 		f.Add(framed(f, path, false, ids...))
 	}
-	graphs := []*graph.Graph{gen.PaperFigure2(), gen.Path(300), path.Graph(), gen.Grid(5, 6)}
+	for _, old := range droppedFiles(f) {
+		for _, g := range graphs {
+			if _, err := ReadIndex(bytes.NewReader(old.raw), g); !oneLine(err, "") {
+				f.Fatalf("%s beside %v: %v, want a one-line refusal", old.name, g, err)
+			}
+		}
+		f.Add(old.raw)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, g := range graphs {
 			ix, err := ReadIndex(bytes.NewReader(data), g)

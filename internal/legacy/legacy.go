@@ -1,17 +1,16 @@
-// Package legacy reads the layouts no server reads any more: the index
-// layouts before today's (see ReadIndex), the snapshots whose labels kept
-// their ranks or distances in one of them, and the HWGRAPH1 graph file and
-// HWLSNAP1 checkpoint snapshot that framed a graph before it became
-// container sections 9 and 10. `hlbuild migrate`, this package's one
-// importer, rewrites them.
+// Package legacy reads the index files and checkpoints of the layout
+// d2d3576 retired, which core refuses: label ranks a byte an entry in
+// section 4 or distances a code an entry in section 12. `hlbuild migrate`,
+// this package's one importer, rewrites them. Every older layout — v1,
+// sections 3, 5 and 13, an index file without section 11, HWGRAPH1 and
+// HWLSNAP1 — is refused by the container reader or core, in one line
+// naming the last release whose migrate reads it (container.OldRelease).
 package legacy
 
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -23,93 +22,19 @@ import (
 	"highway/internal/graph"
 )
 
-// The magics the retired layouts of their own framing begin with.
+// The sections this package names: the ranks a byte an entry in section
+// 4, beside their offsets in sections 7 and 8 (19 and 20 of a labelling
+// that elides leaves), one base per 256 labels and a uint16 a label past
+// it, where sections 14 and 15 (17 and 18) are now; the distances a code
+// of w bits an entry in section 12, where section 16 is now; and section
+// 11, the graph's fingerprint, which an index file of these layouts has.
 const (
-	GraphMagic    = "HWGRAPH1"
-	SnapshotMagic = "HWLSNAP1"
-	IndexMagicV1  = "HWLIDX01"
-)
-
-// ReadGraph decodes an HWGRAPH1 stream: the magic, n and 2m as uint64,
-// then the arrays as sections 9 and 10 encode them, so their decoder
-// decodes them. It reads nothing past the targets.
-func ReadGraph(r io.Reader) (*graph.Graph, error) {
-	var hdr [24]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("legacy: reading graph header: %w", err)
-	}
-	if string(hdr[:8]) != GraphMagic {
-		return nil, fmt.Errorf("legacy: bad magic %q (not a %s file)", hdr[:8], GraphMagic)
-	}
-	n, len2m := binary.LittleEndian.Uint64(hdr[8:]), binary.LittleEndian.Uint64(hdr[16:])
-	off, oerr := readArray(r, (n+1)*8) // a lying n or 2m costs what arrives, then fails FromSections
-	tgt, terr := readArray(r, len2m*4)
-	if err := errors.Join(oerr, terr); err != nil {
-		return nil, fmt.Errorf("legacy: reading the arrays: %w", err)
-	}
-	return graph.FromSections(n, map[uint32]container.Section{graph.SectOffsets: off, graph.SectTargets: tgt})
-}
-
-func readArray(r io.Reader, size uint64) (container.Section, error) {
-	payload, err := container.ReadN(r, size)
-	return container.Section{CRC: container.Checksum(0, payload), Payload: payload}, err
-}
-
-// ReadSnapshot decodes a snapshot of a retired layout (see SnapshotLayout):
-// an HWLSNAP1 stream — the magic, an HWGRAPH1 graph, then the index file of
-// its labelling — or a container of the graph's sections 9 and 10 beside
-// labels of a retired index layout.
-func ReadSnapshot(r io.Reader) (*graph.Graph, *core.Index, error) {
-	br := bufio.NewReader(r)
-	if magic, _ := br.Peek(len(SnapshotMagic)); string(magic) != SnapshotMagic {
-		h, sec, err := container.ReadContainer(br, false, func(h container.Header) (map[uint32]uint64, error) {
-			want, err := bounds(h, h.N)
-			if err == nil {
-				maps.Copy(want, graph.Bounds(h.N))
-			}
-			return want, err
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("legacy: snapshot: %w", err)
-		}
-		if !slices.ContainsFunc(retiredLabels, func(id uint32) bool { _, ok := sec[id]; return ok }) {
-			return nil, nil, fmt.Errorf("legacy: snapshot has none of sections %v: not a retired layout", retiredLabels)
-		}
-		g, err := graph.FromSections(h.N, sec)
-		if err != nil {
-			return nil, nil, err
-		}
-		ix, err := rebuild(h, sec, g)
-		return g, ix, err
-	}
-	br.Discard(len(SnapshotMagic)) // cannot fail: the bytes were peeked
-	g, err := ReadGraph(br)
-	if err != nil {
-		return nil, nil, err
-	}
-	ix, err := ReadIndex(br, g)
-	return g, ix, err
-}
-
-// The index sections this package names: section 3 held the n+1 label
-// offsets as uint64 before sections 7 and 8 (19 and 20 of a labelling that
-// elides leaves) held them, one base per 256 vertices and a uint16 a
-// vertex past it, beside the ranks a byte an entry in section 4 or, before
-// sections 14 and 15, masks of ⌈k/8⌉ bytes a vertex in section 13; section
-// 5 held one distance byte an entry before section 12 held a code of w
-// bits an entry and section 16 the codes of a label; section 11, the
-// graph's fingerprint, is what an index file has from the last layout with
-// section 5 on.
-const (
-	sectLabelOff    uint32 = 3
 	sectLabelRank   uint32 = 4
-	sectByteDist    uint32 = 5
 	sectOverflow    uint32 = 6
 	sectLabelBase   uint32 = 7
 	sectLabelRel    uint32 = 8
 	sectGraph       uint32 = 11
 	sectLabelDist   uint32 = 12
-	sectLabelMask   uint32 = 13
 	sectLabelBits   uint32 = 14
 	sectLabelDir    uint32 = 15
 	sectLabelExcess uint32 = 16
@@ -119,104 +44,83 @@ const (
 	sectLeafRel     uint32 = 20
 )
 
-// retiredLabels are the label sections of which a container beside the
-// graph's sections 9 and 10 holds one in a retired snapshot layout.
-var retiredLabels = []uint32{sectLabelRank, sectByteDist, sectLabelDist, sectLabelMask}
+// dropped are the label sections of the older layouts, which core refuses
+// with the line naming the release that reads them: the offsets as uint64
+// (3), a distance byte an entry (5) and the ranks as masks of ⌈k/8⌉ bytes
+// a vertex (13).
+var dropped = []uint32{3, 5, 13}
 
-// peekTable returns the first bytes of br and, when they are a container's,
-// whether its table lists a section of each id asked.
-func peekTable(br *bufio.Reader) (head []byte, has func(id uint32) bool) {
-	head, _ = br.Peek(8 + 44 + 64*16) // the longest magic, header and table
+// Layout names what br begins with, peeking at its magic and section
+// table: "format v2, rank bytes in section 4" or "format v2, distance
+// codes in section 12" for an index file this package reads, the same
+// after "snapshot" for a checkpoint of those labels beside the graph's
+// sections 9 and 10, "snapshot" for any other container of the graph
+// (serve reads or refuses it), and "" for anything else: today's index
+// file, an older one, or bytes that are no container at all, which
+// core.Read reads or refuses.
+func Layout(br *bufio.Reader) string {
+	head, _ := br.Peek(8 + 44 + 64*16) // the magic, header and a table of 64 rows
 	_, rows, err := container.ReadTable(bytes.NewReader(head))
-	return head, func(id uint32) bool {
+	has := func(id uint32) bool {
 		return err == nil && slices.ContainsFunc(rows, func(r container.Row) bool { return r.ID == id })
 	}
-}
-
-// IndexLayout names the retired index layout br begins with, peeking at its
-// magic and section table, or returns "" for anything else: today's index
-// file, a snapshot (see SnapshotLayout), or bytes that are no index file at
-// all, which core.Read refuses.
-func IndexLayout(br *bufio.Reader) string {
-	head, has := peekTable(br)
+	labels := ""
 	switch {
-	case bytes.HasPrefix(head, []byte(IndexMagicV1)):
-		return "format v1"
-	case has(graph.SectOffsets):
-		return ""
-	case has(sectLabelMask):
-		return "format v2, masks in section 13"
-	case has(sectLabelOff):
-		return "format v2, 64-bit offsets"
-	case has(sectLabelRank) && !has(sectGraph):
-		return "format v2, no section 11"
-	case has(sectByteDist):
-		return "format v2, byte distances"
+	case slices.ContainsFunc(dropped, has):
 	case has(sectLabelRank):
-		return "format v2, rank bytes in section 4"
+		labels = ", rank bytes in section 4"
 	case has(sectLabelDist):
-		return "format v2, distance codes in section 12"
+		labels = ", distance codes in section 12"
+	}
+	switch {
+	case has(graph.SectOffsets) && has(graph.SectTargets):
+		return "snapshot" + labels
+	case has(sectGraph) && labels != "":
+		return "format v2" + labels
 	}
 	return ""
 }
 
-// SnapshotLayout names the retired snapshot layout br begins with — an
-// HWLSNAP1 stream, or a container of the graph's sections beside labels
-// with one of retiredLabels — or returns "".
-func SnapshotLayout(br *bufio.Reader) string {
-	head, has := peekTable(br)
-	switch {
-	case bytes.HasPrefix(head, []byte(SnapshotMagic)):
-		return SnapshotMagic
-	case !has(graph.SectOffsets):
-		return ""
-	case has(sectByteDist):
-		return "snapshot, byte distances"
-	case has(sectLabelMask):
-		return "snapshot, masks in section 13"
-	case has(sectLabelRank):
-		return "snapshot, rank bytes in section 4"
-	case has(sectLabelDist):
-		return "snapshot, distance codes in section 12"
+// ReadSnapshot decodes a checkpoint Layout names "snapshot, …": the
+// graph's sections 9 and 10 beside labels with section 4 or 12.
+func ReadSnapshot(r io.Reader) (*graph.Graph, *core.Index, error) {
+	h, sec, err := container.ReadContainer(r, false, func(h container.Header) (map[uint32]uint64, error) {
+		want, err := bounds(h, h.N)
+		if err == nil {
+			maps.Copy(want, graph.Bounds(h.N))
+		}
+		return want, err
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("legacy: snapshot: %w", err)
 	}
-	return ""
+	g, err := graph.FromSections(h.N, sec)
+	if err != nil {
+		return nil, nil, err
+	}
+	ix, err := rebuild(h, sec, g)
+	return g, ix, err
 }
 
-// ReadIndex reads an index file of a retired layout beside g, the graph it
-// was built on, and returns the index a fresh build of its landmarks on g
-// gives. Each layout holds today's sections 1, 2 and 6 in another frame,
-// beside the labels in one of its forms (see frame): v1 "HWLIDX01" (the
-// magic, n u64 and k u32, then sections 1, 2, 3, 4 and 5 bare, the
-// overflow count u32 and section 6, with no checksums); an HWLIDX02
-// container with the offsets in section 3; one with sections 7 and 8 but
-// no section 11, held to its graph by n alone; one with section 11 — all
-// four with one distance byte an entry (0xFF and a record for d ≥ 255) in
-// section 5; one with section 12 and the ranks as masks in section 13; and
-// those whose ranks are a byte an entry in section 4 or whose distances are
-// codes an entry in section 12, every label kept or the leaves' elided.
-// The file is accepted only if each of its sections holds what the fresh
-// build's does in that layout (the overflow records in any order). By
-// Lemma 3.11 the labelling of a graph and its landmarks is unique, so this
-// accepts exactly g's valid files and refuses a damaged one or one built
-// on another graph of the same n, at the cost of one build.
+// ReadIndex reads an index file of the layouts Layout names beside g, the
+// graph it was built on, and returns the index a fresh build of its
+// landmarks on g gives. Each holds today's sections 1, 2, 6 and 11 beside
+// the labels in one of the forms frame lays out. The file is accepted only
+// if each of its sections holds what the fresh build's does in that layout.
+// By Lemma 3.11 the labelling of a graph and its landmarks is unique, so
+// this accepts exactly g's valid files and refuses a damaged one or one
+// built on another graph, at the cost of one build.
 func ReadIndex(r io.Reader, g *graph.Graph) (*core.Index, error) {
-	br, n := bufio.NewReader(r), uint64(g.NumVertices())
-	var h container.Header
-	var sec map[uint32]container.Section
-	var err error
-	if magic, _ := br.Peek(len(IndexMagicV1)); string(magic) == IndexMagicV1 {
-		h, sec, err = readV1(br, n)
-	} else {
-		h, sec, err = container.ReadContainer(br, false, func(h container.Header) (map[uint32]uint64, error) { return bounds(h, n) })
-	}
+	n := uint64(g.NumVertices())
+	h, sec, err := container.ReadContainer(r, false, func(h container.Header) (map[uint32]uint64, error) { return bounds(h, n) })
 	if err != nil {
 		return nil, err
 	}
 	return rebuild(h, sec, g)
 }
 
-// bounds is core.Bounds under h, with the longest sections 3, 4, 5, 7, 8,
-// 12, 13, 19 and 20, beside a graph of n vertices.
+// bounds is core.Bounds under h, with the longest sections 4, 7, 8, 12,
+// 19 and 20, beside a graph of n vertices.
 func bounds(h container.Header, n uint64) (map[uint32]uint64, error) {
 	if h.N != n {
 		return nil, fmt.Errorf("legacy: index built for n=%d, graph has n=%d", h.N, n)
@@ -224,51 +128,17 @@ func bounds(h container.Header, n uint64) (map[uint32]uint64, error) {
 	want, err := core.Bounds(h)
 	if err == nil {
 		maps.Copy(want, map[uint32]uint64{
-			sectLabelOff: (n + 1) * 8, sectLabelRank: h.Aux1, sectByteDist: h.Aux1, sectLabelDist: 1 + h.Aux1,
-			sectLabelMask: n * uint64((h.K+7)/8), sectLabelBase: (n/256 + 1) * 8, sectLabelRel: (n + 1) * 2,
+			sectLabelRank: h.Aux1, sectLabelDist: 1 + h.Aux1, sectLabelBase: (n/256 + 1) * 8, sectLabelRel: (n + 1) * 2,
 			sectLeafBase: (n/256 + 1) * 8, sectLeafRel: (n + 1) * 2,
 		})
 	}
 	return want, err
 }
 
-// readV1 reads a v1 stream section by section, each bounded by the header
-// read before it: the entry count is where the offsets end, and the
-// overflow count precedes section 6.
-func readV1(r io.Reader, n uint64) (container.Header, map[uint32]container.Section, error) {
-	var head [20]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return container.Header{}, nil, fmt.Errorf("legacy: reading v1 header: %w", err)
-	}
-	h := container.Header{N: binary.LittleEndian.Uint64(head[8:]), K: binary.LittleEndian.Uint32(head[16:])}
-	sec := map[uint32]container.Section{}
-	for _, id := range []uint32{1, 2, sectLabelOff, sectLabelRank, sectByteDist, sectOverflow} {
-		switch id {
-		case sectLabelRank:
-			h.Aux1 = binary.LittleEndian.Uint64(sec[sectLabelOff].Payload[n*8:])
-		case sectOverflow:
-			var count [4]byte
-			if _, err := io.ReadFull(r, count[:]); err != nil {
-				return h, nil, fmt.Errorf("legacy: reading v1 overflow count: %w", err)
-			}
-			h.Aux2 = uint64(binary.LittleEndian.Uint32(count[:]))
-		}
-		want, err := bounds(h, n)
-		if err != nil {
-			return h, nil, err
-		}
-		payload, err := container.ReadN(r, want[id])
-		if err != nil {
-			return h, nil, fmt.Errorf("legacy: reading v1 section %d: %w", id, err)
-		}
-		sec[id] = container.Section{ID: id, Payload: payload}
-	}
-	return h, sec, nil
-}
-
 // rebuild builds the labelling of the landmarks in sec on g and returns it
 // if the file of header old and sections sec holds exactly that labelling
-// (see ReadIndex).
+// (see ReadIndex): an index file with section 11, or a checkpoint beside
+// the graph's sections without it.
 func rebuild(old container.Header, sec map[uint32]container.Section, g *graph.Graph) (*core.Index, error) {
 	landmarks := make([]int32, len(sec[1].Payload)/4)
 	for i := range landmarks {
@@ -283,19 +153,11 @@ func rebuild(old container.Header, sec map[uint32]container.Section, g *graph.Gr
 	if h != old {
 		return nil, fmt.Errorf("legacy: header %+v is not a fresh build's %+v: %s", old, h, notThisIndex)
 	}
-	if has(sectGraph) {
+	if !has(graph.SectOffsets) {
 		sections = append(sections, container.Section{ID: sectGraph, Payload: binary.LittleEndian.AppendUint32(nil, g.Fingerprint())})
 	}
 	for _, want := range sections {
-		got, ok := sec[want.ID]
-		if want.ID == sectOverflow && len(got.Payload)%9 == 0 { // records in CSR order, as a build writes them
-			recs := slices.Collect(slices.Chunk(got.Payload, 9))
-			slices.SortFunc(recs, func(a, b []byte) int {
-				return cmp.Or(cmp.Compare(binary.LittleEndian.Uint32(a), binary.LittleEndian.Uint32(b)), cmp.Compare(a[4], b[4]))
-			})
-			got.Payload = slices.Concat(recs...)
-		}
-		if !ok || !bytes.Equal(got.Payload, want.Payload) {
+		if got, ok := sec[want.ID]; !ok || !bytes.Equal(got.Payload, want.Payload) {
 			return nil, fmt.Errorf("legacy: section %d is missing or not a fresh build's: %s", want.ID, notThisIndex)
 		}
 	}
@@ -307,28 +169,19 @@ func rebuild(old container.Header, sec map[uint32]container.Section, g *graph.Gr
 	return fresh, nil
 }
 
-// ByteSections returns the header and sections of ix as the last writer of
-// section 5 laid them out: a rank byte an entry in section 4 beside the
-// offsets of sections 7 and 8, and one distance byte an entry in section 5.
-func ByteSections(ix *core.Index) (container.Header, []container.Section) {
-	return frame(ix, func(id uint32) bool { return id == sectLabelRank || id == sectByteDist })
-}
-
-// frame returns the header and sections 1, 2, the offsets, the ranks, the
-// distances and 6 of ix as the writer of the layout whose section ids has
-// reports laid them out:
+// frame returns the header and sections 1, 2, the ranks, the distances
+// and 6 of ix as the writer of the layout whose section ids has reports
+// laid them out:
 //
 //   - the labels of every vertex, or, with section 17 or 19, of all but its
 //     leaves: those of degree one and no landmark whose neighbour is neither
 //     a landmark nor of degree one;
-//   - their ranks as masks of ⌈k/8⌉ bytes a label in section 13, or a byte an
-//     entry in section 4, beside their offsets — the n+1 of them as uint64
-//     in section 3, or one uint64 per 256 labels, the offset of the first,
-//     and a uint16 a label past it in sections 7 and 8 (19 and 20) —, or as
-//     k bits a label in section 14 (17) beside the set bits before each
-//     block of 2¹⁶ and from there to each stride of ⌈k/64⌉ words in 15 (18);
-//   - their distances as one byte an entry in section 5, 0xFF escaping at
-//     d ≥ 255; or as a code of w bits an entry in section 12, d-1, the
+//   - their ranks a byte an entry in section 4 beside their offsets, one
+//     uint64 per 256 labels, the offset of the first, and a uint16 a label
+//     past it in sections 7 and 8 (19 and 20); or as k bits a label in
+//     section 14 (17) beside the set bits before each block of 2¹⁶ and from
+//     there to each stride of ⌈k/64⌉ words in 15 (18);
+//   - their distances as a code of w bits an entry in section 12, d-1, the
 //     all-ones code escaping; or per label in section 16 (core.Index); w and
 //     wo those whose codes and 9-byte records take the fewest bytes, the
 //     wider w, then the narrower wo, on a tie;
@@ -347,9 +200,9 @@ func frame(ix *core.Index, has func(id uint32) bool) (container.Header, []contai
 		verts, ranks, dists = append(verts, v), append(ranks, r), append(dists, d)
 	}
 	// The ranks and their offsets.
-	size, words := (k+7)/8, (len(verts)*k+63)/64
-	var base, rel, off, rank, dirBase, dirRel []byte
-	mask, bitString := make([]byte, len(verts)*size), make([]byte, words*8)
+	words := (len(verts)*k + 63) / 64
+	var base, rel, rank, dirBase, dirRel []byte
+	bitString := make([]byte, words*8)
 	var at, blockStart uint64
 	for i := 0; ; i++ {
 		if i%256 == 0 {
@@ -357,13 +210,11 @@ func frame(ix *core.Index, has func(id uint32) bool) (container.Header, []contai
 			base = binary.LittleEndian.AppendUint64(base, at)
 		}
 		rel = binary.LittleEndian.AppendUint16(rel, uint16(at-blockStart))
-		off = binary.LittleEndian.AppendUint64(off, at)
 		if i == len(verts) {
 			break
 		}
 		for _, r := range ranks[i] {
 			rank = append(rank, byte(r))
-			mask[i*size+int(r)/8] |= 1 << (r % 8)
 			bit := i*k + int(r)
 			bitString[bit/8] |= 1 << (bit % 8)
 		}
@@ -384,14 +235,9 @@ func frame(ix *core.Index, has func(id uint32) bool) (container.Header, []contai
 		ids = [4]uint32{sectLeafBase, sectLeafRel, sectLeafBits, sectLeafDir}
 	}
 	sections := today[:2:2]
-	switch {
-	case has(sectLabelOff):
-		sections = append(sections, container.Section{ID: sectLabelOff, Payload: off}, container.Section{ID: sectLabelRank, Payload: rank})
-	case has(sectLabelMask):
-		sections = append(sections, container.Section{ID: ids[0], Payload: base}, container.Section{ID: ids[1], Payload: rel}, container.Section{ID: sectLabelMask, Payload: mask})
-	case has(sectLabelRank):
+	if has(sectLabelRank) {
 		sections = append(sections, container.Section{ID: ids[0], Payload: base}, container.Section{ID: ids[1], Payload: rel}, container.Section{ID: sectLabelRank, Payload: rank})
-	default:
+	} else {
 		sections = append(sections, container.Section{ID: ids[2], Payload: bitString}, container.Section{ID: ids[3], Payload: append(dirBase, dirRel...)})
 	}
 	// The distances and the records of those that escape.
@@ -401,17 +247,7 @@ func frame(ix *core.Index, has func(id uint32) bool) (container.Header, []contai
 		over = binary.LittleEndian.AppendUint32(append(over, byte(ranks[i][j])), uint32(dists[i][j]))
 	}
 	var dist container.Section
-	switch {
-	case has(sectByteDist):
-		dist.ID, dist.Payload = sectByteDist, make([]byte, 0, at)
-		for i, l := range dists {
-			for j, d := range l {
-				if dist.Payload = append(dist.Payload, byte(min(d, 255))); d >= 255 {
-					escape(i, j)
-				}
-			}
-		}
-	case has(sectLabelDist):
+	if has(sectLabelDist) {
 		w, best := 0, 0
 		for _, cw := range []int{8, 4, 2} {
 			bytes := int(at*uint64(cw)+7) / 8
@@ -436,7 +272,7 @@ func frame(ix *core.Index, has func(id uint32) bool) (container.Header, []contai
 			}
 		}
 		dist.Payload = packBits(dist.Payload, codes, w)
-	default:
+	} else {
 		// A label escapes whole where the base does not hold its smallest
 		// code, min(d-1, 255), or the excess its span.
 		low, span := make([]int32, len(dists)), make([]int32, len(dists))
