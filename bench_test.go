@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"highway"
+	"highway/internal/bench"
 	"highway/internal/bfs"
 	"highway/internal/datasets"
 	"highway/internal/workload"
@@ -43,6 +44,17 @@ func fixtures(b *testing.B) (*highway.Graph, []int32, []highway.Pair) {
 		fixPairs = highway.RandomPairs(fixGraph, 4096, 42)
 	})
 	return fixGraph, fixLM, fixPairs
+}
+
+// buildAs builds m in the configuration the paper's tables report it in
+// (internal/bench), failing b on error.
+func buildAs(b *testing.B, m bench.MethodName, g *highway.Graph, lm []int32) highway.DistanceIndex {
+	b.Helper()
+	ix, err := bench.Build(context.Background(), m, g, lm, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ix
 }
 
 // --- Table 1 ---------------------------------------------------------------
@@ -88,7 +100,7 @@ func BenchmarkTable2BuildFD(b *testing.B) {
 	g, lm, _ := fixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := testMethodNamed("fd").build(context.Background(), g, lm); err != nil {
+		if _, err := bench.Build(context.Background(), bench.MethodFD, g, lm, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -98,7 +110,7 @@ func BenchmarkTable2BuildPLL(b *testing.B) {
 	g, _, _ := fixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := testMethodNamed("pll").build(context.Background(), g, nil); err != nil {
+		if _, err := bench.Build(context.Background(), bench.MethodPLL, g, nil, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -108,7 +120,7 @@ func BenchmarkTable2BuildISL(b *testing.B) {
 	g, _, _ := fixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := testMethodNamed("isl").build(context.Background(), g, nil); err != nil {
+		if _, err := bench.Build(context.Background(), bench.MethodISL, g, nil, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -143,10 +155,7 @@ func BenchmarkTable2QueryHL(b *testing.B) {
 
 func BenchmarkTable2QueryFD(b *testing.B) {
 	g, lm, pairs := fixtures(b)
-	ix, err := testMethodNamed("fd").build(context.Background(), g, lm)
-	if err != nil {
-		b.Fatal(err)
-	}
+	ix := buildAs(b, bench.MethodFD, g, lm)
 	sr := ix.NewSearcher()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -157,10 +166,7 @@ func BenchmarkTable2QueryFD(b *testing.B) {
 
 func BenchmarkTable2QueryPLL(b *testing.B) {
 	g, _, pairs := fixtures(b)
-	ix, err := testMethodNamed("pll").build(context.Background(), g, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	ix := buildAs(b, bench.MethodPLL, g, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]
@@ -170,10 +176,7 @@ func BenchmarkTable2QueryPLL(b *testing.B) {
 
 func BenchmarkTable2QueryISL(b *testing.B) {
 	g, _, pairs := fixtures(b)
-	ix, err := testMethodNamed("isl").build(context.Background(), g, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	ix := buildAs(b, bench.MethodISL, g, nil)
 	sr := ix.NewSearcher()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -239,18 +242,9 @@ func BenchmarkTable3Sizes(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fdIx, err := testMethodNamed("fd").build(context.Background(), g, lm)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pllIx, err := testMethodNamed("pll").build(context.Background(), g, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	islIx, err := testMethodNamed("isl").build(context.Background(), g, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	fdIx := buildAs(b, bench.MethodFD, g, lm)
+	pllIx := buildAs(b, bench.MethodPLL, g, nil)
+	islIx := buildAs(b, bench.MethodISL, g, nil)
 	b.ResetTimer()
 	var sink int64
 	for i := 0; i < b.N; i++ {
@@ -286,25 +280,16 @@ func BenchmarkFig1a(b *testing.B) {
 			return workload.OracleFunc(sr.Distance), ix.SizeBytes32()
 		}},
 		{"FD", func() (workload.Oracle, int64) {
-			ix, err := testMethodNamed("fd").build(context.Background(), g, lm)
-			if err != nil {
-				b.Fatal(err)
-			}
+			ix := buildAs(b, bench.MethodFD, g, lm)
 			sr := ix.NewSearcher()
 			return workload.OracleFunc(sr.Distance), ix.Stats().SizeBytes
 		}},
 		{"PLL", func() (workload.Oracle, int64) {
-			ix, err := testMethodNamed("pll").build(context.Background(), g, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
+			ix := buildAs(b, bench.MethodPLL, g, nil)
 			return workload.OracleFunc(ix.Distance), ix.Stats().SizeBytes
 		}},
 		{"ISL", func() (workload.Oracle, int64) {
-			ix, err := testMethodNamed("isl").build(context.Background(), g, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
+			ix := buildAs(b, bench.MethodISL, g, nil)
 			sr := ix.NewSearcher()
 			return workload.OracleFunc(sr.Distance), ix.Stats().SizeBytes
 		}},
@@ -312,12 +297,12 @@ func BenchmarkFig1a(b *testing.B) {
 	for _, m := range methods {
 		b.Run(m.name, func(b *testing.B) {
 			o, size := m.setup()
-			b.ReportMetric(float64(size), "index-bytes")
-			b.ResetTimer()
+			b.ResetTimer() // which drops metrics reported before it
 			for i := 0; i < b.N; i++ {
 				p := pairs[i%len(pairs)]
 				o.Distance(p.S, p.T)
 			}
+			b.ReportMetric(float64(size), "index-bytes")
 		})
 	}
 }
@@ -347,7 +332,7 @@ func BenchmarkFig1b(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("FD/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := testMethodNamed("fd").build(context.Background(), g, lm); err != nil {
+				if _, err := bench.Build(context.Background(), bench.MethodFD, g, lm, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -150,7 +150,8 @@ func TestRunMigrate(t *testing.T) {
 // an index file without section 11 is refused, with or without -graph, in
 // one line naming the release whose migrate reads it, and nothing is
 // written; one subtest a file. Building on the old graph file fails with
-// the same line.
+// the same line. A file of a later layout without section 11 is damaged,
+// and refused in one line naming no migrate.
 func TestRunMigrateLegacyLayouts(t *testing.T) {
 	dir := t.TempDir()
 	figGraph := filepath.Join(dir, "fig2.hwg")
@@ -161,25 +162,9 @@ func TestRunMigrateLegacyLayouts(t *testing.T) {
 	if err := highway.SaveGraph(gen.Path(300), pathGraph); err != nil {
 		t.Fatal(err)
 	}
-	// tiny_codes.hl2 without section 11, as no writer of its layout framed it.
-	raw, err := os.ReadFile(filepath.Join(testdata, "tiny_codes.hl2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, sec, err := container.ReadContainer(bytes.NewReader(raw), true, func(container.Header) (map[uint32]uint64, error) {
-		return map[uint32]uint64{1: 1 << 10, 2: 1 << 10, 6: 1 << 10, 12: 1 << 10, 14: 1 << 10, 15: 1 << 10}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var noGraph bytes.Buffer
-	if err := container.WriteContainer(&noGraph, h, []container.Section{sec[1], sec[2], sec[14], sec[15], sec[12], sec[6]}); err != nil {
-		t.Fatal(err)
-	}
-	noGraphPath := filepath.Join(dir, "no_section_11.hl2")
-	if err := os.WriteFile(noGraphPath, noGraph.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// tiny.hl2 without section 11, as writers before section 11 framed its
+	// labels.
+	noGraphPath := withoutSection11(t, "tiny.hl2", filepath.Join(dir, "no_section_11.hl2"))
 	wantRefused := func(t *testing.T, what string, err error) {
 		t.Helper()
 		if err == nil || !strings.Contains(err.Error(), "hlbuild migrate") || !strings.Contains(err.Error(), container.OldRelease) || strings.Contains(err.Error(), "\n") {
@@ -207,8 +192,53 @@ func TestRunMigrateLegacyLayouts(t *testing.T) {
 			}
 		})
 	}
-	err = run([]string{"-graph", td("tiny.hwg1"), "-k", "2", "-out", filepath.Join(dir, "x.idx")})
+	err := run([]string{"-graph", td("tiny.hwg1"), "-k", "2", "-out", filepath.Join(dir, "x.idx")})
 	wantRefused(t, "build on a legacy graph file", err)
+	// tiny_codes.hl2 has sections first written after section 11: without
+	// it, the file is damaged, and no migrate reads it.
+	damaged := withoutSection11(t, "tiny_codes.hl2", filepath.Join(dir, "damaged.hl2"))
+	err = run([]string{"migrate", "-graph", figGraph, "-in", damaged, "-out", filepath.Join(dir, "damaged.out")})
+	if err == nil || !strings.Contains(err.Error(), "damaged") || strings.Contains(err.Error(), "migrate") || strings.Contains(err.Error(), "\n") {
+		t.Fatalf("migrate of tiny_codes.hl2 without section 11: %v, want one line saying the file is damaged", err)
+	}
+}
+
+// withoutSection11 writes the committed index file name without its
+// section 11 to path, and returns path.
+func withoutSection11(t *testing.T, name, path string) string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(testdata, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rows, err := container.ReadTable(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, sec, err := container.ReadContainer(bytes.NewReader(raw), true, func(container.Header) (map[uint32]uint64, error) {
+		bounds := map[uint32]uint64{}
+		for _, row := range rows {
+			bounds[row.ID] = row.Length
+		}
+		return bounds, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []container.Section
+	for _, row := range rows {
+		if row.ID != 11 {
+			kept = append(kept, sec[row.ID])
+		}
+	}
+	var out bytes.Buffer
+	if err := container.WriteContainer(&out, h, kept); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // TestRunMigrateSection12: the index files whose distances are a code an

@@ -2,9 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"text/tabwriter"
 
-	"highway/internal/core"
+	"highway/internal/datasets"
+	"highway/internal/graph"
 	"highway/internal/workload"
 )
 
@@ -15,26 +15,17 @@ import (
 // Figure 9 seen from the latency side).
 
 // AblationBounds times the offline half of a query (label upper bound)
-// against the full exact query, and reports the fraction of pairs where
-// the bound is already exact.
+// against the full exact query of the HL cell, and reports the fraction
+// of pairs where the bound is already exact.
 func (r *Runner) AblationBounds() error {
-	r.header(fmt.Sprintf("Ablation B: label-only bound vs full bounded query (k=%d)", r.cfg.Landmarks))
-	tw := tabwriter.NewWriter(r.cfg.Out, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Dataset\tQT[bound only]\tQT[full query]\tbound==exact")
-	for _, d := range r.selected() {
-		g := d.Load(r.cfg.Shrink)
-		lm := r.landmarksFor(g, r.cfg.Landmarks)
-		ix, err := core.BuildParallel(g, lm)
-		if err != nil {
-			return fmt.Errorf("ablation: %s: %w", d.Name, err)
-		}
-		pairs := workload.RandomPairs(g, min(r.cfg.Pairs, 20_000), r.cfg.Seed)
-		sr := ix.NewSearcher()
-		qtBound := measureQueries(workload.OracleFunc(sr.UpperBound), pairs)
-		qtFull := measureQueries(workload.OracleFunc(sr.Distance), pairs)
-		cov := workload.PairCoverage(ix, workload.OracleFunc(sr.Distance), pairs)
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%.3f\n", d.Name, fmtQT(qtBound, false), fmtQT(qtFull, false), cov)
-		r.progress(d.Name)
-	}
-	return tw.Flush()
+	return r.table(fmt.Sprintf("Ablation B: label-only bound vs full bounded query (k=%d)", r.cfg.Landmarks),
+		"Dataset\tQT[bound only]\tQT[full query]\tbound==exact",
+		func(d datasets.Dataset, g *graph.Graph) []string {
+			c, n := r.cell(MethodHL, d.Name, g, r.cfg.Landmarks), r.coveragePairs()
+			if c.DNF {
+				return []string{d.Name + "\tDNF\t-\t-"}
+			}
+			bound := measureQueries(workload.OracleFunc(c.Index.NewSearcher().UpperBound), c.pairs(n))
+			return []string{fmt.Sprintf("%s\t%s\t%s\t%.3f", d.Name, fmtQT(bound), fmtQT(c.queryTime(n)), c.coverage(n))}
+		})
 }

@@ -2,8 +2,12 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -204,4 +208,115 @@ func TestAblation(t *testing.T) {
 	if strings.Contains(out, "Ablation A") {
 		t.Fatalf("the retired strategy ablation ran:\n%s", out)
 	}
+}
+
+// TestCellsMeasuredOnce pins the cell rule: one (dataset, method, k) is
+// built and measured once, so every table that shows a measurement of it
+// shows the same figure, and the report holds one record of it.
+func TestCellsMeasuredOnce(t *testing.T) {
+	var buf bytes.Buffer
+	cfg := tinyConfig(&buf)
+	cfg.Shrink = 100
+	cfg.Landmarks = landmarkSweep[0]
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Run([]string{"all"}); err != nil {
+		t.Fatal(err)
+	}
+	tables := parseTables(buf.String())
+	k := strconv.Itoa(cfg.Landmarks)
+	fig1a := map[string]string{} // dataset and method → QT
+	for _, row := range tables["Figure 1(a)"][1:] {
+		fig1a[row[0]+"|"+row[1]] = row[3]
+	}
+	fig7 := map[string]string{} // dataset and k → QT[HL]
+	for _, row := range tables["Figure 7"][1:] {
+		fig7[row[0]+"|"+row[1]] = row[3]
+	}
+	table2 := tables["Table 2"]
+	if len(table2) != 1+len(cfg.Datasets) {
+		t.Fatalf("Table 2 has %d rows:\n%s", len(table2), buf.String())
+	}
+	for _, row := range table2[1:] {
+		for _, m := range []MethodName{MethodHL, MethodFD, MethodPLL, MethodISL, MethodBiBFS} {
+			qt := row[slices.Index(table2[0], "QT["+string(m)+"]")]
+			if fig1a[row[0]+"|"+string(m)] != qt || qt == "-" {
+				t.Errorf("%s: Table 2 QT[%s] = %s, Figure 1(a) %s", row[0], m, qt, fig1a[row[0]+"|"+string(m)])
+			}
+			if m == MethodHL && fig7[row[0]+"|"+k] != qt {
+				t.Errorf("%s: Table 2 QT[HL] = %s, Figure 7 at k=%s %s", row[0], qt, k, fig7[row[0]+"|"+k])
+			}
+		}
+	}
+	fig9, ablation := tables["Figure 9"], tables["Ablation B"]
+	for i, row := range fig9[1:] {
+		cov, exact := row[slices.Index(fig9[0], "HL-"+k)], ablation[1+i][slices.Index(ablation[0], "bound==exact")]
+		if cov != exact {
+			t.Errorf("%s: Figure 9 HL-%s = %s, Ablation B bound==exact %s", row[0], k, cov, exact)
+		}
+	}
+	seen := map[string]bool{}
+	for _, rec := range r.Results() {
+		id := fmt.Sprintf("%s|%s|%d", rec.Key, rec.Method, rec.Landmarks)
+		if seen[id] {
+			t.Errorf("two records of %s", id)
+		}
+		seen[id] = true
+	}
+}
+
+// TestFig6AblationDNF: Figure 6 and Ablation B take the HL cell, so they
+// build under the budget, print a DNF row when it is exceeded and report
+// the build.
+func TestFig6AblationDNF(t *testing.T) {
+	var buf bytes.Buffer
+	cfg := tinyConfig(&buf)
+	cfg.BuildBudget = time.Nanosecond
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Run([]string{"fig6", "ablation"}); err != nil {
+		t.Fatal(err)
+	}
+	tables := parseTables(buf.String())
+	for _, title := range []string{"Figure 6", "Ablation B"} {
+		rows := tables[title]
+		if len(rows) != 1+len(cfg.Datasets) {
+			t.Fatalf("%s has %d rows:\n%s", title, len(rows), buf.String())
+		}
+		for _, row := range rows[1:] {
+			if row[1] != "DNF" {
+				t.Errorf("%s: %v, want a DNF row", title, row)
+			}
+		}
+	}
+	res := r.Results()
+	if len(res) != len(cfg.Datasets) {
+		t.Fatalf("%d records, want one HL build a dataset: %+v", len(res), res)
+	}
+	for i, rec := range res {
+		if rec.Key != cfg.Datasets[i] || rec.Method != string(MethodHL) || rec.Landmarks != cfg.Landmarks || !rec.DNF {
+			t.Errorf("record %d: %+v, want the DNF HL build of %s", i, rec, cfg.Datasets[i])
+		}
+	}
+}
+
+// parseTables splits harness output into its tables by the title before
+// the colon, each a list of rows, the header row first, of the cells
+// tabwriter set at least two spaces apart.
+var cellGap = regexp.MustCompile(` {2,}`)
+
+func parseTables(out string) map[string][][]string {
+	tables := map[string][][]string{}
+	for _, chunk := range strings.Split(out, "\n== ")[1:] {
+		lines := strings.Split(strings.TrimSpace(chunk), "\n")
+		title, _, _ := strings.Cut(lines[0], ":")
+		for _, line := range lines[1:] {
+			tables[title] = append(tables[title], cellGap.Split(strings.TrimSpace(line), -1))
+		}
+	}
+	return tables
 }

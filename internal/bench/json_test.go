@@ -26,17 +26,17 @@ func TestDNFReportedInJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := r.build(MethodPLL, "tiny", g, lm); !res.DNF {
+	if res := r.cell(MethodPLL, "tiny", g, len(lm)); !res.DNF {
 		t.Fatal("PLL under a 1ns budget did not DNF")
 	}
 	// A cache hit must not duplicate the record.
-	r.build(MethodPLL, "tiny", g, lm)
+	r.cell(MethodPLL, "tiny", g, len(lm))
 
 	ok, err := NewRunner(Config{Out: io.Discard})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := ok.build(MethodHL, "tiny", g, lm); res.DNF {
+	if res := ok.cell(MethodHL, "tiny", g, len(lm)); res.DNF {
 		t.Fatalf("HL build unexpectedly DNFed: %s", res.DNFReason)
 	}
 

@@ -1,9 +1,3 @@
-// Package bench is the experiment harness that regenerates every table
-// and figure of the paper's evaluation (Section 6): Tables 1-3 and
-// Figures 1, 6, 7, 8 and 9. Each experiment prints the same rows/series
-// the paper reports, over the synthetic stand-in datasets of
-// internal/datasets. cmd/hlbench is the CLI front end; bench_test.go at
-// the repository root wraps each experiment as a testing.B benchmark.
 package bench
 
 import (
@@ -17,15 +11,16 @@ import (
 	"highway/internal/fd"
 	"highway/internal/graph"
 	"highway/internal/isl"
+	"highway/internal/landmark"
 	"highway/internal/method"
 	"highway/internal/pll"
 	"highway/internal/workload"
 )
 
 // MethodName identifies one competitor row/column in the tables. The
-// names are the paper's display names; buildIndex maps each onto its
-// package's build in the paper's configuration, except the online Bi-BFS
-// baseline, which has no index to build.
+// names are the paper's display names; Build maps each onto its package's
+// build in the paper's configuration, except the online Bi-BFS baseline,
+// which has no index to build.
 type MethodName string
 
 const (
@@ -50,22 +45,15 @@ type BuildResult struct {
 	// DNFReason is empty on success.
 	DNFReason string
 
-	NumEntries int64
-	ALS        float64
-	SizeBytes  int64
-	SizeBytes8 int64 // HL only: the paper's compressed accounting
-	BPTrees    int   // bit-parallel trees (PLL's "+50", FD+BP's per-landmark trees)
-
-	// NewSearcher returns a single-goroutine exact-distance oracle.
-	NewSearcher func() workload.Oracle
-	// Bounder exposes the method's label upper bound (every indexed
-	// method implements one; nil only for Bi-BFS).
-	Bounder workload.Bounder
+	// Index is the built labelling and Stats its summary; both are zero
+	// on DNF and for Bi-BFS, which has no index.
+	Index method.DistanceIndex
+	Stats method.Stats
 }
 
-// buildIndex builds one competitor in the paper's configuration of it,
-// cancelled with ctx.
-func buildIndex(ctx context.Context, m MethodName, g *graph.Graph, landmarks []int32, workers int) (method.DistanceIndex, error) {
+// Build builds one competitor in the paper's configuration of it,
+// cancelled with ctx. Only HL-P uses workers.
+func Build(ctx context.Context, m MethodName, g *graph.Graph, landmarks []int32, workers int) (method.DistanceIndex, error) {
 	switch m {
 	case MethodHLP:
 		return core.BuildOpts(ctx, g, landmarks, core.Options{Workers: workers})
@@ -86,45 +74,82 @@ func buildIndex(ctx context.Context, m MethodName, g *graph.Graph, landmarks []i
 	}
 }
 
-// buildMethod runs one method under a wall-clock budget; only the online
-// Bi-BFS baseline is special-cased, having no index.
-func buildMethod(m MethodName, g *graph.Graph, landmarks []int32, budget time.Duration, workers int) BuildResult {
+// buildMethod builds m on g's k highest-degree vertices under a
+// wall-clock budget; the online Bi-BFS baseline builds nothing.
+func buildMethod(m MethodName, g *graph.Graph, k int, budget time.Duration, workers int) BuildResult {
+	res := BuildResult{Method: m}
 	if m == MethodBiBFS {
-		return BuildResult{
-			Method: m,
-			NewSearcher: func() workload.Oracle {
-				sc := bfs.NewScratch(g.NumVertices())
-				return workload.OracleFunc(func(s, t int32) int32 {
-					return bfs.BiBFS(g, s, t, sc)
-				})
-			},
-		}
+		return res
 	}
+	lm, err := landmark.Select(g, landmark.Options{K: k})
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
 	start := time.Now()
-	ix, err := buildIndex(ctx, m, g, landmarks, workers)
+	if err == nil {
+		res.Index, err = Build(ctx, m, g, lm, workers)
+	}
+	res.CT = time.Since(start)
 	if err != nil {
-		reason := err.Error()
+		res.DNF, res.DNFReason = true, err.Error()
 		if errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil {
-			reason = fmt.Sprintf("build budget %s exceeded", budget)
+			res.DNFReason = fmt.Sprintf("build budget %s exceeded", budget)
 		}
-		return BuildResult{Method: m, DNF: true, DNFReason: reason, CT: time.Since(start)}
+		return res
 	}
-	st := ix.Stats()
-	return BuildResult{
-		Method:     m,
-		CT:         time.Since(start),
-		NumEntries: st.NumEntries,
-		ALS:        st.AvgLabelSize,
-		SizeBytes:  st.SizeBytes,
-		SizeBytes8: st.Bytes8,
-		BPTrees:    st.BPTrees,
-		Bounder:    ix,
-		NewSearcher: func() workload.Oracle {
-			return ix.NewSearcher()
-		},
+	res.Stats = res.Index.Stats()
+	return res
+}
+
+// cell is one (graph, method, k) of the paper's tables: its build, and its
+// query time and pair coverage memoized per pair count. A count of c pairs
+// is the first c of the graph's one seeded stream, so every experiment
+// that asks a cell for one count reads one measurement.
+type cell struct {
+	BuildResult
+	g    *graph.Graph
+	seed int64
+	qt   map[int]time.Duration
+	cov  map[int]float64
+}
+
+// pairs returns the first count pairs of the cell's graph's stream.
+func (c *cell) pairs(count int) []workload.Pair {
+	return workload.RandomPairs(c.g, count, c.seed)
+}
+
+// oracle returns a single-goroutine exact-distance oracle: the index's
+// searcher, or an online bidirectional BFS for Bi-BFS.
+func (c *cell) oracle() workload.Oracle {
+	if c.Index != nil {
+		return c.Index.NewSearcher()
 	}
+	sc := bfs.NewScratch(c.g.NumVertices())
+	return workload.OracleFunc(func(s, t int32) int32 { return bfs.BiBFS(c.g, s, t, sc) })
+}
+
+// queryTime returns the mean exact query time over count pairs.
+func (c *cell) queryTime(count int) time.Duration {
+	if _, ok := c.qt[count]; !ok {
+		c.qt[count] = measureQueries(c.oracle(), c.pairs(count))
+	}
+	return c.qt[count]
+}
+
+// coverage returns the share of count pairs whose label bound is exact
+// (Figure 9).
+func (c *cell) coverage(count int) float64 {
+	if _, ok := c.cov[count]; !ok {
+		c.cov[count] = workload.PairCoverage(c.Index, c.oracle(), c.pairs(count))
+	}
+	return c.cov[count]
+}
+
+// fmtQT renders the cell's query time over count pairs, "-" for a DNF.
+func (c *cell) fmtQT(count int) string {
+	if c.DNF {
+		return "-"
+	}
+	return fmtQT(c.queryTime(count))
 }
 
 // measureQueries returns the average query latency over the pairs.
@@ -139,30 +164,35 @@ func measureQueries(o workload.Oracle, pairs []workload.Pair) time.Duration {
 	return time.Since(start) / time.Duration(len(pairs))
 }
 
-// fmtDur renders a duration like the paper's tables: seconds for
+// fmtCT and fmtQT render durations like the paper's tables: seconds for
 // construction, milliseconds for queries.
-func fmtCT(r BuildResult) string {
-	if r.DNF {
+func fmtCT(c *cell) string {
+	if c.DNF {
 		return "DNF"
 	}
-	return fmt.Sprintf("%.3fs", r.CT.Seconds())
+	return fmt.Sprintf("%.3fs", c.CT.Seconds())
 }
 
-func fmtQT(d time.Duration, dnf bool) string {
-	if dnf {
-		return "-"
-	}
+func fmtQT(d time.Duration) string {
 	return fmt.Sprintf("%.4fms", float64(d.Nanoseconds())/1e6)
 }
 
-func fmtALS(r BuildResult) string {
-	if r.DNF {
+func fmtALS(c *cell) string {
+	switch {
+	case c.DNF:
 		return "-"
+	case c.Stats.BPTrees > 0:
+		return fmt.Sprintf("%.1f+%d", c.Stats.AvgLabelSize, c.Stats.BPTrees)
 	}
-	if r.BPTrees > 0 {
-		return fmt.Sprintf("%.1f+%d", r.ALS, r.BPTrees)
+	return fmt.Sprintf("%.1f", c.Stats.AvgLabelSize)
+}
+
+// fmtSize renders b, a size of the cell's index, or dnf for a DNF.
+func fmtSize(c *cell, b int64, dnf string) string {
+	if c.DNF {
+		return dnf
 	}
-	return fmt.Sprintf("%.1f", r.ALS)
+	return fmtBytes(b)
 }
 
 func fmtBytes(b int64) string {

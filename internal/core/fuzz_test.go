@@ -22,17 +22,19 @@ func FuzzLoadIndex(f *testing.F) {
 	// vertices as landmarks, and the grid whose ranks would take a byte
 	// fewer as rank bytes — and every malformed rank bits or directory
 	// TestReadChecksRankMask names; then a file of each retired layout: the
-	// committed v1 files and the one with its offsets in section 3, both
-	// indexes without section 11, the committed index file and checkpoint
-	// with one distance byte an entry, the committed graph file and
-	// checkpoint from before the graph became sections, the committed index
+	// committed v1 files and the one with its offsets in section 3, the
+	// committed index file with one distance byte an entry, without its
+	// section 11 and as committed, and its checkpoint, the committed graph
+	// file and checkpoint from before the graph became sections, the committed index
 	// file with masks in section 13, the committed files with a distance
 	// code an entry in section 12 (tiny_codes.hl2, tiny_bits.hl2), beside
 	// rank bytes in section 4 (grid_ranks.hl2, tiny_ranks.hl2), and
 	// path-600's ranks as rank bytes beside section 16. Each of those is
 	// refused with the one line naming the command that rewrites it
 	// (internal/legacy reads those with section 4 or 12, the `hlbuild
-	// migrate` of container.OldRelease the others); then the labelling
+	// migrate` of container.OldRelease the others); then the golden and
+	// path-600 files without section 11, damaged, each refused in one line
+	// naming no migrate; then the labelling
 	// whose labels span a hop, and every malformed section 16
 	// TestReadChecksExcessCodes names; last, the labelling that keeps no
 	// label for its leaves, as it is written and as writers before
@@ -52,8 +54,7 @@ func FuzzLoadIndex(f *testing.F) {
 		g    *graph.Graph
 	}{
 		{testdata(f, "tiny.hl1"), fig2}, {testdata(f, "path300.hl1"), gen.Path(300)}, {testdata(f, "tiny_off64.hl2"), fig2},
-		{withoutSection11(f, golden), fig2}, {withoutSection11(f, path600File), path600G},
-		{testdata(f, "tiny.hl2"), fig2}, {testdata(f, "tiny.snap2"), fig2},
+		{withoutSection11(f, testdata(f, "tiny.hl2")), fig2}, {testdata(f, "tiny.hl2"), fig2}, {testdata(f, "tiny.snap2"), fig2},
 		{testdata(f, "tiny.hwg1"), fig2}, {testdata(f, "tiny.snap1"), fig2}, {testdata(f, "tiny_mask.hl2"), fig2},
 		{testdata(f, "tiny_codes.hl2"), fig2}, {testdata(f, "tiny_bits.hl2"), fig2}, {testdata(f, "grid_ranks.hl2"), gen.Grid(5, 6)},
 		{testdata(f, "tiny_ranks.hl2"), fig2}, {rankBytesFile(f, path600Ix), path600G},
@@ -62,6 +63,15 @@ func FuzzLoadIndex(f *testing.F) {
 			f.Fatalf("seed %d: %v, want one line naming hlbuild migrate", len(seeds), err)
 		}
 		seeds = append(seeds, old.file)
+	}
+	for _, damaged := range []struct {
+		file []byte
+		g    *graph.Graph
+	}{{withoutSection11(f, golden), fig2}, {withoutSection11(f, path600File), path600G}} {
+		if _, err := Read(bytes.NewReader(damaged.file), damaged.g); !namesDamage(err) {
+			f.Fatalf("seed %d: %v, want one line saying the file is damaged", len(seeds), err)
+		}
+		seeds = append(seeds, damaged.file)
 	}
 	for _, c := range rankMaskCases(path600Ix) {
 		f.Add(reframe(f, path600File, c.edit))

@@ -77,7 +77,9 @@ const FormatV2 Format = 2
 // (container.OldRelease), v2 without section 11, v2 whose labels kept one
 // distance byte an entry (5) or masks of ⌈k/8⌉ bytes a vertex (13), and v1
 // "HWLIDX01" (the container's magic) and v2 with the offsets as uint64 in
-// section 3, neither of which has section 11.
+// section 3, neither of which has section 11. A file without section 11
+// but with a section first written after it (12, or 14 to 20) is neither:
+// it is damaged, and refused in one line that names no migrate.
 const (
 	sectLandmarks   uint32 = 1
 	sectHighway     uint32 = 2
@@ -169,10 +171,16 @@ func Read(r io.Reader, g *graph.Graph) (*Index, error) {
 		return nil, err
 	}
 	// Every file from before section 11, section-3 files among them, lacks
-	// it; so does one whose section 11 id, which no checksum covers, was
-	// corrupted.
+	// it. So does one whose section 11 id, which no checksum covers, was
+	// corrupted: a file with a section first written after 11 existed is
+	// that, and no migrate reads it.
 	fp := sec[sectGraph].Payload
 	if fp == nil {
+		for _, id := range slices.Sorted(maps.Keys(sec)) {
+			if id == sectLabelDist || sectLabelBits <= id && id <= sectLeafRel {
+				return nil, fmt.Errorf("core: index file is damaged: it has section %d but not section %d (the graph's fingerprint), which every writer of section %d wrote", id, sectGraph, id)
+			}
+		}
 		return nil, fmt.Errorf("core: index file has no section %d (the graph's fingerprint): a layout from before it, rewrite the file with `hlbuild migrate -graph G -in FILE` %s", sectGraph, container.OldRelease)
 	}
 	if want := binary.LittleEndian.AppendUint32(nil, g.Fingerprint()); !bytes.Equal(fp, want) {

@@ -18,7 +18,7 @@ import (
 // the writer uses, followed by any extra sections.
 func reframe(tb testing.TB, file []byte, edit func(h *container.Header, sec map[uint32][]byte), extra ...container.Section) []byte {
 	tb.Helper()
-	ids := []uint32{sectLandmarks, sectHighway, sectLabelBase, sectLabelRel, sectLeafBase, sectLeafRel, sectLabelRank, sectByteMask, sectLabelBits, sectLabelDir, sectLeafBits, sectLeafDir, sectLabelDist, sectLabelExcess, sectOverflow, sectGraph}
+	ids := []uint32{sectLandmarks, sectHighway, sectLabelBase, sectLabelRel, sectLeafBase, sectLeafRel, sectLabelRank, sectByteDist, sectByteMask, sectLabelBits, sectLabelDir, sectLeafBits, sectLeafDir, sectLabelDist, sectLabelExcess, sectOverflow, sectGraph}
 	h, read, err := container.ReadContainer(bytes.NewReader(file), true, func(container.Header) (map[uint32]uint64, error) {
 		bounds := make(map[uint32]uint64)
 		for _, id := range ids {
@@ -534,9 +534,9 @@ func TestReadRejectsCorruptIndex(t *testing.T) {
 
 // TestReadRejectsSameSizeGraph: an index loaded beside a graph it was not
 // built on fails with one line, even where n and m agree. It loads beside
-// its own graph whether that was built in memory or read from a file; a
-// file without section 11 — every file written before it — is refused
-// beside either with the one line naming `hlbuild migrate`.
+// its own graph whether that was built in memory or read from a file;
+// without section 11 it is damaged (TestReadWithoutSection11) beside
+// either.
 func TestReadRejectsSameSizeGraph(t *testing.T) {
 	built, other := gen.BarabasiAlbert(2000, 5, 1), gen.BarabasiAlbert(2000, 5, 2)
 	if built.NumVertices() != other.NumVertices() || built.NumEdges() != other.NumEdges() {
@@ -564,19 +564,50 @@ func TestReadRejectsSameSizeGraph(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
-	old := withoutSection11(t, file)
+	damaged := withoutSection11(t, file)
 	for _, g := range []*graph.Graph{built, other} {
-		if _, err := Read(bytes.NewReader(old), g); !namesMigrate(err) {
-			t.Errorf("without section 11: %v, want one line naming hlbuild migrate", err)
+		if _, err := Read(bytes.NewReader(damaged), g); !namesDamage(err) {
+			t.Errorf("without section 11: %v, want one line saying the file is damaged", err)
 		}
 	}
 }
 
-// withoutSection11 is an index file as every writer before section 11
-// framed it.
+// TestReadWithoutSection11: a file without section 11 is of a layout from
+// before it, refused in one line naming the release whose migrate reads
+// it, unless it has a section first written after section 11 existed
+// (12, or 14 to 20). Such a file is damaged, and that migrate would refuse
+// it the same way: grid.hl2 with its section table's id 11, which no
+// checksum covers, rewritten to 99 is refused in one line naming no
+// migrate.
+func TestReadWithoutSection11(t *testing.T) {
+	if _, err := Read(bytes.NewReader(withoutSection11(t, testdata(t, "tiny.hl2"))), gen.PaperFigure2()); !namesMigrate(err) || !strings.Contains(err.Error(), container.OldRelease) {
+		t.Errorf("tiny.hl2 without section 11: %v, want one line naming hlbuild migrate %s", err, container.OldRelease)
+	}
+	grid := testdata(t, "grid.hl2")
+	const table = len(container.Magic) + 40 + 4 // the magic, then the header and its CRC
+	rewritten := 0
+	for at := table; at+16 <= len(grid) && rewritten == 0; at += 16 {
+		if binary.LittleEndian.Uint32(grid[at:]) == sectGraph {
+			binary.LittleEndian.PutUint32(grid[at:], 99)
+			rewritten++
+		}
+	}
+	if _, err := Read(bytes.NewReader(grid), gen.Grid(5, 6)); rewritten != 1 || !namesDamage(err) {
+		t.Errorf("grid.hl2 with row id 11 rewritten to 99: %v, want one line saying the file is damaged", err)
+	}
+}
+
+// withoutSection11 is ix's file without section 11: as every writer before
+// section 11 framed a file of an older layout, damaged for a later one.
 func withoutSection11(tb testing.TB, file []byte) []byte {
 	tb.Helper()
 	return reframe(tb, file, func(_ *container.Header, sec map[uint32][]byte) { delete(sec, sectGraph) })
+}
+
+// namesDamage reports whether err is the one line that refuses a damaged
+// file, naming no command that could rewrite it.
+func namesDamage(err error) bool {
+	return err != nil && strings.Contains(err.Error(), "damaged") && !strings.Contains(err.Error(), "migrate") && !strings.Contains(err.Error(), "\n")
 }
 
 // migrateLine is what the reader says of a file of a retired layout: it

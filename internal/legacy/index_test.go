@@ -58,7 +58,7 @@ func path600(tb testing.TB) *core.Index {
 // (checksums and all) in the order the writers used.
 func reframe(tb testing.TB, file []byte, edit func(h *container.Header, sec map[uint32][]byte)) []byte {
 	tb.Helper()
-	ids := []uint32{1, 2, sectLabelBase, sectLabelRel, sectLeafBase, sectLeafRel, sectLabelRank,
+	ids := []uint32{1, 2, sectLabelBase, sectLabelRel, sectLeafBase, sectLeafRel, sectLabelRank, 5,
 		sectLabelBits, sectLabelDir, sectLeafBits, sectLeafDir, sectLabelDist, sectLabelExcess, sectOverflow, sectGraph}
 	h, read, err := container.ReadContainer(bytes.NewReader(file), true, func(container.Header) (map[uint32]uint64, error) {
 		bounds := make(map[uint32]uint64)

@@ -48,18 +48,19 @@ type droppedFile struct {
 // section 3, tiny.hl2 and its checkpoint tiny.snap2 with a distance byte
 // an entry in section 5, tiny_mask.hl2 with its ranks as masks in section
 // 13, the graph file tiny.hwg1 and checkpoint tiny.snap1 from before the
-// graph became sections 9 and 10 — and tiny_codes.hl2 without section 11.
+// graph became sections 9 and 10 — and tiny.hl2 without section 11, as
+// writers before section 11 framed its labels.
 func droppedFiles(tb testing.TB) []droppedFile {
 	tb.Helper()
 	fig := gen.PaperFigure2()
-	noGraph := reframe(tb, fixture(tb, "tiny_codes.hl2"), func(_ *container.Header, sec map[uint32][]byte) { delete(sec, sectGraph) })
+	noGraph := reframe(tb, fixture(tb, "tiny.hl2"), func(_ *container.Header, sec map[uint32][]byte) { delete(sec, sectGraph) })
 	return []droppedFile{
 		{"tiny.hl1", fixture(tb, "tiny.hl1"), fig, false},
 		{"path300.hl1", fixture(tb, "path300.hl1"), gen.Path(300), false},
 		{"tiny_off64.hl2", fixture(tb, "tiny_off64.hl2"), fig, false},
 		{"tiny.hl2", fixture(tb, "tiny.hl2"), fig, false},
 		{"tiny_mask.hl2", fixture(tb, "tiny_mask.hl2"), fig, false},
-		{"tiny_codes.hl2 without section 11", noGraph, fig, false},
+		{"tiny.hl2 without section 11", noGraph, fig, false},
 		{"tiny.snap2", fixture(tb, "tiny.snap2"), fig, true},
 		{"tiny.hwg1", fixture(tb, "tiny.hwg1"), fig, true},
 		{"tiny.snap1", fixture(tb, "tiny.snap1"), fig, true},
