@@ -17,7 +17,9 @@ import (
 //     benchmark/ (a module of its own) alone; test files count too;
 //   - serve and cluster import internal/core, whose Rows.ApplyOps is their
 //     write path;
-//   - internal/method imports the standard library only.
+//   - internal/method, internal/wire and internal/failpoint import the
+//     standard library only, and internal/hlclient imports internal/wire
+//     and the standard library only: a native client links no server.
 func TestDependencyRule(t *testing.T) {
 	const dynhl = "highway/internal/dynhl"
 	pkgs := map[string]*build.Package{} // by import path
@@ -51,13 +53,21 @@ func TestDependencyRule(t *testing.T) {
 			t.Errorf("%s does not import internal/core, its write path", path)
 		}
 	}
-	method := pkgs["highway/internal/method"]
-	if method == nil {
-		t.Fatal("internal/method not found")
-	}
-	for _, imp := range method.Imports {
-		if first, _, _ := strings.Cut(imp, "/"); first == "highway" || strings.Contains(first, ".") {
-			t.Errorf("internal/method imports %s; it may import the standard library only", imp)
+	for path, allowed := range map[string][]string{
+		"highway/internal/method":    nil,
+		"highway/internal/wire":      nil,
+		"highway/internal/failpoint": nil,
+		"highway/internal/hlclient":  {"highway/internal/wire"},
+	} {
+		pkg := pkgs[path]
+		if pkg == nil {
+			t.Fatalf("%s not found", path)
+		}
+		for _, imp := range pkg.Imports {
+			first, _, _ := strings.Cut(imp, "/")
+			if (first == "highway" || strings.Contains(first, ".")) && !slices.Contains(allowed, imp) {
+				t.Errorf("%s imports %s; it may import %s only", path, imp, strings.Join(append(allowed, "the standard library"), " and "))
+			}
 		}
 	}
 }

@@ -16,8 +16,8 @@ import (
 
 // TestDocRefsExist fails when a Go comment or a curated markdown doc
 // references a markdown file that does not exist, so documentation
-// pointers (DESIGN.md, EXPERIMENTS.md, README.md, …) cannot rot. CI
-// runs it in the docs job; it also runs with the normal test suite.
+// pointers (DESIGN.md, EXPERIMENTS.md, README.md, …) cannot rot. It
+// runs with the normal test suite.
 //
 // Scanned: every .go file's comments (line and doc comments), plus the
 // curated docs listed below. Deliberately NOT scanned: PAPERS.md,
@@ -119,7 +119,7 @@ func TestDocRefsExist(t *testing.T) {
 // value, and every type-looking table row in the spec must correspond
 // to an implemented constant. The error-code table's HTTP column is
 // checked against serve.ErrorTable the same way. The wire format cannot
-// drift from its documentation without failing CI's docs job.
+// drift from its documentation without failing the test suite.
 func TestProtocolDocMatchesWire(t *testing.T) {
 	doc, err := os.ReadFile("PROTOCOL.md")
 	if err != nil {

@@ -194,8 +194,9 @@ func pick(members []*member) (*member, *hlclient.Client) {
 // write or read failure) ejects that member until the next health probe
 // and fails over to the next healthy one — at most one attempt per
 // configured member. A remote error is the member's answer and surfaces
-// as-is.
-func (rt *Router) read(fn func(cl *hlclient.Client) error) error {
+// as-is, and so does any error once the caller's ctx is done: a read
+// whose caller gave up says nothing about the member.
+func (rt *Router) read(ctx context.Context, fn func(cl *hlclient.Client) error) error {
 	rt.reads.Add(1)
 	for range rt.members {
 		m, cl := pick(rt.members)
@@ -210,7 +211,7 @@ func (rt *Router) read(fn func(cl *hlclient.Client) error) error {
 			return nil
 		}
 		var re *wire.RemoteError
-		if errors.As(err, &re) {
+		if errors.As(err, &re) || ctx.Err() != nil {
 			return err // not a routing failure
 		}
 		m.up.Store(false)
@@ -222,7 +223,7 @@ func (rt *Router) read(fn func(cl *hlclient.Client) error) error {
 // Distance answers one exact query from one replica.
 func (rt *Router) Distance(ctx context.Context, s, t int32) (d int32, err error) {
 	d = -1 // what a failed read returns; the client does the same
-	err = rt.read(func(cl *hlclient.Client) error {
+	err = rt.read(ctx, func(cl *hlclient.Client) error {
 		d, err = cl.Distance(ctx, s, t)
 		return err
 	})
@@ -233,7 +234,7 @@ func (rt *Router) Distance(ctx context.Context, s, t int32) (d int32, err error)
 // dst (reused when it has the capacity). The batch limit is the
 // front-end's to enforce.
 func (rt *Router) DistanceBatch(ctx context.Context, pairs [][2]int32, dst []int32) (out []int32, err error) {
-	err = rt.read(func(cl *hlclient.Client) error {
+	err = rt.read(ctx, func(cl *hlclient.Client) error {
 		out, err = cl.DistanceBatch(ctx, pairs, dst) // nil on error
 		return err
 	})

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"highway/internal/core"
-	"highway/internal/failpoint"
 	"highway/internal/gen"
 	"highway/internal/graph"
 	"highway/internal/hlclient"
@@ -187,10 +186,8 @@ func TestRouterFailover(t *testing.T) {
 // retry schedule runs underneath it.
 func TestRouterShippedConfigFailsOver(t *testing.T) {
 	g, _, _, rt := twoMembers(t)
-	if err := failpoint.Set(serve.FPBinWrite, "2*error(response write died)"); err != nil {
-		t.Fatal(err)
-	}
-	defer failpoint.Clear(serve.FPBinWrite)
+	serve.FPBinWrite.Fail(2, "response write died")
+	defer serve.FPBinWrite.Clear()
 
 	const s, u = 3, 250
 	d, err := rt.Distance(context.Background(), s, u) // an idle router picks the first member
@@ -201,11 +198,39 @@ func TestRouterShippedConfigFailsOver(t *testing.T) {
 	if err := oracle.Diff(g, oracle.Func(func(int32, int32) int32 { return d }), [][2]int32{{s, u}}); err != nil {
 		t.Fatalf("routed read against BFS: %v", err)
 	}
-	if hits := failpoint.Hits(serve.FPBinWrite); hits != 2 {
+	if hits := serve.FPBinWrite.Hits(); hits != 2 {
 		t.Fatalf("the failpoint fired %d times, want 2", hits)
 	}
 	if st.Reads != 1 || st.Fanout != st.Reads+1 || st.MemberUp != 1 || st.Errors != 0 {
 		t.Fatalf("want one read, one failover and the first member ejected: %+v", st)
+	}
+}
+
+// TestRouterCancelledReadKeepsMembers: a read whose caller has already
+// given up (a disconnected HTTP client, a listener shutting down) fails
+// with the caller's context error on the first member it tries. That
+// says nothing about the member, so the router ejects nobody, fails
+// over nowhere and counts no routing error, and the next live read is
+// answered.
+func TestRouterCancelledReadKeepsMembers(t *testing.T) {
+	g, _, _, rt := twoMembers(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := rt.Distance(ctx, 3, 250); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Distance: %v, want context.Canceled", err)
+	}
+	if _, err := rt.DistanceBatch(ctx, [][2]int32{{3, 250}, {1, 2}}, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled DistanceBatch: %v, want context.Canceled", err)
+	}
+	if st := rt.Stats(); st.MemberUp != 2 || st.Errors != 0 || st.Fanout != st.Reads {
+		t.Fatalf("after two cancelled reads: %+v; want both members up, no error and no failover", st)
+	}
+	d, err := rt.Distance(context.Background(), 3, 250)
+	if err != nil {
+		t.Fatalf("live read after the cancelled ones: %v", err)
+	}
+	if err := oracle.Diff(g, oracle.Func(func(int32, int32) int32 { return d }), [][2]int32{{3, 250}}); err != nil {
+		t.Fatalf("live read against BFS: %v", err)
 	}
 }
 
@@ -382,10 +407,8 @@ func TestPickLeastInflight(t *testing.T) {
 func TestRouterSpreadsConcurrentReads(t *testing.T) {
 	const readers, perReader = 8, 25
 	g, a, b, rt := twoMembers(t)
-	if err := failpoint.Set(serve.FPQuery, "delay(2ms)"); err != nil {
-		t.Fatal(err)
-	}
-	defer failpoint.Clear(serve.FPQuery)
+	serve.FPQuery.Delay(0, 2*time.Millisecond)
+	defer serve.FPQuery.Clear()
 	served := func(m *memberNode) int64 { return m.srv.EndpointStats(time.Second)["bin_distance"].Requests }
 	fromA, fromB := served(a), served(b)
 

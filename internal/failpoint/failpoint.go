@@ -1,216 +1,139 @@
 // Package failpoint is the fault-injection substrate of the serving
-// tier: named points in production code where tests can inject
-// failures — an error return, a delay, or a bounded burst of errors —
+// tier: typed sites in production code where tests can inject
+// failures — an error return, a delay, or a bounded burst of either —
 // without touching the code under test. The WAL, the snapshot writer
-// and the binary listener all evaluate failpoints on their
-// failure-prone paths; see DESIGN.md "Failure modes & degraded
-// operation" for the site list.
+// and the binary listener all evaluate sites on their failure-prone
+// paths; see DESIGN.md "Failure modes & degraded operation" for the
+// site list.
 //
-// The design constraint is that a disarmed failpoint must cost almost
-// nothing: production binaries run with every failpoint disarmed, and
-// the sites sit on hot paths (every WAL append, every binary frame
-// write). Eval therefore starts with one atomic load of a global
-// armed-count; only when at least one failpoint is armed anywhere does
-// it take the registry lock and look the name up.
+// A site is a package variable made once with New, and the code under
+// test calls its Eval. A disarmed site must cost almost nothing:
+// production binaries run with every site disarmed, and the sites sit
+// on hot paths (every WAL append, every binary frame write). Eval
+// therefore starts with one atomic load of the site's armed fault and
+// returns nil when there is none.
 //
 // # Arming
 //
-// Failpoints are armed in-process only, by the tests that drive them
-// (the serve package's chaos harness among them), with Set, and
-// cleaned up with Clear or Reset:
+// Sites are armed in-process only, by the tests that drive them (the
+// serve package's chaos harness among them), with Fail or Delay, and
+// disarmed with Clear or Reset:
 //
-//	failpoint.Set("wal.sync", "error(disk gone)")
+//	serve.FPWALSync.Fail(2, "disk gone")
 //	defer failpoint.Reset()
 //
-// # Spec grammar
-//
-//	spec    = [ count "*" ] action
-//	action  = "error" [ "(" message ")" ]
-//	        | "delay" "(" duration ")"
-//	count   = positive integer: the failpoint fires on its first count
-//	          hits, then disarms itself (fail-N-times)
-//
-// Without a count the failpoint fires on every hit until cleared.
-// Injected errors wrap ErrInjected, so callers can distinguish an
-// injected fault from a real one with errors.Is — useful when a chaos
-// test needs to assert that an observed failure was its own.
+// An armed count n > 0 fires on the site's first n hits, then disarms
+// it (fail-N-times); n ≤ 0 fires on every hit until cleared. Injected
+// errors wrap ErrInjected, so callers can distinguish an injected
+// fault from a real one with errors.Is — useful when a chaos test needs
+// to assert that an observed failure was its own.
 package failpoint
 
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// ErrInjected is wrapped by every error a failpoint injects, so tests
-// can tell injected faults from organic ones.
+// ErrInjected is wrapped by every error a site injects, so tests can
+// tell injected faults from organic ones.
 var ErrInjected = errors.New("failpoint: injected error")
 
-type action uint8
+// Point is one fault-injection site.
+type Point struct {
+	name  string
+	fault atomic.Pointer[fault] // nil while disarmed
+	hits  atomic.Int64          // since the last arming; survives self-disarm
+}
 
-const (
-	actError action = iota
-	actDelay
-)
-
-// point is one armed failpoint.
-type point struct {
-	act     action
-	msg     string
-	delay   time.Duration
-	remain  int64 // hits left before self-disarm; <0 = unbounded
-	hits    int64
-	cleared bool // self-disarmed (count exhausted); kept for Hits
+// fault is what an armed site does on a hit: sleep delay, then return
+// err.
+type fault struct {
+	err   error
+	delay time.Duration
+	left  atomic.Int64 // hits before self-disarm, when bound
+	bound bool
 }
 
 var (
-	// armed counts failpoints currently able to fire. Eval's fast path
-	// is a single load of this: zero means nothing anywhere is armed
-	// and Eval returns immediately.
-	armed atomic.Int64
-
 	mu     sync.Mutex
-	points = map[string]*point{}
+	points []*Point // every site made, for Reset
 )
 
-// Set arms the named failpoint with the given spec (see the package
-// doc for the grammar), replacing any previous arming.
-func Set(name, spec string) error {
-	p, err := parse(spec)
-	if err != nil {
-		return fmt.Errorf("failpoint %q: %w", name, err)
-	}
+// New makes the site called name. Call it once, in a package variable.
+func New(name string) *Point {
+	p := &Point{name: name}
 	mu.Lock()
-	defer mu.Unlock()
-	if old, ok := points[name]; ok && !old.cleared {
-		armed.Add(-1)
-	}
-	points[name] = p
-	armed.Add(1)
-	return nil
+	points = append(points, p)
+	mu.Unlock()
+	return p
 }
 
-// Clear disarms the named failpoint. Its hit count is forgotten.
-func Clear(name string) {
-	mu.Lock()
-	defer mu.Unlock()
-	if p, ok := points[name]; ok {
-		if !p.cleared {
-			armed.Add(-1)
-		}
-		delete(points, name)
-	}
+// Fail arms the site to return an error wrapping ErrInjected with msg
+// on its next n hits (every hit when n ≤ 0), replacing any previous
+// arming and its hit count.
+func (p *Point) Fail(n int, msg string) {
+	p.arm(n, &fault{err: fmt.Errorf("%w: %s: %s", ErrInjected, p.name, msg)})
 }
 
-// Reset disarms every failpoint and forgets all hit counts. Tests that
-// arm failpoints defer this.
+// Delay arms the site to sleep d and then return nil on its next n hits
+// (every hit when n ≤ 0), replacing any previous arming and its hit
+// count.
+func (p *Point) Delay(n int, d time.Duration) {
+	p.arm(n, &fault{delay: d})
+}
+
+func (p *Point) arm(n int, f *fault) {
+	if n > 0 {
+		f.left.Store(int64(n))
+		f.bound = true
+	}
+	p.hits.Store(0)
+	p.fault.Store(f)
+}
+
+// Clear disarms the site and forgets its hit count.
+func (p *Point) Clear() {
+	p.fault.Store(nil)
+	p.hits.Store(0)
+}
+
+// Reset disarms every site and forgets every hit count. Tests that arm
+// sites defer this.
 func Reset() {
 	mu.Lock()
 	defer mu.Unlock()
 	for _, p := range points {
-		if !p.cleared {
-			armed.Add(-1)
-		}
+		p.Clear()
 	}
-	points = map[string]*point{}
 }
 
-// Hits reports how many times the named failpoint has fired since it
-// was armed (surviving self-disarm, so a fail-N-times point reports N
-// after exhausting). 0 for unknown names.
-func Hits(name string) int64 {
-	mu.Lock()
-	defer mu.Unlock()
-	if p, ok := points[name]; ok {
-		return p.hits
-	}
-	return 0
-}
+// Hits reports how many times the site has fired since it was last
+// armed, surviving self-disarm: a fail-N-times site reports N once
+// exhausted.
+func (p *Point) Hits() int64 { return p.hits.Load() }
 
-// Enabled reports whether the named failpoint is currently armed and
-// able to fire. Sites whose fault needs more mechanism than an error
-// return (e.g. the WAL's simulated short write) branch on this.
-func Enabled(name string) bool {
-	if armed.Load() == 0 {
-		return false
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	p, ok := points[name]
-	return ok && !p.cleared
-}
-
-// Eval evaluates the named failpoint: nil when disarmed (the common
-// case, one atomic load), otherwise the injected behavior — an error
-// wrapping ErrInjected, or a delay then nil. A fail-N-times
-// point disarms itself after its Nth hit.
-func Eval(name string) error {
-	if armed.Load() == 0 {
+// Eval evaluates the site: nil when disarmed (the common case, one
+// atomic load), otherwise the armed fault — an error wrapping
+// ErrInjected, or a delay then nil. A fail-N-times site disarms itself
+// on its Nth hit.
+func (p *Point) Eval() error {
+	f := p.fault.Load()
+	if f == nil {
 		return nil
 	}
-	mu.Lock()
-	p, ok := points[name]
-	if !ok || p.cleared {
-		mu.Unlock()
-		return nil
-	}
-	p.hits++
-	if p.remain > 0 {
-		p.remain--
-		if p.remain == 0 {
-			p.cleared = true
-			armed.Add(-1)
+	if f.bound {
+		left := f.left.Add(-1)
+		if left < 0 {
+			return nil // another goroutine took the last hit
+		}
+		if left == 0 {
+			p.fault.CompareAndSwap(f, nil)
 		}
 	}
-	act, msg, delay := p.act, p.msg, p.delay
-	mu.Unlock()
-
-	if act == actDelay {
-		time.Sleep(delay)
-		return nil
-	}
-	return fmt.Errorf("%w: %s: %s", ErrInjected, name, msg)
-}
-
-// parse compiles a spec string into a point.
-func parse(spec string) (*point, error) {
-	spec = strings.TrimSpace(spec)
-	p := &point{remain: -1}
-	if i := strings.Index(spec, "*"); i >= 0 {
-		n, err := strconv.ParseInt(strings.TrimSpace(spec[:i]), 10, 64)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad count in spec %q", spec)
-		}
-		p.remain = n
-		spec = strings.TrimSpace(spec[i+1:])
-	}
-	name, arg := spec, ""
-	if i := strings.Index(spec, "("); i >= 0 {
-		if !strings.HasSuffix(spec, ")") {
-			return nil, fmt.Errorf("unclosed argument in spec %q", spec)
-		}
-		name, arg = spec[:i], spec[i+1:len(spec)-1]
-	}
-	switch name {
-	case "error":
-		p.act = actError
-		p.msg = arg
-		if p.msg == "" {
-			p.msg = "injected"
-		}
-	case "delay":
-		p.act = actDelay
-		d, err := time.ParseDuration(arg)
-		if err != nil || d < 0 {
-			return nil, fmt.Errorf("bad delay in spec %q", spec)
-		}
-		p.delay = d
-	default:
-		return nil, fmt.Errorf("unknown action %q (want error or delay)", name)
-	}
-	return p, nil
+	p.hits.Add(1)
+	time.Sleep(f.delay)
+	return f.err
 }

@@ -38,7 +38,6 @@ import (
 	"sync"
 	"time"
 
-	"highway/internal/serve"
 	"highway/internal/wire"
 )
 
@@ -392,17 +391,17 @@ func (c *Client) DistanceBatch(ctx context.Context, pairs [][2]int32, dst []int3
 // InsertEdges inserts a batch of undirected edges on a live server,
 // returning the same acknowledgement as POST /edges. The whole batch is
 // accepted or rejected together.
-func (c *Client) InsertEdges(ctx context.Context, edges [][2]int32) (serve.InsertResult, error) {
-	var res serve.InsertResult
+func (c *Client) InsertEdges(ctx context.Context, edges [][2]int32) (wire.InsertResult, error) {
+	var res wire.InsertResult
 	err := c.do(ctx,
 		wire.TInsert, func(b []byte) []byte { return wire.AppendPairs(b, edges) }, nil,
 		wire.TInsertResp, func(p []byte) error {
 			acc, ins, epoch, derr := wire.DecodeInsertResult(p)
-			res = serve.InsertResult{Accepted: acc, Inserted: ins, Epoch: epoch}
+			res = wire.InsertResult{Accepted: acc, Inserted: ins, Epoch: epoch}
 			return derr
 		})
 	if err != nil {
-		return serve.InsertResult{}, err
+		return wire.InsertResult{}, err
 	}
 	return res, nil
 }
@@ -411,17 +410,17 @@ func (c *Client) InsertEdges(ctx context.Context, edges [][2]int32) (serve.Inser
 // returning the same acknowledgement as DELETE /edges. The whole batch
 // is accepted or rejected together; absent edges are acked no-ops,
 // which is what makes retrying a lost acknowledgement safe.
-func (c *Client) DeleteEdges(ctx context.Context, edges [][2]int32) (serve.DeleteResult, error) {
-	var res serve.DeleteResult
+func (c *Client) DeleteEdges(ctx context.Context, edges [][2]int32) (wire.DeleteResult, error) {
+	var res wire.DeleteResult
 	err := c.do(ctx,
 		wire.TDelete, func(b []byte) []byte { return wire.AppendPairs(b, edges) }, nil,
 		wire.TDeleteResp, func(p []byte) error {
 			acc, del, epoch, derr := wire.DecodeDeleteResult(p)
-			res = serve.DeleteResult{Accepted: acc, Deleted: del, Epoch: epoch}
+			res = wire.DeleteResult{Accepted: acc, Deleted: del, Epoch: epoch}
 			return derr
 		})
 	if err != nil {
-		return serve.DeleteResult{}, err
+		return wire.DeleteResult{}, err
 	}
 	return res, nil
 }

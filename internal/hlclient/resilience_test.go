@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"highway/internal/core"
-	"highway/internal/failpoint"
 	"highway/internal/gen"
 	"highway/internal/landmark"
 	"highway/internal/serve"
@@ -265,10 +264,8 @@ func TestInsertRetryNoDoubleApply(t *testing.T) {
 
 	// Kill exactly one response write: the insert is applied
 	// server-side, the acknowledgement is lost in transit.
-	if err := failpoint.Set(serve.FPBinWrite, "1*error(response write died)"); err != nil {
-		t.Fatal(err)
-	}
-	defer failpoint.Clear(serve.FPBinWrite)
+	serve.FPBinWrite.Fail(1, "response write died")
+	defer serve.FPBinWrite.Clear()
 
 	res, err := cl.InsertEdges(ctx, [][2]int32{{a, b}})
 	if err != nil {
@@ -283,8 +280,8 @@ func TestInsertRetryNoDoubleApply(t *testing.T) {
 	if res.Inserted != 0 {
 		t.Fatalf("Inserted = %d, want 0 (the retry must be a no-op)", res.Inserted)
 	}
-	if failpoint.Hits(serve.FPBinWrite) != 1 {
-		t.Fatalf("failpoint fired %d times, want 1", failpoint.Hits(serve.FPBinWrite))
+	if serve.FPBinWrite.Hits() != 1 {
+		t.Fatalf("failpoint fired %d times, want 1", serve.FPBinWrite.Hits())
 	}
 
 	d, err := cl.Distance(ctx, a, b)

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"highway/internal/core"
-	"highway/internal/failpoint"
 	"highway/internal/gen"
 	"highway/internal/landmark"
 	"highway/internal/wire"
@@ -231,10 +230,8 @@ func TestOverloadShed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := failpoint.Set(FPQuery, "delay(10ms)"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { failpoint.Clear(FPQuery) })
+	FPQuery.Delay(0, 10*time.Millisecond)
+	t.Cleanup(FPQuery.Clear)
 	pairs := make([][2]int32, batch)
 	for i := range pairs {
 		pairs[i] = [2]int32{int32(i % 400), int32(i * 7 % 400)}

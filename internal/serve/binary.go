@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"highway/internal/failpoint"
 	"highway/internal/wire"
 )
 
@@ -201,9 +200,9 @@ func (fe *Frontend) serveConn(ctx context.Context, c net.Conn) {
 			respType, st.out = wire.TError, wire.AppendError(st.out[:0], row.Code, msg)
 		}
 		fe.metrics.observe(ep, answered, time.Since(start), err != nil)
-		// The serve.bin.write failpoint stands in for a client connection
+		// The FPBinWrite site stands in for a client connection
 		// dying mid-response.
-		if err := failpoint.Eval(FPBinWrite); err != nil {
+		if err := FPBinWrite.Eval(); err != nil {
 			return
 		}
 		if err := w.WriteFrame(respType, st.out); err != nil {

@@ -44,25 +44,18 @@ import (
 // random subset with small fail-N-times error budgets (plus occasional
 // fsync delays), so faults are transient and the server must come back
 // through the degraded-mode probe / checkpoint-retry machinery on its own.
-var chaosPoints = []string{
+var chaosPoints = []*failpoint.Point{
 	FPWALSync, FPWALAppend, FPWALAppendShort,
 	FPSnapshotWrite, FPWALCompact,
 }
 
-func armChaos(t *testing.T, rng *rand.Rand) {
-	t.Helper()
-	for _, name := range chaosPoints {
+func armChaos(rng *rand.Rand) {
+	for _, p := range chaosPoints {
 		switch roll := rng.Intn(4); {
 		case roll == 0:
-			spec := fmt.Sprintf("%d*error(chaos: injected %s failure)", 1+rng.Intn(3), name)
-			if err := failpoint.Set(name, spec); err != nil {
-				t.Fatal(err)
-			}
-		case roll == 1 && name == FPWALSync:
-			// A slow disk, not a broken one.
-			if err := failpoint.Set(name, fmt.Sprintf("%d*delay(1ms)", 1+rng.Intn(3))); err != nil {
-				t.Fatal(err)
-			}
+			p.Fail(1+rng.Intn(3), "chaos: injected failure")
+		case roll == 1 && p == FPWALSync:
+			p.Delay(1+rng.Intn(3), time.Millisecond) // a slow disk, not a broken one
 		}
 	}
 }
@@ -254,7 +247,7 @@ func TestChaosCrashRestartDurability(t *testing.T) {
 				if err != nil {
 					t.Fatalf("cycle %d: restart failed: %v", c, err)
 				}
-				armChaos(t, rng)
+				armChaos(rng)
 				rounds := 4 + rng.Intn(5)
 				for r := 0; r < rounds; r++ {
 					batch := randOpBatch(rng, n, live)

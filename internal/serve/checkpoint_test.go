@@ -90,9 +90,7 @@ func TestCheckpointCrashWindow(t *testing.T) {
 			}
 			defer srv.Close()
 			if crash {
-				if err := failpoint.Set(FPWALCompact, "error(crashed before compaction)"); err != nil {
-					t.Fatal(err)
-				}
+				FPWALCompact.Fail(0, "crashed before compaction")
 			}
 			if err := replayOps(srv, before); err != nil {
 				t.Fatal(err)
@@ -283,9 +281,7 @@ func TestCheckpointPublishesNothing(t *testing.T) {
 	// Hold the checkpoint in its first step so that "before" is sampled
 	// while it is still in flight.
 	defer failpoint.Reset()
-	if err := failpoint.Set(FPSnapshotWrite, "1*delay(50ms)"); err != nil {
-		t.Fatal(err)
-	}
+	FPSnapshotWrite.Delay(1, 50*time.Millisecond)
 	res, err := s.InsertEdges([][2]int32{{0, 200}, {1, 201}, {2, 202}, {3, 203}})
 	if err != nil {
 		t.Fatal(err)

@@ -84,9 +84,7 @@ func TestDegradedReadOnlyUnderFsyncFailure(t *testing.T) {
 	}
 
 	// Break the disk.
-	if err := failpoint.Set(FPWALSync, "error(device gone)"); err != nil {
-		t.Fatal(err)
-	}
+	FPWALSync.Fail(0, "device gone")
 	// The very batch that hits the failure already carries the degraded
 	// taxonomy — "within one batch", not eventually.
 	if _, err := s.InsertEdges([][2]int32{{2, 202}}); !errors.Is(err, ErrDegraded) {
@@ -135,7 +133,7 @@ func TestDegradedReadOnlyUnderFsyncFailure(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 
 	// Fix the disk: the recovery probe must re-arm writes by itself.
-	failpoint.Clear(FPWALSync)
+	FPWALSync.Clear()
 	waitFor(t, 5*time.Second, "recovery", func() bool { return !s.Degraded() })
 	if _, err := s.InsertEdges([][2]int32{{5, 205}}); err != nil {
 		t.Fatalf("write after recovery: %v", err)
@@ -205,9 +203,7 @@ func TestRebuildRetryBackoff(t *testing.T) {
 
 	// The first two attempts die at the failpoint, the third succeeds
 	// via the retry timer with no further writes arriving.
-	if err := failpoint.Set(FPSnapshotWrite, "2*error(disk full)"); err != nil {
-		t.Fatal(err)
-	}
+	FPSnapshotWrite.Fail(2, "disk full")
 	edges := make([][2]int32, 0, 4)
 	for i := int32(0); i < 4; i++ {
 		edges = append(edges, [2]int32{i, 150 + i})
@@ -239,8 +235,8 @@ func TestRebuildRetryBackoff(t *testing.T) {
 	// The failpoint fired exactly its budgeted 2 times (hits stop
 	// counting once a fail-N-times point exhausts), so the success came
 	// from the third attempt.
-	if failpoint.Hits(FPSnapshotWrite) != 2 {
-		t.Fatalf("injected failures = %d, want 2", failpoint.Hits(FPSnapshotWrite))
+	if FPSnapshotWrite.Hits() != 2 {
+		t.Fatalf("injected failures = %d, want 2", FPSnapshotWrite.Hits())
 	}
 	// The same index served the whole time, and writes still work.
 	if s.Index() != served {

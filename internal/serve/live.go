@@ -13,8 +13,8 @@ import (
 
 	"highway/internal/container"
 	"highway/internal/core"
-	"highway/internal/failpoint"
 	"highway/internal/graph"
+	"highway/internal/wire"
 )
 
 // LiveConfig tunes an updatable Server. The zero value serves live
@@ -76,31 +76,12 @@ var (
 	rebuildRetryMax  = time.Minute
 )
 
-// InsertResult reports one accepted update batch.
-type InsertResult struct {
-	// Accepted is the number of edges validated and (if a WAL is
-	// configured) durably logged — the whole batch, including edges that
-	// turn out to be duplicates or self-loops.
-	Accepted int `json:"accepted"`
-	// Inserted is the number of edges that were actually new.
-	Inserted int `json:"inserted"`
-	// Epoch is the snapshot epoch the batch is visible at: every read
-	// that starts after InsertEdges returns sees at least this epoch.
-	Epoch uint64 `json:"epoch"`
-}
-
-// DeleteResult reports one accepted deletion batch (the decremental
-// mirror of InsertResult).
-type DeleteResult struct {
-	// Accepted is the number of edges validated and (if a WAL is
-	// configured) durably logged — the whole batch, including edges that
-	// turn out to be absent or self-loops.
-	Accepted int `json:"accepted"`
-	// Deleted is the number of edges that were actually removed.
-	Deleted int `json:"deleted"`
-	// Epoch is the snapshot epoch the batch is visible at.
-	Epoch uint64 `json:"epoch"`
-}
+// InsertResult and DeleteResult are the write acks, defined beside
+// their binary codecs so the native client needs no server.
+type (
+	InsertResult = wire.InsertResult
+	DeleteResult = wire.DeleteResult
+)
 
 // updater is the writer half of a live server. All fields are guarded
 // by mu except the atomic monitoring counters at the bottom.
@@ -237,7 +218,7 @@ func LoadLive(graphPath, indexPath, walPath string, cfg LiveConfig) (*Server, er
 // two can never be on disk out of step. The WAL (may be nil) only receives
 // the directory-fsync error count.
 func writeSnapshot(path string, g *graph.Graph, ix *core.Index, w *WAL) error {
-	err := failpoint.Eval(FPSnapshotWrite)
+	err := FPSnapshotWrite.Eval()
 	if err == nil {
 		err = container.SaveFile(path, true, func(f io.Writer) error { return EncodeSnapshot(f, g, ix) })
 	}

@@ -74,7 +74,6 @@ import (
 	"time"
 
 	"highway/internal/core"
-	"highway/internal/failpoint"
 	"highway/internal/method"
 )
 
@@ -177,12 +176,12 @@ func (s *Server) Epoch() uint64 { return s.snap.Load().epoch }
 // idle searchers are bound to no index (core's one pool rebinds them at
 // checkout): a replaced snapshot is garbage at once, however many reads it
 // served, and the first read after a publish allocates no searcher. The
-// serve.query failpoint fires here — once per request, on every query
-// path of every protocol — so tests can dilate query time without
-// touching the index (only delay actions make sense at this site; an
-// error action's error is discarded).
+// FPQuery site fires here — once per request, on every query path of
+// every protocol — so tests can dilate query time without touching the
+// index (only Delay makes sense at this site; a Fail's error is
+// discarded).
 func (s *Server) readIndex() *core.Index {
-	_ = failpoint.Eval(FPQuery)
+	_ = FPQuery.Eval()
 	return s.snap.Load().ix
 }
 

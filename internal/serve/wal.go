@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"highway/internal/core"
-	"highway/internal/failpoint"
 )
 
 // WAL is a write-ahead edge log: the durability substrate of a live
@@ -227,19 +226,17 @@ func (w *WAL) AppendOps(ops []core.Op) error {
 		binary.LittleEndian.PutUint32(rec[8:12], walSum(a, b))
 		w.buf = append(w.buf, rec[:]...)
 	}
-	if err := failpoint.Eval(FPWALAppend); err != nil {
+	if err := FPWALAppend.Eval(); err != nil {
 		w.appendErrs.Add(1)
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	var werr error
-	if failpoint.Enabled(FPWALAppendShort) {
-		if err := failpoint.Eval(FPWALAppendShort); err != nil {
-			// Simulated torn write: part of the batch reaches the file
-			// before the "device" fails, exactly like a crash or a full
-			// disk mid-write. The repair below must erase it.
-			w.f.Write(w.buf[:len(w.buf)/2])
-			werr = fmt.Errorf("wal: append: %w", err)
-		}
+	if err := FPWALAppendShort.Eval(); err != nil {
+		// Simulated torn write: part of the batch reaches the file
+		// before the "device" fails, exactly like a crash or a full
+		// disk mid-write. The repair below must erase it.
+		w.f.Write(w.buf[:len(w.buf)/2])
+		werr = fmt.Errorf("wal: append: %w", err)
 	}
 	if werr == nil {
 		if _, err := w.f.Write(w.buf); err != nil {
@@ -253,7 +250,7 @@ func (w *WAL) AppendOps(ops []core.Op) error {
 		}
 		return werr
 	}
-	serr := failpoint.Eval(FPWALSync)
+	serr := FPWALSync.Eval()
 	if serr == nil {
 		serr = w.f.Sync()
 	}
@@ -302,7 +299,7 @@ func (w *WAL) Probe() error {
 	if w.f == nil {
 		return fmt.Errorf("wal: log handle lost (failed compaction reopen or closed)")
 	}
-	if err := failpoint.Eval(FPWALSync); err != nil {
+	if err := FPWALSync.Eval(); err != nil {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
 	if err := w.f.Sync(); err != nil {
@@ -325,7 +322,7 @@ func (w *WAL) CompactTo(ops []core.Op) error {
 	if w.f == nil {
 		return fmt.Errorf("wal: log handle lost (failed compaction reopen or closed)")
 	}
-	if err := failpoint.Eval(FPWALCompact); err != nil {
+	if err := FPWALCompact.Eval(); err != nil {
 		return fmt.Errorf("wal: compact: %w", err)
 	}
 	tmp := w.path + ".tmp"

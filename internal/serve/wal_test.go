@@ -261,9 +261,7 @@ func TestWALAppendShortWriteRepairsTail(t *testing.T) {
 	if err := w.Append([][2]int32{{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := failpoint.Set(FPWALAppendShort, "error(disk full)"); err != nil {
-		t.Fatal(err)
-	}
+	FPWALAppendShort.Fail(0, "disk full")
 	err = w.Append([][2]int32{{3, 4}, {5, 6}})
 	if !errors.Is(err, failpoint.ErrInjected) {
 		t.Fatalf("want injected append failure, got %v", err)
@@ -280,7 +278,7 @@ func TestWALAppendShortWriteRepairsTail(t *testing.T) {
 	}
 	// Disarmed, the log keeps working and replays exactly the
 	// acknowledged records.
-	failpoint.Clear(FPWALAppendShort)
+	FPWALAppendShort.Clear()
 	if err := w.Append([][2]int32{{7, 8}}); err != nil {
 		t.Fatal(err)
 	}
@@ -316,9 +314,7 @@ func TestWALSyncFailureUnpersistsBatch(t *testing.T) {
 	if err := w.Append([][2]int32{{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := failpoint.Set(FPWALSync, "error(io error)"); err != nil {
-		t.Fatal(err)
-	}
+	FPWALSync.Fail(0, "io error")
 	err = w.Append([][2]int32{{3, 4}})
 	if !errors.Is(err, failpoint.ErrInjected) {
 		t.Fatalf("want injected fsync failure, got %v", err)
@@ -333,7 +329,7 @@ func TestWALSyncFailureUnpersistsBatch(t *testing.T) {
 	if err := w.Probe(); !errors.Is(err, failpoint.ErrInjected) {
 		t.Fatalf("Probe under armed wal.sync: %v", err)
 	}
-	failpoint.Clear(FPWALSync)
+	FPWALSync.Clear()
 	if err := w.Probe(); err != nil {
 		t.Fatalf("Probe after disarm: %v", err)
 	}

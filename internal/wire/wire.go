@@ -493,6 +493,32 @@ func DecodeDistance(p []byte) (int32, error) {
 	return int32(binary.LittleEndian.Uint32(p)), nil
 }
 
+// InsertResult reports one accepted update batch.
+type InsertResult struct {
+	// Accepted is the number of edges validated and (if a WAL is
+	// configured) durably logged — the whole batch, including edges that
+	// turn out to be duplicates or self-loops.
+	Accepted int `json:"accepted"`
+	// Inserted is the number of edges that were actually new.
+	Inserted int `json:"inserted"`
+	// Epoch is the snapshot epoch the batch is visible at: every read
+	// that starts after InsertEdges returns sees at least this epoch.
+	Epoch uint64 `json:"epoch"`
+}
+
+// DeleteResult reports one accepted deletion batch (the decremental
+// mirror of InsertResult).
+type DeleteResult struct {
+	// Accepted is the number of edges validated and (if a WAL is
+	// configured) durably logged — the whole batch, including edges that
+	// turn out to be absent or self-loops.
+	Accepted int `json:"accepted"`
+	// Deleted is the number of edges that were actually removed.
+	Deleted int `json:"deleted"`
+	// Epoch is the snapshot epoch the batch is visible at.
+	Epoch uint64 `json:"epoch"`
+}
+
 // AppendInsertResult appends a TInsertResp payload.
 func AppendInsertResult(dst []byte, accepted, inserted int, epoch uint64) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(accepted))
