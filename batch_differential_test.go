@@ -52,8 +52,9 @@ func batchTestPairs(n int, seed int64) [][2]int32 {
 }
 
 // TestMethodBatchDifferential holds the batch executor of the highway
-// cover labelling (hl) to the batch contract: Searcher.DistanceBatch and
-// Searcher.DistanceMany return exactly the pair-at-a-time answers, and
+// cover labelling (hl) to the batch contract: Searcher.DistanceBatch,
+// over the whole batch and over each source's pairs alone (the
+// one-to-many case), returns exactly the pair-at-a-time answers, and
 // exactly the BFS ground truth. Every baseline is diffed against BFS pair
 // by pair on the same pairs. Pairs include duplicates, repeated sources,
 // s==t, landmark endpoints (low-id vertices are the degree-ranked
@@ -80,15 +81,15 @@ func TestMethodBatchDifferential(t *testing.T) {
 				}
 			}
 			// One-source-to-many over each distinct source.
-			bySource := map[int32][]int32{}
+			bySource := map[int32][][2]int32{}
 			for _, p := range pairs {
-				bySource[p[0]] = append(bySource[p[0]], p[1])
+				bySource[p[0]] = append(bySource[p[0]], p)
 			}
-			for src, targets := range bySource {
-				many := sr.DistanceMany(src, targets, nil)
-				for i, tv := range targets {
-					if want := pairwise.Distance(src, tv); many[i] != want {
-						t.Fatalf("many(%d→%d) = %d, pairwise %d", src, tv, many[i], want)
+			for src, group := range bySource {
+				many := sr.DistanceBatch(group, nil)
+				for i, p := range group {
+					if want := pairwise.Distance(src, p[1]); many[i] != want {
+						t.Fatalf("many(%d→%d) = %d, pairwise %d", src, p[1], many[i], want)
 					}
 				}
 			}

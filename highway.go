@@ -115,8 +115,8 @@ type Searcher = core.Searcher
 type DistanceIndex = method.DistanceIndex
 
 // DistanceSearcher is the per-goroutine searcher Index.NewSearcher
-// returns. The concrete Searcher (with Path, DistanceBatch and
-// DistanceMany) comes from Index.Searcher.
+// returns. The concrete Searcher (with Path and DistanceBatch, whose
+// one-source batches are the one-to-many case) comes from Index.Searcher.
 type DistanceSearcher = method.Searcher
 
 // BuildOptions controls index construction (worker count, progress

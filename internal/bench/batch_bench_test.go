@@ -64,7 +64,8 @@ func batchPairs(n, count, nsrc int, seed int64) [][2]int32 {
 // (Searcher.DistanceBatch) against the pair-at-a-time loop it replaces,
 // across source skews: sources=S means a 64k-pair batch drawn from S
 // distinct sources (the source-grouped shape of single-source analytics
-// and coordinator fan-in), uniform means every pair has a fresh source
+// and coordinator fan-in; sources=1 is the one-to-many extreme, one
+// group and one shared traversal), uniform means every pair has a fresh source
 // (the adversarial shape — grouping buys nothing, the executor must not
 // lose). One op answers the whole batch; ns/pair is the figure to read.
 func BenchmarkBatchQuery(b *testing.B) {
@@ -75,6 +76,7 @@ func BenchmarkBatchQuery(b *testing.B) {
 		name string
 		nsrc int
 	}{
+		{"sources=1", 1},
 		{"sources=4", 4},
 		{"sources=64", 64},
 		{"sources=1024", 1024},
@@ -103,41 +105,4 @@ func BenchmarkBatchQuery(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(count), "ns/pair")
 		})
 	}
-}
-
-// BenchmarkDistanceMany measures the dedicated one-source-to-many entry
-// point (the extreme of source skew: one group, one shared traversal).
-func BenchmarkDistanceMany(b *testing.B) {
-	ix := batchFixture(b)
-	n := batchFixG.NumVertices()
-	const count = 1 << 14
-	rng := rand.New(rand.NewSource(7))
-	source := int32(rng.Intn(n))
-	for batchFixIx.IsLandmark(source) {
-		source = int32(rng.Intn(n))
-	}
-	targets := make([]int32, count)
-	for i := range targets {
-		targets[i] = int32(rng.Intn(n))
-	}
-	b.Run("many", func(b *testing.B) {
-		sr := ix.Searcher()
-		dst := make([]int32, count)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sr.DistanceMany(source, targets, dst)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(count), "ns/pair")
-	})
-	b.Run("pairloop", func(b *testing.B) {
-		sr := ix.Searcher()
-		dst := make([]int32, count)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j, t := range targets {
-				dst[j] = sr.Distance(source, t)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(count), "ns/pair")
-	})
 }

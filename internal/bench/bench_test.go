@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"highway/internal/workload"
 )
 
 // tinyConfig shrinks everything so the whole harness runs in seconds.
@@ -264,6 +266,30 @@ func TestCellsMeasuredOnce(t *testing.T) {
 			t.Errorf("two records of %s", id)
 		}
 		seen[id] = true
+	}
+}
+
+// TestMeasureQueriesPasses pins measureQueries' timing loop: it answers
+// the same pairs, in order, queryPasses = 5 times (a cell's QT is the
+// median pass), and nothing for no pairs.
+func TestMeasureQueriesPasses(t *testing.T) {
+	var asked []workload.Pair
+	o := workload.OracleFunc(func(s, t int32) int32 {
+		asked = append(asked, workload.Pair{S: s, T: t})
+		return 0
+	})
+	pairs := []workload.Pair{{S: 1, T: 2}, {S: 3, T: 4}, {S: 5, T: 6}}
+	measureQueries(o, pairs)
+	if len(asked) != 5*len(pairs) {
+		t.Fatalf("%d queries over %d pairs, want five passes", len(asked), len(pairs))
+	}
+	for i, p := range asked {
+		if p != pairs[i%len(pairs)] {
+			t.Fatalf("query %d asked %v, want %v", i, p, pairs[i%len(pairs)])
+		}
+	}
+	if asked = nil; measureQueries(o, nil) != 0 || len(asked) != 0 {
+		t.Fatal("no pairs must time nothing")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"highway/internal/bfs"
@@ -152,16 +153,27 @@ func (c *cell) fmtQT(count int) string {
 	return fmtQT(c.queryTime(count))
 }
 
-// measureQueries returns the average query latency over the pairs.
+// queryPasses is how many times measureQueries answers its pairs. One
+// pass moves between runs by more than the digit a QT cell prints; the
+// median of five does not.
+const queryPasses = 5
+
+// measureQueries returns the average query latency over the pairs, in
+// the median of queryPasses passes over them.
 func measureQueries(o workload.Oracle, pairs []workload.Pair) time.Duration {
 	if len(pairs) == 0 {
 		return 0
 	}
-	start := time.Now()
-	for _, p := range pairs {
-		o.Distance(p.S, p.T)
+	var passes [queryPasses]time.Duration
+	for i := range passes {
+		start := time.Now()
+		for _, p := range pairs {
+			o.Distance(p.S, p.T)
+		}
+		passes[i] = time.Since(start)
 	}
-	return time.Since(start) / time.Duration(len(pairs))
+	slices.Sort(passes[:])
+	return passes[queryPasses/2] / time.Duration(len(pairs))
 }
 
 // fmtCT and fmtQT render durations like the paper's tables: seconds for

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/bits"
 	"slices"
 
@@ -60,45 +61,30 @@ const (
 	sparseGroupFrac = 64
 )
 
-// DistanceMany answers one-source-to-many queries: dst[i] is the exact
-// distance from source to targets[i] (Infinity if disconnected). The
-// result is written into dst when it has the capacity; dst may be nil.
-// It is equivalent to calling Distance(source, t) per target but
-// amortizes the source-side label walk, the highway cross-pass and —
-// for large target sets — the sparsified-graph search across the whole
-// call. Like Distance, it panics if a vertex id is out of range.
-func (sr *Searcher) DistanceMany(source int32, targets []int32, dst []int32) []int32 {
-	dst = sizeDst(dst, len(targets))
-	if len(targets) == 0 {
-		return dst
-	}
-	perm := sr.permBuf(len(targets))
-	slices.SortFunc(perm, func(a, b int32) int {
-		ta, tb := targets[a], targets[b]
-		switch {
-		case ta < tb:
-			return -1
-		case ta > tb:
-			return 1
-		}
-		return 0
-	})
-	sr.runGroup(source, perm, func(i int32) int32 { return targets[i] }, dst)
-	return dst
-}
+// pollEvery is the granularity at which a batch polls its context: at a
+// group boundary once this many pairs were answered since the last poll
+// there, and every this many per-pair refinements inside a group. The
+// shared source BFS polls at every level instead.
+const pollEvery = 1024
 
 // DistanceBatch answers len(pairs) independent queries: dst[i] is the
 // exact distance for pairs[i]. The result is written into dst when it
 // has the capacity; dst may be nil. Pairs are grouped by source and
 // each group executes through the vectorized path (see the package
 // comment above), so batches that repeat sources run substantially
-// faster than a pair-at-a-time loop while returning identical answers.
-// Like Distance, it panics if a vertex id is out of range.
+// faster than a pair-at-a-time loop while returning identical answers;
+// a one-source batch is the one-to-many case. Like Distance, it panics
+// if a vertex id is out of range.
 func (sr *Searcher) DistanceBatch(pairs [][2]int32, dst []int32) []int32 {
+	dst, _ = sr.batch(context.Background(), pairs, dst)
+	return dst
+}
+
+// batch is the batch executor, polling ctx before the first group and
+// then as pollEvery says. A stop returns ctx.Err() and no answers, and
+// leaves the searcher ready for its next batch.
+func (sr *Searcher) batch(ctx context.Context, pairs [][2]int32, dst []int32) ([]int32, error) {
 	dst = sizeDst(dst, len(pairs))
-	if len(pairs) == 0 {
-		return dst
-	}
 	perm := sr.permBuf(len(pairs))
 	slices.SortFunc(perm, func(a, b int32) int {
 		pa, pb := pairs[a], pairs[b]
@@ -115,47 +101,58 @@ func (sr *Searcher) DistanceBatch(pairs [][2]int32, dst []int32) []int32 {
 		}
 		return 0
 	})
+	answered := pollEvery
 	for lo := 0; lo < len(perm); {
+		if answered >= pollEvery {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			answered = 0
+		}
 		src := pairs[perm[lo]][0]
 		hi := lo + 1
 		for hi < len(perm) && pairs[perm[hi]][0] == src {
 			hi++
 		}
-		sr.runGroup(src, perm[lo:hi], func(i int32) int32 { return pairs[i][1] }, dst)
+		if err := sr.runGroup(ctx, src, perm[lo:hi], pairs, dst); err != nil {
+			return nil, err
+		}
+		answered += hi - lo
 		lo = hi
 	}
-	return dst
+	return dst, nil
 }
 
-// DistanceMany is the pooled convenience form of Searcher.DistanceMany;
-// safe for concurrent use.
-func (ix *Index) DistanceMany(source int32, targets []int32, dst []int32) []int32 {
+// AnswerBatch is DistanceBatch under a context, through a pooled
+// searcher; safe for concurrent use. A ctx that reports cancellation
+// stops the batch within one level of the shared source BFS or about
+// pollEvery pairs, and AnswerBatch returns ctx.Err() and no answers.
+func (ix *Index) AnswerBatch(ctx context.Context, pairs [][2]int32, dst []int32) ([]int32, error) {
 	sr := ix.pooled()
-	dst = sr.DistanceMany(source, targets, dst)
+	dst, err := sr.batch(ctx, pairs, dst)
 	release(sr)
-	return dst
+	return dst, err
 }
 
 // DistanceBatch is the pooled convenience form of
 // Searcher.DistanceBatch; safe for concurrent use.
 func (ix *Index) DistanceBatch(pairs [][2]int32, dst []int32) []int32 {
-	sr := ix.pooled()
-	dst = sr.DistanceBatch(pairs, dst)
-	release(sr)
+	dst, _ = ix.AnswerBatch(context.Background(), pairs, dst)
 	return dst
 }
 
-// runGroup answers every query (source, tof(i)) for i in perm, writing
-// dst[i]. perm must be sorted by target so duplicate targets are
-// adjacent and label reads are sequential.
-func (sr *Searcher) runGroup(source int32, perm []int32, tof func(int32) int32, dst []int32) {
+// runGroup answers every query (source, pairs[i][1]) for i in perm,
+// writing dst[i], or returns ctx.Err() at a poll that reports a stop.
+// perm must be sorted by target so duplicate targets are adjacent and
+// label reads are sequential.
+func (sr *Searcher) runGroup(ctx context.Context, source int32, perm []int32, pairs [][2]int32, dst []int32) error {
 	ix := sr.ix
 	srcIsLm := ix.rankOf[source] >= 0
 	if len(perm) < viaMinGroup && !srcIsLm {
 		for _, i := range perm {
-			dst[i] = sr.Distance(source, tof(i))
+			dst[i] = sr.Distance(source, pairs[i][1])
 		}
-		return
+		return nil
 	}
 
 	// Pass 1: label-derived bounds through the shared source vector, and
@@ -166,7 +163,7 @@ func (sr *Searcher) runGroup(source int32, perm []int32, tof func(int32) int32, 
 	maxUB := int32(0)
 	unbounded := false
 	for _, i := range perm {
-		t := tof(i)
+		t := pairs[i][1]
 		switch {
 		case t == source:
 			dst[i] = 0
@@ -191,18 +188,18 @@ func (sr *Searcher) runGroup(source int32, perm []int32, tof func(int32) int32, 
 	if srcIsLm || needBFS == 0 {
 		// Labels plus highway are exact when the source is a landmark;
 		// the sparsified graph does not contain it.
-		return
+		return nil
 	}
 
 	// Pass 2: refine the bounds on G[V\R] (Theorem 4.6).
 	if needBFS >= sparseMinGroup && needBFS*sparseGroupFrac >= ix.g.NumVertices() {
-		sr.refineGroupBFS(source, perm, tof, dst, maxUB, unbounded)
-		return
+		return sr.refineGroupBFS(ctx, source, perm, pairs, dst, maxUB, unbounded)
 	}
 	prevT := int32(-1)
 	var prevD int32
+	refined := 0
 	for _, i := range perm {
-		t := tof(i)
+		t := pairs[i][1]
 		if t == source || ix.rankOf[t] >= 0 {
 			continue
 		}
@@ -210,6 +207,13 @@ func (sr *Searcher) runGroup(source int32, perm []int32, tof func(int32) int32, 
 			dst[i] = prevD
 			continue
 		}
+		if refined == pollEvery {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			refined = 0
+		}
+		refined++
 		bound := dst[i]
 		if bound == Infinity {
 			bound = bfs.NoBound
@@ -218,6 +222,7 @@ func (sr *Searcher) runGroup(source int32, perm []int32, tof func(int32) int32, 
 		dst[i] = d
 		prevT, prevD = t, d
 	}
+	return nil
 }
 
 // refineGroupBFS replaces a large group's per-pair bidirectional
@@ -225,8 +230,9 @@ func (sr *Searcher) runGroup(source int32, perm []int32, tof func(int32) int32, 
 // graph G[V\R], depth-bounded by the deepest bound any target could
 // still improve on (maxUB-1: a sparsified path of length ≥ d⊤st cannot
 // lower min(d⊤st, ·)). Targets the traversal did not reach keep their
-// label bound — their sparsified distance provably exceeds it.
-func (sr *Searcher) refineGroupBFS(source int32, perm []int32, tof func(int32) int32, dst []int32, maxUB int32, unbounded bool) {
+// label bound — their sparsified distance provably exceeds it. A stop
+// at a level's poll leaves dst's bounds unrefined.
+func (sr *Searcher) refineGroupBFS(ctx context.Context, source int32, perm []int32, pairs [][2]int32, dst []int32, maxUB int32, unbounded bool) error {
 	ix := sr.ix
 	n := ix.g.NumVertices()
 	limit := maxUB - 1
@@ -240,13 +246,20 @@ func (sr *Searcher) refineGroupBFS(source int32, perm []int32, tof func(int32) i
 	dist[source] = 0
 	q = append(q, source)
 	off, adj := ix.g.CSR()
-	for head := 0; head < len(q); head++ {
+	var err error
+	for head, depth := 0, int32(-1); head < len(q); head++ {
 		v := q[head]
 		dv := dist[v]
 		if dv >= limit {
 			// The queue is level-ordered: everything at or past the
 			// limit expands to depths no bound can improve on.
 			break
+		}
+		if dv > depth {
+			if err = ctx.Err(); err != nil {
+				break
+			}
+			depth = dv
 		}
 		for _, u := range adj[off[v]:off[v+1]] {
 			if ix.isLandmark[u] || dist[u] >= 0 {
@@ -256,13 +269,15 @@ func (sr *Searcher) refineGroupBFS(source int32, perm []int32, tof func(int32) i
 			q = append(q, u)
 		}
 	}
-	for _, i := range perm {
-		t := tof(i)
-		if t == source || ix.rankOf[t] >= 0 {
-			continue
-		}
-		if d := dist[t]; d >= 0 && (dst[i] == Infinity || d < dst[i]) {
-			dst[i] = d
+	if err == nil {
+		for _, i := range perm {
+			t := pairs[i][1]
+			if t == source || ix.rankOf[t] >= 0 {
+				continue
+			}
+			if d := dist[t]; d >= 0 && (dst[i] == Infinity || d < dst[i]) {
+				dst[i] = d
+			}
 		}
 	}
 	// Restore the all-unvisited invariant by resetting exactly the
@@ -271,6 +286,7 @@ func (sr *Searcher) refineGroupBFS(source int32, perm []int32, tof func(int32) i
 		dist[v] = -1
 	}
 	sr.sparseQ = q[:0]
+	return err
 }
 
 // sourceVia returns the shared source bound vector: via[j] is the best

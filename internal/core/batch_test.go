@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"highway/internal/gen"
@@ -9,9 +12,10 @@ import (
 	"highway/internal/oracle"
 )
 
-// checkBatchMatchesPairwise asserts that DistanceBatch and DistanceMany
-// answer exactly like pair-at-a-time Distance on the given pairs, on a
-// fresh searcher and on the pooled Index conveniences.
+// checkBatchMatchesPairwise asserts that DistanceBatch answers exactly
+// like pair-at-a-time Distance on the given pairs, on a fresh searcher
+// and on the pooled Index conveniences, and so does a one-source batch
+// of each source's pairs (the one-to-many case).
 func checkBatchMatchesPairwise(t *testing.T, ix *Index, pairs [][2]int32) {
 	t.Helper()
 	sr := ix.Searcher()
@@ -27,16 +31,15 @@ func checkBatchMatchesPairwise(t *testing.T, ix *Index, pairs [][2]int32) {
 			t.Fatalf("Index.DistanceBatch[%d] (%d,%d) = %d, pairwise %d", i, p[0], p[1], pooled[i], want)
 		}
 	}
-	// DistanceMany over each distinct source in the batch.
-	bySource := map[int32][]int32{}
+	bySource := map[int32][][2]int32{}
 	for _, p := range pairs {
-		bySource[p[0]] = append(bySource[p[0]], p[1])
+		bySource[p[0]] = append(bySource[p[0]], p)
 	}
-	for src, targets := range bySource {
-		many := sr.DistanceMany(src, targets, nil)
-		for i, tv := range targets {
-			if want := pairwise.Distance(src, tv); many[i] != want {
-				t.Fatalf("DistanceMany(%d)[%d]=%d for target %d, pairwise %d", src, i, many[i], tv, want)
+	for src, group := range bySource {
+		one := sr.DistanceBatch(group, nil)
+		for i, p := range group {
+			if want := pairwise.Distance(src, p[1]); one[i] != want {
+				t.Fatalf("one-source batch (%d)[%d]=%d for target %d, pairwise %d", src, i, one[i], p[1], want)
 			}
 		}
 	}
@@ -173,12 +176,12 @@ func TestBatchDstReuse(t *testing.T) {
 	if out2 := ix.DistanceBatch(pairs, nil); len(out2) != len(pairs) {
 		t.Fatalf("nil dst: got len %d", len(out2))
 	}
-	if got := ix.DistanceMany(0, []int32{9, 5, 0}, buf[:0]); len(got) != 3 || got[2] != 0 {
-		t.Fatalf("DistanceMany dst reuse: %v", got)
+	if got := ix.DistanceBatch([][2]int32{{0, 9}, {0, 5}, {0, 0}}, buf[:0]); len(got) != 3 || &got[0] != &buf[0] || got[2] != 0 {
+		t.Fatalf("one-source batch dst reuse: %v", got)
 	}
 }
 
-// TestBatchEmpty covers the zero-length edges of both entry points.
+// TestBatchEmpty covers the zero-length batch.
 func TestBatchEmpty(t *testing.T) {
 	g := gen.Path(4)
 	ix, err := Build(g, []int32{1})
@@ -188,7 +191,158 @@ func TestBatchEmpty(t *testing.T) {
 	if out := ix.DistanceBatch(nil, nil); len(out) != 0 {
 		t.Fatalf("empty batch returned %v", out)
 	}
-	if out := ix.DistanceMany(2, nil, nil); len(out) != 0 {
-		t.Fatalf("empty targets returned %v", out)
+}
+
+// countingCtx is a context whose Err reports context.Canceled from its
+// k-th poll on (never, for k = 0), counts every poll and calls at, when
+// set, before it answers: where a batch stops is a poll count, not a
+// timing guess.
+type countingCtx struct {
+	context.Context
+	k, polls int
+	at       func()
+}
+
+func (c *countingCtx) Err() error {
+	c.polls++
+	if c.at != nil {
+		c.at()
+	}
+	if c.k > 0 && c.polls >= c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// visited counts the vertices the searcher's shared source BFS has
+// reached: the entries of its sparse array that are not -1.
+func (sr *Searcher) visited() int {
+	n := 0
+	for _, d := range sr.sparse {
+		if d >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestBatchCancel pins where a batch polls its context and what a stop
+// leaves, on three shapes: a 4 096-target fan on BA-20k, which takes the
+// shared source BFS (n/64 = 313 refinements are enough) and polls at
+// each of its levels; one source's 3 000 targets on a 200 000-vertex
+// path, too few for that BFS, refined pair by pair with a poll every
+// 1 024; and 4 096 pairs of distinct sources, polled at every group
+// boundary that ends 1 024 more pairs. Stopped at any of its polls, a
+// shape returns context.Canceled and no answers and polls no more; the
+// searcher's sparse array is all -1 again, and its next batch equals
+// the pairwise answers.
+func TestBatchCancel(t *testing.T) {
+	ba := gen.BarabasiAlbert(20_000, 5, 3)
+	baIx, err := Build(ba, ba.DegreeOrder()[:20])
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := gen.Path(200_000)
+	pathIx, err := Build(path, []int32{100_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	n := ba.NumVertices()
+	src := int32(rng.Intn(n))
+	for baIx.IsLandmark(src) {
+		src = int32(rng.Intn(n))
+	}
+	var fan, line, uniform [][2]int32
+	for range 4096 {
+		fan = append(fan, [2]int32{src, int32(rng.Intn(n))})
+	}
+	for v := int32(0); v <= 3000; v++ {
+		if v != 1500 {
+			line = append(line, [2]int32{1500, v})
+		}
+	}
+	for _, s := range rng.Perm(n)[:4096] {
+		uniform = append(uniform, [2]int32{int32(s), int32(rng.Intn(n))})
+	}
+
+	// The fan's BFS levels on G[V\R]: cum[d] vertices lie within depth d.
+	depth := make([]int32, n)
+	for i := range depth {
+		depth[i] = -1
+	}
+	depth[src] = 0
+	cum := []int{0}
+	for q := []int32{src}; len(q) > 0; {
+		cum[len(cum)-1] += len(q)
+		var next []int32
+		for _, v := range q {
+			for _, u := range ba.Neighbors(v) {
+				if !baIx.IsLandmark(u) && depth[u] < 0 {
+					depth[u] = depth[v] + 1
+					next = append(next, u)
+				}
+			}
+		}
+		if q = next; len(q) > 0 {
+			cum = append(cum, cum[len(cum)-1])
+		}
+	}
+
+	for _, c := range []struct {
+		name  string
+		ix    *Index
+		pairs [][2]int32
+		polls int // 0: one poll before the BFS and one a level
+	}{{"fan", baIx, fan, 0}, {"line", pathIx, line, 3}, {"uniform", baIx, uniform, 4}} {
+		ref := c.ix.Searcher()
+		want := make([]int32, len(c.pairs))
+		for i, p := range c.pairs {
+			want[i] = ref.Distance(p[0], p[1])
+		}
+		sr := c.ix.Searcher()
+		var seen []int
+		full := &countingCtx{Context: context.Background(), at: func() { seen = append(seen, sr.visited()) }}
+		if got, err := sr.batch(full, c.pairs, nil); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("%s: the uncancelled batch differs from the pairwise answers (%v)", c.name, err)
+		}
+		if c.polls == 0 {
+			// Each poll inside the BFS sees one more level than the last.
+			if len(seen) < 3 || seen[0] != 0 || !slices.Equal(seen[1:], cum[:len(seen)-1]) {
+				t.Fatalf("%s: polls saw %v vertices reached, want 0 and then the levels' running totals %v", c.name, seen, cum)
+			}
+			c.polls = len(seen)
+		} else if full.polls != c.polls {
+			t.Fatalf("%s: %d polls, want %d", c.name, full.polls, c.polls)
+		}
+		for k := 1; k <= c.polls; k++ {
+			ctx := &countingCtx{Context: context.Background(), k: k}
+			dst := make([]int32, len(c.pairs))
+			out, err := sr.batch(ctx, c.pairs, dst)
+			if !errors.Is(err, context.Canceled) || out != nil || ctx.polls != k {
+				t.Fatalf("%s, stop at poll %d: %d answers, %v, after %d polls", c.name, k, len(out), err, ctx.polls)
+			}
+			if c.name == "fan" && k > 1 {
+				// Stopped inside the BFS: no bound was refined.
+				for i, p := range c.pairs {
+					if p[0] != p[1] && dst[i] != ref.UpperBound(p[0], p[1]) {
+						t.Fatalf("%s, stop at poll %d: pair %d holds %d, not its label bound", c.name, k, i, dst[i])
+					}
+				}
+			}
+			if sr.visited() != 0 {
+				t.Fatalf("%s, stop at poll %d: %d sparse entries left set", c.name, k, sr.visited())
+			}
+			if got := sr.DistanceBatch(c.pairs, nil); !slices.Equal(got, want) {
+				t.Fatalf("%s, stop at poll %d: the next batch differs from the pairwise answers", c.name, k)
+			}
+		}
+	}
+
+	// A context already cancelled answers nothing.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if out, err := baIx.AnswerBatch(ctx, fan, nil); out != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled: %d answers, %v", len(out), err)
 	}
 }

@@ -90,8 +90,7 @@ func TestPooledIndexIsCollectable(t *testing.T) {
 		}
 		ix.UpperBound(3, 4)
 		ix.Path(5, 6)
-		ix.DistanceMany(7, []int32{8, 9}, nil)
-		ix.DistanceBatch([][2]int32{{10, 11}}, nil)
+		ix.DistanceBatch([][2]int32{{7, 8}, {7, 9}, {10, 11}}, nil)
 		return weak.Make(ix)
 	}()
 	runtime.GC()

@@ -2,14 +2,19 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math/bits"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"highway/internal/container"
 	"highway/internal/gen"
 	"highway/internal/graph"
+	"highway/internal/oracle"
 )
 
 // FuzzLoadIndex: arbitrary bytes must never panic or OOM the loader.
@@ -241,4 +246,60 @@ func leafy(n int, seed int64) *graph.Graph {
 		}
 	}
 	return graph.MustFromEdges(int(next), edges)
+}
+
+// FuzzBatchMatchesPairwise holds the batch executor to the pairwise
+// answers under random input: a seeded small graph of oracle.RandomCase's
+// families, k degree-ranked landmarks, and a shuffled pair multiset
+// mixing up to three fan groups of 256 to 767 targets (on these graphs
+// they take the shared source BFS) with up to 2 047 uniform pairs. With
+// stop > 0 the batch first runs under a context that reports
+// cancellation at its stop-th poll: it returns context.Canceled and no
+// answers, or — finishing in fewer polls — the pairwise answers. Either
+// way the searcher's next batch equals Searcher.Distance pair by pair.
+func FuzzBatchMatchesPairwise(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(2), uint16(300), uint8(0))
+	f.Add(int64(2), uint8(1), uint8(3), uint16(0), uint8(2))
+	f.Add(int64(3), uint8(8), uint8(1), uint16(2000), uint8(3))
+	f.Add(int64(4), uint8(0), uint8(0), uint16(900), uint8(1))
+	f.Add(int64(7), uint8(5), uint8(2), uint16(40), uint8(4))
+	f.Fuzz(func(t *testing.T, seed int64, k, fans uint8, uniform uint16, stop uint8) {
+		g := oracle.RandomCase(seed).Graph
+		n := g.NumVertices()
+		ix, err := Build(g, g.DegreeOrder()[:1+int(k)%min(n, 12)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		var pairs [][2]int32
+		for range fans % 4 {
+			src := int32(rng.Intn(n))
+			for range 256 + rng.Intn(512) {
+				pairs = append(pairs, [2]int32{src, int32(rng.Intn(n))})
+			}
+		}
+		for range uniform % 2048 {
+			pairs = append(pairs, [2]int32{int32(rng.Intn(n)), int32(rng.Intn(n))})
+		}
+		rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+		ref := ix.Searcher()
+		want := make([]int32, len(pairs))
+		for i, p := range pairs {
+			want[i] = ref.Distance(p[0], p[1])
+		}
+
+		sr := ix.Searcher()
+		if stop > 0 {
+			ctx := &countingCtx{Context: context.Background(), k: int(stop % 8)}
+			switch out, err := sr.batch(ctx, pairs, nil); {
+			case err == nil && !slices.Equal(out, want):
+				t.Fatalf("a batch finished in %d polls differs from the pairwise answers", ctx.polls)
+			case err != nil && (!errors.Is(err, context.Canceled) || out != nil || ctx.polls != ctx.k):
+				t.Fatalf("stopped at poll %d: %d answers, %v, after %d polls", ctx.k, len(out), err, ctx.polls)
+			}
+		}
+		if got := sr.DistanceBatch(pairs, nil); !slices.Equal(got, want) {
+			t.Fatal("the batch differs from the pairwise answers")
+		}
+	})
 }

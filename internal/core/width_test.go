@@ -353,7 +353,8 @@ func formCases() []formCase {
 // EXPERIMENTS.md reports them; the file is Algorithm 1's, Write → Read →
 // Write gives the same bytes, and the answers are BFS's: every pair's on
 // graphs under 1 000 vertices; on the others, from 8 sources, every
-// target's through DistanceMany (whose label walks are batch.go's) and
+// target's through a one-source DistanceBatch (whose label walks are
+// batch.go's) and
 // every 64th one's through Distance.
 func TestRankForms(t *testing.T) {
 	for _, c := range formCases() {
@@ -382,15 +383,15 @@ func TestRankForms(t *testing.T) {
 				checkAllPairs(t, c.g, ix2)
 				return
 			}
-			sr, all := ix2.Searcher(), make([]int32, n)
-			for u := range all {
-				all[u] = int32(u)
-			}
+			sr, all := ix2.Searcher(), make([][2]int32, n)
 			for s := int32(0); s < int32(n); s += int32(n / 8) {
-				want, many := bfs.Distances(c.g, s), sr.DistanceMany(s, all, nil)
+				for u := range all {
+					all[u] = [2]int32{s, int32(u)}
+				}
+				want, many := bfs.Distances(c.g, s), sr.DistanceBatch(all, nil)
 				for u := range int32(n) {
 					if many[u] != want[u] || u%64 == 0 && sr.Distance(s, u) != want[u] {
-						t.Fatalf("d(%d,%d) = %d (DistanceMany), %d (Distance), want %d", s, u, many[u], sr.Distance(s, u), want[u])
+						t.Fatalf("d(%d,%d) = %d (DistanceBatch), %d (Distance), want %d", s, u, many[u], sr.Distance(s, u), want[u])
 					}
 				}
 			}

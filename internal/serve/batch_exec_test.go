@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -19,9 +20,11 @@ import (
 )
 
 // countingCtx is a context whose Err starts returning context.Canceled at
-// its k-th poll (never, for k = 0) and counts every poll. The batch
-// executor polls once per CancelCheckEvery-pair chunk, so "how many pairs
-// ran before the cancellation was seen" is exact, not a timing guess.
+// its k-th poll (never, for k = 0) and counts every poll. Core's batch
+// executor polls at set points of its work (before the first source
+// group, then once 1 024 more pairs are answered, every 1 024 per-pair
+// refinements and every level of a shared source BFS), so where a batch
+// stops is a poll count, not a timing guess.
 type countingCtx struct {
 	context.Context
 	k     int64
@@ -55,49 +58,57 @@ func checkAnswers(t *testing.T, ix *core.Index, pairs [][2]int32, got []int32) {
 	}
 }
 
-// TestDistanceBatchContextCancel pins the cancellation bound: a context
-// that reports cancellation at its k-th poll stops the batch after the
-// k-1 chunks that ran before it, and ctx.Err() comes back with exactly
-// those chunks' answers.
-func TestDistanceBatchContextCancel(t *testing.T) {
+// TestBackendBatchCancel pins the backend's cancellation: a
+// served batch is one call into core, which polls the request's context
+// at least once every 2 048 pairs of these (uniform pairs of a 500-vertex
+// graph, refined pair by pair), and a context that reports cancellation
+// at any poll stops the batch there, with ctx.Err() and no answers.
+func TestBackendBatchCancel(t *testing.T) {
 	ix := testIndex(t)
 	s := New(ix, Config{})
-	pairs := batchPairs(ix, 10*CancelCheckEvery+7)
-	for _, k := range []int64{2, 3, 10} {
+	pairs := batchPairs(ix, 10*1024+7)
+	full := &countingCtx{Context: context.Background()}
+	out, err := s.backend.DistanceBatch(full, pairs, nil)
+	if err != nil || len(out) != len(pairs) {
+		t.Fatalf("uncancelled: %d answers, %v", len(out), err)
+	}
+	checkAnswers(t, ix, pairs, out)
+	polls := full.polls.Load()
+	if polls < int64(len(pairs)/2048) {
+		t.Fatalf("%d polls over %d pairs", polls, len(pairs))
+	}
+	for _, k := range []int64{2, 3, polls} {
 		ctx := &countingCtx{Context: context.Background(), k: k}
-		out, err := s.DistanceBatchContext(ctx, pairs, nil)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("k=%d: err = %v, want context.Canceled", k, err)
+		out, err := s.backend.DistanceBatch(ctx, pairs, nil)
+		if !errors.Is(err, context.Canceled) || out != nil || ctx.polls.Load() != k {
+			t.Fatalf("k=%d: %d answers, %v, after %d polls", k, len(out), err, ctx.polls.Load())
 		}
-		if want := int(k-1) * CancelCheckEvery; len(out) != want || ctx.polls.Load() != k {
-			t.Fatalf("k=%d: %d answers after %d polls, want %d after %d", k, len(out), ctx.polls.Load(), want, k)
-		}
-		checkAnswers(t, ix, pairs, out)
 	}
 }
 
-// TestDistanceBatchContextPreCancelled: an already-dead context runs
+// TestBackendBatchPreCancelled: an already-dead context runs
 // zero pairs.
-func TestDistanceBatchContextPreCancelled(t *testing.T) {
+func TestBackendBatchPreCancelled(t *testing.T) {
 	ix := testIndex(t)
 	s := New(ix, Config{})
 	ctx := &countingCtx{Context: context.Background(), k: 1}
-	out, err := s.DistanceBatchContext(ctx, batchPairs(ix, 10_000), nil)
+	out, err := s.backend.DistanceBatch(ctx, batchPairs(ix, 10_000), nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if len(out) != 0 || ctx.polls.Load() != 1 {
+	if out != nil || ctx.polls.Load() != 1 {
 		t.Fatalf("%d answers after %d polls under a pre-cancelled context", len(out), ctx.polls.Load())
 	}
 }
 
-// TestDistanceBatchNoContextCompletes pins the wrapper's contract: the
-// context-free DistanceBatch always runs to completion, chunk boundaries
-// included, into dst when it has the capacity.
+// TestDistanceBatchNoContextCompletes pins Server.DistanceBatch's
+// contract: it runs the backend's path under context.Background(), so a
+// batch of several thousand pairs always runs to completion, into dst
+// when it has the capacity.
 func TestDistanceBatchNoContextCompletes(t *testing.T) {
 	ix := testIndex(t)
 	s := New(ix, Config{})
-	pairs := batchPairs(ix, 3*CancelCheckEvery+7)
+	pairs := batchPairs(ix, 3*1024+7)
 	dst := make([]int32, 1, len(pairs))
 	out, err := s.DistanceBatch(pairs, dst)
 	if err != nil || len(out) != len(pairs) || &out[0] != &dst[0] {
@@ -107,15 +118,15 @@ func TestDistanceBatchNoContextCompletes(t *testing.T) {
 }
 
 // TestBatchHandlerClientDisconnect verifies the HTTP plumbing: when the
-// request context is cancelled mid-batch, the cancellation reaches the
+// request context is cancelled mid-batch, the cancellation reaches core's
 // executor through r.Context() and the handler abandons the remaining
 // pairs instead of computing a response nobody reads. The counting
 // context, installed on top of r.Context(), reports the cancellation at
 // its third poll: the executor stops there, and the client gets no
 // answers.
 func TestBatchHandlerClientDisconnect(t *testing.T) {
-	s := New(testIndex(t), Config{})
-	h := s.Handler()
+	ix := testIndex(t)
+	h := New(ix, Config{}).Handler()
 	served := make(chan *countingCtx, 1)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx := &countingCtx{Context: r.Context(), k: 3}
@@ -124,14 +135,15 @@ func TestBatchHandlerClientDisconnect(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	total := 40 * CancelCheckEvery
+	// Uniform pairs: the executor polls every 1 024 or so, far more than
+	// three times over these.
 	var body bytes.Buffer
 	body.WriteString(`{"pairs":[`)
-	for i := 0; i < total; i++ {
+	for i, p := range batchPairs(ix, 40*1024) {
 		if i > 0 {
 			body.WriteByte(',')
 		}
-		body.WriteString(`[1,2]`)
+		fmt.Fprintf(&body, "[%d,%d]", p[0], p[1])
 	}
 	body.WriteString(`]}`)
 

@@ -132,11 +132,12 @@ func (st *connScratch) release() {
 // be answered); application errors are answered in-band with a TError
 // frame and the connection keeps going.
 //
-// ctx is the listener context: its cancellation (shutdown) aborts an
-// in-flight batch within ~CancelCheckEvery pairs and drops the
-// connection. A peer that merely disconnects mid-batch is only observed
-// at response-write time — the pipelined reader gives the server no
-// per-request signal before that (see PROTOCOL.md).
+// ctx is the listener context: its cancellation (shutdown) stops an
+// in-flight batch at core's executor's next poll (within one level of
+// its shared BFS or about 1 024 pairs) and drops the connection. A peer
+// that merely disconnects mid-batch is only observed at response-write
+// time — the pipelined reader gives the server no per-request signal
+// before that (see PROTOCOL.md).
 func (fe *Frontend) serveConn(ctx context.Context, c net.Conn) {
 	defer c.Close()
 	c.SetDeadline(time.Now().Add(binHandshakeTimeout))

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"time"
 )
 
@@ -18,7 +19,8 @@ type Backend interface {
 	Distance(ctx context.Context, s, t int32) (int32, error)
 	// DistanceBatch answers pairs[i] in dst[i], reusing dst's storage
 	// when it has the capacity: the binary connection loop hands the
-	// same slice back on every request.
+	// same slice back on every request. A batch stopped by ctx returns
+	// ctx.Err() and no answers.
 	DistanceBatch(ctx context.Context, pairs [][2]int32, dst []int32) ([]int32, error)
 	InsertEdges(ctx context.Context, edges [][2]int32) (InsertResult, error)
 	DeleteEdges(ctx context.Context, edges [][2]int32) (DeleteResult, error)
@@ -78,8 +80,23 @@ func (b serverBackend) Distance(_ context.Context, s, t int32) (int32, error) {
 	return b.s.Distance(s, t)
 }
 
+// DistanceBatch checks the whole request, then answers it in one call
+// into core's batch executor, which ctx stops (core.Index.AnswerBatch).
 func (b serverBackend) DistanceBatch(ctx context.Context, pairs [][2]int32, dst []int32) ([]int32, error) {
-	return b.s.DistanceBatchContext(ctx, pairs, dst)
+	s := b.s
+	if len(pairs) > s.cfg.MaxBatch {
+		return nil, errorf(ErrTooLarge, "batch of %d pairs exceeds limit %d", len(pairs), s.cfg.MaxBatch)
+	}
+	for i, p := range pairs {
+		err := s.checkVertex(p[0])
+		if err == nil {
+			err = s.checkVertex(p[1])
+		}
+		if err != nil {
+			return nil, fmt.Errorf("pair %d: %w", i, err)
+		}
+	}
+	return s.readIndex().AnswerBatch(ctx, pairs, dst)
 }
 
 func (b serverBackend) InsertEdges(_ context.Context, edges [][2]int32) (InsertResult, error) {

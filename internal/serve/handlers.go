@@ -268,8 +268,9 @@ func (fe *Frontend) handleBatch(w http.ResponseWriter, r *http.Request) (int64, 
 		}
 		return fail(w, err)
 	}
-	// The request context cancels an abandoned batch — a disconnected
-	// client stops burning CPU within ~1k pairs.
+	// The request context cancels an abandoned batch — core's executor
+	// stops a disconnected client's batch within one level of its shared
+	// BFS or about 1 024 pairs.
 	distances, err := fe.backend.DistanceBatch(r.Context(), pairs, nil)
 	if err != nil {
 		if r.Context().Err() != nil {

@@ -10,7 +10,8 @@
 // core.Index published behind an atomic pointer, with Searchers drawn
 // from the server's pool. Readers load the current snapshot, check out a
 // Searcher bound to it, answer allocation-free, and return it — no
-// locks, no contention with writers, ever. It also offers
+// locks, no contention with writers, ever. A batch is one call into
+// core's executor, which the request's context stops. It also offers
 // a high-throughput stdin/stdout batch mode (RunBatch) that streams
 // "s t" lines through a bounded worker pipeline in input order.
 //
@@ -69,7 +70,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -200,51 +200,12 @@ func (s *Server) Distance(sv, tv int32) (int32, error) {
 
 // DistanceBatch answers len(pairs) queries against one consistent
 // snapshot: distances[i] answers pairs[i]. It is the programmatic
-// equivalent of POST /distance/batch (and of a binary Batch frame). The
-// result is written into dst when it has the capacity; dst may be nil.
-// Safe for concurrent use. It is DistanceBatchContext without
-// cancellation: the batch always runs to completion.
+// equivalent of POST /distance/batch (and of a binary Batch frame), which
+// run the same code under the request's context. The result is written
+// into dst when it has the capacity; dst may be nil. Safe for concurrent
+// use.
 func (s *Server) DistanceBatch(pairs [][2]int32, dst []int32) ([]int32, error) {
-	return s.DistanceBatchContext(context.Background(), pairs, dst)
-}
-
-// CancelCheckEvery is the pair granularity at which DistanceBatchContext
-// polls its context: a cancelled context stops an in-flight batch within
-// about this many pairs.
-const CancelCheckEvery = 1024
-
-// DistanceBatchContext is DistanceBatch with cancellation: the batch runs
-// through the snapshot index's vectorized executor in chunks of
-// CancelCheckEvery pairs, ctx is polled before each chunk, and a
-// cancelled ctx abandons the remaining pairs within about one chunk.
-// On cancellation it returns ctx.Err() and the prefix of answers
-// already computed (dst truncated; answers are valid for their pairs).
-func (s *Server) DistanceBatchContext(ctx context.Context, pairs [][2]int32, dst []int32) ([]int32, error) {
-	if len(pairs) > s.cfg.MaxBatch {
-		return nil, errorf(ErrTooLarge, "batch of %d pairs exceeds limit %d", len(pairs), s.cfg.MaxBatch)
-	}
-	for i, p := range pairs {
-		err := s.checkVertex(p[0])
-		if err == nil {
-			err = s.checkVertex(p[1])
-		}
-		if err != nil {
-			return nil, fmt.Errorf("pair %d: %w", i, err)
-		}
-	}
-	if cap(dst) < len(pairs) {
-		dst = make([]int32, len(pairs))
-	}
-	dst = dst[:len(pairs)]
-	ix := s.readIndex()
-	for off := 0; off < len(pairs); off += CancelCheckEvery {
-		if err := ctx.Err(); err != nil {
-			return dst[:off], err
-		}
-		end := min(off+CancelCheckEvery, len(pairs))
-		ix.DistanceBatch(pairs[off:end], dst[off:end])
-	}
-	return dst, nil
+	return serverBackend{s}.DistanceBatch(context.Background(), pairs, dst)
 }
 
 // checkVertex validates a vertex id against the served vertex set
