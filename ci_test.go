@@ -8,72 +8,118 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestCIRunPatternsMatch: a `go test -run` or `-fuzz` pattern that matches
-// no function passes silently, so a CI step whose test was renamed or
-// deleted would keep passing while it ran nothing. Every alternative of
-// every such pattern in .github/workflows/ci.yml (but -run=NONE, which
-// runs no test on purpose) must match a Test, Fuzz or Example function of
-// a package the same command tests.
+// TestCIRunPatternsMatch: a `go test` -run, -fuzz or -bench pattern that
+// matches no function passes silently, so a CI step or a documented
+// command whose test or benchmark was renamed or deleted would keep
+// passing while it ran nothing. Every alternative of every such pattern
+// in the `go test` commands of .github/workflows/ci.yml, README.md,
+// DESIGN.md and EXPERIMENTS.md (but NONE and ^$, which match nothing on
+// purpose) must match a function of a package the same command tests, or
+// one the file writes out itself: a Test, Fuzz or Example function for
+// -run and -fuzz, a Benchmark function for -bench.
 func TestCIRunPatternsMatch(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	flagRE := regexp.MustCompile(`-(run|fuzz)[= ]('[^']*'|\S+)`)
-	checked := 0
-	for _, line := range strings.Split(string(raw), "\n") {
-		i := strings.Index(line, "go test ")
-		if i < 0 || strings.HasPrefix(strings.TrimSpace(line), "#") {
-			continue
+	flagRE := regexp.MustCompile(`-(run|fuzz|bench)[= ]('[^']*'|\S+)`)
+	for _, file := range []string{filepath.Join(".github", "workflows", "ci.yml"), "README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
 		}
-		patterns := flagRE.FindAllStringSubmatch(line[i:], -1)
-		if len(patterns) == 0 {
-			continue
+		var own []string
+		for _, m := range funcRE.FindAllStringSubmatch(string(raw), -1) {
+			own = append(own, m[1])
 		}
-		fields := strings.Fields(line[i:])
-		dir := "."
-		var pkgs []string
-		for j, f := range fields {
-			switch {
-			case f == "-C" && j+1 < len(fields):
-				dir = fields[j+1]
-			case strings.HasPrefix(f, "./"):
-				pkgs = append(pkgs, f)
+		checked := 0
+		for _, cmd := range goTestCommands(string(raw), strings.HasSuffix(file, ".md")) {
+			patterns := flagRE.FindAllStringSubmatch(cmd, -1)
+			if len(patterns) == 0 {
+				continue
+			}
+			dir, pkgs := ".", []string{}
+			fields := strings.Fields(cmd)
+			for j, f := range fields {
+				switch {
+				case f == "-C" && j+1 < len(fields):
+					dir = fields[j+1]
+				case f == "." || strings.HasPrefix(f, "./"):
+					pkgs = append(pkgs, f)
+				}
+			}
+			if len(pkgs) == 0 {
+				pkgs = append(pkgs, ".")
+			}
+			names := slices.Clone(own)
+			for _, pkg := range pkgs {
+				names = append(names, testFuncs(t, filepath.Join(dir, pkg))...)
+			}
+			for _, m := range patterns {
+				bench, kind := m[1] == "bench", "Test, Fuzz or Example"
+				if bench {
+					kind = "Benchmark"
+				}
+				// A slash separates the patterns of sub-tests and
+				// sub-benchmarks; the first is the function's.
+				top, _, _ := strings.Cut(strings.Trim(m[2], "'"), "/")
+				for _, alt := range strings.Split(top, "|") {
+					if alt == "NONE" || alt == "^$" {
+						continue
+					}
+					re, err := regexp.Compile(alt)
+					if err != nil {
+						t.Errorf("%s: -%s %q: %v", file, m[1], alt, err)
+					} else if !slices.ContainsFunc(names, func(n string) bool { return strings.HasPrefix(n, "Benchmark") == bench && re.MatchString(n) }) {
+						t.Errorf("%s: `go test %s`: -%s alternative %q matches no %s function in %v", file, cmd, m[1], alt, kind, pkgs)
+					}
+					checked++
+				}
 			}
 		}
-		var names []string
-		for _, pkg := range pkgs {
-			names = append(names, testFuncs(t, filepath.Join(dir, pkg))...)
+		if checked == 0 {
+			t.Errorf("no -run, -fuzz or -bench pattern found in %s", file)
 		}
-		for _, m := range patterns {
-			for _, alt := range strings.Split(strings.Trim(m[2], "'"), "|") {
-				if alt == "NONE" {
-					continue
-				}
-				re, err := regexp.Compile(alt)
-				if err != nil {
-					t.Errorf("ci.yml: -%s %q: %v", m[1], alt, err)
-					continue
-				}
-				if !containsMatch(names, re) {
-					t.Errorf("ci.yml: -%s alternative %q matches no Test, Fuzz or Example function in %v", m[1], alt, pkgs)
-				}
-				checked++
-			}
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no -run or -fuzz pattern found in ci.yml")
 	}
 }
 
-// testFuncs returns the names of the Test, Fuzz and Example functions of
-// the package in dir, or of every package under it for a pattern ending
-// in "/...".
+// funcRE matches the declaration of a Test, Fuzz, Example or Benchmark
+// function.
+var funcRE = regexp.MustCompile(`func ((Test|Fuzz|Example|Benchmark)\w*)\(`)
+
+// goTestCommands returns the arguments of each `go test` command in text.
+// A line ending in a backslash is joined to the next, and so, in
+// Markdown, is one whose inline code runs on into the next. A command
+// ends with its line or its inline code, or at a pipe, && or a shell
+// comment; comment lines (and Markdown headings) hold none.
+func goTestCommands(text string, markdown bool) (cmds []string) {
+	line := ""
+	for _, l := range strings.Split(text, "\n") {
+		if line += l; strings.HasSuffix(line, `\`) {
+			line = strings.TrimSuffix(line, `\`) + " "
+			continue
+		}
+		if markdown && !strings.HasPrefix(strings.TrimSpace(l), "```") && strings.Count(line, "`")%2 == 1 {
+			line += " "
+			continue
+		}
+		if !strings.HasPrefix(strings.TrimSpace(line), "#") {
+			for _, cmd := range strings.Split(line, "go test ")[1:] {
+				for _, end := range []string{"`", " | ", "&&", " #"} {
+					cmd, _, _ = strings.Cut(cmd, end)
+				}
+				cmds = append(cmds, cmd)
+			}
+		}
+		line = ""
+	}
+	return cmds
+}
+
+// testFuncs returns the names of the Test, Fuzz, Example and Benchmark
+// functions of the package in dir, or of every package under it for a
+// pattern ending in "/...".
 func testFuncs(t *testing.T, pkg string) (names []string) {
 	t.Helper()
 	root, recursive := strings.CutSuffix(pkg, "...")
@@ -92,7 +138,7 @@ func testFuncs(t *testing.T, pkg string) (names []string) {
 		}
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if ok && fn.Recv == nil && (strings.HasPrefix(fn.Name.Name, "Test") || strings.HasPrefix(fn.Name.Name, "Fuzz") || strings.HasPrefix(fn.Name.Name, "Example")) {
+			if ok && fn.Recv == nil && funcRE.MatchString("func "+fn.Name.Name+"(") {
 				names = append(names, fn.Name.Name)
 			}
 		}
@@ -102,14 +148,4 @@ func testFuncs(t *testing.T, pkg string) (names []string) {
 		t.Fatal(err)
 	}
 	return names
-}
-
-// containsMatch reports whether re matches any of names.
-func containsMatch(names []string, re *regexp.Regexp) bool {
-	for _, n := range names {
-		if re.MatchString(n) {
-			return true
-		}
-	}
-	return false
 }

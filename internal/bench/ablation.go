@@ -25,7 +25,7 @@ func (r *Runner) AblationBounds() error {
 			if c.DNF {
 				return []string{d.Name + "\tDNF\t-\t-"}
 			}
-			bound := measureQueries(workload.OracleFunc(c.Index.NewSearcher().UpperBound), c.pairs(n))
+			bound := measureQueries(workload.OracleFunc(c.Index.NewSearcher().UpperBound), c.pairs(n), c.budget)
 			return []string{fmt.Sprintf("%s\t%s\t%s\t%.3f", d.Name, fmtQT(bound), fmtQT(c.queryTime(n)), c.coverage(n))}
 		})
 }

@@ -271,15 +271,18 @@ func TestCellsMeasuredOnce(t *testing.T) {
 
 // TestMeasureQueriesPasses pins measureQueries' timing loop: it answers
 // the same pairs, in order, queryPasses = 5 times (a cell's QT is the
-// median pass), and nothing for no pairs.
+// median pass) while the passes fit the budget, starts no pass once they
+// have taken longer, and answers nothing for no pairs.
 func TestMeasureQueriesPasses(t *testing.T) {
 	var asked []workload.Pair
+	var delay time.Duration
 	o := workload.OracleFunc(func(s, t int32) int32 {
 		asked = append(asked, workload.Pair{S: s, T: t})
+		time.Sleep(delay)
 		return 0
 	})
 	pairs := []workload.Pair{{S: 1, T: 2}, {S: 3, T: 4}, {S: 5, T: 6}}
-	measureQueries(o, pairs)
+	measureQueries(o, pairs, time.Hour)
 	if len(asked) != 5*len(pairs) {
 		t.Fatalf("%d queries over %d pairs, want five passes", len(asked), len(pairs))
 	}
@@ -288,7 +291,13 @@ func TestMeasureQueriesPasses(t *testing.T) {
 			t.Fatalf("query %d asked %v, want %v", i, p, pairs[i%len(pairs)])
 		}
 	}
-	if asked = nil; measureQueries(o, nil) != 0 || len(asked) != 0 {
+	// A pass of three 2 ms queries overruns a 5 ms budget: one pass only,
+	// and its time is the cell's.
+	asked, delay = nil, 2*time.Millisecond
+	if qt := measureQueries(o, pairs, 5*time.Millisecond); len(asked) != len(pairs) || qt < delay {
+		t.Fatalf("a pass over the budget: %d queries timed at %s each, want one pass of %d at %s or more", len(asked), qt, len(pairs), delay)
+	}
+	if asked = nil; measureQueries(o, nil, time.Hour) != 0 || len(asked) != 0 {
 		t.Fatal("no pairs must time nothing")
 	}
 }

@@ -1,27 +1,22 @@
 package bench
 
 import (
-	"context"
 	"sync"
 	"testing"
 
 	"highway/internal/bfs"
-	"highway/internal/core"
 	"highway/internal/datasets"
 	"highway/internal/graph"
-	"highway/internal/landmark"
 )
 
-// The construction benchmarks run on the same fixture as the top-level
-// bench_test.go: the Skitter stand-in at shrink 4 with k=20 degree
-// landmarks.
+// BenchmarkBuildBFS's fixture is the Skitter stand-in at shrink 4, loaded
+// once for every round of the benchmark.
 var (
 	buildFixOnce sync.Once
 	buildFixG    *graph.Graph
-	buildFixLM   []int32
 )
 
-func buildFixture(b *testing.B) (*graph.Graph, []int32) {
+func buildFixture(b *testing.B) *graph.Graph {
 	b.Helper()
 	buildFixOnce.Do(func() {
 		d, err := datasets.ByName("Skitter")
@@ -29,40 +24,14 @@ func buildFixture(b *testing.B) (*graph.Graph, []int32) {
 			panic(err)
 		}
 		buildFixG = d.Load(4)
-		buildFixLM, err = landmark.Select(buildFixG, landmark.Options{K: 20})
-		if err != nil {
-			panic(err)
-		}
 	})
-	return buildFixG, buildFixLM
-}
-
-// BenchmarkBuild measures index construction on one goroutine (HL) and on
-// all cores (HLP).
-func BenchmarkBuild(b *testing.B) {
-	g, lm := buildFixture(b)
-	for _, c := range []struct {
-		name    string
-		workers int
-	}{{"HL", 1}, {"HLP", 0}} {
-		b.Run(c.name, func(b *testing.B) {
-			var edges int64
-			for i := 0; i < b.N; i++ {
-				ix, err := core.BuildOpts(context.Background(), g, lm, core.Options{Workers: c.workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				edges = ix.BuildStats().Traversal.EdgesScanned()
-			}
-			b.ReportMetric(float64(edges), "edges-scanned")
-		})
-	}
+	return buildFixG
 }
 
 // BenchmarkBuildBFS isolates the engine: one full single-source BFS from
 // the highest-degree vertex.
 func BenchmarkBuildBFS(b *testing.B) {
-	g, _ := buildFixture(b)
+	g := buildFixture(b)
 	_, hub := g.MaxDegree()
 	var dist []int32
 	for i := 0; i < b.N; i++ {

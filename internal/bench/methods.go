@@ -107,10 +107,11 @@ func buildMethod(m MethodName, g *graph.Graph, k int, budget time.Duration, work
 // that asks a cell for one count reads one measurement.
 type cell struct {
 	BuildResult
-	g    *graph.Graph
-	seed int64
-	qt   map[int]time.Duration
-	cov  map[int]float64
+	g      *graph.Graph
+	seed   int64
+	budget time.Duration // the run's DNF budget, which also bounds query timing
+	qt     map[int]time.Duration
+	cov    map[int]float64
 }
 
 // pairs returns the first count pairs of the cell's graph's stream.
@@ -131,7 +132,7 @@ func (c *cell) oracle() workload.Oracle {
 // queryTime returns the mean exact query time over count pairs.
 func (c *cell) queryTime(count int) time.Duration {
 	if _, ok := c.qt[count]; !ok {
-		c.qt[count] = measureQueries(c.oracle(), c.pairs(count))
+		c.qt[count] = measureQueries(c.oracle(), c.pairs(count), c.budget)
 	}
 	return c.qt[count]
 }
@@ -153,27 +154,35 @@ func (c *cell) fmtQT(count int) string {
 	return fmtQT(c.queryTime(count))
 }
 
-// queryPasses is how many times measureQueries answers its pairs. One
-// pass moves between runs by more than the digit a QT cell prints; the
-// median of five does not.
+// queryPasses is how many times measureQueries answers its pairs at
+// most. One pass moves between runs by more than the digit a QT cell
+// prints; the median of five does not.
 const queryPasses = 5
 
 // measureQueries returns the average query latency over the pairs, in
-// the median of queryPasses passes over them.
-func measureQueries(o workload.Oracle, pairs []workload.Pair) time.Duration {
+// the median of up to queryPasses passes over them (the lower middle one
+// of an even count). It starts no pass once those run so far took longer
+// than budget, so a slow method's cell costs about its budget, not five
+// passes.
+func measureQueries(o workload.Oracle, pairs []workload.Pair, budget time.Duration) time.Duration {
 	if len(pairs) == 0 {
 		return 0
 	}
-	var passes [queryPasses]time.Duration
-	for i := range passes {
+	var passes []time.Duration
+	var spent time.Duration
+	for len(passes) < queryPasses {
 		start := time.Now()
 		for _, p := range pairs {
 			o.Distance(p.S, p.T)
 		}
-		passes[i] = time.Since(start)
+		pass := time.Since(start)
+		passes = append(passes, pass)
+		if spent += pass; spent > budget {
+			break
+		}
 	}
-	slices.Sort(passes[:])
-	return passes[queryPasses/2] / time.Duration(len(pairs))
+	slices.Sort(passes)
+	return passes[(len(passes)-1)/2] / time.Duration(len(pairs))
 }
 
 // fmtCT and fmtQT render durations like the paper's tables: seconds for

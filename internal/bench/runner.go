@@ -7,8 +7,7 @@
 // Runner method; see DESIGN.md for the per-experiment index (what each
 // id reproduces, which methods and measurements it involves) and
 // EXPERIMENTS.md for recorded runs next to the paper's published
-// numbers. bench_test.go at the repository root has the same families as
-// testing.B benchmarks.
+// numbers.
 //
 // Every experiment is a projection over cells: one method built on one
 // graph with k landmarks, once per run, with its query time and pair
@@ -231,7 +230,7 @@ func (r *Runner) cell(m MethodName, key string, g *graph.Graph, k int) *cell {
 		return c
 	}
 	c := &cell{BuildResult: buildMethod(m, g, k, r.cfg.BuildBudget, r.cfg.Workers), g: g, seed: r.cfg.Seed,
-		qt: map[int]time.Duration{}, cov: map[int]float64{}}
+		budget: r.cfg.BuildBudget, qt: map[int]time.Duration{}, cov: map[int]float64{}}
 	r.cells[ck] = c
 	rec := RecordedBuild{
 		Key:          key,

@@ -2,14 +2,15 @@
 // the offline labelling construction and the online query components:
 // single-source BFS (ground truth and SPT construction), bidirectional BFS
 // (the Bi-BFS baseline of Table 2), and the distance-bounded bidirectional
-// search of the paper's Algorithm 2, which runs on the sparsified graph
+// search of the paper's Algorithm 2 and the depth-limited one-to-all
+// search of batch refinement (Depths), which run on the sparsified graph
 // G[V\R] expressed as a skip mask.
 //
 // Every search runs on the flat CSR arrays of a *graph.Graph: the
 // single-source engine (engine.go) expands a level top-down or bottom-up
-// by the measured frontier, the bidirectional search top-down only.
-// Scratch state is pooled, so the convenience forms allocate only what
-// they return.
+// by the measured frontier, the bidirectional searches and Depths
+// top-down only. Scratch state is pooled, so the convenience forms
+// allocate only what they return.
 package bfs
 
 import "highway/internal/graph"

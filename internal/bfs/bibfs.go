@@ -1,18 +1,26 @@
 package bfs
 
-import "highway/internal/graph"
+import (
+	"math"
 
-// Scratch holds the reusable per-search state of bidirectional searches.
-// One Scratch supports any number of sequential searches on graphs with at
-// most its capacity of vertices; it is not safe for concurrent use.
+	"highway/internal/graph"
+)
+
+// Scratch holds the reusable per-search state of bidirectional searches
+// and of Depths. One Scratch supports any number of sequential searches on
+// graphs with at most its capacity of vertices; it is not safe for
+// concurrent use.
 //
 // One stamp a vertex records the side of the current search that holds
 // it: 2·epoch the s-side, 2·epoch+1 the t-side, anything lower neither,
 // so resetting a search costs O(1) instead of O(n). One word serves both
-// sides because the second side to reach a vertex ends the search.
+// sides because the second side to reach a vertex ends the search. A
+// Depths run stamps depth d as 2·epoch+d and moves the epoch past its
+// deepest stamp, so it too starts above every stamp before it.
 type Scratch struct {
 	stamp      []uint32
 	epoch      uint32 // < 1<<31, so both sides' stamps fit a uint32
+	lo, hi     uint32 // the last Depths run's stamps are [lo, hi)
 	qs, qt, qn []int32
 }
 
@@ -38,7 +46,62 @@ func (s *Scratch) next(n int) uint32 {
 		clear(s.stamp)
 		s.epoch = 1
 	}
+	s.lo, s.hi = 0, 0
 	return s.epoch
+}
+
+// Depths runs a top-down BFS from src on G[V\skip] (skip as for
+// BoundedBiBFS; src must not be skipped) that expands no vertex at depth
+// limit or deeper, so it reaches the vertices within limit of src. It
+// calls poll before it expands each level and stops with poll's error.
+// The depths are read with sc.Depth until sc's next search, also from
+// poll, which sees the levels reached so far.
+func Depths(g *graph.Graph, src, limit int32, skip []bool, sc *Scratch, poll func() error) error {
+	n := g.NumVertices()
+	base := 2 * sc.next(n)
+	span := uint32(max(0, min(int(limit), n))) // no stamp lies deeper
+	if uint64(base)+uint64(span) >= math.MaxUint32 {
+		// The deepest stamp would wrap: clear stale stamps.
+		clear(sc.stamp)
+		base = 2
+	}
+	sc.lo, sc.hi = base, base+span+1
+	off, tgt := g.CSR()
+	stamp := sc.stamp
+	frontier := append(sc.qs[:0], src)
+	next := sc.qt[:0]
+	stamp[src] = base
+	top := base // the frontier's stamp; none lies above it
+	var err error
+	for ; len(frontier) > 0 && top-base < span; top++ {
+		if err = poll(); err != nil {
+			break
+		}
+		next = next[:0]
+		for _, u := range frontier {
+			for _, v := range tgt[off[u]:off[u+1]] {
+				if stamp[v] >= base || skip != nil && skip[v] {
+					continue
+				}
+				stamp[v] = top + 1
+				next = append(next, v)
+			}
+		}
+		frontier, next = next, frontier
+	}
+	// Reserve the stamps used: the next search starts above top.
+	sc.qs, sc.qt = frontier, next
+	sc.epoch = top / 2
+	return err
+}
+
+// Depth returns v's depth in the last Depths run on sc, or Unreachable if
+// that run did not reach v or sc has searched since (or never ran Depths).
+func (s *Scratch) Depth(v int32) int32 {
+	if st := s.stamp[v]; st >= s.lo && st < s.hi {
+		return int32(st - s.lo)
+	}
+	return Unreachable
 }
 
 // NoBound disables the distance bound of BoundedBiBFS, turning it into the

@@ -7,6 +7,8 @@ package bfs_test
 
 import (
 	"fmt"
+	"hash/crc32"
+	"math/rand"
 	"testing"
 
 	"highway/internal/bfs"
@@ -164,7 +166,9 @@ func graphFromFuzzBytes(data []byte) *graph.Graph {
 
 // FuzzDirectionOptimizedBFS asserts that every traversal direction
 // produces identical distance arrays, and that BiBFS agrees with them,
-// on arbitrary fuzzer-built graphs.
+// on arbitrary fuzzer-built graphs; and that Depths, on the same scratch
+// as BiBFS, gives the distances on G[V\skip] within its limit for a skip
+// mask and limit drawn from the input.
 func FuzzDirectionOptimizedBFS(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 1, 2, 2, 3})
 	f.Add([]byte{63, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 1})
@@ -190,7 +194,16 @@ func FuzzDirectionOptimizedBFS(f *testing.F) {
 		got := make([]int32, n)
 		srcs := []int32{0, int32(n / 2), int32(n - 1)}
 		sc := bfs.NewScratch(n)
+		rng := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(data))))
+		skip := make([]bool, n)
+		for v := range skip {
+			skip[v] = rng.Intn(4) == 0
+		}
+		sub, id := sparsified(t, g, skip)
 		for _, s := range srcs {
+			if !skip[s] {
+				checkDepths(t, g, skip, sub, id, s, int32(rng.Intn(n+1)), sc)
+			}
 			fill(want)
 			bfs.DistancesIntoDir(g, s, want, bfs.DirectionTopDown, nil)
 			for _, u := range srcs {

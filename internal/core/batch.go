@@ -84,8 +84,13 @@ func (sr *Searcher) DistanceBatch(pairs [][2]int32, dst []int32) []int32 {
 // then as pollEvery says. A stop returns ctx.Err() and no answers, and
 // leaves the searcher ready for its next batch.
 func (sr *Searcher) batch(ctx context.Context, pairs [][2]int32, dst []int32) ([]int32, error) {
-	dst = sizeDst(dst, len(pairs))
-	perm := sr.permBuf(len(pairs))
+	n := len(pairs)
+	dst = slices.Grow(dst[:0], n)[:n]
+	sr.perm = slices.Grow(sr.perm[:0], n)[:n]
+	perm := sr.perm
+	for i := range perm {
+		perm[i] = int32(i)
+	}
 	slices.SortFunc(perm, func(a, b int32) int {
 		pa, pb := pairs[a], pairs[b]
 		switch {
@@ -234,59 +239,25 @@ func (sr *Searcher) runGroup(ctx context.Context, source int32, perm []int32, pa
 // at a level's poll leaves dst's bounds unrefined.
 func (sr *Searcher) refineGroupBFS(ctx context.Context, source int32, perm []int32, pairs [][2]int32, dst []int32, maxUB int32, unbounded bool) error {
 	ix := sr.ix
-	n := ix.g.NumVertices()
 	limit := maxUB - 1
 	if unbounded {
 		// Some target has no label bound at all: only the sparsified
 		// graph can connect it, so traverse exhaustively.
-		limit = int32(n)
+		limit = int32(ix.g.NumVertices())
 	}
-	dist := sr.sparseBuf(n)
-	q := sr.sparseQ[:0]
-	dist[source] = 0
-	q = append(q, source)
-	off, adj := ix.g.CSR()
-	var err error
-	for head, depth := 0, int32(-1); head < len(q); head++ {
-		v := q[head]
-		dv := dist[v]
-		if dv >= limit {
-			// The queue is level-ordered: everything at or past the
-			// limit expands to depths no bound can improve on.
-			break
+	if err := bfs.Depths(ix.g, source, limit, ix.isLandmark, sr.sc, ctx.Err); err != nil {
+		return err
+	}
+	for _, i := range perm {
+		t := pairs[i][1]
+		if t == source || ix.rankOf[t] >= 0 {
+			continue
 		}
-		if dv > depth {
-			if err = ctx.Err(); err != nil {
-				break
-			}
-			depth = dv
-		}
-		for _, u := range adj[off[v]:off[v+1]] {
-			if ix.isLandmark[u] || dist[u] >= 0 {
-				continue
-			}
-			dist[u] = dv + 1
-			q = append(q, u)
+		if d := sr.sc.Depth(t); d >= 0 && (dst[i] == Infinity || d < dst[i]) {
+			dst[i] = d
 		}
 	}
-	if err == nil {
-		for _, i := range perm {
-			t := pairs[i][1]
-			if t == source || ix.rankOf[t] >= 0 {
-				continue
-			}
-			if d := dist[t]; d >= 0 && (dst[i] == Infinity || d < dst[i]) {
-				dst[i] = d
-			}
-		}
-	}
-	// Restore the all-unvisited invariant by resetting exactly the
-	// vertices the traversal touched.
-	for _, v := range q {
-		dist[v] = -1
-	}
-	sr.sparseQ = q[:0]
-	return err
+	return nil
 }
 
 // sourceVia returns the shared source bound vector: via[j] is the best
@@ -299,7 +270,11 @@ func (sr *Searcher) sourceVia(source int32) []int32 {
 	if r := ix.rankOf[source]; r >= 0 {
 		return ix.highway[int(r)*k : int(r+1)*k]
 	}
-	via := sr.viaBuf(k)
+	sr.via = slices.Grow(sr.via[:0], k)[:k]
+	via := sr.via
+	for j := range via {
+		via[j] = Infinity
+	}
 	var m landmarkSet
 	s, leaf := ix.slotOf(source)
 	p, l := ix.labelOf(s, &m), ix.distOf(s, leaf)
@@ -322,7 +297,8 @@ func (sr *Searcher) sourceVia(source int32) []int32 {
 
 // boundViaVec is the per-target half of the vectorized upper bound: one
 // probe pass over t's flat label range against the source vector. It
-// returns exactly Searcher.UpperBound(source, t).
+// returns exactly Searcher.UpperBound(source, t), and, given landmark r's
+// highway row for via, LandmarkDistance(r, t).
 func boundViaVec(ix *Index, via []int32, t int32) int32 {
 	best := Infinity
 	var m landmarkSet
@@ -339,51 +315,4 @@ func boundViaVec(ix *Index, via []int32, t int32) int32 {
 		}
 	}
 	return best
-}
-
-// sizeDst returns dst resized to n entries, reallocating only when the
-// capacity is short.
-func sizeDst(dst []int32, n int) []int32 {
-	if cap(dst) < n {
-		return make([]int32, n)
-	}
-	return dst[:n]
-}
-
-// permBuf returns the searcher's index-permutation buffer initialized
-// to the identity over n entries.
-func (sr *Searcher) permBuf(n int) []int32 {
-	if cap(sr.perm) < n {
-		sr.perm = make([]int32, n)
-	}
-	perm := sr.perm[:n]
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	return perm
-}
-
-// viaBuf returns the searcher's source bound vector, sized to k and
-// cleared to Infinity.
-func (sr *Searcher) viaBuf(k int) []int32 {
-	if cap(sr.via) < k {
-		sr.via = make([]int32, k)
-	}
-	via := sr.via[:k]
-	for j := range via {
-		via[j] = Infinity
-	}
-	return via
-}
-
-// sparseBuf returns the searcher's sparsified-BFS distance array with
-// every entry -1 (the invariant refineGroupBFS restores after use).
-func (sr *Searcher) sparseBuf(n int) []int32 {
-	if cap(sr.sparse) < n {
-		sr.sparse = make([]int32, n)
-		for i := range sr.sparse {
-			sr.sparse[i] = -1
-		}
-	}
-	return sr.sparse[:n]
 }

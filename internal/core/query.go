@@ -19,13 +19,10 @@ type Searcher struct {
 	sc *bfs.Scratch
 
 	// Batch-execution scratch (see batch.go): the shared source bound
-	// vector, the sort permutation, and the sparsified single-source
-	// BFS state (sparse is kept all -1 between groups; sparseQ doubles
-	// as the visited list that restores it).
-	via     []int32
-	perm    []int32
-	sparse  []int32
-	sparseQ []int32
+	// vector and the sort permutation. The shared source BFS keeps its
+	// depths in sc.
+	via  []int32
+	perm []int32
 }
 
 // NewSearcher returns a Searcher bound to the index, typed as the
@@ -180,28 +177,14 @@ func (sr *Searcher) UpperBound(s, t int32) int32 {
 // rank r and any vertex v from labels and highway alone (Section 4.2's
 // virtual label {(r,0)}): a highway lookup when v is a landmark too,
 // otherwise the min over v's label entries (re, d) of d + δH(r, re). The
-// re == r case folds in for free since δH(r,r) = 0, so this is one
-// branch-light pass over v's flat label range. It touches no searcher
-// scratch, so it is safe for concurrent use.
+// re == r case folds in for free since δH(r,r) = 0, so this is the batch
+// path's probe pass with r's highway row as the source vector. It
+// touches no searcher scratch, so it is safe for concurrent use.
 func (ix *Index) LandmarkDistance(r, v int32) int32 {
 	k := len(ix.landmarks)
 	row := ix.highway[int(r)*k : int(r+1)*k]
 	if rv := ix.rankOf[v]; rv >= 0 {
 		return row[rv]
 	}
-	best := Infinity
-	var m landmarkSet
-	s, leaf := ix.slotOf(v)
-	p, l := ix.labelOf(s, &m), ix.distOf(s, leaf)
-	for w, x := range m[:] {
-		for ; x != 0; x &= x - 1 {
-			if h := row[w<<6|bits.TrailingZeros64(x)]; h >= 0 {
-				if d := h + ix.distAt(l, p); best < 0 || d < best {
-					best = d
-				}
-			}
-			p++
-		}
-	}
-	return best
+	return boundViaVec(ix, row, v)
 }
