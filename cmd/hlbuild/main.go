@@ -6,8 +6,8 @@
 //	hlbuild -graph web.hwg -k 20 -out web.idx
 //	hlbuild -graph edges.txt -k 40 -workers 8 -verify 1000
 //	hlbuild -graph web.hwg -k 20 -progress           (log per-landmark BFS completion)
-//	hlbuild migrate -graph web.hwg -in old.idx -out web.idx   (an index file of the layout d2d3576 retired)
-//	hlbuild migrate -in web.wal.snap -out web.wal.snap        (a checkpoint of that layout, or of today's)
+//	hlbuild migrate -graph web.hwg -in old.idx -out web.idx   (an index file of the layout d2d3576 retired, or one storing its rank directory)
+//	hlbuild migrate -in web.wal.snap -out web.wal.snap        (a checkpoint of that layout, or of today's, its rank directory stored or not)
 //
 // After a build, hlbuild reports wall time, worker count and how the
 // traversal expanded its levels (pushed top-down vs pulled bottom-up, and
@@ -20,8 +20,11 @@
 // an entry in section 12, accepted only if it holds exactly
 // what a fresh build of its landmarks on -graph holds, which costs one
 // build; and a checkpoint of such labels, or of today's, told apart by its
-// section table, with no -graph. Every older layout is refused in one line
-// naming the release whose migrate reads it.
+// section table, with no -graph. A file of today's layout that stores its
+// rank directory (section 15, or 18), as every writer did before readers
+// derived it, is read by every reader as it is; migrate rewrites it without
+// the directory, which is optional. Every older layout is refused in one
+// line naming the release whose migrate reads it.
 package main
 
 import (
@@ -128,13 +131,13 @@ func run(args []string) error {
 }
 
 // runMigrate rewrites an index file or checkpoint of the layout d2d3576
-// retired, or a checkpoint of today's, told by its section table, as
-// today's.
+// retired, or one of today's, told by its section table, as today's
+// writer does: without a stored rank directory.
 func runMigrate(args []string) error {
 	fs := flag.NewFlagSet("hlbuild migrate", flag.ContinueOnError)
 	var (
 		graphPath = fs.String("graph", "", "graph the index was built on (required for an index file)")
-		in        = fs.String("in", "", "file to migrate: an index file of the layout d2d3576 retired or today's, or a <wal>.snap checkpoint of either (required)")
+		in        = fs.String("in", "", "file to migrate: an index file of the layout d2d3576 retired or today's (its rank directory stored or not), or a <wal>.snap checkpoint of either (required)")
 		out       = fs.String("out", "", "output path (default: input path + .v2)")
 		verify    = fs.Int("verify", 100, "cross-check this many random pairs against BFS before writing an index or snapshot (0 = skip)")
 	)

@@ -340,6 +340,58 @@ func TestRunMigrateCurrentSnapshot(t *testing.T) {
 	}
 }
 
+// TestRunMigrateStoredDirectory: files written before the reader derived
+// the rank directory store it (section 15, or 18 where leaves are elided).
+// They load as they are, and migrate rewrites them without it: the index
+// files figure2_dir.hl2 and grid_dir.hl2, beside their graphs, to today's
+// goldens figure2.hl2 and grid.hl2, and the checkpoints figure2_dir.snap
+// and leaves_dir.snap, with no -graph, to what EncodeSnapshot writes of
+// their state today.
+func TestRunMigrateStoredDirectory(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		g       *highway.Graph
+		in, out string
+	}{{gen.PaperFigure2(), "figure2_dir.hl2", "figure2.hl2"}, {gen.Grid(5, 6), "grid_dir.hl2", "grid.hl2"}} {
+		gp, out := filepath.Join(dir, c.in+".hwg"), filepath.Join(dir, c.out)
+		if err := highway.SaveGraph(c.g, gp); err != nil {
+			t.Fatal(err)
+		}
+		if err := run([]string{"migrate", "-graph", gp, "-in", filepath.Join(testdata, c.in), "-out", out}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(out)
+		want, werr := os.ReadFile(filepath.Join(testdata, c.out))
+		if err != nil || werr != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s migrated to %d bytes (%v, %v), not %s's %d", c.in, len(got), err, werr, c.out, len(want))
+		}
+	}
+	for _, name := range []string{"figure2_dir.snap", "leaves_dir.snap"} {
+		in, out := filepath.Join(testdata, name), filepath.Join(dir, name)
+		f, err := os.Open(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, ix, err := serve.DecodeSnapshot(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := serve.SnapshotBytes(g, ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := run([]string{"migrate", "-in", in, "-out", out}); err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := os.ReadFile(in)
+		got, err := os.ReadFile(out)
+		if err != nil || !bytes.Equal(got, want) || len(got) >= len(raw) {
+			t.Fatalf("%s migrated to %d bytes (%v), not the %d EncodeSnapshot writes, fewer than its %d", name, len(got), err, len(want), len(raw))
+		}
+	}
+}
+
 // TestRunBuildCorruptBinaryGraph: a graph file is one by its first bytes,
 // whatever its name, so a damaged one reports its damage, not a text
 // parser's complaint about line 1.

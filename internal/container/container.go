@@ -12,9 +12,10 @@
 //
 // Every payload is checksummed with CRC-32C and its length bounded before
 // any allocation. Readers skip unknown ids, so sections can be added
-// without revving the magic. Ids: 1, 2, 6 and 14–18 the labelling
-// (internal/core; 17 and 18 hold 14 and 15 of a labelling that keeps no
-// label for its leaves; 7 and 8 (19 and 20) held its offsets beside 4, a
+// without revving the magic. Ids: 1, 2, 6, 14, 16 and 17 the labelling
+// (internal/core; 17 holds 14 of a labelling that keeps no label for its
+// leaves; 15 (18) held 14's (17's) rank directory, which readers still
+// accept and now derive; 7 and 8 (19 and 20) held its offsets beside 4, a
 // rank byte an entry, and 12 a distance code an entry, in files only
 // `hlbuild migrate` reads now; 3, 5 and 13 held the offsets, distances
 // and ranks of older ones), 9 and 10 the graph (internal/graph), 11 an

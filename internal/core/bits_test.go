@@ -184,8 +184,8 @@ func TestPackedIndexes(t *testing.T) {
 	}
 }
 
-// checkPlainRanks holds ix's rank sections and every label's start and
-// ranks to plainRanks over Label.
+// checkPlainRanks holds ix's rank section, the directory it keeps beside
+// it and every label's start and ranks to plainRanks over Label.
 func checkPlainRanks(t *testing.T, ix *Index) {
 	t.Helper()
 	want := plainRanksOf(ix)
@@ -194,10 +194,12 @@ func checkPlainRanks(t *testing.T, ix *Index) {
 	for _, s := range sections {
 		got[s.ID] = s.Payload
 	}
-	for i, id := range rankIDs(ix.leaves.words != nil) {
-		if !bytes.Equal(got[id], want[[]uint32{sectLabelBits, sectLabelDir}[i]]) {
-			t.Fatalf("section %d differs from the plain one", id)
-		}
+	ids := rankIDs(ix.leaves.words != nil)
+	if !bytes.Equal(got[ids[0]], want[sectLabelBits]) {
+		t.Fatalf("section %d differs from the plain one", ids[0])
+	}
+	if _, ok := got[ids[1]]; ok || !bytes.Equal(ix.labelMask.dir, want[sectLabelDir]) {
+		t.Fatalf("section %d written (%v), or the directory differs from the plain one", ids[1], ok)
 	}
 	var sum int64
 	for v := range int32(ix.g.NumVertices()) {

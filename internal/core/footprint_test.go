@@ -75,11 +75,11 @@ func checkActualBytes(t *testing.T, g *graph.Graph, lm []int32, elided bool) {
 }
 
 // TestLoadAdoptsSections: a load allocates what it keeps. The label
-// sections — BA-100k's rank bits and directory, and its distances — are
-// read into the buffers the index then serves from, so
-// loading allocates the file once, rankOf and isLandmark (5 B a vertex, 6
-// with slack for the small sections' decoded copies) and the 64 KiB reader,
-// and what the loaded index writes is the file.
+// sections — BA-100k's rank bits and its distances — are read into the
+// buffers the index then serves from, so loading allocates the file once,
+// the rank directory it derives beside them, rankOf and isLandmark (5 B a
+// vertex, 6 with slack for the small sections' decoded copies) and the
+// 64 KiB reader, and what the loaded index writes is the file.
 func TestLoadAdoptsSections(t *testing.T) {
 	g, _, path, size := savedBA100k(t, t.TempDir())
 	var before, after runtime.MemStats
@@ -89,8 +89,9 @@ func TestLoadAdoptsSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, limit := int64(after.TotalAlloc-before.TotalAlloc), size+6*int64(g.NumVertices())+64<<10; got > limit {
-		t.Fatalf("loading a %d-byte index allocated %d bytes, more than the file, 6 B a vertex and the reader (%d)", size, got, limit)
+	dir := int64(len(ix.labelMask.dir))
+	if got, limit := int64(after.TotalAlloc-before.TotalAlloc), size+dir+6*int64(g.NumVertices())+64<<10; got > limit {
+		t.Fatalf("loading a %d-byte index allocated %d bytes, more than the file, its %d-byte directory, 6 B a vertex and the reader (%d)", size, got, dir, limit)
 	}
 	file, err := os.ReadFile(path)
 	if err != nil {

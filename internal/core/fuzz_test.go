@@ -25,8 +25,7 @@ func FuzzLoadIndex(f *testing.F) {
 	// spider's (5 overflow records) and the path-600 index (w = 8, 686
 	// records), and the paper's example with its three highest-degree
 	// vertices as landmarks, and the grid whose ranks would take a byte
-	// fewer as rank bytes — and every malformed rank bits or directory
-	// TestReadChecksRankMask names; then a file of each retired layout: the
+	// fewer as rank bytes — then a file of each retired layout: the
 	// committed v1 files and the one with its offsets in section 3, the
 	// committed index file with one distance byte an entry, without its
 	// section 11 and as committed, and its checkpoint, the committed graph
@@ -39,12 +38,14 @@ func FuzzLoadIndex(f *testing.F) {
 	// (internal/legacy reads those with section 4 or 12, the `hlbuild
 	// migrate` of container.OldRelease the others); then the golden and
 	// path-600 files without section 11, damaged, each refused in one line
-	// naming no migrate; then the labelling
-	// whose labels span a hop, and every malformed section 16
+	// naming no migrate; then path-600's file with its rank directory
+	// stored, as writers before the reader derived it framed it, and every
+	// malformed rank bits or directory TestReadChecksRankMask names; then
+	// the labelling whose labels span a hop, and every malformed section 16
 	// TestReadChecksExcessCodes names; last, the labelling that keeps no
-	// label for its leaves, as it is written and as writers before
-	// sections 17 to 20 wrote it, and every malformed section
-	// TestReadChecksLeaves names.
+	// label for its leaves, as it is written, as writers before sections 17
+	// to 20 wrote it and as writers before the derived directory wrote it,
+	// and every malformed section TestReadChecksLeaves names.
 	fig2 := gen.PaperFigure2()
 	path600G, path600Ix := path600(f)
 	spiderCase := widthCases()[1]
@@ -78,7 +79,11 @@ func FuzzLoadIndex(f *testing.F) {
 		}
 		seeds = append(seeds, damaged.file)
 	}
+	seeds = append(seeds, withDirectory(f, path600Ix))
 	for _, c := range rankMaskCases(path600Ix) {
+		f.Add(reframe(f, withDirectory(f, path600Ix), c.edit))
+	}
+	for _, c := range derivedRankCases() {
 		f.Add(reframe(f, path600File, c.edit))
 	}
 	for _, good := range seeds {
@@ -111,8 +116,9 @@ func FuzzLoadIndex(f *testing.F) {
 	leaves := goldenLeafIndex(f)
 	f.Add(v2Bytes(f, leaves))
 	f.Add(testdata(f, "leaves_kept.hl2"))
+	f.Add(testdata(f, "leaves_dir.hl2"))
 	for _, c := range leafCases(f, testdata(f, "leaves_kept.hl2")) {
-		f.Add(reframe(f, v2Bytes(f, leaves), c.edit))
+		f.Add(reframe(f, testdata(f, "leaves_dir.hl2"), c.edit))
 	}
 
 	overflowG, gridG := gen.Path(300), gen.Grid(5, 6) // the graphs of the path300.hl1 and grid seeds

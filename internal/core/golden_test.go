@@ -7,6 +7,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"highway/internal/container"
@@ -107,13 +108,13 @@ func goldenLeafIndex(tb testing.TB) *Index {
 // TestGoldenV2 pins the v2 format bytes of five labellings, one of which
 // keeps no label for its leaves: if serialization drifts — field order,
 // section ids, checksums, encoding — this fails before any user's index
-// files stop loading. Every file keeps its ranks in sections 14 and 15 —
-// leaves.hl2, which elides its leaves, in 17 and 18 — and its distances per
-// label in section 16. Regenerate deliberately with `go test
-// ./internal/core -run TestGoldenV2 -update-golden` and call the change out
-// in review: it breaks files written by older builds.
+// files stop loading. Every file keeps its ranks in section 14 —
+// leaves.hl2, which elides its leaves, in 17 — without their directory,
+// and its distances per label in section 16. Regenerate deliberately with
+// `go test ./internal/core -run TestGoldenV2 -update-golden` and call the
+// change out in review: it breaks files written by older builds.
 func TestGoldenV2(t *testing.T) {
-	for name, ix := range map[string]*Index{"figure2.hl2": goldenIndex(t), "figure2_top3.hl2": goldenTop3Index(t), "grid.hl2": goldenGridIndex(t), "hubs_excess.hl2": goldenExcessIndex(t), "leaves.hl2": goldenLeafIndex(t)} {
+	for name, ix := range goldenIndexes(t) {
 		t.Run(name, func(t *testing.T) {
 			if elided := ix.leaves.words != nil; elided != (name == "leaves.hl2") {
 				t.Fatalf("test premise broken: leaves elided %v", elided)
@@ -150,6 +151,87 @@ func TestKeptLeavesLoad(t *testing.T) {
 			t.Fatalf("sections 19, 20 and 4: %v, want one line naming hlbuild migrate", err)
 		}
 	})
+}
+
+// goldenIndexes returns the golden labellings by the name of their file.
+func goldenIndexes(tb testing.TB) map[string]*Index {
+	return map[string]*Index{"figure2.hl2": goldenIndex(tb), "figure2_top3.hl2": goldenTop3Index(tb), "grid.hl2": goldenGridIndex(tb), "hubs_excess.hl2": goldenExcessIndex(tb), "leaves.hl2": goldenLeafIndex(tb)}
+}
+
+// goldenDirs names, for each golden file, what the writers before the
+// reader derived the rank directory wrote for its labelling: the same
+// sections with the directory stored in section 15 (18 for leaves.hl2).
+var goldenDirs = map[string]string{
+	"figure2.hl2": "figure2_dir.hl2", "figure2_top3.hl2": "figure2_top3_dir.hl2", "grid.hl2": "grid_dir.hl2",
+	"hubs_excess.hl2": "hubs_excess_dir.hl2", "leaves.hl2": "leaves_dir.hl2",
+}
+
+// TestStoredDirectoryGoldens: each file the writers before the derived
+// directory wrote for a golden labelling is its golden file with the
+// directory stored (withDirectory), byte for byte, so the two layouts
+// differ by that section and its table row alone; it loads as the index a
+// build gives, its directory checked against its bits and adopted; and it
+// writes the golden file.
+func TestStoredDirectoryGoldens(t *testing.T) {
+	for name, ix := range goldenIndexes(t) {
+		t.Run(goldenDirs[name], func(t *testing.T) {
+			old, want := testdata(t, goldenDirs[name]), testdata(t, name)
+			if !bytes.Equal(withDirectory(t, ix), old) {
+				t.Fatalf("%s is not %s with its directory stored", goldenDirs[name], name)
+			}
+			got, err := Read(bytes.NewReader(old), ix.Graph())
+			if err != nil || !indexesIdentical(ix, got) || !bytes.Equal(got.labelMask.dir, ix.labelMask.dir) {
+				t.Fatalf("%v, or another index than a build's", err)
+			}
+			if !bytes.Equal(v2Bytes(t, got), want) {
+				t.Fatalf("loaded, it does not write %s", name)
+			}
+			checkAllPairs(t, ix.Graph(), got)
+		})
+	}
+}
+
+// TestReadDerivesDirectory: a file holds no rank directory, so a load
+// derives it from the rank bits, and a wrong count there would misplace a
+// label's entries even where the answers checked happen to match. For
+// each golden labelling, BA-20k as cluster-ba20k builds it (every label
+// kept, its bits over five blocks of 2¹⁶) and BA-20k with a leaf on every
+// other vertex (the leaves elided), the directory Read(Write(ix)) holds is
+// the built index's byte for byte, and the file has no directory section.
+func TestReadDerivesDirectory(t *testing.T) {
+	ba := gen.BarabasiAlbert(20_000, 5, 7)
+	edges := edgesOf(ba)
+	for v := range int32(10_000) {
+		edges = append(edges, [2]int32{2 * v, 20_000 + v})
+	}
+	leafy := graph.MustFromEdges(30_000, edges)
+	cases := goldenIndexes(t)
+	for name, g := range map[string]*graph.Graph{"ba20k": ba, "ba20k+leaves": leafy} {
+		ix, err := Build(g, g.DegreeOrder()[:16])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases[name] = ix
+	}
+	for name, ix := range cases {
+		t.Run(name, func(t *testing.T) {
+			if elided := ix.leaves.words != nil; elided != (name == "leaves.hl2" || name == "ba20k+leaves") {
+				t.Fatalf("test premise broken: leaves elided %v", elided)
+			}
+			file := v2Bytes(t, ix)
+			_, rows, err := container.ReadTable(bytes.NewReader(file))
+			if err != nil || slices.ContainsFunc(rows, func(r container.Row) bool { return r.ID == sectLabelDir || r.ID == sectLeafDir }) {
+				t.Fatalf("%v, or the file stores a directory", err)
+			}
+			got, err := Read(bytes.NewReader(file), ix.Graph())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.labelMask.dir, ix.labelMask.dir) || len(got.labelMask.base) != len(ix.labelMask.base) {
+				t.Fatal("the derived directory differs from the built index's")
+			}
+		})
+	}
 }
 
 // checkGolden is TestGoldenV2 for one index and its file.
@@ -205,7 +287,11 @@ func checkGolden(t *testing.T, ix *Index, name string) {
 // to 20 wrote it, every label kept. tiny_codes.hl2, tiny_bits.hl2 and
 // grid_ranks.hl2 are goldenIndex, goldenTop3Index and goldenGridIndex as
 // the last writer of section 12, a distance code an entry, wrote them, the
-// grid's ranks a byte an entry beside offsets in sections 7, 8 and 4.
+// grid's ranks a byte an entry beside offsets in sections 7, 8 and 4. The
+// goldenDirs files are the golden labellings, and figure2_dir.snap and
+// leaves_dir.snap checkpoints of goldenIndex and goldenLeafIndex beside
+// their graphs, as the last writer of the rank directory (sections 15 and
+// 18) wrote them.
 func TestLegacyFixturesUntouched(t *testing.T) {
 	for name, want := range map[string]string{
 		"tiny.hl1":        "ed1b0762e5429ff792f8a1e6b3ef660395eb4ca1e35d0ea2c4ea96dccb482100",
@@ -221,6 +307,14 @@ func TestLegacyFixturesUntouched(t *testing.T) {
 		"tiny_codes.hl2":  "a2f13a4d0d96cf96af19107b8e5a772f3a7343c8b1b54c253e228a7d39aba8cc",
 		"tiny_bits.hl2":   "4e5a0fe23e20d1e249e8ae6bb421dbe9f909513b861119a451deeeb10a75f498",
 		"grid_ranks.hl2":  "90285f3eac7c8bc7102640644201eecd22958295f82671e0b23587337c9705a7",
+
+		"figure2_dir.hl2":      "dcb4e98caf5b7f0cb55dce212427e3b3cd500d8a1fd98f8e5583ffb5ba8fdea7",
+		"figure2_top3_dir.hl2": "5f9fdaa127984ebaeb45295c1031af31ab9c2488b6f4d9e876e13c92469e23ec",
+		"grid_dir.hl2":         "c61544db693d5781881a99efa77931aa20f7395f7abb912fde7694367b158f34",
+		"hubs_excess_dir.hl2":  "e8f7ce31ce31c514aec6f66824072f1539c990b3ac94ccff99bb4bd8584362ed",
+		"leaves_dir.hl2":       "353e706e1868707c80a7ba5944cf9bbabd807eec11c1122d244cc95b53402f7d",
+		"figure2_dir.snap":     "1167553df0fa3785f1c04154b86db0d151d8ea8d662e55ffa6871740049937bb",
+		"leaves_dir.snap":      "d7066a8966a0cb6584faf43c80ff97bc25375564283e72e967b649f4d5df1033",
 	} {
 		raw, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {

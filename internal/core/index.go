@@ -106,9 +106,10 @@ const MaxLandmarks = 255
 // multiply, a shift, a mask and a compare per distance.
 //
 // All are little-endian bytes, because the label arrays are the index
-// file's sections 14 and 15 (17 and 18 when leaves are elided) and 16
-// themselves: a save writes them as they are and a load keeps the buffers
-// it read them into (serialize.go).
+// file's sections 14 (17 when leaves are elided) and 16 themselves: a save
+// writes them as they are and a load keeps the buffers it read them into.
+// The rank directory, a function of the bits, is held beside them but not
+// written: a load derives it (serialize.go).
 //
 // The highway matrix stores exact landmark-to-landmark distances
 // row-major; Infinity where disconnected.
@@ -190,20 +191,22 @@ func cmpOverflow(a, b overflowRec) int {
 	return cmp.Compare(a.rank, b.rank)
 }
 
-// rankBits is the labels' ranks, sections 14 and 15: slot v's ranks
-// are bits v·k … v·k+k-1 of bits, a little-endian uint64 string, and dir is
-// Jacobson's rank directory over it: one uint64 per 2¹⁶ bits, the set bits
-// before them (base), then one uint16 per stride of ⌈k/64⌉ words, those
-// from its block's start to the stride's (rel). A label starts at base +
-// rel + a popcount of its stride up to v·k, one word whenever k ≤ 64.
+// rankBits is the labels' ranks, section 14: slot v's ranks are bits
+// v·k … v·k+k-1 of bits, a little-endian uint64 string, and dir is
+// Jacobson's rank directory over it, which a build or a load derives from
+// the bits (files from before loads derived it store it as section 15):
+// one uint64 per 2¹⁶ bits, the set bits before them (base), then one
+// uint16 per stride of ⌈k/64⌉ words, those from its block's start to the
+// stride's (rel). A label starts at base + rel + a popcount of its stride
+// up to v·k, one word whenever k ≤ 64.
 type rankBits struct {
 	bits, dir []byte
 	base, rel []byte // dir's two arrays
 	k, stride uint   // bits a vertex; words a stride
 }
 
-// maskLens returns the lengths of sections 14 and 15 for n vertices of k
-// landmarks.
+// maskLens returns the lengths of section 14 and of its directory (section
+// 15 of a file that stores it) for n vertices of k landmarks.
 func maskLens(n, k int) (bitsLen, dirLen int64) {
 	words, stride := (int64(n)*int64(k)+63)/64, int64(k+63)/64
 	return words * 8, (words+1023)/1024*8 + (words+stride-1)/stride*2

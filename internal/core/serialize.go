@@ -36,8 +36,6 @@ const FormatV2 Format = 2
 //	1  landmarks  [k]uint32
 //	2  highway    [k*k]int32           (-1 = Infinity)
 //	14 labelBits  [⌈s·k/64⌉]uint64     bit v·k+r set iff rank r is in slot v's label, the padding bits 0
-//	15 labelDir   [⌈s·k/2¹⁶⌉]uint64    the set bits of 14 before each block of 2¹⁶, then
-//	              [⌈s·k/S⌉]uint16      from its block to each stride of S = 64·⌈k/64⌉
 //	16 labelDist  w, wo uint8, then s codes of w bits, each label's
 //	              smallest d-1 (2^w-1: see overflow for all its entries;
 //	              0 for an empty label), then entries codes of wo bits,
@@ -47,30 +45,40 @@ const FormatV2 Format = 2
 //	11 graph      uint32               the graph's Fingerprint
 //
 // A labelling that keeps every label has s = n. One that elides leaves
-// (chooseLeaves) writes sections 14 and 15 as 17 and 18, so that a reader
-// from before the elided set refuses it for want of its rank sections; the
-// set itself is derived from the graph, by writer and reader alike, and not
-// written. A reader lays out again a file eliding other leaves than a build
-// would, as every writer before sections 17 and 18 did. w is 2, 4 or 8 and
-// wo 0, 1, 2 or 4, so section 16 is 2 + ⌈s·w/8⌉ + ⌈entries·wo/8⌉ bytes long,
-// and every other section's exact length follows from the header and s: the
-// reader bounds each allocation by n before making it.
+// (chooseLeaves) writes section 14 as 17, so that a reader from before the
+// elided set refuses it for want of its rank sections; the set itself is
+// derived from the graph, by writer and reader alike, and not written. A
+// reader lays out again a file eliding other leaves than a build would, as
+// every writer before section 17 did. w is 2, 4 or 8 and wo 0, 1, 2 or 4,
+// so section 16 is 2 + ⌈s·w/8⌉ + ⌈entries·wo/8⌉ bytes long, and every other
+// section's exact length follows from the header and s: the reader bounds
+// each allocation by n before making it.
 //
-// Sections 14 and 15 (or 17 and 18) and 16 are Index.labelMask and
-// labelDist: Write hands the arrays to the container as they are, and a
-// reader, once it has checked them, keeps the buffers. Only the small
-// sections are translated: the landmarks and highway between their integer
-// types and little-endian bytes, and the overflow table — a few hundred
-// records on a complex network — between its records and section 6's
-// 9-byte rows.
+// Section 14 (or 17) and 16 are Index.labelMask's bits and labelDist:
+// Write hands the arrays to the container as they are, and a reader, once
+// it has checked them, keeps the buffers. The rank directory beside the
+// bits (rankBits) is a function of them, so it is not written: the reader
+// derives it in the pass that counts the bits, once their length is
+// checked. Files written before that store it, as
+//
+//	15 labelDir   [⌈s·k/2¹⁶⌉]uint64    the set bits of 14 before each block of 2¹⁶, then
+//	              [⌈s·k/S⌉]uint16      from its block to each stride of S = 64·⌈k/64⌉
+//
+// (18 beside 17), and are read as they are: the directory is checked
+// against the bits and kept. A reader from before it was derived refuses a
+// file without it ("required section 15 missing", 18 for one that elides
+// leaves), so readers are upgraded first. Only the small sections are
+// translated: the landmarks and highway between their integer types and
+// little-endian bytes, and the overflow table — a few hundred records on a
+// complex network — between its records and section 6's 9-byte rows.
 //
 // An index is meaningful only beside the graph it was built on: section 11
 // names that graph (graph.Fingerprint), and Read refuses a file that lacks
 // it or names another. A snapshot holds the graph itself, with sections 1,
 // 2, the ranks, 16 and 6 in one container and no section 11.
 //
-// This is the one layout read. The older ones are refused with one line
-// naming `hlbuild migrate`: v2 whose labels kept a rank byte an entry
+// This layout, with its directory stored or not, is the one read. The
+// older ones are refused with one line naming `hlbuild migrate`: v2 whose labels kept a rank byte an entry
 // beside offsets (4, with 7 and 8 or 19 and 20) or a distance code an
 // entry (12), index files and snapshots alike, which it reads
 // (internal/legacy); and, naming the release whose migrate reads them
@@ -92,7 +100,7 @@ const (
 	sectLabelDist   uint32 = 12 // retired: a distance code an entry
 	sectByteMask    uint32 = 13 // retired: ⌈k/8⌉ mask bytes a vertex beside offsets
 	sectLabelBits   uint32 = 14
-	sectLabelDir    uint32 = 15
+	sectLabelDir    uint32 = 15 // read, no longer written: the directory of 14
 	sectLabelExcess uint32 = 16
 	sectLeafBits    uint32 = 17 // 14 and 15 of a labelling that elides leaves
 	sectLeafDir     uint32 = 18
@@ -144,13 +152,13 @@ func (ix *Index) Sections() (container.Header, []container.Section) {
 	highway, _ := binary.Append(nil, binary.LittleEndian, ix.highway)
 	h := container.Header{N: uint64(ix.g.NumVertices()), K: uint32(len(ix.landmarks)), Aux1: uint64(ix.kept()), Aux2: uint64(len(ix.overflow))}
 	sections := []container.Section{{ID: sectLandmarks, Payload: landmarks}, {ID: sectHighway, Payload: highway}}
-	ids := rankIDs(ix.leaves.words != nil)
-	return h, append(sections, container.Section{ID: ids[0], Payload: ix.labelMask.bits}, container.Section{ID: ids[1], Payload: ix.labelMask.dir},
+	return h, append(sections, container.Section{ID: rankIDs(ix.leaves.words != nil)[0], Payload: ix.labelMask.bits},
 		container.Section{ID: sectLabelExcess, Payload: ix.labelDist}, container.Section{ID: sectOverflow, Payload: over})
 }
 
 // rankIDs returns the ids of the bits and the directory of the ranks in a
-// file that elides leaves or in one that does not.
+// file that elides leaves or in one that does not; only files from before
+// the reader derived the directory hold the second.
 func rankIDs(elided bool) [2]uint32 {
 	if elided {
 		return [2]uint32{sectLeafBits, sectLeafDir}
@@ -202,16 +210,18 @@ func (ix *Index) setLandmark(rank int, v int32) error {
 	return nil
 }
 
-// adoptBits makes sections 14 and 15 the index's ranks once the directory
-// counts the bits, the padding bits past n·k are 0 and the bits number the
-// header's entries. (A field of k bits holds no rank of k or more.)
-func (ix *Index) adoptBits(words, dir []byte, entries int64, k uint32) error {
+// adoptBits makes section 14 the index's ranks once the padding bits past
+// n·k are 0 and the bits number the header's entries, beside dir, their
+// directory: with derive, zeros it fills in the pass that counts the bits;
+// else a file's section 15, once it counts them. (A field of k bits holds
+// no rank of k or more.)
+func (ix *Index) adoptBits(words, dir []byte, derive bool, entries int64, k uint32) error {
 	b := newRankBits(words, dir, int(k))
 	ids := rankIDs(ix.leaves.words != nil)
 	if pad := uint(ix.slots()) * uint(k) % 64; pad != 0 && b.word(uint(len(words))/8-1)>>pad != 0 {
 		return fmt.Errorf("core: section %d has padding bits set", ids[0])
 	}
-	total, err := b.directory(false)
+	total, err := b.directory(derive)
 	switch {
 	case err != nil:
 		err = fmt.Errorf("core: section %d does not count the ranks of section %d %w", ids[1], ids[0], err)
@@ -336,10 +346,11 @@ func parseOverflowRecs(buf []byte, n uint64, k uint32) ([]overflowRec, error) {
 	return recs, nil
 }
 
-// Bounds returns the exact length of each of sections 1, 2, 6, 11, 14 and
-// 15 under header h, the longest sections 17 and 18 (those of 14 and 15
-// over fewer vertices) and 16 (two width bytes, a byte a vertex and half
-// one an entry), after the checks that need only h.
+// Bounds returns the exact length of each of sections 1, 2, 6, 11 and 14
+// under header h, and of 15, which only files from before the reader
+// derived the directory hold, the longest sections 17 and 18 (those of 14
+// and 15 over fewer vertices) and 16 (two width bytes, a byte a vertex and
+// half one an entry), after the checks that need only h.
 func Bounds(h container.Header) (map[uint32]uint64, error) {
 	n, k, entries, nOver := h.N, h.K, h.Aux1, h.Aux2
 	switch {
@@ -388,8 +399,11 @@ func FromSections(h container.Header, sec map[uint32]container.Section, g *graph
 	case !mask && !elided:
 		return nil, fmt.Errorf("core: required section %d or %d (the label ranks) missing", sectLabelBits, sectLeafBits)
 	}
-	ids := rankIDs(elided)
-	for _, id := range []uint32{ids[0], ids[1], sectLabelExcess, sectLandmarks, sectHighway, sectOverflow} {
+	ids, other := rankIDs(elided), rankIDs(!elided)
+	if _, ok := sec[other[1]]; ok {
+		return nil, fmt.Errorf("core: section %d, the directory of section %d, beside section %d", other[1], other[0], ids[0])
+	}
+	for _, id := range []uint32{ids[0], sectLabelExcess, sectLandmarks, sectHighway, sectOverflow} {
 		if _, ok := sec[id]; !ok {
 			return nil, fmt.Errorf("core: required section %d missing", id)
 		}
@@ -422,13 +436,20 @@ func FromSections(h container.Header, sec map[uint32]container.Section, g *graph
 		ix.leaves = cand
 		cand.readRanks(g, ix.rankOf, ix.rankOf)
 	}
+	// A file from before the reader derived the directory holds it too. The
+	// directory is allocated only once the bits' length, which bounds it,
+	// is checked.
 	bitsLen, dirLen := maskLens(ix.slots(), k)
-	for i, l := range []int64{bitsLen, dirLen} {
-		if got := int64(len(sec[ids[i]].Payload)); got != l {
-			return nil, fmt.Errorf("core: section %d has length %d, want %d", ids[i], got, l)
-		}
+	dir, stored := sec[ids[1]]
+	if got := int64(len(sec[ids[0]].Payload)); got != bitsLen {
+		return nil, fmt.Errorf("core: section %d has length %d, want %d", ids[0], got, bitsLen)
 	}
-	if err = ix.adoptBits(sec[ids[0]].Payload, sec[ids[1]].Payload, entries, h.K); err == nil {
+	if got := int64(len(dir.Payload)); stored && got != dirLen {
+		return nil, fmt.Errorf("core: section %d has length %d, want %d", ids[1], got, dirLen)
+	} else if !stored {
+		dir.Payload = make([]byte, dirLen)
+	}
+	if err = ix.adoptBits(sec[ids[0]].Payload, dir.Payload, !stored, entries, h.K); err == nil {
 		err = ix.adoptExcess(entries, sec[sectLabelExcess].Payload, over)
 	}
 	if err != nil {

@@ -240,12 +240,14 @@ func offsetCases() []offsetCase {
 	}
 }
 
-// rankMaskCases are malformed rank sections of the path-600 file as a
-// build writes it, each with a valid checksum, and what the reader says of
-// them. At k = 2 vertex v's ranks are bits 2v and 2v+1 of section 14, both
-// set but at the landmarks 0 and 599, whose labels are empty: 1 196 set
-// bits in 19 words, the last 16 bits padding, and section 15 one base and
-// 19 counts, one a word.
+// rankMaskCases are malformed rank sections of the path-600 file as the
+// previous layout frames it (withDirectory), each with a valid checksum,
+// and what the reader says of them ("" for a file it accepts). At k = 2
+// vertex v's ranks are bits 2v and 2v+1 of section 14, both set but at
+// the landmarks 0 and 599, whose labels are empty: 1 196 set bits in 19
+// words, the last 16 bits padding, and section 15 one base and 19 counts,
+// one a word. Without section 15 the file is today's, and the reader
+// derives the directory.
 func rankMaskCases(ix *Index) []offsetCase {
 	type sections = map[uint32][]byte
 	flip := func(sec sections, bit int) { sec[sectLabelBits][bit/8] ^= 1 << (bit % 8) }
@@ -277,7 +279,7 @@ func rankMaskCases(ix *Index) []offsetCase {
 		{"neither section", "required section 14 or 17 (the label ranks) missing", func(_ *container.Header, sec sections) {
 			delete(sec, sectLabelBits)
 		}},
-		{"no directory", "required section 15 missing", func(_ *container.Header, sec sections) {
+		{"no directory", "", func(_ *container.Header, sec sections) {
 			delete(sec, sectLabelDir)
 		}},
 		{"one byte long", "section 14 has length 153, exceeds 152", func(_ *container.Header, sec sections) {
@@ -289,14 +291,44 @@ func rankMaskCases(ix *Index) []offsetCase {
 		{"directory one count long", "section 15 has length 48, exceeds 46", func(_ *container.Header, sec sections) {
 			sec[sectLabelDir] = append(sec[sectLabelDir], 0, 0)
 		}},
+		{"directory one count short", "section 15 has length 44, want 46", func(_ *container.Header, sec sections) {
+			sec[sectLabelDir] = sec[sectLabelDir][:44]
+		}},
+		{"directory of 17 beside them", "section 18, the directory of section 17, beside section 14", func(_ *container.Header, sec sections) {
+			sec[sectLeafDir] = sec[sectLabelDir]
+		}},
 		{"section 13 beside them", migrateLine, func(_ *container.Header, sec sections) {
 			sec[sectByteMask] = make([]byte, 600)
 		}},
 	}
 }
 
-// leafCases are malformed rank sections of leaves.hl2, each with a valid
-// checksum, and what the reader says of them: its 40 kept labels of 8
+// derivedRankCases are malformed rank bits of the path-600 file as today's
+// writer frames it, without section 15, and what the reader says of them:
+// with no directory to disagree with, a rank too many or too few is one
+// the header's entries do not count.
+func derivedRankCases() []offsetCase {
+	type sections = map[uint32][]byte
+	flip := func(bit int) func(*container.Header, sections) {
+		return func(_ *container.Header, sec sections) { sec[sectLabelBits][bit/8] ^= 1 << (bit % 8) }
+	}
+	return []offsetCase{
+		{"rank at k", "section 14 holds 1197 ranks, the header says 1196 entries", flip(598*2 + 2)},
+		{"rank of a landmark", "section 14 holds 1197 ranks, the header says 1196 entries", flip(0)},
+		{"entry without its rank", "section 14 holds 1195 ranks, the header says 1196 entries", flip(17*2 + 1)},
+		{"padding bit set", "section 14 has padding bits set", flip(1200)},
+		{"one byte short", "section 14 has length 151, want 152", func(_ *container.Header, sec sections) {
+			sec[sectLabelBits] = sec[sectLabelBits][:151]
+		}},
+		{"directory of 17 beside them", "section 18, the directory of section 17, beside section 14", func(_ *container.Header, sec sections) {
+			sec[sectLeafDir] = make([]byte, 46)
+		}},
+	}
+}
+
+// leafCases are malformed rank sections of leaves_dir.hl2, leaves.hl2 as
+// the previous layout framed it, each with a valid checksum, and what the
+// reader says of them ("" for a file it accepts): its 40 kept labels of 8
 // ranks each are 40 bytes in section 17 and their directory 14 in section
 // 18; every label of leaves_kept.hl2, whose sections 14 and 15 the first
 // cases borrow, 72 and 26.
@@ -316,12 +348,19 @@ func leafCases(tb testing.TB, kept []byte) []offsetCase {
 		{"section 14 beside them", "both section 14 and section 17 hold the label ranks", func(_ *container.Header, sec sections) {
 			sec[sectLabelBits], sec[sectLabelDir] = all[sectLabelBits], all[sectLabelDir]
 		}},
-		{"no directory", "required section 18 missing", func(_ *container.Header, sec sections) { delete(sec, sectLeafDir) }},
+		{"the directory of all beside them", "section 15, the directory of section 14, beside section 17", func(_ *container.Header, sec sections) {
+			sec[sectLabelDir] = all[sectLabelDir]
+		}},
+		{"no directory", "", func(_ *container.Header, sec sections) { delete(sec, sectLeafDir) }},
 		{"one byte long", "section 17 has length 41, want 40", func(_ *container.Header, sec sections) {
 			sec[sectLeafBits] = append(sec[sectLeafBits], 0)
 		}},
 		{"rank the directory does not count", "section 18 does not count the ranks of section 17 before word 1", func(_ *container.Header, sec sections) {
 			sec[sectLeafBits][0] ^= 1 << 7
+		}},
+		{"the same rank without the directory", "section 17 holds 117 ranks, the header says 116 entries", func(_ *container.Header, sec sections) {
+			sec[sectLeafBits][0] ^= 1 << 7
+			delete(sec, sectLeafDir)
 		}},
 		{"a rank more than the header's entries", "section 17 holds 117 ranks, the header says 116 entries", func(_ *container.Header, sec sections) {
 			sec[sectLeafBits][39] ^= 1 << 7
@@ -329,39 +368,56 @@ func leafCases(tb testing.TB, kept []byte) []offsetCase {
 	}
 }
 
+// checkReadCase reads file beside g: for a case whose want is "", the
+// index a build gives (ix), which writes today's file; else one line
+// saying want.
+func checkReadCase(t *testing.T, file []byte, g *graph.Graph, ix *Index, want string) {
+	t.Helper()
+	got, err := Read(bytes.NewReader(file), g)
+	if want == "" {
+		if err != nil || !indexesIdentical(ix, got) || !bytes.Equal(v2Bytes(t, got), v2Bytes(t, ix)) {
+			t.Fatalf("Read: %v, or another index or file than a build's", err)
+		}
+		return
+	}
+	if err == nil || !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "\n") {
+		t.Fatalf("Read: %v, want one line saying %q", err, want)
+	}
+}
+
 // TestReadChecksLeaves: a file that keeps no label for its leaves holds
-// its rank sections under ids 17 and 18, over the vertices it keeps, which
-// the graph gives: the reader holds their lengths to that and refuses them
-// beside sections 14 and 15, each by name.
+// its rank sections under ids 17 and 18 (17 alone since the directory is
+// derived), over the vertices it keeps, which the graph gives: the reader
+// holds their lengths to that and refuses them beside sections 14 and 15,
+// each by name.
 func TestReadChecksLeaves(t *testing.T) {
 	ix := goldenLeafIndex(t)
-	good := testdata(t, "leaves.hl2")
+	good := testdata(t, "leaves_dir.hl2")
 	for _, c := range leafCases(t, testdata(t, "leaves_kept.hl2")) {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := Read(bytes.NewReader(reframe(t, good, c.edit)), ix.Graph())
-			if err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "\n") {
-				t.Fatalf("Read: %v, want one line saying %q", err, c.want)
-			}
+			checkReadCase(t, reframe(t, good, c.edit), ix.Graph(), ix, c.want)
 		})
 	}
 }
 
-// TestReadChecksRankMask: a reader keeps sections 14 and 15 as they are
-// and labelOf finds a label's start by the directory, so each way the bits
-// can disagree with the directory, the header or n·k is refused by name,
-// a file must hold its ranks, and a file with them beside the rank bytes
-// of section 4 or the masks of section 13, which no writer of today
-// writes, is refused with the line naming `hlbuild migrate`. At k = 100
-// vertex 7's rank 100 is vertex 8's rank 0, which its label lacks.
+// TestReadChecksRankMask: a reader keeps section 14 as it is and labelOf
+// finds a label's start by the directory beside it, so each way the bits
+// can disagree with the header, n·k or a stored directory is refused by
+// name, a file must hold its ranks, a directory is derived where the file
+// holds none, and a file with the ranks beside the rank bytes of section 4
+// or the masks of section 13, which no writer of today writes, is refused
+// with the line naming `hlbuild migrate`. At k = 100 vertex 7's rank 100
+// is vertex 8's rank 0, which its label lacks.
 func TestReadChecksRankMask(t *testing.T) {
 	g, ix := path600(t)
-	good := v2Bytes(t, ix)
 	for _, c := range rankMaskCases(ix) {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := Read(bytes.NewReader(reframe(t, good, c.edit)), g)
-			if err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "\n") {
-				t.Fatalf("Read: %v, want one line saying %q", err, c.want)
-			}
+			checkReadCase(t, reframe(t, withDirectory(t, ix), c.edit), g, ix, c.want)
+		})
+	}
+	for _, c := range derivedRankCases() {
+		t.Run("derived/"+c.name, func(t *testing.T) {
+			checkReadCase(t, reframe(t, v2Bytes(t, ix), c.edit), g, ix, c.want)
 		})
 	}
 	t.Run("rank at k, k=100", func(t *testing.T) {
@@ -373,12 +429,22 @@ func TestReadChecksRankMask(t *testing.T) {
 		if r, _ := ix.Label(8); len(r) > 0 && r[0] == 0 {
 			t.Fatal("test premise broken: vertex 8 holds rank 0")
 		}
-		file := reframe(t, v2Bytes(t, ix), func(_ *container.Header, sec map[uint32][]byte) {
+		file := reframe(t, withDirectory(t, ix), func(_ *container.Header, sec map[uint32][]byte) {
 			sec[sectLabelBits][(7*100+100)/8] |= 1 << ((7*100 + 100) % 8)
 		})
 		if _, err := Read(bytes.NewReader(file), ba); err == nil || !strings.Contains(err.Error(), "section 14 before word 14") {
 			t.Fatalf("Read: %v, want vertex 7's rank 100 refused at the stride after it", err)
 		}
+	})
+}
+
+// withDirectory is ix's index file as writers before the directory was
+// derived framed it: the rank directory stored beside the rank bits, in
+// section 15 (18 when ix elides leaves).
+func withDirectory(tb testing.TB, ix *Index) []byte {
+	tb.Helper()
+	return reframe(tb, v2Bytes(tb, ix), func(_ *container.Header, sec map[uint32][]byte) {
+		sec[rankIDs(ix.leaves.words != nil)[1]] = bytes.Clone(ix.labelMask.dir)
 	})
 }
 

@@ -36,15 +36,6 @@ func (m *mirror) insert(a, b int32) {
 	}
 }
 
-func (m *mirror) delete(a, b int32) {
-	for i, e := range m.edges {
-		if (e[0] == a && e[1] == b) || (e[0] == b && e[1] == a) {
-			m.edges = append(m.edges[:i], m.edges[i+1:]...)
-			return
-		}
-	}
-}
-
 func (m *mirror) graph() *graph.Graph { return graph.MustFromEdges(m.n, m.edges) }
 
 // insert applies a batch of insertions to ix.

@@ -20,11 +20,6 @@ func build(t *testing.T, g *graph.Graph, opt Options) *Index {
 	return ix
 }
 
-func checkAllPairs(t *testing.T, g *graph.Graph, ix *Index) {
-	t.Helper()
-	oracle.CheckAllPairs(t, g, ix.NewSearcher())
-}
-
 // TestExactOnSmallGraphs runs IS-L over the shared corner-case suite
 // across level counts.
 func TestExactOnSmallGraphs(t *testing.T) {

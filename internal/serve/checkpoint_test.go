@@ -5,10 +5,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"highway/internal/container"
 	"highway/internal/core"
 	"highway/internal/failpoint"
 	"highway/internal/graph"
@@ -260,6 +262,69 @@ func TestLoadLiveLegacySnapshot(t *testing.T) {
 		if srv != nil || !strings.Contains(err.Error(), "hlbuild migrate") || strings.Contains(err.Error(), "\n") {
 			t.Fatalf("%s: server %v, err = %v; want none and one line naming hlbuild migrate", name, srv, err)
 		}
+	}
+}
+
+// TestStoredDirectorySnapshots: a checkpoint or resync snapshot written
+// before the reader derived the rank directory stores it, in section 15,
+// or 18 where the labelling elides its leaves: figure2_dir.snap (the
+// paper's Figure 2) and leaves_dir.snap (a labelling that elides its
+// leaves), committed as those writers wrote them. Each decodes through
+// DecodeSnapshot, DecodeSnapshotBytes and LoadLive to the state a build of
+// its landmarks on its graph gives, answering every pair as BFS does, and
+// re-encodes to what EncodeSnapshot writes of that state, without the
+// directory.
+func TestStoredDirectorySnapshots(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		dir  uint32
+	}{{"figure2_dir.snap", 15}, {"leaves_dir.snap", 18}} {
+		t.Run(c.name, func(t *testing.T) {
+			data := legacySnapshot(t, c.name)
+			hasDir := func(file []byte) bool {
+				_, rows, err := container.ReadTable(bytes.NewReader(file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return slices.ContainsFunc(rows, func(r container.Row) bool { return r.ID == c.dir })
+			}
+			if !hasDir(data) {
+				t.Fatalf("test premise broken: %s has no section %d", c.name, c.dir)
+			}
+			g, ix, err := DecodeSnapshot(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := core.Build(g, ix.Landmarks())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := SnapshotBytes(g, fresh)
+			if err != nil || hasDir(want) {
+				t.Fatalf("%v, or EncodeSnapshot stores section %d", err, c.dir)
+			}
+			_, mix, err := DecodeSnapshotBytes(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			walPath := filepath.Join(t.TempDir(), "edges.wal")
+			if err := os.WriteFile(walPath+".snap", data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			srv, err := LoadLive(walPath+".graph", walPath+".idx", walPath, LiveConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			for door, got := range map[string]*core.Index{"DecodeSnapshot": ix, "DecodeSnapshotBytes": mix, "LoadLive": srv.Index().(*core.Index)} {
+				if out, err := SnapshotBytes(got.Graph(), got); err != nil || !bytes.Equal(out, want) {
+					t.Fatalf("%s: re-encoded to %d bytes (%v), not the %d of a build's snapshot", door, len(out), err, len(want))
+				}
+				if err := got.Verify(500, 1); err != nil {
+					t.Fatalf("%s: %v", door, err)
+				}
+			}
+		})
 	}
 }
 

@@ -103,10 +103,13 @@ func TestReadAfterPublishAllocatesNoSearcher(t *testing.T) {
 // holds more than a graph, and still grows every section as it arrives.
 func readBinaryBudget(size int) uint64 { return 4<<20 + 8*uint64(size) }
 
-// legacySnapshot is a committed checkpoint of a retired layout: the paper's
-// Figure 2 and its labelling, as the last commit to write that layout wrote
-// them — tiny.snap1 before the graph became container sections, tiny.snap2
-// before the distances became codes of the bits they need.
+// legacySnapshot is a committed checkpoint of an earlier layout: the
+// paper's Figure 2 and its labelling, as the last commit to write that
+// layout wrote them — tiny.snap1 before the graph became container
+// sections, tiny.snap2 before the distances became codes of the bits they
+// need, both retired, and figure2_dir.snap before the reader derived the
+// rank directory, which still loads (as does leaves_dir.snap, a labelling
+// that elides its leaves).
 func legacySnapshot(tb testing.TB, name string) []byte {
 	tb.Helper()
 	raw, err := os.ReadFile(filepath.Join("..", "core", "testdata", name))
@@ -178,6 +181,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	legacy := legacySnapshot(f, "tiny.snap1")
 	f.Add(legacy)
 	f.Add(legacySnapshot(f, "tiny.snap2"))
+	f.Add(legacySnapshot(f, "figure2_dir.snap"))
+	f.Add(legacySnapshot(f, "leaves_dir.snap"))
 
 	ids := func(file []byte) string {
 		_, rows, _ := container.ReadTable(bytes.NewReader(file))
