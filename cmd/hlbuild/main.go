@@ -6,40 +6,37 @@
 //	hlbuild -graph web.hwg -k 20 -out web.idx
 //	hlbuild -graph edges.txt -k 40 -workers 8 -verify 1000
 //	hlbuild -graph web.hwg -k 20 -progress           (log per-landmark BFS completion)
-//	hlbuild migrate -graph web.hwg -in old.idx -out web.idx   (an index file of the layout d2d3576 retired, or one storing its rank directory)
-//	hlbuild migrate -in web.wal.snap -out web.wal.snap        (a checkpoint of that layout, or of today's, its rank directory stored or not)
+//	hlbuild migrate -graph web.hwg -in old.idx -out web.idx   (an index file storing its rank directory)
+//	hlbuild migrate -in web.wal.snap -out web.wal.snap        (a checkpoint, its rank directory stored or not)
 //
 // After a build, hlbuild reports wall time, worker count and how the
 // traversal expanded its levels (pushed top-down vs pulled bottom-up, and
 // the edges scanned each way); the build chooses per level by itself.
 //
 // Index files are written in format v2 (checksummed sections), and a
-// server reads no other layout. The migrate subcommand rewrites as today's
-// file the layout d2d3576 retired, which a server refuses: an index file
-// whose labels keep a rank byte an entry in section 4 or a distance code
-// an entry in section 12, accepted only if it holds exactly
-// what a fresh build of its landmarks on -graph holds, which costs one
-// build; and a checkpoint of such labels, or of today's, told apart by its
-// section table, with no -graph. A file of today's layout that stores its
+// server reads no other layout. A file of today's layout that stores its
 // rank directory (section 15, or 18), as every writer did before readers
-// derived it, is read by every reader as it is; migrate rewrites it without
-// the directory, which is optional. Every older layout is refused in one
-// line naming the release whose migrate reads it.
+// derived it, is read by every reader as it is; the migrate subcommand
+// rewrites it without the directory, which is optional: an index file
+// beside -graph, or a checkpoint, told apart by its section table, with no
+// -graph. Every older layout is refused in one line naming the `hlbuild
+// migrate` of a release up to 38d1fa7, whose output this one reads.
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
+	"slices"
 	"time"
 
 	"highway"
 	"highway/internal/container"
-	"highway/internal/legacy"
+	"highway/internal/graph"
 	"highway/internal/serve"
 )
 
@@ -130,14 +127,13 @@ func run(args []string) error {
 	return nil
 }
 
-// runMigrate rewrites an index file or checkpoint of the layout d2d3576
-// retired, or one of today's, told by its section table, as today's
-// writer does: without a stored rank directory.
+// runMigrate rewrites an index file or checkpoint that today's readers
+// load as today's writer does: without a stored rank directory.
 func runMigrate(args []string) error {
 	fs := flag.NewFlagSet("hlbuild migrate", flag.ContinueOnError)
 	var (
 		graphPath = fs.String("graph", "", "graph the index was built on (required for an index file)")
-		in        = fs.String("in", "", "file to migrate: an index file of the layout d2d3576 retired or today's (its rank directory stored or not), or a <wal>.snap checkpoint of either (required)")
+		in        = fs.String("in", "", "file to migrate: an index file or a <wal>.snap checkpoint of today's layout, its rank directory stored or not (required)")
 		out       = fs.String("out", "", "output path (default: input path + .v2)")
 		verify    = fs.Int("verify", 100, "cross-check this many random pairs against BFS before writing an index or snapshot (0 = skip)")
 	)
@@ -157,27 +153,28 @@ func runMigrate(args []string) error {
 	}
 	defer f.Close()
 	br := bufio.NewReader(f)
+	// The table refuses every retired magic. A checkpoint holds the graph's
+	// sections beside the labels; an index file needs the graph given.
+	head, _ := br.Peek(len(container.Magic) + 44 + 64*16) // the magic, header and a table of 64 rows
+	_, rows, err := container.ReadTable(bytes.NewReader(head))
+	if err != nil {
+		return err
+	}
+	has := func(id uint32) bool {
+		return slices.ContainsFunc(rows, func(r container.Row) bool { return r.ID == id })
+	}
+	snapshot := has(graph.SectOffsets) && has(graph.SectTargets)
 	var g *highway.Graph
 	var ix *highway.Index
-	magic, _ := br.Peek(len(container.Magic))
-	kind := legacy.Layout(br)
+	kind := "format v2"
 	switch {
-	case string(magic) != container.Magic:
-		_, _, err = container.ReadTable(br) // refuses every other magic, a retired layout's naming the release that reads it
-	case kind == "snapshot":
+	case snapshot:
+		kind = "snapshot"
 		g, ix, err = serve.DecodeSnapshot(br)
-	case strings.HasPrefix(kind, "snapshot"):
-		g, ix, err = legacy.ReadSnapshot(br)
 	case *graphPath == "":
 		return fmt.Errorf("migrate: -graph is required for an index file")
 	default:
-		if g, err = loadGraph(*graphPath); err != nil {
-			break
-		}
-		if kind != "" {
-			ix, err = legacy.ReadIndex(br, g)
-		} else {
-			kind = "format v2"
+		if g, err = loadGraph(*graphPath); err == nil {
 			ix, err = highway.ReadIndex(br, g)
 		}
 	}
@@ -190,7 +187,7 @@ func runMigrate(args []string) error {
 			return fmt.Errorf("migrate: refusing to rewrite a corrupt index: %w", err)
 		}
 	}
-	if strings.HasPrefix(kind, "snapshot") {
+	if snapshot {
 		err = container.SaveFile(dest, true, func(w io.Writer) error { return serve.EncodeSnapshot(w, g, ix) })
 	} else {
 		err = ix.Save(dest)

@@ -104,54 +104,19 @@ func TestBuildStrategyFlagGone(t *testing.T) {
 // testdata is where the committed index files and checkpoints are.
 var testdata = filepath.Join("..", "..", "internal", "core", "testdata")
 
-// TestRunMigrate: with no -out the output path is the input's plus ".v2",
-// the input is left as it was, and the migrated file is a first-class one:
-// the bytes a fresh build of the same landmarks writes. grid_ranks.hl2 is
-// a 5×6 grid's labelling of its 15 highest-degree vertices, its ranks a
-// byte an entry in section 4.
-func TestRunMigrate(t *testing.T) {
-	dir := t.TempDir()
-	g := gen.Grid(5, 6)
-	gp := filepath.Join(dir, "grid.hwg")
-	if err := highway.SaveGraph(g, gp); err != nil {
-		t.Fatal(err)
-	}
-	// Copy the fixture so the default output lands in the temp dir.
-	raw, err := os.ReadFile(filepath.Join(testdata, "grid_ranks.hl2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := filepath.Join(dir, "old.idx")
-	if err := os.WriteFile(old, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"migrate", "-graph", gp, "-in", old}); err != nil {
-		t.Fatal(err)
-	}
-	if in, err := os.ReadFile(old); err != nil || !bytes.Equal(in, raw) {
-		t.Fatalf("input: %v, want grid_ranks.hl2 intact", err)
-	}
-	fresh := filepath.Join(dir, "fresh.idx")
-	if err := run([]string{"-graph", gp, "-k", "15", "-out", fresh}); err != nil {
-		t.Fatal(err)
-	}
-	a, _ := os.ReadFile(old + ".v2")
-	b, _ := os.ReadFile(fresh)
-	if len(a) == 0 || !bytes.Equal(a, b) {
-		t.Fatal("migrated grid_ranks.hl2 differs from a fresh build")
-	}
-}
-
-// TestRunMigrateLegacyLayouts: each committed file of a layout older than
-// the one written before d2d3576 — the v1 index files, the one with its
-// offsets in section 3, the index file and checkpoint with a distance byte
-// an entry in section 5, the index file with masks in section 13, the
-// graph file and checkpoint from before the graph became sections — and
-// an index file without section 11 is refused, with or without -graph, in
-// one line naming the release whose migrate reads it, and nothing is
-// written; one subtest a file. Building on the old graph file fails with
-// the same line. A file of a later layout without section 11 is damaged,
-// and refused in one line naming no migrate.
+// TestRunMigrateLegacyLayouts: each committed file of a retired layout —
+// the v1 index files, the one with its offsets in section 3, the index
+// file and checkpoint with a distance byte an entry in section 5, the
+// index file with masks in section 13, the index files with a distance
+// code an entry in section 12 (tiny_codes.hl2, tiny_bits.hl2), beside
+// rank bytes in section 4 (tiny_ranks.hl2, grid_ranks.hl2), the graph
+// file and checkpoint from before the graph became sections — an index
+// file without section 11 and a checkpoint of section-12 labels is
+// refused, with or without -graph, in one line naming the `hlbuild
+// migrate` of the release that reads it, and nothing is written; one
+// subtest a file. Building on the old graph file fails with the same
+// line. A file of a later layout without section 11 is damaged, and
+// refused in one line naming no migrate.
 func TestRunMigrateLegacyLayouts(t *testing.T) {
 	dir := t.TempDir()
 	figGraph := filepath.Join(dir, "fig2.hwg")
@@ -162,9 +127,17 @@ func TestRunMigrateLegacyLayouts(t *testing.T) {
 	if err := highway.SaveGraph(gen.Path(300), pathGraph); err != nil {
 		t.Fatal(err)
 	}
+	gridGraph := filepath.Join(dir, "grid.hwg")
+	if err := highway.SaveGraph(gen.Grid(5, 6), gridGraph); err != nil {
+		t.Fatal(err)
+	}
 	// tiny.hl2 without section 11, as writers before section 11 framed its
 	// labels.
 	noGraphPath := withoutSection11(t, "tiny.hl2", filepath.Join(dir, "no_section_11.hl2"))
+	section12Snap := filepath.Join(dir, "section12.snap")
+	if err := os.WriteFile(section12Snap, section12Snapshot(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	wantRefused := func(t *testing.T, what string, err error) {
 		t.Helper()
 		if err == nil || !strings.Contains(err.Error(), "hlbuild migrate") || !strings.Contains(err.Error(), container.OldRelease) || strings.Contains(err.Error(), "\n") {
@@ -175,7 +148,9 @@ func TestRunMigrateLegacyLayouts(t *testing.T) {
 	for _, c := range []struct{ in, graph string }{
 		{td("tiny.hl1"), figGraph}, {td("path300.hl1"), pathGraph}, {td("tiny_off64.hl2"), figGraph},
 		{td("tiny.hl2"), figGraph}, {td("tiny_mask.hl2"), figGraph}, {noGraphPath, figGraph},
-		{td("tiny.snap2"), ""}, {td("tiny.hwg1"), ""}, {td("tiny.snap1"), ""},
+		{td("tiny_codes.hl2"), figGraph}, {td("tiny_bits.hl2"), figGraph}, {td("tiny_ranks.hl2"), figGraph},
+		{td("grid_ranks.hl2"), gridGraph},
+		{td("tiny.snap2"), ""}, {td("tiny.hwg1"), ""}, {td("tiny.snap1"), ""}, {section12Snap, ""},
 	} {
 		t.Run(filepath.Base(c.in), func(t *testing.T) {
 			argSets := [][]string{{"-graph", c.graph}}
@@ -241,39 +216,10 @@ func withoutSection11(t *testing.T, name, path string) string {
 	return path
 }
 
-// TestRunMigrateSection12: the index files whose distances are a code an
-// entry in section 12 (tiny_codes.hl2) beside ranks a byte an entry in
-// section 4 (grid_ranks.hl2) migrate, beside their graph, to the bytes a
-// fresh build writes (figure2.hl2, grid.hl2), after the serving reader
-// refuses them with the line naming migrate; and a checkpoint of such
-// labels beside its graph migrates with no -graph to what EncodeSnapshot
-// writes today.
-func TestRunMigrateSection12(t *testing.T) {
-	testdata := filepath.Join("..", "..", "internal", "core", "testdata")
-	dir := t.TempDir()
-	for _, c := range []struct {
-		g       *highway.Graph
-		in, out string
-	}{{gen.PaperFigure2(), "tiny_codes.hl2", "figure2.hl2"}, {gen.Grid(5, 6), "grid_ranks.hl2", "grid.hl2"}} {
-		gp, out := filepath.Join(dir, c.in+".hwg"), filepath.Join(dir, c.out)
-		if err := highway.SaveGraph(c.g, gp); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := highway.LoadIndex(filepath.Join(testdata, c.in), c.g); err == nil || !strings.Contains(err.Error(), "hlbuild migrate") || strings.Contains(err.Error(), "\n") {
-			t.Fatalf("%s loaded: %v, want one line naming hlbuild migrate", c.in, err)
-		}
-		if err := run([]string{"migrate", "-graph", gp, "-in", filepath.Join(testdata, c.in), "-out", out}); err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(out)
-		want, werr := os.ReadFile(filepath.Join(testdata, c.out))
-		if err != nil || werr != nil || !bytes.Equal(got, want) {
-			t.Fatalf("%s migrated to %d bytes (%v, %v), not %s's %d", c.in, len(got), err, werr, c.out, len(want))
-		}
-	}
-	// tiny_codes.hl2's label sections beside the graph's: a checkpoint of
-	// the last writer of section 12.
-	g := gen.PaperFigure2()
+// section12Snapshot is tiny_codes.hl2's label sections beside the graph's:
+// a checkpoint as the last writer of section 12 framed it.
+func section12Snapshot(t *testing.T) []byte {
+	t.Helper()
 	raw, err := os.ReadFile(filepath.Join(testdata, "tiny_codes.hl2"))
 	if err != nil {
 		t.Fatal(err)
@@ -285,27 +231,11 @@ func TestRunMigrateSection12(t *testing.T) {
 		t.Fatal(err)
 	}
 	labels := []container.Section{sec[1], sec[2], sec[14], sec[15], sec[12], sec[6]}
-	var old, want bytes.Buffer
-	if err := container.WriteContainer(&old, h, append(g.Sections(), labels...)); err != nil {
+	var old bytes.Buffer
+	if err := container.WriteContainer(&old, h, append(gen.PaperFigure2().Sections(), labels...)); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := core.Build(g, gen.PaperLandmarks())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := serve.EncodeSnapshot(&want, g, ix); err != nil {
-		t.Fatal(err)
-	}
-	in, out := filepath.Join(dir, "old.snap"), filepath.Join(dir, "new.snap")
-	if err := os.WriteFile(in, old.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"migrate", "-in", in, "-out", out}); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("the section-12 checkpoint migrated to %d bytes (%v), not the %d EncodeSnapshot writes", len(got), err, want.Len())
-	}
+	return old.Bytes()
 }
 
 // TestRunMigrateCurrentSnapshot: a checkpoint already in today's layout,
@@ -344,7 +274,8 @@ func TestRunMigrateCurrentSnapshot(t *testing.T) {
 // the rank directory store it (section 15, or 18 where leaves are elided).
 // They load as they are, and migrate rewrites them without it: the index
 // files figure2_dir.hl2 and grid_dir.hl2, beside their graphs, to today's
-// goldens figure2.hl2 and grid.hl2, and the checkpoints figure2_dir.snap
+// goldens figure2.hl2 and grid.hl2 — with no -out at the input's path plus
+// ".v2", the input left as it was — and the checkpoints figure2_dir.snap
 // and leaves_dir.snap, with no -graph, to what EncodeSnapshot writes of
 // their state today.
 func TestRunMigrateStoredDirectory(t *testing.T) {
@@ -353,14 +284,25 @@ func TestRunMigrateStoredDirectory(t *testing.T) {
 		g       *highway.Graph
 		in, out string
 	}{{gen.PaperFigure2(), "figure2_dir.hl2", "figure2.hl2"}, {gen.Grid(5, 6), "grid_dir.hl2", "grid.hl2"}} {
-		gp, out := filepath.Join(dir, c.in+".hwg"), filepath.Join(dir, c.out)
+		gp, in := filepath.Join(dir, c.in+".hwg"), filepath.Join(dir, c.in)
 		if err := highway.SaveGraph(c.g, gp); err != nil {
 			t.Fatal(err)
 		}
-		if err := run([]string{"migrate", "-graph", gp, "-in", filepath.Join(testdata, c.in), "-out", out}); err != nil {
+		// Copied, so the default output lands in the temp dir.
+		raw, err := os.ReadFile(filepath.Join(testdata, c.in))
+		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(out)
+		if err := os.WriteFile(in, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run([]string{"migrate", "-graph", gp, "-in", in}); err != nil {
+			t.Fatal(err)
+		}
+		if left, err := os.ReadFile(in); err != nil || !bytes.Equal(left, raw) {
+			t.Fatalf("input: %v, want %s intact", err, c.in)
+		}
+		got, err := os.ReadFile(in + ".v2")
 		want, werr := os.ReadFile(filepath.Join(testdata, c.out))
 		if err != nil || werr != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s migrated to %d bytes (%v, %v), not %s's %d", c.in, len(got), err, werr, c.out, len(want))
@@ -425,12 +367,12 @@ func TestRunMigrateErrors(t *testing.T) {
 	if err := run([]string{"migrate", "-graph", gp, "-in", gp}); err == nil {
 		t.Error("a graph file accepted as an index")
 	}
-	// Grid(6, 5) has grid_ranks.hl2's n and m, but other vertex numbers.
+	// Grid(6, 5) has grid_dir.hl2's n and m, but other vertex numbers.
 	other, out := filepath.Join(t.TempDir(), "grid65.hwg"), filepath.Join(t.TempDir(), "wrong.idx")
 	if err := highway.SaveGraph(gen.Grid(6, 5), other); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"migrate", "-graph", other, "-in", filepath.Join(testdata, "grid_ranks.hl2"), "-out", out, "-verify", "0"}); err == nil {
+	if err := run([]string{"migrate", "-graph", other, "-in", filepath.Join(testdata, "grid_dir.hl2"), "-out", out, "-verify", "0"}); err == nil {
 		t.Error("index migrated against the wrong graph")
 	}
 	if left, _ := filepath.Glob(out + "*"); len(left) != 0 {

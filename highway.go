@@ -198,7 +198,7 @@ func SelectLandmarks(g *Graph, k int) ([]int32, error) {
 
 // LoadIndex reads an index file written by Index.Save and attaches it to
 // the graph it was built on. A file of an older layout fails with one line
-// naming `hlbuild migrate`, which rewrites it.
+// naming the `hlbuild migrate` that rewrites it.
 func LoadIndex(path string, g *Graph) (*Index, error) { return core.Load(path, g) }
 
 // ReadIndex reads an index as Index.Write streams it and attaches it to g;

@@ -16,14 +16,13 @@
 // (internal/core; 17 holds 14 of a labelling that keeps no label for its
 // leaves; 15 (18) held 14's (17's) rank directory, which readers still
 // accept and now derive; 7 and 8 (19 and 20) held its offsets beside 4, a
-// rank byte an entry, and 12 a distance code an entry, in files only
-// `hlbuild migrate` reads now; 3, 5 and 13 held the offsets, distances
-// and ranks of older ones), 9 and 10 the graph (internal/graph), 11 an
-// index file's graph fingerprint, 32 (SectTag) the first of every file of
-// the retired PLL, FD, IS-L and dynhl formats, refused with one line
-// naming the method, as the v1 index layout "HWLIDX01" and the layouts
-// before the graph became sections are with one naming the `hlbuild
-// migrate` of the release that reads them (OldRelease).
+// rank byte an entry, 12 a distance code an entry, and 3, 5 and 13 the
+// offsets, distances and ranks of older layouts, all retired), 9 and 10
+// the graph (internal/graph), 11 an index file's graph fingerprint, 32
+// (SectTag) the first of every file of the retired PLL, FD, IS-L and dynhl
+// formats, refused with one line naming the method, as the v1 index layout
+// "HWLIDX01" and the layouts before the graph became sections are with one
+// naming the `hlbuild migrate` of the release that reads them (OldRelease).
 package container
 
 import (

@@ -34,9 +34,8 @@ func FuzzLoadIndex(f *testing.F) {
 	// code an entry in section 12 (tiny_codes.hl2, tiny_bits.hl2), beside
 	// rank bytes in section 4 (grid_ranks.hl2, tiny_ranks.hl2), and
 	// path-600's ranks as rank bytes beside section 16. Each of those is
-	// refused with the one line naming the command that rewrites it
-	// (internal/legacy reads those with section 4 or 12, the `hlbuild
-	// migrate` of container.OldRelease the others); then the golden and
+	// refused with the one line naming the command that rewrites it, the
+	// `hlbuild migrate` of container.OldRelease; then the golden and
 	// path-600 files without section 11, damaged, each refused in one line
 	// naming no migrate; then path-600's file with its rank directory
 	// stored, as writers before the reader derived it framed it, and every

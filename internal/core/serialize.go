@@ -78,16 +78,16 @@ const FormatV2 Format = 2
 // 2, the ranks, 16 and 6 in one container and no section 11.
 //
 // This layout, with its directory stored or not, is the one read. The
-// older ones are refused with one line naming `hlbuild migrate`: v2 whose labels kept a rank byte an entry
-// beside offsets (4, with 7 and 8 or 19 and 20) or a distance code an
-// entry (12), index files and snapshots alike, which it reads
-// (internal/legacy); and, naming the release whose migrate reads them
-// (container.OldRelease), v2 without section 11, v2 whose labels kept one
-// distance byte an entry (5) or masks of ⌈k/8⌉ bytes a vertex (13), and v1
-// "HWLIDX01" (the container's magic) and v2 with the offsets as uint64 in
-// section 3, neither of which has section 11. A file without section 11
-// but with a section first written after it (12, or 14 to 20) is neither:
-// it is damaged, and refused in one line that names no migrate.
+// older ones are refused with one line naming the `hlbuild migrate` of the
+// release that reads them (container.OldRelease): v2 whose labels kept a
+// rank byte an entry beside offsets (4, with 7 and 8 or 19 and 20), a
+// distance code an entry (12), one distance byte an entry (5) or masks of
+// ⌈k/8⌉ bytes a vertex (13), index files and snapshots alike; v2 without
+// section 11; and v1 "HWLIDX01" (the container's magic) and v2 with the
+// offsets as uint64 in section 3, neither of which has section 11. A file
+// without section 11 but with a section first written after it (12, or 14
+// to 20) is none of these: it is damaged, and refused in one line that
+// names no migrate.
 const (
 	sectLandmarks   uint32 = 1
 	sectHighway     uint32 = 2
@@ -108,17 +108,16 @@ const (
 	sectLeafRel     uint32 = 20
 )
 
-// retired are the sections of the layouts only `hlbuild migrate` reads,
-// what their labels kept there, and the release whose migrate reads them
-// (none named: today's).
+// retired are the sections of the layouts only the `hlbuild migrate` of
+// container.OldRelease reads, and what their labels kept there.
 var retired = []struct {
-	ids       []uint32
-	what, rel string
+	ids  []uint32
+	what string
 }{
-	{[]uint32{sectByteDist}, "labels keep one distance byte an entry (section 5), a layout from before section 12", " " + container.OldRelease},
-	{[]uint32{sectByteMask}, "label ranks are masks of ⌈k/8⌉ bytes a vertex beside offsets (section 13), a layout from before sections 14 and 15", " " + container.OldRelease},
-	{[]uint32{sectLabelRank, sectLabelBase, sectLabelRel, sectLeafBase, sectLeafRel}, "label ranks are a byte an entry beside offsets (sections 4, 7 and 8, or 19 and 20), a layout this reader does not read", ""},
-	{[]uint32{sectLabelDist}, "labels keep a distance code an entry (section 12), a layout this reader does not read", ""},
+	{[]uint32{sectByteDist}, "labels keep one distance byte an entry (section 5), a layout from before section 12"},
+	{[]uint32{sectByteMask}, "label ranks are masks of ⌈k/8⌉ bytes a vertex beside offsets (section 13), a layout from before sections 14 and 15"},
+	{[]uint32{sectLabelRank, sectLabelBase, sectLabelRel, sectLeafBase, sectLeafRel}, "label ranks are a byte an entry beside offsets (sections 4, 7 and 8, or 19 and 20), a layout d2d3576 retired"},
+	{[]uint32{sectLabelDist}, "labels keep a distance code an entry (section 12), a layout d2d3576 retired"},
 }
 
 // Write serializes the index (without the graph) as an index file. Output
@@ -388,7 +387,7 @@ func FromSections(h container.Header, sec map[uint32]container.Section, g *graph
 	}
 	for _, old := range retired {
 		if slices.ContainsFunc(old.ids, func(id uint32) bool { _, ok := sec[id]; return ok }) {
-			return nil, fmt.Errorf("core: %s: rewrite the file with `hlbuild migrate -graph G -in FILE` (an index file) or `hlbuild migrate -in FILE` (a checkpoint)%s", old.what, old.rel)
+			return nil, fmt.Errorf("core: %s: rewrite the file with `hlbuild migrate -graph G -in FILE` (an index file) or `hlbuild migrate -in FILE` (a checkpoint) %s", old.what, container.OldRelease)
 		}
 	}
 	_, mask := sec[sectLabelBits]

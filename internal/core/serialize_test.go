@@ -56,7 +56,7 @@ func appendUnknownSection(tb testing.TB, file []byte, id uint32, payload []byte)
 
 // rankBytesFile is ix's index file with its ranks a byte an entry in
 // section 4 beside their offsets in sections 7 and 8 (19 and 20 when ix
-// elides leaves), a layout only `hlbuild migrate` reads: a file as writers
+// elides leaves), a retired layout: a file as writers
 // before section 17 framed a labelling whose ranks took fewer bytes so.
 func rankBytesFile(tb testing.TB, ix *Index) []byte {
 	tb.Helper()
@@ -380,7 +380,7 @@ func checkReadCase(t *testing.T, file []byte, g *graph.Graph, ix *Index, want st
 		}
 		return
 	}
-	if err == nil || !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "\n") {
+	if err == nil || !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "\n") || want == migrateLine && !namesMigrate(err) {
 		t.Fatalf("Read: %v, want one line saying %q", err, want)
 	}
 }
@@ -451,10 +451,9 @@ func withDirectory(tb testing.TB, ix *Index) []byte {
 // TestReadChecksOffsets: the reader holds no offsets: a file whose ranks
 // are a byte an entry beside them in sections 7, 8 and 4, as path-600's
 // were framed by the writers before sections 14 and 15, is refused with
-// the one line naming `hlbuild migrate` before a byte of them is read,
-// unedited or damaged in each way the reader of those sections once
-// checked. migrate's reader holds such a file to a fresh build's
-// (internal/legacy).
+// the one line naming the `hlbuild migrate` of container.OldRelease
+// before a byte of them is read, unedited or damaged in each way the
+// reader of those sections once checked.
 func TestReadChecksOffsets(t *testing.T) {
 	g, ix := path600(t)
 	good := rankBytesFile(t, ix)
@@ -646,7 +645,7 @@ func TestReadRejectsSameSizeGraph(t *testing.T) {
 // checksum covers, rewritten to 99 is refused in one line naming no
 // migrate.
 func TestReadWithoutSection11(t *testing.T) {
-	if _, err := Read(bytes.NewReader(withoutSection11(t, testdata(t, "tiny.hl2"))), gen.PaperFigure2()); !namesMigrate(err) || !strings.Contains(err.Error(), container.OldRelease) {
+	if _, err := Read(bytes.NewReader(withoutSection11(t, testdata(t, "tiny.hl2"))), gen.PaperFigure2()); !namesMigrate(err) {
 		t.Errorf("tiny.hl2 without section 11: %v, want one line naming hlbuild migrate %s", err, container.OldRelease)
 	}
 	grid := testdata(t, "grid.hl2")
@@ -677,13 +676,14 @@ func namesDamage(err error) bool {
 }
 
 // migrateLine is what the reader says of a file of a retired layout: it
-// names the command that rewrites it.
+// names the command that rewrites it, of container.OldRelease (namesMigrate).
 const migrateLine = "hlbuild migrate"
 
 // namesMigrate reports whether err is the one line that refuses a retired
-// layout by naming the command that rewrites it.
+// layout by naming the command that rewrites it and the release whose
+// command that is.
 func namesMigrate(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "hlbuild migrate") && !strings.Contains(err.Error(), "\n")
+	return err != nil && strings.Contains(err.Error(), "hlbuild migrate") && strings.Contains(err.Error(), container.OldRelease) && !strings.Contains(err.Error(), "\n")
 }
 
 // TestV2ChecksumCatchesBitFlips: any single corrupted payload byte must be

@@ -13,6 +13,7 @@ import (
 	"highway/internal/container"
 	"highway/internal/core"
 	"highway/internal/failpoint"
+	"highway/internal/gen"
 	"highway/internal/graph"
 )
 
@@ -235,12 +236,15 @@ func TestLoadLiveUnreadableSnapshot(t *testing.T) {
 }
 
 // TestLoadLiveLegacySnapshot: a checkpoint of a retired layout — from
-// before the graph became container sections, or with one distance byte a
-// label entry — is refused with one line naming `hlbuild migrate`, and the
-// restart serves nothing — neither that checkpoint nor the base files
-// beside it.
+// before the graph became container sections, with one distance byte a
+// label entry, or with a distance code an entry in section 12 — is refused
+// with one line naming the `hlbuild migrate` of the release that reads it,
+// and the restart serves nothing — neither that checkpoint nor the base
+// files beside it.
 func TestLoadLiveLegacySnapshot(t *testing.T) {
-	for _, name := range []string{"tiny.snap1", "tiny.snap2"} {
+	for name, snap := range map[string][]byte{
+		"tiny.snap1": legacySnapshot(t, "tiny.snap1"), "tiny.snap2": legacySnapshot(t, "tiny.snap2"), "section 12": section12Snapshot(t),
+	} {
 		g, _, ix := liveBase(t, 300, 6)
 		graphPath, indexPath, walPath := saveBase(t, g, ix)
 		wal, err := OpenWAL(walPath)
@@ -251,7 +255,7 @@ func TestLoadLiveLegacySnapshot(t *testing.T) {
 		if err := wal.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(snapPath, legacySnapshot(t, name), 0o644); err != nil {
+		if err := os.WriteFile(snapPath, snap, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		srv, err := LoadLive(graphPath, indexPath, walPath, LiveConfig{})
@@ -259,10 +263,28 @@ func TestLoadLiveLegacySnapshot(t *testing.T) {
 			srv.Close()
 			t.Fatalf("LoadLive served over %s", name)
 		}
-		if srv != nil || !strings.Contains(err.Error(), "hlbuild migrate") || strings.Contains(err.Error(), "\n") {
-			t.Fatalf("%s: server %v, err = %v; want none and one line naming hlbuild migrate", name, srv, err)
+		if srv != nil || !strings.Contains(err.Error(), "hlbuild migrate") || !strings.Contains(err.Error(), container.OldRelease) || strings.Contains(err.Error(), "\n") {
+			t.Fatalf("%s: server %v, err = %v; want none and one line naming hlbuild migrate %s", name, srv, err, container.OldRelease)
 		}
 	}
+}
+
+// section12Snapshot is tiny_codes.hl2's label sections beside the graph's:
+// a checkpoint as the last writer of section 12 framed it.
+func section12Snapshot(tb testing.TB) []byte {
+	tb.Helper()
+	h, sec, err := container.ReadContainer(bytes.NewReader(legacySnapshot(tb, "tiny_codes.hl2")), true, func(container.Header) (map[uint32]uint64, error) {
+		return map[uint32]uint64{1: 1 << 10, 2: 1 << 10, 6: 1 << 10, 12: 1 << 10, 14: 1 << 10, 15: 1 << 10}, nil
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	labels := []container.Section{sec[1], sec[2], sec[14], sec[15], sec[12], sec[6]}
+	var old bytes.Buffer
+	if err := container.WriteContainer(&old, h, append(gen.PaperFigure2().Sections(), labels...)); err != nil {
+		tb.Fatal(err)
+	}
+	return old.Bytes()
 }
 
 // TestStoredDirectorySnapshots: a checkpoint or resync snapshot written

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -119,11 +120,53 @@ func legacySnapshot(tb testing.TB, name string) []byte {
 	return raw
 }
 
-// decodeBytesBudget is what DecodeSnapshotBytes may allocate on size bytes
-// in memory: the state it returns — which is about as long as the
-// snapshot, the graph's arrays being its sections decoded — and a quarter
-// more for the cursors and maps beside it, but no buffer for the input.
-func decodeBytesBudget(size int) uint64 { return 64<<10 + 5*uint64(size)/4 }
+// The allowances of decodeBytesBudget beyond the input and the directory,
+// measured with allocatedBy on the inputs TestDecodeSnapshotBytesBudget
+// runs (go1.24, amd64).
+const (
+	// decodeVertexBytes is what the decode allocates a vertex: the
+	// labelling's rank of each landmark (4 B) and landmark flags (1 B), the
+	// graph check's symmetry cursor (4 B) and the elided set's bits. 100 000
+	// isolated vertices and BA-20k (k = 16), with no overflow record,
+	// allocate 9.3 B a vertex past the input and the directory.
+	decodeVertexBytes = 10
+	// decodeRecordBytes is what it allocates an overflow record: the parsed
+	// record, its entry in the overflow map and the escaped labels' excess.
+	// Path-50k (k = 64), whose 49 932 records dwarf the rest, allocates 75 B
+	// a record past that and 9.3 B a vertex.
+	decodeRecordBytes = 80
+	// decodeFixedBytes covers what grows with neither: the graph reader's
+	// buffer, the section map and the k×k highway of a small k.
+	decodeFixedBytes = 64 << 10
+)
+
+// decodeBytesBudget is what DecodeSnapshotBytes may allocate on data in
+// memory: the state it returns, but no buffer for the input. The graph's
+// arrays are its sections decoded and the labelling keeps a copy of its
+// own, so together they are the input's bytes; beside them are the rank
+// directory the reader derives, decodeVertexBytes a vertex,
+// decodeRecordBytes an overflow record and decodeFixedBytes. The header's
+// n and record count count only as far as the table gives the graph's
+// section 9 its 8 bytes a vertex and section 6 its 9 a record, and the
+// table's lengths only as far as data holds them.
+func decodeBytesBudget(data []byte) uint64 {
+	const sectOverflow = 6 // core's overflow records
+	size := uint64(len(data))
+	h, rows, _ := container.ReadTable(bytes.NewReader(data))
+	rowLen := func(id uint32) uint64 {
+		for _, r := range rows {
+			if r.ID == id {
+				return min(r.Length, size)
+			}
+		}
+		return 0
+	}
+	n, records := min(h.N, rowLen(graph.SectOffsets)/8), min(h.Aux2, rowLen(sectOverflow)/9)
+	k := min(uint64(h.K), uint64(math.Sqrt(float64(size/4)))) // the highway holds 4k² bytes
+	words, stride := (n*k+63)/64, max(1, (k+63)/64)
+	dir := (words+1023)/1024*8 + (words+stride-1)/stride*2 // as core's maskLens, over every vertex
+	return size + dir + decodeVertexBytes*n + decodeRecordBytes*records + decodeFixedBytes
+}
 
 // FuzzDecodeSnapshot holds the snapshot reader, which every follower runs
 // on bytes from the network, total on arbitrary bytes through both its
@@ -131,7 +174,7 @@ func decodeBytesBudget(size int) uint64 { return 64<<10 + 5*uint64(size)/4 }
 // (DecodeSnapshotBytes): no panic, no more allocated than the graph
 // reader's budget on a stream or decodeBytesBudget in memory whatever the
 // header and table claim, a legacy snapshot refused with one line naming
-// `hlbuild migrate`, both doors rejecting an input or both returning states
+// the `hlbuild migrate` of container.OldRelease, both doors rejecting an input or both returning states
 // that re-encode to the same bytes, and a snapshot accepted with
 // EncodeSnapshot's table is byte for byte what EncodeSnapshot writes of
 // the state it returns.
@@ -183,6 +226,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(legacySnapshot(f, "tiny.snap2"))
 	f.Add(legacySnapshot(f, "figure2_dir.snap"))
 	f.Add(legacySnapshot(f, "leaves_dir.snap"))
+	f.Add(section12Snapshot(f))
 
 	ids := func(file []byte) string {
 		_, rows, _ := container.ReadTable(bytes.NewReader(file))
@@ -200,11 +244,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if used := allocatedBy(func() { g, ix, err = DecodeSnapshot(bytes.NewReader(data)) }); used > readBinaryBudget(len(data)) {
 			t.Fatalf("DecodeSnapshot allocated %d bytes on a %d-byte stream", used, len(data))
 		}
-		if used := allocatedBy(func() { mg, mix, merr = DecodeSnapshotBytes(data) }); used > decodeBytesBudget(len(data)) {
+		if used := allocatedBy(func() { mg, mix, merr = DecodeSnapshotBytes(data) }); used > decodeBytesBudget(data) {
 			t.Fatalf("DecodeSnapshotBytes allocated %d bytes on %d in memory", used, len(data))
 		}
-		if bytes.HasPrefix(data, legacy[:8]) && (err == nil || !strings.Contains(err.Error(), "hlbuild migrate") || strings.Contains(err.Error(), "\n")) {
-			t.Fatalf("legacy snapshot: err = %v, want one line naming hlbuild migrate", err)
+		if bytes.HasPrefix(data, legacy[:8]) && (err == nil || !strings.Contains(err.Error(), "hlbuild migrate") || !strings.Contains(err.Error(), container.OldRelease) || strings.Contains(err.Error(), "\n")) {
+			t.Fatalf("legacy snapshot: err = %v, want one line naming hlbuild migrate %s", err, container.OldRelease)
 		}
 		if (err == nil) != (merr == nil) {
 			t.Fatalf("DecodeSnapshot: %v; DecodeSnapshotBytes: %v", err, merr)
@@ -246,16 +290,36 @@ func ba20k(tb testing.TB) (*graph.Graph, *core.Index) {
 	return g, ix
 }
 
-// TestDecodeSnapshotBytesBudget: on a snapshot of the size the cluster
-// ships, the bytes-in-hand reader allocates the state it returns and not a
-// copy of its input.
+// TestDecodeSnapshotBytesBudget: the bytes-in-hand reader allocates the
+// state it returns and not a copy of its input, on the snapshot of the size
+// the cluster ships (BA-20k, k = 16) and on the two whose state outgrows
+// their bytes most: path-50k (k = 64), whose labels nearly all escape to
+// overflow records, and 100 000 isolated vertices (k = 64), whose labels
+// are empty.
 func TestDecodeSnapshotBytesBudget(t *testing.T) {
-	data, err := SnapshotBytes(ba20k(t))
+	path := gen.Path(50_000)
+	isolated := graph.NewBuilder(100_000).MustBuild()
+	pathIx, err := core.Build(path, path.DegreeOrder()[:64])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if used := allocatedBy(func() { _, _, err = DecodeSnapshotBytes(data) }); err != nil || used > decodeBytesBudget(len(data)) {
-		t.Fatalf("DecodeSnapshotBytes: %v, %d bytes allocated on %d, budget %d", err, used, len(data), decodeBytesBudget(len(data)))
+	isolatedIx, err := core.Build(isolated, isolated.DegreeOrder()[:64])
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, ix := ba20k(t)
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		ix   *core.Index
+	}{{"BA-20k", g, ix}, {"path-50k", path, pathIx}, {"isolated-100k", isolated, isolatedIx}} {
+		data, err := SnapshotBytes(c.g, c.ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if used := allocatedBy(func() { _, _, err = DecodeSnapshotBytes(data) }); err != nil || used > decodeBytesBudget(data) {
+			t.Errorf("%s: DecodeSnapshotBytes: %v, %d bytes allocated on %d, budget %d", c.name, err, used, len(data), decodeBytesBudget(data))
+		}
 	}
 }
 
